@@ -128,10 +128,12 @@ fn visited_node_pairs(t1: &RTree<2>, t2: &RTree<2>) -> Vec<(NodeId, NodeId)> {
 
 /// Node-level entry matching on the 60K fixed-seed workload: re-match
 /// the exact node pairs the synchronized traversal visits, scalar vs
-/// batched, for both entry orders (informational — R-tree nodes hold
-/// ~66 entries and sweep runs there are 1–3 candidates long, so this
-/// phase is bounded by merge bookkeeping both kernels share; the
-/// guard lives on the long-run sweep below).
+/// batched, for both entry orders (informational — `matched_entries`
+/// hands the kernels only the entries meeting the other node's MBR,
+/// about 13 of a node's 33, and sweep runs there are 1–3 candidates
+/// long, so this phase is bounded by the restriction pass and merge
+/// bookkeeping both kernels share; the guard lives on the long-run
+/// sweep below).
 fn bench_node_matching(c: &mut Criterion) {
     let _ = c; // manual timing: JSON lines, not a criterion group
     let (n, reps) = if smoke() {

@@ -35,7 +35,7 @@ pub(crate) struct Engine<'a, const N: usize> {
     pub(crate) pairs: Vec<(ObjectId, ObjectId)>,
     pub(crate) pair_count: u64,
     pub(crate) config: JoinConfig,
-    // Reused matching buffers (sweep sort vectors, SoA batches, bitmask).
+    // Reused matching buffers (candidate lists, SoA batches, bitmask).
     pub(crate) scratch: MatchScratch<N>,
     // Fault-injection oracle (disabled = one `Option` check per pair)
     // and the node pairs forfeited to permanent read failures.

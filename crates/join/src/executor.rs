@@ -136,10 +136,12 @@ impl Default for JoinConfig {
     }
 }
 
-/// Reusable scratch buffers for entry matching: the sort buffers of the
-/// plane sweep plus the SoA batches and bitmask of the batched kernel.
-/// One instance lives in each executor; matching refills it per node
-/// pair, so steady-state matching allocates nothing but the output.
+/// Reusable scratch buffers for entry matching: the two candidate lists
+/// (each node's entries that meet the other node's MBR — what the loops
+/// and the sweep run on, and what the sweep sorts) plus the SoA batches
+/// and bitmask of the batched kernel. One instance lives in each
+/// executor; matching refills it per node pair, so steady-state
+/// matching allocates nothing but the output.
 #[derive(Debug, Default)]
 pub struct MatchScratch<const N: usize> {
     entries1: Vec<(Rect<N>, Child)>,
@@ -457,53 +459,87 @@ pub(crate) fn pinned_children<const N: usize>(
 /// same order (which the DA comparisons rely on); the kernel choice
 /// never changes which pairs come back or their order, only how the
 /// rectangle comparisons are evaluated.
+///
+/// Matching runs on the *restricted* entry lists of \[BKS93\]: an entry
+/// of `n1` is a candidate only if it satisfies the predicate against
+/// `n2`'s MBR, and vice versa. The restriction is exact — every entry
+/// `e2` of `n2` lies inside `mbr(n2)`, and both predicates are downward
+/// closed, so `e1` matching `e2` implies `e1` matching `mbr(n2)` (in
+/// floating point too: the per-dimension gaps to the MBR are never
+/// larger) — and order-preserving, so the surviving pairs come back in
+/// the order the unrestricted loops would have produced them.
 pub fn matched_entries<const N: usize>(
     n1: &Node<N>,
     n2: &Node<N>,
     config: &JoinConfig,
     scratch: &mut MatchScratch<N>,
 ) -> Vec<(Child, Child)> {
+    let (Some(m1), Some(m2)) = (n1.mbr(), n2.mbr()) else {
+        return Vec::new();
+    };
+    let predicate = config.predicate;
+    let restrict = |node: &Node<N>, other: &Rect<N>, out: &mut Vec<(Rect<N>, Child)>| {
+        out.clear();
+        out.extend(
+            node.entries
+                .iter()
+                .filter(|e| predicate.holds(&e.rect, other))
+                .map(|e| (e.rect, e.child)),
+        );
+    };
+    restrict(n1, &m2, &mut scratch.entries1);
+    restrict(n2, &m1, &mut scratch.entries2);
+    if scratch.entries1.is_empty() || scratch.entries2.is_empty() {
+        return Vec::new();
+    }
     match (config.order, config.kernel) {
         (MatchOrder::NestedLoop, MatchKernel::Scalar) => {
             let mut out = Vec::new();
             // Figure 2: R2's entries drive the outer loop.
-            for e2 in &n2.entries {
-                for e1 in &n1.entries {
-                    if config.predicate.holds(&e1.rect, &e2.rect) {
-                        out.push((e1.child, e2.child));
+            for (r2, c2) in &scratch.entries2 {
+                for (r1, c1) in &scratch.entries1 {
+                    if predicate.holds(r1, r2) {
+                        out.push((*c1, *c2));
                     }
                 }
             }
             out
         }
         (MatchOrder::NestedLoop, MatchKernel::Batched) => {
-            // Same loops, inner loop vectorized: batch R1's entries
-            // once, test each R2 entry against all of them. Ascending
-            // mask bits reproduce the inner loop's entry order.
-            let MatchScratch { batch1, mask, .. } = scratch;
+            // Same loops, inner loop vectorized: batch R1's candidates
+            // once, test each R2 candidate against all of them.
+            // Ascending mask bits reproduce the inner loop's entry order.
+            let MatchScratch {
+                entries1,
+                entries2,
+                batch1,
+                mask,
+                ..
+            } = scratch;
             batch1.clear();
-            batch1.extend(n1.entries.iter().map(|e| e.rect));
+            batch1.extend(entries1.iter().map(|e| e.0));
             let mut out = Vec::new();
-            for e2 in &n2.entries {
-                match config.predicate {
-                    JoinPredicate::Overlap => batch1.overlap_mask(&e2.rect, 0, batch1.len(), mask),
+            for (r2, c2) in entries2.iter() {
+                match predicate {
+                    JoinPredicate::Overlap => batch1.overlap_mask(r2, 0, batch1.len(), mask),
                     JoinPredicate::WithinDistance(eps) => {
-                        batch1.within_mask(&e2.rect, eps, 0, batch1.len(), mask)
+                        batch1.within_mask(r2, eps, 0, batch1.len(), mask)
                     }
                 }
                 for i in mask.iter_set() {
-                    out.push((n1.entries[i].child, e2.child));
+                    out.push((entries1[i].1, *c2));
                 }
             }
             out
         }
-        (MatchOrder::PlaneSweep, kernel) => sweep_pairs(n1, n2, config.predicate, kernel, scratch),
+        (MatchOrder::PlaneSweep, kernel) => sweep_pairs(predicate, kernel, scratch),
     }
 }
 
-/// Plane-sweep entry matching along dimension 0 (BKS93's CPU
-/// optimization). For the distance predicate the sweep widens the active
-/// window by ε so no qualifying pair is skipped.
+/// Plane-sweep matching along dimension 0 (BKS93's CPU optimization)
+/// of the candidates in `scratch.entries1` × `scratch.entries2`. For the
+/// distance predicate the sweep widens the active window by ε so no
+/// qualifying pair is skipped.
 ///
 /// The batched kernel delimits each anchor's candidate range by
 /// scanning the sorted `lo₀` slab (the same comparisons the scalar
@@ -513,8 +549,6 @@ pub fn matched_entries<const N: usize>(
 /// the full [`RectBatch::within_mask`] for the distance predicate
 /// (the ε-widened range does *not* imply dimension-0 proximity).
 fn sweep_pairs<const N: usize>(
-    n1: &Node<N>,
-    n2: &Node<N>,
     predicate: JoinPredicate,
     kernel: MatchKernel,
     scratch: &mut MatchScratch<N>,
@@ -530,10 +564,8 @@ fn sweep_pairs<const N: usize>(
         batch2,
         mask,
     } = scratch;
-    entries1.clear();
-    entries2.clear();
-    entries1.extend(n1.entries.iter().map(|e| (e.rect, e.child)));
-    entries2.extend(n2.entries.iter().map(|e| (e.rect, e.child)));
+    // Stable sorts: dropping non-candidates before sorting leaves the
+    // survivors in the order sorting the full lists would have.
     entries1.sort_by(|a, b| a.0.lo_k(0).total_cmp(&b.0.lo_k(0)));
     entries2.sort_by(|a, b| a.0.lo_k(0).total_cmp(&b.0.lo_k(0)));
     if kernel == MatchKernel::Batched {

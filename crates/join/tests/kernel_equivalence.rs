@@ -4,15 +4,20 @@
 //! adversarial coordinates (touching boundaries, ±0.0, degenerate
 //! rectangles, f32-outward-rounded values straight from the page
 //! format) and on the 60K fixed-seed workload under every scheduler.
+//!
+//! The second half checks the search-space restriction in front of the
+//! kernels: `matched_entries` hands them only the entries that meet the
+//! other node's MBR, and must return what the unrestricted loops kept
+//! here would — same pairs, same order, same nodes visited.
 
 use proptest::prelude::*;
 use sjcm_geom::{unit_grid_cell, OverlapMask, Point, Rect, RectBatch};
 use sjcm_join::pbsm::PbsmResult;
 use sjcm_join::{
-    JoinConfig, JoinError, JoinPredicate, JoinResultSet, JoinSession, MatchKernel, MatchOrder,
-    PbsmSession, Scheduler,
+    matched_entries, JoinConfig, JoinError, JoinPredicate, JoinResultSet, JoinSession, MatchKernel,
+    MatchOrder, MatchScratch, PbsmSession, Scheduler,
 };
-use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
+use sjcm_rtree::{BulkLoad, Child, Entry, Node, ObjectId, RTree, RTreeConfig};
 use sjcm_storage::{DiskEntry, DiskNode, DEFAULT_PAGE_SIZE};
 
 /// Session-API shorthand: an ungoverned, unfaulted join.
@@ -305,6 +310,297 @@ fn batched_join_identical_with_height_mismatch() {
         assert_eq!(scalar.na_total(), batched.na_total());
         assert_eq!(scalar.da_total(), batched.da_total());
     }
+}
+
+// ---------------------------------------------------------------------
+// Search-space restriction: `matched_entries` against unrestricted loops.
+// ---------------------------------------------------------------------
+
+const ORDERS: [MatchOrder; 2] = [MatchOrder::NestedLoop, MatchOrder::PlaneSweep];
+const KERNELS: [MatchKernel; 2] = [MatchKernel::Scalar, MatchKernel::Batched];
+
+fn holds(predicate: JoinPredicate, a: &Rect<2>, b: &Rect<2>) -> bool {
+    match predicate {
+        JoinPredicate::Overlap => a.intersects(b),
+        JoinPredicate::WithinDistance(eps) => a.within_distance(b, eps),
+    }
+}
+
+/// What `matched_entries` returned before it restricted its inputs:
+/// every entry of `n1` against every entry of `n2`, in Figure 2's
+/// nested-loop order or in \[BKS93\]'s sweep order. The kernels are
+/// byte-identical by the first half of this file, so one scalar
+/// reference per order serves both.
+fn unrestricted(
+    n1: &Node<2>,
+    n2: &Node<2>,
+    predicate: JoinPredicate,
+    order: MatchOrder,
+) -> Vec<(Child, Child)> {
+    let mut out = Vec::new();
+    match order {
+        MatchOrder::NestedLoop => {
+            for e2 in &n2.entries {
+                for e1 in &n1.entries {
+                    if holds(predicate, &e1.rect, &e2.rect) {
+                        out.push((e1.child, e2.child));
+                    }
+                }
+            }
+        }
+        MatchOrder::PlaneSweep => {
+            let slack = match predicate {
+                JoinPredicate::Overlap => 0.0,
+                JoinPredicate::WithinDistance(eps) => eps,
+            };
+            let sorted = |n: &Node<2>| {
+                let mut v = n.entries.clone();
+                v.sort_by(|a, b| a.rect.lo_k(0).total_cmp(&b.rect.lo_k(0)));
+                v
+            };
+            let (s1, s2) = (sorted(n1), sorted(n2));
+            let (mut i, mut j) = (0, 0);
+            while i < s1.len() && j < s2.len() {
+                if s1[i].rect.lo_k(0) <= s2[j].rect.lo_k(0) {
+                    let limit = s1[i].rect.hi_k(0) + slack;
+                    for e2 in s2[j..].iter().take_while(|e| e.rect.lo_k(0) <= limit) {
+                        if holds(predicate, &s1[i].rect, &e2.rect) {
+                            out.push((s1[i].child, e2.child));
+                        }
+                    }
+                    i += 1;
+                } else {
+                    let limit = s2[j].rect.hi_k(0) + slack;
+                    for e1 in s1[i..].iter().take_while(|e| e.rect.lo_k(0) <= limit) {
+                        if holds(predicate, &e1.rect, &s2[j].rect) {
+                            out.push((e1.child, s2[j].child));
+                        }
+                    }
+                    j += 1;
+                }
+            }
+        }
+    }
+    out
+}
+
+fn leaf_of(rects: &[Rect<2>], first_id: u32) -> Node<2> {
+    Node {
+        level: 0,
+        entries: rects
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| Entry::leaf(r, ObjectId(first_id + i as u32)))
+            .collect(),
+    }
+}
+
+/// Every order × kernel arm of `matched_entries` against the
+/// unrestricted reference, sharing one scratch across the arms the way
+/// an engine does across node pairs.
+fn assert_restriction_is_exact(n1: &Node<2>, n2: &Node<2>, predicate: JoinPredicate) {
+    let mut scratch = MatchScratch::new();
+    for order in ORDERS {
+        let want = unrestricted(n1, n2, predicate, order);
+        for kernel in KERNELS {
+            let config = JoinConfig {
+                predicate,
+                order,
+                kernel,
+                ..JoinConfig::default()
+            };
+            let got = matched_entries(n1, n2, &config, &mut scratch);
+            assert_eq!(got, want, "{predicate:?} {order:?} {kernel:?}");
+        }
+    }
+}
+
+fn r(lo: [f64; 2], hi: [f64; 2]) -> Rect<2> {
+    Rect::new(lo, hi).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn restricted_matching_equals_unrestricted_loops(
+        rects1 in prop::collection::vec(rect2(), 0..70),
+        rects2 in prop::collection::vec(rect2(), 0..70),
+        eps in prop_oneof![Just(0.0f64), Just(0.25f64), 0.0f64..0.5],
+        page_rounded in any::<bool>(),
+    ) {
+        let prep = |rects: Vec<Rect<2>>| -> Vec<Rect<2>> {
+            if page_rounded {
+                rects.into_iter().map(page_roundtrip).collect()
+            } else {
+                rects
+            }
+        };
+        let n1 = leaf_of(&prep(rects1), 0);
+        let n2 = leaf_of(&prep(rects2), 10_000);
+        assert_restriction_is_exact(&n1, &n2, JoinPredicate::Overlap);
+        assert_restriction_is_exact(&n1, &n2, JoinPredicate::WithinDistance(eps));
+    }
+
+    // Trees of unequal height: the pinned arms hand a leaf and an
+    // ever-deeper node of the other tree to `matched_entries` once both
+    // sides are leaves, and every pruning step above must have been
+    // exact for the brute-force result to come out.
+    #[test]
+    fn unequal_height_joins_match_brute_force(
+        tall in prop::collection::vec(rect2(), 120..260),
+        short in prop::collection::vec(rect2(), 1..5),
+        eps in prop_oneof![Just(0.0f64), Just(0.25f64), 0.0f64..0.3],
+    ) {
+        let build = |rects: &[Rect<2>]| {
+            let mut tree = RTree::<2>::new(RTreeConfig::with_capacity(4));
+            for (i, &r) in rects.iter().enumerate() {
+                tree.insert(r, ObjectId(i as u32));
+            }
+            tree
+        };
+        let (t_tall, t_short) = (build(&tall), build(&short));
+        prop_assert!(t_tall.height() > t_short.height());
+        for predicate in [JoinPredicate::Overlap, JoinPredicate::WithinDistance(eps)] {
+            for (a, ra, b, rb) in [
+                (&t_tall, &tall, &t_short, &short),
+                (&t_short, &short, &t_tall, &tall),
+            ] {
+                let mut want = Vec::new();
+                for (i, x) in ra.iter().enumerate() {
+                    for (j, y) in rb.iter().enumerate() {
+                        if holds(predicate, x, y) {
+                            want.push((ObjectId(i as u32), ObjectId(j as u32)));
+                        }
+                    }
+                }
+                for order in ORDERS {
+                    for kernel in KERNELS {
+                        let config = JoinConfig { predicate, order, kernel, ..JoinConfig::default() };
+                        let mut got = join(a, b, config, Scheduler::Sequential).pairs;
+                        got.sort();
+                        prop_assert_eq!(&got, &want, "{:?} {:?} {:?}", predicate, order, kernel);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn restriction_keeps_boundary_cases() {
+    // Touching edges and corners, zero-extent entries on the other
+    // node's MBR boundary, and entries far outside it.
+    let n1 = leaf_of(
+        &[
+            r([0.0, 0.0], [0.5, 0.5]),
+            r([0.5, 0.5], [0.5, 0.5]),
+            r([0.25, 0.5], [0.25, 0.75]),
+            r([0.0, 0.9], [0.1, 1.0]),
+        ],
+        0,
+    );
+    let n2 = leaf_of(
+        &[
+            r([0.5, 0.0], [1.0, 0.5]),
+            r([0.5, 0.5], [1.0, 1.0]),
+            r([0.5, 0.25], [0.5, 0.25]),
+            r([0.9, 0.9], [1.0, 1.0]),
+        ],
+        100,
+    );
+    assert_restriction_is_exact(&n1, &n2, JoinPredicate::Overlap);
+    let touching = unrestricted(&n1, &n2, JoinPredicate::Overlap, MatchOrder::NestedLoop);
+    assert_eq!(touching.len(), 5, "shared edges and corners are overlaps");
+
+    // ε exactly the gap between the two nodes' nearest entries: the
+    // pair is in (d² = ε² exactly), and stays in under restriction.
+    let gap = 0.25;
+    let n1 = leaf_of(
+        &[r([0.0, 0.0], [0.25, 0.25]), r([0.0, 0.5], [0.125, 0.75])],
+        0,
+    );
+    let n2 = leaf_of(
+        &[r([0.5, 0.0], [0.75, 0.25]), r([0.875, 0.5], [1.0, 0.75])],
+        100,
+    );
+    let predicate = JoinPredicate::WithinDistance(gap);
+    assert_restriction_is_exact(&n1, &n2, predicate);
+    assert_eq!(
+        unrestricted(&n1, &n2, predicate, MatchOrder::NestedLoop),
+        vec![(Child::Object(ObjectId(0)), Child::Object(ObjectId(100)))]
+    );
+    // One ulp less and nothing matches.
+    let short = JoinPredicate::WithinDistance(f64::from_bits(gap.to_bits() - 1));
+    assert_restriction_is_exact(&n1, &n2, short);
+    assert!(unrestricted(&n1, &n2, short, MatchOrder::NestedLoop).is_empty());
+}
+
+#[test]
+fn disjoint_or_empty_nodes_match_nothing() {
+    let left = leaf_of(&[r([0.0, 0.0], [0.2, 0.2]), r([0.1, 0.1], [0.3, 0.3])], 0);
+    let right = leaf_of(&[r([0.6, 0.6], [0.8, 0.8]), r([0.7, 0.7], [1.0, 1.0])], 100);
+    let empty = Node::<2>::new(0);
+    let mut scratch = MatchScratch::new();
+    for predicate in [JoinPredicate::Overlap, JoinPredicate::WithinDistance(0.1)] {
+        for order in ORDERS {
+            for kernel in KERNELS {
+                let config = JoinConfig {
+                    predicate,
+                    order,
+                    kernel,
+                    ..JoinConfig::default()
+                };
+                for (a, b) in [
+                    (&left, &right),
+                    (&left, &empty),
+                    (&empty, &right),
+                    (&empty, &empty),
+                ] {
+                    assert!(matched_entries(a, b, &config, &mut scratch).is_empty());
+                }
+                // A scratch that has seen a miss still serves a hit.
+                assert_eq!(
+                    matched_entries(&left, &left, &config, &mut scratch).len(),
+                    4
+                );
+            }
+        }
+    }
+}
+
+/// The restriction decides which *entries* a node pair compares, never
+/// which node pairs are visited: on insertion-built 60K trees (whose
+/// shape this change does not touch) every tally is the one the
+/// unrestricted executor produced.
+#[test]
+fn restriction_leaves_every_access_tally_where_it_was() {
+    let insert_uniform = |seed: u64| {
+        let rects = sjcm_datagen::uniform::generate::<2>(
+            sjcm_datagen::uniform::UniformConfig::new(60_000, 0.5, seed),
+        );
+        let mut tree = RTree::<2>::new(RTreeConfig::paper(2));
+        for (i, rect) in rects.into_iter().enumerate() {
+            tree.insert(rect, ObjectId(i as u32));
+        }
+        tree
+    };
+    let (t1, t2) = std::thread::scope(|s| {
+        let second = s.spawn(|| insert_uniform(2424));
+        (insert_uniform(4242), second.join().expect("build panicked"))
+    });
+    let got = join(&t1, &t2, JoinConfig::default(), Scheduler::Sequential);
+    // (raw level, NA, DA) per tree, as measured before the restriction.
+    assert_eq!(got.pair_count, 119_864);
+    assert_eq!(
+        got.stats1.per_level().collect::<Vec<_>>(),
+        [(0, 7_552, 7_402), (1, 190, 190)]
+    );
+    assert_eq!(
+        got.stats2.per_level().collect::<Vec<_>>(),
+        [(0, 7_552, 2_404), (1, 190, 47)]
+    );
+    assert_eq!((got.na_total(), got.da_total()), (15_484, 10_043));
 }
 
 // ---------------------------------------------------------------------

@@ -33,12 +33,18 @@
 //! ```text
 //! est[top] = max(prior[top], done[top])
 //! est[j]   = max(est[j+1] · blend(j), done[j])
-//! blend(j) = (1 − w) · prior[j]/prior[j+1]  +  w · ewma(done[j]/done[j+1])
-//! w        = done[j+1] / (done[j+1] + ¼ · prior[j+1])
+//! blend(j) = (1 − w) · prior[j]/prior[j+1]  +  w · ewma(done[j]/(c + ½))
+//! w        = c / (c + max(¼ · prior[j+1], 16))
+//! c        = done[j+1] − 1
 //! ```
 //!
-//! so early in the run the model prior dominates and late in the run
-//! the observed per-level branching ratio does. The progress fraction
+//! `c` counts the *closed* parents of level `j + 1`: the traversal is
+//! depth-first, so the parent accessed last is still being descended
+//! and has only some of its children counted (the `½` stands for it).
+//! Early in the run the model prior dominates and late in the run the
+//! observed per-level branching ratio does — but never on the evidence
+//! of a handful of parents, which is all a small upper level has: a
+//! packed 60K tree's root has two children. The progress fraction
 //! is `done / (Σ est − forfeited)`, clamped monotone (a re-estimate
 //! can shrink the denominator; the published fraction never regresses)
 //! and pinned to exactly 1.0 by [`ProgressTracker::finish`].
@@ -82,6 +88,15 @@ const RATE_WINDOW_US: u64 = 3_000_000;
 /// §4.1: the model is accurate to ~15%; the ETA confidence band scales
 /// the remaining-work estimate by `1 ± envelope`.
 const ETA_ENVELOPE: f64 = 0.15;
+
+/// Closed parents it takes for an observed branching ratio to weigh as
+/// much as the prior's, however few the level above is predicted to
+/// hold. Node pairs of one level differ in fan-out by about their mean
+/// (a sliver of an intersection next to a full one), so the ratio over
+/// `c` of them is good to `1/√c`; the prior's is good to about a
+/// quarter. A packed tree's top level is a handful of parents: without
+/// this floor, `¼ · prior` lets one or two of them outvote the model.
+const MIN_PARENTS: f64 = 16.0;
 
 /// One per-level NA prior, as produced by
 /// `sjcm_core::join::join_na_priors` (plain data so this crate stays
@@ -636,9 +651,13 @@ impl ProgressEngine {
                 let p_here = self.prior[t][raw];
                 let p_above = self.prior[t][raw + 1].max(f64::MIN_POSITIVE);
                 let prior_ratio = p_here / p_above;
-                let d_above = done[t][raw + 1] as f64;
-                let obs_ratio = if d_above > 0.0 {
-                    done[t][raw] as f64 / d_above
+                // The descent is depth-first, so the parent accessed
+                // last is still open: only the ones before it have all
+                // their children counted. The open parent is taken as
+                // half descended, which is what it is on average.
+                let closed = (done[t][raw + 1] as f64 - 1.0).max(0.0);
+                let obs_ratio = if closed > 0.0 {
+                    done[t][raw] as f64 / (closed + 0.5)
                 } else {
                     prior_ratio
                 };
@@ -647,7 +666,7 @@ impl ProgressEngine {
                     Some(prev) => 0.2 * obs_ratio + 0.8 * prev,
                 };
                 self.ewma[t][raw] = Some(smoothed);
-                let w = d_above / (d_above + 0.25 * self.prior[t][raw + 1].max(1.0));
+                let w = closed / (closed + (0.25 * self.prior[t][raw + 1]).max(MIN_PARENTS));
                 let blended = (1.0 - w) * prior_ratio + w * smoothed;
                 let e = (above * blended).max(done[t][raw] as f64);
                 est[t][raw] = e;
@@ -1035,12 +1054,36 @@ mod tests {
         // One internal access, one (atypical) leaf access observed.
         feed(&mut sink, &[(0, 1, 0), (1, 1, 0)], &[], 0);
         let snap = engine.sample();
-        // w = 1/(1 + 25) — the prior's 10:1 ratio must dominate the
-        // observed 1:1.
+        // The one internal node is still open (w = 0) — the prior's
+        // 10:1 ratio must stand against the observed 1:1.
         assert!(
             snap.est_total_work > 900.0,
             "estimate {} abandoned the prior too early",
             snap.est_total_work
+        );
+    }
+
+    #[test]
+    fn open_parents_of_a_small_top_level_do_not_pass_for_a_branching_ratio() {
+        // A packed 60K × 60K join a quarter of the way in: the root has
+        // two children, so the top level shows 2 of 4 accesses, and the
+        // second of them is the node pair being descended — its 82
+        // children so far say nothing about the 74 per parent the prior
+        // predicts. Reading 82/2 as the fan-out, at the weight ⅔ that
+        // ¼ · prior alone gives two parents, would halve the estimate.
+        let priors: Vec<LevelPrior> = [(1, 8510.0), (2, 294.0), (3, 4.0)]
+            .into_iter()
+            .map(|(level, na)| LevelPrior { tree: 1, level, na })
+            .collect();
+        let prior_total = 8808.0;
+        let tracker = ProgressTracker::enabled();
+        let mut engine = ProgressEngine::new(&tracker, &priors);
+        let mut sink = tracker.sink();
+        feed(&mut sink, &[(0, 1964, 0), (1, 82, 0), (2, 2, 0)], &[], 0);
+        let est = engine.sample().est_total_work;
+        assert!(
+            (est - prior_total).abs() < 0.15 * prior_total,
+            "estimate {est} left the prior {prior_total} on the evidence of one closed parent"
         );
     }
 

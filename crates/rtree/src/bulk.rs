@@ -3,8 +3,9 @@
 //! Two packers are provided:
 //!
 //! * **STR** (Sort-Tile-Recursive, Leutenegger et al.): recursively sorts
-//!   and tiles the data into vertical slabs, dimension by dimension.
-//!   Works for any `N`.
+//!   and tiles the data into slabs of whole pages, dimension by
+//!   dimension — `⌈P^(1/N)⌉` cuts per dimension for `P` pages, so the
+//!   tiles that become nodes are near-square. Works for any `N`.
 //! * **Hilbert packing** (Kamel & Faloutsos, CIKM 1993 — reference
 //!   \[KF93\] of the paper): sorts by the Hilbert value of the MBR center
 //!   and fills pages in that order. Falls back to a Morton sort for
@@ -77,7 +78,7 @@ impl<const N: usize> RTree<N> {
             .into_iter()
             .map(|(rect, id)| Entry::leaf(rect, id))
             .collect();
-        order_entries(&mut leaf_entries, algorithm);
+        order_entries(&mut leaf_entries, algorithm, cap);
         let mut level_nodes: Vec<NodeId> =
             pack_level(&mut tree, leaf_entries, 0, cap, config.min_entries);
 
@@ -92,7 +93,7 @@ impl<const N: usize> RTree<N> {
                     Entry::internal(mbr, id)
                 })
                 .collect();
-            order_entries(&mut entries, algorithm);
+            order_entries(&mut entries, algorithm, cap);
             level_nodes = pack_level(&mut tree, entries, level, cap, config.min_entries);
         }
         let root = level_nodes[0];
@@ -107,45 +108,58 @@ impl<const N: usize> RTree<N> {
 
 /// Orders entries along the packer's curve. STR performs its recursive
 /// sort-and-tile; the curve packers sort by center key.
-fn order_entries<const N: usize>(entries: &mut [Entry<N>], algorithm: BulkLoad) {
+fn order_entries<const N: usize>(entries: &mut [Entry<N>], algorithm: BulkLoad, cap: usize) {
     match algorithm {
         BulkLoad::Hilbert => {
             let kind = CurveKind::Hilbert;
             entries.sort_by_cached_key(|e| curve_key(kind, &e.rect.center()));
         }
-        BulkLoad::Str => {
-            // Slab count is decided against the *page* capacity; the
-            // exact cap only affects the final chunking.
-            str_order(entries, 0);
-        }
+        // STR tiles by pages, so it needs the node capacity `pack_level`
+        // will chunk by: a tile is meant to become exactly one node.
+        BulkLoad::Str => str_order(entries, 0, cap),
     }
 }
 
+/// Entries per slab when `len` entries, packed `cap` to a node, are cut
+/// along one of `remaining_dims` dimensions still to be tiled: with
+/// `P = ⌈len/cap⌉` pages, `S = ⌈P^(1/remaining_dims)⌉` slabs of
+/// `⌈P/S⌉` pages each (Leutenegger et al.). The length is a multiple of
+/// `cap`, so `pack_level`'s chunking never puts one node across two
+/// slabs and the page count stays `P`.
+fn str_slab_len(len: usize, cap: usize, remaining_dims: usize) -> usize {
+    let pages = len.div_ceil(cap);
+    // The ceiling of the root, in integers: a float root can land a hair
+    // above an exact one (27^⅓) and cut a slab too many.
+    let mut slabs = 1usize;
+    while slabs.saturating_pow(remaining_dims as u32) < pages {
+        slabs += 1;
+    }
+    cap * pages.div_ceil(slabs)
+}
+
 /// Recursive STR ordering: sort by the center of dimension `dim`, cut
-/// into `S` slabs, recurse on each slab with the next dimension.
-fn str_order<const N: usize>(entries: &mut [Entry<N>], dim: usize) {
+/// into slabs of whole pages, recurse on each slab with the next
+/// dimension. The tiles of the last dimension come out near-square:
+/// every dimension is cut into about `P^(1/N)` pieces.
+fn str_order<const N: usize>(entries: &mut [Entry<N>], dim: usize, cap: usize) {
     if entries.len() <= 1 {
         return;
     }
-    entries.sort_by(|a, b| {
-        a.rect.center()[dim]
-            .total_cmp(&b.rect.center()[dim])
-            .then_with(|| a.rect.lo_k(dim).total_cmp(&b.rect.lo_k(dim)))
+    // `lo + hi` orders like the center without computing all `N` center
+    // coordinates per comparison. Entries that tie on both keys cover
+    // the same interval of `dim`; which comes first makes no difference
+    // to the tiling, so the sort need not be stable.
+    entries.sort_unstable_by(|a, b| {
+        let (a_lo, b_lo) = (a.rect.lo_k(dim), b.rect.lo_k(dim));
+        (a_lo + a.rect.hi_k(dim))
+            .total_cmp(&(b_lo + b.rect.hi_k(dim)))
+            .then_with(|| a_lo.total_cmp(&b_lo))
     });
     if dim + 1 >= N {
         return;
     }
-    let remaining_dims = (N - dim) as f64;
-    // Standard STR: with P pages in an n-D tile, use P^(1/n) slabs per
-    // dimension. Here we only need the *ordering*, so the slab count uses
-    // the entry count directly.
-    let slabs = (entries.len() as f64)
-        .powf(1.0 / remaining_dims)
-        .ceil()
-        .max(1.0) as usize;
-    let slab_len = entries.len().div_ceil(slabs);
-    for chunk in entries.chunks_mut(slab_len) {
-        str_order(chunk, dim + 1);
+    for slab in entries.chunks_mut(str_slab_len(entries.len(), cap, N - dim)) {
+        str_order(slab, dim + 1, cap);
     }
 }
 
@@ -318,6 +332,158 @@ mod tests {
         tree.check_invariants().unwrap();
         assert_eq!(tree.height(), 2);
         assert_eq!(tree.stats().level(1).unwrap().node_count, 8);
+    }
+
+    /// `⌈√len⌉` slabs whatever the node capacity: the ordering the page
+    /// tiling is measured against.
+    fn sqrt_n_order(entries: &mut [Entry<2>]) {
+        entries.sort_by(|a, b| a.rect.center()[0].total_cmp(&b.rect.center()[0]));
+        let slabs = (entries.len() as f64).sqrt().ceil() as usize;
+        for slab in entries.chunks_mut(entries.len().div_ceil(slabs)) {
+            slab.sort_by(|a, b| a.rect.center()[1].total_cmp(&b.rect.center()[1]));
+        }
+    }
+
+    fn node_mbrs(tree: &RTree<2>, ids: &[NodeId]) -> Vec<Rect<2>> {
+        ids.iter().map(|&id| tree.node(id).mbr().unwrap()).collect()
+    }
+
+    fn mean_aspect(tiles: &[Rect<2>]) -> f64 {
+        tiles.iter().map(|r| r.extent(0) / r.extent(1)).sum::<f64>() / tiles.len() as f64
+    }
+
+    fn total_margin(tiles: &[Rect<2>]) -> f64 {
+        tiles.iter().map(Rect::margin).sum()
+    }
+
+    #[test]
+    fn str_tiles_are_near_square_and_tighter_than_sqrt_n_slabs() {
+        let (n, cap) = (10_000, 16);
+        let items = random_items(n, 7);
+        let tree = RTree::<2>::bulk_load(
+            RTreeConfig::with_capacity(cap),
+            items.clone(),
+            BulkLoad::Str,
+            1.0,
+        );
+        tree.check_invariants().unwrap();
+        let tiles = node_mbrs(&tree, &tree.node_ids_at_level(0));
+        assert_eq!(tiles.len(), n.div_ceil(cap));
+        let aspect = mean_aspect(&tiles);
+        assert!((0.5..=2.0).contains(&aspect), "mean width/height {aspect}");
+
+        let mut entries: Vec<Entry<2>> = items.iter().map(|&(r, id)| Entry::leaf(r, id)).collect();
+        sqrt_n_order(&mut entries);
+        let mut slabbed = RTree::<2>::new(RTreeConfig::with_capacity(cap));
+        let ids = pack_level(&mut slabbed, entries, 0, cap, 6);
+        let strips = node_mbrs(&slabbed, &ids);
+        assert_eq!(strips.len(), tiles.len(), "page count must not move");
+        let strip_aspect = mean_aspect(&strips);
+        assert!(
+            strip_aspect < 0.2,
+            "√N slabs cut thin strips: {strip_aspect}"
+        );
+        let (margin, strip_margin) = (total_margin(&tiles), total_margin(&strips));
+        assert!(
+            margin < 0.75 * strip_margin,
+            "tiled {margin} vs slabbed {strip_margin}"
+        );
+    }
+
+    #[test]
+    fn str_slabs_end_on_node_boundaries() {
+        // 625 pages → 25 slabs of 25 pages: in pack order, every run of
+        // 25 leaves is one slab, so its objects lie left of the next
+        // run's. A leaf across two slabs would hold objects of both.
+        let (n, cap) = (10_000, 16);
+        assert_eq!(str_slab_len(n, cap, 2), 25 * cap);
+        let tree = RTree::<2>::bulk_load(
+            RTreeConfig::with_capacity(cap),
+            random_items(n, 8),
+            BulkLoad::Str,
+            1.0,
+        );
+        let leaves = tree.node_ids_at_level(0);
+        let x_range = |ids: &[NodeId]| {
+            ids.iter()
+                .flat_map(|&id| tree.node(id).entries.iter())
+                .map(|e| e.rect.center()[0])
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
+                    (lo.min(x), hi.max(x))
+                })
+        };
+        let slabs: Vec<(f64, f64)> = leaves.chunks(25).map(x_range).collect();
+        assert_eq!(slabs.len(), 25);
+        for pair in slabs.windows(2) {
+            assert!(pair[0].1 <= pair[1].0, "slabs interleave: {pair:?}");
+        }
+        // 27 pages in 3-D are 3 × 3 × 3, not the 4 a rounded-up float
+        // cube root would cut.
+        assert_eq!(str_slab_len(27 * cap, cap, 3), 9 * cap);
+        // Whatever the input size, a slab is a whole number of pages.
+        for len in [1, 15, 16, 17, 255, 256, 257, 1_000, 59_999] {
+            for dims in 1..=3 {
+                assert_eq!(str_slab_len(len, cap, dims) % cap, 0, "{len} in {dims}-D");
+            }
+        }
+    }
+
+    #[test]
+    fn str_page_count_is_exact_at_both_fills() {
+        for (fill, cap) in [(1.0, 50), (0.67, 33)] {
+            for n in [1, 20, 33, 50, 51, 2_500, 10_000] {
+                let tree = RTree::<2>::bulk_load(
+                    RTreeConfig::paper(2),
+                    random_items(n, 9),
+                    BulkLoad::Str,
+                    fill,
+                );
+                tree.check_invariants().unwrap();
+                assert_eq!(
+                    tree.node_ids_at_level(0).len(),
+                    n.div_ceil(cap),
+                    "{n} objects at fill {fill}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn three_dimensional_bulk_load() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let items: Vec<(Rect<3>, ObjectId)> = (0..4_000u32)
+            .map(|i| {
+                let c = Point::new(std::array::from_fn(|_| rng.gen_range(0.0..1.0)));
+                (Rect::centered(c, [0.02; 3]), ObjectId(i))
+            })
+            .collect();
+        let tree = RTree::<3>::bulk_load(
+            RTreeConfig::with_capacity(10),
+            items.clone(),
+            BulkLoad::Str,
+            1.0,
+        );
+        tree.check_invariants().unwrap();
+        assert_eq!(tree.node_ids_at_level(0).len(), 400);
+        let q = Rect::new([0.1, 0.2, 0.3], [0.4, 0.5, 0.6]).unwrap();
+        let mut got = tree.query_window(&q);
+        got.sort();
+        let mut want: Vec<ObjectId> = items
+            .iter()
+            .filter(|(r, _)| r.intersects(&q))
+            .map(|&(_, id)| id)
+            .collect();
+        want.sort();
+        assert_eq!(got, want);
+        // 400 pages → ⌈400^⅓⌉ = 8 cuts per dimension: tiles about as
+        // deep as they are wide.
+        let (mut x, mut z) = (0.0, 0.0);
+        for id in tree.node_ids_at_level(0) {
+            let mbr = tree.node(id).mbr().unwrap();
+            x += mbr.extent(0);
+            z += mbr.extent(2);
+        }
+        assert!((0.5..=2.0).contains(&(x / z)), "width/depth {}", x / z);
     }
 
     #[test]
