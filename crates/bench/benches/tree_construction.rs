@@ -3,9 +3,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sjcm_bench::uniform_items;
-use sjcm_rtree::{BulkLoad, RTree, RTreeConfig, SplitStrategy};
+use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig, SplitStrategy};
 use sjcm_storage::InMemoryPageStore;
 use std::hint::black_box;
+
+type Items = Vec<(sjcm_geom::Rect<2>, ObjectId)>;
+
+fn insertion_build(config: RTreeConfig, items: &Items) -> usize {
+    let mut tree = RTree::new(config);
+    for &(r, id) in items {
+        tree.insert(r, id);
+    }
+    tree.node_count()
+}
 
 fn bench_insertion(c: &mut Criterion) {
     let mut group = c.benchmark_group("insertion_build");
@@ -13,23 +23,26 @@ fn bench_insertion(c: &mut Criterion) {
     for &n in &[2_000usize, 10_000] {
         let items = uniform_items(n, 0.4, 300);
         group.bench_with_input(BenchmarkId::new("rstar", n), &items, |b, items| {
-            b.iter(|| {
-                let mut tree = RTree::new(RTreeConfig::paper(2));
-                for &(r, id) in items {
-                    tree.insert(r, id);
-                }
-                black_box(tree.node_count())
-            })
+            b.iter(|| black_box(insertion_build(RTreeConfig::paper(2), items)))
         });
         group.bench_with_input(BenchmarkId::new("quadratic", n), &items, |b, items| {
-            b.iter(|| {
-                let mut tree =
-                    RTree::new(RTreeConfig::paper(2).with_split(SplitStrategy::Quadratic));
-                for &(r, id) in items {
-                    tree.insert(r, id);
-                }
-                black_box(tree.node_count())
-            })
+            let config = RTreeConfig::paper(2).with_split(SplitStrategy::Quadratic);
+            b.iter(|| black_box(insertion_build(config, items)))
+        });
+    }
+    // The paper's scale: the uniform 60K of Figures 5–6 and a TIGER-like
+    // road map the size of the benchmark's `tiger80k-insert` build.
+    let roads = sjcm_datagen::tiger::generate(sjcm_datagen::tiger::TigerConfig::roads(80_000, 300));
+    let roads: Items = sjcm_datagen::with_ids(roads)
+        .into_iter()
+        .map(|(r, id)| (r, ObjectId(id)))
+        .collect();
+    for (parameter, items) in [
+        ("60000", uniform_items(60_000, 0.4, 300)),
+        ("tiger80000", roads),
+    ] {
+        group.bench_with_input(BenchmarkId::new("rstar", parameter), &items, |b, items| {
+            b.iter(|| black_box(insertion_build(RTreeConfig::paper(2), items)))
         });
     }
     group.finish();

@@ -39,6 +39,8 @@ pub mod node;
 pub mod persist;
 pub mod split;
 pub mod stats;
+#[cfg(test)]
+mod testgen;
 pub mod tree;
 pub mod validate;
 

@@ -12,14 +12,10 @@
 //!   minimum group overlap (ties: minimum combined area).
 
 use crate::node::Entry;
-use sjcm_geom::{mbr_of, Rect};
+use sjcm_geom::Rect;
 
 /// Result of a split: the two entry groups. Order is not meaningful.
 pub type SplitResult<const N: usize> = (Vec<Entry<N>>, Vec<Entry<N>>);
-
-fn group_mbr<const N: usize>(entries: &[Entry<N>]) -> Rect<N> {
-    mbr_of(entries.iter().map(|e| e.rect)).expect("split groups are never empty")
-}
 
 /// Guttman's quadratic split.
 ///
@@ -122,7 +118,96 @@ pub fn quadratic_split<const N: usize>(
 /// distributions (first `m + i` entries vs the rest). The axis with the
 /// minimum *margin sum* over its candidates is chosen, then the candidate
 /// with minimum group overlap (ties: minimum combined area).
+///
+/// The two groups of a distribution are a prefix and a suffix of the
+/// sorted order, so their MBRs are running unions (`min`/`max` are exact:
+/// regrouping them changes no value). Each is computed once and serves both
+/// the axis choice and the distribution choice.
 pub fn rstar_split<const N: usize>(entries: Vec<Entry<N>>, min_entries: usize) -> SplitResult<N> {
+    let total = entries.len();
+    assert!(total >= 2, "cannot split {total} entries");
+    assert!(
+        2 * min_entries <= total,
+        "min fill {min_entries} impossible for {total} entries"
+    );
+    let m = min_entries.max(1);
+    let rect = |i: usize| &entries[i].rect;
+
+    // ChooseSplitAxis: minimize the total margin over all distributions
+    // of both sorts of each axis. ChooseSplitIndex runs in the same pass
+    // and only the winning axis's answer is kept.
+    let mut best_axis_margin = f64::INFINITY;
+    let mut best_split: (Vec<usize>, usize) = (Vec::new(), 0); // (sorted order, split)
+    let mut suffix: Vec<Rect<N>> = vec![entries[0].rect; total]; // MBR of order[i..]
+    for k in 0..N {
+        let by_lower = sorted_order(&entries, |r| (r.lo_k(k), r.hi_k(k)));
+        let by_upper = sorted_order(&entries, |r| (r.hi_k(k), r.lo_k(k)));
+        let mut margin_sum = 0.0;
+        let mut axis_best: Option<(bool, usize, f64, f64)> = None; // (upper sort?, split, overlap, area)
+        for (upper, order) in [(false, &by_lower), (true, &by_upper)] {
+            suffix[total - 1] = *rect(order[total - 1]);
+            for i in (m..total - 1).rev() {
+                suffix[i] = suffix[i + 1].union(rect(order[i]));
+            }
+            let mut prefix = *rect(order[0]); // MBR of order[..split_at]
+            for &i in &order[1..m] {
+                prefix.expand_to(rect(i));
+            }
+            for split_at in m..=(total - m) {
+                let (r1, r2) = (prefix, suffix[split_at]);
+                margin_sum += r1.margin() + r2.margin();
+                let overlap = r1.intersection_measure(&r2);
+                let area = r1.measure() + r2.measure();
+                let better = match axis_best {
+                    None => true,
+                    Some((_, _, o, a)) => overlap < o || (overlap == o && area < a),
+                };
+                if better {
+                    axis_best = Some((upper, split_at, overlap, area));
+                }
+                prefix.expand_to(rect(order[split_at]));
+            }
+        }
+        if k == 0 || margin_sum < best_axis_margin {
+            best_axis_margin = margin_sum;
+            let (upper, split_at, _, _) = axis_best.expect("at least one distribution exists");
+            best_split = (if upper { by_upper } else { by_lower }, split_at);
+        }
+    }
+    let (order, split_at) = best_split;
+    let group = |part: &[usize]| part.iter().map(|&i| entries[i]).collect();
+    (group(&order[..split_at]), group(&order[split_at..]))
+}
+
+/// Entry indices in ascending order of `key`, equal keys in entry order —
+/// the permutation a stable sort of the entries themselves would apply.
+fn sorted_order<const N: usize>(
+    entries: &[Entry<N>],
+    key: impl Fn(&Rect<N>) -> (f64, f64),
+) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (key(&entries[a].rect), key(&entries[b].rect));
+        a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
+    });
+    order
+}
+
+/// MBR of one group, recomputed from scratch — how `rstar_split_reference`
+/// gets the group MBRs of every distribution.
+#[cfg(test)]
+fn group_mbr<const N: usize>(entries: &[Entry<N>]) -> Rect<N> {
+    sjcm_geom::mbr_of(entries.iter().map(|e| e.rect)).expect("split groups are never empty")
+}
+
+/// The split as first written: four sorted copies of the entries and
+/// `group_mbr` per distribution, twice over. The reference `rstar_split`
+/// is tested against.
+#[cfg(test)]
+fn rstar_split_reference<const N: usize>(
+    entries: Vec<Entry<N>>,
+    min_entries: usize,
+) -> SplitResult<N> {
     let total = entries.len();
     assert!(total >= 2, "cannot split {total} entries");
     assert!(
@@ -334,5 +419,49 @@ mod tests {
         let max2 = g2.iter().map(|e| e.rect.lo_k(0)).fold(f64::MIN, f64::max);
         let min1 = g1.iter().map(|e| e.rect.lo_k(0)).fold(f64::MAX, f64::min);
         assert!(max1 <= min2 || max2 <= min1);
+    }
+
+    // ------------------------------------------------------------------
+    // The running-union split against the per-distribution reference
+    // ------------------------------------------------------------------
+
+    use crate::testgen::{leaf_entries, node_rects};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Same two groups, each in the same order — `M + 1` entries at
+        // the paper's `m = 40 %`, and small nodes down to the legal
+        // minimum of two entries at `m = 1`.
+        #[test]
+        fn rstar_split_matches_reference_2d(
+            full in node_rects::<2>(51..52), small in node_rects::<2>(2..12),
+        ) {
+            prop_assert_eq!(
+                rstar_split(leaf_entries(&full), 20),
+                rstar_split_reference(leaf_entries(&full), 20)
+            );
+            for m in 1..=small.len() / 2 {
+                prop_assert_eq!(
+                    rstar_split(leaf_entries(&small), m),
+                    rstar_split_reference(leaf_entries(&small), m)
+                );
+            }
+        }
+
+        #[test]
+        fn rstar_split_matches_reference_1d_and_3d(
+            line in node_rects::<1>(85..86), boxes in node_rects::<3>(37..38),
+        ) {
+            prop_assert_eq!(
+                rstar_split(leaf_entries(&line), 33),
+                rstar_split_reference(leaf_entries(&line), 33)
+            );
+            prop_assert_eq!(
+                rstar_split(leaf_entries(&boxes), 14),
+                rstar_split_reference(leaf_entries(&boxes), 14)
+            );
+        }
     }
 }

@@ -153,10 +153,14 @@ impl<const N: usize> RTree<N> {
     fn insert_entry_at(&mut self, entry: Entry<N>, target_level: u8) {
         // `overflow_done[l]` records whether forced reinsertion already
         // ran at level `l` during this logical insertion (R* runs it at
-        // most once per level per insertion, then splits).
-        let mut overflow_done = vec![false; self.height().max(16)];
-        let mut queue: Vec<(Entry<N>, u8)> = vec![(entry, target_level)];
-        while let Some((e, lvl)) = queue.pop() {
+        // most once per level per insertion, then splits). One flag per
+        // `u8` level, so a root that grows mid-insertion needs no resize.
+        let mut overflow_done = [false; 256];
+        // Entries evicted by forced reinsertion; never allocated on the
+        // common path where none happens.
+        let mut queue: Vec<(Entry<N>, u8)> = Vec::new();
+        let mut next = Some((entry, target_level));
+        while let Some((e, lvl)) = next {
             debug_assert!(
                 (lvl as usize) < self.height(),
                 "reinsertion level {lvl} at height {}",
@@ -166,10 +170,8 @@ impl<const N: usize> RTree<N> {
                 self.insert_desc(self.root, e, lvl, &mut overflow_done, &mut queue)
             {
                 self.grow_root(sibling);
-                if overflow_done.len() < self.height() {
-                    overflow_done.resize(self.height(), false);
-                }
             }
+            next = queue.pop();
         }
     }
 
@@ -180,7 +182,7 @@ impl<const N: usize> RTree<N> {
         node_id: NodeId,
         entry: Entry<N>,
         target_level: u8,
-        overflow_done: &mut [bool],
+        overflow_done: &mut [bool; 256],
         reinsert_queue: &mut Vec<(Entry<N>, u8)>,
     ) -> Option<Entry<N>> {
         let node_level = self.node(node_id).level;
@@ -214,13 +216,12 @@ impl<const N: usize> RTree<N> {
     fn overflow_treatment(
         &mut self,
         node_id: NodeId,
-        overflow_done: &mut [bool],
+        overflow_done: &mut [bool; 256],
         reinsert_queue: &mut Vec<(Entry<N>, u8)>,
     ) -> Option<Entry<N>> {
         let level = self.node(node_id).level as usize;
         let use_reinsert = self.config.split == SplitStrategy::RStar
             && node_id != self.root
-            && level < overflow_done.len()
             && !overflow_done[level];
         if use_reinsert {
             overflow_done[level] = true;
@@ -235,6 +236,45 @@ impl<const N: usize> RTree<N> {
     /// MBR center and queues them for reinsertion at this node's level
     /// ("close reinsert": nearest-first reinsertion order, per BKSS90).
     fn forced_reinsert(&mut self, node_id: NodeId, reinsert_queue: &mut Vec<(Entry<N>, u8)>) {
+        let p = self.config.reinsert_count;
+        let node = self.node_mut(node_id);
+        let level = node.level;
+        let center = node.mbr().expect("overflowing node is non-empty").center();
+        let mut by_dist: Vec<(f64, usize)> = node
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.rect.center().dist2(&center), i))
+            .collect();
+        // The `p` farthest entries; of equal distances at the cut the
+        // lower index goes (`p ≤ M − m` is less than the `M + 1` present).
+        by_dist.select_nth_unstable_by(p, |a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        by_dist.truncate(p);
+        // The queue is a stack: pushed farthest-first (of equal distances
+        // the higher index first), the nearest entry is reinserted first.
+        by_dist.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+        let mut evict = vec![false; node.entries.len()];
+        for &(_, i) in &by_dist {
+            evict[i] = true;
+            reinsert_queue.push((node.entries[i], level));
+        }
+        // From the back, so every hole is filled by an entry that stays.
+        for i in (0..evict.len()).rev() {
+            if evict[i] {
+                node.entries.swap_remove(i);
+            }
+        }
+    }
+
+    /// Forced reinsertion as first written: three sorts, the distances
+    /// recomputed in each. The reference `forced_reinsert` is tested
+    /// against.
+    #[cfg(test)]
+    fn forced_reinsert_reference(
+        &mut self,
+        node_id: NodeId,
+        reinsert_queue: &mut Vec<(Entry<N>, u8)>,
+    ) {
         let p = self.config.reinsert_count;
         let node = self.node(node_id);
         let level = node.level;
@@ -304,7 +344,7 @@ impl<const N: usize> RTree<N> {
         let use_overlap =
             self.config.split == SplitStrategy::RStar && leaf_children && children_are_target;
         if use_overlap {
-            self.choose_min_overlap(node, rect)
+            Self::choose_min_overlap(node, rect)
         } else {
             Self::choose_min_enlargement(node, rect)
         }
@@ -315,8 +355,8 @@ impl<const N: usize> RTree<N> {
         let mut best_enl = f64::INFINITY;
         let mut best_area = f64::INFINITY;
         for (i, e) in node.entries.iter().enumerate() {
-            let enl = e.rect.enlargement(rect);
             let area = e.rect.measure();
+            let enl = e.rect.union(rect).measure() - area;
             if enl < best_enl || (enl == best_enl && area < best_area) {
                 best = i;
                 best_enl = enl;
@@ -326,7 +366,82 @@ impl<const N: usize> RTree<N> {
         best
     }
 
-    fn choose_min_overlap(&self, node: &Node<N>, rect: &Rect<N>) -> usize {
+    /// The entry with the lexicographically smallest (overlap enlargement,
+    /// area enlargement, area, index) — what `choose_min_overlap_reference`
+    /// finds by evaluating all M × (M − 1) sibling pairs, found here
+    /// without most of them. Every shortcut is exact, not heuristic
+    /// (DESIGN.md row 21): all key terms are ≥ 0 because `grown ⊇ e.rect`
+    /// and floating-point `min`, `max`, `−` and `×` are monotone.
+    fn choose_min_overlap(node: &Node<N>, rect: &Rect<N>) -> usize {
+        let entries = &node.entries;
+        let mut best = (f64::INFINITY, f64::INFINITY, f64::INFINITY, usize::MAX);
+        // An entry that already contains `rect` does not grow: its key is
+        // exactly (0, 0, area), with no overlap arithmetic to do.
+        for (i, e) in entries.iter().enumerate() {
+            if e.rect.contains_rect(rect) {
+                let key = (0.0, 0.0, e.rect.measure(), i);
+                if key < best {
+                    best = key;
+                }
+            }
+        }
+        // A minimum does not depend on the order of evaluation. When
+        // nothing contains `rect`, the least-enlargement entry goes first:
+        // it lies nearest, usually wins, and bounds the others tightly.
+        let first = if best.3 == usize::MAX {
+            Self::choose_min_enlargement(node, rect)
+        } else {
+            best.3
+        };
+        for i in std::iter::once(first).chain(0..entries.len()) {
+            if i == best.3 {
+                continue;
+            }
+            let e = &entries[i];
+            let grown = e.rect.union(rect);
+            let area = e.rect.measure();
+            let enl = grown.measure() - area;
+            // Even with zero overlap enlargement this entry would lose.
+            if (0.0, enl, area, i) >= best {
+                continue;
+            }
+            let term = |other: &Rect<N>| {
+                let grown_overlap = grown.intersection_measure(other);
+                // Disjoint from `grown` is disjoint from `e.rect`: exactly 0.
+                if grown_overlap > 0.0 {
+                    grown_overlap - e.rect.intersection_measure(other)
+                } else {
+                    0.0
+                }
+            };
+            // One term alone bounds the sum from below, and the best entry
+            // so far, lying near `rect`, tends to have a large one.
+            if entries.get(best.3).is_some_and(|b| term(&b.rect) > best.0) {
+                continue;
+            }
+            let mut overlap_delta = 0.0;
+            for (j, other) in entries.iter().enumerate() {
+                if i != j {
+                    overlap_delta += term(&other.rect);
+                    // The partial sum only grows. Strictly past the best
+                    // complete one it has lost; equal, the tie-breaks decide.
+                    if overlap_delta > best.0 {
+                        break;
+                    }
+                }
+            }
+            let key = (overlap_delta, enl, area, i);
+            if key < best {
+                best = key;
+            }
+        }
+        best.3
+    }
+
+    /// \[BKSS90\]'s ChooseSubtree as written: every candidate against every
+    /// sibling. The reference `choose_min_overlap` is tested against.
+    #[cfg(test)]
+    fn choose_min_overlap_reference(node: &Node<N>, rect: &Rect<N>) -> usize {
         let mut best = 0usize;
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for (i, e) in node.entries.iter().enumerate() {
@@ -815,5 +930,220 @@ mod tests {
             assert_eq!(g.1, w.1);
             assert_eq!(g.0, w.0);
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The pruned write path against its exhaustive references
+    // ------------------------------------------------------------------
+
+    use crate::testgen::{leaf_entries, new_rect, node_rects};
+    use proptest::prelude::*;
+
+    fn r2(lo: [f64; 2], hi: [f64; 2]) -> Rect<2> {
+        Rect::new(lo, hi).unwrap()
+    }
+
+    /// Both ChooseSubtree implementations on a node holding `rects`;
+    /// `pick` below `rects.len()` inserts a copy of that sibling instead
+    /// of `rect`.
+    fn choose_both<const N: usize>(
+        rects: &[Rect<N>],
+        rect: Rect<N>,
+        pick: usize,
+    ) -> (usize, usize) {
+        let rect = rects.get(pick).copied().unwrap_or(rect);
+        let node = Node {
+            level: 1,
+            entries: leaf_entries(rects),
+        };
+        (
+            RTree::<N>::choose_min_overlap(&node, &rect),
+            RTree::<N>::choose_min_overlap_reference(&node, &rect),
+        )
+    }
+
+    /// What a forced reinsertion leaves in the node and what it queues,
+    /// both in order.
+    type Reinserted<const N: usize> = (Vec<Entry<N>>, Vec<(Entry<N>, u8)>);
+
+    /// Both forced reinsertions on an overflowing node holding `rects`.
+    fn reinsert_both<const N: usize>(rects: &[Rect<N>]) -> [Reinserted<N>; 2] {
+        let config = RTreeConfig::with_capacity(rects.len() - 1);
+        [false, true].map(|reference| {
+            let mut tree = RTree::<N>::new(config);
+            let root = tree.root;
+            tree.node_mut(root).entries = leaf_entries(rects);
+            let mut queue = Vec::new();
+            if reference {
+                tree.forced_reinsert_reference(root, &mut queue);
+            } else {
+                tree.forced_reinsert(root, &mut queue);
+            }
+            (tree.node(root).entries.clone(), queue)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn choose_min_overlap_matches_reference_2d_m50(
+            rects in node_rects::<2>(50..51), rect in new_rect::<2>(), pick in 0usize..200,
+        ) {
+            let (got, want) = choose_both(&rects, rect, pick);
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn choose_min_overlap_matches_reference_1d_m84(
+            rects in node_rects::<1>(84..85), rect in new_rect::<1>(), pick in 0usize..336,
+        ) {
+            let (got, want) = choose_both(&rects, rect, pick);
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn choose_min_overlap_matches_reference_3d(
+            rects in node_rects::<3>(2..37), rect in new_rect::<3>(), pick in 0usize..144,
+        ) {
+            let (got, want) = choose_both(&rects, rect, pick);
+            prop_assert_eq!(got, want);
+        }
+
+        // A root may hold fewer than `m` entries.
+        #[test]
+        fn choose_min_overlap_matches_reference_underfull_root(
+            rects in node_rects::<2>(1..20), rect in new_rect::<2>(), pick in 0usize..80,
+        ) {
+            let (got, want) = choose_both(&rects, rect, pick);
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn forced_reinsert_matches_reference(
+            rects in node_rects::<2>(51..52), line in node_rects::<1>(85..86),
+        ) {
+            let [got, want] = reinsert_both(&rects);
+            prop_assert_eq!(got, want);
+            let [got, want] = reinsert_both(&line);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn choose_min_overlap_containment_picks_first_smallest_area() {
+        let inside = r2([0.5, 0.5], [0.625, 0.625]);
+        let rects = [
+            r2([0.0, 0.0], [0.25, 0.25]),   // does not contain it
+            r2([0.0, 0.0], [1.0, 1.0]),     // contains it, area 1
+            r2([0.25, 0.25], [0.75, 0.75]), // contains it, area 1/4
+            r2([0.375, 0.5], [0.875, 1.0]), // contains it, area 1/4 again
+            r2([0.25, 0.25], [0.75, 0.75]), // a copy of entry 2
+        ];
+        assert_eq!(choose_both(&rects, inside, usize::MAX), (2, 2));
+        // No entry contains it: overlap enlargement decides.
+        let outside = r2([0.875, 0.0], [1.0, 0.125]);
+        let (got, want) = choose_both(&rects[2..], outside, usize::MAX);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn choose_min_overlap_zero_extent_entry_beats_a_containing_one() {
+        // Growing the segment to the point keeps it a segment: overlap
+        // enlargement 0, area enlargement 0, area 0 — less than the
+        // (0, 0, 1) of the square that already contains the point.
+        let point = r2([0.5, 0.5], [0.5, 0.5]);
+        let rects = [
+            r2([0.0, 0.0], [1.0, 1.0]),
+            r2([0.125, 0.5], [0.25, 0.5]),
+            r2([0.125, 0.5], [0.25, 0.5]),
+        ];
+        assert_eq!(choose_both(&rects, point, usize::MAX), (1, 1));
+    }
+
+    #[test]
+    fn choose_min_overlap_all_terms_zero_falls_through_the_tie_breaks() {
+        // Identical rects: every overlap term is x − x, every key equal.
+        let same = [r2([0.25, 0.25], [0.5, 0.5]); 12];
+        assert_eq!(
+            choose_both(&same, r2([0.75, 0.75], [1.0, 1.0]), usize::MAX),
+            (0, 0)
+        );
+        // Zero-extent rects overlap nothing: enlargement, then area, then
+        // index decide.
+        let segments = [
+            r2([0.0, 0.0], [0.0, 0.5]),
+            r2([0.25, 0.0], [0.25, 0.25]),
+            r2([0.5, 0.0], [0.5, 0.25]),
+            r2([0.75, 0.0], [0.75, 0.25]),
+        ];
+        let (got, want) = choose_both(&segments, r2([0.5, 0.5], [0.5, 0.75]), usize::MAX);
+        assert_eq!(
+            (got, want),
+            (2, 2),
+            "entry 2 grows along its own line: no enlargement"
+        );
+    }
+
+    #[test]
+    fn choose_min_overlap_keeps_a_candidate_whose_partial_sum_equals_the_best() {
+        // Inserting the unit square [4,5]×[0,1]. `left` and `right` both
+        // grow over it and so over `tall`'s foot: overlap enlargement 1/2
+        // each. `right` has the smaller area enlargement, so it wins from
+        // whichever side of `left` it sits — its partial sum *reaches*
+        // the best complete one and must not be dropped for that.
+        let rect = r2([4.0, 0.0], [5.0, 1.0]);
+        let left = r2([1.0, 0.0], [3.5, 1.0]);
+        let right = r2([5.0, 0.0], [6.0, 1.0]);
+        let tall = r2([4.0, 0.0], [4.5, 8.0]);
+        let tall_neighbour = r2([4.5, 2.0], [5.0, 8.0]);
+        assert_eq!(
+            choose_both(&[left, right, tall, tall_neighbour], rect, usize::MAX),
+            (1, 1)
+        );
+        assert_eq!(
+            choose_both(&[right, tall, tall_neighbour, left], rect, usize::MAX),
+            (0, 0)
+        );
+        assert_eq!(
+            choose_both(&[tall, left, tall_neighbour, right], rect, usize::MAX),
+            (3, 3)
+        );
+        // A sibling in `left`'s gap pushes its sum past the best after
+        // having equalled it: `left` must lose although it enlarges less.
+        let left = r2([1.0, 0.0], [3.75, 1.0]);
+        let right = r2([5.5, 0.0], [6.5, 1.0]);
+        let gap = r2([3.75, 0.0], [4.0, 8.0]);
+        assert_eq!(
+            choose_both(&[right, left, tall, gap, tall_neighbour], rect, usize::MAX),
+            (0, 0)
+        );
+        assert_eq!(
+            choose_both(&[left, tall, gap, right, tall_neighbour], rect, usize::MAX),
+            (3, 3)
+        );
+        assert_eq!(
+            choose_both(&[tall, gap, right, tall_neighbour, left], rect, usize::MAX),
+            (2, 2)
+        );
+    }
+
+    #[test]
+    fn forced_reinsert_breaks_distance_ties_like_the_reference() {
+        // Four rings of equidistant entries around the center, so the cut
+        // after `p` falls inside a tie and the queue holds several.
+        let mut rects = Vec::new();
+        for ring in 1..=4 {
+            let d = f64::from(ring) / 8.0;
+            for (dx, dy) in [(d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d)] {
+                let c = [0.5 + dx, 0.5 + dy];
+                rects.push(r2(c, c));
+            }
+        }
+        rects.push(r2([0.5, 0.5], [0.5, 0.5]));
+        let [got, want] = reinsert_both(&rects);
+        assert_eq!(got, want);
+        let p = RTreeConfig::with_capacity(16).reinsert_count;
+        assert_eq!((got.0.len(), got.1.len()), (17 - p, p));
     }
 }

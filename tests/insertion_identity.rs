@@ -1,0 +1,130 @@
+//! Tree-identity pin for the insertion path.
+//!
+//! `RTree::insert` is deterministic, so an insertion-built tree is a
+//! function of its input sequence alone. The constants below are FNV-1a
+//! fingerprints over every node id, level, rectangle bit pattern and
+//! child id, recorded on the commit *before* ChooseSubtree, the R\* split
+//! and forced reinsertion were rewritten to prune their candidate sets
+//! (DESIGN.md row 21). Any change to the write path that moves one bit of
+//! one rectangle, reorders one node's entries or allocates node ids in a
+//! different order fails here — which is the point: every figure under
+//! `results/` is measured on trees built this way.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sjcm::datagen::uniform::{generate, UniformConfig};
+use sjcm::geom::{Point, Rect};
+use sjcm::rtree::{Child, ObjectId, RTree, RTreeConfig, SplitStrategy};
+
+fn fingerprint<const N: usize>(tree: &RTree<N>) -> u64 {
+    let mut bytes = Vec::new();
+    let mut word = |w: u64| bytes.extend_from_slice(&w.to_le_bytes());
+    word(u64::from(tree.root_id().0));
+    word(tree.height() as u64);
+    word(tree.len() as u64);
+    for (id, node) in tree.iter_nodes() {
+        word(u64::from(id.0));
+        word(u64::from(node.level));
+        word(node.entries.len() as u64);
+        for e in &node.entries {
+            for k in 0..N {
+                word(e.rect.lo_k(k).to_bits());
+                word(e.rect.hi_k(k).to_bits());
+            }
+            match e.child {
+                Child::Node(n) => word(u64::from(n.0) << 1),
+                Child::Object(o) => word(u64::from(o.0) << 1 | 1),
+            }
+        }
+    }
+    sjcm::storage::fnv1a(&bytes)
+}
+
+fn assert_fingerprint<const N: usize>(tree: &RTree<N>, want: u64) {
+    let got = fingerprint(tree);
+    assert_eq!(
+        got, want,
+        "tree fingerprint {got:#018x}, pinned {want:#018x}"
+    );
+}
+
+fn build<const N: usize>(config: RTreeConfig, rects: Vec<Rect<N>>) -> RTree<N> {
+    let mut tree = RTree::new(config);
+    for (r, id) in sjcm::datagen::with_ids(rects) {
+        tree.insert(r, ObjectId(id));
+    }
+    tree.check_invariants()
+        .expect("insertion-built tree is valid");
+    tree
+}
+
+#[test]
+fn uniform_2d_20k() {
+    let tree = build(
+        RTreeConfig::paper(2),
+        generate::<2>(UniformConfig::new(20_000, 0.5, 1998)),
+    );
+    assert_fingerprint(&tree, 0x3186_3dca_df07_a605);
+}
+
+#[test]
+fn uniform_1d_20k() {
+    let tree = build(
+        RTreeConfig::paper(1),
+        generate::<1>(UniformConfig::new(20_000, 0.5, 1998)),
+    );
+    assert_fingerprint(&tree, 0xa058_6304_1d2b_cef8);
+}
+
+#[test]
+fn uniform_3d_10k() {
+    let tree = build(
+        RTreeConfig::paper(3),
+        generate::<3>(UniformConfig::new(10_000, 0.5, 1998)),
+    );
+    assert_fingerprint(&tree, 0xff18_27be_d346_2a05);
+}
+
+#[test]
+fn tiger_roads_20k() {
+    let tree = build(
+        RTreeConfig::paper(2),
+        sjcm::datagen::tiger::generate(sjcm::datagen::tiger::TigerConfig::roads(20_000, 1998)),
+    );
+    assert_fingerprint(&tree, 0xcc40_4fc3_16b6_57d1);
+}
+
+#[test]
+fn quadratic_split_2d_10k() {
+    let tree = build(
+        RTreeConfig::paper(2).with_split(SplitStrategy::Quadratic),
+        generate::<2>(UniformConfig::new(10_000, 0.5, 1998)),
+    );
+    assert_fingerprint(&tree, 0xadb9_a489_a6be_2291);
+}
+
+/// Deletion condenses underfull nodes and re-enters the insertion path at
+/// upper levels with the orphaned subtrees; small nodes make that common.
+#[test]
+fn interleaved_insert_remove_5k() {
+    let mut tree = RTree::<2>::new(RTreeConfig::with_capacity(8));
+    let mut live: Vec<(Rect<2>, ObjectId)> = Vec::new();
+    let mut rng = StdRng::seed_from_u64(1998);
+    for step in 0..5_000u32 {
+        // Grow for the first half, shrink for the second.
+        let p_insert = if step < 2_500 { 0.7 } else { 0.3 };
+        if live.is_empty() || rng.gen_bool(p_insert) {
+            let c = Point::new([rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
+            let sides = [rng.gen_range(0.0..0.04), rng.gen_range(0.0..0.04)];
+            let r = Rect::centered(c, sides);
+            tree.insert(r, ObjectId(step));
+            live.push((r, ObjectId(step)));
+        } else {
+            let (r, id) = live.swap_remove(rng.gen_range(0..live.len()));
+            assert!(tree.remove(&r, id));
+        }
+    }
+    tree.check_invariants().expect("tree valid after churn");
+    assert_eq!(tree.len(), live.len());
+    assert_fingerprint(&tree, 0xdf0b_b087_e962_4466);
+}
