@@ -1,12 +1,12 @@
 //! Join-algorithm benchmarks: the synchronized traversal (SJ) against
-//! the index-nested-loop and brute-force baselines, plus the plane-sweep
-//! CPU optimization of [BKS93] and the parallel variant (§5).
+//! the index-nested-loop and brute-force baselines, plus the parallel
+//! variant (§5) and the overhead guards of the cross-cutting layers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sjcm_bench::{uniform_items, uniform_tree};
 use sjcm_join::baselines::{index_nested_loop_join, nested_loop_join};
 use sjcm_join::{
-    BufferPolicy, Governor, JoinConfig, JoinObs, JoinResultSet, JoinSession, MatchOrder, Scheduler,
+    BufferPolicy, Governor, JoinConfig, JoinObs, JoinResultSet, JoinSession, Scheduler,
 };
 use sjcm_obs::{DriftMonitor, ProgressTracker, Tracer};
 use sjcm_rtree::RTree;
@@ -53,41 +53,6 @@ fn bench_algorithms(c: &mut Criterion) {
             });
         }
     }
-    group.finish();
-}
-
-fn bench_match_order(c: &mut Criterion) {
-    let mut group = c.benchmark_group("entry_matching");
-    group.sample_size(10);
-    let n = 8_000;
-    let t1 = uniform_tree(n, 0.6, 102);
-    let t2 = uniform_tree(n, 0.6, 103);
-    group.bench_function("nested_loop_order", |b| {
-        b.iter(|| {
-            black_box(session_join(
-                &t1,
-                &t2,
-                JoinConfig {
-                    order: MatchOrder::NestedLoop,
-                    ..config()
-                },
-                Scheduler::Sequential,
-            ))
-        })
-    });
-    group.bench_function("plane_sweep_order", |b| {
-        b.iter(|| {
-            black_box(session_join(
-                &t1,
-                &t2,
-                JoinConfig {
-                    order: MatchOrder::PlaneSweep,
-                    ..config()
-                },
-                Scheduler::Sequential,
-            ))
-        })
-    });
     group.finish();
 }
 
@@ -524,83 +489,12 @@ fn bench_governor_overhead(c: &mut Criterion) {
     }
 }
 
-/// The session-dispatch overhead guard: the same fixed-seed cost-guided
-/// join through the deprecated direct entry point
-/// (`parallel_spatial_join_with`) and through the unified
-/// `JoinSession` builder, reported as a BENCH JSON line. The builder
-/// is a compile-time-thin shim — it allocates one `ExecContext` on the
-/// stack and dispatches on the `Scheduler` enum — so the target is
-/// < 1% overhead. The `speedup` field (direct / session, ≈ 1.0) rides
-/// the bench-compare `speedup >= 0.8` gate.
-fn bench_session_overhead(c: &mut Criterion) {
-    let _ = c; // manual timing: one JSON line, not a criterion group
-    let smoke = std::env::args().any(|a| a == "--test");
-    let (n, reps) = if smoke { (4_000, 7) } else { (12_000, 15) };
-    let t1 = uniform_tree(n, 0.5, 108);
-    let t2 = uniform_tree(n, 0.5, 109);
-    let threads = 4;
-    let warm = session_join(&t1, &t2, config(), Scheduler::CostGuided { threads });
-    let run_direct = || {
-        let start = Instant::now();
-        #[allow(deprecated)]
-        let r = black_box(sjcm_join::parallel_spatial_join_with(
-            &t1,
-            &t2,
-            config(),
-            threads,
-            sjcm_join::ScheduleMode::CostGuided,
-        ));
-        assert_eq!(r.na_total(), warm.na_total());
-        start.elapsed()
-    };
-    let run_session = || {
-        let start = Instant::now();
-        let r = black_box(session_join(
-            &t1,
-            &t2,
-            config(),
-            Scheduler::CostGuided { threads },
-        ));
-        let elapsed = start.elapsed();
-        assert_eq!(r.na_total(), warm.na_total());
-        assert_eq!(r.da_total(), warm.da_total());
-        elapsed
-    };
-    let _ = (run_direct(), run_session());
-    let mut direct = std::time::Duration::MAX;
-    let mut session = std::time::Duration::MAX;
-    for _ in 0..reps {
-        direct = direct.min(run_direct());
-        session = session.min(run_session());
-    }
-    let overhead = (session.as_secs_f64() - direct.as_secs_f64()) / direct.as_secs_f64() * 100.0;
-    let speedup = direct.as_secs_f64() / session.as_secs_f64();
-    println!(
-        "{{\"group\":\"join_algorithms\",\"bench\":\"session_overhead/{n}/{threads}\",\
-         \"direct_us\":{},\"session_us\":{},\"overhead_pct\":{:.2},\
-         \"speedup\":{:.4}}}",
-        direct.as_micros(),
-        session.as_micros(),
-        overhead,
-        speedup
-    );
-    if !smoke {
-        assert!(
-            overhead < 1.0,
-            "session-dispatch overhead {overhead:.2}% exceeds the 1% budget \
-             (direct {direct:?}, session {session:?})"
-        );
-    }
-}
-
 criterion_group!(
     benches,
     bench_algorithms,
-    bench_match_order,
     bench_parallel,
     bench_obs_overhead,
     bench_fault_overhead,
-    bench_governor_overhead,
-    bench_session_overhead
+    bench_governor_overhead
 );
 criterion_main!(benches);

@@ -22,7 +22,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sjcm_bench::uniform_items;
 use sjcm_geom::{OverlapMask, Rect, RectBatch};
-use sjcm_join::{matched_entries, JoinConfig, MatchKernel, MatchOrder, MatchScratch, PbsmSession};
+use sjcm_join::{matched_entries, JoinConfig, MatchKernel, MatchScratch, PbsmSession};
 use sjcm_rtree::{BulkLoad, NodeId, ObjectId, RTree, RTreeConfig};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -128,12 +128,10 @@ fn visited_node_pairs(t1: &RTree<2>, t2: &RTree<2>) -> Vec<(NodeId, NodeId)> {
 
 /// Node-level entry matching on the 60K fixed-seed workload: re-match
 /// the exact node pairs the synchronized traversal visits, scalar vs
-/// batched, for both entry orders (informational — `matched_entries`
-/// hands the kernels only the entries meeting the other node's MBR,
-/// about 13 of a node's 33, and sweep runs there are 1–3 candidates
-/// long, so this phase is bounded by the restriction pass and merge
-/// bookkeeping both kernels share; the guard lives on the long-run
-/// sweep below).
+/// batched (informational — `matched_entries` hands the kernels only
+/// the entries meeting the other node's MBR, about 13 of a node's 33,
+/// so this phase is bounded by the restriction pass both kernels
+/// share; the guard lives on the long-run sweep below).
 fn bench_node_matching(c: &mut Criterion) {
     let _ = c; // manual timing: JSON lines, not a criterion group
     let (n, reps) = if smoke() {
@@ -145,48 +143,40 @@ fn bench_node_matching(c: &mut Criterion) {
     let t2 = str_tree(n, 0.5, 2424);
     let pairs = visited_node_pairs(&t1, &t2);
 
-    for order in [MatchOrder::PlaneSweep, MatchOrder::NestedLoop] {
-        let run = |kernel: MatchKernel| {
-            let config = JoinConfig {
-                order,
-                kernel,
-                ..JoinConfig::default()
-            };
-            let mut scratch = MatchScratch::new();
-            let start = Instant::now();
-            let mut matched = 0u64;
-            for &(a, b) in &pairs {
-                matched +=
-                    matched_entries(t1.node(a), t2.node(b), &config, &mut scratch).len() as u64;
-            }
-            let elapsed = start.elapsed();
-            black_box(matched);
-            (elapsed, matched)
+    let run = |kernel: MatchKernel| {
+        let config = JoinConfig {
+            kernel,
+            ..JoinConfig::default()
         };
-        let (_, expect) = run(MatchKernel::Scalar);
-        let (mut scalar, mut batched) = (Duration::MAX, Duration::MAX);
-        for _ in 0..reps {
-            let (ts, ms) = run(MatchKernel::Scalar);
-            let (tb, mb) = run(MatchKernel::Batched);
-            assert_eq!(ms, expect, "scalar match count drifted");
-            assert_eq!(mb, expect, "batched kernel changed the match count");
-            scalar = scalar.min(ts);
-            batched = batched.min(tb);
+        let mut scratch = MatchScratch::new();
+        let start = Instant::now();
+        let mut matched = 0u64;
+        for &(a, b) in &pairs {
+            matched += matched_entries(t1.node(a), t2.node(b), &config, &mut scratch).len() as u64;
         }
-        let label = match order {
-            MatchOrder::PlaneSweep => "plane_sweep",
-            MatchOrder::NestedLoop => "nested_loop",
-        };
-        println!(
-            "{{\"group\":\"kernel_overlap\",\"bench\":\"node_matching/{label}/{n}\",\
-             \"node_pairs\":{},\"entry_matches\":{expect},\
-             \"scalar_us\":{},\"batched_us\":{},\"speedup\":{:.2}}}",
-            pairs.len(),
-            scalar.as_micros(),
-            batched.as_micros(),
-            scalar.as_secs_f64() / batched.as_secs_f64()
-        );
+        let elapsed = start.elapsed();
+        black_box(matched);
+        (elapsed, matched)
+    };
+    let (_, expect) = run(MatchKernel::Scalar);
+    let (mut scalar, mut batched) = (Duration::MAX, Duration::MAX);
+    for _ in 0..reps {
+        let (ts, ms) = run(MatchKernel::Scalar);
+        let (tb, mb) = run(MatchKernel::Batched);
+        assert_eq!(ms, expect, "scalar match count drifted");
+        assert_eq!(mb, expect, "batched kernel changed the match count");
+        scalar = scalar.min(ts);
+        batched = batched.min(tb);
     }
+    println!(
+        "{{\"group\":\"kernel_overlap\",\"bench\":\"node_matching/nested_loop/{n}\",\
+         \"node_pairs\":{},\"entry_matches\":{expect},\
+         \"scalar_us\":{},\"batched_us\":{},\"speedup\":{:.2}}}",
+        pairs.len(),
+        scalar.as_micros(),
+        batched.as_micros(),
+        scalar.as_secs_f64() / batched.as_secs_f64()
+    );
 }
 
 /// The sweep-phase guard on the 60K fixed-seed workload: the PBSM

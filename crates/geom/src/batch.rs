@@ -17,10 +17,8 @@
 //!
 //! Three kernel families are provided:
 //!
-//! * [`RectBatch::overlap_mask`] / [`RectBatch::overlap_mask_tail`] —
-//!   one-vs-many closed-intersection tests. The `_tail` variant skips
-//!   dimension 0, for plane-sweep consumers whose candidate range
-//!   already guarantees dimension-0 overlap (see below).
+//! * [`RectBatch::overlap_mask`] — one-vs-many closed-intersection
+//!   tests.
 //! * [`RectBatch::within_mask`] — one-vs-many Euclidean
 //!   distance-within-ε tests (the distance-join predicate), evaluated
 //!   as a branch-free clamped-gap accumulation that reproduces
@@ -29,9 +27,10 @@
 //!   point kernel for PBSM duplicate suppression: one pass computes the
 //!   intersection test *and* the unit-grid cell containing the
 //!   intersection's low corner, replacing the intersects-then-
-//!   `intersection().expect(..)` double scan.
+//!   `intersection().expect(..)` double scan. Its sweep-fused form
+//!   [`RectBatch::sweep_ref_cells`] is what PBSM's per-cell sweep runs.
 //!
-//! # Why `_tail` is exact for plane sweeps
+//! # Why the sweep kernels skip dimension 0
 //!
 //! A sweep along dimension 0 considers, for an anchor `a`, only
 //! candidates `b` with `a.lo₀ ≤ b.lo₀ ≤ a.hi₀` (both lists sorted by
@@ -39,9 +38,9 @@
 //! stops at `b.lo₀ > a.hi₀`). Within that range `b.lo₀ ≤ a.hi₀` and
 //! `a.lo₀ ≤ b.lo₀ ≤ b.hi₀`, so the dimension-0 test of
 //! [`Rect::intersects`] is *always true* — evaluating it again is pure
-//! waste. The `_tail` kernels test dimensions `1..N` only, which for
-//! the paper's 2-D workloads halves the comparison work on top of the
-//! vectorization win.
+//! waste. The reference-cell kernels test dimensions `1..N` only, which
+//! for the paper's 2-D workloads halves the comparison work on top of
+//! the vectorization win.
 
 use crate::Rect;
 
@@ -218,47 +217,14 @@ impl<const N: usize> RectBatch<N> {
         )
     }
 
-    /// The low-coordinate slab of dimension `k` — plane-sweep consumers
-    /// scan this directly to delimit candidate ranges.
-    #[inline]
-    pub fn lo_slab(&self, k: usize) -> &[f64] {
-        &self.lo[k]
-    }
-
-    /// The high-coordinate slab of dimension `k`.
-    #[inline]
-    pub fn hi_slab(&self, k: usize) -> &[f64] {
-        &self.hi[k]
-    }
-
     /// One-vs-many closed-intersection kernel over candidates
     /// `start..end`: bit `i` of `mask` is set iff `q.intersects(&self[start + i])`.
-    pub fn overlap_mask(&self, q: &Rect<N>, start: usize, end: usize, mask: &mut OverlapMask) {
-        self.overlap_mask_from(q, 0, start, end, mask);
-    }
-
-    /// Like [`RectBatch::overlap_mask`] but testing dimensions `1..N`
-    /// only — exact for plane-sweep consumers whose candidate range
-    /// already implies dimension-0 overlap (see the module docs). For
-    /// `N = 1` every candidate in the range qualifies.
-    pub fn overlap_mask_tail(&self, q: &Rect<N>, start: usize, end: usize, mask: &mut OverlapMask) {
-        self.overlap_mask_from(q, 1, start, end, mask);
-    }
-
-    /// The shared chunked kernel: tests dimensions `first_dim..N`.
     ///
     /// Each 64-candidate chunk evaluates one branch-free comparison
     /// loop per dimension over a byte-lane accumulator, then packs the
     /// lanes into the mask word — the shape LLVM turns into vector
     /// compares and ANDs.
-    fn overlap_mask_from(
-        &self,
-        q: &Rect<N>,
-        first_dim: usize,
-        start: usize,
-        end: usize,
-        mask: &mut OverlapMask,
-    ) {
+    pub fn overlap_mask(&self, q: &Rect<N>, start: usize, end: usize, mask: &mut OverlapMask) {
         debug_assert!(start <= end && end <= self.len);
         mask.reset(end - start);
         let mut base = start;
@@ -266,7 +232,7 @@ impl<const N: usize> RectBatch<N> {
         while base < end {
             let len = (end - base).min(CHUNK);
             let mut lanes = [1u8; CHUNK];
-            for k in first_dim..N {
+            for k in 0..N {
                 let q_lo = q.lo_k(k);
                 let q_hi = q.hi_k(k);
                 let lo = &self.lo[k][base..base + len];
@@ -640,19 +606,6 @@ mod tests {
                 assert_eq!(mask.get(i), q.within_distance(r, eps), "eps={eps} r={r:?}");
             }
         }
-    }
-
-    #[test]
-    fn tail_mask_ignores_dimension_zero() {
-        let batch: RectBatch<2> = [Rect::new([0.9, 0.0], [1.0, 0.1]).unwrap()]
-            .into_iter()
-            .collect();
-        let q = Rect::new([0.0, 0.0], [0.1, 0.1]).unwrap();
-        let mut mask = OverlapMask::new();
-        batch.overlap_mask(&q, 0, 1, &mut mask);
-        assert!(!mask.get(0), "full kernel sees the dim-0 gap");
-        batch.overlap_mask_tail(&q, 0, 1, &mut mask);
-        assert!(mask.get(0), "tail kernel trusts the sweep's dim-0 range");
     }
 
     #[test]

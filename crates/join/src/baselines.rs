@@ -64,12 +64,9 @@ pub fn index_nested_loop_join<const N: usize>(
 
 #[cfg(test)]
 mod tests {
-    // `spatial_join` is the deprecated wrapper over `JoinSession`;
-    // exercising it here doubles as wrapper coverage.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::executor::spatial_join;
+    use crate::executor::JoinResultSet;
+    use crate::session::JoinSession;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sjcm_rtree::RTreeConfig;
@@ -86,6 +83,14 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// The default sequential SJ through the session.
+    fn spatial_join(r1: &RTree<2>, r2: &RTree<2>) -> JoinResultSet {
+        JoinSession::new(r1, r2)
+            .run()
+            .expect("ungoverned join cannot fail")
+            .result
     }
 
     #[test]

@@ -1,17 +1,14 @@
-//! The SJ join configuration, result types, and entry matching — plus
-//! the legacy sequential entry points, kept as thin deprecated wrappers
-//! over [`crate::session::JoinSession`]. The traversal itself lives in
-//! the shared `engine` module; the session module is the front door.
+//! The SJ join's configuration ([`JoinConfig`] and its enums), result
+//! types ([`JoinResultSet`] and the per-worker tallies) and entry
+//! matching ([`matched_entries`]). The traversal itself lives in the
+//! shared `engine` module; [`crate::session::JoinSession`] is the way in.
 
-use crate::degraded::{DegradedJoinResult, JoinError, RawSkip};
-use crate::session::{CorrDomain, ExecContext, JoinSession};
+use crate::degraded::RawSkip;
+use crate::session::{CorrDomain, ExecContext};
 use sjcm_geom::{OverlapMask, Rect, RectBatch};
 use sjcm_rtree::{Child, Entry, Node, NodeId, ObjectId, RTree};
 use sjcm_storage::recorder::RecordedPolicy;
-use sjcm_storage::{
-    AccessStats, BufferCounters, BufferManager, FaultInjector, FlightRecorder, LruBuffer, NoBuffer,
-    PathBuffer,
-};
+use sjcm_storage::{AccessStats, BufferCounters, BufferManager, LruBuffer, NoBuffer, PathBuffer};
 
 /// Join predicate between two object MBRs (and, during traversal,
 /// between node rectangles — both predicates below are "downward
@@ -72,24 +69,10 @@ impl BufferPolicy {
     }
 }
 
-/// Order in which entry pairs of a node pair are matched.
-///
-/// The analytical DA model assumes the SJ nested-loop order (R2 outer,
-/// R1 inner); the plane sweep of \[BKS93\] reduces CPU cost but visits
-/// pairs in sweep order, which perturbs path-buffer hit patterns — an
-/// effect the buffer-ablation experiment quantifies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatchOrder {
-    /// Figure 2's loops: `for Er2 in R2 { for Er1 in R1 { … } }`.
-    #[default]
-    NestedLoop,
-    /// Sort both entry lists by low corner in dimension 0 and sweep.
-    PlaneSweep,
-}
-
-/// How entry-pair predicates are evaluated — the CPU side of matching,
-/// orthogonal to [`MatchOrder`] (which pairs are *considered*, and in
-/// what order).
+/// How entry-pair predicates are evaluated — the CPU side of matching.
+/// Which pairs are considered, and in what order, is fixed: Figure 2's
+/// loops, R2's entries outer and R1's inner, the order Eqs 8–12 derive
+/// DA for.
 ///
 /// Both kernels produce byte-identical results: the same pairs in the
 /// same order, and identical NA/DA tallies (the kernel only replaces
@@ -115,8 +98,6 @@ pub struct JoinConfig {
     pub buffer: BufferPolicy,
     /// Join predicate.
     pub predicate: JoinPredicate,
-    /// Entry-matching order.
-    pub order: MatchOrder,
     /// Entry-matching kernel (scalar reference vs batched SoA).
     pub kernel: MatchKernel,
     /// When `false`, result pairs are not materialized (the experiments
@@ -129,7 +110,6 @@ impl Default for JoinConfig {
         Self {
             buffer: BufferPolicy::Path,
             predicate: JoinPredicate::Overlap,
-            order: MatchOrder::NestedLoop,
             kernel: MatchKernel::default(),
             collect_pairs: true,
         }
@@ -138,16 +118,14 @@ impl Default for JoinConfig {
 
 /// Reusable scratch buffers for entry matching: the two candidate lists
 /// (each node's entries that meet the other node's MBR — what the loops
-/// and the sweep run on, and what the sweep sorts) plus the SoA batches
-/// and bitmask of the batched kernel. One instance lives in each
-/// executor; matching refills it per node pair, so steady-state
-/// matching allocates nothing but the output.
+/// run on) plus the SoA batch and bitmask of the batched kernel. One
+/// instance lives in each executor; matching refills it per node pair,
+/// so steady-state matching allocates nothing but the output.
 #[derive(Debug, Default)]
 pub struct MatchScratch<const N: usize> {
     entries1: Vec<(Rect<N>, Child)>,
     entries2: Vec<(Rect<N>, Child)>,
     batch1: RectBatch<N>,
-    batch2: RectBatch<N>,
     mask: OverlapMask,
 }
 
@@ -294,115 +272,6 @@ impl JoinResultSet {
     }
 }
 
-/// Runs the SJ spatial join with the default configuration (path buffer,
-/// overlap predicate, nested-loop order, pairs collected).
-///
-/// ```
-/// use sjcm_rtree::{RTree, RTreeConfig, ObjectId};
-/// use sjcm_geom::Rect;
-/// # #[allow(deprecated)]
-/// use sjcm_join::spatial_join;
-///
-/// let mut a = RTree::<2>::new(RTreeConfig::with_capacity(8));
-/// let mut b = RTree::<2>::new(RTreeConfig::with_capacity(8));
-/// a.insert(Rect::new([0.1, 0.1], [0.3, 0.3]).unwrap(), ObjectId(1));
-/// b.insert(Rect::new([0.2, 0.2], [0.4, 0.4]).unwrap(), ObjectId(2));
-/// # #[allow(deprecated)]
-/// let result = spatial_join(&a, &b);
-/// assert_eq!(result.pairs, vec![(ObjectId(1), ObjectId(2))]);
-/// ```
-#[deprecated(note = "use `session::JoinSession::new(r1, r2).run()`")]
-pub fn spatial_join<const N: usize>(r1: &RTree<N>, r2: &RTree<N>) -> JoinResultSet {
-    JoinSession::new(r1, r2)
-        .run()
-        .expect("sequential join without fault injection or governor cannot fail")
-        .result
-}
-
-/// Runs the SJ spatial join with an explicit configuration.
-#[deprecated(note = "use `session::JoinSession::new(r1, r2).config(config).run()`")]
-pub fn spatial_join_with<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    config: JoinConfig,
-) -> JoinResultSet {
-    JoinSession::new(r1, r2)
-        .config(config)
-        .run()
-        .expect("sequential join without fault injection or governor cannot fail")
-        .result
-}
-
-/// Runs the SJ spatial join with a page-access flight recorder: every
-/// buffered access additionally emits one event into `recorder`
-/// (correlation domain 0 — the sequential executor is a single
-/// buffer-residency domain). With a disabled recorder this is exactly
-/// [`spatial_join_with`] — one `Option` check per access.
-#[deprecated(note = "use `session::JoinSession` with `.record(recorder)`")]
-pub fn spatial_join_recorded<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    config: JoinConfig,
-    recorder: &FlightRecorder,
-) -> JoinResultSet {
-    JoinSession::new(r1, r2)
-        .config(config)
-        .record(recorder)
-        .run()
-        .expect("sequential join without fault injection or governor cannot fail")
-        .result
-}
-
-/// Fallible twin of [`spatial_join_with`]: runs the SJ join under a
-/// [`FaultInjector`]. Transient page-read faults within the injector's
-/// retry budget are recovered invisibly (the result is bit-identical to
-/// a fault-free run); a *permanent* failure — retry budget exhausted,
-/// or the page lost — forfeits only the node pair whose read failed,
-/// and the traversal continues. The forfeited sub-joins come back
-/// priced on [`DegradedJoinResult::skips`].
-///
-/// With a disabled injector this is [`spatial_join_with`] plus a
-/// `Result` wrapper: one `Option` discriminant check per node pair, and
-/// `skips` is empty.
-#[deprecated(note = "use `session::JoinSession` with `.faults(..)` / `.govern(..)`")]
-pub fn try_spatial_join_with<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    config: JoinConfig,
-    faults: &FaultInjector,
-    gov: &crate::governor::Governor,
-) -> Result<DegradedJoinResult<N>, JoinError> {
-    JoinSession::new(r1, r2)
-        .config(config)
-        .faults(faults)
-        .govern(gov)
-        .run()
-}
-
-/// Fallible twin of [`spatial_join_recorded`] — see
-/// [`try_spatial_join_with`]. The sequential executor contains every
-/// injected failure, so with an unlimited governor this always returns
-/// `Ok`; a governing [`crate::governor::Governor`] can reject the query
-/// at admission ([`JoinError::Rejected`]) and cancels cooperatively at
-/// work-unit boundaries, forfeiting unvisited subtrees onto
-/// [`DegradedJoinResult::skips`].
-#[deprecated(note = "use `session::JoinSession` with `.record(..)`, `.faults(..)`, `.govern(..)`")]
-pub fn try_spatial_join_recorded<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    config: JoinConfig,
-    recorder: &FlightRecorder,
-    faults: &FaultInjector,
-    gov: &crate::governor::Governor,
-) -> Result<DegradedJoinResult<N>, JoinError> {
-    JoinSession::new(r1, r2)
-        .config(config)
-        .record(recorder)
-        .faults(faults)
-        .govern(gov)
-        .run()
-}
-
 /// The sequential traversal shared by the session's `Sequential`
 /// scheduler and the parallel `threads = 1` fallback. Returns the
 /// result set plus the raw (unpriced) skip records.
@@ -452,13 +321,13 @@ pub(crate) fn pinned_children<const N: usize>(
     }
 }
 
-/// Entry pairs of two nodes satisfying the configured predicate, in the
-/// configured match order, evaluated by the configured kernel. Shared
-/// between the sequential executor and the parallel
-/// coordinator/workers so both traversals match entries in exactly the
-/// same order (which the DA comparisons rely on); the kernel choice
-/// never changes which pairs come back or their order, only how the
-/// rectangle comparisons are evaluated.
+/// Entry pairs of two nodes satisfying the configured predicate, in
+/// Figure 2's order (R2's entries outer, R1's inner), evaluated by the
+/// configured kernel. Shared between the sequential executor and the
+/// parallel coordinator/workers so both traversals match entries in
+/// exactly the same order (which the DA comparisons rely on); the
+/// kernel choice never changes which pairs come back or their order,
+/// only how the rectangle comparisons are evaluated.
 ///
 /// Matching runs on the *restricted* entry lists of \[BKS93\]: an entry
 /// of `n1` is a candidate only if it satisfies the predicate against
@@ -492,8 +361,8 @@ pub fn matched_entries<const N: usize>(
     if scratch.entries1.is_empty() || scratch.entries2.is_empty() {
         return Vec::new();
     }
-    match (config.order, config.kernel) {
-        (MatchOrder::NestedLoop, MatchKernel::Scalar) => {
+    match config.kernel {
+        MatchKernel::Scalar => {
             let mut out = Vec::new();
             // Figure 2: R2's entries drive the outer loop.
             for (r2, c2) in &scratch.entries2 {
@@ -505,7 +374,7 @@ pub fn matched_entries<const N: usize>(
             }
             out
         }
-        (MatchOrder::NestedLoop, MatchKernel::Batched) => {
+        MatchKernel::Batched => {
             // Same loops, inner loop vectorized: batch R1's candidates
             // once, test each R2 candidate against all of them.
             // Ascending mask bits reproduce the inner loop's entry order.
@@ -514,7 +383,6 @@ pub fn matched_entries<const N: usize>(
                 entries2,
                 batch1,
                 mask,
-                ..
             } = scratch;
             batch1.clear();
             batch1.extend(entries1.iter().map(|e| e.0));
@@ -532,126 +400,13 @@ pub fn matched_entries<const N: usize>(
             }
             out
         }
-        (MatchOrder::PlaneSweep, kernel) => sweep_pairs(predicate, kernel, scratch),
     }
-}
-
-/// Plane-sweep matching along dimension 0 (BKS93's CPU optimization)
-/// of the candidates in `scratch.entries1` × `scratch.entries2`. For the
-/// distance predicate the sweep widens the active window by ε so no
-/// qualifying pair is skipped.
-///
-/// The batched kernel delimits each anchor's candidate range by
-/// scanning the sorted `lo₀` slab (the same comparisons the scalar
-/// inner loop makes) and then evaluates the whole range at once:
-/// [`RectBatch::overlap_mask_tail`] for overlap — dimension 0 is
-/// implied by the range, see the `sjcm_geom::batch` module docs — or
-/// the full [`RectBatch::within_mask`] for the distance predicate
-/// (the ε-widened range does *not* imply dimension-0 proximity).
-fn sweep_pairs<const N: usize>(
-    predicate: JoinPredicate,
-    kernel: MatchKernel,
-    scratch: &mut MatchScratch<N>,
-) -> Vec<(Child, Child)> {
-    let slack = match predicate {
-        JoinPredicate::Overlap => 0.0,
-        JoinPredicate::WithinDistance(eps) => eps,
-    };
-    let MatchScratch {
-        entries1,
-        entries2,
-        batch1,
-        batch2,
-        mask,
-    } = scratch;
-    // Stable sorts: dropping non-candidates before sorting leaves the
-    // survivors in the order sorting the full lists would have.
-    entries1.sort_by(|a, b| a.0.lo_k(0).total_cmp(&b.0.lo_k(0)));
-    entries2.sort_by(|a, b| a.0.lo_k(0).total_cmp(&b.0.lo_k(0)));
-    if kernel == MatchKernel::Batched {
-        batch1.clear();
-        batch2.clear();
-        batch1.extend(entries1.iter().map(|e| e.0));
-        batch2.extend(entries2.iter().map(|e| e.0));
-    }
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < entries1.len() && j < entries2.len() {
-        if entries1[i].0.lo_k(0) <= entries2[j].0.lo_k(0) {
-            let anchor = entries1[i];
-            let limit = anchor.0.hi_k(0) + slack;
-            match kernel {
-                MatchKernel::Scalar => {
-                    let mut k = j;
-                    while k < entries2.len() && entries2[k].0.lo_k(0) <= limit {
-                        if predicate.holds::<N>(&anchor.0, &entries2[k].0) {
-                            out.push((anchor.1, entries2[k].1));
-                        }
-                        k += 1;
-                    }
-                }
-                MatchKernel::Batched => {
-                    let lo = batch2.lo_slab(0);
-                    let mut end = j;
-                    while end < lo.len() && lo[end] <= limit {
-                        end += 1;
-                    }
-                    match predicate {
-                        JoinPredicate::Overlap => batch2.overlap_mask_tail(&anchor.0, j, end, mask),
-                        JoinPredicate::WithinDistance(eps) => {
-                            batch2.within_mask(&anchor.0, eps, j, end, mask)
-                        }
-                    }
-                    for b in mask.iter_set() {
-                        out.push((anchor.1, entries2[j + b].1));
-                    }
-                }
-            }
-            i += 1;
-        } else {
-            let anchor = entries2[j];
-            let limit = anchor.0.hi_k(0) + slack;
-            match kernel {
-                MatchKernel::Scalar => {
-                    let mut k = i;
-                    while k < entries1.len() && entries1[k].0.lo_k(0) <= limit {
-                        if predicate.holds::<N>(&entries1[k].0, &anchor.0) {
-                            out.push((entries1[k].1, anchor.1));
-                        }
-                        k += 1;
-                    }
-                }
-                MatchKernel::Batched => {
-                    let lo = batch1.lo_slab(0);
-                    let mut end = i;
-                    while end < lo.len() && lo[end] <= limit {
-                        end += 1;
-                    }
-                    match predicate {
-                        JoinPredicate::Overlap => batch1.overlap_mask_tail(&anchor.0, i, end, mask),
-                        JoinPredicate::WithinDistance(eps) => {
-                            batch1.within_mask(&anchor.0, eps, i, end, mask)
-                        }
-                    }
-                    for b in mask.iter_set() {
-                        out.push((entries1[i + b].1, anchor.1));
-                    }
-                }
-            }
-            j += 1;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    // The legacy entry points exercised here are deprecated wrappers
-    // over the session builder; keeping the tests on them doubles as
-    // wrapper coverage.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::session::JoinSession;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sjcm_rtree::RTreeConfig;
@@ -678,6 +433,16 @@ mod tests {
         tree
     }
 
+    /// The sequential join through the session — what every test here
+    /// runs.
+    fn sj(r1: &RTree<2>, r2: &RTree<2>, config: JoinConfig) -> JoinResultSet {
+        JoinSession::new(r1, r2)
+            .config(config)
+            .run()
+            .expect("ungoverned join cannot fail")
+            .result
+    }
+
     fn brute_force(
         a: &[(Rect<2>, ObjectId)],
         b: &[(Rect<2>, ObjectId)],
@@ -701,7 +466,7 @@ mod tests {
         let b = random_items(300, 0.03, 2);
         let ta = build(&a, 8);
         let tb = build(&b, 8);
-        let mut got = spatial_join(&ta, &tb).pairs;
+        let mut got = sj(&ta, &tb, JoinConfig::default()).pairs;
         got.sort();
         assert_eq!(got, brute_force(&a, &b, JoinPredicate::Overlap));
     }
@@ -713,44 +478,13 @@ mod tests {
         let ta = build(&a, 8);
         let tb = build(&b, 8);
         assert!(ta.height() > tb.height());
-        let mut got = spatial_join(&ta, &tb).pairs;
+        let mut got = sj(&ta, &tb, JoinConfig::default()).pairs;
         got.sort();
         assert_eq!(got, brute_force(&a, &b, JoinPredicate::Overlap));
         // And with roles swapped (shorter data tree).
-        let mut got = spatial_join(&tb, &ta).pairs;
+        let mut got = sj(&tb, &ta, JoinConfig::default()).pairs;
         got.sort();
         assert_eq!(got, brute_force(&b, &a, JoinPredicate::Overlap));
-    }
-
-    #[test]
-    fn plane_sweep_finds_same_pairs() {
-        let a = random_items(500, 0.02, 5);
-        let b = random_items(500, 0.02, 6);
-        let ta = build(&a, 12);
-        let tb = build(&b, 12);
-        let nested = spatial_join_with(
-            &ta,
-            &tb,
-            JoinConfig {
-                order: MatchOrder::NestedLoop,
-                ..JoinConfig::default()
-            },
-        );
-        let sweep = spatial_join_with(
-            &ta,
-            &tb,
-            JoinConfig {
-                order: MatchOrder::PlaneSweep,
-                ..JoinConfig::default()
-            },
-        );
-        // NA is order-independent (same pair visits).
-        assert_eq!(nested.na_total(), sweep.na_total());
-        let mut p1 = nested.pairs;
-        let mut p2 = sweep.pairs;
-        p1.sort();
-        p2.sort();
-        assert_eq!(p1, p2);
     }
 
     #[test]
@@ -760,7 +494,7 @@ mod tests {
         let ta = build(&a, 8);
         let tb = build(&b, 8);
         let pred = JoinPredicate::WithinDistance(0.05);
-        let mut got = spatial_join_with(
+        let mut got = sj(
             &ta,
             &tb,
             JoinConfig {
@@ -771,37 +505,6 @@ mod tests {
         .pairs;
         got.sort();
         assert_eq!(got, brute_force(&a, &b, pred));
-    }
-
-    #[test]
-    fn distance_join_plane_sweep_agrees() {
-        let a = random_items(300, 0.01, 17);
-        let b = random_items(300, 0.01, 18);
-        let ta = build(&a, 8);
-        let tb = build(&b, 8);
-        let pred = JoinPredicate::WithinDistance(0.04);
-        let mut nested = spatial_join_with(
-            &ta,
-            &tb,
-            JoinConfig {
-                predicate: pred,
-                ..JoinConfig::default()
-            },
-        )
-        .pairs;
-        let mut sweep = spatial_join_with(
-            &ta,
-            &tb,
-            JoinConfig {
-                predicate: pred,
-                order: MatchOrder::PlaneSweep,
-                ..JoinConfig::default()
-            },
-        )
-        .pairs;
-        nested.sort();
-        sweep.sort();
-        assert_eq!(nested, sweep);
     }
 
     #[test]
@@ -816,7 +519,7 @@ mod tests {
             BufferPolicy::Path,
             BufferPolicy::Lru(64),
         ] {
-            let r = spatial_join_with(
+            let r = sj(
                 &ta,
                 &tb,
                 JoinConfig {
@@ -842,7 +545,7 @@ mod tests {
         let b = random_items(500, 0.02, 12);
         let ta = build(&a, 8);
         let tb = build(&b, 8);
-        let r = spatial_join_with(
+        let r = sj(
             &ta,
             &tb,
             JoinConfig {
@@ -862,7 +565,7 @@ mod tests {
         let ta = build(&a, 8);
         let tb = build(&b, 8);
         if ta.height() == tb.height() {
-            let r = spatial_join(&ta, &tb);
+            let r = sj(&ta, &tb, JoinConfig::default());
             assert_eq!(r.stats1.na_total(), r.stats2.na_total());
         }
     }
@@ -874,7 +577,7 @@ mod tests {
         let ta = build(&a, 8);
         let tb = build(&b, 8);
         let run = |policy| {
-            spatial_join_with(
+            sj(
                 &ta,
                 &tb,
                 JoinConfig {
@@ -901,7 +604,7 @@ mod tests {
         let ta = build(&a, 8);
         let tb = build(&b, 8);
         assert_eq!(ta.height(), 1);
-        let r = spatial_join(&ta, &tb);
+        let r = sj(&ta, &tb, JoinConfig::default());
         assert_eq!(r.na_total(), 0);
         assert_eq!(r.da_total(), 0);
         assert!(!r.pairs.is_empty(), "objects do overlap");
@@ -911,10 +614,10 @@ mod tests {
     fn empty_tree_join_is_empty() {
         let empty = RTree::<2>::new(RTreeConfig::with_capacity(8));
         let b = build(&random_items(100, 0.05, 21), 8);
-        let r = spatial_join(&empty, &b);
+        let r = sj(&empty, &b, JoinConfig::default());
         assert_eq!(r.pair_count, 0);
         assert_eq!(r.na_total(), 0);
-        let r = spatial_join(&b, &empty);
+        let r = sj(&b, &empty, JoinConfig::default());
         assert_eq!(r.pair_count, 0);
     }
 
@@ -924,8 +627,8 @@ mod tests {
         let b = random_items(300, 0.03, 23);
         let ta = build(&a, 8);
         let tb = build(&b, 8);
-        let with = spatial_join(&ta, &tb);
-        let without = spatial_join_with(
+        let with = sj(&ta, &tb, JoinConfig::default());
+        let without = sj(
             &ta,
             &tb,
             JoinConfig {
@@ -944,7 +647,7 @@ mod tests {
         let b = random_items(2_000, 0.01, 25);
         let ta = build(&a, 8);
         let tb = build(&b, 8);
-        let r = spatial_join(&ta, &tb);
+        let r = sj(&ta, &tb, JoinConfig::default());
         let h = ta.height();
         // Roots (paper level h) are never accessed.
         assert_eq!(r.na_at_paper_level(1, h), 0);

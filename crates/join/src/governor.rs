@@ -46,10 +46,8 @@
 
 use crate::degraded::{subtree_objects, DegradedJoinResult, JoinError, RawSkip, SubtreeObjects};
 use crate::executor::{JoinConfig, JoinResultSet, StealTally, WorkerTally};
-use crate::parallel::{
-    overlap_fraction, root_work_units, run_shard, subtree_params, ScheduleMode, WorkUnit,
-};
-use crate::session::{CorrDomain, ExecContext};
+use crate::parallel::{overlap_fraction, root_work_units, run_shard, subtree_params, WorkUnit};
+use crate::session::{CorrDomain, ExecContext, Scheduler};
 use sjcm_core::join::{join_cost_na, unit_cost_na};
 use sjcm_core::TreeParams;
 use sjcm_geom::Rect;
@@ -788,20 +786,20 @@ pub(crate) fn run_governed_sequential<const N: usize>(
 }
 
 /// Governed parallel execution: the ordinal-tagged root units dealt to
-/// `threads` static shards (round-robin deal or LPT by Eq-6 price,
-/// matching the requested [`ScheduleMode`]), every unit gated by the
-/// governor at its boundary. No stealing: gating is by global ordinal,
-/// so the forfeited inventory for a fixed cancellation point is
-/// identical to the sequential governed run and to any thread count.
+/// the scheduler's `threads` static shards (round-robin deal or LPT by
+/// Eq-6 price, matching the requested [`Scheduler`]), every unit gated
+/// by the governor at its boundary. No stealing: gating is by global
+/// ordinal, so the forfeited inventory for a fixed cancellation point
+/// is identical to the sequential governed run and to any thread count.
 pub(crate) fn governed_parallel_join<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     config: JoinConfig,
-    threads: usize,
-    mode: ScheduleMode,
+    scheduler: Scheduler,
     ctx: &ExecContext<'_>,
 ) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
     let gov = ctx.gov;
+    let threads = scheduler.threads();
     let mut join_span = ctx.tracer.span("governed-join");
     join_span.set("threads", threads);
     let units: Vec<(usize, WorkUnit)> = root_work_units(r1, r2, &config)
@@ -814,13 +812,14 @@ pub(crate) fn governed_parallel_join<const N: usize>(
     gov.reserve(arena_bytes)?;
     let prices = gov.arm(r1, r2, &units);
     let mut shards: Vec<Vec<(usize, WorkUnit)>> = vec![Vec::new(); threads];
-    match mode {
-        ScheduleMode::RoundRobin => {
+    match scheduler {
+        Scheduler::RoundRobin { .. } => {
             for &(i, u) in &units {
                 shards[i % threads].push((i, u));
             }
         }
-        ScheduleMode::CostGuided => {
+        // (`Sequential` has one thread and never gets here.)
+        Scheduler::Sequential | Scheduler::CostGuided { .. } => {
             // LPT by Eq-6 price, ties by ordinal — the cost-guided
             // seeding without the steal layer (gating is by ordinal, so
             // stealing would only blur the tallies, not the inventory).
@@ -927,20 +926,11 @@ pub fn assert_well_formed<const N: usize>(d: &DegradedJoinResult<N>) {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated free-function entry points are exercised on purpose:
-    // they are thin wrappers over `JoinSession` and these tests double as
-    // wrapper coverage.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::executor::spatial_join;
-    use crate::parallel::{
-        parallel_spatial_join, try_parallel_spatial_join_observed, JoinObs, ScheduleMode,
-    };
+    use crate::session::JoinSession;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sjcm_rtree::{ObjectId, RTreeConfig};
-    use sjcm_storage::FaultInjector;
 
     fn build(n: usize, side: f64, seed: u64) -> RTree<2> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -956,23 +946,27 @@ mod tests {
         tree
     }
 
+    /// The default-configuration join through the session under
+    /// `scheduler` and `gov` — what every test here runs.
     fn governed(
         r1: &RTree<2>,
         r2: &RTree<2>,
-        threads: usize,
-        mode: ScheduleMode,
+        scheduler: Scheduler,
         gov: &Governor,
     ) -> Result<DegradedJoinResult<2>, JoinError> {
-        try_parallel_spatial_join_observed(
-            r1,
-            r2,
-            JoinConfig::default(),
-            threads,
-            mode,
-            &JoinObs::default(),
-            &FaultInjector::disabled(),
-            gov,
-        )
+        JoinSession::new(r1, r2)
+            .scheduler(scheduler)
+            .govern(gov)
+            .run()
+    }
+
+    fn cost_guided(threads: usize) -> Scheduler {
+        Scheduler::CostGuided { threads }
+    }
+
+    /// Both parallel schedulers at `threads` workers.
+    fn parallel(threads: usize) -> [Scheduler; 2] {
+        [Scheduler::RoundRobin { threads }, cost_guided(threads)]
     }
 
     #[test]
@@ -994,7 +988,7 @@ mod tests {
         let a = build(600, 0.02, 1);
         let b = build(600, 0.02, 2);
         let gov = Governor::new(GovernorConfig::default().with_na_budget(1.0));
-        let err = governed(&a, &b, 2, ScheduleMode::CostGuided, &gov).unwrap_err();
+        let err = governed(&a, &b, cost_guided(2), &gov).unwrap_err();
         match err {
             JoinError::Rejected {
                 predicted_na,
@@ -1031,26 +1025,25 @@ mod tests {
     fn cancellation_inventory_is_identical_across_schedulers() {
         let a = build(1_500, 0.012, 3);
         let b = build(1_500, 0.012, 4);
-        let full = spatial_join(&a, &b);
+        let full = governed(&a, &b, Scheduler::Sequential, &Governor::unlimited())
+            .unwrap()
+            .result;
         let mut runs = Vec::new();
         for threads in [1usize, 2, 4] {
-            for mode in [ScheduleMode::RoundRobin, ScheduleMode::CostGuided] {
+            for sched in parallel(threads) {
                 let gov = Governor::new(GovernorConfig::default().with_cancel_after_units(3));
-                let d = governed(&a, &b, threads, mode, &gov).unwrap();
+                let d = governed(&a, &b, sched, &gov).unwrap();
                 assert_well_formed(&d);
-                assert!(!d.is_exact(), "{threads} threads {mode:?} must forfeit");
+                assert!(!d.is_exact(), "{sched:?} must forfeit");
                 assert!(d.result.pair_count < full.pair_count);
                 let summary = gov.summary().unwrap();
                 assert!(summary.units_forfeited > 0);
-                runs.push((threads, mode, d));
+                runs.push((sched, d));
             }
         }
-        let (_, _, first) = &runs[0];
-        for (threads, mode, d) in &runs[1..] {
-            assert_eq!(
-                d.skips, first.skips,
-                "inventory diverged at {threads} threads {mode:?}"
-            );
+        let (_, first) = &runs[0];
+        for (sched, d) in &runs[1..] {
+            assert_eq!(d.skips, first.skips, "inventory diverged at {sched:?}");
             assert_eq!(
                 {
                     let mut p = d.result.pairs.clone();
@@ -1062,7 +1055,7 @@ mod tests {
                     p.sort_unstable();
                     p
                 },
-                "retained pairs diverged at {threads} threads {mode:?}"
+                "retained pairs diverged at {sched:?}"
             );
         }
     }
@@ -1071,13 +1064,13 @@ mod tests {
     fn zero_deadline_forfeits_everything_but_stays_well_formed() {
         let a = build(1_200, 0.012, 5);
         let b = build(1_200, 0.012, 6);
-        for mode in [ScheduleMode::RoundRobin, ScheduleMode::CostGuided] {
+        for sched in parallel(2) {
             let gov = Governor::new(GovernorConfig::default().with_deadline(Duration::ZERO));
-            let d = governed(&a, &b, 2, mode, &gov).unwrap();
+            let d = governed(&a, &b, sched, &gov).unwrap();
             assert_well_formed(&d);
             assert!(!d.is_exact());
-            assert_eq!(d.result.pair_count, 0, "{mode:?}");
-            assert!(d.forfeited_pairs() > 0.0, "{mode:?}");
+            assert_eq!(d.result.pair_count, 0, "{sched:?}");
+            assert!(d.forfeited_pairs() > 0.0, "{sched:?}");
             let text = gov.events_jsonl().unwrap();
             assert!(sjcm_obs::validate_governor_jsonl(&text).is_ok(), "{text}");
             assert!(text.contains("\"expire\""));
@@ -1088,9 +1081,11 @@ mod tests {
     fn generous_deadline_changes_nothing_but_the_boundaries() {
         let a = build(1_000, 0.012, 7);
         let b = build(1_000, 0.012, 8);
-        let plain = parallel_spatial_join(&a, &b, JoinConfig::default(), 3);
+        let plain = governed(&a, &b, cost_guided(3), &Governor::unlimited())
+            .unwrap()
+            .result;
         let gov = Governor::new(GovernorConfig::default().with_deadline(Duration::from_secs(3600)));
-        let d = governed(&a, &b, 3, ScheduleMode::CostGuided, &gov).unwrap();
+        let d = governed(&a, &b, cost_guided(3), &gov).unwrap();
         assert!(d.is_exact());
         assert_eq!(d.result.pairs, plain.pairs);
         assert_eq!(d.result.na_total(), plain.na_total());
@@ -1104,7 +1099,7 @@ mod tests {
         let a = build(1_000, 0.012, 9);
         let b = build(1_000, 0.012, 10);
         let gov = Governor::new(GovernorConfig::default().with_mem_budget(8));
-        let err = governed(&a, &b, 2, ScheduleMode::CostGuided, &gov).unwrap_err();
+        let err = governed(&a, &b, cost_guided(2), &gov).unwrap_err();
         match err {
             JoinError::BudgetExceeded { limit, .. } => assert_eq!(limit, 8),
             other => panic!("expected BudgetExceeded, got {other:?}"),
@@ -1118,7 +1113,7 @@ mod tests {
         let a = build(1_000, 0.012, 11);
         let b = build(1_000, 0.012, 12);
         let gov = Governor::new(GovernorConfig::default().with_mem_budget(64 << 20));
-        let d = governed(&a, &b, 2, ScheduleMode::CostGuided, &gov).unwrap();
+        let d = governed(&a, &b, cost_guided(2), &gov).unwrap();
         assert!(d.is_exact());
         assert!(gov.summary().unwrap().mem_peak_bytes > 0);
     }
@@ -1147,20 +1142,18 @@ mod tests {
         let a = build(1_500, 0.012, 13);
         let b = build(1_500, 0.012, 14);
         for threads in [1usize, 4] {
-            for mode in [ScheduleMode::RoundRobin, ScheduleMode::CostGuided] {
-                let plain = crate::parallel::parallel_spatial_join_with(
-                    &a,
-                    &b,
-                    JoinConfig::default(),
-                    threads,
-                    mode,
-                );
-                let d = governed(&a, &b, threads, mode, &Governor::unlimited()).unwrap();
+            for sched in parallel(threads) {
+                let plain = JoinSession::new(&a, &b)
+                    .scheduler(sched)
+                    .run()
+                    .unwrap()
+                    .result;
+                let d = governed(&a, &b, sched, &Governor::unlimited()).unwrap();
                 assert!(d.is_exact());
-                assert_eq!(d.result.pairs, plain.pairs, "{threads} {mode:?}");
-                assert_eq!(d.result.na_total(), plain.na_total(), "{threads} {mode:?}");
-                assert_eq!(d.result.da_total(), plain.da_total(), "{threads} {mode:?}");
-                assert_eq!(d.result.workers, plain.workers, "{threads} {mode:?}");
+                assert_eq!(d.result.pairs, plain.pairs, "{sched:?}");
+                assert_eq!(d.result.na_total(), plain.na_total(), "{sched:?}");
+                assert_eq!(d.result.da_total(), plain.da_total(), "{sched:?}");
+                assert_eq!(d.result.workers, plain.workers, "{sched:?}");
             }
         }
     }

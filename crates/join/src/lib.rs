@@ -33,11 +33,8 @@
 //! [`session::ExecContext`] bundling all cross-cutting concerns —
 //! tracing, drift monitoring, flight recording (with the
 //! [`session::CorrDomain`] correlation-id allocator), live progress,
-//! fault injection, and the governor. The historical free-function
-//! entry points (`spatial_join*`, `parallel_spatial_join*`,
-//! `pbsm_join*` and their `try_*` twins) remain as thin deprecated
-//! wrappers over the session builder, byte-identical to the builder
-//! calls they forward to.
+//! fault injection, and the governor. There is no other way to start
+//! a join.
 //!
 //! Fault containment: permanent page-read failures under a
 //! [`sjcm_storage::FaultInjector`] are *contained* — the affected node
@@ -66,23 +63,11 @@ pub mod session;
 pub use degraded::{DegradedJoinResult, JoinError, SkippedSubtree};
 pub use executor::{
     matched_entries, BufferPolicy, JoinConfig, JoinPredicate, JoinResultSet, MatchKernel,
-    MatchOrder, MatchScratch, StealTally, WorkerTally,
-};
-#[allow(deprecated)]
-pub use executor::{
-    spatial_join, spatial_join_recorded, spatial_join_with, try_spatial_join_recorded,
-    try_spatial_join_with,
+    MatchScratch, StealTally, WorkerTally,
 };
 pub use governor::{
     assert_well_formed, AdmissionPolicy, Governor, GovernorConfig, GovernorSummary,
 };
-#[allow(deprecated)]
-pub use parallel::{
-    parallel_spatial_join, parallel_spatial_join_observed, parallel_spatial_join_with,
-    try_parallel_spatial_join_observed, try_parallel_spatial_join_with,
-};
-pub use parallel::{JoinObs, ScheduleMode};
-#[allow(deprecated)]
-pub use pbsm::try_pbsm_join;
+pub use parallel::JoinObs;
 pub use pbsm::DegradedPbsmResult;
 pub use session::{CorrDomain, ExecContext, JoinSession, PbsmSession, Scheduler};

@@ -4,14 +4,15 @@
 //!
 //! # Scheduling
 //!
-//! Two schedulers are provided (see [`ScheduleMode`]):
+//! Two parallel schedulers are provided (see
+//! [`Scheduler`](crate::session::Scheduler)):
 //!
-//! * [`ScheduleMode::RoundRobin`] — the legacy static scheme: the
-//!   root-level overlapping entry pairs are dealt round-robin over the
-//!   workers, no redistribution. Kept as the baseline the cost-guided
-//!   scheduler is measured against.
-//! * [`ScheduleMode::CostGuided`] (the default) — a coordinator descends
-//!   the synchronized traversal level by level until it holds at least
+//! * `Scheduler::RoundRobin` — the static scheme: the root-level
+//!   overlapping entry pairs are dealt round-robin over the workers, no
+//!   redistribution. Kept as the baseline the cost-guided scheduler is
+//!   measured against.
+//! * `Scheduler::CostGuided` — a coordinator descends the
+//!   synchronized traversal level by level until it holds at least
 //!   `threads × 4` overlapping node pairs (*work units*), prices each
 //!   unit with the Eq-6 `NA` formula on the unit's **measured** subtree
 //!   parameters ([`sjcm_core::join::unit_cost_na`] over
@@ -68,29 +69,29 @@
 //! scheduling — the sequential executor's emission order is a traversal
 //! order no parallel schedule can reproduce cheaply.
 
-use crate::degraded::{DegradedJoinResult, JoinError, RawSkip};
+use crate::degraded::{JoinError, RawSkip};
 use crate::engine::Engine;
 use crate::executor::{
     matched_entries, pinned_children, JoinConfig, JoinResultSet, MatchScratch, StealTally,
     WorkerTally,
 };
-use crate::governor::Governor;
-use crate::session::{CorrDomain, ExecContext, JoinSession, Scheduler};
+use crate::session::{CorrDomain, ExecContext};
 use sjcm_core::join::unit_cost_na;
 use sjcm_core::{LevelParams, TreeParams};
 use sjcm_obs::perfetto::{DRIFT_BREACH_SPAN as BREACH_SPAN, PROGRESS_SPAN};
 use sjcm_obs::progress::ProgressTracker;
 use sjcm_obs::{DriftMonitor, Tracer, DA_TOTAL, NA_TOTAL};
 use sjcm_rtree::{Child, NodeId, ObjectId, RTree};
-use sjcm_storage::{AccessStats, FaultInjector, FlightRecorder};
+use sjcm_storage::{AccessStats, FlightRecorder};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
-/// Observability hooks threaded through a parallel join run. The
-/// default value (disabled tracer, no drift monitor) makes every hook a
-/// no-op — [`parallel_spatial_join`] runs with exactly that, so the
-/// instrumented code path *is* the production code path.
+/// Observability hooks a [`crate::session::JoinSession`] adopts with
+/// `.observe(..)`. The default value (disabled tracer, no drift
+/// monitor) makes every hook a no-op — an unobserved session runs with
+/// exactly that, so the instrumented code path *is* the production
+/// code path.
 #[derive(Debug, Default)]
 pub struct JoinObs<'a> {
     /// Span collector. Disabled tracers cost one `Option` check per
@@ -121,169 +122,15 @@ pub struct JoinObs<'a> {
     pub progress: ProgressTracker,
 }
 
-/// How parallel work units are assigned to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScheduleMode {
-    /// Static: root-level pairs dealt `i mod threads`, no
-    /// redistribution. The pre-cost-model baseline.
-    RoundRobin,
-    /// Cost-guided: frontier work units priced with Eq 6 on measured
-    /// subtree parameters (overlap-scaled), LPT-seeded deques, idle
-    /// workers steal from the busiest deque.
-    #[default]
-    CostGuided,
-}
-
 /// Target number of work units per worker for the cost-guided
 /// scheduler. More units mean finer-grained stealing but more frontier
 /// expansion done serially by the coordinator.
 const UNITS_PER_WORKER: usize = 4;
 
-/// The session-builder [`Scheduler`] for a legacy `(mode, threads)`
-/// pair — the translation the deprecated wrappers route through.
-fn scheduler_for(mode: ScheduleMode, threads: usize) -> Scheduler {
-    match mode {
-        ScheduleMode::RoundRobin => Scheduler::RoundRobin { threads },
-        ScheduleMode::CostGuided => Scheduler::CostGuided { threads },
-    }
-}
-
-/// Runs the spatial join with `threads` workers under the default
-/// cost-guided scheduler. `threads = 1` falls back to the sequential
-/// executor (its `pairs` are still sorted — see the module docs).
-#[deprecated(
-    note = "use `session::JoinSession` with `.scheduler(Scheduler::CostGuided { threads })`"
-)]
-pub fn parallel_spatial_join<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    config: JoinConfig,
-    threads: usize,
-) -> JoinResultSet {
-    JoinSession::new(r1, r2)
-        .config(config)
-        .scheduler(Scheduler::CostGuided {
-            threads: threads.max(1),
-        })
-        .run()
-        .unwrap_or_else(|e| panic!("{e}"))
-        .result
-}
-
-/// Runs the spatial join with `threads` workers and an explicit
-/// [`ScheduleMode`].
-#[deprecated(note = "use `session::JoinSession` with `.scheduler(..)`")]
-pub fn parallel_spatial_join_with<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    config: JoinConfig,
-    threads: usize,
-    mode: ScheduleMode,
-) -> JoinResultSet {
-    JoinSession::new(r1, r2)
-        .config(config)
-        .scheduler(scheduler_for(mode, threads.max(1)))
-        .run()
-        .unwrap_or_else(|e| panic!("{e}"))
-        .result
-}
-
 /// A join's worth of work-unit metadata held per worker arena: the
 /// bytes the parallel schedulers charge against the governor's memory
 /// budget per unit they materialize.
 const UNIT_ARENA_BYTES: usize = std::mem::size_of::<(usize, WorkUnit)>();
-
-/// Runs the spatial join with observability hooks: spans for the
-/// frontier descent, the schedule, and every executed work unit, plus
-/// in-flight drift checks against the monitor's `na.total` /
-/// `da.total` predictions. With a default [`JoinObs`] this is exactly
-/// [`parallel_spatial_join_with`] — pair output, NA and DA are
-/// identical whether or not observation is enabled.
-///
-/// The infallible entry points clamp `threads = 0` to one worker (the
-/// sequential fallback) instead of panicking; the `try_*` twins report
-/// it as [`JoinError::InvalidThreads`].
-#[deprecated(note = "use `session::JoinSession` with `.scheduler(..)` and `.observe(obs)`")]
-pub fn parallel_spatial_join_observed<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    config: JoinConfig,
-    threads: usize,
-    mode: ScheduleMode,
-    obs: &JoinObs,
-) -> JoinResultSet {
-    JoinSession::new(r1, r2)
-        .config(config)
-        .scheduler(scheduler_for(mode, threads.max(1)))
-        .observe(obs)
-        .run()
-        .unwrap_or_else(|e| panic!("{e}"))
-        .result
-}
-
-/// Fallible twin of [`parallel_spatial_join_with`]: runs the parallel
-/// join under a [`FaultInjector`]. A work unit whose subtree hits a
-/// permanent read failure is contained — only the affected node pair
-/// is forfeited, and the other work-stealing lanes keep running. The
-/// forfeited sub-joins come back priced on
-/// [`DegradedJoinResult::skips`], identical (same set, same order) for
-/// both schedulers, any thread count, and the sequential twin under the
-/// same fault plan.
-///
-/// `Err` is reserved for failures that make the run unusable — a
-/// worker thread panicking (the infallible twins propagate such a
-/// panic instead), or an invalid `threads = 0` (which the infallible
-/// twins clamp to one worker).
-#[deprecated(
-    note = "use `session::JoinSession` with `.scheduler(..)`, `.faults(..)`, `.govern(..)`"
-)]
-pub fn try_parallel_spatial_join_with<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    config: JoinConfig,
-    threads: usize,
-    mode: ScheduleMode,
-    faults: &FaultInjector,
-    gov: &Governor,
-) -> Result<DegradedJoinResult<N>, JoinError> {
-    JoinSession::new(r1, r2)
-        .config(config)
-        .scheduler(scheduler_for(mode, threads))
-        .faults(faults)
-        .govern(gov)
-        .run()
-}
-
-/// Fallible twin of [`parallel_spatial_join_observed`] — see
-/// [`try_parallel_spatial_join_with`]. The governor gates the run:
-/// admission happens before any traversal, and when a deadline,
-/// cancellation point, or degrade cap is armed, execution routes
-/// through ordinal-tagged root units so every scheduler forfeits the
-/// identical inventory at a fixed cancellation point. An unlimited
-/// governor leaves the ungoverned paths untouched (byte-identical —
-/// asserted in the governor tests).
-#[deprecated(
-    note = "use `session::JoinSession` with `.scheduler(..)`, `.observe(..)`, `.faults(..)`, `.govern(..)`"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn try_parallel_spatial_join_observed<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    config: JoinConfig,
-    threads: usize,
-    mode: ScheduleMode,
-    obs: &JoinObs,
-    faults: &FaultInjector,
-    gov: &Governor,
-) -> Result<DegradedJoinResult<N>, JoinError> {
-    JoinSession::new(r1, r2)
-        .config(config)
-        .scheduler(scheduler_for(mode, threads))
-        .observe(obs)
-        .faults(faults)
-        .govern(gov)
-        .run()
-}
 
 // ---------------------------------------------------------------------
 // Cost-guided scheduler.
@@ -671,7 +518,7 @@ pub(crate) fn subtree_params<const N: usize>(tree: &RTree<N>, id: NodeId) -> Tre
 }
 
 // ---------------------------------------------------------------------
-// Legacy round-robin scheduler.
+// Round-robin scheduler.
 // ---------------------------------------------------------------------
 
 pub(crate) fn round_robin_join<const N: usize>(
@@ -796,23 +643,16 @@ pub(crate) fn root_work_units<const N: usize>(
     let n1 = r1.node(r1.root_id());
     let n2 = r2.node(r2.root_id());
     let pred = config.predicate;
-    // The root deal always matches in nested-loop order — shard
-    // composition must not depend on the per-node match order — but
-    // honours the configured kernel.
-    let root_config = JoinConfig {
-        order: crate::executor::MatchOrder::NestedLoop,
-        ..*config
-    };
     let mut scratch = MatchScratch::new();
     let mut units = Vec::new();
     match (n1.is_leaf(), n2.is_leaf()) {
         (true, true) => {
-            for (c1, c2) in matched_entries(n1, n2, &root_config, &mut scratch) {
+            for (c1, c2) in matched_entries(n1, n2, config, &mut scratch) {
                 units.push(WorkUnit::Emit(c1.object(), c2.object()));
             }
         }
         (false, false) => {
-            for (c1, c2) in matched_entries(n1, n2, &root_config, &mut scratch) {
+            for (c1, c2) in matched_entries(n1, n2, config, &mut scratch) {
                 units.push(WorkUnit::Pair(c1, c2));
             }
         }
@@ -906,13 +746,8 @@ pub(crate) fn run_shard<const N: usize>(
 
 #[cfg(test)]
 mod tests {
-    // The deprecated free-function entry points are exercised on purpose:
-    // they are thin wrappers over `JoinSession` and these tests double as
-    // wrapper coverage.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::executor::spatial_join;
+    use crate::session::{JoinSession, Scheduler};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sjcm_geom::Rect;
@@ -932,6 +767,30 @@ mod tests {
         tree
     }
 
+    /// The default-configuration join through the session under
+    /// `scheduler` and `obs` — what every test here runs.
+    fn observed(a: &RTree<2>, b: &RTree<2>, scheduler: Scheduler, obs: &JoinObs) -> JoinResultSet {
+        JoinSession::new(a, b)
+            .scheduler(scheduler)
+            .observe(obs)
+            .run()
+            .expect("ungoverned join cannot fail")
+            .result
+    }
+
+    fn join(a: &RTree<2>, b: &RTree<2>, scheduler: Scheduler) -> JoinResultSet {
+        observed(a, b, scheduler, &JoinObs::default())
+    }
+
+    fn cost_guided(threads: usize) -> Scheduler {
+        Scheduler::CostGuided { threads }
+    }
+
+    /// Both parallel schedulers at `threads` workers.
+    fn parallel(threads: usize) -> [Scheduler; 2] {
+        [Scheduler::RoundRobin { threads }, cost_guided(threads)]
+    }
+
     fn sorted(mut pairs: Vec<(ObjectId, ObjectId)>) -> Vec<(ObjectId, ObjectId)> {
         pairs.sort_unstable();
         pairs
@@ -941,11 +800,10 @@ mod tests {
     fn parallel_matches_sequential_pairs() {
         let a = build(2_000, 0.01, 1);
         let b = build(2_000, 0.01, 2);
-        let seq = sorted(spatial_join(&a, &b).pairs);
-        for mode in [ScheduleMode::RoundRobin, ScheduleMode::CostGuided] {
-            for threads in [2, 4, 7] {
-                let par = parallel_spatial_join_with(&a, &b, JoinConfig::default(), threads, mode);
-                assert_eq!(par.pairs, seq, "{mode:?} with {threads} threads");
+        let seq = sorted(join(&a, &b, Scheduler::Sequential).pairs);
+        for threads in [2, 4, 7] {
+            for sched in parallel(threads) {
+                assert_eq!(join(&a, &b, sched).pairs, seq, "{sched:?}");
             }
         }
     }
@@ -954,11 +812,11 @@ mod tests {
     fn parallel_na_equals_sequential_na() {
         let a = build(2_000, 0.01, 3);
         let b = build(2_000, 0.01, 4);
-        let seq = spatial_join(&a, &b);
-        for mode in [ScheduleMode::RoundRobin, ScheduleMode::CostGuided] {
-            let par = parallel_spatial_join_with(&a, &b, JoinConfig::default(), 4, mode);
-            assert_eq!(seq.na_total(), par.na_total(), "{mode:?}");
-            assert_eq!(seq.pair_count, par.pair_count, "{mode:?}");
+        let seq = join(&a, &b, Scheduler::Sequential);
+        for sched in parallel(4) {
+            let par = join(&a, &b, sched);
+            assert_eq!(seq.na_total(), par.na_total(), "{sched:?}");
+            assert_eq!(seq.pair_count, par.pair_count, "{sched:?}");
         }
     }
 
@@ -969,9 +827,8 @@ mod tests {
         // round-robin scheduler does not guarantee it.
         let a = build(3_000, 0.008, 5);
         let b = build(3_000, 0.008, 6);
-        let seq = spatial_join(&a, &b);
-        let par =
-            parallel_spatial_join_with(&a, &b, JoinConfig::default(), 4, ScheduleMode::CostGuided);
+        let seq = join(&a, &b, Scheduler::Sequential);
+        let par = join(&a, &b, cost_guided(4));
         assert!(
             par.da_total() >= seq.da_total(),
             "parallel {} vs sequential {}",
@@ -986,9 +843,9 @@ mod tests {
         // resets make the global DA independent of the assignment.
         let a = build(2_500, 0.01, 13);
         let b = build(2_500, 0.01, 14);
-        let first = parallel_spatial_join(&a, &b, JoinConfig::default(), 4);
+        let first = join(&a, &b, cost_guided(4));
         for _ in 0..3 {
-            let again = parallel_spatial_join(&a, &b, JoinConfig::default(), 4);
+            let again = join(&a, &b, cost_guided(4));
             assert_eq!(first.da_total(), again.da_total());
             assert_eq!(first.na_total(), again.na_total());
             assert_eq!(first.pairs, again.pairs);
@@ -1002,8 +859,8 @@ mod tests {
     fn worker_tallies_cover_the_work() {
         let a = build(2_000, 0.01, 15);
         let b = build(2_000, 0.01, 16);
-        let seq = spatial_join(&a, &b);
-        let par = parallel_spatial_join(&a, &b, JoinConfig::default(), 3);
+        let seq = join(&a, &b, Scheduler::Sequential);
+        let par = join(&a, &b, cost_guided(3));
         assert_eq!(par.workers.len(), 3);
         let worker_pairs: u64 = par.workers.iter().map(|w| w.pair_count).sum();
         assert_eq!(worker_pairs, seq.pair_count);
@@ -1019,8 +876,8 @@ mod tests {
     fn single_thread_is_sequential() {
         let a = build(500, 0.02, 7);
         let b = build(500, 0.02, 8);
-        let seq = spatial_join(&a, &b);
-        let par = parallel_spatial_join(&a, &b, JoinConfig::default(), 1);
+        let seq = join(&a, &b, Scheduler::Sequential);
+        let par = join(&a, &b, cost_guided(1));
         assert_eq!(sorted(seq.pairs.clone()), par.pairs);
         assert_eq!(seq.da_total(), par.da_total());
         assert!(par.workers.is_empty());
@@ -1032,16 +889,20 @@ mod tests {
         let a = build(3_000, 0.01, 9);
         let b = build(40, 0.05, 10);
         assert!(a.height() > b.height());
-        let seq = spatial_join(&a, &b);
-        for mode in [ScheduleMode::RoundRobin, ScheduleMode::CostGuided] {
-            let par = parallel_spatial_join_with(&a, &b, JoinConfig::default(), 3, mode);
-            assert_eq!(par.pairs, sorted(seq.pairs.clone()), "{mode:?}");
-            assert_eq!(par.na_total(), seq.na_total(), "{mode:?}");
+        let seq = join(&a, &b, Scheduler::Sequential);
+        for sched in parallel(3) {
+            let par = join(&a, &b, sched);
+            assert_eq!(par.pairs, sorted(seq.pairs.clone()), "{sched:?}");
+            assert_eq!(par.na_total(), seq.na_total(), "{sched:?}");
             // Role-swapped as well (pinned tree on the other side).
-            let swapped = parallel_spatial_join_with(&b, &a, JoinConfig::default(), 3, mode);
-            let seq_swapped = spatial_join(&b, &a);
-            assert_eq!(swapped.pairs, sorted(seq_swapped.pairs.clone()), "{mode:?}");
-            assert_eq!(swapped.na_total(), seq_swapped.na_total(), "{mode:?}");
+            let swapped = join(&b, &a, sched);
+            let seq_swapped = join(&b, &a, Scheduler::Sequential);
+            assert_eq!(
+                swapped.pairs,
+                sorted(seq_swapped.pairs.clone()),
+                "{sched:?}"
+            );
+            assert_eq!(swapped.na_total(), seq_swapped.na_total(), "{sched:?}");
         }
     }
 
@@ -1050,10 +911,10 @@ mod tests {
         let a = build(5, 0.2, 11);
         let b = build(5, 0.2, 12);
         assert_eq!(a.height(), 1);
-        let seq = spatial_join(&a, &b);
-        for mode in [ScheduleMode::RoundRobin, ScheduleMode::CostGuided] {
-            let par = parallel_spatial_join_with(&a, &b, JoinConfig::default(), 2, mode);
-            assert_eq!(par.pairs, sorted(seq.pairs.clone()), "{mode:?}");
+        let seq = join(&a, &b, Scheduler::Sequential);
+        for sched in parallel(2) {
+            let par = join(&a, &b, sched);
+            assert_eq!(par.pairs, sorted(seq.pairs.clone()), "{sched:?}");
         }
     }
 
@@ -1061,7 +922,7 @@ mod tests {
     fn observed_join_is_identical_to_unobserved() {
         let a = build(2_000, 0.01, 19);
         let b = build(2_000, 0.01, 20);
-        let plain = parallel_spatial_join(&a, &b, JoinConfig::default(), 4);
+        let plain = join(&a, &b, cost_guided(4));
         let tracer = Tracer::enabled();
         let drift = DriftMonitor::default();
         drift.predict(NA_TOTAL, plain.na_total() as f64);
@@ -1072,14 +933,7 @@ mod tests {
             recorder: FlightRecorder::disabled(),
             progress: ProgressTracker::disabled(),
         };
-        let traced = parallel_spatial_join_observed(
-            &a,
-            &b,
-            JoinConfig::default(),
-            4,
-            ScheduleMode::CostGuided,
-            &obs,
-        );
+        let traced = observed(&a, &b, cost_guided(4), &obs);
         // Observation must not perturb the join.
         assert_eq!(plain.pairs, traced.pairs);
         assert_eq!(plain.na_total(), traced.na_total());
@@ -1120,7 +974,7 @@ mod tests {
         use sjcm_storage::recorder::RecordedPolicy;
         let a = build(2_000, 0.01, 25);
         let b = build(2_000, 0.01, 26);
-        let plain = parallel_spatial_join(&a, &b, JoinConfig::default(), 4);
+        let plain = join(&a, &b, cost_guided(4));
         let recorder = FlightRecorder::enabled();
         let obs = JoinObs {
             tracer: Tracer::disabled(),
@@ -1128,14 +982,7 @@ mod tests {
             recorder: recorder.clone(),
             progress: ProgressTracker::disabled(),
         };
-        let recorded = parallel_spatial_join_observed(
-            &a,
-            &b,
-            JoinConfig::default(),
-            4,
-            ScheduleMode::CostGuided,
-            &obs,
-        );
+        let recorded = observed(&a, &b, cost_guided(4), &obs);
         // Recording must not perturb the join.
         assert_eq!(plain.pairs, recorded.pairs);
         assert_eq!(plain.na_total(), recorded.na_total());
@@ -1164,14 +1011,7 @@ mod tests {
             recorder: recorder.clone(),
             progress: ProgressTracker::disabled(),
         };
-        let recorded = parallel_spatial_join_observed(
-            &a,
-            &b,
-            JoinConfig::default(),
-            3,
-            ScheduleMode::RoundRobin,
-            &obs,
-        );
+        let recorded = observed(&a, &b, Scheduler::RoundRobin { threads: 3 }, &obs);
         let (events, dropped) = recorder.drain();
         assert_eq!(dropped, 0);
         // Shard buffers persist across units, so per-shard correlation
@@ -1194,14 +1034,7 @@ mod tests {
             recorder: recorder.clone(),
             progress: ProgressTracker::disabled(),
         };
-        let recorded = parallel_spatial_join_observed(
-            &a,
-            &b,
-            JoinConfig::default(),
-            1,
-            ScheduleMode::CostGuided,
-            &obs,
-        );
+        let recorded = observed(&a, &b, cost_guided(1), &obs);
         let (events, _) = recorder.drain();
         assert_eq!(events.len() as u64, recorded.na_total());
         assert!(events.iter().all(|e| e.corr == 0), "one residency domain");
@@ -1223,14 +1056,7 @@ mod tests {
             recorder: FlightRecorder::disabled(),
             progress: ProgressTracker::disabled(),
         };
-        parallel_spatial_join_observed(
-            &a,
-            &b,
-            JoinConfig::default(),
-            4,
-            ScheduleMode::CostGuided,
-            &obs,
-        );
+        observed(&a, &b, cost_guided(4), &obs);
         assert!(!drift.all_within());
         assert!(drift.breaches().iter().any(|s| s.overrun));
     }
@@ -1239,7 +1065,7 @@ mod tests {
     fn drift_observations_match_target_names() {
         let a = build(2_000, 0.01, 23);
         let b = build(2_000, 0.01, 24);
-        let r = parallel_spatial_join(&a, &b, JoinConfig::default(), 2);
+        let r = join(&a, &b, cost_guided(2));
         let names: Vec<String> = r.drift_observations().into_iter().map(|(n, _)| n).collect();
         assert!(names.contains(&"na.total".to_string()));
         assert!(names.contains(&"da.total".to_string()));
@@ -1254,8 +1080,8 @@ mod tests {
         // at least one extra level and still preserve all invariants.
         let a = build(4_000, 0.008, 17);
         let b = build(4_000, 0.008, 18);
-        let seq = spatial_join(&a, &b);
-        let par = parallel_spatial_join(&a, &b, JoinConfig::default(), 8);
+        let seq = join(&a, &b, Scheduler::Sequential);
+        let par = join(&a, &b, cost_guided(8));
         assert_eq!(par.pairs, sorted(seq.pairs.clone()));
         assert_eq!(par.na_total(), seq.na_total());
         assert!(par.da_total() >= seq.da_total());

@@ -21,10 +21,8 @@
 
 use crate::degraded::JoinError;
 use crate::executor::MatchKernel;
-use crate::governor::Governor;
-use crate::session::{ExecContext, PbsmSession};
+use crate::session::ExecContext;
 use sjcm_geom::{unit_grid_cell, Rect, RectBatch};
-use sjcm_obs::progress::ProgressTracker;
 use sjcm_rtree::ObjectId;
 
 /// Result of a PBSM join.
@@ -61,102 +59,17 @@ impl DegradedPbsmResult {
     }
 }
 
-/// Runs a PBSM join over two object lists with a `grid × grid × …`
-/// partitioning (in `N` dimensions) and the given page capacity for the
-/// I/O accounting.
-///
-/// Pure main-memory simulation of the algorithm's structure: partitions
-/// are vectors rather than spill files, but the partitioning, the
-/// plane-sweep per partition and the duplicate-avoidance logic are the
-/// real thing.
-#[deprecated(note = "use `session::PbsmSession::new(left, right, grid, page_capacity).run()`")]
-pub fn pbsm_join<const N: usize>(
-    left: &[(Rect<N>, ObjectId)],
-    right: &[(Rect<N>, ObjectId)],
-    grid: usize,
-    page_capacity: usize,
-) -> PbsmResult {
-    PbsmSession::new(left, right, grid, page_capacity)
-        .run()
-        .expect("ungoverned PBSM cannot fail")
-        .result
-}
-
-/// [`pbsm_join`] with an explicit [`MatchKernel`]. The scalar and
-/// batched kernels produce identical pairs in identical order — the
-/// batched path evaluates each sweep anchor's candidate range with the
-/// fused [`RectBatch::ref_cell_mask`] kernel (intersection test and
-/// reference-point cell in one pass) instead of per-candidate
-/// `intersects` + `intersection` double scans.
-#[deprecated(note = "use `session::PbsmSession::new(..).kernel(kernel).run()`")]
-pub fn pbsm_join_with<const N: usize>(
-    left: &[(Rect<N>, ObjectId)],
-    right: &[(Rect<N>, ObjectId)],
-    grid: usize,
-    page_capacity: usize,
-    kernel: MatchKernel,
-) -> PbsmResult {
-    PbsmSession::new(left, right, grid, page_capacity)
-        .kernel(kernel)
-        .run()
-        .expect("ungoverned PBSM cannot fail")
-        .result
-}
-
-/// [`pbsm_join_with`] with a live progress feed. PBSM has no R-tree
-/// priors, so progress runs on the unit ledger: each active cell
-/// (both partitions non-empty) is one work unit priced by its entry
-/// count — the per-cell sweep estimate — registered up front, retired
-/// as its sweep completes, with emitted pairs published alongside.
-/// The tracker is marked finished on return. Results are byte-identical
-/// to an untracked run.
-#[deprecated(note = "use `session::PbsmSession::new(..).progress(progress).run()`")]
-pub fn pbsm_join_observed<const N: usize>(
-    left: &[(Rect<N>, ObjectId)],
-    right: &[(Rect<N>, ObjectId)],
-    grid: usize,
-    page_capacity: usize,
-    kernel: MatchKernel,
-    progress: &ProgressTracker,
-) -> PbsmResult {
-    PbsmSession::new(left, right, grid, page_capacity)
-        .kernel(kernel)
-        .progress(progress)
-        .run()
-        .expect("ungoverned PBSM cannot fail")
-        .result
-}
-
-/// Fallible, governed twin of [`pbsm_join_observed`]. The governor's
-/// memory budget meters the partition replica arena (a denied
-/// reservation is a typed [`JoinError::BudgetExceeded`] *before* the
-/// arena is built); its deadline / cancellation point gates each active
-/// cell's sweep at the cell boundary — refused cells are tallied on
-/// [`DegradedPbsmResult`], never silently dropped. With an unlimited
-/// governor this is exactly [`pbsm_join_observed`].
-#[allow(clippy::too_many_arguments)]
-#[deprecated(note = "use `session::PbsmSession::new(..).progress(progress).govern(gov).run()`")]
-pub fn try_pbsm_join<const N: usize>(
-    left: &[(Rect<N>, ObjectId)],
-    right: &[(Rect<N>, ObjectId)],
-    grid: usize,
-    page_capacity: usize,
-    kernel: MatchKernel,
-    progress: &ProgressTracker,
-    gov: &Governor,
-) -> Result<DegradedPbsmResult, JoinError> {
-    PbsmSession::new(left, right, grid, page_capacity)
-        .kernel(kernel)
-        .progress(progress)
-        .govern(gov)
-        .run()
-}
-
 /// The PBSM executor body, cross-cutting concerns supplied through the
 /// one [`ExecContext`] seam (PBSM uses the progress hub and the
 /// governor: [`ExecContext::checkpoint`] gates each active cell,
 /// [`ExecContext::unit_done`] / [`ExecContext::forfeit_unit`] keep the
 /// shed ledger honest, and the memory budget meters the replica arena).
+///
+/// Pure main-memory simulation of the algorithm's structure: partitions
+/// are vectors rather than spill files, but the partitioning, the
+/// plane-sweep per partition and the duplicate-avoidance logic are the
+/// real thing. The scalar and batched kernels produce identical pairs
+/// in identical order.
 pub(crate) fn run_pbsm<const N: usize>(
     left: &[(Rect<N>, ObjectId)],
     right: &[(Rect<N>, ObjectId)],
@@ -439,13 +352,9 @@ fn sweep_cell<const N: usize>(
 
 #[cfg(test)]
 mod tests {
-    // The deprecated free-function entry points are exercised on purpose:
-    // they are thin wrappers over `PbsmSession` and these tests double as
-    // wrapper coverage.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::baselines::nested_loop_join;
+    use crate::session::PbsmSession;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sjcm_geom::Point;
@@ -464,6 +373,20 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// The default-kernel PBSM join through the session — what every
+    /// test here runs.
+    fn pbsm_join<const N: usize>(
+        left: &[(Rect<N>, ObjectId)],
+        right: &[(Rect<N>, ObjectId)],
+        grid: usize,
+        page_capacity: usize,
+    ) -> PbsmResult {
+        PbsmSession::new(left, right, grid, page_capacity)
+            .run()
+            .expect("ungoverned PBSM cannot fail")
+            .result
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! hub, fault injector, and governor (admission, deadline/cancellation,
 //! memory budget, shedding).
 //!
-//! Historically each of the four executors (sequential, cost-guided,
-//! round-robin, PBSM) hand-threaded those five concerns through its own
-//! combinatorial entry points (`spatial_join` / `_with` / `_recorded` /
-//! `try_*` / `_observed` …). Those entry points still exist as thin
-//! deprecated wrappers — byte-identical, asserted by
-//! `tests/session_equivalence.rs` — but every one of them now routes
-//! through the session, so a new cross-cutting capability lands in
-//! exactly one seam: [`ExecContext`].
+//! All four executors (sequential, cost-guided, round-robin, PBSM)
+//! start here and nowhere else — [`JoinSession::run`] for the tree
+//! joins, [`PbsmSession::run`] for the partition join — so a new
+//! cross-cutting capability lands in exactly one seam: [`ExecContext`].
+//! `tests/oracle.rs` checks every scheduler × kernel × predicate ×
+//! dimension of both against the brute-force nested loop.
 //!
 //! ```
 //! use sjcm_join::session::{JoinSession, Scheduler};
@@ -36,7 +34,7 @@
 use crate::degraded::{DegradedJoinResult, JoinError};
 use crate::executor::{JoinConfig, MatchKernel};
 use crate::governor::Governor;
-use crate::parallel::{JoinObs, ScheduleMode};
+use crate::parallel::JoinObs;
 use crate::pbsm::DegradedPbsmResult;
 use sjcm_geom::Rect;
 use sjcm_obs::progress::ProgressTracker;
@@ -118,6 +116,16 @@ pub enum Scheduler {
         /// Worker count; must be ≥ 1 ([`JoinError::InvalidThreads`]).
         threads: usize,
     },
+}
+
+impl Scheduler {
+    /// Worker threads this scheduler runs on (`Sequential` is one).
+    pub fn threads(self) -> usize {
+        match self {
+            Scheduler::Sequential => 1,
+            Scheduler::CostGuided { threads } | Scheduler::RoundRobin { threads } => threads,
+        }
+    }
 }
 
 /// Every cross-cutting concern of a join execution, bundled behind one
@@ -231,8 +239,8 @@ impl<'a, const N: usize> JoinSession<'a, N> {
         }
     }
 
-    /// Sets the join configuration (buffer policy, predicate, match
-    /// order, kernel, pair collection).
+    /// Sets the join configuration (buffer policy, predicate, kernel,
+    /// pair collection).
     pub fn config(mut self, config: JoinConfig) -> Self {
         self.config = config;
         self
@@ -279,8 +287,7 @@ impl<'a, const N: usize> JoinSession<'a, N> {
 
     /// Executes the join.
     ///
-    /// Result shape per scheduler (byte-compatible with the legacy
-    /// entry points — asserted in `tests/session_equivalence.rs`):
+    /// Result shape per scheduler:
     ///
     /// * [`Scheduler::Sequential`]: pairs in traversal (emission)
     ///   order, unsorted.
@@ -315,77 +322,43 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             faults,
             gov: &gov,
         };
-        match scheduler {
-            Scheduler::Sequential => {
-                ctx.gov.admit(r1, r2)?;
-                let (result, raw) = if ctx.gov.is_unit_gated() {
-                    crate::governor::run_governed_sequential(r1, r2, config, &ctx)
-                } else {
-                    crate::executor::run_sequential(r1, r2, config, &ctx)
-                };
-                // The run is over: later progress samples report 1.0.
-                ctx.progress.finish();
-                let degraded = crate::degraded::finish_degraded(
-                    r1,
-                    r2,
-                    config.predicate,
-                    result,
-                    raw,
-                    &ctx.faults,
-                );
-                ctx.gov.finish();
-                Ok(degraded)
-            }
-            Scheduler::CostGuided { threads } | Scheduler::RoundRobin { threads } => {
-                let mode = match scheduler {
-                    Scheduler::RoundRobin { .. } => ScheduleMode::RoundRobin,
-                    _ => ScheduleMode::CostGuided,
-                };
-                if threads == 0 {
-                    return Err(JoinError::InvalidThreads);
-                }
-                ctx.gov.admit(r1, r2)?;
-                let (mut result, raw) = if threads == 1 {
-                    let mut span = ctx.tracer.span("sequential-join");
-                    let (mut result, raw) = if ctx.gov.is_unit_gated() {
-                        crate::governor::run_governed_sequential(r1, r2, config, &ctx)
-                    } else {
-                        crate::executor::run_sequential(r1, r2, config, &ctx)
-                    };
-                    result.pairs.sort_unstable();
-                    span.set("na", result.na_total());
-                    span.set("da", result.da_total());
-                    span.set("pairs", result.pair_count);
-                    (result, raw)
-                } else if ctx.gov.is_unit_gated() {
-                    crate::governor::governed_parallel_join(r1, r2, config, threads, mode, &ctx)?
-                } else {
-                    match mode {
-                        ScheduleMode::RoundRobin => {
-                            crate::parallel::round_robin_join(r1, r2, config, threads, &ctx)?
-                        }
-                        ScheduleMode::CostGuided => {
-                            crate::parallel::cost_guided_join(r1, r2, config, threads, &ctx)?
-                        }
-                    }
-                };
-                if threads > 1 {
-                    result.pairs.sort_unstable();
-                }
-                // The run is over: later progress samples report 1.0.
-                ctx.progress.finish();
-                let degraded = crate::degraded::finish_degraded(
-                    r1,
-                    r2,
-                    config.predicate,
-                    result,
-                    raw,
-                    &ctx.faults,
-                );
-                ctx.gov.finish();
-                Ok(degraded)
-            }
+        let threads = scheduler.threads();
+        if threads == 0 {
+            return Err(JoinError::InvalidThreads);
         }
+        ctx.gov.admit(r1, r2)?;
+        // The parallel schedulers return sorted pairs, and trace their
+        // one-worker fallback under a span of its own.
+        let parallel = scheduler != Scheduler::Sequential;
+        let fallback_span = (parallel && threads == 1).then(|| ctx.tracer.span("sequential-join"));
+        let gated = ctx.gov.is_unit_gated();
+        let (mut result, raw) = if threads == 1 {
+            if gated {
+                crate::governor::run_governed_sequential(r1, r2, config, &ctx)
+            } else {
+                crate::executor::run_sequential(r1, r2, config, &ctx)
+            }
+        } else if gated {
+            crate::governor::governed_parallel_join(r1, r2, config, scheduler, &ctx)?
+        } else if let Scheduler::RoundRobin { .. } = scheduler {
+            crate::parallel::round_robin_join(r1, r2, config, threads, &ctx)?
+        } else {
+            crate::parallel::cost_guided_join(r1, r2, config, threads, &ctx)?
+        };
+        if parallel {
+            result.pairs.sort_unstable();
+        }
+        if let Some(mut span) = fallback_span {
+            span.set("na", result.na_total());
+            span.set("da", result.da_total());
+            span.set("pairs", result.pair_count);
+        }
+        // The run is over: later progress samples report 1.0.
+        ctx.progress.finish();
+        let degraded =
+            crate::degraded::finish_degraded(r1, r2, config.predicate, result, raw, &ctx.faults);
+        ctx.gov.finish();
+        Ok(degraded)
     }
 }
 

@@ -15,7 +15,7 @@ use sjcm_geom::{unit_grid_cell, OverlapMask, Point, Rect, RectBatch};
 use sjcm_join::pbsm::PbsmResult;
 use sjcm_join::{
     matched_entries, JoinConfig, JoinError, JoinPredicate, JoinResultSet, JoinSession, MatchKernel,
-    MatchOrder, MatchScratch, PbsmSession, Scheduler,
+    MatchScratch, PbsmSession, Scheduler,
 };
 use sjcm_rtree::{BulkLoad, Child, Entry, Node, ObjectId, RTree, RTreeConfig};
 use sjcm_storage::{DiskEntry, DiskNode, DEFAULT_PAGE_SIZE};
@@ -212,78 +212,68 @@ fn with_kernel(config: JoinConfig, kernel: MatchKernel) -> JoinConfig {
 
 /// The acceptance invariant: on the 60K fixed-seed workload the batched
 /// join is byte-identical to the scalar join — pair multiset, NA and DA
-/// — under all three schedulers (sequential, cost-guided, round-robin)
-/// and both match orders.
+/// — under all three schedulers (sequential, cost-guided, round-robin).
 #[test]
 fn batched_join_is_byte_identical_on_60k_workload() {
     let t1 = build_uniform(60_000, 0.5, 4242);
     let t2 = build_uniform(60_000, 0.5, 2424);
-    for order in [MatchOrder::NestedLoop, MatchOrder::PlaneSweep] {
-        let config = JoinConfig {
-            order,
-            ..JoinConfig::default()
-        };
-        // Sequential: identical pairs in identical emission order.
-        let seq_s = join(
-            &t1,
-            &t2,
-            with_kernel(config, MatchKernel::Scalar),
-            Scheduler::Sequential,
-        );
-        let seq_b = join(
-            &t1,
-            &t2,
-            with_kernel(config, MatchKernel::Batched),
-            Scheduler::Sequential,
-        );
-        assert_eq!(seq_s.pairs, seq_b.pairs, "{order:?} sequential pairs");
-        assert_eq!(seq_s.na_total(), seq_b.na_total(), "{order:?} NA");
-        assert_eq!(seq_s.da_total(), seq_b.da_total(), "{order:?} DA");
-        assert_eq!(seq_s.stats1, seq_b.stats1, "{order:?} per-level stats R1");
-        assert_eq!(seq_s.stats2, seq_b.stats2, "{order:?} per-level stats R2");
+    let config = JoinConfig::default();
+    // Sequential: identical pairs in identical emission order.
+    let seq_s = join(
+        &t1,
+        &t2,
+        with_kernel(config, MatchKernel::Scalar),
+        Scheduler::Sequential,
+    );
+    let seq_b = join(
+        &t1,
+        &t2,
+        with_kernel(config, MatchKernel::Batched),
+        Scheduler::Sequential,
+    );
+    assert_eq!(seq_s.pairs, seq_b.pairs, "sequential pairs");
+    assert_eq!(seq_s.na_total(), seq_b.na_total(), "NA");
+    assert_eq!(seq_s.da_total(), seq_b.da_total(), "DA");
+    assert_eq!(seq_s.stats1, seq_b.stats1, "per-level stats R1");
+    assert_eq!(seq_s.stats2, seq_b.stats2, "per-level stats R2");
 
-        // Both parallel schedulers (pairs come back sorted there).
-        for sched in [
-            Scheduler::CostGuided { threads: 4 },
-            Scheduler::RoundRobin { threads: 4 },
-        ] {
-            let par_s = join(&t1, &t2, with_kernel(config, MatchKernel::Scalar), sched);
-            let par_b = join(&t1, &t2, with_kernel(config, MatchKernel::Batched), sched);
-            assert_eq!(par_s.pairs, par_b.pairs, "{order:?} {sched:?} pairs");
-            assert_eq!(par_s.na_total(), par_b.na_total(), "{order:?} {sched:?} NA");
-            assert_eq!(par_s.da_total(), par_b.da_total(), "{order:?} {sched:?} DA");
-        }
+    // Both parallel schedulers (pairs come back sorted there).
+    for sched in [
+        Scheduler::CostGuided { threads: 4 },
+        Scheduler::RoundRobin { threads: 4 },
+    ] {
+        let par_s = join(&t1, &t2, with_kernel(config, MatchKernel::Scalar), sched);
+        let par_b = join(&t1, &t2, with_kernel(config, MatchKernel::Batched), sched);
+        assert_eq!(par_s.pairs, par_b.pairs, "{sched:?} pairs");
+        assert_eq!(par_s.na_total(), par_b.na_total(), "{sched:?} NA");
+        assert_eq!(par_s.da_total(), par_b.da_total(), "{sched:?} DA");
     }
 }
 
-/// Same invariant for the distance join (the sweep widens its window by
-/// ε and must use the full distance kernel, not the tail overlap one).
+/// Same invariant for the distance join.
 #[test]
 fn batched_distance_join_is_byte_identical() {
     let t1 = build_uniform(8_000, 0.3, 77);
     let t2 = build_uniform(8_000, 0.3, 78);
-    for order in [MatchOrder::NestedLoop, MatchOrder::PlaneSweep] {
-        let config = JoinConfig {
-            predicate: JoinPredicate::WithinDistance(0.002),
-            order,
-            ..JoinConfig::default()
-        };
-        let scalar = join(
-            &t1,
-            &t2,
-            with_kernel(config, MatchKernel::Scalar),
-            Scheduler::Sequential,
-        );
-        let batched = join(
-            &t1,
-            &t2,
-            with_kernel(config, MatchKernel::Batched),
-            Scheduler::Sequential,
-        );
-        assert_eq!(scalar.pairs, batched.pairs, "{order:?}");
-        assert_eq!(scalar.na_total(), batched.na_total(), "{order:?}");
-        assert_eq!(scalar.da_total(), batched.da_total(), "{order:?}");
-    }
+    let config = JoinConfig {
+        predicate: JoinPredicate::WithinDistance(0.002),
+        ..JoinConfig::default()
+    };
+    let scalar = join(
+        &t1,
+        &t2,
+        with_kernel(config, MatchKernel::Scalar),
+        Scheduler::Sequential,
+    );
+    let batched = join(
+        &t1,
+        &t2,
+        with_kernel(config, MatchKernel::Batched),
+        Scheduler::Sequential,
+    );
+    assert_eq!(scalar.pairs, batched.pairs);
+    assert_eq!(scalar.na_total(), batched.na_total());
+    assert_eq!(scalar.da_total(), batched.da_total());
 }
 
 /// Pinned-node traversal (trees of different heights) goes through the
@@ -316,7 +306,6 @@ fn batched_join_identical_with_height_mismatch() {
 // Search-space restriction: `matched_entries` against unrestricted loops.
 // ---------------------------------------------------------------------
 
-const ORDERS: [MatchOrder; 2] = [MatchOrder::NestedLoop, MatchOrder::PlaneSweep];
 const KERNELS: [MatchKernel; 2] = [MatchKernel::Scalar, MatchKernel::Batched];
 
 fn holds(predicate: JoinPredicate, a: &Rect<2>, b: &Rect<2>) -> bool {
@@ -328,56 +317,14 @@ fn holds(predicate: JoinPredicate, a: &Rect<2>, b: &Rect<2>) -> bool {
 
 /// What `matched_entries` returned before it restricted its inputs:
 /// every entry of `n1` against every entry of `n2`, in Figure 2's
-/// nested-loop order or in \[BKS93\]'s sweep order. The kernels are
-/// byte-identical by the first half of this file, so one scalar
-/// reference per order serves both.
-fn unrestricted(
-    n1: &Node<2>,
-    n2: &Node<2>,
-    predicate: JoinPredicate,
-    order: MatchOrder,
-) -> Vec<(Child, Child)> {
+/// nested-loop order. The kernels are byte-identical by the first half
+/// of this file, so one scalar reference serves both.
+fn unrestricted(n1: &Node<2>, n2: &Node<2>, predicate: JoinPredicate) -> Vec<(Child, Child)> {
     let mut out = Vec::new();
-    match order {
-        MatchOrder::NestedLoop => {
-            for e2 in &n2.entries {
-                for e1 in &n1.entries {
-                    if holds(predicate, &e1.rect, &e2.rect) {
-                        out.push((e1.child, e2.child));
-                    }
-                }
-            }
-        }
-        MatchOrder::PlaneSweep => {
-            let slack = match predicate {
-                JoinPredicate::Overlap => 0.0,
-                JoinPredicate::WithinDistance(eps) => eps,
-            };
-            let sorted = |n: &Node<2>| {
-                let mut v = n.entries.clone();
-                v.sort_by(|a, b| a.rect.lo_k(0).total_cmp(&b.rect.lo_k(0)));
-                v
-            };
-            let (s1, s2) = (sorted(n1), sorted(n2));
-            let (mut i, mut j) = (0, 0);
-            while i < s1.len() && j < s2.len() {
-                if s1[i].rect.lo_k(0) <= s2[j].rect.lo_k(0) {
-                    let limit = s1[i].rect.hi_k(0) + slack;
-                    for e2 in s2[j..].iter().take_while(|e| e.rect.lo_k(0) <= limit) {
-                        if holds(predicate, &s1[i].rect, &e2.rect) {
-                            out.push((s1[i].child, e2.child));
-                        }
-                    }
-                    i += 1;
-                } else {
-                    let limit = s2[j].rect.hi_k(0) + slack;
-                    for e1 in s1[i..].iter().take_while(|e| e.rect.lo_k(0) <= limit) {
-                        if holds(predicate, &e1.rect, &s2[j].rect) {
-                            out.push((e1.child, s2[j].child));
-                        }
-                    }
-                    j += 1;
-                }
+    for e2 in &n2.entries {
+        for e1 in &n1.entries {
+            if holds(predicate, &e1.rect, &e2.rect) {
+                out.push((e1.child, e2.child));
             }
         }
     }
@@ -395,23 +342,20 @@ fn leaf_of(rects: &[Rect<2>], first_id: u32) -> Node<2> {
     }
 }
 
-/// Every order × kernel arm of `matched_entries` against the
-/// unrestricted reference, sharing one scratch across the arms the way
-/// an engine does across node pairs.
+/// Both kernel arms of `matched_entries` against the unrestricted
+/// reference, sharing one scratch across the arms the way an engine
+/// does across node pairs.
 fn assert_restriction_is_exact(n1: &Node<2>, n2: &Node<2>, predicate: JoinPredicate) {
     let mut scratch = MatchScratch::new();
-    for order in ORDERS {
-        let want = unrestricted(n1, n2, predicate, order);
-        for kernel in KERNELS {
-            let config = JoinConfig {
-                predicate,
-                order,
-                kernel,
-                ..JoinConfig::default()
-            };
-            let got = matched_entries(n1, n2, &config, &mut scratch);
-            assert_eq!(got, want, "{predicate:?} {order:?} {kernel:?}");
-        }
+    let want = unrestricted(n1, n2, predicate);
+    for kernel in KERNELS {
+        let config = JoinConfig {
+            predicate,
+            kernel,
+            ..JoinConfig::default()
+        };
+        let got = matched_entries(n1, n2, &config, &mut scratch);
+        assert_eq!(got, want, "{predicate:?} {kernel:?}");
     }
 }
 
@@ -474,13 +418,11 @@ proptest! {
                         }
                     }
                 }
-                for order in ORDERS {
-                    for kernel in KERNELS {
-                        let config = JoinConfig { predicate, order, kernel, ..JoinConfig::default() };
-                        let mut got = join(a, b, config, Scheduler::Sequential).pairs;
-                        got.sort();
-                        prop_assert_eq!(&got, &want, "{:?} {:?} {:?}", predicate, order, kernel);
-                    }
+                for kernel in KERNELS {
+                    let config = JoinConfig { predicate, kernel, ..JoinConfig::default() };
+                    let mut got = join(a, b, config, Scheduler::Sequential).pairs;
+                    got.sort();
+                    prop_assert_eq!(&got, &want, "{:?} {:?}", predicate, kernel);
                 }
             }
         }
@@ -510,7 +452,7 @@ fn restriction_keeps_boundary_cases() {
         100,
     );
     assert_restriction_is_exact(&n1, &n2, JoinPredicate::Overlap);
-    let touching = unrestricted(&n1, &n2, JoinPredicate::Overlap, MatchOrder::NestedLoop);
+    let touching = unrestricted(&n1, &n2, JoinPredicate::Overlap);
     assert_eq!(touching.len(), 5, "shared edges and corners are overlaps");
 
     // ε exactly the gap between the two nodes' nearest entries: the
@@ -527,13 +469,13 @@ fn restriction_keeps_boundary_cases() {
     let predicate = JoinPredicate::WithinDistance(gap);
     assert_restriction_is_exact(&n1, &n2, predicate);
     assert_eq!(
-        unrestricted(&n1, &n2, predicate, MatchOrder::NestedLoop),
+        unrestricted(&n1, &n2, predicate),
         vec![(Child::Object(ObjectId(0)), Child::Object(ObjectId(100)))]
     );
     // One ulp less and nothing matches.
     let short = JoinPredicate::WithinDistance(f64::from_bits(gap.to_bits() - 1));
     assert_restriction_is_exact(&n1, &n2, short);
-    assert!(unrestricted(&n1, &n2, short, MatchOrder::NestedLoop).is_empty());
+    assert!(unrestricted(&n1, &n2, short).is_empty());
 }
 
 #[test]
@@ -543,28 +485,25 @@ fn disjoint_or_empty_nodes_match_nothing() {
     let empty = Node::<2>::new(0);
     let mut scratch = MatchScratch::new();
     for predicate in [JoinPredicate::Overlap, JoinPredicate::WithinDistance(0.1)] {
-        for order in ORDERS {
-            for kernel in KERNELS {
-                let config = JoinConfig {
-                    predicate,
-                    order,
-                    kernel,
-                    ..JoinConfig::default()
-                };
-                for (a, b) in [
-                    (&left, &right),
-                    (&left, &empty),
-                    (&empty, &right),
-                    (&empty, &empty),
-                ] {
-                    assert!(matched_entries(a, b, &config, &mut scratch).is_empty());
-                }
-                // A scratch that has seen a miss still serves a hit.
-                assert_eq!(
-                    matched_entries(&left, &left, &config, &mut scratch).len(),
-                    4
-                );
+        for kernel in KERNELS {
+            let config = JoinConfig {
+                predicate,
+                kernel,
+                ..JoinConfig::default()
+            };
+            for (a, b) in [
+                (&left, &right),
+                (&left, &empty),
+                (&empty, &right),
+                (&empty, &empty),
+            ] {
+                assert!(matched_entries(a, b, &config, &mut scratch).is_empty());
             }
+            // A scratch that has seen a miss still serves a hit.
+            assert_eq!(
+                matched_entries(&left, &left, &config, &mut scratch).len(),
+                4
+            );
         }
     }
 }
@@ -621,26 +560,6 @@ fn zero_threads_is_a_typed_error_on_the_fallible_path() {
             .expect_err("threads = 0 must not silently run");
         assert_eq!(err, JoinError::InvalidThreads, "{sched:?}");
         assert!(err.to_string().contains("at least one worker"));
-    }
-}
-
-/// The legacy infallible wrappers clamp `threads = 0` to 1 instead of
-/// erroring — pinned here as wrapper behavior (the session API itself
-/// surfaces [`JoinError::InvalidThreads`], see the test above).
-#[test]
-#[allow(deprecated)]
-fn zero_threads_clamps_to_sequential_on_the_infallible_path() {
-    use sjcm_join::{parallel_spatial_join, parallel_spatial_join_with, ScheduleMode};
-    let t1 = build_uniform(500, 0.3, 11);
-    let t2 = build_uniform(500, 0.3, 12);
-    let one = parallel_spatial_join(&t1, &t2, JoinConfig::default(), 1);
-    let zero = parallel_spatial_join(&t1, &t2, JoinConfig::default(), 0);
-    assert_eq!(zero.pairs, one.pairs);
-    assert_eq!(zero.na_total(), one.na_total());
-    assert_eq!(zero.da_total(), one.da_total());
-    for mode in [ScheduleMode::CostGuided, ScheduleMode::RoundRobin] {
-        let zero = parallel_spatial_join_with(&t1, &t2, JoinConfig::default(), 0, mode);
-        assert_eq!(zero.pairs, one.pairs, "{mode:?}");
     }
 }
 

@@ -1,0 +1,483 @@
+//! The join oracle suite: every way to run a join — each [`Scheduler`]
+//! (sequential, cost-guided and round-robin at 1–4 threads) × each
+//! [`MatchKernel`] × each predicate (overlap, ε-distance) in 1, 2 and 3
+//! dimensions, plus [`PbsmSession`] at both kernels — against one
+//! brute-force reference, [`nested_loop_join`] (and its distance twin
+//! below). A run must return the reference's pair multiset, and every
+//! scheduler and kernel must charge the node accesses the sequential
+//! scalar run charges: NA counts visited node pairs, which neither the
+//! schedule nor the kernel may change.
+//!
+//! Inputs: uniform, clustered, trees of unequal height, and the
+//! degenerate shapes that break naive overlap code (empty tree, single
+//! entry, all-identical rectangles, zero-extent rectangles, rectangles
+//! that only touch).
+//!
+//! The second half holds three session-vs-session invariants no oracle
+//! can state: observability on ≡ off, an armed governor that never
+//! fires ≡ no governor, and the fixed-seed 60K gate.
+
+use sjcm_datagen::skewed::{gaussian_clusters, ClusterConfig};
+use sjcm_datagen::uniform::{generate, UniformConfig};
+use sjcm_geom::Rect;
+use sjcm_join::baselines::nested_loop_join;
+use sjcm_join::{
+    Governor, GovernorConfig, JoinConfig, JoinObs, JoinPredicate, JoinResultSet, JoinSession,
+    MatchKernel, PbsmSession, Scheduler,
+};
+use sjcm_obs::{DriftMonitor, ProgressTracker, Tracer, DA_TOTAL, NA_TOTAL};
+use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
+use sjcm_storage::FlightRecorder;
+
+type Items<const N: usize> = Vec<(Rect<N>, ObjectId)>;
+type Pairs = Vec<(ObjectId, ObjectId)>;
+
+const KERNELS: [MatchKernel; 2] = [MatchKernel::Scalar, MatchKernel::Batched];
+
+/// Sequential, then both parallel schedulers at 1–4 threads.
+fn schedulers() -> Vec<Scheduler> {
+    let mut all = vec![Scheduler::Sequential];
+    for threads in 1..=4 {
+        all.push(Scheduler::CostGuided { threads });
+        all.push(Scheduler::RoundRobin { threads });
+    }
+    all
+}
+
+/// The distance twin of [`nested_loop_join`].
+fn nested_loop_distance_join<const N: usize>(a: &Items<N>, b: &Items<N>, eps: f64) -> Pairs {
+    let mut out = Vec::new();
+    for &(r1, id1) in a {
+        for &(r2, id2) in b {
+            if r1.within_distance(&r2, eps) {
+                out.push((id1, id2));
+            }
+        }
+    }
+    out
+}
+
+fn sorted(mut pairs: Pairs) -> Pairs {
+    pairs.sort_unstable();
+    pairs
+}
+
+fn ided<const N: usize>(rects: Vec<Rect<N>>) -> Items<N> {
+    rects
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| (r, ObjectId(i as u32)))
+        .collect()
+}
+
+/// Insertion-built, eight entries a node: a few hundred objects already
+/// make a tree three or four levels high.
+fn tree<const N: usize>(items: &Items<N>) -> RTree<N> {
+    let mut tree = RTree::new(RTreeConfig::with_capacity(8));
+    for &(r, id) in items {
+        tree.insert(r, id);
+    }
+    tree
+}
+
+fn uniform<const N: usize>(n: usize, density: f64, seed: u64) -> Items<N> {
+    ided(generate::<N>(UniformConfig::new(n, density, seed)))
+}
+
+/// Gaussian clusters; two sets drawn with the same `layout` share their
+/// hot spots, so the join is as skewed as the data.
+fn clustered<const N: usize>(n: usize, density: f64, seed: u64, layout: u64) -> Items<N> {
+    ided(gaussian_clusters::<N>(
+        ClusterConfig::new(n, density, seed)
+            .with_clusters(4)
+            .with_center_seed(layout),
+    ))
+}
+
+/// The cube `[lo, hi]^N`.
+fn cube<const N: usize>(lo: f64, hi: f64) -> Rect<N> {
+    Rect::new([lo; N], [hi; N]).expect("ordered finite corners")
+}
+
+/// `[lo0, hi0]` in dimension 0, `[lo, hi]` in every other.
+fn slab<const N: usize>(lo0: f64, hi0: f64, lo: f64, hi: f64) -> Rect<N> {
+    let (mut los, mut his) = ([lo; N], [hi; N]);
+    los[0] = lo0;
+    his[0] = hi0;
+    Rect::new(los, his).expect("ordered finite corners")
+}
+
+/// Every scheduler × kernel on `a × b`, for the overlap predicate and
+/// one distance predicate per `eps`, against the brute-force reference.
+fn assert_tree_joins_match_oracle<const N: usize>(
+    name: &str,
+    a: &Items<N>,
+    b: &Items<N>,
+    eps: &[f64],
+) {
+    let (ta, tb) = (tree(a), tree(b));
+    // One gap in the NA promise, recorded in ROADMAP item 1: when a
+    // tree is a single leaf its root is the pinned side of every root
+    // unit. The sequential and cost-guided traversals charge that
+    // re-read like any other pinned node (Eq 11); the static root deal
+    // treats it as the memory-resident root (§3.1) and does not, so
+    // round-robin NA is lower by the number of root units.
+    let leaf_root = ta.height() == 1 || tb.height() == 1;
+    let mut cases = vec![(JoinPredicate::Overlap, sorted(nested_loop_join(a, b)))];
+    for &e in eps {
+        cases.push((
+            JoinPredicate::WithinDistance(e),
+            sorted(nested_loop_distance_join(a, b, e)),
+        ));
+    }
+    for (predicate, want) in cases {
+        let mut reference_na = None;
+        for kernel in KERNELS {
+            for scheduler in schedulers() {
+                let tag = format!("{name} {N}-d {predicate:?} {kernel:?} {scheduler:?}");
+                let got = JoinSession::new(&ta, &tb)
+                    .config(JoinConfig {
+                        predicate,
+                        kernel,
+                        ..JoinConfig::default()
+                    })
+                    .scheduler(scheduler)
+                    .run()
+                    .expect("ungoverned join cannot fail")
+                    .result;
+                assert_eq!(got.pair_count, want.len() as u64, "{tag}: pair count");
+                assert_eq!(sorted(got.pairs), want, "{tag}: pairs");
+                let dealt = matches!(scheduler, Scheduler::RoundRobin { threads } if threads > 1);
+                if !(leaf_root && dealt) {
+                    let na = (got.stats1.na_total(), got.stats2.na_total());
+                    assert_eq!(*reference_na.get_or_insert(na), na, "{tag}: NA per tree");
+                }
+            }
+        }
+    }
+}
+
+/// PBSM at both kernels and several grids against [`nested_loop_join`].
+/// `grid = 1` is one sweep of the whole input: with a few hundred
+/// objects a side, that is the cell large enough to take the batched
+/// path rather than its small-cell scalar fallback.
+fn assert_pbsm_matches_oracle<const N: usize>(name: &str, a: &Items<N>, b: &Items<N>) {
+    let want = sorted(nested_loop_join(a, b));
+    for kernel in KERNELS {
+        for grid in [1, 2, 5] {
+            let got = PbsmSession::new(a, b, grid, 50)
+                .kernel(kernel)
+                .run()
+                .expect("ungoverned PBSM cannot fail");
+            assert!(got.is_exact());
+            assert_eq!(
+                sorted(got.result.pairs),
+                want,
+                "{name} {N}-d {kernel:?} grid {grid}"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Input families, each in 1, 2 and 3 dimensions.
+// ---------------------------------------------------------------------
+
+fn uniform_case<const N: usize>() {
+    let (a, b) = (uniform::<N>(700, 0.6, 11), uniform::<N>(500, 0.4, 12));
+    assert_tree_joins_match_oracle("uniform", &a, &b, &[0.02]);
+    assert_pbsm_matches_oracle("uniform", &a, &b);
+}
+
+#[test]
+fn uniform_inputs_match_the_oracle() {
+    uniform_case::<1>();
+    uniform_case::<2>();
+    uniform_case::<3>();
+}
+
+fn clustered_case<const N: usize>() {
+    let (a, b) = (
+        clustered::<N>(600, 0.3, 21, 7),
+        clustered::<N>(600, 0.3, 22, 7),
+    );
+    assert_tree_joins_match_oracle("clustered", &a, &b, &[0.01]);
+    assert_pbsm_matches_oracle("clustered", &a, &b);
+}
+
+#[test]
+fn clustered_inputs_match_the_oracle() {
+    clustered_case::<1>();
+    clustered_case::<2>();
+    clustered_case::<3>();
+}
+
+fn unequal_height_case<const N: usize>() {
+    let (tall, short) = (uniform::<N>(1_200, 0.5, 31), uniform::<N>(6, 0.2, 32));
+    assert!(tree(&tall).height() > tree(&short).height() + 1);
+    // Both roles: the pinned (shorter) tree on either side.
+    assert_tree_joins_match_oracle("tall × short", &tall, &short, &[0.05]);
+    assert_tree_joins_match_oracle("short × tall", &short, &tall, &[0.05]);
+}
+
+#[test]
+fn unequal_height_trees_match_the_oracle() {
+    unequal_height_case::<1>();
+    unequal_height_case::<2>();
+    unequal_height_case::<3>();
+}
+
+fn degenerate_case<const N: usize>() {
+    let some = uniform::<N>(150, 0.5, 41);
+    let none: Items<N> = Vec::new();
+    let one = ided(vec![cube::<N>(0.25, 0.5)]);
+    // Forty copies of one rectangle against thirty of another that
+    // shares exactly one corner with it: every node MBR on either side
+    // is that same rectangle, and all 1 200 pairs qualify.
+    let same_a = ided(vec![cube::<N>(0.25, 0.5); 40]);
+    let same_b = ided(vec![cube::<N>(0.5, 0.75); 30]);
+    // Zero extent: points on the diagonal (every other one shared
+    // between the sets) and, on one side, zero-width walls that some of
+    // the points lie on.
+    let points = |k: u32| -> Vec<Rect<N>> {
+        (0..=k)
+            .map(|i| cube::<N>(f64::from(i) / f64::from(k), f64::from(i) / f64::from(k)))
+            .collect()
+    };
+    let flat_a = ided(points(32));
+    let mut flat_b = points(16);
+    flat_b.extend([0.25, 0.5, 0.8].map(|x| slab::<N>(x, x, 0.0, 1.0)));
+    let flat_b = ided(flat_b);
+    // Sixteen tiles along dimension 0 in the lower half of the other
+    // dimensions against sixteen in the upper half: neighbours share a
+    // face, an edge or a corner and nothing more.
+    let tiles = |lo: f64, hi: f64| -> Items<N> {
+        ided(
+            (0..16u32)
+                .map(|i| slab::<N>(f64::from(i) / 16.0, f64::from(i + 1) / 16.0, lo, hi))
+                .collect(),
+        )
+    };
+    let (tiles_a, tiles_b) = (tiles(0.0, 0.5), tiles(0.5, 1.0));
+
+    let cases: [(&str, &Items<N>, &Items<N>); 9] = [
+        ("empty × some", &none, &some),
+        ("some × empty", &some, &none),
+        ("empty × empty", &none, &none),
+        ("one × some", &one, &some),
+        ("one × one", &one, &one),
+        ("identical × identical", &same_a, &same_a),
+        ("identical × corner-touching", &same_a, &same_b),
+        ("zero-extent", &flat_a, &flat_b),
+        ("edge-touching", &tiles_a, &tiles_b),
+    ];
+    for (name, a, b) in cases {
+        // ε = 0 is the overlap predicate by another route (d² ≤ 0); the
+        // second ε reaches across exactly one tile.
+        assert_tree_joins_match_oracle(name, a, b, &[0.0, 0.0625]);
+        assert_pbsm_matches_oracle(name, a, b);
+    }
+}
+
+#[test]
+fn degenerate_inputs_match_the_oracle() {
+    degenerate_case::<1>();
+    degenerate_case::<2>();
+    degenerate_case::<3>();
+}
+
+// ---------------------------------------------------------------------
+// Session against session.
+// ---------------------------------------------------------------------
+
+fn packed_uniform(n: usize, density: f64, seed: u64) -> RTree<2> {
+    RTree::bulk_load(
+        RTreeConfig::paper(2),
+        uniform::<2>(n, density, seed),
+        BulkLoad::Str,
+        0.67,
+    )
+}
+
+/// Byte-identical: the pairs in their order, the per-level NA/DA of
+/// both trees, the buffer counters and the per-worker tallies. (Steal
+/// tallies are left out: which thread steals which unit is decided by
+/// the OS — see `StealTally`.)
+fn assert_identical(a: &JoinResultSet, b: &JoinResultSet, tag: &str) {
+    assert_eq!(a.pairs, b.pairs, "{tag}: pairs (order included)");
+    assert_eq!(a.pair_count, b.pair_count, "{tag}: pair_count");
+    assert_eq!(a.stats1, b.stats1, "{tag}: tree-1 per-level NA/DA");
+    assert_eq!(a.stats2, b.stats2, "{tag}: tree-2 per-level NA/DA");
+    assert_eq!(a.buffers1, b.buffers1, "{tag}: tree-1 buffer counters");
+    assert_eq!(a.buffers2, b.buffers2, "{tag}: tree-2 buffer counters");
+    assert_eq!(a.workers, b.workers, "{tag}: per-worker tallies");
+}
+
+/// One recorded page access: `(corr, tree, page, level, miss)`.
+type Access = (u32, u8, u32, u8, bool);
+
+/// A recorder's events in a form two runs of the same join can be
+/// compared in.
+///
+/// A single-threaded run is compared in drain order, which is tick
+/// order. A multi-worker run is not: lanes claim blocks of ticks as the
+/// OS happens to schedule their threads, so two runs of one join
+/// interleave their lanes differently. What they share is the order
+/// *within* each `(corr, tree)` lane — a correlation domain runs on one
+/// thread, see `CorrDomain` — so the canonical form keeps that order
+/// and sorts the lanes.
+fn recorded(recorder: &FlightRecorder, threads: usize) -> Vec<Access> {
+    let (mut events, dropped) = recorder.drain();
+    assert_eq!(dropped, 0);
+    if threads > 1 {
+        events.sort_by_key(|e| (e.corr, e.tree, e.tick));
+    }
+    events
+        .iter()
+        .map(|e| (e.corr, e.tree, e.page.0, e.level, e.kind.is_miss()))
+        .collect()
+}
+
+/// One recorded run of `session` under `scheduler`: the result and the
+/// recorder's events in comparable form.
+fn record(session: JoinSession<'_, 2>, scheduler: Scheduler) -> (JoinResultSet, Vec<Access>) {
+    let recorder = FlightRecorder::enabled();
+    let out = session
+        .scheduler(scheduler)
+        .record(&recorder)
+        .run()
+        .expect("nothing armed can fire");
+    assert!(out.is_exact());
+    (out.result, recorded(&recorder, scheduler.threads()))
+}
+
+/// Tracing, drift monitoring and live progress must not change a result
+/// or a single recorded page access.
+#[test]
+fn observability_on_is_identical_to_off() {
+    for seed in [1u64, 2, 3] {
+        let t1 = packed_uniform(900, 0.5, 2 * seed + 31);
+        let t2 = packed_uniform(900, 0.5, 2 * seed + 32);
+        for kernel in KERNELS {
+            let config = JoinConfig {
+                kernel,
+                ..JoinConfig::default()
+            };
+            for scheduler in schedulers() {
+                let tag = format!("seed {seed} {kernel:?} {scheduler:?}");
+                let (off, off_events) =
+                    record(JoinSession::new(&t1, &t2).config(config), scheduler);
+                let drift = DriftMonitor::default();
+                drift.predict(NA_TOTAL, off.na_total() as f64);
+                drift.predict(DA_TOTAL, off.da_total() as f64);
+                let obs = JoinObs {
+                    tracer: Tracer::enabled(),
+                    drift: Some(&drift),
+                    recorder: FlightRecorder::disabled(),
+                    progress: ProgressTracker::enabled(),
+                };
+                let (on, on_events) = record(
+                    JoinSession::new(&t1, &t2).config(config).observe(&obs),
+                    scheduler,
+                );
+                assert_identical(&on, &off, &tag);
+                assert_eq!(on_events, off_events, "{tag}: recorded accesses");
+                assert_eq!(
+                    on_events.len() as u64,
+                    on.na_total(),
+                    "{tag}: one event per NA"
+                );
+            }
+        }
+    }
+}
+
+/// A governor that is armed (budgeted) but generous enough that no
+/// rejection, cancellation or shed ever fires must leave every scheduler
+/// on its ungoverned path.
+#[test]
+fn generous_governor_is_identical_to_unlimited() {
+    let t1 = packed_uniform(900, 0.5, 51);
+    let t2 = packed_uniform(900, 0.5, 52);
+    for scheduler in schedulers() {
+        let tag = format!("{scheduler:?}");
+        let (unlimited, unlimited_events) = record(JoinSession::new(&t1, &t2), scheduler);
+        let gov = Governor::new(
+            GovernorConfig::default()
+                .with_na_budget(f64::MAX)
+                .with_mem_budget(u64::MAX),
+        );
+        let (governed, governed_events) =
+            record(JoinSession::new(&t1, &t2).govern(&gov), scheduler);
+        assert_identical(&governed, &unlimited, &tag);
+        assert_eq!(
+            governed_events, unlimited_events,
+            "{tag}: recorded accesses"
+        );
+        assert_eq!(gov.summary().expect("armed").units_forfeited, 0, "{tag}");
+    }
+
+    let (left, right) = (uniform::<2>(400, 0.5, 53), uniform::<2>(400, 0.5, 54));
+    for kernel in KERNELS {
+        let run = |gov: &Governor| {
+            PbsmSession::new(&left, &right, 3, 50)
+                .kernel(kernel)
+                .govern(gov)
+                .run()
+                .expect("nothing armed can fire")
+        };
+        let unlimited = run(&Governor::unlimited());
+        let governed = run(&Governor::new(
+            GovernorConfig::default().with_mem_budget(u64::MAX),
+        ));
+        assert!(governed.is_exact());
+        assert_eq!(governed.result.pairs, unlimited.result.pairs, "{kernel:?}");
+        assert_eq!(governed.result.io_pages, unlimited.result.io_pages);
+    }
+}
+
+/// The fixed-seed paper-scale gate: on packed 60K × 60K trees the three
+/// schedulers find the same pairs with the same node accesses, and the
+/// sequential tallies are the ones recorded here.
+#[test]
+fn schedulers_agree_on_the_60k_workload() {
+    let t1 = packed_uniform(60_000, 0.5, 4242);
+    let t2 = packed_uniform(60_000, 0.5, 2424);
+    let run = |scheduler| {
+        JoinSession::new(&t1, &t2)
+            .config(JoinConfig {
+                collect_pairs: false,
+                ..JoinConfig::default()
+            })
+            .scheduler(scheduler)
+            .run()
+            .expect("ungoverned join cannot fail")
+            .result
+    };
+    let seq = run(Scheduler::Sequential);
+    assert_eq!(
+        (seq.pair_count, seq.na_total(), seq.da_total()),
+        (119_864, 20_076, 12_631)
+    );
+    for scheduler in [
+        Scheduler::CostGuided { threads: 4 },
+        Scheduler::RoundRobin { threads: 4 },
+    ] {
+        let par = run(scheduler);
+        assert_eq!(par.pair_count, seq.pair_count, "{scheduler:?}");
+        assert_eq!(
+            par.stats1.na_total(),
+            seq.stats1.na_total(),
+            "{scheduler:?}"
+        );
+        assert_eq!(
+            par.stats2.na_total(),
+            seq.stats2.na_total(),
+            "{scheduler:?}"
+        );
+        if let Scheduler::CostGuided { .. } = scheduler {
+            // Per-unit cold buffers can only add misses (see `parallel`).
+            assert!(par.da_total() >= seq.da_total());
+        }
+    }
+}

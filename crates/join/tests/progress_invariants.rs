@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use sjcm_core::{join, LevelParams, TreeParams};
-use sjcm_join::{JoinConfig, JoinObs, JoinSession, MatchOrder, Scheduler};
+use sjcm_join::{JoinConfig, JoinObs, JoinSession, Scheduler};
 use sjcm_obs::{LevelPrior, ProgressEngine, ProgressSnapshot, ProgressTracker};
 use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
 use sjcm_storage::{FaultInjector, FaultPlan, RetryPolicy};
@@ -111,7 +111,7 @@ fn assert_stream(snaps: &[ProgressSnapshot], tag: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    // Every scheduler × matching order × thread count: the stream
+    // Every scheduler × thread count: the stream
     // contract holds and the answer is byte-identical to the
     // progress-off run.
     #[test]
@@ -119,14 +119,10 @@ proptest! {
         seed in 0u64..200,
         threads in 1usize..5,
         cost_guided in any::<bool>(),
-        sweep in any::<bool>(),
     ) {
         let t1 = build_uniform(1500, 0.5, seed.wrapping_mul(2).wrapping_add(11));
         let t2 = build_uniform(1500, 0.5, seed.wrapping_mul(2).wrapping_add(12));
-        let config = JoinConfig {
-            order: if sweep { MatchOrder::PlaneSweep } else { MatchOrder::NestedLoop },
-            ..JoinConfig::default()
-        };
+        let config = JoinConfig::default();
         let sched = if cost_guided {
             Scheduler::CostGuided { threads }
         } else {

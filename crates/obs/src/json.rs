@@ -1,12 +1,17 @@
-//! Minimal JSON support for the JSONL sinks: string escaping for the
-//! writers and a small validating parser for artifact checks (the CI
-//! `validate-obs` step re-reads every emitted line through [`parse`]).
+//! The workspace's one JSON module: a [`Value`] tree, a recursive
+//! descent parser ([`parse`]), a compact writer (`Value`'s `Display`)
+//! and string escaping ([`escape`]) for the JSONL sinks.
 //!
-//! The workspace builds offline (no serde); `sjcm`'s CLI carries its
-//! own equivalent module for its dataset formats, but this crate must
-//! stay dependency-free so every other crate can link it, hence the
-//! self-contained copy of the ~150 lines rather than a new dependency
-//! edge from the bottom of the crate graph to the facade.
+//! The workspace builds offline, so this stands in for `serde_json`. It
+//! lives here because `sjcm-obs` sits at the bottom of the crate graph:
+//! the JSONL writers and the `validate-obs` checks of this crate use it
+//! directly, and the `sjcm` facade re-exports it as `sjcm::json` for
+//! the CLI's on-disk artifacts — rectangle datasets
+//! (`[[[lo…],[hi…]], …]`) and tree metadata objects, whose wire formats
+//! are those of the serde-based first implementation, so files written
+//! by older builds still load.
+
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,7 +20,7 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number, held as `f64`.
+    /// Any JSON number, held as `f64` (exact for integers up to 2^53).
     Num(f64),
     /// A string.
     Str(String),
@@ -30,6 +35,16 @@ impl Value {
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The number as `u64`, if this is a non-negative integral number.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -63,6 +78,38 @@ impl Value {
         match self {
             Value::Arr(v) => Some(v),
             _ => None,
+        }
+    }
+}
+
+/// Compact JSON text; [`parse`] reads it back to an equal value.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Num(n) => write!(f, "{n}"),
+            Value::Str(s) => f.write_str(&escape(s)),
+            Value::Arr(items) => {
+                f.write_str("[")?;
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{v}")?;
+                }
+                f.write_str("]")
+            }
+            Value::Obj(pairs) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{}:{v}", escape(k))?;
+                }
+                f.write_str("}")
+            }
         }
     }
 }
@@ -244,6 +291,77 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn roundtrip_rect_dataset_format() {
+        let text = "[[[0.1,0.2],[0.3,0.4]],[[0,0],[1,1]]]";
+        let v = parse(text).unwrap();
+        let rects = v.as_arr().unwrap();
+        assert_eq!(rects.len(), 2);
+        let lo = rects[0].as_arr().unwrap()[0].as_arr().unwrap();
+        assert_eq!(lo[0].as_f64(), Some(0.1));
+        assert_eq!(v.to_string(), text);
+    }
+
+    #[test]
+    fn roundtrip_meta_object() {
+        let v = Value::Obj(vec![
+            ("root".into(), Value::Num(7.0)),
+            ("len".into(), Value::Num(100.0)),
+        ]);
+        let text = v.to_string();
+        let back = parse(&text).unwrap();
+        assert_eq!(back.get("root").unwrap().as_u64(), Some(7));
+        assert_eq!(back.get("len").unwrap().as_u64(), Some(100));
+        assert_eq!(back.get("missing"), None);
+    }
+
+    #[test]
+    fn parses_strings_escapes_and_rejects_garbage() {
+        assert_eq!(
+            parse("\"a\\n\\\"b\\u0041\"").unwrap(),
+            Value::Str("a\n\"bA".into())
+        );
+        assert_eq!(parse("  null ").unwrap(), Value::Null);
+        assert_eq!(parse("true").unwrap(), Value::Bool(true));
+        assert!(parse("[1,").is_err());
+        assert!(parse("{\"a\":}").is_err());
+        assert!(parse("1 2").is_err());
+        assert!(parse("NaN").is_err());
+    }
+
+    #[test]
+    fn float_display_round_trips() {
+        let v = Value::Num(0.123456789012345);
+        let back = parse(&v.to_string()).unwrap();
+        assert_eq!(back.as_f64(), Some(0.123456789012345));
+    }
+
+    #[test]
+    fn as_u64_accepts_exactly_the_exact_non_negative_integers() {
+        let two53 = 2f64.powi(53);
+        assert_eq!(Value::Num(-0.0).as_u64(), Some(0));
+        assert_eq!(Value::Num(two53).as_u64(), Some(1 << 53));
+        assert_eq!(Value::Num(two53 + 2.0).as_u64(), None);
+        assert_eq!(Value::Num(1.5).as_u64(), None);
+        assert_eq!(Value::Num(-1.0).as_u64(), None);
+        assert_eq!(Value::Str("7".into()).as_u64(), None);
+    }
+
+    #[test]
+    fn display_round_trips_through_parse() {
+        // A control character (written as \u0001) and a non-BMP scalar
+        // (written raw), as a key and as a value: writer and parser
+        // share `escape`'s alphabet.
+        let tricky = "a\"b\\c\nd\te\u{1}\u{1F5FA}";
+        let v = Value::Obj(vec![
+            (tricky.into(), Value::Str(tricky.into())),
+            ("n".into(), Value::Arr(vec![Value::Num(-0.5), Value::Null])),
+        ]);
+        let text = v.to_string();
+        assert!(text.contains("\\u0001") && text.contains('\u{1F5FA}'));
+        assert_eq!(parse(&text).unwrap(), v);
+    }
 
     #[test]
     fn escape_round_trips_through_parse() {

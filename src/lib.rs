@@ -22,6 +22,7 @@
 //! | [`datagen`] | `sjcm-datagen` | uniform / skewed / TIGER-like generators |
 //! | [`optimizer`] | `sjcm-optimizer` | cost-based spatial query optimizer |
 //! | [`obs`] | `sjcm-obs` | spans, metrics registry, model-drift monitor |
+//! | [`json`] | `sjcm-obs` | the workspace's JSON parser and writer (`sjcm_obs::json`) |
 //!
 //! # Quickstart
 //!
@@ -62,13 +63,13 @@
 
 pub mod exec;
 pub mod explain;
-pub mod json;
 
 pub use sjcm_core as model;
 pub use sjcm_datagen as datagen;
 pub use sjcm_geom as geom;
 pub use sjcm_join as join;
 pub use sjcm_obs as obs;
+pub use sjcm_obs::json;
 pub use sjcm_optimizer as optimizer;
 pub use sjcm_rtree as rtree;
 pub use sjcm_storage as storage;
@@ -77,8 +78,6 @@ pub use sjcm_storage as storage;
 pub mod prelude {
     pub use sjcm_core::{DataProfile, DensitySurface, ModelConfig, SpatialOperator, TreeParams};
     pub use sjcm_geom::{Point, Rect};
-    #[allow(deprecated)] // legacy wrappers stay importable through the prelude
-    pub use sjcm_join::{spatial_join, spatial_join_with};
     pub use sjcm_join::{
         BufferPolicy, JoinConfig, JoinResultSet, JoinSession, PbsmSession, Scheduler,
     };

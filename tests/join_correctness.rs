@@ -3,7 +3,7 @@
 //! persistence round-trip.
 
 use sjcm::join::baselines::{index_nested_loop_join, nested_loop_join};
-use sjcm::join::{JoinPredicate, MatchOrder};
+use sjcm::join::{JoinPredicate, MatchKernel};
 use sjcm::prelude::*;
 
 fn build(items: &[(sjcm::geom::Rect<2>, ObjectId)]) -> RTree<2> {
@@ -73,6 +73,8 @@ fn sj_matches_brute_force_on_every_generator() {
     }
 }
 
+/// Figure 2's one match order, under both kernels and every buffer
+/// policy.
 #[test]
 fn all_match_orders_and_buffers_agree() {
     let sets = datasets();
@@ -81,7 +83,7 @@ fn all_match_orders_and_buffers_agree() {
     let ta = build(a);
     let tb = build(b);
     let expected = sorted(nested_loop_join(a, b));
-    for order in [MatchOrder::NestedLoop, MatchOrder::PlaneSweep] {
+    for kernel in [MatchKernel::Scalar, MatchKernel::Batched] {
         for buffer in [
             BufferPolicy::None,
             BufferPolicy::Path,
@@ -90,7 +92,7 @@ fn all_match_orders_and_buffers_agree() {
             let got = sorted(
                 JoinSession::new(&ta, &tb)
                     .config(JoinConfig {
-                        order,
+                        kernel,
                         buffer,
                         ..JoinConfig::default()
                     })
@@ -99,7 +101,7 @@ fn all_match_orders_and_buffers_agree() {
                     .result
                     .pairs,
             );
-            assert_eq!(got, expected, "{order:?}/{buffer:?}");
+            assert_eq!(got, expected, "{kernel:?}/{buffer:?}");
         }
     }
 }
