@@ -2,7 +2,7 @@
 //! `sjcm-geom` against the scalar predicates they replace.
 //!
 //! Two layers are measured, both in the BENCH JSON convention (one
-//! `{...}` line per result, collected by CI into `BENCH_pr6.json`):
+//! `{...}` line per result):
 //!
 //! * `kernel_micro` — raw one-vs-many predicate throughput on a fixed
 //!   slab of rectangles, isolating the autovectorized inner loop;

@@ -44,10 +44,6 @@
 //!                   >= 1), and show ETA-guided shedding retaining more
 //!                   pairs than naive truncation (governor_shed.csv;
 //!                   --obs-dir persists governor_events.jsonl)
-//!   bench-compare   gate a fresh BENCH JSON stream (--current)
-//!                   against committed baselines (--baseline, repeat
-//!                   to merge; defaults to ./BENCH_*.json): fails on
-//!                   >20% speedup loss or imbalance growth
 //!   chaos           seeded fault-injection campaigns: transient faults
 //!                   must heal to a byte-identical join, permanent leaf
 //!                   loss must degrade gracefully with the forfeit
@@ -73,9 +69,6 @@
 //! --calibrate  explain: start from a 4×-mis-registered catalog,
 //!              write the measured statistics back, persist the
 //!              corrected catalog.json and show the re-planning flip
-//! --current F  bench-compare: the freshly grepped BENCH JSON
-//! --baseline F bench-compare: a committed baseline; repeatable,
-//!              later files override earlier per (group, bench)
 //! --deadline-ms MS  join: cooperative wall-clock deadline; on expiry
 //!              the run degrades (forfeited work priced), never aborts
 //! --na-budget F     join: admission budget in Eq-6 node accesses;
@@ -84,7 +77,6 @@
 //!              reservation is a typed error, exit 1
 //! ```
 
-mod bench_compare;
 mod chaos;
 mod common;
 mod errors;
@@ -105,8 +97,6 @@ struct Args {
     opts: RunOpts,
     watch: bool,
     calibrate: bool,
-    current: Option<PathBuf>,
-    baselines: Vec<PathBuf>,
     deadline_ms: Option<u64>,
     na_budget: Option<f64>,
     mem_budget: Option<u64>,
@@ -134,8 +124,6 @@ fn parse_args() -> Result<Args, String> {
     let mut seed = 1998;
     let mut watch = false;
     let mut calibrate = false;
-    let mut current = None;
-    let mut baselines = Vec::new();
     let mut deadline_ms = None;
     let mut na_budget = None;
     let mut mem_budget = None;
@@ -167,14 +155,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--watch" => watch = true,
             "--calibrate" => calibrate = true,
-            "--current" => {
-                current = Some(PathBuf::from(args.next().ok_or("--current needs a value")?));
-            }
-            "--baseline" => {
-                baselines.push(PathBuf::from(
-                    args.next().ok_or("--baseline needs a value")?,
-                ));
-            }
             "--deadline-ms" => {
                 let v = args.next().ok_or("--deadline-ms needs a value")?;
                 let ms = v
@@ -221,8 +201,6 @@ fn parse_args() -> Result<Args, String> {
         opts,
         watch,
         calibrate,
-        current,
-        baselines,
         deadline_ms,
         na_budget,
         mem_budget,
@@ -341,29 +319,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        "bench-compare" => {
-            let Some(current) = args.current.as_deref() else {
-                eprintln!("error: bench-compare needs --current FILE (a grepped BENCH JSON)");
-                return ExitCode::FAILURE;
-            };
-            let baselines = if args.baselines.is_empty() {
-                let found = bench_compare::default_baselines();
-                if found.is_empty() {
-                    eprintln!(
-                        "error: no --baseline given and no committed BENCH_*.json found \
-                         in the working directory"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                found
-            } else {
-                args.baselines.clone()
-            };
-            if !bench_compare::bench_compare(current, &baselines) {
-                return ExitCode::FAILURE;
-            }
-            return ExitCode::SUCCESS;
-        }
         "validate-obs" => {
             let Some(dir) = opts.require_obs_dir("validate-obs") else {
                 return ExitCode::FAILURE;
@@ -390,7 +345,7 @@ fn main() -> ExitCode {
             println!("          algo-compare parallel join explain chaos governor");
             println!("          trace-replay trace-report");
             println!("          (also spelled `trace replay` / `trace report`)");
-            println!("          bench-compare validate-obs all");
+            println!("          validate-obs all");
             println!("flags:    --scale F (default 1.0), --out DIR (default results/),");
             println!("          --threads T (parallel/join/chaos commands, default 4),");
             println!("          --obs-dir D (join writes span/metrics/progress JSONL, the");
@@ -400,8 +355,6 @@ fn main() -> ExitCode {
             println!("          --seed S (chaos fault-plan seed, default 1998),");
             println!("          --watch (join: live progress/ETA line),");
             println!("          --calibrate (explain: stale-catalog demo + catalog.json),");
-            println!("          --current F / --baseline F (bench-compare inputs; --baseline");
-            println!("          repeats, defaults to the committed ./BENCH_*.json),");
             println!("          --deadline-ms MS / --na-budget F / --mem-budget BYTES (join:");
             println!("          arm the query governor; governor: --deadline-ms overrides");
             println!("          the derived half-runtime deadline)");

@@ -35,13 +35,10 @@
 //! experiment gates on exactly that.
 
 use crate::executor::{JoinPredicate, JoinResultSet};
-use crate::parallel::{overlap_fraction, subtree_params};
-use sjcm_core::join::unit_cost_na;
-use sjcm_core::TreeParams;
+use crate::parallel::Pricer;
 use sjcm_geom::Rect;
 use sjcm_rtree::{NodeId, RTree};
 use sjcm_storage::{FaultCounters, FaultInjector, MemoryBudgetExceeded, PageId, StorageError};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why a fallible join could not produce a result at all.
@@ -252,9 +249,9 @@ pub(crate) fn finish_degraded<const N: usize>(
     }
 }
 
-/// Prices every raw skip. Subtree parameters and object statistics are
-/// cached per node id — a lost page typically appears in many skips
-/// (once per partner subtree it would have joined with).
+/// Prices every raw skip with the one [`Pricer`] (a lost page typically
+/// appears in many skips — once per partner subtree it would have
+/// joined with — and the pricer caches per node id).
 fn price_skips<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
@@ -268,30 +265,9 @@ fn price_skips<const N: usize>(
         JoinPredicate::Overlap => 0.0,
         JoinPredicate::WithinDistance(eps) => eps,
     };
-    let mut params1: HashMap<NodeId, TreeParams<N>> = HashMap::new();
-    let mut params2: HashMap<NodeId, TreeParams<N>> = HashMap::new();
-    let mut objs1: HashMap<NodeId, SubtreeObjects<N>> = HashMap::new();
-    let mut objs2: HashMap<NodeId, SubtreeObjects<N>> = HashMap::new();
+    let mut pricer = Pricer::new(r1, r2);
     raw.iter()
         .map(|s| {
-            let p1 = params1
-                .entry(s.n1)
-                .or_insert_with(|| subtree_params(r1, s.n1));
-            let p2 = params2
-                .entry(s.n2)
-                .or_insert_with(|| subtree_params(r2, s.n2));
-            let est_na = unit_cost_na(p1, p2) * overlap_fraction(r1, r2, s.n1, s.n2);
-            let o1 = objs1
-                .entry(s.n1)
-                .or_insert_with(|| subtree_objects(r1, s.n1));
-            let o2 = objs2
-                .entry(s.n2)
-                .or_insert_with(|| subtree_objects(r2, s.n2));
-            // Empty subtrees only arise for an empty tree's root, which
-            // is never probed; the unit square is a harmless default.
-            let mbr1 = r1.node(s.n1).mbr().unwrap_or_else(Rect::unit);
-            let mbr2 = r2.node(s.n2).mbr().unwrap_or_else(Rect::unit);
-            let est_pairs = localized_pairs(o1, &mbr1, o2, &mbr2, slack);
             let (page, partner, level) = if s.tree == 1 {
                 (PageId(s.n1.0), PageId(s.n2.0), r1.node(s.n1).level)
             } else {
@@ -302,10 +278,13 @@ fn price_skips<const N: usize>(
                 page,
                 partner,
                 level,
-                mbr1,
-                mbr2,
-                est_na,
-                est_pairs,
+                // Empty subtrees only arise for an empty tree's root,
+                // which is never probed; the unit square is a harmless
+                // default.
+                mbr1: r1.node(s.n1).mbr().unwrap_or_else(Rect::unit),
+                mbr2: r2.node(s.n2).mbr().unwrap_or_else(Rect::unit),
+                est_na: pricer.na(s.n1, s.n2),
+                est_pairs: pricer.pairs(s.n1, s.n2, slack),
             }
         })
         .collect()

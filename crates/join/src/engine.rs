@@ -1,19 +1,31 @@
-//! The one synchronized-traversal engine behind every tree-join
-//! scheduler.
+//! The one synchronized traversal behind every tree-join executor.
 //!
-//! Historically the sequential executor (`executor.rs`) and the
-//! parallel coordinator/workers (`parallel.rs`) each carried a private
-//! near-identical copy of this recursion. The copies have been unified
-//! here: one [`Engine`], constructed from the session's
-//! [`crate::session::ExecContext`], owns the per-executor state (buffers,
-//! access tallies, recorder lanes, match scratch, fault containment,
-//! progress feed) and implements the SJ descent of \[BKS93\] Figure 2.
-//! Entry matching goes through [`matched_entries`], so the match order —
-//! and therefore the access order the buffers see — is identical for
-//! every scheduler that instantiates an engine.
+//! One [`Engine`] per buffer-residency domain (the sequential join, the
+//! cost-guided coordinator and each of its workers, each dealt shard),
+//! constructed from the session's [`crate::session::ExecContext`], owns
+//! the per-executor state — buffers, access tallies, recorder lanes,
+//! match scratch, fault containment, progress feed — and the two things
+//! every descent of \[BKS93\] Figure 2 is made of:
+//!
+//! * **which child pairs a node pair has** —
+//!   [`child_pairs`](crate::executor::child_pairs), the only place that
+//!   looks at the leaf-ness of a pair, so the match order (and therefore
+//!   the access order the buffers see) is the same wherever it is used;
+//! * **what reading a child pair costs** — [`Engine::charge`]: the
+//!   fault probe, then one access per tree through buffer, tallies,
+//!   recorder and progress feed. A pinned node is charged at every step
+//!   (Eq 11), whether or not it is a root.
+//!
+//! The three ways to walk the tree are short consumers of those two:
+//! [`Engine::visit`] recurses depth-first (the sequential join, and
+//! every work unit from its entry pair down),
+//! [`Engine::collect_frontier`] expands breadth-first until it holds
+//! enough charged pairs to schedule, and the dealt executor
+//! (`parallel::dealt_join`) takes the root pair's child pairs as its
+//! units and charges each at its gate.
 
 use crate::degraded::RawSkip;
-use crate::executor::{matched_entries, pinned_children, JoinConfig, JoinResultSet, MatchScratch};
+use crate::executor::{child_pairs, JoinConfig, JoinResultSet, MatchScratch};
 use crate::session::{CorrDomain, ExecContext};
 use sjcm_obs::progress::ProgressSink;
 use sjcm_rtree::{Child, NodeId, ObjectId, RTree};
@@ -160,13 +172,35 @@ impl<'a, const N: usize> Engine<'a, N> {
         }
     }
 
-    fn matched(&mut self, n1_id: NodeId, n2_id: NodeId) -> Vec<(Child, Child)> {
-        matched_entries(
-            self.r1.node(n1_id),
-            self.r2.node(n2_id),
-            &self.config,
-            &mut self.scratch,
-        )
+    /// The pair's matched child pairs — see [`child_pairs`].
+    fn child_pairs(&mut self, n1: NodeId, n2: NodeId) -> Vec<(Child, Child)> {
+        child_pairs(self.r1, self.r2, (n1, n2), &self.config, &mut self.scratch)
+    }
+
+    /// Charges the read of node pair `(n1, n2)`: the fault probe first,
+    /// then one access per tree. Returns `false` — the pair forfeited,
+    /// nothing charged — when the probe loses either page. There is no
+    /// root exemption here: a root only ever appears in a child pair as
+    /// the pinned side of a height mismatch, and Eq 11 counts a pinned
+    /// node's re-access at every step, root or not. (The root pair
+    /// itself is never charged because nothing ever passes it here —
+    /// §3.1 — and [`Engine::probe`] keeps its own rule that the
+    /// memory-resident roots cannot fault.)
+    pub(crate) fn charge(&mut self, n1: NodeId, n2: NodeId) -> bool {
+        if self.faults.is_enabled() && !self.probe(n1, n2) {
+            return false;
+        }
+        self.access1(n1);
+        self.access2(n2);
+        true
+    }
+
+    /// Outputs one qualifying object pair.
+    pub(crate) fn emit(&mut self, o1: ObjectId, o2: ObjectId) {
+        self.pair_count += 1;
+        if self.config.collect_pairs {
+            self.pairs.push((o1, o2));
+        }
     }
 
     /// Expands the synchronized traversal breadth-first, one level per
@@ -213,65 +247,15 @@ impl<'a, const N: usize> Engine<'a, N> {
             let mut next = Vec::new();
             let mut expanded = false;
             for &(a, b) in &frontier {
-                let leaf1 = self.r1.node(a).is_leaf();
-                let leaf2 = self.r2.node(b).is_leaf();
-                match (leaf1, leaf2) {
-                    (true, true) => next.push((a, b)),
-                    (false, false) => {
-                        expanded = true;
-                        for (c1, c2) in self.matched(a, b) {
-                            let (c1, c2) = (c1.node(), c2.node());
-                            if self.faults.is_enabled() && !self.probe(c1, c2) {
-                                continue;
-                            }
-                            self.access1(c1);
-                            self.access2(c2);
-                            next.push((c1, c2));
-                        }
-                    }
-                    (false, true) => {
-                        expanded = true;
-                        let m2 = match self.r2.node(b).mbr() {
-                            Some(m) => m,
-                            None => continue,
-                        };
-                        let children = pinned_children(
-                            &self.r1.node(a).entries,
-                            &m2,
-                            self.config.predicate,
-                            self.config.kernel,
-                            &mut self.scratch,
-                        );
-                        for c1 in children {
-                            if self.faults.is_enabled() && !self.probe(c1, b) {
-                                continue;
-                            }
-                            self.access1(c1);
-                            self.access2(b);
-                            next.push((c1, b));
-                        }
-                    }
-                    (true, false) => {
-                        expanded = true;
-                        let m1 = match self.r1.node(a).mbr() {
-                            Some(m) => m,
-                            None => continue,
-                        };
-                        let children = pinned_children(
-                            &self.r2.node(b).entries,
-                            &m1,
-                            self.config.predicate,
-                            self.config.kernel,
-                            &mut self.scratch,
-                        );
-                        for c2 in children {
-                            if self.faults.is_enabled() && !self.probe(a, c2) {
-                                continue;
-                            }
-                            self.access1(a);
-                            self.access2(c2);
-                            next.push((a, c2));
-                        }
+                if self.r1.node(a).is_leaf() && self.r2.node(b).is_leaf() {
+                    next.push((a, b));
+                    continue;
+                }
+                expanded = true;
+                for (c1, c2) in self.child_pairs(a, b) {
+                    let (c1, c2) = (c1.node(), c2.node());
+                    if self.charge(c1, c2) {
+                        next.push((c1, c2));
                     }
                 }
             }
@@ -282,75 +266,21 @@ impl<'a, const N: usize> Engine<'a, N> {
         }
     }
 
-    /// The SJ recursion of \[BKS93\] Figure 2: four arms over the
-    /// leaf-ness of the node pair. Trees of different heights pin the
-    /// leaf side and keep descending the other tree, re-accessing the
-    /// pinned node each step — what Eq 11 counts (and Eq 12 exploits
-    /// under a path buffer).
-    pub(crate) fn visit(&mut self, n1_id: NodeId, n2_id: NodeId) {
-        let leaf1 = self.r1.node(n1_id).is_leaf();
-        let leaf2 = self.r2.node(n2_id).is_leaf();
-        let pred = self.config.predicate;
-        match (leaf1, leaf2) {
-            (true, true) => {
-                for (c1, c2) in self.matched(n1_id, n2_id) {
-                    self.pair_count += 1;
-                    if self.config.collect_pairs {
-                        self.pairs.push((c1.object(), c2.object()));
-                    }
-                }
-            }
-            (false, false) => {
-                for (c1, c2) in self.matched(n1_id, n2_id) {
+    /// The SJ recursion of \[BKS93\] Figure 2 from node pair
+    /// `(n1, n2)` down: object pairs are output, node pairs are read
+    /// and descended into. Trees of different heights pin the leaf side
+    /// and keep descending the other tree, re-accessing the pinned node
+    /// each step — what Eq 11 counts (and Eq 12 exploits under a path
+    /// buffer).
+    pub(crate) fn visit(&mut self, n1: NodeId, n2: NodeId) {
+        for pair in self.child_pairs(n1, n2) {
+            match pair {
+                (Child::Object(o1), Child::Object(o2)) => self.emit(o1, o2),
+                (c1, c2) => {
                     let (c1, c2) = (c1.node(), c2.node());
-                    if self.faults.is_enabled() && !self.probe(c1, c2) {
-                        continue;
+                    if self.charge(c1, c2) {
+                        self.visit(c1, c2);
                     }
-                    self.access1(c1);
-                    self.access2(c2);
-                    self.visit(c1, c2);
-                }
-            }
-            (false, true) => {
-                let m2 = match self.r2.node(n2_id).mbr() {
-                    Some(m) => m,
-                    None => return,
-                };
-                let children = pinned_children(
-                    &self.r1.node(n1_id).entries,
-                    &m2,
-                    pred,
-                    self.config.kernel,
-                    &mut self.scratch,
-                );
-                for c1 in children {
-                    if self.faults.is_enabled() && !self.probe(c1, n2_id) {
-                        continue;
-                    }
-                    self.access1(c1);
-                    self.access2(n2_id);
-                    self.visit(c1, n2_id);
-                }
-            }
-            (true, false) => {
-                let m1 = match self.r1.node(n1_id).mbr() {
-                    Some(m) => m,
-                    None => return,
-                };
-                let children = pinned_children(
-                    &self.r2.node(n2_id).entries,
-                    &m1,
-                    pred,
-                    self.config.kernel,
-                    &mut self.scratch,
-                );
-                for c2 in children {
-                    if self.faults.is_enabled() && !self.probe(n1_id, c2) {
-                        continue;
-                    }
-                    self.access1(n1_id);
-                    self.access2(c2);
-                    self.visit(n1_id, c2);
                 }
             }
         }

@@ -1,12 +1,13 @@
 //! The SJ join's configuration ([`JoinConfig`] and its enums), result
-//! types ([`JoinResultSet`] and the per-worker tallies) and entry
-//! matching ([`matched_entries`]). The traversal itself lives in the
-//! shared `engine` module; [`crate::session::JoinSession`] is the way in.
+//! types ([`JoinResultSet`] and the per-worker tallies), entry matching
+//! ([`matched_entries`]) and the descent step built on it
+//! (`child_pairs`). The traversal itself lives in the shared `engine`
+//! module; [`crate::session::JoinSession`] is the way in.
 
 use crate::degraded::RawSkip;
 use crate::session::{CorrDomain, ExecContext};
 use sjcm_geom::{OverlapMask, Rect, RectBatch};
-use sjcm_rtree::{Child, Entry, Node, NodeId, ObjectId, RTree};
+use sjcm_rtree::{Child, Node, NodeId, ObjectId, RTree};
 use sjcm_storage::recorder::RecordedPolicy;
 use sjcm_storage::{AccessStats, BufferCounters, BufferManager, LruBuffer, NoBuffer, PathBuffer};
 
@@ -272,9 +273,10 @@ impl JoinResultSet {
     }
 }
 
-/// The sequential traversal shared by the session's `Sequential`
-/// scheduler and the parallel `threads = 1` fallback. Returns the
-/// result set plus the raw (unpriced) skip records.
+/// Figure 2 from the root pair, verbatim: the session's `Sequential`
+/// scheduler and the parallel `threads = 1` fallback when no governor
+/// gates the run, and the reference every other executor is tested
+/// against. Returns the result set plus the raw (unpriced) skip records.
 pub(crate) fn run_sequential<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
@@ -288,35 +290,65 @@ pub(crate) fn run_sequential<const N: usize>(
     exec.into_parts()
 }
 
-/// Children of `entries` whose rectangles satisfy `predicate` against a
-/// single pinned rectangle (the height-mismatch arms of the traversal),
-/// in entry order. The batched kernel and the scalar filter agree
-/// exactly — both predicates are symmetric, so one-vs-many masking is
-/// just the scalar loop with the comparisons vectorized.
-pub(crate) fn pinned_children<const N: usize>(
-    entries: &[Entry<N>],
-    mbr: &Rect<N>,
-    predicate: JoinPredicate,
-    kernel: MatchKernel,
+/// The one descent step of SJ (\[BKS93\] Figure 2): the matched child
+/// pairs of node pair `(n1, n2)`, in match order, for all four arms
+/// over the pair's leaf-ness. Two leaves yield object pairs, two
+/// internal nodes yield node pairs; when only one side is a leaf it is
+/// pinned — paired, as a node, with every child of the other side that
+/// meets its MBR — so the taller tree keeps descending against it. What
+/// is done with each pair (emit, charge and recurse, queue as a work
+/// unit) is the caller's business; which pairs there are is decided
+/// here and nowhere else.
+pub(crate) fn child_pairs<const N: usize>(
+    r1: &RTree<N>,
+    r2: &RTree<N>,
+    (n1_id, n2_id): (NodeId, NodeId),
+    config: &JoinConfig,
     scratch: &mut MatchScratch<N>,
-) -> Vec<NodeId> {
-    match kernel {
+) -> Vec<(Child, Child)> {
+    let (n1, n2) = (r1.node(n1_id), r2.node(n2_id));
+    let (pin1, pin2) = (Child::Node(n1_id), Child::Node(n2_id));
+    match (n1.is_leaf(), n2.is_leaf()) {
+        (true, true) | (false, false) => matched_entries(n1, n2, config, scratch),
+        (false, true) => pinned_children(n1, n2, config, scratch, |c1| (c1, pin2)),
+        (true, false) => pinned_children(n2, n1, config, scratch, |c2| (pin1, c2)),
+    }
+}
+
+/// The height-mismatch arms of [`child_pairs`]: `pair(child)` for every
+/// child of `node` whose rectangle satisfies the predicate against the
+/// MBR of the single `pinned` leaf, in entry order. The batched kernel
+/// and the scalar filter agree exactly — both predicates are symmetric,
+/// so one-vs-many masking is just the scalar loop with the comparisons
+/// vectorized.
+fn pinned_children<const N: usize>(
+    node: &Node<N>,
+    pinned: &Node<N>,
+    config: &JoinConfig,
+    scratch: &mut MatchScratch<N>,
+    pair: impl Fn(Child) -> (Child, Child),
+) -> Vec<(Child, Child)> {
+    let Some(mbr) = pinned.mbr() else {
+        return Vec::new();
+    };
+    let (entries, predicate) = (&node.entries, config.predicate);
+    match config.kernel {
         MatchKernel::Scalar => entries
             .iter()
-            .filter(|e| predicate.holds(&e.rect, mbr))
-            .map(|e| e.child.node())
+            .filter(|e| predicate.holds(&e.rect, &mbr))
+            .map(|e| pair(e.child))
             .collect(),
         MatchKernel::Batched => {
             let MatchScratch { batch1, mask, .. } = scratch;
             batch1.clear();
             batch1.extend(entries.iter().map(|e| e.rect));
             match predicate {
-                JoinPredicate::Overlap => batch1.overlap_mask(mbr, 0, batch1.len(), mask),
+                JoinPredicate::Overlap => batch1.overlap_mask(&mbr, 0, batch1.len(), mask),
                 JoinPredicate::WithinDistance(eps) => {
-                    batch1.within_mask(mbr, eps, 0, batch1.len(), mask)
+                    batch1.within_mask(&mbr, eps, 0, batch1.len(), mask)
                 }
             }
-            mask.iter_set().map(|i| entries[i].child.node()).collect()
+            mask.iter_set().map(|i| pair(entries[i].child)).collect()
         }
     }
 }

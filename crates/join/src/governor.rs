@@ -13,12 +13,11 @@
 //!    ([`AdmissionPolicy`]).
 //! 2. **Cooperative cancellation** — a deadline (or an explicit
 //!    cancel-after-`k`-units point, the deterministic test hook) is
-//!    checked at every work-unit boundary. Governed runs route *all*
-//!    schedulers through the same ordinal-tagged root work units, so on
-//!    expiry every unvisited subtree is forfeited through the same
-//!    pricing as fault containment ([`crate::DegradedJoinResult`]) and
-//!    the forfeited-subtree inventory is identical across schedulers
-//!    and thread counts for a fixed cancellation point.
+//!    checked at every work-unit boundary. A refused unit is forfeited
+//!    through the same pricing as fault containment
+//!    ([`crate::DegradedJoinResult`]), and because units are gated by
+//!    ordinal the forfeited-subtree inventory is identical across
+//!    schedulers and thread counts for a fixed cancellation point.
 //! 3. **Predictive load shedding** — the governor keeps its own Eq-6
 //!    work ledger (the same windowed work-rate ETA the progress engine
 //!    runs on its unit ledger) and, when the projected finish time
@@ -38,23 +37,27 @@
 //! expiry, memory denials, completion) so `experiments` can stream
 //! `governor_events.jsonl` and `validate-obs` can check it.
 //!
+//! The governor decides and keeps the ledger; it executes nothing. A
+//! tree join whose governor [gates units](Governor::is_unit_gated) runs
+//! on the dealt executor of [`crate::parallel`] — the same deal the
+//! round-robin scheduler uses, with this governor's
+//! [`admit_unit`](Governor::admit_unit) live at every unit boundary —
+//! and every admitted unit comes back through exactly one of
+//! [`note_unit_done`](Governor::note_unit_done) /
+//! [`note_forfeit`](Governor::note_forfeit).
+//!
 //! [`Governor::unlimited`] follows the [`sjcm_storage::FaultInjector`]
 //! pattern: a disabled governor is one `Option` discriminant check per
 //! call site, and the ungoverned executor paths are taken unchanged —
 //! results are byte-identical, with the bench guard holding the
 //! overhead under 2%.
 
-use crate::degraded::{subtree_objects, DegradedJoinResult, JoinError, RawSkip, SubtreeObjects};
-use crate::executor::{JoinConfig, JoinResultSet, StealTally, WorkerTally};
-use crate::parallel::{overlap_fraction, root_work_units, run_shard, subtree_params, WorkUnit};
-use crate::session::{CorrDomain, ExecContext, Scheduler};
-use sjcm_core::join::{join_cost_na, unit_cost_na};
-use sjcm_core::TreeParams;
-use sjcm_geom::Rect;
+use crate::degraded::{DegradedJoinResult, JoinError};
+use crate::parallel::subtree_params;
+use sjcm_core::join::join_cost_na;
 use sjcm_obs::governor::GovernorLog;
-use sjcm_rtree::{NodeId, RTree};
+use sjcm_rtree::RTree;
 use sjcm_storage::MemoryMeter;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -205,6 +208,18 @@ struct GovState {
     executed: u64,
     forfeited: u64,
     shed_count: u64,
+}
+
+impl GovState {
+    /// Takes an admitted unit out of flight — it completed, or was lost
+    /// to a fault before running. No-op for a unit never admitted.
+    fn land(&mut self, ordinal: usize, price: u64) {
+        if let Some(f) = self.in_flight.get_mut(ordinal) {
+            if std::mem::take(f) {
+                self.in_flight_price = self.in_flight_price.saturating_sub(price);
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -418,25 +433,12 @@ impl Governor {
         }
     }
 
-    /// Arms the per-unit ledger for a governed tree join: prices every
-    /// root unit with the same Eq-6 × overlap-fraction formula the
-    /// cost-guided scheduler uses, estimates each unit's value (pairs
-    /// per NA, the shed ranking), and freezes the cancellation prefix.
-    /// Returns the prices (the LPT deal key). Idempotent per governor.
-    pub(crate) fn arm<const N: usize>(
-        &self,
-        r1: &RTree<N>,
-        r2: &RTree<N>,
-        units: &[(usize, WorkUnit)],
-    ) -> Vec<u64> {
-        let (prices, values) = unit_prices(r1, r2, units);
-        self.arm_units(prices.clone(), values);
-        prices
-    }
-
-    /// Arms the per-unit ledger directly from prices and values (the
-    /// PBSM path, which has no R-tree priors, prices cells by entry
-    /// count and gives them uniform value).
+    /// Arms the per-unit ledger with every unit's price and value (the
+    /// shed ranking) and freezes the cancellation prefix. The dealt
+    /// tree-join executor prices its root units with the same Eq-6 ×
+    /// overlap-fraction formula the cost-guided scheduler uses and
+    /// values them in pairs per price; PBSM, which has no R-tree priors,
+    /// prices cells by entry count and gives them uniform value.
     pub(crate) fn arm_units(&self, prices: Vec<u64>, values: Vec<f64>) {
         let Some(inner) = &self.inner else {
             return;
@@ -551,12 +553,7 @@ impl Governor {
         let price = st.prices.get(ordinal).copied().unwrap_or(1);
         st.executed += 1;
         st.done_price += price;
-        if let Some(f) = st.in_flight.get_mut(ordinal) {
-            if *f {
-                *f = false;
-                st.in_flight_price = st.in_flight_price.saturating_sub(price);
-            }
-        }
+        st.land(ordinal, price);
         if st.retired.get(ordinal).copied().unwrap_or(true) {
             // The unit was marked shed while already in flight and
             // completed anyway: undo the waiver so the ledger balances.
@@ -639,8 +636,9 @@ impl Governor {
         );
     }
 
-    /// Records a unit the executor forfeited after [`Self::admit_unit`]
-    /// refused it.
+    /// Records a unit the executor forfeited: one [`Self::admit_unit`]
+    /// refused, or one it admitted that was then lost to a fault before
+    /// running (so its in-flight price is released here too).
     pub fn note_forfeit(&self, ordinal: usize) {
         let Some(inner) = &self.inner else {
             return;
@@ -648,6 +646,7 @@ impl Governor {
         let mut st = inner.state();
         st.forfeited += 1;
         let price = st.prices.get(ordinal).copied().unwrap_or(1);
+        st.land(ordinal, price);
         if let Some(r) = st.retired.get_mut(ordinal) {
             if !*r {
                 *r = true;
@@ -705,210 +704,6 @@ fn shed_candidates(
     shed
 }
 
-/// Eq-6 × overlap-fraction price and pairs-per-price value of every
-/// root unit, with per-node caches (each subtree appears in many
-/// units). Prices use the same ×16 integer scaling as the cost-guided
-/// scheduler; values localize Eq 3 over the subtree MBRs, exactly the
-/// estimate the degraded-result pricing uses for *forfeited* work.
-fn unit_prices<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    units: &[(usize, WorkUnit)],
-) -> (Vec<u64>, Vec<f64>) {
-    struct Side<const N: usize> {
-        params: TreeParams<N>,
-        objects: SubtreeObjects<N>,
-        mbr: Rect<N>,
-    }
-    fn side<const N: usize>(tree: &RTree<N>, id: NodeId) -> Side<N> {
-        Side {
-            params: subtree_params(tree, id),
-            objects: subtree_objects(tree, id),
-            mbr: tree.node(id).mbr().unwrap_or_else(Rect::unit),
-        }
-    }
-    let mut cache1: HashMap<NodeId, Side<N>> = HashMap::new();
-    let mut cache2: HashMap<NodeId, Side<N>> = HashMap::new();
-    let mut prices = Vec::with_capacity(units.len());
-    let mut values = Vec::with_capacity(units.len());
-    for &(_, unit) in units {
-        match unit {
-            WorkUnit::Emit(..) => {
-                // Leaf-root emissions carry no I/O: minimal price, and
-                // one pair of value (they always execute anyway).
-                prices.push(1);
-                values.push(1.0);
-            }
-            WorkUnit::Pair(c1, c2) => {
-                let (a, b) = (c1.node(), c2.node());
-                let s1 = cache1.entry(a).or_insert_with(|| side(r1, a));
-                let s2 = cache2.entry(b).or_insert_with(|| side(r2, b));
-                let cost = unit_cost_na(&s1.params, &s2.params) * overlap_fraction(r1, r2, a, b);
-                let price = ((cost * 16.0).round() as u64).max(1);
-                let est_pairs = crate::degraded::localized_pairs(
-                    &s1.objects,
-                    &s1.mbr,
-                    &s2.objects,
-                    &s2.mbr,
-                    0.0,
-                );
-                prices.push(price);
-                values.push(est_pairs / price as f64);
-            }
-        }
-    }
-    (prices, values)
-}
-
-/// Governed sequential execution: the root units in natural (ordinal)
-/// order through one shard executor (correlation domain 1), each gated
-/// by the governor. NA-equivalent to the plain sequential descent — the
-/// round-robin scheduler's tests pin that equivalence — while giving
-/// the sequential path the same work-unit boundaries as the parallel
-/// schedulers, so a fixed cancellation point forfeits the same
-/// inventory everywhere.
-pub(crate) fn run_governed_sequential<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    config: JoinConfig,
-    ctx: &ExecContext<'_>,
-) -> (JoinResultSet, Vec<RawSkip>) {
-    let units: Vec<(usize, WorkUnit)> = root_work_units(r1, r2, &config)
-        .into_iter()
-        .enumerate()
-        .collect();
-    ctx.gov.arm(r1, r2, &units);
-    if ctx.progress.is_enabled() {
-        let n = units.len() as u64;
-        ctx.progress.set_schedule(&[(n, n)]);
-    }
-    run_shard(r1, r2, config, &units, ctx, CorrDomain::Shard(0))
-}
-
-/// Governed parallel execution: the ordinal-tagged root units dealt to
-/// the scheduler's `threads` static shards (round-robin deal or LPT by
-/// Eq-6 price, matching the requested [`Scheduler`]), every unit gated
-/// by the governor at its boundary. No stealing: gating is by global
-/// ordinal, so the forfeited inventory for a fixed cancellation point
-/// is identical to the sequential governed run and to any thread count.
-pub(crate) fn governed_parallel_join<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    config: JoinConfig,
-    scheduler: Scheduler,
-    ctx: &ExecContext<'_>,
-) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
-    let gov = ctx.gov;
-    let threads = scheduler.threads();
-    let mut join_span = ctx.tracer.span("governed-join");
-    join_span.set("threads", threads);
-    let units: Vec<(usize, WorkUnit)> = root_work_units(r1, r2, &config)
-        .into_iter()
-        .enumerate()
-        .collect();
-    // The shard arenas replicate the unit list: charge them against the
-    // memory budget before dealing.
-    let arena_bytes = (units.len() * std::mem::size_of::<(usize, WorkUnit)>()) as u64;
-    gov.reserve(arena_bytes)?;
-    let prices = gov.arm(r1, r2, &units);
-    let mut shards: Vec<Vec<(usize, WorkUnit)>> = vec![Vec::new(); threads];
-    match scheduler {
-        Scheduler::RoundRobin { .. } => {
-            for &(i, u) in &units {
-                shards[i % threads].push((i, u));
-            }
-        }
-        // (`Sequential` has one thread and never gets here.)
-        Scheduler::Sequential | Scheduler::CostGuided { .. } => {
-            // LPT by Eq-6 price, ties by ordinal — the cost-guided
-            // seeding without the steal layer (gating is by ordinal, so
-            // stealing would only blur the tallies, not the inventory).
-            let mut order: Vec<usize> = (0..units.len()).collect();
-            order.sort_unstable_by(|&a, &b| prices[b].cmp(&prices[a]).then(a.cmp(&b)));
-            let mut loads = vec![0u64; threads];
-            for i in order {
-                let w = (0..threads).min_by_key(|&w| (loads[w], w)).unwrap();
-                shards[w].push(units[i]);
-                loads[w] += prices[i];
-            }
-        }
-    }
-    let planned: Vec<(u64, u64)> = shards
-        .iter()
-        .map(|s| (s.len() as u64, s.len() as u64))
-        .collect();
-    ctx.progress.set_schedule(&planned);
-
-    let join_id = join_span.id();
-    let results: Vec<Result<(JoinResultSet, Vec<RawSkip>), JoinError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .enumerate()
-                .map(|(w, shard)| {
-                    let wctx = ctx.clone();
-                    scope.spawn(move || {
-                        let mut span = wctx.tracer.span_under(join_id, "worker");
-                        span.set("worker", w);
-                        span.set("units", shard.len());
-                        run_shard(r1, r2, config, shard, &wctx, CorrDomain::Shard(w))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(JoinError::from_panic))
-                .collect()
-        });
-
-    let mut pairs = Vec::new();
-    let mut pair_count = 0;
-    let mut stats1 = sjcm_storage::AccessStats::new();
-    let mut stats2 = sjcm_storage::AccessStats::new();
-    let mut workers = Vec::with_capacity(threads);
-    let mut steals = Vec::with_capacity(threads);
-    let mut buffers1 = sjcm_storage::BufferCounters::default();
-    let mut buffers2 = sjcm_storage::BufferCounters::default();
-    let mut raw = Vec::new();
-    for (shard, result) in shards.iter().zip(results) {
-        let (r, skips) = result?;
-        workers.push(WorkerTally {
-            units: shard.len() as u64,
-            na: r.na_total(),
-            da: r.da_total(),
-            pair_count: r.pair_count,
-        });
-        steals.push(StealTally {
-            units_executed: shard.len() as u64,
-            ..StealTally::default()
-        });
-        buffers1.merge(&r.buffers1);
-        buffers2.merge(&r.buffers2);
-        pairs.extend(r.pairs);
-        pair_count += r.pair_count;
-        stats1.merge(&r.stats1);
-        stats2.merge(&r.stats2);
-        raw.extend(skips);
-    }
-    gov.release(arena_bytes);
-    join_span.set("na", stats1.na_total() + stats2.na_total());
-    join_span.set("da", stats1.da_total() + stats2.da_total());
-    join_span.set("pairs", pair_count);
-    Ok((
-        JoinResultSet {
-            pairs,
-            pair_count,
-            stats1,
-            stats2,
-            workers,
-            buffers1,
-            buffers2,
-            steals,
-        },
-        raw,
-    ))
-}
-
 /// Convenience: asserts a degraded governed result is *well-formed* —
 /// every forfeited unit is priced and the estimated forfeited fraction
 /// is a finite probability-like number. Used by tests and experiments.
@@ -927,9 +722,10 @@ pub fn assert_well_formed<const N: usize>(d: &DegradedJoinResult<N>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::JoinSession;
+    use crate::session::{JoinSession, Scheduler};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use sjcm_geom::Rect;
     use sjcm_rtree::{ObjectId, RTreeConfig};
 
     fn build(n: usize, side: f64, seed: u64) -> RTree<2> {
@@ -1135,26 +931,5 @@ mod tests {
         );
         // Ample budget: shed nothing.
         assert!(shed_candidates(&prices, &values, &[false; 4], 100).is_empty());
-    }
-
-    #[test]
-    fn unlimited_twin_is_byte_identical_to_the_plain_executors() {
-        let a = build(1_500, 0.012, 13);
-        let b = build(1_500, 0.012, 14);
-        for threads in [1usize, 4] {
-            for sched in parallel(threads) {
-                let plain = JoinSession::new(&a, &b)
-                    .scheduler(sched)
-                    .run()
-                    .unwrap()
-                    .result;
-                let d = governed(&a, &b, sched, &Governor::unlimited()).unwrap();
-                assert!(d.is_exact());
-                assert_eq!(d.result.pairs, plain.pairs, "{sched:?}");
-                assert_eq!(d.result.na_total(), plain.na_total(), "{sched:?}");
-                assert_eq!(d.result.da_total(), plain.da_total(), "{sched:?}");
-                assert_eq!(d.result.workers, plain.workers, "{sched:?}");
-            }
-        }
     }
 }

@@ -2,34 +2,57 @@
 //! al., *Parallel Processing of Spatial Joins Using R-trees* (ICDE 1996)
 //! — scheduled by the paper's **own cost model**.
 //!
-//! # Scheduling
+//! # Two executors
 //!
-//! Two parallel schedulers are provided (see
-//! [`Scheduler`](crate::session::Scheduler)):
+//! Two parallel schedulers are provided (see [`Scheduler`]), each with
+//! an executor of its own;
+//! [`JoinSession::run`](crate::session::JoinSession::run) chooses
+//! between them and the sequential traversal.
 //!
-//! * `Scheduler::RoundRobin` — the static scheme: the root-level
-//!   overlapping entry pairs are dealt round-robin over the workers, no
-//!   redistribution. Kept as the baseline the cost-guided scheduler is
-//!   measured against.
-//! * `Scheduler::CostGuided` — a coordinator descends the
-//!   synchronized traversal level by level until it holds at least
-//!   `threads × 4` overlapping node pairs (*work units*), prices each
-//!   unit with the Eq-6 `NA` formula on the unit's **measured** subtree
-//!   parameters ([`sjcm_core::join::unit_cost_na`] over
+//! * **Dealt** (`dealt_join`) — the static scheme. The work units are
+//!   the root pair's matched child pairs, numbered in match order and
+//!   dealt once to `threads` shards; a shard runs its units in the
+//!   order dealt through one engine whose buffers persist, and nothing
+//!   is redistributed. *Ungated* this is `Scheduler::RoundRobin`: unit
+//!   `i` goes to shard `i mod threads`, nothing is priced. Kept as the
+//!   baseline the cost-guided scheduler is measured against. *Gated* —
+//!   the run's [`Governor`] has a deadline,
+//!   a cancellation point or a degraded admission — every scheduler
+//!   runs here, because root units are the boundaries the governor
+//!   gates: the units are priced (Eq 6 × overlap, plus the expected
+//!   pairs per price the shed predictor ranks by), the governor's
+//!   ledger is armed with them, `RoundRobin` keeps its deal and the
+//!   other two schedulers deal LPT by price, and each unit passes the
+//!   governor's checkpoint before it is charged. Gating is by the
+//!   unit's ordinal, so a fixed cancellation point forfeits the same
+//!   inventory under any deal and any thread count. One thread runs
+//!   its single shard inline, in ordinal order.
+//! * **Stealing** (`cost_guided_join`) — `Scheduler::CostGuided` with
+//!   no gate. A coordinator descends the synchronized traversal level
+//!   by level until it holds at least `threads × 4` overlapping node
+//!   pairs (*work units*), prices each unit with the Eq-6 `NA` formula
+//!   on the unit's **measured** subtree parameters
+//!   ([`sjcm_core::join::unit_cost_na`] over
 //!   [`sjcm_rtree::RTree::subtree_stats`]) scaled by the subtree MBRs'
-//!   overlap fraction (see `unit_costs` below), seeds one deque per
-//!   worker in LPT (longest-processing-time-first) order, and lets idle
+//!   overlap fraction (see `Pricer` below), seeds one deque per worker
+//!   in LPT (longest-processing-time-first) order, and lets idle
 //!   workers steal from the deque with the most estimated work left.
+//!
+//! The two share the descent step and the charge (see the `engine`
+//! module), the pricer, the LPT seeding (`lpt_deal`) and the fold of
+//! per-worker parts into one result (`merge`).
 //!
 //! # Invariants the tests pin down
 //!
-//! For **both** schedulers and any thread count:
+//! For **both** schedulers on any input and any thread count — under
+//! a gate too, as long as it refuses nothing:
 //!
 //! * the result pair multiset is identical to the sequential join (and
 //!   `pairs` is additionally sorted — see below);
 //! * NA is identical (the same node pairs are visited, and each access
-//!   is charged exactly once, by the coordinator above the frontier and
-//!   by exactly one worker below it).
+//!   is charged exactly once: by the coordinator above the frontier and
+//!   by exactly one worker below it, or by the shard that runs the root
+//!   unit).
 //!
 //! For the **cost-guided** scheduler additionally DA ≥ the sequential
 //! DA — splitting the traversal breaks some of the path-buffer
@@ -69,20 +92,21 @@
 //! scheduling — the sequential executor's emission order is a traversal
 //! order no parallel schedule can reproduce cheaply.
 
-use crate::degraded::{JoinError, RawSkip};
+use crate::degraded::{localized_pairs, subtree_objects, JoinError, RawSkip, SubtreeObjects};
 use crate::engine::Engine;
 use crate::executor::{
-    matched_entries, pinned_children, JoinConfig, JoinResultSet, MatchScratch, StealTally,
-    WorkerTally,
+    child_pairs, JoinConfig, JoinResultSet, MatchScratch, StealTally, WorkerTally,
 };
-use crate::session::{CorrDomain, ExecContext};
+use crate::governor::Governor;
+use crate::session::{CorrDomain, ExecContext, Scheduler};
 use sjcm_core::join::unit_cost_na;
 use sjcm_core::{LevelParams, TreeParams};
+use sjcm_geom::Rect;
 use sjcm_obs::perfetto::{DRIFT_BREACH_SPAN as BREACH_SPAN, PROGRESS_SPAN};
 use sjcm_obs::progress::ProgressTracker;
 use sjcm_obs::{DriftMonitor, Tracer, DA_TOTAL, NA_TOTAL};
-use sjcm_rtree::{Child, NodeId, ObjectId, RTree};
-use sjcm_storage::{AccessStats, FlightRecorder};
+use sjcm_rtree::{Child, NodeId, RTree};
+use sjcm_storage::FlightRecorder;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -130,7 +154,7 @@ const UNITS_PER_WORKER: usize = 4;
 /// A join's worth of work-unit metadata held per worker arena: the
 /// bytes the parallel schedulers charge against the governor's memory
 /// budget per unit they materialize.
-const UNIT_ARENA_BYTES: usize = std::mem::size_of::<(usize, WorkUnit)>();
+const UNIT_ARENA_BYTES: usize = std::mem::size_of::<(usize, RootUnit)>();
 
 // ---------------------------------------------------------------------
 // Cost-guided scheduler.
@@ -159,8 +183,8 @@ pub(crate) fn cost_guided_join<const N: usize>(
         units
     };
     // The coordinator charges nothing below the frontier; publish its
-    // tallies now so they cannot be double-counted when worker stats
-    // are merged back into `coord` after the scope.
+    // tallies now so they cannot be double-counted when the workers'
+    // parts are merged with its own after the scope.
     coord.flush_progress();
 
     // The frontier units and the per-worker deques are the scheduler's
@@ -170,23 +194,23 @@ pub(crate) fn cost_guided_join<const N: usize>(
     gov.reserve(arena_bytes)?;
 
     // 2. Price each unit with Eq 6 on its measured subtree parameters,
-    //    then LPT-seed: hand units out in descending cost order, each to
-    //    the currently least-loaded deque. Ties broken by unit index so
-    //    the seeding is deterministic. `plan[i]` remembers the worker
-    //    unit `i` was seeded to — per-worker tallies are attributed by
-    //    this plan (see the module docs).
+    //    then LPT-seed one deque per worker. `plan[i]` remembers the
+    //    worker unit `i` was seeded to — per-worker tallies are
+    //    attributed by this plan (see the module docs).
     let mut schedule_span = join_span.child("schedule");
-    let costs = unit_costs(r1, r2, &units);
-    let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_unstable_by(|&i, &j| costs[j].cmp(&costs[i]).then(i.cmp(&j)));
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); threads];
-    let mut loads = vec![0u64; threads];
+    let mut pricer = Pricer::new(r1, r2);
+    let costs: Vec<u64> = units
+        .iter()
+        .map(|&(a, b)| pricer.unit_price(a, b))
+        .collect();
+    let queues = lpt_deal(&costs, threads);
     let mut plan = vec![0usize; units.len()];
-    for i in order {
-        let w = (0..threads).min_by_key(|&w| (loads[w], w)).unwrap();
-        plan[i] = w;
-        queues[w].push_back(i);
-        loads[w] += costs[i];
+    let mut loads = vec![0u64; threads];
+    for (w, queue) in queues.iter().enumerate() {
+        for &i in queue {
+            plan[i] = w;
+            loads[w] += costs[i];
+        }
     }
     // Register the planned per-worker ledger with the progress hub:
     // LPT unit counts and Eq-6 cost per deque, before any worker runs.
@@ -200,7 +224,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
         .into_iter()
         .zip(loads)
         .map(|(queue, load)| Deque {
-            queue: Mutex::new(queue),
+            queue: Mutex::new(queue.into()),
             remaining: AtomicU64::new(load),
         })
         .collect();
@@ -223,13 +247,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
     // even begin, serializing the execution.
     let start = Barrier::new(threads);
     let join_id = join_span.id();
-    type WorkerOutput = (
-        Vec<(usize, WorkerTally)>,
-        StealTally,
-        JoinResultSet,
-        Vec<RawSkip>,
-    );
-    let worker_outputs: Vec<Result<WorkerOutput, JoinError>> = std::thread::scope(|scope| {
+    let parts: Vec<Result<WorkerPart, JoinError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 let deques = &deques;
@@ -247,7 +265,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
                     let mut worker_span = wctx.tracer.span_under(join_id, "worker");
                     worker_span.set("worker", w);
                     let mut exec = Engine::new(r1, r2, config, &wctx, CorrDomain::Coordinator);
-                    let mut per_unit: Vec<(usize, WorkerTally)> = Vec::new();
+                    let mut tallies: Vec<(usize, WorkerTally)> = Vec::new();
                     let mut steal = StealTally::default();
                     // First-breach markers, per worker (the monitor's
                     // overrun is sticky, so one marker per lane is the
@@ -273,8 +291,10 @@ pub(crate) fn cost_guided_join<const N: usize>(
                         let na = exec.stats1.na_total() + exec.stats2.na_total() - na0;
                         let da = exec.stats1.da_total() + exec.stats2.da_total() - da0;
                         let pair_count = exec.pair_count - pc0;
-                        per_unit.push((
-                            i,
+                        // Attributed to the *planned* worker — see the
+                        // module docs.
+                        tallies.push((
+                            plan[i],
                             WorkerTally {
                                 units: 1,
                                 na,
@@ -323,20 +343,13 @@ pub(crate) fn cost_guided_join<const N: usize>(
                     }
                     worker_span.set("units", steal.units_executed);
                     worker_span.set("stolen", steal.units_stolen);
-                    (
-                        per_unit,
+                    let (result, skips) = exec.into_parts();
+                    WorkerPart {
+                        tallies,
                         steal,
-                        JoinResultSet {
-                            pairs: exec.pairs,
-                            pair_count: exec.pair_count,
-                            stats1: exec.stats1,
-                            stats2: exec.stats2,
-                            buffers1: exec.buf1.counters(),
-                            buffers2: exec.buf2.counters(),
-                            ..JoinResultSet::default()
-                        },
-                        exec.skips,
-                    )
+                        result,
+                        skips,
+                    }
                 })
             })
             .collect();
@@ -349,46 +362,73 @@ pub(crate) fn cost_guided_join<const N: usize>(
             .collect()
     });
 
-    let mut workers = vec![WorkerTally::default(); threads];
-    let mut steals = Vec::with_capacity(threads);
-    let mut buffers1 = coord.buf1.counters();
-    let mut buffers2 = coord.buf2.counters();
-    let mut raw = std::mem::take(&mut coord.skips);
-    for output in worker_outputs {
-        let (per_unit, steal, r, skips) = output?;
-        for (i, t) in per_unit {
-            let tally = &mut workers[plan[i]];
+    let (result, raw) = merge(coord.into_parts(), parts)?;
+    gov.release(arena_bytes);
+    join_span.set("na", result.na_total());
+    join_span.set("da", result.da_total());
+    join_span.set("pairs", result.pair_count);
+    Ok((result, raw))
+}
+
+/// What one worker thread of either executor hands back: its engine's
+/// result and raw skips, its steal statistics, and the tallies of what
+/// it ran, each tagged with the worker the work was *scheduled on*.
+struct WorkerPart {
+    tallies: Vec<(usize, WorkerTally)>,
+    steal: StealTally,
+    result: JoinResultSet,
+    skips: Vec<RawSkip>,
+}
+
+/// Assembles a multi-worker result: folds the workers' parts, in worker
+/// order, into `base` (the coordinator's own part — empty for the dealt
+/// executor, which charges nothing above its units). The first worker
+/// failure is the join's failure.
+fn merge(
+    base: (JoinResultSet, Vec<RawSkip>),
+    parts: Vec<Result<WorkerPart, JoinError>>,
+) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
+    let (mut out, mut raw) = base;
+    out.workers = vec![WorkerTally::default(); parts.len()];
+    for part in parts {
+        let part = part?;
+        for (w, t) in part.tallies {
+            let tally = &mut out.workers[w];
             tally.units += t.units;
             tally.na += t.na;
             tally.da += t.da;
             tally.pair_count += t.pair_count;
         }
-        steals.push(steal);
-        buffers1.merge(&r.buffers1);
-        buffers2.merge(&r.buffers2);
-        coord.pairs.extend(r.pairs);
-        coord.pair_count += r.pair_count;
-        coord.stats1.merge(&r.stats1);
-        coord.stats2.merge(&r.stats2);
-        raw.extend(skips);
+        out.steals.push(part.steal);
+        out.buffers1.merge(&part.result.buffers1);
+        out.buffers2.merge(&part.result.buffers2);
+        out.pairs.extend(part.result.pairs);
+        out.pair_count += part.result.pair_count;
+        out.stats1.merge(&part.result.stats1);
+        out.stats2.merge(&part.result.stats2);
+        raw.extend(part.skips);
     }
-    gov.release(arena_bytes);
-    join_span.set("na", coord.stats1.na_total() + coord.stats2.na_total());
-    join_span.set("da", coord.stats1.da_total() + coord.stats2.da_total());
-    join_span.set("pairs", coord.pair_count);
-    Ok((
-        JoinResultSet {
-            pairs: coord.pairs,
-            pair_count: coord.pair_count,
-            stats1: coord.stats1,
-            stats2: coord.stats2,
-            workers,
-            buffers1,
-            buffers2,
-            steals,
-        },
-        raw,
-    ))
+    Ok((out, raw))
+}
+
+/// LPT (longest-processing-time-first) seeding: units in descending
+/// cost order, each to the currently least-loaded worker. Ties are
+/// broken by unit index, then worker index, so the deal is
+/// deterministic. Returns every worker's unit indices in the order they
+/// were dealt (largest first).
+fn lpt_deal(costs: &[u64], threads: usize) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_unstable_by(|&i, &j| costs[j].cmp(&costs[i]).then(i.cmp(&j)));
+    let mut queues = vec![Vec::new(); threads];
+    let mut loads = vec![0u64; threads];
+    for i in order {
+        let w = (0..threads)
+            .min_by_key(|&w| (loads[w], w))
+            .expect("a join has at least one worker");
+        queues[w].push(i);
+        loads[w] += costs[i];
+    }
+    queues
 }
 
 /// One worker's deque plus the estimated cost of what is still queued
@@ -446,47 +486,71 @@ fn next_unit(
     }
 }
 
-/// Eq-6 price of every unit, on measured subtree parameters. Subtree
-/// statistics are cached per node id — at a given frontier depth each
-/// subtree appears in many units. Costs are scaled to integers for the
-/// atomic bookkeeping; only relative magnitudes matter.
-///
-/// Eq 6 assumes both node populations spread over the *whole*
-/// workspace, but a unit joins two localized subtrees whose MBRs may
-/// overlap anywhere from a sliver to fully — the dominant factor in the
-/// unit's actual NA. In the spirit of the paper's §4.2 global→local
-/// transformation, the Eq-6 price is therefore scaled per dimension by
-/// the fraction of the smaller subtree's extent that lies in the MBR
-/// intersection.
-fn unit_costs<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    units: &[(NodeId, NodeId)],
-) -> Vec<u64> {
-    let mut cache1: HashMap<NodeId, TreeParams<N>> = HashMap::new();
-    let mut cache2: HashMap<NodeId, TreeParams<N>> = HashMap::new();
-    units
-        .iter()
-        .map(|&(a, b)| {
-            let p1 = cache1.entry(a).or_insert_with(|| subtree_params(r1, a));
-            let p2 = cache2.entry(b).or_insert_with(|| subtree_params(r2, b));
-            let cost = unit_cost_na(p1, p2) * overlap_fraction(r1, r2, a, b);
-            ((cost * 16.0).round() as u64).max(1)
-        })
-        .collect()
+/// The one pricer of `(a, b)` sub-joins — a scheduler's work units, the
+/// governor's unit ledger, a degraded result's forfeited pairs — by the
+/// paper's own formulas on the two subtrees' *measured* statistics.
+/// Statistics are cached per node id (at a given depth each subtree
+/// appears in many sub-joins) and computed on first use, so a caller
+/// that only asks for [`Pricer::unit_price`] never walks a leaf.
+pub(crate) struct Pricer<'a, const N: usize> {
+    trees: [&'a RTree<N>; 2],
+    params: [HashMap<NodeId, TreeParams<N>>; 2],
+    objects: [HashMap<NodeId, SubtreeObjects<N>>; 2],
+}
+
+impl<'a, const N: usize> Pricer<'a, N> {
+    pub(crate) fn new(r1: &'a RTree<N>, r2: &'a RTree<N>) -> Self {
+        Pricer {
+            trees: [r1, r2],
+            params: Default::default(),
+            objects: Default::default(),
+        }
+    }
+
+    /// Node accesses of the sub-join: Eq 6 on the subtrees' measured
+    /// per-level parameters.
+    ///
+    /// Eq 6 assumes both node populations spread over the *whole*
+    /// workspace, but a sub-join pairs two localized subtrees whose
+    /// MBRs may overlap anywhere from a sliver to fully — the dominant
+    /// factor in its actual NA. In the spirit of the paper's §4.2
+    /// global→local transformation, the Eq-6 price is therefore scaled
+    /// by [`overlap_fraction`].
+    pub(crate) fn na(&mut self, a: NodeId, b: NodeId) -> f64 {
+        let [r1, r2] = self.trees;
+        let [params1, params2] = &mut self.params;
+        let p1 = params1.entry(a).or_insert_with(|| subtree_params(r1, a));
+        let p2 = params2.entry(b).or_insert_with(|| subtree_params(r2, b));
+        unit_cost_na(p1, p2) * overlap_fraction(r1, r2, a, b)
+    }
+
+    /// [`Pricer::na`] as a scheduling price: scaled to an integer for
+    /// the atomic bookkeeping (only relative magnitudes matter), never
+    /// zero.
+    pub(crate) fn unit_price(&mut self, a: NodeId, b: NodeId) -> u64 {
+        ((self.na(a, b) * 16.0).round() as u64).max(1)
+    }
+
+    /// Result pairs of the sub-join: Eq 3 localized over the two
+    /// subtree MBRs ([`localized_pairs`]), every per-dimension band
+    /// widened by `slack`.
+    pub(crate) fn pairs(&mut self, a: NodeId, b: NodeId, slack: f64) -> f64 {
+        let [r1, r2] = self.trees;
+        let [objects1, objects2] = &mut self.objects;
+        let o1 = objects1.entry(a).or_insert_with(|| subtree_objects(r1, a));
+        let o2 = objects2.entry(b).or_insert_with(|| subtree_objects(r2, b));
+        // Empty subtrees only arise for an empty tree's root, which is
+        // in no sub-join; the unit square is a harmless default.
+        let m1 = r1.node(a).mbr().unwrap_or_else(Rect::unit);
+        let m2 = r2.node(b).mbr().unwrap_or_else(Rect::unit);
+        localized_pairs(o1, &m1, o2, &m2, slack)
+    }
 }
 
 /// Per-dimension fraction of the smaller of the two subtree MBR extents
 /// covered by their intersection, multiplied over dimensions. 1.0 for
-/// nested/co-located subtrees, → 0 for sliver overlaps. Shared with the
-/// degraded-result pricing, which uses the same factor to price
-/// *forfeited* sub-joins.
-pub(crate) fn overlap_fraction<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    a: NodeId,
-    b: NodeId,
-) -> f64 {
+/// nested/co-located subtrees, → 0 for sliver overlaps.
+fn overlap_fraction<const N: usize>(r1: &RTree<N>, r2: &RTree<N>, a: NodeId, b: NodeId) -> f64 {
     let (m1, m2) = match (r1.node(a).mbr(), r2.node(b).mbr()) {
         (Some(m1), Some(m2)) => (m1, m2),
         _ => return 1.0,
@@ -518,31 +582,69 @@ pub(crate) fn subtree_params<const N: usize>(tree: &RTree<N>, id: NodeId) -> Tre
 }
 
 // ---------------------------------------------------------------------
-// Round-robin scheduler.
+// Dealt executor.
 // ---------------------------------------------------------------------
 
-pub(crate) fn round_robin_join<const N: usize>(
+/// One root-level work unit of the dealt executor: a matched child pair
+/// of the two roots. An object pair (both roots are leaves) is output
+/// as is; a node pair is one gated, charged sub-join.
+type RootUnit = (Child, Child);
+
+/// The dealt executor: the root pair's matched child pairs, numbered in
+/// match order, dealt once to `threads` static shards and run with no
+/// redistribution. `Scheduler::RoundRobin` deals `i mod threads`. Under
+/// a gating governor every scheduler runs here — the units are then
+/// priced, the governor's ledger armed with them, and the other two
+/// schedulers dealt LPT by price — so "governed" is this same deal with
+/// a live gate at every unit boundary, not an executor of its own. One
+/// thread runs its single shard inline.
+pub(crate) fn dealt_join<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     config: JoinConfig,
-    threads: usize,
+    scheduler: Scheduler,
     ctx: &ExecContext<'_>,
 ) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
     let gov = ctx.gov;
-    let mut join_span = ctx.tracer.span("round-robin-join");
+    let threads = scheduler.threads();
+    let roots = (r1.root_id(), r2.root_id());
+    let units: Vec<RootUnit> = child_pairs(r1, r2, roots, &config, &mut MatchScratch::new());
+    if threads == 1 {
+        // One shard, inline: no arena replica to meter, no worker to
+        // spawn, no tallies to merge.
+        arm_ledger(r1, r2, &units, gov);
+        let n = units.len() as u64;
+        ctx.progress.set_schedule(&[(n, n)]);
+        let shard: Vec<(usize, RootUnit)> = units.into_iter().enumerate().collect();
+        return Ok(run_shard(r1, r2, config, &shard, ctx, CorrDomain::Shard(0)));
+    }
+    let mut join_span = ctx.tracer.span(if gov.is_unit_gated() {
+        "governed-join"
+    } else {
+        "round-robin-join"
+    });
     join_span.set("threads", threads);
-    // Root-level work units: overlapping (child1, child2) pairs, or
-    // pinned pairs when heights differ at the root. Units keep their
-    // global ordinal so governed runs can gate them deterministically.
-    let units = root_work_units(r1, r2, &config);
+    // The shard arenas replicate the unit list: charge them against the
+    // memory budget before dealing.
     let arena_bytes = (units.len() * UNIT_ARENA_BYTES) as u64;
     gov.reserve(arena_bytes)?;
-    let mut shards: Vec<Vec<(usize, WorkUnit)>> = vec![Vec::new(); threads];
-    for (i, u) in units.into_iter().enumerate() {
-        shards[i % threads].push((i, u));
-    }
-    // Round-robin has no cost model: the ledger prices every root unit
-    // at one, so per-worker progress is units retired over units dealt.
+    // Units keep their global ordinal when dealt, so the governor gates
+    // them identically under any deal and any thread count. The deal
+    // without a cost model is the unit's ordinal; with prices, LPT —
+    // the cost-guided seeding without the steal layer (gating is by
+    // ordinal, so stealing would only blur the tallies).
+    let deal: Vec<Vec<usize>> = match (scheduler, arm_ledger(r1, r2, &units, gov)) {
+        (Scheduler::RoundRobin { .. }, _) | (_, None) => (0..threads)
+            .map(|w| (w..units.len()).step_by(threads).collect())
+            .collect(),
+        (_, Some(prices)) => lpt_deal(&prices, threads),
+    };
+    let shards: Vec<Vec<(usize, RootUnit)>> = deal
+        .into_iter()
+        .map(|shard| shard.into_iter().map(|i| (i, units[i])).collect())
+        .collect();
+    // The progress ledger prices every root unit at one, so per-worker
+    // progress is units retired over units dealt.
     let planned: Vec<(u64, u64)> = shards
         .iter()
         .map(|s| (s.len() as u64, s.len() as u64))
@@ -550,143 +652,101 @@ pub(crate) fn round_robin_join<const N: usize>(
     ctx.progress.set_schedule(&planned);
 
     let join_id = join_span.id();
-    let results: Vec<Result<(JoinResultSet, Vec<RawSkip>), JoinError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .enumerate()
-                .map(|(w, shard)| {
-                    let wctx = ctx.clone();
-                    scope.spawn(move || {
-                        let mut span = wctx.tracer.span_under(join_id, "worker");
-                        span.set("worker", w);
-                        span.set("units", shard.len());
-                        // One correlation domain per shard: its buffers
-                        // persist across all of the shard's units.
-                        run_shard(r1, r2, config, shard, &wctx, CorrDomain::Shard(w))
-                    })
+    let parts: Vec<Result<WorkerPart, JoinError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .iter()
+            .enumerate()
+            .map(|(w, shard)| {
+                let wctx = ctx.clone();
+                scope.spawn(move || {
+                    let mut span = wctx.tracer.span_under(join_id, "worker");
+                    span.set("worker", w);
+                    span.set("units", shard.len());
+                    // One correlation domain per shard: its buffers
+                    // persist across all of the shard's units.
+                    let (result, skips) =
+                        run_shard(r1, r2, config, shard, &wctx, CorrDomain::Shard(w));
+                    let units = shard.len() as u64;
+                    WorkerPart {
+                        tallies: vec![(
+                            w,
+                            WorkerTally {
+                                units,
+                                na: result.na_total(),
+                                da: result.da_total(),
+                                pair_count: result.pair_count,
+                            },
+                        )],
+                        // No stealing: a shard executes what it was dealt.
+                        steal: StealTally {
+                            units_executed: units,
+                            ..StealTally::default()
+                        },
+                        result,
+                        skips,
+                    }
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(JoinError::from_panic))
-                .collect()
-        });
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().map_err(JoinError::from_panic))
+            .collect()
+    });
 
-    let mut pairs = Vec::new();
-    let mut pair_count = 0;
-    let mut stats1 = AccessStats::new();
-    let mut stats2 = AccessStats::new();
-    let mut workers = Vec::with_capacity(threads);
-    let mut steals = Vec::with_capacity(threads);
-    let mut buffers1 = sjcm_storage::BufferCounters::default();
-    let mut buffers2 = sjcm_storage::BufferCounters::default();
-    let mut raw = Vec::new();
-    for (shard, result) in shards.iter().zip(results) {
-        let (r, skips) = result?;
-        workers.push(WorkerTally {
-            units: shard.len() as u64,
-            na: r.na_total(),
-            da: r.da_total(),
-            pair_count: r.pair_count,
-        });
-        // No stealing in this mode: every shard executes exactly what
-        // it was dealt.
-        steals.push(StealTally {
-            units_executed: shard.len() as u64,
-            ..StealTally::default()
-        });
-        buffers1.merge(&r.buffers1);
-        buffers2.merge(&r.buffers2);
-        pairs.extend(r.pairs);
-        pair_count += r.pair_count;
-        stats1.merge(&r.stats1);
-        stats2.merge(&r.stats2);
-        raw.extend(skips);
-    }
+    let (result, raw) = merge(Default::default(), parts)?;
     gov.release(arena_bytes);
-    join_span.set("na", stats1.na_total() + stats2.na_total());
-    join_span.set("da", stats1.da_total() + stats2.da_total());
-    join_span.set("pairs", pair_count);
-    Ok((
-        JoinResultSet {
-            pairs,
-            pair_count,
-            stats1,
-            stats2,
-            workers,
-            buffers1,
-            buffers2,
-            steals,
-        },
-        raw,
-    ))
+    join_span.set("na", result.na_total());
+    join_span.set("da", result.da_total());
+    join_span.set("pairs", result.pair_count);
+    Ok((result, raw))
 }
 
-/// One root-level work unit of the static schedulers (round-robin and
-/// the governed deal). Units carry a global ordinal when dealt, so the
-/// governor can gate them deterministically across schedulers.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum WorkUnit {
-    /// Both root children descend.
-    Pair(Child, Child),
-    /// Both roots are leaves: object-pair output at the roots (no work
-    /// to parallelize — emitted by whichever shard holds this unit).
-    Emit(ObjectId, ObjectId),
-}
-
-pub(crate) fn root_work_units<const N: usize>(
+/// Under a governor that gates units — and only then: pricing walks
+/// every unit's subtrees — arms its ledger with the root units and
+/// returns their prices. A node pair's price is its
+/// [`Pricer::unit_price`], its value (the shed ranking) the pairs it
+/// is expected to produce per unit of price. Leaf-root emissions carry
+/// no I/O and are never gated: minimal price, one pair of value.
+fn arm_ledger<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
-    config: &JoinConfig,
-) -> Vec<WorkUnit> {
-    let n1 = r1.node(r1.root_id());
-    let n2 = r2.node(r2.root_id());
-    let pred = config.predicate;
-    let mut scratch = MatchScratch::new();
-    let mut units = Vec::new();
-    match (n1.is_leaf(), n2.is_leaf()) {
-        (true, true) => {
-            for (c1, c2) in matched_entries(n1, n2, config, &mut scratch) {
-                units.push(WorkUnit::Emit(c1.object(), c2.object()));
-            }
-        }
-        (false, false) => {
-            for (c1, c2) in matched_entries(n1, n2, config, &mut scratch) {
-                units.push(WorkUnit::Pair(c1, c2));
-            }
-        }
-        (false, true) => {
-            if let Some(m2) = n2.mbr() {
-                for c1 in pinned_children(&n1.entries, &m2, pred, config.kernel, &mut scratch) {
-                    units.push(WorkUnit::Pair(Child::Node(c1), Child::Node(r2.root_id())));
-                }
-            }
-        }
-        (true, false) => {
-            if let Some(m1) = n1.mbr() {
-                for c2 in pinned_children(&n2.entries, &m1, pred, config.kernel, &mut scratch) {
-                    units.push(WorkUnit::Pair(Child::Node(r1.root_id()), Child::Node(c2)));
-                }
-            }
-        }
+    units: &[RootUnit],
+    gov: &Governor,
+) -> Option<Vec<u64>> {
+    if !gov.is_unit_gated() {
+        return None;
     }
-    units
+    let mut pricer = Pricer::new(r1, r2);
+    let (prices, values): (Vec<u64>, Vec<f64>) = units
+        .iter()
+        .map(|&unit| match unit {
+            (Child::Node(a), Child::Node(b)) => {
+                let price = pricer.unit_price(a, b);
+                (price, pricer.pairs(a, b, 0.0) / price as f64)
+            }
+            _ => (1, 1.0),
+        })
+        .unzip();
+    gov.arm_units(prices.clone(), values);
+    Some(prices)
 }
 
-/// Runs one static shard: the assigned ordinal-tagged root-level pairs
-/// through a worker executor whose buffers persist across units (the
-/// legacy behaviour, kept bit-for-bit so `RoundRobin` stays an honest
-/// baseline). The context's governor gates every `Pair` unit at its
-/// `ctx.checkpoint` boundary; a refused unit is forfeited exactly like
-/// a fault-forfeited pair — recorded as a skip, priced later, never
+/// Runs one static shard: the assigned ordinal-tagged root units
+/// through one engine whose buffers persist across units (the legacy
+/// behaviour, kept bit-for-bit so `RoundRobin` stays an honest
+/// baseline). The context's governor gates every node-pair unit at its
+/// `ctx.checkpoint` boundary, and every unit that passes leaves through
+/// exactly one of `ctx.unit_done` / `ctx.forfeit_unit`. A unit refused
+/// at the gate or lost to the fault probe is forfeited like any
+/// fault-forfeited pair — recorded as a skip, priced later, never
 /// silently dropped. An unlimited governor is one `Option` check per
-/// unit.
-pub(crate) fn run_shard<const N: usize>(
+/// call.
+fn run_shard<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     config: JoinConfig,
-    units: &[(usize, WorkUnit)],
+    units: &[(usize, RootUnit)],
     ctx: &ExecContext<'_>,
     domain: CorrDomain,
 ) -> (JoinResultSet, Vec<RawSkip>) {
@@ -695,47 +755,32 @@ pub(crate) fn run_shard<const N: usize>(
     let mut shard = Engine::new(r1, r2, config, ctx, domain);
     let worker = domain.worker_index();
     for &(ordinal, unit) in units {
-        match unit {
-            WorkUnit::Emit(a, b) => {
-                // Emissions carry no I/O; they always execute.
-                shard.pair_count += 1;
-                if config.collect_pairs {
-                    shard.pairs.push((a, b));
-                }
-                ctx.unit_done(ordinal);
+        let ran = match unit {
+            (Child::Object(o1), Child::Object(o2)) => {
+                shard.emit(o1, o2);
+                true
             }
-            WorkUnit::Pair(c1, c2) => {
-                let (id1, id2) = (c1.node(), c2.node());
-                // Work-unit boundary: the governor's cancellation
-                // point. A refusal forfeits the whole subtree pair,
-                // priced like a fault forfeit.
+            (c1, c2) => {
+                let (n1, n2) = (c1.node(), c2.node());
                 if !ctx.checkpoint(ordinal) {
-                    shard.skips.push(RawSkip {
-                        tree: 1,
-                        n1: id1,
-                        n2: id2,
-                    });
-                    shard.progress.forfeit(r1.node(id1).level);
-                    ctx.forfeit_unit(ordinal);
-                    continue;
+                    // The governor's cancellation point: a refusal
+                    // forfeits the whole subtree pair.
+                    shard.skips.push(RawSkip { tree: 1, n1, n2 });
+                    shard.progress.forfeit(r1.node(n1).level);
+                    false
+                } else if shard.charge(n1, n2) {
+                    shard.visit(n1, n2);
+                    true
+                } else {
+                    false
                 }
-                // The same probe the sequential executor makes before
-                // charging this pair (roots are exempt inside `probe`).
-                if shard.faults.is_enabled() && !shard.probe(id1, id2) {
-                    continue;
-                }
-                // Root-child reads are charged like in the sequential
-                // executor (unless the unit pins a root itself).
-                if id1 != r1.root_id() {
-                    shard.access1(id1);
-                }
-                if id2 != r2.root_id() {
-                    shard.access2(id2);
-                }
-                shard.visit(id1, id2);
-                ctx.unit_done(ordinal);
             }
+        };
+        if !ran {
+            ctx.forfeit_unit(ordinal);
+            continue;
         }
+        ctx.unit_done(ordinal);
         if ctx.progress.is_enabled() {
             ctx.progress.unit_done(worker, 1);
             shard.flush_progress();
@@ -747,11 +792,10 @@ pub(crate) fn run_shard<const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{JoinSession, Scheduler};
+    use crate::session::JoinSession;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sjcm_geom::Rect;
-    use sjcm_rtree::RTreeConfig;
+    use sjcm_rtree::{ObjectId, RTreeConfig};
 
     fn build(n: usize, side: f64, seed: u64) -> RTree<2> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -907,14 +951,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_handles_leaf_roots() {
+    fn parallel_handles_single_leaf_trees() {
         let a = build(5, 0.2, 11);
-        let b = build(5, 0.2, 12);
         assert_eq!(a.height(), 1);
-        let seq = join(&a, &b, Scheduler::Sequential);
-        for sched in parallel(2) {
-            let par = join(&a, &b, sched);
-            assert_eq!(par.pairs, sorted(seq.pairs.clone()), "{sched:?}");
+        // Against another single leaf (the units are object pairs) and
+        // against a taller tree (every unit pins `a`'s root).
+        for b in [build(5, 0.2, 12), build(300, 0.05, 12)] {
+            let seq = join(&a, &b, Scheduler::Sequential);
+            for sched in parallel(2) {
+                let par = join(&a, &b, sched);
+                assert_eq!(par.pairs, sorted(seq.pairs.clone()), "{sched:?}");
+                assert_eq!(par.na_total(), seq.na_total(), "{sched:?}");
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! hub, fault injector, and governor (admission, deadline/cancellation,
 //! memory budget, shedding).
 //!
-//! All four executors (sequential, cost-guided, round-robin, PBSM)
+//! All four executors (sequential, dealt, cost-guided, PBSM)
 //! start here and nowhere else — [`JoinSession::run`] for the tree
 //! joins, [`PbsmSession::run`] for the partition join — so a new
 //! cross-cutting capability lands in exactly one seam: [`ExecContext`].
@@ -185,7 +185,9 @@ impl<'a> ExecContext<'a> {
     /// The governor's cancellation point at a work-unit boundary:
     /// `true` admits the unit, `false` means it must be forfeited (the
     /// caller records the skip and then calls
-    /// [`ExecContext::forfeit_unit`]).
+    /// [`ExecContext::forfeit_unit`]). An admitted unit must come back
+    /// through exactly one of [`ExecContext::unit_done`] /
+    /// [`ExecContext::forfeit_unit`].
     pub fn checkpoint(&self, ordinal: usize) -> bool {
         self.gov.admit_unit(ordinal)
     }
@@ -195,8 +197,10 @@ impl<'a> ExecContext<'a> {
         self.gov.note_unit_done(ordinal);
     }
 
-    /// Records a unit refused at a [`ExecContext::checkpoint`] as
-    /// forfeited, for the governor's degraded-result accounting.
+    /// Records a unit as forfeited — refused at a
+    /// [`ExecContext::checkpoint`], or admitted and then lost to a
+    /// fault before it ran — for the governor's degraded-result
+    /// accounting.
     pub fn forfeit_unit(&self, ordinal: usize) {
         self.gov.note_forfeit(ordinal);
     }
@@ -285,7 +289,19 @@ impl<'a, const N: usize> JoinSession<'a, N> {
         self
     }
 
-    /// Executes the join.
+    /// Executes the join on one of three executors:
+    ///
+    /// * one thread and no gating governor — \[BKS93\] Figure 2 from
+    ///   the root pair, verbatim: the reference every other path is
+    ///   tested against;
+    /// * [`Scheduler::RoundRobin`] at two or more threads, and *every*
+    ///   scheduler when the governor
+    ///   [gates units](Governor::is_unit_gated) — the dealt executor:
+    ///   the root pair's child pairs dealt once to static shards, whose
+    ///   unit boundaries are what the governor gates;
+    /// * [`Scheduler::CostGuided`] at two or more threads otherwise —
+    ///   the frontier of Eq-6-priced units with LPT deques and work
+    ///   stealing.
     ///
     /// Result shape per scheduler:
     ///
@@ -332,16 +348,10 @@ impl<'a, const N: usize> JoinSession<'a, N> {
         let parallel = scheduler != Scheduler::Sequential;
         let fallback_span = (parallel && threads == 1).then(|| ctx.tracer.span("sequential-join"));
         let gated = ctx.gov.is_unit_gated();
-        let (mut result, raw) = if threads == 1 {
-            if gated {
-                crate::governor::run_governed_sequential(r1, r2, config, &ctx)
-            } else {
-                crate::executor::run_sequential(r1, r2, config, &ctx)
-            }
-        } else if gated {
-            crate::governor::governed_parallel_join(r1, r2, config, scheduler, &ctx)?
-        } else if let Scheduler::RoundRobin { .. } = scheduler {
-            crate::parallel::round_robin_join(r1, r2, config, threads, &ctx)?
+        let (mut result, raw) = if threads == 1 && !gated {
+            crate::executor::run_sequential(r1, r2, config, &ctx)
+        } else if gated || matches!(scheduler, Scheduler::RoundRobin { .. }) {
+            crate::parallel::dealt_join(r1, r2, config, scheduler, &ctx)?
         } else {
             crate::parallel::cost_guided_join(r1, r2, config, threads, &ctx)?
         };

@@ -1,9 +1,11 @@
 //! Fault containment across the join pipeline: the fallible `try_*`
 //! twins must (a) be bit-identical to the infallible executors when no
 //! injector is armed, (b) absorb transient faults within the retry
-//! budget invisibly, and (c) contain permanent page loss — forfeiting
+//! budget invisibly, (c) contain permanent page loss — forfeiting
 //! only the affected subtree pairs, identically for the sequential
-//! executor and both parallel schedulers at any thread count.
+//! executor and both parallel schedulers at any thread count — and
+//! (d) keep the governor's unit ledger balanced when a gated unit is
+//! lost to a fault.
 
 use proptest::prelude::*;
 use sjcm_join::{
@@ -253,6 +255,45 @@ fn exhausted_transient_budget_quarantines_and_degrades() {
     assert_eq!(seq.skips, rr.skips);
     assert_eq!(seq.result.pair_count, cg.result.pair_count);
     assert_eq!(seq.result.pair_count, rr.result.pair_count);
+}
+
+/// Faults and a gate together: a unit the governor admits and the
+/// fault probe then loses must still be retired from the governor's
+/// ledger, so every root unit ends up executed or forfeited — under
+/// every scheduler, with the same forfeited inventory.
+#[test]
+fn units_lost_after_admission_are_retired_from_the_ledger() {
+    let t1 = build_uniform(3000, 0.5, 111);
+    let t2 = build_uniform(3000, 0.5, 112);
+    let config = JoinConfig::default();
+    let mut lost_after_admission = 0;
+    for seed in [1u64, 2, 3, 4] {
+        let plan = FaultPlan::none(seed).with_loss(0.2);
+        let runs = [
+            Scheduler::Sequential,
+            Scheduler::RoundRobin { threads: 2 },
+            Scheduler::CostGuided { threads: 2 },
+        ]
+        .map(|sched| {
+            // Gates every unit, refuses none: whatever is forfeited was
+            // lost to the probe after its checkpoint.
+            let gov = Governor::new(GovernorConfig::default().with_cancel_after_units(u64::MAX));
+            let faults = FaultInjector::enabled(plan, RetryPolicy::default());
+            let d = try_join(&t1, &t2, config, sched, &faults, &gov);
+            sjcm_join::assert_well_formed(&d);
+            let summary = gov.summary().expect("armed");
+            assert_eq!(
+                summary.units_executed + summary.units_forfeited,
+                summary.units_total,
+                "seed {seed} {sched:?}: {summary:?}"
+            );
+            lost_after_admission += summary.units_forfeited;
+            d
+        });
+        assert_eq!(runs[0].skips, runs[1].skips, "seed {seed}: round-robin");
+        assert_eq!(runs[0].skips, runs[2].skips, "seed {seed}: cost-guided");
+    }
+    assert!(lost_after_admission > 0, "the plans must lose a root unit");
 }
 
 proptest! {

@@ -13,9 +13,10 @@
 //! entry, all-identical rectangles, zero-extent rectangles, rectangles
 //! that only touch).
 //!
-//! The second half holds three session-vs-session invariants no oracle
+//! The second half holds four session-vs-session invariants no oracle
 //! can state: observability on ≡ off, an armed governor that never
-//! fires ≡ no governor, and the fixed-seed 60K gate.
+//! fires ≡ no governor, a governor that gates every unit and refuses
+//! none ≡ no governor, and the fixed-seed 60K gate.
 
 use sjcm_datagen::skewed::{gaussian_clusters, ClusterConfig};
 use sjcm_datagen::uniform::{generate, UniformConfig};
@@ -116,13 +117,6 @@ fn assert_tree_joins_match_oracle<const N: usize>(
     eps: &[f64],
 ) {
     let (ta, tb) = (tree(a), tree(b));
-    // One gap in the NA promise, recorded in ROADMAP item 1: when a
-    // tree is a single leaf its root is the pinned side of every root
-    // unit. The sequential and cost-guided traversals charge that
-    // re-read like any other pinned node (Eq 11); the static root deal
-    // treats it as the memory-resident root (§3.1) and does not, so
-    // round-robin NA is lower by the number of root units.
-    let leaf_root = ta.height() == 1 || tb.height() == 1;
     let mut cases = vec![(JoinPredicate::Overlap, sorted(nested_loop_join(a, b)))];
     for &e in eps {
         cases.push((
@@ -147,11 +141,8 @@ fn assert_tree_joins_match_oracle<const N: usize>(
                     .result;
                 assert_eq!(got.pair_count, want.len() as u64, "{tag}: pair count");
                 assert_eq!(sorted(got.pairs), want, "{tag}: pairs");
-                let dealt = matches!(scheduler, Scheduler::RoundRobin { threads } if threads > 1);
-                if !(leaf_root && dealt) {
-                    let na = (got.stats1.na_total(), got.stats2.na_total());
-                    assert_eq!(*reference_na.get_or_insert(na), na, "{tag}: NA per tree");
-                }
+                let na = (got.stats1.na_total(), got.stats2.na_total());
+                assert_eq!(*reference_na.get_or_insert(na), na, "{tag}: NA per tree");
             }
         }
     }
@@ -433,6 +424,80 @@ fn generous_governor_is_identical_to_unlimited() {
         assert!(governed.is_exact());
         assert_eq!(governed.result.pairs, unlimited.result.pairs, "{kernel:?}");
         assert_eq!(governed.result.io_pages, unlimited.result.io_pages);
+    }
+}
+
+/// A governor that gates every work unit but never refuses one — a
+/// cancellation point past the last unit, a deadline an hour away —
+/// moves every scheduler onto the dealt executor and must change
+/// nothing an ungoverned run reports: the pair multiset and the NA of
+/// each tree always; at one thread, where the deal is the sequential
+/// order, also the pairs in order, DA and every recorded access
+/// (correlation id aside — the single shard is domain 1, the sequential
+/// join domain 0).
+#[test]
+fn gated_but_idle_governor_is_identical_to_ungoverned() {
+    let single_leaf = packed_uniform(30, 0.5, 63);
+    assert_eq!(single_leaf.height(), 1);
+    let (tall, short) = (
+        tree(&uniform::<2>(1_200, 0.5, 64)),
+        packed_uniform(300, 0.5, 65),
+    );
+    assert!(tall.height() > short.height() && short.height() > 1);
+    let cases = [
+        (
+            "packed",
+            packed_uniform(900, 0.5, 61),
+            packed_uniform(900, 0.5, 62),
+        ),
+        ("unequal height", tall, short),
+        ("single leaf", single_leaf, packed_uniform(5_000, 0.5, 66)),
+    ];
+    let idle = [
+        GovernorConfig::default().with_cancel_after_units(u64::MAX),
+        GovernorConfig::default().with_deadline(std::time::Duration::from_secs(3600)),
+    ];
+    let uncorrelated = |events: Vec<Access>| -> Vec<Access> {
+        events
+            .into_iter()
+            .map(|(_, tree, page, level, miss)| (0, tree, page, level, miss))
+            .collect()
+    };
+    for (name, t1, t2) in &cases {
+        // Both roles: the pinned (shorter) tree on either side.
+        for (t1, t2) in [(t1, t2), (t2, t1)] {
+            for scheduler in schedulers() {
+                let (plain, plain_events) = record(JoinSession::new(t1, t2), scheduler);
+                for config in &idle {
+                    let tag = format!("{name} {scheduler:?} {config:?}");
+                    let gov = Governor::new(config.clone());
+                    let (gated, gated_events) =
+                        record(JoinSession::new(t1, t2).govern(&gov), scheduler);
+                    assert_eq!(gated.pair_count, plain.pair_count, "{tag}: pair count");
+                    assert_eq!(
+                        sorted(gated.pairs.clone()),
+                        sorted(plain.pairs.clone()),
+                        "{tag}: pairs"
+                    );
+                    assert_eq!(
+                        (gated.stats1.na_total(), gated.stats2.na_total()),
+                        (plain.stats1.na_total(), plain.stats2.na_total()),
+                        "{tag}: NA per tree"
+                    );
+                    if scheduler.threads() == 1 {
+                        assert_identical(&gated, &plain, &tag);
+                        assert_eq!(
+                            uncorrelated(gated_events),
+                            uncorrelated(plain_events.clone()),
+                            "{tag}: recorded accesses"
+                        );
+                    }
+                    let summary = gov.summary().expect("armed");
+                    assert_eq!(summary.units_forfeited, 0, "{tag}");
+                    assert_eq!(summary.units_executed, summary.units_total, "{tag}");
+                }
+            }
+        }
     }
 }
 
