@@ -92,12 +92,6 @@ impl ModelConfig {
         self
     }
 
-    /// Replaces the height formula.
-    pub fn with_height_formula(mut self, formula: HeightFormula) -> Self {
-        self.height_formula = formula;
-        self
-    }
-
     /// Effective fanout `f = c·M`, the paper's `c·M` denominator in
     /// Eqs 2, 3 and 5.
     #[inline]

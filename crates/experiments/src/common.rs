@@ -2,7 +2,7 @@
 //! options every subcommand receives, tree construction, model
 //! evaluation and model-vs-measurement comparison.
 
-use sjcm_core::{join, DataProfile, LevelParams, ModelConfig, TreeParams};
+use sjcm_core::{join, DataProfile, ModelConfig, TreeParams};
 use sjcm_geom::{density, Rect};
 use sjcm_join::{BufferPolicy, JoinConfig, JoinResultSet, JoinSession};
 use sjcm_rtree::{ObjectId, RTree, RTreeConfig};
@@ -96,26 +96,6 @@ pub fn build_tree<const N: usize>(rects: &[Rect<N>]) -> RTree<N> {
 /// properties" the model is allowed to see.
 pub fn profile_of<const N: usize>(rects: &[Rect<N>]) -> DataProfile {
     DataProfile::new(rects.len() as u64, density(rects.iter()))
-}
-
-/// Converts measured per-level tree statistics into model parameters —
-/// the "measured parameters" arm of the parameter-source ablation.
-pub fn measured_params<const N: usize>(tree: &RTree<N>) -> TreeParams<N> {
-    let stats = tree.stats();
-    let levels = stats
-        .levels
-        .iter()
-        .map(|l| {
-            let mut extents = [0.0; N];
-            extents.copy_from_slice(&l.avg_extents);
-            LevelParams {
-                nodes: l.node_count as f64,
-                extents,
-                density: l.density,
-            }
-        })
-        .collect();
-    TreeParams::from_levels(levels)
 }
 
 /// One model-vs-measurement comparison of a join.
@@ -257,7 +237,7 @@ mod tests {
         assert_eq!(prof.cardinality, 2_000);
         assert!((prof.density - 0.4).abs() < 1e-9);
         let tree = build_tree(&rects);
-        let params = measured_params(&tree);
+        let params = sjcm_join::measured_params::<2>(&tree.stats());
         assert_eq!(params.height(), tree.height());
         assert_eq!(
             params.level(params.height()).nodes,

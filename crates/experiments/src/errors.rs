@@ -3,8 +3,8 @@
 //! parameter-source ablation.
 
 use crate::common::{
-    build_tree, cardinality_grid, measured_params, observe_join, observe_join_with_params,
-    profile_of, rel_err, run_counting_join, DEFAULT_DENSITY,
+    build_tree, cardinality_grid, observe_join, observe_join_with_params, profile_of, rel_err,
+    run_counting_join, DEFAULT_DENSITY,
 };
 use crate::report::{int, pct, Report};
 use sjcm_core::{join, DensitySurface, ModelConfig, TreeParams};
@@ -12,6 +12,7 @@ use sjcm_datagen::skewed::{gaussian_clusters, power_law, ClusterConfig};
 use sjcm_datagen::tiger::{generate as tiger, TigerConfig};
 use sjcm_datagen::uniform::{generate as uniform, UniformConfig};
 use sjcm_geom::Rect;
+use sjcm_join::measured_params;
 use std::path::Path;
 
 /// §4.1 claims (i)–(iii): relative errors on uniform data, with the DA
@@ -240,7 +241,7 @@ pub fn params_diff(out: &Path, scale: f64) {
         let rects = uniform::<2>(UniformConfig::new(n, DEFAULT_DENSITY, 7900 + i as u64));
         let tree = build_tree(&rects);
         let anal = TreeParams::<2>::from_data(profile_of(&rects), &cfg);
-        let meas = measured_params(&tree);
+        let meas = measured_params::<2>(&tree.stats());
         let levels = anal.height().max(meas.height());
         for j in 1..=levels {
             let a = (j <= anal.height()).then(|| anal.level(j));
@@ -296,8 +297,8 @@ pub fn param_source(out: &Path, scale: f64) {
             let prof1 = profile_of(&datasets1[i]);
             let prof2 = profile_of(&datasets2[j]);
             let analytic = observe_join(t1, t2, prof1, prof2);
-            let m1 = measured_params(t1);
-            let m2 = measured_params(t2);
+            let m1 = measured_params::<2>(&t1.stats());
+            let m2 = measured_params::<2>(&t2.stats());
             let measured = observe_join_with_params(t1, t2, &m1, &m2);
             report.row(&[
                 &format!("{}K/{}K", grid[i] / 1000, grid[j] / 1000),

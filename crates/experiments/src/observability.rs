@@ -17,12 +17,13 @@
 //! draws it live, `--obs-dir` persists the snapshot JSONL, and the
 //! report prints the prior-vs-refined ETA error curve either way.
 
-use crate::common::{build_tree, measured_params, RunOpts, DEFAULT_DENSITY};
+use crate::common::{build_tree, RunOpts, DEFAULT_DENSITY};
 use crate::report::{int, pct, Report};
 use sjcm_core::join;
 use sjcm_datagen::uniform::{generate as uniform, UniformConfig};
 use sjcm_join::{
-    BufferPolicy, Governor, GovernorConfig, JoinConfig, JoinObs, JoinSession, Scheduler,
+    measured_params, BufferPolicy, Governor, GovernorConfig, JoinConfig, JoinObs, JoinSession,
+    Scheduler,
 };
 use sjcm_obs::{
     json, validate_progress_jsonl, DriftMonitor, LevelPrior, MetricsRegistry, ProgressEngine,
@@ -119,8 +120,8 @@ pub fn join_observed(
     // small-denominator cell where ±a few node pairs reads as tens of
     // percent, and the paper's ~15% claim is about levels with mass.
     const MASS_FLOOR: f64 = 0.03;
-    let p1 = measured_params(&t1);
-    let p2 = measured_params(&t2);
+    let p1 = measured_params::<2>(&t1.stats());
+    let p2 = measured_params::<2>(&t2.stats());
     let targets = join::join_prediction_targets(&p1, &p2);
     let total_of = |prefix: &str| {
         targets

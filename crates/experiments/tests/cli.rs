@@ -115,3 +115,52 @@ fn unknown_command_fails() {
         .expect("spawn experiments");
     assert!(!out.status.success(), "expected nonzero exit");
 }
+
+/// `help` lists exactly the commands that dispatch: every name it
+/// prints runs at a tiny scale (exit 0, or 1 from a gate or a missing
+/// --obs-dir — never the unknown-command path or a panic), and the
+/// unknown-command message names the same set.
+#[test]
+fn help_lists_every_dispatched_command() {
+    let out = bin().arg("help").output().expect("spawn experiments");
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout).into_owned();
+    let names: Vec<&str> = help
+        .lines()
+        .skip_while(|l| *l != "commands:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_whitespace().next().expect("a command name"))
+        .collect();
+    for expected in ["figure5a", "join", "explain", "validate-obs", "all"] {
+        assert!(names.contains(&expected), "help omits {expected}: {help}");
+    }
+
+    let out_dir = tmp_out("help_dispatch");
+    for name in &names {
+        let out = bin()
+            .args([name, "--scale", "0.02", "--threads", "2", "--out"])
+            .arg(&out_dir)
+            .output()
+            .expect("spawn experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            matches!(out.status.code(), Some(0 | 1)),
+            "{name}: {:?}\n{stderr}",
+            out.status
+        );
+        assert!(!stderr.contains("unknown command"), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&out_dir);
+
+    let out = bin()
+        .arg("no-such-command")
+        .output()
+        .expect("spawn experiments");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let listed = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("commands: "))
+        .expect("the unknown-command message lists the commands");
+    assert_eq!(listed.split_whitespace().collect::<Vec<_>>(), names);
+}

@@ -49,11 +49,14 @@
 //! [`Governor::unlimited`] follows the [`sjcm_storage::FaultInjector`]
 //! pattern: a disabled governor is one `Option` discriminant check per
 //! call site, and the ungoverned executor paths are taken unchanged —
-//! results are byte-identical, with the bench guard holding the
-//! overhead under 2%.
+//! results are byte-identical (`tests/oracle.rs`:
+//! `generous_governor_is_identical_to_unlimited`,
+//! `gated_but_idle_governor_is_identical_to_ungoverned`), and every
+//! join the repo's benchmark times runs with the hook compiled in and
+//! off (`join.fixed_cost_seq_us`).
 
 use crate::degraded::{DegradedJoinResult, JoinError};
-use crate::parallel::subtree_params;
+use crate::parallel::measured_params;
 use sjcm_core::join::join_cost_na;
 use sjcm_obs::governor::GovernorLog;
 use sjcm_rtree::RTree;
@@ -342,8 +345,8 @@ impl Governor {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
-        let p1 = subtree_params(r1, r1.root_id());
-        let p2 = subtree_params(r2, r2.root_id());
+        let p1 = measured_params::<N>(&r1.subtree_stats(r1.root_id()));
+        let p2 = measured_params::<N>(&r2.subtree_stats(r2.root_id()));
         let predicted = join_cost_na(&p1, &p2);
         let mut st = inner.state();
         if st.started.is_none() {

@@ -68,6 +68,6 @@ pub use executor::{
 pub use governor::{
     assert_well_formed, AdmissionPolicy, Governor, GovernorConfig, GovernorSummary,
 };
-pub use parallel::JoinObs;
+pub use parallel::{measured_params, JoinObs};
 pub use pbsm::DegradedPbsmResult;
 pub use session::{CorrDomain, ExecContext, JoinSession, PbsmSession, Scheduler};

@@ -105,7 +105,7 @@ use sjcm_geom::Rect;
 use sjcm_obs::perfetto::{DRIFT_BREACH_SPAN as BREACH_SPAN, PROGRESS_SPAN};
 use sjcm_obs::progress::ProgressTracker;
 use sjcm_obs::{DriftMonitor, Tracer, DA_TOTAL, NA_TOTAL};
-use sjcm_rtree::{Child, NodeId, RTree};
+use sjcm_rtree::{Child, NodeId, RTree, TreeStats};
 use sjcm_storage::FlightRecorder;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -519,8 +519,12 @@ impl<'a, const N: usize> Pricer<'a, N> {
     pub(crate) fn na(&mut self, a: NodeId, b: NodeId) -> f64 {
         let [r1, r2] = self.trees;
         let [params1, params2] = &mut self.params;
-        let p1 = params1.entry(a).or_insert_with(|| subtree_params(r1, a));
-        let p2 = params2.entry(b).or_insert_with(|| subtree_params(r2, b));
+        let p1 = params1
+            .entry(a)
+            .or_insert_with(|| measured_params(&r1.subtree_stats(a)));
+        let p2 = params2
+            .entry(b)
+            .or_insert_with(|| measured_params(&r2.subtree_stats(b)));
         unit_cost_na(p1, p2) * overlap_fraction(r1, r2, a, b)
     }
 
@@ -566,8 +570,10 @@ fn overlap_fraction<const N: usize>(r1: &RTree<N>, r2: &RTree<N>, a: NodeId, b: 
     factor
 }
 
-pub(crate) fn subtree_params<const N: usize>(tree: &RTree<N>, id: NodeId) -> TreeParams<N> {
-    let stats = tree.subtree_stats(id);
+/// Measured per-level tree statistics (`N_j`, `s_j`, `D_j` of a built
+/// tree or subtree) as the model's [`TreeParams`] — what Eqs 6–12 are
+/// fed when the parameters come from the tree instead of Eqs 2–5.
+pub fn measured_params<const N: usize>(stats: &TreeStats) -> TreeParams<N> {
     TreeParams::from_levels(
         stats
             .levels

@@ -271,7 +271,7 @@ fn sweep_cell<const N: usize>(
     // Small-cell gate: the batched path pays an O(cell) SoA fill before
     // the first anchor, which only amortizes when the cell is big
     // enough to produce kernel-length candidate runs. High-resolution
-    // grids (the 0.91× `pbsm_sweep/16` regression this gate fixes)
+    // grids (batched measured 0.91× scalar at grid 16 without this gate)
     // shred the inputs into hundreds of small cells whose sweeps are
     // over before the fill pays for itself — those cells take the
     // scalar sweep outright and never touch the batches. Identical

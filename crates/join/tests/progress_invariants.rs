@@ -7,14 +7,18 @@
 //! tracker on or off. The fixed-seed paper-scale run additionally
 //! checks the ETA acceptance gate: at a quarter of the run, the
 //! engine's blended total-work estimate sits within 20% of the true
-//! final work for both the sequential and the cost-guided executor.
+//! final work for both the sequential and the cost-guided executor —
+//! on a replay of each run, so no sampler thread's timing decides it.
 
 use proptest::prelude::*;
-use sjcm_core::{join, LevelParams, TreeParams};
-use sjcm_join::{JoinConfig, JoinObs, JoinSession, Scheduler};
-use sjcm_obs::{LevelPrior, ProgressEngine, ProgressSnapshot, ProgressTracker};
+use sjcm_core::join;
+use sjcm_join::{measured_params, JoinConfig, JoinObs, JoinSession, Scheduler};
+use sjcm_obs::{
+    FieldValue, LevelPrior, ProgressEngine, ProgressSnapshot, ProgressTracker, SpanRecord, Tracer,
+    PROGRESS_SPAN,
+};
 use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
-use sjcm_storage::{FaultInjector, FaultPlan, RetryPolicy};
+use sjcm_storage::{FaultInjector, FaultPlan, FlightRecorder, RetryPolicy};
 
 fn build_uniform(n: usize, density: f64, seed: u64) -> RTree<2> {
     let rects = sjcm_datagen::uniform::generate::<2>(sjcm_datagen::uniform::UniformConfig::new(
@@ -28,29 +32,11 @@ fn build_uniform(n: usize, density: f64, seed: u64) -> RTree<2> {
     RTree::bulk_load(RTreeConfig::paper(2), items, BulkLoad::Str, 0.67)
 }
 
-/// Measured tree parameters, the same way the experiment harness feeds
-/// the drift monitor — the progress prior should see what the model
-/// sees, not what the generator intended.
-fn measured(tree: &RTree<2>) -> TreeParams<2> {
-    let stats = tree.stats();
-    let levels = stats
-        .levels
-        .iter()
-        .map(|l| {
-            let mut extents = [0.0; 2];
-            extents.copy_from_slice(&l.avg_extents);
-            LevelParams {
-                nodes: l.node_count as f64,
-                extents,
-                density: l.density,
-            }
-        })
-        .collect();
-    TreeParams::from_levels(levels)
-}
-
+/// Priors from the trees' measured parameters, the same way the
+/// experiment harness feeds the drift monitor — the progress prior
+/// should see what the model sees, not what the generator intended.
 fn priors(t1: &RTree<2>, t2: &RTree<2>) -> Vec<LevelPrior> {
-    join::join_na_priors(&measured(t1), &measured(t2))
+    join::join_na_priors::<2>(&measured_params(&t1.stats()), &measured_params(&t2.stats()))
         .into_iter()
         .map(|(tree, level, na)| LevelPrior { tree, level, na })
         .collect()
@@ -193,11 +179,41 @@ proptest! {
     }
 }
 
-/// The paper-scale acceptance gate (fixed seeds, 60K × 60K, D = 0.5):
-/// the stream contract holds for the sequential and the cost-guided
-/// executor, and at the first sample past a quarter of the run the
-/// blended total-work estimate — still prior-leaning there — is within
-/// 20% of the true final work.
+/// Feeds a fresh tracker from this thread — `feed` publishes work in a
+/// fixed order and calls `sample` at every point a sampler could look —
+/// and returns the first snapshot at or past a quarter of the run. No
+/// clock decides which state the engine sees.
+fn quarter_of_replay(
+    priors: &[LevelPrior],
+    feed: impl FnOnce(&ProgressTracker, &mut dyn FnMut()),
+) -> ProgressSnapshot {
+    let tracker = ProgressTracker::enabled();
+    let mut engine = ProgressEngine::new(&tracker, priors);
+    let mut quarter = None;
+    feed(&tracker, &mut || {
+        let snap = engine.sample();
+        if quarter.is_none() && snap.fraction >= 0.25 {
+            quarter = Some(snap);
+        }
+    });
+    quarter.expect("the replay passes a quarter")
+}
+
+fn u64_field(record: &SpanRecord, key: &str) -> u64 {
+    match record.fields.iter().find(|(k, _)| k == key) {
+        Some((_, FieldValue::U64(v))) => *v,
+        other => panic!("span {} field {key}: {other:?}", record.name),
+    }
+}
+
+/// The paper-scale acceptance gate (fixed seeds, 60K × 60K, D = 0.5)
+/// for the sequential and the cost-guided executor. Each join runs once
+/// under a wall-clock sampler, which checks the stream contract — that
+/// holds under any interleaving. The 20% bar is then taken on a replay
+/// of the same run on this thread, where the sample points are fixed:
+/// at the first one past a quarter of the run the blended total-work
+/// estimate — still prior-leaning there — is within 20% of the true
+/// final work.
 #[test]
 fn paper_scale_eta_lands_within_twenty_percent_at_a_quarter() {
     let t1 = build_uniform(60_000, 0.5, 9600);
@@ -208,11 +224,15 @@ fn paper_scale_eta_lands_within_twenty_percent_at_a_quarter() {
     };
     let pr = priors(&t1, &t2);
     for (tag, threads) in [("sequential", 1usize), ("cost-guided", 4)] {
+        let recorder = FlightRecorder::enabled();
+        let tracer = Tracer::enabled();
         let (result, snaps) = watch(&pr, |tracker| {
             JoinSession::new(&t1, &t2)
                 .config(config)
                 .scheduler(Scheduler::CostGuided { threads })
                 .observe(&JoinObs {
+                    tracer: tracer.clone(),
+                    recorder: recorder.clone(),
                     progress: tracker.clone(),
                     ..JoinObs::default()
                 })
@@ -221,26 +241,76 @@ fn paper_scale_eta_lands_within_twenty_percent_at_a_quarter() {
                 .result
         });
         assert_stream(&snaps, tag);
-        let true_work = snaps.last().unwrap().done_work;
-        assert_eq!(true_work as u64, result.na_total(), "{tag}");
-        let quarter = snaps
-            .iter()
-            .find(|s| s.fraction >= 0.25)
-            .unwrap_or_else(|| panic!("{tag}: no sample at a quarter ({} samples)", snaps.len()));
+        let true_work = result.na_total();
+        assert_eq!(snaps.last().unwrap().done_work as u64, true_work, "{tag}");
+
+        let quarter = if threads == 1 {
+            // What the sequential executor does: count every access
+            // per (tree, level), publish the tallies every 512th — with
+            // a sampler that looks after every flush.
+            let (events, dropped) = recorder.drain();
+            assert_eq!((events.len() as u64, dropped), (true_work, 0), "{tag}");
+            quarter_of_replay(&pr, |tracker, sample| {
+                let mut sink = tracker.sink();
+                let mut na = [vec![0u64; t1.height()], vec![0u64; t2.height()]];
+                let tallies = |tree: &[u64]| -> Vec<(u8, u64, u64)> {
+                    (0u8..).zip(tree).map(|(level, &n)| (level, n, 0)).collect()
+                };
+                for e in &events {
+                    na[usize::from(e.tree) - 1][usize::from(e.level)] += 1;
+                    if sink.tick() {
+                        sink.flush(tallies(&na[0]), tallies(&na[1]), 0);
+                        sample();
+                    }
+                }
+            })
+        } else {
+            // The unit-scheduled estimator reads the retired share of
+            // the scheduled cost and the NA so far: replay the run's
+            // own units — their prices and accesses do not depend on
+            // which worker ran them when — retiring in unit order.
+            let records = tracer.records();
+            let mut units: Vec<(u64, u64, u64)> = records
+                .iter()
+                .filter(|r| r.name == PROGRESS_SPAN)
+                .map(|p| {
+                    let unit = records
+                        .iter()
+                        .find(|r| Some(r.id) == p.parent)
+                        .expect("a progress instant sits under its unit");
+                    (
+                        u64_field(p, "unit"),
+                        u64_field(p, "cost"),
+                        u64_field(unit, "na"),
+                    )
+                })
+                .collect();
+            units.sort_unstable();
+            let cost: u64 = units.iter().map(|u| u.1).sum();
+            let unit_na: u64 = units.iter().map(|u| u.2).sum();
+            quarter_of_replay(&pr, |tracker, sample| {
+                let mut sink = tracker.sink();
+                tracker.set_schedule(&[(units.len() as u64, cost)]);
+                // The frontier descent above the units comes first.
+                let mut na = true_work - unit_na;
+                for &(_, cost, unit_na) in &units {
+                    na += unit_na;
+                    sink.flush([(0, na, 0)], [], 0);
+                    tracker.unit_done(0, cost);
+                    sample();
+                }
+            })
+        };
+        let true_work = true_work as f64;
         let rel = (quarter.est_total_work - true_work).abs() / true_work;
         eprintln!(
-            "{tag}: {} samples, est at fraction {:.3} = {:.0} vs true {:.0} (rel err {:.3})",
-            snaps.len(),
-            quarter.fraction,
-            quarter.est_total_work,
-            true_work,
-            rel
+            "{tag}: est at fraction {:.3} = {:.0} vs true {true_work:.0} (rel err {rel:.3})",
+            quarter.fraction, quarter.est_total_work,
         );
         assert!(
             rel < 0.20,
-            "{tag}: quarter-run estimate {:.0} vs true {:.0} (rel err {rel:.3})",
+            "{tag}: quarter-run estimate {:.0} vs true {true_work:.0} (rel err {rel:.3})",
             quarter.est_total_work,
-            true_work
         );
     }
 }

@@ -10,8 +10,9 @@
 //! * [`span`] — a lightweight hierarchical span/event system
 //!   ([`Tracer`]) with a JSONL sink and a human-readable tree summary.
 //!   A disabled tracer is a single `Option` check per call site: no
-//!   clock reads, no allocation, no locking (see the `obs_overhead`
-//!   bench variant in `sjcm-bench`).
+//!   clock reads, no allocation, no locking; what an enabled one costs
+//!   a join is the benchmark's `obs.join_enabled_overhead_pct`, read
+//!   with its `_spread_pct`.
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges and
 //!   fixed-bucket histograms, fed by the storage layer's access
 //!   statistics and buffer counters and by the parallel scheduler's

@@ -305,14 +305,6 @@ impl ProgressTracker {
             shared.finished.store(true, Ordering::Release);
         }
     }
-
-    /// Microseconds since the tracker was created (0 when disabled).
-    pub fn elapsed_us(&self) -> u64 {
-        self.shared
-            .as_ref()
-            .map(|s| s.epoch.elapsed().as_micros() as u64)
-            .unwrap_or(0)
-    }
 }
 
 /// Per-executor feed into a [`ProgressTracker`]. See the module docs
@@ -622,13 +614,6 @@ impl ProgressEngine {
     /// unit ledger (PBSM: cells completed × per-cell sweep cost).
     pub fn for_units(tracker: &ProgressTracker) -> Self {
         Self::new(tracker, &[])
-    }
-
-    /// Current estimate of total work (the live denominator, before
-    /// forfeit retirement) — what the prior-vs-refined accuracy curve
-    /// in EXPERIMENTS.md tracks against the final true work.
-    pub fn estimated_total(&mut self) -> f64 {
-        self.sample().est_total_work
     }
 
     fn estimate(&mut self, done: &[[u64; MAX_LEVELS]; 2]) -> (f64, [[f64; MAX_LEVELS]; 2]) {

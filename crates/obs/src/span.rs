@@ -188,18 +188,6 @@ impl Tracer {
         }
     }
 
-    /// Per-name aggregates `(count, total microseconds)`, sorted by
-    /// name — what the bench harness attaches to its BENCH JSON lines.
-    pub fn totals_by_name(&self) -> Vec<(String, u64, u64)> {
-        let mut map: std::collections::BTreeMap<String, (u64, u64)> = Default::default();
-        for r in self.records() {
-            let e = map.entry(r.name).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += r.dur_us;
-        }
-        map.into_iter().map(|(n, (c, t))| (n, c, t)).collect()
-    }
-
     /// All completed spans as JSONL: one
     /// `{"type":"span","id":…,"parent":…,"name":…,"start_us":…,"dur_us":…,"fields":{…}}`
     /// object per line. Empty string when disabled or nothing recorded.
@@ -467,20 +455,5 @@ mod tests {
         let lines: Vec<&str> = tree.lines().collect();
         assert!(lines[0].starts_with("root"));
         assert!(lines[1].starts_with("  leafwork"));
-    }
-
-    #[test]
-    fn totals_aggregate_by_name() {
-        let t = Tracer::enabled();
-        for _ in 0..3 {
-            t.span("unit").finish();
-        }
-        t.span("build").finish();
-        let totals = t.totals_by_name();
-        assert_eq!(totals.len(), 2);
-        assert_eq!(totals[0].0, "build");
-        assert_eq!(totals[0].1, 1);
-        assert_eq!(totals[1].0, "unit");
-        assert_eq!(totals[1].1, 3);
     }
 }

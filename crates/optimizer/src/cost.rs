@@ -60,12 +60,6 @@ impl<'a, const N: usize> CostEstimator<'a, N> {
         }
     }
 
-    /// Overrides the model configuration.
-    pub fn with_config(mut self, config: ModelConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Supplies measured per-level tree parameters for base indexes.
     /// Data sets present in the map are priced from their actual tree
     /// shape (heights, node counts, extents) rather than Eqs 2–5.

@@ -34,7 +34,6 @@
 
 pub mod bulk;
 pub mod config;
-pub mod knn;
 pub mod node;
 pub mod persist;
 pub mod split;
@@ -46,7 +45,6 @@ pub mod validate;
 
 pub use bulk::BulkLoad;
 pub use config::{RTreeConfig, SplitStrategy};
-pub use knn::Neighbor;
 pub use node::{Child, Entry, Node, NodeId, ObjectId};
 pub use persist::PersistedTree;
 pub use stats::{LevelStats, TreeStats};

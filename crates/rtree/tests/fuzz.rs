@@ -11,7 +11,6 @@ enum Op {
     Insert { cx: f64, cy: f64, w: f64, h: f64 },
     Remove { victim: usize },
     Query { cx: f64, cy: f64, w: f64, h: f64 },
-    Knn { cx: f64, cy: f64, k: usize },
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -21,8 +20,6 @@ fn op() -> impl Strategy<Value = Op> {
         2 => (0usize..usize::MAX).prop_map(|victim| Op::Remove { victim }),
         2 => (0.0f64..1.0, 0.0f64..1.0, 0.01f64..0.5, 0.01f64..0.5)
             .prop_map(|(cx, cy, w, h)| Op::Query { cx, cy, w, h }),
-        1 => (0.0f64..1.0, 0.0f64..1.0, 1usize..8)
-            .prop_map(|(cx, cy, k)| Op::Knn { cx, cy, k }),
     ]
 }
 
@@ -56,26 +53,6 @@ fn run_ops(ops: Vec<Op>, config: RTreeConfig) -> Result<(), TestCaseError> {
                     .collect();
                 want.sort();
                 prop_assert_eq!(got, want);
-            }
-            Op::Knn { cx, cy, k } => {
-                let q = Point::new([cx, cy]);
-                let got = tree.nearest_neighbors(&q, k);
-                prop_assert_eq!(got.len(), k.min(oracle.len()));
-                // Distances must be the k smallest among the oracle's.
-                let mut dists: Vec<f64> = oracle
-                    .iter()
-                    .map(|(r, _)| {
-                        let clamped = Point::new([
-                            q[0].clamp(r.lo_k(0), r.hi_k(0)),
-                            q[1].clamp(r.lo_k(1), r.hi_k(1)),
-                        ]);
-                        q.dist2(&clamped)
-                    })
-                    .collect();
-                dists.sort_by(f64::total_cmp);
-                for (g, want) in got.iter().zip(dists.iter()) {
-                    prop_assert!((g.dist2 - want).abs() < 1e-12);
-                }
             }
         }
         prop_assert_eq!(tree.len(), oracle.len());

@@ -133,14 +133,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan can inject anything at all.
-    pub fn is_active(&self) -> bool {
-        (self.transient_rate > 0.0 && self.transient_budget > 0)
-            || self.flip_rate > 0.0
-            || self.loss_rate > 0.0
-            || self.alloc_rate > 0.0
-    }
-
     fn hash(&self, salt: u64, domain: u8, key: u32) -> u64 {
         mix(self.seed ^ mix(salt) ^ mix((u64::from(domain) << 32) | u64::from(key)))
     }

@@ -25,9 +25,9 @@
 //! residency domain, so cross-lane interleaving (now block-granular
 //! rather than exact) cannot change any replay verdict. Lanes are
 //! thread-private and only merge into the shared sink when dropped, so
-//! the hot path takes no lock. The `obs_overhead` bench in
-//! `sjcm-bench` holds this within the observability layer's <3%
-//! overhead guard.
+//! the hot path takes no lock. The benchmark's
+//! `storage.recorder_ns_per_access` is what an armed recorder adds to
+//! one access.
 //!
 //! # Bounded ring
 //!

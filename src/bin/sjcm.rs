@@ -39,6 +39,12 @@ fn main() -> ExitCode {
 
 type CliResult = Result<(), String>;
 
+/// The one tree format this binary writes and reads: the paper's 1 KiB
+/// pages, two dimensions. Stored in the `.meta` sidecar and checked on
+/// load.
+const PAGE_SIZE: usize = 1024;
+const DIMS: usize = 2;
+
 fn run() -> CliResult {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
@@ -102,6 +108,19 @@ where
         .map_err(|e| format!("bad --{key}: {e}"))
 }
 
+/// Parses a data density: the generators and `DataProfile::new` assert
+/// it finite and non-negative, so it is checked here, where it enters.
+fn parse_density(text: &str, what: &str) -> Result<f64, String> {
+    let d: f64 = text.parse().map_err(|e| format!("bad {what}: {e}"))?;
+    if d.is_finite() && d >= 0.0 {
+        Ok(d)
+    } else {
+        Err(format!(
+            "bad {what}: density must be finite and ≥ 0, got {text}"
+        ))
+    }
+}
+
 // ---------------------------------------------------------------- gen
 
 fn cmd_gen(flags: &HashMap<String, String>) -> CliResult {
@@ -112,9 +131,9 @@ fn cmd_gen(flags: &HashMap<String, String>) -> CliResult {
         .map(|s| s.parse().map_err(|e| format!("bad --seed: {e}")))
         .transpose()?
         .unwrap_or(42);
-    let d: f64 = flags
+    let d = flags
         .get("density")
-        .map(|s| s.parse().map_err(|e| format!("bad --density: {e}")))
+        .map(|s| parse_density(s, "--density"))
         .transpose()?
         .unwrap_or(0.5);
     let rects: Vec<Rect<2>> = match kind {
@@ -206,13 +225,14 @@ fn cmd_build(flags: &HashMap<String, String>) -> CliResult {
     let data = PathBuf::from(get(flags, "data")?);
     let out = PathBuf::from(get(flags, "out")?);
     let rects = load_rects(&data)?;
-    let mut tree = RTree::<2>::new(RTreeConfig::paper(2));
+    let mut tree = RTree::<DIMS>::new(RTreeConfig::paper(DIMS));
     for (i, r) in rects.iter().enumerate() {
         tree.insert(*r, ObjectId(i as u32));
     }
     tree.check_invariants()
         .map_err(|e| format!("built tree failed validation: {e}"))?;
-    let mut store = FilePageStore::create(&out, 1024).map_err(|e| format!("create store: {e}"))?;
+    let mut store =
+        FilePageStore::create(&out, PAGE_SIZE).map_err(|e| format!("create store: {e}"))?;
     let handle = tree.save(&mut store).map_err(|e| format!("save: {e}"))?;
     write_meta(&out, handle)?;
     println!(
@@ -236,33 +256,36 @@ fn write_meta(store: &Path, handle: PersistedTree) -> CliResult {
         ("root".into(), json::Value::Num(handle.root.index() as f64)),
         ("len".into(), json::Value::Num(handle.len as f64)),
         ("pages".into(), json::Value::Num(handle.pages as f64)),
-        ("page_size".into(), json::Value::Num(1024.0)),
-        ("dims".into(), json::Value::Num(2.0)),
+        ("page_size".into(), json::Value::Num(PAGE_SIZE as f64)),
+        ("dims".into(), json::Value::Num(DIMS as f64)),
     ]);
     std::fs::write(meta_path(store), meta.to_string()).map_err(|e| format!("write meta: {e}"))
 }
 
-fn load_tree(store_path: &Path) -> Result<RTree<2>, String> {
+fn load_tree(store_path: &Path) -> Result<RTree<DIMS>, String> {
     let meta_text =
         std::fs::read_to_string(meta_path(store_path)).map_err(|e| format!("read meta: {e}"))?;
     let meta = json::parse(&meta_text).map_err(|e| format!("parse meta: {e}"))?;
-    let handle = PersistedTree {
-        root: PageId(
-            meta.get("root")
-                .and_then(json::Value::as_u64)
-                .ok_or("meta: bad root")? as u32,
-        ),
-        len: meta
-            .get("len")
+    let field = |key: &str| {
+        meta.get(key)
             .and_then(json::Value::as_u64)
-            .ok_or("meta: bad len")? as usize,
-        pages: meta
-            .get("pages")
-            .and_then(json::Value::as_u64)
-            .ok_or("meta: bad pages")? as usize,
+            .ok_or_else(|| format!("meta: bad {key}"))
     };
-    let store = FilePageStore::open(store_path, 1024).map_err(|e| format!("open: {e}"))?;
-    RTree::<2>::load(&store, handle, RTreeConfig::paper(2)).map_err(|e| format!("load: {e}"))
+    // This binary reads and writes one format: a sidecar that says
+    // otherwise describes a file it would decode into wrong numbers.
+    for (key, want) in [("page_size", PAGE_SIZE as u64), ("dims", DIMS as u64)] {
+        let got = field(key)?;
+        if got != want {
+            return Err(format!("meta: {key} is {got}, this tool reads {want}"));
+        }
+    }
+    let handle = PersistedTree {
+        root: PageId(field("root")? as u32),
+        len: field("len")? as usize,
+        pages: field("pages")? as usize,
+    };
+    let store = FilePageStore::open(store_path, PAGE_SIZE).map_err(|e| format!("open: {e}"))?;
+    RTree::load(&store, handle, RTreeConfig::paper(DIMS)).map_err(|e| format!("load: {e}"))
 }
 
 // -------------------------------------------------------------- stats
@@ -288,9 +311,9 @@ fn cmd_stats(flags: &HashMap<String, String>) -> CliResult {
 
 fn cmd_estimate(flags: &HashMap<String, String>) -> CliResult {
     let n1: u64 = get_parse(flags, "n1")?;
-    let d1: f64 = get_parse(flags, "d1")?;
+    let d1 = parse_density(get(flags, "d1")?, "--d1")?;
     let n2: u64 = get_parse(flags, "n2")?;
-    let d2: f64 = get_parse(flags, "d2")?;
+    let d2 = parse_density(get(flags, "d2")?, "--d2")?;
     let cfg = if flags.contains_key("corrected") {
         ModelConfig::paper_corrected(2)
     } else {
@@ -372,7 +395,7 @@ fn cmd_explain(flags: &HashMap<String, String>) -> CliResult {
             return Err(format!("bad dataset spec {spec} (want name:N:D)"));
         };
         let n: u64 = n.parse().map_err(|e| format!("bad N in {spec}: {e}"))?;
-        let d: f64 = d.parse().map_err(|e| format!("bad D in {spec}: {e}"))?;
+        let d = parse_density(d, &format!("D in {spec}"))?;
         catalog.register(name, DatasetStats::new(n, d));
         names.push(name.to_string());
     }
@@ -389,6 +412,9 @@ fn cmd_explain(flags: &HashMap<String, String>) -> CliResult {
         let [x0, y0, x1, y1] = vals[..] else {
             return Err(format!("--select needs 4 coordinates, got {sel}"));
         };
+        if catalog.get(name).is_none() {
+            return Err(format!("--select names {name}, which is not in --datasets"));
+        }
         let window = Rect::new([x0, y0], [x1, y1]).map_err(|e| e.to_string())?;
         query = query.with_selection(name, window);
     }

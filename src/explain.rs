@@ -29,11 +29,11 @@
 //! persisted catalog so the next planning run uses observed statistics.
 
 use crate::exec::{ExecError, ExecOutput, OpMeasurement, PlanExecutor};
-use crate::model::LevelParams;
 use crate::optimizer::cost::{CostError, CostEstimator};
 use crate::optimizer::{Catalog, DatasetStats, Estimate, PhysicalPlan, PlanNode};
 use crate::prelude::*;
 use sjcm_geom::Rect;
+use sjcm_join::measured_params;
 use sjcm_rtree::TreeStats;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
@@ -334,25 +334,6 @@ fn rel_err(estimate: f64, measured: f64) -> f64 {
     }
 }
 
-/// Converts measured per-level tree statistics into model parameters
-/// (the post-hoc arm of the attribution).
-fn measured_params<const N: usize>(stats: &TreeStats) -> TreeParams<N> {
-    let levels = stats
-        .levels
-        .iter()
-        .map(|l| {
-            let mut extents = [0.0; N];
-            extents.copy_from_slice(&l.avg_extents);
-            LevelParams {
-                nodes: l.node_count as f64,
-                extents,
-                density: l.density,
-            }
-        })
-        .collect();
-    TreeParams::from_levels(levels)
-}
-
 /// EXPLAIN ANALYZE driver: binds data sets, executes plans with full
 /// instrumentation, and attributes per-operator error.
 pub struct Explainer<'a, const N: usize> {
@@ -360,24 +341,22 @@ pub struct Explainer<'a, const N: usize> {
     executor: PlanExecutor<'a, N>,
     datasets: Vec<String>,
     envelope: f64,
-    mass_floor: f64,
     // One stats walk per bound tree, shared by the calibration stats
-    // and the post-hoc parameters and reused across analyses — the
-    // per-analysis overhead budget (see the bench guard) has no room
-    // for re-walking the trees every time.
+    // and the post-hoc parameters and reused across analyses: a
+    // re-walk per analysis would be most of what annotation costs
+    // (the benchmark's `exec.explain_overhead_pct`).
     stats_cache: OnceCell<BTreeMap<String, TreeStats>>,
 }
 
 impl<'a, const N: usize> Explainer<'a, N> {
     /// Creates an explainer over the catalog the plans were priced
-    /// against, with the paper's envelope and the default mass floor.
+    /// against, with the paper's envelope.
     pub fn new(catalog: &'a Catalog<N>) -> Self {
         Self {
             catalog,
             executor: PlanExecutor::new(),
             datasets: Vec::new(),
             envelope: PAPER_ENVELOPE,
-            mass_floor: GATE_MASS_FLOOR,
             stats_cache: OnceCell::new(),
         }
     }
@@ -407,12 +386,6 @@ impl<'a, const N: usize> Explainer<'a, N> {
     /// Overrides the verdict envelope (the paper's ±15% by default).
     pub fn with_envelope(mut self, envelope: f64) -> Self {
         self.envelope = envelope;
-        self
-    }
-
-    /// Overrides the gating mass floor.
-    pub fn with_mass_floor(mut self, floor: f64) -> Self {
-        self.mass_floor = floor;
         self
     }
 
@@ -463,9 +436,8 @@ impl<'a, const N: usize> Explainer<'a, N> {
 
     /// Annotates an already-executed plan from its output and
     /// per-operator measurement stream — the post-processing half of
-    /// [`Self::analyze`], exposed so a recorded run can be re-annotated
-    /// (or the annotation layer timed) without re-executing the plan.
-    pub fn annotate_run(
+    /// [`Self::analyze`].
+    fn annotate_run(
         &self,
         plan: &PhysicalPlan<N>,
         out: &ExecOutput<N>,
@@ -540,7 +512,7 @@ impl<'a, const N: usize> Explainer<'a, N> {
             Attribution::Model
         };
         let gated = total_io > 0
-            && measured.cost_io as f64 >= self.mass_floor * total_io as f64
+            && measured.cost_io as f64 >= GATE_MASS_FLOOR * total_io as f64
             && measured.cost_io > 0;
         let within = if gated {
             Some(model_err <= self.envelope)

@@ -149,6 +149,79 @@ fn cli_errors_are_clean() {
 
     let out = sjcm(&["stats", "--tree", "/nonexistent/path.pages"]);
     assert!(!out.status.success());
+
+    // Bad numbers and names are refused where they are parsed: exit 1
+    // with an `error:` line, never a panic from an inner assertion.
+    let mut tmp = TempFiles(Vec::new());
+    let data = tmp.path("err.json");
+    let refused = |args: &[&str], want: &str| {
+        let out = sjcm(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(err.contains(want), "{args:?}: {err}");
+        assert!(!err.contains("panicked at"), "{args:?}: {err}");
+    };
+    for d in ["-1", "nan", "inf"] {
+        refused(
+            &[
+                "gen",
+                "--kind",
+                "uniform",
+                "--n",
+                "10",
+                "--density",
+                d,
+                "--out",
+                &data,
+            ],
+            "bad --density",
+        );
+    }
+    for d1 in ["nan", "-0.5"] {
+        refused(
+            &[
+                "estimate", "--n1", "10", "--d1", d1, "--n2", "10", "--d2", "0.5",
+            ],
+            "bad --d1",
+        );
+    }
+    refused(
+        &["explain", "--datasets", "a:10:-1,b:10:0.5"],
+        "bad D in a:10:-1",
+    );
+    refused(
+        &[
+            "explain",
+            "--datasets",
+            "a:10:0.5,b:10:0.5",
+            "--select",
+            "c:0,0,1,1",
+        ],
+        "not in --datasets",
+    );
+
+    // A sidecar that describes another format is refused, not decoded
+    // as a 2-D 1 KiB tree.
+    let tree = tmp.path("err.pages");
+    stdout(&sjcm(&[
+        "gen", "--kind", "uniform", "--n", "300", "--out", &data,
+    ]));
+    stdout(&sjcm(&["build", "--data", &data, "--out", &tree]));
+    let meta_path = format!("{tree}.meta");
+    let meta = std::fs::read_to_string(&meta_path).unwrap();
+    for (good, bad, want) in [
+        ("\"dims\":2", "\"dims\":3", "dims is 3"),
+        (
+            "\"page_size\":1024",
+            "\"page_size\":512",
+            "page_size is 512",
+        ),
+    ] {
+        assert!(meta.contains(good), "{meta}");
+        std::fs::write(&meta_path, meta.replace(good, bad)).unwrap();
+        refused(&["stats", "--tree", &tree], want);
+    }
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! come out inside the paper's ~15% envelope; a deliberately wrong
 //! parameterization must be flagged — in flight, not just post hoc.
 
-use sjcm::join::JoinObs;
-use sjcm::model::{join, LevelParams, TreeParams};
+use sjcm::join::{measured_params, JoinObs};
+use sjcm::model::{join, TreeParams};
 use sjcm::obs::{
     DriftMonitor, MetricsRegistry, ProgressTracker, Tracer, DA_TOTAL, NA_TOTAL, PAPER_ENVELOPE,
 };
@@ -22,21 +22,6 @@ fn uniform_tree(n: usize, d: f64, seed: u64) -> RTree<2> {
         tree.insert(r, ObjectId(id));
     }
     tree
-}
-
-fn measured_params(tree: &RTree<2>) -> TreeParams<2> {
-    let stats = tree.stats();
-    TreeParams::from_levels(
-        stats
-            .levels
-            .iter()
-            .map(|l| LevelParams {
-                nodes: l.node_count as f64,
-                extents: [l.avg_extents[0], l.avg_extents[1]],
-                density: l.density,
-            })
-            .collect(),
-    )
 }
 
 fn config() -> JoinConfig {
@@ -77,7 +62,11 @@ fn known_good_workload_stays_inside_the_envelope() {
     let t1 = uniform_tree(12_000, 0.5, 11);
     let t2 = uniform_tree(12_000, 0.5, 12);
     let drift = DriftMonitor::new(PAPER_ENVELOPE);
-    register(&drift, &measured_params(&t1), &measured_params(&t2));
+    register(
+        &drift,
+        &measured_params(&t1.stats()),
+        &measured_params(&t2.stats()),
+    );
     assert!(drift.target_count() >= 4, "totals + leaf levels at least");
 
     let result = JoinSession::new(&t1, &t2)

@@ -5,8 +5,9 @@
 //! these assertions run at reduced cardinality with correspondingly
 //! relaxed bands so `cargo test` stays fast in debug builds.
 
+use sjcm::join::measured_params;
 use sjcm::model::join::{join_cost_da, join_cost_na, join_cost_na_by_level};
-use sjcm::model::{params::predict_height, LevelParams};
+use sjcm::model::params::predict_height;
 use sjcm::prelude::*;
 
 fn uniform_tree(n: usize, d: f64, seed: u64) -> RTree<2> {
@@ -75,22 +76,8 @@ fn measured_params_make_the_traversal_model_tight() {
     let t1 = uniform_tree(12_000, 0.5, 11);
     let t2 = uniform_tree(12_000, 0.5, 12);
     let result = run_join(&t1, &t2);
-    let params = |t: &RTree<2>| {
-        let stats = t.stats();
-        TreeParams::<2>::from_levels(
-            stats
-                .levels
-                .iter()
-                .map(|l| LevelParams {
-                    nodes: l.node_count as f64,
-                    extents: [l.avg_extents[0], l.avg_extents[1]],
-                    density: l.density,
-                })
-                .collect(),
-        )
-    };
-    let p1 = params(&t1);
-    let p2 = params(&t2);
+    let p1 = measured_params::<2>(&t1.stats());
+    let p2 = measured_params::<2>(&t2.stats());
     let na = join_cost_na(&p1, &p2);
     assert!(
         rel_err(na, result.na_total()) < 0.10,
