@@ -365,7 +365,6 @@ pub fn parallel_join(out: &Path, scale: f64, threads: usize) {
         let t2 = build_tree(&r2);
         let config = JoinConfig {
             buffer: BufferPolicy::Path,
-            collect_pairs: false,
             ..JoinConfig::default()
         };
         let run = |sched: Scheduler| {
@@ -379,11 +378,14 @@ pub fn parallel_join(out: &Path, scale: f64, threads: usize) {
         let seq = run(Scheduler::Sequential);
         let rr = run(Scheduler::RoundRobin { threads });
         let cg = run(Scheduler::CostGuided { threads });
-        // The schedulers must be invisible in the aggregate measures.
+        // The schedulers must be invisible in the aggregate measures
+        // and in the output: the same pairs in the same order.
         assert_eq!(rr.na_total(), seq.na_total());
         assert_eq!(cg.na_total(), seq.na_total());
         assert_eq!(rr.pair_count, seq.pair_count);
         assert_eq!(cg.pair_count, seq.pair_count);
+        assert_eq!(rr.pairs, seq.pairs, "round-robin output");
+        assert_eq!(cg.pairs, seq.pairs, "cost-guided output");
         report.row(&[
             &n,
             &threads,

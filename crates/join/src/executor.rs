@@ -179,7 +179,9 @@ pub struct StealTally {
 #[derive(Debug, Clone, Default)]
 pub struct JoinResultSet {
     /// Qualifying `(R1 object, R2 object)` pairs (empty when
-    /// `collect_pairs` was off).
+    /// `collect_pairs` was off), in the sequential traversal's emission
+    /// order whichever scheduler ran the join — see
+    /// [`JoinSession::run`](crate::session::JoinSession::run).
     pub pairs: Vec<(ObjectId, ObjectId)>,
     /// Number of qualifying pairs (tracked even when not materialized).
     pub pair_count: u64,

@@ -47,8 +47,8 @@
 //! For **both** schedulers on any input and any thread count — under
 //! a gate too, as long as it refuses nothing:
 //!
-//! * the result pair multiset is identical to the sequential join (and
-//!   `pairs` is additionally sorted — see below);
+//! * `pairs` is the sequential join's vector — the same pairs in the
+//!   same order, see below;
 //! * NA is identical (the same node pairs are visited, and each access
 //!   is charged exactly once: by the coordinator above the frontier and
 //!   by exactly one worker below it, or by the shard that runs the root
@@ -87,10 +87,22 @@
 //! machine with fewer cores than workers, the realized split is OS
 //! time-slice noise.
 //!
-//! `pairs` is sorted by `(R1 object, R2 object)` before returning, so
-//! parallel output is deterministic and reproducible regardless of
-//! scheduling — the sequential executor's emission order is a traversal
-//! order no parallel schedule can reproduce cheaply.
+//! `pairs` comes back in the sequential traversal's **emission order**
+//! from every scheduler, at any thread count, under any steal
+//! interleaving — the order is a property of the schedule, not of a
+//! sort. Each worker appends to its engine's one pair vector and marks
+//! where every unit it ran ends; `merge` concatenates those runs in
+//! unit order (one copy per pair, nothing per unit allocated). That
+//! *is* the depth-first order, because of how the units are numbered:
+//! `Engine::collect_frontier` replaces each frontier pair in place by
+//! its child pairs in match order and emits nothing itself, and the
+//! dealt executor's units are the root pair's child pairs in the order
+//! `Engine::visit` iterates them — either way unit `i`'s subtree pair
+//! is entered by the sequential recursion after all of unit `i - 1`'s
+//! and before any of unit `i + 1`'s. A unit refused by the governor or
+//! lost to a fault contributes no run, so a degraded output is the
+//! sequential vector minus the forfeited units' pairs, still in order.
+//! A caller that wants `(R1 object, R2 object)` order sorts its copy.
 
 use crate::degraded::{localized_pairs, subtree_objects, JoinError, RawSkip, SubtreeObjects};
 use crate::engine::Engine;
@@ -266,6 +278,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
                     worker_span.set("worker", w);
                     let mut exec = Engine::new(r1, r2, config, &wctx, CorrDomain::Coordinator);
                     let mut tallies: Vec<(usize, WorkerTally)> = Vec::new();
+                    let mut runs: Vec<(usize, usize)> = Vec::new();
                     let mut steal = StealTally::default();
                     // First-breach markers, per worker (the monitor's
                     // overrun is sticky, so one marker per lane is the
@@ -291,6 +304,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
                         let na = exec.stats1.na_total() + exec.stats2.na_total() - na0;
                         let da = exec.stats1.da_total() + exec.stats2.da_total() - da0;
                         let pair_count = exec.pair_count - pc0;
+                        runs.push((i, exec.pairs.len()));
                         // Attributed to the *planned* worker — see the
                         // module docs.
                         tallies.push((
@@ -349,6 +363,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
                         steal,
                         result,
                         skips,
+                        runs,
                     }
                 })
             })
@@ -371,27 +386,51 @@ pub(crate) fn cost_guided_join<const N: usize>(
 }
 
 /// What one worker thread of either executor hands back: its engine's
-/// result and raw skips, its steal statistics, and the tallies of what
-/// it ran, each tagged with the worker the work was *scheduled on*.
+/// result and raw skips, its steal statistics, the tallies of what it
+/// ran, each tagged with the worker the work was *scheduled on*, and
+/// where each unit's pairs sit in `result.pairs`.
 struct WorkerPart {
     tallies: Vec<(usize, WorkerTally)>,
     steal: StealTally,
     result: JoinResultSet,
     skips: Vec<RawSkip>,
+    /// One `(unit, end)` mark per unit, in the order the worker ran
+    /// them: the unit's pairs are `result.pairs[previous end..end]`.
+    runs: Vec<(usize, usize)>,
 }
 
 /// Assembles a multi-worker result: folds the workers' parts, in worker
 /// order, into `base` (the coordinator's own part — empty for the dealt
-/// executor, which charges nothing above its units). The first worker
-/// failure is the join's failure.
+/// executor, which charges nothing above its units; never holding
+/// pairs, which are only emitted below the units). The pair runs are
+/// concatenated in **unit order**, whichever worker ran each unit and
+/// whenever — the sequential emission order, see the module docs. The
+/// first worker failure is the join's failure.
 fn merge(
     base: (JoinResultSet, Vec<RawSkip>),
     parts: Vec<Result<WorkerPart, JoinError>>,
 ) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
     let (mut out, mut raw) = base;
+    let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
+    debug_assert!(out.pairs.is_empty(), "pairs are emitted below the units");
+    // One entry per unit, never per pair: (unit, worker, start, end).
+    let mut runs = Vec::new();
+    for (w, part) in parts.iter().enumerate() {
+        let mut start = 0;
+        for &(unit, end) in &part.runs {
+            runs.push((unit, w, start, end));
+            start = end;
+        }
+    }
+    runs.sort_unstable();
+    out.pairs
+        .reserve_exact(parts.iter().map(|p| p.result.pairs.len()).sum());
+    for (_, w, start, end) in runs {
+        out.pairs
+            .extend_from_slice(&parts[w].result.pairs[start..end]);
+    }
     out.workers = vec![WorkerTally::default(); parts.len()];
     for part in parts {
-        let part = part?;
         for (w, t) in part.tallies {
             let tally = &mut out.workers[w];
             tally.units += t.units;
@@ -402,7 +441,6 @@ fn merge(
         out.steals.push(part.steal);
         out.buffers1.merge(&part.result.buffers1);
         out.buffers2.merge(&part.result.buffers2);
-        out.pairs.extend(part.result.pairs);
         out.pair_count += part.result.pair_count;
         out.stats1.merge(&part.result.stats1);
         out.stats2.merge(&part.result.stats2);
@@ -622,7 +660,8 @@ pub(crate) fn dealt_join<const N: usize>(
         let n = units.len() as u64;
         ctx.progress.set_schedule(&[(n, n)]);
         let shard: Vec<(usize, RootUnit)> = units.into_iter().enumerate().collect();
-        return Ok(run_shard(r1, r2, config, &shard, ctx, CorrDomain::Shard(0)));
+        let part = run_shard(r1, r2, config, &shard, ctx, CorrDomain::Shard(0));
+        return Ok((part.result, part.skips));
     }
     let mut join_span = ctx.tracer.span(if gov.is_unit_gated() {
         "governed-join"
@@ -670,27 +709,7 @@ pub(crate) fn dealt_join<const N: usize>(
                     span.set("units", shard.len());
                     // One correlation domain per shard: its buffers
                     // persist across all of the shard's units.
-                    let (result, skips) =
-                        run_shard(r1, r2, config, shard, &wctx, CorrDomain::Shard(w));
-                    let units = shard.len() as u64;
-                    WorkerPart {
-                        tallies: vec![(
-                            w,
-                            WorkerTally {
-                                units,
-                                na: result.na_total(),
-                                da: result.da_total(),
-                                pair_count: result.pair_count,
-                            },
-                        )],
-                        // No stealing: a shard executes what it was dealt.
-                        steal: StealTally {
-                            units_executed: units,
-                            ..StealTally::default()
-                        },
-                        result,
-                        skips,
-                    }
+                    run_shard(r1, r2, config, shard, &wctx, CorrDomain::Shard(w))
                 })
             })
             .collect();
@@ -747,7 +766,8 @@ fn arm_ledger<const N: usize>(
 /// at the gate or lost to the fault probe is forfeited like any
 /// fault-forfeited pair — recorded as a skip, priced later, never
 /// silently dropped. An unlimited governor is one `Option` check per
-/// call.
+/// call. The part handed back carries one `(ordinal, end)` mark per
+/// unit that ran — a forfeited unit emits nothing and needs none.
 fn run_shard<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
@@ -755,11 +775,12 @@ fn run_shard<const N: usize>(
     units: &[(usize, RootUnit)],
     ctx: &ExecContext<'_>,
     domain: CorrDomain,
-) -> (JoinResultSet, Vec<RawSkip>) {
+) -> WorkerPart {
     // The shard is one buffer-residency domain: its correlation id and
     // the progress-ledger worker index both come from `domain`.
     let mut shard = Engine::new(r1, r2, config, ctx, domain);
     let worker = domain.worker_index();
+    let mut runs = Vec::with_capacity(units.len());
     for &(ordinal, unit) in units {
         let ran = match unit {
             (Child::Object(o1), Child::Object(o2)) => {
@@ -787,12 +808,33 @@ fn run_shard<const N: usize>(
             continue;
         }
         ctx.unit_done(ordinal);
+        runs.push((ordinal, shard.pairs.len()));
         if ctx.progress.is_enabled() {
             ctx.progress.unit_done(worker, 1);
             shard.flush_progress();
         }
     }
-    shard.into_parts()
+    let (result, skips) = shard.into_parts();
+    let units = units.len() as u64;
+    WorkerPart {
+        tallies: vec![(
+            worker,
+            WorkerTally {
+                units,
+                na: result.na_total(),
+                da: result.da_total(),
+                pair_count: result.pair_count,
+            },
+        )],
+        // No stealing: a shard executes what it was dealt.
+        steal: StealTally {
+            units_executed: units,
+            ..StealTally::default()
+        },
+        result,
+        skips,
+        runs,
+    }
 }
 
 #[cfg(test)]
@@ -841,16 +883,11 @@ mod tests {
         [Scheduler::RoundRobin { threads }, cost_guided(threads)]
     }
 
-    fn sorted(mut pairs: Vec<(ObjectId, ObjectId)>) -> Vec<(ObjectId, ObjectId)> {
-        pairs.sort_unstable();
-        pairs
-    }
-
     #[test]
     fn parallel_matches_sequential_pairs() {
         let a = build(2_000, 0.01, 1);
         let b = build(2_000, 0.01, 2);
-        let seq = sorted(join(&a, &b, Scheduler::Sequential).pairs);
+        let seq = join(&a, &b, Scheduler::Sequential).pairs;
         for threads in [2, 4, 7] {
             for sched in parallel(threads) {
                 assert_eq!(join(&a, &b, sched).pairs, seq, "{sched:?}");
@@ -928,7 +965,7 @@ mod tests {
         let b = build(500, 0.02, 8);
         let seq = join(&a, &b, Scheduler::Sequential);
         let par = join(&a, &b, cost_guided(1));
-        assert_eq!(sorted(seq.pairs.clone()), par.pairs);
+        assert_eq!(seq.pairs, par.pairs);
         assert_eq!(seq.da_total(), par.da_total());
         assert!(par.workers.is_empty());
         assert_eq!(par.na_imbalance(), 1.0);
@@ -942,16 +979,12 @@ mod tests {
         let seq = join(&a, &b, Scheduler::Sequential);
         for sched in parallel(3) {
             let par = join(&a, &b, sched);
-            assert_eq!(par.pairs, sorted(seq.pairs.clone()), "{sched:?}");
+            assert_eq!(par.pairs, seq.pairs, "{sched:?}");
             assert_eq!(par.na_total(), seq.na_total(), "{sched:?}");
             // Role-swapped as well (pinned tree on the other side).
             let swapped = join(&b, &a, sched);
             let seq_swapped = join(&b, &a, Scheduler::Sequential);
-            assert_eq!(
-                swapped.pairs,
-                sorted(seq_swapped.pairs.clone()),
-                "{sched:?}"
-            );
+            assert_eq!(swapped.pairs, seq_swapped.pairs, "{sched:?}");
             assert_eq!(swapped.na_total(), seq_swapped.na_total(), "{sched:?}");
         }
     }
@@ -966,7 +999,7 @@ mod tests {
             let seq = join(&a, &b, Scheduler::Sequential);
             for sched in parallel(2) {
                 let par = join(&a, &b, sched);
-                assert_eq!(par.pairs, sorted(seq.pairs.clone()), "{sched:?}");
+                assert_eq!(par.pairs, seq.pairs, "{sched:?}");
                 assert_eq!(par.na_total(), seq.na_total(), "{sched:?}");
             }
         }
@@ -1136,7 +1169,7 @@ mod tests {
         let b = build(4_000, 0.008, 18);
         let seq = join(&a, &b, Scheduler::Sequential);
         let par = join(&a, &b, cost_guided(8));
-        assert_eq!(par.pairs, sorted(seq.pairs.clone()));
+        assert_eq!(par.pairs, seq.pairs);
         assert_eq!(par.na_total(), seq.na_total());
         assert!(par.da_total() >= seq.da_total());
     }

@@ -98,20 +98,21 @@ impl CorrDomain {
 /// Which traversal/scheduling strategy a [`JoinSession`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// The depth-first synchronized traversal of \[BKS93\], one thread,
-    /// pairs in traversal (emission) order.
+    /// The depth-first synchronized traversal of \[BKS93\], one thread.
+    /// Its emission order is the order every scheduler returns `pairs`
+    /// in.
     #[default]
     Sequential,
     /// The cost-guided parallel scheduler: Eq-6-priced frontier units,
-    /// LPT deques, work stealing. Pairs sorted. `threads = 1` falls
-    /// back to the sequential traversal (pairs still sorted).
+    /// LPT deques, work stealing. `threads = 1` falls back to the
+    /// sequential traversal.
     CostGuided {
         /// Worker count; must be ≥ 1 ([`JoinError::InvalidThreads`]).
         threads: usize,
     },
     /// The static round-robin baseline: root-level units dealt
-    /// `i mod threads`, no redistribution. Pairs sorted; same
-    /// `threads = 1` fallback.
+    /// `i mod threads`, no redistribution; same `threads = 1`
+    /// fallback.
     RoundRobin {
         /// Worker count; must be ≥ 1 ([`JoinError::InvalidThreads`]).
         threads: usize,
@@ -303,15 +304,17 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     ///   the frontier of Eq-6-priced units with LPT deques and work
     ///   stealing.
     ///
-    /// Result shape per scheduler:
-    ///
-    /// * [`Scheduler::Sequential`]: pairs in traversal (emission)
-    ///   order, unsorted.
-    /// * [`Scheduler::CostGuided`] / [`Scheduler::RoundRobin`]: pairs
-    ///   sorted by `(R1 object, R2 object)`; `threads = 1` falls back
-    ///   to the sequential traversal under a `sequential-join` span
-    ///   (pairs still sorted); `threads = 0` is
-    ///   [`JoinError::InvalidThreads`].
+    /// Result shape, the same on all three: `pairs` in the sequential
+    /// traversal's emission order — the parallel executors concatenate
+    /// their units' pair runs in unit order, which is that order (see
+    /// the [`parallel`](crate::parallel) module docs) — so any two
+    /// schedulers and thread counts return equal vectors, and a run
+    /// that forfeits units returns the rest in the same order. Nothing
+    /// is sorted; a caller that wants `(R1 object, R2 object)` order
+    /// sorts its copy. With [`Scheduler::CostGuided`] or
+    /// [`Scheduler::RoundRobin`], `threads = 1` falls back to the
+    /// sequential traversal under a `sequential-join` span and
+    /// `threads = 0` is [`JoinError::InvalidThreads`].
     ///
     /// `Err` is reserved for failures that make the run unusable
     /// (admission rejection, budget exhaustion, a worker panic,
@@ -343,21 +346,18 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             return Err(JoinError::InvalidThreads);
         }
         ctx.gov.admit(r1, r2)?;
-        // The parallel schedulers return sorted pairs, and trace their
-        // one-worker fallback under a span of its own.
-        let parallel = scheduler != Scheduler::Sequential;
-        let fallback_span = (parallel && threads == 1).then(|| ctx.tracer.span("sequential-join"));
+        // The parallel schedulers trace their one-worker fallback under
+        // a span of its own.
+        let fallback_span = (scheduler != Scheduler::Sequential && threads == 1)
+            .then(|| ctx.tracer.span("sequential-join"));
         let gated = ctx.gov.is_unit_gated();
-        let (mut result, raw) = if threads == 1 && !gated {
+        let (result, raw) = if threads == 1 && !gated {
             crate::executor::run_sequential(r1, r2, config, &ctx)
         } else if gated || matches!(scheduler, Scheduler::RoundRobin { .. }) {
             crate::parallel::dealt_join(r1, r2, config, scheduler, &ctx)?
         } else {
             crate::parallel::cost_guided_join(r1, r2, config, threads, &ctx)?
         };
-        if parallel {
-            result.pairs.sort_unstable();
-        }
         if let Some(mut span) = fallback_span {
             span.set("na", result.na_total());
             span.set("da", result.da_total());

@@ -237,7 +237,7 @@ fn batched_join_is_byte_identical_on_60k_workload() {
     assert_eq!(seq_s.stats1, seq_b.stats1, "per-level stats R1");
     assert_eq!(seq_s.stats2, seq_b.stats2, "per-level stats R2");
 
-    // Both parallel schedulers (pairs come back sorted there).
+    // Both parallel schedulers (same emission order there).
     for sched in [
         Scheduler::CostGuided { threads: 4 },
         Scheduler::RoundRobin { threads: 4 },

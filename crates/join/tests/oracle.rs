@@ -3,7 +3,8 @@
 //! [`MatchKernel`] × each predicate (overlap, ε-distance) in 1, 2 and 3
 //! dimensions, plus [`PbsmSession`] at both kernels — against one
 //! brute-force reference, [`nested_loop_join`] (and its distance twin
-//! below). A run must return the reference's pair multiset, and every
+//! below). A run must return the reference's pair multiset — every
+//! scheduler in the sequential traversal's emission order — and every
 //! scheduler and kernel must charge the node accesses the sequential
 //! scalar run charges: NA counts visited node pairs, which neither the
 //! schedule nor the kernel may change.
@@ -127,6 +128,9 @@ fn assert_tree_joins_match_oracle<const N: usize>(
     for (predicate, want) in cases {
         let mut reference_na = None;
         for kernel in KERNELS {
+            // `schedulers()` leads with `Sequential`: its pair vector is
+            // the one every other scheduler must return, order included.
+            let mut sequential_pairs = None;
             for scheduler in schedulers() {
                 let tag = format!("{name} {N}-d {predicate:?} {kernel:?} {scheduler:?}");
                 let got = JoinSession::new(&ta, &tb)
@@ -140,9 +144,11 @@ fn assert_tree_joins_match_oracle<const N: usize>(
                     .expect("ungoverned join cannot fail")
                     .result;
                 assert_eq!(got.pair_count, want.len() as u64, "{tag}: pair count");
-                assert_eq!(sorted(got.pairs), want, "{tag}: pairs");
                 let na = (got.stats1.na_total(), got.stats2.na_total());
                 assert_eq!(*reference_na.get_or_insert(na), na, "{tag}: NA per tree");
+                let emitted = sequential_pairs.get_or_insert_with(|| got.pairs.clone());
+                assert_eq!(&got.pairs, emitted, "{tag}: emission order");
+                assert_eq!(sorted(got.pairs), want, "{tag}: pairs");
             }
         }
     }
@@ -275,6 +281,84 @@ fn degenerate_inputs_match_the_oracle() {
     degenerate_case::<1>();
     degenerate_case::<2>();
     degenerate_case::<3>();
+}
+
+/// Which worker steals which unit changes from run to run; the pair
+/// vector must not — it is the sequential join's, every time.
+#[test]
+fn cost_guided_output_is_the_same_under_any_stealing() {
+    let (a, b) = (
+        clustered::<2>(600, 0.3, 21, 7),
+        clustered::<2>(600, 0.3, 22, 7),
+    );
+    let (ta, tb) = (tree(&a), tree(&b));
+    let run = |scheduler| {
+        JoinSession::new(&ta, &tb)
+            .scheduler(scheduler)
+            .run()
+            .expect("ungoverned join cannot fail")
+            .result
+            .pairs
+    };
+    let sequential = run(Scheduler::Sequential);
+    assert!(
+        sequential.windows(2).any(|w| w[0] > w[1]),
+        "emission order is not (R1, R2) order"
+    );
+    for threads in [4, 7] {
+        for repeat in 0..20 {
+            assert_eq!(
+                run(Scheduler::CostGuided { threads }),
+                sequential,
+                "{threads} threads, repeat {repeat}"
+            );
+        }
+    }
+}
+
+/// A governor that refuses units takes their pairs out of the output
+/// and moves nothing else: what is left is the sequential vector with
+/// the forfeited units' runs removed, in order. Which units an expiring
+/// deadline refuses depends on the clock; that the rest stays in order
+/// does not.
+#[test]
+fn a_refusing_governor_returns_an_in_order_subsequence() {
+    use std::time::Duration;
+    let t1 = packed_uniform(20_000, 0.5, 71);
+    let t2 = packed_uniform(20_000, 0.5, 72);
+    let sequential = JoinSession::new(&t1, &t2)
+        .run()
+        .expect("ungoverned join cannot fail")
+        .result
+        .pairs;
+    // The zero deadline and the cancellation point refuse units on any
+    // machine (`true`); the other deadlines may or may not.
+    let deadline = |d| GovernorConfig::default().with_deadline(d);
+    let refusing = [
+        (deadline(Duration::ZERO), true),
+        (deadline(Duration::from_micros(300)), false),
+        (deadline(Duration::from_millis(2)), false),
+        (GovernorConfig::default().with_cancel_after_units(5), true),
+    ];
+    for (config, always_refuses) in refusing {
+        for scheduler in schedulers() {
+            let tag = format!("{config:?} {scheduler:?}");
+            let gov = Governor::new(config.clone());
+            let got = JoinSession::new(&t1, &t2)
+                .scheduler(scheduler)
+                .govern(&gov)
+                .run()
+                .expect("a refused unit degrades the run, it does not fail it");
+            if always_refuses {
+                assert!(gov.summary().expect("armed").units_forfeited > 0, "{tag}");
+                assert!(got.result.pairs.len() < sequential.len(), "{tag}");
+            }
+            let mut rest = sequential.iter();
+            for pair in &got.result.pairs {
+                assert!(rest.any(|p| p == pair), "{tag}: {pair:?} out of order");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -430,11 +514,10 @@ fn generous_governor_is_identical_to_unlimited() {
 /// A governor that gates every work unit but never refuses one — a
 /// cancellation point past the last unit, a deadline an hour away —
 /// moves every scheduler onto the dealt executor and must change
-/// nothing an ungoverned run reports: the pair multiset and the NA of
-/// each tree always; at one thread, where the deal is the sequential
-/// order, also the pairs in order, DA and every recorded access
-/// (correlation id aside — the single shard is domain 1, the sequential
-/// join domain 0).
+/// nothing an ungoverned run reports: the pairs in their order and the
+/// NA of each tree always; at one thread, where the deal is the
+/// sequential order, also DA and every recorded access (correlation id
+/// aside — the single shard is domain 1, the sequential join domain 0).
 #[test]
 fn gated_but_idle_governor_is_identical_to_ungoverned() {
     let single_leaf = packed_uniform(30, 0.5, 63);
@@ -474,11 +557,7 @@ fn gated_but_idle_governor_is_identical_to_ungoverned() {
                     let (gated, gated_events) =
                         record(JoinSession::new(t1, t2).govern(&gov), scheduler);
                     assert_eq!(gated.pair_count, plain.pair_count, "{tag}: pair count");
-                    assert_eq!(
-                        sorted(gated.pairs.clone()),
-                        sorted(plain.pairs.clone()),
-                        "{tag}: pairs"
-                    );
+                    assert_eq!(gated.pairs, plain.pairs, "{tag}: pairs, in order");
                     assert_eq!(
                         (gated.stats1.na_total(), gated.stats2.na_total()),
                         (plain.stats1.na_total(), plain.stats2.na_total()),

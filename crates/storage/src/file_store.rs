@@ -13,8 +13,32 @@
 use crate::page::{PageId, PageStore, StorageError};
 use bytes::Bytes;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+
+/// Fills `buf` from `offset` without touching the file cursor, which
+/// every reader holding `&FilePageStore` shares.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
 
 /// Disk-backed page store over a single file.
 pub struct FilePageStore {
@@ -138,10 +162,10 @@ impl PageStore for FilePageStore {
 
     fn read(&self, id: PageId) -> Result<Bytes, StorageError> {
         self.check_id(id)?;
-        let mut file = &self.file;
+        // Positional: the store is `Sync`, and a seek-then-read through
+        // the shared cursor would let two readers swap pages.
         let mut buf = vec![0u8; self.page_size];
-        file.seek(SeekFrom::Start(self.offset(id)))
-            .and_then(|_| file.read_exact(&mut buf))
+        read_exact_at(&self.file, &mut buf, self.offset(id))
             .map_err(|e| StorageError::Io(format!("read page {id}: {e}")))?;
         Ok(Bytes::from(buf))
     }
@@ -265,6 +289,42 @@ mod tests {
             store.read(PageId(5)),
             Err(StorageError::UnknownPage(_))
         ));
+    }
+
+    #[test]
+    fn concurrent_readers_each_get_their_own_page() {
+        const PAGES: usize = 64;
+        const PAGE_SIZE: usize = 64;
+        let path = temp_path("concurrent");
+        let _guard = Cleanup(path.clone());
+        let mut store = FilePageStore::create(&path, PAGE_SIZE).unwrap();
+        // Byte `j` of page `i` is `i ^ j`: no two pages share a byte at
+        // any offset.
+        let pages: Vec<Vec<u8>> = (0..PAGES)
+            .map(|i| (0..PAGE_SIZE).map(|j| (i ^ j) as u8).collect())
+            .collect();
+        for page in &pages {
+            let id = store.allocate().unwrap();
+            store.write(id, page).unwrap();
+        }
+        let (store, pages) = (&store, &pages);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            // An odd stride walks all 64 pages; each thread has its own.
+            for stride in [1, 3, 5, 7] {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..2_000 {
+                        for k in 0..PAGES {
+                            let i = (round + k * stride) % PAGES;
+                            let got = store.read(PageId(i as u32)).unwrap();
+                            assert_eq!(&got[..], &pages[i][..], "page {i}");
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]
