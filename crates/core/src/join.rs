@@ -20,8 +20,20 @@
 //!   benefits from the buffer, `DA(R1) ≈ NA(R1)` (the rarely-firing
 //!   consecutive-pair exception is deliberately unmodeled; the join
 //!   executor counts it so the experiments can report how rare it is).
+//!
+//! A join whose inputs are restricted to query windows (the traversal
+//! skips every node of a windowed tree that misses its window) composes
+//! these with **Eq 1**: a node pair is visited iff the two nodes overlap
+//! *and* each windowed node meets its window, and under the model's
+//! uniformity those events are independent, so each level pair's term is
+//! multiplied by Eq 1's `Π_k min{1, s_{j,k} + q_k}` of the windowed
+//! tree's level (position-aware at the workspace boundary:
+//! [`crate::range::window_probability`]) — see
+//! [`join_cost_na_windowed`] / [`join_cost_da_windowed`].
 
 use crate::params::TreeParams;
+use crate::range::window_probability;
+use sjcm_geom::Rect;
 
 /// One step of the synchronized traversal: the paired paper levels
 /// `(j₁, j₂)` of trees R1 and R2.
@@ -212,6 +224,61 @@ pub fn join_cost_da_split<const N: usize>(r1: &TreeParams<N>, r2: &TreeParams<N>
     join_cost_da_shares_by_level(r1, r2)
         .into_iter()
         .fold((0.0, 0.0), |(a1, a2), (_, (da1, da2))| (a1 + da1, a2 + da2))
+}
+
+/// A join's query windows, R1's then R2's (`None` = the whole tree
+/// joins): a windowed tree contributes only the objects whose MBR meets
+/// its window. The model prices them here; the executor takes them
+/// through `JoinSession::window` — a window is part of what is asked,
+/// not of how it is run, so it is no configuration field.
+pub type JoinWindows<const N: usize> = [Option<Rect<N>>; 2];
+
+/// Eq 1's per-node factor at one level pair: the probability that a
+/// level-`j₁` node of R1 and a level-`j₂` node of R2 each meet their
+/// tree's window — [`window_probability`] per windowed tree, 1 for an
+/// unwindowed one.
+fn window_factor<const N: usize>(
+    r1: &TreeParams<N>,
+    j1: usize,
+    r2: &TreeParams<N>,
+    j2: usize,
+    [w1, w2]: &JoinWindows<N>,
+) -> f64 {
+    let meets = |t: &TreeParams<N>, j: usize, w: &Option<Rect<N>>| match w {
+        Some(w) => window_probability(&t.level(j).extents, w),
+        None => 1.0,
+    };
+    meets(r1, j1, w1) * meets(r2, j2, w2)
+}
+
+/// [`join_cost_na`] of a join restricted to query windows: per level
+/// pair, Eq 6 times Eq 1's intersection probability of each windowed
+/// tree's nodes at that level. Equal to [`join_cost_na`] with no window.
+pub fn join_cost_na_windowed<const N: usize>(
+    r1: &TreeParams<N>,
+    r2: &TreeParams<N>,
+    windows: &JoinWindows<N>,
+) -> f64 {
+    level_schedule(r1.height(), r2.height())
+        .iter()
+        .map(|p| 2.0 * na_level(r1, p.j1, r2, p.j2) * window_factor(r1, p.j1, r2, p.j2, windows))
+        .sum()
+}
+
+/// [`join_cost_da`] of a join restricted to query windows: each step's
+/// Eq 8/9/12 shares times the same per-level factor as
+/// [`join_cost_na_windowed`] — a fetch the path buffer does not absorb
+/// is still one visit of a node pair that passed the windows. Equal to
+/// [`join_cost_da`] with no window.
+pub fn join_cost_da_windowed<const N: usize>(
+    r1: &TreeParams<N>,
+    r2: &TreeParams<N>,
+    windows: &JoinWindows<N>,
+) -> f64 {
+    join_cost_da_shares_by_level(r1, r2)
+        .into_iter()
+        .map(|(p, (da1, da2))| (da1 + da2) * window_factor(r1, p.j1, r2, p.j2, windows))
+        .sum()
 }
 
 /// Drift-monitor target name for tree `tree ∈ {1, 2}`'s node accesses

@@ -1,6 +1,7 @@
 //! Range-query cost (Eq 1) and the shared `intsect` primitive.
 
 use crate::params::TreeParams;
+use sjcm_geom::Rect;
 
 /// The `intsect` function of the paper:
 /// `intsect(N, s, q) = N · Π_k min{1, (s_k + q_k)}` — the expected number
@@ -32,6 +33,41 @@ pub fn range_query_cost<const N: usize>(params: &TreeParams<N>, q: &[f64; N]) ->
         total += intsect(l.nodes, &l.extents, q);
     }
     total
+}
+
+/// Eq 1's per-node factor for a window whose *position* is known: the
+/// probability that a node of average extents `s`, somewhere in the unit
+/// workspace, meets `window`. A node meets the window iff its centre lies
+/// within `s_k / 2` of it in every dimension, so the factor is the
+/// measure of the window grown by `s / 2` — `Π_k (s_k + q_k)`, exactly
+/// `intsect`'s — except that the part of that margin falling outside
+/// the workspace, where no node can be centred, does not count. For a
+/// window at least `s / 2` inside the workspace this *is* Eq 1's factor;
+/// for one on the boundary ("west of the 7th meridian") Eq 1 as printed
+/// overcounts by up to `s_k / 2` per clipped side, which at the upper
+/// levels of a tree is a large share of `s_k + q_k`.
+pub fn window_probability<const N: usize>(s: &[f64; N], window: &Rect<N>) -> f64 {
+    s.iter()
+        .enumerate()
+        .map(|(k, s_k)| {
+            let lo = (window.lo_k(k) - s_k / 2.0).max(0.0);
+            let hi = (window.hi_k(k) + s_k / 2.0).min(1.0);
+            (hi - lo).clamp(0.0, 1.0)
+        })
+        .product()
+}
+
+/// Eq 1 for a window whose position is known: [`range_query_cost`] with
+/// each level's `Π_k min{1, s_{j,k} + q_k}` replaced by
+/// [`window_probability`] — the same number for a window in the
+/// interior of the workspace.
+pub fn range_query_cost_at<const N: usize>(params: &TreeParams<N>, window: &Rect<N>) -> f64 {
+    (1..params.height())
+        .map(|j| {
+            let l = params.level(j);
+            l.nodes * window_probability(&l.extents, window)
+        })
+        .sum()
 }
 
 /// Expected number of *objects* a range query retrieves (the range-query
@@ -115,6 +151,33 @@ mod tests {
         let p = TreeParams::<2>::from_data(DataProfile::new(20, 0.01), &ModelConfig::paper(2));
         assert_eq!(p.height(), 1);
         assert_eq!(range_query_cost(&p, &[0.5, 0.5]), 0.0);
+    }
+
+    #[test]
+    fn positioned_window_is_eq_1_in_the_interior_and_clipped_at_the_boundary() {
+        let p = params(20_000, 0.5);
+        // At least half a node extent inside at every level: identical
+        // to Eq 1 on the window's extents.
+        let inner = Rect::new([0.35, 0.35], [0.6, 0.65]).unwrap();
+        assert!((1..p.height()).all(|j| p.level(j).extents[0] / 2.0 < 0.35));
+        let eq1 = range_query_cost(&p, &inner.extents());
+        assert!((range_query_cost_at(&p, &inner) - eq1).abs() < 1e-9);
+        // The same window pushed into the corner loses half a node
+        // extent per clipped side, level by level.
+        let corner = Rect::new([0.0, 0.0], [0.2, 0.3]).unwrap();
+        let manual: f64 = (1..p.height())
+            .map(|j| {
+                let l = p.level(j);
+                l.nodes * (0.2 + l.extents[0] / 2.0).min(1.0) * (0.3 + l.extents[1] / 2.0).min(1.0)
+            })
+            .sum();
+        assert!((range_query_cost_at(&p, &corner) - manual).abs() < 1e-9);
+        assert!(range_query_cost_at(&p, &corner) < eq1);
+        // Covering the workspace touches every node; missing it, none.
+        let all = Rect::new([-1.0, -1.0], [2.0, 2.0]).unwrap();
+        assert_eq!(window_probability(&[0.1, 0.1], &all), 1.0);
+        let none = Rect::new([2.0, 2.0], [3.0, 3.0]).unwrap();
+        assert_eq!(window_probability(&[0.1, 0.1], &none), 0.0);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 use crate::degraded::RawSkip;
 use crate::executor::{child_pairs, JoinConfig, JoinResultSet, MatchScratch};
 use crate::session::{CorrDomain, ExecContext};
+use sjcm_core::join::JoinWindows;
 use sjcm_obs::progress::ProgressSink;
 use sjcm_rtree::{Child, NodeId, ObjectId, RTree};
 use sjcm_storage::{AccessStats, BufferManager, FaultInjector, PageId, RecorderLane};
@@ -47,6 +48,8 @@ pub(crate) struct Engine<'a, const N: usize> {
     pub(crate) pairs: Vec<(ObjectId, ObjectId)>,
     pub(crate) pair_count: u64,
     pub(crate) config: JoinConfig,
+    // The query windows every descent step restricts by.
+    pub(crate) windows: JoinWindows<N>,
     // Reused matching buffers (candidate lists, SoA batches, bitmask).
     pub(crate) scratch: MatchScratch<N>,
     // Fault-injection oracle (disabled = one `Option` check per pair)
@@ -66,6 +69,7 @@ impl<'a, const N: usize> Engine<'a, N> {
         r1: &'a RTree<N>,
         r2: &'a RTree<N>,
         config: JoinConfig,
+        windows: JoinWindows<N>,
         ctx: &ExecContext<'_>,
         domain: CorrDomain,
     ) -> Self {
@@ -82,6 +86,7 @@ impl<'a, const N: usize> Engine<'a, N> {
             pairs: Vec::new(),
             pair_count: 0,
             config,
+            windows,
             scratch: MatchScratch::new(),
             faults: ctx.faults.clone(),
             skips: Vec::new(),
@@ -174,7 +179,14 @@ impl<'a, const N: usize> Engine<'a, N> {
 
     /// The pair's matched child pairs — see [`child_pairs`].
     fn child_pairs(&mut self, n1: NodeId, n2: NodeId) -> Vec<(Child, Child)> {
-        child_pairs(self.r1, self.r2, (n1, n2), &self.config, &mut self.scratch)
+        child_pairs(
+            self.r1,
+            self.r2,
+            (n1, n2),
+            &self.config,
+            &self.windows,
+            &mut self.scratch,
+        )
     }
 
     /// Charges the read of node pair `(n1, n2)`: the fault probe first,

@@ -6,7 +6,8 @@
 
 use crate::degraded::RawSkip;
 use crate::session::{CorrDomain, ExecContext};
-use sjcm_geom::{OverlapMask, Rect, RectBatch};
+use sjcm_core::join::JoinWindows;
+use sjcm_geom::{mbr_of, OverlapMask, Rect, RectBatch};
 use sjcm_rtree::{Child, Node, NodeId, ObjectId, RTree};
 use sjcm_storage::recorder::RecordedPolicy;
 use sjcm_storage::{AccessStats, BufferCounters, BufferManager, LruBuffer, NoBuffer, PathBuffer};
@@ -115,6 +116,16 @@ impl Default for JoinConfig {
             collect_pairs: true,
         }
     }
+}
+
+/// One of a join's two trees: R1 plays the data (inner-loop) role, R2
+/// the query (outer-loop) role.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The data tree.
+    R1,
+    /// The query tree.
+    R2,
 }
 
 /// Reusable scratch buffers for entry matching: the two candidate lists
@@ -283,9 +294,11 @@ pub(crate) fn run_sequential<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     config: JoinConfig,
+    windows: JoinWindows<N>,
     ctx: &ExecContext<'_>,
 ) -> (JoinResultSet, Vec<RawSkip>) {
-    let mut exec = crate::engine::Engine::new(r1, r2, config, ctx, CorrDomain::Coordinator);
+    let mut exec =
+        crate::engine::Engine::new(r1, r2, config, windows, ctx, CorrDomain::Coordinator);
     // The roots are assumed memory-resident (§3.1) and are not counted.
     exec.visit(r1.root_id(), r2.root_id());
     exec.flush_progress();
@@ -300,44 +313,63 @@ pub(crate) fn run_sequential<const N: usize>(
 /// meets its MBR — so the taller tree keeps descending against it. What
 /// is done with each pair (emit, charge and recurse, queue as a work
 /// unit) is the caller's business; which pairs there are is decided
-/// here and nowhere else.
+/// here and nowhere else — the query windows included: an entry of a
+/// windowed tree that misses its window is in no pair, at any level, so
+/// the traversal never enters a subtree the window excludes and the
+/// object pairs that come out are exactly the unwindowed join's whose
+/// windowed objects meet their windows, in the unwindowed order.
 pub(crate) fn child_pairs<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     (n1_id, n2_id): (NodeId, NodeId),
     config: &JoinConfig,
+    windows: &JoinWindows<N>,
     scratch: &mut MatchScratch<N>,
 ) -> Vec<(Child, Child)> {
     let (n1, n2) = (r1.node(n1_id), r2.node(n2_id));
     let (pin1, pin2) = (Child::Node(n1_id), Child::Node(n2_id));
+    let [w1, w2] = windows;
     match (n1.is_leaf(), n2.is_leaf()) {
-        (true, true) | (false, false) => matched_entries(n1, n2, config, scratch),
-        (false, true) => pinned_children(n1, n2, config, scratch, |c1| (c1, pin2)),
-        (true, false) => pinned_children(n2, n1, config, scratch, |c2| (pin1, c2)),
+        (true, true) | (false, false) => match_entries(n1, n2, config, windows, scratch),
+        (false, true) => pinned_children((n1, w1), (n2, w2), config, scratch, |c1| (c1, pin2)),
+        (true, false) => pinned_children((n2, w2), (n1, w1), config, scratch, |c2| (pin1, c2)),
     }
 }
 
 /// The height-mismatch arms of [`child_pairs`]: `pair(child)` for every
 /// child of `node` whose rectangle satisfies the predicate against the
-/// MBR of the single `pinned` leaf, in entry order. The batched kernel
-/// and the scalar filter agree exactly — both predicates are symmetric,
-/// so one-vs-many masking is just the scalar loop with the comparisons
-/// vectorized.
+/// MBR of the single `pinned` leaf (and meets `node`'s window, if its
+/// tree has one), in entry order. A windowed pinned leaf stands in with
+/// the MBR of its entries that meet the window — what is left of it for
+/// this query. The batched kernel and the scalar filter agree exactly —
+/// both predicates are symmetric, so one-vs-many masking is just the
+/// scalar loop with the comparisons vectorized.
 fn pinned_children<const N: usize>(
-    node: &Node<N>,
-    pinned: &Node<N>,
+    (node, window): (&Node<N>, &Option<Rect<N>>),
+    (pinned, pinned_window): (&Node<N>, &Option<Rect<N>>),
     config: &JoinConfig,
     scratch: &mut MatchScratch<N>,
     pair: impl Fn(Child) -> (Child, Child),
 ) -> Vec<(Child, Child)> {
-    let Some(mbr) = pinned.mbr() else {
+    let bound = match pinned_window {
+        None => pinned.mbr(),
+        Some(w) => mbr_of(
+            pinned
+                .entries
+                .iter()
+                .map(|e| e.rect)
+                .filter(|r| r.intersects(w)),
+        ),
+    };
+    let Some(mbr) = bound else {
         return Vec::new();
     };
     let (entries, predicate) = (&node.entries, config.predicate);
+    let in_window = |r: &Rect<N>| window.as_ref().is_none_or(|w| r.intersects(w));
     match config.kernel {
         MatchKernel::Scalar => entries
             .iter()
-            .filter(|e| predicate.holds(&e.rect, &mbr))
+            .filter(|e| predicate.holds(&e.rect, &mbr) && in_window(&e.rect))
             .map(|e| pair(e.child))
             .collect(),
         MatchKernel::Batched => {
@@ -350,7 +382,10 @@ fn pinned_children<const N: usize>(
                     batch1.within_mask(&mbr, eps, 0, batch1.len(), mask)
                 }
             }
-            mask.iter_set().map(|i| pair(entries[i].child)).collect()
+            mask.iter_set()
+                .filter(|&i| in_window(&entries[i].rect))
+                .map(|i| pair(entries[i].child))
+                .collect()
         }
     }
 }
@@ -371,27 +406,71 @@ fn pinned_children<const N: usize>(
 /// floating point too: the per-dimension gaps to the MBR are never
 /// larger) — and order-preserving, so the surviving pairs come back in
 /// the order the unrestricted loops would have produced them.
+///
+/// This is the traversal's matching step with no query window, for
+/// callers outside the traversal.
 pub fn matched_entries<const N: usize>(
     n1: &Node<N>,
     n2: &Node<N>,
     config: &JoinConfig,
     scratch: &mut MatchScratch<N>,
 ) -> Vec<(Child, Child)> {
+    match_entries(n1, n2, config, &[None, None], scratch)
+}
+
+/// [`matched_entries`] under the join's query windows. A window is one
+/// more conjunct of the same restriction: a candidate of a windowed tree
+/// must also meet its window, and the other side is then restricted
+/// against the MBR of the *surviving* candidates instead of the whole
+/// node's — exact by the same argument (whatever matches a survivor
+/// matches their MBR), and all the pruning the window allows without
+/// knowing how far an object may reach beyond it. With no window the
+/// two passes are the unwindowed ones and nothing else runs.
+fn match_entries<const N: usize>(
+    n1: &Node<N>,
+    n2: &Node<N>,
+    config: &JoinConfig,
+    [w1, w2]: &JoinWindows<N>,
+    scratch: &mut MatchScratch<N>,
+) -> Vec<(Child, Child)> {
     let (Some(m1), Some(m2)) = (n1.mbr(), n2.mbr()) else {
         return Vec::new();
     };
     let predicate = config.predicate;
-    let restrict = |node: &Node<N>, other: &Rect<N>, out: &mut Vec<(Rect<N>, Child)>| {
+    let restrict = |node: &Node<N>,
+                    other: &Rect<N>,
+                    window: &Option<Rect<N>>,
+                    out: &mut Vec<(Rect<N>, Child)>| {
         out.clear();
-        out.extend(
-            node.entries
-                .iter()
-                .filter(|e| predicate.holds(&e.rect, other))
-                .map(|e| (e.rect, e.child)),
-        );
+        let matching = node
+            .entries
+            .iter()
+            .filter(|e| predicate.holds(&e.rect, other))
+            .map(|e| (e.rect, e.child));
+        match window {
+            None => out.extend(matching),
+            Some(w) => out.extend(matching.filter(|(r, _)| r.intersects(w))),
+        }
     };
-    restrict(n1, &m2, &mut scratch.entries1);
-    restrict(n2, &m1, &mut scratch.entries2);
+    let survivors = |list: &[(Rect<N>, Child)]| mbr_of(list.iter().map(|e| e.0));
+    restrict(n1, &m2, w1, &mut scratch.entries1);
+    let bound1 = if w1.is_some() {
+        survivors(&scratch.entries1)
+    } else {
+        Some(m1)
+    };
+    let Some(bound1) = bound1 else {
+        return Vec::new();
+    };
+    restrict(n2, &bound1, w2, &mut scratch.entries2);
+    if w2.is_some() {
+        let Some(bound2) = survivors(&scratch.entries2) else {
+            return Vec::new();
+        };
+        scratch
+            .entries1
+            .retain(|(r, _)| predicate.holds(r, &bound2));
+    }
     if scratch.entries1.is_empty() || scratch.entries2.is_empty() {
         return Vec::new();
     }

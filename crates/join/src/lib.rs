@@ -63,7 +63,7 @@ pub mod session;
 pub use degraded::{DegradedJoinResult, JoinError, SkippedSubtree};
 pub use executor::{
     matched_entries, BufferPolicy, JoinConfig, JoinPredicate, JoinResultSet, MatchKernel,
-    MatchScratch, StealTally, WorkerTally,
+    MatchScratch, Side, StealTally, WorkerTally,
 };
 pub use governor::{
     assert_well_formed, AdmissionPolicy, Governor, GovernorConfig, GovernorSummary,

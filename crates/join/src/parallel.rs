@@ -111,7 +111,7 @@ use crate::executor::{
 };
 use crate::governor::Governor;
 use crate::session::{CorrDomain, ExecContext, Scheduler};
-use sjcm_core::join::unit_cost_na;
+use sjcm_core::join::{unit_cost_na, JoinWindows};
 use sjcm_core::{LevelParams, TreeParams};
 use sjcm_geom::Rect;
 use sjcm_obs::perfetto::{DRIFT_BREACH_SPAN as BREACH_SPAN, PROGRESS_SPAN};
@@ -176,6 +176,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     config: JoinConfig,
+    windows: JoinWindows<N>,
     threads: usize,
     ctx: &ExecContext<'_>,
 ) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
@@ -186,7 +187,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
     // 1. The coordinator descends until it holds enough units, charging
     //    the intermediate accesses itself (in sequential per-level
     //    order). Its recorder lanes stay on correlation domain 0.
-    let mut coord = Engine::new(r1, r2, config, ctx, CorrDomain::Coordinator);
+    let mut coord = Engine::new(r1, r2, config, windows, ctx, CorrDomain::Coordinator);
     let units = {
         let mut span = join_span.child("frontier-descent");
         let units = coord.collect_frontier(threads * UNITS_PER_WORKER, threads);
@@ -276,7 +277,8 @@ pub(crate) fn cost_guided_join<const N: usize>(
                 scope.spawn(move || {
                     let mut worker_span = wctx.tracer.span_under(join_id, "worker");
                     worker_span.set("worker", w);
-                    let mut exec = Engine::new(r1, r2, config, &wctx, CorrDomain::Coordinator);
+                    let mut exec =
+                        Engine::new(r1, r2, config, windows, &wctx, CorrDomain::Coordinator);
                     let mut tallies: Vec<(usize, WorkerTally)> = Vec::new();
                     let mut runs: Vec<(usize, usize)> = Vec::new();
                     let mut steal = StealTally::default();
@@ -646,13 +648,15 @@ pub(crate) fn dealt_join<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     config: JoinConfig,
+    windows: JoinWindows<N>,
     scheduler: Scheduler,
     ctx: &ExecContext<'_>,
 ) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
     let gov = ctx.gov;
     let threads = scheduler.threads();
     let roots = (r1.root_id(), r2.root_id());
-    let units: Vec<RootUnit> = child_pairs(r1, r2, roots, &config, &mut MatchScratch::new());
+    let units: Vec<RootUnit> =
+        child_pairs(r1, r2, roots, &config, &windows, &mut MatchScratch::new());
     if threads == 1 {
         // One shard, inline: no arena replica to meter, no worker to
         // spawn, no tallies to merge.
@@ -660,7 +664,7 @@ pub(crate) fn dealt_join<const N: usize>(
         let n = units.len() as u64;
         ctx.progress.set_schedule(&[(n, n)]);
         let shard: Vec<(usize, RootUnit)> = units.into_iter().enumerate().collect();
-        let part = run_shard(r1, r2, config, &shard, ctx, CorrDomain::Shard(0));
+        let part = run_shard(r1, r2, config, windows, &shard, ctx, CorrDomain::Shard(0));
         return Ok((part.result, part.skips));
     }
     let mut join_span = ctx.tracer.span(if gov.is_unit_gated() {
@@ -709,7 +713,7 @@ pub(crate) fn dealt_join<const N: usize>(
                     span.set("units", shard.len());
                     // One correlation domain per shard: its buffers
                     // persist across all of the shard's units.
-                    run_shard(r1, r2, config, shard, &wctx, CorrDomain::Shard(w))
+                    run_shard(r1, r2, config, windows, shard, &wctx, CorrDomain::Shard(w))
                 })
             })
             .collect();
@@ -772,13 +776,14 @@ fn run_shard<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     config: JoinConfig,
+    windows: JoinWindows<N>,
     units: &[(usize, RootUnit)],
     ctx: &ExecContext<'_>,
     domain: CorrDomain,
 ) -> WorkerPart {
     // The shard is one buffer-residency domain: its correlation id and
     // the progress-ledger worker index both come from `domain`.
-    let mut shard = Engine::new(r1, r2, config, ctx, domain);
+    let mut shard = Engine::new(r1, r2, config, windows, ctx, domain);
     let worker = domain.worker_index();
     let mut runs = Vec::with_capacity(units.len());
     for &(ordinal, unit) in units {

@@ -32,10 +32,11 @@
 //! ```
 
 use crate::degraded::{DegradedJoinResult, JoinError};
-use crate::executor::{JoinConfig, MatchKernel};
+use crate::executor::{JoinConfig, MatchKernel, Side};
 use crate::governor::Governor;
 use crate::parallel::JoinObs;
 use crate::pbsm::DegradedPbsmResult;
+use sjcm_core::join::JoinWindows;
 use sjcm_geom::Rect;
 use sjcm_obs::progress::ProgressTracker;
 use sjcm_obs::{DriftMonitor, Tracer};
@@ -216,6 +217,7 @@ pub struct JoinSession<'a, const N: usize> {
     r1: &'a RTree<N>,
     r2: &'a RTree<N>,
     config: JoinConfig,
+    windows: JoinWindows<N>,
     scheduler: Scheduler,
     tracer: Tracer,
     drift: Option<&'a DriftMonitor>,
@@ -227,13 +229,14 @@ pub struct JoinSession<'a, const N: usize> {
 
 impl<'a, const N: usize> JoinSession<'a, N> {
     /// A session joining `r1 × r2` with default configuration: the
-    /// sequential scheduler, default [`JoinConfig`], every
-    /// observability hook disabled, no faults, unlimited governor.
+    /// sequential scheduler, default [`JoinConfig`], no query window,
+    /// every observability hook disabled, no faults, unlimited governor.
     pub fn new(r1: &'a RTree<N>, r2: &'a RTree<N>) -> Self {
         JoinSession {
             r1,
             r2,
             config: JoinConfig::default(),
+            windows: [None, None],
             scheduler: Scheduler::default(),
             tracer: Tracer::disabled(),
             drift: None,
@@ -248,6 +251,21 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     /// pair collection).
     pub fn config(mut self, config: JoinConfig) -> Self {
         self.config = config;
+        self
+    }
+
+    /// Restricts one tree to the objects whose MBR meets `window` — the
+    /// join of a window selection with the other tree, answered in one
+    /// traversal: every descent step drops the windowed tree's entries
+    /// that miss the window, so subtrees outside it are never read. The
+    /// result is exactly the unwindowed join's pairs whose `side` object
+    /// meets `window`, in the unwindowed order, under every scheduler;
+    /// a window on each side keeps the pairs that pass both. The
+    /// governor admits and prices units, and a degraded result prices
+    /// forfeited subtrees, on the unwindowed join — an upper bound on
+    /// what a windowed run reads and returns.
+    pub fn window(mut self, side: Side, window: Rect<N>) -> Self {
+        self.windows[side as usize] = Some(window);
         self
     }
 
@@ -311,7 +329,12 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     /// schedulers and thread counts return equal vectors, and a run
     /// that forfeits units returns the rest in the same order. Nothing
     /// is sorted; a caller that wants `(R1 object, R2 object)` order
-    /// sorts its copy. With [`Scheduler::CostGuided`] or
+    /// sorts its copy. Query windows ([`JoinSession::window`]) are part
+    /// of the one descent step all three executors share, so a windowed
+    /// run is the same statement about a smaller join: every scheduler
+    /// returns the unwindowed sequential vector minus the pairs a
+    /// window excludes, and charges the same NA. With
+    /// [`Scheduler::CostGuided`] or
     /// [`Scheduler::RoundRobin`], `threads = 1` falls back to the
     /// sequential traversal under a `sequential-join` span and
     /// `threads = 0` is [`JoinError::InvalidThreads`].
@@ -325,6 +348,7 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             r1,
             r2,
             config,
+            windows,
             scheduler,
             tracer,
             drift,
@@ -352,11 +376,11 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             .then(|| ctx.tracer.span("sequential-join"));
         let gated = ctx.gov.is_unit_gated();
         let (result, raw) = if threads == 1 && !gated {
-            crate::executor::run_sequential(r1, r2, config, &ctx)
+            crate::executor::run_sequential(r1, r2, config, windows, &ctx)
         } else if gated || matches!(scheduler, Scheduler::RoundRobin { .. }) {
-            crate::parallel::dealt_join(r1, r2, config, scheduler, &ctx)?
+            crate::parallel::dealt_join(r1, r2, config, windows, scheduler, &ctx)?
         } else {
-            crate::parallel::cost_guided_join(r1, r2, config, threads, &ctx)?
+            crate::parallel::cost_guided_join(r1, r2, config, windows, threads, &ctx)?
         };
         if let Some(mut span) = fallback_span {
             span.set("na", result.na_total());

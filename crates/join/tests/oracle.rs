@@ -14,6 +14,11 @@
 //! entry, all-identical rectangles, zero-extent rectangles, rectangles
 //! that only touch).
 //!
+//! The same matrix runs once more under query windows
+//! ([`JoinSession::window`]) on either side and on both: the reference
+//! is the brute-force join of the objects that meet their window, and
+//! the order is the unwindowed sequential join's.
+//!
 //! The second half holds four session-vs-session invariants no oracle
 //! can state: observability on ≡ off, an armed governor that never
 //! fires ≡ no governor, a governor that gates every unit and refuses
@@ -25,7 +30,7 @@ use sjcm_geom::Rect;
 use sjcm_join::baselines::nested_loop_join;
 use sjcm_join::{
     Governor, GovernorConfig, JoinConfig, JoinObs, JoinPredicate, JoinResultSet, JoinSession,
-    MatchKernel, PbsmSession, Scheduler,
+    MatchKernel, PbsmSession, Scheduler, Side,
 };
 use sjcm_obs::{DriftMonitor, ProgressTracker, Tracer, DA_TOTAL, NA_TOTAL};
 use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
@@ -281,6 +286,164 @@ fn degenerate_inputs_match_the_oracle() {
     degenerate_case::<1>();
     degenerate_case::<2>();
     degenerate_case::<3>();
+}
+
+// ---------------------------------------------------------------------
+// Query windows.
+// ---------------------------------------------------------------------
+
+/// A session over `ta × tb` with the given windows set.
+fn windowed<'a, const N: usize>(
+    ta: &'a RTree<N>,
+    tb: &'a RTree<N>,
+    [w1, w2]: [Option<Rect<N>>; 2],
+) -> JoinSession<'a, N> {
+    let mut session = JoinSession::new(ta, tb);
+    if let Some(w) = w1 {
+        session = session.window(Side::R1, w);
+    }
+    if let Some(w) = w2 {
+        session = session.window(Side::R2, w);
+    }
+    session
+}
+
+/// Every scheduler × kernel × predicate on `a × b` under each window
+/// placement: the pairs are the brute-force join of the objects that
+/// meet their window, in the order the unwindowed sequential join emits
+/// them; NA per tree is the same under every scheduler and kernel, and
+/// at one thread so is DA.
+fn assert_windowed_joins_match_oracle<const N: usize>(
+    name: &str,
+    a: &Items<N>,
+    b: &Items<N>,
+    eps: f64,
+    placements: &[[Option<Rect<N>>; 2]],
+) {
+    let (ta, tb) = (tree(a), tree(b));
+    let meeting = |items: &Items<N>, w: &Option<Rect<N>>| -> Items<N> {
+        items
+            .iter()
+            .filter(|(r, _)| w.as_ref().is_none_or(|w| r.intersects(w)))
+            .copied()
+            .collect()
+    };
+    for &windows in placements {
+        let (in1, in2) = (meeting(a, &windows[0]), meeting(b, &windows[1]));
+        let (ids1, ids2): (Vec<ObjectId>, Vec<ObjectId>) = (
+            in1.iter().map(|e| e.1).collect(),
+            in2.iter().map(|e| e.1).collect(),
+        );
+        let cases = [
+            (JoinPredicate::Overlap, sorted(nested_loop_join(&in1, &in2))),
+            (
+                JoinPredicate::WithinDistance(eps),
+                sorted(nested_loop_distance_join(&in1, &in2, eps)),
+            ),
+        ];
+        for (predicate, want) in cases {
+            let config = |kernel| JoinConfig {
+                predicate,
+                kernel,
+                ..JoinConfig::default()
+            };
+            // What the window may keep, in the order it must keep it.
+            let unwindowed = JoinSession::new(&ta, &tb)
+                .config(config(MatchKernel::Scalar))
+                .run()
+                .expect("ungoverned join cannot fail")
+                .result;
+            let kept: Pairs = unwindowed
+                .pairs
+                .iter()
+                .filter(|(o1, o2)| ids1.contains(o1) && ids2.contains(o2))
+                .copied()
+                .collect();
+            let mut reference = None;
+            for kernel in KERNELS {
+                for scheduler in schedulers() {
+                    let tag =
+                        format!("{name} {N}-d {windows:?} {predicate:?} {kernel:?} {scheduler:?}");
+                    let got = windowed(&ta, &tb, windows)
+                        .config(config(kernel))
+                        .scheduler(scheduler)
+                        .run()
+                        .expect("ungoverned join cannot fail")
+                        .result;
+                    assert_eq!(got.pair_count, want.len() as u64, "{tag}: pair count");
+                    assert_eq!(got.pairs, kept, "{tag}: the unwindowed order");
+                    let na = (got.stats1.na_total(), got.stats2.na_total());
+                    let da = (got.stats1.da_total(), got.stats2.da_total());
+                    let (ref_na, ref_da) = *reference.get_or_insert((na, da));
+                    assert_eq!(na, ref_na, "{tag}: NA per tree");
+                    if scheduler.threads() == 1 {
+                        assert_eq!(da, ref_da, "{tag}: DA per tree");
+                    }
+                    assert!(
+                        na.0 <= unwindowed.stats1.na_total()
+                            && na.1 <= unwindowed.stats2.na_total(),
+                        "{tag}: a window reads no more than the whole join"
+                    );
+                    if windows
+                        .iter()
+                        .flatten()
+                        .any(|w| !w.intersects(&Rect::unit()))
+                    {
+                        assert_eq!(na, (0, 0), "{tag}: a window off the data reads nothing");
+                    }
+                    assert_eq!(sorted(got.pairs), want, "{tag}: pairs");
+                }
+            }
+        }
+    }
+}
+
+/// Window placements over a seeded set of windows: each alone on R1,
+/// alone on R2, and on both sides with the next one. The set holds
+/// random windows of 5–60 % of the workspace per dimension, one that
+/// misses the unit workspace altogether and one that covers it.
+fn window_placements<const N: usize>(seed: u64) -> Vec<[Option<Rect<N>>; 2]> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut windows: Vec<Rect<N>> = (0..3)
+        .map(|_| {
+            let mut lo = [0.0; N];
+            let mut hi = [0.0; N];
+            for k in 0..N {
+                let extent = rng.gen_range(0.05..0.6);
+                lo[k] = rng.gen_range(0.0..1.0 - extent);
+                hi[k] = lo[k] + extent;
+            }
+            Rect::new(lo, hi).expect("lo < hi by construction")
+        })
+        .collect();
+    windows.push(cube::<N>(2.0, 3.0));
+    windows.push(cube::<N>(-1.0, 2.0));
+    let mut out = Vec::new();
+    for (i, &w) in windows.iter().enumerate() {
+        let next = windows[(i + 1) % windows.len()];
+        out.extend([[Some(w), None], [None, Some(w)], [Some(w), Some(next)]]);
+    }
+    out
+}
+
+fn windowed_case<const N: usize>() {
+    let placements = window_placements::<N>(81);
+    let (a, b) = (uniform::<N>(400, 0.6, 82), uniform::<N>(300, 0.4, 83));
+    assert_windowed_joins_match_oracle("uniform", &a, &b, 0.02, &placements);
+    // Unequal heights, both roles: the pinned leaf is windowed too.
+    let (tall, short) = (uniform::<N>(600, 0.5, 84), uniform::<N>(6, 0.3, 85));
+    assert!(tree(&tall).height() > tree(&short).height() + 1);
+    assert_windowed_joins_match_oracle("tall × short", &tall, &short, 0.05, &placements);
+    assert_windowed_joins_match_oracle("short × tall", &short, &tall, 0.05, &placements);
+}
+
+#[test]
+fn windowed_joins_match_the_oracle() {
+    windowed_case::<1>();
+    windowed_case::<2>();
+    windowed_case::<3>();
 }
 
 /// Which worker steals which unit changes from run to run; the pair

@@ -50,5 +50,5 @@ pub mod planner;
 
 pub use catalog::{Catalog, CatalogError, DatasetStats};
 pub use cost::{CostError, CostEstimator};
-pub use plan::{Estimate, JoinAlgorithm, JoinQuery, PhysicalPlan, PlanNode};
+pub use plan::{Access, Estimate, JoinAlgorithm, JoinQuery, PhysicalPlan, PlanNode};
 pub use planner::{Planner, PlannerError};

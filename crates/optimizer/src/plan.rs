@@ -2,6 +2,7 @@
 
 use sjcm_geom::Rect;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A declarative join query: a set of base data sets combined by
 /// pairwise `overlap` joins (the paper's operator), with optional window
@@ -46,7 +47,7 @@ impl<const N: usize> JoinQuery<N> {
 }
 
 /// Physical join algorithm chosen by the planner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinAlgorithm {
     /// Synchronized R-tree traversal (SJ) — requires indexes on both
     /// inputs. Cost via Eq 10/12 (path buffer); role-sensitive.
@@ -56,6 +57,34 @@ pub enum JoinAlgorithm {
     IndexNestedLoop,
     /// Block nested loop over two unindexed inputs.
     NestedLoop,
+}
+
+/// How an operator's parent consumes a base access path — what decides
+/// the path's cost, for the estimator and the executor alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// As rows: a scan reads every leaf page (N_1 of Eq 3), a range
+    /// select runs its Eq 1 probe.
+    Rows,
+    /// As the index itself, which the parent join reads (and prices) on
+    /// its own: free. For a range select under SJ, the window the
+    /// traversal is restricted to.
+    Handle,
+}
+
+impl JoinAlgorithm {
+    /// How a join by this algorithm consumes its `(data, query)` inputs,
+    /// given which of them are bare scans of an index: SJ reads both
+    /// through their indexes, INL the scan it probes (the data side
+    /// when both are scans), NL neither.
+    pub fn input_access(self, data_is_index: bool, query_is_index: bool) -> (Access, Access) {
+        match self {
+            JoinAlgorithm::SynchronizedTraversal => (Access::Handle, Access::Handle),
+            JoinAlgorithm::IndexNestedLoop if data_is_index => (Access::Handle, Access::Rows),
+            JoinAlgorithm::IndexNestedLoop if query_is_index => (Access::Rows, Access::Handle),
+            _ => (Access::Rows, Access::Rows),
+        }
+    }
 }
 
 impl fmt::Display for JoinAlgorithm {
@@ -68,16 +97,23 @@ impl fmt::Display for JoinAlgorithm {
     }
 }
 
-/// One operator of a physical plan.
+/// One operator of a physical plan. Equality and hashing are structural
+/// — same operators over the same data sets with bit-identical windows —
+/// which is what the planner deduplicates enumerated plans by.
 #[derive(Debug, Clone)]
 pub enum PlanNode<const N: usize> {
-    /// Use the base data set's R-tree as-is.
+    /// The base data set through its R-tree: free as the index handle
+    /// of an SJ or INL join, a read of every leaf page when its rows are
+    /// materialised (under a filter or an NL join, as an INL join's
+    /// probing side, or as the plan root).
     IndexScan {
         /// Data set name.
         dataset: String,
     },
     /// Window selection executed through the base index (Eq 1 cost),
-    /// producing an unindexed intermediate set.
+    /// producing an unindexed intermediate set — or, directly below an
+    /// SJ join, the window the join's one traversal is restricted to
+    /// (no probe of its own).
     IndexRangeSelect {
         /// Data set name.
         dataset: String,
@@ -108,8 +144,60 @@ pub enum PlanNode<const N: usize> {
     },
 }
 
+/// The corner coordinates of a window as bits: what plan identity
+/// compares and hashes (`-0.0` and `0.0` are different windows here,
+/// which costs at worst one duplicate plan).
+fn window_bits<const N: usize>(w: &Rect<N>) -> [[u64; N]; 2] {
+    [
+        w.lo().coords().map(f64::to_bits),
+        w.hi().coords().map(f64::to_bits),
+    ]
+}
+
+impl<const N: usize> PlanNode<N> {
+    /// This operator's identity apart from its inputs: kind, data set,
+    /// window bits, join algorithm.
+    #[allow(clippy::type_complexity)]
+    fn own_key(&self) -> (u8, &str, Option<[[u64; N]; 2]>, Option<JoinAlgorithm>) {
+        match self {
+            PlanNode::IndexScan { dataset } => (0, dataset, None, None),
+            PlanNode::IndexRangeSelect { dataset, window } => {
+                (1, dataset, Some(window_bits(window)), None)
+            }
+            PlanNode::Filter {
+                dataset, window, ..
+            } => (2, dataset, Some(window_bits(window)), None),
+            PlanNode::Join { algorithm, .. } => (3, "", None, Some(*algorithm)),
+        }
+    }
+
+    /// Input operators (join: data then query; filter: its input).
+    pub fn inputs(&self) -> [Option<&PlanNode<N>>; 2] {
+        match self {
+            PlanNode::IndexScan { .. } | PlanNode::IndexRangeSelect { .. } => [None, None],
+            PlanNode::Filter { input, .. } => [Some(input), None],
+            PlanNode::Join { data, query, .. } => [Some(data), Some(query)],
+        }
+    }
+}
+
+impl<const N: usize> PartialEq for PlanNode<N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.own_key() == other.own_key() && self.inputs() == other.inputs()
+    }
+}
+
+impl<const N: usize> Eq for PlanNode<N> {}
+
+impl<const N: usize> Hash for PlanNode<N> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.own_key().hash(state);
+        self.inputs().hash(state);
+    }
+}
+
 /// Estimated properties of one operator, filled in by the cost module.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Estimate {
     /// Expected output cardinality.
     pub cardinality: f64,
@@ -216,6 +304,31 @@ mod tests {
         assert!(text.contains("IndexScan(rivers)"));
         assert!(text.contains("IndexRangeSelect(countries"));
         assert!(text.contains("est. cost 123"));
+    }
+
+    #[test]
+    fn plan_identity_is_structural() {
+        use std::collections::HashSet;
+        let select = |name: &str, hi: f64| PlanNode::<2>::IndexRangeSelect {
+            dataset: name.into(),
+            window: Rect::new([0.0, 0.0], [hi, hi]).unwrap(),
+        };
+        let join = |data: PlanNode<2>, query: PlanNode<2>| PlanNode::Join {
+            data: Box::new(data),
+            query: Box::new(query),
+            algorithm: JoinAlgorithm::SynchronizedTraversal,
+        };
+        let plans = [
+            join(select("a", 0.5), select("b", 0.5)),
+            join(select("a", 0.5), select("b", 0.5)),
+            // Roles swapped, a window moved, a data set renamed: all new.
+            join(select("b", 0.5), select("a", 0.5)),
+            join(select("a", 0.25), select("b", 0.5)),
+            join(select("a", 0.5), select("c", 0.5)),
+        ];
+        assert_eq!(plans[0], plans[1]);
+        assert!(plans[2..].iter().all(|p| *p != plans[0]));
+        assert_eq!(plans.iter().collect::<HashSet<_>>().len(), 4);
     }
 
     #[test]

@@ -8,8 +8,13 @@
 //!   choice is precisely the paper's §4.1(iii) rule, discovered here by
 //!   costing rather than hard-coded);
 //! * **selection placement** — pushing a window selection below the join
-//!   (cheap probe set, but the selected side loses its index and forces
-//!   an INL join) versus filtering after an SJ join.
+//!   versus filtering after it. Pushed below an SJ join the window
+//!   restricts the join's one traversal (nodes of the selected tree that
+//!   miss the window are never read); pushed below an INL join it is an
+//!   Eq 1 probe whose rows then probe the other index. A single-set
+//!   selection has the same two placements — the Eq 1 probe, or a filter
+//!   over a scan that reads every leaf page — and costing picks the
+//!   probe.
 //!
 //! Plans are costed by [`crate::cost::CostEstimator`]; the cheapest one
 //! wins. Queries are small (SDBMS join chains of 2–4 data sets), so
@@ -74,16 +79,34 @@ impl<'a, const N: usize> Planner<'a, N> {
         }
     }
 
-    /// Returns the cheapest plan for the query.
+    /// Returns the cheapest plan for the query — the first of
+    /// [`Self::enumerate`]'s list, found without sorting or
+    /// deduplicating it.
     pub fn best_plan(&self, query: &JoinQuery<N>) -> Result<PhysicalPlan<N>, PlannerError> {
-        let mut plans = self.enumerate(query)?;
-        plans.sort_by(|a, b| a.total_cost.total_cmp(&b.total_cost));
-        plans.into_iter().next().ok_or(PlannerError::NoFeasiblePlan)
+        self.candidates(query)?
+            .into_iter()
+            .min_by(|a, b| a.total_cost.total_cmp(&b.total_cost))
+            .ok_or(PlannerError::NoFeasiblePlan)
     }
 
     /// Returns every feasible plan, cheapest first — useful for EXPLAIN-
     /// style demonstrations of why a strategy wins.
     pub fn enumerate(&self, query: &JoinQuery<N>) -> Result<Vec<PhysicalPlan<N>>, PlannerError> {
+        let mut out = self.candidates(query)?;
+        // Different (order, role) combinations can produce structurally
+        // identical plans (e.g. order a,b with roles swapped equals
+        // order b,a); keep the first of each.
+        let mut seen = std::collections::HashSet::new();
+        let first: Vec<bool> = out.iter().map(|p| seen.insert(&p.root)).collect();
+        let mut first = first.into_iter();
+        out.retain(|_| first.next() == Some(true));
+        out.sort_by(|a, b| a.total_cost.total_cmp(&b.total_cost));
+        Ok(out)
+    }
+
+    /// Every costed candidate in generation order, structural duplicates
+    /// included.
+    fn candidates(&self, query: &JoinQuery<N>) -> Result<Vec<PhysicalPlan<N>>, PlannerError> {
         if query.datasets.is_empty() {
             return Err(PlannerError::EmptyQuery);
         }
@@ -121,12 +144,6 @@ impl<'a, const N: usize> Planner<'a, N> {
         if out.is_empty() {
             return Err(PlannerError::NoFeasiblePlan);
         }
-        // Different (order, role) combinations can produce structurally
-        // identical plans (e.g. order a,b with roles swapped equals
-        // order b,a); keep one of each.
-        let mut seen = std::collections::HashSet::new();
-        out.retain(|p| seen.insert(format!("{p}")));
-        out.sort_by(|a, b| a.total_cost.total_cmp(&b.total_cost));
         Ok(out)
     }
 
@@ -199,10 +216,10 @@ impl<'a, const N: usize> Planner<'a, N> {
     /// Algorithm choices for one join, driven by index availability: SJ
     /// when both sides are indexed base scans, INL when exactly one is,
     /// NL otherwise. A window selection pushed below the join keeps its
-    /// base index on disk, so a second variant traverses the full trees
-    /// with SJ and applies the window as a residual filter — the
-    /// estimator prices it (full-tree Eq 10/12 plus the Eq 1 probe) and
-    /// enumeration lets costing decide.
+    /// base index on disk, so a second variant runs SJ over the base
+    /// trees with the traversal restricted to the window — the estimator
+    /// prices it (Eq 10/12 per level × Eq 1's intersection probability)
+    /// and enumeration lets costing decide.
     fn feasible_algorithms(&self, a: &PlanNode<N>, b: &PlanNode<N>) -> Vec<JoinAlgorithm> {
         let indexed = |n: &PlanNode<N>| -> bool {
             match n {
@@ -312,19 +329,29 @@ mod tests {
     #[test]
     fn selection_enables_pushdown_tradeoff() {
         let c = catalog();
-        // A tiny selection window: pushing it down shrinks the probe set
-        // massively, so the INL plan should win over SJ + filter.
+        // A tiny selection window: pushed below the join it confines the
+        // SJ traversal to a corner of the selected tree, which beats
+        // both probing rivers once per selected country (INL) and
+        // joining everything to filter afterwards.
         let q = JoinQuery::new(["rivers", "countries"])
             .with_selection("countries", Rect::new([0.0, 0.0], [0.05, 0.05]).unwrap());
         let plans = Planner::new(&c).enumerate(&q).unwrap();
-        let best = &plans[0];
-        let uses_inl = format!("{best}").contains("Join[INL]");
+        let text = format!("{}", plans[0]);
         assert!(
-            uses_inl,
-            "tiny selection should favour pushdown + INL:\n{best}"
+            text.contains("Join[SJ]")
+                && text.contains("IndexRangeSelect(countries")
+                && !text.contains("Filter"),
+            "tiny selection should favour pushdown into the traversal:\n{text}"
         );
-        // And the alternatives include SJ-based plans that cost more.
-        assert!(plans.iter().any(|p| format!("{p}").contains("Join[SJ]")));
+        // And the alternatives — the INL pushdown and SJ-then-filter —
+        // are enumerated and cost more.
+        for alternative in ["Join[INL]", "Filter"] {
+            let plan = plans
+                .iter()
+                .find(|p| format!("{p}").contains(alternative))
+                .unwrap_or_else(|| panic!("no {alternative} plan enumerated"));
+            assert!(plan.total_cost > plans[0].total_cost, "{alternative}");
+        }
     }
 
     #[test]
@@ -377,11 +404,35 @@ mod tests {
         let c = catalog();
         let q = JoinQuery::new(["rivers"])
             .with_selection("rivers", Rect::new([0.0, 0.0], [0.3, 0.3]).unwrap());
-        let best = Planner::new(&c).best_plan(&q).unwrap();
-        let text = format!("{best}");
-        assert!(
-            text.contains("IndexRangeSelect") || text.contains("Filter"),
-            "{text}"
-        );
+        let plans = Planner::new(&c).enumerate(&q).unwrap();
+        // The Eq 1 probe, and the filter over a scan of every leaf page:
+        // costing — no special case — picks the probe.
+        assert_eq!(plans.len(), 2);
+        assert!(matches!(plans[0].root, PlanNode::IndexRangeSelect { .. }));
+        assert!(matches!(plans[1].root, PlanNode::Filter { .. }));
+        assert!(plans[0].total_cost < plans[1].total_cost);
+        assert_eq!(Planner::new(&c).best_plan(&q).unwrap().root, plans[0].root);
+    }
+
+    #[test]
+    fn best_plan_is_the_first_enumerated_plan() {
+        let c = catalog();
+        let window = Rect::new([0.1, 0.2], [0.4, 0.6]).unwrap();
+        let queries = [
+            JoinQuery::new(["rivers", "countries"]),
+            JoinQuery::new(["rivers", "countries"]).with_selection("rivers", window),
+            JoinQuery::new(["rivers", "countries", "roads"]).with_selection("roads", window),
+        ];
+        let planner = Planner::new(&c);
+        for q in &queries {
+            let plans = planner.enumerate(q).unwrap();
+            let best = planner.best_plan(q).unwrap();
+            assert_eq!(best.root, plans[0].root);
+            assert_eq!(best.total_cost, plans[0].total_cost);
+            // No structural duplicate survives enumeration.
+            for (i, p) in plans.iter().enumerate() {
+                assert!(plans[..i].iter().all(|earlier| earlier.root != p.root));
+            }
+        }
     }
 }

@@ -19,21 +19,33 @@
 //! whatever instrumentation production carries, plan execution carries
 //! too.
 //!
+//! A base access path costs what its parent makes of it, the same rule
+//! `optimizer::cost` prices by. Consumed as an index handle — either
+//! input of an SJ join, the probed side of an INL join — it reads
+//! nothing itself: the join reads the index. Materialised — anywhere
+//! else — an `IndexScan` reads every leaf page and an `IndexRangeSelect`
+//! runs its Eq 1 probe. A window selection pushed below an SJ join is
+//! therefore not a step of its own: the window goes into the session
+//! ([`sjcm_join::JoinSession::window`]) and the one synchronized
+//! traversal skips every node of the selected tree that misses it.
+//!
+//! Results are columnar ([`Rows`]): one flat id vector per participating
+//! data set, rectangles looked up in the bound object table when an
+//! operator (or the caller, through [`PlanExecutor::binding`]) needs
+//! them.
+//!
 //! Supported plan shapes: everything the planner emits for one- and
 //! two-dataset queries (scans, index range selects, one join of any
-//! algorithm — including SJ with a window selection pushed below it,
-//! executed as a full-tree traversal plus a residual filter on the
-//! selected side — and filters above them). Deeper join chains return
-//! [`ExecError::UnsupportedShape`] — the estimator prices them, but
-//! executing them would need multi-column intermediate semantics this
-//! reproduction does not model.
+//! algorithm, and filters above them). Deeper join chains return
+//! [`ExecError::UnsupportedShape`] — the estimator prices them, but the
+//! executor does not run a join over a join's output.
 
 use crate::join::baselines::index_nested_loop_join;
-use crate::join::{Governor, JoinSession, Scheduler};
-use crate::optimizer::{JoinAlgorithm, PhysicalPlan, PlanNode};
+use crate::join::{Governor, JoinSession, Scheduler, Side};
+use crate::optimizer::{Access, JoinAlgorithm, PhysicalPlan, PlanNode};
 use crate::prelude::*;
 use sjcm_geom::Rect;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// One base data set bound for execution: its index and its object
@@ -70,13 +82,52 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// Result rows, column-major: row `i` is `(ids(0)[i], ids(1)[i], …)`,
+/// one `ObjectId` per participating base data set.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Rows {
+    columns: Vec<Vec<ObjectId>>,
+}
+
+impl Rows {
+    fn from_columns(columns: Vec<Vec<ObjectId>>) -> Self {
+        debug_assert!(columns.windows(2).all(|w| w[0].len() == w[1].len()));
+        Self { columns }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.columns.first().map_or(0, Vec::len)
+    }
+
+    /// `true` when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The ids of column `col` (in [`ExecOutput::columns`] order), one
+    /// per row.
+    pub fn ids(&self, col: usize) -> &[ObjectId] {
+        &self.columns[col]
+    }
+
+    /// Keeps the rows whose flag is set: one pass per column.
+    fn retain(&mut self, keep: &[bool]) {
+        for column in &mut self.columns {
+            let mut keep = keep.iter();
+            column.retain(|_| *keep.next().expect("one flag per row"));
+        }
+    }
+}
+
 /// A materialized result: one column per participating base data set.
 #[derive(Debug, Clone)]
-pub struct ExecOutput<const N: usize> {
-    /// Column names (base data set names), in row order.
+pub struct ExecOutput {
+    /// Column names (base data set names), in column order.
     pub columns: Vec<String>,
-    /// Result rows; each row has one `(rect, id)` per column.
-    pub rows: Vec<Vec<(Rect<N>, ObjectId)>>,
+    /// Result rows as id columns; an object's rectangle is
+    /// `executor.binding(column)?.objects[id.0 as usize]`.
+    pub rows: Rows,
     /// Logical node accesses (NA) summed over the subtree's operators.
     pub na: u64,
     /// Buffer misses (DA) summed over the subtree's operators. Equals
@@ -85,15 +136,16 @@ pub struct ExecOutput<const N: usize> {
     pub da: u64,
     /// Model-comparable I/O summed over the subtree: per operator, DA
     /// for SJ under the path buffer (what Eq 10/12 predicts), NA for
-    /// index probes (what Eq 1 predicts), simulated page reads for NL —
-    /// the measured counterpart of `Estimate::cost`.
+    /// index probes (what Eq 1 predicts), leaf pages for a materialised
+    /// scan (N_1 of Eq 3), simulated page reads for NL — the measured
+    /// counterpart of `Estimate::cost`.
     pub cost_io: u64,
 }
 
 /// Measured counters of one operator alone (children excluded) — the
 /// measured counterpart of `Estimate::own_cost`, tagged with the
 /// operator's position in the plan tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OpMeasurement {
     /// Child indices from the root (`[]` = root; for a join, `[0]` is
     /// the data/R1 side and `[1]` the query/R2 side; a filter's input
@@ -108,18 +160,48 @@ pub struct OpMeasurement {
     /// Model-comparable I/O of this operator (see
     /// [`ExecOutput::cost_io`]).
     pub cost_io: u64,
-    /// Output rows produced.
+    /// Output rows produced (for an operator consumed as an index
+    /// handle: the objects a scan exposes, 0 for a range select — as
+    /// the window of an SJ traversal it materialises nothing).
     pub rows: u64,
     /// Wall-clock span of the operator, children excluded, in
     /// microseconds.
     pub wall_us: u64,
 }
 
-/// One executed SJ input with a pushed-down selection: the surviving
-/// ids (residual filter) and the probe's accesses.
-struct SjSide {
-    selected: HashSet<ObjectId>,
-    na: u64,
+impl OpMeasurement {
+    /// One operator's own measurement: `[na, da, cost_io]`, its output
+    /// rows, and the wall time since `start`.
+    fn own(
+        path: &[usize],
+        label: String,
+        [na, da, cost_io]: [u64; 3],
+        rows: usize,
+        start: Instant,
+    ) -> Self {
+        OpMeasurement {
+            path: path.to_vec(),
+            label,
+            na,
+            da,
+            cost_io,
+            rows: rows as u64,
+            wall_us: start.elapsed().as_micros() as u64,
+        }
+    }
+}
+
+impl ExecOutput {
+    /// One column of `dataset`'s ids, no accesses charged yet.
+    fn base(dataset: &str, ids: Vec<ObjectId>) -> Self {
+        ExecOutput {
+            columns: vec![dataset.to_string()],
+            rows: Rows::from_columns(vec![ids]),
+            na: 0,
+            da: 0,
+            cost_io: 0,
+        }
+    }
 }
 
 /// Executes physical plans against bound data sets.
@@ -174,19 +256,20 @@ impl<'a, const N: usize> PlanExecutor<'a, N> {
     }
 
     /// Executes a costed plan.
-    pub fn run(&self, plan: &PhysicalPlan<N>) -> Result<ExecOutput<N>, ExecError> {
+    pub fn run(&self, plan: &PhysicalPlan<N>) -> Result<ExecOutput, ExecError> {
         Ok(self.run_measured(plan)?.0)
     }
 
     /// Executes a costed plan, also returning one [`OpMeasurement`] per
-    /// operator (pre-order: an operator precedes its children).
+    /// operator (pre-order: an operator precedes its children — the
+    /// order of `CostEstimator::estimate_each`).
     pub fn run_measured(
         &self,
         plan: &PhysicalPlan<N>,
-    ) -> Result<(ExecOutput<N>, Vec<OpMeasurement>), ExecError> {
+    ) -> Result<(ExecOutput, Vec<OpMeasurement>), ExecError> {
         let mut ops = Vec::new();
         let mut path = Vec::new();
-        let out = self.exec_node(&plan.root, &mut path, &mut ops)?;
+        let out = self.exec_node(&plan.root, Access::Rows, &mut path, &mut ops)?;
         Ok((out, ops))
     }
 
@@ -196,116 +279,87 @@ impl<'a, const N: usize> PlanExecutor<'a, N> {
             .ok_or_else(|| ExecError::UnboundDataset(name.to_string()))
     }
 
-    /// Records one operator's own counters at the current path slot
-    /// (reserved before children ran, so the stream stays pre-order).
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        ops: &mut [OpMeasurement],
-        slot: usize,
-        path: &[usize],
-        label: String,
-        na: u64,
-        da: u64,
-        cost_io: u64,
-        rows: u64,
-        wall_us: u64,
-    ) {
-        ops[slot] = OpMeasurement {
-            path: path.to_vec(),
-            label,
-            na,
-            da,
-            cost_io,
-            rows,
-            wall_us,
-        };
+    /// Runs `node` as child `child` of the operator at `path`.
+    fn exec_child(
+        &self,
+        node: &PlanNode<N>,
+        child: usize,
+        access: Access,
+        path: &mut Vec<usize>,
+        ops: &mut Vec<OpMeasurement>,
+    ) -> Result<ExecOutput, ExecError> {
+        path.push(child);
+        let out = self.exec_node(node, access, path, ops);
+        path.pop();
+        out
     }
 
+    /// Runs one operator as its parent consumes it, appending the
+    /// subtree's measurements to `ops` in pre-order.
     fn exec_node(
         &self,
         node: &PlanNode<N>,
+        access: Access,
         path: &mut Vec<usize>,
         ops: &mut Vec<OpMeasurement>,
-    ) -> Result<ExecOutput<N>, ExecError> {
-        // Reserve this operator's slot before recursing so the stream
-        // is pre-order even though counters land after children run.
+    ) -> Result<ExecOutput, ExecError> {
+        // Hold this operator's place before its children run, so the
+        // stream is pre-order though its counters land after theirs.
         let slot = ops.len();
-        ops.push(OpMeasurement {
-            path: path.clone(),
-            label: String::new(),
-            na: 0,
-            da: 0,
-            cost_io: 0,
-            rows: 0,
-            wall_us: 0,
-        });
-        match node {
+        ops.push(OpMeasurement::default());
+        // Each arm hands back its output carrying the children's totals,
+        // and the operator's own measurement.
+        let (mut out, own) = match node {
             PlanNode::IndexScan { dataset } => {
                 let start = Instant::now();
                 let b = self.bound(dataset)?;
-                let rows: Vec<Vec<(Rect<N>, ObjectId)>> = b
-                    .objects
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| vec![(*r, ObjectId(i as u32))])
-                    .collect();
-                Self::record(
-                    ops,
-                    slot,
-                    path,
-                    format!("IndexScan({dataset})"),
-                    0,
-                    0,
-                    0,
-                    rows.len() as u64,
-                    start.elapsed().as_micros() as u64,
-                );
-                Ok(ExecOutput {
-                    columns: vec![dataset.clone()],
-                    rows,
-                    na: 0,
-                    da: 0,
-                    cost_io: 0,
-                })
+                let label = format!("IndexScan({dataset})");
+                match access {
+                    Access::Handle => (
+                        ExecOutput::base(dataset, Vec::new()),
+                        OpMeasurement::own(path, label, [0; 3], b.objects.len(), start),
+                    ),
+                    Access::Rows => {
+                        // A leaf scan: every leaf page is read once,
+                        // unbuffered (the memory-resident root aside).
+                        let mut ids = Vec::with_capacity(b.tree.len());
+                        let mut pages = 0u64;
+                        for (id, leaf) in b.tree.iter_nodes().filter(|(_, n)| n.is_leaf()) {
+                            pages += u64::from(id != b.tree.root_id());
+                            ids.extend(leaf.entries.iter().map(|e| e.child.object()));
+                        }
+                        let own = OpMeasurement::own(path, label, [pages; 3], ids.len(), start);
+                        (ExecOutput::base(dataset, ids), own)
+                    }
+                }
             }
             PlanNode::IndexRangeSelect { dataset, window } => {
                 let start = Instant::now();
                 let b = self.bound(dataset)?;
-                let (hits, visits) = b.tree.query_window_counting(window);
-                let rows: Vec<Vec<(Rect<N>, ObjectId)>> = hits
-                    .into_iter()
-                    .map(|id| vec![(b.objects[id.0 as usize], id)])
-                    .collect();
-                // The probe runs unbuffered: every logical access reads
-                // a page, so NA and DA coincide; Eq 1 predicts the NA.
-                let na: u64 = visits.iter().sum();
-                Self::record(
-                    ops,
-                    slot,
-                    path,
-                    format!("IndexRangeSelect({dataset})"),
-                    na,
-                    na,
-                    na,
-                    rows.len() as u64,
-                    start.elapsed().as_micros() as u64,
-                );
-                Ok(ExecOutput {
-                    columns: vec![dataset.clone()],
-                    rows,
-                    na,
-                    da: na,
-                    cost_io: na,
-                })
+                let label = format!("IndexRangeSelect({dataset})");
+                match access {
+                    // The window of the parent's traversal: no probe.
+                    Access::Handle => (
+                        ExecOutput::base(dataset, Vec::new()),
+                        OpMeasurement::own(path, label, [0; 3], 0, start),
+                    ),
+                    Access::Rows => {
+                        let (hits, visits) = b.tree.query_window_counting(window);
+                        // The probe runs unbuffered: every logical access
+                        // reads a page, so NA and DA coincide; Eq 1
+                        // predicts the NA.
+                        let na: u64 = visits.iter().sum();
+                        let own = OpMeasurement::own(path, label, [na; 3], hits.len(), start);
+                        (ExecOutput::base(dataset, hits), own)
+                    }
+                }
             }
             PlanNode::Filter {
                 input,
                 dataset,
                 window,
             } => {
-                path.push(0);
-                let mut out = self.exec_node(input, path, ops)?;
-                path.pop();
+                let mut out = self.exec_child(input, 0, Access::Rows, path, ops)?;
                 let start = Instant::now();
                 let col = out
                     .columns
@@ -317,282 +371,165 @@ impl<'a, const N: usize> PlanExecutor<'a, N> {
                             out.columns
                         ))
                     })?;
-                out.rows.retain(|row| row[col].0.intersects(window));
-                Self::record(
-                    ops,
-                    slot,
-                    path,
-                    format!("Filter({dataset})"),
-                    0,
-                    0,
-                    0,
-                    out.rows.len() as u64,
-                    start.elapsed().as_micros() as u64,
-                );
-                Ok(out)
+                // An index pass over the filtered column: one rectangle
+                // looked up per row, then every column compacted alike.
+                let objects = self.bound(dataset)?.objects;
+                let keep: Vec<bool> = out
+                    .rows
+                    .ids(col)
+                    .iter()
+                    .map(|id| objects[id.0 as usize].intersects(window))
+                    .collect();
+                out.rows.retain(&keep);
+                let label = format!("Filter({dataset})");
+                let own = OpMeasurement::own(path, label, [0; 3], out.rows.len(), start);
+                (out, own)
             }
             PlanNode::Join {
                 data,
                 query,
                 algorithm,
-            } => self.exec_join(data, query, *algorithm, slot, path, ops),
-        }
+            } => self.exec_join(data, query, *algorithm, path, ops)?,
+        };
+        out.na += own.na;
+        out.da += own.da;
+        out.cost_io += own.cost_io;
+        ops[slot] = own;
+        Ok(out)
     }
 
-    /// The base index behind an SJ input: a bare scan (no residual
-    /// window) or a pushed-down range select (the window becomes a
-    /// residual filter on the traversal output).
-    fn sj_input(node: &PlanNode<N>) -> Option<(&String, Option<&Rect<N>>)> {
+    /// The window of a join input consumed as an index handle: a range
+    /// select's, none for a bare scan; `Err` for anything else.
+    fn handle_window(node: &PlanNode<N>) -> Result<Option<Rect<N>>, ExecError> {
         match node {
-            PlanNode::IndexScan { dataset } => Some((dataset, None)),
-            PlanNode::IndexRangeSelect { dataset, window } => Some((dataset, Some(window))),
-            _ => None,
+            PlanNode::IndexScan { .. } => Ok(None),
+            PlanNode::IndexRangeSelect { window, .. } => Ok(Some(*window)),
+            _ => Err(ExecError::UnsupportedShape(
+                "SJ requires two base index inputs".into(),
+            )),
         }
     }
 
-    /// Runs one SJ input. A pushed-down range select executes for real
-    /// (its accesses are the Eq 1 cost the plan carries) and returns
-    /// the ids the residual filter keeps; a bare scan records a
-    /// zero-cost measurement and imposes no filter.
-    fn sj_side(
-        &self,
-        node: &PlanNode<N>,
-        child: usize,
-        path: &mut Vec<usize>,
-        ops: &mut Vec<OpMeasurement>,
-    ) -> Result<Option<SjSide>, ExecError> {
-        match node {
-            PlanNode::IndexScan { dataset } => {
-                let b = self.bound(dataset)?;
-                path.push(child);
-                ops.push(OpMeasurement {
-                    path: path.clone(),
-                    label: format!("IndexScan({dataset})"),
-                    na: 0,
-                    da: 0,
-                    cost_io: 0,
-                    rows: b.objects.len() as u64,
-                    wall_us: 0,
-                });
-                path.pop();
-                Ok(None)
-            }
-            _ => {
-                path.push(child);
-                let out = self.exec_node(node, path, ops)?;
-                path.pop();
-                Ok(Some(SjSide {
-                    selected: out.rows.iter().map(|row| row[0].1).collect(),
-                    na: out.na,
-                }))
-            }
-        }
-    }
-
+    /// Runs a join's inputs, then the join: its output (carrying the
+    /// inputs' access totals) and its own measurement.
     fn exec_join(
         &self,
         data: &PlanNode<N>,
         query: &PlanNode<N>,
         algorithm: JoinAlgorithm,
-        slot: usize,
         path: &mut Vec<usize>,
         ops: &mut Vec<OpMeasurement>,
-    ) -> Result<ExecOutput<N>, ExecError> {
-        match algorithm {
+    ) -> Result<(ExecOutput, OpMeasurement), ExecError> {
+        let label = format!("Join[{algorithm}]");
+        // Which inputs the join reads through their index: the rule
+        // `optimizer::cost` prices by (every bound data set is indexed).
+        let is_scan = |n: &PlanNode<N>| matches!(n, PlanNode::IndexScan { .. });
+        let (d_access, q_access) = algorithm.input_access(is_scan(data), is_scan(query));
+        if algorithm == JoinAlgorithm::IndexNestedLoop && d_access == q_access {
+            return Err(ExecError::UnsupportedShape(
+                "INL requires one base index scan".into(),
+            ));
+        }
+        let windows = match algorithm {
             JoinAlgorithm::SynchronizedTraversal => {
-                let (Some((d_name, _)), Some((q_name, _))) =
-                    (Self::sj_input(data), Self::sj_input(query))
-                else {
-                    return Err(ExecError::UnsupportedShape(
-                        "SJ requires two base index inputs".into(),
-                    ));
-                };
-                // Children run for real: a pushed selection probes its
-                // index (counted accesses) and yields the residual id
-                // set; a bare scan is free and yields no filter.
-                let d_side = self.sj_side(data, 0, path, ops)?;
-                let q_side = self.sj_side(query, 1, path, ops)?;
-                let start = Instant::now();
-                let db = self.bound(d_name)?;
-                let qb = self.bound(q_name)?;
-                // SJ traverses the *full* base trees through the
-                // production session API; pushed selections then drop
-                // pairs outside their windows (a residual in-memory
-                // filter — no extra I/O beyond the probes already
-                // counted on the children). With a governor armed, an
-                // admission rejection or memory-budget denial becomes
-                // `ExecError::Governed`, a deadline expiry a degraded
-                // (partial, priced) result.
-                let join_config = JoinConfig {
-                    buffer: BufferPolicy::Path,
-                    ..JoinConfig::default()
-                };
-                let result = JoinSession::new(db.tree, qb.tree)
-                    .config(join_config)
+                [Self::handle_window(data)?, Self::handle_window(query)?]
+            }
+            _ => [None, None],
+        };
+        let left = self.exec_child(data, 0, d_access, path, ops)?;
+        let right = self.exec_child(query, 1, q_access, path, ops)?;
+        let start = Instant::now();
+        if left.columns.len() != 1 || right.columns.len() != 1 {
+            return Err(ExecError::UnsupportedShape(format!(
+                "{label} inputs must be single-column"
+            )));
+        }
+        let (db, qb) = (
+            self.bound(&left.columns[0])?,
+            self.bound(&right.columns[0])?,
+        );
+        let ((ids1, ids2), io) = match algorithm {
+            JoinAlgorithm::SynchronizedTraversal => {
+                // One synchronized traversal of the base trees through
+                // the production session API, restricted to the pushed
+                // windows. With a governor armed, an admission rejection
+                // or memory-budget denial becomes `ExecError::Governed`,
+                // a deadline expiry a degraded (partial, priced) result.
+                let mut session = JoinSession::new(db.tree, qb.tree)
+                    .config(JoinConfig {
+                        buffer: BufferPolicy::Path,
+                        ..JoinConfig::default()
+                    })
                     .scheduler(Scheduler::CostGuided {
                         threads: self.threads,
                     })
-                    .govern(&self.governor)
+                    .govern(&self.governor);
+                for (side, window) in [Side::R1, Side::R2].into_iter().zip(windows) {
+                    if let Some(window) = window {
+                        session = session.window(side, window);
+                    }
+                }
+                let result = session
                     .run()
                     .map_err(|e| ExecError::Governed(e.to_string()))?
                     .result;
-                let keep = |sel: &Option<SjSide>, id: ObjectId| match sel {
-                    Some(side) => side.selected.contains(&id),
-                    None => true,
-                };
-                let rows: Vec<Vec<(Rect<N>, ObjectId)>> = result
-                    .pairs
-                    .iter()
-                    .filter(|&&(a, b)| keep(&d_side, a) && keep(&q_side, b))
-                    .map(|&(a, b)| {
-                        vec![(db.objects[a.0 as usize], a), (qb.objects[b.0 as usize], b)]
-                    })
-                    .collect();
                 let (na, da) = (result.na_total(), result.da_total());
-                let side_io = |s: &Option<SjSide>| s.as_ref().map_or(0, |side| side.na);
-                let child_io = side_io(&d_side) + side_io(&q_side);
-                Self::record(
-                    ops,
-                    slot,
-                    path,
-                    "Join[SJ]".to_string(),
-                    na,
-                    da,
-                    da,
-                    rows.len() as u64,
-                    start.elapsed().as_micros() as u64,
-                );
-                Ok(ExecOutput {
-                    columns: vec![d_name.clone(), q_name.clone()],
-                    rows,
-                    na: child_io + na,
-                    da: child_io + da,
-                    cost_io: child_io + da,
-                })
+                // Under the path buffer the model-comparable I/O is DA.
+                (result.pairs.into_iter().unzip(), [na, da, da])
             }
             JoinAlgorithm::IndexNestedLoop => {
-                // One side must be a base scan; the other is any
-                // single-column subplan.
-                let (scan_side, probe_side, probe_child, scan_first) = match (data, query) {
-                    (PlanNode::IndexScan { dataset }, other) => (dataset, other, 1, true),
-                    (other, PlanNode::IndexScan { dataset }) => (dataset, other, 0, false),
-                    _ => {
-                        return Err(ExecError::UnsupportedShape(
-                            "INL requires one base index scan".into(),
-                        ))
-                    }
-                };
-                let sb = self.bound(scan_side)?;
-                path.push(1 - probe_child);
-                ops.push(OpMeasurement {
-                    path: path.clone(),
-                    label: format!("IndexScan({scan_side})"),
-                    na: 0,
-                    da: 0,
-                    cost_io: 0,
-                    rows: sb.objects.len() as u64,
-                    wall_us: 0,
-                });
-                path.pop();
-                path.push(probe_child);
-                let probe = self.exec_node(probe_side, path, ops)?;
-                path.pop();
-                let start = Instant::now();
-                if probe.columns.len() != 1 {
-                    return Err(ExecError::UnsupportedShape(
-                        "INL probe side must be single-column".into(),
-                    ));
-                }
-                let probes: Vec<(Rect<N>, ObjectId)> =
-                    probe.rows.iter().map(|row| row[0]).collect();
-                let rect_of: HashMap<ObjectId, Rect<N>> =
-                    probes.iter().map(|&(r, id)| (id, r)).collect();
-                let inl = index_nested_loop_join(sb.tree, &probes);
-                let rows: Vec<Vec<(Rect<N>, ObjectId)>> = inl
-                    .pairs
-                    .iter()
-                    .map(|&(indexed, probe_id)| {
-                        let indexed_cell = (sb.objects[indexed.0 as usize], indexed);
-                        let probe_cell = (rect_of[&probe_id], probe_id);
-                        if scan_first {
-                            vec![indexed_cell, probe_cell]
-                        } else {
-                            vec![probe_cell, indexed_cell]
-                        }
-                    })
-                    .collect();
-                let columns = if scan_first {
-                    vec![scan_side.clone(), probe.columns[0].clone()]
+                // One window query on the indexed side per row of the
+                // other. Unbuffered probes: NA = DA; Eq 1 × outer
+                // predicts NA.
+                let data_indexed = d_access == Access::Handle;
+                let (indexed, probing, rows) = if data_indexed {
+                    (db, qb, &right.rows)
                 } else {
-                    vec![probe.columns[0].clone(), scan_side.clone()]
+                    (qb, db, &left.rows)
                 };
-                // Unbuffered probes: NA = DA; Eq 1 × outer predicts NA.
-                let na = inl.node_accesses;
-                Self::record(
-                    ops,
-                    slot,
-                    path,
-                    "Join[INL]".to_string(),
-                    na,
-                    na,
-                    na,
-                    rows.len() as u64,
-                    start.elapsed().as_micros() as u64,
-                );
-                Ok(ExecOutput {
-                    columns,
-                    rows,
-                    na: probe.na + na,
-                    da: probe.da + na,
-                    cost_io: probe.cost_io + na,
-                })
+                let probes: Vec<(Rect<N>, ObjectId)> = rows
+                    .ids(0)
+                    .iter()
+                    .map(|&id| (probing.objects[id.0 as usize], id))
+                    .collect();
+                let inl = index_nested_loop_join(indexed.tree, &probes);
+                let (hit, probe): (Vec<_>, Vec<_>) = inl.pairs.into_iter().unzip();
+                let columns = if data_indexed {
+                    (hit, probe)
+                } else {
+                    (probe, hit)
+                };
+                (columns, [inl.node_accesses; 3])
             }
             JoinAlgorithm::NestedLoop => {
-                path.push(0);
-                let left = self.exec_node(data, path, ops)?;
-                path.pop();
-                path.push(1);
-                let right = self.exec_node(query, path, ops)?;
-                path.pop();
-                let start = Instant::now();
-                if left.columns.len() != 1 || right.columns.len() != 1 {
-                    return Err(ExecError::UnsupportedShape(
-                        "NL inputs must be single-column".into(),
-                    ));
-                }
                 // Block-nested-loop page cost over the materialized
                 // inputs (pages at the paper's average fill).
                 let fanout = ModelConfig::paper(N).fanout();
                 let pages = |rows: usize| (rows as f64 / fanout).ceil().max(1.0) as u64;
-                let io = pages(left.rows.len()) + pages(left.rows.len()) * pages(right.rows.len());
-                let mut rows = Vec::new();
-                for l in &left.rows {
-                    for r in &right.rows {
-                        if l[0].0.intersects(&r[0].0) {
-                            rows.push(vec![l[0], r[0]]);
+                let (l, r) = (left.rows.ids(0), right.rows.ids(0));
+                let io = pages(l.len()) + pages(l.len()) * pages(r.len());
+                let mut columns = (Vec::new(), Vec::new());
+                for &a in l {
+                    let rect = &db.objects[a.0 as usize];
+                    for &b in r {
+                        if rect.intersects(&qb.objects[b.0 as usize]) {
+                            columns.0.push(a);
+                            columns.1.push(b);
                         }
                     }
                 }
-                Self::record(
-                    ops,
-                    slot,
-                    path,
-                    "Join[NL]".to_string(),
-                    io,
-                    io,
-                    io,
-                    rows.len() as u64,
-                    start.elapsed().as_micros() as u64,
-                );
-                Ok(ExecOutput {
-                    columns: vec![left.columns[0].clone(), right.columns[0].clone()],
-                    rows,
-                    na: left.na + right.na + io,
-                    da: left.da + right.da + io,
-                    cost_io: left.cost_io + right.cost_io + io,
-                })
+                (columns, [io; 3])
             }
-        }
+        };
+        let own = OpMeasurement::own(path, label, io, ids1.len(), start);
+        let out = ExecOutput {
+            rows: Rows::from_columns(vec![ids1, ids2]),
+            na: left.na + right.na,
+            da: left.da + right.da,
+            cost_io: left.cost_io + right.cost_io,
+            columns: [left.columns, right.columns].concat(),
+        };
+        Ok((out, own))
     }
 }
 

@@ -36,7 +36,7 @@ use sjcm_geom::Rect;
 use sjcm_join::measured_params;
 use sjcm_rtree::TreeStats;
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The paper's §4.1 relative-error envelope (±15%) used for the
@@ -436,23 +436,21 @@ impl<'a, const N: usize> Explainer<'a, N> {
 
     /// Annotates an already-executed plan from its output and
     /// per-operator measurement stream — the post-processing half of
-    /// [`Self::analyze`].
+    /// [`Self::analyze`]. Estimates, re-estimates and measurements all
+    /// arrive pre-order, one per operator, so they are zipped.
     fn annotate_run(
         &self,
         plan: &PhysicalPlan<N>,
-        out: &ExecOutput<N>,
+        out: &ExecOutput,
         ops: &[OpMeasurement],
     ) -> Result<AnalyzedPlan, ExplainError> {
-        let mut by_path: HashMap<Vec<usize>, OpMeasurement> = HashMap::new();
-        for m in ops {
-            by_path.insert(m.path.clone(), m.clone());
-        }
-        let prior = CostEstimator::new(self.catalog);
+        let prior = CostEstimator::new(self.catalog).estimate_each(&plan.root)?;
         let calibrated = self.calibrated();
-        let posthoc = CostEstimator::new(&calibrated).with_measured_params(self.posthoc_params());
-        let total_io = out.cost_io;
-        let mut path = Vec::new();
-        let root = self.annotate(&plan.root, &prior, &posthoc, &by_path, total_io, &mut path)?;
+        let posthoc = CostEstimator::new(&calibrated)
+            .with_measured_params(self.posthoc_params())
+            .estimate_each(&plan.root)?;
+        let mut operators = prior.into_iter().zip(posthoc).zip(ops.iter().cloned());
+        let root = self.annotate(&plan.root, &mut operators, out.cost_io);
         let (est_cost, reest_cost) = (root.estimate.cost, root.reestimate.cost);
         let wall_us = {
             let mut all = Vec::new();
@@ -475,26 +473,12 @@ impl<'a, const N: usize> Explainer<'a, N> {
     fn annotate(
         &self,
         node: &PlanNode<N>,
-        prior: &CostEstimator<'_, N>,
-        posthoc: &CostEstimator<'_, N>,
-        by_path: &HashMap<Vec<usize>, OpMeasurement>,
+        operators: &mut impl Iterator<Item = ((Estimate, Estimate), OpMeasurement)>,
         total_io: u64,
-        path: &mut Vec<usize>,
-    ) -> Result<AnalyzedNode, ExplainError> {
-        let estimate = prior.estimate(node)?;
-        let reestimate = posthoc.estimate(node)?;
-        let measured = by_path.get(path.as_slice()).cloned().unwrap_or_else(|| {
-            // Unreached operator (e.g. short-circuited child): zeros.
-            OpMeasurement {
-                path: path.clone(),
-                label: String::new(),
-                na: 0,
-                da: 0,
-                cost_io: 0,
-                rows: 0,
-                wall_us: 0,
-            }
-        });
+    ) -> AnalyzedNode {
+        let ((estimate, reestimate), measured) = operators
+            .next()
+            .expect("one estimate and one measurement per operator");
         let meas_io = measured.cost_io as f64;
         let err = rel_err(estimate.own_cost, meas_io);
         let catalog_err = rel_err_against(estimate.own_cost, reestimate.own_cost, meas_io);
@@ -519,20 +503,15 @@ impl<'a, const N: usize> Explainer<'a, N> {
         } else {
             None
         };
-        let label = if measured.label.is_empty() {
-            op_label(node)
-        } else {
-            measured.label.clone()
-        };
-        let mut children = Vec::new();
-        for (i, child) in node_children(node).into_iter().enumerate() {
-            path.push(i);
-            children.push(self.annotate(child, prior, posthoc, by_path, total_io, path)?);
-            path.pop();
-        }
-        Ok(AnalyzedNode {
-            label,
-            path: path.clone(),
+        let children = node
+            .inputs()
+            .into_iter()
+            .flatten()
+            .map(|child| self.annotate(child, operators, total_io))
+            .collect();
+        AnalyzedNode {
+            label: measured.label.clone(),
+            path: measured.path.clone(),
             estimate,
             reestimate,
             measured,
@@ -543,7 +522,7 @@ impl<'a, const N: usize> Explainer<'a, N> {
             gated,
             within,
             children,
-        })
+        }
     }
 }
 
@@ -558,22 +537,5 @@ fn rel_err_against(prior: f64, posthoc: f64, measured: f64) -> f64 {
         }
     } else {
         (prior - posthoc).abs() / measured
-    }
-}
-
-fn op_label<const N: usize>(node: &PlanNode<N>) -> String {
-    match node {
-        PlanNode::IndexScan { dataset } => format!("IndexScan({dataset})"),
-        PlanNode::IndexRangeSelect { dataset, .. } => format!("IndexRangeSelect({dataset})"),
-        PlanNode::Filter { dataset, .. } => format!("Filter({dataset})"),
-        PlanNode::Join { algorithm, .. } => format!("Join[{algorithm}]"),
-    }
-}
-
-fn node_children<const N: usize>(node: &PlanNode<N>) -> Vec<&PlanNode<N>> {
-    match node {
-        PlanNode::IndexScan { .. } | PlanNode::IndexRangeSelect { .. } => Vec::new(),
-        PlanNode::Filter { input, .. } => vec![input.as_ref()],
-        PlanNode::Join { data, query, .. } => vec![data.as_ref(), query.as_ref()],
     }
 }

@@ -79,7 +79,7 @@ pub mod prelude {
     pub use sjcm_core::{DataProfile, DensitySurface, ModelConfig, SpatialOperator, TreeParams};
     pub use sjcm_geom::{Point, Rect};
     pub use sjcm_join::{
-        BufferPolicy, JoinConfig, JoinResultSet, JoinSession, PbsmSession, Scheduler,
+        BufferPolicy, JoinConfig, JoinResultSet, JoinSession, PbsmSession, Scheduler, Side,
     };
     pub use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
     pub use sjcm_storage::{AccessStats, InMemoryPageStore, PageStore};

@@ -7,7 +7,7 @@
 use sjcm::exec::{ExecError, PlanExecutor};
 use sjcm::explain::Explainer;
 use sjcm::geom::{density, Rect};
-use sjcm::optimizer::{Catalog, DatasetStats, JoinQuery, PhysicalPlan, Planner};
+use sjcm::optimizer::{Catalog, DatasetStats, JoinQuery, PhysicalPlan, PlanNode, Planner};
 use sjcm::prelude::*;
 use std::collections::BTreeSet;
 
@@ -245,10 +245,10 @@ fn every_plan_shape_executes_and_stays_in_envelope() {
     );
 }
 
-/// The SJ-with-pushed-selection shape (satellite bugfix): the planner
-/// prices it, the executor runs it (full-tree traversal + residual
-/// filter, probe accesses counted), and estimate vs measured stays in
-/// the envelope.
+/// The SJ-with-pushed-selection shape: the window restricts the join's
+/// one traversal. No operator below the join reads anything, the
+/// traversal reads strictly less than the unwindowed join's, and its
+/// measured NA/DA stay in the envelope of the composed estimate.
 #[test]
 fn sj_with_pushed_selection_executes_in_envelope() {
     let w = world();
@@ -262,22 +262,147 @@ fn sj_with_pushed_selection_executes_in_envelope() {
             t.contains("Join[SJ]") && t.contains("IndexRangeSelect") && !t.contains("Filter")
         })
         .collect();
-    assert!(
-        !pushed_sj.is_empty(),
-        "planner must enumerate SJ with the selection pushed below it"
+    assert_eq!(
+        pushed_sj.len(),
+        2,
+        "planner must enumerate SJ with the selection pushed below it, in both roles"
     );
     let expected = brute_pairs(&w, None, Some(&sel));
     for plan in pushed_sj {
         let (out, ops) = executor(&w).run_measured(plan).unwrap();
         assert_eq!(out.rows.len(), expected, "{plan}");
-        // The pushed probe's accesses are counted on the child.
-        let probe = ops
-            .iter()
-            .find(|m| m.label.starts_with("IndexRangeSelect"))
-            .expect("pushed selection measurement");
-        assert!(probe.na > 0, "probe accesses must be counted:\n{plan}");
+        // The join is the plan's whole cost: the window is not a step.
+        let [join, data, query] = &ops[..] else {
+            panic!("three operators expected:\n{plan}");
+        };
+        assert_eq!(join.label, "Join[SJ]");
+        assert!(join.na > 0 && join.da > 0 && join.da <= join.na, "{plan}");
+        for child in [data, query] {
+            assert_eq!((child.na, child.da, child.cost_io), (0, 0, 0), "{plan}");
+        }
+        assert_eq!((out.na, out.da, out.cost_io), (join.na, join.da, join.da));
+        // The same roles without the window read strictly more.
+        let unwindowed = unpushed(plan);
+        let (full, full_ops) = executor(&w).run_measured(&unwindowed).unwrap();
+        assert!(
+            join.na < full_ops[0].na && join.da < full_ops[0].da,
+            "windowed NA {} / DA {} vs unwindowed NA {} / DA {}:\n{plan}",
+            join.na,
+            join.da,
+            full_ops[0].na,
+            full_ops[0].da
+        );
+        assert!(out.rows.len() < full.rows.len());
+        // Measured DA against the estimate (the gate), and NA against
+        // Eq 7 composed the same way.
         let analysis = explainer(&w).with_envelope(0.40).analyze(plan).unwrap();
+        assert!(analysis.root.gated, "{analysis}");
         assert!(analysis.all_within(), "{analysis}");
+        let na_err = (windowed_na_estimate(&w, plan) - join.na as f64).abs() / join.na as f64;
+        assert!(na_err <= 0.40, "NA estimate off by {na_err:.2}:\n{plan}");
+    }
+}
+
+/// `plan` (a join of two base inputs) with every pushed selection
+/// removed: the unwindowed join in the same roles.
+fn unpushed(plan: &PhysicalPlan<2>) -> PhysicalPlan<2> {
+    let scan = |n: &PlanNode<2>| match n {
+        PlanNode::IndexScan { dataset } | PlanNode::IndexRangeSelect { dataset, .. } => {
+            Box::new(PlanNode::IndexScan {
+                dataset: dataset.clone(),
+            })
+        }
+        other => panic!("base input expected, got {other:?}"),
+    };
+    let PlanNode::Join {
+        data,
+        query,
+        algorithm,
+    } = &plan.root
+    else {
+        panic!("join expected:\n{plan}");
+    };
+    PhysicalPlan {
+        root: PlanNode::Join {
+            data: scan(data),
+            query: scan(query),
+            algorithm: *algorithm,
+        },
+        ..plan.clone()
+    }
+}
+
+/// Eq 7/11 per level × Eq 1's intersection probability, on the catalog's
+/// Eq 2–5 parameters: the NA the windowed SJ of `plan` should read.
+fn windowed_na_estimate(w: &World, plan: &PhysicalPlan<2>) -> f64 {
+    use sjcm::model::join::join_cost_na_windowed;
+    let side = |n: &PlanNode<2>| match n {
+        PlanNode::IndexScan { dataset } => (dataset.clone(), None),
+        PlanNode::IndexRangeSelect { dataset, window } => (dataset.clone(), Some(*window)),
+        other => panic!("base input expected, got {other:?}"),
+    };
+    let PlanNode::Join { data, query, .. } = &plan.root else {
+        panic!("join expected:\n{plan}");
+    };
+    let config = ModelConfig::paper(2);
+    let params = |name: &str| {
+        TreeParams::<2>::from_data(w.catalog.get(name).expect("registered").profile, &config)
+    };
+    let ((d, wd), (q, wq)) = (side(data), side(query));
+    join_cost_na_windowed(&params(&d), &params(&q), &[wd, wq])
+}
+
+/// A single-set selection is planned as the Eq 1 probe — by costing: the
+/// filter over a full scan is enumerated too, priced at every leaf page
+/// — and the probe is also what measures cheapest. (Up to windows of a
+/// third of the workspace here; one that covers nearly all of it meets
+/// every leaf *and* the internal nodes above them, and the two plans
+/// are a page apart either way.)
+#[test]
+fn single_set_selection_plans_the_probe_and_it_measures_cheapest() {
+    let w = world();
+    for (name, objects) in [("rivers", &w.rivers), ("countries", &w.countries)] {
+        for window in [
+            Rect::new([0.1, 0.2], [0.3, 0.5]).unwrap(),
+            Rect::new([0.0, 0.0], [0.05, 0.05]).unwrap(),
+            Rect::new([0.4, 0.0], [1.0, 0.6]).unwrap(),
+        ] {
+            let q = JoinQuery::new([name]).with_selection(name, window);
+            let planner = Planner::new(&w.catalog);
+            let best = planner.best_plan(&q).unwrap();
+            assert!(
+                matches!(best.root, PlanNode::IndexRangeSelect { .. }),
+                "{best}"
+            );
+            let plans = planner.enumerate(&q).unwrap();
+            assert_eq!(plans.len(), 2);
+            let expected = objects.iter().filter(|r| r.intersects(&window)).count();
+            let exec = executor(&w);
+            let measured: Vec<u64> = plans
+                .iter()
+                .map(|plan| {
+                    let out = exec.run(plan).unwrap();
+                    assert_eq!(out.rows.len(), expected, "{plan}");
+                    out.cost_io
+                })
+                .collect();
+            let best_io = exec.run(&best).unwrap().cost_io;
+            assert_eq!(Some(&best_io), measured.iter().min(), "{name} {window:?}");
+            // The scan's measured cost is the tree's leaf pages, and the
+            // estimate (N_1 of Eq 3) is in the envelope of it.
+            let scan = plans
+                .iter()
+                .find(|p| matches!(p.root, PlanNode::Filter { .. }))
+                .expect("filter-over-scan plan");
+            let scan_io = exec.run(scan).unwrap().cost_io;
+            let tree = if name == "rivers" {
+                &w.t_rivers
+            } else {
+                &w.t_countries
+            };
+            assert_eq!(scan_io as usize, tree.node_ids_at_level(0).len());
+            assert!((scan.total_cost - scan_io as f64).abs() / scan_io as f64 <= 0.40);
+        }
     }
 }
 
