@@ -66,10 +66,10 @@ impl DegradedPbsmResult {
 /// shed ledger honest, and the memory budget meters the replica arena).
 ///
 /// Pure main-memory simulation of the algorithm's structure: partitions
-/// are vectors rather than spill files, but the partitioning, the
-/// plane-sweep per partition and the duplicate-avoidance logic are the
-/// real thing. The scalar and batched kernels produce identical pairs
-/// in identical order.
+/// are index runs over the borrowed inputs rather than spill files (see
+/// [`Partition`]), but the partitioning, the plane-sweep per partition
+/// and the duplicate-avoidance logic are the real thing. The scalar and
+/// batched kernels produce identical pairs in identical order.
 pub(crate) fn run_pbsm<const N: usize>(
     left: &[(Rect<N>, ObjectId)],
     right: &[(Rect<N>, ObjectId)],
@@ -84,46 +84,23 @@ pub(crate) fn run_pbsm<const N: usize>(
     assert!(page_capacity >= 1, "page capacity must be positive");
     gov.start_clock();
     let cells = grid.pow(N as u32);
-    // Memory budget: the replica arena is the dominant allocation, and
-    // its size is known before building it — count replicas in a dry
-    // pass and reserve the bytes up front. Only paid when a budget is
+    // Memory budget: the index arena is the dominant allocation, and its
+    // size is known before building it — count replicas in a dry pass
+    // and reserve the bytes up front. Only paid when a budget is
     // actually armed.
-    let entry_bytes = std::mem::size_of::<(Rect<N>, ObjectId)>() as u64;
     let mut reserved = 0u64;
     if gov.has_mem_budget() {
         let dry: usize = left
             .iter()
             .chain(right)
-            .map(|(r, _)| overlapped_cells(r, grid).len())
+            .map(|(r, _)| CellSpan::new(r, grid).count())
             .sum();
-        reserved = dry as u64 * entry_bytes;
+        reserved = arena_bytes(dry, left.len() + right.len(), cells);
         gov.reserve(reserved)?;
     }
-    let mut parts_left: Vec<Vec<(Rect<N>, ObjectId)>> = vec![Vec::new(); cells];
-    let mut parts_right: Vec<Vec<(Rect<N>, ObjectId)>> = vec![Vec::new(); cells];
-    let mut replicas = 0usize;
-    // Sort each input once, globally, before partitioning: replication
-    // preserves order, so every partition receives its entries already
-    // sorted by sweep dimension — the per-cell sorts the sweep used to
-    // repeat for every cell vanish. (The sort is stable, so equal-lo₀
-    // ties keep input order, exactly as the former per-cell stable
-    // sorts left them.)
-    let mut left = left.to_vec();
-    let mut right = right.to_vec();
-    left.sort_by(|a, b| a.0.lo_k(0).total_cmp(&b.0.lo_k(0)));
-    right.sort_by(|a, b| a.0.lo_k(0).total_cmp(&b.0.lo_k(0)));
-    for &(r, id) in &left {
-        for cell in overlapped_cells(&r, grid) {
-            parts_left[cell].push((r, id));
-            replicas += 1;
-        }
-    }
-    for &(r, id) in &right {
-        for cell in overlapped_cells(&r, grid) {
-            parts_right[cell].push((r, id));
-            replicas += 1;
-        }
-    }
+    let parts_left = Partition::build(left, grid, cells);
+    let parts_right = Partition::build(right, grid, cells);
+    let replicas = parts_left.slots.len() + parts_right.slots.len();
     let total_objects = left.len() + right.len();
     let replication_factor = if total_objects == 0 {
         0.0
@@ -137,9 +114,9 @@ pub(crate) fn run_pbsm<const N: usize>(
     // progress tracker and the governor — PBSM has no R-tree priors, so
     // cells get uniform value (no pairs-per-NA shed ranking).
     let active: Vec<usize> = (0..cells)
-        .filter(|&c| !parts_left[c].is_empty() && !parts_right[c].is_empty())
+        .filter(|&c| !parts_left.cell(c).is_empty() && !parts_right.cell(c).is_empty())
         .collect();
-    let cell_price = |c: usize| (parts_left[c].len() + parts_right[c].len()) as u64;
+    let cell_price = |c: usize| (parts_left.cell(c).len() + parts_right.cell(c).len()) as u64;
     if progress.is_enabled() {
         let cost: u64 = active.iter().map(|&c| cell_price(c)).sum();
         progress.set_schedule(&[(active.len() as u64, cost)]);
@@ -164,8 +141,8 @@ pub(crate) fn run_pbsm<const N: usize>(
         }
         let before = pairs.len();
         sweep_cell(
-            &parts_left[cell],
-            &parts_right[cell],
+            (parts_left.cell(cell), left),
+            (parts_right.cell(cell), right),
             cell,
             grid,
             kernel,
@@ -181,9 +158,7 @@ pub(crate) fn run_pbsm<const N: usize>(
     progress.finish();
 
     // Two-pass I/O: write all replicas out, read them back.
-    let pages = |entries: usize| entries.div_ceil(page_capacity) as u64;
-    let replica_entries: usize = parts_left.iter().chain(&parts_right).map(Vec::len).sum();
-    let io_pages = 2 * pages(replica_entries);
+    let io_pages = 2 * replicas.div_ceil(page_capacity) as u64;
 
     gov.release(reserved);
     gov.finish();
@@ -198,39 +173,122 @@ pub(crate) fn run_pbsm<const N: usize>(
     })
 }
 
+/// Bytes the two [`Partition`]s of a join allocate: a `u32` slot per
+/// replica, the `u32` sort permutation per object (alive while the
+/// slots are filled) and `cells + 1` offsets per side — what the
+/// governor's memory budget is charged.
+fn arena_bytes(replicas: usize, objects: usize, cells: usize) -> u64 {
+    let index = std::mem::size_of::<u32>();
+    let offsets = 2 * (cells + 1) * std::mem::size_of::<usize>();
+    ((replicas + objects) * index + offsets) as u64
+}
+
+/// One input partitioned by *index*: cell `c` holds
+/// `slots[offsets[c]..offsets[c + 1]]`, positions into the input slice
+/// in ascending `lo₀` (ties in input order). The input itself is never
+/// copied, sorted or moved.
+struct Partition {
+    offsets: Vec<usize>,
+    slots: Vec<u32>,
+}
+
+impl Partition {
+    /// Counting sort of the input's replicas by cell. Sorting the input
+    /// once, globally, before partitioning means every cell receives its
+    /// entries already in sweep order (replication preserves order), so
+    /// no cell is sorted on its own; the sort is stable, so equal-lo₀
+    /// ties keep input order.
+    fn build<const N: usize>(items: &[(Rect<N>, ObjectId)], grid: usize, cells: usize) -> Self {
+        let n = u32::try_from(items.len()).expect("PBSM indexes its inputs with 32-bit positions");
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            let lo = |i: u32| items[i as usize].0.lo_k(0);
+            lo(a).total_cmp(&lo(b))
+        });
+        // Count, then prefix-sum to each cell's *end*; filling from the
+        // back of `order` walks every end down to its cell's start, so
+        // the offsets need no second cursor array.
+        let mut offsets = vec![0usize; cells + 1];
+        for (r, _) in items {
+            for cell in CellSpan::new(r, grid) {
+                offsets[cell] += 1;
+            }
+        }
+        let mut end = 0;
+        for slot in &mut offsets {
+            end += *slot;
+            *slot = end;
+        }
+        let mut slots = vec![0u32; end];
+        for &i in order.iter().rev() {
+            for cell in CellSpan::new(&items[i as usize].0, grid) {
+                offsets[cell] -= 1;
+                slots[offsets[cell]] = i;
+            }
+        }
+        Self { offsets, slots }
+    }
+
+    fn cell(&self, c: usize) -> &[u32] {
+        &self.slots[self.offsets[c]..self.offsets[c + 1]]
+    }
+}
+
 /// Row-major indices of all cells a rectangle overlaps (closed
 /// intersection: a rectangle whose edge lies exactly on a partition
 /// boundary is replicated into both neighbours, so the reference point
 /// of a boundary-touching pair always lands in a cell holding both
-/// operands).
-fn overlapped_cells<const N: usize>(r: &Rect<N>, grid: usize) -> Vec<usize> {
-    let g = grid as f64;
-    let mut lo = [0usize; N];
-    let mut hi = [0usize; N];
-    for k in 0..N {
-        lo[k] = ((r.lo_k(k).clamp(0.0, 1.0) * g) as usize).min(grid - 1);
-        hi[k] = ((r.hi_k(k).clamp(0.0, 1.0) * g).floor() as usize).clamp(lo[k], grid - 1);
+/// operands). An iterator, not a `Vec`: partitioning walks it twice per
+/// object.
+struct CellSpan<const N: usize> {
+    lo: [usize; N],
+    hi: [usize; N],
+    /// Next cell's per-dimension coordinates; `None` once exhausted.
+    cursor: Option<[usize; N]>,
+    grid: usize,
+}
+
+impl<const N: usize> CellSpan<N> {
+    fn new(r: &Rect<N>, grid: usize) -> Self {
+        let g = grid as f64;
+        let mut lo = [0usize; N];
+        let mut hi = [0usize; N];
+        for k in 0..N {
+            lo[k] = ((r.lo_k(k).clamp(0.0, 1.0) * g) as usize).min(grid - 1);
+            hi[k] = ((r.hi_k(k).clamp(0.0, 1.0) * g).floor() as usize).clamp(lo[k], grid - 1);
+        }
+        Self {
+            lo,
+            hi,
+            cursor: Some(lo),
+            grid,
+        }
     }
-    let mut out = Vec::new();
-    let mut cursor = lo;
-    loop {
+}
+
+impl<const N: usize> Iterator for CellSpan<N> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let mut cursor = self.cursor?;
         let mut idx = 0usize;
         for k in (0..N).rev() {
-            idx = idx * grid + cursor[k];
+            idx = idx * self.grid + cursor[k];
         }
-        out.push(idx);
+        // Odometer step, dimension 0 fastest.
         let mut k = 0;
-        loop {
+        self.cursor = loop {
             if k == N {
-                return out;
+                break None;
             }
-            if cursor[k] < hi[k] {
+            if cursor[k] < self.hi[k] {
                 cursor[k] += 1;
-                break;
+                break Some(cursor);
             }
-            cursor[k] = lo[k];
+            cursor[k] = self.lo[k];
             k += 1;
-        }
+        };
+        Some(idx)
     }
 }
 
@@ -242,8 +300,9 @@ struct SweepScratch<const N: usize> {
 }
 
 /// Plane-sweep join of one partition, with reference-point duplicate
-/// suppression. Both inputs must arrive sorted by `lo₀` (the global
-/// pre-partitioning sort guarantees it — partitions inherit the order).
+/// suppression. Each side is the cell's slots and the input they index;
+/// the slots must arrive sorted by `lo₀` (the global pre-partitioning
+/// sort guarantees it — partitions inherit the order).
 ///
 /// The scalar kernel evaluates each candidate with a single
 /// `intersection` pass (`None` ⇒ disjoint — no pre-check, no
@@ -253,19 +312,20 @@ struct SweepScratch<const N: usize> {
 /// "intersects **and** reference point in this cell" (dimension 0
 /// overlap is implied by the run bound — see the `sjcm_geom::batch`
 /// module docs).
-#[allow(clippy::too_many_arguments)]
 fn sweep_cell<const N: usize>(
-    left: &[(Rect<N>, ObjectId)],
-    right: &[(Rect<N>, ObjectId)],
+    (left, left_items): (&[u32], &[(Rect<N>, ObjectId)]),
+    (right, right_items): (&[u32], &[(Rect<N>, ObjectId)]),
     cell: usize,
     grid: usize,
     kernel: MatchKernel,
     scratch: &mut SweepScratch<N>,
     out: &mut Vec<(ObjectId, ObjectId)>,
 ) {
+    let l = |i: usize| &left_items[left[i] as usize];
+    let r = |j: usize| &right_items[right[j] as usize];
     debug_assert!(
-        left.windows(2).all(|w| w[0].0.lo_k(0) <= w[1].0.lo_k(0))
-            && right.windows(2).all(|w| w[0].0.lo_k(0) <= w[1].0.lo_k(0)),
+        (1..left.len()).all(|i| l(i - 1).0.lo_k(0) <= l(i).0.lo_k(0))
+            && (1..right.len()).all(|j| r(j - 1).0.lo_k(0) <= r(j).0.lo_k(0)),
         "sweep_cell inputs must be sorted by lo_k(0)"
     );
     // Small-cell gate: the batched path pays an O(cell) SoA fill before
@@ -286,8 +346,8 @@ fn sweep_cell<const N: usize>(
     if kernel == MatchKernel::Batched {
         scratch.left.clear();
         scratch.right.clear();
-        scratch.left.extend(left.iter().map(|e| e.0));
-        scratch.right.extend(right.iter().map(|e| e.0));
+        scratch.left.extend((0..left.len()).map(|i| l(i).0));
+        scratch.right.extend((0..right.len()).map(|j| r(j).0));
     }
     // Scalar reference point: the low corner of the MBR intersection.
     // Only the partition containing it reports the pair.
@@ -306,14 +366,14 @@ fn sweep_cell<const N: usize>(
     }
     let (mut i, mut j) = (0usize, 0usize);
     while i < left.len() && j < right.len() {
-        if left[i].0.lo_k(0) <= right[j].0.lo_k(0) {
-            let anchor = left[i];
+        if l(i).0.lo_k(0) <= r(j).0.lo_k(0) {
+            let anchor = *l(i);
             let limit = anchor.0.hi_k(0);
             match kernel {
                 MatchKernel::Scalar => {
                     let mut k = j;
-                    while k < right.len() && right[k].0.lo_k(0) <= limit {
-                        emit(&anchor, &right[k], grid, cell, out);
+                    while k < right.len() && r(k).0.lo_k(0) <= limit {
+                        emit(&anchor, r(k), grid, cell, out);
                         k += 1;
                     }
                 }
@@ -321,19 +381,19 @@ fn sweep_cell<const N: usize>(
                     scratch
                         .right
                         .sweep_ref_cells(&anchor.0, j, limit, grid, cell, |k| {
-                            out.push((anchor.1, right[k].1));
+                            out.push((anchor.1, r(k).1));
                         });
                 }
             }
             i += 1;
         } else {
-            let anchor = right[j];
+            let anchor = *r(j);
             let limit = anchor.0.hi_k(0);
             match kernel {
                 MatchKernel::Scalar => {
                     let mut k = i;
-                    while k < left.len() && left[k].0.lo_k(0) <= limit {
-                        emit(&left[k], &anchor, grid, cell, out);
+                    while k < left.len() && l(k).0.lo_k(0) <= limit {
+                        emit(l(k), &anchor, grid, cell, out);
                         k += 1;
                     }
                 }
@@ -341,7 +401,7 @@ fn sweep_cell<const N: usize>(
                     scratch
                         .left
                         .sweep_ref_cells(&anchor.0, i, limit, grid, cell, |k| {
-                            out.push((left[k].1, anchor.1));
+                            out.push((l(k).1, anchor.1));
                         });
                 }
             }
@@ -454,6 +514,75 @@ mod tests {
         assert!(r.io_pages >= 40, "io {}", r.io_pages);
         let single = pbsm_join(&a, &b, 1, 50);
         assert_eq!(single.io_pages, 2 * 20);
+    }
+
+    /// Pairs *in emission order*, `io_pages` and the replication factor,
+    /// pinned from the tuple-partitioning implementation this one
+    /// replaced: the index arena must reproduce all three for both
+    /// kernels (grid 2 puts ≥ 512 entries in a cell, the batched path's
+    /// gate; grid 8 with large objects is the heavy-replication case).
+    #[test]
+    fn output_is_identical_to_the_tuple_partitioning_pbsm() {
+        fn fingerprint(r: &PbsmResult) -> (u64, usize, u64, u64) {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &(a, b) in &r.pairs {
+                for v in [a.0, b.0] {
+                    h = (h ^ u64::from(v)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            (h, r.pairs.len(), r.io_pages, r.replication_factor.to_bits())
+        }
+        let cases = [
+            (
+                random_items(4000, 0.02, 21),
+                random_items(3000, 0.03, 22),
+                2,
+            ),
+            (random_items(300, 0.3, 23), random_items(300, 0.3, 24), 8),
+        ];
+        let expected = [
+            (12283767195018657929, 28917, 294, 4607406955410010594),
+            (7579940634967167264, 23035, 222, 4621389399124526585),
+        ];
+        for ((a, b, grid), expected) in cases.iter().zip(expected) {
+            for kernel in [MatchKernel::Scalar, MatchKernel::Batched] {
+                let got = PbsmSession::new(a, b, *grid, 50)
+                    .kernel(kernel)
+                    .run()
+                    .unwrap()
+                    .result;
+                assert_eq!(fingerprint(&got), expected, "grid {grid}, {kernel:?}");
+            }
+        }
+    }
+
+    /// The budget is charged what the index arena allocates, not the
+    /// 40-byte tuples the partitions used to copy: a budget between the
+    /// two figures admits the join.
+    #[test]
+    fn memory_budget_prices_the_index_arena() {
+        use crate::governor::{Governor, GovernorConfig};
+        let a = random_items(2000, 0.02, 31);
+        let b = random_items(2000, 0.02, 32);
+        let grid = 4;
+        let ungoverned = pbsm_join(&a, &b, grid, 50);
+        let replicas = (ungoverned.replication_factor * 4000.0).round() as usize;
+        let tuples = (replicas * std::mem::size_of::<(Rect<2>, ObjectId)>()) as u64;
+        let arena = arena_bytes(replicas, 4000, grid * grid);
+        assert!(arena * 4 < tuples, "arena {arena} vs tuple copies {tuples}");
+        let run = |budget: u64| {
+            let gov = Governor::new(GovernorConfig::default().with_mem_budget(budget));
+            let out = PbsmSession::new(&a, &b, grid, 50).govern(&gov).run();
+            (out, gov.summary().expect("armed").mem_peak_bytes)
+        };
+        let (admitted, peak) = run((arena + tuples) / 2);
+        assert_eq!(admitted.unwrap().result.pairs, ungoverned.pairs);
+        assert_eq!(peak, arena);
+        assert!(run(arena).0.is_ok());
+        match run(arena - 1).0 {
+            Err(JoinError::BudgetExceeded { limit, .. }) => assert_eq!(limit, arena - 1),
+            other => panic!("expected BudgetExceeded, got {other:?}"),
+        }
     }
 
     #[test]

@@ -10,8 +10,14 @@
 use crate::config::RTreeConfig;
 use crate::node::{Child, Entry, Node, NodeId, ObjectId};
 use crate::tree::RTree;
-use sjcm_storage::{DiskEntry, DiskNode, PageId, PageStore, StorageError};
-use std::collections::HashMap;
+use sjcm_storage::{encode_page, DiskEntry, NodePage, PageId, PageStore, StorageError};
+
+/// Pages moved per store call. 64 pages of the paper's 1 KiB keep the
+/// run buffer under glibc's 128 KiB `mmap` threshold, so it comes from
+/// the heap like every other allocation of a load or save, and freeing
+/// it cannot move that threshold for what runs next (EXPERIMENTS.md,
+/// "Three heap hazards"). A constant, not a parameter.
+const RUN_PAGES: usize = 64;
 
 /// Handle to a persisted tree: everything needed to load it back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,103 +36,182 @@ impl<const N: usize> RTree<N> {
     pub fn save(&self, store: &mut dyn PageStore) -> Result<PersistedTree, StorageError> {
         // Allocate ids first so children can be referenced before being
         // written.
-        let mut page_of: HashMap<NodeId, PageId> = HashMap::new();
-        let live: Vec<NodeId> = self.iter_nodes().map(|(id, _)| id).collect();
-        for &id in &live {
-            page_of.insert(id, store.allocate()?);
+        let mut page_of = vec![PageId::INVALID; self.arena_len()];
+        let mut pages = 0;
+        for (id, _) in self.iter_nodes() {
+            page_of[id.0 as usize] = store.allocate()?;
+            pages += 1;
         }
-        for &id in &live {
-            let node = self.node(id);
-            let entries = node
-                .entries
-                .iter()
-                .map(|e| {
-                    let child = match e.child {
-                        Child::Object(ObjectId(o)) => o,
-                        Child::Node(n) => page_of[&n].index(),
-                    };
-                    DiskEntry {
-                        rect: e.rect,
-                        child,
-                    }
-                })
-                .collect();
-            let disk = DiskNode::<N> {
-                level: node.level,
-                entries,
-            };
-            let bytes = disk.encode(store.page_size())?;
-            store.write(page_of[&id], &bytes)?;
+        // Encode nodes whose pages are consecutive into one buffer and
+        // hand it over as a run (a fresh store allocates densely, so
+        // every run but the last is full).
+        let page_size = store.page_size();
+        let mut run = Vec::with_capacity(RUN_PAGES.min(pages) * page_size);
+        let mut first = PageId::INVALID;
+        for (id, node) in self.iter_nodes() {
+            let page = page_of[id.0 as usize];
+            let held = run.len() / page_size;
+            if held == RUN_PAGES || first.0.checked_add(held as u32) != Some(page.0) {
+                if held > 0 {
+                    store.write_run(first, &run)?;
+                }
+                run.clear();
+                first = page;
+            }
+            let at = run.len();
+            run.resize(at + page_size, 0);
+            let entries = node.entries.iter().map(|e| DiskEntry {
+                rect: e.rect,
+                child: match e.child {
+                    Child::Object(ObjectId(o)) => o,
+                    Child::Node(n) => page_of[n.0 as usize].index(),
+                },
+            });
+            encode_page(node.level, entries, &mut run[at..])?;
+        }
+        if !run.is_empty() {
+            store.write_run(first, &run)?;
         }
         // A save is only durable once the store has flushed it; without
         // this, a crash after `save` returns could tear the file.
         store.sync()?;
         Ok(PersistedTree {
-            root: page_of[&self.root_id()],
+            root: page_of[self.root_id().0 as usize],
             len: self.len(),
-            pages: live.len(),
+            pages,
         })
     }
 
     /// Loads a tree from `store`, starting at the persisted root page.
+    ///
+    /// The tree is read a level at a time, each level's pages in id
+    /// order and consecutive ids as one [`PageStore::read_run`], and
+    /// every page is decoded once, into its node. What comes back is
+    /// checked against `handle`: a page reached twice, a child whose
+    /// level is not its parent's minus one, a node count other than
+    /// `handle.pages` or an object count other than `handle.len` is
+    /// [`StorageError::MalformedNode`]; a child id the store does not
+    /// have is the store's [`StorageError::UnknownPage`]. Nothing is
+    /// sized by an id read from a page.
     pub fn load(
         store: &dyn PageStore,
         handle: PersistedTree,
         config: RTreeConfig,
     ) -> Result<Self, StorageError> {
-        let mut tree = RTree::new(config);
-        let mut loaded: HashMap<PageId, NodeId> = HashMap::new();
-        let root = load_node(store, handle.root, &mut tree, &mut loaded)?;
-        let old_root = tree.root_id();
-        tree.set_root(root);
-        // Drop the placeholder empty root `RTree::new` created, unless it
-        // happens to be the loaded root itself.
-        if old_root != root {
-            tree.release(old_root);
+        let page_size = store.page_size();
+        // `nodes` holds the tree breadth-first. The children of a level,
+        // in (parent, entry) order, *are* the next level, so a child's
+        // position is known without a page → node map; until its level
+        // is linked, an internal entry carries its child's page id in
+        // the `NodeId`.
+        let mut nodes: Vec<Node<N>> = Vec::new();
+        let mut pages = vec![handle.root.0];
+        let mut by_page: Vec<u32> = Vec::new();
+        let mut run = Vec::new();
+        // Level of the nodes one level up; nothing is above the root.
+        let mut parent: Option<u8> = None;
+        while !pages.is_empty() {
+            let base = nodes.len();
+            if base + pages.len() > handle.pages {
+                return Err(StorageError::MalformedNode(format!(
+                    "more than the handle's {} pages are reachable from {}",
+                    handle.pages, handle.root
+                )));
+            }
+            by_page.clear();
+            by_page.extend(0..pages.len() as u32);
+            by_page.sort_unstable_by_key(|&i| pages[i as usize]);
+            if let Some(w) = by_page
+                .windows(2)
+                .find(|w| pages[w[0] as usize] == pages[w[1] as usize])
+            {
+                // A page reachable twice means the on-disk structure is
+                // not a tree. (Twice at different depths fails the level
+                // check instead: it cannot sit one below both parents.)
+                return Err(StorageError::MalformedNode(format!(
+                    "page {} reachable through two parents (cycle or DAG)",
+                    PageId(pages[w[0] as usize])
+                )));
+            }
+            nodes.resize_with(base + pages.len(), || Node::new(0));
+            let mut rest = &by_page[..];
+            while let Some(&head) = rest.first() {
+                let first = pages[head as usize];
+                let count = rest
+                    .iter()
+                    .take(RUN_PAGES)
+                    .zip(first..=u32::MAX)
+                    .take_while(|&(&i, id)| pages[i as usize] == id)
+                    .count();
+                store.read_run(PageId(first), count, &mut run)?;
+                if run.len() != count * page_size {
+                    return Err(StorageError::Io(format!(
+                        "store returned {} bytes for {count} pages from {}",
+                        run.len(),
+                        PageId(first)
+                    )));
+                }
+                for (&i, data) in rest.iter().zip(run.chunks_exact(page_size)) {
+                    let node = decode_node::<N>(data)?;
+                    if let Some(parent) = parent.filter(|&p| p != node.level.wrapping_add(1)) {
+                        return Err(StorageError::MalformedNode(format!(
+                            "page {} at level {} under parent level {parent}",
+                            PageId(pages[i as usize]),
+                            node.level
+                        )));
+                    }
+                    nodes[base + i as usize] = node;
+                }
+                rest = &rest[count..];
+            }
+            // Link the level: its children's pages become the next
+            // level, and each entry now names its child's position.
+            pages.clear();
+            let level = nodes[base].level;
+            if level > 0 {
+                let next = nodes.len();
+                for node in &mut nodes[base..] {
+                    for e in &mut node.entries {
+                        let position = NodeId((next + pages.len()) as u32);
+                        pages.push(
+                            std::mem::replace(&mut e.child, Child::Node(position))
+                                .node()
+                                .0,
+                        );
+                    }
+                }
+            }
+            parent = Some(level);
         }
-        tree.set_len(handle.len);
-        Ok(tree)
+        let leaf_entries: usize = nodes.iter().filter(|n| n.is_leaf()).map(Node::len).sum();
+        if nodes.len() != handle.pages || leaf_entries != handle.len {
+            return Err(StorageError::MalformedNode(format!(
+                "{} nodes holding {leaf_entries} objects are reachable from {}; \
+                 the handle says {} pages and {} objects",
+                nodes.len(),
+                handle.root,
+                handle.pages,
+                handle.len
+            )));
+        }
+        Ok(RTree::from_breadth_first(config, nodes, handle.len))
     }
 }
 
-fn load_node<const N: usize>(
-    store: &dyn PageStore,
-    page: PageId,
-    tree: &mut RTree<N>,
-    loaded: &mut HashMap<PageId, NodeId>,
-) -> Result<NodeId, StorageError> {
-    if let Some(&id) = loaded.get(&page) {
-        // A page reachable twice means the on-disk structure is not a
-        // tree.
-        return Err(StorageError::MalformedNode(format!(
-            "page {page} reachable through two parents (cycle or DAG); already node {id:?}"
-        )));
-    }
-    let disk = DiskNode::<N>::decode(&store.read(page)?)?;
-    let mut node = Node::new(disk.level);
-    for e in &disk.entries {
-        let child = if disk.level == 0 {
-            Child::Object(ObjectId(e.child))
+/// One page into one node, `entries` allocated at its final length. An
+/// internal entry's child is left as the child's *page* id.
+fn decode_node<const N: usize>(data: &[u8]) -> Result<Node<N>, StorageError> {
+    let page = NodePage::<N>::parse(data)?;
+    let level = page.level();
+    let entries = page.decode_entries(|DiskEntry { rect, child }| Entry {
+        rect,
+        child: if level == 0 {
+            Child::Object(ObjectId(child))
         } else {
-            let child_page = PageId(e.child);
-            let child_id = load_node(store, child_page, tree, loaded)?;
-            let child_level = tree.node(child_id).level;
-            if child_level + 1 != disk.level {
-                return Err(StorageError::MalformedNode(format!(
-                    "page {child_page} at level {child_level} under parent level {}",
-                    disk.level
-                )));
-            }
-            Child::Node(child_id)
-        };
-        node.entries.push(Entry {
-            rect: e.rect,
-            child,
-        });
-    }
-    let id = tree.alloc(node);
-    loaded.insert(page, id);
-    Ok(id)
+            Child::Node(NodeId(child))
+        },
+    })?;
+    Ok(Node { level, entries })
 }
 
 #[cfg(test)]

@@ -106,6 +106,65 @@ impl<const N: usize> RTree<N> {
         self.len = len;
     }
 
+    /// Size of the arena, free slots included: every [`NodeId`] of this
+    /// tree indexes below it.
+    pub(crate) fn arena_len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// A tree of `len` objects from its nodes in breadth-first order:
+    /// root first, the children of each level in (parent, entry) order
+    /// forming the next, every internal entry naming its child's
+    /// *position* in `nodes`. The nodes are renumbered in post-order from
+    /// id 1 with slot 0 free — the arena a depth-first loader leaves that
+    /// starts from [`RTree::new`], allocates each node after its children
+    /// and then releases the placeholder root.
+    pub(crate) fn from_breadth_first(config: RTreeConfig, nodes: Vec<Node<N>>, len: usize) -> Self {
+        config.validate().expect("invalid R-tree configuration");
+        /// Positions of an internal node's children; none for a leaf.
+        fn children<const N: usize>(node: &Node<N>) -> impl Iterator<Item = usize> + '_ {
+            let entries = if node.is_leaf() {
+                &[]
+            } else {
+                &node.entries[..]
+            };
+            entries.iter().map(|e| e.child.node().0 as usize)
+        }
+        // Subtree sizes, children (later positions) before parents.
+        let mut size = vec![1u32; nodes.len()];
+        for i in (0..nodes.len()).rev() {
+            size[i] += children(&nodes[i]).map(|c| size[c]).sum::<u32>();
+        }
+        // A subtree takes consecutive post-order ids, its children's
+        // subtrees in entry order and its own node last.
+        let mut id = vec![1u32; nodes.len()];
+        for i in 0..nodes.len() {
+            let mut first = id[i];
+            for c in children(&nodes[i]) {
+                id[c] = first;
+                first += size[c];
+            }
+            id[i] = first;
+        }
+        let mut arena: Vec<Option<Node<N>>> = Vec::new();
+        arena.resize_with(nodes.len() + 1, || None);
+        for (mut node, &own) in nodes.into_iter().zip(&id) {
+            if !node.is_leaf() {
+                for e in &mut node.entries {
+                    e.child = Child::Node(NodeId(id[e.child.node().0 as usize]));
+                }
+            }
+            arena[own as usize] = Some(node);
+        }
+        Self {
+            config,
+            root: NodeId(id[0]),
+            nodes: arena,
+            free: vec![NodeId(0)],
+            len,
+        }
+    }
+
     /// MBR of the whole data set, `None` when empty.
     pub fn mbr(&self) -> Option<Rect<N>> {
         self.node(self.root).mbr()

@@ -1,0 +1,401 @@
+//! The loader and saver move tree files in runs of pages. Pinned here:
+//! what they produce (the loaded tree, id for id, and the saved file,
+//! byte for byte, are what the page-at-a-time loader and saver produced),
+//! what they touch (a tree's own pages and nothing else) and how they
+//! ask for it (runs from a store that has them, one `read` per page from
+//! one that does not).
+
+use bytes::Bytes;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sjcm_geom::{Point, Rect};
+use sjcm_rtree::{BulkLoad, Child, ObjectId, PersistedTree, RTree, RTreeConfig};
+use sjcm_storage::{
+    fnv1a, DiskNode, FilePageStore, InMemoryPageStore, PageId, PageStore, StorageError,
+};
+use std::cell::{Cell, RefCell};
+use std::path::PathBuf;
+
+fn items(n: usize, seed: u64) -> Vec<(Rect<2>, ObjectId)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let c = Point::new([rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
+            (Rect::centered(c, [0.01, 0.02]), ObjectId(i as u32))
+        })
+        .collect()
+}
+
+/// Height 3, packed: page ids ascend level by level.
+fn packed_tree() -> RTree<2> {
+    RTree::bulk_load(RTreeConfig::paper(2), items(5000, 41), BulkLoad::Str, 0.8)
+}
+
+/// Height 5, built by insertion with every third object removed again:
+/// the arena has free slots and levels are interleaved in id order.
+fn grown_tree() -> RTree<2> {
+    let mut tree = RTree::new(RTreeConfig::with_capacity(8));
+    let items = items(3000, 42);
+    for &(r, id) in &items {
+        tree.insert(r, id);
+    }
+    for (r, id) in items.iter().step_by(3) {
+        assert!(tree.remove(r, *id));
+    }
+    tree
+}
+
+fn fingerprint(tree: &RTree<2>) -> u64 {
+    let mut bytes = Vec::new();
+    let mut word = |w: u64| bytes.extend_from_slice(&w.to_le_bytes());
+    word(u64::from(tree.root_id().0));
+    word(tree.len() as u64);
+    for (id, node) in tree.iter_nodes() {
+        word(u64::from(id.0));
+        word(u64::from(node.level));
+        word(node.entries.len() as u64);
+        for e in &node.entries {
+            for k in 0..2 {
+                word(e.rect.lo_k(k).to_bits());
+                word(e.rect.hi_k(k).to_bits());
+            }
+            match e.child {
+                Child::Node(n) => word(u64::from(n.0) << 1),
+                Child::Object(o) => word(u64::from(o.0) << 1 | 1),
+            }
+        }
+    }
+    fnv1a(&bytes)
+}
+
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(name: &str) -> Self {
+        let mut p = std::env::temp_dir();
+        p.push(format!("sjcm_persist_runs_{name}_{}", std::process::id()));
+        TempFile(p)
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Fingerprints of the saved file and of the tree loaded back from it,
+/// recorded from the recursive page-at-a-time loader and the per-page
+/// saver on the commit before run I/O replaced them.
+#[test]
+fn saved_files_and_loaded_trees_are_what_the_per_page_code_produced() {
+    let cases = [
+        (
+            "packed",
+            packed_tree(),
+            0x8b60_ce5c_0012_f77a_u64,
+            0x5670_3381_a446_dd1b_u64,
+        ),
+        (
+            "grown",
+            grown_tree(),
+            0x6c87_ddbe_6e2f_4ed3,
+            0xe8a6_e886_3bff_7f3f,
+        ),
+    ];
+    for (name, tree, file_print, tree_print) in cases {
+        let file = TempFile::new(name);
+        let handle = {
+            let mut store = FilePageStore::create(&file.0, 1024).unwrap();
+            tree.save(&mut store).unwrap()
+        };
+        let saved = fnv1a(&std::fs::read(&file.0).unwrap());
+        assert_eq!(saved, file_print, "{name}: saved file {saved:#018x}");
+        let store = FilePageStore::open(&file.0, 1024).unwrap();
+        let loaded = RTree::<2>::load(&store, handle, *tree.config()).unwrap();
+        loaded.check_invariants_with_tolerance(1e-5).unwrap();
+        let got = fingerprint(&loaded);
+        assert_eq!(got, tree_print, "{name}: loaded tree {got:#018x}");
+    }
+}
+
+/// Forwards everything — runs included — and keeps the tally.
+#[derive(Default)]
+struct Tally {
+    reads: Cell<usize>,
+    read_runs: Cell<usize>,
+    writes: usize,
+    write_runs: usize,
+    /// Every page a `read` or `read_run` asked for.
+    pages_read: RefCell<Vec<PageId>>,
+    allocated: Vec<PageId>,
+}
+
+struct Counting<S> {
+    inner: S,
+    tally: Tally,
+}
+
+impl<S> Counting<S> {
+    fn new(inner: S) -> Self {
+        Counting {
+            inner,
+            tally: Tally::default(),
+        }
+    }
+}
+
+impl<S: PageStore> PageStore for Counting<S> {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn allocate(&mut self) -> Result<PageId, StorageError> {
+        let id = self.inner.allocate()?;
+        self.tally.allocated.push(id);
+        Ok(id)
+    }
+    fn write(&mut self, id: PageId, data: &[u8]) -> Result<(), StorageError> {
+        self.tally.writes += 1;
+        self.inner.write(id, data)
+    }
+    fn write_run(&mut self, first: PageId, bytes: &[u8]) -> Result<(), StorageError> {
+        self.tally.write_runs += 1;
+        self.inner.write_run(first, bytes)
+    }
+    fn read(&self, id: PageId) -> Result<Bytes, StorageError> {
+        self.tally.reads.set(self.tally.reads.get() + 1);
+        self.tally.pages_read.borrow_mut().push(id);
+        self.inner.read(id)
+    }
+    fn read_run(&self, first: PageId, count: usize, out: &mut Vec<u8>) -> Result<(), StorageError> {
+        self.tally.read_runs.set(self.tally.read_runs.get() + 1);
+        let ids = (first.0..first.0 + count as u32).map(PageId);
+        self.tally.pages_read.borrow_mut().extend(ids);
+        self.inner.read_run(first, count, out)
+    }
+    fn free(&mut self, id: PageId) -> Result<(), StorageError> {
+        self.inner.free(id)
+    }
+    fn live_pages(&self) -> usize {
+        self.inner.live_pages()
+    }
+    fn sync(&mut self) -> Result<(), StorageError> {
+        self.inner.sync()
+    }
+}
+
+/// A store that knows nothing about runs: only the required methods, so
+/// `read_run` and `write_run` are the trait's provided bodies.
+struct PerPage<S>(S);
+
+impl<S: PageStore> PageStore for PerPage<S> {
+    fn page_size(&self) -> usize {
+        self.0.page_size()
+    }
+    fn allocate(&mut self) -> Result<PageId, StorageError> {
+        self.0.allocate()
+    }
+    fn write(&mut self, id: PageId, data: &[u8]) -> Result<(), StorageError> {
+        self.0.write(id, data)
+    }
+    fn read(&self, id: PageId) -> Result<Bytes, StorageError> {
+        self.0.read(id)
+    }
+    fn free(&mut self, id: PageId) -> Result<(), StorageError> {
+        self.0.free(id)
+    }
+    fn live_pages(&self) -> usize {
+        self.0.live_pages()
+    }
+}
+
+#[test]
+fn a_file_store_is_asked_for_runs_and_never_for_a_page() {
+    let tree = packed_tree();
+    let file = TempFile::new("runs");
+    let mut store = Counting::new(FilePageStore::create(&file.0, 1024).unwrap());
+    let handle = tree.save(&mut store).unwrap();
+    assert!(handle.pages >= 128, "{} pages", handle.pages);
+    assert_eq!(store.tally.writes, 0);
+    assert!(
+        (1..=handle.pages / 16).contains(&store.tally.write_runs),
+        "{} write runs for {} pages",
+        store.tally.write_runs,
+        handle.pages
+    );
+    let loaded = RTree::<2>::load(&store, handle, *tree.config()).unwrap();
+    assert_eq!(loaded.node_count(), handle.pages);
+    assert_eq!(store.tally.reads.get(), 0);
+    assert!(
+        (1..=handle.pages / 16).contains(&store.tally.read_runs.get()),
+        "{} read runs for {} pages",
+        store.tally.read_runs.get(),
+        handle.pages
+    );
+    assert_eq!(store.tally.pages_read.borrow().len(), handle.pages);
+}
+
+#[test]
+fn a_store_without_runs_sees_one_read_and_one_write_per_page() {
+    for tree in [packed_tree(), grown_tree()] {
+        let inner = Counting::new(InMemoryPageStore::with_default_page_size());
+        let mut store = PerPage(inner);
+        let handle = tree.save(&mut store).unwrap();
+        let loaded = RTree::<2>::load(&store, handle, *tree.config()).unwrap();
+        assert_eq!(loaded.node_count(), handle.pages);
+        let tally = &store.0.tally;
+        assert_eq!(tally.writes, handle.pages);
+        assert_eq!(tally.reads.get(), handle.pages);
+        assert_eq!((tally.write_runs, tally.read_runs.get()), (0, 0));
+    }
+}
+
+/// Two trees in one store, their pages interleaved with filler pages
+/// that no loader may decode, some freed and recycled by the saves.
+#[test]
+fn trees_sharing_a_store_load_from_their_own_pages_only() {
+    fn filler(store: &mut Counting<InMemoryPageStore>, n: usize) -> Vec<PageId> {
+        let ids: Vec<PageId> = (0..n).map(|_| store.allocate().unwrap()).collect();
+        for &id in &ids {
+            store.write(id, b"not a node").unwrap();
+        }
+        ids
+    }
+    let mut store = Counting::new(InMemoryPageStore::with_default_page_size());
+    let trees = [grown_tree(), packed_tree()];
+    let mut saved: Vec<(PersistedTree, Vec<PageId>)> = Vec::new();
+    for tree in &trees {
+        // Every other filler page goes back to the free list, so the
+        // save recycles scattered ids before it takes fresh ones.
+        for id in filler(&mut store, 40).into_iter().step_by(2) {
+            store.free(id).unwrap();
+        }
+        let before = store.tally.allocated.len();
+        let handle = tree.save(&mut store).unwrap();
+        let mut own = store.tally.allocated[before..].to_vec();
+        own.sort();
+        saved.push((handle, own));
+    }
+    for (tree, (handle, own)) in trees.iter().zip(&saved) {
+        assert_eq!(own.len(), handle.pages);
+        assert!(own.windows(2).any(|w| w[1].0 != w[0].0 + 1), "interleaved");
+        store.tally.pages_read.borrow_mut().clear();
+        let loaded = RTree::<2>::load(&store, *handle, *tree.config()).unwrap();
+        assert_eq!(loaded.node_count(), tree.node_count());
+        assert_eq!(loaded.len(), tree.len());
+        loaded.check_invariants_with_tolerance(1e-5).unwrap();
+        let mut read = store.tally.pages_read.borrow().clone();
+        read.sort();
+        assert_eq!(&read, own, "pages read are the tree's own, each once");
+    }
+}
+
+/// Rewrites one saved page through `edit`.
+fn edit_page(store: &mut InMemoryPageStore, page: PageId, edit: impl FnOnce(&mut DiskNode<2>)) {
+    let mut node = DiskNode::<2>::decode(&store.read(page).unwrap()).unwrap();
+    edit(&mut node);
+    store.write(page, &node.encode(1024).unwrap()).unwrap();
+}
+
+fn malformed(store: &InMemoryPageStore, handle: PersistedTree, needle: &str) {
+    match RTree::<2>::load(store, handle, RTreeConfig::paper(2)) {
+        Err(StorageError::MalformedNode(msg)) => {
+            assert!(msg.contains(needle), "{msg:?} should mention {needle:?}")
+        }
+        other => panic!("expected a malformed-node error, got {other:?}"),
+    }
+}
+
+#[test]
+fn structural_damage_is_a_typed_error() {
+    let tree = packed_tree();
+    let saved = || {
+        let mut store = InMemoryPageStore::with_default_page_size();
+        let handle = tree.save(&mut store).unwrap();
+        (store, handle)
+    };
+    let root_children = |store: &InMemoryPageStore, handle: PersistedTree| {
+        DiskNode::<2>::decode(&store.read(handle.root).unwrap())
+            .unwrap()
+            .entries
+    };
+
+    // Two parents: the root names one child twice.
+    let (mut store, handle) = saved();
+    edit_page(&mut store, handle.root, |n| {
+        n.entries[1].child = n.entries[0].child
+    });
+    malformed(&store, handle, "two parents");
+
+    // A cycle: a child of the root names the root.
+    let (mut store, handle) = saved();
+    let child = PageId(root_children(&store, handle)[0].child);
+    edit_page(&mut store, child, |n| n.entries[0].child = handle.root.0);
+    malformed(&store, handle, "at level 2 under parent level 1");
+
+    // A level mismatch: the root names a leaf.
+    let (mut store, handle) = saved();
+    let leaf = (0..handle.pages as u32)
+        .map(PageId)
+        .find(|&p| {
+            DiskNode::<2>::decode(&store.read(p).unwrap())
+                .unwrap()
+                .level
+                == 0
+        })
+        .unwrap();
+    edit_page(&mut store, handle.root, |n| n.entries[0].child = leaf.0);
+    malformed(&store, handle, "at level 0 under parent level 2");
+
+    // A child id with a high bit flipped is a page the store does not
+    // have — and nothing is sized by it.
+    let (mut store, handle) = saved();
+    let flipped = root_children(&store, handle)[0].child | 1 << 31;
+    edit_page(&mut store, handle.root, |n| n.entries[0].child = flipped);
+    assert_eq!(
+        RTree::<2>::load(&store, handle, RTreeConfig::paper(2)).unwrap_err(),
+        StorageError::UnknownPage(PageId(flipped))
+    );
+}
+
+#[test]
+fn the_handle_is_checked_against_what_is_loaded() {
+    let tree = packed_tree();
+    let mut store = InMemoryPageStore::with_default_page_size();
+    let handle = tree.save(&mut store).unwrap();
+    for (wrong, needle) in [
+        (
+            PersistedTree {
+                pages: handle.pages - 1,
+                ..handle
+            },
+            "more than the handle's",
+        ),
+        (
+            PersistedTree {
+                pages: handle.pages + 1,
+                ..handle
+            },
+            "the handle says",
+        ),
+        (
+            PersistedTree {
+                len: handle.len + 1,
+                ..handle
+            },
+            "the handle says",
+        ),
+    ] {
+        malformed(&store, wrong, needle);
+    }
+    // A non-root page taken for the root: fewer nodes than the handle
+    // counts.
+    let child = DiskNode::<2>::decode(&store.read(handle.root).unwrap())
+        .unwrap()
+        .child_page(0);
+    let wrong = PersistedTree {
+        root: child,
+        ..handle
+    };
+    malformed(&store, wrong, "the handle says");
+}

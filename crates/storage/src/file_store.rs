@@ -5,15 +5,26 @@
 //! goes to an in-memory free list (recycled within the session) — the
 //! file itself never shrinks, like a real database heap file.
 //!
+//! Allocating a *fresh* page touches no file: the store counts the page,
+//! and until something is written to it a read returns zeros without
+//! I/O. The file holds only the pages up to the highest one written, so
+//! [`PageStore::sync`] first extends it — once, to
+//! `pages · page_size` — and then flushes: after a `sync` a reopened
+//! file has exactly the pages allocated. (A store dropped without `sync`
+//! keeps the pages written and loses trailing never-written ones.) A
+//! *recycled* page is zeroed on disk when it is handed out again, so
+//! stale bytes cannot resurface. Runs of consecutive pages move in one
+//! positional read or write ([`PageStore::read_run`],
+//! [`PageStore::write_run`]).
+//!
 //! Integrity relies on the node layout's own validation (magic byte,
 //! dimensionality, entry-count bounds — see [`crate::layout`]); unlike
 //! the in-memory simulator there is no out-of-band checksum, which
 //! matches how the paper's 1 KiB pages would sit on disk.
 
-use crate::page::{PageId, PageStore, StorageError};
+use crate::page::{run_end, whole_pages, PageId, PageStore, StorageError};
 use bytes::Bytes;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Fills `buf` from `offset` without touching the file cursor, which
@@ -40,12 +51,39 @@ fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::R
     Ok(())
 }
 
+/// Writes all of `buf` at `offset`, cursor untouched like the read.
+#[cfg(unix)]
+fn write_all_at(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::write_all_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn write_all_at(file: &File, mut buf: &[u8], mut offset: u64) -> std::io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_write(buf, offset) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                buf = &buf[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// Disk-backed page store over a single file.
 pub struct FilePageStore {
     file: File,
     path: PathBuf,
     page_size: usize,
+    /// Pages allocated: ids `0..pages` are valid.
     pages: u32,
+    /// Pages the file holds; those in `on_disk..pages` were allocated
+    /// and never written, and read as zeros.
+    on_disk: u32,
     free_list: Vec<PageId>,
 }
 
@@ -65,6 +103,7 @@ impl FilePageStore {
             path: path.to_path_buf(),
             page_size,
             pages: 0,
+            on_disk: 0,
             free_list: Vec::new(),
         })
     }
@@ -99,6 +138,7 @@ impl FilePageStore {
             path: path.to_path_buf(),
             page_size,
             pages: pages as u32,
+            on_disk: pages as u32,
             free_list: Vec::new(),
         })
     }
@@ -119,6 +159,23 @@ impl FilePageStore {
             Ok(())
         }
     }
+
+    /// One past the last page of the run `first..first + count`, which
+    /// must lie within the allocated pages; names the first page that
+    /// does not.
+    fn run_end(&self, first: PageId, count: usize) -> Result<u32, StorageError> {
+        run_end(first, count)
+            .filter(|&end| end <= self.pages)
+            .ok_or(StorageError::UnknownPage(PageId(first.0.max(self.pages))))
+    }
+
+    /// Positional write of whole pages at `first`, ending at page `end`.
+    fn write_pages(&mut self, first: PageId, end: u32, bytes: &[u8]) -> Result<(), StorageError> {
+        write_all_at(&self.file, bytes, self.offset(first))
+            .map_err(|e| StorageError::Io(format!("write pages {first}..p{end}: {e}")))?;
+        self.on_disk = self.on_disk.max(end);
+        Ok(())
+    }
 }
 
 impl PageStore for FilePageStore {
@@ -129,22 +186,22 @@ impl PageStore for FilePageStore {
     fn allocate(&mut self) -> Result<PageId, StorageError> {
         if let Some(id) = self.free_list.pop() {
             // Zero the recycled page so stale bytes cannot resurface.
-            self.write(id, &[])?;
+            if id.0 < self.on_disk {
+                self.write(id, &[])?;
+            }
             return Ok(id);
         }
         if self.pages == u32::MAX {
             return Err(StorageError::OutOfPages);
         }
+        // A fresh page is only counted: it reads as zeros until written,
+        // and `sync` gives it its place in the file.
         let id = PageId(self.pages);
         self.pages += 1;
-        self.write(id, &[])?;
         Ok(id)
     }
 
     fn write(&mut self, id: PageId, data: &[u8]) -> Result<(), StorageError> {
-        // `allocate` increments `pages` before writing the fresh page, so
-        // a plain bounds check covers that path too; in particular a
-        // write to an unallocated id on an empty store is rejected.
         self.check_id(id)?;
         if data.len() > self.page_size {
             return Err(StorageError::PageOverflow {
@@ -152,22 +209,40 @@ impl PageStore for FilePageStore {
                 page_size: self.page_size,
             });
         }
+        if data.len() == self.page_size {
+            return self.write_pages(id, id.0 + 1, data);
+        }
         let mut buf = vec![0u8; self.page_size];
         buf[..data.len()].copy_from_slice(data);
-        self.file
-            .seek(SeekFrom::Start(self.offset(id)))
-            .and_then(|_| self.file.write_all(&buf))
-            .map_err(|e| StorageError::Io(format!("write page {id}: {e}")))
+        self.write_pages(id, id.0 + 1, &buf)
+    }
+
+    fn write_run(&mut self, first: PageId, bytes: &[u8]) -> Result<(), StorageError> {
+        let count = whole_pages(bytes.len(), self.page_size)?;
+        let end = self.run_end(first, count)?;
+        self.write_pages(first, end, bytes)
     }
 
     fn read(&self, id: PageId) -> Result<Bytes, StorageError> {
-        self.check_id(id)?;
-        // Positional: the store is `Sync`, and a seek-then-read through
-        // the shared cursor would let two readers swap pages.
-        let mut buf = vec![0u8; self.page_size];
-        read_exact_at(&self.file, &mut buf, self.offset(id))
-            .map_err(|e| StorageError::Io(format!("read page {id}: {e}")))?;
+        let mut buf = Vec::new();
+        self.read_run(id, 1, &mut buf)?;
         Ok(Bytes::from(buf))
+    }
+
+    fn read_run(&self, first: PageId, count: usize, out: &mut Vec<u8>) -> Result<(), StorageError> {
+        let end = self.run_end(first, count)?;
+        out.clear();
+        out.resize(count * self.page_size, 0);
+        // Positional: the store is `Sync`, and a seek-then-read through
+        // the shared cursor would let two readers swap pages. Pages the
+        // file does not hold yet stay zero.
+        let held = end.min(self.on_disk).saturating_sub(first.0) as usize;
+        read_exact_at(
+            &self.file,
+            &mut out[..held * self.page_size],
+            self.offset(first),
+        )
+        .map_err(|e| StorageError::Io(format!("read pages {first}..p{end}: {e}")))
     }
 
     fn free(&mut self, id: PageId) -> Result<(), StorageError> {
@@ -181,9 +256,16 @@ impl PageStore for FilePageStore {
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
-        self.file
-            .sync_all()
-            .map_err(|e| StorageError::Io(format!("sync {:?}: {e}", self.path)))
+        let io = |e| StorageError::Io(format!("sync {:?}: {e}", self.path));
+        if self.on_disk < self.pages {
+            // Once per sync, never per allocation: growing the file page
+            // by page costs more than the zero-page writes it replaced.
+            self.file
+                .set_len(u64::from(self.pages) * self.page_size as u64)
+                .map_err(io)?;
+            self.on_disk = self.pages;
+        }
+        self.file.sync_all().map_err(io)
     }
 }
 
@@ -325,6 +407,69 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn fresh_pages_read_as_zeros_and_reach_the_file_on_sync() {
+        let path = temp_path("fresh");
+        let _guard = Cleanup(path.clone());
+        let mut store = FilePageStore::create(&path, 16).unwrap();
+        let ids: Vec<PageId> = (0..5).map(|_| store.allocate().unwrap()).collect();
+        // Allocation alone touches no file.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        assert_eq!(&store.read(ids[4]).unwrap()[..], &[0u8; 16]);
+        // A write in the middle leaves the pages around it zero, on
+        // either side of the end of the file.
+        store.write(ids[2], b"middle").unwrap();
+        let mut run = Vec::new();
+        store.read_run(ids[0], 5, &mut run).unwrap();
+        assert_eq!(run.len(), 5 * 16);
+        assert_eq!(&run[32..38], b"middle");
+        assert!(run[..32].iter().chain(&run[38..]).all(|&x| x == 0));
+        store.sync().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 5 * 16);
+        drop(store);
+        let store = FilePageStore::open(&path, 16).unwrap();
+        assert_eq!(store.live_pages(), 5);
+        let mut reread = Vec::new();
+        store.read_run(PageId(0), 5, &mut reread).unwrap();
+        assert_eq!(reread, run);
+    }
+
+    #[test]
+    fn runs_roundtrip_and_misuse_is_typed() {
+        let path = temp_path("runs");
+        let _guard = Cleanup(path.clone());
+        let mut store = FilePageStore::create(&path, 8).unwrap();
+        for _ in 0..4 {
+            store.allocate().unwrap();
+        }
+        let bytes: Vec<u8> = (0..24).collect();
+        store.write_run(PageId(1), &bytes).unwrap();
+        let mut run = Vec::new();
+        store.read_run(PageId(1), 3, &mut run).unwrap();
+        assert_eq!(run, bytes);
+        assert_eq!(&store.read(PageId(2)).unwrap()[..], &bytes[8..16]);
+        // One page too many, a run that starts past the end, half a page.
+        assert_eq!(
+            store.write_run(PageId(2), &bytes),
+            Err(StorageError::UnknownPage(PageId(4)))
+        );
+        assert_eq!(
+            store.read_run(PageId(7), 1, &mut run),
+            Err(StorageError::UnknownPage(PageId(7)))
+        );
+        assert_eq!(
+            store.write_run(PageId(0), &bytes[..12]),
+            Err(StorageError::PartialPage {
+                len: 12,
+                page_size: 8
+            })
+        );
+        // Nothing of the refused runs was written.
+        store.read_run(PageId(0), 4, &mut run).unwrap();
+        assert_eq!(&run[..8], &[0u8; 8]);
+        assert_eq!(&run[8..], &bytes[..]);
     }
 
     #[test]

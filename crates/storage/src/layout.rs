@@ -15,7 +15,7 @@
 //! ulp only costs the occasional extra node visit.
 
 use crate::page::{PageId, StorageError};
-use bytes::{Buf, BufMut};
+use bytes::Buf;
 use sjcm_geom::Rect;
 
 /// Size of the node header in bytes: magic, level, entry count, dims,
@@ -103,40 +103,74 @@ fn f32_next(f: f32) -> f32 {
     -f32_prev(-f)
 }
 
-impl<const N: usize> DiskNode<N> {
-    /// Serializes the node for a page of `page_size` bytes.
-    ///
-    /// Fails with [`StorageError::MalformedNode`] when the node holds more
-    /// entries than the page can fit, keeping over-full nodes impossible
-    /// to persist by construction.
-    pub fn encode(&self, page_size: usize) -> Result<Vec<u8>, StorageError> {
-        let cap = max_entries(page_size, N);
-        if self.entries.len() > cap {
-            return Err(StorageError::MalformedNode(format!(
-                "{} entries exceed page capacity {} (n = {N})",
-                self.entries.len(),
-                cap
-            )));
-        }
-        let mut buf = Vec::with_capacity(HEADER_SIZE + self.entries.len() * entry_size(N));
-        buf.put_u8(MAGIC);
-        buf.put_u8(self.level);
-        buf.put_u16_le(self.entries.len() as u16);
-        buf.put_u8(N as u8);
-        buf.put_bytes(0, 3);
-        for e in &self.entries {
-            for k in 0..N {
-                buf.put_f32_le(f32_down(e.rect.lo_k(k)));
-                buf.put_f32_le(f32_up(e.rect.hi_k(k)));
-            }
-            buf.put_u32_le(e.child);
-        }
-        Ok(buf)
+/// Refuses a node of `count` entries that a page of `page_size` bytes
+/// cannot hold.
+fn check_capacity<const N: usize>(count: usize, page_size: usize) -> Result<(), StorageError> {
+    let cap = max_entries(page_size, N);
+    if count > cap {
+        return Err(StorageError::MalformedNode(format!(
+            "{count} entries exceed page capacity {cap} (n = {N})"
+        )));
     }
+    Ok(())
+}
 
-    /// Deserializes a node, validating magic, dimensionality, entry count
-    /// and rectangle well-formedness.
-    pub fn decode(mut data: &[u8]) -> Result<Self, StorageError> {
+/// Writes header and entries at the front of `out` (long enough by the
+/// caller's capacity check) and returns the bytes written.
+fn write_node<const N: usize>(
+    level: u8,
+    entries: impl ExactSizeIterator<Item = DiskEntry<N>>,
+    out: &mut [u8],
+) -> usize {
+    out[0] = MAGIC;
+    out[1] = level;
+    out[2..4].copy_from_slice(&(entries.len() as u16).to_le_bytes());
+    out[4] = N as u8;
+    out[5..HEADER_SIZE].fill(0);
+    let mut at = HEADER_SIZE;
+    let mut put = |word: [u8; 4]| {
+        out[at..at + 4].copy_from_slice(&word);
+        at += 4;
+    };
+    for e in entries {
+        for k in 0..N {
+            put(f32_down(e.rect.lo_k(k)).to_le_bytes());
+            put(f32_up(e.rect.hi_k(k)).to_le_bytes());
+        }
+        put(e.child.to_le_bytes());
+    }
+    at
+}
+
+/// Serializes one node into `page` — a whole page, its length the page
+/// size — zero-filling what the entries leave: the bytes a store holds
+/// for the node, written in place (no buffer per node). Fails like
+/// [`DiskNode::encode`] on a node the page cannot fit.
+pub fn encode_page<const N: usize>(
+    level: u8,
+    entries: impl ExactSizeIterator<Item = DiskEntry<N>>,
+    page: &mut [u8],
+) -> Result<(), StorageError> {
+    check_capacity::<N>(entries.len(), page.len())?;
+    let used = write_node(level, entries, page);
+    page[used..].fill(0);
+    Ok(())
+}
+
+/// A validated view of one serialized node: the header is checked, the
+/// entries are decoded on request — straight into whatever the caller
+/// builds of them, with no `Vec<DiskEntry>` in between.
+#[derive(Debug, Clone, Copy)]
+pub struct NodePage<'a, const N: usize> {
+    level: u8,
+    /// Exactly `len · entry_size(N)` bytes.
+    entries: &'a [u8],
+}
+
+impl<'a, const N: usize> NodePage<'a, N> {
+    /// Validates magic, dimensionality and entry count of `data` (a page,
+    /// or just its used prefix).
+    pub fn parse(mut data: &'a [u8]) -> Result<Self, StorageError> {
         if data.len() < HEADER_SIZE {
             return Err(StorageError::MalformedNode(format!(
                 "page too short: {} bytes",
@@ -158,26 +192,76 @@ impl<const N: usize> DiskNode<N> {
             )));
         }
         data.advance(3);
-        if data.len() < count * entry_size(N) {
-            return Err(StorageError::MalformedNode(format!(
+        let entries = data.get(..count * entry_size(N)).ok_or_else(|| {
+            StorageError::MalformedNode(format!(
                 "entry area truncated: {} bytes for {count} entries",
                 data.len()
-            )));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut lo = [0.0f64; N];
-            let mut hi = [0.0f64; N];
-            for k in 0..N {
-                lo[k] = f64::from(data.get_f32_le());
-                hi[k] = f64::from(data.get_f32_le());
-            }
-            let child = data.get_u32_le();
+            ))
+        })?;
+        Ok(Self { level, entries })
+    }
+
+    /// Level of the node; leaves are level 0.
+    pub fn level(&self) -> u8 {
+        self.level
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len() / entry_size(N)
+    }
+
+    /// `true` for a node without entries (an empty tree's root).
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Decodes the entries in page order, each through `make`, into a
+    /// vector allocated at its final length; every rectangle is checked
+    /// for well-formedness on the way.
+    pub fn decode_entries<T>(
+        &self,
+        mut make: impl FnMut(DiskEntry<N>) -> T,
+    ) -> Result<Vec<T>, StorageError> {
+        let mut entries = Vec::with_capacity(self.len());
+        for entry in self.entries.chunks_exact(entry_size(N)) {
+            let word = |i: usize| -> [u8; 4] {
+                entry[4 * i..4 * i + 4]
+                    .try_into()
+                    .expect("a four-byte slice")
+            };
+            let lo = std::array::from_fn(|k| f64::from(f32::from_le_bytes(word(2 * k))));
+            let hi = std::array::from_fn(|k| f64::from(f32::from_le_bytes(word(2 * k + 1))));
+            let child = u32::from_le_bytes(word(2 * N));
             let rect = Rect::new(lo, hi)
                 .map_err(|e| StorageError::MalformedNode(format!("bad rectangle: {e}")))?;
-            entries.push(DiskEntry { rect, child });
+            entries.push(make(DiskEntry { rect, child }));
         }
-        Ok(Self { level, entries })
+        Ok(entries)
+    }
+}
+
+impl<const N: usize> DiskNode<N> {
+    /// Serializes the node for a page of `page_size` bytes.
+    ///
+    /// Fails with [`StorageError::MalformedNode`] when the node holds more
+    /// entries than the page can fit, keeping over-full nodes impossible
+    /// to persist by construction.
+    pub fn encode(&self, page_size: usize) -> Result<Vec<u8>, StorageError> {
+        check_capacity::<N>(self.entries.len(), page_size)?;
+        let mut buf = vec![0u8; HEADER_SIZE + self.entries.len() * entry_size(N)];
+        write_node(self.level, self.entries.iter().copied(), &mut buf);
+        Ok(buf)
+    }
+
+    /// Deserializes a node, validating magic, dimensionality, entry count
+    /// and rectangle well-formedness.
+    pub fn decode(data: &[u8]) -> Result<Self, StorageError> {
+        let page = NodePage::<N>::parse(data)?;
+        Ok(Self {
+            level: page.level(),
+            entries: page.decode_entries(|entry| entry)?,
+        })
     }
 
     /// Convenience: interpret a child field as a page id (internal nodes).
@@ -313,6 +397,27 @@ mod tests {
             DiskNode::<2>::decode(&bytes[..4]),
             Err(StorageError::MalformedNode(_))
         ));
+    }
+
+    #[test]
+    fn encode_page_is_encode_padded_over_a_dirty_buffer() {
+        let node = sample_node();
+        let mut page = vec![0xaa; 1024];
+        encode_page(node.level, node.entries.iter().copied(), &mut page).unwrap();
+        let mut expected = node.encode(1024).unwrap();
+        expected.resize(1024, 0);
+        assert_eq!(page, expected);
+        let view = NodePage::<2>::parse(&page).unwrap();
+        assert_eq!((view.level(), view.len()), (1, 2));
+        let children = view.decode_entries(|e| e.child).unwrap();
+        assert_eq!(children, [7, 42]);
+        // The page's capacity is its own length.
+        let entry = node.entries[0];
+        assert!(matches!(
+            encode_page(0, [entry; 51].into_iter(), &mut page),
+            Err(StorageError::MalformedNode(_))
+        ));
+        assert!(encode_page(0, [entry; 50].into_iter(), &mut page).is_ok());
     }
 
     #[test]

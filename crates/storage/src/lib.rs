@@ -58,7 +58,7 @@ pub use fault::{
     FAULT_INJECTED, FAULT_QUARANTINED, FAULT_RECOVERED, FAULT_RETRIED,
 };
 pub use file_store::FilePageStore;
-pub use layout::{max_entries, DiskEntry, DiskNode};
+pub use layout::{encode_page, max_entries, DiskEntry, DiskNode, NodePage};
 pub use mem::{MemoryBudgetExceeded, MemoryMeter};
 pub use page::{fnv1a, InMemoryPageStore, PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE};
 pub use recorder::{AccessTrace, FlightRecorder, PageAccessEvent, RecordedPolicy, RecorderLane};

@@ -57,6 +57,14 @@ pub enum StorageError {
     Corrupt(PageId),
     /// A serialized node failed structural validation.
     MalformedNode(String),
+    /// A run of pages handed to [`PageStore::write_run`] was not a whole
+    /// number of pages long.
+    PartialPage {
+        /// Bytes in the run.
+        len: usize,
+        /// Configured page size.
+        page_size: usize,
+    },
     /// The page store ran out of 32-bit page ids.
     OutOfPages,
     /// A real (or injected) I/O failure: the operating system refused the
@@ -75,6 +83,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::Corrupt(p) => write!(f, "checksum mismatch on page {p}"),
             StorageError::MalformedNode(msg) => write!(f, "malformed node: {msg}"),
+            StorageError::PartialPage { len, page_size } => {
+                write!(f, "run of {len} bytes is not whole {page_size}-byte pages")
+            }
             StorageError::OutOfPages => write!(f, "page id space exhausted"),
             StorageError::Io(msg) => write!(f, "i/o error: {msg}"),
         }
@@ -99,6 +110,49 @@ pub trait PageStore {
     /// Reads a page's contents (cheaply clonable [`Bytes`]).
     fn read(&self, id: PageId) -> Result<Bytes, StorageError>;
 
+    /// Reads the `count` pages `first, first + 1, …` into `out`, which
+    /// is cleared first and ends up exactly `count · page_size` bytes
+    /// long: the pages in id order, each zero-padded to the page size.
+    ///
+    /// The provided body is one [`read`](Self::read) per page in
+    /// ascending order, failing with the first failing page's error — so
+    /// a store that checks, injures or retries pages in `read` serves
+    /// runs without knowing about them, and sees each page exactly once.
+    /// Override only to fetch contiguous pages in one operation; an
+    /// override returns the same bytes and the same errors as the
+    /// provided body would.
+    fn read_run(&self, first: PageId, count: usize, out: &mut Vec<u8>) -> Result<(), StorageError> {
+        let page_size = self.page_size();
+        out.clear();
+        for id in run_ids(first, count)? {
+            let page = self.read(id)?;
+            if page.len() > page_size {
+                return Err(StorageError::PageOverflow {
+                    len: page.len(),
+                    page_size,
+                });
+            }
+            out.extend_from_slice(&page);
+            out.resize(out.len() + page_size - page.len(), 0);
+        }
+        Ok(())
+    }
+
+    /// Overwrites the pages `first, first + 1, …` with `bytes`, which
+    /// must be whole pages ([`StorageError::PartialPage`] otherwise).
+    ///
+    /// The provided body is one [`write`](Self::write) of a full page per
+    /// page, in ascending order; the same contract as
+    /// [`read_run`](Self::read_run) binds an override.
+    fn write_run(&mut self, first: PageId, bytes: &[u8]) -> Result<(), StorageError> {
+        let page_size = self.page_size();
+        let pages = whole_pages(bytes.len(), page_size)?;
+        for (id, page) in run_ids(first, pages)?.zip(bytes.chunks_exact(page_size)) {
+            self.write(id, page)?;
+        }
+        Ok(())
+    }
+
     /// Frees a page; its id may be recycled by later allocations.
     fn free(&mut self, id: PageId) -> Result<(), StorageError>;
 
@@ -111,6 +165,27 @@ pub trait PageStore {
     fn sync(&mut self) -> Result<(), StorageError> {
         Ok(())
     }
+}
+
+/// One past the last id of a run of `count` pages from `first`; `None`
+/// for a run that would leave the 32-bit id space.
+pub(crate) fn run_end(first: PageId, count: usize) -> Option<u32> {
+    first.0.checked_add(u32::try_from(count).ok()?)
+}
+
+/// The ids of a run of `count` pages from `first`; a run that would
+/// leave the id space names a page no store has.
+fn run_ids(first: PageId, count: usize) -> Result<impl Iterator<Item = PageId>, StorageError> {
+    let end = run_end(first, count).ok_or(StorageError::UnknownPage(PageId::INVALID))?;
+    Ok((first.0..end).map(PageId))
+}
+
+/// Number of pages in a run of `len` bytes, which must be whole pages.
+pub(crate) fn whole_pages(len: usize, page_size: usize) -> Result<usize, StorageError> {
+    if !len.is_multiple_of(page_size) {
+        return Err(StorageError::PartialPage { len, page_size });
+    }
+    Ok(len / page_size)
 }
 
 /// FNV-1a, the checksum stored alongside each page. Not cryptographic —
@@ -324,6 +399,37 @@ mod tests {
         let b = store.allocate().unwrap();
         assert_eq!(a, b);
         assert!(store.read(b).unwrap().is_empty());
+    }
+
+    #[test]
+    fn provided_runs_are_one_call_per_page() {
+        let mut store = InMemoryPageStore::new(4);
+        let ids: Vec<PageId> = (0..3).map(|_| store.allocate().unwrap()).collect();
+        store.write_run(ids[0], b"aaaabbbb").unwrap();
+        // A short page comes back padded to the page size, an untouched
+        // one as zeros.
+        store.write(ids[1], b"b").unwrap();
+        let mut run = vec![0xff; 64];
+        store.read_run(ids[0], 3, &mut run).unwrap();
+        assert_eq!(run, b"aaaab\0\0\0\0\0\0\0");
+        // The checksum is still verified per page, and the failing page
+        // is named.
+        store.corrupt_for_test(ids[1]).unwrap();
+        assert_eq!(
+            store.read_run(ids[0], 3, &mut run),
+            Err(StorageError::Corrupt(ids[1]))
+        );
+        assert_eq!(
+            store.read_run(ids[2], 2, &mut run),
+            Err(StorageError::UnknownPage(PageId(3)))
+        );
+        assert_eq!(
+            store.write_run(ids[0], b"aaaab"),
+            Err(StorageError::PartialPage {
+                len: 5,
+                page_size: 4
+            })
+        );
     }
 
     #[test]
