@@ -51,15 +51,13 @@ use std::time::{Duration, Instant};
 pub fn config_from_flags(
     deadline_ms: Option<u64>,
     na_budget: Option<f64>,
-    mem_budget: Option<u64>,
 ) -> Option<GovernorConfig> {
-    if deadline_ms.is_none() && na_budget.is_none() && mem_budget.is_none() {
+    if deadline_ms.is_none() && na_budget.is_none() {
         return None;
     }
     Some(GovernorConfig {
         deadline: deadline_ms.map(Duration::from_millis),
         na_budget,
-        mem_budget,
         ..GovernorConfig::default()
     })
 }

@@ -98,10 +98,9 @@ const FLAGS: &str = "\
                   use e.g. 0.1 for a quick pass)
 --out DIR         CSV output directory (default results/)
 --threads T       worker threads for parallel/join/chaos commands (default 4)
---obs-dir D       join: write span/metrics/progress JSONL, the binary access
-                  trace and the Perfetto export into D; chaos adds its
-                  fault/drift metrics JSONL; trace replay/report and
-                  validate-obs read them back
+--obs-dir D       join: write span/metrics/progress JSONL and the binary
+                  access trace into D; chaos adds its fault/drift metrics
+                  JSONL; trace replay/report and validate-obs read them back
 --seed S          chaos: seeds the deterministic fault plans (default 1998;
                   the data seeds stay pinned)
 --watch           join: redraw the live progress line (fraction, ETA with the
@@ -113,9 +112,7 @@ const FLAGS: &str = "\
                   degrades (forfeited work priced), never aborts; governor:
                   overrides the derived half-runtime deadline
 --na-budget F     join: admission budget in Eq-6 node accesses; over-budget
-                  queries are rejected with exit 1
---mem-budget B    join: arena memory budget in bytes; a denied reservation is
-                  a typed error, exit 1";
+                  queries are rejected with exit 1";
 
 fn help() -> String {
     let mut text = String::from("commands:\n");
@@ -136,7 +133,6 @@ struct Args {
     calibrate: bool,
     deadline_ms: Option<u64>,
     na_budget: Option<f64>,
-    mem_budget: Option<u64>,
 }
 
 /// The value of a `--flag VALUE` pair, parsed.
@@ -172,7 +168,6 @@ fn parse_args() -> Result<Args, String> {
     let mut calibrate = false;
     let mut deadline_ms = None;
     let mut na_budget = None;
-    let mut mem_budget = None;
     while let Some(flag) = args.next() {
         let flag = flag.as_str();
         match flag {
@@ -191,18 +186,11 @@ fn parse_args() -> Result<Args, String> {
                 }
                 na_budget = Some(b);
             }
-            "--mem-budget" => {
-                let b: u64 = value(flag, &mut args)?;
-                if b == 0 {
-                    return Err("--mem-budget must be at least 1 byte".into());
-                }
-                mem_budget = Some(b);
-            }
             "--trace" | "--metrics" => {
                 return Err(format!(
                     "{flag} was replaced by --obs-dir DIR (the directory \
                      receives join_trace.jsonl, join_metrics.jsonl, \
-                     join_access_trace.bin and join_perfetto.json)"
+                     join_progress.jsonl and join_access_trace.bin)"
                 ));
             }
             other => return Err(format!("unknown flag {other}")),
@@ -219,7 +207,6 @@ fn parse_args() -> Result<Args, String> {
         calibrate,
         deadline_ms,
         na_budget,
-        mem_budget,
     })
 }
 
@@ -252,8 +239,7 @@ fn run(cmd: &str, args: &Args) -> bool {
         "algo-compare" => extensions::algo_compare(out, scale),
         "parallel" => extensions::parallel_join(out, scale, opts.threads),
         "join" => {
-            let gov =
-                governor::config_from_flags(args.deadline_ms, args.na_budget, args.mem_budget);
+            let gov = governor::config_from_flags(args.deadline_ms, args.na_budget);
             match observability::join_observed(opts, args.watch, gov) {
                 Ok(true) => {}
                 Ok(false) => eprintln!("warning: drift breached the envelope (see above)"),

@@ -11,8 +11,7 @@
 //! join is still executing) and published as `drift.*` gauges at the
 //! end; and, when `--obs-dir` is given, the page-access flight
 //! recorder, whose binary trace feeds the offline `trace replay` /
-//! `trace report` toolchain ([`crate::trace`]) alongside the Perfetto
-//! export of the span tree. A watcher thread samples the
+//! `trace report` toolchain ([`crate::trace`]). A watcher thread samples the
 //! Eq-6-prior-seeded progress engine throughout the run — `--watch`
 //! draws it live, `--obs-dir` persists the snapshot JSONL, and the
 //! report prints the prior-vs-refined ETA error curve either way.
@@ -37,8 +36,6 @@ use std::path::Path;
 pub const TRACE_FILE: &str = "join_trace.jsonl";
 /// Metrics-JSONL artifact name inside `--obs-dir`.
 pub const METRICS_FILE: &str = "join_metrics.jsonl";
-/// Perfetto/Chrome trace-event artifact name inside `--obs-dir`.
-pub const PERFETTO_FILE: &str = "join_perfetto.json";
 /// Progress-snapshot JSONL artifact name inside `--obs-dir`.
 pub const PROGRESS_FILE: &str = "join_progress.jsonl";
 
@@ -50,10 +47,9 @@ const SAMPLE_EVERY_MS: u64 = 5;
 
 /// The `join` command: one fully observed join run. `obs_dir` names a
 /// directory receiving every artifact — span JSONL, metrics JSONL, the
-/// flight recorder's binary page-access trace, the Perfetto
-/// trace-event export, and the progress-snapshot JSONL (omitted ⇒
-/// nothing is written and the recorder stays disabled; the in-terminal
-/// report still prints). `watch` redraws a live one-line progress bar
+/// flight recorder's binary page-access trace and the progress-snapshot
+/// JSONL (omitted ⇒ nothing is written and the recorder stays disabled;
+/// the in-terminal report still prints). `watch` redraws a live one-line progress bar
 /// (fraction, ETA ± the §4.1 envelope, pair count) while the join
 /// runs. Progress is always *tracked* — the watcher thread samples the
 /// Eq-6-seeded [`ProgressEngine`] every [`SAMPLE_EVERY_MS`] and the
@@ -61,16 +57,18 @@ const SAMPLE_EVERY_MS: u64 = 5;
 /// only controls the terminal redraw.
 ///
 /// With a [`GovernorConfig`] the join runs through the fallible twin
-/// under a fresh [`Governor`]: an admission rejection or memory-budget
-/// denial comes back as `Err` (the CLI exits non-zero), a deadline
-/// expiry degrades the run instead of aborting it, and the governor's
-/// decisions are published as `governor.*` gauges and (under
-/// `--obs-dir`) as `governor_events.jsonl`. A degraded run legitimately
-/// under-shoots the Eq 6/8–12 predictions, so the drift envelope is
-/// only gated when the governed run stayed exact, and the metrics
-/// artifact is withheld rather than written in a state `validate-obs`
-/// would rightly reject (the progress stream stays valid — forfeited
-/// work is retired from the denominator, so it still ends at 1.0).
+/// under a fresh [`Governor`]: an admission rejection comes back as
+/// `Err` (the CLI exits non-zero), a deadline expiry degrades the run
+/// instead of aborting it, and the governor's decisions are published
+/// as `governor.*` gauges and (under `--obs-dir`) as
+/// `governor_events.jsonl`. A degraded run legitimately under-shoots
+/// the Eq 6/8–12 predictions, so the drift envelope is only gated when
+/// the governed run stayed exact, and the metrics artifact is withheld
+/// rather than written in a state `validate-obs` would rightly reject
+/// (the progress stream stays valid — forfeited work is retired from
+/// the denominator, so it still ends at 1.0). The access trace is
+/// withheld the same way when the recorder captured no access: a run
+/// whose deadline refused every unit reads no page.
 ///
 /// Returns `Ok(true)` when every *gated* drift target landed inside the
 /// paper's envelope.
@@ -276,7 +274,6 @@ pub fn join_observed(
         metrics.gauge_set(govm::GOV_UNITS_EXECUTED, summary.units_executed as f64);
         metrics.gauge_set(govm::GOV_UNITS_FORFEITED, summary.units_forfeited as f64);
         metrics.gauge_set(govm::GOV_UNITS_SHED, summary.units_shed as f64);
-        metrics.gauge_set(govm::GOV_MEM_PEAK_BYTES, summary.mem_peak_bytes as f64);
     }
 
     // The report section: drift table + span summary.
@@ -354,26 +351,6 @@ pub fn join_observed(
     }
     eta_table.finish();
 
-    // Run-state introspection: the same RunState the snapshot API
-    // serves, printed once at the end as a worker/buffer digest.
-    let state = engine.run_state(Some(&drift));
-    println!("\n== run state ==");
-    println!(
-        "fraction {:.4}  na_done {}  pairs {}  drift breaches {}",
-        state.snapshot.fraction, state.snapshot.na_done, state.snapshot.pairs, state.drift_breaches
-    );
-    if let Some(h) = state.buffer_hit_ratio {
-        println!("buffer hit ratio {:.3}", h);
-    }
-    for (i, w) in state.workers.iter().enumerate() {
-        println!(
-            "worker {i}: {}/{} units, cost {}/{} retired",
-            w.units_done,
-            w.planned_units,
-            w.planned_cost - w.remaining_cost,
-            w.planned_cost
-        );
-    }
     println!("\n== span tree ==");
     print!("{}", tracer.tree_summary());
 
@@ -403,22 +380,22 @@ pub fn join_observed(
             // The binary page-access trace: the join ran under the
             // path-buffer policy, and the header carries the Eq 7/11
             // and 10/12 totals so `trace replay` can draw its what-if
-            // curve against the model.
+            // curve against the model. A trace with no events has
+            // nothing to replay, and `validate-obs` rejects it.
             let access = recorder.into_trace(RecordedPolicy::Path, na_pred, da_pred);
             let access_path = dir.join(crate::trace::ACCESS_TRACE_FILE);
-            match access.write(&access_path) {
-                Ok(()) => println!(
-                    "[access-trace] {} ({} events, {} dropped)",
-                    access_path.display(),
-                    access.events.len(),
-                    access.dropped
-                ),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", access_path.display()),
-            }
-            let perfetto_path = dir.join(PERFETTO_FILE);
-            match sjcm_obs::write_chrome_trace(&tracer, &perfetto_path) {
-                Ok(()) => println!("[perfetto] {}", perfetto_path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", perfetto_path.display()),
+            if access.events.is_empty() {
+                println!("[access-trace] withheld: the recorder captured no access");
+            } else {
+                match access.write(&access_path) {
+                    Ok(()) => println!(
+                        "[access-trace] {} ({} events, {} dropped)",
+                        access_path.display(),
+                        access.events.len(),
+                        access.dropped
+                    ),
+                    Err(e) => eprintln!("warning: cannot write {}: {e}", access_path.display()),
+                }
             }
             let progress_path = dir.join(PROGRESS_FILE);
             let jsonl: String = snapshots.iter().map(|s| s.to_json() + "\n").collect();
@@ -468,8 +445,7 @@ pub fn join_observed(
 /// `drift.breaches` counter is 0), the chaos campaigns' metrics file
 /// under the same contract, the binary page-access trace
 /// (magic/version/size/tick-monotonicity via [`AccessTrace::read`],
-/// plus a truncation check on the ring-drop counter), the Perfetto
-/// export (well-formed Chrome trace-event JSON), the progress
+/// plus a truncation check on the ring-drop counter), the progress
 /// snapshot stream (monotone time and fraction, finishing at exactly
 /// 1.0, via [`validate_progress_jsonl`]), the `explain` command's
 /// per-operator plan analysis (`plan_analyze.jsonl`: schema'd lines,
@@ -495,7 +471,6 @@ pub fn validate_obs(dir: &Path) -> bool {
     let metrics = present(METRICS_FILE);
     let chaos_metrics = present(crate::chaos::CHAOS_METRICS_FILE);
     let access = present(crate::trace::ACCESS_TRACE_FILE);
-    let perfetto = present(PERFETTO_FILE);
     let progress = present(PROGRESS_FILE);
     let plan_analyze = present(crate::explain::PLAN_ANALYZE_FILE);
     let catalog = present(crate::explain::CATALOG_FILE);
@@ -505,7 +480,6 @@ pub fn validate_obs(dir: &Path) -> bool {
         &metrics,
         &chaos_metrics,
         &access,
-        &perfetto,
         &progress,
         &plan_analyze,
         &catalog,
@@ -516,7 +490,7 @@ pub fn validate_obs(dir: &Path) -> bool {
     {
         fail(format!(
             "no artifacts found in {}; expected any of {TRACE_FILE}, \
-             {METRICS_FILE}, {}, {}, {PERFETTO_FILE}, {PROGRESS_FILE}, {}, {}, {}",
+             {METRICS_FILE}, {}, {}, {PROGRESS_FILE}, {}, {}, {}",
             dir.display(),
             crate::chaos::CHAOS_METRICS_FILE,
             crate::trace::ACCESS_TRACE_FILE,
@@ -592,20 +566,6 @@ pub fn validate_obs(dir: &Path) -> bool {
         }
     }
 
-    if let Some(path) = &perfetto {
-        match std::fs::read_to_string(path) {
-            Err(e) => fail(format!("cannot read {}: {e}", path.display())),
-            Ok(text) => match sjcm_obs::validate_chrome_trace(&text) {
-                Err(e) => fail(format!("{}: {e}", path.display())),
-                Ok(events) => println!(
-                    "validate-obs: {} trace events ok in {}",
-                    events,
-                    path.display()
-                ),
-            },
-        }
-    }
-
     // The plan-analysis stream: every line parses with the
     // sjcm.plan_analyze.v1 schema, counters are internally consistent
     // (DA never exceeds NA), and no gated operator's residual model
@@ -638,7 +598,7 @@ pub fn validate_obs(dir: &Path) -> bool {
 
     // The governor's decision log: every line parses with the
     // sjcm.governor.v1 schema, kinds are known, time is monotone, and
-    // the log ends on a terminal decision (finish/reject/budget) — a
+    // the log ends on a terminal decision (finish/reject) — a
     // log that just stops mid-run is a crashed governor, not a record.
     if let Some(path) = &governor_events {
         match std::fs::read_to_string(path) {

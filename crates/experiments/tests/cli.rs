@@ -106,6 +106,72 @@ fn join_admission_rejection_is_reported() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
+/// Every obs dir `join` writes passes `validate-obs`, and holds exactly
+/// the artifacts the run can vouch for. An ungoverned run writes all
+/// four. A run whose zero deadline forfeits every unit reads no page:
+/// it withholds the metrics (the drift contract fails on a degraded
+/// run) and the access trace (there is nothing to replay), and writes
+/// the governor's decision log instead.
+#[test]
+fn join_obs_dirs_validate_and_hold_what_the_run_vouches_for() {
+    let cases: [(&str, &[&str], &[&str]); 2] = [
+        (
+            "ungoverned",
+            &[],
+            &[
+                "join_access_trace.bin",
+                "join_metrics.jsonl",
+                "join_progress.jsonl",
+                "join_trace.jsonl",
+            ],
+        ),
+        (
+            "forfeited",
+            &["--deadline-ms", "0"],
+            &[
+                "governor_events.jsonl",
+                "join_progress.jsonl",
+                "join_trace.jsonl",
+            ],
+        ),
+    ];
+    for (tag, flags, expected) in cases {
+        let out_dir = tmp_out(&format!("join_obs_{tag}"));
+        let obs_dir = out_dir.join("obs");
+        let out = bin()
+            .args(["join", "--scale", "0.05", "--threads", "2"])
+            .args(flags)
+            .arg("--obs-dir")
+            .arg(&obs_dir)
+            .arg("--out")
+            .arg(&out_dir)
+            .output()
+            .expect("spawn experiments");
+        assert!(
+            out.status.success(),
+            "{tag}: join failed\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let mut files: Vec<String> = std::fs::read_dir(&obs_dir)
+            .expect("the obs dir exists")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, expected, "{tag}: artifacts in the obs dir");
+        let out = bin()
+            .args(["validate-obs", "--obs-dir"])
+            .arg(&obs_dir)
+            .output()
+            .expect("spawn experiments");
+        assert!(
+            out.status.success(),
+            "{tag}: validate-obs failed\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let _ = std::fs::remove_dir_all(&out_dir);
+    }
+}
+
 /// Unknown commands exit nonzero and point at the help text.
 #[test]
 fn unknown_command_fails() {

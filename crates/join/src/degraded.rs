@@ -38,7 +38,7 @@ use crate::executor::{JoinPredicate, JoinResultSet};
 use crate::parallel::Pricer;
 use sjcm_geom::Rect;
 use sjcm_rtree::{NodeId, RTree};
-use sjcm_storage::{FaultCounters, FaultInjector, MemoryBudgetExceeded, PageId, StorageError};
+use sjcm_storage::{FaultCounters, FaultInjector, PageId};
 use std::fmt;
 
 /// Why a fallible join could not produce a result at all.
@@ -48,14 +48,12 @@ use std::fmt;
 /// itself is unusable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JoinError {
-    /// A storage-layer failure outside the containment protocol (e.g. a
-    /// malformed node surfacing mid-traversal).
-    Storage(StorageError),
     /// A worker thread of the parallel join panicked; the payload
     /// message is preserved.
     WorkerPanicked(String),
-    /// A parallel join was requested with `threads = 0`. The infallible
-    /// entry points clamp this to one worker instead.
+    /// A parallel join was requested with `threads = 0`:
+    /// [`crate::session::JoinSession::run`] refuses it before touching
+    /// either tree.
     InvalidThreads,
     /// The governor refused to admit the query: its Eq-6-predicted node
     /// accesses exceed the configured budget and the admission policy
@@ -66,23 +64,11 @@ pub enum JoinError {
         /// The configured admission budget.
         budget: f64,
     },
-    /// An executor arena reservation exceeded the governor's memory
-    /// budget. The query stops with a typed error instead of aborting
-    /// the process.
-    BudgetExceeded {
-        /// Bytes the denied reservation asked for.
-        requested: u64,
-        /// Bytes already reserved when the request was denied.
-        used: u64,
-        /// The configured memory budget in bytes.
-        limit: u64,
-    },
 }
 
 impl fmt::Display for JoinError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JoinError::Storage(e) => write!(f, "storage failure during join: {e}"),
             JoinError::WorkerPanicked(msg) => write!(f, "worker panicked: {msg}"),
             JoinError::InvalidThreads => {
                 write!(f, "parallel join needs at least one worker (threads = 0)")
@@ -95,36 +81,11 @@ impl fmt::Display for JoinError {
                 "query rejected at admission: predicted {predicted_na:.1} node accesses \
                  exceeds the budget of {budget:.1}"
             ),
-            JoinError::BudgetExceeded {
-                requested,
-                used,
-                limit,
-            } => write!(
-                f,
-                "memory budget exceeded: executor requested {requested} bytes with \
-                 {used} of {limit} already reserved"
-            ),
         }
     }
 }
 
 impl std::error::Error for JoinError {}
-
-impl From<StorageError> for JoinError {
-    fn from(e: StorageError) -> Self {
-        JoinError::Storage(e)
-    }
-}
-
-impl From<MemoryBudgetExceeded> for JoinError {
-    fn from(e: MemoryBudgetExceeded) -> Self {
-        JoinError::BudgetExceeded {
-            requested: e.requested,
-            used: e.used,
-            limit: e.limit,
-        }
-    }
-}
 
 impl JoinError {
     /// Converts a worker thread's panic payload into a typed error.

@@ -1,4 +1,4 @@
-//! Deadline- and budget-aware query governor.
+//! Deadline- and NA-budget-aware query governor.
 //!
 //! The paper's whole point is that Eqs 2–6 price a spatial join
 //! *before* it runs — which means the system can also decide, before
@@ -26,15 +26,10 @@
 //!    predicted-pairs-per-NA) instead of truncating arbitrarily at
 //!    expiry — so the time that remains is spent where the model says
 //!    the pairs are.
-//! 4. **Memory budget** — executor arenas (the parallel schedulers'
-//!    unit arenas, PBSM's partition replicas) reserve bytes against a
-//!    shared [`sjcm_storage::MemoryMeter`] before allocating; a denied
-//!    reservation is a typed [`JoinError::BudgetExceeded`], never an
-//!    abort.
 //!
 //! Every decision is logged as one event on a
 //! [`sjcm_obs::governor::GovernorLog`] (admission, arming, shedding,
-//! expiry, memory denials, completion) so `experiments` can stream
+//! expiry, completion) so `experiments` can stream
 //! `governor_events.jsonl` and `validate-obs` can check it.
 //!
 //! The governor decides and keeps the ledger; it executes nothing. A
@@ -60,7 +55,6 @@ use crate::parallel::measured_params;
 use sjcm_core::join::join_cost_na;
 use sjcm_obs::governor::GovernorLog;
 use sjcm_rtree::RTree;
-use sjcm_storage::MemoryMeter;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -97,8 +91,6 @@ pub struct GovernorConfig {
     /// beyond the ±15% band, shed lowest-value pending units early
     /// instead of truncating arbitrarily at expiry.
     pub shed: bool,
-    /// Memory budget in bytes for executor arenas. `None` is unmetered.
-    pub mem_budget: Option<u64>,
     /// Deterministic cancellation point: refuse every unit with ordinal
     /// ≥ this value. The test hook behind the cancellation-determinism
     /// proptests; composes with (and is overridden by neither) the
@@ -128,12 +120,6 @@ impl GovernorConfig {
     /// Enables or disables ETA-guided shedding.
     pub fn with_shedding(mut self, shed: bool) -> Self {
         self.shed = shed;
-        self
-    }
-
-    /// Sets the arena memory budget in bytes.
-    pub fn with_mem_budget(mut self, bytes: u64) -> Self {
-        self.mem_budget = Some(bytes);
         self
     }
 
@@ -228,7 +214,6 @@ impl GovState {
 #[derive(Debug)]
 struct GovernorInner {
     config: GovernorConfig,
-    meter: MemoryMeter,
     log: GovernorLog,
     expired: AtomicBool,
     finished: AtomicBool,
@@ -256,8 +241,6 @@ pub struct GovernorSummary {
     /// Units preemptively shed by the ETA predictor (still counted in
     /// `units_forfeited` once an executor reaches and skips them).
     pub units_shed: u64,
-    /// High-water mark of metered arena bytes.
-    pub mem_peak_bytes: u64,
 }
 
 /// The query governor. Cloning shares all state (one governor per
@@ -270,22 +253,18 @@ pub struct Governor {
 
 impl Governor {
     /// A governor that limits nothing and logs nothing — one `Option`
-    /// discriminant check per call site. The infallible executor entry
-    /// points run with exactly this.
+    /// discriminant check per call site. A session that is never
+    /// [governed](crate::session::JoinSession::govern) runs with exactly
+    /// this.
     pub fn unlimited() -> Self {
         Self { inner: None }
     }
 
     /// A governor enforcing `config`.
     pub fn new(config: GovernorConfig) -> Self {
-        let meter = match config.mem_budget {
-            Some(bytes) => MemoryMeter::with_limit(bytes),
-            None => MemoryMeter::unlimited(),
-        };
         Self {
             inner: Some(Arc::new(GovernorInner {
                 config,
-                meter,
                 log: GovernorLog::new(),
                 expired: AtomicBool::new(false),
                 finished: AtomicBool::new(false),
@@ -320,7 +299,6 @@ impl Governor {
                 units_executed: st.executed,
                 units_forfeited: st.forfeited,
                 units_shed: st.shed_count,
-                mem_peak_bytes: inner.meter.peak(),
             }
         })
     }
@@ -410,30 +388,6 @@ impl Governor {
                 || i.config.cancel_after_units.is_some()
                 || i.state().degrade_ratio.is_some()
         })
-    }
-
-    /// `true` when an arena memory budget is armed.
-    pub fn has_mem_budget(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.meter.is_enabled())
-    }
-
-    /// Reserves `bytes` of arena memory against the budget, converting
-    /// a denial into the typed join error (and logging it).
-    pub fn reserve(&self, bytes: u64) -> Result<(), JoinError> {
-        let Some(inner) = &self.inner else {
-            return Ok(());
-        };
-        inner.meter.try_reserve(bytes).map_err(|e| {
-            inner.log.record("budget", bytes as f64, format!("{e}"));
-            JoinError::from(e)
-        })
-    }
-
-    /// Releases a previous arena reservation.
-    pub fn release(&self, bytes: u64) {
-        if let Some(inner) = &self.inner {
-            inner.meter.release(bytes);
-        }
     }
 
     /// Arms the per-unit ledger with every unit's price and value (the
@@ -673,11 +627,8 @@ impl Governor {
             "finish",
             st.executed as f64,
             format!(
-                "{} executed, {} forfeited ({} shed), mem peak {} bytes",
-                st.executed,
-                st.forfeited,
-                st.shed_count,
-                inner.meter.peak()
+                "{} executed, {} forfeited ({} shed)",
+                st.executed, st.forfeited, st.shed_count
             ),
         );
     }
@@ -777,7 +728,6 @@ mod tests {
         gov.note_unit_done(3);
         gov.note_forfeit(4);
         gov.finish();
-        assert!(gov.reserve(u64::MAX).is_ok());
         assert!(gov.summary().is_none());
         assert!(gov.events_jsonl().is_none());
     }
@@ -891,30 +841,6 @@ mod tests {
         let summary = gov.summary().unwrap();
         assert_eq!(summary.units_forfeited, 0);
         assert!(summary.units_executed > 0);
-    }
-
-    #[test]
-    fn memory_budget_denial_is_typed() {
-        let a = build(1_000, 0.012, 9);
-        let b = build(1_000, 0.012, 10);
-        let gov = Governor::new(GovernorConfig::default().with_mem_budget(8));
-        let err = governed(&a, &b, cost_guided(2), &gov).unwrap_err();
-        match err {
-            JoinError::BudgetExceeded { limit, .. } => assert_eq!(limit, 8),
-            other => panic!("expected BudgetExceeded, got {other:?}"),
-        }
-        let text = gov.events_jsonl().unwrap();
-        assert!(sjcm_obs::validate_governor_jsonl(&text).is_ok(), "{text}");
-    }
-
-    #[test]
-    fn ample_memory_budget_admits_and_tracks_peak() {
-        let a = build(1_000, 0.012, 11);
-        let b = build(1_000, 0.012, 12);
-        let gov = Governor::new(GovernorConfig::default().with_mem_budget(64 << 20));
-        let d = governed(&a, &b, cost_guided(2), &gov).unwrap();
-        assert!(d.is_exact());
-        assert!(gov.summary().unwrap().mem_peak_bytes > 0);
     }
 
     #[test]

@@ -43,10 +43,9 @@
 //!
 //! The [`governor::Governor`] is a deadline- and budget-aware
 //! admission/cancellation layer that prices queries with Eq 6 before
-//! running them, cancels cooperatively at work-unit boundaries, sheds
-//! low-value work when the ETA predicts an overrun, and meters executor
-//! arenas against a memory budget. [`Governor::unlimited`] is inert
-//! (one `Option` check per call site).
+//! running them, cancels cooperatively at work-unit boundaries, and
+//! sheds low-value work when the ETA predicts an overrun.
+//! [`Governor::unlimited`] is inert (one `Option` check per call site).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

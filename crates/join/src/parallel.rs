@@ -114,7 +114,6 @@ use crate::session::{CorrDomain, ExecContext, Scheduler};
 use sjcm_core::join::{unit_cost_na, JoinWindows};
 use sjcm_core::{LevelParams, TreeParams};
 use sjcm_geom::Rect;
-use sjcm_obs::perfetto::{DRIFT_BREACH_SPAN as BREACH_SPAN, PROGRESS_SPAN};
 use sjcm_obs::progress::ProgressTracker;
 use sjcm_obs::{DriftMonitor, Tracer, DA_TOTAL, NA_TOTAL};
 use sjcm_rtree::{Child, NodeId, RTree, TreeStats};
@@ -136,10 +135,8 @@ pub struct JoinObs<'a> {
     /// Drift monitor for in-flight envelope checks: workers maintain
     /// shared running NA/DA totals and test them against the
     /// caller-registered `na.total` / `da.total` predictions after
-    /// every completed work unit. The first breach of each total is
-    /// additionally marked with a zero-duration `drift-breach` child
-    /// span under the breaching unit, so the Perfetto export shows
-    /// *when* and *on whose lane* the model lost the run.
+    /// every completed work unit; a breach sets the sample's `overrun`
+    /// flag while the join is still running.
     pub drift: Option<&'a DriftMonitor>,
     /// Page-access flight recorder. Disabled (the default) costs one
     /// `Option` check per access; enabled, every buffered access of
@@ -151,7 +148,7 @@ pub struct JoinObs<'a> {
     /// Live progress hub (see `sjcm_obs::progress`). Disabled (the
     /// default) costs one `Option` check per access; enabled, every
     /// executor feeds per-level NA/DA/pair deltas in batches, the
-    /// schedulers register their per-worker cost ledgers, and the
+    /// schedulers register their unit and cost totals, and the
     /// entry point marks completion — a `ProgressEngine` sampling the
     /// same tracker then turns the feed into fractions and ETAs.
     /// Results are byte-identical either way.
@@ -162,11 +159,6 @@ pub struct JoinObs<'a> {
 /// scheduler. More units mean finer-grained stealing but more frontier
 /// expansion done serially by the coordinator.
 const UNITS_PER_WORKER: usize = 4;
-
-/// A join's worth of work-unit metadata held per worker arena: the
-/// bytes the parallel schedulers charge against the governor's memory
-/// budget per unit they materialize.
-const UNIT_ARENA_BYTES: usize = std::mem::size_of::<(usize, RootUnit)>();
 
 // ---------------------------------------------------------------------
 // Cost-guided scheduler.
@@ -180,7 +172,6 @@ pub(crate) fn cost_guided_join<const N: usize>(
     threads: usize,
     ctx: &ExecContext<'_>,
 ) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
-    let gov = ctx.gov;
     let mut join_span = ctx.tracer.span("cost-guided-join");
     join_span.set("threads", threads);
 
@@ -199,12 +190,6 @@ pub(crate) fn cost_guided_join<const N: usize>(
     // tallies now so they cannot be double-counted when the workers'
     // parts are merged with its own after the scope.
     coord.flush_progress();
-
-    // The frontier units and the per-worker deques are the scheduler's
-    // arena: charge them against the governor's memory budget before
-    // committing to the parallel phase.
-    let arena_bytes = (units.len() * UNIT_ARENA_BYTES) as u64;
-    gov.reserve(arena_bytes)?;
 
     // 2. Price each unit with Eq 6 on its measured subtree parameters,
     //    then LPT-seed one deque per worker. `plan[i]` remembers the
@@ -225,14 +210,10 @@ pub(crate) fn cost_guided_join<const N: usize>(
             loads[w] += costs[i];
         }
     }
-    // Register the planned per-worker ledger with the progress hub:
-    // LPT unit counts and Eq-6 cost per deque, before any worker runs.
-    let planned: Vec<(u64, u64)> = queues
-        .iter()
-        .zip(&loads)
-        .map(|(q, &load)| (q.len() as u64, load))
-        .collect();
-    ctx.progress.set_schedule(&planned);
+    // Register the schedule's unit count and Eq-6 cost with the
+    // progress hub before any worker runs.
+    let cost_total: u64 = loads.iter().sum();
+    ctx.progress.set_schedule(units.len() as u64, cost_total);
     let deques: Vec<Deque> = queues
         .into_iter()
         .zip(loads)
@@ -242,7 +223,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
         })
         .collect();
     schedule_span.set("units", units.len());
-    schedule_span.set("cost_total", costs.iter().sum::<u64>());
+    schedule_span.set("cost_total", cost_total);
     schedule_span.finish();
 
     // Running NA/DA totals for the in-flight drift checks, seeded with
@@ -282,11 +263,6 @@ pub(crate) fn cost_guided_join<const N: usize>(
                     let mut tallies: Vec<(usize, WorkerTally)> = Vec::new();
                     let mut runs: Vec<(usize, usize)> = Vec::new();
                     let mut steal = StealTally::default();
-                    // First-breach markers, per worker (the monitor's
-                    // overrun is sticky, so one marker per lane is the
-                    // signal; repeating it every unit would be noise).
-                    let mut na_breach_marked = false;
-                    let mut da_breach_marked = false;
                     start.wait();
                     while let Some((i, stolen)) = next_unit(deques, costs, w, &mut steal) {
                         steal.units_executed += 1;
@@ -321,40 +297,22 @@ pub(crate) fn cost_guided_join<const N: usize>(
                         unit_span.set("unit", i);
                         unit_span.set("corr", corr as u64);
                         unit_span.set("stolen", stolen);
+                        unit_span.set("cost", costs[i]);
                         unit_span.set("na", na);
                         unit_span.set("da", da);
                         unit_span.set("pairs", pair_count);
                         if wctx.progress.is_enabled() {
-                            // Retire the unit's Eq-6 cost from its
-                            // *planned* worker's ledger (steal-aware —
-                            // the same attribution `WorkerTally` uses)
-                            // and publish the tallies so samplers see
-                            // the unit boundary immediately.
-                            wctx.progress.unit_done(plan[i], costs[i]);
+                            // Retire the unit's Eq-6 cost and publish
+                            // the tallies so samplers see the unit
+                            // boundary immediately.
+                            wctx.progress.unit_done(costs[i]);
                             exec.flush_progress();
-                            // Zero-duration progress instant on this
-                            // worker's Perfetto lane.
-                            let mut p = unit_span.child(PROGRESS_SPAN);
-                            p.set("unit", i);
-                            p.set("cost", costs[i]);
                         }
                         if let Some(drift) = wctx.drift {
                             let na_now = na_live.fetch_add(na, Ordering::Relaxed) + na;
                             let da_now = da_live.fetch_add(da, Ordering::Relaxed) + da;
-                            let na_breach = drift.observe_in_flight(NA_TOTAL, na_now as f64);
-                            let da_breach = drift.observe_in_flight(DA_TOTAL, da_now as f64);
-                            if na_breach && !na_breach_marked {
-                                na_breach_marked = true;
-                                let mut b = unit_span.child(BREACH_SPAN);
-                                b.set("target", NA_TOTAL);
-                                b.set("at", na_now);
-                            }
-                            if da_breach && !da_breach_marked {
-                                da_breach_marked = true;
-                                let mut b = unit_span.child(BREACH_SPAN);
-                                b.set("target", DA_TOTAL);
-                                b.set("at", da_now);
-                            }
+                            drift.observe_in_flight(NA_TOTAL, na_now as f64);
+                            drift.observe_in_flight(DA_TOTAL, da_now as f64);
                         }
                     }
                     worker_span.set("units", steal.units_executed);
@@ -380,7 +338,6 @@ pub(crate) fn cost_guided_join<const N: usize>(
     });
 
     let (result, raw) = merge(coord.into_parts(), parts)?;
-    gov.release(arena_bytes);
     join_span.set("na", result.na_total());
     join_span.set("da", result.da_total());
     join_span.set("pairs", result.pair_count);
@@ -668,12 +625,13 @@ pub(crate) fn dealt_join<const N: usize>(
     // A pair's children are all objects or all nodes, so appending
     // keeps match order.
     units.extend(nodes.iter().map(|p| (Child::Node(p.n1), Child::Node(p.n2))));
+    // The progress ledger prices every root unit at one, so progress
+    // is units retired over units dealt.
+    let n = units.len() as u64;
+    ctx.progress.set_schedule(n, n);
     if threads == 1 {
-        // One shard, inline: no arena replica to meter, no worker to
-        // spawn, no tallies to merge.
+        // One shard, inline: no worker to spawn, no tallies to merge.
         arm_ledger(r1, r2, &units, gov);
-        let n = units.len() as u64;
-        ctx.progress.set_schedule(&[(n, n)]);
         let shard: Vec<(usize, RootUnit)> = units.into_iter().enumerate().collect();
         let part = run_shard(r1, r2, config, windows, &shard, ctx, CorrDomain::Shard(0));
         return Ok((part.result, part.skips));
@@ -684,10 +642,6 @@ pub(crate) fn dealt_join<const N: usize>(
         "round-robin-join"
     });
     join_span.set("threads", threads);
-    // The shard arenas replicate the unit list: charge them against the
-    // memory budget before dealing.
-    let arena_bytes = (units.len() * UNIT_ARENA_BYTES) as u64;
-    gov.reserve(arena_bytes)?;
     // Units keep their global ordinal when dealt, so the governor gates
     // them identically under any deal and any thread count. The deal
     // without a cost model is the unit's ordinal; with prices, LPT —
@@ -703,13 +657,6 @@ pub(crate) fn dealt_join<const N: usize>(
         .into_iter()
         .map(|shard| shard.into_iter().map(|i| (i, units[i])).collect())
         .collect();
-    // The progress ledger prices every root unit at one, so per-worker
-    // progress is units retired over units dealt.
-    let planned: Vec<(u64, u64)> = shards
-        .iter()
-        .map(|s| (s.len() as u64, s.len() as u64))
-        .collect();
-    ctx.progress.set_schedule(&planned);
 
     let join_id = join_span.id();
     let parts: Vec<Result<WorkerPart, JoinError>> = std::thread::scope(|scope| {
@@ -735,7 +682,6 @@ pub(crate) fn dealt_join<const N: usize>(
     });
 
     let (result, raw) = merge(Default::default(), parts)?;
-    gov.release(arena_bytes);
     join_span.set("na", result.na_total());
     join_span.set("da", result.da_total());
     join_span.set("pairs", result.pair_count);
@@ -793,7 +739,7 @@ fn run_shard<const N: usize>(
     domain: CorrDomain,
 ) -> WorkerPart {
     // The shard is one buffer-residency domain: its correlation id and
-    // the progress-ledger worker index both come from `domain`.
+    // the worker its tally is attributed to both come from `domain`.
     let mut shard = Engine::new(r1, r2, config, windows, ctx, domain);
     let worker = domain.worker_index();
     let mut runs = Vec::with_capacity(units.len());
@@ -826,7 +772,7 @@ fn run_shard<const N: usize>(
         ctx.unit_done(ordinal);
         runs.push((ordinal, shard.pairs.len()));
         if ctx.progress.is_enabled() {
-            ctx.progress.unit_done(worker, 1);
+            ctx.progress.unit_done(1);
             shard.flush_progress();
         }
     }

@@ -19,7 +19,6 @@
 //! The simulated I/O cost of PBSM is the classic two-pass accounting:
 //! both inputs are written into partitions once and read back once.
 
-use crate::degraded::JoinError;
 use crate::executor::MatchKernel;
 use crate::session::ExecContext;
 use sjcm_geom::{unit_grid_cell, Rect, RectBatch};
@@ -61,9 +60,9 @@ impl DegradedPbsmResult {
 
 /// The PBSM executor body, cross-cutting concerns supplied through the
 /// one [`ExecContext`] seam (PBSM uses the progress hub and the
-/// governor: [`ExecContext::checkpoint`] gates each active cell,
+/// governor: [`ExecContext::checkpoint`] gates each active cell, and
 /// [`ExecContext::unit_done`] / [`ExecContext::forfeit_unit`] keep the
-/// shed ledger honest, and the memory budget meters the replica arena).
+/// shed ledger honest).
 ///
 /// Pure main-memory simulation of the algorithm's structure: partitions
 /// are index runs over the borrowed inputs rather than spill files (see
@@ -77,27 +76,13 @@ pub(crate) fn run_pbsm<const N: usize>(
     page_capacity: usize,
     kernel: MatchKernel,
     ctx: &ExecContext<'_>,
-) -> Result<DegradedPbsmResult, JoinError> {
+) -> DegradedPbsmResult {
     let progress = &ctx.progress;
     let gov = ctx.gov;
     assert!(grid >= 1, "need at least one partition per dimension");
     assert!(page_capacity >= 1, "page capacity must be positive");
     gov.start_clock();
     let cells = grid.pow(N as u32);
-    // Memory budget: the index arena is the dominant allocation, and its
-    // size is known before building it — count replicas in a dry pass
-    // and reserve the bytes up front. Only paid when a budget is
-    // actually armed.
-    let mut reserved = 0u64;
-    if gov.has_mem_budget() {
-        let dry: usize = left
-            .iter()
-            .chain(right)
-            .map(|(r, _)| CellSpan::new(r, grid).count())
-            .sum();
-        reserved = arena_bytes(dry, left.len() + right.len(), cells);
-        gov.reserve(reserved)?;
-    }
     let parts_left = Partition::build(left, grid, cells);
     let parts_right = Partition::build(right, grid, cells);
     let replicas = parts_left.slots.len() + parts_right.slots.len();
@@ -119,7 +104,7 @@ pub(crate) fn run_pbsm<const N: usize>(
     let cell_price = |c: usize| (parts_left.cell(c).len() + parts_right.cell(c).len()) as u64;
     if progress.is_enabled() {
         let cost: u64 = active.iter().map(|&c| cell_price(c)).sum();
-        progress.set_schedule(&[(active.len() as u64, cost)]);
+        progress.set_schedule(active.len() as u64, cost);
     }
     if gov.is_enabled() {
         let prices: Vec<u64> = active.iter().map(|&c| cell_price(c)).collect();
@@ -151,7 +136,7 @@ pub(crate) fn run_pbsm<const N: usize>(
         );
         ctx.unit_done(ordinal);
         if progress.is_enabled() {
-            progress.unit_done(0, cell_price(cell));
+            progress.unit_done(cell_price(cell));
             progress.add_pairs((pairs.len() - before) as u64);
         }
     }
@@ -160,9 +145,8 @@ pub(crate) fn run_pbsm<const N: usize>(
     // Two-pass I/O: write all replicas out, read them back.
     let io_pages = 2 * replicas.div_ceil(page_capacity) as u64;
 
-    gov.release(reserved);
     gov.finish();
-    Ok(DegradedPbsmResult {
+    DegradedPbsmResult {
         result: PbsmResult {
             pairs,
             io_pages,
@@ -170,17 +154,7 @@ pub(crate) fn run_pbsm<const N: usize>(
         },
         forfeited_cells,
         forfeited_entries,
-    })
-}
-
-/// Bytes the two [`Partition`]s of a join allocate: a `u32` slot per
-/// replica, the `u32` sort permutation per object (alive while the
-/// slots are filled) and `cells + 1` offsets per side — what the
-/// governor's memory budget is charged.
-fn arena_bytes(replicas: usize, objects: usize, cells: usize) -> u64 {
-    let index = std::mem::size_of::<u32>();
-    let offsets = 2 * (cells + 1) * std::mem::size_of::<usize>();
-    ((replicas + objects) * index + offsets) as u64
+    }
 }
 
 /// One input partitioned by *index*: cell `c` holds
@@ -553,35 +527,6 @@ mod tests {
                     .result;
                 assert_eq!(fingerprint(&got), expected, "grid {grid}, {kernel:?}");
             }
-        }
-    }
-
-    /// The budget is charged what the index arena allocates, not the
-    /// 40-byte tuples the partitions used to copy: a budget between the
-    /// two figures admits the join.
-    #[test]
-    fn memory_budget_prices_the_index_arena() {
-        use crate::governor::{Governor, GovernorConfig};
-        let a = random_items(2000, 0.02, 31);
-        let b = random_items(2000, 0.02, 32);
-        let grid = 4;
-        let ungoverned = pbsm_join(&a, &b, grid, 50);
-        let replicas = (ungoverned.replication_factor * 4000.0).round() as usize;
-        let tuples = (replicas * std::mem::size_of::<(Rect<2>, ObjectId)>()) as u64;
-        let arena = arena_bytes(replicas, 4000, grid * grid);
-        assert!(arena * 4 < tuples, "arena {arena} vs tuple copies {tuples}");
-        let run = |budget: u64| {
-            let gov = Governor::new(GovernorConfig::default().with_mem_budget(budget));
-            let out = PbsmSession::new(&a, &b, grid, 50).govern(&gov).run();
-            (out, gov.summary().expect("armed").mem_peak_bytes)
-        };
-        let (admitted, peak) = run((arena + tuples) / 2);
-        assert_eq!(admitted.unwrap().result.pairs, ungoverned.pairs);
-        assert_eq!(peak, arena);
-        assert!(run(arena).0.is_ok());
-        match run(arena - 1).0 {
-            Err(JoinError::BudgetExceeded { limit, .. }) => assert_eq!(limit, arena - 1),
-            other => panic!("expected BudgetExceeded, got {other:?}"),
         }
     }
 

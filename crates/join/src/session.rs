@@ -3,7 +3,7 @@
 //! cross-cutting concerns — span tracer, drift monitor, page-access
 //! flight recorder (with its correlation-id allocator), live progress
 //! hub, fault injector, and governor (admission, deadline/cancellation,
-//! memory budget, shedding).
+//! shedding).
 //!
 //! All four executors (sequential, dealt, cost-guided, PBSM)
 //! start here and nowhere else — [`JoinSession::run`] for the tree
@@ -84,9 +84,9 @@ impl CorrDomain {
         }
     }
 
-    /// The worker index progress ledgers attribute this domain's
-    /// retired units to (the coordinator feeds worker 0's ledger — it
-    /// only ever retires units in single-domain runs).
+    /// The worker a dealt shard's [`crate::WorkerTally`] is attributed
+    /// to (the coordinator counts as worker 0 — it only ever runs units
+    /// in single-domain runs).
     pub(crate) fn worker_index(self) -> usize {
         match self {
             CorrDomain::Coordinator => 0,
@@ -149,13 +149,13 @@ pub struct ExecContext<'a> {
     /// Page-access flight recorder; correlation ids are allocated
     /// through [`ExecContext::lanes`] — see [`CorrDomain`].
     pub recorder: FlightRecorder,
-    /// Live progress hub (schedule ledgers, per-level NA/DA feed, ETA).
+    /// Live progress hub (schedule totals, per-level NA/DA feed, ETA).
     pub progress: ProgressTracker,
     /// Fault-injection oracle for chaos runs (disabled = one `Option`
     /// check per node pair).
     pub faults: FaultInjector,
-    /// Admission control, deadline/cancellation token, memory budget,
-    /// and load shedding.
+    /// Admission control, deadline/cancellation token and load
+    /// shedding.
     pub gov: &'a Governor,
     /// Test builds only: engines run the traversal their stack walk
     /// replaced, the reference it is pinned to.
@@ -319,8 +319,7 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     }
 
     /// Puts the run under a governor: admission control before any
-    /// traversal, unit-boundary cancellation checkpoints, memory-budget
-    /// reservations, shedding.
+    /// traversal, unit-boundary cancellation checkpoints, shedding.
     pub fn govern(mut self, gov: &Governor) -> Self {
         self.gov = gov.clone();
         self
@@ -357,10 +356,10 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     /// sequential traversal under a `sequential-join` span and
     /// `threads = 0` is [`JoinError::InvalidThreads`].
     ///
-    /// `Err` is reserved for failures that make the run unusable
-    /// (admission rejection, budget exhaustion, a worker panic,
-    /// invalid thread count); forfeited work under faults or deadlines
-    /// comes back priced on the [`DegradedJoinResult`] instead.
+    /// `Err` is reserved for failures that make the run unusable: a
+    /// thread count of zero, an admission rejection, a worker panic.
+    /// Forfeited work under faults or deadlines comes back priced on
+    /// the [`DegradedJoinResult`] instead.
     pub fn run(self) -> Result<DegradedJoinResult<N>, JoinError> {
         let JoinSession {
             r1,
@@ -475,8 +474,9 @@ impl<'a, const N: usize> PbsmSession<'a, N> {
     }
 
     /// Executes the partition join. Forfeited cells under a deadline
-    /// come back counted on the [`DegradedPbsmResult`]; `Err` is
-    /// admission rejection or memory-budget exhaustion.
+    /// come back counted on the [`DegradedPbsmResult`]. PBSM has no
+    /// admission step and no worker threads, so it never returns `Err`;
+    /// the `Result` is [`JoinSession::run`]'s shape.
     pub fn run(self) -> Result<DegradedPbsmResult, JoinError> {
         let PbsmSession {
             left,
@@ -491,7 +491,14 @@ impl<'a, const N: usize> PbsmSession<'a, N> {
             progress,
             ..ExecContext::bare(&gov)
         };
-        crate::pbsm::run_pbsm(left, right, grid, page_capacity, kernel, &ctx)
+        Ok(crate::pbsm::run_pbsm(
+            left,
+            right,
+            grid,
+            page_capacity,
+            kernel,
+            &ctx,
+        ))
     }
 }
 

@@ -640,11 +640,7 @@ fn generous_governor_is_identical_to_unlimited() {
     for scheduler in schedulers() {
         let tag = format!("{scheduler:?}");
         let (unlimited, unlimited_events) = record(JoinSession::new(&t1, &t2), scheduler);
-        let gov = Governor::new(
-            GovernorConfig::default()
-                .with_na_budget(f64::MAX)
-                .with_mem_budget(u64::MAX),
-        );
+        let gov = Governor::new(GovernorConfig::default().with_na_budget(f64::MAX));
         let (governed, governed_events) =
             record(JoinSession::new(&t1, &t2).govern(&gov), scheduler);
         assert_identical(&governed, &unlimited, &tag);
@@ -665,9 +661,7 @@ fn generous_governor_is_identical_to_unlimited() {
                 .expect("nothing armed can fire")
         };
         let unlimited = run(&Governor::unlimited());
-        let governed = run(&Governor::new(
-            GovernorConfig::default().with_mem_budget(u64::MAX),
-        ));
+        let governed = run(&Governor::new(GovernorConfig::default()));
         assert!(governed.is_exact());
         assert_eq!(governed.result.pairs, unlimited.result.pairs, "{kernel:?}");
         assert_eq!(governed.result.io_pages, unlimited.result.io_pages);

@@ -15,7 +15,6 @@ use sjcm_core::join;
 use sjcm_join::{measured_params, JoinConfig, JoinObs, JoinSession, Scheduler};
 use sjcm_obs::{
     FieldValue, LevelPrior, ProgressEngine, ProgressSnapshot, ProgressTracker, SpanRecord, Tracer,
-    PROGRESS_SPAN,
 };
 use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
 use sjcm_storage::{FaultInjector, FaultPlan, FlightRecorder, RetryPolicy};
@@ -269,19 +268,15 @@ fn paper_scale_eta_lands_within_twenty_percent_at_a_quarter() {
             // the scheduled cost and the NA so far: replay the run's
             // own units — their prices and accesses do not depend on
             // which worker ran them when — retiring in unit order.
-            let records = tracer.records();
-            let mut units: Vec<(u64, u64, u64)> = records
+            let mut units: Vec<(u64, u64, u64)> = tracer
+                .records()
                 .iter()
-                .filter(|r| r.name == PROGRESS_SPAN)
-                .map(|p| {
-                    let unit = records
-                        .iter()
-                        .find(|r| Some(r.id) == p.parent)
-                        .expect("a progress instant sits under its unit");
+                .filter(|r| r.name == "unit")
+                .map(|u| {
                     (
-                        u64_field(p, "unit"),
-                        u64_field(p, "cost"),
-                        u64_field(unit, "na"),
+                        u64_field(u, "unit"),
+                        u64_field(u, "cost"),
+                        u64_field(u, "na"),
                     )
                 })
                 .collect();
@@ -290,13 +285,13 @@ fn paper_scale_eta_lands_within_twenty_percent_at_a_quarter() {
             let unit_na: u64 = units.iter().map(|u| u.2).sum();
             quarter_of_replay(&pr, |tracker, sample| {
                 let mut sink = tracker.sink();
-                tracker.set_schedule(&[(units.len() as u64, cost)]);
+                tracker.set_schedule(units.len() as u64, cost);
                 // The frontier descent above the units comes first.
                 let mut na = true_work - unit_na;
                 for &(_, cost, unit_na) in &units {
                     na += unit_na;
                     sink.flush([(0, na, 0)], [], 0);
-                    tracker.unit_done(0, cost);
+                    tracker.unit_done(cost);
                     sample();
                 }
             })

@@ -3,7 +3,7 @@
 //!
 //! The governor (in `sjcm-join`) makes a small number of *decisions*
 //! per query — admit or reject, arm a deadline, shed pending units,
-//! expire, deny a memory reservation, finish — and each decision is one
+//! expire, finish — and each decision is one
 //! [`GovernorEvent`] here. Events carry a monotone microsecond
 //! timestamp relative to the governor's own epoch, a kind from the
 //! closed [`KNOWN_KINDS`] set, a numeric payload and a free-form
@@ -27,13 +27,11 @@ pub const GOVERNOR_EVENTS_FILE: &str = "governor_events.jsonl";
 
 /// Event kinds a governor may emit, in rough lifecycle order. The
 /// validator rejects anything outside this set.
-pub const KNOWN_KINDS: &[&str] = &[
-    "admit", "reject", "arm", "shed", "expire", "budget", "finish",
-];
+pub const KNOWN_KINDS: &[&str] = &["admit", "reject", "arm", "shed", "expire", "finish"];
 
 /// Kinds that legally terminate a stream: a run either finishes (even
-/// degraded) or dies at admission / on a denied memory reservation.
-pub const TERMINAL_KINDS: &[&str] = &["finish", "reject", "budget"];
+/// degraded) or dies at admission.
+pub const TERMINAL_KINDS: &[&str] = &["finish", "reject"];
 
 /// `1` while a governed query was admitted, `0` when it was rejected.
 pub const GOV_ADMITTED: &str = "governor.admitted";
@@ -51,8 +49,6 @@ pub const GOV_UNITS_EXECUTED: &str = "governor.units.executed";
 pub const GOV_UNITS_FORFEITED: &str = "governor.units.forfeited";
 /// Units preemptively shed by the ETA overrun predictor.
 pub const GOV_UNITS_SHED: &str = "governor.units.shed";
-/// High-water mark of metered arena bytes.
-pub const GOV_MEM_PEAK_BYTES: &str = "governor.mem.peak_bytes";
 
 /// One governor decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +59,7 @@ pub struct GovernorEvent {
     pub kind: &'static str,
     /// Numeric payload (meaning depends on the kind: predicted NA for
     /// admit/reject, shed unit count for shed, executed units for
-    /// finish, denied bytes for budget, …).
+    /// finish, …).
     pub value: f64,
     /// Human-readable context.
     pub detail: String,

@@ -25,18 +25,14 @@
 //! * [`json`] — the tiny self-contained JSON escaping/validation layer
 //!   the JSONL sinks share (the workspace builds offline; there is no
 //!   serde).
-//! * [`perfetto`] — a Chrome/Perfetto trace-event exporter: span
-//!   records become worker-lane slices (work units, steals, drift
-//!   breaches as instant markers) loadable in `ui.perfetto.dev`.
 //! * [`progress`] — the *predictive* layer: a live progress/ETA engine
 //!   seeded from the Eq-6 per-level priors, refined in flight by the
-//!   observed branching ratios, with monotone fractions, a windowed
-//!   work-rate ETA inside the §4.1 ±15% band, and an on-demand
-//!   full-run-state snapshot ([`progress::RunState`]).
+//!   observed branching ratios, with monotone fractions and a windowed
+//!   work-rate ETA inside the §4.1 ±15% band.
 //! * [`governor`] — the decision log of the query governor: admission,
-//!   deadline arming, load shedding, expiry and memory-budget denials
-//!   as a validated JSONL event stream ([`governor::GovernorLog`])
-//!   plus the `governor.*` metric names.
+//!   deadline arming, load shedding and expiry as a validated JSONL
+//!   event stream ([`governor::GovernorLog`]) plus the `governor.*`
+//!   metric names.
 //!
 //! The crate is std-only and dependency-free on purpose: every other
 //! crate in the workspace can afford to link it, and the execution
@@ -50,7 +46,6 @@ pub mod drift;
 pub mod governor;
 pub mod json;
 pub mod metrics;
-pub mod perfetto;
 pub mod progress;
 pub mod span;
 
@@ -59,12 +54,8 @@ pub use governor::{
     validate_governor_jsonl, GovernorEvent, GovernorLog, GOVERNOR_EVENTS_FILE, GOVERNOR_SCHEMA,
 };
 pub use metrics::{Histogram, MetricKind, MetricsRegistry};
-pub use perfetto::{
-    chrome_trace_json, validate_chrome_trace, write_chrome_trace, DRIFT_BREACH_SPAN, PROGRESS_SPAN,
-    WORKER_FIELD,
-};
 pub use progress::{
     validate_progress_jsonl, LevelPrior, ProgressEngine, ProgressSink, ProgressSnapshot,
-    ProgressTracker, RunState,
+    ProgressTracker,
 };
 pub use span::{FieldValue, Span, SpanRecord, Tracer};

@@ -50,8 +50,7 @@
 //! and pinned to exactly 1.0 by [`ProgressTracker::finish`].
 //!
 //! Joins with no model prior (PBSM has no R-trees) fall back to the
-//! unit ledger: cells/units completed over total, each weighted by its
-//! registered cost.
+//! unit ledger: the retired share of the registered schedule cost.
 //!
 //! # Faults
 //!
@@ -64,11 +63,10 @@
 //! denominator immediately, so progress neither stalls nor regresses
 //! under injected faults.
 
-use crate::drift::DriftMonitor;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Maximum raw tree levels tracked per tree. Fan-out ≥ 2 means 16
@@ -112,23 +110,6 @@ pub struct LevelPrior {
     pub na: f64,
 }
 
-/// Per-worker schedule ledger entry (cost units are whatever the
-/// scheduler priced units in — Eq-6 milli-NA for the cost-guided
-/// scheduler, unit counts for round-robin, entry counts for PBSM).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerState {
-    /// Units scheduled onto this worker.
-    pub planned_units: u64,
-    /// Total scheduled cost.
-    pub planned_cost: u64,
-    /// Cost not yet retired — the live deque depth, steal-aware
-    /// (stolen units still retire from their *planned* worker, matching
-    /// how `WorkerTally` attributes work).
-    pub remaining_cost: u64,
-    /// Units retired so far.
-    pub units_done: u64,
-}
-
 struct Shared {
     epoch: Instant,
     /// Per (tree, raw level) node-access counters.
@@ -143,12 +124,14 @@ struct Shared {
     /// Per raw level: expected remaining NA below one skipped node
     /// pair at that level, in milli-NA (set once at seeding).
     quantum_milli: [AtomicU64; MAX_LEVELS],
+    /// Schedule ledger; cost is in whatever the scheduler priced units
+    /// in — Eq-6 price for the cost-guided scheduler, one per unit for
+    /// the dealt executor, entry counts for PBSM.
     units_total: AtomicU64,
     units_done: AtomicU64,
     cost_total: AtomicU64,
     cost_done: AtomicU64,
     finished: AtomicBool,
-    workers: Mutex<Vec<WorkerState>>,
 }
 
 impl Shared {
@@ -165,7 +148,6 @@ impl Shared {
             cost_total: AtomicU64::new(0),
             cost_done: AtomicU64::new(0),
             finished: AtomicBool::new(false),
-            workers: Mutex::new(Vec::new()),
         }
     }
 }
@@ -249,44 +231,21 @@ impl ProgressTracker {
         }
     }
 
-    /// Registers the schedule: per planned worker `(units, cost)`.
-    /// Re-registering replaces the ledger (the totals accumulate —
-    /// PBSM registers once, the parallel schedulers once per run).
-    pub fn set_schedule(&self, planned: &[(u64, u64)]) {
-        let Some(shared) = &self.shared else {
-            return;
-        };
-        let mut units = 0;
-        let mut cost = 0;
-        let mut ledger = Vec::with_capacity(planned.len());
-        for &(u, c) in planned {
-            units += u;
-            cost += c;
-            ledger.push(WorkerState {
-                planned_units: u,
-                planned_cost: c,
-                remaining_cost: c,
-                units_done: 0,
-            });
+    /// Registers a schedule of `units` work units costing `cost` in
+    /// total. Each executor registers once per run; the totals
+    /// accumulate.
+    pub fn set_schedule(&self, units: u64, cost: u64) {
+        if let Some(shared) = &self.shared {
+            shared.units_total.fetch_add(units, Ordering::Relaxed);
+            shared.cost_total.fetch_add(cost, Ordering::Relaxed);
         }
-        shared.units_total.fetch_add(units, Ordering::Relaxed);
-        shared.cost_total.fetch_add(cost, Ordering::Relaxed);
-        *shared.workers.lock().expect("progress ledger poisoned") = ledger;
     }
 
-    /// Retires one completed unit of `cost`, attributed to the worker
-    /// it was *planned* on (steal-aware: the executing thread passes
-    /// the planned worker, mirroring `WorkerTally` attribution).
-    pub fn unit_done(&self, worker: usize, cost: u64) {
-        let Some(shared) = &self.shared else {
-            return;
-        };
-        shared.units_done.fetch_add(1, Ordering::Relaxed);
-        shared.cost_done.fetch_add(cost, Ordering::Relaxed);
-        let mut ledger = shared.workers.lock().expect("progress ledger poisoned");
-        if let Some(w) = ledger.get_mut(worker) {
-            w.remaining_cost = w.remaining_cost.saturating_sub(cost);
-            w.units_done += 1;
+    /// Retires one completed unit of `cost`.
+    pub fn unit_done(&self, cost: u64) {
+        if let Some(shared) = &self.shared {
+            shared.units_done.fetch_add(1, Ordering::Relaxed);
+            shared.cost_done.fetch_add(cost, Ordering::Relaxed);
         }
     }
 
@@ -529,42 +488,6 @@ impl ProgressSnapshot {
     }
 }
 
-/// Introspection of one (tree, paper level) work cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LevelState {
-    /// Tree index, 1 or 2.
-    pub tree: usize,
-    /// Paper level `j` (1 = leaf).
-    pub level: usize,
-    /// Node accesses done at this level.
-    pub done: u64,
-    /// The Eq-6 prior for this level.
-    pub prior: f64,
-    /// The engine's current blended estimate of this level's total.
-    pub est_total: f64,
-}
-
-/// Full run state, as returned by [`ProgressEngine::run_state`] — the
-/// on-demand `snapshot()` API a wire protocol would serve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunState {
-    /// The headline progress sample.
-    pub snapshot: ProgressSnapshot,
-    /// Per-(tree, level) done/prior/estimate breakdown, model-driven
-    /// runs only (empty for unit-ledger runs).
-    pub levels: Vec<LevelState>,
-    /// Per-worker schedule ledger (empty for the sequential join).
-    pub workers: Vec<WorkerState>,
-    /// Live buffer hit ratio implied by the published counters
-    /// (`1 − DA/NA`); `None` before any access.
-    pub buffer_hit_ratio: Option<f64>,
-    /// Drift-monitor breach count, when a monitor was attached.
-    pub drift_breaches: usize,
-    /// `DriftMonitor::all_within`, when a monitor was attached (`true`
-    /// with none — no evidence of drift).
-    pub drift_all_within: bool,
-}
-
 /// The single-reader estimator over a [`ProgressTracker`]. Owns the
 /// mutable smoothing state (EWMA ratios, the monotone clamp, the rate
 /// window), so exactly one engine should sample a given run — the
@@ -616,21 +539,19 @@ impl ProgressEngine {
         Self::new(tracker, &[])
     }
 
-    fn estimate(&mut self, done: &[[u64; MAX_LEVELS]; 2]) -> (f64, [[f64; MAX_LEVELS]; 2]) {
-        let mut est = [[0.0f64; MAX_LEVELS]; 2];
+    /// The blended total-work estimate over both trees' levels.
+    fn estimate(&mut self, done: &[[u64; MAX_LEVELS]; 2]) -> f64 {
         let mut total = 0.0;
-        for t in 0..2 {
+        for (t, done) in done.iter().enumerate() {
             let Some(top) = self.top[t] else {
                 // No prior for this tree: whatever was done is the
                 // estimate (height-1 trees, unit-ledger runs).
-                for raw in 0..MAX_LEVELS {
-                    est[t][raw] = done[t][raw] as f64;
-                    total += est[t][raw];
+                for &d in done {
+                    total += d as f64;
                 }
                 continue;
             };
-            let mut above = self.prior[t][top].max(done[t][top] as f64);
-            est[t][top] = above;
+            let mut above = self.prior[t][top].max(done[top] as f64);
             total += above;
             for raw in (0..top).rev() {
                 let p_here = self.prior[t][raw];
@@ -640,9 +561,9 @@ impl ProgressEngine {
                 // last is still open: only the ones before it have all
                 // their children counted. The open parent is taken as
                 // half descended, which is what it is on average.
-                let closed = (done[t][raw + 1] as f64 - 1.0).max(0.0);
+                let closed = (done[raw + 1] as f64 - 1.0).max(0.0);
                 let obs_ratio = if closed > 0.0 {
-                    done[t][raw] as f64 / (closed + 0.5)
+                    done[raw] as f64 / (closed + 0.5)
                 } else {
                     prior_ratio
                 };
@@ -653,13 +574,12 @@ impl ProgressEngine {
                 self.ewma[t][raw] = Some(smoothed);
                 let w = closed / (closed + (0.25 * self.prior[t][raw + 1]).max(MIN_PARENTS));
                 let blended = (1.0 - w) * prior_ratio + w * smoothed;
-                let e = (above * blended).max(done[t][raw] as f64);
-                est[t][raw] = e;
+                let e = (above * blended).max(done[raw] as f64);
                 total += e;
                 above = e;
             }
         }
-        (total, est)
+        total
     }
 
     /// Takes one sample: reads the shared counters, refines the
@@ -722,8 +642,7 @@ impl ProgressEngine {
             let blended = (1.0 - f) * self.prior_total.max(na_done as f64) + f * obs_est;
             (na_done as f64, blended)
         } else if self.prior_total > 0.0 {
-            let (total, _) = self.estimate(&done);
-            (na_done as f64, total)
+            (na_done as f64, self.estimate(&done))
         } else if cost_total > 0 {
             (cost_done as f64, cost_total as f64)
         } else {
@@ -786,57 +705,6 @@ impl ProgressEngine {
             eta_lo_us,
             eta_hi_us,
             finished,
-        }
-    }
-
-    /// The on-demand full-run-state introspection: the headline sample
-    /// plus per-level done/prior/estimate cells, the per-worker ledger,
-    /// the live buffer hit ratio, and the drift monitor's verdict when
-    /// one is attached.
-    pub fn run_state(&mut self, drift: Option<&DriftMonitor>) -> RunState {
-        let snapshot = self.sample();
-        let mut levels = Vec::new();
-        if let Some(shared) = &self.tracker.shared {
-            if self.prior_total > 0.0 {
-                let mut done = [[0u64; MAX_LEVELS]; 2];
-                for (t, row) in done.iter_mut().enumerate() {
-                    for (raw, cell) in row.iter_mut().enumerate() {
-                        *cell = shared.na[t][raw].load(Ordering::Relaxed);
-                    }
-                }
-                let (_, est) = self.estimate(&done);
-                for t in 0..2 {
-                    let Some(top) = self.top[t] else { continue };
-                    for raw in 0..=top {
-                        levels.push(LevelState {
-                            tree: t + 1,
-                            level: raw + 1,
-                            done: done[t][raw],
-                            prior: self.prior[t][raw],
-                            est_total: est[t][raw],
-                        });
-                    }
-                }
-            }
-        }
-        let workers = self
-            .tracker
-            .shared
-            .as_ref()
-            .map(|s| s.workers.lock().expect("progress ledger poisoned").clone())
-            .unwrap_or_default();
-        let buffer_hit_ratio = if snapshot.na_done > 0 {
-            Some(1.0 - snapshot.da_done as f64 / snapshot.na_done as f64)
-        } else {
-            None
-        };
-        RunState {
-            snapshot,
-            levels,
-            workers,
-            buffer_hit_ratio,
-            drift_breaches: drift.map(|d| d.breaches().len()).unwrap_or(0),
-            drift_all_within: drift.map(|d| d.all_within()).unwrap_or(true),
         }
     }
 }
@@ -947,13 +815,12 @@ mod tests {
         assert!(!sink.tick());
         feed(&mut sink, &[(0, 10, 5)], &[], 3);
         sink.forfeit(1);
-        tracker.unit_done(0, 5);
+        tracker.unit_done(5);
         tracker.finish();
         let mut engine = ProgressEngine::new(&tracker, &priors_two_trees());
         let snap = engine.sample();
         assert_eq!(snap.fraction, 0.0);
         assert!(!snap.finished);
-        assert_eq!(engine.run_state(None).workers.len(), 0);
     }
 
     #[test]
@@ -1099,58 +966,22 @@ mod tests {
     fn unit_ledger_drives_progress_without_priors() {
         let tracker = ProgressTracker::enabled();
         let mut engine = ProgressEngine::for_units(&tracker);
-        tracker.set_schedule(&[(3, 300), (2, 200)]);
+        tracker.set_schedule(5, 500);
         let s0 = engine.sample();
         assert_eq!(s0.fraction, 0.0);
         assert_eq!(s0.units_total, 5);
-        tracker.unit_done(0, 100);
-        tracker.unit_done(1, 150);
+        tracker.unit_done(100);
+        tracker.unit_done(150);
         let s1 = engine.sample();
         assert!((s1.done_work - 250.0).abs() < 1e-9);
         assert!(s1.fraction > 0.45 && s1.fraction < 0.55, "{}", s1.fraction);
-        tracker.unit_done(0, 200);
-        tracker.unit_done(1, 50);
-        tracker.unit_done(0, 0);
+        tracker.unit_done(200);
+        tracker.unit_done(50);
+        tracker.unit_done(0);
         tracker.finish();
         let s2 = engine.sample();
         assert_eq!(s2.fraction, 1.0);
         assert_eq!(s2.units_done, 5);
-        // Steal-aware ledger: worker 0 retired 300 of 300.
-        let state = engine.run_state(None);
-        assert_eq!(state.workers[0].remaining_cost, 0);
-        assert_eq!(state.workers[0].units_done, 3);
-        assert_eq!(state.workers[1].remaining_cost, 0);
-    }
-
-    #[test]
-    fn run_state_reports_levels_workers_and_hit_ratio() {
-        let tracker = ProgressTracker::enabled();
-        let mut engine = ProgressEngine::new(&tracker, &priors_two_trees());
-        tracker.set_schedule(&[(4, 100)]);
-        let mut sink = tracker.sink();
-        feed(
-            &mut sink,
-            &[(0, 40, 10), (1, 8, 2)],
-            &[(0, 40, 4), (1, 8, 0)],
-            7,
-        );
-        let state = engine.run_state(None);
-        assert_eq!(state.levels.len(), 4);
-        let leaf1 = state
-            .levels
-            .iter()
-            .find(|l| l.tree == 1 && l.level == 1)
-            .unwrap();
-        assert_eq!(leaf1.done, 40);
-        assert!((leaf1.prior - 60.0).abs() < 1e-9);
-        assert!(leaf1.est_total >= 40.0);
-        assert_eq!(state.workers.len(), 1);
-        assert_eq!(state.workers[0].planned_units, 4);
-        // NA 96, DA 16 ⇒ hit ratio 1 − 16/96.
-        let hr = state.buffer_hit_ratio.unwrap();
-        assert!((hr - (1.0 - 16.0 / 96.0)).abs() < 1e-9);
-        assert!(state.drift_all_within);
-        assert_eq!(state.snapshot.pairs, 7);
     }
 
     #[test]
@@ -1236,8 +1067,8 @@ mod tests {
     fn terminal_line_renders_bar_fraction_and_eta() {
         let tracker = ProgressTracker::enabled();
         let mut engine = ProgressEngine::for_units(&tracker);
-        tracker.set_schedule(&[(2, 100)]);
-        tracker.unit_done(0, 50);
+        tracker.set_schedule(2, 100);
+        tracker.unit_done(50);
         let line = engine.sample().terminal_line();
         assert!(line.contains('%'), "{line}");
         assert!(line.starts_with('['), "{line}");

@@ -33,10 +33,6 @@
 //!   with bounded retry + quarantine, [`fault::FaultInjector`] as the
 //!   join executor's access oracle), tallied in
 //!   [`fault::FaultCounters`].
-//! * [`mem`] — shared byte-budget accounting ([`mem::MemoryMeter`]) for
-//!   the query governor: executor arenas (PBSM partitions, parallel
-//!   deques) reserve against a per-query budget before allocating, so
-//!   over-budget queries fail typed instead of aborting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +42,6 @@ pub mod counters;
 pub mod fault;
 pub mod file_store;
 pub mod layout;
-pub mod mem;
 pub mod page;
 pub mod recorder;
 pub mod replay;
@@ -59,7 +54,6 @@ pub use fault::{
 };
 pub use file_store::FilePageStore;
 pub use layout::{encode_page, max_entries, DiskEntry, DiskNode, NodePage};
-pub use mem::{MemoryBudgetExceeded, MemoryMeter};
 pub use page::{fnv1a, InMemoryPageStore, PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE};
 pub use recorder::{AccessTrace, FlightRecorder, PageAccessEvent, RecordedPolicy, RecorderLane};
 pub use replay::{replay, ReplayOutcome, StackDistance};
