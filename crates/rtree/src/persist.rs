@@ -98,7 +98,12 @@ impl<const N: usize> RTree<N> {
     /// from a page. (A parent rectangle looser than its child's MBR is
     /// legal; one that cuts into it would make every search — and the
     /// join, which restricts a node's partners by that rectangle — miss
-    /// what lies outside.)
+    /// what lies outside.) A loose parent is not tightened here: every
+    /// file [`RTree::save`] writes has parents equal to their children's
+    /// MBRs, since outward `f32` rounding is monotone, and a pass over
+    /// the tree would sit on every query's path. Insertion unions into a
+    /// parent rectangle, so a loose one stays loose, and covering, until
+    /// a split or forced reinsertion on its path recomputes it.
     pub fn load(
         store: &dyn PageStore,
         handle: PersistedTree,

@@ -225,9 +225,8 @@ impl<const N: usize> RTree<N> {
                 "reinsertion level {lvl} at height {}",
                 self.height()
             );
-            if let Some(sibling) =
-                self.insert_desc(self.root, e, lvl, &mut overflow_done, &mut queue)
-            {
+            let (sibling, _) = self.insert_desc(self.root, e, lvl, &mut overflow_done, &mut queue);
+            if let Some(sibling) = sibling {
                 self.grow_root(sibling);
             }
             next = queue.pop();
@@ -235,7 +234,25 @@ impl<const N: usize> RTree<N> {
     }
 
     /// Recursive descent. Returns a new sibling entry when this node was
-    /// split and the parent must absorb the second half.
+    /// split and the parent must absorb the second half, and whether the
+    /// node only grew: it gained `entry`, here or below, and nothing on
+    /// the path split or shed entries to forced reinsertion.
+    ///
+    /// A node that only grew has the MBR of its old entries and
+    /// `entry.rect`, so its parent entry becomes the old rectangle
+    /// unioned with `entry.rect` instead of `Node::mbr` over up to `M`
+    /// entries. That is the recompute bit for bit whenever the parent
+    /// entry was its child's MBR bit for bit, as in every tree this crate
+    /// builds or loads from a file it wrote: `min` and `max` return one
+    /// of their operands, so both pick an operand of least (greatest)
+    /// value, and operands of equal value have equal bits — except `+0.0`
+    /// and `-0.0`, which a tie may return either of, depending on operand
+    /// order. So a coordinate where `entry.rect` ties the old rectangle at
+    /// zero takes the recompute, as does a node that split or shed
+    /// entries. A parent rectangle looser than its child's MBR (a
+    /// hand-made file; `RTree::load` accepts one that covers the child)
+    /// stays loose, and covering, until a split or reinsertion on its
+    /// path recomputes it.
     fn insert_desc(
         &mut self,
         node_id: NodeId,
@@ -243,31 +260,40 @@ impl<const N: usize> RTree<N> {
         target_level: u8,
         overflow_done: &mut [bool; 256],
         reinsert_queue: &mut Vec<(Entry<N>, u8)>,
-    ) -> Option<Entry<N>> {
+    ) -> (Option<Entry<N>>, bool) {
         let node_level = self.node(node_id).level;
+        let mut grew = true;
         if node_level == target_level {
             self.node_mut(node_id).entries.push(entry);
         } else {
-            let idx = self.choose_subtree(node_id, &entry.rect, target_level);
+            let rect = entry.rect;
+            let idx = self.choose_subtree(node_id, &rect, target_level);
             let child_id = self.node(node_id).entries[idx].child.node();
-            let sibling =
+            let (sibling, child_grew) =
                 self.insert_desc(child_id, entry, target_level, overflow_done, reinsert_queue);
-            // Refresh the child MBR unconditionally: the child may have
-            // grown (insert), shrunk (forced reinsertion) or split.
-            let child_mbr = self
-                .node(child_id)
-                .mbr()
-                .expect("child node cannot be empty after insert");
-            self.node_mut(node_id).entries[idx].rect = child_mbr;
+            grew = child_grew;
+            let bound = &mut self.node_mut(node_id).entries[idx].rect;
+            if grew && !ties_at_zero(bound, &rect) {
+                bound.expand_to(&rect);
+            } else {
+                let child_mbr = self
+                    .node(child_id)
+                    .mbr()
+                    .expect("child node cannot be empty after insert");
+                self.node_mut(node_id).entries[idx].rect = child_mbr;
+            }
             if let Some(sib) = sibling {
                 self.node_mut(node_id).entries.push(sib);
             }
         }
 
         if self.node(node_id).len() <= self.config.max_entries {
-            return None;
+            return (None, grew);
         }
-        self.overflow_treatment(node_id, overflow_done, reinsert_queue)
+        (
+            self.overflow_treatment(node_id, overflow_done, reinsert_queue),
+            false,
+        )
     }
 
     /// R\* OverflowTreatment: forced reinsertion on the first overflow of
@@ -405,53 +431,51 @@ impl<const N: usize> RTree<N> {
         if use_overlap {
             Self::choose_min_overlap(node, rect)
         } else {
-            Self::choose_min_enlargement(node, rect)
+            Self::choose_min_enlargement(node, rect).0
         }
     }
 
-    fn choose_min_enlargement(node: &Node<N>, rect: &Rect<N>) -> usize {
+    /// The entry with the least (area enlargement, area, index), and
+    /// whether every entry's measure grown to cover `rect` is finite.
+    fn choose_min_enlargement(node: &Node<N>, rect: &Rect<N>) -> (usize, bool) {
         let mut best = 0usize;
         let mut best_enl = f64::INFINITY;
         let mut best_area = f64::INFINITY;
+        let mut finite = true;
         for (i, e) in node.entries.iter().enumerate() {
             let area = e.rect.measure();
-            let enl = e.rect.union(rect).measure() - area;
+            let grown = e.rect.union(rect).measure();
+            finite &= grown < f64::INFINITY;
+            let enl = grown - area;
             if enl < best_enl || (enl == best_enl && area < best_area) {
                 best = i;
                 best_enl = enl;
                 best_area = area;
             }
         }
-        best
+        (best, finite)
     }
 
     /// The entry with the lexicographically smallest (overlap enlargement,
     /// area enlargement, area, index) — what `choose_min_overlap_reference`
     /// finds by evaluating all M × (M − 1) sibling pairs, found here
     /// without most of them. Every shortcut is exact, not heuristic
-    /// (DESIGN.md row 21): all key terms are ≥ 0 because `grown ⊇ e.rect`
-    /// and floating-point `min`, `max`, `−` and `×` are monotone.
+    /// (DESIGN.md row 21): with finite measures all key terms are ≥ 0,
+    /// because `grown ⊇ e.rect` and floating-point `min`, `max`, `−` and
+    /// `×` are monotone.
     fn choose_min_overlap(node: &Node<N>, rect: &Rect<N>) -> usize {
         let entries = &node.entries;
-        let mut best = (f64::INFINITY, f64::INFINITY, f64::INFINITY, usize::MAX);
-        // An entry that already contains `rect` does not grow: its key is
-        // exactly (0, 0, area), with no overlap arithmetic to do.
-        for (i, e) in entries.iter().enumerate() {
-            if e.rect.contains_rect(rect) {
-                let key = (0.0, 0.0, e.rect.measure(), i);
-                if key < best {
-                    best = key;
-                }
-            }
+        // Every key is at least (0, enl, area, i), so the entry with the
+        // least (enl, area, i) has the least lower bound; evaluated first,
+        // it usually wins and bounds the others tightly.
+        let (first, finite) = Self::choose_min_enlargement(node, rect);
+        if !finite {
+            // An overflowing measure makes `∞ − ∞` keys, and NaN compares
+            // false both ways, so the answer depends on the order of
+            // evaluation: take the reference's.
+            return Self::choose_min_overlap_in_order(node, rect);
         }
-        // A minimum does not depend on the order of evaluation. When
-        // nothing contains `rect`, the least-enlargement entry goes first:
-        // it lies nearest, usually wins, and bounds the others tightly.
-        let first = if best.3 == usize::MAX {
-            Self::choose_min_enlargement(node, rect)
-        } else {
-            best.3
-        };
+        let mut best = (f64::INFINITY, f64::INFINITY, f64::INFINITY, usize::MAX);
         for i in std::iter::once(first).chain(0..entries.len()) {
             if i == best.3 {
                 continue;
@@ -464,28 +488,25 @@ impl<const N: usize> RTree<N> {
             if (0.0, enl, area, i) >= best {
                 continue;
             }
-            let term = |other: &Rect<N>| {
-                let grown_overlap = grown.intersection_measure(other);
-                // Disjoint from `grown` is disjoint from `e.rect`: exactly 0.
-                if grown_overlap > 0.0 {
-                    grown_overlap - e.rect.intersection_measure(other)
-                } else {
-                    0.0
-                }
-            };
+            let term = |other: &Rect<N>| overlap_growth(&grown, &e.rect, other);
             // One term alone bounds the sum from below, and the best entry
             // so far, lying near `rect`, tends to have a large one.
             if entries.get(best.3).is_some_and(|b| term(&b.rect) > best.0) {
                 continue;
             }
             let mut overlap_delta = 0.0;
-            for (j, other) in entries.iter().enumerate() {
-                if i != j {
-                    overlap_delta += term(&other.rect);
-                    // The partial sum only grows. Strictly past the best
-                    // complete one it has lost; equal, the tie-breaks decide.
-                    if overlap_delta > best.0 {
-                        break;
+            // An entry that does not grow overlaps exactly what it did:
+            // every term is x − x, a zero, with no arithmetic to do.
+            if grown != e.rect {
+                for (j, other) in entries.iter().enumerate() {
+                    if i != j {
+                        overlap_delta += term(&other.rect);
+                        // The partial sum only grows. Strictly past the best
+                        // complete one it has lost; equal, the tie-breaks
+                        // decide.
+                        if overlap_delta > best.0 {
+                            break;
+                        }
                     }
                 }
             }
@@ -493,8 +514,38 @@ impl<const N: usize> RTree<N> {
             if key < best {
                 best = key;
             }
+            // `first` with Δ = 0 has its key equal to its lower bound, the
+            // least of all: no entry can beat it.
+            if best.0 == 0.0 && best.3 == first {
+                break;
+            }
         }
         best.3
+    }
+
+    /// Every entry in index order, each key summed in full and kept only
+    /// if strictly less than the best so far, which starts at (∞, ∞, ∞)
+    /// on entry 0: `choose_min_overlap_reference`'s evaluation, for nodes
+    /// whose measures overflow.
+    fn choose_min_overlap_in_order(node: &Node<N>, rect: &Rect<N>) -> usize {
+        let mut best = 0;
+        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for (i, e) in node.entries.iter().enumerate() {
+            let grown = e.rect.union(rect);
+            let mut overlap_delta = 0.0;
+            for (j, other) in node.entries.iter().enumerate() {
+                if i != j {
+                    overlap_delta += overlap_growth(&grown, &e.rect, &other.rect);
+                }
+            }
+            let area = e.rect.measure();
+            let key = (overlap_delta, grown.measure() - area, area);
+            if key < best_key {
+                best_key = key;
+                best = i;
+            }
+        }
+        best
     }
 
     /// \[BKSS90\]'s ChooseSubtree as written: every candidate against every
@@ -565,15 +616,14 @@ impl<const N: usize> RTree<N> {
             }
             return false;
         }
-        let candidates: Vec<(usize, NodeId)> = self
-            .node(node_id)
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.rect.contains_rect(rect))
-            .map(|(i, e)| (i, e.child.node()))
-            .collect();
-        for (idx, child_id) in candidates {
+        // A descent that finds nothing changes nothing, so the entries can
+        // be walked in place while the candidates are searched.
+        for idx in 0..self.node(node_id).len() {
+            let e = self.node(node_id).entries[idx];
+            if !e.rect.contains_rect(rect) {
+                continue;
+            }
+            let child_id = e.child.node();
             if self.remove_desc(child_id, rect, id, orphans) {
                 let child = self.node(child_id);
                 if child.len() < self.config.min_entries {
@@ -708,6 +758,39 @@ impl<const N: usize> RTree<N> {
         }
         out
     }
+}
+
+/// `grown ∩ other`'s measure minus `e ∩ other`'s: one term of an overlap
+/// enlargement, each measure `Rect::intersection_measure` bit for bit
+/// without its early return. Both products run over every dimension, and
+/// a select, not a factor of 0, zeroes a measure that some dimension
+/// leaves empty: a product that overflowed to `∞` times 0 is NaN. A
+/// dimension is empty when `hi − lo ≤ 0`, which for finite corners is
+/// `lo ≥ hi`, the early return's test; when none is, the product is the
+/// early-return loop's, in the same order.
+#[inline(always)]
+fn overlap_growth<const N: usize>(grown: &Rect<N>, e: &Rect<N>, other: &Rect<N>) -> f64 {
+    let (mut g, mut r) = (1.0, 1.0);
+    let (mut g_meets, mut r_meets) = (true, true);
+    for k in 0..N {
+        let (lo, hi) = (other.lo_k(k), other.hi_k(k));
+        let g_side = grown.hi_k(k).min(hi) - grown.lo_k(k).max(lo);
+        let r_side = e.hi_k(k).min(hi) - e.lo_k(k).max(lo);
+        g *= g_side;
+        r *= r_side;
+        g_meets &= g_side > 0.0;
+        r_meets &= r_side > 0.0;
+    }
+    let g = if g_meets { g } else { 0.0 };
+    let r = if r_meets { r } else { 0.0 };
+    g - r
+}
+
+/// `true` when `a` and `b` have a low or a high coordinate both equal to
+/// zero: the one tie of `min`/`max` whose result's bits depend on operand
+/// order, `+0.0` against `-0.0`.
+fn ties_at_zero<const N: usize>(a: &Rect<N>, b: &Rect<N>) -> bool {
+    (0..N).any(|k| (a.lo_k(k) == 0.0 && b.lo_k(k) == 0.0) || (a.hi_k(k) == 0.0 && b.hi_k(k) == 0.0))
 }
 
 #[cfg(test)]
@@ -995,7 +1078,9 @@ mod tests {
     // The pruned write path against its exhaustive references
     // ------------------------------------------------------------------
 
-    use crate::testgen::{leaf_entries, new_rect, node_rects};
+    use crate::testgen::{
+        hostile_new_rect, hostile_node_rects, leaf_entries, new_rect, node_rects,
+    };
     use proptest::prelude::*;
 
     fn r2(lo: [f64; 2], hi: [f64; 2]) -> Rect<2> {
@@ -1085,6 +1170,37 @@ mod tests {
             let [got, want] = reinsert_both(&rects);
             prop_assert_eq!(got, want);
             let [got, want] = reinsert_both(&line);
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn choose_min_overlap_matches_reference_hostile_2d(
+            rects in hostile_node_rects::<2>(1..51), rect in hostile_new_rect::<2>(),
+            pick in 0usize..200,
+        ) {
+            let (got, want) = choose_both(&rects, rect, pick);
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn choose_min_overlap_matches_reference_hostile_1d_3d(
+            line in hostile_node_rects::<1>(1..85), point in hostile_new_rect::<1>(),
+            boxes in hostile_node_rects::<3>(1..37), cube in hostile_new_rect::<3>(),
+            pick in 0usize..200,
+        ) {
+            let (got, want) = choose_both(&line, point, pick);
+            prop_assert_eq!(got, want);
+            let (got, want) = choose_both(&boxes, cube, pick);
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn forced_reinsert_matches_reference_hostile(
+            rects in hostile_node_rects::<2>(51..52), boxes in hostile_node_rects::<3>(37..38),
+        ) {
+            let [got, want] = reinsert_both(&rects);
+            prop_assert_eq!(got, want);
+            let [got, want] = reinsert_both(&boxes);
             prop_assert_eq!(got, want);
         }
     }
@@ -1204,5 +1320,168 @@ mod tests {
         assert_eq!(got, want);
         let p = RTreeConfig::with_capacity(16).reinsert_count;
         assert_eq!((got.0.len(), got.1.len()), (17 - p, p));
+    }
+
+    // ------------------------------------------------------------------
+    // Parent rectangles by union against the recompute
+    // ------------------------------------------------------------------
+
+    /// The first parent entry whose rectangle is not its child's
+    /// `Node::mbr` bit for bit.
+    fn inexact_parent<const N: usize>(tree: &RTree<N>) -> Option<String> {
+        let bits = |r: &Rect<N>| -> Vec<(u64, u64)> {
+            (0..N)
+                .map(|k| (r.lo_k(k).to_bits(), r.hi_k(k).to_bits()))
+                .collect()
+        };
+        tree.iter_nodes()
+            .filter(|(_, node)| !node.is_leaf())
+            .flat_map(|(id, node)| node.entries.iter().map(move |e| (id, e)))
+            .find_map(|(id, e)| {
+                let mbr = tree.node(e.child.node()).mbr().expect("non-empty child");
+                (bits(&e.rect) != bits(&mbr)).then(|| format!("{id:?}: {:?} vs {mbr:?}", e.rect))
+            })
+    }
+
+    /// Inserts `rects` at M = 8 and, after each insert whose pick is
+    /// a multiple of 3, removes a live object the pick names; then removes
+    /// the rest. Every step is followed by the bit-exact parent check, so
+    /// every union, split, forced reinsertion and condensation is covered,
+    /// deletion's orphans re-entering insertion at upper levels included.
+    fn churn<const N: usize>(rects: &[Rect<N>], picks: &[usize]) -> Result<(), String> {
+        let mut tree = RTree::<N>::new(small_config());
+        let mut live: Vec<(Rect<N>, ObjectId)> = Vec::new();
+        let check = |tree: &RTree<N>, step: &str| match inexact_parent(tree) {
+            Some(at) => Err(format!("after {step}: {at}")),
+            None => Ok(()),
+        };
+        for (i, &r) in rects.iter().enumerate() {
+            tree.insert(r, ObjectId(i as u32));
+            live.push((r, ObjectId(i as u32)));
+            check(&tree, &format!("insert {i}"))?;
+            let pick = picks[i % picks.len()];
+            if pick.is_multiple_of(3) {
+                let (r, id) = live.swap_remove(pick % live.len());
+                assert!(tree.remove(&r, id));
+                check(&tree, &format!("remove {id:?}"))?;
+            }
+        }
+        while let Some((r, id)) = live.pop() {
+            assert!(tree.remove(&r, id));
+            check(&tree, &format!("remove {id:?}"))?;
+        }
+        Ok(())
+    }
+
+    fn random_churn<const N: usize>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rects: Vec<Rect<N>> = (0..1_500)
+            .map(|_| {
+                let c = sjcm_geom::Point::new(std::array::from_fn(|_| rng.gen_range(0.0..1.0)));
+                Rect::centered(c, std::array::from_fn(|_| rng.gen_range(0.0..0.05)))
+            })
+            .collect();
+        let picks: Vec<usize> = (0..97).map(|_| rng.gen_range(0..1_000)).collect();
+        churn(&rects, &picks).unwrap();
+    }
+
+    #[test]
+    fn union_path_is_the_recompute_bit_for_bit_1d_2d_3d() {
+        random_churn::<1>(1);
+        random_churn::<2>(2);
+        random_churn::<3>(3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn union_path_is_the_recompute_on_hostile_coordinates(
+            plane in hostile_node_rects::<2>(100..300),
+            space in hostile_node_rects::<3>(100..200),
+            picks in prop::collection::vec(0usize..1_000, 1..40),
+        ) {
+            prop_assert_eq!(churn(&plane, &picks), Ok(()));
+            prop_assert_eq!(churn(&space, &picks), Ok(()));
+        }
+    }
+
+    #[test]
+    fn a_tie_at_zero_takes_the_recompute() {
+        // A level-1 node `mid` over two leaves: `a` at x ≥ 0.25 and `b`,
+        // a segment at x = -0.0, so `mid`'s entry in the root has
+        // lo x = -0.0. Inserting `rect`, whose lo x is +0.0, into `a`
+        // ties that zero. The union `min(-0.0, +0.0)` and the recompute
+        // `min(+0.0, -0.0)` (a's grown lo first, then b's) are equal, but
+        // which zero a tie returns is not specified: Rust leaves it open,
+        // and x86-64's `minsd` returns one operand by position while LLVM
+        // folds constants to -0.0. So the union may differ from the
+        // recompute in the sign of that zero, and would move the R* split,
+        // which orders coordinates by `total_cmp`. A tie at zero takes the
+        // recompute.
+        let mut tree = RTree::<2>::new(small_config());
+        let subtree = |tree: &mut RTree<2>, level, entries: Vec<Entry<2>>| {
+            let node = Node { level, entries };
+            Entry::internal(node.mbr().unwrap(), tree.alloc(node))
+        };
+        let a = subtree(&mut tree, 0, leaf_entries(&[r2([0.25, 0.0], [1.0, 1.0])]));
+        let b = subtree(
+            &mut tree,
+            0,
+            leaf_entries(&[Rect::new([-0.0, 5.0], [-0.0, 6.0]).unwrap()]),
+        );
+        let far = subtree(&mut tree, 0, leaf_entries(&[r2([9.0, 9.0], [10.0, 10.0])]));
+        let mid = subtree(&mut tree, 1, vec![a, b]);
+        let far = subtree(&mut tree, 1, vec![far]);
+        let old_root = tree.root;
+        tree.root = tree.alloc(Node {
+            level: 2,
+            entries: vec![mid, far],
+        });
+        tree.release(old_root);
+        tree.len = 3;
+        assert!(mid.rect.lo_k(0).is_sign_negative());
+
+        let rect = r2([0.0, 0.0], [0.25, 1.0]);
+        assert!(ties_at_zero(&mid.rect, &rect));
+        tree.insert(rect, ObjectId(3));
+        let mid_id = mid.child.node();
+        assert_eq!(tree.node(mid_id).len(), 2, "rect went into a, below mid");
+        let recompute = tree.node(mid_id).mbr().unwrap();
+        let mut union = mid.rect;
+        union.expand_to(&rect);
+        assert_eq!(union, recompute, "equal values");
+        assert_eq!(union.lo_k(0), 0.0);
+        assert_eq!(inexact_parent(&tree), None);
+    }
+
+    #[test]
+    fn a_loose_parent_stays_covering_through_insertion() {
+        let data = random_rects(3_000, 21);
+        let mut tree = RTree::<2>::new(small_config());
+        for &(r, id) in &data[..2_000] {
+            tree.insert(r, id);
+        }
+        // Widen one of the root's entries by 1/16 on every side, as a
+        // hand-made file may (the loader accepts any covering parent).
+        let root = tree.root;
+        let loose = tree.node(root).entries[0].rect;
+        let (lo, hi) = (loose.lo().coords(), loose.hi().coords());
+        tree.node_mut(root).entries[0].rect =
+            Rect::new(lo.map(|c| c - 0.0625), hi.map(|c| c + 0.0625)).unwrap();
+        assert!(inexact_parent(&tree).is_some());
+        for &(r, id) in &data[2_000..] {
+            tree.insert(r, id);
+        }
+        // Covering, at any looseness.
+        tree.check_invariants_with_tolerance(f64::INFINITY).unwrap();
+        let mut rng = StdRng::seed_from_u64(2121);
+        for _ in 0..50 {
+            let c = sjcm_geom::Point::new([rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
+            let q = Rect::centered(c, [0.2, 0.15]);
+            let mut got = tree.query_window(&q);
+            got.sort();
+            assert_eq!(got, brute_force_query(&data, &q));
+        }
     }
 }

@@ -5,10 +5,12 @@
 //! fingerprints over every node id, level, rectangle bit pattern and
 //! child id, recorded on the commit *before* ChooseSubtree, the R\* split
 //! and forced reinsertion were rewritten to prune their candidate sets
-//! (DESIGN.md row 21). Any change to the write path that moves one bit of
-//! one rectangle, reorders one node's entries or allocates node ids in a
-//! different order fails here — which is the point: every figure under
-//! `results/` is measured on trees built this way.
+//! (DESIGN.md row 21) — the saved, loaded and grown tree's on the commit
+//! before insertion took parent rectangles by union. Any change to the
+//! write path that moves one bit of one rectangle, reorders one node's
+//! entries or allocates node ids in a different order fails here — which
+//! is the point: every figure under `results/` is measured on trees built
+//! this way.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -101,6 +103,52 @@ fn quadratic_split_2d_10k() {
         generate::<2>(UniformConfig::new(10_000, 0.5, 1998)),
     );
     assert_fingerprint(&tree, 0xadb9_a489_a6be_2291);
+}
+
+/// A directory under the system temp dir, removed with everything in it
+/// when dropped.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("sjcm_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Insertion into a tree that went through a file: the roads tree above,
+/// saved with `FilePageStore`, loaded back, then grown by 5K more roads.
+/// Every file the repo writes has parent rectangles equal to their
+/// children's MBRs (outward `f32` rounding is monotone), so the loaded
+/// tree's parents are tight and insertion may union into them.
+#[test]
+fn tiger_roads_20k_saved_loaded_then_5k_inserted() {
+    use sjcm::datagen::tiger::{generate, TigerConfig};
+    use sjcm::storage::FilePageStore;
+    let config = RTreeConfig::paper(2);
+    let tree = build(config, generate(TigerConfig::roads(20_000, 1998)));
+    let dir = TempDir::new("insert_after_load");
+    let path = dir.0.join("roads.pages");
+    let handle = {
+        let mut store = FilePageStore::create(&path, 1024).unwrap();
+        tree.save(&mut store).unwrap()
+    };
+    let store = FilePageStore::open(&path, 1024).unwrap();
+    let mut tree = RTree::<2>::load(&store, handle, config).unwrap();
+    for (r, id) in sjcm::datagen::with_ids(generate(TigerConfig::roads(5_000, 424_242))) {
+        tree.insert(r, ObjectId(20_000 + id));
+    }
+    tree.check_invariants_with_tolerance(1e-5)
+        .expect("loaded-then-grown tree is valid");
+    assert_eq!(tree.len(), 25_000);
+    assert_fingerprint(&tree, 0xcabe_91bb_4f5c_b5be);
 }
 
 /// Deletion condenses underfull nodes and re-enters the insertion path at
