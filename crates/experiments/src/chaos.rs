@@ -22,14 +22,13 @@
 //! gauges into [`CHAOS_METRICS_FILE`], which `validate-obs` checks with
 //! the same rules as the join command's metrics artifact.
 
-use crate::common::{build_tree, rel_err, RunOpts, DEFAULT_DENSITY};
+use crate::common::{build_tree, rel_err, scheduler_name, RunOpts, DEFAULT_DENSITY};
 use crate::report::{int, pct, Report};
 use sjcm_datagen::uniform::{generate as uniform, UniformConfig};
 use sjcm_join::{
     BufferPolicy, DegradedJoinResult, JoinConfig, JoinResultSet, JoinSession, Scheduler,
 };
 use sjcm_obs::{DriftMonitor, MetricsRegistry, PAPER_ENVELOPE};
-use sjcm_rtree::RTree;
 use sjcm_storage::{
     fnv1a, FaultInjector, FaultPlan, RetryPolicy, FAULT_INJECTED, FAULT_QUARANTINED,
     FAULT_RECOVERED, FAULT_RETRIED,
@@ -45,48 +44,6 @@ const TRANSIENT_RATE: f64 = 0.25;
 const TRANSIENT_BUDGET: u32 = 2;
 /// Leaf-level permanent-loss rate of the loss campaign.
 const LOSS_RATE: f64 = 0.02;
-
-#[derive(Clone, Copy)]
-enum Strategy {
-    Seq,
-    CostGuided(usize),
-    RoundRobin(usize),
-}
-
-impl Strategy {
-    fn name(&self) -> &'static str {
-        match self {
-            Strategy::Seq => "sequential",
-            Strategy::CostGuided(_) => "cost-guided",
-            Strategy::RoundRobin(_) => "round-robin",
-        }
-    }
-
-    fn run(
-        &self,
-        t1: &RTree<2>,
-        t2: &RTree<2>,
-        config: JoinConfig,
-        plan: Option<FaultPlan>,
-    ) -> Result<DegradedJoinResult<2>, sjcm_join::JoinError> {
-        // A fresh injector per run: every strategy faces identical
-        // fault state, which is what makes the determinism gates fair.
-        let inj = match plan {
-            Some(p) => FaultInjector::enabled(p, RetryPolicy::default()),
-            None => FaultInjector::disabled(),
-        };
-        let sched = match *self {
-            Strategy::Seq => Scheduler::Sequential,
-            Strategy::CostGuided(t) => Scheduler::CostGuided { threads: t },
-            Strategy::RoundRobin(t) => Scheduler::RoundRobin { threads: t },
-        };
-        JoinSession::new(t1, t2)
-            .config(config)
-            .scheduler(sched)
-            .faults(&inj)
-            .run()
-    }
-}
 
 /// Order-independent fingerprint of the qualifying pair multiset.
 fn pairs_fingerprint(r: &JoinResultSet) -> u64 {
@@ -119,9 +76,9 @@ pub fn chaos(opts: &RunOpts) -> bool {
         ..JoinConfig::default()
     };
     let strategies = [
-        Strategy::Seq,
-        Strategy::CostGuided(threads),
-        Strategy::RoundRobin(threads),
+        Scheduler::Sequential,
+        Scheduler::CostGuided { threads },
+        Scheduler::RoundRobin { threads },
     ];
 
     let ok = std::cell::Cell::new(true);
@@ -135,11 +92,19 @@ pub fn chaos(opts: &RunOpts) -> bool {
     let run_campaign =
         |name: &str, plan: Option<FaultPlan>| -> Option<Vec<DegradedJoinResult<2>>> {
             let mut results = Vec::new();
-            for s in &strategies {
-                match s.run(&t1, &t2, config, plan) {
+            for &s in &strategies {
+                // A fresh injector per run: every strategy faces identical
+                // fault state, which is what makes the determinism gates
+                // fair.
+                let inj = match plan {
+                    Some(p) => FaultInjector::enabled(p, RetryPolicy::default()),
+                    None => FaultInjector::disabled(),
+                };
+                let run = JoinSession::new(&t1, &t2).config(config).scheduler(s);
+                match run.faults(&inj).run() {
                     Ok(d) => results.push(d),
                     Err(e) => {
-                        eprintln!("chaos GATE: {name}/{}: join failed: {e}", s.name());
+                        eprintln!("chaos GATE: {name}/{}: join failed: {e}", scheduler_name(s));
                         return None;
                     }
                 }
@@ -171,7 +136,7 @@ pub fn chaos(opts: &RunOpts) -> bool {
         .zip(&transient)
         .zip(baseline.iter().zip(&base_prints))
     {
-        let name = s.name();
+        let name = scheduler_name(*s);
         gate(
             d.is_exact(),
             format!("transient/{name}: forfeited subtrees"),
@@ -220,7 +185,7 @@ pub fn chaos(opts: &RunOpts) -> bool {
     // answer that never exceeds the baseline, and (at paper scale) the
     // forfeit estimate inside the envelope of the true delta.
     for (s, d) in strategies.iter().zip(&loss).skip(1) {
-        let name = s.name();
+        let name = scheduler_name(*s);
         gate(
             d.skips == loss[0].skips,
             format!("loss/{name}: forfeited inventory differs from sequential"),
@@ -237,7 +202,10 @@ pub fn chaos(opts: &RunOpts) -> bool {
     for (s, (d, b)) in strategies.iter().zip(loss.iter().zip(&baseline)) {
         gate(
             d.result.pair_count <= b.result.pair_count,
-            format!("loss/{}: degraded run found extra pairs", s.name()),
+            format!(
+                "loss/{}: degraded run found extra pairs",
+                scheduler_name(*s)
+            ),
         );
     }
     let true_lost = (baseline[0].result.pair_count - loss[0].result.pair_count) as f64;
@@ -330,7 +298,7 @@ pub fn chaos(opts: &RunOpts) -> bool {
             };
             table.row(&[
                 &campaign,
-                &s.name(),
+                &scheduler_name(*s),
                 &c.injected(),
                 &c.retried,
                 &c.recovered,
@@ -343,7 +311,7 @@ pub fn chaos(opts: &RunOpts) -> bool {
                 &true_d,
                 &err,
             ]);
-            let prefix = format!("chaos.{campaign}.{}", s.name());
+            let prefix = format!("chaos.{campaign}.{}", scheduler_name(*s));
             metrics.counter_add(&format!("{prefix}.{FAULT_INJECTED}"), c.injected());
             metrics.counter_add(&format!("{prefix}.{FAULT_RETRIED}"), c.retried);
             metrics.counter_add(&format!("{prefix}.{FAULT_RECOVERED}"), c.recovered);

@@ -4,7 +4,7 @@
 
 use sjcm_core::{join, DataProfile, ModelConfig, TreeParams};
 use sjcm_geom::{density, Rect};
-use sjcm_join::{BufferPolicy, JoinConfig, JoinResultSet, JoinSession};
+use sjcm_join::{BufferPolicy, JoinConfig, JoinResultSet, JoinSession, Scheduler};
 use sjcm_rtree::{ObjectId, RTree, RTreeConfig};
 use std::path::{Path, PathBuf};
 
@@ -120,6 +120,15 @@ impl JoinObservation {
     /// Relative DA error.
     pub fn err_da(&self) -> f64 {
         rel_err(self.anal_da, self.exper_da as f64)
+    }
+}
+
+/// The name a scheduler goes by in the experiments' output and CSVs.
+pub fn scheduler_name(scheduler: Scheduler) -> &'static str {
+    match scheduler {
+        Scheduler::Sequential => "sequential",
+        Scheduler::CostGuided { .. } => "cost-guided",
+        Scheduler::RoundRobin { .. } => "round-robin",
     }
 }
 

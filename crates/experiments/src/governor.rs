@@ -34,7 +34,7 @@
 //! decision log is persisted as `governor_events.jsonl`, which
 //! `validate-obs` checks against the `sjcm.governor.v1` contract.
 
-use crate::common::{build_tree, rel_err, RunOpts, DEFAULT_DENSITY};
+use crate::common::{build_tree, rel_err, scheduler_name, RunOpts, DEFAULT_DENSITY};
 use crate::report::{int, pct, Report};
 use sjcm_datagen::skewed::{gaussian_clusters, ClusterConfig};
 use sjcm_datagen::uniform::{generate as uniform, UniformConfig};
@@ -62,40 +62,19 @@ pub fn config_from_flags(
     })
 }
 
-#[derive(Clone, Copy)]
-enum Strategy {
-    Seq,
-    CostGuided(usize),
-    RoundRobin(usize),
-}
-
-impl Strategy {
-    fn name(&self) -> &'static str {
-        match self {
-            Strategy::Seq => "sequential",
-            Strategy::CostGuided(_) => "cost-guided",
-            Strategy::RoundRobin(_) => "round-robin",
-        }
-    }
-
-    fn run(
-        &self,
-        t1: &RTree<2>,
-        t2: &RTree<2>,
-        config: JoinConfig,
-        gov: &Governor,
-    ) -> Result<DegradedJoinResult<2>, JoinError> {
-        let sched = match *self {
-            Strategy::Seq => Scheduler::Sequential,
-            Strategy::CostGuided(t) => Scheduler::CostGuided { threads: t },
-            Strategy::RoundRobin(t) => Scheduler::RoundRobin { threads: t },
-        };
-        JoinSession::new(t1, t2)
-            .config(config)
-            .scheduler(sched)
-            .govern(gov)
-            .run()
-    }
+/// One walkthrough run under `sched` and `gov`.
+fn run(
+    sched: Scheduler,
+    t1: &RTree<2>,
+    t2: &RTree<2>,
+    config: JoinConfig,
+    gov: &Governor,
+) -> Result<DegradedJoinResult<2>, JoinError> {
+    JoinSession::new(t1, t2)
+        .config(config)
+        .scheduler(sched)
+        .govern(gov)
+        .run()
 }
 
 /// The `governor` command. Returns `true` only when every gate holds.
@@ -116,9 +95,9 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
         ..JoinConfig::default()
     };
     let strategies = [
-        Strategy::Seq,
-        Strategy::CostGuided(threads),
-        Strategy::RoundRobin(threads),
+        Scheduler::Sequential,
+        Scheduler::CostGuided { threads },
+        Scheduler::RoundRobin { threads },
     ];
 
     let ok = std::cell::Cell::new(true);
@@ -133,10 +112,13 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
     let mut nominal = Vec::new();
     for s in &strategies {
         let started = Instant::now();
-        match s.run(&t1, &t2, config, &Governor::unlimited()) {
+        match run(*s, &t1, &t2, config, &Governor::unlimited()) {
             Ok(d) => nominal.push((d, started.elapsed())),
             Err(e) => {
-                eprintln!("governor GATE: nominal/{}: join failed: {e}", s.name());
+                eprintln!(
+                    "governor GATE: nominal/{}: join failed: {e}",
+                    scheduler_name(*s)
+                );
                 return false;
             }
         }
@@ -144,11 +126,14 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
     for (s, (d, t)) in strategies.iter().zip(&nominal) {
         gate(
             d.is_exact(),
-            format!("nominal/{}: an unlimited governor forfeited work", s.name()),
+            format!(
+                "nominal/{}: an unlimited governor forfeited work",
+                scheduler_name(*s)
+            ),
         );
         println!(
             "nominal/{}: {} pairs, NA {}, {:.0} ms",
-            s.name(),
+            scheduler_name(*s),
             d.result.pair_count,
             d.result.na_total(),
             t.as_secs_f64() * 1e3
@@ -158,7 +143,7 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
     // Act 2 — admission. A 1-NA budget cannot admit a 2x60K join; the
     // typed rejection carries the Eq-6 price the decision was made at.
     let reject_cfg = GovernorConfig::default().with_na_budget(1.0);
-    let predicted_na = match strategies[1].run(&t1, &t2, config, &Governor::new(reject_cfg)) {
+    let predicted_na = match run(strategies[1], &t1, &t2, config, &Governor::new(reject_cfg)) {
         Err(JoinError::Rejected {
             predicted_na,
             budget,
@@ -183,7 +168,7 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
     let degrade_cfg = GovernorConfig::default()
         .with_na_budget(predicted_na * 0.5)
         .with_admission(AdmissionPolicy::Degrade);
-    match strategies[1].run(&t1, &t2, config, &Governor::new(degrade_cfg)) {
+    match run(strategies[1], &t1, &t2, config, &Governor::new(degrade_cfg)) {
         Ok(d) => {
             assert_well_formed(&d);
             gate(
@@ -248,17 +233,20 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
             .unwrap_or_else(|| (nominal_runtime / 2).max(Duration::from_millis(1)))
     };
     let mut run_governed = |act: &str,
-                            s: &Strategy,
+                            s: &Scheduler,
                             baseline: &DegradedJoinResult<2>,
                             cfg: GovernorConfig,
                             deadline: Duration|
      -> Option<(DegradedJoinResult<2>, Governor)> {
         let gov = Governor::new(cfg.with_deadline(deadline));
         let started = Instant::now();
-        let d = match s.run(&t1, &t2, config, &gov) {
+        let d = match run(*s, &t1, &t2, config, &gov) {
             Ok(d) => d,
             Err(e) => {
-                eprintln!("governor GATE: {act}/{}: join failed: {e}", s.name());
+                eprintln!(
+                    "governor GATE: {act}/{}: join failed: {e}",
+                    scheduler_name(*s)
+                );
                 ok.set(false);
                 return None;
             }
@@ -275,7 +263,7 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
         };
         table.row(&[
             &act,
-            &s.name(),
+            &scheduler_name(*s),
             &deadline.as_millis(),
             &format!("{:.0}", wall.as_secs_f64() * 1e3),
             &d.result.pair_count,
@@ -301,14 +289,17 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
         };
         gate(
             d.result.pair_count <= b.result.pair_count,
-            format!("deadline/{}: degraded run found extra pairs", s.name()),
+            format!(
+                "deadline/{}: degraded run found extra pairs",
+                scheduler_name(*s)
+            ),
         );
         let true_lost = (b.result.pair_count - d.result.pair_count) as f64;
         let est_lost = d.forfeited_pairs();
         println!(
             "deadline/{}: {:.0} ms deadline kept {} of {} pairs ({} units forfeited, \
              estimate {:.0} vs true {:.0} lost)",
-            s.name(),
+            scheduler_name(*s),
             deadline.as_secs_f64() * 1e3,
             d.result.pair_count,
             b.result.pair_count,
@@ -321,7 +312,7 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
                 !d.is_exact(),
                 format!(
                     "deadline/{}: a half-runtime deadline forfeited nothing",
-                    s.name()
+                    scheduler_name(*s)
                 ),
             );
             if true_lost > 0.0 {
@@ -330,7 +321,7 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
                     format!(
                         "deadline/{}: forfeit estimate {est_lost:.0} vs true {true_lost:.0} \
                          ({} > {:.0}% envelope)",
-                        s.name(),
+                        scheduler_name(*s),
                         pct(rel_err(est_lost, true_lost)),
                         PAPER_ENVELOPE * 100.0
                     ),
@@ -359,9 +350,9 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
             .with_clusters(5)
             .with_sigma(0.025),
     ));
-    let s = &Strategy::RoundRobin(threads);
+    let s = &Scheduler::RoundRobin { threads };
     let started = Instant::now();
-    let (cb, ct) = match s.run(&c1, &c2, config, &Governor::unlimited()) {
+    let (cb, ct) = match run(*s, &c1, &c2, config, &Governor::unlimited()) {
         Ok(d) => (d, started.elapsed()),
         Err(e) => {
             eprintln!("governor GATE: clustered nominal: join failed: {e}");
@@ -370,7 +361,7 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
     };
     println!(
         "clustered nominal/{}: {} pairs, NA {}, {:.0} ms",
-        s.name(),
+        scheduler_name(*s),
         cb.result.pair_count,
         cb.result.na_total(),
         ct.as_secs_f64() * 1e3
@@ -392,10 +383,13 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
         for _ in 0..5 {
             let gov = Governor::new(cfg.clone().with_deadline(deadline));
             let started = Instant::now();
-            let d = match s.run(&c1, &c2, config, &gov) {
+            let d = match run(*s, &c1, &c2, config, &gov) {
                 Ok(d) => d,
                 Err(e) => {
-                    eprintln!("governor GATE: {act}/{}: join failed: {e}", s.name());
+                    eprintln!(
+                        "governor GATE: {act}/{}: join failed: {e}",
+                        scheduler_name(*s)
+                    );
                     ok.set(false);
                     return None;
                 }

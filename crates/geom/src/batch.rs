@@ -23,12 +23,12 @@
 //!   distance-within-ε tests (the distance-join predicate), evaluated
 //!   as a branch-free clamped-gap accumulation that reproduces
 //!   [`Rect::min_dist2`] bit-for-bit.
-//! * [`RectBatch::ref_cell_mask`] — the fused intersect-and-reference-
-//!   point kernel for PBSM duplicate suppression: one pass computes the
-//!   intersection test *and* the unit-grid cell containing the
+//! * [`RectBatch::sweep_ref_cells`] — the fused sweep,
+//!   intersect-and-reference-point kernel PBSM's per-cell sweep runs for
+//!   duplicate suppression: one pass bounds the sweep run, tests the
+//!   intersection *and* finds the unit-grid cell containing the
 //!   intersection's low corner, replacing the intersects-then-
-//!   `intersection().expect(..)` double scan. Its sweep-fused form
-//!   [`RectBatch::sweep_ref_cells`] is what PBSM's per-cell sweep runs.
+//!   `intersection().expect(..)` double scan.
 //!
 //! # Why the sweep kernels skip dimension 0
 //!
@@ -38,7 +38,7 @@
 //! stops at `b.lo₀ > a.hi₀`). Within that range `b.lo₀ ≤ a.hi₀` and
 //! `a.lo₀ ≤ b.lo₀ ≤ b.hi₀`, so the dimension-0 test of
 //! [`Rect::intersects`] is *always true* — evaluating it again is pure
-//! waste. The reference-cell kernels test dimensions `1..N` only, which
+//! waste. The reference-cell kernel tests dimensions `1..N` only, which
 //! for the paper's 2-D workloads halves the comparison work on top of
 //! the vectorization win.
 
@@ -289,86 +289,26 @@ impl<const N: usize> RectBatch<N> {
         }
     }
 
-    /// Fused intersect-and-reference-point kernel (PBSM duplicate
-    /// suppression): in a single pass over candidates `start..end`,
-    /// sets bit `i` of `mask` iff `q` intersects candidate `start + i`
-    /// **and** the unit-grid cell (grid `grid × … × grid`, row-major)
-    /// containing the low corner of their intersection is `cell`.
-    ///
-    /// Dimension 0 is *not* re-tested for overlap (sweep consumers —
-    /// see the module docs) but its intersection-low coordinate is of
-    /// course still part of the reference point. The cell of the
-    /// reference point is computed exactly as [`unit_grid_cell`] does
-    /// on the scalar path: `clamp(0,1) · grid`, truncated, clamped to
-    /// `grid − 1`, accumulated row-major from the highest dimension
-    /// down — but only for candidates that survive the vectorized
-    /// overlap pass. The float→integer cell conversion does not
-    /// vectorize, and on realistic sweeps only a few percent of the
-    /// dimension-0 candidate run truly intersects, so hoisting the
-    /// conversion out of the dense loop is what makes the fused kernel
-    /// faster than the scalar intersect-then-`intersection()` pair
-    /// rather than slower.
-    pub fn ref_cell_mask(
-        &self,
-        q: &Rect<N>,
-        start: usize,
-        end: usize,
-        grid: usize,
-        cell: usize,
-        mask: &mut OverlapMask,
-    ) {
-        debug_assert!(start <= end && end <= self.len);
-        mask.reset(end - start);
-        let g = grid as f64;
-        let mut base = start;
-        let mut word = 0usize;
-        while base < end {
-            let len = (end - base).min(CHUNK);
-            let mut lanes = [1u8; CHUNK];
-            for k in 1..N {
-                let q_lo = q.lo_k(k);
-                let q_hi = q.hi_k(k);
-                let lo = &self.lo[k][base..base + len];
-                let hi = &self.hi[k][base..base + len];
-                for i in 0..len {
-                    lanes[i] &= ((lo[i] <= q_hi) & (q_lo <= hi[i])) as u8;
-                }
-            }
-            // Sparse pass: reference cells for the overlap survivors.
-            let mut bits = pack_lanes(&lanes, len);
-            let mut out = 0u64;
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let mut idx = 0usize;
-                for k in (0..N).rev() {
-                    let ref_k = q.lo_k(k).max(self.lo[k][base + i]);
-                    let slot = ((ref_k.clamp(0.0, 1.0) * g) as usize).min(grid - 1);
-                    idx = idx * grid + slot;
-                }
-                out |= u64::from(idx == cell) << i;
-            }
-            mask.words[word] = out;
-            word += 1;
-            base += len;
-        }
-    }
-
-    /// Sweep-fused variant of [`RectBatch::ref_cell_mask`] for plane
-    /// sweeps over *long* candidate runs (PBSM cells): instead of
-    /// scanning serially for the run end `lo₀ ≤ limit` and then masking
-    /// the run, the bound is folded into the vectorized lanes and
-    /// candidates are consumed chunk by chunk starting at `start`,
-    /// stopping at the first chunk whose last candidate is past the
-    /// bound (inputs are sorted by `lo₀`, so the run cannot resume).
-    /// One pass over memory, no separate end scan.
+    /// Fused sweep kernel for PBSM duplicate suppression over one
+    /// anchor's candidate run (the batch sorted by `lo₀`): the run bound
+    /// `lo₀ ≤ limit` is folded into the vectorized lanes and candidates
+    /// are consumed chunk by chunk starting at `start`, stopping at the
+    /// first chunk whose last candidate is past the bound (the run
+    /// cannot resume). One pass over memory, no separate end scan.
     ///
     /// `emit` receives the *batch-absolute* index of every candidate
     /// that (a) starts within the run, (b) overlaps `q` in dimensions
-    /// `1..N` (dimension 0 is implied — module docs), and (c) has its
-    /// intersection reference point in `cell`, in ascending order —
+    /// `1..N` (dimension 0 is implied — module docs), and (c) has the
+    /// low corner of its intersection with `q` in the unit-grid cell
+    /// `cell` (grid `grid × … × grid`, row-major), in ascending order —
     /// exactly the candidates, and exactly the order, of the scalar
     /// sweep loop.
+    ///
+    /// The reference cell is computed exactly as [`unit_grid_cell`]
+    /// does on the scalar path, but only for candidates that survive
+    /// the vectorized overlap pass: the float→integer cell conversion
+    /// does not vectorize, and on realistic sweeps only a few percent
+    /// of the candidate run truly intersects.
     pub fn sweep_ref_cells<F: FnMut(usize)>(
         &self,
         q: &Rect<N>,
@@ -489,8 +429,8 @@ fn pack_lanes(lanes: &[u8; CHUNK], len: usize) -> u64 {
 
 /// Row-major index of the unit-grid cell containing point `p` (clamped
 /// into `[0,1]^N`, `grid` cells per dimension) — the reference-point
-/// rule's cell function, shared by the scalar PBSM path and the fused
-/// [`RectBatch::ref_cell_mask`] kernel so the two agree bit-for-bit.
+/// rule's cell function of the scalar PBSM path, which the fused
+/// [`RectBatch::sweep_ref_cells`] kernel reproduces bit-for-bit.
 pub fn unit_grid_cell<const N: usize>(p: &[f64; N], grid: usize) -> usize {
     let mut idx = 0usize;
     for k in (0..N).rev() {
@@ -498,25 +438,6 @@ pub fn unit_grid_cell<const N: usize>(p: &[f64; N], grid: usize) -> usize {
         idx = idx * grid + i;
     }
     idx
-}
-
-/// Many-vs-many overlap kernel: for every rectangle of `queries`, tests
-/// all of `candidates` and invokes `emit(query_index, &mask)` with the
-/// query's candidate bitmask. Equivalent to the classic nested loop
-/// with the inner loop vectorized; query order (outer) and mask-bit
-/// order (inner, ascending) reproduce the nested loop's visit order
-/// exactly.
-pub fn overlap_many_vs_many<const N: usize>(
-    queries: &RectBatch<N>,
-    candidates: &RectBatch<N>,
-    mask: &mut OverlapMask,
-    mut emit: impl FnMut(usize, &OverlapMask),
-) {
-    for qi in 0..queries.len() {
-        let q = queries.get(qi);
-        candidates.overlap_mask(&q, 0, candidates.len(), mask);
-        emit(qi, mask);
-    }
 }
 
 #[cfg(test)]
@@ -609,30 +530,32 @@ mod tests {
     }
 
     #[test]
-    fn ref_cell_mask_matches_scalar_composition() {
-        let rects = rects_2d();
+    fn sweep_ref_cells_matches_scalar_composition() {
+        // The degenerate candidates (a point, a line) over one run that
+        // ends at q's dimension-0 high: emitted are exactly the
+        // candidates whose intersection with q has its low corner in
+        // `cell`, and one disjoint only in dimensions ≥ 1 is not. The
+        // kernel does not re-test dimension 0, so only candidates that
+        // meet q there are compared.
+        let mut rects = rects_2d();
+        rects.sort_by(|a, b| a.lo_k(0).total_cmp(&b.lo_k(0)));
         let batch: RectBatch<2> = rects.iter().copied().collect();
         let q = Rect::new([0.1, 0.1], [0.7, 0.7]).unwrap();
-        let mut mask = OverlapMask::new();
+        let meets_dim0 =
+            |i: &usize| q.lo_k(0) <= rects[*i].hi_k(0) && rects[*i].lo_k(0) <= q.hi_k(0);
         for grid in [1usize, 2, 4, 7] {
             for cell in 0..grid.pow(2) {
-                batch.ref_cell_mask(&q, 0, batch.len(), grid, cell, &mut mask);
-                for (i, r) in rects.iter().enumerate() {
-                    let expect = match q.intersection(r) {
-                        // The kernel does not re-test dimension 0; only
-                        // feed it dim-0-overlapping candidates here.
-                        Some(inter) => unit_grid_cell(&inter.lo().coords(), grid) == cell,
-                        None => {
-                            // Disjoint only in dims >= 1 must be masked out.
-                            if q.lo_k(0) <= r.hi_k(0) && r.lo_k(0) <= q.hi_k(0) {
-                                false
-                            } else {
-                                continue;
-                            }
-                        }
-                    };
-                    assert_eq!(mask.get(i), expect, "grid={grid} cell={cell} r={r:?}");
-                }
+                let mut got = Vec::new();
+                batch.sweep_ref_cells(&q, 0, q.hi_k(0), grid, cell, |i| got.push(i));
+                got.retain(meets_dim0);
+                let expect: Vec<usize> = (0..rects.len())
+                    .filter(meets_dim0)
+                    .filter(|&i| {
+                        q.intersection(&rects[i])
+                            .is_some_and(|inter| unit_grid_cell(&inter.lo().coords(), grid) == cell)
+                    })
+                    .collect();
+                assert_eq!(got, expect, "grid={grid} cell={cell}");
             }
         }
     }
@@ -697,35 +620,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn many_vs_many_matches_nested_loop() {
-        let left = rects_2d();
-        let right: Vec<Rect<2>> = (0..10)
-            .map(|i| {
-                let lo = i as f64 / 10.0;
-                Rect::new([lo, lo], [lo + 0.15, lo + 0.15]).unwrap()
-            })
-            .collect();
-        let qb: RectBatch<2> = right.iter().copied().collect();
-        let cb: RectBatch<2> = left.iter().copied().collect();
-        let mut got = Vec::new();
-        let mut mask = OverlapMask::new();
-        overlap_many_vs_many(&qb, &cb, &mut mask, |qi, m| {
-            for ci in m.iter_set() {
-                got.push((qi, ci));
-            }
-        });
-        let mut expect = Vec::new();
-        for (qi, q) in right.iter().enumerate() {
-            for (ci, c) in left.iter().enumerate() {
-                if q.intersects(c) {
-                    expect.push((qi, ci));
-                }
-            }
-        }
-        assert_eq!(got, expect);
     }
 
     #[test]

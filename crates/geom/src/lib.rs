@@ -15,8 +15,8 @@
 //!   paper's analytical formulas are functions of.
 //! * [`batch`] — structure-of-arrays rectangle batches
 //!   ([`RectBatch`]) with chunked, autovectorization-friendly overlap /
-//!   distance / reference-point kernels (bitmask output) for the join
-//!   executors' entry-matching hot loops.
+//!   distance kernels (bitmask output) for the join executors'
+//!   entry-matching hot loops, and PBSM's fused reference-point sweep.
 //!
 //! The paper works in the unit workspace `WS = [0,1)^n`; helpers for that
 //! convention live in [`density::UnitSpace`].
@@ -34,7 +34,7 @@ pub mod density;
 mod point;
 mod rect;
 
-pub use batch::{overlap_many_vs_many, unit_grid_cell, OverlapMask, RectBatch};
+pub use batch::{unit_grid_cell, OverlapMask, RectBatch};
 pub use density::{average_extents, density, local_density, UnitSpace};
 pub use point::Point;
 pub use rect::{mbr_of, GeomError, Rect};

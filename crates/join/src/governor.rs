@@ -18,28 +18,30 @@
 //!    ([`crate::DegradedJoinResult`]), and because units are gated by
 //!    ordinal the forfeited-subtree inventory is identical across
 //!    schedulers and thread counts for a fixed cancellation point.
-//! 3. **Predictive load shedding** — the governor keeps its own Eq-6
-//!    work ledger (the same windowed work-rate ETA the progress engine
-//!    runs on its unit ledger) and, when the projected finish time
-//!    exceeds the deadline even after the §4.1 ±15% trust band, it
-//!    preemptively sheds the *cheapest-value* pending units (lowest
-//!    predicted-pairs-per-NA) instead of truncating arbitrarily at
-//!    expiry — so the time that remains is spent where the model says
-//!    the pairs are.
+//! 3. **Predictive load shedding** — the governor reads the run's one
+//!    unit ledger ([`sjcm_obs::UnitLedger`], written by the
+//!    [`ExecContext`](crate::ExecContext) unit hooks) through the one
+//!    ETA rule ([`sjcm_obs::progress::eta`], the progress engine's too)
+//!    and, when the projected finish time exceeds the deadline even
+//!    after the §4.1 ±15% trust band, it preemptively sheds the
+//!    *cheapest-value* pending units (lowest predicted-pairs-per-NA)
+//!    instead of truncating arbitrarily at expiry — so the time that
+//!    remains is spent where the model says the pairs are.
 //!
 //! Every decision is logged as one event on a
 //! [`sjcm_obs::governor::GovernorLog`] (admission, arming, shedding,
 //! expiry, completion) so `experiments` can stream
 //! `governor_events.jsonl` and `validate-obs` can check it.
 //!
-//! The governor decides and keeps the ledger; it executes nothing. A
-//! tree join whose governor [gates units](Governor::is_unit_gated) runs
-//! on the dealt executor of [`crate::parallel`] — the same deal the
-//! round-robin scheduler uses, with this governor's
-//! [`admit_unit`](Governor::admit_unit) live at every unit boundary —
-//! and every admitted unit comes back through exactly one of
-//! [`note_unit_done`](Governor::note_unit_done) /
-//! [`note_forfeit`](Governor::note_forfeit).
+//! The governor decides; it keeps no work totals and no execution
+//! clock, and it executes nothing. What it keeps is what only it
+//! decides with: each unit's price and value (the shed ranking), the
+//! per-unit retired / shed / in-flight flags, the cancellation prefix
+//! and the deadline clock. A tree join whose governor
+//! [gates units](Governor::is_unit_gated) runs on the dealt executor of
+//! [`crate::parallel`] — the same deal the round-robin scheduler uses,
+//! with the governor's gate live at every unit boundary — and every
+//! unit reaches it through the `ExecContext` hooks only.
 //!
 //! [`Governor::unlimited`] follows the [`sjcm_storage::FaultInjector`]
 //! pattern: a disabled governor is one `Option` discriminant check per
@@ -54,6 +56,7 @@ use crate::degraded::{DegradedJoinResult, JoinError};
 use crate::parallel::measured_params;
 use sjcm_core::join::join_cost_na;
 use sjcm_obs::governor::GovernorLog;
+use sjcm_obs::UnitLedger;
 use sjcm_rtree::RTree;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -139,17 +142,10 @@ impl GovernorConfig {
 /// ungoverned overrun.
 const SHED_BAND: f64 = 0.15;
 
-/// Fraction of the total Eq-6 price that must be retired before the
-/// observed seconds-per-price rate is trusted to shed anything. The
-/// first boundary samples fold setup time and single-unit variance into
-/// the rate; acting on them sheds work a calmer estimate would have
-/// kept, and a shed decision is irreversible.
-const SHED_WARMUP: f64 = 0.10;
-
 /// Consecutive unit boundaries that must all predict an overrun before
 /// any unit is shed. The rate is a ratio of wall time to *completed*
-/// price, so an expensive unit still in flight inflates it (its seconds
-/// count, its price doesn't yet); a real overrun keeps predicting
+/// price (half the in-flight price credited), so an expensive unit
+/// still in flight can inflate it; a real overrun keeps predicting
 /// overrun at the next boundaries, a transient spike doesn't survive a
 /// big unit completing.
 const SHED_STREAK: u32 = 3;
@@ -162,25 +158,14 @@ const SHED_SLICE: f64 = 0.25;
 
 #[derive(Debug, Default)]
 struct GovState {
+    /// The deadline clock.
     started: Option<Instant>,
-    /// First work-unit boundary: the seconds-per-price rate is measured
-    /// from here, not from `started`, so admission pricing and shard
-    /// setup don't inflate it (an inflated rate under-sizes the shed
-    /// budget, and a shed unit cannot be won back).
-    exec_started: Option<Instant>,
     /// Consecutive boundaries that predicted an overrun (see
     /// [`SHED_STREAK`]); reset by any boundary that projects on time.
     overrun_streak: u32,
-    /// Price of units admitted but not yet completed, per ordinal.
-    /// The ETA rate credits half of it as done: an expensive unit in
-    /// flight contributes wall seconds but no completed price, and on
-    /// price-skewed workloads ignoring it inflates the rate enough to
-    /// shed work the deadline could easily have afforded.
-    in_flight: Vec<bool>,
-    in_flight_price: u64,
     predicted_na: f64,
     /// `budget / predicted` when a `Degrade` admission downgraded the
-    /// run; [`Governor::arm`] turns it into an ordinal-prefix cap.
+    /// run; [`Governor::arm_units`] turns it into an ordinal-prefix cap.
     degrade_ratio: Option<f64>,
     prices: Vec<u64>,
     values: Vec<f64>,
@@ -188,27 +173,13 @@ struct GovState {
     retired: Vec<bool>,
     /// Unit was preemptively shed by the ETA predictor.
     shed: Vec<bool>,
-    total_price: u64,
-    done_price: u64,
-    /// Price of forfeited + shed units (work that will never consume
-    /// time; excluded from the ETA's remaining-work term).
-    waived_price: u64,
+    /// Unit was admitted and has not come back yet. Only pending units
+    /// are shed: an admitted unit is already spending its time.
+    in_flight: Vec<bool>,
     cancel_after: Option<u64>,
     executed: u64,
     forfeited: u64,
     shed_count: u64,
-}
-
-impl GovState {
-    /// Takes an admitted unit out of flight — it completed, or was lost
-    /// to a fault before running. No-op for a unit never admitted.
-    fn land(&mut self, ordinal: usize, price: u64) {
-        if let Some(f) = self.in_flight.get_mut(ordinal) {
-            if std::mem::take(f) {
-                self.in_flight_price = self.in_flight_price.saturating_sub(price);
-            }
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -306,7 +277,7 @@ impl Governor {
     /// Starts the deadline clock if it is not already running. Called
     /// by [`Governor::admit`]; executors without a tree-based admission
     /// step (PBSM) call it directly.
-    pub fn start_clock(&self) {
+    pub(crate) fn start_clock(&self) {
         if let Some(inner) = &self.inner {
             let mut st = inner.state();
             if st.started.is_none() {
@@ -390,12 +361,13 @@ impl Governor {
         })
     }
 
-    /// Arms the per-unit ledger with every unit's price and value (the
-    /// shed ranking) and freezes the cancellation prefix. The dealt
-    /// tree-join executor prices its root units with the same Eq-6 ×
-    /// overlap-fraction formula the cost-guided scheduler uses and
-    /// values them in pairs per price; PBSM, which has no R-tree priors,
-    /// prices cells by entry count and gives them uniform value.
+    /// Arms the shed ranking with every unit's price and value and
+    /// freezes the cancellation prefix; the work totals live in the
+    /// run's unit ledger, armed beside it by `ExecContext::arm_units`.
+    /// The dealt tree-join executor prices its root units with the same
+    /// Eq-6 × overlap-fraction formula the cost-guided scheduler uses
+    /// and values them in pairs per price; PBSM, which has no R-tree
+    /// priors, prices cells by entry count and gives them uniform value.
     pub(crate) fn arm_units(&self, prices: Vec<u64>, values: Vec<f64>) {
         let Some(inner) = &self.inner else {
             return;
@@ -422,15 +394,11 @@ impl Governor {
             }
             cancel_after = Some(cancel_after.map_or(k, |c| c.min(k)));
         }
-        st.total_price = total;
-        st.done_price = 0;
-        st.waived_price = 0;
         st.prices = prices;
         st.values = values;
         st.retired = vec![false; n];
         st.shed = vec![false; n];
         st.in_flight = vec![false; n];
-        st.in_flight_price = 0;
         st.cancel_after = cancel_after;
         drop(st);
         inner.log.record(
@@ -454,7 +422,7 @@ impl Governor {
     /// `false` means the executor must forfeit the unit (it will be
     /// priced into the degraded result, not silently dropped). An
     /// unlimited governor always admits — one `Option` check.
-    pub fn admit_unit(&self, ordinal: usize) -> bool {
+    pub(crate) fn admit_unit(&self, ordinal: usize) -> bool {
         let Some(inner) = &self.inner else {
             return true;
         };
@@ -462,9 +430,6 @@ impl Governor {
             return false;
         }
         let mut st = inner.state();
-        if st.exec_started.is_none() {
-            st.exec_started = Some(Instant::now());
-        }
         if let (Some(deadline), Some(start)) = (inner.config.deadline, st.started) {
             if start.elapsed() >= deadline {
                 if !inner.expired.swap(true, Ordering::Relaxed) {
@@ -489,71 +454,42 @@ impl Governor {
             return false;
         }
         if let Some(f) = st.in_flight.get_mut(ordinal) {
-            if !*f {
-                *f = true;
-                st.in_flight_price += st.prices.get(ordinal).copied().unwrap_or(1);
-            }
+            *f = true;
         }
         true
     }
 
-    /// Records a completed unit, retires its price from the ledger, and
-    /// runs the ETA overrun predictor (see the module docs).
-    pub fn note_unit_done(&self, ordinal: usize) {
+    /// Records a completed unit and runs the ETA overrun predictor over
+    /// the run's unit `ledger`, which the caller has already credited
+    /// with the unit (see the module docs).
+    pub(crate) fn note_unit_done(&self, ordinal: usize, ledger: &UnitLedger) {
         let Some(inner) = &self.inner else {
             return;
         };
         let mut st = inner.state();
-        if st.exec_started.is_none() {
-            st.exec_started = Some(Instant::now());
-        }
-        let price = st.prices.get(ordinal).copied().unwrap_or(1);
         st.executed += 1;
-        st.done_price += price;
-        st.land(ordinal, price);
-        if st.retired.get(ordinal).copied().unwrap_or(true) {
-            // The unit was marked shed while already in flight and
-            // completed anyway: undo the waiver so the ledger balances.
-            if st.shed.get(ordinal).copied().unwrap_or(false) {
-                st.shed[ordinal] = false;
-                st.shed_count -= 1;
-                st.waived_price = st.waived_price.saturating_sub(price);
-            }
-        } else {
-            st.retired[ordinal] = true;
+        if let Some(f) = st.in_flight.get_mut(ordinal) {
+            *f = false;
+        }
+        if let Some(r) = st.retired.get_mut(ordinal) {
+            *r = true;
         }
         if !inner.config.shed || inner.expired.load(Ordering::Relaxed) {
             return;
         }
-        let Some(deadline) = inner.config.deadline else {
+        let (Some(deadline), Some(start), Some(totals)) =
+            (inner.config.deadline, st.started, ledger.totals())
+        else {
             return;
         };
-        let Some(start) = st.started else {
+        // The rate is the ledger's, over execution time only; the
+        // projection still starts from the full wall-clock elapsed,
+        // which is what the deadline is denominated in.
+        let Some(eta) = totals.eta() else {
             return;
         };
         let elapsed = start.elapsed().as_secs_f64();
-        if elapsed <= 0.0 || st.done_price == 0 {
-            return;
-        }
-        let remaining = st
-            .total_price
-            .saturating_sub(st.done_price + st.waived_price);
-        if remaining == 0 {
-            return;
-        }
-        if (st.done_price as f64) < SHED_WARMUP * st.total_price as f64 {
-            return;
-        }
-        // Seconds per price unit, measured over execution time only;
-        // the projection still starts from the full wall-clock elapsed,
-        // which is what the deadline is denominated in.
-        let exec_elapsed = st
-            .exec_started
-            .map(|t| t.elapsed().as_secs_f64())
-            .unwrap_or(elapsed);
-        let half_flight = st.in_flight_price / 2;
-        let rate = exec_elapsed.max(1e-9) / (st.done_price + half_flight) as f64;
-        let projected = elapsed + rate * remaining.saturating_sub(half_flight) as f64;
+        let projected = elapsed + eta.secs;
         let deadline_s = deadline.as_secs_f64();
         if projected <= deadline_s * (1.0 + SHED_BAND) {
             st.overrun_streak = 0;
@@ -565,19 +501,25 @@ impl Governor {
         }
         // Overrun predicted beyond the trust band, persistently: shed
         // down to the price the deadline can afford, keeping the
-        // highest-value pending units, at most [`SHED_SLICE`] of the
-        // pending price per decision.
+        // units in flight and then the highest-value pending units, at
+        // most [`SHED_SLICE`] of the remaining price per decision.
         let afford_time = (deadline_s * (1.0 + SHED_BAND) - elapsed).max(0.0);
+        let remaining = totals.remaining();
         let floor = remaining - (remaining as f64 * SHED_SLICE) as u64;
-        let afford_price = ((afford_time / rate) as u64).max(floor);
-        let to_shed = shed_candidates(&st.prices, &st.values, &st.retired, afford_price);
+        let afford_price = ((afford_time / eta.secs_per_work) as u64).max(floor);
+        let to_shed = shed_candidates(
+            &st.prices,
+            &st.values,
+            |i| !st.retired[i] && !st.in_flight[i],
+            afford_price.saturating_sub(totals.in_flight),
+        );
         if to_shed.is_empty() {
             return;
         }
         for &i in &to_shed {
             st.retired[i] = true;
             st.shed[i] = true;
-            st.waived_price += st.prices[i];
+            ledger.forfeit(st.prices[i], false);
         }
         st.shed_count += to_shed.len() as u64;
         let shed_n = to_shed.len();
@@ -595,20 +537,20 @@ impl Governor {
 
     /// Records a unit the executor forfeited: one [`Self::admit_unit`]
     /// refused, or one it admitted that was then lost to a fault before
-    /// running (so its in-flight price is released here too).
-    pub fn note_forfeit(&self, ordinal: usize) {
+    /// running. Returns `false` when the unit was shed earlier — its
+    /// price already left the ledger then — and `true` otherwise.
+    pub(crate) fn note_forfeit(&self, ordinal: usize) -> bool {
         let Some(inner) = &self.inner else {
-            return;
+            return true;
         };
         let mut st = inner.state();
         st.forfeited += 1;
-        let price = st.prices.get(ordinal).copied().unwrap_or(1);
-        st.land(ordinal, price);
-        if let Some(r) = st.retired.get_mut(ordinal) {
-            if !*r {
-                *r = true;
-                st.waived_price += price;
-            }
+        if let Some(f) = st.in_flight.get_mut(ordinal) {
+            *f = false;
+        }
+        match st.retired.get_mut(ordinal) {
+            Some(r) => !std::mem::replace(r, true),
+            None => true,
         }
     }
 
@@ -640,10 +582,10 @@ impl Governor {
 fn shed_candidates(
     prices: &[u64],
     values: &[f64],
-    retired: &[bool],
+    is_pending: impl Fn(usize) -> bool,
     afford_price: u64,
 ) -> Vec<usize> {
-    let mut pending: Vec<usize> = (0..prices.len()).filter(|&i| !retired[i]).collect();
+    let mut pending: Vec<usize> = (0..prices.len()).filter(|&i| is_pending(i)).collect();
     pending.sort_by(|&a, &b| values[b].total_cmp(&values[a]).then(a.cmp(&b)));
     let mut kept = 0u64;
     let mut shed = Vec::new();
@@ -725,8 +667,8 @@ mod tests {
         assert!(!gov.is_enabled());
         assert!(!gov.is_unit_gated());
         assert!(gov.admit_unit(0) && gov.admit_unit(usize::MAX));
-        gov.note_unit_done(3);
-        gov.note_forfeit(4);
+        gov.note_unit_done(3, &UnitLedger::default());
+        assert!(gov.note_forfeit(4));
         gov.finish();
         assert!(gov.summary().is_none());
         assert!(gov.events_jsonl().is_none());
@@ -847,18 +789,14 @@ mod tests {
     fn shed_candidates_keep_the_highest_value_units() {
         let prices = vec![10, 10, 10, 10];
         let values = vec![0.1, 5.0, 0.2, 4.0];
-        let retired = vec![false, false, false, false];
+        let all = |_| true;
         // Budget for two units: keep the two highest-value (1 and 3).
-        assert_eq!(shed_candidates(&prices, &values, &retired, 20), vec![0, 2]);
-        // Retired units are never shed again.
-        let retired = vec![true, false, false, false];
-        assert_eq!(shed_candidates(&prices, &values, &retired, 20), vec![2]);
+        assert_eq!(shed_candidates(&prices, &values, all, 20), vec![0, 2]);
+        // Units no longer pending are never shed.
+        assert_eq!(shed_candidates(&prices, &values, |i| i != 0, 20), vec![2]);
         // No budget: shed every pending unit.
-        assert_eq!(
-            shed_candidates(&prices, &values, &[false; 4], 0),
-            vec![0, 1, 2, 3]
-        );
+        assert_eq!(shed_candidates(&prices, &values, all, 0), vec![0, 1, 2, 3]);
         // Ample budget: shed nothing.
-        assert!(shed_candidates(&prices, &values, &[false; 4], 100).is_empty());
+        assert!(shed_candidates(&prices, &values, all, 100).is_empty());
     }
 }

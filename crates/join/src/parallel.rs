@@ -16,17 +16,17 @@
 //!   is redistributed. *Ungated* this is `Scheduler::RoundRobin`: unit
 //!   `i` goes to shard `i mod threads`, nothing is priced. Kept as the
 //!   baseline the cost-guided scheduler is measured against. *Gated* —
-//!   the run's [`Governor`] has a deadline,
+//!   the run's [`Governor`](crate::Governor) has a deadline,
 //!   a cancellation point or a degraded admission — every scheduler
 //!   runs here, because root units are the boundaries the governor
 //!   gates: the units are priced (Eq 6 × overlap, plus the expected
-//!   pairs per price the shed predictor ranks by), the governor's
-//!   ledger is armed with them, `RoundRobin` keeps its deal and the
-//!   other two schedulers deal LPT by price, and each unit passes the
-//!   governor's checkpoint before it is charged. Gating is by the
-//!   unit's ordinal, so a fixed cancellation point forfeits the same
-//!   inventory under any deal and any thread count. One thread runs
-//!   its single shard inline, in ordinal order.
+//!   pairs per price the shed predictor ranks by), the unit ledger and
+//!   the governor's ranking are armed with them, `RoundRobin` keeps
+//!   its deal and the other two schedulers deal LPT by price, and each
+//!   unit passes the governor's checkpoint before it is charged. Gating
+//!   is by the unit's ordinal, so a fixed cancellation point forfeits
+//!   the same inventory under any deal and any thread count. One
+//!   thread runs its single shard inline, in ordinal order.
 //! * **Stealing** (`cost_guided_join`) — `Scheduler::CostGuided` with
 //!   no gate. A coordinator descends the synchronized traversal level
 //!   by level until it holds at least `threads × 4` overlapping node
@@ -39,8 +39,11 @@
 //!   workers steal from the deque with the most estimated work left.
 //!
 //! The two share the descent step and the charge (see the `engine`
-//! module), the pricer, the LPT seeding (`lpt_deal`) and the fold of
-//! per-worker parts into one result (`merge`).
+//! module), the pricer, the LPT seeding (`lpt_deal`), the unit hooks of
+//! [`ExecContext`] — every unit reaches the run's one unit ledger
+//! through them, priced in Eq 6 × overlap when the run has prices and
+//! at one when the deal is unpriced — and the fold of per-worker parts
+//! into one result (`merge`).
 //!
 //! # Invariants the tests pin down
 //!
@@ -109,7 +112,6 @@ use crate::engine::Engine;
 use crate::executor::{
     child_pairs, JoinConfig, JoinResultSet, MatchScratch, NodePair, StealTally, WorkerTally,
 };
-use crate::governor::Governor;
 use crate::session::{CorrDomain, ExecContext, Scheduler};
 use sjcm_core::join::{unit_cost_na, JoinWindows};
 use sjcm_core::{LevelParams, TreeParams};
@@ -210,10 +212,9 @@ pub(crate) fn cost_guided_join<const N: usize>(
             loads[w] += costs[i];
         }
     }
-    // Register the schedule's unit count and Eq-6 cost with the
-    // progress hub before any worker runs.
+    // Arm the unit ledger with the Eq-6 prices before any worker runs.
+    ctx.arm_units(&costs, None);
     let cost_total: u64 = loads.iter().sum();
-    ctx.progress.set_schedule(units.len() as u64, cost_total);
     let deques: Vec<Deque> = queues
         .into_iter()
         .zip(loads)
@@ -265,6 +266,10 @@ pub(crate) fn cost_guided_join<const N: usize>(
                     let mut steal = StealTally::default();
                     start.wait();
                     while let Some((i, stolen)) = next_unit(deques, costs, w, &mut steal) {
+                        // A gating governor sends every scheduler to the
+                        // dealt executor, so this checkpoint admits.
+                        let admitted = wctx.checkpoint(i, costs[i]);
+                        debug_assert!(admitted, "an ungated run refuses no unit");
                         steal.units_executed += 1;
                         let mut unit_span = worker_span.child("unit");
                         let (a, b) = units[i];
@@ -301,13 +306,10 @@ pub(crate) fn cost_guided_join<const N: usize>(
                         unit_span.set("na", na);
                         unit_span.set("da", da);
                         unit_span.set("pairs", pair_count);
-                        if wctx.progress.is_enabled() {
-                            // Retire the unit's Eq-6 cost and publish
-                            // the tallies so samplers see the unit
-                            // boundary immediately.
-                            wctx.progress.unit_done(costs[i]);
-                            exec.flush_progress();
-                        }
+                        // Retire the unit and publish the tallies, so
+                        // samplers see the unit boundary immediately.
+                        wctx.unit_done(i, costs[i]);
+                        exec.flush_progress();
                         if let Some(drift) = wctx.drift {
                             let na_now = na_live.fetch_add(na, Ordering::Relaxed) + na;
                             let da_now = da_live.fetch_add(da, Ordering::Relaxed) + da;
@@ -589,9 +591,9 @@ pub fn measured_params<const N: usize>(stats: &TreeStats) -> TreeParams<N> {
 // ---------------------------------------------------------------------
 
 /// One root-level work unit of the dealt executor: a matched child pair
-/// of the two roots. An object pair (both roots are leaves) is output
-/// as is; a node pair is one gated, charged sub-join.
-type RootUnit = (Child, Child);
+/// of the two roots, and its price. An object pair (both roots are
+/// leaves) is output as is; a node pair is one gated, charged sub-join.
+type RootUnit = (Child, Child, u64);
 
 /// The dealt executor: the root pair's matched child pairs, numbered in
 /// match order, dealt once to `threads` static shards and run with no
@@ -619,19 +621,16 @@ pub(crate) fn dealt_join<const N: usize>(
         &config,
         &windows,
         &mut MatchScratch::new(),
-        |o1, o2| units.push((Child::Object(o1), Child::Object(o2))),
+        |o1, o2| units.push((Child::Object(o1), Child::Object(o2), 0)),
         &mut nodes,
     );
     // A pair's children are all objects or all nodes, so appending
     // keeps match order.
-    units.extend(nodes.iter().map(|p| (Child::Node(p.n1), Child::Node(p.n2))));
-    // The progress ledger prices every root unit at one, so progress
-    // is units retired over units dealt.
-    let n = units.len() as u64;
-    ctx.progress.set_schedule(n, n);
+    let prices = arm_root_units(r1, r2, &nodes, ctx);
+    let priced = nodes.iter().zip(&prices);
+    units.extend(priced.map(|(p, &price)| (Child::Node(p.n1), Child::Node(p.n2), price)));
     if threads == 1 {
         // One shard, inline: no worker to spawn, no tallies to merge.
-        arm_ledger(r1, r2, &units, gov);
         let shard: Vec<(usize, RootUnit)> = units.into_iter().enumerate().collect();
         let part = run_shard(r1, r2, config, windows, &shard, ctx, CorrDomain::Shard(0));
         return Ok((part.result, part.skips));
@@ -647,11 +646,15 @@ pub(crate) fn dealt_join<const N: usize>(
     // without a cost model is the unit's ordinal; with prices, LPT —
     // the cost-guided seeding without the steal layer (gating is by
     // ordinal, so stealing would only blur the tallies).
-    let deal: Vec<Vec<usize>> = match (scheduler, arm_ledger(r1, r2, &units, gov)) {
-        (Scheduler::RoundRobin { .. }, _) | (_, None) => (0..threads)
+    let deal: Vec<Vec<usize>> = if gov.is_unit_gated()
+        && !matches!(scheduler, Scheduler::RoundRobin { .. })
+        && !prices.is_empty()
+    {
+        lpt_deal(&prices, threads)
+    } else {
+        (0..threads)
             .map(|w| (w..units.len()).step_by(threads).collect())
-            .collect(),
-        (_, Some(prices)) => lpt_deal(&prices, threads),
+            .collect()
     };
     let shards: Vec<Vec<(usize, RootUnit)>> = deal
         .into_iter()
@@ -688,34 +691,38 @@ pub(crate) fn dealt_join<const N: usize>(
     Ok((result, raw))
 }
 
-/// Under a governor that gates units — and only then: pricing walks
-/// every unit's subtrees — arms its ledger with the root units and
-/// returns their prices. A node pair's price is its
-/// [`Pricer::unit_price`], its value (the shed ranking) the pairs it
-/// is expected to produce per unit of price. Leaf-root emissions carry
-/// no I/O and are never gated: minimal price, one pair of value.
-fn arm_ledger<const N: usize>(
+/// Arms the unit ledger with the root node-pair units and returns their
+/// prices, by ordinal. Under a governor that gates units — and only
+/// then: pricing walks every unit's subtrees — a unit's price is its
+/// [`Pricer::unit_price`] and its value (the governor's shed ranking)
+/// the pairs it is expected to produce per unit of price; otherwise
+/// every unit is priced at one. Object-pair units (both roots are
+/// leaves) read no page: nothing gates or prices them, and the ledger
+/// stays unarmed.
+fn arm_root_units<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
-    units: &[RootUnit],
-    gov: &Governor,
-) -> Option<Vec<u64>> {
-    if !gov.is_unit_gated() {
-        return None;
+    nodes: &[NodePair<N>],
+    ctx: &ExecContext<'_>,
+) -> Vec<u64> {
+    if nodes.is_empty() {
+        return Vec::new();
+    }
+    if !ctx.gov.is_unit_gated() {
+        let prices = vec![1; nodes.len()];
+        ctx.arm_units(&prices, None);
+        return prices;
     }
     let mut pricer = Pricer::new(r1, r2);
-    let (prices, values): (Vec<u64>, Vec<f64>) = units
+    let (prices, values): (Vec<u64>, Vec<f64>) = nodes
         .iter()
-        .map(|&unit| match unit {
-            (Child::Node(a), Child::Node(b)) => {
-                let price = pricer.unit_price(a, b);
-                (price, pricer.pairs(a, b, 0.0) / price as f64)
-            }
-            _ => (1, 1.0),
+        .map(|p| {
+            let price = pricer.unit_price(p.n1, p.n2);
+            (price, pricer.pairs(p.n1, p.n2, 0.0) / price as f64)
         })
         .unzip();
-    gov.arm_units(prices.clone(), values);
-    Some(prices)
+    ctx.arm_units(&prices, Some(values));
+    prices
 }
 
 /// Runs one static shard: the assigned ordinal-tagged root units
@@ -744,37 +751,29 @@ fn run_shard<const N: usize>(
     let worker = domain.worker_index();
     let mut runs = Vec::with_capacity(units.len());
     for &(ordinal, unit) in units {
-        let ran = match unit {
-            (Child::Object(o1), Child::Object(o2)) => {
+        let (n1, n2, price) = match unit {
+            (Child::Object(o1), Child::Object(o2), _) => {
                 shard.emit(o1, o2);
-                true
+                runs.push((ordinal, shard.pairs.len()));
+                continue;
             }
-            (c1, c2) => {
-                let (n1, n2) = (c1.node(), c2.node());
-                if !ctx.checkpoint(ordinal) {
-                    // The governor's cancellation point: a refusal
-                    // forfeits the whole subtree pair.
-                    shard.skips.push(RawSkip { tree: 1, n1, n2 });
-                    shard.progress.forfeit(r1.node(n1).level);
-                    false
-                } else if shard.charge(n1, n2) {
-                    shard.visit(n1, n2);
-                    true
-                } else {
-                    false
-                }
-            }
+            (c1, c2, price) => (c1.node(), c2.node(), price),
         };
-        if !ran {
-            ctx.forfeit_unit(ordinal);
+        if !ctx.checkpoint(ordinal, price) {
+            // The governor's cancellation point: a refusal forfeits
+            // the whole subtree pair.
+            shard.skips.push(RawSkip { tree: 1, n1, n2 });
+            shard.progress.forfeit(r1.node(n1).level);
             continue;
         }
-        ctx.unit_done(ordinal);
-        runs.push((ordinal, shard.pairs.len()));
-        if ctx.progress.is_enabled() {
-            ctx.progress.unit_done(1);
-            shard.flush_progress();
+        if !shard.charge(n1, n2) {
+            ctx.forfeit_unit(ordinal, price);
+            continue;
         }
+        shard.visit(n1, n2);
+        ctx.unit_done(ordinal, price);
+        runs.push((ordinal, shard.pairs.len()));
+        shard.flush_progress();
     }
     let (result, skips) = shard.into_parts();
     let units = units.len() as u64;

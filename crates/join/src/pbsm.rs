@@ -59,10 +59,13 @@ impl DegradedPbsmResult {
 }
 
 /// The PBSM executor body, cross-cutting concerns supplied through the
-/// one [`ExecContext`] seam (PBSM uses the progress hub and the
-/// governor: [`ExecContext::checkpoint`] gates each active cell, and
-/// [`ExecContext::unit_done`] / [`ExecContext::forfeit_unit`] keep the
-/// shed ledger honest).
+/// one [`ExecContext`] seam. Each active cell is one work unit, priced
+/// by its entry count, and reaches the run's one unit ledger — which
+/// the progress engine and the governor's shed predictor both read —
+/// through the context's unit hooks only: [`ExecContext::arm_units`]
+/// once, then [`ExecContext::checkpoint`] per cell (a refusal retires
+/// the cell there) and [`ExecContext::unit_done`] per cell swept. The
+/// progress hub also counts the pairs.
 ///
 /// Pure main-memory simulation of the algorithm's structure: partitions
 /// are index runs over the borrowed inputs rather than spill files (see
@@ -77,7 +80,6 @@ pub(crate) fn run_pbsm<const N: usize>(
     kernel: MatchKernel,
     ctx: &ExecContext<'_>,
 ) -> DegradedPbsmResult {
-    let progress = &ctx.progress;
     let gov = ctx.gov;
     assert!(grid >= 1, "need at least one partition per dimension");
     assert!(page_capacity >= 1, "page capacity must be positive");
@@ -93,35 +95,30 @@ pub(crate) fn run_pbsm<const N: usize>(
         replicas as f64 / total_objects as f64
     };
 
-    // Unit ledger: one unit per active cell, priced by its entry count
-    // (the sweep is linear in candidates, so a cell's cost share
-    // approximates its share of the remaining work). Shared between the
-    // progress tracker and the governor — PBSM has no R-tree priors, so
-    // cells get uniform value (no pairs-per-NA shed ranking).
-    let active: Vec<usize> = (0..cells)
+    // One unit per active cell, priced by its entry count (the sweep is
+    // linear in candidates, so a cell's price share approximates its
+    // share of the work). PBSM has no R-tree priors, so cells get
+    // uniform value (no pairs-per-NA shed ranking).
+    let (active, prices): (Vec<usize>, Vec<u64>) = (0..cells)
         .filter(|&c| !parts_left.cell(c).is_empty() && !parts_right.cell(c).is_empty())
-        .collect();
-    let cell_price = |c: usize| (parts_left.cell(c).len() + parts_right.cell(c).len()) as u64;
-    if progress.is_enabled() {
-        let cost: u64 = active.iter().map(|&c| cell_price(c)).sum();
-        progress.set_schedule(active.len() as u64, cost);
-    }
-    if gov.is_enabled() {
-        let prices: Vec<u64> = active.iter().map(|&c| cell_price(c)).collect();
-        let values = vec![1.0; prices.len()];
-        gov.arm_units(prices, values);
-    }
+        .map(|c| {
+            (
+                c,
+                (parts_left.cell(c).len() + parts_right.cell(c).len()) as u64,
+            )
+        })
+        .unzip();
+    ctx.arm_units(&prices, gov.is_enabled().then(|| vec![1.0; prices.len()]));
 
     let mut pairs = Vec::new();
     let mut scratch = SweepScratch::default();
     let mut forfeited_cells = 0u64;
     let mut forfeited_entries = 0u64;
-    for (ordinal, &cell) in active.iter().enumerate() {
+    for (ordinal, (&cell, &price)) in active.iter().zip(&prices).enumerate() {
         // Work-unit boundary: the governor's cancellation point.
-        if !ctx.checkpoint(ordinal) {
+        if !ctx.checkpoint(ordinal, price) {
             forfeited_cells += 1;
-            forfeited_entries += cell_price(cell);
-            ctx.forfeit_unit(ordinal);
+            forfeited_entries += price;
             continue;
         }
         let before = pairs.len();
@@ -134,13 +131,10 @@ pub(crate) fn run_pbsm<const N: usize>(
             &mut scratch,
             &mut pairs,
         );
-        ctx.unit_done(ordinal);
-        if progress.is_enabled() {
-            progress.unit_done(cell_price(cell));
-            progress.add_pairs((pairs.len() - before) as u64);
-        }
+        ctx.unit_done(ordinal, price);
+        ctx.progress.add_pairs((pairs.len() - before) as u64);
     }
-    progress.finish();
+    ctx.progress.finish();
 
     // Two-pass I/O: write all replicas out, read them back.
     let io_pages = 2 * replicas.div_ceil(page_capacity) as u64;

@@ -39,7 +39,7 @@ use crate::pbsm::DegradedPbsmResult;
 use sjcm_core::join::JoinWindows;
 use sjcm_geom::Rect;
 use sjcm_obs::progress::ProgressTracker;
-use sjcm_obs::{DriftMonitor, Tracer};
+use sjcm_obs::{DriftMonitor, Tracer, UnitLedger};
 use sjcm_rtree::{ObjectId, RTree};
 use sjcm_storage::{FaultInjector, FlightRecorder, RecorderLane};
 
@@ -131,11 +131,14 @@ impl Scheduler {
 }
 
 /// Every cross-cutting concern of a join execution, bundled behind one
-/// seam. Executors receive `&ExecContext` and call its methods at their
-/// descent sites — `ctx.checkpoint(..)` at work-unit boundaries,
-/// `ctx.lanes(..)` for recorder correlation domains, `ctx.unit_done(..)`
-/// / `ctx.forfeit_unit(..)` for governor bookkeeping — instead of
-/// receiving five separately-plumbed parameters.
+/// seam: executors call `ctx.lanes(..)` for recorder correlation
+/// domains and the unit hooks — `arm_units` once, then `checkpoint` and
+/// `unit_done` / `forfeit_unit` per unit — the only way an executor
+/// reports a unit. The hooks write the run's one unit ledger
+/// ([`sjcm_obs::UnitLedger`]: the progress hub's, or the run's own when
+/// only a governor reads it) and tell the governor, which reads its ETA
+/// off that ledger. A run neither observed nor governed pays one
+/// `Option` check per hook.
 ///
 /// Cloning is cheap (`Arc` handles all the way down): parallel
 /// schedulers clone one context per worker thread, which is exactly the
@@ -149,7 +152,7 @@ pub struct ExecContext<'a> {
     /// Page-access flight recorder; correlation ids are allocated
     /// through [`ExecContext::lanes`] — see [`CorrDomain`].
     pub recorder: FlightRecorder,
-    /// Live progress hub (schedule totals, per-level NA/DA feed, ETA).
+    /// Live progress hub (per-level NA/DA feed, pairs, completion).
     pub progress: ProgressTracker,
     /// Fault-injection oracle for chaos runs (disabled = one `Option`
     /// check per node pair).
@@ -157,6 +160,8 @@ pub struct ExecContext<'a> {
     /// Admission control, deadline/cancellation token and load
     /// shedding.
     pub gov: &'a Governor,
+    /// The run's one unit ledger, written by the unit hooks only.
+    ledger: UnitLedger,
     /// Test builds only: engines run the traversal their stack walk
     /// replaced, the reference it is pinned to.
     #[cfg(test)]
@@ -164,15 +169,22 @@ pub struct ExecContext<'a> {
 }
 
 impl<'a> ExecContext<'a> {
-    /// A context with every concern disabled except the governor given.
-    pub(crate) fn bare(gov: &'a Governor) -> Self {
+    /// A context with every concern disabled except `progress`, the
+    /// governor given and the unit ledger they read.
+    pub(crate) fn with_progress(progress: ProgressTracker, gov: &'a Governor) -> Self {
+        let ledger = if progress.is_enabled() || !gov.is_enabled() {
+            progress.ledger()
+        } else {
+            UnitLedger::enabled()
+        };
         ExecContext {
             tracer: Tracer::disabled(),
             drift: None,
             recorder: FlightRecorder::disabled(),
-            progress: ProgressTracker::disabled(),
+            progress,
             faults: FaultInjector::disabled(),
             gov,
+            ledger,
             #[cfg(test)]
             reference: false,
         }
@@ -190,27 +202,45 @@ impl<'a> ExecContext<'a> {
         (lane1, lane2)
     }
 
-    /// The governor's cancellation point at a work-unit boundary:
-    /// `true` admits the unit, `false` means it must be forfeited (the
-    /// caller records the skip and then calls
-    /// [`ExecContext::forfeit_unit`]). An admitted unit must come back
-    /// through exactly one of [`ExecContext::unit_done`] /
-    /// [`ExecContext::forfeit_unit`].
-    pub fn checkpoint(&self, ordinal: usize) -> bool {
-        self.gov.admit_unit(ordinal)
+    /// Arms the unit ledger once, before any unit runs: `prices[i]` is
+    /// unit `i`'s price. `ranking` (each unit's value) also arms the
+    /// governor's shed ranking and cancellation prefix.
+    pub(crate) fn arm_units(&self, prices: &[u64], ranking: Option<Vec<f64>>) {
+        self.ledger
+            .arm(prices.len() as u64, prices.iter().sum::<u64>());
+        if let Some(values) = ranking {
+            self.gov.arm_units(prices.to_vec(), values);
+        }
     }
 
-    /// Retires an admitted work unit from the governor's ledger.
-    pub fn unit_done(&self, ordinal: usize) {
-        self.gov.note_unit_done(ordinal);
+    /// The governor's cancellation point at unit `ordinal`'s boundary:
+    /// `true` admits it, in flight until [`ExecContext::unit_done`] or
+    /// [`ExecContext::forfeit_unit`]; `false` forfeits and retires it
+    /// (the caller records what it skipped).
+    pub(crate) fn checkpoint(&self, ordinal: usize, price: u64) -> bool {
+        if self.gov.admit_unit(ordinal) {
+            self.ledger.admit(price);
+            return true;
+        }
+        if self.gov.note_forfeit(ordinal) {
+            self.ledger.forfeit(price, false);
+        }
+        false
     }
 
-    /// Records a unit as forfeited — refused at a
-    /// [`ExecContext::checkpoint`], or admitted and then lost to a
-    /// fault before it ran — for the governor's degraded-result
-    /// accounting.
-    pub fn forfeit_unit(&self, ordinal: usize) {
+    /// Retires an admitted unit that ran to completion, then lets the
+    /// governor read the ledger for its shed decision.
+    pub(crate) fn unit_done(&self, ordinal: usize, price: u64) {
+        self.ledger.done(price);
+        self.gov.note_unit_done(ordinal, &self.ledger);
+    }
+
+    /// Retires an admitted unit that was lost to a fault before it ran,
+    /// for the ledger and the governor's degraded-result accounting.
+    pub(crate) fn forfeit_unit(&self, ordinal: usize, price: u64) {
+        // An admitted unit is never shed, so its price is still there.
         self.gov.note_forfeit(ordinal);
+        self.ledger.forfeit(price, true);
     }
 }
 
@@ -380,11 +410,10 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             tracer,
             drift,
             recorder,
-            progress,
             faults,
-            gov: &gov,
             #[cfg(test)]
             reference,
+            ..ExecContext::with_progress(progress, &gov)
         };
         let threads = scheduler.threads();
         if threads == 0 {
@@ -487,10 +516,7 @@ impl<'a, const N: usize> PbsmSession<'a, N> {
             progress,
             gov,
         } = self;
-        let ctx = ExecContext {
-            progress,
-            ..ExecContext::bare(&gov)
-        };
+        let ctx = ExecContext::with_progress(progress, &gov);
         Ok(crate::pbsm::run_pbsm(
             left,
             right,
@@ -528,7 +554,7 @@ mod tests {
         let gov = Governor::unlimited();
         let ctx = ExecContext {
             recorder: sjcm_storage::FlightRecorder::enabled(),
-            ..ExecContext::bare(&gov)
+            ..ExecContext::with_progress(ProgressTracker::disabled(), &gov)
         };
         let (mut lane1, mut lane2) = ctx.lanes(CorrDomain::Unit(4));
         lane1.record(sjcm_storage::PageId(1), 0, sjcm_storage::AccessKind::Miss);

@@ -140,30 +140,31 @@ proptest! {
     }
 
     #[test]
-    fn ref_cell_mask_agrees_with_intersection_cell(
+    fn sweep_ref_cells_agrees_with_intersection_cell(
         q in rect2(),
         rects in prop::collection::vec(rect2(), 1..100),
         grid in 1usize..9,
     ) {
+        // The sweep's input order, and the run of candidates that start
+        // no later than q ends in dimension 0.
+        let mut rects = rects;
+        rects.sort_by(|a, b| a.lo_k(0).total_cmp(&b.lo_k(0)));
         let batch: RectBatch<2> = rects.iter().copied().collect();
-        let mut mask = OverlapMask::new();
+        // The fused kernel trusts its sweep caller for dimension 0, so
+        // compare only candidates that overlap q there.
+        let meets_dim0 = |i: &usize| q.lo_k(0) <= rects[*i].hi_k(0) && rects[*i].lo_k(0) <= q.hi_k(0);
         for cell in 0..grid.pow(2) {
-            batch.ref_cell_mask(&q, 0, batch.len(), grid, cell, &mut mask);
-            for (i, r) in rects.iter().enumerate() {
-                // The fused kernel trusts its sweep caller for dimension
-                // 0, so compare only candidates that overlap q there.
-                if !(q.lo_k(0) <= r.hi_k(0) && r.lo_k(0) <= q.hi_k(0)) {
-                    continue;
-                }
-                let expect = match q.intersection(r) {
-                    Some(inter) => unit_grid_cell(&inter.lo().coords(), grid) == cell,
-                    None => false,
-                };
-                prop_assert_eq!(
-                    mask.get(i), expect,
-                    "grid={} cell={} q={:?} r={:?}", grid, cell, q, r
-                );
-            }
+            let mut got = Vec::new();
+            batch.sweep_ref_cells(&q, 0, q.hi_k(0), grid, cell, |i| got.push(i));
+            got.retain(meets_dim0);
+            let expect: Vec<usize> = (0..rects.len())
+                .filter(meets_dim0)
+                .filter(|&i| {
+                    q.intersection(&rects[i])
+                        .is_some_and(|inter| unit_grid_cell(&inter.lo().coords(), grid) == cell)
+                })
+                .collect();
+            prop_assert_eq!(got, expect, "grid={} cell={} q={:?}", grid, cell, q);
         }
     }
 

@@ -4,7 +4,9 @@
 //! the forfeited Eq-6 work is retired from the denominator instead of
 //! stranding the bar below 1), and enabling progress never changes the
 //! join's answer — pairs, NA and DA are byte-identical with the
-//! tracker on or off. The fixed-seed paper-scale run additionally
+//! tracker on or off. A run the governor cuts short leaves the one unit
+//! ledger balanced, whatever executor reported to it. The fixed-seed
+//! paper-scale run additionally
 //! checks the ETA acceptance gate: at a quarter of the run, the
 //! engine's blended total-work estimate sits within 20% of the true
 //! final work for both the sequential and the cost-guided executor —
@@ -12,7 +14,10 @@
 
 use proptest::prelude::*;
 use sjcm_core::join;
-use sjcm_join::{measured_params, JoinConfig, JoinObs, JoinSession, Scheduler};
+use sjcm_join::{
+    measured_params, Governor, GovernorConfig, JoinConfig, JoinObs, JoinSession, PbsmSession,
+    Scheduler,
+};
 use sjcm_obs::{
     FieldValue, LevelPrior, ProgressEngine, ProgressSnapshot, ProgressTracker, SpanRecord, Tracer,
 };
@@ -178,6 +183,70 @@ proptest! {
     }
 }
 
+/// A run cut short by the governor retires every unit it did not run
+/// from the one unit ledger — PBSM cells refused at their checkpoint and
+/// dealt root units alike — so the ledger balances in units and in
+/// price, nothing is left in flight, and the ledger-driven fraction
+/// reaches the end of the work that ran instead of stalling at it.
+#[test]
+fn a_cancelled_run_leaves_the_ledger_balanced() {
+    let check = |tag: &str, tracker: &ProgressTracker, gov: &Governor| {
+        let t = tracker.ledger().totals().expect("progress is on");
+        assert_eq!(t.units_done, 3, "{tag}: {t:?}");
+        assert!(t.units_forfeited > 0, "{tag}: {t:?}");
+        assert_eq!(
+            t.units_scheduled,
+            t.units_done + t.units_forfeited,
+            "{tag}: units"
+        );
+        assert_eq!(t.scheduled, t.done + t.forfeited, "{tag}: price");
+        assert_eq!(t.in_flight, 0, "{tag}: {t:?}");
+        let summary = gov.summary().expect("governed");
+        assert_eq!(summary.units_forfeited, t.units_forfeited, "{tag}");
+        let snap = ProgressEngine::for_units(tracker).sample();
+        assert_eq!(
+            snap.done_work + snap.forfeited_work,
+            snap.est_total_work,
+            "{tag}: the forfeited price leaves the denominator"
+        );
+    };
+    let cancel = || Governor::new(GovernorConfig::default().with_cancel_after_units(3));
+
+    let items = |seed| -> Vec<_> {
+        sjcm_datagen::uniform::generate::<2>(sjcm_datagen::uniform::UniformConfig::new(
+            2000, 0.5, seed,
+        ))
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| (r, ObjectId(i as u32)))
+        .collect()
+    };
+    let (left, right) = (items(31), items(32));
+    let (tracker, gov) = (ProgressTracker::enabled(), cancel());
+    let d = PbsmSession::new(&left, &right, 4, 50)
+        .progress(&tracker)
+        .govern(&gov)
+        .run()
+        .expect("PBSM does not fail");
+    assert_eq!(d.forfeited_cells, 13, "16 active cells, 3 run");
+    check("pbsm", &tracker, &gov);
+
+    let t1 = build_uniform(8000, 0.5, 33);
+    let t2 = build_uniform(8000, 0.5, 34);
+    let (tracker, gov) = (ProgressTracker::enabled(), cancel());
+    let d = JoinSession::new(&t1, &t2)
+        .scheduler(Scheduler::RoundRobin { threads: 2 })
+        .observe(&JoinObs {
+            progress: tracker.clone(),
+            ..JoinObs::default()
+        })
+        .govern(&gov)
+        .run()
+        .expect("a cancelled run completes degraded");
+    assert!(!d.is_exact());
+    check("round-robin", &tracker, &gov);
+}
+
 /// Feeds a fresh tracker from this thread — `feed` publishes work in a
 /// fixed order and calls `sample` at every point a sampler could look —
 /// and returns the first snapshot at or past a quarter of the run. No
@@ -285,13 +354,15 @@ fn paper_scale_eta_lands_within_twenty_percent_at_a_quarter() {
             let unit_na: u64 = units.iter().map(|u| u.2).sum();
             quarter_of_replay(&pr, |tracker, sample| {
                 let mut sink = tracker.sink();
-                tracker.set_schedule(units.len() as u64, cost);
+                let ledger = tracker.ledger();
+                ledger.arm(units.len() as u64, cost);
                 // The frontier descent above the units comes first.
                 let mut na = true_work - unit_na;
                 for &(_, cost, unit_na) in &units {
                     na += unit_na;
                     sink.flush([(0, na, 0)], [], 0);
-                    tracker.unit_done(cost);
+                    ledger.admit(cost);
+                    ledger.done(cost);
                     sample();
                 }
             })

@@ -27,8 +27,10 @@
 //!   serde).
 //! * [`progress`] — the *predictive* layer: a live progress/ETA engine
 //!   seeded from the Eq-6 per-level priors, refined in flight by the
-//!   observed branching ratios, with monotone fractions and a windowed
-//!   work-rate ETA inside the §4.1 ±15% band.
+//!   observed branching ratios, with monotone fractions and an ETA
+//!   inside the §4.1 ±15% band; also the run's one unit ledger
+//!   ([`UnitLedger`]) and the one ETA rule ([`progress::eta`]) that the
+//!   governor's shed predictor reads too.
 //! * [`governor`] — the decision log of the query governor: admission,
 //!   deadline arming, load shedding and expiry as a validated JSONL
 //!   event stream ([`governor::GovernorLog`]) plus the `governor.*`
@@ -55,7 +57,7 @@ pub use governor::{
 };
 pub use metrics::{Histogram, MetricKind, MetricsRegistry};
 pub use progress::{
-    validate_progress_jsonl, LevelPrior, ProgressEngine, ProgressSink, ProgressSnapshot,
-    ProgressTracker,
+    validate_progress_jsonl, LedgerTotals, LevelPrior, ProgressEngine, ProgressSink,
+    ProgressSnapshot, ProgressTracker, UnitLedger,
 };
 pub use span::{FieldValue, Span, SpanRecord, Tracer};

@@ -22,8 +22,13 @@
 //!   by blending each level's prior branching ratio with the observed
 //!   one (EWMA-smoothed, prior-dominated early, observation-dominated
 //!   late), and emits monotone-by-construction [`ProgressSnapshot`]s
-//!   with an ETA from a windowed work-rate clock and a confidence band
-//!   from the paper's §4.1 ~15% error envelope.
+//!   with an ETA from [`eta`] and a confidence band from the paper's
+//!   §4.1 ~15% error envelope;
+//! * the run's one [`UnitLedger`] (units and their price: scheduled,
+//!   done, in flight, forfeited or shed), written only through
+//!   `sjcm_join::ExecContext`'s unit hooks, and [`eta`], the one ETA
+//!   rule over it — both read by the engine and by the governor's shed
+//!   predictor.
 //!
 //! # The estimator
 //!
@@ -50,7 +55,8 @@
 //! and pinned to exactly 1.0 by [`ProgressTracker::finish`].
 //!
 //! Joins with no model prior (PBSM has no R-trees) fall back to the
-//! unit ledger: the retired share of the registered schedule cost.
+//! unit ledger: the done share of the scheduled price, with forfeited
+//! and shed units leaving the denominator.
 //!
 //! # Faults
 //!
@@ -63,10 +69,9 @@
 //! denominator immediately, so progress neither stalls nor regresses
 //! under injected faults.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Maximum raw tree levels tracked per tree. Fan-out ≥ 2 means 16
@@ -79,13 +84,186 @@ pub const MAX_LEVELS: usize = 16;
 /// that shared-counter contention is negligible.
 const FLUSH_EVERY: u32 = 512;
 
-/// ETA rate window, microseconds: the work rate is measured over the
-/// trailing ~3 s (or the whole run when shorter).
-const RATE_WINDOW_US: u64 = 3_000_000;
-
 /// §4.1: the model is accurate to ~15%; the ETA confidence band scales
 /// the remaining-work estimate by `1 ± envelope`.
 const ETA_ENVELOPE: f64 = 0.15;
+
+/// Share of the work that must be done before [`eta`] gives a finish
+/// time. The first completions fold start-up and single-unit variance
+/// into the rate, and the governor sheds on this rate — a shed unit
+/// cannot be won back.
+const ETA_WARMUP: f64 = 0.10;
+
+/// A finish-time estimate from [`eta`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Eta {
+    /// Execution seconds per unit of work: the realized rate.
+    pub secs_per_work: f64,
+    /// Seconds until the remaining work is done at that rate.
+    pub secs: f64,
+}
+
+/// The one ETA rule: `exec_secs` of execution have done `done` work and
+/// have `in_flight` more under way, and `remaining` (in-flight work
+/// included) is still to finish. The rate credits half the in-flight
+/// work as done — an expensive unit in flight has spent wall time but
+/// completed nothing, and ignoring it inflates the rate on price-skewed
+/// schedules:
+///
+/// ```text
+/// ETA = exec_secs / (done + ½ in_flight) × (remaining − ½ in_flight)
+/// ```
+///
+/// `None` until a tenth of the work (`done + remaining`) is done, and
+/// when nothing remains.
+pub fn eta(exec_secs: f64, done: f64, in_flight: f64, remaining: f64) -> Option<Eta> {
+    if remaining <= 0.0 || done <= 0.0 || done < ETA_WARMUP * (done + remaining) {
+        return None;
+    }
+    let half_flight = in_flight / 2.0;
+    let secs_per_work = exec_secs.max(1e-9) / (done + half_flight);
+    Some(Eta {
+        secs_per_work,
+        secs: secs_per_work * (remaining - half_flight).max(0.0),
+    })
+}
+
+/// The run's one unit ledger: how many work units, and how much of
+/// their price, are scheduled, done, in flight, and forfeited or shed.
+/// Prices are in whatever the run priced its units in — Eq 6 × overlap
+/// for priced dealt units and cost-guided units, entry counts for PBSM
+/// cells, one per unit for an unpriced deal. A run arms it once, and
+/// each unit leaves it through exactly one of [`UnitLedger::done`] /
+/// [`UnitLedger::forfeit`]. A disabled ledger (the default) owns
+/// nothing: every operation is one `Option` check.
+#[derive(Debug, Clone, Default)]
+pub struct UnitLedger {
+    inner: Option<Arc<Ledger>>,
+}
+
+#[derive(Debug, Default)]
+struct Ledger {
+    /// The execution clock, started by the first admitted unit.
+    exec_start: OnceLock<Instant>,
+    units_scheduled: AtomicU64,
+    units_done: AtomicU64,
+    units_forfeited: AtomicU64,
+    scheduled: AtomicU64,
+    done: AtomicU64,
+    in_flight: AtomicU64,
+    forfeited: AtomicU64,
+}
+
+impl Ledger {
+    fn totals(&self) -> LedgerTotals {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        LedgerTotals {
+            units_scheduled: load(&self.units_scheduled),
+            units_done: load(&self.units_done),
+            units_forfeited: load(&self.units_forfeited),
+            scheduled: load(&self.scheduled),
+            done: load(&self.done),
+            in_flight: load(&self.in_flight),
+            forfeited: load(&self.forfeited),
+            exec_secs: self
+                .exec_start
+                .get()
+                .map_or(0.0, |t| t.elapsed().as_secs_f64()),
+        }
+    }
+}
+
+impl UnitLedger {
+    /// A collecting ledger.
+    pub fn enabled() -> Self {
+        Self {
+            inner: Some(Arc::default()),
+        }
+    }
+
+    /// Schedules `units` units costing `price` in total.
+    pub fn arm(&self, units: u64, price: u64) {
+        if let Some(l) = &self.inner {
+            l.units_scheduled.fetch_add(units, Ordering::Relaxed);
+            l.scheduled.fetch_add(price, Ordering::Relaxed);
+        }
+    }
+
+    /// A unit of `price` passed its checkpoint and is in flight. The
+    /// first admission starts the execution clock.
+    pub fn admit(&self, price: u64) {
+        if let Some(l) = &self.inner {
+            l.exec_start.get_or_init(Instant::now);
+            l.in_flight.fetch_add(price, Ordering::Relaxed);
+        }
+    }
+
+    /// An admitted unit of `price` ran to completion.
+    pub fn done(&self, price: u64) {
+        if let Some(l) = &self.inner {
+            l.in_flight.fetch_sub(price, Ordering::Relaxed);
+            l.units_done.fetch_add(1, Ordering::Relaxed);
+            l.done.fetch_add(price, Ordering::Relaxed);
+        }
+    }
+
+    /// A unit of `price` will never run: refused at its checkpoint or
+    /// shed before it was admitted (`in_flight = false`), or admitted
+    /// and then lost to a fault (`true`).
+    pub fn forfeit(&self, price: u64, in_flight: bool) {
+        if let Some(l) = &self.inner {
+            if in_flight {
+                l.in_flight.fetch_sub(price, Ordering::Relaxed);
+            }
+            l.units_forfeited.fetch_add(1, Ordering::Relaxed);
+            l.forfeited.fetch_add(price, Ordering::Relaxed);
+        }
+    }
+
+    /// The current totals; `None` when the ledger is disabled.
+    pub fn totals(&self) -> Option<LedgerTotals> {
+        self.inner.as_ref().map(|l| l.totals())
+    }
+}
+
+/// One reading of a [`UnitLedger`]. Prices are in the run's own unit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LedgerTotals {
+    /// Units scheduled.
+    pub units_scheduled: u64,
+    /// Units run to completion.
+    pub units_done: u64,
+    /// Units forfeited or shed.
+    pub units_forfeited: u64,
+    /// Price scheduled.
+    pub scheduled: u64,
+    /// Price of the units done.
+    pub done: u64,
+    /// Price of the units admitted and neither done nor lost yet.
+    pub in_flight: u64,
+    /// Price of the units forfeited or shed.
+    pub forfeited: u64,
+    /// Seconds since the first unit was admitted (0 before).
+    pub exec_secs: f64,
+}
+
+impl LedgerTotals {
+    /// Price still to run: scheduled and neither done nor forfeited
+    /// (in-flight units included).
+    pub fn remaining(&self) -> u64 {
+        self.scheduled.saturating_sub(self.done + self.forfeited)
+    }
+
+    /// [`eta`] over the ledger's prices and execution clock.
+    pub fn eta(&self) -> Option<Eta> {
+        eta(
+            self.exec_secs,
+            self.done as f64,
+            self.in_flight as f64,
+            self.remaining() as f64,
+        )
+    }
+}
 
 /// Closed parents it takes for an observed branching ratio to weigh as
 /// much as the prior's, however few the level above is predicted to
@@ -122,15 +300,10 @@ struct Shared {
     /// milli-NA.
     forfeited_milli: AtomicU64,
     /// Per raw level: expected remaining NA below one skipped node
-    /// pair at that level, in milli-NA (set once at seeding).
+    /// pair at that level, in milli-NA (set by [`ProgressEngine::new`]).
     quantum_milli: [AtomicU64; MAX_LEVELS],
-    /// Schedule ledger; cost is in whatever the scheduler priced units
-    /// in — Eq-6 price for the cost-guided scheduler, one per unit for
-    /// the dealt executor, entry counts for PBSM.
-    units_total: AtomicU64,
-    units_done: AtomicU64,
-    cost_total: AtomicU64,
-    cost_done: AtomicU64,
+    /// The run's unit ledger ([`ProgressTracker::ledger`]).
+    ledger: Arc<Ledger>,
     finished: AtomicBool,
 }
 
@@ -143,10 +316,7 @@ impl Shared {
             pairs: AtomicU64::new(0),
             forfeited_milli: AtomicU64::new(0),
             quantum_milli: [(); MAX_LEVELS].map(|_| AtomicU64::new(0)),
-            units_total: AtomicU64::new(0),
-            units_done: AtomicU64::new(0),
-            cost_total: AtomicU64::new(0),
-            cost_done: AtomicU64::new(0),
+            ledger: Arc::default(),
             finished: AtomicBool::new(false),
         }
     }
@@ -199,53 +369,10 @@ impl ProgressTracker {
         }
     }
 
-    /// Seeds the per-level forfeit quanta from the Eq-6 priors: a
-    /// skipped node pair at raw level `ℓ` retires
-    /// `Σ_{ℓ' ≤ ℓ} (P₁[ℓ'] + P₂[ℓ']) / max(pairs at ℓ, 1)` NA from the
-    /// denominator — its own two reads plus the expected traversal
-    /// below it, averaged over the predicted pair population of that
-    /// level. Called by [`ProgressEngine::new`]; idempotent.
-    pub fn seed_quanta(&self, priors: &[LevelPrior]) {
-        let Some(shared) = &self.shared else {
-            return;
-        };
-        let mut p = [[0.0f64; MAX_LEVELS]; 2];
-        for prior in priors {
-            let (Some(t), Some(raw)) = (prior.tree.checked_sub(1), prior.level.checked_sub(1))
-            else {
-                continue;
-            };
-            if t < 2 {
-                p[t][raw.min(MAX_LEVELS - 1)] += prior.na;
-            }
-        }
-        let mut below = 0.0f64;
-        for (raw, quantum_slot) in shared.quantum_milli.iter().enumerate().take(MAX_LEVELS) {
-            let here = p[0][raw] + p[1][raw];
-            below += here;
-            // Pair visits at this level ≈ each tree's NA there (every
-            // qualifying pair charges one access per tree).
-            let visits = p[0][raw].max(p[1][raw]).max(1.0);
-            let quantum = below / visits;
-            quantum_slot.store((quantum * 1000.0).round() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Registers a schedule of `units` work units costing `cost` in
-    /// total. Each executor registers once per run; the totals
-    /// accumulate.
-    pub fn set_schedule(&self, units: u64, cost: u64) {
-        if let Some(shared) = &self.shared {
-            shared.units_total.fetch_add(units, Ordering::Relaxed);
-            shared.cost_total.fetch_add(cost, Ordering::Relaxed);
-        }
-    }
-
-    /// Retires one completed unit of `cost`.
-    pub fn unit_done(&self, cost: u64) {
-        if let Some(shared) = &self.shared {
-            shared.units_done.fetch_add(1, Ordering::Relaxed);
-            shared.cost_done.fetch_add(cost, Ordering::Relaxed);
+    /// The tracker's unit ledger (disabled for a disabled tracker).
+    pub fn ledger(&self) -> UnitLedger {
+        UnitLedger {
+            inner: self.shared.as_ref().map(|s| Arc::clone(&s.ledger)),
         }
     }
 
@@ -279,11 +406,6 @@ pub struct ProgressSink {
 }
 
 impl ProgressSink {
-    /// A sink that feeds nothing.
-    pub fn disabled() -> Self {
-        ProgressTracker::disabled().sink()
-    }
-
     /// `true` when this sink feeds an enabled tracker.
     #[inline]
     pub fn is_enabled(&self) -> bool {
@@ -370,20 +492,22 @@ fn flush_tree(
 
 /// One emitted progress sample — a line of the `join_progress.jsonl`
 /// artifact and the payload of the `--watch` terminal line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProgressSnapshot {
     /// Microseconds since the tracker's epoch.
     pub t_us: u64,
     /// Monotone progress fraction in `[0, 1]`; exactly 1.0 once the
     /// run has called [`ProgressTracker::finish`].
     pub fraction: f64,
-    /// Work done so far (NA for model-driven runs, retired unit cost
-    /// for ledger-driven runs like PBSM).
+    /// Work done so far (NA for model-driven runs, the done units'
+    /// price for ledger-driven runs like PBSM).
     pub done_work: f64,
     /// Current estimate of total work, after prior/observation
-    /// blending and forfeit retirement. `≥ done_work`.
+    /// blending. The fraction's denominator is this minus
+    /// `forfeited_work`.
     pub est_total_work: f64,
-    /// Work retired from the denominator by skipped subtrees.
+    /// Work retired from the denominator: skipped subtrees' NA, or the
+    /// forfeited and shed units' price for ledger-driven runs.
     pub forfeited_work: f64,
     /// Node accesses published so far (both trees).
     pub na_done: u64,
@@ -391,13 +515,15 @@ pub struct ProgressSnapshot {
     pub da_done: u64,
     /// Result pairs published so far.
     pub pairs: u64,
-    /// Work units retired / scheduled (0/0 for the sequential join,
-    /// which has no unit ledger).
+    /// Work units done / scheduled (0/0 for the sequential join, which
+    /// has no units).
     pub units_done: u64,
     /// Total scheduled units.
     pub units_total: u64,
-    /// Estimated microseconds to completion from the windowed work
-    /// rate; `None` until a rate is measurable (or once finished).
+    /// Estimated microseconds to completion by [`eta`] — over the unit
+    /// ledger's prices when the run has units, over `done_work` since
+    /// the tracker's epoch when it has none; `None` until a tenth of
+    /// the work is done (0 once finished).
     pub eta_us: Option<u64>,
     /// Optimistic ETA bound: remaining work shrunk by the §4.1 ~15%
     /// envelope.
@@ -489,10 +615,10 @@ impl ProgressSnapshot {
 }
 
 /// The single-reader estimator over a [`ProgressTracker`]. Owns the
-/// mutable smoothing state (EWMA ratios, the monotone clamp, the rate
-/// window), so exactly one engine should sample a given run — the
-/// watcher thread in `experiments join --watch`, the test harness in
-/// the acceptance tests.
+/// mutable smoothing state (EWMA ratios, the monotone clamp), so
+/// exactly one engine should sample a given run — the watcher thread in
+/// `experiments join --watch`, the test harness in the acceptance
+/// tests.
 pub struct ProgressEngine {
     tracker: ProgressTracker,
     prior: [[f64; MAX_LEVELS]; 2],
@@ -502,15 +628,18 @@ pub struct ProgressEngine {
     prior_total: f64,
     ewma: [[Option<f64>; MAX_LEVELS]; 2],
     max_fraction: f64,
-    window: VecDeque<(u64, f64)>,
 }
 
 impl ProgressEngine {
     /// An engine seeded with Eq-6 per-level priors (see
     /// `sjcm_core::join::join_na_priors`). Also seeds the tracker's
-    /// forfeit quanta from the same priors.
+    /// per-level forfeit quanta from the same priors: a skipped node
+    /// pair at raw level `ℓ` retires
+    /// `Σ_{ℓ' ≤ ℓ} (P₁[ℓ'] + P₂[ℓ']) / max(pairs at ℓ, 1)` NA from the
+    /// denominator — its own two reads plus the expected traversal
+    /// below it, averaged over the predicted pair population of that
+    /// level.
     pub fn new(tracker: &ProgressTracker, priors: &[LevelPrior]) -> Self {
-        tracker.seed_quanta(priors);
         let mut prior = [[0.0f64; MAX_LEVELS]; 2];
         for p in priors {
             let (Some(t), Some(raw)) = (p.tree.checked_sub(1), p.level.checked_sub(1)) else {
@@ -518,6 +647,16 @@ impl ProgressEngine {
             };
             if t < 2 {
                 prior[t][raw.min(MAX_LEVELS - 1)] += p.na;
+            }
+        }
+        if let Some(shared) = &tracker.shared {
+            let mut below = 0.0f64;
+            for (raw, quantum) in shared.quantum_milli.iter().enumerate() {
+                below += prior[0][raw] + prior[1][raw];
+                // Pair visits at this level ≈ each tree's NA there
+                // (every qualifying pair charges one access per tree).
+                let visits = prior[0][raw].max(prior[1][raw]).max(1.0);
+                quantum.store((below / visits * 1000.0).round() as u64, Ordering::Relaxed);
             }
         }
         let top = [0, 1].map(|t| prior[t].iter().rposition(|&v| v > 0.0));
@@ -529,12 +668,11 @@ impl ProgressEngine {
             prior_total,
             ewma: [[None; MAX_LEVELS]; 2],
             max_fraction: 0.0,
-            window: VecDeque::new(),
         }
     }
 
     /// An engine with no model prior — progress comes purely from the
-    /// unit ledger (PBSM: cells completed × per-cell sweep cost).
+    /// unit ledger (PBSM: the done cells' share of the entries).
     pub fn for_units(tracker: &ProgressTracker) -> Self {
         Self::new(tracker, &[])
     }
@@ -582,28 +720,13 @@ impl ProgressEngine {
         total
     }
 
-    /// Takes one sample: reads the shared counters, refines the
-    /// remaining-work estimate, advances the monotone clamp and the
-    /// rate window, and returns the snapshot. Sampling a disabled
-    /// tracker returns an all-zero snapshot.
+    /// Takes one sample: reads the shared counters and the unit ledger,
+    /// refines the remaining-work estimate, advances the monotone clamp
+    /// and returns the snapshot. Sampling a disabled tracker returns an
+    /// all-zero snapshot.
     pub fn sample(&mut self) -> ProgressSnapshot {
         let Some(shared) = &self.tracker.shared else {
-            return ProgressSnapshot {
-                t_us: 0,
-                fraction: 0.0,
-                done_work: 0.0,
-                est_total_work: 0.0,
-                forfeited_work: 0.0,
-                na_done: 0,
-                da_done: 0,
-                pairs: 0,
-                units_done: 0,
-                units_total: 0,
-                eta_us: None,
-                eta_lo_us: None,
-                eta_hi_us: None,
-                finished: false,
-            };
+            return ProgressSnapshot::default();
         };
         let t_us = shared.epoch.elapsed().as_micros() as u64;
         let mut done = [[0u64; MAX_LEVELS]; 2];
@@ -615,14 +738,11 @@ impl ProgressEngine {
         let na_done: u64 = done.iter().flatten().sum();
         let da_done = shared.da[0].load(Ordering::Relaxed) + shared.da[1].load(Ordering::Relaxed);
         let pairs = shared.pairs.load(Ordering::Relaxed);
-        let units_done = shared.units_done.load(Ordering::Relaxed);
-        let units_total = shared.units_total.load(Ordering::Relaxed);
-        let cost_done = shared.cost_done.load(Ordering::Relaxed);
-        let cost_total = shared.cost_total.load(Ordering::Relaxed);
-        let forfeited = shared.forfeited_milli.load(Ordering::Relaxed) as f64 / 1000.0;
+        let units = shared.ledger.totals();
+        let forfeited_na = shared.forfeited_milli.load(Ordering::Relaxed) as f64 / 1000.0;
         let finished = shared.finished.load(Ordering::Acquire);
 
-        let (done_work, est_total) = if self.prior_total > 0.0 && cost_total > 0 {
+        let (done_work, est_total, forfeited) = if self.prior_total > 0.0 && units.scheduled > 0 {
             // A unit schedule exists (cost-guided, round-robin, PBSM):
             // the per-level branching ratios are not representative
             // mid-run — the frontier descent completes the upper
@@ -633,22 +753,28 @@ impl ProgressEngine {
             // with the Eq-6 prior, prior-dominated early (f → 0),
             // observation-dominated late (f → 1, where the estimate
             // converges to the exact final work).
-            let f = (cost_done as f64 / cost_total as f64).clamp(0.0, 1.0);
+            let f = (units.done as f64 / units.scheduled as f64).clamp(0.0, 1.0);
             let obs_est = if f > 0.0 {
                 na_done as f64 / f
             } else {
                 self.prior_total
             };
             let blended = (1.0 - f) * self.prior_total.max(na_done as f64) + f * obs_est;
-            (na_done as f64, blended)
+            (na_done as f64, blended, forfeited_na)
         } else if self.prior_total > 0.0 {
-            (na_done as f64, self.estimate(&done))
-        } else if cost_total > 0 {
-            (cost_done as f64, cost_total as f64)
+            (na_done as f64, self.estimate(&done), forfeited_na)
+        } else if units.scheduled > 0 {
+            // The ledger alone: work is price, and a forfeited or shed
+            // unit leaves the denominator with its price.
+            (
+                units.done as f64,
+                units.scheduled as f64,
+                units.forfeited as f64,
+            )
         } else {
             // Nothing to estimate against (e.g. two height-1 trees):
             // progress is binary.
-            (0.0, 0.0)
+            (0.0, 0.0, forfeited_na)
         };
         let denom = (est_total - forfeited)
             .max(done_work)
@@ -665,31 +791,16 @@ impl ProgressEngine {
         self.max_fraction = self.max_fraction.max(raw_fraction.min(0.9995));
         let fraction = if finished { 1.0 } else { self.max_fraction };
 
-        // Windowed work rate → ETA with the ±15% envelope band.
-        self.window.push_back((t_us, done_work));
-        while let Some(&(t0, _)) = self.window.front() {
-            if self.window.len() > 8 && t_us.saturating_sub(t0) > RATE_WINDOW_US {
-                self.window.pop_front();
-            } else {
-                break;
-            }
-        }
-        let (mut eta_us, mut eta_lo_us, mut eta_hi_us) = (None, None, None);
-        if finished {
-            eta_us = Some(0);
-            eta_lo_us = Some(0);
-            eta_hi_us = Some(0);
-        } else if let (Some(&(t0, w0)), true) = (self.window.front(), self.window.len() >= 2) {
-            let dt = t_us.saturating_sub(t0) as f64;
-            let dw = done_work - w0;
-            if dt > 0.0 && dw > 0.0 {
-                let rate = dw / dt; // work per microsecond
-                let remaining = (denom - done_work).max(0.0);
-                eta_us = Some((remaining / rate) as u64);
-                eta_lo_us = Some((remaining * (1.0 - ETA_ENVELOPE) / rate) as u64);
-                eta_hi_us = Some((remaining * (1.0 + ETA_ENVELOPE) / rate) as u64);
-            }
-        }
+        // The one ETA rule, over the ledger's prices when the run has
+        // units; with the ±15% envelope band.
+        let secs = if finished {
+            Some(0.0)
+        } else if units.scheduled > 0 {
+            units.eta().map(|e| e.secs)
+        } else {
+            eta(t_us as f64 / 1e6, done_work, 0.0, denom - done_work).map(|e| e.secs)
+        };
+        let eta_at = |scale: f64| secs.map(|s| (s * scale * 1e6) as u64);
         ProgressSnapshot {
             t_us,
             fraction,
@@ -699,11 +810,11 @@ impl ProgressEngine {
             na_done,
             da_done,
             pairs,
-            units_done,
-            units_total,
-            eta_us,
-            eta_lo_us,
-            eta_hi_us,
+            units_done: units.units_done,
+            units_total: units.units_scheduled,
+            eta_us: eta_at(1.0),
+            eta_lo_us: eta_at(1.0 - ETA_ENVELOPE),
+            eta_hi_us: eta_at(1.0 + ETA_ENVELOPE),
             finished,
         }
     }
@@ -815,7 +926,11 @@ mod tests {
         assert!(!sink.tick());
         feed(&mut sink, &[(0, 10, 5)], &[], 3);
         sink.forfeit(1);
-        tracker.unit_done(5);
+        let ledger = tracker.ledger();
+        ledger.arm(1, 5);
+        ledger.admit(5);
+        ledger.done(5);
+        assert_eq!(ledger.totals(), None);
         tracker.finish();
         let mut engine = ProgressEngine::new(&tracker, &priors_two_trees());
         let snap = engine.sample();
@@ -962,26 +1077,88 @@ mod tests {
         assert!(after.fraction >= before, "{} < {before}", after.fraction);
     }
 
+    /// Admits and completes one unit of `price`.
+    fn run_unit(ledger: &UnitLedger, price: u64) {
+        ledger.admit(price);
+        ledger.done(price);
+    }
+
     #[test]
     fn unit_ledger_drives_progress_without_priors() {
         let tracker = ProgressTracker::enabled();
         let mut engine = ProgressEngine::for_units(&tracker);
-        tracker.set_schedule(5, 500);
+        let ledger = tracker.ledger();
+        ledger.arm(5, 500);
         let s0 = engine.sample();
         assert_eq!(s0.fraction, 0.0);
         assert_eq!(s0.units_total, 5);
-        tracker.unit_done(100);
-        tracker.unit_done(150);
+        run_unit(&ledger, 100);
+        run_unit(&ledger, 150);
         let s1 = engine.sample();
         assert!((s1.done_work - 250.0).abs() < 1e-9);
         assert!(s1.fraction > 0.45 && s1.fraction < 0.55, "{}", s1.fraction);
-        tracker.unit_done(200);
-        tracker.unit_done(50);
-        tracker.unit_done(0);
+        run_unit(&ledger, 200);
+        run_unit(&ledger, 50);
+        run_unit(&ledger, 0);
         tracker.finish();
         let s2 = engine.sample();
         assert_eq!(s2.fraction, 1.0);
         assert_eq!(s2.units_done, 5);
+    }
+
+    #[test]
+    fn forfeited_units_leave_the_ledger_and_the_denominator() {
+        let tracker = ProgressTracker::enabled();
+        let mut engine = ProgressEngine::for_units(&tracker);
+        let ledger = tracker.ledger();
+        ledger.arm(4, 400);
+        run_unit(&ledger, 100);
+        // One refused at its checkpoint, one lost after admission.
+        ledger.forfeit(100, false);
+        ledger.admit(100);
+        assert_eq!(ledger.totals().unwrap().in_flight, 100);
+        ledger.forfeit(100, true);
+        run_unit(&ledger, 100);
+        let t = ledger.totals().unwrap();
+        assert_eq!(
+            (t.units_scheduled, t.units_done, t.units_forfeited),
+            (4, 2, 2)
+        );
+        assert_eq!(
+            (t.scheduled, t.done, t.forfeited, t.in_flight),
+            (400, 200, 200, 0)
+        );
+        assert_eq!(t.remaining(), 0);
+        // Everything that will run has run: the fraction is at its
+        // pre-finish cap, not stalled at half.
+        let snap = engine.sample();
+        assert_eq!(snap.forfeited_work, 200.0);
+        assert!(snap.fraction > 0.999, "{}", snap.fraction);
+    }
+
+    #[test]
+    fn eta_credits_half_the_flight_and_waits_for_a_tenth() {
+        // A tenth done is the warm-up floor: just below it, no ETA.
+        assert_eq!(eta(1.0, 9.0, 0.0, 91.0), None);
+        assert_eq!(eta(1.0, 0.0, 0.0, 100.0), None);
+        assert_eq!(eta(1.0, 50.0, 0.0, 0.0), None);
+        // 2 s for 20 done, nothing in flight: 0.1 s per unit of work.
+        let e = eta(2.0, 20.0, 0.0, 80.0).unwrap();
+        assert!((e.secs_per_work - 0.1).abs() < 1e-12);
+        assert!((e.secs - 8.0).abs() < 1e-12);
+        // 20 in flight count as 10 done and 10 fewer to go.
+        let e = eta(3.0, 20.0, 20.0, 80.0).unwrap();
+        assert!((e.secs_per_work - 0.1).abs() < 1e-12);
+        assert!((e.secs - 7.0).abs() < 1e-12);
+        // The ledger reads through the same rule.
+        let ledger = UnitLedger::enabled();
+        ledger.arm(2, 10);
+        assert_eq!(ledger.totals().unwrap().eta(), None);
+        run_unit(&ledger, 4);
+        ledger.admit(6);
+        let t = ledger.totals().unwrap();
+        assert!(t.exec_secs >= 0.0);
+        assert_eq!(t.eta(), eta(t.exec_secs, 4.0, 6.0, 6.0));
     }
 
     #[test]
@@ -1067,8 +1244,8 @@ mod tests {
     fn terminal_line_renders_bar_fraction_and_eta() {
         let tracker = ProgressTracker::enabled();
         let mut engine = ProgressEngine::for_units(&tracker);
-        tracker.set_schedule(2, 100);
-        tracker.unit_done(50);
+        tracker.ledger().arm(2, 100);
+        run_unit(&tracker.ledger(), 50);
         let line = engine.sample().terminal_line();
         assert!(line.contains('%'), "{line}");
         assert!(line.starts_with('['), "{line}");
