@@ -11,12 +11,26 @@
 //! | `Join[INL]` | one Eq 1 probe per outer object |
 //! | `Join[NL]` | block nested loop over materialized pages |
 //! | cardinalities | §5 selectivity extension |
+//!
+//! Two callers apply these rules, and they share every function that
+//! prices. A base data set is resolved once into its catalog entry and
+//! its index's tree parameters — the measured override
+//! ([`CostEstimator::with_measured_params`]) when one was supplied,
+//! Eqs 2–5 from `(N, D)` otherwise. A join step is priced by one
+//! function, `join_step`, from its two inputs' estimates and, for a base
+//! input, its index and window. [`CostEstimator::estimate`] walks a
+//! finished tree: it resolves each base operator once and calls
+//! `join_step` at each join. The planner resolves each listed set once
+//! per query; its left-deep partials carry their estimates, so each
+//! join step calls `join_step` once, whatever is stacked above it. For
+//! the same plan both callers produce the same bits.
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, DatasetStats};
 use crate::plan::{Access, Estimate, JoinAlgorithm, PlanNode};
 use sjcm_core::selectivity::join_selectivity;
 use sjcm_core::{join, range, DataProfile, ModelConfig, SpatialOperator, TreeParams};
 use sjcm_geom::Rect;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Estimation errors (unknown data sets are caught by the planner; this
@@ -53,6 +67,124 @@ pub struct CostEstimator<'a, const N: usize> {
     params_override: BTreeMap<String, TreeParams<N>>,
 }
 
+/// One base data set, resolved once: its catalog entry and its index's
+/// tree parameters — the measured override when one was supplied, Eqs
+/// 2–5 from `(N, D)` otherwise. The planner resolves each listed set
+/// once per query, the walk each base operator once.
+pub(crate) struct BaseSet<'a, const N: usize> {
+    stats: &'a DatasetStats<N>,
+    params: Cow<'a, TreeParams<N>>,
+}
+
+/// One input of a join step.
+#[derive(Clone, Copy)]
+pub(crate) enum JoinInput<'s, const N: usize> {
+    /// A base access path — a set read whole (`IndexScan`) or through a
+    /// window (`IndexRangeSelect`) — priced by how its parent reads it.
+    Base(&'s BaseSet<'s, N>, Option<&'s Rect<N>>),
+    /// A filter or a join, already priced.
+    Derived(Estimate),
+}
+
+impl<const N: usize> JoinInput<'_, N> {
+    /// A bare scan of an index: a join reads it through the index.
+    pub(crate) fn is_index_scan(&self) -> bool {
+        matches!(*self, JoinInput::Base(set, None) if set.stats.indexed)
+    }
+
+    /// A scan or a range select of an indexed set: an SJ can traverse
+    /// its index, restricted to the window.
+    pub(crate) fn is_index_backed(&self) -> bool {
+        matches!(*self, JoinInput::Base(set, _) if set.stats.indexed)
+    }
+
+    /// The index a join reads and the window its traversal is
+    /// restricted to.
+    fn index(&self) -> Option<(&TreeParams<N>, Option<&Rect<N>>)> {
+        match *self {
+            JoinInput::Base(set, window) if set.stats.indexed => Some((&*set.params, window)),
+            _ => None,
+        }
+    }
+
+    /// The input's estimate as its parent reads it.
+    pub(crate) fn estimate(&self, access: Access) -> Estimate {
+        let (set, window) = match *self {
+            JoinInput::Base(set, window) => (set, window),
+            JoinInput::Derived(est) => return est,
+        };
+        let (profile, params) = (set.stats.profile, &*set.params);
+        match window {
+            None => {
+                // Materialised, a scan reads every leaf page (N_1 of
+                // Eq 3; the root is memory-resident, so a one-leaf tree
+                // reads nothing).
+                let cost = match access {
+                    Access::Rows if params.height() > 1 => params.level(1).nodes,
+                    _ => 0.0,
+                };
+                Estimate {
+                    cardinality: profile.cardinality as f64,
+                    density: profile.density,
+                    cost,
+                    own_cost: cost,
+                    indexed: set.stats.indexed,
+                }
+            }
+            Some(window) => {
+                let cost = match access {
+                    Access::Handle => 0.0,
+                    Access::Rows => range::range_query_cost_at(params, window),
+                };
+                let card = SpatialOperator::Overlap.selectivity(
+                    profile.cardinality,
+                    profile.density,
+                    &window.extents(),
+                );
+                Estimate {
+                    cardinality: card,
+                    density: card * profile.avg_measure(),
+                    cost,
+                    own_cost: cost,
+                    indexed: false,
+                }
+            }
+        }
+    }
+}
+
+/// A filter's estimate over its input's: the input's cost, the rows and
+/// density that meet the window.
+pub(crate) fn filtered<const N: usize>(inner: &Estimate, window: &Rect<N>) -> Estimate {
+    let profile = estimate_profile(inner);
+    let fraction = if profile.cardinality == 0 {
+        0.0
+    } else {
+        SpatialOperator::Overlap.selectivity(
+            profile.cardinality,
+            profile.density,
+            &window.extents(),
+        ) / profile.cardinality as f64
+    };
+    Estimate {
+        cardinality: inner.cardinality * fraction,
+        density: inner.density * fraction,
+        cost: inner.cost,
+        own_cost: 0.0,
+        indexed: false,
+    }
+}
+
+fn estimate_profile(est: &Estimate) -> DataProfile {
+    DataProfile::new(
+        est.cardinality.round().max(0.0) as u64,
+        est.density.max(0.0),
+    )
+}
+
+/// A base access path's set and window as the walk resolves them.
+type BasePath<'s, 'n, const N: usize> = (BaseSet<'s, N>, Option<&'n Rect<N>>);
+
 impl<'a, const N: usize> CostEstimator<'a, N> {
     /// Creates an estimator over a catalog with the paper's model
     /// configuration for this dimensionality.
@@ -72,42 +204,31 @@ impl<'a, const N: usize> CostEstimator<'a, N> {
         self
     }
 
-    fn profile_params(&self, profile: DataProfile) -> TreeParams<N> {
-        TreeParams::from_data(profile, &self.config)
-    }
-
-    /// Tree parameters for the base index of `dataset`: the measured
-    /// override when supplied, the analytical derivation otherwise.
-    fn base_params(&self, dataset: &str, profile: DataProfile) -> TreeParams<N> {
-        self.params_override
+    /// Resolves a base data set: see [`BaseSet`].
+    pub(crate) fn base_set(&self, dataset: &str) -> Result<BaseSet<'_, N>, CostError> {
+        let stats = self
+            .catalog
             .get(dataset)
-            .cloned()
-            .unwrap_or_else(|| self.profile_params(profile))
+            .ok_or_else(|| CostError::UnknownDataset(dataset.to_string()))?;
+        let params = match self.params_override.get(dataset) {
+            Some(measured) => Cow::Borrowed(measured),
+            None => Cow::Owned(TreeParams::from_data(stats.profile, &self.config)),
+        };
+        Ok(BaseSet { stats, params })
     }
 
-    /// The base index behind an SJ input — a bare scan, or a range
-    /// select whose window the traversal is restricted to: the data set
-    /// name, its catalog profile and the window.
-    fn sj_base<'n>(
+    /// The set and window behind a base access path; `None` for a filter
+    /// or a join.
+    fn base_path<'n>(
         &self,
         node: &'n PlanNode<N>,
-    ) -> Option<(&'n str, DataProfile, Option<Rect<N>>)> {
+    ) -> Result<Option<BasePath<'_, 'n, N>>, CostError> {
         let (dataset, window) = match node {
             PlanNode::IndexScan { dataset } => (dataset, None),
-            PlanNode::IndexRangeSelect { dataset, window } => (dataset, Some(*window)),
-            _ => return None,
+            PlanNode::IndexRangeSelect { dataset, window } => (dataset, Some(window)),
+            _ => return Ok(None),
         };
-        self.catalog
-            .get(dataset)
-            .filter(|s| s.indexed)
-            .map(|s| (dataset.as_str(), s.profile, window))
-    }
-
-    fn estimate_profile(est: &Estimate) -> DataProfile {
-        DataProfile::new(
-            est.cardinality.round().max(0.0) as u64,
-            est.density.max(0.0),
-        )
+        Ok(Some((self.base_set(dataset)?, window)))
     }
 
     /// Pages needed to materialize `cardinality` objects at the model's
@@ -145,108 +266,70 @@ impl<'a, const N: usize> CostEstimator<'a, N> {
         // Pre-order: hold this operator's place before its inputs run.
         let slot = each.len();
         each.push(Estimate::default());
-        let est = match node {
-            PlanNode::IndexScan { dataset } => {
-                let stats = self
-                    .catalog
-                    .get(dataset)
-                    .ok_or_else(|| CostError::UnknownDataset(dataset.clone()))?;
-                // Materialised, a scan reads every leaf page (N_1 of
-                // Eq 3; the root is memory-resident, so a one-leaf tree
-                // reads nothing).
-                let cost = match access {
-                    Access::Handle => 0.0,
-                    Access::Rows => {
-                        let params = self.base_params(dataset, stats.profile);
-                        if params.height() > 1 {
-                            params.level(1).nodes
-                        } else {
-                            0.0
-                        }
-                    }
-                };
-                Estimate {
-                    cardinality: stats.profile.cardinality as f64,
-                    density: stats.profile.density,
-                    cost,
-                    own_cost: cost,
-                    indexed: stats.indexed,
-                }
+        let est = match (node, self.base_path(node)?) {
+            (_, Some((set, window))) => JoinInput::Base(&set, window).estimate(access),
+            (PlanNode::Filter { input, window, .. }, None) => {
+                filtered(&self.walk(input, Access::Rows, each)?, window)
             }
-            PlanNode::IndexRangeSelect { dataset, window } => {
-                let stats = self
-                    .catalog
-                    .get(dataset)
-                    .ok_or_else(|| CostError::UnknownDataset(dataset.clone()))?;
-                let q = window.extents();
-                let cost = match access {
-                    Access::Handle => 0.0,
-                    Access::Rows => range::range_query_cost_at(
-                        &self.base_params(dataset, stats.profile),
-                        window,
-                    ),
-                };
-                let card = SpatialOperator::Overlap.selectivity(
-                    stats.profile.cardinality,
-                    stats.profile.density,
-                    &q,
-                );
-                Estimate {
-                    cardinality: card,
-                    density: card * stats.profile.avg_measure(),
-                    cost,
-                    own_cost: cost,
-                    indexed: false,
-                }
+            (
+                PlanNode::Join {
+                    data,
+                    query,
+                    algorithm,
+                },
+                None,
+            ) => {
+                let (d_path, q_path) = (self.base_path(data)?, self.base_path(query)?);
+                let d_slot = each.len();
+                let d = self.join_input(data, &d_path, each)?;
+                let q_slot = each.len();
+                let q = self.join_input(query, &q_path, each)?;
+                let (est, [d_est, q_est]) = self.join_step(*algorithm, d, q)?;
+                each[d_slot] = d_est;
+                each[q_slot] = q_est;
+                est
             }
-            PlanNode::Filter {
-                input,
-                dataset: _,
-                window,
-            } => {
-                let inner = self.walk(input, Access::Rows, each)?;
-                let profile = Self::estimate_profile(&inner);
-                let q = window.extents();
-                let fraction = if profile.cardinality == 0 {
-                    0.0
-                } else {
-                    SpatialOperator::Overlap.selectivity(profile.cardinality, profile.density, &q)
-                        / profile.cardinality as f64
-                };
-                Estimate {
-                    cardinality: inner.cardinality * fraction,
-                    density: inner.density * fraction,
-                    cost: inner.cost,
-                    own_cost: 0.0,
-                    indexed: false,
-                }
-            }
-            PlanNode::Join {
-                data,
-                query,
-                algorithm,
-            } => self.estimate_join(data, query, *algorithm, each)?,
+            _ => unreachable!("a scan or a range select resolves to a base path"),
         };
         each[slot] = est;
         Ok(est)
     }
 
-    fn estimate_join(
+    /// A join's input as the walk hands it to [`Self::join_step`]: a base
+    /// access path as its resolved set, holding a place in `each` for the
+    /// estimate the join gives it; a filter or a join walked.
+    fn join_input<'p>(
         &self,
-        data: &PlanNode<N>,
-        query: &PlanNode<N>,
-        algorithm: JoinAlgorithm,
+        node: &PlanNode<N>,
+        path: &'p Option<BasePath<'_, 'p, N>>,
         each: &mut Vec<Estimate>,
-    ) -> Result<Estimate, CostError> {
-        let indexed_scan = |n: &PlanNode<N>| match n {
-            PlanNode::IndexScan { dataset } => self.catalog.get(dataset).is_some_and(|s| s.indexed),
-            _ => false,
-        };
-        let (d_access, q_access) = algorithm.input_access(indexed_scan(data), indexed_scan(query));
-        let d = self.walk(data, d_access, each)?;
-        let q = self.walk(query, q_access, each)?;
-        let d_prof = Self::estimate_profile(&d);
-        let q_prof = Self::estimate_profile(&q);
+    ) -> Result<JoinInput<'p, N>, CostError> {
+        Ok(match path {
+            Some((set, window)) => {
+                each.push(Estimate::default());
+                JoinInput::Base(set, *window)
+            }
+            None => JoinInput::Derived(self.walk(node, Access::Rows, each)?),
+        })
+    }
+
+    /// Prices one join step: reads each input as the algorithm does
+    /// (`JoinAlgorithm::input_access`), then prices the join alone from
+    /// the two inputs' estimates. Returns the join's estimate — its own
+    /// cost and the cumulative `data + query + own` — and the inputs'
+    /// estimates as read. The one pricing rule for a join: the walk
+    /// calls it per join operator, the planner per left-deep partial.
+    pub(crate) fn join_step(
+        &self,
+        algorithm: JoinAlgorithm,
+        data: JoinInput<'_, N>,
+        query: JoinInput<'_, N>,
+    ) -> Result<(Estimate, [Estimate; 2]), CostError> {
+        let (d_access, q_access) =
+            algorithm.input_access(data.is_index_scan(), query.is_index_scan());
+        let (d, q) = (&data.estimate(d_access), &query.estimate(q_access));
+        let d_prof = estimate_profile(d);
+        let q_prof = estimate_profile(q);
         let pairs = join_selectivity::<N>(d_prof, q_prof);
         // An output pair's MBR is roughly the union of the two inputs'
         // MBRs; its measure is bounded by the sum of measures plus the
@@ -258,33 +341,28 @@ impl<'a, const N: usize> CostEstimator<'a, N> {
                 // only the nodes of a windowed input that meet its
                 // window: Eq 10/12 on the full-index parameters, each
                 // level pair scaled by Eq 1's intersection probability.
-                let (Some((d_name, d_base, d_window)), Some((q_name, q_base, q_window))) =
-                    (self.sj_base(data), self.sj_base(query))
+                let (Some((pd, d_window)), Some((pq, q_window))) = (data.index(), query.index())
                 else {
                     return Err(CostError::UnindexedSjInput);
                 };
-                let pd = self.base_params(d_name, d_base);
-                let pq = self.base_params(q_name, q_base);
-                join::join_cost_da_windowed(&pd, &pq, &[d_window, q_window])
+                join::join_cost_da_windowed(pd, pq, &[d_window.copied(), q_window.copied()])
             }
             JoinAlgorithm::IndexNestedLoop => {
                 // The indexed side is probed once per outer object with a
                 // window the size of an average outer object. Only a bare
-                // IndexScan estimates as indexed, so the name is there.
-                let (indexed_node, indexed_prof, outer) = if d.indexed {
-                    (data, d_prof, &q)
+                // scan of an index estimates as indexed.
+                let (probed, outer) = if d.indexed {
+                    (data.index(), q)
                 } else if q.indexed {
-                    (query, q_prof, &d)
+                    (query.index(), d)
                 } else {
+                    (None, d)
+                };
+                let Some((params, _)) = probed else {
                     return Err(CostError::UnindexedSjInput);
                 };
-                let params = match indexed_node {
-                    PlanNode::IndexScan { dataset } => self.base_params(dataset, indexed_prof),
-                    _ => self.profile_params(indexed_prof),
-                };
-                let outer_prof = Self::estimate_profile(outer);
-                let probe = [outer_prof.avg_extent(N); N];
-                outer.cardinality * range::range_query_cost(&params, &probe)
+                let probe = [estimate_profile(outer).avg_extent(N); N];
+                outer.cardinality * range::range_query_cost(params, &probe)
             }
             JoinAlgorithm::NestedLoop => {
                 // Block nested loop: scan the outer once, the inner once
@@ -294,13 +372,14 @@ impl<'a, const N: usize> CostEstimator<'a, N> {
                 outer_pages + outer_pages * inner_pages
             }
         };
-        Ok(Estimate {
+        let est = Estimate {
             cardinality: pairs,
             density: out_density,
             cost: d.cost + q.cost + own_cost,
             own_cost,
             indexed: false,
-        })
+        };
+        Ok((est, [*d, *q]))
     }
 }
 

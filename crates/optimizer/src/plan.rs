@@ -98,8 +98,8 @@ impl fmt::Display for JoinAlgorithm {
 }
 
 /// One operator of a physical plan. Equality and hashing are structural
-/// — same operators over the same data sets with bit-identical windows —
-/// which is what the planner deduplicates enumerated plans by.
+/// — same operators over the same data sets with bit-identical windows;
+/// the planner enumerates no two plans that are equal.
 #[derive(Debug, Clone)]
 pub enum PlanNode<const N: usize> {
     /// The base data set through its R-tree: free as the index handle

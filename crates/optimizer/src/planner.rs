@@ -14,15 +14,44 @@
 //!   Eq 1 probe whose rows then probe the other index. A single-set
 //!   selection has the same two placements — the Eq 1 probe, or a filter
 //!   over a scan that reads every leaf page — and costing picks the
-//!   probe.
+//!   probe. A set's first selection is the one a pushdown takes; any
+//!   further selection on it is always a filter.
 //!
-//! Plans are costed by [`crate::cost::CostEstimator`]; the cheapest one
-//! wins. Queries are small (SDBMS join chains of 2–4 data sets), so
-//! exhaustive enumeration is the right tool — no DP needed.
+//! Plans are costed by [`crate::cost::CostEstimator`]'s rules; the
+//! cheapest one wins. Queries are small (SDBMS join chains of 2 to
+//! `MAX_DATASETS` data sets), so exhaustive enumeration is the right
+//! tool — no DP needed. It does each piece of work once:
+//!
+//! * **A query is resolved once.** At the top of every call each listed
+//!   set becomes a slot: its catalog entry, its index's tree parameters
+//!   (Eqs 2–5, derived once, or the estimator's measured override) and
+//!   its selections. Orders permute slot indices; no name is looked up
+//!   or cloned after that until a returned tree is built.
+//! * **A partial carries its estimate.** A left-deep partial is its
+//!   [`Estimate`], not a tree. Each join step prices only itself from
+//!   its inputs' estimates, through the estimator's one join-step rule —
+//!   the rule [`CostEstimator::estimate`] applies to a finished tree, so
+//!   the two agree bit for bit. A candidate is a `Shape`: its order, its
+//!   pushed windows, and per step the partial's role and the algorithm.
+//! * **Mirrored orders are skipped.** An order `[b, a, …]` produces
+//!   exactly the plans of `[a, b, …]`, which is generated first: the
+//!   first join explores both roles of `{a, b}` either way, and every
+//!   later step is the same. Only orders whose first two sets keep their
+//!   query order are generated, so every candidate is distinct and
+//!   `enumerate` deduplicates nothing. The first occurrences — and with
+//!   them `enumerate`'s order among equal costs — are unchanged.
+//! * **A tree is built only for what is returned**, by moving its parts
+//!   in: every candidate for [`Planner::enumerate`], the running
+//!   minimum's alone for [`Planner::best_plan`].
 
 use crate::catalog::Catalog;
-use crate::cost::{CostError, CostEstimator};
-use crate::plan::{JoinAlgorithm, JoinQuery, PhysicalPlan, PlanNode};
+use crate::cost::{filtered, BaseSet, CostEstimator, JoinInput};
+use crate::plan::{Access, Estimate, JoinAlgorithm, JoinQuery, PhysicalPlan, PlanNode};
+use sjcm_geom::Rect;
+
+/// The most data sets one query may list: the enumerator visits every
+/// left-deep order of them.
+const MAX_DATASETS: usize = 5;
 
 /// Planner failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,11 +60,14 @@ pub enum PlannerError {
     UnknownDataset(String),
     /// The query listed no data sets.
     EmptyQuery,
-    /// More data sets than the exhaustive enumerator accepts.
+    /// More data sets than the exhaustive enumerator accepts; the
+    /// message names the limit.
     TooManyDatasets(usize),
     /// The same data set was listed twice (self-joins need distinct
     /// catalog aliases so filters and output columns stay unambiguous).
     DuplicateDataset(String),
+    /// A selection names a data set the query does not list.
+    SelectionOnUnlistedDataset(String),
     /// Cost estimation failed on every candidate (catalog misuse).
     NoFeasiblePlan,
 }
@@ -48,7 +80,7 @@ impl std::fmt::Display for PlannerError {
             PlannerError::TooManyDatasets(n) => {
                 write!(
                     f,
-                    "{n} datasets exceed the exhaustive enumeration limit (5)"
+                    "{n} datasets exceed the exhaustive enumeration limit ({MAX_DATASETS})"
                 )
             }
             PlannerError::DuplicateDataset(d) => {
@@ -56,6 +88,9 @@ impl std::fmt::Display for PlannerError {
                     f,
                     "dataset {d} listed twice; register an alias for self-joins"
                 )
+            }
+            PlannerError::SelectionOnUnlistedDataset(d) => {
+                write!(f, "selection on dataset {d}, which the query does not list")
             }
             PlannerError::NoFeasiblePlan => write!(f, "no feasible plan"),
         }
@@ -66,7 +101,6 @@ impl std::error::Error for PlannerError {}
 
 /// The cost-based planner.
 pub struct Planner<'a, const N: usize> {
-    catalog: &'a Catalog<N>,
     estimator: CostEstimator<'a, N>,
 }
 
@@ -74,197 +108,284 @@ impl<'a, const N: usize> Planner<'a, N> {
     /// Creates a planner over a catalog.
     pub fn new(catalog: &'a Catalog<N>) -> Self {
         Self {
-            catalog,
             estimator: CostEstimator::new(catalog),
         }
     }
 
     /// Returns the cheapest plan for the query — the first of
-    /// [`Self::enumerate`]'s list, found without sorting or
-    /// deduplicating it.
+    /// [`Self::enumerate`]'s list, found without keeping, sorting or
+    /// building the others.
     pub fn best_plan(&self, query: &JoinQuery<N>) -> Result<PhysicalPlan<N>, PlannerError> {
-        self.candidates(query)?
-            .into_iter()
-            .min_by(|a, b| a.total_cost.total_cmp(&b.total_cost))
-            .ok_or(PlannerError::NoFeasiblePlan)
+        let query = self.resolve(query)?;
+        // The running minimum: on a tie the earlier candidate stays, as
+        // with `Iterator::min_by`.
+        let mut best: Option<(Shape, Estimate)> = None;
+        self.candidates(&query, &mut |shape, est| {
+            let cheaper = match &best {
+                Some((_, b)) => est.cost.total_cmp(&b.cost).is_lt(),
+                None => true,
+            };
+            if cheaper {
+                best = Some((*shape, est));
+            }
+        });
+        let (shape, est) = best.ok_or(PlannerError::NoFeasiblePlan)?;
+        Ok(query.build(&shape, est))
     }
 
-    /// Returns every feasible plan, cheapest first — useful for EXPLAIN-
-    /// style demonstrations of why a strategy wins.
+    /// Returns every feasible plan, cheapest first (equal costs in
+    /// generation order) — useful for EXPLAIN-style demonstrations of why
+    /// a strategy wins.
     pub fn enumerate(&self, query: &JoinQuery<N>) -> Result<Vec<PhysicalPlan<N>>, PlannerError> {
-        let mut out = self.candidates(query)?;
-        // Different (order, role) combinations can produce structurally
-        // identical plans (e.g. order a,b with roles swapped equals
-        // order b,a); keep the first of each.
-        let mut seen = std::collections::HashSet::new();
-        let first: Vec<bool> = out.iter().map(|p| seen.insert(&p.root)).collect();
-        let mut first = first.into_iter();
-        out.retain(|_| first.next() == Some(true));
-        out.sort_by(|a, b| a.total_cost.total_cmp(&b.total_cost));
-        Ok(out)
-    }
-
-    /// Every costed candidate in generation order, structural duplicates
-    /// included.
-    fn candidates(&self, query: &JoinQuery<N>) -> Result<Vec<PhysicalPlan<N>>, PlannerError> {
-        if query.datasets.is_empty() {
-            return Err(PlannerError::EmptyQuery);
-        }
-        if query.datasets.len() > 5 {
-            return Err(PlannerError::TooManyDatasets(query.datasets.len()));
-        }
-        let mut names = std::collections::HashSet::new();
-        for d in &query.datasets {
-            if self.catalog.get(d).is_none() {
-                return Err(PlannerError::UnknownDataset(d.clone()));
-            }
-            if !names.insert(d) {
-                return Err(PlannerError::DuplicateDataset(d.clone()));
-            }
-        }
-        let mut out = Vec::new();
-        for order in permutations(&query.datasets) {
-            // Each dataset with a selection can be pushed down (0) or
-            // filtered after the joins (1): iterate the bitmask.
-            let sel_sets: Vec<&String> = order
-                .iter()
-                .filter(|d| query.selection_on(d).is_some())
-                .collect();
-            let combos = 1usize << sel_sets.len();
-            for mask in 0..combos {
-                let pushed: Vec<&String> = sel_sets
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, d)| *d)
-                    .collect();
-                self.plans_for_order(query, &order, &pushed, &mut out);
-            }
-        }
-        if out.is_empty() {
+        let query = self.resolve(query)?;
+        let mut plans = Vec::new();
+        self.candidates(&query, &mut |shape, est| {
+            plans.push(query.build(shape, est))
+        });
+        if plans.is_empty() {
             return Err(PlannerError::NoFeasiblePlan);
         }
-        Ok(out)
+        plans.sort_by(|a, b| a.total_cost.total_cmp(&b.total_cost));
+        Ok(plans)
     }
 
-    /// Builds all role-assignment variants for one dataset order and one
-    /// pushdown choice, costing each and discarding infeasible ones.
-    fn plans_for_order(
+    /// Validates the query and resolves each listed set into its slot.
+    fn resolve<'q>(&self, query: &'q JoinQuery<N>) -> Result<Resolved<'q, '_, N>, PlannerError> {
+        let n = query.datasets.len();
+        if n == 0 {
+            return Err(PlannerError::EmptyQuery);
+        }
+        if n > MAX_DATASETS {
+            return Err(PlannerError::TooManyDatasets(n));
+        }
+        let mut slots: Vec<Slot<N>> = Vec::with_capacity(n);
+        for name in &query.datasets {
+            let set = self
+                .estimator
+                .base_set(name)
+                .map_err(|_| PlannerError::UnknownDataset(name.clone()))?;
+            if slots.iter().any(|s| s.name == name) {
+                return Err(PlannerError::DuplicateDataset(name.clone()));
+            }
+            slots.push(Slot {
+                name,
+                set,
+                window: None,
+            });
+        }
+        let mut selections = Vec::with_capacity(query.selections.len());
+        for (name, window) in &query.selections {
+            let slot = slots
+                .iter()
+                .position(|s| s.name == name)
+                .ok_or_else(|| PlannerError::SelectionOnUnlistedDataset(name.clone()))?;
+            let first = slots[slot].window.is_none();
+            slots[slot].window.get_or_insert(window);
+            selections.push((slot, window, first));
+        }
+        Ok(Resolved { slots, selections })
+    }
+
+    /// Calls `emit` with every feasible candidate and its estimate, in
+    /// generation order: orders (lexicographic in slot index, mirrored
+    /// ones skipped), then which windows are pushed, then per join step
+    /// the partial's role and the algorithm.
+    fn candidates<F: FnMut(&Shape, Estimate)>(&self, query: &Resolved<'_, '_, N>, emit: &mut F) {
+        let n = query.slots.len();
+        for_each_order(n, &mut |order| {
+            let mut shape = Shape {
+                order: [0; MAX_DATASETS],
+                pushed: 0,
+                steps: [(false, JoinAlgorithm::NestedLoop); MAX_DATASETS - 1],
+            };
+            shape.order[..n].copy_from_slice(order);
+            // Each set with a selection can be pushed down or filtered
+            // after the joins: bit i of the mask is the i-th such set of
+            // this order.
+            let selected: Vec<u32> = order
+                .iter()
+                .filter(|&&s| query.slots[s].window.is_some())
+                .map(|&s| 1 << s)
+                .collect();
+            for mask in 0..1u32 << selected.len() {
+                shape.pushed = (0..selected.len())
+                    .filter(|i| mask & 1 << i != 0)
+                    .fold(0, |pushed, i| pushed | selected[i]);
+                let first = query.base(order[0], shape.pushed);
+                self.extend(query, &mut shape, first, 1, emit);
+            }
+        });
+    }
+
+    /// Joins the set at `shape.order[k]` to `partial` in every role and
+    /// by every feasible algorithm, pricing each step once, then goes on
+    /// with each result; past the last set, applies the filters and
+    /// emits.
+    fn extend<F: FnMut(&Shape, Estimate)>(
         &self,
-        query: &JoinQuery<N>,
-        order: &[String],
-        pushed: &[&String],
-        out: &mut Vec<PhysicalPlan<N>>,
+        query: &Resolved<'_, '_, N>,
+        shape: &mut Shape,
+        partial: JoinInput<'_, N>,
+        k: usize,
+        emit: &mut F,
     ) {
-        // Base access path per dataset.
-        let base = |name: &String| -> PlanNode<N> {
-            if pushed.contains(&name) {
-                PlanNode::IndexRangeSelect {
-                    dataset: name.clone(),
-                    window: *query.selection_on(name).expect("pushed ⇒ selection"),
-                }
-            } else {
-                PlanNode::IndexScan {
-                    dataset: name.clone(),
-                }
-            }
-        };
-        // Fold the order into left-deep join trees; at each step both
-        // role assignments are explored.
-        let mut partials: Vec<PlanNode<N>> = vec![base(&order[0])];
-        for name in &order[1..] {
-            let right = base(name);
-            let mut next: Vec<PlanNode<N>> = Vec::new();
-            for left in partials {
-                for (data, query_side) in
-                    [(left.clone(), right.clone()), (right.clone(), left.clone())]
-                {
-                    for algorithm in self.feasible_algorithms(&data, &query_side) {
-                        next.push(PlanNode::Join {
-                            data: Box::new(data.clone()),
-                            query: Box::new(query_side.clone()),
-                            algorithm,
-                        });
-                    }
-                }
-            }
-            partials = next;
+        if k == query.slots.len() {
+            let est = query
+                .filters(shape.pushed)
+                .fold(partial.estimate(Access::Rows), |est, (_, window)| {
+                    filtered(&est, window)
+                });
+            emit(shape, est);
+            return;
         }
-        for mut root in partials {
-            // Selections not pushed down become top-level filters.
-            for (dataset, window) in &query.selections {
-                if order.contains(dataset) && !pushed.contains(&dataset) {
-                    root = PlanNode::Filter {
-                        input: Box::new(root),
-                        dataset: dataset.clone(),
-                        window: *window,
-                    };
+        let right = query.base(shape.order[k], shape.pushed);
+        for (data, other, partial_is_query) in [(partial, right, false), (right, partial, true)] {
+            for algorithm in feasible_algorithms(&data, &other) {
+                // An infeasible step (SJ over an unindexed input) rules
+                // out every plan above it.
+                if let Ok((est, _)) = self.estimator.join_step(algorithm, data, other) {
+                    shape.steps[k - 1] = (partial_is_query, algorithm);
+                    self.extend(query, shape, JoinInput::Derived(est), k + 1, emit);
                 }
-            }
-            match self.estimator.estimate(&root) {
-                Ok(est) => out.push(PhysicalPlan {
-                    root,
-                    total_cost: est.cost,
-                    cardinality: est.cardinality,
-                }),
-                Err(CostError::UnindexedSjInput) => { /* infeasible variant */ }
-                Err(CostError::UnknownDataset(_)) => unreachable!("validated above"),
             }
         }
-    }
-
-    /// Algorithm choices for one join, driven by index availability: SJ
-    /// when both sides are indexed base scans, INL when exactly one is,
-    /// NL otherwise. A window selection pushed below the join keeps its
-    /// base index on disk, so a second variant runs SJ over the base
-    /// trees with the traversal restricted to the window — the estimator
-    /// prices it (Eq 10/12 per level × Eq 1's intersection probability)
-    /// and enumeration lets costing decide.
-    fn feasible_algorithms(&self, a: &PlanNode<N>, b: &PlanNode<N>) -> Vec<JoinAlgorithm> {
-        let indexed = |n: &PlanNode<N>| -> bool {
-            match n {
-                PlanNode::IndexScan { dataset } => {
-                    self.catalog.get(dataset).is_some_and(|s| s.indexed)
-                }
-                _ => false,
-            }
-        };
-        let index_backed = |n: &PlanNode<N>| -> bool {
-            match n {
-                PlanNode::IndexScan { dataset } | PlanNode::IndexRangeSelect { dataset, .. } => {
-                    self.catalog.get(dataset).is_some_and(|s| s.indexed)
-                }
-                _ => false,
-            }
-        };
-        let forced = match (indexed(a), indexed(b)) {
-            (true, true) => JoinAlgorithm::SynchronizedTraversal,
-            (true, false) | (false, true) => JoinAlgorithm::IndexNestedLoop,
-            (false, false) => JoinAlgorithm::NestedLoop,
-        };
-        let mut algorithms = vec![forced];
-        if forced != JoinAlgorithm::SynchronizedTraversal && index_backed(a) && index_backed(b) {
-            algorithms.push(JoinAlgorithm::SynchronizedTraversal);
-        }
-        algorithms
     }
 }
 
-/// All permutations of a small slice (n ≤ 5 enforced by the caller).
-fn permutations(items: &[String]) -> Vec<Vec<String>> {
-    if items.len() <= 1 {
-        return vec![items.to_vec()];
+/// One listed set, resolved once per query.
+struct Slot<'q, 's, const N: usize> {
+    /// The query's name for the set: cloned only into returned trees.
+    name: &'q str,
+    set: BaseSet<'s, N>,
+    /// The window a pushdown restricts the set to: its first selection.
+    window: Option<&'q Rect<N>>,
+}
+
+/// A query resolved once (see the module docs).
+struct Resolved<'q, 's, const N: usize> {
+    /// The listed sets, in query order.
+    slots: Vec<Slot<'q, 's, N>>,
+    /// The selections, in query order: the slot, the window, and whether
+    /// it is the slot's first — the one a pushdown takes.
+    selections: Vec<(usize, &'q Rect<N>, bool)>,
+}
+
+/// A candidate without its tree: the order of slots, which slots'
+/// windows are pushed (one bit per slot), and per join step whether the
+/// partial plays the query (R2) role and which algorithm joins.
+#[derive(Clone, Copy)]
+struct Shape {
+    order: [usize; MAX_DATASETS],
+    pushed: u32,
+    steps: [(bool, JoinAlgorithm); MAX_DATASETS - 1],
+}
+
+impl<'q, 's, const N: usize> Resolved<'q, 's, N> {
+    /// The slot's window if the candidate pushes it.
+    fn window(&self, slot: usize, pushed: u32) -> Option<&'q Rect<N>> {
+        self.slots[slot].window.filter(|_| pushed & 1 << slot != 0)
     }
-    let mut out = Vec::new();
-    for (i, head) in items.iter().enumerate() {
-        let mut rest = items.to_vec();
-        rest.remove(i);
-        for mut tail in permutations(&rest) {
-            tail.insert(0, head.clone());
-            out.push(tail);
+
+    /// The slot's base access path in a candidate that pushes `pushed`.
+    fn base(&self, slot: usize, pushed: u32) -> JoinInput<'_, N> {
+        JoinInput::Base(&self.slots[slot].set, self.window(slot, pushed))
+    }
+
+    /// The selections a candidate applies as filters above its joins,
+    /// innermost first: every one but each pushed set's first.
+    fn filters(&self, pushed: u32) -> impl Iterator<Item = (usize, &'q Rect<N>)> + '_ {
+        self.selections
+            .iter()
+            .filter(move |&&(slot, _, first)| !(first && pushed & 1 << slot != 0))
+            .map(|&(slot, window, _)| (slot, window))
+    }
+
+    /// The candidate's tree, built by moving each part in once.
+    fn build(&self, shape: &Shape, est: Estimate) -> PhysicalPlan<N> {
+        let base = |slot: usize| {
+            let dataset = self.slots[slot].name.to_string();
+            match self.window(slot, shape.pushed) {
+                Some(window) => PlanNode::IndexRangeSelect {
+                    dataset,
+                    window: *window,
+                },
+                None => PlanNode::IndexScan { dataset },
+            }
+        };
+        let n = self.slots.len();
+        let mut root = base(shape.order[0]);
+        for (&slot, &(partial_is_query, algorithm)) in shape.order[1..n].iter().zip(&shape.steps) {
+            let (data, query) = if partial_is_query {
+                (base(slot), root)
+            } else {
+                (root, base(slot))
+            };
+            root = PlanNode::Join {
+                data: Box::new(data),
+                query: Box::new(query),
+                algorithm,
+            };
+        }
+        for (slot, window) in self.filters(shape.pushed) {
+            root = PlanNode::Filter {
+                input: Box::new(root),
+                dataset: self.slots[slot].name.to_string(),
+                window: *window,
+            };
+        }
+        PhysicalPlan {
+            root,
+            total_cost: est.cost,
+            cardinality: est.cardinality,
         }
     }
-    out
+}
+
+/// Algorithm choices for one join, driven by index availability: SJ
+/// when both sides are bare scans of an index, INL when exactly one is,
+/// NL otherwise. A window selection pushed below the join keeps its base
+/// index on disk, so a second variant runs SJ over the base trees with
+/// the traversal restricted to the window — the estimator prices it
+/// (Eq 10/12 per level × Eq 1's intersection probability) and
+/// enumeration lets costing decide.
+fn feasible_algorithms<const N: usize>(
+    data: &JoinInput<'_, N>,
+    query: &JoinInput<'_, N>,
+) -> impl Iterator<Item = JoinAlgorithm> {
+    let forced = match (data.is_index_scan(), query.is_index_scan()) {
+        (true, true) => JoinAlgorithm::SynchronizedTraversal,
+        (true, false) | (false, true) => JoinAlgorithm::IndexNestedLoop,
+        (false, false) => JoinAlgorithm::NestedLoop,
+    };
+    let windowed_sj = forced != JoinAlgorithm::SynchronizedTraversal
+        && data.is_index_backed()
+        && query.is_index_backed();
+    std::iter::once(forced).chain(windowed_sj.then_some(JoinAlgorithm::SynchronizedTraversal))
+}
+
+/// Calls `visit` with every order of `n ≤ MAX_DATASETS` slots,
+/// lexicographically, except the mirrored ones — those whose second slot
+/// precedes their first (see the module docs).
+fn for_each_order(n: usize, visit: &mut impl FnMut(&[usize])) {
+    fn extend(
+        order: &mut [usize; MAX_DATASETS],
+        len: usize,
+        n: usize,
+        visit: &mut impl FnMut(&[usize]),
+    ) {
+        if len == n {
+            visit(&order[..n]);
+            return;
+        }
+        for slot in 0..n {
+            let mirrored = len == 1 && slot < order[0];
+            if !mirrored && !order[..len].contains(&slot) {
+                order[len] = slot;
+                extend(order, len + 1, n, visit);
+            }
+        }
+    }
+    extend(&mut [0; MAX_DATASETS], 0, n, visit);
 }
 
 #[cfg(test)]
@@ -283,9 +404,25 @@ mod tests {
 
     #[test]
     fn permutations_count() {
-        let items: Vec<String> = ["a", "b", "c"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(permutations(&items).len(), 6);
-        assert_eq!(permutations(&items[..1]).len(), 1);
+        let orders = |n| {
+            let mut out = Vec::new();
+            for_each_order(n, &mut |order| out.push(order.to_vec()));
+            out
+        };
+        // Half of n! for n ≥ 2: no order's mirror is generated.
+        assert_eq!(orders(1), [[0]]);
+        assert_eq!(orders(2), [[0, 1]]);
+        assert_eq!(orders(3), [[0, 1, 2], [0, 2, 1], [1, 2, 0]]);
+        assert_eq!(orders(MAX_DATASETS).len(), 60);
+        // Lexicographic, each a permutation.
+        let five = orders(MAX_DATASETS);
+        assert!(five.windows(2).all(|w| w[0] < w[1]));
+        for order in &five {
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..MAX_DATASETS).collect::<Vec<_>>());
+            assert!(order[0] < order[1]);
+        }
     }
 
     #[test]
@@ -293,8 +430,7 @@ mod tests {
         let c = catalog();
         let q = JoinQuery::new(["rivers", "countries"]);
         let plans = Planner::new(&c).enumerate(&q).unwrap();
-        // Two orders × two roles collapse to the two distinct role
-        // assignments after structural deduplication.
+        // One order (its mirror is skipped) in both roles.
         assert_eq!(plans.len(), 2);
         // Sorted ascending.
         for w in plans.windows(2) {
@@ -392,10 +528,66 @@ mod tests {
                 .unwrap_err(),
             PlannerError::EmptyQuery
         );
-        let many: Vec<String> = (0..6).map(|i| format!("d{i}")).collect();
+        let many: Vec<String> = (0..=MAX_DATASETS).map(|i| format!("d{i}")).collect();
+        let err = p.best_plan(&JoinQuery::new(many)).unwrap_err();
+        assert_eq!(err, PlannerError::TooManyDatasets(MAX_DATASETS + 1));
+        assert!(err.to_string().contains(&format!("({MAX_DATASETS})")));
         assert_eq!(
-            p.best_plan(&JoinQuery::new(many)).unwrap_err(),
-            PlannerError::TooManyDatasets(6)
+            p.enumerate(&JoinQuery::new(["rivers", "rivers"]))
+                .unwrap_err(),
+            PlannerError::DuplicateDataset("rivers".into())
+        );
+    }
+
+    #[test]
+    fn a_selection_on_an_unlisted_set_is_an_error() {
+        let c = catalog();
+        let p = Planner::new(&c);
+        let window = Rect::new([0.0, 0.0], [0.3, 0.3]).unwrap();
+        let q = JoinQuery::new(["rivers"]).with_selection("countries", window);
+        let want = PlannerError::SelectionOnUnlistedDataset("countries".into());
+        assert_eq!(p.best_plan(&q).unwrap_err(), want);
+        assert_eq!(p.enumerate(&q).unwrap_err(), want);
+        // Listed, the same selection plans.
+        let listed = JoinQuery::new(["rivers", "countries"]).with_selection("countries", window);
+        assert!(p.best_plan(&listed).is_ok());
+    }
+
+    #[test]
+    fn every_selection_on_a_set_is_kept() {
+        let c = catalog();
+        let a = Rect::new([0.0, 0.0], [0.3, 0.3]).unwrap();
+        let b = Rect::new([0.2, 0.1], [0.6, 0.4]).unwrap();
+        let q = JoinQuery::new(["rivers"])
+            .with_selection("rivers", a)
+            .with_selection("rivers", b);
+        let plans = Planner::new(&c).enumerate(&q).unwrap();
+        // Pushed, the first window probes and the second filters; not
+        // pushed, both filter a scan.
+        let probe_then_filter = PlanNode::Filter {
+            input: Box::new(PlanNode::IndexRangeSelect {
+                dataset: "rivers".into(),
+                window: a,
+            }),
+            dataset: "rivers".into(),
+            window: b,
+        };
+        let scan_then_filters = PlanNode::Filter {
+            input: Box::new(PlanNode::Filter {
+                input: Box::new(PlanNode::IndexScan {
+                    dataset: "rivers".into(),
+                }),
+                dataset: "rivers".into(),
+                window: a,
+            }),
+            dataset: "rivers".into(),
+            window: b,
+        };
+        let roots: Vec<&PlanNode<2>> = plans.iter().map(|p| &p.root).collect();
+        assert_eq!(roots, [&probe_then_filter, &scan_then_filters]);
+        assert_eq!(
+            Planner::new(&c).best_plan(&q).unwrap().root,
+            probe_then_filter
         );
     }
 

@@ -224,6 +224,69 @@ fn cli_errors_are_clean() {
     }
 }
 
+/// `query-mix`'s three-set catalog with a window on rivers: the plan
+/// count, the four cheapest plans, their order (two pairs of ties) and
+/// their rounded costs, exactly.
+#[test]
+fn explain_prints_the_pinned_plans() {
+    let out = stdout(&sjcm(&[
+        "explain",
+        "--datasets",
+        "rivers:20000:0.2,countries:6000:0.4,cities:10000:0.1",
+        "--select",
+        "rivers:0.3,0.3,0.5,0.5",
+    ]));
+    assert_eq!(out, EXPLAIN_GOLDEN);
+}
+
+const EXPLAIN_GOLDEN: &str = r#"32 candidate plans; best first:
+
+#1 plan (est. cost 771 page accesses, est. cardinality 316):
+Join[INL]
+  data(R1):
+    Join[SJ]
+      data(R1):
+        IndexRangeSelect(rivers, window=[0.2, 0.2])
+      query(R2):
+        IndexScan(cities)
+  query(R2):
+    IndexScan(countries)
+
+#2 plan (est. cost 771 page accesses, est. cardinality 316):
+Join[INL]
+  data(R1):
+    IndexScan(countries)
+  query(R2):
+    Join[SJ]
+      data(R1):
+        IndexRangeSelect(rivers, window=[0.2, 0.2])
+      query(R2):
+        IndexScan(cities)
+
+#3 plan (est. cost 788 page accesses, est. cardinality 316):
+Join[INL]
+  data(R1):
+    Join[SJ]
+      data(R1):
+        IndexScan(cities)
+      query(R2):
+        IndexRangeSelect(rivers, window=[0.2, 0.2])
+  query(R2):
+    IndexScan(countries)
+
+#4 plan (est. cost 788 page accesses, est. cardinality 316):
+Join[INL]
+  data(R1):
+    IndexScan(countries)
+  query(R2):
+    Join[SJ]
+      data(R1):
+        IndexScan(cities)
+      query(R2):
+        IndexRangeSelect(rivers, window=[0.2, 0.2])
+
+"#;
+
 #[test]
 fn cli_help_lists_commands() {
     let out = stdout(&sjcm(&["help"]));

@@ -406,6 +406,40 @@ fn single_set_selection_plans_the_probe_and_it_measures_cheapest() {
     }
 }
 
+/// Two windows on one set: every plan keeps both — a pushed plan probes
+/// or traverses through the first and filters by the second — so the
+/// best plan and every other one return exactly the objects that meet
+/// both, alone and in a join.
+#[test]
+fn two_windows_on_one_set_are_both_applied() {
+    let w = world();
+    let a = Rect::new([0.1, 0.1], [0.5, 0.6]).unwrap();
+    let b = Rect::new([0.3, 0.0], [0.9, 0.4]).unwrap();
+    let in_both = |r: &Rect<2>| r.intersects(&a) && r.intersects(&b);
+    let alone = w.rivers.iter().filter(|r| in_both(r)).count();
+    let joined: usize = w
+        .rivers
+        .iter()
+        .filter(|r| in_both(r))
+        .map(|r| w.countries.iter().filter(|c| r.intersects(c)).count())
+        .sum();
+    let planner = Planner::new(&w.catalog);
+    let exec = executor(&w);
+    for (datasets, expected) in [
+        (vec!["rivers"], alone),
+        (vec!["rivers", "countries"], joined),
+    ] {
+        let q = JoinQuery::new(datasets)
+            .with_selection("rivers", a)
+            .with_selection("rivers", b);
+        let best = planner.best_plan(&q).unwrap();
+        assert_eq!(exec.run(&best).unwrap().rows.len(), expected, "{best}");
+        for plan in planner.enumerate(&q).unwrap() {
+            assert_eq!(exec.run(&plan).unwrap().rows.len(), expected, "{plan}");
+        }
+    }
+}
+
 #[test]
 fn estimated_cost_ranks_strategies_like_measured_cost() {
     // The headline promise of a cost model: its ranking of strategies
