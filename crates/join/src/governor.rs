@@ -53,7 +53,7 @@
 //! off (`join.fixed_cost_seq_us`).
 
 use crate::degraded::{DegradedJoinResult, JoinError};
-use crate::parallel::measured_params;
+use crate::parallel::shape_params;
 use sjcm_core::join::join_cost_na;
 use sjcm_obs::governor::GovernorLog;
 use sjcm_obs::UnitLedger;
@@ -294,8 +294,8 @@ impl Governor {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
-        let p1 = measured_params::<N>(&r1.subtree_stats(r1.root_id()));
-        let p2 = measured_params::<N>(&r2.subtree_stats(r2.root_id()));
+        let p1 = shape_params(&r1.subtree_shape(r1.root_id()));
+        let p2 = shape_params(&r2.subtree_shape(r2.root_id()));
         let predicted = join_cost_na(&p1, &p2);
         let mut st = inner.state();
         if st.started.is_none() {

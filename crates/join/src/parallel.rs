@@ -33,17 +33,26 @@
 //!   pairs (*work units*), prices each unit with the Eq-6 `NA` formula
 //!   on the unit's **measured** subtree parameters
 //!   ([`sjcm_core::join::unit_cost_na`] over
-//!   [`sjcm_rtree::RTree::subtree_stats`]) scaled by the subtree MBRs'
+//!   [`sjcm_rtree::RTree::subtree_shape`]) scaled by the subtree MBRs'
 //!   overlap fraction (see `Pricer` below), seeds one deque per worker
 //!   in LPT (longest-processing-time-first) order, and lets idle
 //!   workers steal from the deque with the most estimated work left.
+//!
+//! A unit's price is read off entries the trees already hold: every
+//! level of a subtree below its root is summed from the entry
+//! rectangles of the level above (a parent entry is its child's MBR,
+//! bit for bit), so pricing reads internal pages only and its numbers
+//! are those of the subtree's full [`sjcm_rtree::RTree::subtree_stats`]
+//! bit for bit.
 //!
 //! The two share the descent step and the charge (see the `engine`
 //! module), the pricer, the LPT seeding (`lpt_deal`), the unit hooks of
 //! [`ExecContext`] — every unit reaches the run's one unit ledger
 //! through them, priced in Eq 6 × overlap when the run has prices and
-//! at one when the deal is unpriced — and the fold of per-worker parts
-//! into one result (`merge`).
+//! at one when the deal is unpriced — the fan-out (`fan_out`: workers
+//! `1..threads` spawned, worker 0 run by the calling thread, every
+//! thread joined and every panic a [`JoinError::WorkerPanicked`]) and
+//! the fold of per-worker parts into one result (`merge`).
 //!
 //! # Invariants the tests pin down
 //!
@@ -118,9 +127,10 @@ use sjcm_core::{LevelParams, TreeParams};
 use sjcm_geom::Rect;
 use sjcm_obs::progress::ProgressTracker;
 use sjcm_obs::{DriftMonitor, Tracer, DA_TOTAL, NA_TOTAL};
-use sjcm_rtree::{Child, NodeId, RTree, TreeStats};
+use sjcm_rtree::{Child, NodeId, RTree, SubtreeShape, TreeStats};
 use sjcm_storage::FlightRecorder;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -242,101 +252,79 @@ pub(crate) fn cost_guided_join<const N: usize>(
     // even begin, serializing the execution.
     let start = Barrier::new(threads);
     let join_id = join_span.id();
-    let parts: Vec<Result<WorkerPart, JoinError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let deques = &deques;
-                let units = &units;
-                let costs = &costs;
-                let plan = &plan;
-                let start = &start;
-                // One context clone per worker (cheap `Arc` handles):
-                // the same per-worker hook cloning as before, behind
-                // the one seam.
-                let wctx = ctx.clone();
-                let na_live = &na_live;
-                let da_live = &da_live;
-                scope.spawn(move || {
-                    let mut worker_span = wctx.tracer.span_under(join_id, "worker");
-                    worker_span.set("worker", w);
-                    let mut exec =
-                        Engine::new(r1, r2, config, windows, &wctx, CorrDomain::Coordinator);
-                    let mut tallies: Vec<(usize, WorkerTally)> = Vec::new();
-                    let mut runs: Vec<(usize, usize)> = Vec::new();
-                    let mut steal = StealTally::default();
-                    start.wait();
-                    while let Some((i, stolen)) = next_unit(deques, costs, w, &mut steal) {
-                        // A gating governor sends every scheduler to the
-                        // dealt executor, so this checkpoint admits.
-                        let admitted = wctx.checkpoint(i, costs[i]);
-                        debug_assert!(admitted, "an ungated run refuses no unit");
-                        steal.units_executed += 1;
-                        let mut unit_span = worker_span.child("unit");
-                        let (a, b) = units[i];
-                        // Fresh buffers per unit: see the module docs.
-                        // The unit is its own buffer-residency domain,
-                        // so its accesses get their own correlation id.
-                        exec.buf1.clear();
-                        exec.buf2.clear();
-                        exec.set_domain(CorrDomain::Unit(i));
-                        let corr = CorrDomain::Unit(i).corr();
-                        let na0 = exec.stats1.na_total() + exec.stats2.na_total();
-                        let da0 = exec.stats1.da_total() + exec.stats2.da_total();
-                        let pc0 = exec.pair_count;
-                        exec.visit(a, b);
-                        let na = exec.stats1.na_total() + exec.stats2.na_total() - na0;
-                        let da = exec.stats1.da_total() + exec.stats2.da_total() - da0;
-                        let pair_count = exec.pair_count - pc0;
-                        runs.push((i, exec.pairs.len()));
-                        // Attributed to the *planned* worker — see the
-                        // module docs.
-                        tallies.push((
-                            plan[i],
-                            WorkerTally {
-                                units: 1,
-                                na,
-                                da,
-                                pair_count,
-                            },
-                        ));
-                        unit_span.set("unit", i);
-                        unit_span.set("corr", corr as u64);
-                        unit_span.set("stolen", stolen);
-                        unit_span.set("cost", costs[i]);
-                        unit_span.set("na", na);
-                        unit_span.set("da", da);
-                        unit_span.set("pairs", pair_count);
-                        // Retire the unit and publish the tallies, so
-                        // samplers see the unit boundary immediately.
-                        wctx.unit_done(i, costs[i]);
-                        exec.flush_progress();
-                        if let Some(drift) = wctx.drift {
-                            let na_now = na_live.fetch_add(na, Ordering::Relaxed) + na;
-                            let da_now = da_live.fetch_add(da, Ordering::Relaxed) + da;
-                            drift.observe_in_flight(NA_TOTAL, na_now as f64);
-                            drift.observe_in_flight(DA_TOTAL, da_now as f64);
-                        }
-                    }
-                    worker_span.set("units", steal.units_executed);
-                    worker_span.set("stolen", steal.units_stolen);
-                    let (result, skips) = exec.into_parts();
-                    WorkerPart {
-                        tallies,
-                        steal,
-                        result,
-                        skips,
-                        runs,
-                    }
-                })
-            })
-            .collect();
-        // Join every handle before propagating a failure, so one dead
-        // worker cannot leave others unjoined (a panic payload consumed
-        // via `join` also will not re-raise at scope exit).
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(JoinError::from_panic))
-            .collect()
+    let parts = fan_out(threads, |w| {
+        // One context clone per worker (cheap `Arc` handles).
+        let wctx = ctx.clone();
+        let mut worker_span = wctx.tracer.span_under(join_id, "worker");
+        worker_span.set("worker", w);
+        let mut exec = Engine::new(r1, r2, config, windows, &wctx, CorrDomain::Coordinator);
+        let mut tallies: Vec<(usize, WorkerTally)> = Vec::new();
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut steal = StealTally::default();
+        start.wait();
+        #[cfg(test)]
+        wctx.panic_switch(w);
+        while let Some((i, stolen)) = next_unit(&deques, &costs, w, &mut steal) {
+            // A gating governor sends every scheduler to the dealt
+            // executor, so this checkpoint admits.
+            let admitted = wctx.checkpoint(i, costs[i]);
+            debug_assert!(admitted, "an ungated run refuses no unit");
+            steal.units_executed += 1;
+            let mut unit_span = worker_span.child("unit");
+            let (a, b) = units[i];
+            // Fresh buffers per unit: see the module docs. The unit is
+            // its own buffer-residency domain, so its accesses get their
+            // own correlation id.
+            exec.buf1.clear();
+            exec.buf2.clear();
+            exec.set_domain(CorrDomain::Unit(i));
+            let corr = CorrDomain::Unit(i).corr();
+            let na0 = exec.stats1.na_total() + exec.stats2.na_total();
+            let da0 = exec.stats1.da_total() + exec.stats2.da_total();
+            let pc0 = exec.pair_count;
+            exec.visit(a, b);
+            let na = exec.stats1.na_total() + exec.stats2.na_total() - na0;
+            let da = exec.stats1.da_total() + exec.stats2.da_total() - da0;
+            let pair_count = exec.pair_count - pc0;
+            runs.push((i, exec.pairs.len()));
+            // Attributed to the *planned* worker — see the module docs.
+            tallies.push((
+                plan[i],
+                WorkerTally {
+                    units: 1,
+                    na,
+                    da,
+                    pair_count,
+                },
+            ));
+            unit_span.set("unit", i);
+            unit_span.set("corr", corr as u64);
+            unit_span.set("stolen", stolen);
+            unit_span.set("cost", costs[i]);
+            unit_span.set("na", na);
+            unit_span.set("da", da);
+            unit_span.set("pairs", pair_count);
+            // Retire the unit and publish the tallies, so samplers see
+            // the unit boundary immediately.
+            wctx.unit_done(i, costs[i]);
+            exec.flush_progress();
+            if let Some(drift) = wctx.drift {
+                let na_now = na_live.fetch_add(na, Ordering::Relaxed) + na;
+                let da_now = da_live.fetch_add(da, Ordering::Relaxed) + da;
+                drift.observe_in_flight(NA_TOTAL, na_now as f64);
+                drift.observe_in_flight(DA_TOTAL, da_now as f64);
+            }
+        }
+        worker_span.set("units", steal.units_executed);
+        worker_span.set("stolen", steal.units_stolen);
+        let (result, skips) = exec.into_parts();
+        WorkerPart {
+            tallies,
+            steal,
+            result,
+            skips,
+            runs,
+        }
     });
 
     let (result, raw) = merge(coord.into_parts(), parts)?;
@@ -344,6 +332,31 @@ pub(crate) fn cost_guided_join<const N: usize>(
     join_span.set("da", result.da_total());
     join_span.set("pairs", result.pair_count);
     Ok((result, raw))
+}
+
+/// The one fan-out of both executors: runs `worker(w)` for every
+/// `w < threads` and hands back each result in worker order. Workers
+/// `1..threads` run on scoped threads and worker 0 on the calling
+/// thread, which would otherwise only wait for them. Every spawned
+/// thread is joined before this returns, whatever failed, so one dead
+/// worker leaves no other unjoined (and a panic payload consumed here
+/// does not re-raise at scope exit); a panic in any worker, the inline
+/// one included, is that worker's [`JoinError::WorkerPanicked`].
+fn fan_out<T: Send>(
+    threads: usize,
+    worker: impl Fn(usize) -> T + Sync,
+) -> Vec<Result<T, JoinError>> {
+    let worker = &worker;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads)
+            .map(|w| scope.spawn(move || worker(w)))
+            .collect();
+        let inline = panic::catch_unwind(AssertUnwindSafe(|| worker(0)));
+        std::iter::once(inline)
+            .chain(spawned.into_iter().map(|h| h.join()))
+            .map(|part| part.map_err(JoinError::from_panic))
+            .collect()
+    })
 }
 
 /// What one worker thread of either executor hands back: its engine's
@@ -488,22 +501,52 @@ fn next_unit(
 /// The one pricer of `(a, b)` sub-joins — a scheduler's work units, the
 /// governor's unit ledger, a degraded result's forfeited pairs — by the
 /// paper's own formulas on the two subtrees' *measured* statistics.
-/// Statistics are cached per node id (at a given depth each subtree
-/// appears in many sub-joins) and computed on first use, so a caller
-/// that only asks for [`Pricer::unit_price`] never walks a leaf.
+/// A subtree's Eq-6 parameters and root rectangle come from one walk
+/// over its internal nodes ([`RTree::subtree_shape`]), cached per node
+/// id (at a given depth each subtree appears in many sub-joins), so a
+/// caller that only asks for [`Pricer::unit_price`] never walks a leaf
+/// page — it reads a leaf only when the subtree root is one, for that
+/// leaf's own rectangle. Only [`Pricer::pairs`] reads objects.
 pub(crate) struct Pricer<'a, const N: usize> {
     trees: [&'a RTree<N>; 2],
-    params: [HashMap<NodeId, TreeParams<N>>; 2],
+    subtrees: [HashMap<NodeId, Subtree<N>>; 2],
     objects: [HashMap<NodeId, SubtreeObjects<N>>; 2],
+}
+
+/// What the pricer knows of one subtree before reading any object: its
+/// Eq-6 parameters and its root's rectangle.
+struct Subtree<const N: usize> {
+    params: TreeParams<N>,
+    mbr: Option<Rect<N>>,
+}
+
+impl<const N: usize> Subtree<N> {
+    fn of(tree: &RTree<N>, root: NodeId) -> Self {
+        let shape = tree.subtree_shape(root);
+        Subtree {
+            params: shape_params(&shape),
+            mbr: shape.mbr,
+        }
+    }
 }
 
 impl<'a, const N: usize> Pricer<'a, N> {
     pub(crate) fn new(r1: &'a RTree<N>, r2: &'a RTree<N>) -> Self {
         Pricer {
             trees: [r1, r2],
-            params: Default::default(),
+            subtrees: Default::default(),
             objects: Default::default(),
         }
+    }
+
+    /// The two subtrees of sub-join `(a, b)`, walked on first use.
+    fn subtrees(&mut self, a: NodeId, b: NodeId) -> (&Subtree<N>, &Subtree<N>) {
+        let [r1, r2] = self.trees;
+        let [subtrees1, subtrees2] = &mut self.subtrees;
+        (
+            subtrees1.entry(a).or_insert_with(|| Subtree::of(r1, a)),
+            subtrees2.entry(b).or_insert_with(|| Subtree::of(r2, b)),
+        )
     }
 
     /// Node accesses of the sub-join: Eq 6 on the subtrees' measured
@@ -516,15 +559,8 @@ impl<'a, const N: usize> Pricer<'a, N> {
     /// global→local transformation, the Eq-6 price is therefore scaled
     /// by [`overlap_fraction`].
     pub(crate) fn na(&mut self, a: NodeId, b: NodeId) -> f64 {
-        let [r1, r2] = self.trees;
-        let [params1, params2] = &mut self.params;
-        let p1 = params1
-            .entry(a)
-            .or_insert_with(|| measured_params(&r1.subtree_stats(a)));
-        let p2 = params2
-            .entry(b)
-            .or_insert_with(|| measured_params(&r2.subtree_stats(b)));
-        unit_cost_na(p1, p2) * overlap_fraction(r1, r2, a, b)
+        let (s1, s2) = self.subtrees(a, b);
+        unit_cost_na(&s1.params, &s2.params) * overlap_fraction(s1.mbr.as_ref(), s2.mbr.as_ref())
     }
 
     /// [`Pricer::na`] as a scheduling price: scaled to an integer for
@@ -538,25 +574,26 @@ impl<'a, const N: usize> Pricer<'a, N> {
     /// subtree MBRs ([`localized_pairs`]), every per-dimension band
     /// widened by `slack`.
     pub(crate) fn pairs(&mut self, a: NodeId, b: NodeId, slack: f64) -> f64 {
+        // Empty subtrees only arise for an empty tree's root, which is
+        // in no sub-join; the unit square is a harmless default.
+        let (s1, s2) = self.subtrees(a, b);
+        let m1 = s1.mbr.unwrap_or_else(Rect::unit);
+        let m2 = s2.mbr.unwrap_or_else(Rect::unit);
         let [r1, r2] = self.trees;
         let [objects1, objects2] = &mut self.objects;
         let o1 = objects1.entry(a).or_insert_with(|| subtree_objects(r1, a));
         let o2 = objects2.entry(b).or_insert_with(|| subtree_objects(r2, b));
-        // Empty subtrees only arise for an empty tree's root, which is
-        // in no sub-join; the unit square is a harmless default.
-        let m1 = r1.node(a).mbr().unwrap_or_else(Rect::unit);
-        let m2 = r2.node(b).mbr().unwrap_or_else(Rect::unit);
         localized_pairs(o1, &m1, o2, &m2, slack)
     }
 }
 
 /// Per-dimension fraction of the smaller of the two subtree MBR extents
 /// covered by their intersection, multiplied over dimensions. 1.0 for
-/// nested/co-located subtrees, → 0 for sliver overlaps.
-fn overlap_fraction<const N: usize>(r1: &RTree<N>, r2: &RTree<N>, a: NodeId, b: NodeId) -> f64 {
-    let (m1, m2) = match (r1.node(a).mbr(), r2.node(b).mbr()) {
-        (Some(m1), Some(m2)) => (m1, m2),
-        _ => return 1.0,
+/// nested/co-located subtrees (or an empty one), → 0 for sliver
+/// overlaps.
+fn overlap_fraction<const N: usize>(m1: Option<&Rect<N>>, m2: Option<&Rect<N>>) -> f64 {
+    let (Some(m1), Some(m2)) = (m1, m2) else {
+        return 1.0;
     };
     let mut factor = 1.0;
     for k in 0..N {
@@ -567,6 +604,23 @@ fn overlap_fraction<const N: usize>(r1: &RTree<N>, r2: &RTree<N>, a: NodeId, b: 
         }
     }
     factor
+}
+
+/// A subtree's Eq-6 parameters from its shape: [`measured_params`] of
+/// its [`RTree::subtree_stats`], bit for bit, without the pass over its
+/// leaves that only the full statistics need.
+pub(crate) fn shape_params<const N: usize>(shape: &SubtreeShape<N>) -> TreeParams<N> {
+    TreeParams::from_levels(
+        shape
+            .levels
+            .iter()
+            .map(|l| LevelParams {
+                nodes: l.node_count as f64,
+                extents: l.avg_extents,
+                density: l.density,
+            })
+            .collect(),
+    )
 }
 
 /// Measured per-level tree statistics (`N_j`, `s_j`, `D_j` of a built
@@ -662,26 +716,16 @@ pub(crate) fn dealt_join<const N: usize>(
         .collect();
 
     let join_id = join_span.id();
-    let parts: Vec<Result<WorkerPart, JoinError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(w, shard)| {
-                let wctx = ctx.clone();
-                scope.spawn(move || {
-                    let mut span = wctx.tracer.span_under(join_id, "worker");
-                    span.set("worker", w);
-                    span.set("units", shard.len());
-                    // One correlation domain per shard: its buffers
-                    // persist across all of the shard's units.
-                    run_shard(r1, r2, config, windows, shard, &wctx, CorrDomain::Shard(w))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(JoinError::from_panic))
-            .collect()
+    let parts = fan_out(threads, |w| {
+        let (wctx, shard) = (ctx.clone(), &shards[w]);
+        let mut span = wctx.tracer.span_under(join_id, "worker");
+        span.set("worker", w);
+        span.set("units", shard.len());
+        #[cfg(test)]
+        wctx.panic_switch(w);
+        // One correlation domain per shard: its buffers persist across
+        // all of the shard's units.
+        run_shard(r1, r2, config, windows, shard, &wctx, CorrDomain::Shard(w))
     });
 
     let (result, raw) = merge(Default::default(), parts)?;
@@ -693,7 +737,7 @@ pub(crate) fn dealt_join<const N: usize>(
 
 /// Arms the unit ledger with the root node-pair units and returns their
 /// prices, by ordinal. Under a governor that gates units — and only
-/// then: pricing walks every unit's subtrees — a unit's price is its
+/// then: the expected pairs read every unit's objects — a unit's price is its
 /// [`Pricer::unit_price`] and its value (the governor's shed ranking)
 /// the pairs it is expected to produce per unit of price; otherwise
 /// every unit is priced at one. Object-pair units (both roots are
@@ -801,6 +845,7 @@ fn run_shard<const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::{Governor, GovernorConfig};
     use crate::session::JoinSession;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1119,6 +1164,137 @@ mod tests {
         assert!(names.contains(&"da.total".to_string()));
         assert!(names.contains(&sjcm_core::join::na_target(1, 1)));
         assert!(names.contains(&sjcm_core::join::da_target(2, 1)));
+    }
+
+    /// `n` random rectangles with sides up to `side`, in `N` dimensions.
+    fn items<const N: usize>(n: usize, side: f64, seed: u64) -> Vec<(Rect<N>, ObjectId)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                let c = sjcm_geom::Point::new(std::array::from_fn(|_| rng.gen_range(0.0..1.0)));
+                let s = std::array::from_fn(|_| rng.gen_range(0.0..side));
+                (Rect::centered(c, s), ObjectId(i as u32))
+            })
+            .collect()
+    }
+
+    fn packed<const N: usize>(n: usize, side: f64, seed: u64) -> RTree<N> {
+        let config = RTreeConfig::paper(N);
+        RTree::bulk_load(
+            config,
+            items(n, side, seed),
+            sjcm_rtree::BulkLoad::Str,
+            0.67,
+        )
+    }
+
+    fn inserted<const N: usize>(n: usize, side: f64, seed: u64) -> RTree<N> {
+        let mut tree = RTree::new(RTreeConfig::paper(N));
+        for (r, id) in items(n, side, seed) {
+            tree.insert(r, id);
+        }
+        tree
+    }
+
+    fn reloaded<const N: usize>(tree: &RTree<N>) -> RTree<N> {
+        let mut store = sjcm_storage::InMemoryPageStore::with_default_page_size();
+        let handle = tree.save(&mut store).unwrap();
+        RTree::load(&store, handle, *tree.config()).unwrap()
+    }
+
+    /// The pricing `Pricer` replaced: Eq 6 on [`measured_params`] of
+    /// each subtree's full statistics, scaled by the overlap of the two
+    /// roots' own MBRs.
+    fn reference_na<const N: usize>(r1: &RTree<N>, r2: &RTree<N>, a: NodeId, b: NodeId) -> f64 {
+        let p1 = measured_params::<N>(&r1.subtree_stats(a));
+        let p2 = measured_params::<N>(&r2.subtree_stats(b));
+        let (m1, m2) = (r1.node(a).mbr(), r2.node(b).mbr());
+        unit_cost_na(&p1, &p2) * overlap_fraction(m1.as_ref(), m2.as_ref())
+    }
+
+    /// Both role orders, 2, 3, 4 and 8 threads: every unit of the
+    /// frontier `collect_frontier` hands that many workers is priced bit
+    /// for bit as the reference prices it, and the governor admits on
+    /// the same predicted NA.
+    fn assert_prices_pinned<const N: usize>(t1: &RTree<N>, t2: &RTree<N>) {
+        let gov = Governor::unlimited();
+        let ctx = ExecContext::with_progress(ProgressTracker::disabled(), &gov);
+        for (r1, r2) in [(t1, t2), (t2, t1)] {
+            for threads in [2, 3, 4, 8] {
+                let config = JoinConfig::default();
+                let mut coord =
+                    Engine::new(r1, r2, config, [None, None], &ctx, CorrDomain::Coordinator);
+                let units = coord.collect_frontier(threads * UNITS_PER_WORKER, threads);
+                assert!(units.len() >= threads, "{N}-D, {threads} threads");
+                let mut pricer = Pricer::new(r1, r2);
+                for &(a, b) in &units {
+                    let want = reference_na(r1, r2, a, b);
+                    let price = pricer.unit_price(a, b);
+                    assert_eq!(pricer.na(a, b).to_bits(), want.to_bits(), "{a:?} {b:?}");
+                    assert_eq!(price, ((want * 16.0).round() as u64).max(1));
+                }
+            }
+            let gov = Governor::new(GovernorConfig::default().with_na_budget(f64::MAX));
+            gov.admit(r1, r2).unwrap();
+            let whole = |r: &RTree<N>| measured_params::<N>(&r.subtree_stats(r.root_id()));
+            let want = sjcm_core::join::join_cost_na(&whole(r1), &whole(r2));
+            let got = gov.summary().unwrap().predicted_na;
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    fn pin_prices<const N: usize>(side: f64) {
+        let (p1, p2) = (packed::<N>(6_000, side, 41), packed::<N>(6_000, side, 42));
+        assert_prices_pinned(&p1, &p2);
+        let (tall, short) = (inserted::<N>(6_000, side, 43), inserted::<N>(300, side, 44));
+        assert!(tall.height() > short.height());
+        assert_prices_pinned(&tall, &short);
+        assert_prices_pinned(&reloaded(&tall), &reloaded(&short));
+    }
+
+    #[test]
+    fn unit_prices_are_the_full_statistics_prices_bit_for_bit() {
+        pin_prices::<1>(0.001);
+        pin_prices::<2>(0.01);
+        pin_prices::<3>(0.05);
+    }
+
+    /// A worker that panics fails the run with `WorkerPanicked` under
+    /// both executors, whether it is worker 0 on the calling thread or
+    /// a spawned one — and only once every worker has finished: the run
+    /// returns (within the minute, not never), and each worker's span,
+    /// the panicking one's included, has closed.
+    #[test]
+    fn a_panicking_worker_fails_the_run_once_every_worker_is_joined() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let a = build(2_000, 0.01, 31);
+            let b = build(2_000, 0.01, 32);
+            for sched in parallel(3) {
+                for w in [0, 2] {
+                    let tracer = Tracer::enabled();
+                    let obs = JoinObs {
+                        tracer: tracer.clone(),
+                        ..JoinObs::default()
+                    };
+                    let err = JoinSession::new(&a, &b)
+                        .scheduler(sched)
+                        .observe(&obs)
+                        .panic_in_worker(w)
+                        .run()
+                        .unwrap_err();
+                    let want = format!("worker {w} panicked on purpose");
+                    assert_eq!(err, JoinError::WorkerPanicked(want), "{sched:?}");
+                    let records = tracer.records();
+                    let workers = records.iter().filter(|r| r.name == "worker").count();
+                    assert_eq!(workers, 3, "{sched:?}, worker {w} panicking");
+                }
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("every run returns, and without a failed assertion");
     }
 
     #[test]

@@ -166,6 +166,10 @@ pub struct ExecContext<'a> {
     /// replaced, the reference it is pinned to.
     #[cfg(test)]
     pub(crate) reference: bool,
+    /// Test builds only: the worker whose [`ExecContext::panic_switch`]
+    /// fires.
+    #[cfg(test)]
+    pub(crate) panic_worker: Option<usize>,
 }
 
 impl<'a> ExecContext<'a> {
@@ -187,6 +191,19 @@ impl<'a> ExecContext<'a> {
             ledger,
             #[cfg(test)]
             reference: false,
+            #[cfg(test)]
+            panic_worker: None,
+        }
+    }
+
+    /// Test builds only: panics when `worker` is the one
+    /// [`JoinSession::panic_in_worker`] named. Both executors call it as
+    /// a worker starts its units (the cost-guided one past its start
+    /// barrier).
+    #[cfg(test)]
+    pub(crate) fn panic_switch(&self, worker: usize) {
+        if self.panic_worker == Some(worker) {
+            panic!("worker {worker} panicked on purpose");
         }
     }
 
@@ -263,6 +280,8 @@ pub struct JoinSession<'a, const N: usize> {
     gov: Governor,
     #[cfg(test)]
     reference: bool,
+    #[cfg(test)]
+    panic_worker: Option<usize>,
 }
 
 impl<'a, const N: usize> JoinSession<'a, N> {
@@ -284,6 +303,8 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             gov: Governor::unlimited(),
             #[cfg(test)]
             reference: false,
+            #[cfg(test)]
+            panic_worker: None,
         }
     }
 
@@ -292,6 +313,14 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     #[cfg(test)]
     pub(crate) fn reference_traversal(mut self) -> Self {
         self.reference = true;
+        self
+    }
+
+    /// Test builds only: parallel worker `worker` panics as it starts
+    /// its units (see [`ExecContext::panic_switch`]).
+    #[cfg(test)]
+    pub(crate) fn panic_in_worker(mut self, worker: usize) -> Self {
+        self.panic_worker = Some(worker);
         self
     }
 
@@ -405,6 +434,8 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             gov,
             #[cfg(test)]
             reference,
+            #[cfg(test)]
+            panic_worker,
         } = self;
         let ctx = ExecContext {
             tracer,
@@ -413,6 +444,8 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             faults,
             #[cfg(test)]
             reference,
+            #[cfg(test)]
+            panic_worker,
             ..ExecContext::with_progress(progress, &gov)
         };
         let threads = scheduler.threads();

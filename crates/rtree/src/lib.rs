@@ -47,5 +47,5 @@ pub use bulk::BulkLoad;
 pub use config::{RTreeConfig, SplitStrategy};
 pub use node::{Child, Entry, Node, NodeId, ObjectId};
 pub use persist::PersistedTree;
-pub use stats::{LevelStats, TreeStats};
+pub use stats::{LevelShape, LevelStats, SubtreeShape, TreeStats};
 pub use tree::RTree;

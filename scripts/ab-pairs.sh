@@ -10,8 +10,8 @@
 # if any run is not `correct` or has failed operations. Prints one row
 # per end-to-end metric of BENCHMARK.json: median [q1, q3] of each side,
 # the ratio of the medians, the parent's interquartile distance and the
-# pairs in which the change read better (by the metric's `better`).
-# Needs jq; nothing under benchmark/ is edited.
+# pairs in which the change read better (by the metric's `better`),
+# then each side's operations per run. Needs jq; nothing under benchmark/ is edited.
 set -euo pipefail
 
 if [ $# -lt 4 ] || [ $# -gt 6 ]; then
@@ -39,6 +39,7 @@ run() {
     fi
     jq -r --arg s "$side" --arg p "$pair" \
         '.metrics | to_entries[] | "\($s) \($p) \(.key) \(.value.value)"' <<<"$line" >>"$readings"
+    echo "$side $pair attempted $(jq -r '.attempted' <<<"$line")" >>"$readings"
 }
 
 for pair in $(seq 1 "$pairs"); do
@@ -83,4 +84,6 @@ jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json | awk -v pairs="$pa
             ratio = q(a, na, 0.5) ? sprintf("%.2f×", q(b, nb, 0.5) / q(a, na, 0.5)) : ""
             printf "| `%s` | %s | %s | %s | %.3g | %d/%d |\n", m, cell(a, na), cell(b, nb), ratio, q(a, na, 0.75) - q(a, na, 0.25), wins, pairs
         }
+        na = sorted("parent", "attempted", a); nb = sorted("change", "attempted", b)
+        printf "\nOperations per run: parent %d–%d (median %d), change %d–%d (median %d).\n", a[1], a[na], q(a, na, 0.5), b[1], b[nb], q(b, nb, 0.5)
     }' - "$readings"
