@@ -4,25 +4,41 @@
 //! times in a row: *which of these rectangles intersect this one?* The
 //! array-of-structs [`Rect`] layout answers it one rectangle at a time,
 //! with a short-circuiting per-dimension loop whose branches the CPU
-//! mispredicts on mixed workloads. This module restructures a rectangle
-//! set into per-dimension `lo`/`hi` coordinate slabs ([`RectBatch`]) and
-//! evaluates the predicate over **chunks of 64 candidates at once**,
-//! branch-free, so LLVM autovectorizes the comparison loops into SIMD
-//! compares and mask ANDs on any stable toolchain (no `std::simd`
-//! required). Kernel output is a bitmask ([`OverlapMask`]); iterating
-//! its set bits in ascending order reproduces exactly the candidate
-//! order a scalar loop would visit, which is what lets the join
-//! executors swap the kernel in without perturbing a single result
+//! mispredicts on mixed workloads. This module keeps a rectangle set as
+//! per-dimension `lo`/`hi` coordinate lanes ([`RectBatch`]) and evaluates
+//! the predicate **eight lanes at a time, branch-free**, into one `u64`
+//! mask word per block of 64 candidates, so LLVM autovectorizes the
+//! comparisons on any stable toolchain (no `std::simd` required).
+//! Iterating a word's set bits in ascending order reproduces exactly the
+//! candidate order a scalar loop would visit, which is what lets the
+//! join executors swap the kernel in without perturbing a single result
 //! pair, NA or DA tally.
 //!
-//! Three kernel families are provided:
+//! # Lanes
 //!
-//! * [`RectBatch::overlap_mask`] — one-vs-many closed-intersection
-//!   tests.
-//! * [`RectBatch::within_mask`] — one-vs-many Euclidean
-//!   distance-within-ε tests (the distance-join predicate), evaluated
-//!   as a branch-free clamped-gap accumulation that reproduces
+//! The lanes are stored eight to a group — per dimension eight low
+//! coordinates, then per dimension eight high ones — so a kernel reads
+//! a group as fixed-size arrays, with no bounds check per lane. The
+//! groups reach past the batch's `len` rectangles: lanes at or past
+//! `len` are padding and hold whatever was written there last — zeros,
+//! a rectangle [`RectBatch::push_if`] did not keep, a rectangle from
+//! before [`RectBatch::clear`] — and the word kernels mask them off.
+//! That is what makes the compacting push branch-free: it writes every
+//! rectangle into the lane after the last one kept and advances the
+//! length only if the rectangle is kept, so a caller can transpose a
+//! node and restrict it in the same pass.
+//!
+//! # Kernels
+//!
+//! * [`RectBatch::overlap_word`] — one-vs-many closed-intersection
+//!   tests over a block of 64 lanes, one word out.
+//! * [`RectBatch::within_word`] — the same for the Euclidean
+//!   distance-within-ε predicate (the distance join), evaluated as a
+//!   branch-free clamped-gap accumulation that reproduces
 //!   [`Rect::min_dist2`] bit-for-bit.
+//! * [`RectBatch::overlap_mask`] and [`RectBatch::within_mask`] — the
+//!   two word kernels looped over a candidate range into an
+//!   [`OverlapMask`].
 //! * [`RectBatch::sweep_ref_cells`] — the fused sweep,
 //!   intersect-and-reference-point kernel PBSM's per-cell sweep runs for
 //!   duplicate suppression: one pass bounds the sweep run, tests the
@@ -44,8 +60,12 @@
 
 use crate::Rect;
 
-/// Candidates per kernel chunk — one `u64` mask word.
+/// Candidates per mask word.
 const CHUNK: usize = 64;
+
+/// Lanes the word kernels test at once; a word is built from up to
+/// eight such groups.
+const GROUP: usize = 8;
 
 /// A bitmask over a candidate range, one bit per candidate, produced by
 /// the [`RectBatch`] kernels. Bit `i` corresponds to candidate
@@ -99,11 +119,16 @@ impl OverlapMask {
             })
     }
 
-    /// Resets the mask to cover `len` candidates, all bits clear.
-    fn reset(&mut self, len: usize) {
-        self.len = len;
+    /// Fills the mask over `start..end`, one word per 64 candidates from
+    /// `word(base, len)`.
+    fn fill(&mut self, start: usize, end: usize, mut word: impl FnMut(usize, usize) -> u64) {
+        self.len = end - start;
         self.words.clear();
-        self.words.resize(len.div_ceil(CHUNK), 0);
+        self.words.extend(
+            (start..end)
+                .step_by(CHUNK)
+                .map(|base| word(base, (end - base).min(CHUNK))),
+        );
     }
 }
 
@@ -127,8 +152,68 @@ impl Iterator for SetBits {
     }
 }
 
+/// Eight consecutive lanes of a [`RectBatch`]: per dimension the eight
+/// low coordinates, then per dimension the eight high ones.
+#[derive(Debug, Clone, Copy)]
+struct Group<const N: usize> {
+    lo: [[f64; GROUP]; N],
+    hi: [[f64; GROUP]; N],
+}
+
+impl<const N: usize> Group<N> {
+    const ZERO: Self = Self {
+        lo: [[0.0; GROUP]; N],
+        hi: [[0.0; GROUP]; N],
+    };
+
+    /// Bit `i` set iff `q` intersects lane `i`: one branch-free
+    /// comparison loop per dimension over the eight lanes.
+    #[inline(always)]
+    fn overlap_bits(&self, q: &Rect<N>) -> u64 {
+        let mut lanes = [true; GROUP];
+        for k in 0..N {
+            let (q_lo, q_hi) = (q.lo_k(k), q.hi_k(k));
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane &= (self.lo[k][i] <= q_hi) & (q_lo <= self.hi[k][i]);
+            }
+        }
+        pack(lanes)
+    }
+
+    /// Bit `i` set iff lane `i` is within `√eps2` of `q`, through the
+    /// clamped per-dimension gap (see [`RectBatch::within_word`]).
+    #[inline(always)]
+    fn within_bits(&self, q: &Rect<N>, eps2: f64) -> u64 {
+        let mut d2 = [0.0f64; GROUP];
+        for k in 0..N {
+            let (q_lo, q_hi) = (q.lo_k(k), q.hi_k(k));
+            for (i, d2) in d2.iter_mut().enumerate() {
+                let gap = (self.lo[k][i] - q_hi).max(q_lo - self.hi[k][i]).max(0.0);
+                *d2 += gap * gap;
+            }
+        }
+        pack(d2.map(|d| d <= eps2))
+    }
+
+    /// Bit `i` set iff lane `i` starts no later than `limit` in
+    /// dimension 0 and meets `q` in dimensions `1..N` — the sweep's
+    /// run bound and the overlap test it does not imply.
+    #[inline(always)]
+    fn sweep_bits(&self, q: &Rect<N>, limit: f64) -> u64 {
+        let mut lanes = self.lo[0].map(|lo| lo <= limit);
+        for k in 1..N {
+            let (q_lo, q_hi) = (q.lo_k(k), q.hi_k(k));
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane &= (self.lo[k][i] <= q_hi) & (q_lo <= self.hi[k][i]);
+            }
+        }
+        pack(lanes)
+    }
+}
+
 /// A rectangle set in structure-of-arrays layout: per dimension one
-/// contiguous slab of low coordinates and one of high coordinates.
+/// lane of low coordinates and one of high coordinates, stored eight
+/// lanes to a group and padded past the last rectangle (module docs).
 ///
 /// ```
 /// use sjcm_geom::{Rect, RectBatch, OverlapMask};
@@ -144,11 +229,14 @@ impl Iterator for SetBits {
 /// batch.overlap_mask(&q, 0, batch.len(), &mut mask);
 /// let hits: Vec<usize> = mask.iter_set().collect();
 /// assert_eq!(hits, vec![0, 2]);
+/// // The word kernel answers the same question for the first block.
+/// assert_eq!(batch.overlap_word(&q, 0), 0b101);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RectBatch<const N: usize> {
-    lo: [Vec<f64>; N],
-    hi: [Vec<f64>; N],
+    /// The lanes, eight to a group, covering at least `len` lanes; a
+    /// push adds a group when the lane it writes lies past them.
+    groups: Vec<Group<N>>,
     len: usize,
 }
 
@@ -162,8 +250,7 @@ impl<const N: usize> RectBatch<N> {
     /// An empty batch.
     pub fn new() -> Self {
         Self {
-            lo: std::array::from_fn(|_| Vec::new()),
-            hi: std::array::from_fn(|_| Vec::new()),
+            groups: Vec::new(),
             len: 0,
         }
     }
@@ -180,24 +267,38 @@ impl<const N: usize> RectBatch<N> {
         self.len == 0
     }
 
-    /// Clears the batch, keeping the slab allocations for reuse — the
-    /// hot consumers refill one scratch batch per node visit.
+    /// Empties the batch, keeping the lanes for reuse — the hot
+    /// consumers refill one scratch batch per node visit. What the lanes
+    /// held becomes padding.
+    #[inline]
     pub fn clear(&mut self) {
-        for k in 0..N {
-            self.lo[k].clear();
-            self.hi[k].clear();
-        }
         self.len = 0;
     }
 
     /// Appends one rectangle.
     #[inline]
     pub fn push(&mut self, r: &Rect<N>) {
-        for k in 0..N {
-            self.lo[k].push(r.lo_k(k));
-            self.hi[k].push(r.hi_k(k));
+        self.push_if(r, true);
+    }
+
+    /// The compacting push: writes `r` into the lane after the last
+    /// rectangle and appends it only if `keep`. A rectangle not kept is
+    /// padding, overwritten by the next push. Pushing a node's entries
+    /// this way, each with its restriction test as `keep`, transposes
+    /// the node and restricts it in one branch-free pass; the survivors
+    /// keep their relative order.
+    #[inline]
+    pub fn push_if(&mut self, r: &Rect<N>, keep: bool) {
+        let (g, i) = (self.len / GROUP, self.len % GROUP);
+        if g == self.groups.len() {
+            self.groups.push(Group::ZERO);
         }
-        self.len += 1;
+        let group = &mut self.groups[g];
+        for k in 0..N {
+            group.lo[k][i] = r.lo_k(k);
+            group.hi[k][i] = r.hi_k(k);
+        }
+        self.len += usize::from(keep);
     }
 
     /// Appends every rectangle of the iterator.
@@ -207,52 +308,89 @@ impl<const N: usize> RectBatch<N> {
         }
     }
 
+    /// Low coordinate of lane `i` in dimension `k`.
+    #[inline]
+    fn lo(&self, k: usize, i: usize) -> f64 {
+        self.groups[i / GROUP].lo[k][i % GROUP]
+    }
+
     /// Reconstructs rectangle `i` (corners are stored exactly, so this
     /// is lossless).
     pub fn get(&self, i: usize) -> Rect<N> {
         debug_assert!(i < self.len);
+        let group = &self.groups[i / GROUP];
         Rect::from_corners(
-            crate::Point::new(std::array::from_fn(|k| self.lo[k][i])),
-            crate::Point::new(std::array::from_fn(|k| self.hi[k][i])),
+            crate::Point::new(std::array::from_fn(|k| group.lo[k][i % GROUP])),
+            crate::Point::new(std::array::from_fn(|k| group.hi[k][i % GROUP])),
         )
+    }
+
+    /// The closed-intersection word kernel for 64-lane block `block`:
+    /// bit `i` is set iff `q.intersects(&self[64 · block + i])`. Bits
+    /// of lanes at or past `len` — the padding the last group reads —
+    /// are clear.
+    ///
+    /// The word is built from fixed groups of eight lanes, each one
+    /// branch-free comparison loop per dimension — the shape LLVM turns
+    /// into vector compares and ANDs.
+    #[inline]
+    pub fn overlap_word(&self, q: &Rect<N>, block: usize) -> u64 {
+        self.block_word(block, |group| group.overlap_bits(q))
+    }
+
+    /// The Euclidean distance word kernel for 64-lane block `block`:
+    /// bit `i` is set iff `q.within_distance(&self[64 · block + i], eps)`.
+    /// The per-dimension gap is the branch-free
+    /// `max(b.lo − q.hi, q.lo − b.hi, 0)` (at most one of the two
+    /// differences is positive for a valid rectangle), so the
+    /// accumulated squared distance is bit-identical to the branching
+    /// scalar [`Rect::min_dist2`]. Padding is masked off as in
+    /// [`RectBatch::overlap_word`] — at `eps = +∞` every lane
+    /// qualifies, padding included.
+    #[inline]
+    pub fn within_word(&self, q: &Rect<N>, eps: f64, block: usize) -> u64 {
+        let eps2 = eps * eps;
+        self.block_word(block, |group| group.within_bits(q, eps2))
+    }
+
+    /// One word from the groups of block `block`, the low eight bits
+    /// from its first group, with the padding lanes masked off.
+    #[inline(always)]
+    fn block_word(&self, block: usize, bits: impl Fn(&Group<N>) -> u64) -> u64 {
+        let first = block * (CHUNK / GROUP);
+        let end = self.len.div_ceil(GROUP).min(first + CHUNK / GROUP);
+        let mut word = 0u64;
+        for (g, group) in self.groups[first..end].iter().enumerate() {
+            word |= bits(group) << (g * GROUP);
+        }
+        word & low_bits(self.len.saturating_sub(block * CHUNK).min(CHUNK))
+    }
+
+    /// The `len ≤ 64` bits of candidates `base..base + len`, cut out of
+    /// the one or two block words `block_word` returns.
+    fn range_word(&self, base: usize, len: usize, block_word: impl Fn(usize) -> u64) -> u64 {
+        let (block, shift) = (base / CHUNK, base % CHUNK);
+        let mut word = block_word(block) >> shift;
+        if shift + len > CHUNK {
+            word |= block_word(block + 1) << (CHUNK - shift);
+        }
+        word & low_bits(len)
     }
 
     /// One-vs-many closed-intersection kernel over candidates
     /// `start..end`: bit `i` of `mask` is set iff `q.intersects(&self[start + i])`.
-    ///
-    /// Each 64-candidate chunk evaluates one branch-free comparison
-    /// loop per dimension over a byte-lane accumulator, then packs the
-    /// lanes into the mask word — the shape LLVM turns into vector
-    /// compares and ANDs.
+    /// Each mask word is cut from one [`RectBatch::overlap_word`], or
+    /// two when `start` is not a multiple of 64.
     pub fn overlap_mask(&self, q: &Rect<N>, start: usize, end: usize, mask: &mut OverlapMask) {
         debug_assert!(start <= end && end <= self.len);
-        mask.reset(end - start);
-        let mut base = start;
-        let mut word = 0usize;
-        while base < end {
-            let len = (end - base).min(CHUNK);
-            let mut lanes = [1u8; CHUNK];
-            for k in 0..N {
-                let q_lo = q.lo_k(k);
-                let q_hi = q.hi_k(k);
-                let lo = &self.lo[k][base..base + len];
-                let hi = &self.hi[k][base..base + len];
-                for i in 0..len {
-                    lanes[i] &= ((lo[i] <= q_hi) & (q_lo <= hi[i])) as u8;
-                }
-            }
-            mask.words[word] = pack_lanes(&lanes, len);
-            word += 1;
-            base += len;
-        }
+        mask.fill(start, end, |base, len| {
+            self.range_word(base, len, |block| self.overlap_word(q, block))
+        });
     }
 
     /// One-vs-many Euclidean distance kernel: bit `i` is set iff
-    /// `q.within_distance(&self[start + i], eps)`. The per-dimension gap
-    /// is the branch-free `max(b.lo − q.hi, q.lo − b.hi, 0)` (at most
-    /// one of the two differences is positive for a valid rectangle),
-    /// so the accumulated squared distance is bit-identical to the
-    /// branching scalar [`Rect::min_dist2`].
+    /// `q.within_distance(&self[start + i], eps)`, each mask word cut
+    /// from one or two [`RectBatch::within_word`]s.
     pub fn within_mask(
         &self,
         q: &Rect<N>,
@@ -262,39 +400,18 @@ impl<const N: usize> RectBatch<N> {
         mask: &mut OverlapMask,
     ) {
         debug_assert!(start <= end && end <= self.len);
-        mask.reset(end - start);
-        let eps2 = eps * eps;
-        let mut base = start;
-        let mut word = 0usize;
-        while base < end {
-            let len = (end - base).min(CHUNK);
-            let mut d2 = [0.0f64; CHUNK];
-            for k in 0..N {
-                let q_lo = q.lo_k(k);
-                let q_hi = q.hi_k(k);
-                let lo = &self.lo[k][base..base + len];
-                let hi = &self.hi[k][base..base + len];
-                for i in 0..len {
-                    let gap = (lo[i] - q_hi).max(q_lo - hi[i]).max(0.0);
-                    d2[i] += gap * gap;
-                }
-            }
-            let mut lanes = [0u8; CHUNK];
-            for i in 0..len {
-                lanes[i] = (d2[i] <= eps2) as u8;
-            }
-            mask.words[word] = pack_lanes(&lanes, len);
-            word += 1;
-            base += len;
-        }
+        mask.fill(start, end, |base, len| {
+            self.range_word(base, len, |block| self.within_word(q, eps, block))
+        });
     }
 
     /// Fused sweep kernel for PBSM duplicate suppression over one
     /// anchor's candidate run (the batch sorted by `lo₀`): the run bound
-    /// `lo₀ ≤ limit` is folded into the vectorized lanes and candidates
-    /// are consumed chunk by chunk starting at `start`, stopping at the
-    /// first chunk whose last candidate is past the bound (the run
-    /// cannot resume). One pass over memory, no separate end scan.
+    /// `lo₀ ≤ limit` is folded into the lane tests and candidates are
+    /// consumed a group of eight at a time starting at `start`, stopping
+    /// after the first group whose last candidate is past the bound (the
+    /// run cannot resume). One pass over memory, no separate end scan,
+    /// and at most seven lanes tested past the run's end.
     ///
     /// `emit` receives the *batch-absolute* index of every candidate
     /// that (a) starts within the run, (b) overlaps `q` in dimensions
@@ -306,9 +423,9 @@ impl<const N: usize> RectBatch<N> {
     ///
     /// The reference cell is computed exactly as [`unit_grid_cell`]
     /// does on the scalar path, but only for candidates that survive
-    /// the vectorized overlap pass: the float→integer cell conversion
-    /// does not vectorize, and on realistic sweeps only a few percent
-    /// of the candidate run truly intersects.
+    /// the lane tests: the float→integer cell conversion does not
+    /// vectorize, and on realistic sweeps only a few percent of the
+    /// candidate run truly intersects.
     pub fn sweep_ref_cells<F: FnMut(usize)>(
         &self,
         q: &Rect<N>,
@@ -319,75 +436,23 @@ impl<const N: usize> RectBatch<N> {
         mut emit: F,
     ) {
         debug_assert!(start <= self.len);
-        // Short-run fallback: when the run ends within the next few
-        // candidates (high grid resolutions, sparse cells), a 64-lane
-        // chunk does ~10× the necessary lane work. Probe the sorted
-        // `lo₀` slab a few entries ahead and take a plain scalar loop
-        // for runs the chunk machinery cannot amortize. Same
-        // predicates, same order — output is identical either way.
-        const SHORT_RUN: usize = 16;
-        if start == self.len {
-            return;
-        }
-        let probe = (start + SHORT_RUN - 1).min(self.len - 1);
-        if self.lo[0][probe] > limit {
-            let mut i = start;
-            while i < self.len && self.lo[0][i] <= limit {
-                let tail_overlap =
-                    (1..N).all(|k| self.lo[k][i] <= q.hi_k(k) && q.lo_k(k) <= self.hi[k][i]);
-                if tail_overlap && self.ref_cell_hit(q, i, grid, cell) {
+        let end_group = self.len.div_ceil(GROUP);
+        for g in start / GROUP..end_group {
+            let base = g * GROUP;
+            // Lanes before `start` and past `len` are not candidates.
+            let lanes =
+                low_bits((self.len - base).min(GROUP)) & !low_bits(start.saturating_sub(base));
+            let mut bits = self.groups[g].sweep_bits(q, limit) & lanes;
+            while bits != 0 {
+                let i = base + bits.trailing_zeros() as usize;
+                if self.ref_cell_hit(q, i, grid, cell) {
                     emit(i);
                 }
-                i += 1;
+                bits &= bits - 1;
             }
-            return;
-        }
-        let mut base = start;
-        while base < self.len {
-            let len = (self.len - base).min(CHUNK);
-            let mut lanes = [0u8; CHUNK];
-            let lo0 = &self.lo[0][base..base + len];
-            if N > 1 {
-                // Fused first pass: run bound and dimension-1 overlap.
-                let q_lo = q.lo_k(1);
-                let q_hi = q.hi_k(1);
-                let lo = &self.lo[1][base..base + len];
-                let hi = &self.hi[1][base..base + len];
-                for i in 0..len {
-                    lanes[i] = ((lo0[i] <= limit) & (lo[i] <= q_hi) & (q_lo <= hi[i])) as u8;
-                }
-            } else {
-                for i in 0..len {
-                    lanes[i] = (lo0[i] <= limit) as u8;
-                }
-            }
-            for k in 2..N {
-                let q_lo = q.lo_k(k);
-                let q_hi = q.hi_k(k);
-                let lo = &self.lo[k][base..base + len];
-                let hi = &self.hi[k][base..base + len];
-                for i in 0..len {
-                    lanes[i] &= ((lo[i] <= q_hi) & (q_lo <= hi[i])) as u8;
-                }
-            }
-            // Sparse pass: reference cells for the overlap survivors,
-            // skipping zero lanes eight at a time (unset lanes past
-            // `len` were never written, so they stay zero).
-            for (group, bytes) in lanes.chunks_exact(8).enumerate() {
-                if u64::from_le_bytes(bytes.try_into().expect("8-byte group")) == 0 {
-                    continue;
-                }
-                for (b, &lane) in bytes.iter().enumerate() {
-                    let i = base + group * 8 + b;
-                    if lane != 0 && self.ref_cell_hit(q, i, grid, cell) {
-                        emit(i);
-                    }
-                }
-            }
-            if self.lo[0][base + len - 1] > limit {
+            if self.lo(0, (base + GROUP).min(self.len) - 1) > limit {
                 return;
             }
-            base += len;
         }
     }
 
@@ -400,7 +465,7 @@ impl<const N: usize> RectBatch<N> {
         let g = grid as f64;
         let mut idx = 0usize;
         for k in (0..N).rev() {
-            let ref_k = q.lo_k(k).max(self.lo[k][i]);
+            let ref_k = q.lo_k(k).max(self.lo(k, i));
             let slot = ((ref_k.clamp(0.0, 1.0) * g) as usize).min(grid - 1);
             idx = idx * grid + slot;
         }
@@ -417,14 +482,20 @@ impl<const N: usize> FromIterator<Rect<N>> for RectBatch<N> {
     }
 }
 
-/// Packs `len` byte lanes (0 or 1) into the low bits of one mask word.
-#[inline]
-fn pack_lanes(lanes: &[u8; CHUNK], len: usize) -> u64 {
-    let mut word = 0u64;
-    for (i, &lane) in lanes[..len].iter().enumerate() {
-        word |= (lane as u64) << i;
-    }
-    word
+/// Packs eight lanes into the low byte of a word, lane `i` to bit `i`.
+#[inline(always)]
+fn pack(lanes: [bool; GROUP]) -> u64 {
+    lanes
+        .iter()
+        .enumerate()
+        .fold(0, |word, (i, &lane)| word | u64::from(lane) << i)
+}
+
+/// The low `len` bits (`len ≤ 64`) set: the lanes of a block that hold
+/// candidates rather than padding.
+#[inline(always)]
+fn low_bits(len: usize) -> u64 {
+    u64::MAX.checked_shr((CHUNK - len) as u32).unwrap_or(0)
 }
 
 /// Row-major index of the unit-grid cell containing point `p` (clamped

@@ -55,6 +55,11 @@ pub enum JoinError {
     /// [`crate::session::JoinSession::run`] refuses it before touching
     /// either tree.
     InvalidThreads,
+    /// A distance join was requested with an ε that is negative or NaN
+    /// (the payload): [`crate::session::JoinSession::run`] refuses it
+    /// before touching either tree. `ε = +∞` is legal and joins every
+    /// pair.
+    InvalidDistance(f64),
     /// The governor refused to admit the query: its Eq-6-predicted node
     /// accesses exceed the configured budget and the admission policy
     /// is [`crate::governor::AdmissionPolicy::Reject`].
@@ -72,6 +77,9 @@ impl fmt::Display for JoinError {
             JoinError::WorkerPanicked(msg) => write!(f, "worker panicked: {msg}"),
             JoinError::InvalidThreads => {
                 write!(f, "parallel join needs at least one worker (threads = 0)")
+            }
+            JoinError::InvalidDistance(eps) => {
+                write!(f, "distance join needs ε ≥ 0, got ε = {eps}")
             }
             JoinError::Rejected {
                 predicted_na,

@@ -9,7 +9,7 @@
 use crate::degraded::RawSkip;
 use crate::session::{CorrDomain, ExecContext};
 use sjcm_core::join::JoinWindows;
-use sjcm_geom::{mbr_of, OverlapMask, Rect, RectBatch};
+use sjcm_geom::{mbr_of, Point, Rect, RectBatch};
 use sjcm_rtree::{Child, Entry, Node, NodeId, ObjectId, RTree};
 use sjcm_storage::recorder::RecordedPolicy;
 use sjcm_storage::{AccessStats, BufferCounters, BufferManager, LruBuffer, NoBuffer, PathBuffer};
@@ -24,7 +24,8 @@ pub enum JoinPredicate {
     Overlap,
     /// Euclidean distance between MBRs at most ε (distance join).
     WithinDistance(
-        /// Distance threshold ε ≥ 0.
+        /// Distance threshold ε ≥ 0 (`+∞` included); a negative or NaN
+        /// ε is [`JoinError::InvalidDistance`](crate::JoinError::InvalidDistance).
         f64,
     ),
 }
@@ -88,9 +89,13 @@ pub enum MatchKernel {
     /// — the pre-kernel reference path.
     Scalar,
     /// Batched structure-of-arrays kernels ([`sjcm_geom::RectBatch`]):
-    /// node entries are transposed into per-dimension coordinate slabs
-    /// once per node visit and candidates are tested 64 at a time,
-    /// branch-free, so the comparison loops autovectorize.
+    /// one branch-free pass copies R1's entries into per-dimension
+    /// coordinate lanes and keeps only those that pass the restriction
+    /// (the compacting [`RectBatch::push_if`]); each surviving R2 entry
+    /// is then tested against the lanes one `u64` mask word per 64 of
+    /// them, built eight lanes at a time, and the word's set bits are
+    /// emitted in ascending order. Nodes keep their array-of-structs
+    /// entries; the lanes live in the executor's [`MatchScratch`].
     #[default]
     Batched,
 }
@@ -131,16 +136,15 @@ pub enum Side {
 }
 
 /// Reusable scratch buffers for entry matching: the two candidate lists
-/// — R1's candidates as SoA coordinate slabs plus their entry indices,
-/// R2's as entry indices — and the batched kernel's bitmask. One
-/// instance lives in each executor; matching refills it per node pair,
-/// so steady-state matching allocates nothing.
+/// — R1's candidates as entry indices plus, for the batched kernel,
+/// their coordinate lanes; R2's as entry indices. One instance lives in
+/// each executor; matching refills it per node pair, so steady-state
+/// matching allocates nothing.
 #[derive(Debug, Default)]
 pub struct MatchScratch<const N: usize> {
     batch1: RectBatch<N>,
     idx1: Vec<u32>,
     idx2: Vec<u32>,
-    mask: OverlapMask,
 }
 
 impl<const N: usize> MatchScratch<N> {
@@ -398,7 +402,7 @@ pub(crate) fn child_pairs<const N: usize>(
 /// against a carried rectangle, which may be looser. The batched kernel
 /// and the scalar filter agree exactly — both predicates are symmetric,
 /// so one-vs-many masking is just the scalar loop with the comparisons
-/// vectorized.
+/// vectorized, and the window is one more mask word ANDed in.
 fn pinned_children<const N: usize>(
     (node, window): (&Node<N>, &Option<Rect<N>>),
     (pinned, pinned_window): (&Node<N>, &Option<Rect<N>>),
@@ -430,20 +434,41 @@ fn pinned_children<const N: usize>(
             }
         }
         MatchKernel::Batched => {
-            let MatchScratch { batch1, mask, .. } = scratch;
-            batch1.clear();
-            batch1.extend(entries.iter().map(|e| e.rect));
-            match predicate {
-                JoinPredicate::Overlap => batch1.overlap_mask(&mbr, 0, batch1.len(), mask),
-                JoinPredicate::WithinDistance(eps) => {
-                    batch1.within_mask(&mbr, eps, 0, batch1.len(), mask)
-                }
-            }
-            for i in mask.iter_set() {
-                if in_window(&entries[i].rect) {
-                    child(&entries[i]);
-                }
-            }
+            let batch = &mut scratch.batch1;
+            batch.clear();
+            batch.extend(entries.iter().map(|e| e.rect));
+            each_match(batch, &mbr, predicate, window.as_ref(), |i| {
+                child(&entries[i])
+            });
+        }
+    }
+}
+
+/// `each(i)`, in ascending order, for every rectangle `i` of `batch`
+/// that satisfies `predicate` against `q` and meets `window`, if there
+/// is one: one mask word per 64 rectangles (the window's word ANDed
+/// in), its set bits emitted lowest first — the order of a scalar loop
+/// over the batch.
+#[inline]
+fn each_match<const N: usize>(
+    batch: &RectBatch<N>,
+    q: &Rect<N>,
+    predicate: JoinPredicate,
+    window: Option<&Rect<N>>,
+    mut each: impl FnMut(usize),
+) {
+    const WORD: usize = u64::BITS as usize;
+    for block in 0..batch.len().div_ceil(WORD) {
+        let mut word = match predicate {
+            JoinPredicate::Overlap => batch.overlap_word(q, block),
+            JoinPredicate::WithinDistance(eps) => batch.within_word(q, eps, block),
+        };
+        if let Some(w) = window {
+            word &= batch.overlap_word(w, block);
+        }
+        while word != 0 {
+            each(block * WORD + word.trailing_zeros() as usize);
+            word &= word - 1;
         }
     }
 }
@@ -491,32 +516,31 @@ pub fn matched_entries<const N: usize>(
 /// per-dimension gaps to a containing rectangle are never larger) — and
 /// order-preserving, so the surviving pairs come back in the order the
 /// unrestricted loops would have produced them. A query window is one
-/// more conjunct of its tree's restriction. R1's candidates go straight
-/// into the batched kernel's coordinate slabs; the scalar loops read
-/// both sides' rectangles from the nodes.
+/// more conjunct of its tree's restriction.
+///
+/// The scalar arm is the reference: Figure 2's loops over the two
+/// restricted index lists, every rectangle read from the nodes. The
+/// batched arm is [`match_batched`].
 fn match_entries<const N: usize>(
     n1: &Node<N>,
     (n2, rect2): (&Node<N>, &Rect<N>),
     config: &JoinConfig,
-    [w1, w2]: &JoinWindows<N>,
+    windows: &JoinWindows<N>,
     scratch: &mut MatchScratch<N>,
     mut hit: impl FnMut(&Entry<N>, &Entry<N>),
 ) {
     let predicate = config.predicate;
+    if config.kernel == MatchKernel::Batched {
+        return match_batched(n1, (n2, rect2), predicate, windows, scratch, hit);
+    }
+    let [w1, w2] = windows;
     let in_window =
         |r: &Rect<N>, window: &Option<Rect<N>>| window.as_ref().is_none_or(|w| r.intersects(w));
-    let MatchScratch {
-        batch1,
-        idx1,
-        idx2,
-        mask,
-    } = scratch;
-    batch1.clear();
+    let MatchScratch { idx1, idx2, .. } = scratch;
     idx1.clear();
     let mut bound1: Option<Rect<N>> = None;
     for (i, e) in n1.entries.iter().enumerate() {
         if predicate.holds(&e.rect, rect2) && in_window(&e.rect, w1) {
-            batch1.push(&e.rect);
             idx1.push(i as u32);
             match &mut bound1 {
                 Some(b) => b.expand_to(&e.rect),
@@ -533,35 +557,134 @@ fn match_entries<const N: usize>(
             idx2.push(j as u32);
         }
     }
-    match config.kernel {
-        MatchKernel::Scalar => {
-            // Figure 2: R2's entries drive the outer loop.
-            for &j in idx2.iter() {
-                let e2 = &n2.entries[j as usize];
-                for &i in idx1.iter() {
-                    let e1 = &n1.entries[i as usize];
-                    if predicate.holds(&e1.rect, &e2.rect) {
-                        hit(e1, e2);
-                    }
-                }
+    // Figure 2: R2's entries drive the outer loop.
+    for &j in idx2.iter() {
+        let e2 = &n2.entries[j as usize];
+        for &i in idx1.iter() {
+            let e1 = &n1.entries[i as usize];
+            if predicate.holds(&e1.rect, &e2.rect) {
+                hit(e1, e2);
             }
         }
-        MatchKernel::Batched => {
-            // Same loops, inner loop vectorized: each R2 candidate
-            // against all of R1's at once. Ascending mask bits
-            // reproduce the inner loop's entry order.
-            for &j in idx2.iter() {
-                let e2 = &n2.entries[j as usize];
-                match predicate {
-                    JoinPredicate::Overlap => batch1.overlap_mask(&e2.rect, 0, batch1.len(), mask),
-                    JoinPredicate::WithinDistance(eps) => {
-                        batch1.within_mask(&e2.rect, eps, 0, batch1.len(), mask)
-                    }
-                }
-                for i in mask.iter_set() {
-                    hit(&n1.entries[idx1[i] as usize], e2);
-                }
-            }
+    }
+}
+
+/// The batched arm of [`match_entries`], the same restrictions and the
+/// same loops in three steps:
+///
+/// 1. R1 is restricted without a branch: every entry is copied into
+///    the coordinate lanes, the write position advances only past the
+///    entries that pass, and the survivors' MBR grows by select
+///    ([`restrict_into_lanes`]).
+/// 2. R2 is restricted against that MBR the same way, into entry
+///    indices ([`compact`]).
+/// 3. Each R2 survivor is tested against all of R1's lanes one mask
+///    word at a time ([`each_match`]); ascending bits reproduce the
+///    inner loop's entry order.
+fn match_batched<const N: usize>(
+    n1: &Node<N>,
+    (n2, rect2): (&Node<N>, &Rect<N>),
+    predicate: JoinPredicate,
+    [w1, w2]: &JoinWindows<N>,
+    scratch: &mut MatchScratch<N>,
+    mut hit: impl FnMut(&Entry<N>, &Entry<N>),
+) {
+    let MatchScratch { batch1, idx1, idx2 } = scratch;
+    let pass1 = |r: &Rect<N>| admits(predicate, r, rect2);
+    let bound1 = match w1 {
+        None => restrict_into_lanes(n1, batch1, idx1, pass1),
+        Some(w) => restrict_into_lanes(n1, batch1, idx1, |r| pass1(r) & meets(r, w)),
+    };
+    let Some(bound1) = bound1 else {
+        return;
+    };
+    let pass2 = |r: &Rect<N>| admits(predicate, r, &bound1);
+    let kept2 = match w2 {
+        None => compact(&n2.entries, idx2, pass2),
+        Some(w) => compact(&n2.entries, idx2, |r| pass2(r) & meets(r, w)),
+    };
+    for &j in &idx2[..kept2] {
+        let e2 = &n2.entries[j as usize];
+        each_match(batch1, &e2.rect, predicate, None, |i| {
+            hit(&n1.entries[idx1[i] as usize], e2)
+        });
+    }
+}
+
+/// Step 1 of [`match_batched`], in one branch-free pass: every entry of
+/// `n1` is written into `batch1`'s lanes and its index into `idx1`, and
+/// both advance only if the entry passes `keep`. Returns the MBR of the
+/// survivors, grown by select, or `None` when none survive; `idx1`
+/// holds the survivors' entry indices in its first `batch1.len()` slots.
+#[inline(always)]
+fn restrict_into_lanes<const N: usize>(
+    n1: &Node<N>,
+    batch1: &mut RectBatch<N>,
+    idx1: &mut Vec<u32>,
+    keep: impl Fn(&Rect<N>) -> bool,
+) -> Option<Rect<N>> {
+    batch1.clear();
+    if idx1.len() < n1.entries.len() {
+        idx1.resize(n1.entries.len(), 0);
+    }
+    let (mut lo, mut hi) = ([f64::INFINITY; N], [f64::NEG_INFINITY; N]);
+    for (i, e) in n1.entries.iter().enumerate() {
+        let r = &e.rect;
+        let keep = keep(r);
+        idx1[batch1.len()] = i as u32;
+        batch1.push_if(r, keep);
+        for k in 0..N {
+            let (l, h) = (r.lo_k(k), r.hi_k(k));
+            lo[k] = if keep & (l < lo[k]) { l } else { lo[k] };
+            hi[k] = if keep & (h > hi[k]) { h } else { hi[k] };
+        }
+    }
+    (!batch1.is_empty()).then(|| Rect::from_corners(Point::new(lo), Point::new(hi)))
+}
+
+/// Step 2 of [`match_batched`]: the indices of the `entries` that pass
+/// `keep`, in order, written into the front of `idx` without a branch.
+/// Returns how many there are.
+#[inline(always)]
+fn compact<const N: usize>(
+    entries: &[Entry<N>],
+    idx: &mut Vec<u32>,
+    keep: impl Fn(&Rect<N>) -> bool,
+) -> usize {
+    if idx.len() < entries.len() {
+        idx.resize(entries.len(), 0);
+    }
+    let mut kept = 0;
+    for (j, e) in entries.iter().enumerate() {
+        idx[kept] = j as u32;
+        kept += usize::from(keep(&e.rect));
+    }
+    kept
+}
+
+/// Whether `r` meets the query window `w`, without a branch.
+#[inline(always)]
+fn meets<const N: usize>(r: &Rect<N>, w: &Rect<N>) -> bool {
+    admits(JoinPredicate::Overlap, r, w)
+}
+
+/// [`JoinPredicate::holds`] without a branch per dimension: the overlap
+/// test as one conjunction, and the distance test through the clamped
+/// gap `max(a.lo − b.hi, b.lo − a.hi, 0)`, whose squared sum is
+/// bit-identical to [`Rect::min_dist2`] (the same formula as
+/// [`RectBatch::within_word`]).
+#[inline(always)]
+fn admits<const N: usize>(predicate: JoinPredicate, a: &Rect<N>, b: &Rect<N>) -> bool {
+    match predicate {
+        JoinPredicate::Overlap => (0..N).fold(true, |acc, k| {
+            acc & (a.lo_k(k) <= b.hi_k(k)) & (b.lo_k(k) <= a.hi_k(k))
+        }),
+        JoinPredicate::WithinDistance(eps) => {
+            let d2 = (0..N).fold(0.0, |acc, k| {
+                let gap = (a.lo_k(k) - b.hi_k(k)).max(b.lo_k(k) - a.hi_k(k)).max(0.0);
+                acc + gap * gap
+            });
+            d2 <= eps * eps
         }
     }
 }

@@ -32,7 +32,7 @@
 //! ```
 
 use crate::degraded::{DegradedJoinResult, JoinError};
-use crate::executor::{JoinConfig, MatchKernel, Side};
+use crate::executor::{JoinConfig, JoinPredicate, MatchKernel, Side};
 use crate::governor::Governor;
 use crate::parallel::JoinObs;
 use crate::pbsm::DegradedPbsmResult;
@@ -416,7 +416,9 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     /// `threads = 0` is [`JoinError::InvalidThreads`].
     ///
     /// `Err` is reserved for failures that make the run unusable: a
-    /// thread count of zero, an admission rejection, a worker panic.
+    /// thread count of zero, a distance ε that is negative or NaN
+    /// ([`JoinError::InvalidDistance`]), an admission rejection, a
+    /// worker panic.
     /// Forfeited work under faults or deadlines comes back priced on
     /// the [`DegradedJoinResult`] instead.
     pub fn run(self) -> Result<DegradedJoinResult<N>, JoinError> {
@@ -451,6 +453,13 @@ impl<'a, const N: usize> JoinSession<'a, N> {
         let threads = scheduler.threads();
         if threads == 0 {
             return Err(JoinError::InvalidThreads);
+        }
+        if let JoinPredicate::WithinDistance(eps) = config.predicate {
+            // A negative ε would join as |ε| (the test squares it) and
+            // NaN would join nothing.
+            if eps.is_nan() || eps < 0.0 {
+                return Err(JoinError::InvalidDistance(eps));
+            }
         }
         ctx.gov.admit(r1, r2)?;
         // The parallel schedulers trace their one-worker fallback under

@@ -3,7 +3,9 @@
 //! same qualifying pairs, same order, same NA/DA tallies — on
 //! adversarial coordinates (touching boundaries, ±0.0, degenerate
 //! rectangles, f32-outward-rounded values straight from the page
-//! format) and on the 60K fixed-seed workload under every scheduler.
+//! format), on batches filled by compacting pushes over stale lanes, at
+//! every length around a group and a mask-word boundary, and on the 60K
+//! fixed-seed workload under every scheduler.
 //!
 //! The second half checks the search-space restriction in front of the
 //! kernels: `matched_entries` hands them only the entries that meet the
@@ -18,7 +20,7 @@ use sjcm_join::{
     MatchScratch, PbsmSession, Scheduler,
 };
 use sjcm_rtree::{BulkLoad, Child, Entry, Node, ObjectId, RTree, RTreeConfig};
-use sjcm_storage::{DiskEntry, DiskNode, DEFAULT_PAGE_SIZE};
+use sjcm_storage::{DiskEntry, DiskNode, FlightRecorder, DEFAULT_PAGE_SIZE};
 
 /// Session-API shorthand: an ungoverned, unfaulted join.
 fn join(r1: &RTree<2>, r2: &RTree<2>, config: JoinConfig, scheduler: Scheduler) -> JoinResultSet {
@@ -88,55 +90,152 @@ fn page_roundtrip(r: Rect<2>) -> Rect<2> {
         .rect
 }
 
+/// Batch lengths that end a batch before, on and after a group
+/// boundary (8 lanes) and a mask-word boundary (64 lanes), and one that
+/// spans three words.
+fn batch_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(1usize),
+        Just(7usize),
+        Just(8usize),
+        Just(9usize),
+        Just(63usize),
+        Just(64usize),
+        Just(65usize),
+        Just(130usize),
+    ]
+}
+
+/// A rectangle every predicate admits against any rectangle the
+/// strategies draw: a lane left holding it that leaked into a mask
+/// would read as a hit.
+fn everywhere() -> Rect<2> {
+    Rect::new([-1.0, -1.0], [2.0, 2.0]).unwrap()
+}
+
+/// A batch filled the way the join fills one: lanes first holding 130
+/// copies of [`everywhere`], cleared, then a compacting push of each of
+/// `rects` with its `keep` bit. Returns the batch and the kept
+/// rectangles, in order.
+fn compacted(rects: &[Rect<2>], keep: &[bool]) -> (RectBatch<2>, Vec<Rect<2>>) {
+    let mut batch = RectBatch::new();
+    batch.extend(std::iter::repeat_n(everywhere(), 130));
+    batch.clear();
+    for (r, &k) in rects.iter().zip(keep) {
+        batch.push_if(r, k);
+    }
+    let kept: Vec<Rect<2>> = rects
+        .iter()
+        .zip(keep)
+        .filter(|(_, &k)| k)
+        .map(|(r, _)| *r)
+        .collect();
+    (batch, kept)
+}
+
+/// The kernels of `batch` against the scalar predicate `holds` over
+/// `kept`, the batch's rectangles: every block word, the mask over the
+/// whole batch and masks over sub-ranges that start off a group and a
+/// word boundary.
+fn assert_kernels_agree(
+    batch: &RectBatch<2>,
+    kept: &[Rect<2>],
+    holds: impl Fn(&Rect<2>) -> bool,
+    word: impl Fn(&RectBatch<2>, usize) -> u64,
+    mask_of: impl Fn(&RectBatch<2>, usize, usize, &mut OverlapMask),
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(batch.len(), kept.len());
+    for (i, r) in kept.iter().enumerate() {
+        prop_assert_eq!(batch.get(i), *r, "lane {}", i);
+    }
+    let want: Vec<bool> = kept.iter().map(&holds).collect();
+    for block in 0..kept.len().div_ceil(64) {
+        let got = word(batch, block);
+        for bit in 0..64 {
+            let i = block * 64 + bit;
+            let expect = i < kept.len() && want[i];
+            prop_assert_eq!(got >> bit & 1 == 1, expect, "block {} bit {}", block, bit);
+        }
+    }
+    let n = kept.len();
+    let mut mask = OverlapMask::new();
+    for (start, end) in [(0, n), (1.min(n), n), (n / 2, n), (9.min(n), 73.min(n))] {
+        mask_of(batch, start, end, &mut mask);
+        prop_assert_eq!(mask.len(), end - start);
+        let got: Vec<usize> = mask.iter_set().collect();
+        let expect: Vec<usize> = (start..end)
+            .filter(|&i| want[i])
+            .map(|i| i - start)
+            .collect();
+        prop_assert_eq!(got, expect, "range {}..{}", start, end);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn overlap_mask_agrees_with_scalar_intersects(
         q in rect2(),
-        rects in prop::collection::vec(rect2(), 1..150),
+        rects in prop::collection::vec(rect2(), 130..131),
+        len in batch_len(),
+        keep in prop::collection::vec(any::<bool>(), 130..131),
+        keep_all in any::<bool>(),
     ) {
-        let batch: RectBatch<2> = rects.iter().copied().collect();
-        let mut mask = OverlapMask::new();
-        batch.overlap_mask(&q, 0, batch.len(), &mut mask);
-        for (i, r) in rects.iter().enumerate() {
-            prop_assert_eq!(mask.get(i), q.intersects(r), "i={} q={:?} r={:?}", i, q, r);
-        }
+        let keep = if keep_all { vec![true; len] } else { keep[..len].to_vec() };
+        let (batch, kept) = compacted(&rects[..len], &keep);
+        assert_kernels_agree(
+            &batch,
+            &kept,
+            |r| q.intersects(r),
+            |b, block| b.overlap_word(&q, block),
+            |b, start, end, mask| b.overlap_mask(&q, start, end, mask),
+        )?;
     }
 
     #[test]
     fn overlap_mask_agrees_on_page_rounded_coords(
         q in rect2(),
-        rects in prop::collection::vec(rect2(), 1..80),
+        rects in prop::collection::vec(rect2(), 130..131),
+        len in batch_len(),
+        keep in prop::collection::vec(any::<bool>(), 130..131),
     ) {
         // The exact coordinate class the join sees after reading pages:
         // f32 lows rounded down, f32 highs rounded up.
         let q = page_roundtrip(q);
-        let rects: Vec<Rect<2>> = rects.into_iter().map(page_roundtrip).collect();
-        let batch: RectBatch<2> = rects.iter().copied().collect();
-        let mut mask = OverlapMask::new();
-        batch.overlap_mask(&q, 0, batch.len(), &mut mask);
-        for (i, r) in rects.iter().enumerate() {
-            prop_assert_eq!(mask.get(i), q.intersects(r), "i={} q={:?} r={:?}", i, q, r);
-        }
+        let rects: Vec<Rect<2>> = rects[..len].iter().copied().map(page_roundtrip).collect();
+        let (batch, kept) = compacted(&rects, &keep[..len]);
+        assert_kernels_agree(
+            &batch,
+            &kept,
+            |r| q.intersects(r),
+            |b, block| b.overlap_word(&q, block),
+            |b, start, end, mask| b.overlap_mask(&q, start, end, mask),
+        )?;
     }
 
     #[test]
     fn within_mask_agrees_with_scalar_within_distance(
         q in rect2(),
-        rects in prop::collection::vec(rect2(), 1..100),
-        eps in prop_oneof![Just(0.0f64), 0.0f64..0.5],
+        rects in prop::collection::vec(rect2(), 130..131),
+        len in batch_len(),
+        keep in prop::collection::vec(any::<bool>(), 130..131),
+        eps in prop_oneof![Just(0.0f64), Just(f64::INFINITY), 0.0f64..0.5],
+        page_rounded in any::<bool>(),
     ) {
-        let batch: RectBatch<2> = rects.iter().copied().collect();
-        let mut mask = OverlapMask::new();
-        batch.within_mask(&q, eps, 0, batch.len(), &mut mask);
-        for (i, r) in rects.iter().enumerate() {
-            prop_assert_eq!(
-                mask.get(i),
-                q.within_distance(r, eps),
-                "i={} eps={} q={:?} r={:?}", i, eps, q, r
-            );
-        }
+        let prep = |r: Rect<2>| if page_rounded { page_roundtrip(r) } else { r };
+        let q = prep(q);
+        let rects: Vec<Rect<2>> = rects[..len].iter().copied().map(prep).collect();
+        let (batch, kept) = compacted(&rects, &keep[..len]);
+        assert_kernels_agree(
+            &batch,
+            &kept,
+            |r| q.within_distance(r, eps),
+            |b, block| b.within_word(&q, eps, block),
+            |b, start, end, mask| b.within_mask(&q, eps, start, end, mask),
+        )?;
     }
 
     #[test]
@@ -562,6 +661,132 @@ fn zero_threads_is_a_typed_error_on_the_fallible_path() {
         assert_eq!(err, JoinError::InvalidThreads, "{sched:?}");
         assert!(err.to_string().contains("at least one worker"));
     }
+}
+
+// ---------------------------------------------------------------------
+// Compacting pushes: every keep pattern up to a group and one lane.
+// ---------------------------------------------------------------------
+
+/// Every keep pattern of up to nine rectangles — each subset of a full
+/// group and of a group plus one lane — drawn from the coordinates that
+/// break naive kernels (±0.0, touching, degenerate): the batch holds
+/// exactly the kept rectangles, in order, and both word kernels agree
+/// with the scalar predicates on them.
+#[test]
+fn compacting_pushes_agree_under_every_keep_pattern() {
+    let pool = [
+        r([0.0, 0.0], [0.5, 0.5]),
+        r([-0.0, -0.0], [0.0, 0.0]),
+        r([0.5, 0.5], [0.5, 0.5]),
+        r([0.5, 0.0], [1.0, 0.5]),
+        r([0.25, 0.5], [0.25, 0.75]),
+        r([0.75, 0.75], [1.0, 1.0]),
+        r([0.0, 0.9], [0.1, 1.0]),
+        r([0.5, 0.25], [0.5, 0.25]),
+        r([0.1, 0.1], [0.2, 0.2]),
+    ];
+    let queries = [r([0.5, 0.5], [0.75, 0.75]), r([-0.0, 0.0], [0.0, 0.0])];
+    for n in 0..=pool.len() {
+        for pattern in 0u32..1 << n {
+            let keep: Vec<bool> = (0..n).map(|i| pattern >> i & 1 == 1).collect();
+            let (batch, kept) = compacted(&pool[..n], &keep);
+            for q in &queries {
+                assert_kernels_agree(
+                    &batch,
+                    &kept,
+                    |r| q.intersects(r),
+                    |b, block| b.overlap_word(q, block),
+                    |b, start, end, mask| b.overlap_mask(q, start, end, mask),
+                )
+                .unwrap_or_else(|e| panic!("overlap, pattern {pattern:0n$b}: {e}"));
+                for eps in [0.0, 0.25, f64::INFINITY] {
+                    assert_kernels_agree(
+                        &batch,
+                        &kept,
+                        |r| q.within_distance(r, eps),
+                        |b, block| b.within_word(q, eps, block),
+                        |b, start, end, mask| b.within_mask(q, eps, start, end, mask),
+                    )
+                    .unwrap_or_else(|e| panic!("ε {eps}, pattern {pattern:0n$b}: {e}"));
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Distance thresholds the session refuses, and the one it must not.
+// ---------------------------------------------------------------------
+
+/// A distance join whose ε is negative or NaN is refused with a typed
+/// error before either tree is read: no scheduler records an access.
+fn refused_distance(eps: f64) -> Vec<JoinError> {
+    let t1 = build_uniform(500, 0.3, 11);
+    let t2 = build_uniform(500, 0.3, 12);
+    let mut errors = Vec::new();
+    for sched in [
+        Scheduler::Sequential,
+        Scheduler::CostGuided { threads: 2 },
+        Scheduler::RoundRobin { threads: 2 },
+    ] {
+        let recorder = FlightRecorder::enabled();
+        let err = JoinSession::new(&t1, &t2)
+            .config(JoinConfig {
+                predicate: JoinPredicate::WithinDistance(eps),
+                ..JoinConfig::default()
+            })
+            .scheduler(sched)
+            .record(&recorder)
+            .run()
+            .expect_err("an invalid ε must not run");
+        assert!(err.to_string().contains("ε ≥ 0"), "{sched:?}: {err}");
+        assert!(recorder.drain().0.is_empty(), "{sched:?}: a page was read");
+        errors.push(err);
+    }
+    errors
+}
+
+#[test]
+fn negative_distance_is_a_typed_error() {
+    for err in refused_distance(-0.01) {
+        assert_eq!(err, JoinError::InvalidDistance(-0.01));
+    }
+}
+
+#[test]
+fn nan_distance_is_a_typed_error() {
+    for err in refused_distance(f64::NAN) {
+        assert!(
+            matches!(err, JoinError::InvalidDistance(eps) if eps.is_nan()),
+            "{err:?}"
+        );
+    }
+}
+
+/// `ε = +∞` stays legal, and so does `-0.0`, which is zero: the first
+/// joins every pair, the second what the overlap predicate joins.
+#[test]
+fn infinite_and_negative_zero_distances_run() {
+    let t1 = build_uniform(300, 0.3, 13);
+    let t2 = build_uniform(200, 0.3, 14);
+    let run = |predicate| {
+        join(
+            &t1,
+            &t2,
+            JoinConfig {
+                predicate,
+                collect_pairs: false,
+                ..JoinConfig::default()
+            },
+            Scheduler::Sequential,
+        )
+        .pair_count
+    };
+    assert_eq!(run(JoinPredicate::WithinDistance(f64::INFINITY)), 300 * 200);
+    assert_eq!(
+        run(JoinPredicate::WithinDistance(-0.0)),
+        run(JoinPredicate::Overlap)
+    );
 }
 
 // ---------------------------------------------------------------------

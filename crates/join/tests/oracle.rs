@@ -9,10 +9,12 @@
 //! scalar run charges: NA counts visited node pairs, which neither the
 //! schedule nor the kernel may change.
 //!
-//! Inputs: uniform, clustered, trees of unequal height, and the
-//! degenerate shapes that break naive overlap code (empty tree, single
-//! entry, all-identical rectangles, zero-extent rectangles, rectangles
-//! that only touch).
+//! Inputs: uniform, clustered, trees of unequal height, nodes wide
+//! enough that a node pair's candidates span two 64-lane mask words, and
+//! the degenerate shapes that break naive overlap code (empty tree,
+//! single entry, all-identical rectangles, zero-extent rectangles,
+//! rectangles that only touch). The distance cases include ε = 0 and
+//! ε = +∞, at which every pair qualifies.
 //!
 //! The same matrix runs once more under query windows
 //! ([`JoinSession::window`]) on either side and on both: the reference
@@ -33,7 +35,7 @@ use sjcm_join::{
     MatchKernel, PbsmSession, Scheduler, Side,
 };
 use sjcm_obs::{DriftMonitor, ProgressTracker, Tracer, DA_TOTAL, NA_TOTAL};
-use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
+use sjcm_rtree::{BulkLoad, Node, ObjectId, RTree, RTreeConfig};
 use sjcm_storage::FlightRecorder;
 
 type Items<const N: usize> = Vec<(Rect<N>, ObjectId)>;
@@ -80,7 +82,12 @@ fn ided<const N: usize>(rects: Vec<Rect<N>>) -> Items<N> {
 /// Insertion-built, eight entries a node: a few hundred objects already
 /// make a tree three or four levels high.
 fn tree<const N: usize>(items: &Items<N>) -> RTree<N> {
-    let mut tree = RTree::new(RTreeConfig::with_capacity(8));
+    tree_with_capacity(items, 8)
+}
+
+/// Insertion-built, `capacity` entries a node.
+fn tree_with_capacity<const N: usize>(items: &Items<N>, capacity: usize) -> RTree<N> {
+    let mut tree = RTree::new(RTreeConfig::with_capacity(capacity));
     for &(r, id) in items {
         tree.insert(r, id);
     }
@@ -122,7 +129,17 @@ fn assert_tree_joins_match_oracle<const N: usize>(
     b: &Items<N>,
     eps: &[f64],
 ) {
-    let (ta, tb) = (tree(a), tree(b));
+    assert_trees_match_oracle(name, (a, &tree(a)), (b, &tree(b)), eps);
+}
+
+/// [`assert_tree_joins_match_oracle`] over trees already built from
+/// `a` and `b`.
+fn assert_trees_match_oracle<const N: usize>(
+    name: &str,
+    (a, ta): (&Items<N>, &RTree<N>),
+    (b, tb): (&Items<N>, &RTree<N>),
+    eps: &[f64],
+) {
     let mut cases = vec![(JoinPredicate::Overlap, sorted(nested_loop_join(a, b)))];
     for &e in eps {
         cases.push((
@@ -138,7 +155,7 @@ fn assert_tree_joins_match_oracle<const N: usize>(
             let mut sequential_pairs = None;
             for scheduler in schedulers() {
                 let tag = format!("{name} {N}-d {predicate:?} {kernel:?} {scheduler:?}");
-                let got = JoinSession::new(&ta, &tb)
+                let got = JoinSession::new(ta, tb)
                     .config(JoinConfig {
                         predicate,
                         kernel,
@@ -217,9 +234,11 @@ fn clustered_inputs_match_the_oracle() {
 fn unequal_height_case<const N: usize>() {
     let (tall, short) = (uniform::<N>(1_200, 0.5, 31), uniform::<N>(6, 0.2, 32));
     assert!(tree(&tall).height() > tree(&short).height() + 1);
-    // Both roles: the pinned (shorter) tree on either side.
-    assert_tree_joins_match_oracle("tall × short", &tall, &short, &[0.05]);
-    assert_tree_joins_match_oracle("short × tall", &short, &tall, &[0.05]);
+    // Both roles: the pinned (shorter) tree on either side. At ε = +∞
+    // every pair qualifies.
+    let eps = [0.0, 0.05, f64::INFINITY];
+    assert_tree_joins_match_oracle("tall × short", &tall, &short, &eps);
+    assert_tree_joins_match_oracle("short × tall", &short, &tall, &eps);
 }
 
 #[test]
@@ -275,8 +294,9 @@ fn degenerate_case<const N: usize>() {
     ];
     for (name, a, b) in cases {
         // ε = 0 is the overlap predicate by another route (d² ≤ 0); the
-        // second ε reaches across exactly one tile.
-        assert_tree_joins_match_oracle(name, a, b, &[0.0, 0.0625]);
+        // second ε reaches across exactly one tile; at ε = +∞ every pair
+        // qualifies, so a padding lane that leaked would be an extra pair.
+        assert_tree_joins_match_oracle(name, a, b, &[0.0, 0.0625, f64::INFINITY]);
         assert_pbsm_matches_oracle(name, a, b);
     }
 }
@@ -286,6 +306,60 @@ fn degenerate_inputs_match_the_oracle() {
     degenerate_case::<1>();
     degenerate_case::<2>();
     degenerate_case::<3>();
+}
+
+/// The leaves of `tree`.
+fn leaves<const N: usize>(tree: &RTree<N>) -> Vec<&Node<N>> {
+    let (mut stack, mut out) = (vec![tree.root_id()], Vec::new());
+    while let Some(id) = stack.pop() {
+        let node = tree.node(id);
+        if node.is_leaf() {
+            out.push(node);
+        } else {
+            stack.extend(node.entries.iter().map(|e| e.child.node()));
+        }
+    }
+    out
+}
+
+/// The most entries of one leaf of `t1` that meet the MBR of one leaf
+/// of `t2` — how many R1 candidates the widest leaf pair restricts to.
+fn widest_restriction<const N: usize>(t1: &RTree<N>, t2: &RTree<N>) -> usize {
+    let mut widest = 0;
+    for l2 in leaves(t2) {
+        let Some(m2) = l2.mbr() else { continue };
+        for l1 in leaves(t1) {
+            let meeting = l1.entries.iter().filter(|e| e.rect.intersects(&m2));
+            widest = widest.max(meeting.count());
+        }
+    }
+    widest
+}
+
+/// Nodes of 130 entries: a leaf pair's candidates span more than one
+/// 64-lane mask word, on both sides, so the second word and the padding
+/// past the last candidate are exercised at every ε.
+fn wide_node_case<const N: usize>() {
+    const CAPACITY: usize = 130;
+    let (a, b) = (uniform::<N>(300, 3.0, 91), uniform::<N>(260, 3.0, 92));
+    let (ta, tb) = (
+        tree_with_capacity(&a, CAPACITY),
+        tree_with_capacity(&b, CAPACITY),
+    );
+    assert!(
+        widest_restriction(&ta, &tb) > 64 && widest_restriction(&tb, &ta) > 64,
+        "{N}-d: no leaf pair's candidates cross a mask word"
+    );
+    let eps = [0.0, 0.01, f64::INFINITY];
+    assert_trees_match_oracle("wide nodes", (&a, &ta), (&b, &tb), &eps);
+    assert_trees_match_oracle("wide nodes (swapped)", (&b, &tb), (&a, &ta), &eps);
+}
+
+#[test]
+fn wide_nodes_match_the_oracle() {
+    wide_node_case::<1>();
+    wide_node_case::<2>();
+    wide_node_case::<3>();
 }
 
 // ---------------------------------------------------------------------
