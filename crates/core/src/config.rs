@@ -85,13 +85,6 @@ impl ModelConfig {
         }
     }
 
-    /// Replaces the average capacity fraction.
-    pub fn with_avg_capacity(mut self, c: f64) -> Self {
-        assert!(c > 0.0 && c <= 1.0, "average capacity must be in (0, 1]");
-        self.avg_capacity = c;
-        self
-    }
-
     /// Effective fanout `f = c·M`, the paper's `c·M` denominator in
     /// Eqs 2, 3 and 5.
     #[inline]
@@ -166,18 +159,6 @@ mod tests {
         assert!((c.fanout() - 33.5).abs() < 1e-12);
         let c1 = ModelConfig::paper(1);
         assert!((c1.fanout() - 56.28).abs() < 1e-12);
-    }
-
-    #[test]
-    fn with_avg_capacity_builder() {
-        let c = ModelConfig::with_capacity(100).with_avg_capacity(0.5);
-        assert_eq!(c.fanout(), 50.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "average capacity")]
-    fn rejects_capacity_fraction_above_one() {
-        ModelConfig::with_capacity(10).with_avg_capacity(1.5);
     }
 
     #[test]

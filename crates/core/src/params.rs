@@ -63,9 +63,11 @@ impl<const N: usize> TreeParams<N> {
     }
 
     /// Builds parameters from explicit per-level values — the "measured
-    /// parameters" mode used by the ablation experiments (fed from
-    /// `sjcm_rtree`'s `TreeStats`) and by the non-uniform model's
-    /// per-cell evaluation. `levels[0]` is the leaf level `j = 1`.
+    /// parameters" mode: a built tree's `TreeStats` (the ablation
+    /// experiments, EXPLAIN ANALYZE's post-hoc re-estimate) and a
+    /// subtree's shape (the governor's admission price, the parallel
+    /// join's unit prices).
+    /// `levels[0]` is the leaf level `j = 1`.
     pub fn from_levels(levels: Vec<LevelParams<N>>) -> Self {
         assert!(!levels.is_empty(), "a tree has at least one level");
         Self { levels }

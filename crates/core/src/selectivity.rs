@@ -32,14 +32,6 @@ pub fn join_selectivity<const N: usize>(d1: DataProfile, d2: DataProfile) -> f64
     pairs
 }
 
-/// Join selectivity as a fraction of the Cartesian product, in `[0, 1]`.
-pub fn join_selectivity_fraction<const N: usize>(d1: DataProfile, d2: DataProfile) -> f64 {
-    if d1.cardinality == 0 || d2.cardinality == 0 {
-        return 0.0;
-    }
-    join_selectivity::<N>(d1, d2) / (d1.cardinality as f64 * d2.cardinality as f64)
-}
-
 /// Expected number of pairs of a **distance join** (objects within
 /// Euclidean distance ε, modeled through the L∞ Minkowski window of
 /// \[PT97\]): each per-dimension factor grows by `2ε`.
@@ -74,8 +66,8 @@ mod tests {
     fn fraction_in_unit_interval() {
         let a = DataProfile::new(5_000, 0.4);
         let b = DataProfile::new(20_000, 0.1);
-        let f = join_selectivity_fraction::<2>(a, b);
-        assert!((0.0..=1.0).contains(&f));
+        let pairs = join_selectivity::<2>(a, b);
+        assert!((0.0..=5_000.0 * 20_000.0).contains(&pairs));
     }
 
     #[test]
@@ -83,7 +75,6 @@ mod tests {
         let a = DataProfile::new(0, 0.0);
         let b = DataProfile::new(1_000, 0.5);
         assert_eq!(join_selectivity::<2>(a, b), 0.0);
-        assert_eq!(join_selectivity_fraction::<2>(a, b), 0.0);
     }
 
     #[test]

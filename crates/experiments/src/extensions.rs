@@ -7,7 +7,7 @@ use crate::common::{
 };
 use crate::report::{int, pct, Report};
 use sjcm_core::selectivity::{distance_join_selectivity, join_selectivity};
-use sjcm_core::{join, DataProfile, ModelConfig, TreeParams};
+use sjcm_core::{join, ModelConfig, TreeParams};
 use sjcm_datagen::skewed::{gaussian_clusters, ClusterConfig};
 use sjcm_datagen::uniform::{generate as uniform, UniformConfig};
 use sjcm_geom::Rect;
@@ -314,12 +314,6 @@ pub fn algo_compare(out: &Path, scale: f64) {
         "SJ exploits pre-built indexes (cheapest); PBSM's two-pass \
          partitioning beats per-object probing (INL) without any index."
     );
-}
-
-/// Convenience wrapper so `all` can estimate a DataProfile quickly.
-#[allow(dead_code)]
-pub fn quick_profile(n: u64, d: f64) -> DataProfile {
-    DataProfile::new(n, d)
 }
 
 /// §5 outlook: the parallel SJ, scheduled by the paper's own cost

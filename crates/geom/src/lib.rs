@@ -7,9 +7,6 @@
 //! * [`Point<N>`](Point) and [`Rect<N>`](Rect) — axis-aligned geometry in
 //!   `N`-dimensional space with the full algebra the cost model needs
 //!   (intersection, union, measure, margin, Minkowski enlargement, …).
-//! * [`curve`] — space-filling curves (generic Morton/Z-order and a 2-D
-//!   Hilbert curve) used by the bulk-loading algorithms of the R-tree
-//!   crate, following Kamel & Faloutsos, *On Packing R-trees* (CIKM 1993).
 //! * [`mod@density`] — the *density* statistic `D` of a rectangle set, the
 //!   primitive data property (together with cardinality `N`) that the
 //!   paper's analytical formulas are functions of.
@@ -29,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod curve;
 pub mod density;
 mod point;
 mod rect;

@@ -2,7 +2,7 @@
 //! R-tree and the cost model silently rely on.
 
 use proptest::prelude::*;
-use sjcm_geom::{curve, density, local_density, mbr_of, Point, Rect};
+use sjcm_geom::{density, local_density, mbr_of, Point, Rect};
 
 /// Strategy: a rectangle with corners in [0, 1]^2.
 fn rect2() -> impl Strategy<Value = Rect<2>> {
@@ -133,30 +133,5 @@ proptest! {
         // 1-D: intersects iff the intervals overlap as computed by hand.
         let overlap = a.lo_k(0) <= b.hi_k(0) && b.lo_k(0) <= a.hi_k(0);
         prop_assert_eq!(a.intersects(&b), overlap);
-    }
-
-    #[test]
-    fn morton_key_in_range(x in 0.0f64..1.0, y in 0.0f64..1.0, bits in 1u32..16) {
-        let k = curve::morton_key(&Point::new([x, y]), bits);
-        prop_assert!(k < 1u64 << (2 * bits));
-    }
-
-    #[test]
-    fn hilbert_key_in_range(x in 0.0f64..1.0, y in 0.0f64..1.0, bits in 1u32..16) {
-        let k = curve::hilbert_key_2d(&Point::new([x, y]), bits);
-        prop_assert!(k < 1u64 << (2 * bits));
-    }
-
-    #[test]
-    fn hilbert_roundtrips_cell(key in 0u64..4096) {
-        let bits = 6;
-        let (x, y) = curve::hilbert_cell_2d(key, bits);
-        let side = 1u64 << bits;
-        prop_assert!(x < side && y < side);
-        let p = Point::new([
-            (x as f64 + 0.5) / side as f64,
-            (y as f64 + 0.5) / side as f64,
-        ]);
-        prop_assert_eq!(curve::hilbert_key_2d(&p, bits), key);
     }
 }

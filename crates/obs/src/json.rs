@@ -82,12 +82,16 @@ impl Value {
     }
 }
 
-/// Compact JSON text; [`parse`] reads it back to an equal value.
+/// Compact JSON text; [`parse`] reads it back to an equal value, except
+/// that a non-finite number (NaN, ±∞), which JSON cannot spell, is
+/// written as `null` — as the span, metrics and progress writers do —
+/// and so reads back as [`Value::Null`].
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => f.write_str("null"),
             Value::Bool(b) => write!(f, "{b}"),
+            Value::Num(n) if !n.is_finite() => f.write_str("null"),
             Value::Num(n) => write!(f, "{n}"),
             Value::Str(s) => f.write_str(&escape(s)),
             Value::Arr(items) => {
@@ -335,6 +339,13 @@ mod tests {
         let v = Value::Num(0.123456789012345);
         let back = parse(&v.to_string()).unwrap();
         assert_eq!(back.as_f64(), Some(0.123456789012345));
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(parse(&Value::Num(x).to_string()), Ok(Value::Null), "{x}");
+        }
     }
 
     #[test]

@@ -42,11 +42,9 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(bounds: Vec<f64>) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
+    /// An empty histogram with power-of-four bounds `1, 4, …, 4096`.
+    fn new() -> Self {
+        let bounds = vec![1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0];
         let counts = vec![0; bounds.len() + 1];
         Self {
             bounds,
@@ -122,16 +120,6 @@ impl MetricsRegistry {
         s.gauges.get(name).copied()
     }
 
-    /// Declares histogram `name` with the given inclusive upper bucket
-    /// bounds (plus an implicit overflow bucket). Idempotent: re-declaring
-    /// keeps the existing histogram.
-    pub fn histogram_declare(&self, name: &str, bounds: &[f64]) {
-        let mut s = self.state.lock().expect("metrics poisoned");
-        s.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds.to_vec()));
-    }
-
     /// Records `value` into histogram `name`, declaring it with
     /// power-of-four bucket bounds `1, 4, …, 4096` when absent — a shape
     /// that suits the small positive counts the schedulers produce
@@ -140,7 +128,7 @@ impl MetricsRegistry {
         let mut s = self.state.lock().expect("metrics poisoned");
         s.histograms
             .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(vec![1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0]))
+            .or_insert_with(Histogram::new)
             .record(value);
     }
 
@@ -261,12 +249,12 @@ mod tests {
     #[test]
     fn histogram_buckets_and_overflow() {
         let m = MetricsRegistry::new();
-        m.histogram_declare("h", &[1.0, 10.0]);
-        for v in [0.5, 1.0, 2.0, 10.0, 11.0, 1e9] {
+        for v in [0.5, 1.0, 2.0, 4.0, 4097.0, 1e9] {
             m.histogram_record("h", v);
         }
         let h = m.histogram("h").unwrap();
-        assert_eq!(h.counts, vec![2, 2, 2]); // ≤1, ≤10, overflow
+        // ≤1, ≤4, ≤16, ≤64, ≤256, ≤1024, ≤4096, overflow
+        assert_eq!(h.counts, vec![2, 2, 0, 0, 0, 0, 0, 2]);
         assert_eq!(h.total, 6);
     }
 

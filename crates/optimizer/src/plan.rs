@@ -36,14 +36,6 @@ impl<const N: usize> JoinQuery<N> {
         self.selections.push((dataset.to_string(), window));
         self
     }
-
-    /// The selection window on `dataset`, if any.
-    pub fn selection_on(&self, dataset: &str) -> Option<&Rect<N>> {
-        self.selections
-            .iter()
-            .find(|(d, _)| d == dataset)
-            .map(|(_, w)| w)
-    }
 }
 
 /// Physical join algorithm chosen by the planner.
@@ -276,11 +268,10 @@ mod tests {
 
     #[test]
     fn query_builder() {
-        let q = JoinQuery::<2>::new(["a", "b"])
-            .with_selection("a", Rect::new([0.0, 0.0], [0.5, 1.0]).unwrap());
+        let window = Rect::new([0.0, 0.0], [0.5, 1.0]).unwrap();
+        let q = JoinQuery::<2>::new(["a", "b"]).with_selection("a", window);
         assert_eq!(q.datasets, vec!["a", "b"]);
-        assert!(q.selection_on("a").is_some());
-        assert!(q.selection_on("b").is_none());
+        assert_eq!(q.selections, vec![("a".to_string(), window)]);
     }
 
     #[test]

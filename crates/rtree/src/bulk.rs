@@ -1,15 +1,10 @@
 //! Bulk loading ("packing") of R-trees.
 //!
-//! Two packers are provided:
-//!
-//! * **STR** (Sort-Tile-Recursive, Leutenegger et al.): recursively sorts
-//!   and tiles the data into slabs of whole pages, dimension by
-//!   dimension — `⌈P^(1/N)⌉` cuts per dimension for `P` pages, so the
-//!   tiles that become nodes are near-square. Works for any `N`.
-//! * **Hilbert packing** (Kamel & Faloutsos, CIKM 1993 — reference
-//!   \[KF93\] of the paper): sorts by the Hilbert value of the MBR center
-//!   and fills pages in that order. Falls back to a Morton sort for
-//!   `N ≠ 2`.
+//! The one packer is **STR** (Sort-Tile-Recursive, Leutenegger et al.):
+//! it recursively sorts and tiles the data into slabs of whole pages,
+//! dimension by dimension — `⌈P^(1/N)⌉` cuts per dimension for `P`
+//! pages, so the tiles that become nodes are near-square. Works for any
+//! `N`.
 //!
 //! Packed trees have near-100% fill by default; a `fill` factor below
 //! 1.0 reproduces insertion-like utilization (the paper's c = 67%) for
@@ -19,7 +14,6 @@
 use crate::config::RTreeConfig;
 use crate::node::{Entry, Node, NodeId, ObjectId};
 use crate::tree::RTree;
-use sjcm_geom::curve::{curve_key, CurveKind};
 use sjcm_geom::Rect;
 
 /// Bulk-loading algorithm selector.
@@ -27,9 +21,6 @@ use sjcm_geom::Rect;
 pub enum BulkLoad {
     /// Sort-Tile-Recursive.
     Str,
-    /// Space-filling-curve packing (Hilbert for `N = 2`, Morton
-    /// otherwise).
-    Hilbert,
 }
 
 impl<const N: usize> RTree<N> {
@@ -58,6 +49,8 @@ impl<const N: usize> RTree<N> {
         fill: f64,
     ) -> Self {
         config.validate().expect("invalid R-tree configuration");
+        // STR is the one packer.
+        let BulkLoad::Str = algorithm;
         let cap_f = (config.max_entries as f64 * fill).floor() as usize;
         let cap = cap_f.clamp(2, config.max_entries);
         // The last-two-chunk balancing in `pack_level` needs cap ≥ 2m. A
@@ -78,7 +71,7 @@ impl<const N: usize> RTree<N> {
             .into_iter()
             .map(|(rect, id)| Entry::leaf(rect, id))
             .collect();
-        order_entries(&mut leaf_entries, algorithm, cap);
+        str_order(&mut leaf_entries, 0, cap);
         let mut level_nodes: Vec<NodeId> =
             pack_level(&mut tree, leaf_entries, 0, cap, config.min_entries);
 
@@ -93,7 +86,7 @@ impl<const N: usize> RTree<N> {
                     Entry::internal(mbr, id)
                 })
                 .collect();
-            order_entries(&mut entries, algorithm, cap);
+            str_order(&mut entries, 0, cap);
             level_nodes = pack_level(&mut tree, entries, level, cap, config.min_entries);
         }
         let root = level_nodes[0];
@@ -103,20 +96,6 @@ impl<const N: usize> RTree<N> {
             tree.release(placeholder);
         }
         tree
-    }
-}
-
-/// Orders entries along the packer's curve. STR performs its recursive
-/// sort-and-tile; the curve packers sort by center key.
-fn order_entries<const N: usize>(entries: &mut [Entry<N>], algorithm: BulkLoad, cap: usize) {
-    match algorithm {
-        BulkLoad::Hilbert => {
-            let kind = CurveKind::Hilbert;
-            entries.sort_by_cached_key(|e| curve_key(kind, &e.rect.center()));
-        }
-        // STR tiles by pages, so it needs the node capacity `pack_level`
-        // will chunk by: a tile is meant to become exactly one node.
-        BulkLoad::Str => str_order(entries, 0, cap),
     }
 }
 
@@ -141,6 +120,8 @@ fn str_slab_len(len: usize, cap: usize, remaining_dims: usize) -> usize {
 /// into slabs of whole pages, recurse on each slab with the next
 /// dimension. The tiles of the last dimension come out near-square:
 /// every dimension is cut into about `P^(1/N)` pieces.
+/// STR tiles by pages, so it takes the node capacity `pack_level` will
+/// chunk by: a tile is meant to become exactly one node.
 fn str_order<const N: usize>(entries: &mut [Entry<N>], dim: usize, cap: usize) {
     if entries.len() <= 1 {
         return;
@@ -248,34 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn hilbert_load_is_valid_and_queryable() {
-        let items = random_items(3000, 2);
-        let tree = RTree::<2>::bulk_load(
-            RTreeConfig::with_capacity(16),
-            items.clone(),
-            BulkLoad::Hilbert,
-            1.0,
-        );
-        tree.check_invariants().unwrap();
-        let q = Rect::new([0.6, 0.1], [0.9, 0.5]).unwrap();
-        let mut got = tree.query_window(&q);
-        got.sort();
-        let mut want: Vec<ObjectId> = items
-            .iter()
-            .filter(|(r, _)| r.intersects(&q))
-            .map(|&(_, id)| id)
-            .collect();
-        want.sort();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn full_fill_produces_fewer_nodes_than_insertion() {
         let items = random_items(2000, 3);
         let packed = RTree::<2>::bulk_load(
             RTreeConfig::with_capacity(16),
             items.clone(),
-            BulkLoad::Hilbert,
+            BulkLoad::Str,
             1.0,
         );
         let mut inserted = RTree::<2>::new(RTreeConfig::with_capacity(16));
@@ -316,7 +275,7 @@ mod tests {
         let one = RTree::<2>::bulk_load(
             RTreeConfig::with_capacity(8),
             vec![(Rect::unit(), ObjectId(1))],
-            BulkLoad::Hilbert,
+            BulkLoad::Str,
             1.0,
         );
         assert_eq!(one.len(), 1);
@@ -484,38 +443,6 @@ mod tests {
             z += mbr.extent(2);
         }
         assert!((0.5..=2.0).contains(&(x / z)), "width/depth {}", x / z);
-    }
-
-    #[test]
-    fn hilbert_packing_clusters_better_than_random_order() {
-        // The Hilbert-sorted leaves should have smaller total perimeter
-        // than leaves packed in insertion (id) order.
-        let items = random_items(2000, 6);
-        let hilbert = RTree::<2>::bulk_load(
-            RTreeConfig::with_capacity(16),
-            items.clone(),
-            BulkLoad::Hilbert,
-            1.0,
-        );
-        // "Random order" packer: abuse STR with dim ordering suppressed by
-        // packing the id-sorted list directly through a fresh tree.
-        let mut tree = RTree::<2>::new(RTreeConfig::with_capacity(16));
-        tree.set_len(items.len());
-        let entries: Vec<Entry<2>> = items.iter().map(|&(r, id)| Entry::leaf(r, id)).collect();
-        let ids = pack_level(&mut tree, entries, 0, 16, 6);
-        let random_margin: f64 = ids
-            .iter()
-            .map(|&id| tree.node(id).mbr().unwrap().margin())
-            .sum();
-        let hilbert_margin: f64 = hilbert
-            .node_ids_at_level(0)
-            .iter()
-            .map(|&id| hilbert.node(id).mbr().unwrap().margin())
-            .sum();
-        assert!(
-            hilbert_margin < random_margin * 0.5,
-            "hilbert {hilbert_margin} vs random {random_margin}"
-        );
     }
 
     #[test]

@@ -2,17 +2,6 @@
 
 use sjcm_storage::{max_entries, DEFAULT_PAGE_SIZE};
 
-/// Which split algorithm the tree uses on node overflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitStrategy {
-    /// Guttman's quadratic split (SIGMOD 1984).
-    Quadratic,
-    /// The R\*-tree topological split (margin-driven axis choice, minimum
-    /// overlap distribution) with forced reinsertion (SIGMOD 1990). This
-    /// is what the paper's experiments use.
-    RStar,
-}
-
 /// Configuration of an R-tree instance.
 ///
 /// The defaults reproduce the paper's setup: 1 KiB pages (so `M` follows
@@ -27,9 +16,7 @@ pub struct RTreeConfig {
     pub max_entries: usize,
     /// Minimum entries per non-root node — `m`, with `2 ≤ m ≤ M/2`.
     pub min_entries: usize,
-    /// Split algorithm.
-    pub split: SplitStrategy,
-    /// Number of entries evicted by forced reinsertion (R\* only).
+    /// Number of entries evicted by forced reinsertion.
     pub reinsert_count: usize,
 }
 
@@ -67,7 +54,6 @@ impl RTreeConfig {
             max_entries: max,
             // R*-tree recommendation: m = 40% of M.
             min_entries: (max * 2 / 5).max(2),
-            split: SplitStrategy::RStar,
             // R*-tree recommendation: p = 30% of M.
             reinsert_count: (max * 3 / 10).max(1),
         }
@@ -77,19 +63,6 @@ impl RTreeConfig {
     /// [`RTreeConfig::for_page_size`] for that).
     pub fn with_page_size(mut self, page_size: usize) -> Self {
         self.page_size = page_size;
-        self
-    }
-
-    /// Replaces the split strategy.
-    pub fn with_split(mut self, split: SplitStrategy) -> Self {
-        self.split = split;
-        self
-    }
-
-    /// Replaces the minimum fill.
-    pub fn with_min_entries(mut self, m: usize) -> Self {
-        assert!(m >= 1 && 2 * m <= self.max_entries, "need 1 ≤ m ≤ M/2");
-        self.min_entries = m;
         self
     }
 
@@ -158,11 +131,5 @@ mod tests {
         let mut c = RTreeConfig::with_capacity(10);
         c.reinsert_count = 9;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn with_min_entries_builder() {
-        let c = RTreeConfig::with_capacity(20).with_min_entries(5);
-        assert_eq!(c.min_entries, 5);
     }
 }

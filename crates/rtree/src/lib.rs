@@ -2,10 +2,10 @@
 //! reproduction.
 //!
 //! The paper evaluates its analytical formulas against joins executed on
-//! **R\*-trees** (Beckmann et al., SIGMOD 1990). This crate implements
-//! that structure — plus Guttman's original quadratic R-tree and two
-//! bulk-loading ("packing") algorithms — with the instrumentation the
-//! reproduction needs and an off-the-shelf library would not give us:
+//! **R\*-trees** (Beckmann et al., SIGMOD 1990) built by insertion. This
+//! crate implements that structure — plus STR bulk loading ("packing"),
+//! which builds the benchmark's packed trees — with the instrumentation
+//! the reproduction needs and an off-the-shelf library would not give us:
 //!
 //! * per-level structural statistics ([`stats::TreeStats`]): node counts
 //!   `N_j`, average node extents `s_{j,k}` and node-rectangle densities
@@ -44,7 +44,7 @@ pub mod tree;
 pub mod validate;
 
 pub use bulk::BulkLoad;
-pub use config::{RTreeConfig, SplitStrategy};
+pub use config::RTreeConfig;
 pub use node::{Child, Entry, Node, NodeId, ObjectId};
 pub use persist::PersistedTree;
 pub use stats::{LevelShape, LevelStats, SubtreeShape, TreeStats};

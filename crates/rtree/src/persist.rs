@@ -288,7 +288,7 @@ mod tests {
         assert_eq!(loaded.len(), tree.len());
         assert_eq!(loaded.height(), tree.height());
         assert_eq!(loaded.node_count(), tree.node_count());
-        loaded.check_invariants_with_tolerance(1e-5).unwrap();
+        loaded.check_invariants().unwrap();
         // Every original object must still be found (f32 widening can
         // only add candidates, never lose them).
         let q = Rect::new([0.1, 0.3], [0.5, 0.6]).unwrap();
@@ -311,7 +311,7 @@ mod tests {
         let mut store = InMemoryPageStore::with_default_page_size();
         let handle = tree.save(&mut store).unwrap();
         let loaded = RTree::<2>::load(&store, handle, *tree.config()).unwrap();
-        loaded.check_invariants_with_tolerance(1e-5).unwrap();
+        loaded.check_invariants().unwrap();
         assert_eq!(loaded.query_window(&Rect::unit()).len(), 500);
     }
 

@@ -1,115 +1,18 @@
-//! Node split algorithms.
+//! The node split.
 //!
-//! Both splitters take the `M + 1` entries of an overflowing node and
-//! partition them into two groups, each holding at least `m` entries:
-//!
-//! * [`quadratic_split`] — Guttman's original heuristic (SIGMOD 1984):
-//!   seed the groups with the pair wasting the most area, then greedily
-//!   assign the entry whose group preference is strongest.
-//! * [`rstar_split`] — the R\*-tree topological split (SIGMOD 1990):
-//!   choose the split *axis* by the minimum sum of group margins over all
-//!   candidate distributions, then the *distribution* on that axis by
-//!   minimum group overlap (ties: minimum combined area).
+//! [`rstar_split`] — the R\*-tree topological split (SIGMOD 1990), the
+//! one the paper's trees are built with — takes the `M + 1` entries of an
+//! overflowing node and partitions them into two groups, each holding at
+//! least `m` entries: it chooses the split *axis* by the minimum sum of
+//! group margins over all candidate distributions, then the
+//! *distribution* on that axis by minimum group overlap (ties: minimum
+//! combined area).
 
 use crate::node::Entry;
 use sjcm_geom::Rect;
 
 /// Result of a split: the two entry groups. Order is not meaningful.
 pub type SplitResult<const N: usize> = (Vec<Entry<N>>, Vec<Entry<N>>);
-
-/// Guttman's quadratic split.
-///
-/// Panics when `entries.len() < 2` or when `min_entries` makes a legal
-/// split impossible — both are internal invariant violations, not user
-/// errors, so they are defended with assertions rather than `Result`.
-pub fn quadratic_split<const N: usize>(
-    mut entries: Vec<Entry<N>>,
-    min_entries: usize,
-) -> SplitResult<N> {
-    let total = entries.len();
-    assert!(total >= 2, "cannot split {total} entries");
-    assert!(
-        2 * min_entries <= total,
-        "min fill {min_entries} impossible for {total} entries"
-    );
-
-    // PickSeeds: the pair (i, j) maximizing the dead space of their union.
-    let (mut seed_a, mut seed_b, mut worst) = (0usize, 1usize, f64::NEG_INFINITY);
-    for i in 0..total {
-        for j in (i + 1)..total {
-            let d = entries[i].rect.union(&entries[j].rect).measure()
-                - entries[i].rect.measure()
-                - entries[j].rect.measure();
-            if d > worst {
-                worst = d;
-                seed_a = i;
-                seed_b = j;
-            }
-        }
-    }
-    // Remove the higher index first so the lower one stays valid.
-    let eb = entries.swap_remove(seed_b);
-    let ea = entries.swap_remove(seed_a);
-    let mut group_a = vec![ea];
-    let mut group_b = vec![eb];
-    let mut mbr_a = group_a[0].rect;
-    let mut mbr_b = group_b[0].rect;
-
-    while !entries.is_empty() {
-        // Force-assign when one group must take everything left to
-        // reach the minimum fill.
-        let remaining = entries.len();
-        if group_a.len() + remaining == min_entries {
-            for e in entries.drain(..) {
-                mbr_a.expand_to(&e.rect);
-                group_a.push(e);
-            }
-            break;
-        }
-        if group_b.len() + remaining == min_entries {
-            for e in entries.drain(..) {
-                mbr_b.expand_to(&e.rect);
-                group_b.push(e);
-            }
-            break;
-        }
-        // PickNext: the entry with the greatest difference of enlargement
-        // between the two groups.
-        let (mut pick, mut best_diff) = (0usize, f64::NEG_INFINITY);
-        for (i, e) in entries.iter().enumerate() {
-            let d_a = mbr_a.enlargement(&e.rect);
-            let d_b = mbr_b.enlargement(&e.rect);
-            let diff = (d_a - d_b).abs();
-            if diff > best_diff {
-                best_diff = diff;
-                pick = i;
-            }
-        }
-        let e = entries.swap_remove(pick);
-        let d_a = mbr_a.enlargement(&e.rect);
-        let d_b = mbr_b.enlargement(&e.rect);
-        // Prefer smaller enlargement; tie-break on area, then count.
-        let to_a = match d_a.partial_cmp(&d_b).expect("finite enlargements") {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => {
-                if mbr_a.measure() != mbr_b.measure() {
-                    mbr_a.measure() < mbr_b.measure()
-                } else {
-                    group_a.len() <= group_b.len()
-                }
-            }
-        };
-        if to_a {
-            mbr_a.expand_to(&e.rect);
-            group_a.push(e);
-        } else {
-            mbr_b.expand_to(&e.rect);
-            group_b.push(e);
-        }
-    }
-    (group_a, group_b)
-}
 
 /// The R\*-tree topological split.
 ///
@@ -123,6 +26,10 @@ pub fn quadratic_split<const N: usize>(
 /// sorted order, so their MBRs are running unions (`min`/`max` are exact:
 /// regrouping them changes no value). Each is computed once and serves both
 /// the axis choice and the distribution choice.
+///
+/// Kept out of line: one insertion in dozens splits, and inlined into
+/// its one caller it would bloat the insertion descent around it.
+#[inline(never)]
 pub fn rstar_split<const N: usize>(entries: Vec<Entry<N>>, min_entries: usize) -> SplitResult<N> {
     let total = entries.len();
     assert!(total >= 2, "cannot split {total} entries");
@@ -318,14 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_separates_obvious_clusters() {
-        let (g1, g2) = quadratic_split(two_clusters(), 2);
-        assert_eq!(g1.len() + g2.len(), 10);
-        assert!(g1.len() >= 2 && g2.len() >= 2);
-        assert_split_separates_clusters(&g1, &g2);
-    }
-
-    #[test]
     fn rstar_separates_obvious_clusters() {
         let (g1, g2) = rstar_split(two_clusters(), 2);
         assert_eq!(g1.len() + g2.len(), 10);
@@ -342,19 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_respects_min_fill_under_adversarial_seeds() {
-        // One far outlier forces the force-assignment path.
-        let mut v = vec![entry([0.9, 0.9], [1.0, 1.0], 99)];
-        for i in 0..7 {
-            let o = i as f64 * 0.001;
-            v.push(entry([o, o], [o + 0.001, o + 0.001], i));
-        }
-        let (g1, g2) = quadratic_split(v, 3);
-        assert!(g1.len() >= 3, "group sizes {} / {}", g1.len(), g2.len());
-        assert!(g2.len() >= 3);
-    }
-
-    #[test]
     fn rstar_respects_min_fill() {
         let mut v = vec![entry([0.9, 0.9], [1.0, 1.0], 99)];
         for i in 0..7 {
@@ -367,37 +253,32 @@ mod tests {
 
     #[test]
     fn splits_preserve_entry_multiset() {
-        let input = two_clusters();
-        for split in [quadratic_split::<2>, rstar_split::<2>] {
-            let (g1, g2) = split(input.clone(), 2);
-            let mut got: Vec<u32> = g1
-                .iter()
-                .chain(&g2)
-                .map(|e| match e.child {
-                    crate::node::Child::Object(ObjectId(id)) => id,
-                    _ => unreachable!(),
-                })
-                .collect();
-            got.sort_unstable();
-            let mut want: Vec<u32> = (0..5).chain(100..105).collect();
-            want.sort_unstable();
-            assert_eq!(got, want);
-        }
+        let (g1, g2) = rstar_split(two_clusters(), 2);
+        let mut got: Vec<u32> = g1
+            .iter()
+            .chain(&g2)
+            .map(|e| match e.child {
+                crate::node::Child::Object(ObjectId(id)) => id,
+                _ => unreachable!(),
+            })
+            .collect();
+        got.sort_unstable();
+        let mut want: Vec<u32> = (0..5).chain(100..105).collect();
+        want.sort_unstable();
+        assert_eq!(got, want);
     }
 
     #[test]
     #[should_panic(expected = "cannot split")]
     fn split_of_single_entry_panics() {
-        quadratic_split::<2>(vec![entry([0.0, 0.0], [0.1, 0.1], 1)], 1);
+        rstar_split::<2>(vec![entry([0.0, 0.0], [0.1, 0.1], 1)], 1);
     }
 
     #[test]
     fn split_identical_rects_is_balanced_enough() {
-        // Degenerate input: all rectangles identical. Both algorithms
-        // must still produce two legal groups.
+        // Degenerate input: all rectangles identical. The split must
+        // still produce two legal groups.
         let v: Vec<Entry<2>> = (0..9).map(|i| entry([0.4, 0.4], [0.6, 0.6], i)).collect();
-        let (q1, q2) = quadratic_split(v.clone(), 3);
-        assert!(q1.len() >= 3 && q2.len() >= 3);
         let (r1, r2) = rstar_split(v, 3);
         assert!(r1.len() >= 3 && r2.len() >= 3);
     }

@@ -1,9 +1,9 @@
-//! The R-tree proper: insertion (Guttman / R\* with forced reinsertion),
+//! The R-tree proper: R\*-tree insertion with forced reinsertion,
 //! deletion with tree condensation, and window queries.
 
-use crate::config::{RTreeConfig, SplitStrategy};
+use crate::config::RTreeConfig;
 use crate::node::{Child, Entry, Node, NodeId, ObjectId};
-use crate::split::{quadratic_split, rstar_split};
+use crate::split::rstar_split;
 use sjcm_geom::Rect;
 
 /// An R-tree over `N`-dimensional rectangles.
@@ -305,10 +305,7 @@ impl<const N: usize> RTree<N> {
         reinsert_queue: &mut Vec<(Entry<N>, u8)>,
     ) -> Option<Entry<N>> {
         let level = self.node(node_id).level as usize;
-        let use_reinsert = self.config.split == SplitStrategy::RStar
-            && node_id != self.root
-            && !overflow_done[level];
-        if use_reinsert {
+        if node_id != self.root && !overflow_done[level] {
             overflow_done[level] = true;
             self.forced_reinsert(node_id, reinsert_queue);
             None
@@ -397,10 +394,7 @@ impl<const N: usize> RTree<N> {
     fn split_node(&mut self, node_id: NodeId) -> Entry<N> {
         let level = self.node(node_id).level;
         let entries = std::mem::take(&mut self.node_mut(node_id).entries);
-        let (g1, g2) = match self.config.split {
-            SplitStrategy::Quadratic => quadratic_split(entries, self.config.min_entries),
-            SplitStrategy::RStar => rstar_split(entries, self.config.min_entries),
-        };
+        let (g1, g2) = rstar_split(entries, self.config.min_entries);
         self.node_mut(node_id).entries = g1;
         let new_node = Node { level, entries: g2 };
         let new_mbr = new_node.mbr().expect("split group non-empty");
@@ -419,16 +413,13 @@ impl<const N: usize> RTree<N> {
     }
 
     /// ChooseSubtree (R\*): minimum overlap enlargement when the children
-    /// are leaves, minimum area enlargement otherwise. Guttman trees use
-    /// minimum area enlargement at every level.
+    /// are leaves, minimum area enlargement otherwise.
     fn choose_subtree(&self, node_id: NodeId, rect: &Rect<N>, target_level: u8) -> usize {
         let node = self.node(node_id);
         debug_assert!(node.level > target_level);
         let children_are_target = node.level == target_level + 1;
         let leaf_children = node.level == 1;
-        let use_overlap =
-            self.config.split == SplitStrategy::RStar && leaf_children && children_are_target;
-        if use_overlap {
+        if leaf_children && children_are_target {
             Self::choose_min_overlap(node, rect)
         } else {
             Self::choose_min_enlargement(node, rect).0
@@ -904,20 +895,6 @@ mod tests {
             got.sort();
             assert_eq!(got, brute_force_query(&data, &q));
         }
-    }
-
-    #[test]
-    fn query_matches_brute_force_quadratic() {
-        let data = random_rects(300, 3);
-        let mut tree = RTree::<2>::new(small_config().with_split(SplitStrategy::Quadratic));
-        for &(r, id) in &data {
-            tree.insert(r, id);
-        }
-        tree.check_invariants().unwrap();
-        let q = Rect::new([0.25, 0.25], [0.75, 0.5]).unwrap();
-        let mut got = tree.query_window(&q);
-        got.sort();
-        assert_eq!(got, brute_force_query(&data, &q));
     }
 
     #[test]

@@ -94,14 +94,17 @@ impl std::error::Error for InvariantViolation {}
 impl<const N: usize> RTree<N> {
     /// Checks all structural invariants with an exact MBR-tightness
     /// requirement (tolerance 1e-9), appropriate for trees built and
-    /// mutated in memory.
+    /// mutated in memory and for trees loaded from pages alike: outward
+    /// `f32` rounding is monotone, so a loaded parent entry equals its
+    /// child's MBR bit for bit.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         self.check_invariants_with_tolerance(1e-9)
     }
 
     /// Checks all structural invariants, allowing parent entry rectangles
-    /// to exceed the child MBR by up to `tol` per side. Trees loaded from
-    /// pages need a tolerance around the `f32` quantization error (1e-5).
+    /// to exceed the child MBR by up to `tol` per side — for trees whose
+    /// parents are deliberately loose. No tree the repo builds, saves or
+    /// loads needs more than [`RTree::check_invariants`].
     pub fn check_invariants_with_tolerance(&self, tol: f64) -> Result<(), InvariantViolation> {
         let root = self.root_id();
         let root_node = self.node(root);

@@ -174,5 +174,5 @@ fn file_backed_save_load_roundtrip_syncs() {
     let store = FilePageStore::open(&path, 1024).unwrap();
     let loaded = RTree::<2>::load(&store, handle, *tree.config()).unwrap();
     assert_eq!(loaded.len(), tree.len());
-    loaded.check_invariants_with_tolerance(1e-5).unwrap();
+    loaded.check_invariants().unwrap();
 }

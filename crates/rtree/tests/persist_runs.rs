@@ -113,7 +113,7 @@ fn saved_files_and_loaded_trees_are_what_the_per_page_code_produced() {
         assert_eq!(saved, file_print, "{name}: saved file {saved:#018x}");
         let store = FilePageStore::open(&file.0, 1024).unwrap();
         let loaded = RTree::<2>::load(&store, handle, *tree.config()).unwrap();
-        loaded.check_invariants_with_tolerance(1e-5).unwrap();
+        loaded.check_invariants().unwrap();
         let got = fingerprint(&loaded);
         assert_eq!(got, tree_print, "{name}: loaded tree {got:#018x}");
     }
@@ -283,7 +283,7 @@ fn trees_sharing_a_store_load_from_their_own_pages_only() {
         let loaded = RTree::<2>::load(&store, *handle, *tree.config()).unwrap();
         assert_eq!(loaded.node_count(), tree.node_count());
         assert_eq!(loaded.len(), tree.len());
-        loaded.check_invariants_with_tolerance(1e-5).unwrap();
+        loaded.check_invariants().unwrap();
         let mut read = store.tally.pages_read.borrow().clone();
         read.sort();
         assert_eq!(&read, own, "pages read are the tree's own, each once");

@@ -65,8 +65,8 @@ pub enum ExecError {
     UnboundDataset(String),
     /// The plan shape exceeds what the executor models.
     UnsupportedShape(String),
-    /// The query governor stopped the run (admission rejection or a
-    /// memory-budget denial); the payload is the governor's message.
+    /// The query governor stopped the run (an admission rejection); the
+    /// payload is the governor's message.
     Governed(String),
 }
 
@@ -239,7 +239,7 @@ impl<'a, const N: usize> PlanExecutor<'a, N> {
     }
 
     /// Governs the SJ operators of every subsequent run: admission
-    /// control, cooperative deadlines and memory budgets apply to the
+    /// control, cooperative deadlines and load shedding apply to the
     /// join traversals (index probes and NL fallbacks stay ungoverned —
     /// their cost is bounded by construction). A governor holds one
     /// query's decision log, so hand a fresh one to each run whose
@@ -453,8 +453,8 @@ impl<'a, const N: usize> PlanExecutor<'a, N> {
                 // One synchronized traversal of the base trees through
                 // the production session API, restricted to the pushed
                 // windows. With a governor armed, an admission rejection
-                // or memory-budget denial becomes `ExecError::Governed`,
-                // a deadline expiry a degraded (partial, priced) result.
+                // becomes `ExecError::Governed`, a deadline expiry a
+                // degraded (partial, priced) result.
                 let mut session = JoinSession::new(db.tree, qb.tree)
                     .config(JoinConfig {
                         buffer: BufferPolicy::Path,

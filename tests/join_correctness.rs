@@ -181,8 +181,8 @@ fn join_over_persisted_trees_is_identical() {
     let hb = tb.save(&mut store).unwrap();
     let la = RTree::<2>::load(&store, ha, *ta.config()).unwrap();
     let lb = RTree::<2>::load(&store, hb, *tb.config()).unwrap();
-    la.check_invariants_with_tolerance(1e-5).unwrap();
-    lb.check_invariants_with_tolerance(1e-5).unwrap();
+    la.check_invariants().unwrap();
+    lb.check_invariants().unwrap();
 
     // f32 widening can only create node-level false positives, never
     // lose object pairs; object rects themselves round outward too, so
@@ -207,7 +207,7 @@ fn bulk_loaded_trees_join_identically_to_inserted_ones() {
     let packed_a = RTree::bulk_load(
         RTreeConfig::with_capacity(12),
         a.clone(),
-        BulkLoad::Hilbert,
+        BulkLoad::Str,
         1.0,
     );
     let tb = build(b);

@@ -127,7 +127,7 @@ proptest! {
         let mut store = InMemoryPageStore::with_default_page_size();
         let handle = tree.save(&mut store).unwrap();
         let loaded = RTree::<2>::load(&store, handle, *tree.config()).unwrap();
-        loaded.check_invariants_with_tolerance(1e-5).unwrap();
+        loaded.check_invariants().unwrap();
         let window = sjcm::geom::Rect::new([0.2, 0.2], [0.7, 0.6]).unwrap();
         let mut orig = tree.query_window(&window);
         let got = loaded.query_window(&window);
