@@ -137,9 +137,9 @@ pub enum Side {
 
 /// Reusable scratch buffers for entry matching: the two candidate lists
 /// — R1's candidates as entry indices plus, for the batched kernel,
-/// their coordinate lanes; R2's as entry indices. One instance lives in
-/// each executor; matching refills it per node pair, so steady-state
-/// matching allocates nothing.
+/// their coordinate lanes; R2's (or a pinned arm's) as entry indices.
+/// One instance lives in each executor; matching refills it per node
+/// pair, so steady-state matching allocates nothing.
 #[derive(Debug, Default)]
 pub struct MatchScratch<const N: usize> {
     batch1: RectBatch<N>,
@@ -376,13 +376,13 @@ pub(crate) fn child_pairs<const N: usize>(
                 rect2: e2.rect,
             })
         }),
-        (false, true) => pinned_children((n1, w1), (n2, w2), config, scratch, |e1| {
+        (false, true) => pinned_children((n1, w1), (n2, w2), config.predicate, scratch, |e1| {
             nodes.push(NodePair {
                 n1: e1.child.node(),
                 ..*pair
             })
         }),
-        (true, false) => pinned_children((n2, w2), (n1, w1), config, scratch, |e2| {
+        (true, false) => pinned_children((n2, w2), (n1, w1), config.predicate, scratch, |e2| {
             nodes.push(NodePair {
                 n1: pair.n1,
                 n2: e2.child.node(),
@@ -399,14 +399,14 @@ pub(crate) fn child_pairs<const N: usize>(
 /// the MBR of its entries that meet the window — what is left of it for
 /// this query. The test decides which child pairs exist, and so what
 /// Eq 11 counts, so it is made against the MBR computed here and never
-/// against a carried rectangle, which may be looser. The batched kernel
-/// and the scalar filter agree exactly — both predicates are symmetric,
-/// so one-vs-many masking is just the scalar loop with the comparisons
-/// vectorized, and the window is one more mask word ANDed in.
+/// against a carried rectangle, which may be looser. Both kernels take
+/// the same path: one rectangle's filter has no lanes to reuse, so the
+/// entries are [`compact`]ed straight into the scratch indices, reading
+/// each entry once, the window test one more conjunct of `keep`.
 fn pinned_children<const N: usize>(
     (node, window): (&Node<N>, &Option<Rect<N>>),
     (pinned, pinned_window): (&Node<N>, &Option<Rect<N>>),
-    config: &JoinConfig,
+    predicate: JoinPredicate,
     scratch: &mut MatchScratch<N>,
     mut child: impl FnMut(&Entry<N>),
 ) {
@@ -423,38 +423,26 @@ fn pinned_children<const N: usize>(
     let Some(mbr) = bound else {
         return;
     };
-    let (entries, predicate) = (&node.entries, config.predicate);
-    let in_window = |r: &Rect<N>| window.as_ref().is_none_or(|w| r.intersects(w));
-    match config.kernel {
-        MatchKernel::Scalar => {
-            for e in entries {
-                if predicate.holds(&e.rect, &mbr) && in_window(&e.rect) {
-                    child(e);
-                }
-            }
-        }
-        MatchKernel::Batched => {
-            let batch = &mut scratch.batch1;
-            batch.clear();
-            batch.extend(entries.iter().map(|e| e.rect));
-            each_match(batch, &mbr, predicate, window.as_ref(), |i| {
-                child(&entries[i])
-            });
-        }
+    let pass = |r: &Rect<N>| admits(predicate, r, &mbr);
+    let idx = &mut scratch.idx2;
+    let kept = match window {
+        None => compact(&node.entries, idx, pass),
+        Some(w) => compact(&node.entries, idx, |r| pass(r) & meets(r, w)),
+    };
+    for &i in &idx[..kept] {
+        child(&node.entries[i as usize]);
     }
 }
 
 /// `each(i)`, in ascending order, for every rectangle `i` of `batch`
-/// that satisfies `predicate` against `q` and meets `window`, if there
-/// is one: one mask word per 64 rectangles (the window's word ANDed
-/// in), its set bits emitted lowest first — the order of a scalar loop
-/// over the batch.
+/// that satisfies `predicate` against `q`: one mask word per 64
+/// rectangles, its set bits emitted lowest first — the order of a
+/// scalar loop over the batch.
 #[inline]
 fn each_match<const N: usize>(
     batch: &RectBatch<N>,
     q: &Rect<N>,
     predicate: JoinPredicate,
-    window: Option<&Rect<N>>,
     mut each: impl FnMut(usize),
 ) {
     const WORD: usize = u64::BITS as usize;
@@ -463,9 +451,6 @@ fn each_match<const N: usize>(
             JoinPredicate::Overlap => batch.overlap_word(q, block),
             JoinPredicate::WithinDistance(eps) => batch.within_word(q, eps, block),
         };
-        if let Some(w) = window {
-            word &= batch.overlap_word(w, block);
-        }
         while word != 0 {
             each(block * WORD + word.trailing_zeros() as usize);
             word &= word - 1;
@@ -605,7 +590,7 @@ fn match_batched<const N: usize>(
     };
     for &j in &idx2[..kept2] {
         let e2 = &n2.entries[j as usize];
-        each_match(batch1, &e2.rect, predicate, None, |i| {
+        each_match(batch1, &e2.rect, predicate, |i| {
             hit(&n1.entries[idx1[i] as usize], e2)
         });
     }
@@ -642,9 +627,9 @@ fn restrict_into_lanes<const N: usize>(
     (!batch1.is_empty()).then(|| Rect::from_corners(Point::new(lo), Point::new(hi)))
 }
 
-/// Step 2 of [`match_batched`]: the indices of the `entries` that pass
-/// `keep`, in order, written into the front of `idx` without a branch.
-/// Returns how many there are.
+/// The indices of the `entries` that pass `keep`, in order, written into
+/// the front of `idx` without a branch (step 2 of [`match_batched`], all
+/// of [`pinned_children`]). Returns how many there are.
 #[inline(always)]
 fn compact<const N: usize>(
     entries: &[Entry<N>],

@@ -301,8 +301,10 @@ mod tests {
     const KERNELS: [MatchKernel; 2] = [MatchKernel::Scalar, MatchKernel::Batched];
 
     /// Every scheduler × kernel × predicate × window placement (none,
-    /// R1, R2, both), the stack walk against the reference.
-    fn assert_same_as_reference(r1: &RTree<2>, r2: &RTree<2>, eps: f64) {
+    /// R1, R2, both), the stack walk against the reference. The
+    /// predicates are the overlap and a distance join at each of
+    /// `epsilons`.
+    fn assert_same_as_reference(r1: &RTree<2>, r2: &RTree<2>, epsilons: &[f64]) {
         let w1 = Rect::new([0.1, 0.15], [0.6, 0.55]).unwrap();
         let w2 = Rect::new([0.3, 0.2], [0.85, 0.7]).unwrap();
         let placements = [
@@ -313,7 +315,10 @@ mod tests {
         ];
         for scheduler in SCHEDULERS {
             for kernel in KERNELS {
-                for predicate in [JoinPredicate::Overlap, JoinPredicate::WithinDistance(eps)] {
+                let distances = epsilons
+                    .iter()
+                    .map(|&eps| JoinPredicate::WithinDistance(eps));
+                for predicate in [JoinPredicate::Overlap].into_iter().chain(distances) {
                     for windows in placements {
                         let config = JoinConfig {
                             predicate,
@@ -371,7 +376,7 @@ mod tests {
     #[test]
     fn packed_60k_pair_matches_the_reference() {
         let (t1, t2) = (packed(60_000, 4242), packed(60_000, 2424));
-        assert_same_as_reference(&t1, &t2, 0.002);
+        assert_same_as_reference(&t1, &t2, &[0.002]);
     }
 
     #[test]
@@ -379,8 +384,28 @@ mod tests {
         let tall = reloaded(&inserted(3_000, 7), |_, _| {});
         let short = reloaded(&inserted(300, 8), |_, _| {});
         assert!(tall.height() > short.height());
-        assert_same_as_reference(&tall, &short, 0.01);
-        assert_same_as_reference(&short, &tall, 0.01);
+        let epsilons = [0.01, 0.0];
+        assert_same_as_reference(&tall, &short, &epsilons);
+        assert_same_as_reference(&short, &tall, &epsilons);
+    }
+
+    /// A pair two or more levels apart, built small (capacity 8), so the
+    /// pinned arm pins a leaf and keeps it pinned while the taller tree
+    /// descends more than one level against it; at ε = 0 and +∞ too.
+    #[test]
+    fn a_leaf_pinned_over_several_levels_matches_the_reference() {
+        let build = |n, seed| {
+            let mut tree = RTree::new(RTreeConfig::with_capacity(8));
+            for (r, id) in items(n, 0.5, seed) {
+                tree.insert(r, id);
+            }
+            tree
+        };
+        let (tall, short) = (build(2_000, 13), build(40, 14));
+        assert!(tall.height() >= short.height() + 2);
+        let epsilons = [0.01, 0.0, f64::INFINITY];
+        assert_same_as_reference(&tall, &short, &epsilons);
+        assert_same_as_reference(&short, &tall, &epsilons);
     }
 
     #[test]
@@ -401,9 +426,9 @@ mod tests {
             tree
         };
         let tall = packed(2_000, 9);
-        assert_same_as_reference(&leaf(1), &leaf(2), 0.05);
-        assert_same_as_reference(&leaf(1), &tall, 0.05);
-        assert_same_as_reference(&tall, &leaf(2), 0.05);
+        assert_same_as_reference(&leaf(1), &leaf(2), &[0.05]);
+        assert_same_as_reference(&leaf(1), &tall, &[0.05]);
+        assert_same_as_reference(&tall, &leaf(2), &[0.05]);
     }
 
     /// Packed, inserted and loaded trees carry rectangles that *are*
@@ -427,7 +452,7 @@ mod tests {
         assert!(loose.rect.contains_rect(&child_mbr) && loose.rect != child_mbr);
         // R2 is the pinned side whose rectangle is carried; R1 the
         // side that carries none.
-        assert_same_as_reference(&tall, &short, 0.01);
-        assert_same_as_reference(&short, &tall, 0.01);
+        assert_same_as_reference(&tall, &short, &[0.01]);
+        assert_same_as_reference(&short, &tall, &[0.01]);
     }
 }

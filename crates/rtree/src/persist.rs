@@ -4,8 +4,9 @@
 //! Persisted coordinates are `f32` with outward rounding (see
 //! [`sjcm_storage::layout`]), so a reloaded tree's node rectangles may
 //! exceed the in-memory originals by an ulp — queries stay correct (no
-//! false negatives), and the invariant checker accepts the widened MBRs
-//! under an `f32` tolerance.
+//! false negatives). Outward rounding is monotone, so every parent entry
+//! of a loaded tree is still its child's MBR bit for bit, and
+//! [`RTree::check_invariants`] accepts it without an `f32` tolerance.
 
 use crate::config::RTreeConfig;
 use crate::node::{Child, Entry, Node, NodeId, ObjectId};

@@ -686,30 +686,21 @@ impl<const N: usize> RTree<N> {
     }
 
     /// The query engine behind [`RTree::query_window`] and
-    /// [`RTree::query_window_counting`]: an explicit-stack depth-first
-    /// descent whose per-node entry matching runs through the batched
-    /// [`sjcm_geom::RectBatch`] overlap kernel. Matched children are
-    /// pushed in reverse so the stack pops them in entry order — the
-    /// visit order (and therefore `out` and `on_visit` order) is exactly
-    /// the recursive scalar descent's pre-order (asserted in tests
-    /// against `query_desc_scalar`).
+    /// [`RTree::query_window_counting`]: a depth-first descent on an
+    /// explicit stack that reads each entry once. Matching children are
+    /// pushed in reverse, so the visit order (and `out` and `on_visit`
+    /// order) is the recursive scalar descent's pre-order (asserted in
+    /// tests against `query_desc_scalar`).
     fn query_scan(&self, window: &Rect<N>, out: &mut Vec<ObjectId>, on_visit: &mut impl FnMut(u8)) {
-        let mut batch = sjcm_geom::RectBatch::new();
-        let mut mask = sjcm_geom::OverlapMask::new();
-        let mut matched: Vec<NodeId> = Vec::new();
         let mut stack = vec![self.root];
         while let Some(node_id) = stack.pop() {
             let node = self.node(node_id);
             on_visit(node.level);
-            batch.clear();
-            batch.extend(node.entries.iter().map(|e| e.rect));
-            batch.overlap_mask(window, 0, batch.len(), &mut mask);
+            let entries = node.entries.iter();
             if node.is_leaf() {
-                out.extend(mask.iter_set().map(|i| node.entries[i].child.object()));
+                push_meeting(out, entries, window, ObjectId(0), Child::object);
             } else {
-                matched.clear();
-                matched.extend(mask.iter_set().map(|i| node.entries[i].child.node()));
-                stack.extend(matched.iter().rev());
+                push_meeting(&mut stack, entries.rev(), window, node_id, Child::node);
             }
         }
     }
@@ -777,6 +768,29 @@ fn overlap_growth<const N: usize>(grown: &Rect<N>, e: &Rect<N>, other: &Rect<N>)
     g - r
 }
 
+/// `id(e.child)` for each of `entries` that meets `window` (closed, as
+/// `Rect::intersects`), appended to `out` in order without a branch:
+/// every id is written at the next slot, which advances only past a
+/// match. `pad` fills the slots first and is never kept.
+#[inline(always)]
+fn push_meeting<'a, const N: usize, T: Copy>(
+    out: &mut Vec<T>,
+    entries: impl ExactSizeIterator<Item = &'a Entry<N>>,
+    window: &Rect<N>,
+    pad: T,
+    id: impl Fn(Child) -> T,
+) {
+    let mut next = out.len();
+    out.resize(next + entries.len(), pad);
+    for e in entries {
+        out[next] = id(e.child);
+        next += usize::from((0..N).fold(true, |acc, k| {
+            acc & (e.rect.lo_k(k) <= window.hi_k(k)) & (window.lo_k(k) <= e.rect.hi_k(k))
+        }));
+    }
+    out.truncate(next);
+}
+
 /// `true` when `a` and `b` have a low or a high coordinate both equal to
 /// zero: the one tie of `min`/`max` whose result's bits depend on operand
 /// order, `+0.0` against `-0.0`.
@@ -827,32 +841,6 @@ mod tests {
         assert_eq!(tree.height(), 1);
         assert_eq!(tree.mbr(), None);
         assert!(tree.query_window(&Rect::unit()).is_empty());
-    }
-
-    #[test]
-    fn batched_query_scan_is_byte_identical_to_scalar_descent() {
-        let data = random_rects(800, 42);
-        let mut tree = RTree::<2>::new(small_config());
-        for &(r, id) in &data {
-            tree.insert(r, id);
-        }
-        assert!(tree.height() >= 3, "want a multi-level tree");
-        let mut rng = StdRng::seed_from_u64(4242);
-        for _ in 0..40 {
-            let cx: f64 = rng.gen_range(0.0..1.0);
-            let cy: f64 = rng.gen_range(0.0..1.0);
-            let q = Rect::centered(sjcm_geom::Point::new([cx, cy]), [0.25, 0.2]);
-            // Same hits in the same order, same visit sequence — the
-            // batched scan is the scalar pre-order descent, vectorized.
-            let mut scalar = Vec::new();
-            let mut scalar_levels = Vec::new();
-            tree.query_desc_scalar(tree.root, &q, &mut scalar, &mut |l| scalar_levels.push(l));
-            let mut batched = Vec::new();
-            let mut batched_levels = Vec::new();
-            tree.query_scan(&q, &mut batched, &mut |l| batched_levels.push(l));
-            assert_eq!(batched, scalar);
-            assert_eq!(batched_levels, scalar_levels);
-        }
     }
 
     #[test]
@@ -1056,7 +1044,8 @@ mod tests {
     // ------------------------------------------------------------------
 
     use crate::testgen::{
-        hostile_new_rect, hostile_node_rects, leaf_entries, new_rect, node_rects,
+        free_rect, hostile_new_rect, hostile_node_rects, leaf_entries, new_rect, node_rects,
+        signed_zero_rect,
     };
     use proptest::prelude::*;
 
@@ -1380,6 +1369,105 @@ mod tests {
         ) {
             prop_assert_eq!(churn(&plane, &picks), Ok(()));
             prop_assert_eq!(churn(&space, &picks), Ok(()));
+        }
+    }
+
+    /// A tree's rectangles from any regime of the write-path tests, or
+    /// all with ±0.0 corners.
+    fn stored_rects<const N: usize>(len: std::ops::Range<usize>) -> BoxedStrategy<Vec<Rect<N>>> {
+        let signed = prop::collection::vec(signed_zero_rect::<N>(2), len.clone());
+        Box::new(prop_oneof![node_rects::<N>(len), signed])
+    }
+
+    /// The four kinds of tree the scan runs on, over `rects` with small
+    /// nodes: empty, packed, insertion-built, and the latter saved then
+    /// loaded (its rectangles rounded outward to `f32`).
+    fn scanned_trees<const N: usize>(rects: &[Rect<N>]) -> [RTree<N>; 4] {
+        let items: Vec<_> = rects
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| (r, ObjectId(i as u32)))
+            .collect();
+        let mut inserted = RTree::new(small_config());
+        for &(r, id) in &items {
+            inserted.insert(r, id);
+        }
+        let mut store = sjcm_storage::InMemoryPageStore::with_default_page_size();
+        let handle = inserted.save(&mut store).unwrap();
+        let loaded = RTree::load(&store, handle, small_config()).unwrap();
+        let packed = RTree::bulk_load(small_config(), items, crate::BulkLoad::Str, 0.67);
+        [RTree::new(small_config()), packed, inserted, loaded]
+    }
+
+    /// Windows at the scan's edge cases on `tree`: `Rect::unit()`,
+    /// `extra`, windows wholly outside the unit square on either side
+    /// and, about the stored rectangle `pick` picks, one touching its
+    /// high edge in dimension 0 from outside, a point at its high
+    /// corner and a segment along its low edge.
+    fn probe_windows<const N: usize>(tree: &RTree<N>, pick: usize, extra: Rect<N>) -> Vec<Rect<N>> {
+        let corners = |lo: f64, hi: f64| Rect::new([lo; N], [hi; N]).unwrap();
+        let mut windows = vec![Rect::unit(), extra, corners(1.5, 2.0), corners(-2.0, -1.5)];
+        let stored = tree.objects();
+        if let Some(&(e, _)) = stored.get(pick % stored.len().max(1)) {
+            let (lo, hi) = (e.lo().coords(), e.hi().coords());
+            let (mut touch_lo, mut touch_hi, mut segment_hi) = (lo, hi, lo);
+            touch_lo[0] = hi[0];
+            touch_hi[0] = hi[0] + 0.25;
+            segment_hi[0] = hi[0];
+            windows.extend([
+                Rect::new(touch_lo, touch_hi).unwrap(),
+                Rect::from_point(e.hi()),
+                Rect::new(lo, segment_hi).unwrap(),
+            ]);
+        }
+        windows
+    }
+
+    /// The window scan on each of `rects`' trees against the scalar
+    /// pre-order descent, for every probe window: the same hits in the
+    /// same order and the same visit sequence, and
+    /// `query_window_counting`'s per-level visits are that sequence's
+    /// tally.
+    fn scan_is_the_scalar_descent<const N: usize>(
+        rects: &[Rect<N>],
+        pick: usize,
+        extra: Rect<N>,
+    ) -> Result<(), TestCaseError> {
+        for tree in scanned_trees(rects) {
+            for w in probe_windows(&tree, pick, extra) {
+                let (mut want, mut want_levels) = (Vec::new(), Vec::new());
+                tree.query_desc_scalar(tree.root, &w, &mut want, &mut |l| want_levels.push(l));
+                let (mut got, mut got_levels) = (Vec::new(), Vec::new());
+                tree.query_scan(&w, &mut got, &mut |l| got_levels.push(l));
+                prop_assert_eq!(&got, &want, "hits in {:?}", w);
+                prop_assert_eq!(&got_levels, &want_levels, "visits in {:?}", w);
+                let mut visits = vec![0u64; tree.height()];
+                for l in want_levels {
+                    visits[l as usize] += 1;
+                }
+                prop_assert_eq!(tree.query_window_counting(&w), (want, visits));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // `extra` windows with ±0.0 corners, or free.
+        #[test]
+        fn window_scan_is_the_scalar_descent(
+            line in stored_rects::<1>(0..200),
+            plane in stored_rects::<2>(0..300),
+            space in stored_rects::<3>(0..300),
+            pick in 0usize..1_000,
+            extra1 in prop_oneof![signed_zero_rect::<1>(2), free_rect::<1>(0.6)],
+            extra2 in prop_oneof![signed_zero_rect::<2>(2), free_rect::<2>(0.6)],
+            extra3 in prop_oneof![signed_zero_rect::<3>(2), free_rect::<3>(0.6)],
+        ) {
+            scan_is_the_scalar_descent(&line, pick, extra1)?;
+            scan_is_the_scalar_descent(&plane, pick, extra2)?;
+            scan_is_the_scalar_descent(&space, pick, extra3)?;
         }
     }
 

@@ -12,14 +12,28 @@
 # the ratio of the medians, the parent's interquartile distance and the
 # pairs in which the change read better (by the metric's `better`),
 # then each side's operations per run. Needs jq; nothing under benchmark/ is edited.
+#
+# Each binary bakes its checkout's path in at compile time, and two builds
+# of the same code from checkout roots of different lengths have read
+# `query_ms_p50` 8–12 % apart; copying a built binary elsewhere does not
+# remove that. Build both sides in checkouts whose roots (the path before
+# /benchmark/target/release/) have the same length. When they differ, the
+# script warns on stderr and under the table.
 set -euo pipefail
 
 if [ $# -lt 4 ] || [ $# -gt 6 ]; then
-    sed -n '2,14p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 parent=$(realpath "$1") change=$(realpath "$2")
 workload=$3 pairs=$4 seconds=${5:-20} seed=${6:-1998}
+
+parent_root=${parent%/benchmark/target/release/*} change_root=${change%/benchmark/target/release/*}
+confound=""
+if [ ${#parent_root} != ${#change_root} ]; then
+    confound="Warning: the checkout roots differ in length (${#parent_root} vs ${#change_root} characters: $parent_root, $change_root), which alone can move wall time by 8–12 %."
+    echo "$confound" >&2
+fi
 
 cd "$(dirname "$0")/.."
 readings=$(mktemp)
@@ -87,3 +101,7 @@ jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json | awk -v pairs="$pa
         na = sorted("parent", "attempted", a); nb = sorted("change", "attempted", b)
         printf "\nOperations per run: parent %d–%d (median %d), change %d–%d (median %d).\n", a[1], a[na], q(a, na, 0.5), b[1], b[nb], q(b, nb, 0.5)
     }' - "$readings"
+if [ -n "$confound" ]; then
+    echo
+    echo "$confound"
+fi
