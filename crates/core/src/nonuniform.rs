@@ -55,14 +55,12 @@ impl<const N: usize> DensitySurface<N> {
             let measure = clipped.measure();
             if measure > 0.0 {
                 // Distribute count and coverage over overlapped cells.
-                for idx in overlapped_cells::<N>(&clipped, grid) {
-                    let cell_rect = cell_rect::<N>(idx, grid);
-                    let inter = clipped.intersection_measure(&cell_rect);
+                for_each_overlap(&clipped, grid, |idx, inter| {
                     if inter > 0.0 {
                         cells[idx].count += inter / measure;
                         cells[idx].density += inter / cell_measure;
                     }
-                }
+                });
             } else {
                 let idx = cell_of_point::<N>(&clipped.center().coords(), grid);
                 cells[idx].count += 1.0;
@@ -121,20 +119,6 @@ impl<const N: usize> DensitySurface<N> {
     }
 }
 
-fn cell_rect<const N: usize>(idx: usize, grid: usize) -> Rect<N> {
-    let side = 1.0 / grid as f64;
-    let mut lo = [0.0; N];
-    let mut hi = [0.0; N];
-    let mut rem = idx;
-    for k in 0..N {
-        let i = rem % grid;
-        rem /= grid;
-        lo[k] = i as f64 * side;
-        hi[k] = lo[k] + side;
-    }
-    Rect::new(lo, hi).expect("grid cells are well-formed")
-}
-
 fn cell_of_point<const N: usize>(p: &[f64; N], grid: usize) -> usize {
     let mut idx = 0usize;
     for k in (0..N).rev() {
@@ -144,9 +128,13 @@ fn cell_of_point<const N: usize>(p: &[f64; N], grid: usize) -> usize {
     idx
 }
 
-/// Indices of cells a rectangle overlaps.
-fn overlapped_cells<const N: usize>(r: &Rect<N>, grid: usize) -> Vec<usize> {
+/// Calls `visit(idx, inter)` for each cell `r` overlaps, in the order
+/// of the cell index with dimension 0 fastest, where `inter` is the
+/// measure `r` shares with the cell — `r.intersection_measure` of the
+/// cell's rectangle, computed in place.
+fn for_each_overlap<const N: usize>(r: &Rect<N>, grid: usize, mut visit: impl FnMut(usize, f64)) {
     let g = grid as f64;
+    let side = 1.0 / g;
     let mut lo_cell = [0usize; N];
     let mut hi_cell = [0usize; N];
     for k in 0..N {
@@ -156,19 +144,29 @@ fn overlapped_cells<const N: usize>(r: &Rect<N>, grid: usize) -> Vec<usize> {
         let hi = (r.hi_k(k) * g).ceil() as usize;
         hi_cell[k] = hi.saturating_sub(1).clamp(lo_cell[k], grid - 1);
     }
-    let mut out = Vec::new();
     let mut cursor = lo_cell;
     loop {
         let mut idx = 0usize;
+        let mut inter = 1.0;
         for k in (0..N).rev() {
             idx = idx * grid + cursor[k];
         }
-        out.push(idx);
+        for (k, &i) in cursor.iter().enumerate() {
+            let cell_lo = i as f64 * side;
+            let lo = r.lo_k(k).max(cell_lo);
+            let hi = r.hi_k(k).min(cell_lo + side);
+            if lo >= hi {
+                inter = 0.0;
+                break;
+            }
+            inter *= hi - lo;
+        }
+        visit(idx, inter);
         // Odometer increment.
         let mut k = 0;
         loop {
             if k == N {
-                return out;
+                return;
             }
             if cursor[k] < hi_cell[k] {
                 cursor[k] += 1;
@@ -355,6 +353,131 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sjcm_geom::Point;
+
+    /// `DensitySurface::from_rects`'s cells as they were computed before
+    /// the cells were walked in place — one `Vec` of indices per
+    /// rectangle, one validated `Rect` per cell: the reference the
+    /// surface must match bit for bit.
+    fn reference_cells<const N: usize>(rects: &[Rect<N>], grid: usize) -> Vec<CellStats> {
+        let mut cells = vec![CellStats::default(); grid.pow(N as u32)];
+        let cell_measure = (1.0 / grid as f64).powi(N as i32);
+        for r in rects {
+            let Some(clipped) = r.clamp_to_unit() else {
+                continue;
+            };
+            let measure = clipped.measure();
+            if measure > 0.0 {
+                for idx in overlapped_cells::<N>(&clipped, grid) {
+                    let inter = clipped.intersection_measure(&cell_rect::<N>(idx, grid));
+                    if inter > 0.0 {
+                        cells[idx].count += inter / measure;
+                        cells[idx].density += inter / cell_measure;
+                    }
+                }
+            } else {
+                let idx = cell_of_point::<N>(&clipped.center().coords(), grid);
+                cells[idx].count += 1.0;
+            }
+        }
+        cells
+    }
+
+    fn cell_rect<const N: usize>(idx: usize, grid: usize) -> Rect<N> {
+        let side = 1.0 / grid as f64;
+        let mut lo = [0.0; N];
+        let mut hi = [0.0; N];
+        let mut rem = idx;
+        for k in 0..N {
+            let i = rem % grid;
+            rem /= grid;
+            lo[k] = i as f64 * side;
+            hi[k] = lo[k] + side;
+        }
+        Rect::new(lo, hi).expect("grid cells are well-formed")
+    }
+
+    /// Indices of cells a rectangle overlaps.
+    fn overlapped_cells<const N: usize>(r: &Rect<N>, grid: usize) -> Vec<usize> {
+        let g = grid as f64;
+        let mut lo_cell = [0usize; N];
+        let mut hi_cell = [0usize; N];
+        for k in 0..N {
+            lo_cell[k] = ((r.lo_k(k) * g) as usize).min(grid - 1);
+            // A rect touching a cell boundary from below should not be
+            // attributed to the next cell; nudge the upper index inward.
+            let hi = (r.hi_k(k) * g).ceil() as usize;
+            hi_cell[k] = hi.saturating_sub(1).clamp(lo_cell[k], grid - 1);
+        }
+        let mut out = Vec::new();
+        let mut cursor = lo_cell;
+        loop {
+            let mut idx = 0usize;
+            for k in (0..N).rev() {
+                idx = idx * grid + cursor[k];
+            }
+            out.push(idx);
+            // Odometer increment.
+            let mut k = 0;
+            loop {
+                if k == N {
+                    return out;
+                }
+                if cursor[k] < hi_cell[k] {
+                    cursor[k] += 1;
+                    break;
+                }
+                cursor[k] = lo_cell[k];
+                k += 1;
+            }
+        }
+    }
+
+    fn assert_reference_surface<const N: usize>(rects: &[Rect<N>], grid: usize) {
+        let surface = DensitySurface::<N>::from_rects(rects, grid);
+        let bits = |c: CellStats| (c.count.to_bits(), c.density.to_bits());
+        for (idx, want) in reference_cells(rects, grid).into_iter().enumerate() {
+            assert_eq!(
+                bits(surface.cell(idx)),
+                bits(want),
+                "cell {idx} of {grid}^{N}"
+            );
+        }
+    }
+
+    fn random_rects<const N: usize>(n: usize, max_side: f64, seed: u64) -> Vec<Rect<N>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                // Centers a little outside the workspace too, so that
+                // clamping and whole misses are exercised.
+                let c = Point::new(std::array::from_fn(|_| rng.gen_range(-0.1..1.1)));
+                let sides = std::array::from_fn(|_| rng.gen_range(0.0..max_side));
+                Rect::centered(c, sides)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn surface_is_the_reference_walks_bit_for_bit() {
+        for grid in [1, 3, 8, 10, 16] {
+            assert_reference_surface(&random_rects::<1>(500, 0.3, 1), grid);
+            assert_reference_surface(&random_rects::<2>(2_000, 0.3, 2), grid);
+            assert_reference_surface(&random_rects::<2>(2_000, 0.01, 3), grid);
+            assert_reference_surface(&random_rects::<3>(500, 0.4, 4), grid);
+            assert_reference_surface(&clustered_rects(1_000, 0.02, 5), grid);
+        }
+        // Zero-extent objects and objects on cell boundaries.
+        let lattice: Vec<Rect<2>> = (0..=16)
+            .flat_map(|i| (0..=16).map(move |j| (i, j)))
+            .map(|(i, j)| {
+                let (x, y) = (f64::from(i) / 16.0, f64::from(j) / 16.0);
+                let (w, h) = (f64::from(j % 3) / 8.0, f64::from(i % 2) / 16.0);
+                Rect::new([x, y], [x + w, y + h]).unwrap()
+            })
+            .collect();
+        assert_reference_surface(&lattice, 8);
+        assert_reference_surface(&[Rect::<2>::unit(), Rect::unit()], 8);
+    }
 
     fn uniform_rects(n: usize, side: f64, seed: u64) -> Vec<Rect<2>> {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -10,6 +10,14 @@
 //! 1.0 reproduces insertion-like utilization (the paper's c = 67%) for
 //! experiments that want packed construction speed with insertion-like
 //! node geometry.
+//!
+//! Along each dimension, entries are ordered by `lo + hi` (the center,
+//! without the halving), then by `lo`, then by their position in the
+//! level's input: leaves in the order of `items`, upper entries in the
+//! order their nodes were packed. No two entries compare equal, so the
+//! tree is a function of the input and the fill alone. The position
+//! decides only between entries that share both `lo` and `hi` in the
+//! dimension being cut.
 
 use crate::config::RTreeConfig;
 use crate::node::{Entry, Node, NodeId, ObjectId};
@@ -66,28 +74,24 @@ impl<const N: usize> RTree<N> {
         }
         tree.set_len(items.len());
 
-        // Build leaf level.
-        let mut leaf_entries: Vec<Entry<N>> = items
+        let leaves: Vec<Entry<N>> = items
             .into_iter()
             .map(|(rect, id)| Entry::leaf(rect, id))
             .collect();
-        str_order(&mut leaf_entries, 0, cap);
-        let mut level_nodes: Vec<NodeId> =
-            pack_level(&mut tree, leaf_entries, 0, cap, config.min_entries);
+        let mut level_nodes = pack_str(&mut tree, &leaves, 0, cap, config.min_entries);
 
         // Build upper levels until a single node remains.
         let mut level: u8 = 0;
         while level_nodes.len() > 1 {
             level += 1;
-            let mut entries: Vec<Entry<N>> = level_nodes
+            let entries: Vec<Entry<N>> = level_nodes
                 .iter()
                 .map(|&id| {
                     let mbr = tree.node(id).mbr().expect("packed nodes are non-empty");
                     Entry::internal(mbr, id)
                 })
                 .collect();
-            str_order(&mut entries, 0, cap);
-            level_nodes = pack_level(&mut tree, entries, level, cap, config.min_entries);
+            level_nodes = pack_str(&mut tree, &entries, level, cap, config.min_entries);
         }
         let root = level_nodes[0];
         let placeholder = tree.root_id();
@@ -116,43 +120,116 @@ fn str_slab_len(len: usize, cap: usize, remaining_dims: usize) -> usize {
     cap * pages.div_ceil(slabs)
 }
 
-/// Recursive STR ordering: sort by the center of dimension `dim`, cut
-/// into slabs of whole pages, recurse on each slab with the next
-/// dimension. The tiles of the last dimension come out near-square:
-/// every dimension is cut into about `P^(1/N)` pieces.
-/// STR tiles by pages, so it takes the node capacity `pack_level` will
-/// chunk by: a tile is meant to become exactly one node.
-fn str_order<const N: usize>(entries: &mut [Entry<N>], dim: usize, cap: usize) {
-    if entries.len() <= 1 {
+/// Packs one level in STR order: each node is gathered straight from
+/// `entries` through the ordered keys.
+fn pack_str<const N: usize>(
+    tree: &mut RTree<N>,
+    entries: &[Entry<N>],
+    level: u8,
+    cap: usize,
+    min_entries: usize,
+) -> Vec<NodeId> {
+    let order = str_order(entries, cap);
+    let ordered = order.iter().map(|key| entries[key.at as usize]);
+    pack_level(tree, ordered, level, cap, min_entries)
+}
+
+/// An entry's place along one dimension: `lo + hi`, then `lo`, each as
+/// the `u64` whose unsigned order is `f64::total_cmp`'s, then the entry's
+/// position in the level's input. Positions differ, so no two keys are
+/// equal and every sort of them agrees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    sum: u64,
+    lo: u64,
+    at: u32,
+}
+
+impl Key {
+    fn new<const N: usize>(rect: &Rect<N>, dim: usize, at: u32) -> Self {
+        let lo = rect.lo_k(dim);
+        Self {
+            sum: total_order_bits(lo + rect.hi_k(dim)),
+            lo: total_order_bits(lo),
+            at,
+        }
+    }
+}
+
+/// `x`'s bits remapped so that unsigned integer order is
+/// `f64::total_cmp` order: a negative value has every bit flipped, any
+/// other has its sign bit set.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63)
+}
+
+/// STR order of one level, as keys whose `at` is the position in
+/// `entries`: slabs of whole pages cut along the first dimension, each
+/// cut the same way along the next, the tiles of the last dimension
+/// sorted. Every dimension is cut into about `P^(1/N)` pieces for `P`
+/// pages, so the tiles come out near-square; STR tiles by pages, so it
+/// takes the node capacity `pack_level` will chunk by: a tile is meant
+/// to become exactly one node.
+fn str_order<const N: usize>(entries: &[Entry<N>], cap: usize) -> Vec<Key> {
+    assert!(
+        u32::try_from(entries.len()).is_ok(),
+        "a level holds fewer than 2^32 entries"
+    );
+    let mut keys: Vec<Key> = (0u32..)
+        .zip(entries)
+        .map(|(at, e)| Key::new(&e.rect, 0, at))
+        .collect();
+    order_dim(&mut keys, entries, 0, cap);
+    keys
+}
+
+/// Orders `keys`, all along `dim`, in STR order from `dim` on. Below the
+/// last dimension only the slabs' contents matter — the next dimension
+/// reorders each slab — so the slabs are cut by selection, not sorted.
+fn order_dim<const N: usize>(keys: &mut [Key], entries: &[Entry<N>], dim: usize, cap: usize) {
+    if keys.len() <= 1 {
         return;
     }
-    // `lo + hi` orders like the center without computing all `N` center
-    // coordinates per comparison. Entries that tie on both keys cover
-    // the same interval of `dim`; which comes first makes no difference
-    // to the tiling, so the sort need not be stable.
-    entries.sort_unstable_by(|a, b| {
-        let (a_lo, b_lo) = (a.rect.lo_k(dim), b.rect.lo_k(dim));
-        (a_lo + a.rect.hi_k(dim))
-            .total_cmp(&(b_lo + b.rect.hi_k(dim)))
-            .then_with(|| a_lo.total_cmp(&b_lo))
-    });
     if dim + 1 >= N {
+        keys.sort_unstable();
         return;
     }
-    for slab in entries.chunks_mut(str_slab_len(entries.len(), cap, N - dim)) {
-        str_order(slab, dim + 1, cap);
+    let slab_len = str_slab_len(keys.len(), cap, N - dim);
+    cut_slabs(keys, slab_len);
+    for slab in keys.chunks_mut(slab_len) {
+        for key in slab.iter_mut() {
+            *key = Key::new(&entries[key.at as usize].rect, dim + 1, key.at);
+        }
+        order_dim(slab, entries, dim + 1, cap);
     }
+}
+
+/// Partitions `keys` so that each `slab_len`-long chunk holds the keys a
+/// sort would put there, in no particular order: a selection at the
+/// middle slab boundary, then the same on both halves.
+fn cut_slabs(keys: &mut [Key], slab_len: usize) {
+    let slabs = keys.len().div_ceil(slab_len);
+    if slabs <= 1 {
+        return;
+    }
+    let mid = slabs / 2 * slab_len;
+    keys.select_nth_unstable(mid);
+    let (below, above) = keys.split_at_mut(mid);
+    cut_slabs(below, slab_len);
+    cut_slabs(above, slab_len);
 }
 
 /// Chunks ordered entries into nodes of `cap` entries, balancing the last
 /// two chunks so no node falls below the minimum fill.
 fn pack_level<const N: usize>(
     tree: &mut RTree<N>,
-    entries: Vec<Entry<N>>,
+    entries: impl IntoIterator<Item = Entry<N>, IntoIter: ExactSizeIterator>,
     level: u8,
     cap: usize,
     min_entries: usize,
 ) -> Vec<NodeId> {
+    let mut entries = entries.into_iter();
     let total = entries.len();
     let mut sizes: Vec<usize> = Vec::new();
     let mut remaining = total;
@@ -176,12 +253,10 @@ fn pack_level<const N: usize>(
         }
     }
     let mut out = Vec::with_capacity(sizes.len());
-    let mut it = entries.into_iter();
     for size in sizes {
-        let chunk: Vec<Entry<N>> = it.by_ref().take(size).collect();
         let node = Node {
             level,
-            entries: chunk,
+            entries: entries.by_ref().take(size).collect(),
         };
         out.push(tree.alloc(node));
     }
@@ -191,9 +266,112 @@ fn pack_level<const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sjcm_geom::Point;
+
+    /// STR order as it was computed before the packer ordered keys:
+    /// each slab fully sorted along each dimension, recursively, here
+    /// on positions into `entries` and with the tie rule spelled out as
+    /// the comparator's third part.
+    fn reference_order<const N: usize>(
+        entries: &[Entry<N>],
+        order: &mut [usize],
+        dim: usize,
+        cap: usize,
+    ) {
+        if order.len() <= 1 {
+            return;
+        }
+        order.sort_unstable_by(|&a, &b| {
+            let (a_rect, b_rect) = (&entries[a].rect, &entries[b].rect);
+            let (a_lo, b_lo) = (a_rect.lo_k(dim), b_rect.lo_k(dim));
+            (a_lo + a_rect.hi_k(dim))
+                .total_cmp(&(b_lo + b_rect.hi_k(dim)))
+                .then_with(|| a_lo.total_cmp(&b_lo))
+                .then_with(|| a.cmp(&b))
+        });
+        if dim + 1 >= N {
+            return;
+        }
+        for slab in order.chunks_mut(str_slab_len(order.len(), cap, N - dim)) {
+            reference_order(entries, slab, dim + 1, cap);
+        }
+    }
+
+    /// Entries whose every interval is drawn from a coarse lattice —
+    /// `lo` in quarter steps on `[-0.5, 1]`, extent 0 to 2 steps — so
+    /// that equal centers, equal intervals, whole duplicates and
+    /// zero-extent rectangles are common; each `u32` shapes one entry.
+    fn lattice_entries<const N: usize>(words: &[u32]) -> Vec<Entry<N>> {
+        (0u32..)
+            .zip(words)
+            .map(|(id, &w)| {
+                let cell = |k: usize| (w >> (5 * k)) & 0x1f;
+                let lo: [f64; N] = std::array::from_fn(|k| f64::from(cell(k) % 7) / 4.0 - 0.5);
+                let hi = std::array::from_fn(|k| lo[k] + f64::from(cell(k) / 7 % 3) / 4.0);
+                Entry::leaf(Rect::new(lo, hi).unwrap(), ObjectId(id))
+            })
+            .collect()
+    }
+
+    fn order_matches_reference<const N: usize>(
+        words: &[u32],
+        cap: usize,
+    ) -> Result<(), TestCaseError> {
+        let entries = lattice_entries::<N>(words);
+        let got: Vec<usize> = str_order(&entries, cap)
+            .iter()
+            .map(|key| key.at as usize)
+            .collect();
+        let mut want: Vec<usize> = (0..entries.len()).collect();
+        reference_order(&entries, &mut want, 0, cap);
+        prop_assert_eq!(got, want);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn key_order_is_the_full_sort_with_ties_by_position(
+            words in prop::collection::vec(any::<u32>(), 0..400),
+            cap in 2usize..12,
+        ) {
+            order_matches_reference::<1>(&words, cap)?;
+            order_matches_reference::<2>(&words, cap)?;
+            order_matches_reference::<3>(&words, cap)?;
+        }
+    }
+
+    #[test]
+    fn key_bits_order_like_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_order_bits(a).cmp(&total_order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
 
     fn random_items(n: usize, seed: u64) -> Vec<(Rect<2>, ObjectId)> {
         let mut rng = StdRng::seed_from_u64(seed);

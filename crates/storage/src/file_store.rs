@@ -231,18 +231,16 @@ impl PageStore for FilePageStore {
 
     fn read_run(&self, first: PageId, count: usize, out: &mut Vec<u8>) -> Result<(), StorageError> {
         let end = self.run_end(first, count)?;
-        out.clear();
+        // The read overwrites what the buffer held; only pages the file
+        // does not hold yet are zeroed.
         out.resize(count * self.page_size, 0);
-        // Positional: the store is `Sync`, and a seek-then-read through
-        // the shared cursor would let two readers swap pages. Pages the
-        // file does not hold yet stay zero.
         let held = end.min(self.on_disk).saturating_sub(first.0) as usize;
-        read_exact_at(
-            &self.file,
-            &mut out[..held * self.page_size],
-            self.offset(first),
-        )
-        .map_err(|e| StorageError::Io(format!("read pages {first}..p{end}: {e}")))
+        let (in_file, fresh) = out.split_at_mut(held * self.page_size);
+        fresh.fill(0);
+        // Positional: the store is `Sync`, and a seek-then-read through
+        // the shared cursor would let two readers swap pages.
+        read_exact_at(&self.file, in_file, self.offset(first))
+            .map_err(|e| StorageError::Io(format!("read pages {first}..p{end}: {e}")))
     }
 
     fn free(&mut self, id: PageId) -> Result<(), StorageError> {
@@ -434,6 +432,30 @@ mod tests {
         let mut reread = Vec::new();
         store.read_run(PageId(0), 5, &mut reread).unwrap();
         assert_eq!(reread, run);
+    }
+
+    #[test]
+    fn a_reused_buffer_reads_pages_past_the_end_of_the_file_as_zeros() {
+        let path = temp_path("reused");
+        let _guard = Cleanup(path.clone());
+        let mut store = FilePageStore::create(&path, 8).unwrap();
+        for _ in 0..2 {
+            store.allocate().unwrap();
+        }
+        let bytes: Vec<u8> = (1..=16).collect();
+        store.write_run(PageId(0), &bytes).unwrap();
+        store.sync().unwrap();
+        // Two more pages, allocated but past the end of the file.
+        for _ in 0..2 {
+            store.allocate().unwrap();
+        }
+        for len in [0, 8, 24, 40] {
+            let mut run = vec![0xff; len];
+            store.read_run(PageId(1), 3, &mut run).unwrap();
+            assert_eq!(run.len(), 24, "from a buffer of {len} bytes");
+            assert_eq!(&run[..8], &bytes[8..]);
+            assert_eq!(&run[8..], &[0u8; 16]);
+        }
     }
 
     #[test]

@@ -64,43 +64,30 @@ pub struct DiskNode<const N: usize> {
     pub entries: Vec<DiskEntry<N>>,
 }
 
-/// Largest `f32` not exceeding `x` (rounding toward −∞).
+/// Largest `f32` not exceeding `x` (rounding toward −∞): the nearest
+/// `f32`, or its neighbour toward −∞ when the nearest lies above `x` —
+/// a select between two words, not a branch.
+#[inline]
 fn f32_down(x: f64) -> f32 {
     let f = x as f32;
-    if f64::from(f) > x {
-        f32_prev(f)
+    let bits = f.to_bits();
+    // One step toward −∞ in sign-magnitude: a positive value loses one
+    // ulp of magnitude; zero (either sign) and negative values take the
+    // sign bit and gain one. Never taken for −∞ or NaN, which no `f64`
+    // lies below.
+    let below = if f > 0.0 {
+        bits.wrapping_sub(1)
     } else {
-        f
-    }
+        (bits | 1 << 31).wrapping_add(1)
+    };
+    f32::from_bits(if f64::from(f) > x { below } else { bits })
 }
 
-/// Smallest `f32` not below `x` (rounding toward +∞).
+/// Smallest `f32` not below `x` (rounding toward +∞): [`f32_down`]
+/// mirrored, as rounding to nearest is symmetric in the sign.
+#[inline]
 fn f32_up(x: f64) -> f32 {
-    let f = x as f32;
-    if f64::from(f) < x {
-        f32_next(f)
-    } else {
-        f
-    }
-}
-
-fn f32_prev(f: f32) -> f32 {
-    if f.is_nan() || (f.is_infinite() && f < 0.0) {
-        return f;
-    }
-    if f > 0.0 {
-        f32::from_bits(f.to_bits() - 1)
-    } else if f == 0.0 {
-        // Covers +0.0 and -0.0: the next value toward −∞ is the smallest
-        // negative subnormal.
-        -f32::from_bits(1)
-    } else {
-        f32::from_bits(f.to_bits() + 1)
-    }
-}
-
-fn f32_next(f: f32) -> f32 {
-    -f32_prev(-f)
+    -f32_down(-x)
 }
 
 /// Refuses a node of `count` entries that a page of `page_size` bytes
@@ -116,30 +103,29 @@ fn check_capacity<const N: usize>(count: usize, page_size: usize) -> Result<(), 
 }
 
 /// Writes header and entries at the front of `out` (long enough by the
-/// caller's capacity check) and returns the bytes written.
+/// caller's capacity check) and returns the bytes written. Each entry
+/// fills one fixed `entry_size(N)` slot: `lo₀ hi₀ … lo_{N−1} hi_{N−1}`
+/// as outward-rounded `f32`s, then the child.
 fn write_node<const N: usize>(
     level: u8,
     entries: impl ExactSizeIterator<Item = DiskEntry<N>>,
     out: &mut [u8],
 ) -> usize {
+    let used = HEADER_SIZE + entries.len() * entry_size(N);
     out[0] = MAGIC;
     out[1] = level;
     out[2..4].copy_from_slice(&(entries.len() as u16).to_le_bytes());
     out[4] = N as u8;
     out[5..HEADER_SIZE].fill(0);
-    let mut at = HEADER_SIZE;
-    let mut put = |word: [u8; 4]| {
-        out[at..at + 4].copy_from_slice(&word);
-        at += 4;
-    };
-    for e in entries {
+    let slots = out[HEADER_SIZE..used].chunks_exact_mut(entry_size(N));
+    for (slot, e) in slots.zip(entries) {
         for k in 0..N {
-            put(f32_down(e.rect.lo_k(k)).to_le_bytes());
-            put(f32_up(e.rect.hi_k(k)).to_le_bytes());
+            slot[8 * k..8 * k + 4].copy_from_slice(&f32_down(e.rect.lo_k(k)).to_le_bytes());
+            slot[8 * k + 4..8 * k + 8].copy_from_slice(&f32_up(e.rect.hi_k(k)).to_le_bytes());
         }
-        put(e.child.to_le_bytes());
+        slot[8 * N..].copy_from_slice(&e.child.to_le_bytes());
     }
-    at
+    used
 }
 
 /// Serializes one node into `page` — a whole page, its length the page
@@ -287,7 +273,186 @@ impl<const N: usize> DiskNode<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sjcm_geom::Rect;
+
+    /// The branchy rounding the encoder used before [`f32_down`] became
+    /// a select: the reference the new one must match bit for bit.
+    fn reference_f32_down(x: f64) -> f32 {
+        let f = x as f32;
+        if f64::from(f) > x {
+            f32_prev(f)
+        } else {
+            f
+        }
+    }
+
+    fn reference_f32_up(x: f64) -> f32 {
+        let f = x as f32;
+        if f64::from(f) < x {
+            f32_next(f)
+        } else {
+            f
+        }
+    }
+
+    fn f32_prev(f: f32) -> f32 {
+        if f.is_nan() || (f.is_infinite() && f < 0.0) {
+            return f;
+        }
+        if f > 0.0 {
+            f32::from_bits(f.to_bits() - 1)
+        } else if f == 0.0 {
+            // Covers +0.0 and -0.0: the next value toward −∞ is the
+            // smallest negative subnormal.
+            -f32::from_bits(1)
+        } else {
+            f32::from_bits(f.to_bits() + 1)
+        }
+    }
+
+    fn f32_next(f: f32) -> f32 {
+        -f32_prev(-f)
+    }
+
+    /// The encoder before entries went into fixed slots, over a whole
+    /// page: the bytes [`encode_page`] must reproduce.
+    fn reference_page<const N: usize>(level: u8, entries: &[DiskEntry<N>], page: &mut [u8]) {
+        page[0] = MAGIC;
+        page[1] = level;
+        page[2..4].copy_from_slice(&(entries.len() as u16).to_le_bytes());
+        page[4] = N as u8;
+        page[5..HEADER_SIZE].fill(0);
+        let mut at = HEADER_SIZE;
+        let mut put = |word: [u8; 4]| {
+            page[at..at + 4].copy_from_slice(&word);
+            at += 4;
+        };
+        for e in entries {
+            for k in 0..N {
+                put(reference_f32_down(e.rect.lo_k(k)).to_le_bytes());
+                put(reference_f32_up(e.rect.hi_k(k)).to_le_bytes());
+            }
+            put(e.child.to_le_bytes());
+        }
+        page[at..].fill(0);
+    }
+
+    /// A non-NaN `f64` from one of the families where outward rounding
+    /// can go wrong, picked by `family` and shaped by `bits`.
+    fn edge_value(family: u32, bits: u64) -> f64 {
+        let sign = if bits >> 63 == 1 { -1.0 } else { 1.0 };
+        let small = (bits & 0xff) as i64 - 128;
+        let step = |x: f64, ulps: i64| f64::from_bits(x.to_bits().wrapping_add_signed(ulps));
+        let x = match family {
+            // Any bit pattern.
+            0 => f64::from_bits(bits),
+            // `f64` subnormals.
+            1 => sign * f64::from_bits(bits & ((1 << 52) - 1)),
+            // `f32` subnormals, exactly.
+            2 => sign * f64::from(f32::from_bits(bits as u32 & 0x007f_ffff)),
+            // Values that are exactly an `f32`.
+            3 => f64::from(f32::from_bits(bits as u32)),
+            // Halfway between two neighbouring `f32`s, where rounding to
+            // nearest ties to even.
+            4 => {
+                let a = f32::from_bits(bits as u32 & 0x7f7f_ffff);
+                sign * (f64::from(a) + f64::from(f32::from_bits(a.to_bits() + 1))) / 2.0
+            }
+            // A few `f64` ulps either side of ±`f32::MAX` and of the
+            // halfway point past it, where the cast overflows to ∞.
+            5 => {
+                let max = f64::from(f32::MAX);
+                let half_past = max + f64::from(f32::MAX - f32::from_bits(0x7f7f_fffe)) / 2.0;
+                sign * step(if bits & 0x100 == 0 { max } else { half_past }, small)
+            }
+            // Beyond the `f32` range, up to `f64::MAX`.
+            6 => sign * f64::from(f32::MAX) * (2.0f64).powi((bits >> 8) as i32 & 0x3ff),
+            // A few `f64` ulps either side of an `f32`.
+            7 => step(f64::from(f32::from_bits(bits as u32 & 0x7f7f_ffff)), small) * sign,
+            // Workspace coordinates.
+            8 => sign * (bits >> 11) as f64 / (1u64 << 53) as f64,
+            // ±0, ±∞ and the ends of the ranges.
+            _ => [
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN,
+                f64::MIN_POSITIVE,
+                f64::from_bits(1),
+                f64::from(f32::MIN_POSITIVE),
+                f64::from(f32::from_bits(1)),
+            ][(bits % 10) as usize],
+        };
+        if x.is_nan() {
+            sign
+        } else {
+            x
+        }
+    }
+
+    fn edge_value_strategy() -> impl Strategy<Value = f64> {
+        (0u32..10, any::<u64>()).prop_map(|(family, bits)| edge_value(family, bits))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn select_rounding_matches_the_branchy_reference(x in edge_value_strategy()) {
+            prop_assert_eq!(f32_down(x).to_bits(), reference_f32_down(x).to_bits());
+            prop_assert_eq!(f32_up(x).to_bits(), reference_f32_up(x).to_bits());
+        }
+    }
+
+    /// Encodes nodes of `N`-D entries cut from `values` (two per
+    /// dimension, ordered into a finite rectangle), as many as a 1 KiB
+    /// page holds, with both encoders over differently dirty pages.
+    fn same_page<const N: usize>(values: &[(u32, u64)], level: u8) -> Result<(), TestCaseError> {
+        let finite = |&(family, bits): &(u32, u64)| {
+            let x = edge_value(family, bits);
+            if x.is_finite() {
+                x
+            } else {
+                x.signum() * f64::MAX
+            }
+        };
+        let entries: Vec<DiskEntry<N>> = values
+            .chunks_exact(2 * N)
+            .take(max_entries(1024, N))
+            .map(|chunk| {
+                let x: Vec<f64> = chunk.iter().map(finite).collect();
+                let lo = std::array::from_fn(|k| x[2 * k].min(x[2 * k + 1]));
+                let hi = std::array::from_fn(|k| x[2 * k].max(x[2 * k + 1]));
+                DiskEntry {
+                    rect: Rect::new(lo, hi).unwrap(),
+                    child: chunk[0].1 as u32,
+                }
+            })
+            .collect();
+        let mut page = vec![0xa5; 1024];
+        encode_page(level, entries.iter().copied(), &mut page).unwrap();
+        let mut want = vec![0x5a; 1024];
+        reference_page(level, &entries, &mut want);
+        prop_assert_eq!(page, want);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pages_are_the_reference_encoders_bytes(
+            values in prop::collection::vec((0u32..10, any::<u64>()), 0..320),
+            level in 0u8..4,
+        ) {
+            same_page::<1>(&values, level)?;
+            same_page::<2>(&values, level)?;
+            same_page::<3>(&values, level)?;
+        }
+    }
 
     fn sample_node() -> DiskNode<2> {
         DiskNode {
