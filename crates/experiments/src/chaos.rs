@@ -22,7 +22,9 @@
 //! gauges into [`CHAOS_METRICS_FILE`], which `validate-obs` checks with
 //! the same rules as the join command's metrics artifact.
 
-use crate::common::{build_tree, rel_err, scheduler_name, RunOpts, DEFAULT_DENSITY};
+use crate::common::{
+    build_tree, rel_err, scheduler_name, write_artifact, RunOpts, DEFAULT_DENSITY,
+};
 use crate::report::{int, pct, Report};
 use sjcm_datagen::uniform::{generate as uniform, UniformConfig};
 use sjcm_join::{
@@ -340,15 +342,9 @@ pub fn chaos(opts: &RunOpts) -> bool {
 
     drift.publish(&metrics);
     if let Some(dir) = obs_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-        } else {
-            let path = dir.join(CHAOS_METRICS_FILE);
-            match metrics.write_jsonl(&path) {
-                Ok(()) => println!("[metrics] {}", path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-            }
-        }
+        write_artifact(dir, CHAOS_METRICS_FILE, "metrics", |p| {
+            metrics.write_jsonl(p)
+        });
     }
 
     if ok.get() {

@@ -78,6 +78,25 @@ impl RunOpts {
     }
 }
 
+/// Writes one artifact: `write` puts it at `dir/name`, then
+/// `[label] <path>` is printed, or a warning when the write failed.
+/// `dir` already exists — [`RunOpts::new`] creates `--obs-dir`, and a
+/// CSV report has created `--out`. Returns whether the write succeeded.
+pub fn write_artifact<E: std::fmt::Display>(
+    dir: &Path,
+    name: &str,
+    label: &str,
+    write: impl FnOnce(&Path) -> Result<(), E>,
+) -> bool {
+    let path = dir.join(name);
+    let written = write(&path);
+    match &written {
+        Ok(()) => println!("[{label}] {}", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    }
+    written.is_ok()
+}
+
 /// The paper's default density for the cardinality-sweep figures
 /// (§4 varies D in [0.2, 0.8]; the N-sweep plots fix a mid value).
 pub const DEFAULT_DENSITY: f64 = 0.5;

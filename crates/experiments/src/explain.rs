@@ -34,7 +34,7 @@
 //! selected set's does, by making one probe per selected object look
 //! cheap.
 
-use crate::common::{rel_err, RunOpts};
+use crate::common::{rel_err, write_artifact, RunOpts};
 use crate::report::{pct, Report};
 use sjcm::explain::{AnalyzedPlan, Explainer};
 use sjcm::optimizer::{Catalog, DatasetStats, JoinQuery, PhysicalPlan, Planner};
@@ -204,19 +204,6 @@ fn csv_report(out: &Path, name: &str, analysis: &AnalyzedPlan) {
     table.finish();
 }
 
-fn write_artifact(obs_dir: Option<&Path>, name: &str, contents: &str) {
-    let Some(dir) = obs_dir else { return };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(name);
-    match std::fs::write(&path, contents) {
-        Ok(()) => println!("[plan-analyze] {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
 /// The plain `explain` command: analyze the optimizer's chosen plan
 /// under the measured catalog. Returns `true` when every gated
 /// operator's residual model error stayed inside the paper's envelope.
@@ -250,7 +237,11 @@ pub fn explain(opts: &RunOpts) -> bool {
     };
     println!("{analysis}");
     csv_report(out, "explain_plan", &analysis);
-    write_artifact(obs_dir, PLAN_ANALYZE_FILE, &analysis.to_jsonl());
+    if let Some(dir) = obs_dir {
+        write_artifact(dir, PLAN_ANALYZE_FILE, "plan-analyze", |p| {
+            std::fs::write(p, analysis.to_jsonl())
+        });
+    }
     let ok = analysis.all_within();
     if ok {
         println!(
@@ -314,25 +305,16 @@ pub fn calibrate(opts: &RunOpts) -> bool {
 
     // Write the measured statistics back and persist the correction.
     let calibrated = explainer.calibrated();
-    let catalog_path = obs_dir.unwrap_or(out).join(CATALOG_FILE);
-    if let Some(dir) = catalog_path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-        }
+    // Without --obs-dir the catalog lands next to the CSVs, in the
+    // --out directory the stale-plan report above has just created.
+    let dir = obs_dir.unwrap_or(out);
+    if !write_artifact(dir, CATALOG_FILE, "catalog", |p| calibrated.save(p)) {
+        return false;
     }
-    let reloaded = match calibrated
-        .save(&catalog_path)
-        .and_then(|()| Catalog::load(&catalog_path))
-    {
-        Ok(c) => {
-            println!(
-                "\n[catalog] calibrated statistics saved to {}",
-                catalog_path.display()
-            );
-            c
-        }
+    let reloaded = match Catalog::load(&dir.join(CATALOG_FILE)) {
+        Ok(c) => c,
         Err(e) => {
-            eprintln!("explain --calibrate: catalog persistence failed: {e}");
+            eprintln!("explain --calibrate: catalog reload failed: {e}");
             return false;
         }
     };

@@ -34,7 +34,9 @@
 //! decision log is persisted as `governor_events.jsonl`, which
 //! `validate-obs` checks against the `sjcm.governor.v1` contract.
 
-use crate::common::{build_tree, rel_err, scheduler_name, RunOpts, DEFAULT_DENSITY};
+use crate::common::{
+    build_tree, rel_err, scheduler_name, write_artifact, RunOpts, DEFAULT_DENSITY,
+};
 use crate::report::{int, pct, Report};
 use sjcm_datagen::skewed::{gaussian_clusters, ClusterConfig};
 use sjcm_datagen::uniform::{generate as uniform, UniformConfig};
@@ -450,16 +452,10 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
                 ),
             );
         }
-        if let Some(dir) = obs_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: cannot create {}: {e}", dir.display());
-            } else if let Some(jsonl) = gov_shed.events_jsonl() {
-                let path = dir.join(sjcm_obs::GOVERNOR_EVENTS_FILE);
-                match std::fs::write(&path, &jsonl) {
-                    Ok(()) => println!("[governor] {}", path.display()),
-                    Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-                }
-            }
+        if let (Some(dir), Some(jsonl)) = (obs_dir, gov_shed.events_jsonl()) {
+            write_artifact(dir, sjcm_obs::GOVERNOR_EVENTS_FILE, "governor", |p| {
+                std::fs::write(p, &jsonl)
+            });
         }
     }
     table.finish();

@@ -16,8 +16,13 @@
 //! draws it live, `--obs-dir` persists the snapshot JSONL, and the
 //! report prints the prior-vs-refined ETA error curve either way.
 
-use crate::common::{build_tree, RunOpts, DEFAULT_DENSITY};
+use crate::chaos::CHAOS_METRICS_FILE;
+use crate::common::{build_tree, write_artifact, RunOpts, DEFAULT_DENSITY};
+use crate::explain::{CATALOG_FILE, PLAN_ANALYZE_FILE};
 use crate::report::{int, pct, Report};
+use crate::trace::ACCESS_TRACE_FILE;
+use sjcm::explain::validate_plan_analyze_jsonl;
+use sjcm::optimizer::Catalog;
 use sjcm_core::join;
 use sjcm_datagen::uniform::{generate as uniform, UniformConfig};
 use sjcm_join::{
@@ -25,10 +30,11 @@ use sjcm_join::{
     Scheduler,
 };
 use sjcm_obs::{
-    json, validate_progress_jsonl, DriftMonitor, LevelPrior, MetricsRegistry, ProgressEngine,
-    ProgressSnapshot, ProgressTracker, Tracer, PAPER_ENVELOPE,
+    json, validate_governor_jsonl, validate_metrics_jsonl, validate_progress_jsonl,
+    validate_trace_jsonl, DriftMonitor, LevelPrior, MetricsRegistry, ProgressEngine,
+    ProgressSnapshot, ProgressTracker, Tracer, GOVERNOR_EVENTS_FILE, PAPER_ENVELOPE,
 };
-use sjcm_storage::{AccessTrace, FlightRecorder, RecordedPolicy};
+use sjcm_storage::{AccessTrace, FlightRecorder};
 use std::io::Write as _;
 use std::path::Path;
 
@@ -189,20 +195,16 @@ pub fn join_observed(
     // admission is exactly when the events file is most interesting.
     let write_governor_events = |dir: &Path| {
         if let Some(jsonl) = gov.events_jsonl() {
-            let path = dir.join(sjcm_obs::GOVERNOR_EVENTS_FILE);
-            match std::fs::write(&path, &jsonl) {
-                Ok(()) => println!("[governor] {}", path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-            }
+            write_artifact(dir, GOVERNOR_EVENTS_FILE, "governor", |p| {
+                std::fs::write(p, &jsonl)
+            });
         }
     };
     let degraded = match degraded {
         Ok(d) => d,
         Err(e) => {
             if let Some(dir) = obs_dir {
-                if std::fs::create_dir_all(dir).is_ok() {
-                    write_governor_events(dir);
-                }
+                write_governor_events(dir);
             }
             return Err(e.to_string());
         }
@@ -355,59 +357,31 @@ pub fn join_observed(
     print!("{}", tracer.tree_summary());
 
     if let Some(dir) = obs_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
+        write_artifact(dir, TRACE_FILE, "trace", |p| tracer.write_jsonl(p));
+        // A deadline-degraded run legitimately undershoots the Eq
+        // 6/8–12 predictions, so its drift gauges would (rightly) fail
+        // `validate-obs`'s envelope contract: withhold the metrics file
+        // instead of writing a known-bad artifact.
+        if exact {
+            write_artifact(dir, METRICS_FILE, "metrics", |p| metrics.write_jsonl(p));
         } else {
-            let trace_path = dir.join(TRACE_FILE);
-            match tracer.write_jsonl(&trace_path) {
-                Ok(()) => println!("[trace] {}", trace_path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", trace_path.display()),
-            }
-            // A deadline-degraded run legitimately undershoots the Eq
-            // 6/8–12 predictions, so its drift gauges would (rightly)
-            // fail `validate-obs`'s envelope contract: withhold the
-            // metrics file instead of writing a known-bad artifact.
-            if exact {
-                let metrics_path = dir.join(METRICS_FILE);
-                match metrics.write_jsonl(&metrics_path) {
-                    Ok(()) => println!("[metrics] {}", metrics_path.display()),
-                    Err(e) => eprintln!("warning: cannot write {}: {e}", metrics_path.display()),
-                }
-            } else {
-                println!("[metrics] withheld: degraded run breaches the drift contract");
-            }
-            write_governor_events(dir);
-            // The binary page-access trace: the join ran under the
-            // path-buffer policy, and the header carries the Eq 7/11
-            // and 10/12 totals so `trace replay` can draw its what-if
-            // curve against the model. A trace with no events has
-            // nothing to replay, and `validate-obs` rejects it.
-            let access = recorder.into_trace(RecordedPolicy::Path, na_pred, da_pred);
-            let access_path = dir.join(crate::trace::ACCESS_TRACE_FILE);
-            if access.events.is_empty() {
-                println!("[access-trace] withheld: the recorder captured no access");
-            } else {
-                match access.write(&access_path) {
-                    Ok(()) => println!(
-                        "[access-trace] {} ({} events, {} dropped)",
-                        access_path.display(),
-                        access.events.len(),
-                        access.dropped
-                    ),
-                    Err(e) => eprintln!("warning: cannot write {}: {e}", access_path.display()),
-                }
-            }
-            let progress_path = dir.join(PROGRESS_FILE);
-            let jsonl: String = snapshots.iter().map(|s| s.to_json() + "\n").collect();
-            match std::fs::write(&progress_path, &jsonl) {
-                Ok(()) => println!(
-                    "[progress] {} ({} snapshots)",
-                    progress_path.display(),
-                    snapshots.len()
-                ),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", progress_path.display()),
-            }
+            println!("[metrics] withheld: degraded run breaches the drift contract");
         }
+        write_governor_events(dir);
+        // The binary page-access trace: the join ran under the
+        // path-buffer policy, and the header carries the Eq 7/11 and
+        // 10/12 totals so `trace replay` can draw its what-if curve
+        // against the model. A trace with no events has nothing to
+        // replay, and `validate-obs` rejects it.
+        let access = recorder.into_trace(config.buffer, na_pred, da_pred);
+        if access.events.is_empty() {
+            println!("[access-trace] withheld: the recorder captured no access");
+        } else {
+            write_artifact(dir, ACCESS_TRACE_FILE, "access-trace", |p| access.write(p));
+        }
+        write_artifact(dir, PROGRESS_FILE, "progress", |p| {
+            json::write_jsonl(p, snapshots.iter().map(ProgressSnapshot::to_json))
+        });
     }
 
     let ok = drift.all_within();
@@ -438,399 +412,105 @@ pub fn join_observed(
     Ok(ok || !exact)
 }
 
-/// The `validate-obs` command: checks every artifact present in
-/// `--obs-dir` — the span and metrics JSONL files (every line parses,
-/// the required keys are present, the recorded drift stayed inside the
-/// envelope: `drift.*` gauges ≤ `drift.envelope` and the
-/// `drift.breaches` counter is 0), the chaos campaigns' metrics file
-/// under the same contract, the binary page-access trace
-/// (magic/version/size/tick-monotonicity via [`AccessTrace::read`],
-/// plus a truncation check on the ring-drop counter), the progress
-/// snapshot stream (monotone time and fraction, finishing at exactly
-/// 1.0, via [`validate_progress_jsonl`]), the `explain` command's
-/// per-operator plan analysis (`plan_analyze.jsonl`: schema'd lines,
-/// DA ≤ NA, no gated operator breaching the envelope), the
-/// calibrated `catalog.json` (round-trips through the optimizer's
-/// parser with at least one dataset), and the governor's decision log
-/// (`governor_events.jsonl`: schema'd lines, known kinds, monotone
-/// time, ending on a terminal decision, via
-/// [`sjcm_obs::validate_governor_jsonl`]). Returns `false` (with
-/// diagnostics on stderr) on any violation, including an obs dir with
-/// nothing to validate.
+/// A validator: the artifact's bytes in, the number of records it
+/// holds out.
+type Check = fn(&[u8]) -> Result<usize, String>;
+
+fn text(bytes: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))
+}
+
+/// Every artifact `validate-obs` knows: file name, validator, and the
+/// noun its record count is reported in. Each validator sits beside
+/// the artifact's writer, except the two below whose formats are
+/// checked by their parsers.
+const ARTIFACTS: [(&str, Check, &str); 8] = [
+    (TRACE_FILE, |b| validate_trace_jsonl(text(b)?), "spans"),
+    (
+        METRICS_FILE,
+        |b| validate_metrics_jsonl(text(b)?),
+        "metric lines",
+    ),
+    (
+        CHAOS_METRICS_FILE,
+        |b| validate_metrics_jsonl(text(b)?),
+        "metric lines",
+    ),
+    (ACCESS_TRACE_FILE, check_access_trace, "access events"),
+    (
+        PROGRESS_FILE,
+        |b| validate_progress_jsonl(text(b)?),
+        "progress snapshots",
+    ),
+    (
+        PLAN_ANALYZE_FILE,
+        |b| validate_plan_analyze_jsonl(text(b)?),
+        "plan operators",
+    ),
+    (CATALOG_FILE, check_catalog, "catalog entries"),
+    (
+        GOVERNOR_EVENTS_FILE,
+        |b| validate_governor_jsonl(text(b)?),
+        "governor events",
+    ),
+];
+
+/// The binary page-access trace: [`AccessTrace::from_bytes`] rejects
+/// bad magic/version/padding, truncated or oversized byte counts,
+/// invalid event encodings and non-monotonic ticks; on top of that a
+/// trace must be replayable (no event overwritten by the rings, at
+/// least one event).
+fn check_access_trace(bytes: &[u8]) -> Result<usize, String> {
+    AccessTrace::from_bytes(bytes)
+        .and_then(crate::trace::replayable)
+        .map(|t| t.events.len())
+}
+
+/// The calibrated catalog round-trips through the optimizer's own
+/// parser, which enforces dimensionality and entry shape, and holds at
+/// least one data set.
+fn check_catalog(bytes: &[u8]) -> Result<usize, String> {
+    let catalog = Catalog::<2>::from_json(text(bytes)?.trim()).map_err(|e| e.to_string())?;
+    match catalog.len() {
+        0 => Err("catalog holds no datasets".to_string()),
+        n => Ok(n),
+    }
+}
+
+/// The `validate-obs` command: runs the validator of every artifact in
+/// [`ARTIFACTS`] present in `dir` — spans, metrics (the join's and the
+/// chaos campaigns', both under the drift contract), the access trace,
+/// progress snapshots, the plan analysis, the calibrated catalog and
+/// the governor's decision log. Returns `false` (with diagnostics on
+/// stderr) on any violation, including an obs dir with nothing to
+/// validate.
 pub fn validate_obs(dir: &Path) -> bool {
-    let ok = std::cell::Cell::new(true);
-    let fail = |msg: String| {
-        eprintln!("validate-obs: {msg}");
-        ok.set(false);
-    };
-    let present = |name: &str| {
-        let p = dir.join(name);
-        p.is_file().then_some(p)
-    };
-    let trace = present(TRACE_FILE);
-    let metrics = present(METRICS_FILE);
-    let chaos_metrics = present(crate::chaos::CHAOS_METRICS_FILE);
-    let access = present(crate::trace::ACCESS_TRACE_FILE);
-    let progress = present(PROGRESS_FILE);
-    let plan_analyze = present(crate::explain::PLAN_ANALYZE_FILE);
-    let catalog = present(crate::explain::CATALOG_FILE);
-    let governor_events = present(sjcm_obs::GOVERNOR_EVENTS_FILE);
-    if [
-        &trace,
-        &metrics,
-        &chaos_metrics,
-        &access,
-        &progress,
-        &plan_analyze,
-        &catalog,
-        &governor_events,
-    ]
-    .iter()
-    .all(|a| a.is_none())
-    {
-        fail(format!(
-            "no artifacts found in {}; expected any of {TRACE_FILE}, \
-             {METRICS_FILE}, {}, {}, {PROGRESS_FILE}, {}, {}, {}",
-            dir.display(),
-            crate::chaos::CHAOS_METRICS_FILE,
-            crate::trace::ACCESS_TRACE_FILE,
-            crate::explain::PLAN_ANALYZE_FILE,
-            crate::explain::CATALOG_FILE,
-            sjcm_obs::GOVERNOR_EVENTS_FILE
-        ));
-        return false;
-    }
-
-    if let Some(path) = &trace {
-        match std::fs::read_to_string(path) {
-            Err(e) => fail(format!("cannot read {}: {e}", path.display())),
-            Ok(text) => {
-                let mut spans = 0usize;
-                for (lineno, line) in text.lines().enumerate() {
-                    let v = match json::parse(line) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            fail(format!("{}:{}: {e}", path.display(), lineno + 1));
-                            continue;
-                        }
-                    };
-                    for key in [
-                        "type", "id", "parent", "name", "start_us", "dur_us", "fields",
-                    ] {
-                        if v.get(key).is_none() {
-                            fail(format!(
-                                "{}:{}: span line missing key {key}",
-                                path.display(),
-                                lineno + 1
-                            ));
-                        }
-                    }
-                    spans += 1;
-                }
-                if spans == 0 {
-                    fail(format!("{}: no spans recorded", path.display()));
-                } else {
-                    println!("validate-obs: {} spans ok in {}", spans, path.display());
-                }
-            }
-        }
-    }
-
-    if let Some(path) = &metrics {
-        check_metrics_file(path, &fail);
-    }
-    if let Some(path) = &chaos_metrics {
-        check_metrics_file(path, &fail);
-    }
-
-    if let Some(path) = &access {
-        // AccessTrace::read already rejects bad magic/version/padding,
-        // truncated or oversized byte counts, invalid event encodings
-        // and non-monotonic ticks; on top of that an artifact whose
-        // rings overwrote events is not replayable and fails here.
-        match AccessTrace::read(path) {
-            Err(e) => fail(format!("{}: {e}", path.display())),
-            Ok(t) if t.dropped > 0 => fail(format!(
-                "{}: truncated trace ({} events overwritten by the ring)",
-                path.display(),
-                t.dropped
-            )),
-            Ok(t) if t.events.is_empty() => {
-                fail(format!("{}: trace holds no events", path.display()))
-            }
-            Ok(t) => println!(
-                "validate-obs: {} access events ok in {}",
-                t.events.len(),
-                path.display()
-            ),
-        }
-    }
-
-    // The plan-analysis stream: every line parses with the
-    // sjcm.plan_analyze.v1 schema, counters are internally consistent
-    // (DA never exceeds NA), and no gated operator's residual model
-    // error breached the envelope (`within` is true or null — staleness
-    // demos legitimately record catalog-attributed misses, but a
-    // *model* breach fails the artifact).
-    if let Some(path) = &plan_analyze {
-        check_plan_analyze_file(path, &fail);
-    }
-
-    // The calibrated catalog round-trips through the optimizer's own
-    // parser, which enforces dimensionality and entry shape.
-    if let Some(path) = &catalog {
-        match sjcm::optimizer::Catalog::<2>::load(path) {
-            Err(e) => fail(format!("{}: {e}", path.display())),
-            Ok(c) => {
-                let n = c.iter().count();
-                if n == 0 {
-                    fail(format!("{}: catalog holds no datasets", path.display()));
-                } else {
-                    println!(
-                        "validate-obs: {} catalog entries ok in {}",
-                        n,
-                        path.display()
-                    );
-                }
-            }
-        }
-    }
-
-    // The governor's decision log: every line parses with the
-    // sjcm.governor.v1 schema, kinds are known, time is monotone, and
-    // the log ends on a terminal decision (finish/reject) — a
-    // log that just stops mid-run is a crashed governor, not a record.
-    if let Some(path) = &governor_events {
-        match std::fs::read_to_string(path) {
-            Err(e) => fail(format!("cannot read {}: {e}", path.display())),
-            Ok(text) => match sjcm_obs::validate_governor_jsonl(&text) {
-                Err(e) => fail(format!("{}: {e}", path.display())),
-                Ok(lines) => println!(
-                    "validate-obs: {} governor events ok in {}",
-                    lines,
-                    path.display()
-                ),
-            },
-        }
-    }
-
-    // The progress stream's contract lives in the obs crate: every line
-    // parses with the snapshot keys, time and fraction are monotone,
-    // and the stream ends finished with fraction exactly 1.0.
-    if let Some(path) = &progress {
-        match std::fs::read_to_string(path) {
-            Err(e) => fail(format!("cannot read {}: {e}", path.display())),
-            Ok(text) => match validate_progress_jsonl(&text) {
-                Err(e) => fail(format!("{}: {e}", path.display())),
-                Ok(lines) => println!(
-                    "validate-obs: {} progress snapshots ok in {}",
-                    lines,
-                    path.display()
-                ),
-            },
-        }
-    }
-    ok.get()
-}
-
-/// Validates one metrics-JSONL artifact — shared by the join command's
-/// metrics file and the chaos campaigns' (both follow the same
-/// contract): every line parses with the type/name/value shape, each
-/// `drift.*` gauge stays inside the published `drift.envelope`, and the
-/// `drift.breaches` counter is zero.
-/// Validates the `explain` command's `plan_analyze.jsonl`: every line
-/// parses with the `sjcm.plan_analyze.v1` schema and its required keys,
-/// per-operator DA never exceeds NA, sequence numbers are contiguous
-/// from zero, and `"within"` is never `false` — a gated operator whose
-/// residual model error breached the envelope fails the artifact
-/// (catalog-attributed misses are legal: they are what `--calibrate`
-/// exists to demonstrate).
-fn check_plan_analyze_file(path: &Path, fail: &dyn Fn(String)) {
-    let text = match std::fs::read_to_string(path) {
-        Err(e) => return fail(format!("cannot read {}: {e}", path.display())),
-        Ok(t) => t,
-    };
-    let mut lines = 0usize;
+    let mut found = 0;
     let mut ok = true;
-    for (lineno, line) in text.lines().enumerate() {
-        let mut line_fail = |msg: String| {
-            fail(format!("{}:{}: {msg}", path.display(), lineno + 1));
-            ok = false;
-        };
-        let v = match json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                line_fail(e.to_string());
-                continue;
-            }
-        };
-        match v.get("schema").and_then(|s| s.as_str()) {
-            Some("sjcm.plan_analyze.v1") => {}
-            other => line_fail(format!(
-                "unexpected schema {:?} (want sjcm.plan_analyze.v1)",
-                other.unwrap_or("<missing>")
-            )),
-        }
-        for key in [
-            "seq",
-            "op",
-            "path",
-            "est_cost",
-            "reest_cost",
-            "est_rows",
-            "na",
-            "da",
-            "cost_io",
-            "rows",
-            "wall_us",
-            "err",
-            "catalog_err",
-            "model_err",
-            "attribution",
-            "gated",
-            "within",
-            "envelope",
-        ] {
-            if v.get(key).is_none() {
-                line_fail(format!("plan line missing key {key}"));
-            }
-        }
-        let num = |key: &str| v.get(key).and_then(|x| x.as_f64());
-        if let (Some(na), Some(da)) = (num("na"), num("da")) {
-            if da > na {
-                line_fail(format!("da {da} exceeds na {na}"));
-            }
-        }
-        if num("seq") != Some(lines as f64) {
-            line_fail(format!("non-contiguous seq (expected {lines})"));
-        }
-        if v.get("within").and_then(|w| w.as_bool()) == Some(false) {
-            line_fail(format!(
-                "operator {} breached the envelope (within = false)",
-                v.get("op").and_then(|o| o.as_str()).unwrap_or("?")
-            ));
-        }
-        lines += 1;
-    }
-    if lines == 0 {
-        fail(format!("{}: no plan operators recorded", path.display()));
-        ok = false;
-    }
-    if ok {
-        println!(
-            "validate-obs: {} plan operators ok in {}",
-            lines,
-            path.display()
-        );
-    }
-}
-
-fn check_metrics_file(path: &Path, fail: &dyn Fn(String)) {
-    let text = match std::fs::read_to_string(path) {
-        Err(e) => return fail(format!("cannot read {}: {e}", path.display())),
-        Ok(t) => t,
-    };
-    let file_ok = std::cell::Cell::new(true);
-    let fail = |msg: String| {
-        file_ok.set(false);
-        fail(msg);
-    };
-    let mut lines = 0usize;
-    let mut envelope = None;
-    let mut drift_gauges: Vec<(String, Option<f64>)> = Vec::new();
-    let mut breaches = None;
-    for (lineno, line) in text.lines().enumerate() {
-        let v = match json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                fail(format!("{}:{}: {e}", path.display(), lineno + 1));
-                continue;
-            }
-        };
-        lines += 1;
-        let kind = v.get("type").and_then(|t| t.as_str()).unwrap_or("");
-        let name = v.get("name").and_then(|n| n.as_str()).unwrap_or("");
-        if name.is_empty() || kind.is_empty() {
-            fail(format!(
-                "{}:{}: metric line missing type/name",
-                path.display(),
-                lineno + 1
-            ));
+    for (name, check, noun) in ARTIFACTS {
+        let path = dir.join(name);
+        if !path.is_file() {
             continue;
         }
-        match kind {
-            "counter" | "gauge" => {
-                if v.get("value").is_none() {
-                    fail(format!(
-                        "{}:{}: {kind} missing value",
-                        path.display(),
-                        lineno + 1
-                    ));
-                }
+        found += 1;
+        match std::fs::read(&path)
+            .map_err(|e| format!("cannot read: {e}"))
+            .and_then(|b| check(&b))
+        {
+            Ok(n) => println!("validate-obs: {n} {noun} ok in {}", path.display()),
+            Err(e) => {
+                eprintln!("validate-obs: {}: {e}", path.display());
+                ok = false;
             }
-            "histogram" => {
-                let bounds = v.get("bounds").and_then(|b| b.as_arr());
-                let counts = v.get("counts").and_then(|c| c.as_arr());
-                match (bounds, counts) {
-                    (Some(b), Some(c)) if c.len() == b.len() + 1 => {}
-                    _ => fail(format!(
-                        "{}:{}: malformed histogram",
-                        path.display(),
-                        lineno + 1
-                    )),
-                }
-            }
-            other => fail(format!(
-                "{}:{}: unknown metric type {other}",
-                path.display(),
-                lineno + 1
-            )),
-        }
-        let value = v.get("value").and_then(|x| x.as_f64());
-        if kind == "gauge" && name == "drift.envelope" {
-            envelope = value;
-        } else if kind == "gauge" && name.starts_with("drift.") {
-            drift_gauges.push((name.to_string(), value));
-        } else if kind == "counter" && name == "drift.breaches" {
-            breaches = value;
         }
     }
-    if lines == 0 {
-        fail(format!("{}: no metrics recorded", path.display()));
-    }
-    let env = envelope.unwrap_or(PAPER_ENVELOPE);
-    if envelope.is_none() {
-        fail(format!("{}: drift.envelope gauge missing", path.display()));
-    }
-    if drift_gauges.is_empty() {
-        fail(format!("{}: no drift.* gauges recorded", path.display()));
-    }
-    for (name, err) in &drift_gauges {
-        match err {
-            Some(e) if *e <= env => {}
-            Some(e) => fail(format!(
-                "{name} = {:.1}% exceeds the {:.1}% envelope",
-                e * 100.0,
-                env * 100.0
-            )),
-            None => fail(format!("{name} is null (non-finite relative error)")),
-        }
-    }
-    match breaches {
-        Some(0.0) => {}
-        Some(b) => fail(format!("drift.breaches = {b}, expected 0")),
-        None => fail(format!(
-            "{}: drift.breaches counter missing",
-            path.display()
-        )),
-    }
-    if file_ok.get() {
-        println!(
-            "validate-obs: {} metric lines ok in {} ({} drift gauges within {:.0}%)",
-            lines,
-            path.display(),
-            drift_gauges.len(),
-            env * 100.0
+    if found == 0 {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _, _)| *name).collect();
+        eprintln!(
+            "validate-obs: no artifacts found in {}; expected any of {}",
+            dir.display(),
+            names.join(", ")
         );
     }
+    ok && found > 0
 }

@@ -15,11 +15,11 @@
 //! `trace report` summarizes locality: per-tree per-level access
 //! histograms and the top-k hottest pages.
 
-use crate::common::RunOpts;
+use crate::common::{rel_err, RunOpts};
 use crate::report::{int, pct, Report};
-use sjcm_storage::recorder::{AccessTrace, RecordedPolicy};
+use sjcm_storage::recorder::AccessTrace;
 use sjcm_storage::replay::{replay, StackDistance};
-use sjcm_storage::{hit_ratio, AccessKind};
+use sjcm_storage::{hit_ratio, AccessKind, BufferPolicy};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -29,47 +29,41 @@ pub const ACCESS_TRACE_FILE: &str = "join_access_trace.bin";
 /// LRU capacities the what-if sweep reports (pages per tree per
 /// residency domain). 0 degenerates to no buffer; the top end is far
 /// past any path length the 60K workloads produce.
-const LRU_SWEEP: [u32; 8] = [0, 1, 2, 4, 8, 16, 32, 64];
+const LRU_SWEEP: [usize; 8] = [0, 1, 2, 4, 8, 16, 32, 64];
 
 /// Capacities where the Mattson curve is cross-checked against an
 /// actual LRU re-simulation (the two must agree event-for-event).
-const CROSS_CHECK: [u32; 3] = [1, 8, 64];
+const CROSS_CHECK: [usize; 3] = [1, 8, 64];
 
-fn policy_name(p: RecordedPolicy) -> String {
+fn policy_name(p: BufferPolicy) -> String {
     match p {
-        RecordedPolicy::None => "none".into(),
-        RecordedPolicy::Path => "path".into(),
-        RecordedPolicy::Lru(cap) => format!("lru{cap}"),
+        BufferPolicy::None => "none".into(),
+        BufferPolicy::Path => "path".into(),
+        BufferPolicy::Lru(cap) => format!("lru{cap}"),
     }
 }
 
-fn load(dir: &Path) -> Result<AccessTrace, String> {
-    let path = dir.join(ACCESS_TRACE_FILE);
-    let trace = AccessTrace::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+/// A trace the toolchain can replay: the rings overwrote no event and
+/// it holds at least one. `validate-obs` applies the same check.
+pub(crate) fn replayable(trace: AccessTrace) -> Result<AccessTrace, String> {
     if trace.dropped > 0 {
         return Err(format!(
-            "{}: truncated trace ({} events overwritten by the ring); \
+            "truncated trace ({} events overwritten by the ring); \
              re-record with a larger lane capacity",
-            path.display(),
             trace.dropped
         ));
     }
     if trace.events.is_empty() {
-        return Err(format!("{}: trace holds no events", path.display()));
+        return Err("trace holds no events".to_string());
     }
     Ok(trace)
 }
 
-fn rel_err(pred: f64, actual: f64) -> f64 {
-    if actual == 0.0 {
-        if pred == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (pred - actual).abs() / actual
-    }
+fn load(dir: &Path) -> Result<AccessTrace, String> {
+    let path = dir.join(ACCESS_TRACE_FILE);
+    AccessTrace::read(&path)
+        .and_then(replayable)
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn fmt_ratio(hits: u64, misses: u64) -> String {
@@ -132,12 +126,12 @@ pub fn replay_cmd(opts: &RunOpts) -> bool {
     // spot-checks it.
     let sd = StackDistance::analyze(&trace.events);
     for cap in CROSS_CHECK {
-        let brute = replay(&trace.events, RecordedPolicy::Lru(cap));
-        if brute.da_total() != sd.misses_at(cap as usize) {
+        let brute = replay(&trace.events, BufferPolicy::Lru(cap));
+        if brute.da_total() != sd.misses_at(cap) {
             eprintln!(
                 "trace replay: Mattson disagrees with brute-force LRU({cap}): \
                  {} vs {}",
-                sd.misses_at(cap as usize),
+                sd.misses_at(cap),
                 brute.da_total()
             );
             return false;
@@ -176,7 +170,7 @@ pub fn replay_cmd(opts: &RunOpts) -> bool {
             ("-".into(), "-".into())
         }
     };
-    for policy in [RecordedPolicy::None, RecordedPolicy::Path] {
+    for policy in [BufferPolicy::None, BufferPolicy::Path] {
         let o = replay(&trace.events, policy);
         let da = o.da_total();
         let (pred, err) = pred_cell(policy == trace.policy, trace.da_pred, da);
@@ -191,10 +185,10 @@ pub fn replay_cmd(opts: &RunOpts) -> bool {
         ]);
     }
     for cap in LRU_SWEEP {
-        let da = sd.misses_at(cap as usize);
-        let (pred, err) = pred_cell(trace.policy == RecordedPolicy::Lru(cap), trace.da_pred, da);
+        let da = sd.misses_at(cap);
+        let (pred, err) = pred_cell(trace.policy == BufferPolicy::Lru(cap), trace.da_pred, da);
         table.row(&[
-            &policy_name(RecordedPolicy::Lru(cap)),
+            &policy_name(BufferPolicy::Lru(cap)),
             &"mattson",
             &na_live,
             &da,
@@ -313,14 +307,14 @@ mod tests {
     fn replay_cmd_accepts_faithful_trace() {
         let dir = std::env::temp_dir().join(format!("sjcm_trace_ok_{}", std::process::id()));
         // A NoBuffer recording: every access is a miss, trivially
-        // consistent with RecordedPolicy::None.
+        // consistent with BufferPolicy::None.
         let events = vec![
             event(0, 1, AccessKind::Miss),
             event(1, 2, AccessKind::Miss),
             event(2, 1, AccessKind::Miss),
         ];
         let trace = AccessTrace {
-            policy: RecordedPolicy::None,
+            policy: BufferPolicy::None,
             dropped: 0,
             na_pred: 3.0,
             da_pred: 3.0,
@@ -343,7 +337,7 @@ mod tests {
         // miss — a path buffer would have hit.
         let events = vec![event(0, 1, AccessKind::Miss), event(1, 1, AccessKind::Miss)];
         let trace = AccessTrace {
-            policy: RecordedPolicy::Path,
+            policy: BufferPolicy::Path,
             dropped: 0,
             na_pred: 0.0,
             da_pred: 0.0,
@@ -358,7 +352,7 @@ mod tests {
     fn truncated_trace_is_rejected() {
         let dir = std::env::temp_dir().join(format!("sjcm_trace_trunc_{}", std::process::id()));
         let trace = AccessTrace {
-            policy: RecordedPolicy::None,
+            policy: BufferPolicy::None,
             dropped: 7,
             na_pred: 0.0,
             da_pred: 0.0,

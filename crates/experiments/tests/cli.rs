@@ -5,7 +5,7 @@
 //! Each test shells out to the compiled binary via
 //! `CARGO_BIN_EXE_experiments`, so they run against exactly what ships.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> Command {
@@ -168,8 +168,74 @@ fn join_obs_dirs_validate_and_hold_what_the_run_vouches_for() {
             "{tag}: validate-obs failed\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
+        each_broken_line_fails_validation(&obs_dir, &out_dir.join("broken"));
         let _ = std::fs::remove_dir_all(&out_dir);
     }
+}
+
+/// For every JSONL artifact in `obs_dir`: a copy whose second line (the
+/// first, for a one-line file) is cut in half, alone in `scratch`, fails
+/// `validate-obs`, which names the file and the line.
+fn each_broken_line_fails_validation(obs_dir: &Path, scratch: &Path) {
+    for entry in std::fs::read_dir(obs_dir).expect("the obs dir exists") {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if !name.ends_with(".jsonl") {
+            continue;
+        }
+        let text = std::fs::read_to_string(obs_dir.join(&name)).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let n = lines.len().min(2);
+        let line = lines[n - 1];
+        lines[n - 1] = &line[..line.len() / 2];
+        let _ = std::fs::remove_dir_all(scratch);
+        std::fs::create_dir_all(scratch).unwrap();
+        std::fs::write(scratch.join(&name), lines.join("\n")).unwrap();
+        let out = bin()
+            .args(["validate-obs", "--obs-dir"])
+            .arg(scratch)
+            .output()
+            .expect("spawn experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name}: a broken line passed");
+        assert!(
+            stderr.contains(&format!("{name}: line {n}: ")),
+            "{name}: stderr should name the file and line {n}, got: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(scratch);
+}
+
+/// `explain --obs-dir` writes the plan analysis, which passes
+/// `validate-obs` and fails it with one line broken.
+#[test]
+fn explain_obs_dir_validates() {
+    let out_dir = tmp_out("explain_obs");
+    let obs_dir = out_dir.join("obs");
+    let out = bin()
+        .args(["explain", "--scale", "0.05", "--obs-dir"])
+        .arg(&obs_dir)
+        .arg("--out")
+        .arg(&out_dir)
+        .output()
+        .expect("spawn experiments");
+    assert!(
+        out.status.success(),
+        "explain failed\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(obs_dir.join("plan_analyze.jsonl").is_file());
+    let out = bin()
+        .args(["validate-obs", "--obs-dir"])
+        .arg(&obs_dir)
+        .output()
+        .expect("spawn experiments");
+    assert!(
+        out.status.success(),
+        "validate-obs failed\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    each_broken_line_fails_validation(&obs_dir, &out_dir.join("broken"));
+    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 /// Unknown commands exit nonzero and point at the help text.

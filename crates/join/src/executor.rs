@@ -11,8 +11,8 @@ use crate::session::{CorrDomain, ExecContext};
 use sjcm_core::join::JoinWindows;
 use sjcm_geom::{mbr_of, Point, Rect, RectBatch};
 use sjcm_rtree::{Child, Entry, Node, NodeId, ObjectId, RTree};
-use sjcm_storage::recorder::RecordedPolicy;
-use sjcm_storage::{AccessStats, BufferCounters, BufferManager, LruBuffer, NoBuffer, PathBuffer};
+pub use sjcm_storage::BufferPolicy;
+use sjcm_storage::{AccessStats, BufferCounters};
 
 /// Join predicate between two object MBRs (and, during traversal,
 /// between node rectangles — both predicates below are "downward
@@ -36,40 +36,6 @@ impl JoinPredicate {
         match *self {
             JoinPredicate::Overlap => a.intersects(b),
             JoinPredicate::WithinDistance(eps) => a.within_distance(b, eps),
-        }
-    }
-}
-
-/// Buffer scheme for both trees (each tree gets its own instance — the
-/// paper's path buffer is explicitly per-tree).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BufferPolicy {
-    /// No buffering: DA = NA.
-    None,
-    /// Per-tree most-recently-visited-path buffer (§3.1).
-    Path,
-    /// Per-tree LRU buffer of the given page capacity (§5 extension).
-    Lru(usize),
-}
-
-impl BufferPolicy {
-    pub(crate) fn build(self) -> Box<dyn BufferManager> {
-        match self {
-            BufferPolicy::None => Box::new(NoBuffer::new()),
-            BufferPolicy::Path => Box::new(PathBuffer::new()),
-            BufferPolicy::Lru(cap) => Box::new(LruBuffer::new(cap)),
-        }
-    }
-
-    /// The storage-layer mirror of this policy, as stamped into a
-    /// recorded [`sjcm_storage::AccessTrace`] header so offline replay
-    /// knows which configuration reproduces the recorded hit/miss
-    /// stream.
-    pub fn recorded(self) -> RecordedPolicy {
-        match self {
-            BufferPolicy::None => RecordedPolicy::None,
-            BufferPolicy::Path => RecordedPolicy::Path,
-            BufferPolicy::Lru(cap) => RecordedPolicy::Lru(cap as u32),
         }
     }
 }

@@ -56,7 +56,7 @@ use crate::degraded::{DegradedJoinResult, JoinError};
 use crate::parallel::shape_params;
 use sjcm_core::join::join_cost_na;
 use sjcm_obs::governor::GovernorLog;
-use sjcm_obs::UnitLedger;
+use sjcm_obs::{UnitLedger, PAPER_ENVELOPE};
 use sjcm_rtree::RTree;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -132,15 +132,6 @@ impl GovernorConfig {
         self
     }
 }
-
-/// The §4.1 relative-error band the ETA is trusted to: shedding fires
-/// only when even `ETA / (1 + 0.15)` misses the deadline, and it sheds
-/// down to what `deadline × (1 + 0.15)` can afford. Both edges lean the
-/// same way — toward shedding *less*: a unit shed too eagerly is gone
-/// for good, while a unit kept too optimistically is re-examined at the
-/// very next boundary and, at worst, truncated at expiry like any
-/// ungoverned overrun.
-const SHED_BAND: f64 = 0.15;
 
 /// Consecutive unit boundaries that must all predict an overrun before
 /// any unit is shed. The rate is a ratio of wall time to *completed*
@@ -491,7 +482,14 @@ impl Governor {
         let elapsed = start.elapsed().as_secs_f64();
         let projected = elapsed + eta.secs;
         let deadline_s = deadline.as_secs_f64();
-        if projected <= deadline_s * (1.0 + SHED_BAND) {
+        // The ETA is trusted to the §4.1 band: shedding fires only when
+        // even `ETA / (1 + band)` misses the deadline, and it sheds down
+        // to what `deadline × (1 + band)` can afford. Both edges lean
+        // toward shedding *less*: a unit shed too eagerly is gone for
+        // good, while a unit kept too optimistically is re-examined at
+        // the very next boundary and, at worst, truncated at expiry like
+        // any ungoverned overrun.
+        if projected <= deadline_s * (1.0 + PAPER_ENVELOPE) {
             st.overrun_streak = 0;
             return;
         }
@@ -503,7 +501,7 @@ impl Governor {
         // down to the price the deadline can afford, keeping the
         // units in flight and then the highest-value pending units, at
         // most [`SHED_SLICE`] of the remaining price per decision.
-        let afford_time = (deadline_s * (1.0 + SHED_BAND) - elapsed).max(0.0);
+        let afford_time = (deadline_s * (1.0 + PAPER_ENVELOPE) - elapsed).max(0.0);
         let remaining = totals.remaining();
         let floor = remaining - (remaining as f64 * SHED_SLICE) as u64;
         let afford_price = ((afford_time / eta.secs_per_work) as u64).max(floor);
@@ -530,7 +528,7 @@ impl Governor {
             format!(
                 "eta {projected:.3}s beyond deadline {deadline_s:.3}s (+{:.0}% band): \
                  shed {shed_n} lowest-value units, kept price {afford_price}",
-                SHED_BAND * 100.0
+                PAPER_ENVELOPE * 100.0
             ),
         );
     }

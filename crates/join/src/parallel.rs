@@ -1064,7 +1064,6 @@ mod tests {
 
     #[test]
     fn recorded_join_is_identical_and_replay_is_exact() {
-        use sjcm_storage::recorder::RecordedPolicy;
         let a = build(2_000, 0.01, 25);
         let b = build(2_000, 0.01, 26);
         let plain = join(&a, &b, cost_guided(4));
@@ -1086,7 +1085,7 @@ mod tests {
         assert_eq!(events.len() as u64, recorded.na_total());
         // Replaying the recorded policy (the default is Path)
         // reproduces the live counters exactly — totals and per-level.
-        let out = sjcm_storage::replay(&events, RecordedPolicy::Path);
+        let out = sjcm_storage::replay(&events, crate::BufferPolicy::Path);
         assert_eq!(out.kind_mismatches, 0);
         assert_eq!(out.stats1, recorded.stats1);
         assert_eq!(out.stats2, recorded.stats2);
@@ -1094,7 +1093,6 @@ mod tests {
 
     #[test]
     fn round_robin_trace_replays_exactly_too() {
-        use sjcm_storage::recorder::RecordedPolicy;
         let a = build(1_500, 0.012, 27);
         let b = build(1_500, 0.012, 28);
         let recorder = FlightRecorder::enabled();
@@ -1109,7 +1107,7 @@ mod tests {
         assert_eq!(dropped, 0);
         // Shard buffers persist across units, so per-shard correlation
         // domains are what makes this replay exact.
-        let out = sjcm_storage::replay(&events, RecordedPolicy::Path);
+        let out = sjcm_storage::replay(&events, crate::BufferPolicy::Path);
         assert_eq!(out.kind_mismatches, 0);
         assert_eq!(out.stats1, recorded.stats1);
         assert_eq!(out.stats2, recorded.stats2);
@@ -1117,7 +1115,6 @@ mod tests {
 
     #[test]
     fn sequential_fallback_records_too() {
-        use sjcm_storage::recorder::RecordedPolicy;
         let a = build(800, 0.02, 29);
         let b = build(800, 0.02, 30);
         let recorder = FlightRecorder::enabled();
@@ -1131,7 +1128,7 @@ mod tests {
         let (events, _) = recorder.drain();
         assert_eq!(events.len() as u64, recorded.na_total());
         assert!(events.iter().all(|e| e.corr == 0), "one residency domain");
-        let out = sjcm_storage::replay(&events, RecordedPolicy::Path);
+        let out = sjcm_storage::replay(&events, crate::BufferPolicy::Path);
         assert_eq!(out.kind_mismatches, 0);
         assert_eq!(out.stats1, recorded.stats1);
         assert_eq!(out.stats2, recorded.stats2);

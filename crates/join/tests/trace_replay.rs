@@ -18,7 +18,7 @@
 
 use sjcm_join::{JoinConfig, JoinObs, JoinSession, Scheduler};
 use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
-use sjcm_storage::{AccessTrace, FlightRecorder, RecordedPolicy, StackDistance};
+use sjcm_storage::{AccessTrace, BufferPolicy, FlightRecorder, StackDistance};
 
 fn build_uniform(n: usize, density: f64, seed: u64) -> RTree<2> {
     let rects = sjcm_datagen::uniform::generate::<2>(sjcm_datagen::uniform::UniformConfig::new(
@@ -66,13 +66,13 @@ fn recorded_60k_trace_replays_exactly_and_lru_sweep_is_monotone() {
     assert_eq!(live.na_total(), plain.na_total());
     assert_eq!(live.da_total(), plain.da_total());
 
-    let trace = recorder.into_trace(RecordedPolicy::Path, 0.0, 0.0);
+    let trace = recorder.into_trace(BufferPolicy::Path, 0.0, 0.0);
     assert_eq!(trace.dropped, 0, "60K workload must fit the ring");
     assert_eq!(trace.events.len() as u64, live.na_total());
 
     // Exact reproduction of the live DA counters: totals AND the
     // per-level splits, via the per-domain path-buffer re-simulation.
-    let out = sjcm_storage::replay(&trace.events, RecordedPolicy::Path);
+    let out = sjcm_storage::replay(&trace.events, BufferPolicy::Path);
     assert_eq!(out.kind_mismatches, 0, "no hit/miss verdict may diverge");
     assert_eq!(out.stats1, live.stats1, "tree 1 per-level NA/DA splits");
     assert_eq!(out.stats2, live.stats2, "tree 2 per-level NA/DA splits");
@@ -98,11 +98,11 @@ fn recorded_60k_trace_replays_exactly_and_lru_sweep_is_monotone() {
     assert_eq!(sd.misses_at(sat + 100), sd.cold_misses());
 
     // Mattson vs brute-force LRU at spot capacities.
-    for cap in [1u32, 16, 256] {
-        let brute = sjcm_storage::replay(&trace.events, RecordedPolicy::Lru(cap));
+    for cap in [1, 16, 256] {
+        let brute = sjcm_storage::replay(&trace.events, BufferPolicy::Lru(cap));
         assert_eq!(
             brute.da_total(),
-            sd.misses_at(cap as usize),
+            sd.misses_at(cap),
             "Mattson and brute-force LRU({cap}) disagree"
         );
     }

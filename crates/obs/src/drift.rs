@@ -28,7 +28,10 @@ pub const NA_TOTAL: &str = "na.total";
 /// Target name for the whole-join DA prediction (both trees).
 pub const DA_TOTAL: &str = "da.total";
 
-/// The paper's accuracy envelope: ~15% relative error (§4.1).
+/// The paper's accuracy envelope: ~15% relative error (§4.1). The one
+/// copy of the band: the drift monitor's default, the progress ETA's
+/// confidence band, the governor's shed band and EXPLAIN ANALYZE's
+/// per-operator verdicts all read it.
 pub const PAPER_ENVELOPE: f64 = 0.15;
 
 #[derive(Debug, Clone)]

@@ -115,61 +115,60 @@ impl GovernorLog {
     /// Serializes the log as governor JSONL (one line per event,
     /// trailing newline; empty string when nothing was recorded).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.events().iter() {
-            out.push_str(&format!(
-                "{{\"schema\":{},\"t_us\":{},\"kind\":{},\"value\":{},\"detail\":{}}}\n",
-                json::escape(GOVERNOR_SCHEMA),
-                e.t_us,
-                json::escape(e.kind),
-                if e.value.is_finite() { e.value } else { -1.0 },
-                json::escape(&e.detail),
-            ));
-        }
-        out
+        json::to_jsonl(self.events().iter().map(Value::from))
+    }
+}
+
+impl From<&GovernorEvent> for Value {
+    /// `{"schema":…,"t_us":…,"kind":…,"value":…,"detail":…}`; a
+    /// non-finite `value` is `null`, which [`validate_governor_jsonl`]
+    /// rejects.
+    fn from(e: &GovernorEvent) -> Self {
+        Value::from([
+            ("schema", GOVERNOR_SCHEMA.into()),
+            ("t_us", e.t_us.into()),
+            ("kind", e.kind.into()),
+            ("value", e.value.into()),
+            ("detail", e.detail.as_str().into()),
+        ])
     }
 }
 
 /// Validates one governor JSONL document: every line parses and is
 /// schema-tagged, kinds come from [`KNOWN_KINDS`], `t_us` is monotone
-/// non-decreasing, and the final event is terminal ([`TERMINAL_KINDS`]).
-/// Returns the number of events.
+/// non-decreasing, `value` is a number, and the final event is terminal
+/// ([`TERMINAL_KINDS`]). Returns the number of events.
 pub fn validate_governor_jsonl(text: &str) -> Result<usize, String> {
-    let mut last_t = 0u64;
-    let mut count = 0usize;
-    let mut last_kind = String::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+    let records = json::read_jsonl(text)?;
+    let mut last_t = 0.0;
+    let mut last_kind = "";
+    for (i, v) in records.iter().enumerate() {
+        let at = |e: String| format!("line {}: {e}", i + 1);
         if v.get("schema").and_then(Value::as_str) != Some(GOVERNOR_SCHEMA) {
-            return Err(format!("line {}: missing schema {GOVERNOR_SCHEMA}", i + 1));
+            return Err(at(format!("missing schema {GOVERNOR_SCHEMA}")));
         }
-        let Some(kind) = v.get("kind").and_then(Value::as_str) else {
-            return Err(format!("line {}: missing kind", i + 1));
-        };
+        json::require(v, &["t_us", "kind", "value", "detail"]).map_err(at)?;
+        let kind = v.get("kind").and_then(Value::as_str).unwrap_or("");
         if !KNOWN_KINDS.contains(&kind) {
-            return Err(format!("line {}: unknown kind {kind}", i + 1));
+            return Err(at(format!("unknown kind {kind:?}")));
         }
         let t = v.get("t_us").and_then(Value::as_f64).unwrap_or(-1.0);
-        if t < 0.0 || (t as u64) < last_t {
-            return Err(format!("line {}: t_us regressed ({t})", i + 1));
+        if t < 0.0 || t < last_t {
+            return Err(at(format!("t_us regressed ({t})")));
         }
         if v.get("value").and_then(Value::as_f64).is_none() {
-            return Err(format!("line {}: missing numeric value", i + 1));
+            return Err(at("missing numeric value".to_string()));
         }
-        last_t = t as u64;
-        last_kind = kind.to_string();
-        count += 1;
+        last_t = t;
+        last_kind = kind;
     }
-    if count == 0 {
+    if records.is_empty() {
         return Err("no governor events".to_string());
     }
-    if !TERMINAL_KINDS.contains(&last_kind.as_str()) {
+    if !TERMINAL_KINDS.contains(&last_kind) {
         return Err(format!("final event {last_kind} is not terminal"));
     }
-    Ok(count)
+    Ok(records.len())
 }
 
 #[cfg(test)]
@@ -189,6 +188,25 @@ mod tests {
         let events = log.events();
         assert_eq!(events.len(), 5);
         assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
+    }
+
+    #[test]
+    fn a_non_finite_value_is_null_and_fails_validation() {
+        let log = GovernorLog::new();
+        log.record("admit", f64::NAN, "predicted NaN");
+        log.record("finish", 3.0, "");
+        let text = log.to_jsonl();
+        let records = json::read_jsonl(&text).unwrap();
+        assert_eq!(records[0].get("value"), Some(&Value::Null));
+        assert_eq!(
+            records[0].get("schema").unwrap().as_str(),
+            Some(GOVERNOR_SCHEMA)
+        );
+        assert_eq!(records[1].get("value").unwrap().as_f64(), Some(3.0));
+        assert_eq!(
+            validate_governor_jsonl(&text),
+            Err("line 1: missing numeric value".to_string())
+        );
     }
 
     #[test]

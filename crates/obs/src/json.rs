@@ -1,17 +1,21 @@
 //! The workspace's one JSON module: a [`Value`] tree, a recursive
-//! descent parser ([`parse`]), a compact writer (`Value`'s `Display`)
-//! and string escaping ([`escape`]) for the JSONL sinks.
+//! descent parser ([`parse`]) and a compact writer (`Value`'s
+//! `Display`), plus the record format every
+//! `--obs-dir` artifact shares: a record is one [`Value`] on one line
+//! ([`to_jsonl`] / [`write_jsonl`]), read back by [`read_jsonl`] and
+//! key-checked by [`require`].
 //!
 //! The workspace builds offline, so this stands in for `serde_json`. It
 //! lives here because `sjcm-obs` sits at the bottom of the crate graph:
-//! the JSONL writers and the `validate-obs` checks of this crate use it
-//! directly, and the `sjcm` facade re-exports it as `sjcm::json` for
-//! the CLI's on-disk artifacts — rectangle datasets
-//! (`[[[lo…],[hi…]], …]`) and tree metadata objects, whose wire formats
-//! are those of the serde-based first implementation, so files written
-//! by older builds still load.
+//! every artifact writer builds its records as [`Value`]s and every
+//! artifact validator reads them back through [`read_jsonl`], and the
+//! `sjcm` facade re-exports it as `sjcm::json` for the CLI's on-disk
+//! files — rectangle datasets (`[[[lo…],[hi…]], …]`) and tree metadata
+//! objects, whose wire formats are those of the serde-based first
+//! implementation, so files written by older builds still load.
 
 use std::fmt;
+use std::path::Path;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,10 +86,55 @@ impl Value {
     }
 }
 
+impl From<u64> for Value {
+    /// Exact for every count, id and µs reading below 2^53.
+    fn from(v: u64) -> Self {
+        Value::Num(v as f64)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::Num(v)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Self {
+        Value::Bool(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Str(v.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Self {
+        Value::Str(v)
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    /// `None` is `null`.
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<const K: usize> From<[(&str, Value); K]> for Value {
+    /// An object with these keys, in this order.
+    fn from(pairs: [(&str, Value); K]) -> Self {
+        Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+}
+
 /// Compact JSON text; [`parse`] reads it back to an equal value, except
 /// that a non-finite number (NaN, ±∞), which JSON cannot spell, is
-/// written as `null` — as the span, metrics and progress writers do —
-/// and so reads back as [`Value::Null`].
+/// written as `null`, and so reads back as [`Value::Null`]. This is the
+/// only place the workspace spells a JSON number, string or `null`.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -119,7 +168,7 @@ impl fmt::Display for Value {
 }
 
 /// Escapes `s` as a JSON string literal, quotes included.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -148,6 +197,47 @@ pub fn parse(text: &str) -> Result<Value, String> {
         return Err(format!("trailing characters at byte {pos}"));
     }
     Ok(value)
+}
+
+/// A JSONL document: each record on its own line, every line
+/// newline-terminated (the empty string for no records).
+pub fn to_jsonl(records: impl IntoIterator<Item = Value>) -> String {
+    records.into_iter().map(|r| format!("{r}\n")).collect()
+}
+
+/// Writes [`to_jsonl`] of `records` to `path`, creating its parent
+/// directories first.
+pub fn write_jsonl(path: &Path, records: impl IntoIterator<Item = Value>) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)?;
+        }
+    }
+    std::fs::write(path, to_jsonl(records))
+}
+
+/// Reads a JSONL document back into its records, skipping blank lines.
+/// A malformed line is an error `line N: …`. The writers never emit a
+/// blank line, so in their files record `i` is line `i + 1`, which is
+/// how the validators name a record.
+pub fn read_jsonl(text: &str) -> Result<Vec<Value>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| parse(line).map_err(|e| format!("line {}: {e}", i + 1)))
+        .collect()
+}
+
+/// Checks that `record` is an object holding every one of `keys`;
+/// the error names the first missing key.
+pub fn require(record: &Value, keys: &[&str]) -> Result<(), String> {
+    if !matches!(record, Value::Obj(_)) {
+        return Err("not a JSON object".to_string());
+    }
+    match keys.iter().find(|k| record.get(k).is_none()) {
+        Some(k) => Err(format!("missing key {k}")),
+        None => Ok(()),
+    }
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -394,6 +484,42 @@ mod tests {
         let v = parse("{\"a\":[1,2,{\"b\":null}],\"c\":true}").unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("c"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn jsonl_round_trips_records_and_names_bad_lines() {
+        let records = vec![
+            Value::from([("n", 7u64.into()), ("x", f64::NAN.into())]),
+            Value::from([("s", "a\nb".into()), ("o", None::<u64>.into())]),
+        ];
+        let text = to_jsonl(records.clone());
+        assert_eq!(text, "{\"n\":7,\"x\":null}\n{\"s\":\"a\\nb\",\"o\":null}\n");
+        let back = read_jsonl(&format!("\n{text}  \n")).unwrap();
+        assert_eq!(back.len(), 2);
+        assert_eq!(back[0].get("x"), Some(&Value::Null));
+        assert_eq!(back[1], records[1]);
+        assert_eq!(
+            read_jsonl("{}\n{\"a\":}\n").unwrap_err().split(':').next(),
+            Some("line 2")
+        );
+        assert_eq!(to_jsonl(Vec::new()), "");
+    }
+
+    #[test]
+    fn write_jsonl_creates_the_parent_directory() {
+        let dir = std::env::temp_dir().join(format!("sjcm_jsonl_{}", std::process::id()));
+        let path = dir.join("nested").join("a.jsonl");
+        write_jsonl(&path, [Value::from([("k", true.into())])]).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"k\":true}\n");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn require_names_the_first_missing_key() {
+        let v = Value::from([("a", 1u64.into()), ("b", Value::Null)]);
+        assert_eq!(require(&v, &["a", "b"]), Ok(()));
+        assert_eq!(require(&v, &["a", "c", "d"]), Err("missing key c".into()));
+        assert!(require(&Value::Num(1.0), &[]).is_err());
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //!   the join progresses (an *overrun* of the envelope is flagged
 //!   in-flight), and the final relative errors are published as
 //!   `drift.*` gauges.
-//! * [`json`] — the tiny self-contained JSON escaping/validation layer
-//!   the JSONL sinks share (the workspace builds offline; there is no
-//!   serde).
+//! * [`json`] — the one JSON module (the workspace builds offline;
+//!   there is no serde) and the record format every JSONL artifact
+//!   shares: each writer builds [`json::Value`] records and each
+//!   artifact's validator, beside its writer, reads them back through
+//!   [`json::read_jsonl`].
 //! * [`progress`] — the *predictive* layer: a live progress/ETA engine
 //!   seeded from the Eq-6 per-level priors, refined in flight by the
 //!   observed branching ratios, with monotone fractions and an ETA
@@ -55,9 +57,9 @@ pub use drift::{DriftMonitor, DriftSample, DA_TOTAL, NA_TOTAL, PAPER_ENVELOPE};
 pub use governor::{
     validate_governor_jsonl, GovernorEvent, GovernorLog, GOVERNOR_EVENTS_FILE, GOVERNOR_SCHEMA,
 };
-pub use metrics::{Histogram, MetricKind, MetricsRegistry};
+pub use metrics::{validate_metrics_jsonl, Histogram, MetricKind, MetricsRegistry};
 pub use progress::{
     validate_progress_jsonl, LedgerTotals, LevelPrior, ProgressEngine, ProgressSink,
     ProgressSnapshot, ProgressTracker, UnitLedger,
 };
-pub use span::{FieldValue, Span, SpanRecord, Tracer};
+pub use span::{validate_trace_jsonl, FieldValue, Span, SpanRecord, Tracer};

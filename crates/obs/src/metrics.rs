@@ -11,9 +11,8 @@
 //! publishes): `<subsystem>.<quantity>[.<qualifier>…]`, e.g.
 //! `join.na.r1.l2`, `buffer.r1.evictions`, `parallel.steal.attempts`.
 
-use crate::json::escape;
+use crate::json::{self, Value};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// Which kind a metric name resolved to (for report rendering).
@@ -173,60 +172,119 @@ impl MetricsRegistry {
     /// — counters first, then gauges, then histograms, each sorted by
     /// name, so the artifact is byte-deterministic for deterministic runs.
     pub fn to_jsonl(&self) -> String {
-        let s = self.state.lock().expect("metrics poisoned");
-        let mut out = String::new();
-        for (k, v) in &s.counters {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"counter\",\"name\":{},\"value\":{v}}}",
-                escape(k)
-            );
-        }
-        for (k, v) in &s.gauges {
-            let _ = write!(
-                out,
-                "{{\"type\":\"gauge\",\"name\":{},\"value\":",
-                escape(k)
-            );
-            if v.is_finite() {
-                let _ = write!(out, "{v}");
-            } else {
-                out.push_str("null");
-            }
-            out.push_str("}\n");
-        }
-        for (k, h) in &s.histograms {
-            let bounds: Vec<String> = h.bounds.iter().map(|b| format!("{b}")).collect();
-            let counts: Vec<String> = h.counts.iter().map(|c| format!("{c}")).collect();
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"histogram\",\"name\":{},\"bounds\":[{}],\"counts\":[{}],\"total\":{},\"sum\":{}}}",
-                escape(k),
-                bounds.join(","),
-                counts.join(","),
-                h.total,
-                if h.sum.is_finite() { h.sum } else { 0.0 }
-            );
-        }
-        out
+        json::to_jsonl(self.records())
     }
 
     /// Writes [`MetricsRegistry::to_jsonl`] to `path` (parent
     /// directories are created).
     pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
+        json::write_jsonl(path, self.records())
+    }
+
+    fn records(&self) -> Vec<Value> {
+        let s = self.state.lock().expect("metrics poisoned");
+        let scalar = |kind: &str, name: &str, value: Value| {
+            Value::from([
+                ("type", kind.into()),
+                ("name", name.into()),
+                ("value", value),
+            ])
+        };
+        let counters = s
+            .counters
+            .iter()
+            .map(|(k, v)| scalar("counter", k, (*v).into()));
+        let gauges = s
+            .gauges
+            .iter()
+            .map(|(k, v)| scalar("gauge", k, (*v).into()));
+        let histograms = s.histograms.iter().map(|(k, h)| {
+            Value::from([
+                ("type", "histogram".into()),
+                ("name", k.as_str().into()),
+                (
+                    "bounds",
+                    Value::Arr(h.bounds.iter().map(|&b| b.into()).collect()),
+                ),
+                (
+                    "counts",
+                    Value::Arr(h.counts.iter().map(|&c| c.into()).collect()),
+                ),
+                ("total", h.total.into()),
+                ("sum", h.sum.into()),
+            ])
+        });
+        counters.chain(gauges).chain(histograms).collect()
+    }
+}
+
+/// Validates a metrics JSONL document — the join command's and the
+/// chaos campaigns' metrics files follow the same contract: every line
+/// parses with the type/name/value shape (histograms: one more count
+/// than bounds), and the drift contract holds — a `drift.envelope`
+/// gauge is present, every other `drift.*` gauge is a number no larger
+/// than it, and the `drift.breaches` counter is 0. Returns the number
+/// of metric lines.
+pub fn validate_metrics_jsonl(text: &str) -> Result<usize, String> {
+    let records = json::read_jsonl(text)?;
+    let mut envelope = None;
+    let mut drift_gauges = Vec::new();
+    let mut breaches = None;
+    for (i, v) in records.iter().enumerate() {
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        let str_of = |k: &str| v.get(k).and_then(Value::as_str).filter(|s| !s.is_empty());
+        let (Some(kind), Some(name)) = (str_of("type"), str_of("name")) else {
+            return Err(at("metric line missing type/name".to_string()));
+        };
+        match kind {
+            "counter" | "gauge" => json::require(v, &["value"]).map_err(at)?,
+            "histogram" => {
+                let len = |k: &str| v.get(k).and_then(Value::as_arr).map(<[Value]>::len);
+                match (len("bounds"), len("counts")) {
+                    (Some(b), Some(c)) if c == b + 1 => {}
+                    _ => return Err(at("malformed histogram".to_string())),
+                }
             }
+            other => return Err(at(format!("unknown metric type {other:?}"))),
         }
-        std::fs::write(path, self.to_jsonl())
+        let value = v.get("value").and_then(Value::as_f64);
+        match (kind, name) {
+            ("gauge", "drift.envelope") => envelope = value,
+            ("gauge", _) if name.starts_with("drift.") => drift_gauges.push((name, value)),
+            ("counter", "drift.breaches") => breaches = value,
+            _ => {}
+        }
+    }
+    if records.is_empty() {
+        return Err("no metrics recorded".to_string());
+    }
+    let env = envelope.ok_or("drift.envelope gauge missing")?;
+    if drift_gauges.is_empty() {
+        return Err("no drift.* gauges recorded".to_string());
+    }
+    for (name, err) in drift_gauges {
+        match err {
+            Some(e) if e <= env => {}
+            Some(e) => {
+                return Err(format!(
+                    "{name} = {:.1}% exceeds the {:.1}% envelope",
+                    e * 100.0,
+                    env * 100.0
+                ))
+            }
+            None => return Err(format!("{name} is null (non-finite relative error)")),
+        }
+    }
+    match breaches {
+        Some(0.0) => Ok(records.len()),
+        Some(b) => Err(format!("drift.breaches = {b}, expected 0")),
+        None => Err("drift.breaches counter missing".to_string()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
 
     #[test]
     fn counters_accumulate() {
@@ -283,27 +341,74 @@ mod tests {
         let m = MetricsRegistry::new();
         m.counter_add("c", 1);
         m.gauge_set("g", 0.5);
-        m.gauge_set("bad", f64::INFINITY); // serialized as null
+        m.gauge_set("bad", f64::INFINITY);
         m.histogram_record("h", 2.0);
-        let jsonl = m.to_jsonl();
-        let mut kinds = Vec::new();
-        for line in jsonl.lines() {
-            let v = parse(line).expect("line parses");
-            let kind = v.get("type").unwrap().as_str().unwrap().to_string();
-            assert!(v.get("name").is_some());
-            match kind.as_str() {
-                "counter" | "gauge" => assert!(v.get("value").is_some()),
-                "histogram" => {
-                    let bounds = v.get("bounds").unwrap().as_arr().unwrap();
-                    let counts = v.get("counts").unwrap().as_arr().unwrap();
-                    assert_eq!(counts.len(), bounds.len() + 1);
-                    assert!(v.get("total").is_some());
-                }
-                other => panic!("unexpected type {other}"),
-            }
-            kinds.push(kind);
-        }
+        m.histogram_record("h", f64::NAN);
+        let records = json::read_jsonl(&m.to_jsonl()).unwrap();
+        let kinds: Vec<&str> = records
+            .iter()
+            .map(|v| v.get("type").and_then(Value::as_str).unwrap())
+            .collect();
         assert_eq!(kinds, vec!["counter", "gauge", "gauge", "histogram"]);
+        assert_eq!(records[0].get("value").unwrap().as_u64(), Some(1));
+        assert_eq!(records[1].get("name").unwrap().as_str(), Some("bad"));
+        assert_eq!(records[1].get("value"), Some(&Value::Null));
+        assert_eq!(records[2].get("value").unwrap().as_f64(), Some(0.5));
+        let h = &records[3];
+        json::require(h, &["name", "bounds", "counts", "total", "sum"]).unwrap();
+        assert_eq!(h.get("total").unwrap().as_u64(), Some(2));
+        assert_eq!(h.get("sum"), Some(&Value::Null), "a NaN sum is null, not 0");
+    }
+
+    fn drift_metrics(err: f64, breaches: u64) -> String {
+        let m = MetricsRegistry::new();
+        m.counter_add("drift.breaches", breaches);
+        m.gauge_set("drift.envelope", 0.15);
+        m.gauge_set("drift.na.total", err);
+        m.histogram_record("h", 3.0);
+        m.to_jsonl()
+    }
+
+    #[test]
+    fn validator_enforces_the_drift_contract() {
+        assert_eq!(validate_metrics_jsonl(&drift_metrics(0.1, 0)), Ok(4));
+        let over = validate_metrics_jsonl(&drift_metrics(0.2, 0)).unwrap_err();
+        assert!(over.contains("exceeds"), "{over}");
+        let nan = validate_metrics_jsonl(&drift_metrics(f64::NAN, 0)).unwrap_err();
+        assert!(nan.contains("null"), "{nan}");
+        assert!(validate_metrics_jsonl(&drift_metrics(0.1, 1)).is_err());
+        assert!(validate_metrics_jsonl("").is_err());
+        let no_envelope = drift_metrics(0.1, 0).replace("drift.envelope", "other");
+        assert!(validate_metrics_jsonl(&no_envelope).is_err());
+    }
+
+    #[test]
+    fn validator_names_the_broken_line() {
+        let text = drift_metrics(0.1, 0);
+        let lines: Vec<&str> = text.lines().collect();
+        for (broken, want) in [
+            (
+                "{\"type\":\"gauge\",\"name\":\"g\"}",
+                "line 2: missing key value",
+            ),
+            (
+                "{\"type\":\"odd\",\"name\":\"g\"}",
+                "line 2: unknown metric type",
+            ),
+            (
+                "{\"name\":\"g\",\"value\":1}",
+                "line 2: metric line missing type/name",
+            ),
+            (
+                "{\"type\":\"histogram\",\"name\":\"h\",\"bounds\":[1],\"counts\":[1]}",
+                "line 2: malformed histogram",
+            ),
+            ("{\"type\":", "line 2: "),
+        ] {
+            let doc = [lines[0], broken, lines[1], lines[2], lines[3]].join("\n");
+            let err = validate_metrics_jsonl(&doc).unwrap_err();
+            assert!(err.starts_with(want), "{err}");
+        }
     }
 
     #[test]

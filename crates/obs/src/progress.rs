@@ -69,7 +69,8 @@
 //! denominator immediately, so progress neither stalls nor regresses
 //! under injected faults.
 
-use std::fmt::Write as _;
+use crate::json::{self, Value};
+use crate::PAPER_ENVELOPE;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -83,10 +84,6 @@ pub const MAX_LEVELS: usize = 16;
 /// join flushes hundreds of times (smooth fractions), large enough
 /// that shared-counter contention is negligible.
 const FLUSH_EVERY: u32 = 512;
-
-/// §4.1: the model is accurate to ~15%; the ETA confidence band scales
-/// the remaining-work estimate by `1 ± envelope`.
-const ETA_ENVELOPE: f64 = 0.15;
 
 /// Share of the work that must be done before [`eta`] gives a finish
 /// time. The first completions fold start-up and single-unit variance
@@ -534,53 +531,27 @@ pub struct ProgressSnapshot {
     pub finished: bool,
 }
 
-fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_opt(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            let _ = write!(out, "{v}");
-        }
-        None => out.push_str("null"),
-    }
-}
-
 impl ProgressSnapshot {
-    /// One JSON object, no trailing newline:
+    /// One record of the progress artifact:
     /// `{"type":"progress","t_us":…,"fraction":…,…}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"type\":\"progress\",\"t_us\":{},\"fraction\":",
-            self.t_us
-        );
-        write_f64(&mut out, self.fraction);
-        out.push_str(",\"done_work\":");
-        write_f64(&mut out, self.done_work);
-        out.push_str(",\"est_total_work\":");
-        write_f64(&mut out, self.est_total_work);
-        out.push_str(",\"forfeited_work\":");
-        write_f64(&mut out, self.forfeited_work);
-        let _ = write!(
-            out,
-            ",\"na_done\":{},\"da_done\":{},\"pairs\":{},\"units_done\":{},\"units_total\":{}",
-            self.na_done, self.da_done, self.pairs, self.units_done, self.units_total
-        );
-        out.push_str(",\"eta_us\":");
-        write_opt(&mut out, self.eta_us);
-        out.push_str(",\"eta_lo_us\":");
-        write_opt(&mut out, self.eta_lo_us);
-        out.push_str(",\"eta_hi_us\":");
-        write_opt(&mut out, self.eta_hi_us);
-        let _ = write!(out, ",\"finished\":{}}}", self.finished);
-        out
+    pub fn to_json(&self) -> Value {
+        Value::from([
+            ("type", "progress".into()),
+            ("t_us", self.t_us.into()),
+            ("fraction", self.fraction.into()),
+            ("done_work", self.done_work.into()),
+            ("est_total_work", self.est_total_work.into()),
+            ("forfeited_work", self.forfeited_work.into()),
+            ("na_done", self.na_done.into()),
+            ("da_done", self.da_done.into()),
+            ("pairs", self.pairs.into()),
+            ("units_done", self.units_done.into()),
+            ("units_total", self.units_total.into()),
+            ("eta_us", self.eta_us.into()),
+            ("eta_lo_us", self.eta_lo_us.into()),
+            ("eta_hi_us", self.eta_hi_us.into()),
+            ("finished", self.finished.into()),
+        ])
     }
 
     /// A single-line terminal rendering for `--watch`:
@@ -813,8 +784,8 @@ impl ProgressEngine {
             units_done: units.units_done,
             units_total: units.units_scheduled,
             eta_us: eta_at(1.0),
-            eta_lo_us: eta_at(1.0 - ETA_ENVELOPE),
-            eta_hi_us: eta_at(1.0 + ETA_ENVELOPE),
+            eta_lo_us: eta_at(1.0 - PAPER_ENVELOPE),
+            eta_hi_us: eta_at(1.0 + PAPER_ENVELOPE),
             finished,
         }
     }
@@ -826,66 +797,55 @@ impl ProgressEngine {
 /// `[0, 1]`, and the final line is `finished: true` with fraction
 /// exactly 1.0. Returns the number of samples.
 pub fn validate_progress_jsonl(text: &str) -> Result<usize, String> {
-    use crate::json::{parse, Value};
-    let mut last_t = 0u64;
+    let records = json::read_jsonl(text)?;
+    let mut last_t = 0.0;
     let mut last_fraction = -1.0f64;
-    let mut count = 0usize;
-    let mut finished = false;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+    for (i, v) in records.iter().enumerate() {
+        let at = |e: String| format!("line {}: {e}", i + 1);
         if v.get("type").and_then(Value::as_str) != Some("progress") {
-            return Err(format!("line {}: not a progress record", i + 1));
+            return Err(at("not a progress record".to_string()));
         }
-        for key in [
-            "t_us",
-            "fraction",
-            "done_work",
-            "na_done",
-            "pairs",
-            "finished",
-        ] {
-            if v.get(key).is_none() {
-                return Err(format!("line {}: missing key {key}", i + 1));
-            }
-        }
+        json::require(
+            v,
+            &[
+                "t_us",
+                "fraction",
+                "done_work",
+                "na_done",
+                "pairs",
+                "finished",
+            ],
+        )
+        .map_err(at)?;
         let t = v.get("t_us").and_then(Value::as_f64).unwrap_or(-1.0);
-        if t < 0.0 || (t as u64) < last_t {
-            return Err(format!("line {}: t_us regressed ({t})", i + 1));
+        if t < 0.0 || t < last_t {
+            return Err(at(format!("t_us regressed ({t})")));
         }
-        last_t = t as u64;
+        last_t = t;
         let f = v.get("fraction").and_then(Value::as_f64).unwrap_or(-1.0);
         if !(0.0..=1.0).contains(&f) {
-            return Err(format!("line {}: fraction {f} outside [0, 1]", i + 1));
+            return Err(at(format!("fraction {f} outside [0, 1]")));
         }
         if f < last_fraction {
-            return Err(format!(
-                "line {}: fraction regressed ({f} < {last_fraction})",
-                i + 1
-            ));
+            return Err(at(format!("fraction regressed ({f} < {last_fraction})")));
         }
         last_fraction = f;
-        finished = matches!(v.get("finished"), Some(Value::Bool(true)));
-        count += 1;
     }
-    if count == 0 {
+    let Some(last) = records.last() else {
         return Err("no progress samples".to_string());
-    }
-    if !finished {
+    };
+    if last.get("finished") != Some(&Value::Bool(true)) {
         return Err("final sample is not finished".to_string());
     }
     if last_fraction != 1.0 {
         return Err(format!("final fraction {last_fraction} ≠ 1.0"));
     }
-    Ok(count)
+    Ok(records.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
 
     fn priors_two_trees() -> Vec<LevelPrior> {
         // A 3-level-ish prior: 60 leaf accesses over 12 level-2
@@ -1196,7 +1156,7 @@ mod tests {
         let tracker = ProgressTracker::enabled();
         let mut engine = ProgressEngine::new(&tracker, &priors_two_trees());
         let mut sink = tracker.sink();
-        let mut doc = String::new();
+        let mut snaps = Vec::new();
         for step in 1..=5u64 {
             feed(
                 &mut sink,
@@ -1204,21 +1164,23 @@ mod tests {
                 &[(0, step * 6, 0), (1, step, 0)],
                 step,
             );
-            doc.push_str(&engine.sample().to_json());
-            doc.push('\n');
+            snaps.push(engine.sample());
         }
         tracker.finish();
-        doc.push_str(&engine.sample().to_json());
-        doc.push('\n');
-        let n = validate_progress_jsonl(&doc).expect("valid progress stream");
-        assert_eq!(n, 6);
-        // Each line parses with the advertised keys.
-        let first = parse(doc.lines().next().unwrap()).unwrap();
-        assert_eq!(
-            first.get("type").and_then(crate::json::Value::as_str),
-            Some("progress")
-        );
-        assert!(first.get("eta_us").is_some());
+        snaps.push(engine.sample());
+        let doc = json::to_jsonl(snaps.iter().map(ProgressSnapshot::to_json));
+        assert_eq!(validate_progress_jsonl(&doc), Ok(6));
+        let records = json::read_jsonl(&doc).unwrap();
+        for (snap, v) in snaps.iter().zip(&records) {
+            assert_eq!(v.get("type").and_then(Value::as_str), Some("progress"));
+            assert_eq!(v.get("t_us").unwrap().as_u64(), Some(snap.t_us));
+            assert_eq!(v.get("fraction").unwrap().as_f64(), Some(snap.fraction));
+            assert_eq!(v.get("pairs").unwrap().as_u64(), Some(snap.pairs));
+            assert_eq!(*v.get("eta_us").unwrap(), Value::from(snap.eta_us));
+        }
+        // No ETA before a tenth of the work is done: written as null.
+        assert_eq!(snaps[0].eta_us, None);
+        assert_eq!(records[0].get("eta_us"), Some(&Value::Null));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! [`Tracer::tree_summary`] renders the same records as an indented
 //! human-readable tree.
 
-use crate::json::escape;
+use crate::json::{self, Value};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -64,21 +64,13 @@ impl From<bool> for FieldValue {
     }
 }
 
-impl FieldValue {
-    pub(crate) fn write_json(&self, out: &mut String) {
-        match self {
-            FieldValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            FieldValue::F64(v) if v.is_finite() => {
-                let _ = write!(out, "{v}");
-            }
-            // JSON has no NaN/Inf; null keeps the line parseable.
-            FieldValue::F64(_) => out.push_str("null"),
-            FieldValue::Str(s) => out.push_str(&escape(s)),
-            FieldValue::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
+impl From<&FieldValue> for Value {
+    fn from(v: &FieldValue) -> Self {
+        match v {
+            FieldValue::U64(v) => (*v).into(),
+            FieldValue::F64(v) => (*v).into(),
+            FieldValue::Str(s) => s.as_str().into(),
+            FieldValue::Bool(b) => (*b).into(),
         }
     }
 }
@@ -98,6 +90,50 @@ pub struct SpanRecord {
     pub dur_us: u64,
     /// Attached fields, in attachment order.
     pub fields: Vec<(String, FieldValue)>,
+}
+
+impl From<&SpanRecord> for Value {
+    /// One line of the span artifact, keys in `SPAN_KEYS` order.
+    fn from(r: &SpanRecord) -> Self {
+        let fields = r.fields.iter().map(|(k, v)| (k.clone(), v.into()));
+        let values: [Value; 7] = [
+            "span".into(),
+            r.id.into(),
+            r.parent.into(),
+            r.name.as_str().into(),
+            r.start_us.into(),
+            r.dur_us.into(),
+            Value::Obj(fields.collect()),
+        ];
+        let pairs = SPAN_KEYS.map(String::from).into_iter().zip(values);
+        Value::Obj(pairs.collect())
+    }
+}
+
+/// Keys of every span line, in the order [`Tracer::to_jsonl`] writes
+/// them.
+const SPAN_KEYS: [&str; 7] = [
+    "type", "id", "parent", "name", "start_us", "dur_us", "fields",
+];
+
+/// Validates a span JSONL document (the `join_trace.jsonl` artifact):
+/// every line parses as a `"type":"span"` record carrying
+/// [`Tracer::to_jsonl`]'s keys, and there is at least one. Returns the
+/// number of spans.
+pub fn validate_trace_jsonl(text: &str) -> Result<usize, String> {
+    let records = json::read_jsonl(text)?;
+    for (i, v) in records.iter().enumerate() {
+        json::require(v, &SPAN_KEYS)
+            .and_then(|()| match v.get("type").and_then(Value::as_str) {
+                Some("span") => Ok(()),
+                _ => Err("not a span record".to_string()),
+            })
+            .map_err(|e| format!("line {}: {e}", i + 1))?;
+    }
+    if records.is_empty() {
+        return Err("no spans recorded".to_string());
+    }
+    Ok(records.len())
 }
 
 struct Inner {
@@ -192,45 +228,14 @@ impl Tracer {
     /// `{"type":"span","id":…,"parent":…,"name":…,"start_us":…,"dur_us":…,"fields":{…}}`
     /// object per line. Empty string when disabled or nothing recorded.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in self.records() {
-            let _ = write!(out, "{{\"type\":\"span\",\"id\":{},\"parent\":", r.id);
-            match r.parent {
-                Some(p) => {
-                    let _ = write!(out, "{p}");
-                }
-                None => out.push_str("null"),
-            }
-            let _ = write!(
-                out,
-                ",\"name\":{},\"start_us\":{},\"dur_us\":{},\"fields\":{{",
-                escape(&r.name),
-                r.start_us,
-                r.dur_us
-            );
-            for (i, (k, v)) in r.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&escape(k));
-                out.push(':');
-                v.write_json(&mut out);
-            }
-            out.push_str("}}\n");
-        }
-        out
+        json::to_jsonl(self.records().iter().map(Value::from))
     }
 
     /// Writes [`Tracer::to_jsonl`] to `path` (parent directories are
     /// created). A disabled tracer writes an empty file, so a `--trace`
     /// flag always produces its artifact.
     pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(path, self.to_jsonl())
+        json::write_jsonl(path, self.records().iter().map(Value::from))
     }
 
     /// Renders the span tree: children indented under their parents (in
@@ -264,9 +269,7 @@ impl Tracer {
                     indent = depth * 2
                 );
                 for (k, v) in &r.fields {
-                    let mut s = String::new();
-                    v.write_json(&mut s);
-                    let _ = write!(out, "  {k}={s}");
+                    let _ = write!(out, "  {k}={}", Value::from(v));
                 }
                 out.push('\n');
                 render(records, children, Some(r.id), depth + 1, out);
@@ -353,7 +356,6 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
 
     #[test]
     fn disabled_tracer_records_nothing() {
@@ -401,20 +403,35 @@ mod tests {
             s.set("ratio", 0.5f64);
             s.set("nan", f64::NAN); // must serialize as null, not NaN
             s.set("flag", true);
+            s.set("n", 3u64);
         }
         let jsonl = t.to_jsonl();
-        for line in jsonl.lines() {
-            let v = parse(line).expect("line parses");
-            for key in [
-                "type", "id", "parent", "name", "start_us", "dur_us", "fields",
-            ] {
-                assert!(v.get(key).is_some(), "missing {key} in {line}");
-            }
-            assert_eq!(v.get("type").unwrap().as_str(), Some("span"));
-            let fields = v.get("fields").unwrap();
-            assert_eq!(fields.get("ratio").unwrap().as_f64(), Some(0.5));
-            assert!(matches!(fields.get("nan"), Some(crate::json::Value::Null)));
-        }
+        assert_eq!(validate_trace_jsonl(&jsonl), Ok(1));
+        let records = json::read_jsonl(&jsonl).unwrap();
+        let v = &records[0];
+        let keys: Vec<&str> = match v {
+            Value::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => panic!("not an object"),
+        };
+        assert_eq!(keys, SPAN_KEYS);
+        assert_eq!(v.get("name").unwrap().as_str(), Some("a \"quoted\" name"));
+        assert_eq!(v.get("parent"), Some(&Value::Null));
+        let fields = v.get("fields").unwrap();
+        assert_eq!(fields.get("ratio").unwrap().as_f64(), Some(0.5));
+        assert_eq!(fields.get("nan"), Some(&Value::Null));
+        assert_eq!(fields.get("flag"), Some(&Value::Bool(true)));
+        assert_eq!(fields.get("n").unwrap().as_u64(), Some(3));
+    }
+
+    #[test]
+    fn validator_rejects_broken_span_lines() {
+        assert!(validate_trace_jsonl("").is_err());
+        let good = "{\"type\":\"span\",\"id\":1,\"parent\":null,\"name\":\"a\",\"start_us\":0,\"dur_us\":1,\"fields\":{}}";
+        let missing = good.replace(",\"dur_us\":1", "");
+        let err = validate_trace_jsonl(&format!("{good}\n{missing}\n")).unwrap_err();
+        assert_eq!(err, "line 2: missing key dur_us");
+        let err = validate_trace_jsonl(&format!("{good}\n{{\"type\"\n")).unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
     }
 
     #[test]

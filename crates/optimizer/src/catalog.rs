@@ -96,27 +96,28 @@ impl<const N: usize> Catalog<N> {
         self.datasets.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Serializes the catalog to one JSON document (surfaces excluded).
+    /// Serializes the catalog to one JSON document (surfaces excluded):
+    /// `{"dims":…,"datasets":{name:{"cardinality":…,"density":…,"indexed":…},…}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"dims\":{N},\"datasets\":{{"));
-        for (i, (name, stats)) in self.datasets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"cardinality\":{},\"density\":{},\"indexed\":{}}}",
-                json::escape(name),
-                stats.profile.cardinality,
-                stats.profile.density,
-                stats.indexed
-            ));
-        }
-        out.push_str("}}");
-        out
+        let datasets = self.datasets.iter().map(|(name, stats)| {
+            let entry = Value::from([
+                ("cardinality", stats.profile.cardinality.into()),
+                ("density", stats.profile.density.into()),
+                ("indexed", stats.indexed.into()),
+            ]);
+            (name.clone(), entry)
+        });
+        Value::from([
+            ("dims", (N as u64).into()),
+            ("datasets", Value::Obj(datasets.collect())),
+        ])
+        .to_string()
     }
 
     /// Parses a catalog previously produced by [`Catalog::to_json`].
+    /// A cardinality must be an integer in `[0, 2^53]` and a density a
+    /// non-negative number; the error names the data set, the field and
+    /// the reason.
     pub fn from_json(text: &str) -> Result<Self, CatalogError> {
         let v = json::parse(text).map_err(CatalogError::Parse)?;
         let dims = v
@@ -134,31 +135,24 @@ impl<const N: usize> Catalog<N> {
         };
         let mut catalog = Self::new();
         for (name, entry) in entries {
-            let num = |k: &str| {
-                entry.get(k).and_then(Value::as_f64).ok_or_else(|| {
-                    CatalogError::Parse(format!("dataset {name}: missing numeric {k}"))
-                })
+            let field = |k: &str, why: &str| {
+                let found = entry.get(k).map_or("nothing".to_string(), Value::to_string);
+                CatalogError::Parse(format!("dataset {name}: {k} {found} is not {why}"))
             };
-            let cardinality = num("cardinality")?;
-            let density = num("density")?;
-            if !cardinality.is_finite()
-                || !density.is_finite()
-                || cardinality < 0.0
-                || density < 0.0
-            {
-                return Err(CatalogError::Parse(format!(
-                    "dataset {name}: negative cardinality/density"
-                )));
-            }
-            let indexed = match entry.get("indexed") {
-                Some(Value::Bool(b)) => *b,
-                _ => {
-                    return Err(CatalogError::Parse(format!(
-                        "dataset {name}: missing boolean indexed"
-                    )))
-                }
-            };
-            let mut stats = DatasetStats::new(cardinality.round() as u64, density);
+            let cardinality = entry
+                .get("cardinality")
+                .and_then(Value::as_u64)
+                .ok_or_else(|| field("cardinality", "an integer count in [0, 2^53]"))?;
+            let density = entry
+                .get("density")
+                .and_then(Value::as_f64)
+                .filter(|d| *d >= 0.0)
+                .ok_or_else(|| field("density", "a non-negative number"))?;
+            let indexed = entry
+                .get("indexed")
+                .and_then(Value::as_bool)
+                .ok_or_else(|| field("indexed", "a boolean"))?;
+            let mut stats = DatasetStats::new(cardinality, density);
             stats.indexed = indexed;
             catalog.register(name, stats);
         }
@@ -330,6 +324,68 @@ mod tests {
         ));
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn to_json_is_the_compact_document() {
+        let mut c = Catalog::<2>::new();
+        c.register("rivers", DatasetStats::new(60_000, 0.2));
+        c.register("s\"x", DatasetStats::new(10, 0.5).without_index());
+        assert_eq!(
+            c.to_json(),
+            "{\"dims\":2,\"datasets\":{\"rivers\":{\"cardinality\":60000,\"density\":0.2,\"indexed\":true},\
+             \"s\\\"x\":{\"cardinality\":10,\"density\":0.5,\"indexed\":false}}}"
+        );
+    }
+
+    #[test]
+    fn from_json_reads_counts_exactly_and_names_the_bad_field() {
+        let doc = |card: &str, density: &str| {
+            format!(
+                "{{\"dims\":2,\"datasets\":{{\"x\":{{\"cardinality\":{card},\
+                 \"density\":{density},\"indexed\":true}}}}}}"
+            )
+        };
+        let two53 = 1u64 << 53;
+        let back = Catalog::<2>::from_json(&doc(&two53.to_string(), "0.1")).unwrap();
+        assert_eq!(back.get("x").unwrap().profile.cardinality, two53);
+        for (card, density, want) in [
+            (
+                "12.7",
+                "0.1",
+                "dataset x: cardinality 12.7 is not an integer count",
+            ),
+            (
+                "9007199254740994",
+                "0.1",
+                "dataset x: cardinality 9007199254740994 is not an integer count",
+            ),
+            (
+                "1e30",
+                "0.1",
+                "dataset x: cardinality 1000000000000000000000000000000 is not",
+            ),
+            (
+                "-1",
+                "0.1",
+                "dataset x: cardinality -1 is not an integer count",
+            ),
+            (
+                "7",
+                "-0.5",
+                "dataset x: density -0.5 is not a non-negative number",
+            ),
+            (
+                "7",
+                "null",
+                "dataset x: density null is not a non-negative number",
+            ),
+        ] {
+            match Catalog::<2>::from_json(&doc(card, density)) {
+                Err(CatalogError::Parse(e)) => assert!(e.starts_with(want), "{e}"),
+                other => panic!("{card}/{density}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -261,6 +261,32 @@ impl BufferManager for LruBuffer {
     }
 }
 
+/// Buffer scheme for both trees of a join (each tree gets its own
+/// instance — the paper's path buffer is explicitly per-tree). A
+/// recorded [`AccessTrace`](crate::AccessTrace) carries the policy it
+/// was recorded under, so replay knows which configuration reproduces
+/// the recorded hit/miss stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BufferPolicy {
+    /// No buffering: DA = NA.
+    None,
+    /// Per-tree most-recently-visited-path buffer (§3.1).
+    Path,
+    /// Per-tree LRU buffer of the given page capacity (§5 extension).
+    Lru(usize),
+}
+
+impl BufferPolicy {
+    /// A fresh buffer manager implementing this policy.
+    pub fn build(self) -> Box<dyn BufferManager> {
+        match self {
+            BufferPolicy::None => Box::new(NoBuffer::new()),
+            BufferPolicy::Path => Box::new(PathBuffer::new()),
+            BufferPolicy::Lru(cap) => Box::new(LruBuffer::new(cap)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

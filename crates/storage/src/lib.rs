@@ -46,7 +46,9 @@ pub mod page;
 pub mod recorder;
 pub mod replay;
 
-pub use buffer::{AccessKind, BufferCounters, BufferManager, LruBuffer, NoBuffer, PathBuffer};
+pub use buffer::{
+    AccessKind, BufferCounters, BufferManager, BufferPolicy, LruBuffer, NoBuffer, PathBuffer,
+};
 pub use counters::{hit_ratio, AccessStats};
 pub use fault::{
     FaultCounters, FaultInjector, FaultPlan, FaultyPageStore, ResilientStore, RetryPolicy,
@@ -55,5 +57,5 @@ pub use fault::{
 pub use file_store::FilePageStore;
 pub use layout::{encode_page, max_entries, DiskEntry, DiskNode, NodePage};
 pub use page::{fnv1a, InMemoryPageStore, PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE};
-pub use recorder::{AccessTrace, FlightRecorder, PageAccessEvent, RecordedPolicy, RecorderLane};
+pub use recorder::{AccessTrace, FlightRecorder, PageAccessEvent, RecorderLane};
 pub use replay::{replay, ReplayOutcome, StackDistance};

@@ -50,7 +50,7 @@
 //! domain against a fresh buffer therefore reproduces the live
 //! hit/miss sequence exactly, whatever the schedule was.
 
-use crate::buffer::AccessKind;
+use crate::buffer::{AccessKind, BufferPolicy};
 use crate::page::PageId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -132,45 +132,23 @@ impl PageAccessEvent {
     }
 }
 
-/// The buffer policy a trace was recorded under (or is replayed
-/// against). The storage-level mirror of the join crate's
-/// `BufferPolicy`, carried inside the trace file so replay knows which
-/// configuration reproduces the recorded hit/miss sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordedPolicy {
-    /// No buffering (DA = NA).
-    None,
-    /// The paper's per-tree path buffer (Eqs 8–12).
-    Path,
-    /// LRU of the given page capacity.
-    Lru(u32),
+/// The trace header's encoding of a [`BufferPolicy`]: a tag byte and
+/// an LRU capacity, saturated at `u32::MAX` — a buffer that large never
+/// evicts in any trace that fits in memory, so replay stays exact.
+fn policy_to_bytes(policy: BufferPolicy) -> (u8, u32) {
+    match policy {
+        BufferPolicy::None => (0, 0),
+        BufferPolicy::Path => (1, 0),
+        BufferPolicy::Lru(cap) => (2, u32::try_from(cap).unwrap_or(u32::MAX)),
+    }
 }
 
-impl RecordedPolicy {
-    /// Builds a fresh buffer manager implementing this policy.
-    pub fn build(self) -> Box<dyn crate::buffer::BufferManager> {
-        match self {
-            RecordedPolicy::None => Box::new(crate::buffer::NoBuffer::new()),
-            RecordedPolicy::Path => Box::new(crate::buffer::PathBuffer::new()),
-            RecordedPolicy::Lru(cap) => Box::new(crate::buffer::LruBuffer::new(cap as usize)),
-        }
-    }
-
-    fn to_byte(self) -> (u8, u32) {
-        match self {
-            RecordedPolicy::None => (0, 0),
-            RecordedPolicy::Path => (1, 0),
-            RecordedPolicy::Lru(cap) => (2, cap),
-        }
-    }
-
-    fn from_byte(tag: u8, cap: u32) -> Result<Self, String> {
-        match tag {
-            0 => Ok(RecordedPolicy::None),
-            1 => Ok(RecordedPolicy::Path),
-            2 => Ok(RecordedPolicy::Lru(cap)),
-            t => Err(format!("invalid policy tag {t}")),
-        }
+fn policy_from_bytes(tag: u8, cap: u32) -> Result<BufferPolicy, String> {
+    match tag {
+        0 => Ok(BufferPolicy::None),
+        1 => Ok(BufferPolicy::Path),
+        2 => Ok(BufferPolicy::Lru(cap as usize)),
+        t => Err(format!("invalid policy tag {t}")),
     }
 }
 
@@ -183,7 +161,7 @@ impl RecordedPolicy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessTrace {
     /// Buffer policy the trace was recorded under.
-    pub policy: RecordedPolicy,
+    pub policy: BufferPolicy,
     /// Events overwritten by the bounded rings (0 ⇒ the trace is
     /// complete and replayable).
     pub dropped: u64,
@@ -200,7 +178,7 @@ impl AccessTrace {
     /// little-endian throughout).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_SIZE + self.events.len() * EVENT_SIZE);
-        let (tag, cap) = self.policy.to_byte();
+        let (tag, cap) = policy_to_bytes(self.policy);
         out.extend_from_slice(&TRACE_MAGIC);
         out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
         out.push(tag);
@@ -238,7 +216,7 @@ impl AccessTrace {
             return Err("nonzero header padding".into());
         }
         let cap = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let policy = RecordedPolicy::from_byte(bytes[8], cap)?;
+        let policy = policy_from_bytes(bytes[8], cap)?;
         let count = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
         let dropped = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
         let na_pred = f64::from_le_bytes(bytes[32..40].try_into().unwrap());
@@ -398,7 +376,7 @@ impl FlightRecorder {
 
     /// Drains the recorder into an [`AccessTrace`] carrying the given
     /// policy and analytical predictions (see [`AccessTrace`]).
-    pub fn into_trace(&self, policy: RecordedPolicy, na_pred: f64, da_pred: f64) -> AccessTrace {
+    pub fn into_trace(&self, policy: BufferPolicy, na_pred: f64, da_pred: f64) -> AccessTrace {
         let (events, dropped) = self.drain();
         AccessTrace {
             policy,
@@ -640,7 +618,7 @@ mod tests {
         }
         drop(l1);
         drop(l2);
-        r.into_trace(RecordedPolicy::Path, 123.0, 45.0)
+        r.into_trace(BufferPolicy::Path, 123.0, 45.0)
     }
 
     #[test]
@@ -648,7 +626,7 @@ mod tests {
         let trace = sample_trace();
         let round = AccessTrace::from_bytes(&trace.to_bytes()).unwrap();
         assert_eq!(round, trace);
-        assert_eq!(round.policy, RecordedPolicy::Path);
+        assert_eq!(round.policy, BufferPolicy::Path);
         assert_eq!(round.na_pred, 123.0);
         assert_eq!(round.da_pred, 45.0);
     }
@@ -695,13 +673,36 @@ mod tests {
     #[test]
     fn lru_policy_round_trips_capacity() {
         let t = AccessTrace {
-            policy: RecordedPolicy::Lru(512),
+            policy: BufferPolicy::Lru(512),
             dropped: 0,
             na_pred: 0.0,
             da_pred: 0.0,
             events: Vec::new(),
         };
         let round = AccessTrace::from_bytes(&t.to_bytes()).unwrap();
-        assert_eq!(round.policy, RecordedPolicy::Lru(512));
+        assert_eq!(round.policy, BufferPolicy::Lru(512));
+    }
+
+    #[test]
+    fn an_lru_capacity_past_u32_saturates_instead_of_wrapping() {
+        let bytes_of = |cap: usize| {
+            AccessTrace {
+                policy: BufferPolicy::Lru(cap),
+                dropped: 0,
+                na_pred: 0.0,
+                da_pred: 0.0,
+                events: Vec::new(),
+            }
+            .to_bytes()
+        };
+        let max = u32::MAX as usize;
+        assert_eq!(bytes_of(max), bytes_of(max + 1));
+        assert_eq!(bytes_of(max), bytes_of(usize::MAX));
+        let round = AccessTrace::from_bytes(&bytes_of(max + 2)).unwrap();
+        assert_eq!(
+            round.policy,
+            BufferPolicy::Lru(max),
+            "not wrapped to Lru(1)"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! A captured [`crate::recorder::AccessTrace`] fixes the *access
 //! sequence* of a join run; the hit/miss outcome of each access is then
 //! a deterministic function of the buffer policy. This module
-//! re-simulates a trace under any [`RecordedPolicy`]:
+//! re-simulates a trace under any [`BufferPolicy`]:
 //!
 //! * [`replay`] runs the events through concrete buffer managers, one
 //!   fresh pair (tree 1, tree 2) per correlation domain — reproducing
@@ -25,8 +25,9 @@
 //! have their own buffer, mirroring the executors' `buf1`/`buf2`.
 
 use crate::buffer::BufferManager;
+use crate::buffer::BufferPolicy;
 use crate::counters::AccessStats;
-use crate::recorder::{PageAccessEvent, RecordedPolicy};
+use crate::recorder::PageAccessEvent;
 use std::collections::HashMap;
 
 /// Result of re-simulating a trace under one buffer policy.
@@ -63,7 +64,7 @@ impl ReplayOutcome {
 /// in global tick order is equivalent to replaying domain by domain,
 /// and a single pass suffices even when the live run interleaved
 /// domains across worker threads.
-pub fn replay(events: &[PageAccessEvent], policy: RecordedPolicy) -> ReplayOutcome {
+pub fn replay(events: &[PageAccessEvent], policy: BufferPolicy) -> ReplayOutcome {
     type BufferPair = (Box<dyn BufferManager>, Box<dyn BufferManager>);
     let mut outcome = ReplayOutcome::default();
     let mut domains: HashMap<u32, BufferPair> = HashMap::new();
@@ -159,7 +160,7 @@ impl DomainState {
 /// Distances are tracked per (correlation domain, tree), mirroring
 /// [`replay`]'s buffer instantiation, so
 /// [`StackDistance::misses_at`]`(c)` equals the brute-force
-/// `replay(events, RecordedPolicy::Lru(c)).da_total()` for every `c`
+/// `replay(events, BufferPolicy::Lru(c)).da_total()` for every `c`
 /// (the property tests assert this).
 #[derive(Debug, Clone, Default)]
 pub struct StackDistance {
@@ -245,7 +246,7 @@ mod tests {
     /// Builds tick-ordered events from (corr, tree, page, level)
     /// tuples, with kinds produced by live buffers of `policy` — i.e. a
     /// faithful recording of a real run.
-    fn record(seq: &[(u32, u8, u32, u8)], policy: RecordedPolicy) -> Vec<PageAccessEvent> {
+    fn record(seq: &[(u32, u8, u32, u8)], policy: BufferPolicy) -> Vec<PageAccessEvent> {
         let recorder = FlightRecorder::enabled();
         let mut lanes: HashMap<(u32, u8), _> = HashMap::new();
         let mut bufs: HashMap<(u32, u8), Box<dyn BufferManager>> = HashMap::new();
@@ -275,11 +276,7 @@ mod tests {
             (0, 1, 1, 1),
             (0, 2, 11, 0),
         ];
-        for policy in [
-            RecordedPolicy::None,
-            RecordedPolicy::Path,
-            RecordedPolicy::Lru(2),
-        ] {
+        for policy in [BufferPolicy::None, BufferPolicy::Path, BufferPolicy::Lru(2)] {
             let events = record(&seq, policy);
             let out = replay(&events, policy);
             assert_eq!(out.kind_mismatches, 0, "{policy:?}");
@@ -304,9 +301,9 @@ mod tests {
         // Same page in two domains: both are cold misses.
         let events = record(
             &[(1, 1, 7, 0), (1, 1, 7, 0), (2, 1, 7, 0)],
-            RecordedPolicy::Path,
+            BufferPolicy::Path,
         );
-        let out = replay(&events, RecordedPolicy::Path);
+        let out = replay(&events, BufferPolicy::Path);
         assert_eq!(out.stats1.na_total(), 3);
         assert_eq!(out.stats1.da_total(), 2);
     }
@@ -320,10 +317,10 @@ mod tests {
             (0, 1, 3, 0),
             (0, 1, 1, 0),
         ];
-        let events = record(&seq, RecordedPolicy::Path);
-        let none = replay(&events, RecordedPolicy::None);
-        let path = replay(&events, RecordedPolicy::Path);
-        let lru = replay(&events, RecordedPolicy::Lru(8));
+        let events = record(&seq, BufferPolicy::Path);
+        let none = replay(&events, BufferPolicy::None);
+        let path = replay(&events, BufferPolicy::Path);
+        let lru = replay(&events, BufferPolicy::Lru(8));
         assert_eq!(none.na_total(), 5);
         assert_eq!(path.na_total(), 5);
         assert_eq!(lru.na_total(), 5);
@@ -353,11 +350,11 @@ mod tests {
             (1, 1, 4, 0),
             (1, 1, 3, 0),
         ];
-        let events = record(&seq, RecordedPolicy::None);
+        let events = record(&seq, BufferPolicy::None);
         let sd = StackDistance::analyze(&events);
         assert_eq!(sd.total(), events.len() as u64);
         for cap in 0..8 {
-            let brute = replay(&events, RecordedPolicy::Lru(cap as u32));
+            let brute = replay(&events, BufferPolicy::Lru(cap));
             assert_eq!(
                 sd.misses_at(cap),
                 brute.da_total(),
@@ -381,7 +378,7 @@ mod tests {
                 )
             })
             .collect();
-        let events = record(&seq, RecordedPolicy::None);
+        let events = record(&seq, BufferPolicy::None);
         let sd = StackDistance::analyze(&events);
         let mut prev = sd.misses_at(0);
         for cap in 1..=sd.saturating_capacity() + 2 {
@@ -405,7 +402,7 @@ mod tests {
         assert_eq!(sd.total(), 0);
         assert_eq!(sd.misses_at(4), 0);
         assert_eq!(sd.saturating_capacity(), 0);
-        let out = replay(&[], RecordedPolicy::Path);
+        let out = replay(&[], BufferPolicy::Path);
         assert_eq!(out.na_total(), 0);
         assert_eq!(out.kind_mismatches, 0);
     }
@@ -414,8 +411,8 @@ mod tests {
     fn replay_respects_levels_for_path_buffer() {
         // Alternating levels never evict each other under path.
         let seq = [(0, 1, 1, 0), (0, 1, 2, 1), (0, 1, 1, 0), (0, 1, 2, 1)];
-        let events = record(&seq, RecordedPolicy::Path);
-        let out = replay(&events, RecordedPolicy::Path);
+        let events = record(&seq, BufferPolicy::Path);
+        let out = replay(&events, BufferPolicy::Path);
         assert_eq!(out.kind_mismatches, 0);
         assert_eq!(out.stats1.da_at(0), 1);
         assert_eq!(out.stats1.da_at(1), 1);

@@ -4,8 +4,9 @@
 //! reconstruction when the recorded policy is replayed.
 
 use proptest::prelude::*;
-use sjcm_storage::recorder::{FlightRecorder, PageAccessEvent, RecordedPolicy};
+use sjcm_storage::recorder::{FlightRecorder, PageAccessEvent};
 use sjcm_storage::replay::{replay, StackDistance};
+use sjcm_storage::BufferPolicy;
 use sjcm_storage::{AccessStats, BufferManager, PageId};
 use std::collections::HashMap;
 
@@ -16,7 +17,7 @@ fn access() -> impl Strategy<Value = (u32, u8, u32, u8)> {
 
 /// Records `seq` through live buffers of `policy`, producing a faithful
 /// tick-ordered event stream (the same shape the join executors emit).
-fn record(seq: &[(u32, u8, u32, u8)], policy: RecordedPolicy) -> Vec<PageAccessEvent> {
+fn record(seq: &[(u32, u8, u32, u8)], policy: BufferPolicy) -> Vec<PageAccessEvent> {
     let recorder = FlightRecorder::enabled();
     let mut lanes = HashMap::new();
     let mut bufs: HashMap<(u32, u8), Box<dyn BufferManager>> = HashMap::new();
@@ -41,10 +42,10 @@ proptest! {
     // capacity — the inclusion property made executable.
     #[test]
     fn mattson_matches_brute_force_lru(seq in prop::collection::vec(access(), 1..120)) {
-        let events = record(&seq, RecordedPolicy::None);
+        let events = record(&seq, BufferPolicy::None);
         let sd = StackDistance::analyze(&events);
         for cap in 0usize..12 {
-            let brute = replay(&events, RecordedPolicy::Lru(cap as u32));
+            let brute = replay(&events, BufferPolicy::Lru(cap));
             prop_assert_eq!(
                 sd.misses_at(cap),
                 brute.da_total(),
@@ -67,10 +68,10 @@ proptest! {
         policy_pick in 0u8..4,
     ) {
         let policy = match policy_pick {
-            0 => RecordedPolicy::None,
-            1 => RecordedPolicy::Path,
-            2 => RecordedPolicy::Lru(3),
-            _ => RecordedPolicy::Lru(0),
+            0 => BufferPolicy::None,
+            1 => BufferPolicy::Path,
+            2 => BufferPolicy::Lru(3),
+            _ => BufferPolicy::Lru(0),
         };
         let events = record(&seq, policy);
         let out = replay(&events, policy);
@@ -88,10 +89,10 @@ proptest! {
     // none ≥ path and none ≥ any LRU.
     #[test]
     fn na_invariant_da_ordered(seq in prop::collection::vec(access(), 1..120)) {
-        let events = record(&seq, RecordedPolicy::Path);
-        let none = replay(&events, RecordedPolicy::None);
-        let path = replay(&events, RecordedPolicy::Path);
-        let lru = replay(&events, RecordedPolicy::Lru(8));
+        let events = record(&seq, BufferPolicy::Path);
+        let none = replay(&events, BufferPolicy::None);
+        let path = replay(&events, BufferPolicy::Path);
+        let lru = replay(&events, BufferPolicy::Lru(8));
         prop_assert_eq!(none.na_total(), events.len() as u64);
         prop_assert_eq!(path.na_total(), events.len() as u64);
         prop_assert_eq!(lru.na_total(), events.len() as u64);
@@ -102,9 +103,9 @@ proptest! {
     // Serialization round-trips through the binary format.
     #[test]
     fn trace_bytes_round_trip(seq in prop::collection::vec(access(), 0..60)) {
-        let events = record(&seq, RecordedPolicy::Path);
+        let events = record(&seq, BufferPolicy::Path);
         let trace = sjcm_storage::AccessTrace {
-            policy: RecordedPolicy::Path,
+            policy: BufferPolicy::Path,
             dropped: 0,
             na_pred: 12.5,
             da_pred: 3.25,

@@ -29,6 +29,7 @@
 //! persisted catalog so the next planning run uses observed statistics.
 
 use crate::exec::{ExecError, ExecOutput, OpMeasurement, PlanExecutor};
+use crate::json::{self, Value};
 use crate::optimizer::cost::{CostError, CostEstimator};
 use crate::optimizer::{Catalog, DatasetStats, Estimate, PhysicalPlan, PlanNode};
 use crate::prelude::*;
@@ -41,7 +42,34 @@ use std::fmt;
 
 /// The paper's §4.1 relative-error envelope (±15%) used for the
 /// per-operator verdicts.
-pub const PAPER_ENVELOPE: f64 = 0.15;
+pub use crate::obs::PAPER_ENVELOPE;
+
+/// Schema tag stamped on every `plan_analyze.jsonl` line.
+pub const PLAN_ANALYZE_SCHEMA: &str = "sjcm.plan_analyze.v1";
+
+/// Keys every `plan_analyze.jsonl` line carries, in the order
+/// [`AnalyzedPlan::to_jsonl`] writes them.
+const PLAN_ANALYZE_KEYS: [&str; 19] = [
+    "schema",
+    "seq",
+    "op",
+    "path",
+    "est_cost",
+    "reest_cost",
+    "est_rows",
+    "na",
+    "da",
+    "cost_io",
+    "rows",
+    "wall_us",
+    "err",
+    "catalog_err",
+    "model_err",
+    "attribution",
+    "gated",
+    "within",
+    "envelope",
+];
 
 /// Operators carrying less than this share of the plan's measured
 /// model-comparable I/O are annotated but not gated — a 3-page probe
@@ -195,58 +223,80 @@ impl AnalyzedPlan {
 
     /// Serializes the analysis as JSONL: one object per operator
     /// (pre-order), each carrying the full estimate/measure/attribution
-    /// record — the `plan_analyze.jsonl` obs artifact.
+    /// record — the `plan_analyze.jsonl` obs artifact, keys in
+    /// `PLAN_ANALYZE_KEYS` order, non-finite numbers as `null`.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (seq, n) in self.nodes().iter().enumerate() {
-            let path = n
-                .path
-                .iter()
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"schema\":\"sjcm.plan_analyze.v1\",\"seq\":{seq},\
-                 \"op\":{op},\"path\":[{path}],\
-                 \"est_cost\":{est:.3},\"reest_cost\":{reest:.3},\
-                 \"est_rows\":{est_rows:.3},\
-                 \"na\":{na},\"da\":{da},\"cost_io\":{cost_io},\
-                 \"rows\":{rows},\"wall_us\":{wall},\
-                 \"err\":{err},\"catalog_err\":{cerr},\"model_err\":{merr},\
-                 \"attribution\":{attr},\"gated\":{gated},\
-                 \"within\":{within},\"envelope\":{env}}}\n",
-                op = crate::obs::json::escape(&n.label),
-                est = n.estimate.own_cost,
-                reest = n.reestimate.own_cost,
-                est_rows = n.estimate.cardinality,
-                na = n.measured.na,
-                da = n.measured.da,
-                cost_io = n.measured.cost_io,
-                rows = n.measured.rows,
-                wall = n.measured.wall_us,
-                err = json_err(n.err),
-                cerr = json_err(n.catalog_err),
-                merr = json_err(n.model_err),
-                attr = crate::obs::json::escape(&n.attribution.to_string()),
-                gated = n.gated,
-                within = match n.within {
-                    Some(b) => b.to_string(),
-                    None => "null".to_string(),
-                },
-                env = self.envelope,
-            ));
-        }
-        out
+        let record = |(seq, n): (usize, &AnalyzedNode)| {
+            let path = n.path.iter().map(|&i| (i as u64).into()).collect();
+            let values: [Value; 19] = [
+                PLAN_ANALYZE_SCHEMA.into(),
+                (seq as u64).into(),
+                n.label.as_str().into(),
+                Value::Arr(path),
+                n.estimate.own_cost.into(),
+                n.reestimate.own_cost.into(),
+                n.estimate.cardinality.into(),
+                n.measured.na.into(),
+                n.measured.da.into(),
+                n.measured.cost_io.into(),
+                n.measured.rows.into(),
+                n.measured.wall_us.into(),
+                n.err.into(),
+                n.catalog_err.into(),
+                n.model_err.into(),
+                n.attribution.to_string().into(),
+                n.gated.into(),
+                n.within.into(),
+                self.envelope.into(),
+            ];
+            let pairs = PLAN_ANALYZE_KEYS.map(String::from).into_iter().zip(values);
+            Value::Obj(pairs.collect())
+        };
+        json::to_jsonl(self.nodes().into_iter().enumerate().map(record))
     }
 }
 
-/// A relative error as a JSON number, `null` when non-finite.
-fn json_err(e: f64) -> String {
-    if e.is_finite() {
-        format!("{e:.6}")
-    } else {
-        "null".to_string()
+/// Validates a `plan_analyze.jsonl` document: every line parses with
+/// the [`PLAN_ANALYZE_SCHEMA`] tag and [`AnalyzedPlan::to_jsonl`]'s
+/// keys, per-operator DA never exceeds NA, `seq` counts up from zero,
+/// and `within` is never `false` — a gated operator whose residual
+/// model error breached the envelope fails the artifact
+/// (catalog-attributed misses are legal: they are what `--calibrate`
+/// exists to demonstrate). Returns the number of operators.
+pub fn validate_plan_analyze_jsonl(text: &str) -> Result<usize, String> {
+    let records = json::read_jsonl(text)?;
+    for (i, v) in records.iter().enumerate() {
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        match v.get("schema").and_then(Value::as_str) {
+            Some(PLAN_ANALYZE_SCHEMA) => {}
+            other => {
+                return Err(at(format!(
+                    "unexpected schema {:?} (want {PLAN_ANALYZE_SCHEMA})",
+                    other.unwrap_or("<missing>")
+                )))
+            }
+        }
+        json::require(v, &PLAN_ANALYZE_KEYS).map_err(at)?;
+        let num = |key: &str| v.get(key).and_then(Value::as_f64);
+        if let (Some(na), Some(da)) = (num("na"), num("da")) {
+            if da > na {
+                return Err(at(format!("da {da} exceeds na {na}")));
+            }
+        }
+        if num("seq") != Some(i as f64) {
+            return Err(at(format!("non-contiguous seq (expected {i})")));
+        }
+        if v.get("within").and_then(Value::as_bool) == Some(false) {
+            return Err(at(format!(
+                "operator {} breached the envelope (within = false)",
+                v.get("op").and_then(Value::as_str).unwrap_or("?")
+            )));
+        }
     }
+    if records.is_empty() {
+        return Err("no plan operators recorded".to_string());
+    }
+    Ok(records.len())
 }
 
 fn pct(e: f64) -> String {
@@ -537,5 +587,112 @@ fn rel_err_against(prior: f64, posthoc: f64, measured: f64) -> f64 {
         }
     } else {
         (prior - posthoc).abs() / measured
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn node(label: &str, path: Vec<usize>, own_cost: f64, na: u64) -> AnalyzedNode {
+        AnalyzedNode {
+            label: label.to_string(),
+            path,
+            estimate: Estimate {
+                own_cost,
+                cardinality: 12.345678,
+                ..Estimate::default()
+            },
+            reestimate: Estimate::default(),
+            measured: OpMeasurement {
+                na,
+                da: na / 2,
+                cost_io: na,
+                ..OpMeasurement::default()
+            },
+            err: rel_err(own_cost, na as f64),
+            catalog_err: 0.0,
+            model_err: 0.1234567891,
+            attribution: Attribution::Clean,
+            gated: true,
+            within: Some(true),
+            children: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn jsonl_round_trips_a_non_finite_estimate_at_full_precision() {
+        let mut root = node("Join[SJ]", vec![], 40.0, 40);
+        root.children = vec![
+            node("IndexScan(a)", vec![0], f64::INFINITY, 0),
+            node("IndexScan(b)", vec![1], 0.0, 0),
+        ];
+        let plan = AnalyzedPlan {
+            root,
+            envelope: PAPER_ENVELOPE,
+            est_cost: 40.0,
+            reest_cost: 40.0,
+            measured_cost_io: 40,
+            na: 40,
+            da: 20,
+            rows: 0,
+            wall_us: 0,
+        };
+        let text = plan.to_jsonl();
+        assert_eq!(validate_plan_analyze_jsonl(&text), Ok(3));
+        let records = json::read_jsonl(&text).unwrap();
+        let keys: Vec<&str> = match &records[0] {
+            Value::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => panic!("not an object"),
+        };
+        assert_eq!(keys, PLAN_ANALYZE_KEYS);
+        let scan = &records[1];
+        assert_eq!(scan.get("est_cost"), Some(&Value::Null));
+        assert_eq!(scan.get("err"), Some(&Value::Null));
+        assert_eq!(scan.get("path"), Some(&Value::Arr(vec![Value::Num(0.0)])));
+        let join = &records[0];
+        assert_eq!(join.get("est_rows").unwrap().as_f64(), Some(12.345678));
+        assert_eq!(join.get("model_err").unwrap().as_f64(), Some(0.1234567891));
+        assert_eq!(join.get("within"), Some(&Value::Bool(true)));
+        assert_eq!(join.get("envelope").unwrap().as_f64(), Some(0.15));
+    }
+
+    #[test]
+    fn validator_names_the_broken_line() {
+        let plan = AnalyzedPlan {
+            root: node("Join[SJ]", vec![], 40.0, 40),
+            envelope: PAPER_ENVELOPE,
+            est_cost: 40.0,
+            reest_cost: 40.0,
+            measured_cost_io: 40,
+            na: 40,
+            da: 20,
+            rows: 0,
+            wall_us: 0,
+        };
+        let first = plan.to_jsonl();
+        let first = first.trim_end();
+        let second = first.replace("\"seq\":0", "\"seq\":1");
+        assert_eq!(
+            validate_plan_analyze_jsonl(&format!("{first}\n{second}")),
+            Ok(2)
+        );
+        for (broken, want) in [
+            (
+                second.replace("\"within\":true", "\"within\":false"),
+                "breached the envelope",
+            ),
+            (
+                second.replace("\"da\":20", "\"da\":41"),
+                "da 41 exceeds na 40",
+            ),
+            (first.to_string(), "non-contiguous seq (expected 1)"),
+            (second.replace("\"rows\":0,", ""), "missing key rows"),
+            (second.replace(".v1", ".v0"), "unexpected schema"),
+            (second[..20].to_string(), ""),
+        ] {
+            let err = validate_plan_analyze_jsonl(&format!("{first}\n{broken}")).unwrap_err();
+            assert!(err.starts_with("line 2: ") && err.contains(want), "{err}");
+        }
     }
 }

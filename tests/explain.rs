@@ -4,7 +4,7 @@
 //! shared with `tests/plan_execution.rs` (6K × 2K, fixed seeds).
 
 use sjcm::exec::PlanExecutor;
-use sjcm::explain::{Attribution, Explainer};
+use sjcm::explain::{validate_plan_analyze_jsonl, Attribution, Explainer};
 use sjcm::geom::{density, Rect};
 use sjcm::optimizer::{Catalog, DatasetStats, JoinQuery, Planner};
 use sjcm::prelude::*;
@@ -217,40 +217,10 @@ fn jsonl_artifact_shape() {
         .analyze(&plan)
         .unwrap();
     let jsonl = analysis.to_jsonl();
-    let lines: Vec<&str> = jsonl.lines().collect();
-    assert_eq!(lines.len(), analysis.nodes().len());
-    for (i, line) in lines.iter().enumerate() {
-        let v = sjcm::json::parse(line).unwrap_or_else(|e| panic!("line {i}: {e}\n{line}"));
-        assert_eq!(
-            v.get("schema").and_then(|s| s.as_str()),
-            Some("sjcm.plan_analyze.v1")
-        );
-        assert_eq!(v.get("seq").and_then(|s| s.as_f64()), Some(i as f64));
-        for key in [
-            "op",
-            "path",
-            "est_cost",
-            "reest_cost",
-            "est_rows",
-            "na",
-            "da",
-            "cost_io",
-            "rows",
-            "wall_us",
-            "err",
-            "catalog_err",
-            "model_err",
-            "attribution",
-            "gated",
-            "within",
-            "envelope",
-        ] {
-            assert!(v.get(key).is_some(), "line {i} missing {key}: {line}");
-        }
-        let na = v.get("na").and_then(|x| x.as_f64()).unwrap();
-        let da = v.get("da").and_then(|x| x.as_f64()).unwrap();
-        assert!(da <= na, "line {i}: da {da} > na {na}");
-    }
+    assert_eq!(
+        validate_plan_analyze_jsonl(&jsonl),
+        Ok(analysis.nodes().len())
+    );
 }
 
 /// `Explainer::analyze` must not change what the plan computes: the
