@@ -10,10 +10,11 @@ use sjcm_storage_layout::max_entries;
 // cross-check in the tests of this file.
 mod sjcm_storage_layout {
     /// Maximum entries per node for `page_size` bytes in `n` dimensions:
-    /// an 8-byte header plus (8·n + 4)-byte entries — see
-    /// `sjcm_storage::layout` for the authoritative definition.
+    /// an 8-byte header and an 8-byte checksum trailer around
+    /// (8·n + 4)-byte entries — see `sjcm_storage::layout` for the
+    /// authoritative definition.
     pub const fn max_entries(page_size: usize, n: usize) -> usize {
-        (page_size - 8) / (8 * n + 4)
+        (page_size - 16) / (8 * n + 4)
     }
 }
 
@@ -149,6 +150,8 @@ mod tests {
         // published values.
         assert_eq!(max_entries(1024, 1), 84);
         assert_eq!(max_entries(1024, 2), 50);
+        assert_eq!(max_entries(1024, 3), 36);
+        assert_eq!(max_entries(1024, 5), 22);
         assert_eq!(ModelConfig::paper(1).max_entries, 84);
         assert_eq!(ModelConfig::paper(2).max_entries, 50);
     }

@@ -28,6 +28,20 @@ pub mod uniform;
 
 use sjcm_geom::Rect;
 
+/// The `N`-th root of `x`, the same in every build profile. For `N = 2`
+/// it is `sqrt`: an optimized build lowers `powf(x, 0.5)` to `sqrt`,
+/// while a debug build calls the platform `pow`, which differs from it in
+/// the last ulp on about one input in 1 200 — so debug tests and the
+/// release benchmark and `results/` drew different rectangles. For other
+/// `N` both profiles call `pow`, and `N = 1` is exact.
+pub(crate) fn nth_root<const N: usize>(x: f64) -> f64 {
+    if N == 2 {
+        x.sqrt()
+    } else {
+        x.powf(1.0 / N as f64)
+    }
+}
+
 /// Attaches sequential raw object ids (0, 1, 2, …) to a rectangle list;
 /// callers wrap them in `sjcm_rtree::ObjectId` (this crate sits below the
 /// tree crate in the dependency graph).

@@ -97,7 +97,7 @@ pub fn gaussian_clusters<const N: usize>(config: ClusterConfig) -> Vec<Rect<N>> 
     if config.cardinality == 0 {
         return Vec::new();
     }
-    let side = (config.density / config.cardinality as f64).powf(1.0 / N as f64);
+    let side = crate::nth_root::<N>(config.density / config.cardinality as f64);
     let centers: Vec<[f64; N]> = (0..config.clusters)
         .map(|_| {
             let mut c = [0.0; N];
@@ -134,7 +134,7 @@ pub fn power_law<const N: usize>(
     if cardinality == 0 {
         return Vec::new();
     }
-    let side = (density / cardinality as f64).powf(1.0 / N as f64);
+    let side = crate::nth_root::<N>(density / cardinality as f64);
     (0..cardinality)
         .map(|_| {
             let mut center = [0.0; N];

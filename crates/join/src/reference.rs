@@ -234,8 +234,8 @@ mod tests {
     use sjcm_geom::{Point, Rect};
     use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
     use sjcm_storage::{
-        AccessKind, AccessStats, BufferCounters, DiskNode, FlightRecorder, InMemoryPageStore,
-        PageId, PageStore,
+        digest_term, encode_page, AccessKind, AccessStats, BufferCounters, DiskNode,
+        FlightRecorder, InMemoryPageStore, NodePage, PageId, PageStore,
     };
     use std::collections::BTreeMap;
 
@@ -366,10 +366,24 @@ mod tests {
 
     /// The tree after a round trip through the page format, with
     /// `edit` applied to the saved pages first.
-    fn reloaded(tree: &RTree<2>, edit: impl FnOnce(&mut InMemoryPageStore, PageId)) -> RTree<2> {
+    /// `tree` saved and loaded back, its root page rewritten through
+    /// `edit` in between — resealed, and loaded under the digest a save
+    /// of the edited page would record.
+    fn reloaded(tree: &RTree<2>, edit: impl FnOnce(&mut DiskNode<2>)) -> RTree<2> {
         let mut store = InMemoryPageStore::with_default_page_size();
-        let handle = tree.save(&mut store).unwrap();
-        edit(&mut store, handle.root);
+        let mut handle = tree.save(&mut store).unwrap();
+        let root = handle.root;
+        let old = store.read(root).unwrap();
+        let (_, old_sum) = NodePage::<2>::parse_sealed(&old, root).unwrap();
+        let mut node = DiskNode::<2>::decode(&old).unwrap();
+        edit(&mut node);
+        let mut page = vec![0; store.page_size()];
+        let new_sum = encode_page(node.level, node.entries.into_iter(), &mut page).unwrap();
+        store.write(root, &page).unwrap();
+        handle.digest = handle
+            .digest
+            .wrapping_sub(digest_term(root, old_sum))
+            .wrapping_add(digest_term(root, new_sum));
         RTree::load(&store, handle, *tree.config()).unwrap()
     }
 
@@ -381,8 +395,8 @@ mod tests {
 
     #[test]
     fn reloaded_unequal_heights_match_the_reference() {
-        let tall = reloaded(&inserted(3_000, 7), |_, _| {});
-        let short = reloaded(&inserted(300, 8), |_, _| {});
+        let tall = reloaded(&inserted(3_000, 7), |_| {});
+        let short = reloaded(&inserted(300, 8), |_| {});
         assert!(tall.height() > short.height());
         let epsilons = [0.01, 0.0];
         assert_same_as_reference(&tall, &short, &epsilons);
@@ -439,12 +453,7 @@ mod tests {
     #[test]
     fn a_loose_parent_rectangle_changes_no_pinned_pair() {
         let tall = packed(6_000, 11);
-        let short = reloaded(&packed(400, 12), |store, root| {
-            let page = store.read(root).unwrap();
-            let mut node = DiskNode::<2>::decode(&page).unwrap();
-            node.entries[0].rect = Rect::unit();
-            store.write(root, &node.encode(1024).unwrap()).unwrap();
-        });
+        let short = reloaded(&packed(400, 12), |node| node.entries[0].rect = Rect::unit());
         assert!(tall.height() > short.height() && short.height() > 1);
         let root = short.node(short.root_id());
         let loose = root.entries[0];

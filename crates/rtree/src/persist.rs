@@ -7,12 +7,23 @@
 //! false negatives). Outward rounding is monotone, so every parent entry
 //! of a loaded tree is still its child's MBR bit for bit, and
 //! [`RTree::check_invariants`] accepts it without an `f32` tolerance.
+//!
+//! Every page carries a checksum of its header and entries in its
+//! trailer, and every save records a digest of all the pages it wrote
+//! (`(page id, checksum)` folded order-independently, see
+//! [`sjcm_storage::digest_term`]). The loader checks both, so a page
+//! damaged on disk fails as [`StorageError::Corrupt`], and a file that
+//! holds pages of another save — one cut short while overwriting the
+//! file in place, or a complete save whose handle was never updated —
+//! fails as [`StorageError::DigestMismatch`] instead of loading a mix.
 
 use crate::config::RTreeConfig;
 use crate::node::{Child, Entry, Node, NodeId, ObjectId};
 use crate::tree::RTree;
 use sjcm_geom::Rect;
-use sjcm_storage::{encode_page, DiskEntry, NodePage, PageId, PageStore, StorageError};
+use sjcm_storage::{
+    digest_term, encode_page, DiskEntry, NodePage, PageId, PageStore, StorageError,
+};
 
 /// Pages moved per store call. 64 pages of the paper's 1 KiB keep the
 /// run buffer under glibc's 128 KiB `mmap` threshold, so it comes from
@@ -30,6 +41,9 @@ pub struct PersistedTree {
     pub len: usize,
     /// Number of pages written.
     pub pages: usize,
+    /// Digest of the pages written: the wrapping sum of
+    /// [`sjcm_storage::digest_term`] over every page's id and checksum.
+    pub digest: u64,
 }
 
 impl<const N: usize> RTree<N> {
@@ -50,6 +64,7 @@ impl<const N: usize> RTree<N> {
         let page_size = store.page_size();
         let mut run = Vec::with_capacity(RUN_PAGES.min(pages) * page_size);
         let mut first = PageId::INVALID;
+        let mut digest = 0u64;
         for (id, node) in self.iter_nodes() {
             let page = page_of[id.0 as usize];
             let held = run.len() / page_size;
@@ -69,7 +84,8 @@ impl<const N: usize> RTree<N> {
                     Child::Node(n) => page_of[n.0 as usize].index(),
                 },
             });
-            encode_page(node.level, entries, &mut run[at..])?;
+            let sum = encode_page(node.level, entries, &mut run[at..])?;
+            digest = digest.wrapping_add(digest_term(page, sum));
         }
         if !run.is_empty() {
             store.write_run(first, &run)?;
@@ -81,6 +97,7 @@ impl<const N: usize> RTree<N> {
             root: page_of[self.root_id().0 as usize],
             len: self.len(),
             pages,
+            digest,
         })
     }
 
@@ -88,14 +105,18 @@ impl<const N: usize> RTree<N> {
     ///
     /// The tree is read a level at a time, each level's pages in id
     /// order and consecutive ids as one [`PageStore::read_run`], and
-    /// every page is decoded once, into its node. What comes back is
+    /// every page is decoded once, into its node. Each page's trailer is
+    /// checked after its header and before its entries are decoded: a
+    /// mismatch is [`StorageError::Corrupt`]. What comes back is
     /// checked against `handle`: a page reached twice, a child whose
     /// level is not its parent's minus one, a child with an entry
     /// outside the rectangle of the parent entry that points at it, a
     /// node count other than `handle.pages` or an object count other
     /// than `handle.len` is [`StorageError::MalformedNode`]; a child id
     /// the store does not have is the store's
-    /// [`StorageError::UnknownPage`]. Nothing is sized by an id read
+    /// [`StorageError::UnknownPage`]. Last, the pages' digest must be
+    /// `handle.digest`, or the load is [`StorageError::DigestMismatch`]:
+    /// some page is another save's. Nothing is sized by an id read
     /// from a page. (A parent rectangle looser than its child's MBR is
     /// legal; one that cuts into it would make every search — and the
     /// join, which restricts a node's partners by that rectangle — miss
@@ -125,6 +146,7 @@ impl<const N: usize> RTree<N> {
         let mut run = Vec::new();
         // Level of the nodes one level up; nothing is above the root.
         let mut parent: Option<u8> = None;
+        let mut digest = 0u64;
         while !pages.is_empty() {
             let base = nodes.len();
             if base + pages.len() > handle.pages {
@@ -167,15 +189,16 @@ impl<const N: usize> RTree<N> {
                     )));
                 }
                 for (&i, data) in rest.iter().zip(run.chunks_exact(page_size)) {
-                    let (page, i) = (NodePage::<N>::parse(data)?, i as usize);
+                    let (i, id) = (i as usize, PageId(pages[i as usize]));
+                    let (page, sum) = NodePage::<N>::parse_sealed(data, id)?;
+                    digest = digest.wrapping_add(digest_term(id, sum));
                     if let Some(parent) = parent.filter(|&p| p != page.level().wrapping_add(1)) {
                         return Err(StorageError::MalformedNode(format!(
-                            "page {} at level {} under parent level {parent}",
-                            PageId(pages[i]),
+                            "page {id} at level {} under parent level {parent}",
                             page.level()
                         )));
                     }
-                    nodes[base + i] = decode_node(page, PageId(pages[i]), bounds.get(i))?;
+                    nodes[base + i] = decode_node(page, id, bounds.get(i))?;
                 }
                 rest = &rest[count..];
             }
@@ -210,6 +233,12 @@ impl<const N: usize> RTree<N> {
                 handle.pages,
                 handle.len
             )));
+        }
+        if digest != handle.digest {
+            return Err(StorageError::DigestMismatch {
+                handle: handle.digest,
+                pages: digest,
+            });
         }
         Ok(RTree::from_breadth_first(config, nodes, handle.len))
     }

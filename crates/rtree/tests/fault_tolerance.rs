@@ -8,8 +8,9 @@ use rand::{Rng, SeedableRng};
 use sjcm_geom::{Point, Rect};
 use sjcm_rtree::{BulkLoad, ObjectId, PersistedTree, RTree, RTreeConfig};
 use sjcm_storage::{
-    BufferManager, DiskNode, FaultyPageStore, FilePageStore, InMemoryPageStore, LruBuffer,
-    NoBuffer, PageId, PageStore, PathBuffer, ResilientStore, RetryPolicy, StorageError,
+    BufferManager, DiskNode, FaultCounters, FaultPlan, FaultyPageStore, FilePageStore,
+    InMemoryPageStore, LruBuffer, NoBuffer, PageId, PageStore, PathBuffer, ResilientStore,
+    RetryPolicy, StorageError,
 };
 use std::path::PathBuf;
 
@@ -175,4 +176,254 @@ fn file_backed_save_load_roundtrip_syncs() {
     let loaded = RTree::<2>::load(&store, handle, *tree.config()).unwrap();
     assert_eq!(loaded.len(), tree.len());
     loaded.check_invariants().unwrap();
+}
+
+/// What a reload came to: the objects loaded, or the error; and what
+/// the fault and retry layers tallied on the way.
+type Verdict = (Result<usize, StorageError>, FaultCounters, FaultCounters);
+
+/// Reloads `handle` from `store` through a [`FaultyPageStore`] under
+/// `plan` — page by page, through the provided `read_run` — and, with
+/// `retries`, a [`ResilientStore`] on top.
+fn faulty_reload<S: PageStore>(
+    store: S,
+    handle: PersistedTree,
+    plan: FaultPlan,
+    retries: bool,
+) -> Verdict {
+    let config = RTreeConfig::paper(2);
+    let faulty = FaultyPageStore::new(store, plan);
+    if retries {
+        let resilient = ResilientStore::new(faulty, RetryPolicy::default());
+        let loaded = RTree::<2>::load(&resilient, handle, config).map(|t| t.len());
+        let retry = resilient.counters();
+        (loaded, resilient.into_inner().counters(), retry)
+    } else {
+        let loaded = RTree::<2>::load(&faulty, handle, config).map(|t| t.len());
+        (loaded, faulty.counters(), FaultCounters::default())
+    }
+}
+
+/// The fault matrix, run once over the in-memory simulator and once over
+/// a real file in a temporary directory: each plan must reach the same
+/// verdict, tallies included, on both — and the verdict the in-memory
+/// runs are held to.
+#[test]
+fn the_fault_matrix_reaches_the_same_verdicts_on_a_real_disk() {
+    let tree = sample_tree(3000, 29);
+    let path = temp_path("matrix");
+    let _guard = Cleanup(path.clone());
+    let memory = || {
+        let mut store = InMemoryPageStore::with_default_page_size();
+        (tree.save(&mut store).unwrap(), store)
+    };
+    let (handle, _) = memory();
+    let file_handle = tree
+        .save(&mut FilePageStore::create(&path, 1024).unwrap())
+        .unwrap();
+    assert_eq!(file_handle, handle);
+    let pages = handle.pages as u64;
+
+    let none = FaultPlan::none(31);
+    let lost = |v: &Verdict| matches!(&v.0, Err(StorageError::Io(m)) if m.contains("loss"));
+    let quarantined = |v: &Verdict| {
+        matches!(&v.0, Err(StorageError::Io(m)) if m.contains("quarantined") || m.contains("transient"))
+            && v.2.quarantined == 1
+    };
+    type Check = Box<dyn Fn(&Verdict) -> bool>;
+    let matrix: Vec<(&str, FaultPlan, bool, Check)> = vec![
+        ("clean", none, false, Box::new(move |v| v.0 == Ok(3000))),
+        (
+            "transient within the retry budget",
+            none.with_transient(1.0, 2),
+            true,
+            Box::new(move |v| v.0 == Ok(3000) && v.2.recovered == pages),
+        ),
+        (
+            "transient without retries",
+            none.with_transient(0.3, 1),
+            false,
+            Box::new(|v| matches!(&v.0, Err(StorageError::Io(m)) if m.contains("transient"))),
+        ),
+        (
+            "transient beyond the retry budget",
+            none.with_transient(1.0, 10),
+            true,
+            Box::new(quarantined),
+        ),
+        ("lost pages", none.with_loss(0.05), false, Box::new(lost)),
+        (
+            "lost pages under retries",
+            none.with_loss(0.05),
+            true,
+            Box::new(move |v| lost(v) && v.2.quarantined == 1),
+        ),
+        // A flip lands anywhere in the page; the first one in a header,
+        // an entry or a trailer is the page trailer's catch. The pages
+        // were written before the faulty store wrapped them, so it has
+        // no write-time checksum to refuse a flipped read with: the
+        // bytes reach the loader, and no retry below it sees a failure.
+        (
+            "bit flips",
+            none.with_flips(1.0),
+            false,
+            Box::new(|v| matches!(v.0, Err(StorageError::Corrupt(_))) && v.1.injected_flip > 0),
+        ),
+        (
+            "bit flips under retries",
+            none.with_flips(1.0),
+            true,
+            Box::new(|v| matches!(v.0, Err(StorageError::Corrupt(_))) && v.2.retried == 0),
+        ),
+    ];
+    for (name, plan, retries, check) in matrix {
+        let in_memory = faulty_reload(memory().1, handle, plan, retries);
+        let on_disk = faulty_reload(
+            FilePageStore::open(&path, 1024).unwrap(),
+            handle,
+            plan,
+            retries,
+        );
+        assert!(check(&in_memory), "{name}: {in_memory:?}");
+        assert_eq!(on_disk, in_memory, "{name}");
+    }
+
+    // Allocation failures break a save to either store alike, and
+    // retries carry it through.
+    let plan = none.with_alloc_failures(0.05);
+    let mut faulty = FaultyPageStore::new(InMemoryPageStore::with_default_page_size(), plan);
+    let in_memory = tree.save(&mut faulty).unwrap_err();
+    let mut faulty = FaultyPageStore::new(FilePageStore::create(&path, 1024).unwrap(), plan);
+    assert_eq!(tree.save(&mut faulty).unwrap_err(), in_memory);
+    assert!(matches!(in_memory, StorageError::Io(_)));
+    let faulty = FaultyPageStore::new(FilePageStore::create(&path, 1024).unwrap(), plan);
+    let mut resilient = ResilientStore::new(faulty, RetryPolicy::default());
+    assert_eq!(tree.save(&mut resilient).unwrap(), handle);
+    let store = FilePageStore::open(&path, 1024).unwrap();
+    assert_eq!(
+        RTree::<2>::load(&store, handle, *tree.config())
+            .unwrap()
+            .len(),
+        3000
+    );
+}
+
+/// Passes the first `runs` write runs through and fails every later one:
+/// a save cut short, as by a crash, `runs` runs into overwriting a file.
+struct CutAfter<S> {
+    inner: S,
+    runs: usize,
+}
+
+impl<S: PageStore> PageStore for CutAfter<S> {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn allocate(&mut self) -> Result<PageId, StorageError> {
+        self.inner.allocate()
+    }
+    fn write(&mut self, _: PageId, _: &[u8]) -> Result<(), StorageError> {
+        unreachable!("a save writes runs")
+    }
+    fn write_run(&mut self, first: PageId, bytes: &[u8]) -> Result<(), StorageError> {
+        if self.runs == 0 {
+            return Err(StorageError::Io("the save stops here".into()));
+        }
+        self.runs -= 1;
+        self.inner.write_run(first, bytes)
+    }
+    fn read(&self, id: PageId) -> Result<bytes::Bytes, StorageError> {
+        self.inner.read(id)
+    }
+    fn free(&mut self, id: PageId) -> Result<(), StorageError> {
+        self.inner.free(id)
+    }
+    fn live_pages(&self) -> usize {
+        self.inner.live_pages()
+    }
+    fn sync(&mut self) -> Result<(), StorageError> {
+        self.inner.sync()
+    }
+}
+
+/// `tree`'s rectangles packed again with every object id moved by
+/// `shift`: the same nodes on the same pages, leaves that differ only in
+/// their ids, upper pages byte for byte alike.
+fn relabelled(tree: &RTree<2>, shift: u32) -> RTree<2> {
+    let items = tree
+        .objects()
+        .into_iter()
+        .map(|(r, ObjectId(id))| (r, ObjectId(id + shift)))
+        .collect();
+    RTree::bulk_load(RTreeConfig::paper(2), items, BulkLoad::Str, 0.8)
+}
+
+/// Tree A saved, then tree B saved over it in place and cut after `k`
+/// write runs, for every `k`. A handle loads exactly when the file holds
+/// its save's pages byte for byte: A's at `k = 0` (nothing of B's
+/// landed), B's once every run whose bytes differ from A's has. B larger
+/// than A, smaller, and A relabelled — whose mixes pass every structural
+/// check, so that only the digest refuses them, and whose upper pages
+/// are A's own, so that B is whole one run early.
+#[test]
+fn a_save_cut_short_in_place_never_loads_as_either_tree() {
+    let path = temp_path("torn_save");
+    let _guard = Cleanup(path.clone());
+    let config = RTreeConfig::paper(2);
+    let save = |tree: &RTree<2>| {
+        let handle = tree
+            .save(&mut FilePageStore::create(&path, 1024).unwrap())
+            .unwrap();
+        (handle, std::fs::read(&path).unwrap())
+    };
+    let same = relabelled(&sample_tree(5000, 41), 0);
+    for (a, b) in [
+        (sample_tree(4000, 37), sample_tree(7000, 38)),
+        (sample_tree(7000, 39), sample_tree(4000, 40)),
+        (relabelled(&same, 1), same),
+    ] {
+        let (b_handle, b_bytes) = save(&b);
+        let runs = b_handle.pages.div_ceil(64);
+        assert!(runs >= 2, "{} pages", b_handle.pages);
+        let mut mixed = 0;
+        for k in 0..=runs {
+            let (a_handle, a_bytes) = save(&a);
+            let mut cut = CutAfter {
+                inner: FilePageStore::create(&path, 1024).unwrap(),
+                runs: k,
+            };
+            let saved = b.save(&mut cut);
+            drop(cut);
+            assert_eq!(saved.is_ok(), k == runs, "k = {k}");
+            let now = std::fs::read(&path).unwrap();
+            let store = FilePageStore::open(&path, 1024).unwrap();
+            for (name, handle, bytes, len) in [
+                ("A", a_handle, &a_bytes, a.len()),
+                ("B", b_handle, &b_bytes, b.len()),
+            ] {
+                let whole = now.get(..bytes.len()) == Some(&bytes[..]);
+                match RTree::<2>::load(&store, handle, config) {
+                    Ok(tree) => {
+                        assert!(whole, "k = {k}: a mix loaded as {name}");
+                        assert_eq!(tree.len(), len);
+                    }
+                    Err(e) => {
+                        assert!(!whole, "k = {k}: {name}'s pages refused: {e:?}");
+                        mixed += 1;
+                        // Same shape: nothing but the digest can tell.
+                        if a.node_count() == b.node_count() {
+                            let digest = matches!(e, StorageError::DigestMismatch { .. });
+                            assert!(digest, "k = {k}: as {name}: {e:?}");
+                        }
+                    }
+                }
+            }
+            if k == runs {
+                assert_eq!(saved.unwrap(), b_handle);
+                assert_eq!(now, b_bytes, "the file is B's, its length too");
+            }
+        }
+        // A fails from k = 1 on, B at least at k = 0 and 1.
+        assert!(mixed >= runs + 2, "{mixed} refusals over {runs} runs");
+    }
 }

@@ -11,7 +11,8 @@ use rand::{Rng, SeedableRng};
 use sjcm_geom::{Point, Rect};
 use sjcm_rtree::{BulkLoad, Child, ObjectId, PersistedTree, RTree, RTreeConfig};
 use sjcm_storage::{
-    fnv1a, DiskNode, FilePageStore, InMemoryPageStore, PageId, PageStore, StorageError,
+    digest_term, encode_page, fnv1a, DiskNode, FilePageStore, InMemoryPageStore, NodePage, PageId,
+    PageStore, StorageError,
 };
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
@@ -84,9 +85,12 @@ impl Drop for TempFile {
     }
 }
 
-/// Fingerprints of the saved file and of the tree loaded back from it,
+/// Fingerprints of the saved file and of the tree loaded back from it.
+/// The tree prints and the file's pages with their trailers zeroed were
 /// recorded from the recursive page-at-a-time loader and the per-page
-/// saver on the commit before run I/O replaced them.
+/// saver on the commit before run I/O replaced them; the sealed file's
+/// print when pages gained their checksum trailer, which is all that
+/// changed on disk.
 #[test]
 fn saved_files_and_loaded_trees_are_what_the_per_page_code_produced() {
     let cases = [
@@ -94,23 +98,34 @@ fn saved_files_and_loaded_trees_are_what_the_per_page_code_produced() {
             "packed",
             packed_tree(),
             0x8b60_ce5c_0012_f77a_u64,
+            0xec6a_1cbb_4d1a_8a7b_u64,
             0x5670_3381_a446_dd1b_u64,
         ),
         (
             "grown",
             grown_tree(),
             0x6c87_ddbe_6e2f_4ed3,
+            0xd5d2_f935_f72c_3ac7,
             0xe8a6_e886_3bff_7f3f,
         ),
     ];
-    for (name, tree, file_print, tree_print) in cases {
+    for (name, tree, unsealed_print, file_print, tree_print) in cases {
         let file = TempFile::new(name);
         let handle = {
             let mut store = FilePageStore::create(&file.0, 1024).unwrap();
             tree.save(&mut store).unwrap()
         };
-        let saved = fnv1a(&std::fs::read(&file.0).unwrap());
+        let mut bytes = std::fs::read(&file.0).unwrap();
+        let saved = fnv1a(&bytes);
         assert_eq!(saved, file_print, "{name}: saved file {saved:#018x}");
+        for page in bytes.chunks_exact_mut(1024) {
+            page[1016..].fill(0);
+        }
+        let unsealed = fnv1a(&bytes);
+        assert_eq!(
+            unsealed, unsealed_print,
+            "{name}: saved file without trailers {unsealed:#018x}"
+        );
         let store = FilePageStore::open(&file.0, 1024).unwrap();
         let loaded = RTree::<2>::load(&store, handle, *tree.config()).unwrap();
         loaded.check_invariants().unwrap();
@@ -290,11 +305,30 @@ fn trees_sharing_a_store_load_from_their_own_pages_only() {
     }
 }
 
-/// Rewrites one saved page through `edit`.
-fn edit_page(store: &mut InMemoryPageStore, page: PageId, edit: impl FnOnce(&mut DiskNode<2>)) {
-    let mut node = DiskNode::<2>::decode(&store.read(page).unwrap()).unwrap();
+/// Rewrites one page of the save `handle` describes through `edit`,
+/// sealed as a save seals it, and returns the handle with the digest
+/// such a save would record: what a tool that means the edit would
+/// write, so the loader's structural checks are what it meets.
+fn edit_page(
+    store: &mut InMemoryPageStore,
+    handle: PersistedTree,
+    page: PageId,
+    edit: impl FnOnce(&mut DiskNode<2>),
+) -> PersistedTree {
+    let old = store.read(page).unwrap();
+    let (_, old_sum) = NodePage::<2>::parse_sealed(&old, page).unwrap();
+    let mut node = DiskNode::<2>::decode(&old).unwrap();
     edit(&mut node);
-    store.write(page, &node.encode(1024).unwrap()).unwrap();
+    let mut new = vec![0; 1024];
+    let new_sum = encode_page(node.level, node.entries.into_iter(), &mut new).unwrap();
+    store.write(page, &new).unwrap();
+    PersistedTree {
+        digest: handle
+            .digest
+            .wrapping_sub(digest_term(page, old_sum))
+            .wrapping_add(digest_term(page, new_sum)),
+        ..handle
+    }
 }
 
 fn malformed(store: &InMemoryPageStore, handle: PersistedTree, needle: &str) {
@@ -322,7 +356,7 @@ fn structural_damage_is_a_typed_error() {
 
     // Two parents: the root names one child twice.
     let (mut store, handle) = saved();
-    edit_page(&mut store, handle.root, |n| {
+    let handle = edit_page(&mut store, handle, handle.root, |n| {
         n.entries[1].child = n.entries[0].child
     });
     malformed(&store, handle, "two parents");
@@ -330,7 +364,9 @@ fn structural_damage_is_a_typed_error() {
     // A cycle: a child of the root names the root.
     let (mut store, handle) = saved();
     let child = PageId(root_children(&store, handle)[0].child);
-    edit_page(&mut store, child, |n| n.entries[0].child = handle.root.0);
+    let handle = edit_page(&mut store, handle, child, |n| {
+        n.entries[0].child = handle.root.0
+    });
     malformed(&store, handle, "at level 2 under parent level 1");
 
     // A level mismatch: the root names a leaf.
@@ -344,14 +380,18 @@ fn structural_damage_is_a_typed_error() {
                 == 0
         })
         .unwrap();
-    edit_page(&mut store, handle.root, |n| n.entries[0].child = leaf.0);
+    let handle = edit_page(&mut store, handle, handle.root, |n| {
+        n.entries[0].child = leaf.0
+    });
     malformed(&store, handle, "at level 0 under parent level 2");
 
     // A child id with a high bit flipped is a page the store does not
     // have — and nothing is sized by it.
     let (mut store, handle) = saved();
     let flipped = root_children(&store, handle)[0].child | 1 << 31;
-    edit_page(&mut store, handle.root, |n| n.entries[0].child = flipped);
+    let handle = edit_page(&mut store, handle, handle.root, |n| {
+        n.entries[0].child = flipped
+    });
     assert_eq!(
         RTree::<2>::load(&store, handle, RTreeConfig::paper(2)).unwrap_err(),
         StorageError::UnknownPage(PageId(flipped))
@@ -373,7 +413,7 @@ fn a_parent_entry_must_contain_its_child() {
     let child = DiskNode::<2>::decode(&store.read(handle.root).unwrap())
         .unwrap()
         .child_page(0);
-    edit_page(&mut store, handle.root, |n| {
+    let handle = edit_page(&mut store, handle, handle.root, |n| {
         let r = n.entries[0].rect;
         let half = [0, 1].map(|k| (r.lo_k(k) + r.hi_k(k)) / 2.0);
         n.entries[0].rect = Rect::new(r.lo().coords(), half).unwrap();
@@ -385,7 +425,7 @@ fn a_parent_entry_must_contain_its_child() {
     );
 
     let (mut store, handle) = saved();
-    edit_page(&mut store, handle.root, |n| {
+    let handle = edit_page(&mut store, handle, handle.root, |n| {
         n.entries[0].rect = n.entries[0].rect.minkowski(0.05)
     });
     let loaded = RTree::<2>::load(&store, handle, *tree.config()).unwrap();
@@ -397,6 +437,39 @@ fn a_parent_entry_must_contain_its_child() {
         all,
         (0..tree.len() as u32).map(ObjectId).collect::<Vec<_>>()
     );
+}
+
+/// An edit written without its trailer is a corrupt page. Resealed, it
+/// is a page of another save than the handle's, until the handle takes
+/// the digest that save would record.
+#[test]
+fn an_edited_page_loads_only_resealed_and_under_its_own_digest() {
+    let tree = packed_tree();
+    let mut store = InMemoryPageStore::with_default_page_size();
+    let handle = tree.save(&mut store).unwrap();
+    let load = |store: &InMemoryPageStore, handle| RTree::<2>::load(store, handle, *tree.config());
+    let widen = |n: &mut DiskNode<2>| n.entries[0].rect = n.entries[0].rect.minkowski(0.05);
+    let original = store.read(handle.root).unwrap();
+    let mut node = DiskNode::<2>::decode(&original).unwrap();
+    widen(&mut node);
+    store
+        .write(handle.root, &node.encode(1024).unwrap())
+        .unwrap();
+    assert_eq!(
+        load(&store, handle).unwrap_err(),
+        StorageError::Corrupt(handle.root)
+    );
+    store.write(handle.root, &original).unwrap();
+    let resealed = edit_page(&mut store, handle, handle.root, widen);
+    assert_ne!(resealed.digest, handle.digest);
+    assert_eq!(
+        load(&store, handle).unwrap_err(),
+        StorageError::DigestMismatch {
+            handle: handle.digest,
+            pages: resealed.digest
+        }
+    );
+    assert_eq!(load(&store, resealed).unwrap().len(), tree.len());
 }
 
 #[test]

@@ -14,7 +14,10 @@
 //!   the join forfeits.
 //! * **silent bit flips** — the read returns data with one bit flipped;
 //!   the FNV-1a checksum recorded at write time catches the flip and
-//!   surfaces it as [`StorageError::Corrupt`].
+//!   surfaces it as [`StorageError::Corrupt`]. A page written before the
+//!   wrapper saw it has no such record: its flipped bytes reach the
+//!   caller, and a tree page's trailer ([`crate::layout`]) is what
+//!   refuses them on load.
 //! * **allocation failures** — `allocate` fails on hash-selected calls.
 //!
 //! Three consumers:

@@ -2,25 +2,29 @@
 //!
 //! Layout: page `i` lives at byte offset `i · page_size` of a single
 //! file; pages are zero-padded to full size on write. A freed page's id
-//! goes to an in-memory free list (recycled within the session) — the
-//! file itself never shrinks, like a real database heap file.
+//! goes to an in-memory free list (recycled within the session).
+//!
+//! [`FilePageStore::create`] does not truncate an existing file: a save
+//! overwrites the blocks the file already has, which on a file system
+//! that discards freed blocks costs far less than freeing them and
+//! allocating them again. The store still starts empty — no page is
+//! allocated, and a page this store has not written reads as zeros,
+//! whatever the old file holds there.
 //!
 //! Allocating a *fresh* page touches no file: the store counts the page,
 //! and until something is written to it a read returns zeros without
-//! I/O. The file holds only the pages up to the highest one written, so
-//! [`PageStore::sync`] first extends it — once, to
-//! `pages · page_size` — and then flushes: after a `sync` a reopened
-//! file has exactly the pages allocated. (A store dropped without `sync`
-//! keeps the pages written and loses trailing never-written ones.) A
-//! *recycled* page is zeroed on disk when it is handed out again, so
-//! stale bytes cannot resurface. Runs of consecutive pages move in one
-//! positional read or write ([`PageStore::read_run`],
-//! [`PageStore::write_run`]).
-//!
-//! Integrity relies on the node layout's own validation (magic byte,
-//! dimensionality, entry-count bounds — see [`crate::layout`]); unlike
-//! the in-memory simulator there is no out-of-band checksum, which
-//! matches how the paper's 1 KiB pages would sit on disk.
+//! I/O. [`PageStore::sync`] makes the file exactly the pages allocated:
+//! it zeroes every allocated page the store never wrote that the old
+//! file still covers, sets the length to `pages · page_size` — once,
+//! extending or shrinking the file — and then flushes. After a `sync` a
+//! reopened file has exactly the pages allocated. A store dropped
+//! without `sync` keeps the pages written, and whatever the old file had
+//! around them: a save cut short leaves old and new pages mixed, which
+//! the node layout's page trailer and a save's digest catch on load
+//! ([`crate::layout`]). A *recycled* page is zeroed on disk when it is
+//! handed out again, so stale bytes cannot resurface. Runs of
+//! consecutive pages move in one positional read or write
+//! ([`PageStore::read_run`], [`PageStore::write_run`]).
 
 use crate::page::{run_end, whole_pages, PageId, PageStore, StorageError};
 use bytes::Bytes;
@@ -81,29 +85,42 @@ pub struct FilePageStore {
     page_size: usize,
     /// Pages allocated: ids `0..pages` are valid.
     pages: u32,
-    /// Pages the file holds; those in `on_disk..pages` were allocated
-    /// and never written, and read as zeros.
+    /// One past the highest page written; those in `on_disk..pages`
+    /// were allocated and never written, and read as zeros.
     on_disk: u32,
+    /// Length of the file in bytes.
+    len: u64,
+    /// `stale[i]`: page `i` still holds what the file held when the
+    /// store was created — not written since, so it reads as zeros.
+    /// Empty once a `sync` has made the file the store's own.
+    stale: Vec<bool>,
     free_list: Vec<PageId>,
 }
 
 impl FilePageStore {
-    /// Creates a new store file (truncating any existing one).
+    /// Creates an empty store at `path`. An existing file is kept and
+    /// overwritten in place: the store starts with no pages, its pages
+    /// read as zeros until written, and the next `sync` cuts the file to
+    /// the pages allocated.
     pub fn create(path: &Path, page_size: usize) -> Result<Self, StorageError> {
         assert!(page_size > 0, "page size must be positive");
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
-            .truncate(true)
+            .truncate(false)
             .open(path)
             .map_err(|e| StorageError::Io(format!("cannot create {path:?}: {e}")))?;
+        let len = file_len(&file)?;
         Ok(Self {
             file,
             path: path.to_path_buf(),
             page_size,
             pages: 0,
             on_disk: 0,
+            len,
+            // A torn last page counts: its bytes are stale too.
+            stale: vec![true; len.div_ceil(page_size as u64) as usize],
             free_list: Vec::new(),
         })
     }
@@ -117,10 +134,7 @@ impl FilePageStore {
             .write(true)
             .open(path)
             .map_err(|e| StorageError::Io(format!("cannot open {path:?}: {e}")))?;
-        let len = file
-            .metadata()
-            .map_err(|e| StorageError::Io(format!("metadata: {e}")))?
-            .len();
+        let len = file_len(&file)?;
         if len % page_size as u64 != 0 {
             // A torn tail — e.g. a crash mid-write or an external
             // truncation — is data corruption of the last page, not a
@@ -139,6 +153,8 @@ impl FilePageStore {
             page_size,
             pages: pages as u32,
             on_disk: pages as u32,
+            len,
+            stale: Vec::new(),
             free_list: Vec::new(),
         })
     }
@@ -174,8 +190,37 @@ impl FilePageStore {
         write_all_at(&self.file, bytes, self.offset(first))
             .map_err(|e| StorageError::Io(format!("write pages {first}..p{end}: {e}")))?;
         self.on_disk = self.on_disk.max(end);
+        self.len = self.len.max(self.offset(PageId(end)));
+        let stale = self.stale.len();
+        self.stale[(first.0 as usize).min(stale)..(end as usize).min(stale)].fill(false);
         Ok(())
     }
+
+    /// Zeroes, on disk, every allocated page that still holds the old
+    /// file's bytes, a run of them per write.
+    fn zero_stale_pages(&mut self) -> Result<(), StorageError> {
+        let allocated = self.stale.len().min(self.pages as usize);
+        let mut at = 0;
+        while let Some(skip) = self.stale[at..allocated].iter().position(|&s| s) {
+            let first = at + skip;
+            let count = self.stale[first..allocated]
+                .iter()
+                .take_while(|&&s| s)
+                .count();
+            let zeros = vec![0u8; count * self.page_size];
+            let end = (first + count) as u32;
+            self.write_pages(PageId(first as u32), end, &zeros)?;
+            at = first + count;
+        }
+        Ok(())
+    }
+}
+
+fn file_len(file: &File) -> Result<u64, StorageError> {
+    Ok(file
+        .metadata()
+        .map_err(|e| StorageError::Io(format!("metadata: {e}")))?
+        .len())
 }
 
 impl PageStore for FilePageStore {
@@ -240,7 +285,18 @@ impl PageStore for FilePageStore {
         // Positional: the store is `Sync`, and a seek-then-read through
         // the shared cursor would let two readers swap pages.
         read_exact_at(&self.file, in_file, self.offset(first))
-            .map_err(|e| StorageError::Io(format!("read pages {first}..p{end}: {e}")))
+            .map_err(|e| StorageError::Io(format!("read pages {first}..p{end}: {e}")))?;
+        // Pages below the highest one written that this store has not
+        // written hold the old file's bytes.
+        let stale = self.stale.iter().skip(first.0 as usize);
+        for (page, _) in in_file
+            .chunks_exact_mut(self.page_size)
+            .zip(stale)
+            .filter(|(_, &s)| s)
+        {
+            page.fill(0);
+        }
+        Ok(())
     }
 
     fn free(&mut self, id: PageId) -> Result<(), StorageError> {
@@ -254,15 +310,18 @@ impl PageStore for FilePageStore {
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
+        self.zero_stale_pages()?;
+        self.stale = Vec::new();
         let io = |e| StorageError::Io(format!("sync {:?}: {e}", self.path));
-        if self.on_disk < self.pages {
+        let len = self.offset(PageId(self.pages));
+        if self.len != len {
             // Once per sync, never per allocation: growing the file page
             // by page costs more than the zero-page writes it replaced.
-            self.file
-                .set_len(u64::from(self.pages) * self.page_size as u64)
-                .map_err(io)?;
-            self.on_disk = self.pages;
+            // A longer old file shrinks here.
+            self.file.set_len(len).map_err(io)?;
+            self.len = len;
         }
+        self.on_disk = self.pages;
         self.file.sync_all().map_err(io)
     }
 }
@@ -492,6 +551,80 @@ mod tests {
         store.read_run(PageId(0), 4, &mut run).unwrap();
         assert_eq!(&run[..8], &[0u8; 8]);
         assert_eq!(&run[8..], &bytes[..]);
+    }
+
+    /// Writes `pages` pages of `0xab` at `path`, then `extra` bytes more.
+    fn old_file(path: &Path, page_size: usize, pages: usize, extra: usize) {
+        std::fs::write(path, vec![0xab; pages * page_size + extra]).unwrap();
+    }
+
+    #[test]
+    fn create_keeps_a_longer_file_reads_its_pages_as_zeros_and_sync_shrinks_it() {
+        let path = temp_path("inplace_shrink");
+        let _guard = Cleanup(path.clone());
+        old_file(&path, 16, 6, 0);
+        let mut store = FilePageStore::create(&path, 16).unwrap();
+        assert_eq!(store.live_pages(), 0);
+        // Not truncated: the save overwrites the file's own blocks.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 6 * 16);
+        for _ in 0..4 {
+            store.allocate().unwrap();
+        }
+        store.write(PageId(1), b"one").unwrap();
+        store.write(PageId(3), b"three").unwrap();
+        let mut run = vec![0xff; 7];
+        store.read_run(PageId(0), 4, &mut run).unwrap();
+        let mut want = vec![0u8; 4 * 16];
+        want[16..19].copy_from_slice(b"one");
+        want[48..53].copy_from_slice(b"three");
+        assert_eq!(run, want);
+        for (id, page) in want.chunks_exact(16).enumerate() {
+            assert_eq!(&store.read(PageId(id as u32)).unwrap()[..], page);
+        }
+        store.sync().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 4 * 16);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+    }
+
+    #[test]
+    fn create_over_a_shorter_or_torn_file_grows_it_with_zeros() {
+        for extra in [0, 5] {
+            let path = temp_path(&format!("inplace_grow_{extra}"));
+            let _guard = Cleanup(path.clone());
+            old_file(&path, 16, 2, extra);
+            let mut store = FilePageStore::create(&path, 16).unwrap();
+            for _ in 0..5 {
+                store.allocate().unwrap();
+            }
+            store.write(PageId(4), b"last").unwrap();
+            let mut run = Vec::new();
+            store.read_run(PageId(0), 5, &mut run).unwrap();
+            let mut want = vec![0u8; 5 * 16];
+            want[64..68].copy_from_slice(b"last");
+            assert_eq!(run, want, "old tail of {extra} bytes");
+            store.sync().unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), want);
+            // Reopened, the file is the store's own: nothing stale.
+            let store = FilePageStore::open(&path, 16).unwrap();
+            store.read_run(PageId(0), 5, &mut run).unwrap();
+            assert_eq!(run, want);
+        }
+    }
+
+    #[test]
+    fn a_store_dropped_before_sync_leaves_the_old_pages_it_did_not_write() {
+        let path = temp_path("inplace_torn");
+        let _guard = Cleanup(path.clone());
+        old_file(&path, 16, 3, 0);
+        {
+            let mut store = FilePageStore::create(&path, 16).unwrap();
+            store.allocate().unwrap();
+            store.write(PageId(0), &[1; 16]).unwrap();
+        }
+        // What a crash mid-save leaves: the new page, then the old ones.
+        let mut want = vec![0xab; 3 * 16];
+        want[..16].fill(1);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
     }
 
     #[test]

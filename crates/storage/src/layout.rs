@@ -3,9 +3,20 @@
 //! The paper's node capacities — M = 84 for n = 1 and M = 50 for n = 2 on
 //! 1 KiB pages — correspond to an entry of `2·n` single-precision
 //! coordinates plus a 4-byte child pointer (8·n + 4 bytes) under an
-//! 8-byte page header: `(1024 − 8) / 12 = 84`, `(1024 − 8) / 20 = 50`.
-//! [`max_entries`] computes exactly that, and the encoder refuses to
-//! build nodes that would not fit their page.
+//! 8-byte page header. The last 8 bytes of every page are a trailer
+//! holding a checksum of the header and entry bytes ([`checksum`]), so a
+//! node gets `1024 − 16` bytes: `1008 / 12 = 84` and `1008 / 20 = 50`,
+//! the paper's numbers. The trailer fits in what a full page left over
+//! (8–16 bytes) up to n = 4 (M = 36 at n = 3, 28 at n = 4); at n = 5 a
+//! 1 KiB page holds 22 entries instead of 23. [`max_entries`] computes
+//! exactly that, and the encoder refuses to build nodes that would not
+//! fit their page.
+//!
+//! The checksum only says a page is the one *some* save wrote. A save
+//! that overwrites a file in place and stops half way leaves old pages
+//! that are each self-consistent, so a save also folds every page's
+//! `(id, checksum)` into one order-independent digest ([`digest_term`])
+//! that its handle records and the loader recomputes.
 //!
 //! In memory the tree keeps `f64` rectangles; on the page they are
 //! quantized to `f32` with **outward rounding** (low corners toward −∞,
@@ -22,6 +33,10 @@ use sjcm_geom::Rect;
 /// three reserved bytes.
 pub const HEADER_SIZE: usize = 8;
 
+/// Size of the page trailer in bytes: the page's [`checksum`], in the
+/// last bytes of the page.
+pub const TRAILER_SIZE: usize = 8;
+
 /// Bytes per entry for dimensionality `n`: `2·n` `f32` coordinates plus a
 /// `u32` child pointer / object id.
 pub const fn entry_size(n: usize) -> usize {
@@ -31,13 +46,97 @@ pub const fn entry_size(n: usize) -> usize {
 /// Maximum number of entries an R-tree node can hold on a page of
 /// `page_size` bytes in `n` dimensions — the paper's `M`.
 ///
+/// The header and the trailer take 16 bytes of the page; the trailer
+/// costs no entry up to n = 4 on 1 KiB pages, and one (23 → 22) at
+/// n = 5.
+///
 /// ```
 /// use sjcm_storage::max_entries;
 /// assert_eq!(max_entries(1024, 1), 84); // paper, n = 1
 /// assert_eq!(max_entries(1024, 2), 50); // paper, n = 2
+/// assert_eq!(max_entries(1024, 3), 36);
+/// assert_eq!(max_entries(1024, 5), 22); // 23 without the trailer
 /// ```
 pub const fn max_entries(page_size: usize, n: usize) -> usize {
-    (page_size - HEADER_SIZE) / entry_size(n)
+    (page_size - HEADER_SIZE - TRAILER_SIZE) / entry_size(n)
+}
+
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// One multiply–rotate round, one multiply per word: a bijection of
+/// `acc` for a fixed word and of the word for a fixed `acc`, so a change
+/// confined to one word always changes the lane. The rotation carries
+/// the multiply's high bits into the next round's low ones.
+#[inline(always)]
+fn round(acc: u64, word: u64) -> u64 {
+    (acc ^ word).wrapping_mul(P1).rotate_left(31)
+}
+
+#[inline(always)]
+fn word_at(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an eight-byte slice"))
+}
+
+/// The 64-bit checksum a page's trailer holds, over its header and entry
+/// bytes: four independent multiply–rotate lanes over 32-byte blocks,
+/// then the last words one at a time, then a final avalanche — a word
+/// per step, not a byte (FNV-1a, [`crate::fnv1a`], would cost about 1 µs
+/// per page). Not cryptographic: it catches torn and damaged pages, and
+/// any change confined to one aligned 8-byte word, a bit flip included,
+/// always changes it.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane = round(*lane, word_at(&block[8 * k..8 * k + 8]));
+        }
+    }
+    let mut h = lanes[0]
+        .rotate_left(1)
+        .wrapping_add(lanes[1].rotate_left(7))
+        .wrapping_add(lanes[2].rotate_left(12))
+        .wrapping_add(lanes[3].rotate_left(18))
+        .wrapping_add(bytes.len() as u64);
+    let mut words = blocks.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = round(h, word_at(word));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        // The last bytes as one zero-extended word: the input's last
+        // eight bytes shifted past those already hashed, or a copy when
+        // the input is shorter than a word. No copy of variable length
+        // on a page's path.
+        let last = match bytes.len().checked_sub(8) {
+            Some(at) => word_at(&bytes[at..]) >> (8 * (8 - tail.len())),
+            None => {
+                let mut padded = [0u8; 8];
+                padded[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(padded)
+            }
+        };
+        h = round(h, last);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P1);
+    h ^ (h >> 32)
+}
+
+/// Page `id`'s share of a save's digest, for a page whose trailer holds
+/// `checksum`. A save's digest is the wrapping sum of the terms of every
+/// page it wrote, so it does not depend on the order pages are written
+/// or read in; a page of another save, or a page moved to another id,
+/// changes it.
+pub fn digest_term(id: PageId, checksum: u64) -> u64 {
+    // The SplitMix64 finalizer over the checksum offset by the id.
+    let mut x = checksum.wrapping_add(u64::from(id.0).wrapping_mul(P1));
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 const MAGIC: u8 = 0x52; // 'R'
@@ -129,18 +228,22 @@ fn write_node<const N: usize>(
 }
 
 /// Serializes one node into `page` — a whole page, its length the page
-/// size — zero-filling what the entries leave: the bytes a store holds
-/// for the node, written in place (no buffer per node). Fails like
+/// size — zero-filling what the entries leave and sealing it with the
+/// trailer: the bytes a store holds for the node, written in place (no
+/// buffer per node). Returns the checksum the trailer holds. Fails like
 /// [`DiskNode::encode`] on a node the page cannot fit.
 pub fn encode_page<const N: usize>(
     level: u8,
     entries: impl ExactSizeIterator<Item = DiskEntry<N>>,
     page: &mut [u8],
-) -> Result<(), StorageError> {
+) -> Result<u64, StorageError> {
     check_capacity::<N>(entries.len(), page.len())?;
     let used = write_node(level, entries, page);
-    page[used..].fill(0);
-    Ok(())
+    let (body, trailer) = page.split_at_mut(page.len() - TRAILER_SIZE);
+    body[used..].fill(0);
+    let sum = checksum(&body[..used]);
+    trailer.copy_from_slice(&sum.to_le_bytes());
+    Ok(sum)
 }
 
 /// A validated view of one serialized node: the header is checked, the
@@ -185,6 +288,27 @@ impl<'a, const N: usize> NodePage<'a, N> {
             ))
         })?;
         Ok(Self { level, entries })
+    }
+
+    /// Parses a whole page as [`NodePage::parse`] does, with the entries
+    /// kept clear of the trailer, then checks the trailer against the
+    /// header and entry bytes: a mismatch is [`StorageError::Corrupt`]
+    /// of page `id`. Returns the view and the page's checksum. A
+    /// structural error is reported before the checksum is looked at.
+    pub fn parse_sealed(page: &'a [u8], id: PageId) -> Result<(Self, u64), StorageError> {
+        if page.len() < HEADER_SIZE + TRAILER_SIZE {
+            return Err(StorageError::MalformedNode(format!(
+                "page too short: {} bytes",
+                page.len()
+            )));
+        }
+        let (body, trailer) = page.split_at(page.len() - TRAILER_SIZE);
+        let node = Self::parse(body)?;
+        let sum = checksum(&body[..HEADER_SIZE + node.entries.len()]);
+        if sum != word_at(trailer) {
+            return Err(StorageError::Corrupt(id));
+        }
+        Ok((node, sum))
     }
 
     /// Level of the node; leaves are level 0.
@@ -336,6 +460,9 @@ mod tests {
             put(e.child.to_le_bytes());
         }
         page[at..].fill(0);
+        let sum = checksum(&page[..at]);
+        let trailer = page.len() - TRAILER_SIZE;
+        page[trailer..].copy_from_slice(&sum.to_le_bytes());
     }
 
     /// A non-NaN `f64` from one of the families where outward rounding
@@ -476,6 +603,9 @@ mod tests {
         assert_eq!(max_entries(1024, 2), 50);
         assert_eq!(max_entries(1024, 3), 36);
         assert_eq!(max_entries(1024, 4), 28);
+        // The trailer's one entry, and only at n = 5 on 1 KiB pages.
+        assert_eq!(max_entries(1024, 5), 22);
+        assert_eq!((1024 - HEADER_SIZE) / entry_size(5), 23);
         assert_eq!(max_entries(4096, 2), 204);
     }
 
@@ -582,9 +712,11 @@ mod tests {
     fn encode_page_is_encode_padded_over_a_dirty_buffer() {
         let node = sample_node();
         let mut page = vec![0xaa; 1024];
-        encode_page(node.level, node.entries.iter().copied(), &mut page).unwrap();
+        let sum = encode_page(node.level, node.entries.iter().copied(), &mut page).unwrap();
         let mut expected = node.encode(1024).unwrap();
-        expected.resize(1024, 0);
+        assert_eq!(sum, checksum(&expected));
+        expected.resize(1024 - TRAILER_SIZE, 0);
+        expected.extend_from_slice(&sum.to_le_bytes());
         assert_eq!(page, expected);
         let view = NodePage::<2>::parse(&page).unwrap();
         assert_eq!((view.level(), view.len()), (1, 2));
@@ -597,6 +729,83 @@ mod tests {
             Err(StorageError::MalformedNode(_))
         ));
         assert!(encode_page(0, [entry; 50].into_iter(), &mut page).is_ok());
+    }
+
+    #[test]
+    fn a_sealed_page_parses_and_any_changed_byte_before_the_tail_is_caught() {
+        let node = sample_node();
+        let mut page = vec![0u8; 1024];
+        let sum = encode_page(node.level, node.entries.iter().copied(), &mut page).unwrap();
+        let (view, got) = NodePage::<2>::parse_sealed(&page, PageId(3)).unwrap();
+        assert_eq!((view.level(), view.len(), got), (1, 2, sum));
+        let used = HEADER_SIZE + 2 * entry_size(2);
+        // Every byte of the header, the entries and the trailer, every
+        // bit: a typed error, never a page. Bytes between the entries
+        // and the trailer are not covered; they decode to nothing.
+        for at in (0..used).chain(1024 - TRAILER_SIZE..1024) {
+            for bit in 0..8 {
+                let mut bad = page.clone();
+                bad[at] ^= 1 << bit;
+                match NodePage::<2>::parse_sealed(&bad, PageId(3)) {
+                    Err(StorageError::Corrupt(PageId(3)) | StorageError::MalformedNode(_)) => {}
+                    other => panic!("byte {at} bit {bit}: {other:?}"),
+                }
+            }
+        }
+        let mut tail = page.clone();
+        tail[used] = 0xff;
+        assert!(NodePage::<2>::parse_sealed(&tail, PageId(3)).is_ok());
+        // Structure is checked first: a bad magic byte is still
+        // malformed, not corrupt.
+        let mut magic = page.clone();
+        magic[0] = 0;
+        assert!(matches!(
+            NodePage::<2>::parse_sealed(&magic, PageId(3)),
+            Err(StorageError::MalformedNode(_))
+        ));
+        // The entry count cannot reach into the trailer.
+        let mut count = page;
+        count[2..4].copy_from_slice(&51u16.to_le_bytes());
+        assert!(matches!(
+            NodePage::<2>::parse_sealed(&count, PageId(3)),
+            Err(StorageError::MalformedNode(_))
+        ));
+        assert!(matches!(
+            NodePage::<2>::parse_sealed(&[MAGIC; 15], PageId(3)),
+            Err(StorageError::MalformedNode(_))
+        ));
+    }
+
+    #[test]
+    fn the_checksum_sees_every_word_length_and_position() {
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+        // Lengths on and off the 8- and 32-byte grid, including the
+        // empty input; each a different sum.
+        let sums: Vec<u64> = (0..=bytes.len()).map(|n| checksum(&bytes[..n])).collect();
+        let mut sorted = sums.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), sums.len());
+        // A zero byte appended is a different input.
+        assert_ne!(checksum(&[0; 8]), checksum(&[0; 9]));
+        // Any one-byte change anywhere.
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x40;
+            assert_ne!(checksum(&bad), sums[bytes.len()], "byte {at}");
+        }
+    }
+
+    #[test]
+    fn digest_terms_depend_on_the_id_and_the_checksum() {
+        let a = digest_term(PageId(0), 7);
+        assert_ne!(a, digest_term(PageId(1), 7));
+        assert_ne!(a, digest_term(PageId(0), 8));
+        // Two pages swapping their contents change the sum.
+        let (x, y) = (checksum(b"one"), checksum(b"two"));
+        let kept = digest_term(PageId(4), x).wrapping_add(digest_term(PageId(5), y));
+        let swapped = digest_term(PageId(4), y).wrapping_add(digest_term(PageId(5), x));
+        assert_ne!(kept, swapped);
     }
 
     #[test]

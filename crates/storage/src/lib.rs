@@ -11,8 +11,8 @@
 //!   with checksummed pages.
 //! * [`layout`] — the on-page binary layout of an R-tree node. The layout
 //!   (8-byte header + (8·n+4)-byte entries with `f32` coordinates and
-//!   `u32` child pointers) reproduces the paper's capacities exactly; see
-//!   [`layout::max_entries`].
+//!   `u32` child pointers + an 8-byte checksum trailer) reproduces the
+//!   paper's capacities exactly; see [`layout::max_entries`].
 //! * [`buffer`] — pluggable buffer managers: [`buffer::NoBuffer`] (every
 //!   access is a disk access ⇒ DA = NA), [`buffer::PathBuffer`] (the
 //!   paper's per-tree most-recently-visited-path buffer behind Eqs 8–12),
@@ -55,7 +55,7 @@ pub use fault::{
     FAULT_INJECTED, FAULT_QUARANTINED, FAULT_RECOVERED, FAULT_RETRIED,
 };
 pub use file_store::FilePageStore;
-pub use layout::{encode_page, max_entries, DiskEntry, DiskNode, NodePage};
+pub use layout::{digest_term, encode_page, max_entries, DiskEntry, DiskNode, NodePage};
 pub use page::{fnv1a, InMemoryPageStore, PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE};
 pub use recorder::{AccessTrace, FlightRecorder, PageAccessEvent, RecorderLane};
 pub use replay::{replay, ReplayOutcome, StackDistance};

@@ -67,6 +67,16 @@ pub enum StorageError {
     },
     /// The page store ran out of 32-bit page ids.
     OutOfPages,
+    /// Every page read back is well formed, but together they are not the
+    /// pages of the save the handle describes: some come from another
+    /// save to the same file (a save cut short, or a handle that was not
+    /// updated after a later one).
+    DigestMismatch {
+        /// The digest the handle records.
+        handle: u64,
+        /// The digest of the pages read.
+        pages: u64,
+    },
     /// A real (or injected) I/O failure: the operating system refused the
     /// operation, the device lost the page, or a transient fault fired.
     /// Carries a human-readable description rather than `std::io::Error`
@@ -87,6 +97,11 @@ impl fmt::Display for StorageError {
                 write!(f, "run of {len} bytes is not whole {page_size}-byte pages")
             }
             StorageError::OutOfPages => write!(f, "page id space exhausted"),
+            StorageError::DigestMismatch { handle, pages } => write!(
+                f,
+                "save digest mismatch: the handle records {handle:#018x}, \
+                 the pages read fold to {pages:#018x} (pages of another save)"
+            ),
             StorageError::Io(msg) => write!(f, "i/o error: {msg}"),
         }
     }

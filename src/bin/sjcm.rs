@@ -256,6 +256,12 @@ fn write_meta(store: &Path, handle: PersistedTree) -> CliResult {
         ("root".into(), json::Value::Num(handle.root.index() as f64)),
         ("len".into(), json::Value::Num(handle.len as f64)),
         ("pages".into(), json::Value::Num(handle.pages as f64)),
+        // A hex string: a JSON number is an `f64`, which would round a
+        // digest above 2^53.
+        (
+            "digest".into(),
+            json::Value::Str(format!("{:#018x}", handle.digest)),
+        ),
         ("page_size".into(), json::Value::Num(PAGE_SIZE as f64)),
         ("dims".into(), json::Value::Num(DIMS as f64)),
     ]);
@@ -279,10 +285,16 @@ fn load_tree(store_path: &Path) -> Result<RTree<DIMS>, String> {
             return Err(format!("meta: {key} is {got}, this tool reads {want}"));
         }
     }
+    let digest = meta
+        .get("digest")
+        .and_then(json::Value::as_str)
+        .and_then(|hex| u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok())
+        .ok_or("meta: bad digest (a hex string such as \"0x0123456789abcdef\")")?;
     let handle = PersistedTree {
         root: PageId(field("root")? as u32),
         len: field("len")? as usize,
         pages: field("pages")? as usize,
+        digest,
     };
     let store = FilePageStore::open(store_path, PAGE_SIZE).map_err(|e| format!("open: {e}"))?;
     RTree::load(&store, handle, RTreeConfig::paper(DIMS)).map_err(|e| format!("load: {e}"))

@@ -224,6 +224,56 @@ fn cli_errors_are_clean() {
     }
 }
 
+/// A build over an existing tree file overwrites it in place — a
+/// smaller tree shrinks it — and a sidecar from another build of that
+/// path is refused by its digest, never decoded into the wrong tree.
+#[test]
+fn a_rebuilt_path_loads_only_under_its_own_sidecar() {
+    let mut tmp = TempFiles(Vec::new());
+    let big = tmp.path("rebuild_big.json");
+    let a = tmp.path("rebuild_a.json");
+    let b = tmp.path("rebuild_b.json");
+    let tree = tmp.path("rebuild.pages");
+    let other = tmp.path("rebuild_other.pages");
+    // 40 objects fit one 50-entry root leaf: the two small trees have
+    // the same root, object count and page count, so only the digest
+    // tells their sidecars apart.
+    for (data, n, seed) in [(&big, "2000", "3"), (&a, "40", "1"), (&b, "40", "2")] {
+        stdout(&sjcm(&[
+            "gen", "--kind", "uniform", "--n", n, "--seed", seed, "--out", data,
+        ]));
+    }
+    stdout(&sjcm(&["build", "--data", &big, "--out", &tree]));
+    let big_len = std::fs::metadata(&tree).unwrap().len();
+    stdout(&sjcm(&["build", "--data", &a, "--out", &tree]));
+    assert_eq!(std::fs::metadata(&tree).unwrap().len(), 1024, "{big_len}");
+    let meta_path = format!("{tree}.meta");
+    let meta_a = std::fs::read_to_string(&meta_path).unwrap();
+    assert!(meta_a.contains("\"digest\":\"0x"), "{meta_a}");
+    stdout(&sjcm(&["build", "--data", &b, "--out", &tree]));
+    stdout(&sjcm(&["build", "--data", &a, "--out", &other]));
+    let out = stdout(&sjcm(&["stats", "--tree", &tree]));
+    assert!(out.contains("objects N = 40"), "{out}");
+    let out = stdout(&sjcm(&["join", "--tree1", &tree, "--tree2", &other]));
+    assert!(out.contains("qualifying pairs = "), "{out}");
+
+    let refused = |want: &str| {
+        let out = sjcm(&["stats", "--tree", &tree]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(err.contains(want), "{err}");
+        assert!(!err.contains("panicked at"), "{err}");
+    };
+    std::fs::write(&meta_path, &meta_a).unwrap();
+    refused("save digest mismatch");
+    // A sidecar must carry its digest.
+    let digest = meta_a.find(",\"digest\"").unwrap();
+    let end = digest + meta_a[digest + 1..].find(',').unwrap() + 1;
+    let without = format!("{}{}", &meta_a[..digest], &meta_a[end..]);
+    std::fs::write(&meta_path, without).unwrap();
+    refused("meta: bad digest");
+}
+
 /// `query-mix`'s three-set catalog with a window on rivers: the plan
 /// count, the four cheapest plans, their order (two pairs of ties) and
 /// their rounded costs, exactly.
