@@ -32,8 +32,8 @@ use sjcm_join::{
 };
 use sjcm_obs::{DriftMonitor, MetricsRegistry, PAPER_ENVELOPE};
 use sjcm_storage::{
-    fnv1a, FaultInjector, FaultPlan, RetryPolicy, FAULT_INJECTED, FAULT_QUARANTINED,
-    FAULT_RECOVERED, FAULT_RETRIED,
+    fnv1a, FaultInjector, FaultPlan, FAULT_INJECTED, FAULT_QUARANTINED, FAULT_RECOVERED,
+    FAULT_RETRIED,
 };
 
 /// Metrics-JSONL artifact of the chaos campaigns inside `--obs-dir`.
@@ -99,7 +99,7 @@ pub fn chaos(opts: &RunOpts) -> bool {
                 // fault state, which is what makes the determinism gates
                 // fair.
                 let inj = match plan {
-                    Some(p) => FaultInjector::enabled(p, RetryPolicy::default()),
+                    Some(p) => FaultInjector::enabled(p),
                     None => FaultInjector::disabled(),
                 };
                 let run = JoinSession::new(&t1, &t2).config(config).scheduler(s);

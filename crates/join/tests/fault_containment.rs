@@ -12,7 +12,7 @@ use sjcm_join::{
     DegradedJoinResult, Governor, GovernorConfig, JoinConfig, JoinResultSet, JoinSession, Scheduler,
 };
 use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
-use sjcm_storage::{FaultInjector, FaultPlan, RetryPolicy};
+use sjcm_storage::{FaultInjector, FaultPlan};
 
 /// Session-API shorthand: an ungoverned, unfaulted join.
 fn join(t1: &RTree<2>, t2: &RTree<2>, config: JoinConfig, sched: Scheduler) -> JoinResultSet {
@@ -74,7 +74,7 @@ fn run_all(
         t2,
         config,
         Scheduler::Sequential,
-        &FaultInjector::enabled(plan, RetryPolicy::default()),
+        &FaultInjector::enabled(plan),
         &Governor::unlimited(),
     );
     let cg = try_join(
@@ -82,7 +82,7 @@ fn run_all(
         t2,
         config,
         Scheduler::CostGuided { threads: 4 },
-        &FaultInjector::enabled(plan, RetryPolicy::default()),
+        &FaultInjector::enabled(plan),
         &Governor::unlimited(),
     );
     let rr = try_join(
@@ -90,7 +90,7 @@ fn run_all(
         t2,
         config,
         Scheduler::RoundRobin { threads: 3 },
-        &FaultInjector::enabled(plan, RetryPolicy::default()),
+        &FaultInjector::enabled(plan),
         &Governor::unlimited(),
     );
     [seq, cg, rr]
@@ -278,7 +278,7 @@ fn units_lost_after_admission_are_retired_from_the_ledger() {
             // Gates every unit, refuses none: whatever is forfeited was
             // lost to the probe after its checkpoint.
             let gov = Governor::new(GovernorConfig::default().with_cancel_after_units(u64::MAX));
-            let faults = FaultInjector::enabled(plan, RetryPolicy::default());
+            let faults = FaultInjector::enabled(plan);
             let d = try_join(&t1, &t2, config, sched, &faults, &gov);
             sjcm_join::assert_well_formed(&d);
             let summary = gov.summary().expect("armed");
@@ -319,9 +319,7 @@ proptest! {
             ..sjcm_join::JoinObs::default()
         };
         let faults = FaultInjector::enabled(
-            FaultPlan::none(seed).with_transient(rate, budget),
-            RetryPolicy::default(),
-        );
+            FaultPlan::none(seed).with_transient(rate, budget));
         let live = JoinSession::new(&t1, &t2)
             .config(config)
             .scheduler(Scheduler::CostGuided { threads })

@@ -22,7 +22,7 @@ use sjcm_obs::{
     FieldValue, LevelPrior, ProgressEngine, ProgressSnapshot, ProgressTracker, SpanRecord, Tracer,
 };
 use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
-use sjcm_storage::{FaultInjector, FaultPlan, FlightRecorder, RetryPolicy};
+use sjcm_storage::{FaultInjector, FaultPlan, FlightRecorder};
 
 fn build_uniform(n: usize, density: f64, seed: u64) -> RTree<2> {
     let rects = sjcm_datagen::uniform::generate::<2>(sjcm_datagen::uniform::UniformConfig::new(
@@ -169,9 +169,7 @@ proptest! {
                 .scheduler(Scheduler::CostGuided { threads })
                 .observe(&JoinObs { progress: tracker.clone(), ..JoinObs::default() })
                 .faults(&FaultInjector::enabled(
-                    FaultPlan::none(seed).with_loss_at_level(loss, 0),
-                    RetryPolicy::default(),
-                ))
+                    FaultPlan::none(seed).with_loss_at_level(loss, 0)))
                 .run()
                 .expect("no worker may die")
         });

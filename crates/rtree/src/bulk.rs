@@ -68,10 +68,10 @@ impl<const N: usize> RTree<N> {
         if cap < 2 * config.min_entries {
             config.min_entries = (cap / 2).max(1);
         }
-        let mut tree = RTree::new(config);
         if items.is_empty() {
-            return tree;
+            return RTree::new(config);
         }
+        let mut tree = RTree::without_nodes(config);
         tree.set_len(items.len());
 
         let leaves: Vec<Entry<N>> = items
@@ -93,12 +93,7 @@ impl<const N: usize> RTree<N> {
                 .collect();
             level_nodes = pack_str(&mut tree, &entries, level, cap, config.min_entries);
         }
-        let root = level_nodes[0];
-        let placeholder = tree.root_id();
-        tree.set_root(root);
-        if placeholder != root {
-            tree.release(placeholder);
-        }
+        tree.set_root(level_nodes[0]);
         tree
     }
 }

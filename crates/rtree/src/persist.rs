@@ -51,16 +51,14 @@ impl<const N: usize> RTree<N> {
     /// page handle.
     pub fn save(&self, store: &mut dyn PageStore) -> Result<PersistedTree, StorageError> {
         // Allocate ids first so children can be referenced before being
-        // written.
-        let mut page_of = vec![PageId::INVALID; self.arena_len()];
-        let mut pages = 0;
-        for (id, _) in self.iter_nodes() {
-            page_of[id.0 as usize] = store.allocate()?;
-            pages += 1;
-        }
+        // written: node `i` goes to `page_of[i]`.
+        let pages = self.node_count();
+        let page_of = (0..pages)
+            .map(|_| store.allocate())
+            .collect::<Result<Vec<PageId>, _>>()?;
         // Encode nodes whose pages are consecutive into one buffer and
-        // hand it over as a run (a fresh store allocates densely, so
-        // every run but the last is full).
+        // hand it over as a run (a store allocates densely, so every
+        // run but the last is full).
         let page_size = store.page_size();
         let mut run = Vec::with_capacity(RUN_PAGES.min(pages) * page_size);
         let mut first = PageId::INVALID;

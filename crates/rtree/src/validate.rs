@@ -129,10 +129,10 @@ impl<const N: usize> RTree<N> {
                 actual: leaf_entries,
             });
         }
-        let live = self.node_count();
-        if live != seen.len() {
+        let nodes = self.node_count();
+        if nodes != seen.len() {
             return Err(InvariantViolation::BrokenTopology {
-                detail: format!("{live} live nodes but only {} reachable", seen.len()),
+                detail: format!("{nodes} nodes but only {} reachable", seen.len()),
             });
         }
         Ok(())

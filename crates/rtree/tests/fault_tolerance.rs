@@ -10,7 +10,7 @@ use sjcm_rtree::{BulkLoad, ObjectId, PersistedTree, RTree, RTreeConfig};
 use sjcm_storage::{
     BufferManager, DiskNode, FaultCounters, FaultPlan, FaultyPageStore, FilePageStore,
     InMemoryPageStore, LruBuffer, NoBuffer, PageId, PageStore, PathBuffer, ResilientStore,
-    RetryPolicy, StorageError,
+    StorageError,
 };
 use std::path::PathBuf;
 
@@ -78,7 +78,7 @@ fn corrupt_page_is_quarantined_by_resilient_store() {
 
     // Corruption is not transient: retries burn down, the page lands in
     // quarantine, and the load still fails typed — never silently.
-    let resilient = ResilientStore::new(store, RetryPolicy::default());
+    let resilient = ResilientStore::new(store);
     let err = RTree::<2>::load(&resilient, handle, *tree.config()).unwrap_err();
     assert_eq!(err, StorageError::Corrupt(victim));
     assert_eq!(resilient.quarantined_pages(), vec![victim]);
@@ -98,7 +98,7 @@ fn transient_faults_on_reload_recover_through_resilient_store() {
     // retries absorbs that, so the reload succeeds bit-for-bit.
     let plan = sjcm_storage::FaultPlan::none(99).with_transient(1.0, 2);
     let faulty = FaultyPageStore::new(store, plan);
-    let resilient = ResilientStore::new(faulty, RetryPolicy::default());
+    let resilient = ResilientStore::new(faulty);
     let loaded = RTree::<2>::load(&resilient, handle, *tree.config()).unwrap();
     assert_eq!(loaded.len(), tree.len());
     assert_eq!(loaded.node_count(), tree.node_count());
@@ -194,7 +194,7 @@ fn faulty_reload<S: PageStore>(
     let config = RTreeConfig::paper(2);
     let faulty = FaultyPageStore::new(store, plan);
     if retries {
-        let resilient = ResilientStore::new(faulty, RetryPolicy::default());
+        let resilient = ResilientStore::new(faulty);
         let loaded = RTree::<2>::load(&resilient, handle, config).map(|t| t.len());
         let retry = resilient.counters();
         (loaded, resilient.into_inner().counters(), retry)
@@ -297,7 +297,7 @@ fn the_fault_matrix_reaches_the_same_verdicts_on_a_real_disk() {
     assert_eq!(tree.save(&mut faulty).unwrap_err(), in_memory);
     assert!(matches!(in_memory, StorageError::Io(_)));
     let faulty = FaultyPageStore::new(FilePageStore::create(&path, 1024).unwrap(), plan);
-    let mut resilient = ResilientStore::new(faulty, RetryPolicy::default());
+    let mut resilient = ResilientStore::new(faulty);
     assert_eq!(tree.save(&mut resilient).unwrap(), handle);
     let store = FilePageStore::open(&path, 1024).unwrap();
     assert_eq!(
@@ -334,12 +334,6 @@ impl<S: PageStore> PageStore for CutAfter<S> {
     }
     fn read(&self, id: PageId) -> Result<bytes::Bytes, StorageError> {
         self.inner.read(id)
-    }
-    fn free(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.inner.free(id)
-    }
-    fn live_pages(&self) -> usize {
-        self.inner.live_pages()
     }
     fn sync(&mut self) -> Result<(), StorageError> {
         self.inner.sync()

@@ -9,7 +9,6 @@ use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
 #[derive(Debug, Clone)]
 enum Op {
     Insert { cx: f64, cy: f64, w: f64, h: f64 },
-    Remove { victim: usize },
     Query { cx: f64, cy: f64, w: f64, h: f64 },
 }
 
@@ -17,7 +16,6 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0.0f64..1.0, 0.0f64..1.0, 0.001f64..0.1, 0.001f64..0.1)
             .prop_map(|(cx, cy, w, h)| Op::Insert { cx, cy, w, h }),
-        2 => (0usize..usize::MAX).prop_map(|victim| Op::Remove { victim }),
         2 => (0.0f64..1.0, 0.0f64..1.0, 0.01f64..0.5, 0.01f64..0.5)
             .prop_map(|(cx, cy, w, h)| Op::Query { cx, cy, w, h }),
     ]
@@ -34,13 +32,6 @@ fn run_ops(ops: Vec<Op>, config: RTreeConfig) -> Result<(), TestCaseError> {
                 tree.insert(r, ObjectId(next_id));
                 oracle.push((r, ObjectId(next_id)));
                 next_id += 1;
-            }
-            Op::Remove { victim } => {
-                if oracle.is_empty() {
-                    continue;
-                }
-                let (r, id) = oracle.swap_remove(victim % oracle.len());
-                prop_assert!(tree.remove(&r, id), "oracle says {id:?} exists");
             }
             Op::Query { cx, cy, w, h } => {
                 let q = Rect::centered(Point::new([cx, cy]), [w, h]);

@@ -68,7 +68,7 @@ fn mix(mut x: u64) -> u64 {
 /// coordinates, so two runs with the same plan injure identical pages.
 ///
 /// `domain` separates independent fault universes sharing one plan — the
-/// join layer uses the tree index (1 or 2), store wrappers default to 0.
+/// join layer uses the tree index (1 or 2), the store wrapper 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Root seed; campaigns vary this to explore fault placements.
@@ -238,36 +238,18 @@ impl FaultCounters {
     }
 }
 
-/// Bounded-retry policy with a deterministic exponential backoff
-/// schedule measured in virtual ticks (nothing ever sleeps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first failed attempt (total attempts = this + 1).
-    pub max_retries: u32,
-    /// Ticks charged for the first backoff; doubles per further retry.
-    pub base_backoff_ticks: u64,
+/// Retries after a first failed attempt, so at most four attempts.
+const MAX_RETRIES: u32 = 3;
+
+/// Virtual ticks charged before retry `attempt` (0-based): `2^attempt`,
+/// a deterministic exponential backoff (nothing ever sleeps).
+fn backoff_ticks(attempt: u32) -> u64 {
+    1 << attempt
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base_backoff_ticks: 1,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Ticks charged before retry `attempt` (0-based): `base · 2^attempt`.
-    pub fn backoff_ticks(&self, attempt: u32) -> u64 {
-        self.base_backoff_ticks
-            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
-    }
-
-    /// Total ticks charged by a run of `retries` consecutive retries.
-    pub fn ticks_for(&self, retries: u32) -> u64 {
-        (0..retries).fold(0u64, |acc, a| acc.saturating_add(self.backoff_ticks(a)))
-    }
+/// Total ticks charged by a run of `retries` consecutive retries.
+fn ticks_for(retries: u32) -> u64 {
+    (0..retries).map(backoff_ticks).sum()
 }
 
 /// Only I/O-ish failures are worth retrying; structural errors
@@ -294,23 +276,15 @@ struct FaultState {
 pub struct FaultyPageStore<S> {
     inner: S,
     plan: FaultPlan,
-    domain: u8,
     state: RefCell<FaultState>,
 }
 
 impl<S: PageStore> FaultyPageStore<S> {
-    /// Wraps `inner` under `plan` (fault domain 0).
+    /// Wraps `inner` under `plan`, in fault domain 0.
     pub fn new(inner: S, plan: FaultPlan) -> Self {
-        Self::with_domain(inner, plan, 0)
-    }
-
-    /// Wraps `inner` under `plan` with an explicit fault domain, so
-    /// several stores sharing one plan fail independently.
-    pub fn with_domain(inner: S, plan: FaultPlan, domain: u8) -> Self {
         Self {
             inner,
             plan,
-            domain,
             state: RefCell::new(FaultState::default()),
         }
     }
@@ -352,7 +326,7 @@ impl<S: PageStore> PageStore for FaultyPageStore<S> {
 
     fn read(&self, id: PageId) -> Result<Bytes, StorageError> {
         let mut st = self.state.borrow_mut();
-        if self.plan.is_lost(self.domain, id, 0) {
+        if self.plan.is_lost(0, id, 0) {
             st.counters.injected_loss += 1;
             return Err(StorageError::Io(format!("injected permanent loss of {id}")));
         }
@@ -360,7 +334,7 @@ impl<S: PageStore> PageStore for FaultyPageStore<S> {
             let left = st
                 .transient_left
                 .entry(id.0)
-                .or_insert_with(|| self.plan.transient_faults(self.domain, id));
+                .or_insert_with(|| self.plan.transient_faults(0, id));
             if *left > 0 {
                 *left -= 1;
                 true
@@ -379,13 +353,13 @@ impl<S: PageStore> PageStore for FaultyPageStore<S> {
             let pending = st
                 .flip_pending
                 .entry(id.0)
-                .or_insert_with(|| self.plan.flips(self.domain, id));
+                .or_insert_with(|| self.plan.flips(0, id));
             std::mem::replace(pending, false)
         };
         if flip && !data.is_empty() {
             st.counters.injected_flip += 1;
             let mut buf = data.to_vec();
-            let bit = self.plan.flip_bit(self.domain, id, buf.len());
+            let bit = self.plan.flip_bit(0, id, buf.len());
             buf[bit / 8] ^= 1 << (bit % 8);
             if let Some(&sum) = st.checksums.get(&id.0) {
                 if fnv1a(&buf) != sum {
@@ -402,14 +376,6 @@ impl<S: PageStore> PageStore for FaultyPageStore<S> {
         Ok(data)
     }
 
-    fn free(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.inner.free(id)
-    }
-
-    fn live_pages(&self) -> usize {
-        self.inner.live_pages()
-    }
-
     fn sync(&mut self) -> Result<(), StorageError> {
         self.inner.sync()
     }
@@ -421,21 +387,20 @@ struct ResilientState {
     counters: FaultCounters,
 }
 
-/// A [`PageStore`] wrapper that retries retryable failures with a
-/// bounded, deterministic backoff schedule and quarantines pages whose
-/// reads or writes exhaust the budget. Quarantined pages fail fast.
+/// A [`PageStore`] wrapper that retries retryable failures up to three
+/// times with a deterministic exponential backoff of 1, 2 and 4 virtual
+/// ticks, and quarantines pages whose reads or writes exhaust the
+/// retries. Quarantined pages fail fast.
 pub struct ResilientStore<S> {
     inner: S,
-    policy: RetryPolicy,
     state: RefCell<ResilientState>,
 }
 
 impl<S: PageStore> ResilientStore<S> {
-    /// Wraps `inner` under `policy`.
-    pub fn new(inner: S, policy: RetryPolicy) -> Self {
+    /// Wraps `inner`.
+    pub fn new(inner: S) -> Self {
         Self {
             inner,
-            policy,
             state: RefCell::new(ResilientState::default()),
         }
     }
@@ -464,7 +429,6 @@ impl<S: PageStore> ResilientStore<S> {
     /// Shared read/write retry loop; quarantines `id` on exhaustion.
     fn with_retries<T>(
         state: &mut ResilientState,
-        policy: &RetryPolicy,
         id: PageId,
         mut op: impl FnMut() -> Result<T, StorageError>,
     ) -> Result<T, StorageError> {
@@ -473,7 +437,7 @@ impl<S: PageStore> ResilientStore<S> {
             return Err(StorageError::Io(format!("page {id} is quarantined")));
         }
         let mut last = None;
-        for attempt in 0..=policy.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             match op() {
                 Ok(v) => {
                     if attempt > 0 {
@@ -482,9 +446,9 @@ impl<S: PageStore> ResilientStore<S> {
                     return Ok(v);
                 }
                 Err(e) if retryable(&e) => {
-                    if attempt < policy.max_retries {
+                    if attempt < MAX_RETRIES {
                         state.counters.retried += 1;
-                        state.counters.backoff_ticks += policy.backoff_ticks(attempt);
+                        state.counters.backoff_ticks += backoff_ticks(attempt);
                     }
                     last = Some(e);
                 }
@@ -505,7 +469,7 @@ impl<S: PageStore> PageStore for ResilientStore<S> {
     fn allocate(&mut self) -> Result<PageId, StorageError> {
         // Allocation has no page to quarantine; plain bounded retry.
         let mut last = None;
-        for attempt in 0..=self.policy.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             match self.inner.allocate() {
                 Ok(id) => {
                     let st = self.state.get_mut();
@@ -516,9 +480,9 @@ impl<S: PageStore> PageStore for ResilientStore<S> {
                 }
                 Err(e) if retryable(&e) => {
                     let st = self.state.get_mut();
-                    if attempt < self.policy.max_retries {
+                    if attempt < MAX_RETRIES {
                         st.counters.retried += 1;
-                        st.counters.backoff_ticks += self.policy.backoff_ticks(attempt);
+                        st.counters.backoff_ticks += backoff_ticks(attempt);
                     }
                     last = Some(e);
                 }
@@ -529,22 +493,13 @@ impl<S: PageStore> PageStore for ResilientStore<S> {
     }
 
     fn write(&mut self, id: PageId, data: &[u8]) -> Result<(), StorageError> {
-        let policy = self.policy;
-        let Self { inner, state, .. } = self;
-        Self::with_retries(state.get_mut(), &policy, id, || inner.write(id, data))
+        let Self { inner, state } = self;
+        Self::with_retries(state.get_mut(), id, || inner.write(id, data))
     }
 
     fn read(&self, id: PageId) -> Result<Bytes, StorageError> {
         let mut st = self.state.borrow_mut();
-        Self::with_retries(&mut st, &self.policy, id, || self.inner.read(id))
-    }
-
-    fn free(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.inner.free(id)
-    }
-
-    fn live_pages(&self) -> usize {
-        self.inner.live_pages()
+        Self::with_retries(&mut st, id, || self.inner.read(id))
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
@@ -561,7 +516,6 @@ struct InjectorState {
 
 struct InjectorInner {
     plan: FaultPlan,
-    policy: RetryPolicy,
     state: Mutex<InjectorState>,
 }
 
@@ -595,12 +549,12 @@ impl FaultInjector {
         Self { inner: None }
     }
 
-    /// An injector driven by `plan`, recovering via `policy`.
-    pub fn enabled(plan: FaultPlan, policy: RetryPolicy) -> Self {
+    /// An injector driven by `plan`, retrying as [`ResilientStore`]
+    /// does.
+    pub fn enabled(plan: FaultPlan) -> Self {
         Self {
             inner: Some(Arc::new(InjectorInner {
                 plan,
-                policy,
                 state: Mutex::new(InjectorState::default()),
             })),
         }
@@ -667,15 +621,15 @@ impl InjectorInner {
         }
         if lost {
             st.counters.injected_loss += 1;
-            st.counters.retried += u64::from(self.policy.max_retries);
-            st.counters.backoff_ticks += self.policy.ticks_for(self.policy.max_retries);
+            st.counters.retried += u64::from(MAX_RETRIES);
+            st.counters.backoff_ticks += ticks_for(MAX_RETRIES);
             st.counters.quarantined += 1;
             st.quarantine.insert((tree, page.0));
             return Err(StorageError::Io(format!(
                 "injected permanent loss of tree {tree} page {page}"
             )));
         }
-        let attempts = self.policy.max_retries + 1;
+        let attempts = MAX_RETRIES + 1;
         let consumed = {
             let left = st.transient_left.entry((tree, page.0)).or_insert(budget);
             let consumed = (*left).min(attempts);
@@ -688,18 +642,17 @@ impl InjectorInner {
         st.counters.injected_transient += u64::from(consumed);
         if consumed == attempts {
             // Every attempt (first try + all retries) hit a fault.
-            st.counters.retried += u64::from(self.policy.max_retries);
-            st.counters.backoff_ticks += self.policy.ticks_for(self.policy.max_retries);
+            st.counters.retried += u64::from(MAX_RETRIES);
+            st.counters.backoff_ticks += ticks_for(MAX_RETRIES);
             st.counters.quarantined += 1;
             st.quarantine.insert((tree, page.0));
             Err(StorageError::Io(format!(
-                "transient faults on tree {tree} page {page} exhausted {} retries",
-                self.policy.max_retries
+                "transient faults on tree {tree} page {page} exhausted {MAX_RETRIES} retries"
             )))
         } else {
             // Attempt `consumed` succeeded after `consumed` failures.
             st.counters.retried += u64::from(consumed);
-            st.counters.backoff_ticks += self.policy.ticks_for(consumed);
+            st.counters.backoff_ticks += ticks_for(consumed);
             st.counters.recovered += 1;
             Ok(())
         }
@@ -800,7 +753,7 @@ mod tests {
     fn resilient_store_recovers_when_faults_fit_budget() {
         let plan = FaultPlan::none(3).with_transient(1.0, 2);
         let faulty = FaultyPageStore::new(seeded_store(4), plan);
-        let store = ResilientStore::new(faulty, RetryPolicy::default());
+        let store = ResilientStore::new(faulty);
         for p in 0..4u32 {
             assert!(store.read(PageId(p)).is_ok(), "retries absorb 2 faults");
         }
@@ -817,7 +770,7 @@ mod tests {
     fn resilient_store_quarantines_exhausted_pages() {
         let plan = FaultPlan::none(3).with_loss(1.0);
         let faulty = FaultyPageStore::new(seeded_store(1), plan);
-        let store = ResilientStore::new(faulty, RetryPolicy::default());
+        let store = ResilientStore::new(faulty);
         assert!(store.read(PageId(0)).is_err());
         let c = store.counters();
         assert_eq!(c.quarantined, 1);
@@ -831,7 +784,7 @@ mod tests {
 
     #[test]
     fn resilient_store_does_not_retry_structural_errors() {
-        let store = ResilientStore::new(InMemoryPageStore::new(64), RetryPolicy::default());
+        let store = ResilientStore::new(InMemoryPageStore::new(64));
         assert!(matches!(
             store.read(PageId(99)),
             Err(StorageError::UnknownPage(_))
@@ -853,7 +806,7 @@ mod tests {
     #[test]
     fn injector_recovers_transients_within_budget() {
         let plan = FaultPlan::none(11).with_transient(1.0, 2);
-        let inj = FaultInjector::enabled(plan, RetryPolicy::default());
+        let inj = FaultInjector::enabled(plan);
         assert!(inj.access(1, PageId(7), 0).is_ok());
         let c = inj.counters();
         assert_eq!(c.injected_transient, 2);
@@ -868,11 +821,7 @@ mod tests {
     #[test]
     fn injector_quarantines_when_budget_exceeds_retries() {
         let plan = FaultPlan::none(11).with_transient(1.0, 10);
-        let policy = RetryPolicy {
-            max_retries: 3,
-            base_backoff_ticks: 1,
-        };
-        let inj = FaultInjector::enabled(plan, policy);
+        let inj = FaultInjector::enabled(plan);
         assert!(inj.access(2, PageId(5), 0).is_err());
         let c = inj.counters();
         assert_eq!(c.injected_transient, 4, "first try + 3 retries");
@@ -886,7 +835,7 @@ mod tests {
     #[test]
     fn injector_loss_respects_level_restriction() {
         let plan = FaultPlan::none(13).with_loss_at_level(1.0, 0);
-        let inj = FaultInjector::enabled(plan, RetryPolicy::default());
+        let inj = FaultInjector::enabled(plan);
         assert!(inj.access(1, PageId(0), 2).is_ok(), "internal level spared");
         assert!(inj.access(1, PageId(0), 0).is_err(), "leaf level lost");
         assert_eq!(inj.counters().injected_loss, 1);
@@ -896,7 +845,7 @@ mod tests {
     fn injector_totals_are_thread_order_independent() {
         let plan = FaultPlan::none(17).with_transient(0.5, 2).with_loss(0.05);
         let run = |order: &[u32]| {
-            let inj = FaultInjector::enabled(plan, RetryPolicy::default());
+            let inj = FaultInjector::enabled(plan);
             for &p in order {
                 let _ = inj.access(1, PageId(p), 0);
                 let _ = inj.access(1, PageId(p), 0);

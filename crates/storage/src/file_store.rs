@@ -1,8 +1,8 @@
 //! A file-backed [`PageStore`]: real disk pages for persisted trees.
 //!
 //! Layout: page `i` lives at byte offset `i · page_size` of a single
-//! file; pages are zero-padded to full size on write. A freed page's id
-//! goes to an in-memory free list (recycled within the session).
+//! file; pages are zero-padded to full size on write. The ids are
+//! exactly `0..` the pages allocated: no page is ever freed.
 //!
 //! [`FilePageStore::create`] does not truncate an existing file: a save
 //! overwrites the blocks the file already has, which on a file system
@@ -21,10 +21,8 @@
 //! without `sync` keeps the pages written, and whatever the old file had
 //! around them: a save cut short leaves old and new pages mixed, which
 //! the node layout's page trailer and a save's digest catch on load
-//! ([`crate::layout`]). A *recycled* page is zeroed on disk when it is
-//! handed out again, so stale bytes cannot resurface. Runs of
-//! consecutive pages move in one positional read or write
-//! ([`PageStore::read_run`], [`PageStore::write_run`]).
+//! ([`crate::layout`]). Runs of consecutive pages move in one positional
+//! read or write ([`PageStore::read_run`], [`PageStore::write_run`]).
 
 use crate::page::{run_end, whole_pages, PageId, PageStore, StorageError};
 use bytes::Bytes;
@@ -94,7 +92,6 @@ pub struct FilePageStore {
     /// store was created — not written since, so it reads as zeros.
     /// Empty once a `sync` has made the file the store's own.
     stale: Vec<bool>,
-    free_list: Vec<PageId>,
 }
 
 impl FilePageStore {
@@ -121,7 +118,6 @@ impl FilePageStore {
             len,
             // A torn last page counts: its bytes are stale too.
             stale: vec![true; len.div_ceil(page_size as u64) as usize],
-            free_list: Vec::new(),
         })
     }
 
@@ -155,13 +151,7 @@ impl FilePageStore {
             on_disk: pages as u32,
             len,
             stale: Vec::new(),
-            free_list: Vec::new(),
         })
-    }
-
-    /// The backing file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     fn offset(&self, id: PageId) -> u64 {
@@ -229,13 +219,6 @@ impl PageStore for FilePageStore {
     }
 
     fn allocate(&mut self) -> Result<PageId, StorageError> {
-        if let Some(id) = self.free_list.pop() {
-            // Zero the recycled page so stale bytes cannot resurface.
-            if id.0 < self.on_disk {
-                self.write(id, &[])?;
-            }
-            return Ok(id);
-        }
         if self.pages == u32::MAX {
             return Err(StorageError::OutOfPages);
         }
@@ -299,16 +282,6 @@ impl PageStore for FilePageStore {
         Ok(())
     }
 
-    fn free(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.check_id(id)?;
-        self.free_list.push(id);
-        Ok(())
-    }
-
-    fn live_pages(&self) -> usize {
-        self.pages as usize - self.free_list.len()
-    }
-
     fn sync(&mut self) -> Result<(), StorageError> {
         self.zero_stale_pages()?;
         self.stale = Vec::new();
@@ -356,7 +329,10 @@ mod tests {
         assert_eq!(&store.read(b).unwrap()[..14], b"page b content");
         // Tail of the page is zero-padded.
         assert!(store.read(a).unwrap()[6..].iter().all(|&x| x == 0));
-        assert_eq!(store.live_pages(), 2);
+        assert_eq!(
+            store.read(PageId(2)).unwrap_err(),
+            StorageError::UnknownPage(PageId(2))
+        );
     }
 
     #[test]
@@ -369,7 +345,10 @@ mod tests {
             store.write(a, b"persist me").unwrap();
         }
         let store = FilePageStore::open(&path, 32).unwrap();
-        assert_eq!(store.live_pages(), 1);
+        assert_eq!(
+            store.read(PageId(1)).unwrap_err(),
+            StorageError::UnknownPage(PageId(1))
+        );
         assert_eq!(&store.read(PageId(0)).unwrap()[..10], b"persist me");
     }
 
@@ -487,7 +466,10 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 5 * 16);
         drop(store);
         let store = FilePageStore::open(&path, 16).unwrap();
-        assert_eq!(store.live_pages(), 5);
+        assert_eq!(
+            store.read(PageId(5)).unwrap_err(),
+            StorageError::UnknownPage(PageId(5))
+        );
         let mut reread = Vec::new();
         store.read_run(PageId(0), 5, &mut reread).unwrap();
         assert_eq!(reread, run);
@@ -564,7 +546,10 @@ mod tests {
         let _guard = Cleanup(path.clone());
         old_file(&path, 16, 6, 0);
         let mut store = FilePageStore::create(&path, 16).unwrap();
-        assert_eq!(store.live_pages(), 0);
+        assert_eq!(
+            store.read(PageId(0)).unwrap_err(),
+            StorageError::UnknownPage(PageId(0))
+        );
         // Not truncated: the save overwrites the file's own blocks.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 6 * 16);
         for _ in 0..4 {
@@ -625,19 +610,5 @@ mod tests {
         let mut want = vec![0xab; 3 * 16];
         want[..16].fill(1);
         assert_eq!(std::fs::read(&path).unwrap(), want);
-    }
-
-    #[test]
-    fn freed_pages_recycle_zeroed() {
-        let path = temp_path("recycle");
-        let _guard = Cleanup(path.clone());
-        let mut store = FilePageStore::create(&path, 16).unwrap();
-        let a = store.allocate().unwrap();
-        store.write(a, b"old").unwrap();
-        store.free(a).unwrap();
-        assert_eq!(store.live_pages(), 0);
-        let b = store.allocate().unwrap();
-        assert_eq!(a, b);
-        assert!(store.read(b).unwrap().iter().all(|&x| x == 0));
     }
 }

@@ -51,8 +51,8 @@ pub use buffer::{
 };
 pub use counters::{hit_ratio, AccessStats};
 pub use fault::{
-    FaultCounters, FaultInjector, FaultPlan, FaultyPageStore, ResilientStore, RetryPolicy,
-    FAULT_INJECTED, FAULT_QUARANTINED, FAULT_RECOVERED, FAULT_RETRIED,
+    FaultCounters, FaultInjector, FaultPlan, FaultyPageStore, ResilientStore, FAULT_INJECTED,
+    FAULT_QUARANTINED, FAULT_RECOVERED, FAULT_RETRIED,
 };
 pub use file_store::FilePageStore;
 pub use layout::{digest_term, encode_page, max_entries, DiskEntry, DiskNode, NodePage};

