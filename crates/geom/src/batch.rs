@@ -3,12 +3,12 @@
 //! The join executors spend their CPU time answering one question many
 //! times in a row: *which of these rectangles intersect this one?* The
 //! array-of-structs [`Rect`] layout answers it one rectangle at a time,
-//! with a short-circuiting per-dimension loop whose branches the CPU
-//! mispredicts on mixed workloads. This module keeps a rectangle set as
-//! per-dimension `lo`/`hi` coordinate lanes ([`RectBatch`]) and evaluates
-//! the predicate **eight lanes at a time, branch-free**, into one `u64`
-//! mask word per block of 64 candidates, so LLVM autovectorizes the
-//! comparisons on any stable toolchain (no `std::simd` required).
+//! branch-free but in scalar registers. This module keeps a rectangle
+//! set as per-dimension `lo`/`hi` coordinate lanes ([`RectBatch`]) and
+//! evaluates the predicate **eight lanes at a time, branch-free**, into
+//! one `u64` mask word per block of 64 candidates, so LLVM
+//! autovectorizes the comparisons on any stable toolchain (no
+//! `std::simd` required).
 //! Iterating a word's set bits in ascending order reproduces exactly the
 //! candidate order a scalar loop would visit, which is what lets the
 //! join executors swap the kernel in without perturbing a single result
@@ -343,8 +343,8 @@ impl<const N: usize> RectBatch<N> {
     /// The per-dimension gap is the branch-free
     /// `max(b.lo − q.hi, q.lo − b.hi, 0)` (at most one of the two
     /// differences is positive for a valid rectangle), so the
-    /// accumulated squared distance is bit-identical to the branching
-    /// scalar [`Rect::min_dist2`]. Padding is masked off as in
+    /// accumulated squared distance is bit-identical to the scalar
+    /// [`Rect::min_dist2`], which sums the same gaps. Padding is masked off as in
     /// [`RectBatch::overlap_word`] — at `eps = +∞` every lane
     /// qualifies, padding included.
     #[inline]

@@ -4,6 +4,18 @@
 //! the R-tree implementation and the analytical cost model: node extents,
 //! query windows and object MBRs are all [`Rect`]s, and the paper's
 //! formulas are products over per-dimension extents of such rectangles.
+//!
+//! # Predicates
+//!
+//! `intersects`, `contains_rect`, `contains_point`, `intersection_measure`
+//! and `min_dist2` test every dimension and combine the results with `&`
+//! or a select: an early return per dimension is a branch the CPU
+//! mispredicts about half the time on random data. They are the one
+//! definition the join and the R-tree call. A comparison with NaN fails,
+//! as in [`RectBatch`](crate::RectBatch)'s lanes, so a rectangle with a
+//! NaN coordinate meets and contains nothing; `min` and `max` pass over
+//! a NaN operand, so [`Rect::intersection_measure`] counts a side empty
+//! only when the side itself is NaN.
 
 use crate::Point;
 use std::fmt;
@@ -196,12 +208,9 @@ impl<const N: usize> Rect<N> {
     /// predicate the paper uses for its joins).
     #[inline]
     pub fn intersects(&self, other: &Self) -> bool {
-        for k in 0..N {
-            if self.lo[k] > other.hi[k] || other.lo[k] > self.hi[k] {
-                return false;
-            }
-        }
-        true
+        (0..N).fold(true, |acc, k| {
+            acc & (self.lo[k] <= other.hi[k]) & (other.lo[k] <= self.hi[k])
+        })
     }
 
     /// The intersection rectangle, or `None` when disjoint.
@@ -218,20 +227,23 @@ impl<const N: usize> Rect<N> {
         Some(Self { lo, hi })
     }
 
-    /// Measure of the intersection (0 when disjoint). The R*-tree
-    /// ChooseSubtree heuristic minimizes the *increase* of this quantity.
+    /// Measure of the intersection (0 when disjoint or touching). The
+    /// R*-tree ChooseSubtree heuristic minimizes the *increase* of this
+    /// quantity. A select, not a factor of 0, zeroes the product when a
+    /// side is not positive: an overflowed `∞` times 0 is NaN.
     #[inline]
     pub fn intersection_measure(&self, other: &Self) -> f64 {
-        let mut m = 1.0;
+        let (mut m, mut meets) = (1.0, true);
         for k in 0..N {
-            let lo = self.lo[k].max(other.lo[k]);
-            let hi = self.hi[k].min(other.hi[k]);
-            if lo >= hi {
-                return 0.0;
-            }
-            m *= hi - lo;
+            let side = self.hi[k].min(other.hi[k]) - self.lo[k].max(other.lo[k]);
+            m *= side;
+            meets &= side > 0.0;
         }
-        m
+        if meets {
+            m
+        } else {
+            0.0
+        }
     }
 
     /// The smallest rectangle covering both operands (MBR union).
@@ -265,23 +277,17 @@ impl<const N: usize> Rect<N> {
     /// `true` when `other` lies entirely inside `self` (closed containment).
     #[inline]
     pub fn contains_rect(&self, other: &Self) -> bool {
-        for k in 0..N {
-            if other.lo[k] < self.lo[k] || other.hi[k] > self.hi[k] {
-                return false;
-            }
-        }
-        true
+        (0..N).fold(true, |acc, k| {
+            acc & (self.lo[k] <= other.lo[k]) & (other.hi[k] <= self.hi[k])
+        })
     }
 
     /// `true` when the point lies inside `self` (closed containment).
     #[inline]
     pub fn contains_point(&self, p: &Point<N>) -> bool {
-        for k in 0..N {
-            if p[k] < self.lo[k] || p[k] > self.hi[k] {
-                return false;
-            }
-        }
-        true
+        (0..N).fold(true, |acc, k| {
+            acc & (self.lo[k] <= p[k]) & (p[k] <= self.hi[k])
+        })
     }
 
     /// Minkowski enlargement: grows the rectangle by `delta` on *each*
@@ -307,20 +313,18 @@ impl<const N: usize> Rect<N> {
     }
 
     /// Minimum squared Euclidean distance between the two rectangles
-    /// (0 when they intersect).
+    /// (0 when they intersect), over the gaps `max(other.lo − self.hi,
+    /// self.lo − other.hi, 0)`: for ordered corners at most one
+    /// difference is positive. [`RectBatch::within_word`](crate::RectBatch::within_word)
+    /// sums the same gaps.
+    #[inline]
     pub fn min_dist2(&self, other: &Self) -> f64 {
-        let mut acc = 0.0;
-        for k in 0..N {
-            let gap = if other.lo[k] > self.hi[k] {
-                other.lo[k] - self.hi[k]
-            } else if self.lo[k] > other.hi[k] {
-                self.lo[k] - other.hi[k]
-            } else {
-                0.0
-            };
-            acc += gap * gap;
-        }
-        acc
+        (0..N).fold(0.0, |acc, k| {
+            let gap = (other.lo[k] - self.hi[k])
+                .max(self.lo[k] - other.hi[k])
+                .max(0.0);
+            acc + gap * gap
+        })
     }
 
     /// `true` when the rectangles are within Euclidean distance `eps` of
@@ -370,9 +374,179 @@ pub fn mbr_of<const N: usize>(rects: impl IntoIterator<Item = Rect<N>>) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn r2(lo: [f64; 2], hi: [f64; 2]) -> Rect<2> {
         Rect::new(lo, hi).unwrap()
+    }
+
+    // The branching predicates the branch-free ones replaced, each
+    // returning at the first dimension that decides, kept as the
+    // reference the rewrite is held to. One change: every test is a
+    // comparison that must hold, so a NaN fails it (module docs) — the
+    // replaced `intersects`, `contains_*` and `intersection_measure`
+    // tested the negation, which a NaN passed. On input without NaN each
+    // is the replaced code.
+
+    fn intersects_reference<const N: usize>(a: &Rect<N>, b: &Rect<N>) -> bool {
+        for k in 0..N {
+            if !(a.lo[k] <= b.hi[k] && b.lo[k] <= a.hi[k]) {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn contains_rect_reference<const N: usize>(a: &Rect<N>, b: &Rect<N>) -> bool {
+        for k in 0..N {
+            if !(a.lo[k] <= b.lo[k] && b.hi[k] <= a.hi[k]) {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn contains_point_reference<const N: usize>(a: &Rect<N>, p: &Point<N>) -> bool {
+        for k in 0..N {
+            if !(a.lo[k] <= p[k] && p[k] <= a.hi[k]) {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn intersection_measure_reference<const N: usize>(a: &Rect<N>, b: &Rect<N>) -> f64 {
+        let mut m = 1.0;
+        for k in 0..N {
+            let lo = a.lo[k].max(b.lo[k]);
+            let hi = a.hi[k].min(b.hi[k]);
+            if lo < hi {
+                m *= hi - lo;
+            } else {
+                return 0.0;
+            }
+        }
+        m
+    }
+
+    fn min_dist2_reference<const N: usize>(a: &Rect<N>, b: &Rect<N>) -> f64 {
+        let mut acc = 0.0;
+        for k in 0..N {
+            let gap = if b.lo[k] > a.hi[k] {
+                b.lo[k] - a.hi[k]
+            } else if a.lo[k] > b.hi[k] {
+                a.lo[k] - b.hi[k]
+            } else {
+                0.0
+            };
+            acc += gap * gap;
+        }
+        acc
+    }
+
+    /// A coordinate from one of the families where the rewrite could
+    /// part from the reference: unit-interval values, a coarse lattice
+    /// (touching and equal corners), ±0.0, subnormals, ±1e200-scale
+    /// values (products overflow to ±∞), NaN and ±∞.
+    fn coordinate() -> impl Strategy<Value = f64> {
+        (0u8..16, any::<u64>()).prop_map(|(family, bits)| {
+            let sign = if bits >> 63 == 1 { -1.0 } else { 1.0 };
+            match family {
+                0..=3 => (bits >> 11) as f64 / (1u64 << 53) as f64,
+                4..=6 => (bits % 9) as f64 / 8.0,
+                7 | 8 => sign * 0.0,
+                9 => sign * f64::from_bits(bits & 0x000f_ffff_ffff_ffff),
+                10 | 11 => sign * 1e200 * (1 + bits % 4) as f64,
+                12 => f64::NAN,
+                13 => sign * f64::INFINITY,
+                _ => sign * (bits >> 11) as f64 / (1u64 << 53) as f64,
+            }
+        })
+    }
+
+    /// A rectangle built without validation from `2N` coordinates, each
+    /// dimension's pair ordered unless one of them is NaN.
+    fn unvalidated<const N: usize>(c: &[f64]) -> Rect<N> {
+        let mut r = Rect {
+            lo: [0.0; N],
+            hi: [0.0; N],
+        };
+        for k in 0..N {
+            let (a, b) = (c[2 * k], c[2 * k + 1]);
+            (r.lo[k], r.hi[k]) = if b < a { (b, a) } else { (a, b) };
+        }
+        r
+    }
+
+    fn agrees_with_reference<const N: usize>(c: &[f64]) -> Result<(), TestCaseError> {
+        let a = unvalidated::<N>(&c[..2 * N]);
+        let b = unvalidated::<N>(&c[2 * N..4 * N]);
+        let p = Point::new(std::array::from_fn(|k| c[4 * N + k]));
+        for (x, y) in [(a, b), (b, a), (a, a)] {
+            prop_assert_eq!(x.intersects(&y), intersects_reference(&x, &y));
+            prop_assert_eq!(x.contains_rect(&y), contains_rect_reference(&x, &y));
+            prop_assert_eq!(
+                x.intersection_measure(&y).to_bits(),
+                intersection_measure_reference(&x, &y).to_bits(),
+                "intersection_measure {:?} {:?}",
+                x,
+                y
+            );
+            prop_assert_eq!(
+                x.min_dist2(&y).to_bits(),
+                min_dist2_reference(&x, &y).to_bits(),
+                "min_dist2 {:?} {:?}",
+                x,
+                y
+            );
+            prop_assert_eq!(x.contains_point(&p), contains_point_reference(&x, &p));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn branch_free_predicates_match_the_branching_references(
+            c in prop::collection::vec(coordinate(), 15..16)
+        ) {
+            agrees_with_reference::<1>(&c)?;
+            agrees_with_reference::<2>(&c)?;
+            agrees_with_reference::<3>(&c)?;
+        }
+    }
+
+    #[test]
+    fn a_nan_coordinate_meets_and_contains_nothing() {
+        let unit = Rect::<2>::unit();
+        let nan = Rect::centered(Point::new([f64::NAN, 0.5]), [0.1, 0.1]);
+        assert!(!nan.intersects(&unit) && !unit.intersects(&nan));
+        assert!(!nan.intersects(&nan));
+        assert!(!unit.contains_rect(&nan) && !nan.contains_rect(&unit));
+        assert!(!unit.contains_point(&Point::new([f64::NAN, 0.5])));
+        // `min`/`max` pass over one NaN operand; two make a NaN side,
+        // which is empty.
+        assert!((nan.intersection_measure(&unit) - 0.1).abs() < 1e-12);
+        assert_eq!(nan.intersection_measure(&nan).to_bits(), 0.0f64.to_bits());
+        // A NaN difference is passed over; the gap is the other one.
+        let far = Rect::new([3.0, 0.0], [4.0, 1.0]).unwrap();
+        let half_nan = Rect {
+            lo: [f64::NAN, 0.0],
+            hi: [1.0, 1.0],
+        };
+        assert_eq!(half_nan.min_dist2(&far), 4.0);
+    }
+
+    #[test]
+    fn overflowing_products_are_zeroed_by_select() {
+        // 1e200 · 1e200 overflows to ∞ in dimension 0 and dimension 1 is
+        // empty: a factor of 0 would make ∞ · 0 = NaN.
+        let a = Rect::new([0.0, 0.0, 0.0], [1e200, 1e200, 1.0]).unwrap();
+        let b = Rect::new([-1e200, -1e200, 1.0], [1e200, 1e200, 2.0]).unwrap();
+        assert_eq!(a.intersection_measure(&b).to_bits(), 0.0f64.to_bits());
+        let c = Rect::new([0.0, 0.0, 0.5], [1e200, 1e200, 2.0]).unwrap();
+        assert_eq!(a.intersection_measure(&c), f64::INFINITY);
     }
 
     #[test]

@@ -31,7 +31,9 @@ pub enum JoinPredicate {
 }
 
 impl JoinPredicate {
-    #[inline]
+    /// Whether `a` and `b` satisfy the predicate: [`Rect::intersects`]
+    /// or [`Rect::within_distance`], both branch-free.
+    #[inline(always)]
     pub(crate) fn holds<const N: usize>(&self, a: &Rect<N>, b: &Rect<N>) -> bool {
         match *self {
             JoinPredicate::Overlap => a.intersects(b),
@@ -389,11 +391,11 @@ fn pinned_children<const N: usize>(
     let Some(mbr) = bound else {
         return;
     };
-    let pass = |r: &Rect<N>| admits(predicate, r, &mbr);
+    let pass = |r: &Rect<N>| predicate.holds(r, &mbr);
     let idx = &mut scratch.idx2;
     let kept = match window {
         None => compact(&node.entries, idx, pass),
-        Some(w) => compact(&node.entries, idx, |r| pass(r) & meets(r, w)),
+        Some(w) => compact(&node.entries, idx, |r| pass(r) & r.intersects(w)),
     };
     for &i in &idx[..kept] {
         child(&node.entries[i as usize]);
@@ -541,18 +543,18 @@ fn match_batched<const N: usize>(
     mut hit: impl FnMut(&Entry<N>, &Entry<N>),
 ) {
     let MatchScratch { batch1, idx1, idx2 } = scratch;
-    let pass1 = |r: &Rect<N>| admits(predicate, r, rect2);
+    let pass1 = |r: &Rect<N>| predicate.holds(r, rect2);
     let bound1 = match w1 {
         None => restrict_into_lanes(n1, batch1, idx1, pass1),
-        Some(w) => restrict_into_lanes(n1, batch1, idx1, |r| pass1(r) & meets(r, w)),
+        Some(w) => restrict_into_lanes(n1, batch1, idx1, |r| pass1(r) & r.intersects(w)),
     };
     let Some(bound1) = bound1 else {
         return;
     };
-    let pass2 = |r: &Rect<N>| admits(predicate, r, &bound1);
+    let pass2 = |r: &Rect<N>| predicate.holds(r, &bound1);
     let kept2 = match w2 {
         None => compact(&n2.entries, idx2, pass2),
-        Some(w) => compact(&n2.entries, idx2, |r| pass2(r) & meets(r, w)),
+        Some(w) => compact(&n2.entries, idx2, |r| pass2(r) & r.intersects(w)),
     };
     for &j in &idx2[..kept2] {
         let e2 = &n2.entries[j as usize];
@@ -611,33 +613,6 @@ fn compact<const N: usize>(
         kept += usize::from(keep(&e.rect));
     }
     kept
-}
-
-/// Whether `r` meets the query window `w`, without a branch.
-#[inline(always)]
-fn meets<const N: usize>(r: &Rect<N>, w: &Rect<N>) -> bool {
-    admits(JoinPredicate::Overlap, r, w)
-}
-
-/// [`JoinPredicate::holds`] without a branch per dimension: the overlap
-/// test as one conjunction, and the distance test through the clamped
-/// gap `max(a.lo − b.hi, b.lo − a.hi, 0)`, whose squared sum is
-/// bit-identical to [`Rect::min_dist2`] (the same formula as
-/// [`RectBatch::within_word`]).
-#[inline(always)]
-fn admits<const N: usize>(predicate: JoinPredicate, a: &Rect<N>, b: &Rect<N>) -> bool {
-    match predicate {
-        JoinPredicate::Overlap => (0..N).fold(true, |acc, k| {
-            acc & (a.lo_k(k) <= b.hi_k(k)) & (b.lo_k(k) <= a.hi_k(k))
-        }),
-        JoinPredicate::WithinDistance(eps) => {
-            let d2 = (0..N).fold(0.0, |acc, k| {
-                let gap = (a.lo_k(k) - b.hi_k(k)).max(b.lo_k(k) - a.hi_k(k)).max(0.0);
-                acc + gap * gap
-            });
-            d2 <= eps * eps
-        }
-    }
 }
 
 #[cfg(test)]

@@ -608,6 +608,38 @@ fn disjoint_or_empty_nodes_match_nothing() {
     }
 }
 
+/// One NaN rule wherever rectangles are tested (the `sjcm_geom::rect`
+/// module docs): a comparison with NaN fails, so a rectangle with a NaN
+/// coordinate meets nothing — under `Rect::intersects`, the lane kernel
+/// `RectBatch::overlap_word`, and both kernels of `matched_entries` on
+/// nodes holding one beside rectangles that do meet.
+#[test]
+fn a_nan_rectangle_meets_nothing_under_every_kernel() {
+    let nan = Rect::centered(Point::new([f64::NAN, 0.5]), [0.2, 0.2]);
+    let left = leaf_of(&[everywhere(), nan, r([0.4, 0.4], [0.6, 0.6])], 0);
+    let right = leaf_of(&[nan, r([0.45, 0.45], [0.55, 0.55])], 100);
+    for other in [everywhere(), nan] {
+        assert!(!nan.intersects(&other) && !other.intersects(&nan));
+    }
+    let batch: RectBatch<2> = left.entries.iter().map(|e| e.rect).collect();
+    assert_eq!(batch.overlap_word(&everywhere(), 0), 0b101);
+    assert_eq!(batch.overlap_word(&nan, 0), 0);
+    let want = [0, 2].map(|i| (Child::Object(ObjectId(i)), Child::Object(ObjectId(101))));
+    assert_eq!(unrestricted(&left, &right, JoinPredicate::Overlap), want);
+    let mut scratch = MatchScratch::new();
+    for kernel in KERNELS {
+        let config = JoinConfig {
+            kernel,
+            ..JoinConfig::default()
+        };
+        assert_eq!(
+            matched_entries(&left, &right, &config, &mut scratch),
+            want,
+            "{kernel:?}"
+        );
+    }
+}
+
 /// The restriction decides which *entries* a node pair compares, never
 /// which node pairs are visited: on insertion-built 60K trees (whose
 /// shape this change does not touch) every tally is the one the

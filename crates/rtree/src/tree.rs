@@ -177,9 +177,10 @@ impl<const N: usize> RTree<N> {
     // Insertion
     // ------------------------------------------------------------------
 
-    /// Inserts an object with the given MBR.
+    /// Inserts an object with the given MBR. A rectangle that fails
+    /// [`Rect::is_valid`] is stored as given, in every build profile,
+    /// and [`RTree::check_invariants`] reports it.
     pub fn insert(&mut self, rect: Rect<N>, id: ObjectId) {
-        debug_assert!(rect.is_valid(), "invalid rectangle {rect:?}");
         self.insert_entry_at(Entry::leaf(rect, id), 0);
         self.len += 1;
     }
@@ -456,7 +457,9 @@ impl<const N: usize> RTree<N> {
             if (0.0, enl, area, i) >= best {
                 continue;
             }
-            let term = |other: &Rect<N>| overlap_growth(&grown, &e.rect, other);
+            let term = |other: &Rect<N>| {
+                grown.intersection_measure(other) - e.rect.intersection_measure(other)
+            };
             // One term alone bounds the sum from below, and the best entry
             // so far, lying near `rect`, tends to have a large one.
             if entries.get(best.3).is_some_and(|b| term(&b.rect) > best.0) {
@@ -503,7 +506,8 @@ impl<const N: usize> RTree<N> {
             let mut overlap_delta = 0.0;
             for (j, other) in node.entries.iter().enumerate() {
                 if i != j {
-                    overlap_delta += overlap_growth(&grown, &e.rect, &other.rect);
+                    overlap_delta += grown.intersection_measure(&other.rect)
+                        - e.rect.intersection_measure(&other.rect);
                 }
             }
             let area = e.rect.measure();
@@ -624,34 +628,8 @@ impl<const N: usize> RTree<N> {
     }
 }
 
-/// `grown ∩ other`'s measure minus `e ∩ other`'s: one term of an overlap
-/// enlargement, each measure `Rect::intersection_measure` bit for bit
-/// without its early return. Both products run over every dimension, and
-/// a select, not a factor of 0, zeroes a measure that some dimension
-/// leaves empty: a product that overflowed to `∞` times 0 is NaN. A
-/// dimension is empty when `hi − lo ≤ 0`, which for finite corners is
-/// `lo ≥ hi`, the early return's test; when none is, the product is the
-/// early-return loop's, in the same order.
-#[inline(always)]
-fn overlap_growth<const N: usize>(grown: &Rect<N>, e: &Rect<N>, other: &Rect<N>) -> f64 {
-    let (mut g, mut r) = (1.0, 1.0);
-    let (mut g_meets, mut r_meets) = (true, true);
-    for k in 0..N {
-        let (lo, hi) = (other.lo_k(k), other.hi_k(k));
-        let g_side = grown.hi_k(k).min(hi) - grown.lo_k(k).max(lo);
-        let r_side = e.hi_k(k).min(hi) - e.lo_k(k).max(lo);
-        g *= g_side;
-        r *= r_side;
-        g_meets &= g_side > 0.0;
-        r_meets &= r_side > 0.0;
-    }
-    let g = if g_meets { g } else { 0.0 };
-    let r = if r_meets { r } else { 0.0 };
-    g - r
-}
-
-/// `id(e.child)` for each of `entries` that meets `window` (closed, as
-/// `Rect::intersects`), appended to `out` in order without a branch:
+/// `id(e.child)` for each of `entries` that meets `window`
+/// ([`Rect::intersects`]), appended to `out` in order without a branch:
 /// every id is written at the next slot, which advances only past a
 /// match. `pad` fills the slots first and is never kept.
 #[inline(always)]
@@ -666,9 +644,7 @@ fn push_meeting<'a, const N: usize, T: Copy>(
     out.resize(next + entries.len(), pad);
     for e in entries {
         out[next] = id(e.child);
-        next += usize::from((0..N).fold(true, |acc, k| {
-            acc & (e.rect.lo_k(k) <= window.hi_k(k)) & (window.lo_k(k) <= e.rect.hi_k(k))
-        }));
+        next += usize::from(e.rect.intersects(window));
     }
     out.truncate(next);
 }

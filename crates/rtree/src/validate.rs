@@ -49,6 +49,14 @@ pub enum InvariantViolation {
         /// Description of the defect.
         detail: String,
     },
+    /// An entry's rectangle fails [`Rect::is_valid`](sjcm_geom::Rect::is_valid):
+    /// a coordinate is NaN or infinite, or its corners are inverted.
+    BadRect {
+        /// Node holding the entry.
+        node: NodeId,
+        /// Position of the entry in the node.
+        entry: usize,
+    },
     /// The tree's cached object count disagrees with the leaves.
     BadLen {
         /// Cached count.
@@ -81,6 +89,9 @@ impl std::fmt::Display for InvariantViolation {
             }
             InvariantViolation::BrokenTopology { detail } => {
                 write!(f, "broken topology: {detail}")
+            }
+            InvariantViolation::BadRect { node, entry } => {
+                write!(f, "entry {entry} of {node:?} has an invalid rectangle")
             }
             InvariantViolation::BadLen { cached, actual } => {
                 write!(f, "cached len {cached} but {actual} leaf entries")
@@ -154,6 +165,9 @@ impl<const N: usize> RTree<N> {
                 node: id,
                 len: node.len(),
             });
+        }
+        if let Some(entry) = node.entries.iter().position(|e| !e.rect.is_valid()) {
+            return Err(InvariantViolation::BadRect { node: id, entry });
         }
         if node.is_leaf() {
             for e in &node.entries {
@@ -233,6 +247,41 @@ mod tests {
             );
         }
         tree.check_invariants().unwrap();
+    }
+
+    /// A NaN or infinite rectangle beside valid ones, packed or inserted,
+    /// is reported by position: the first invalid entry in pre-order,
+    /// which for an infinite one is its parent entry. A parent's MBR,
+    /// built by `min`/`max`, passes over a NaN, so the NaN is reported
+    /// at its leaf.
+    #[test]
+    fn non_finite_rectangles_are_reported() {
+        use crate::bulk::BulkLoad;
+        use sjcm_geom::Point;
+        let normal = Rect::new([0.1, 0.1], [0.2, 0.2]).unwrap();
+        for bad in [
+            Rect::centered(Point::new([f64::NAN, 0.5]), [0.1, 0.1]),
+            Rect::centered(Point::new([0.5, f64::NEG_INFINITY]), [0.1, 0.1]),
+        ] {
+            let items = vec![(normal, ObjectId(0)), (bad, ObjectId(1))];
+            let packed = RTree::<2>::bulk_load(RTreeConfig::paper(2), items, BulkLoad::Str, 1.0);
+            let Err(InvariantViolation::BadRect { node, entry }) = packed.check_invariants() else {
+                panic!("packed {bad:?} not reported");
+            };
+            assert!(!packed.node(node).entries[entry].rect.is_valid());
+
+            let mut inserted = RTree::<2>::new(RTreeConfig::with_capacity(4));
+            for i in 0..20u32 {
+                let x = f64::from(i) / 20.0;
+                let r = Rect::new([x, x], [x + 0.01, x + 0.01]).unwrap();
+                inserted.insert(if i == 9 { bad } else { r }, ObjectId(i));
+            }
+            let Err(InvariantViolation::BadRect { node, entry }) = inserted.check_invariants()
+            else {
+                panic!("inserted {bad:?} not reported");
+            };
+            assert!(!inserted.node(node).entries[entry].rect.is_valid());
+        }
     }
 
     #[test]

@@ -531,3 +531,38 @@ fn the_handle_is_checked_against_what_is_loaded() {
     };
     malformed(&store, wrong, "the handle says");
 }
+
+/// A rectangle with no page encoding — one whose outward `f32` rounding
+/// overflows, an infinite one, a NaN one — is refused by the save with a
+/// typed error, on the in-memory and on the file store, where it used to
+/// be written and then refused by the loader. These trees fit one run,
+/// so the refusal comes before any page reaches the store: the memory
+/// store's pages read as zeros, and the file stays empty.
+#[test]
+fn a_rectangle_the_loader_would_refuse_is_never_saved() {
+    let unencodable = [
+        Rect::new([0.0, 0.0], [1e39, 1.0]).unwrap(),
+        Rect::new([0.0, -1e39], [1.0, 0.0]).unwrap(),
+        Rect::centered(Point::new([f64::INFINITY, 0.5]), [0.1, 0.1]),
+        Rect::centered(Point::new([0.5, f64::NAN]), [0.1, 0.1]),
+    ];
+    for rect in unencodable {
+        let mut objects = items(300, 31);
+        objects.insert(150, (rect, ObjectId(300)));
+        let tree = RTree::bulk_load(RTreeConfig::paper(2), objects, BulkLoad::Str, 1.0);
+        let refused = |r: Result<PersistedTree, StorageError>| {
+            matches!(r, Err(StorageError::UnencodableRect { .. }))
+        };
+        let mut memory = InMemoryPageStore::with_default_page_size();
+        assert!(refused(tree.save(&mut memory)), "{rect:?} saved to memory");
+        for id in 0..tree.node_count() as u32 {
+            let page = memory.read(PageId(id)).unwrap();
+            assert!(page.iter().all(|&b| b == 0), "{rect:?}: page {id} written");
+        }
+        let file = TempFile::new("unencodable");
+        let mut store = FilePageStore::create(&file.0, 1024).unwrap();
+        assert!(refused(tree.save(&mut store)), "{rect:?} saved to a file");
+        drop(store);
+        assert_eq!(std::fs::metadata(&file.0).unwrap().len(), 0, "{rect:?}");
+    }
+}

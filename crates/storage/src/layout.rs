@@ -204,12 +204,15 @@ fn check_capacity<const N: usize>(count: usize, page_size: usize) -> Result<(), 
 /// Writes header and entries at the front of `out` (long enough by the
 /// caller's capacity check) and returns the bytes written. Each entry
 /// fills one fixed `entry_size(N)` slot: `lo₀ hi₀ … lo_{N−1} hi_{N−1}`
-/// as outward-rounded `f32`s, then the child.
+/// as outward-rounded `f32`s, then the child. Fails with
+/// [`StorageError::UnencodableRect`] on the first entry whose rounded
+/// corners the decoder's [`Rect::new`] would refuse, checked in the
+/// same pass; `out` then holds a partial node.
 fn write_node<const N: usize>(
     level: u8,
     entries: impl ExactSizeIterator<Item = DiskEntry<N>>,
     out: &mut [u8],
-) -> usize {
+) -> Result<usize, StorageError> {
     let used = HEADER_SIZE + entries.len() * entry_size(N);
     out[0] = MAGIC;
     out[1] = level;
@@ -217,28 +220,39 @@ fn write_node<const N: usize>(
     out[4] = N as u8;
     out[5..HEADER_SIZE].fill(0);
     let slots = out[HEADER_SIZE..used].chunks_exact_mut(entry_size(N));
-    for (slot, e) in slots.zip(entries) {
+    let mut first_bad = usize::MAX;
+    for (i, (slot, e)) in slots.zip(entries).enumerate() {
+        let mut ok = true;
         for k in 0..N {
-            slot[8 * k..8 * k + 4].copy_from_slice(&f32_down(e.rect.lo_k(k)).to_le_bytes());
-            slot[8 * k + 4..8 * k + 8].copy_from_slice(&f32_up(e.rect.hi_k(k)).to_le_bytes());
+            let (lo, hi) = (f32_down(e.rect.lo_k(k)), f32_up(e.rect.hi_k(k)));
+            // `Rect::new`'s test on the decoded corners: finite and
+            // ordered at once, NaN failing every comparison.
+            ok &= (f32::MIN <= lo) & (lo <= hi) & (hi <= f32::MAX);
+            slot[8 * k..8 * k + 4].copy_from_slice(&lo.to_le_bytes());
+            slot[8 * k + 4..8 * k + 8].copy_from_slice(&hi.to_le_bytes());
         }
         slot[8 * N..].copy_from_slice(&e.child.to_le_bytes());
+        first_bad = first_bad.min(if ok { usize::MAX } else { i });
     }
-    used
+    match first_bad {
+        usize::MAX => Ok(used),
+        entry => Err(StorageError::UnencodableRect { entry }),
+    }
 }
 
 /// Serializes one node into `page` — a whole page, its length the page
 /// size — zero-filling what the entries leave and sealing it with the
 /// trailer: the bytes a store holds for the node, written in place (no
 /// buffer per node). Returns the checksum the trailer holds. Fails like
-/// [`DiskNode::encode`] on a node the page cannot fit.
+/// [`DiskNode::encode`] on a node the page cannot fit or an entry it
+/// cannot encode, leaving `page` unsealed.
 pub fn encode_page<const N: usize>(
     level: u8,
     entries: impl ExactSizeIterator<Item = DiskEntry<N>>,
     page: &mut [u8],
 ) -> Result<u64, StorageError> {
     check_capacity::<N>(entries.len(), page.len())?;
-    let used = write_node(level, entries, page);
+    let used = write_node(level, entries, page)?;
     let (body, trailer) = page.split_at_mut(page.len() - TRAILER_SIZE);
     body[used..].fill(0);
     let sum = checksum(&body[..used]);
@@ -369,12 +383,14 @@ impl<const N: usize> DiskNode<N> {
     /// Serializes the node for a page of `page_size` bytes.
     ///
     /// Fails with [`StorageError::MalformedNode`] when the node holds more
-    /// entries than the page can fit, keeping over-full nodes impossible
-    /// to persist by construction.
+    /// entries than the page can fit, and with
+    /// [`StorageError::UnencodableRect`] on a rectangle that would not
+    /// decode, keeping both kinds of node impossible to persist by
+    /// construction.
     pub fn encode(&self, page_size: usize) -> Result<Vec<u8>, StorageError> {
         check_capacity::<N>(self.entries.len(), page_size)?;
         let mut buf = vec![0u8; HEADER_SIZE + self.entries.len() * entry_size(N)];
-        write_node(self.level, self.entries.iter().copied(), &mut buf);
+        write_node(self.level, self.entries.iter().copied(), &mut buf)?;
         Ok(buf)
     }
 
@@ -536,7 +552,11 @@ mod tests {
 
     /// Encodes nodes of `N`-D entries cut from `values` (two per
     /// dimension, ordered into a finite rectangle), as many as a 1 KiB
-    /// page holds, with both encoders over differently dirty pages.
+    /// page holds, with both encoders over differently dirty pages. The
+    /// entries whose reference rounding leaves the `f32` range are taken
+    /// out of that node; the first of them, put back among the others,
+    /// must be refused by its position, a second one behind it changing
+    /// nothing.
     fn same_page<const N: usize>(values: &[(u32, u64)], level: u8) -> Result<(), TestCaseError> {
         let finite = |&(family, bits): &(u32, u64)| {
             let x = edge_value(family, bits);
@@ -559,11 +579,28 @@ mod tests {
                 }
             })
             .collect();
+        let encodable = |e: &DiskEntry<N>| {
+            (0..N).all(|k| {
+                reference_f32_down(e.rect.lo_k(k)).is_finite()
+                    && reference_f32_up(e.rect.hi_k(k)).is_finite()
+            })
+        };
+        let (mut entries, bad): (Vec<_>, Vec<_>) = entries.into_iter().partition(encodable);
         let mut page = vec![0xa5; 1024];
         encode_page(level, entries.iter().copied(), &mut page).unwrap();
         let mut want = vec![0x5a; 1024];
         reference_page(level, &entries, &mut want);
-        prop_assert_eq!(page, want);
+        prop_assert_eq!(&page, &want);
+        if let Some(&first) = bad.first() {
+            entries.truncate(max_entries(1024, N) - bad.len().min(2));
+            let at = first.child as usize % (entries.len() + 1);
+            entries.insert(at, first);
+            entries.extend(bad.get(1));
+            prop_assert_eq!(
+                encode_page(level, entries.iter().copied(), &mut page),
+                Err(StorageError::UnencodableRect { entry: at })
+            );
+        }
         Ok(())
     }
 

@@ -57,6 +57,14 @@ pub enum StorageError {
     Corrupt(PageId),
     /// A serialized node failed structural validation.
     MalformedNode(String),
+    /// A node entry's rectangle has no page encoding the loader accepts:
+    /// a coordinate is NaN or infinite, outward rounding to `f32` takes
+    /// it past `±f32::MAX`, or its corners are inverted. Refused by the
+    /// encoder, so no save writes a page that cannot be read back.
+    UnencodableRect {
+        /// Position of the first such entry in its node.
+        entry: usize,
+    },
     /// A run of pages handed to [`PageStore::write_run`] was not a whole
     /// number of pages long.
     PartialPage {
@@ -93,6 +101,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::Corrupt(p) => write!(f, "checksum mismatch on page {p}"),
             StorageError::MalformedNode(msg) => write!(f, "malformed node: {msg}"),
+            StorageError::UnencodableRect { entry } => {
+                write!(f, "entry {entry}'s rectangle has no finite f32 encoding")
+            }
             StorageError::PartialPage { len, page_size } => {
                 write!(f, "run of {len} bytes is not whole {page_size}-byte pages")
             }
