@@ -14,7 +14,7 @@
 use crate::config::{DataProfile, ModelConfig};
 use crate::join::level_schedule;
 use crate::params::predict_height;
-use sjcm_geom::Rect;
+use sjcm_geom::{unit_grid_cell, Rect};
 
 /// Local statistics of one grid cell.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -62,7 +62,7 @@ impl<const N: usize> DensitySurface<N> {
                     }
                 });
             } else {
-                let idx = cell_of_point::<N>(&clipped.center().coords(), grid);
+                let idx = unit_grid_cell(&clipped.center().coords(), grid);
                 cells[idx].count += 1.0;
             }
         }
@@ -117,15 +117,6 @@ impl<const N: usize> DensitySurface<N> {
             / n;
         var.sqrt() / mean
     }
-}
-
-fn cell_of_point<const N: usize>(p: &[f64; N], grid: usize) -> usize {
-    let mut idx = 0usize;
-    for k in (0..N).rev() {
-        let i = ((p[k] * grid as f64) as usize).min(grid - 1);
-        idx = idx * grid + i;
-    }
-    idx
 }
 
 /// Calls `visit(idx, inter)` for each cell `r` overlaps, in the order
@@ -375,7 +366,7 @@ mod tests {
                     }
                 }
             } else {
-                let idx = cell_of_point::<N>(&clipped.center().coords(), grid);
+                let idx = unit_grid_cell(&clipped.center().coords(), grid);
                 cells[idx].count += 1.0;
             }
         }
@@ -519,7 +510,7 @@ mod tests {
         let grid = 4;
         for idx in 0..16usize {
             let r = cell_rect::<2>(idx, grid);
-            let back = cell_of_point::<2>(&r.center().coords(), grid);
+            let back = unit_grid_cell(&r.center().coords(), grid);
             assert_eq!(back, idx);
         }
     }

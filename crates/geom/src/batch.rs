@@ -39,12 +39,14 @@
 //! * [`RectBatch::overlap_mask`] and [`RectBatch::within_mask`] — the
 //!   two word kernels looped over a candidate range into an
 //!   [`OverlapMask`].
-//! * [`RectBatch::sweep_ref_cells`] — the fused sweep,
-//!   intersect-and-reference-point kernel PBSM's per-cell sweep runs for
-//!   duplicate suppression: one pass bounds the sweep run, tests the
-//!   intersection *and* finds the unit-grid cell containing the
-//!   intersection's low corner, replacing the intersects-then-
-//!   `intersection().expect(..)` double scan.
+//! * [`RectBatch::sweep_ref_cells`] — the fused sweep-and-reference-point
+//!   kernel of PBSM's large-cell sweep. PBSM has one pair rule: a cell
+//!   reports a candidate pair exactly when [`Rect::intersects`] holds and
+//!   [`unit_grid_cell`] of the corner `max(a.lo, b.lo)` (the low corner
+//!   of the intersection) is that cell. The kernel evaluates it in one
+//!   pass that bounds the sweep run, tests the overlap on the lanes and
+//!   finds the cell of each survivor; the small-cell sweep evaluates the
+//!   same rule one candidate at a time.
 //!
 //! # Why the sweep kernels skip dimension 0
 //!
@@ -56,7 +58,10 @@
 //! [`Rect::intersects`] is *always true* — evaluating it again is pure
 //! waste. The reference-cell kernel tests dimensions `1..N` only, which
 //! for the paper's 2-D workloads halves the comparison work on top of
-//! the vectorization win.
+//! the vectorization win. The argument needs coordinates that compare:
+//! for a NaN the `lo₀` order and the run bound mean nothing, so PBSM
+//! leaves every rectangle with a NaN coordinate, which meets nothing,
+//! out of its partitions.
 
 use crate::Rect;
 
@@ -418,14 +423,13 @@ impl<const N: usize> RectBatch<N> {
     /// `1..N` (dimension 0 is implied — module docs), and (c) has the
     /// low corner of its intersection with `q` in the unit-grid cell
     /// `cell` (grid `grid × … × grid`, row-major), in ascending order —
-    /// exactly the candidates, and exactly the order, of the scalar
+    /// exactly the candidates, and exactly the order, of the small-cell
     /// sweep loop.
     ///
-    /// The reference cell is computed exactly as [`unit_grid_cell`]
-    /// does on the scalar path, but only for candidates that survive
-    /// the lane tests: the float→integer cell conversion does not
-    /// vectorize, and on realistic sweeps only a few percent of the
-    /// candidate run truly intersects.
+    /// [`unit_grid_cell`] runs only for candidates that survive the lane
+    /// tests: the float→integer cell conversion does not vectorize, and
+    /// on realistic sweeps only a few percent of the candidate run truly
+    /// intersects.
     pub fn sweep_ref_cells<F: FnMut(usize)>(
         &self,
         q: &Rect<N>,
@@ -456,20 +460,12 @@ impl<const N: usize> RectBatch<N> {
         }
     }
 
-    /// Scalar reference-point check for one candidate: is the unit-grid
-    /// cell of the low corner of the `q`∩candidate intersection `cell`?
-    /// (Overlap is assumed — callers test it first.) Bit-for-bit the
-    /// [`unit_grid_cell`] computation of the scalar PBSM path.
+    /// Reference-point check for one candidate: is the corner
+    /// `max(q.lo, lo)` in `cell`? (Overlap is assumed — callers test it
+    /// first.)
     #[inline]
     fn ref_cell_hit(&self, q: &Rect<N>, i: usize, grid: usize, cell: usize) -> bool {
-        let g = grid as f64;
-        let mut idx = 0usize;
-        for k in (0..N).rev() {
-            let ref_k = q.lo_k(k).max(self.lo(k, i));
-            let slot = ((ref_k.clamp(0.0, 1.0) * g) as usize).min(grid - 1);
-            idx = idx * grid + slot;
-        }
-        idx == cell
+        unit_grid_cell::<N>(&std::array::from_fn(|k| q.lo_k(k).max(self.lo(k, i))), grid) == cell
     }
 }
 
@@ -499,9 +495,9 @@ fn low_bits(len: usize) -> u64 {
 }
 
 /// Row-major index of the unit-grid cell containing point `p` (clamped
-/// into `[0,1]^N`, `grid` cells per dimension) — the reference-point
-/// rule's cell function of the scalar PBSM path, which the fused
-/// [`RectBatch::sweep_ref_cells`] kernel reproduces bit-for-bit.
+/// into `[0,1]^N`, `grid` cells per dimension, dimension 0 fastest): the
+/// one function that maps a point to its cell, for both PBSM sweeps'
+/// reference point and the density surface.
 pub fn unit_grid_cell<const N: usize>(p: &[f64; N], grid: usize) -> usize {
     let mut idx = 0usize;
     for k in (0..N).rev() {
@@ -600,6 +596,13 @@ mod tests {
         }
     }
 
+    /// PBSM's pair rule: `cell` reports `q` × `r` exactly when they meet
+    /// and the corner `max(q.lo, r.lo)` lies in it.
+    fn reported(q: &Rect<2>, r: &Rect<2>, grid: usize, cell: usize) -> bool {
+        let corner = [0, 1].map(|k| q.lo_k(k).max(r.lo_k(k)));
+        q.intersects(r) && unit_grid_cell(&corner, grid) == cell
+    }
+
     #[test]
     fn sweep_ref_cells_matches_scalar_composition() {
         // The degenerate candidates (a point, a line) over one run that
@@ -621,10 +624,7 @@ mod tests {
                 got.retain(meets_dim0);
                 let expect: Vec<usize> = (0..rects.len())
                     .filter(meets_dim0)
-                    .filter(|&i| {
-                        q.intersection(&rects[i])
-                            .is_some_and(|inter| unit_grid_cell(&inter.lo().coords(), grid) == cell)
-                    })
+                    .filter(|&i| reported(&q, &rects[i], grid, cell))
                     .collect();
                 assert_eq!(got, expect, "grid={grid} cell={cell}");
             }
@@ -636,7 +636,7 @@ mod tests {
         // 200 candidates sorted by lo₀ — runs cross the 64-candidate
         // chunk boundary; narrow limits take the short-run fallback,
         // wide ones the chunked path. Both must reproduce the scalar
-        // sweep inner loop (run bound → intersection → reference cell)
+        // sweep inner loop (run bound → overlap → reference cell)
         // exactly, emission order included.
         let mut rects: Vec<Rect<2>> = (0..200)
             .map(|i| {
@@ -659,10 +659,8 @@ mod tests {
                         let mut expect = Vec::new();
                         let mut i = start;
                         while i < rects.len() && rects[i].lo_k(0) <= limit {
-                            if let Some(inter) = q.intersection(&rects[i]) {
-                                if unit_grid_cell(&inter.lo().coords(), grid) == cell {
-                                    expect.push(i);
-                                }
+                            if reported(&q, &rects[i], grid, cell) {
+                                expect.push(i);
                             }
                             i += 1;
                         }

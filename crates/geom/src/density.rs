@@ -1,4 +1,4 @@
-//! The *density* statistic of a rectangle set and unit-workspace helpers.
+//! The *density* statistic of a rectangle set.
 //!
 //! The paper's cost model is a function of exactly two primitive data
 //! properties: the cardinality `N` of a data set and its **density** `D`.
@@ -9,32 +9,6 @@
 //! the sum of MBR measures.
 
 use crate::Rect;
-
-/// The unit workspace `WS = [0,1)^N` of the paper, bundling the
-/// conventions the experiments use: density is measured over it and data
-/// generators clamp into it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnitSpace<const N: usize>;
-
-impl<const N: usize> UnitSpace<N> {
-    /// The workspace as a rectangle (closed form `[0,1]^N`; the open
-    /// upper boundary only concerns point placement).
-    #[inline]
-    pub fn rect(&self) -> Rect<N> {
-        Rect::unit()
-    }
-
-    /// Measure of the workspace (always 1).
-    #[inline]
-    pub fn measure(&self) -> f64 {
-        1.0
-    }
-
-    /// Density of a rectangle set over this workspace.
-    pub fn density<'a>(&self, rects: impl IntoIterator<Item = &'a Rect<N>>) -> f64 {
-        density(rects)
-    }
-}
 
 /// Density of a rectangle set over the unit workspace: the sum of MBR
 /// measures. For a data set of `N` rectangles of average measure `a`,
@@ -52,52 +26,9 @@ pub fn density<'a, const N: usize>(rects: impl IntoIterator<Item = &'a Rect<N>>)
     rects.into_iter().map(Rect::measure).sum()
 }
 
-/// Density of a rectangle set restricted to a sub-region: the summed
-/// measure of the *clipped* rectangles divided by the region's measure.
-/// This is the "local density" of the paper's §4.2 global→local
-/// transformation for non-uniform data.
-pub fn local_density<'a, const N: usize>(
-    rects: impl IntoIterator<Item = &'a Rect<N>>,
-    region: &Rect<N>,
-) -> f64 {
-    let region_measure = region.measure();
-    if region_measure <= 0.0 {
-        return 0.0;
-    }
-    let covered: f64 = rects
-        .into_iter()
-        .map(|r| r.intersection_measure(region))
-        .sum();
-    covered / region_measure
-}
-
-/// Average per-dimension extent of the rectangles in a set, i.e. the
-/// measured counterpart of the model's `s_{j,k}` when applied to the node
-/// rectangles of one R-tree level. Returns zeros for an empty set.
-pub fn average_extents<'a, const N: usize>(
-    rects: impl IntoIterator<Item = &'a Rect<N>>,
-) -> [f64; N] {
-    let mut sums = [0.0; N];
-    let mut count = 0usize;
-    for r in rects {
-        for (k, s) in sums.iter_mut().enumerate() {
-            *s += r.extent(k);
-        }
-        count += 1;
-    }
-    if count == 0 {
-        return [0.0; N];
-    }
-    for s in sums.iter_mut() {
-        *s /= count as f64;
-    }
-    sums
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Point;
 
     #[test]
     fn density_is_sum_of_measures() {
@@ -120,51 +51,5 @@ mod tests {
         // average within their footprint.
         let r = Rect::new([0.0, 0.0], [1.0, 0.5]).unwrap();
         assert!((density([r, r].iter()) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn local_density_uniform_patch() {
-        // One rect exactly covering the region -> local density 1.
-        let region = Rect::new([0.25, 0.25], [0.5, 0.5]).unwrap();
-        let rects = [region];
-        assert!((local_density(rects.iter(), &region) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn local_density_clips_to_region() {
-        let region = Rect::new([0.0, 0.0], [0.5, 0.5]).unwrap();
-        // Rect of measure 1 but only a quarter of it inside the region.
-        let r = Rect::new([0.25, 0.25], [1.25, 1.25]).unwrap();
-        let d = local_density([r].iter(), &region);
-        // Clipped piece: [0.25,0.5]^2 = 0.0625; region measure 0.25.
-        assert!((d - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn local_density_degenerate_region_is_zero() {
-        let region = Rect::from_point(Point::new([0.5, 0.5]));
-        let r = Rect::unit();
-        assert_eq!(local_density([r].iter(), &region), 0.0);
-    }
-
-    #[test]
-    fn average_extents_mixed() {
-        let rects = [
-            Rect::new([0.0, 0.0], [0.2, 0.4]).unwrap(),
-            Rect::new([0.5, 0.5], [0.9, 0.7]).unwrap(),
-        ];
-        let s = average_extents(rects.iter());
-        assert!((s[0] - 0.3).abs() < 1e-12);
-        assert!((s[1] - 0.3).abs() < 1e-12);
-        assert_eq!(average_extents(std::iter::empty::<&Rect<2>>()), [0.0; 2]);
-    }
-
-    #[test]
-    fn unit_space_helpers() {
-        let ws = UnitSpace::<2>;
-        assert_eq!(ws.measure(), 1.0);
-        let rects = [Rect::new([0.0, 0.0], [0.5, 0.5]).unwrap()];
-        assert!((ws.density(rects.iter()) - 0.25).abs() < 1e-12);
-        assert!(ws.rect().contains_rect(&rects[0]));
     }
 }

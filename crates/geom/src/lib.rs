@@ -15,8 +15,9 @@
 //!   distance kernels (bitmask output) for the join executors'
 //!   entry-matching hot loops, and PBSM's fused reference-point sweep.
 //!
-//! The paper works in the unit workspace `WS = [0,1)^n`; helpers for that
-//! convention live in [`density::UnitSpace`].
+//! The paper works in the unit workspace `WS = [0,1)^n`: [`Rect::unit`]
+//! is that workspace as a rectangle, and [`unit_grid_cell`] is the one
+//! function that maps a point to its cell of a grid over it.
 //!
 //! Dimensionality is a const generic so that the rectangle loops in the
 //! R-tree and the cost model monomorphize to allocation-free code for each
@@ -31,6 +32,6 @@ mod point;
 mod rect;
 
 pub use batch::{unit_grid_cell, OverlapMask, RectBatch};
-pub use density::{average_extents, density, local_density, UnitSpace};
+pub use density::density;
 pub use point::Point;
 pub use rect::{mbr_of, GeomError, Rect};

@@ -13,9 +13,10 @@
 //! mispredicts about half the time on random data. They are the one
 //! definition the join and the R-tree call. A comparison with NaN fails,
 //! as in [`RectBatch`](crate::RectBatch)'s lanes, so a rectangle with a
-//! NaN coordinate meets and contains nothing; `min` and `max` pass over
-//! a NaN operand, so [`Rect::intersection_measure`] counts a side empty
-//! only when the side itself is NaN.
+//! NaN coordinate meets and contains nothing, and [`Rect::intersection`]
+//! is `None` for it; `min` and `max` pass over a NaN operand, so
+//! [`Rect::intersection_measure`] counts a side empty only when the side
+//! itself is NaN.
 
 use crate::Point;
 use std::fmt;
@@ -213,18 +214,13 @@ impl<const N: usize> Rect<N> {
         })
     }
 
-    /// The intersection rectangle, or `None` when disjoint.
+    /// The intersection rectangle, or `None` exactly when
+    /// [`Rect::intersects`] is false (so whenever a coordinate is NaN).
+    #[inline]
     pub fn intersection(&self, other: &Self) -> Option<Self> {
-        let mut lo = [0.0; N];
-        let mut hi = [0.0; N];
-        for k in 0..N {
-            lo[k] = self.lo[k].max(other.lo[k]);
-            hi[k] = self.hi[k].min(other.hi[k]);
-            if lo[k] > hi[k] {
-                return None;
-            }
-        }
-        Some(Self { lo, hi })
+        let lo = std::array::from_fn(|k| self.lo[k].max(other.lo[k]));
+        let hi = std::array::from_fn(|k| self.hi[k].min(other.hi[k]));
+        self.intersects(other).then_some(Self { lo, hi })
     }
 
     /// Measure of the intersection (0 when disjoint or touching). The
@@ -415,6 +411,24 @@ mod tests {
         true
     }
 
+    // The replaced `intersection` tested the corners it had built,
+    // `lo > hi`, where `max` and `min` had already passed over a NaN
+    // operand; here every dimension's operands are tested.
+    fn intersection_reference<const N: usize>(a: &Rect<N>, b: &Rect<N>) -> Option<Rect<N>> {
+        let mut r = Rect {
+            lo: [0.0; N],
+            hi: [0.0; N],
+        };
+        for k in 0..N {
+            if !(a.lo[k] <= b.hi[k] && b.lo[k] <= a.hi[k]) {
+                return None;
+            }
+            r.lo[k] = a.lo[k].max(b.lo[k]);
+            r.hi[k] = a.hi[k].min(b.hi[k]);
+        }
+        Some(r)
+    }
+
     fn intersection_measure_reference<const N: usize>(a: &Rect<N>, b: &Rect<N>) -> f64 {
         let mut m = 1.0;
         for k in 0..N {
@@ -485,6 +499,15 @@ mod tests {
         for (x, y) in [(a, b), (b, a), (a, a)] {
             prop_assert_eq!(x.intersects(&y), intersects_reference(&x, &y));
             prop_assert_eq!(x.contains_rect(&y), contains_rect_reference(&x, &y));
+            let corners =
+                |r: Option<Rect<N>>| r.map(|r| (r.lo.map(f64::to_bits), r.hi.map(f64::to_bits)));
+            prop_assert_eq!(
+                corners(x.intersection(&y)),
+                corners(intersection_reference(&x, &y)),
+                "intersection {:?} {:?}",
+                x,
+                y
+            );
             prop_assert_eq!(
                 x.intersection_measure(&y).to_bits(),
                 intersection_measure_reference(&x, &y).to_bits(),
@@ -525,6 +548,9 @@ mod tests {
         assert!(!nan.intersects(&nan));
         assert!(!unit.contains_rect(&nan) && !nan.contains_rect(&unit));
         assert!(!unit.contains_point(&Point::new([f64::NAN, 0.5])));
+        assert_eq!(nan.intersection(&unit), None);
+        assert_eq!(unit.intersection(&nan), None);
+        assert_eq!(nan.clamp_to_unit(), None);
         // `min`/`max` pass over one NaN operand; two make a NaN side,
         // which is empty.
         assert!((nan.intersection_measure(&unit) - 0.1).abs() < 1e-12);

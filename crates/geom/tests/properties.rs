@@ -2,7 +2,7 @@
 //! R-tree and the cost model silently rely on.
 
 use proptest::prelude::*;
-use sjcm_geom::{density, local_density, mbr_of, Point, Rect};
+use sjcm_geom::{mbr_of, Point, Rect};
 
 /// Strategy: a rectangle with corners in [0, 1]^2.
 fn rect2() -> impl Strategy<Value = Rect<2>> {
@@ -117,15 +117,6 @@ proptest! {
         for r in &rects {
             prop_assert!(m.contains_rect(r));
         }
-    }
-
-    #[test]
-    fn local_density_of_unit_region_matches_density(
-        rects in prop::collection::vec(rect2(), 0..20)
-    ) {
-        let global = density(rects.iter());
-        let local = local_density(rects.iter(), &Rect::unit());
-        prop_assert!((global - local).abs() < 1e-9);
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //! 3. Join each partition pair-wise with a plane sweep.
 //! 4. Suppress duplicate output (an overlapping pair co-occurs in every
 //!    partition both MBRs overlap) with the **reference-point method**:
-//!    a pair is reported only by the partition containing the top-left
+//!    a pair is reported only by the partition containing the low
 //!    corner of the MBR intersection, so no dedup table is needed.
 //!
 //! The simulated I/O cost of PBSM is the classic two-pass accounting:
 //! both inputs are written into partitions once and read back once.
 
-use crate::executor::MatchKernel;
 use crate::session::ExecContext;
 use sjcm_geom::{unit_grid_cell, Rect, RectBatch};
 use sjcm_rtree::ObjectId;
@@ -70,14 +69,12 @@ impl DegradedPbsmResult {
 /// Pure main-memory simulation of the algorithm's structure: partitions
 /// are index runs over the borrowed inputs rather than spill files (see
 /// [`Partition`]), but the partitioning, the plane-sweep per partition
-/// and the duplicate-avoidance logic are the real thing. The scalar and
-/// batched kernels produce identical pairs in identical order.
+/// and the duplicate-avoidance logic are the real thing.
 pub(crate) fn run_pbsm<const N: usize>(
     left: &[(Rect<N>, ObjectId)],
     right: &[(Rect<N>, ObjectId)],
     grid: usize,
     page_capacity: usize,
-    kernel: MatchKernel,
     ctx: &ExecContext<'_>,
 ) -> DegradedPbsmResult {
     let gov = ctx.gov;
@@ -127,7 +124,6 @@ pub(crate) fn run_pbsm<const N: usize>(
             (parts_right.cell(cell), right),
             cell,
             grid,
-            kernel,
             &mut scratch,
             &mut pairs,
         );
@@ -154,7 +150,9 @@ pub(crate) fn run_pbsm<const N: usize>(
 /// One input partitioned by *index*: cell `c` holds
 /// `slots[offsets[c]..offsets[c + 1]]`, positions into the input slice
 /// in ascending `lo₀` (ties in input order). The input itself is never
-/// copied, sorted or moved.
+/// copied, sorted or moved. A rectangle with a NaN coordinate is in no
+/// cell: it meets nothing, and the sweep's `lo₀` order and run bound
+/// need coordinates that compare (the `sjcm_geom::batch` module docs).
 struct Partition {
     offsets: Vec<usize>,
     slots: Vec<u32>,
@@ -169,6 +167,8 @@ impl Partition {
     fn build<const N: usize>(items: &[(Rect<N>, ObjectId)], grid: usize, cells: usize) -> Self {
         let n = u32::try_from(items.len()).expect("PBSM indexes its inputs with 32-bit positions");
         let mut order: Vec<u32> = (0..n).collect();
+        // Only a rectangle with a NaN coordinate fails to meet itself.
+        order.retain(|&i| items[i as usize].0.intersects(&items[i as usize].0));
         order.sort_by(|&a, &b| {
             let lo = |i: u32| items[i as usize].0.lo_k(0);
             lo(a).total_cmp(&lo(b))
@@ -177,8 +177,8 @@ impl Partition {
         // back of `order` walks every end down to its cell's start, so
         // the offsets need no second cursor array.
         let mut offsets = vec![0usize; cells + 1];
-        for (r, _) in items {
-            for cell in CellSpan::new(r, grid) {
+        for &i in &order {
+            for cell in CellSpan::new(&items[i as usize].0, grid) {
                 offsets[cell] += 1;
             }
         }
@@ -272,20 +272,19 @@ struct SweepScratch<const N: usize> {
 /// the slots must arrive sorted by `lo₀` (the global pre-partitioning
 /// sort guarantees it — partitions inherit the order).
 ///
-/// The scalar kernel evaluates each candidate with a single
-/// `intersection` pass (`None` ⇒ disjoint — no pre-check, no
-/// `expect`); the batched kernel consumes each anchor's candidate run
-/// with the sweep-fused [`RectBatch::sweep_ref_cells`] kernel, which
-/// folds the run bound into its vectorized lanes and emits exactly
-/// "intersects **and** reference point in this cell" (dimension 0
-/// overlap is implied by the run bound — see the `sjcm_geom::batch`
-/// module docs).
+/// One pair rule: a candidate pair is reported exactly when
+/// [`Rect::intersects`] holds and [`unit_grid_cell`] of the corner
+/// `max(a.lo, b.lo)` — the low corner of the intersection — is `cell`.
+/// A cell with at least `CELL_BATCH_MIN` entries a side evaluates it
+/// with the fused [`RectBatch::sweep_ref_cells`] kernel over each
+/// anchor's candidate run (dimension 0 overlap is implied by the run
+/// bound — see the `sjcm_geom::batch` module docs); a smaller cell, one
+/// candidate at a time. Identical pairs in identical order either way.
 fn sweep_cell<const N: usize>(
     (left, left_items): (&[u32], &[(Rect<N>, ObjectId)]),
     (right, right_items): (&[u32], &[(Rect<N>, ObjectId)]),
     cell: usize,
     grid: usize,
-    kernel: MatchKernel,
     scratch: &mut SweepScratch<N>,
     out: &mut Vec<(ObjectId, ObjectId)>,
 ) {
@@ -302,23 +301,16 @@ fn sweep_cell<const N: usize>(
     // grids (batched measured 0.91× scalar at grid 16 without this gate)
     // shred the inputs into hundreds of small cells whose sweeps are
     // over before the fill pays for itself — those cells take the
-    // scalar sweep outright and never touch the batches. Identical
-    // pairs in identical order either way, so the gate is invisible in
-    // the output.
+    // one-candidate sweep outright and never touch the batches.
     const CELL_BATCH_MIN: usize = 512;
-    let kernel = if kernel == MatchKernel::Batched && left.len().min(right.len()) < CELL_BATCH_MIN {
-        MatchKernel::Scalar
-    } else {
-        kernel
-    };
-    if kernel == MatchKernel::Batched {
+    let batched = left.len().min(right.len()) >= CELL_BATCH_MIN;
+    if batched {
         scratch.left.clear();
         scratch.right.clear();
         scratch.left.extend((0..left.len()).map(|i| l(i).0));
         scratch.right.extend((0..right.len()).map(|j| r(j).0));
     }
-    // Scalar reference point: the low corner of the MBR intersection.
-    // Only the partition containing it reports the pair.
+    // The pair rule, one candidate at a time.
     fn emit<const N: usize>(
         a: &(Rect<N>, ObjectId),
         b: &(Rect<N>, ObjectId),
@@ -326,10 +318,9 @@ fn sweep_cell<const N: usize>(
         cell: usize,
         out: &mut Vec<(ObjectId, ObjectId)>,
     ) {
-        if let Some(inter) = a.0.intersection(&b.0) {
-            if unit_grid_cell(&inter.lo().coords(), grid) == cell {
-                out.push((a.1, b.1));
-            }
+        let corner: [f64; N] = std::array::from_fn(|k| a.0.lo_k(k).max(b.0.lo_k(k)));
+        if a.0.intersects(&b.0) && unit_grid_cell(&corner, grid) == cell {
+            out.push((a.1, b.1));
         }
     }
     let (mut i, mut j) = (0usize, 0usize);
@@ -337,40 +328,34 @@ fn sweep_cell<const N: usize>(
         if l(i).0.lo_k(0) <= r(j).0.lo_k(0) {
             let anchor = *l(i);
             let limit = anchor.0.hi_k(0);
-            match kernel {
-                MatchKernel::Scalar => {
-                    let mut k = j;
-                    while k < right.len() && r(k).0.lo_k(0) <= limit {
-                        emit(&anchor, r(k), grid, cell, out);
-                        k += 1;
-                    }
-                }
-                MatchKernel::Batched => {
-                    scratch
-                        .right
-                        .sweep_ref_cells(&anchor.0, j, limit, grid, cell, |k| {
-                            out.push((anchor.1, r(k).1));
-                        });
+            if batched {
+                scratch
+                    .right
+                    .sweep_ref_cells(&anchor.0, j, limit, grid, cell, |k| {
+                        out.push((anchor.1, r(k).1));
+                    });
+            } else {
+                let mut k = j;
+                while k < right.len() && r(k).0.lo_k(0) <= limit {
+                    emit(&anchor, r(k), grid, cell, out);
+                    k += 1;
                 }
             }
             i += 1;
         } else {
             let anchor = *r(j);
             let limit = anchor.0.hi_k(0);
-            match kernel {
-                MatchKernel::Scalar => {
-                    let mut k = i;
-                    while k < left.len() && l(k).0.lo_k(0) <= limit {
-                        emit(l(k), &anchor, grid, cell, out);
-                        k += 1;
-                    }
-                }
-                MatchKernel::Batched => {
-                    scratch
-                        .left
-                        .sweep_ref_cells(&anchor.0, i, limit, grid, cell, |k| {
-                            out.push((l(k).1, anchor.1));
-                        });
+            if batched {
+                scratch
+                    .left
+                    .sweep_ref_cells(&anchor.0, i, limit, grid, cell, |k| {
+                        out.push((l(k).1, anchor.1));
+                    });
+            } else {
+                let mut k = i;
+                while k < left.len() && l(k).0.lo_k(0) <= limit {
+                    emit(l(k), &anchor, grid, cell, out);
+                    k += 1;
                 }
             }
             j += 1;
@@ -403,8 +388,7 @@ mod tests {
             .collect()
     }
 
-    /// The default-kernel PBSM join through the session — what every
-    /// test here runs.
+    /// The PBSM join through the session — what every test here runs.
     fn pbsm_join<const N: usize>(
         left: &[(Rect<N>, ObjectId)],
         right: &[(Rect<N>, ObjectId)],
@@ -487,8 +471,9 @@ mod tests {
     /// Pairs *in emission order*, `io_pages` and the replication factor,
     /// pinned from the tuple-partitioning implementation this one
     /// replaced: the index arena must reproduce all three for both
-    /// kernels (grid 2 puts ≥ 512 entries in a cell, the batched path's
-    /// gate; grid 8 with large objects is the heavy-replication case).
+    /// sweeps (grid 2 puts ≥ 512 entries a side in each cell, the
+    /// batched sweep's gate; grid 8 with large objects is the
+    /// heavy-replication case, in cells of fewer).
     #[test]
     fn output_is_identical_to_the_tuple_partitioning_pbsm() {
         fn fingerprint(r: &PbsmResult) -> (u64, usize, u64, u64) {
@@ -513,13 +498,36 @@ mod tests {
             (7579940634967167264, 23035, 222, 4621389399124526585),
         ];
         for ((a, b, grid), expected) in cases.iter().zip(expected) {
-            for kernel in [MatchKernel::Scalar, MatchKernel::Batched] {
-                let got = PbsmSession::new(a, b, *grid, 50)
-                    .kernel(kernel)
-                    .run()
-                    .unwrap()
-                    .result;
-                assert_eq!(fingerprint(&got), expected, "grid {grid}, {kernel:?}");
+            let got = pbsm_join(a, b, *grid, 50);
+            assert_eq!(fingerprint(&got), expected, "grid {grid}");
+        }
+    }
+
+    /// A rectangle with a NaN coordinate meets nothing, so with one in
+    /// either input PBSM returns the nested loop's pairs: for `+NaN`,
+    /// `−NaN` (which `total_cmp` sorts first) and a computed `0.0 / 0.0`
+    /// in each dimension, in a cell of fewer and of more than 512
+    /// entries a side.
+    #[test]
+    fn a_nan_rectangle_meets_nothing_in_either_sweep() {
+        let zero = std::hint::black_box(0.0f64);
+        for nan in [f64::NAN, -f64::NAN, zero / zero] {
+            for k in 0..2 {
+                let mut center = [0.5, 0.5];
+                center[k] = nan;
+                let bad = Rect::centered(Point::new(center), [0.1, 0.1]);
+                for n in [100, 700] {
+                    let mut a = random_items(n, 0.03, 51);
+                    let b = random_items(n, 0.03, 52);
+                    a.insert(n / 2, (bad, ObjectId(n as u32)));
+                    for (left, right) in [(&a, &b), (&b, &a)] {
+                        let mut want = nested_loop_join(left, right);
+                        want.sort();
+                        let mut got = pbsm_join(left, right, 1, 50).pairs;
+                        got.sort();
+                        assert_eq!(got, want, "{nan:?} in dimension {k}, {n} a side");
+                    }
+                }
             }
         }
     }

@@ -10,7 +10,8 @@
 //! joins, [`PbsmSession::run`] for the partition join — so a new
 //! cross-cutting capability lands in exactly one seam: [`ExecContext`].
 //! `tests/oracle.rs` checks every scheduler × kernel × predicate ×
-//! dimension of both against the brute-force nested loop.
+//! dimension of the tree joins, and PBSM in cells on either side of its
+//! batched-sweep gate, against the brute-force nested loop.
 //!
 //! ```
 //! use sjcm_join::session::{JoinSession, Scheduler};
@@ -32,7 +33,7 @@
 //! ```
 
 use crate::degraded::{DegradedJoinResult, JoinError};
-use crate::executor::{JoinConfig, JoinPredicate, MatchKernel, Side};
+use crate::executor::{JoinConfig, JoinPredicate, Side};
 use crate::governor::Governor;
 use crate::parallel::JoinObs;
 use crate::pbsm::DegradedPbsmResult;
@@ -500,15 +501,14 @@ pub struct PbsmSession<'a, const N: usize> {
     right: &'a [(Rect<N>, ObjectId)],
     grid: usize,
     page_capacity: usize,
-    kernel: MatchKernel,
     progress: ProgressTracker,
     gov: Governor,
 }
 
 impl<'a, const N: usize> PbsmSession<'a, N> {
     /// A session joining `left × right` on a `grid^N` partition with
-    /// `page_capacity` entries per simulated page. Defaults: batched
-    /// kernel, progress disabled, unlimited governor.
+    /// `page_capacity` entries per simulated page. Defaults: progress
+    /// disabled, unlimited governor.
     pub fn new(
         left: &'a [(Rect<N>, ObjectId)],
         right: &'a [(Rect<N>, ObjectId)],
@@ -520,16 +520,9 @@ impl<'a, const N: usize> PbsmSession<'a, N> {
             right,
             grid,
             page_capacity,
-            kernel: MatchKernel::default(),
             progress: ProgressTracker::disabled(),
             gov: Governor::unlimited(),
         }
-    }
-
-    /// Sets the intersection-test kernel for the plane sweep.
-    pub fn kernel(mut self, kernel: MatchKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// Arms the live progress hub (per-cell unit ledger).
@@ -554,7 +547,6 @@ impl<'a, const N: usize> PbsmSession<'a, N> {
             right,
             grid,
             page_capacity,
-            kernel,
             progress,
             gov,
         } = self;
@@ -564,7 +556,6 @@ impl<'a, const N: usize> PbsmSession<'a, N> {
             right,
             grid,
             page_capacity,
-            kernel,
             &ctx,
         ))
     }

@@ -1,6 +1,6 @@
-//! Fault containment across the join pipeline: the fallible `try_*`
-//! twins must (a) be bit-identical to the infallible executors when no
-//! injector is armed, (b) absorb transient faults within the retry
+//! Fault containment across the join pipeline: a join run with a fault
+//! injector (`JoinSession::faults`) must (a) be bit-identical to the
+//! unfaulted run when the injector is disabled, (b) absorb transient faults within the retry
 //! budget invisibly, (c) contain permanent page loss — forfeiting
 //! only the affected subtree pairs, identically for the sequential
 //! executor and both parallel schedulers at any thread count — and

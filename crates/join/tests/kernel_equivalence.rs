@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use sjcm_geom::{unit_grid_cell, OverlapMask, Point, Rect, RectBatch};
-use sjcm_join::pbsm::PbsmResult;
+use sjcm_join::baselines::nested_loop_join;
 use sjcm_join::{
     matched_entries, JoinConfig, JoinError, JoinPredicate, JoinResultSet, JoinSession, MatchKernel,
     MatchScratch, PbsmSession, Scheduler,
@@ -32,19 +32,52 @@ fn join(r1: &RTree<2>, r2: &RTree<2>, config: JoinConfig, scheduler: Scheduler) 
         .result
 }
 
-/// Session-API shorthand: an ungoverned PBSM join.
-fn pbsm(
+/// PBSM's pairs (an ungoverned session) at each of `grids` against the
+/// nested loop's, as multisets.
+fn pbsm_matches_nested_loop(
     left: &[(Rect<2>, ObjectId)],
     right: &[(Rect<2>, ObjectId)],
-    grid: usize,
-    page_capacity: usize,
-    kernel: MatchKernel,
-) -> PbsmResult {
-    PbsmSession::new(left, right, grid, page_capacity)
-        .kernel(kernel)
-        .run()
-        .expect("ungoverned PBSM cannot fail")
-        .result
+    grids: &[usize],
+) -> Result<(), TestCaseError> {
+    let mut want = nested_loop_join(left, right);
+    want.sort_unstable();
+    for &grid in grids {
+        let mut got = PbsmSession::new(left, right, grid, 50)
+            .run()
+            .expect("ungoverned PBSM cannot fail")
+            .result
+            .pairs;
+        got.sort_unstable();
+        prop_assert_eq!(&got, &want, "grid {}", grid);
+    }
+    Ok(())
+}
+
+/// `per_side` vertical segments a side, spanning `y ∈ [0, 1]` at
+/// distinct `x`, left and right interleaved so that no two segments
+/// meet: added to a PBSM input, they put at least `per_side / g`
+/// entries a side into every cell of a grid of `g` (for `g` dividing
+/// `per_side`, exactly that many), enough for the batched sweep, while
+/// each sweep run over them stays short. Ids start at `first_id`.
+fn segments(per_side: u32, first_id: u32) -> [Vec<(Rect<2>, ObjectId)>; 2] {
+    [0.25, 0.75].map(|offset| {
+        (0..per_side)
+            .map(|i| {
+                let x = (f64::from(i) + offset) / f64::from(per_side);
+                let r = Rect::new([x, 0.0], [x, 1.0]).unwrap();
+                (r, ObjectId(first_id + i))
+            })
+            .collect()
+    })
+}
+
+/// Tags rectangles with ids from `first`.
+fn tag(rects: Vec<Rect<2>>, first: u32) -> Vec<(Rect<2>, ObjectId)> {
+    rects
+        .into_iter()
+        .zip(first..)
+        .map(|(r, i)| (r, ObjectId(i)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -238,6 +271,9 @@ proptest! {
         )?;
     }
 
+    // PBSM's pair rule, lane by lane: a candidate is emitted exactly
+    // when it meets `q` and the corner `max(q.lo, lo)` — the low corner
+    // of the intersection — lies in the cell.
     #[test]
     fn sweep_ref_cells_agrees_with_intersection_cell(
         q in rect2(),
@@ -259,34 +295,31 @@ proptest! {
             let expect: Vec<usize> = (0..rects.len())
                 .filter(meets_dim0)
                 .filter(|&i| {
-                    q.intersection(&rects[i])
-                        .is_some_and(|inter| unit_grid_cell(&inter.lo().coords(), grid) == cell)
+                    let corner = [0, 1].map(|k| q.lo_k(k).max(rects[i].lo_k(k)));
+                    q.intersects(&rects[i]) && unit_grid_cell(&corner, grid) == cell
                 })
                 .collect();
             prop_assert_eq!(got, expect, "grid={} cell={} q={:?}", grid, cell, q);
         }
     }
 
+    // Both of PBSM's sweeps on adversarial rectangles, against the
+    // nested loop: as drawn, every cell holds fewer than 512 entries a
+    // side and takes the one-candidate sweep; with 512 segments added a
+    // side, the one cell of grid 1 takes the batched one.
     #[test]
     fn pbsm_kernels_agree_on_adversarial_inputs(
         left in prop::collection::vec(rect2(), 0..60),
         right in prop::collection::vec(rect2(), 0..60),
         grid in 1usize..6,
     ) {
-        let tag = |rects: Vec<Rect<2>>, off: u32| -> Vec<(Rect<2>, ObjectId)> {
-            rects
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| (r, ObjectId(off + i as u32)))
-                .collect()
-        };
-        let left = tag(left, 0);
-        let right = tag(right, 10_000);
-        let scalar = pbsm(&left, &right, grid, 50, MatchKernel::Scalar);
-        let batched = pbsm(&left, &right, grid, 50, MatchKernel::Batched);
-        // Identical pairs in identical order, not merely as multisets.
-        prop_assert_eq!(&scalar.pairs, &batched.pairs);
-        prop_assert_eq!(scalar.io_pages, batched.io_pages);
+        let mut left = tag(left, 0);
+        let mut right = tag(right, 10_000);
+        pbsm_matches_nested_loop(&left, &right, &[grid])?;
+        let [pad_left, pad_right] = segments(512, 20_000);
+        left.extend(pad_left);
+        right.extend(pad_right);
+        pbsm_matches_nested_loop(&left, &right, &[1])?;
     }
 }
 
@@ -822,14 +855,17 @@ fn infinite_and_negative_zero_distances_run() {
 }
 
 // ---------------------------------------------------------------------
-// PBSM regressions: boundary-touching pairs and the kernel gate.
+// PBSM regressions: boundary-touching pairs in both sweeps.
 // ---------------------------------------------------------------------
 
+/// Pairs meeting exactly on a partition boundary exercise the
+/// reference point's tie-breaking in both sweeps: as they are, every
+/// cell takes the one-candidate sweep; with 4 096 segments added a side
+/// (at least 512 a side in every cell of each grid), the batched one.
+/// Against the nested loop each time, which also rules out a pair
+/// reported twice despite boundary replication.
 #[test]
 fn pbsm_boundary_touching_pairs_identical_across_kernels() {
-    // Pairs meeting exactly on a partition boundary exercise both the
-    // reference-point tie-breaking and the fused kernel's cell
-    // computation on boundary coordinates.
     let a = vec![
         (Rect::new([0.0, 0.0], [0.5, 0.5]).unwrap(), ObjectId(1)),
         (Rect::new([0.5, 0.5], [1.0, 1.0]).unwrap(), ObjectId(2)),
@@ -840,20 +876,10 @@ fn pbsm_boundary_touching_pairs_identical_across_kernels() {
         (Rect::new([0.0, 0.5], [0.5, 1.0]).unwrap(), ObjectId(8)),
         (Rect::new([0.25, 0.5], [0.75, 0.5]).unwrap(), ObjectId(9)),
     ];
-    for grid in [1, 2, 3, 4, 8] {
-        let scalar = pbsm(&a, &b, grid, 10, MatchKernel::Scalar);
-        let batched = pbsm(&a, &b, grid, 10, MatchKernel::Batched);
-        assert_eq!(scalar.pairs, batched.pairs, "grid = {grid}");
-        // The default session kernel is the batched one.
-        let default_run = PbsmSession::new(&a, &b, grid, 10)
-            .run()
-            .expect("ungoverned PBSM cannot fail")
-            .result;
-        assert_eq!(default_run.pairs, batched.pairs);
-        // And no pair is reported twice despite boundary replication.
-        let mut seen = std::collections::HashSet::new();
-        for &p in &batched.pairs {
-            assert!(seen.insert(p), "duplicate {p:?} at grid {grid}");
-        }
+    let [pad_a, pad_b] = segments(4096, 100);
+    let padded = [a.clone(), pad_a].concat();
+    let padded_b = [b.clone(), pad_b].concat();
+    for (left, right) in [(&a, &b), (&padded, &padded_b)] {
+        pbsm_matches_nested_loop(left, right, &[1, 2, 3, 4, 8]).unwrap();
     }
 }

@@ -1,7 +1,8 @@
 //! The join oracle suite: every way to run a join — each [`Scheduler`]
 //! (sequential, cost-guided and round-robin at 1–4 threads) × each
 //! [`MatchKernel`] × each predicate (overlap, ε-distance) in 1, 2 and 3
-//! dimensions, plus [`PbsmSession`] at both kernels — against one
+//! dimensions, plus [`PbsmSession`] in cells on either side of its
+//! batched-sweep gate — against one
 //! brute-force reference, [`nested_loop_join`] (and its distance twin
 //! below). A run must return the reference's pair multiset — every
 //! scheduler in the sequential traversal's emission order — and every
@@ -28,7 +29,7 @@
 
 use sjcm_datagen::skewed::{gaussian_clusters, ClusterConfig};
 use sjcm_datagen::uniform::{generate, UniformConfig};
-use sjcm_geom::Rect;
+use sjcm_geom::{unit_grid_cell, Rect};
 use sjcm_join::baselines::nested_loop_join;
 use sjcm_join::{
     Governor, GovernorConfig, JoinConfig, JoinObs, JoinPredicate, JoinResultSet, JoinSession,
@@ -176,25 +177,23 @@ fn assert_trees_match_oracle<const N: usize>(
     }
 }
 
-/// PBSM at both kernels and several grids against [`nested_loop_join`].
-/// `grid = 1` is one sweep of the whole input: with a few hundred
-/// objects a side, that is the cell large enough to take the batched
-/// path rather than its small-cell scalar fallback.
-fn assert_pbsm_matches_oracle<const N: usize>(name: &str, a: &Items<N>, b: &Items<N>) {
+/// PBSM at each of `grids` against [`nested_loop_join`]. A cell holding
+/// at least 512 entries a side takes the batched sweep, a smaller one
+/// the one-candidate sweep: the other cases take either by their sizes,
+/// [`large_cell_case`] only the batched one.
+fn assert_pbsm_matches_oracle<const N: usize>(
+    name: &str,
+    a: &Items<N>,
+    b: &Items<N>,
+    grids: &[usize],
+) {
     let want = sorted(nested_loop_join(a, b));
-    for kernel in KERNELS {
-        for grid in [1, 2, 5] {
-            let got = PbsmSession::new(a, b, grid, 50)
-                .kernel(kernel)
-                .run()
-                .expect("ungoverned PBSM cannot fail");
-            assert!(got.is_exact());
-            assert_eq!(
-                sorted(got.result.pairs),
-                want,
-                "{name} {N}-d {kernel:?} grid {grid}"
-            );
-        }
+    for &grid in grids {
+        let got = PbsmSession::new(a, b, grid, 50)
+            .run()
+            .expect("ungoverned PBSM cannot fail");
+        assert!(got.is_exact());
+        assert_eq!(sorted(got.result.pairs), want, "{name} {N}-d grid {grid}");
     }
 }
 
@@ -205,7 +204,7 @@ fn assert_pbsm_matches_oracle<const N: usize>(name: &str, a: &Items<N>, b: &Item
 fn uniform_case<const N: usize>() {
     let (a, b) = (uniform::<N>(700, 0.6, 11), uniform::<N>(500, 0.4, 12));
     assert_tree_joins_match_oracle("uniform", &a, &b, &[0.02]);
-    assert_pbsm_matches_oracle("uniform", &a, &b);
+    assert_pbsm_matches_oracle("uniform", &a, &b, &[1, 2, 5]);
 }
 
 #[test]
@@ -221,7 +220,7 @@ fn clustered_case<const N: usize>() {
         clustered::<N>(600, 0.3, 22, 7),
     );
     assert_tree_joins_match_oracle("clustered", &a, &b, &[0.01]);
-    assert_pbsm_matches_oracle("clustered", &a, &b);
+    assert_pbsm_matches_oracle("clustered", &a, &b, &[1, 2, 5]);
 }
 
 #[test]
@@ -229,6 +228,31 @@ fn clustered_inputs_match_the_oracle() {
     clustered_case::<1>();
     clustered_case::<2>();
     clustered_case::<3>();
+}
+
+/// PBSM where every active cell, at grids 1 and 2, holds at least 512
+/// entries a side, so only the batched sweep runs. The cell of an
+/// entry's centre is one of the cells it is replicated into, so
+/// counting centres bounds each cell's entries from below.
+fn large_cell_case<const N: usize>() {
+    let (a, b) = (uniform::<N>(2_600, 0.3, 61), uniform::<N>(2_400, 0.3, 62));
+    for side in [&a, &b] {
+        let mut per_cell = vec![0usize; 2usize.pow(N as u32)];
+        for (r, _) in side {
+            per_cell[unit_grid_cell(&r.center().coords(), 2)] += 1;
+        }
+        assert!(
+            per_cell.iter().all(|&n| n >= 512),
+            "{N}-d cells {per_cell:?}"
+        );
+    }
+    assert_pbsm_matches_oracle("large cells", &a, &b, &[1, 2]);
+}
+
+#[test]
+fn large_cells_match_the_oracle() {
+    large_cell_case::<1>();
+    large_cell_case::<2>();
 }
 
 fn unequal_height_case<const N: usize>() {
@@ -297,7 +321,7 @@ fn degenerate_case<const N: usize>() {
         // second ε reaches across exactly one tile; at ε = +∞ every pair
         // qualifies, so a padding lane that leaked would be an extra pair.
         assert_tree_joins_match_oracle(name, a, b, &[0.0, 0.0625, f64::INFINITY]);
-        assert_pbsm_matches_oracle(name, a, b);
+        assert_pbsm_matches_oracle(name, a, b, &[1, 2, 5]);
     }
 }
 
@@ -726,20 +750,17 @@ fn generous_governor_is_identical_to_unlimited() {
     }
 
     let (left, right) = (uniform::<2>(400, 0.5, 53), uniform::<2>(400, 0.5, 54));
-    for kernel in KERNELS {
-        let run = |gov: &Governor| {
-            PbsmSession::new(&left, &right, 3, 50)
-                .kernel(kernel)
-                .govern(gov)
-                .run()
-                .expect("nothing armed can fire")
-        };
-        let unlimited = run(&Governor::unlimited());
-        let governed = run(&Governor::new(GovernorConfig::default()));
-        assert!(governed.is_exact());
-        assert_eq!(governed.result.pairs, unlimited.result.pairs, "{kernel:?}");
-        assert_eq!(governed.result.io_pages, unlimited.result.io_pages);
-    }
+    let run = |gov: &Governor| {
+        PbsmSession::new(&left, &right, 3, 50)
+            .govern(gov)
+            .run()
+            .expect("nothing armed can fire")
+    };
+    let unlimited = run(&Governor::unlimited());
+    let governed = run(&Governor::new(GovernorConfig::default()));
+    assert!(governed.is_exact());
+    assert_eq!(governed.result.pairs, unlimited.result.pairs);
+    assert_eq!(governed.result.io_pages, unlimited.result.io_pages);
 }
 
 /// A governor that gates every work unit but never refuses one — a

@@ -22,7 +22,7 @@ use crate::node::{Child, Entry, Node, NodeId, ObjectId};
 use crate::tree::RTree;
 use sjcm_geom::Rect;
 use sjcm_storage::{
-    digest_term, encode_page, DiskEntry, NodePage, PageId, PageStore, StorageError,
+    digest_term, encodable, encode_page, DiskEntry, NodePage, PageId, PageStore, StorageError,
 };
 
 /// Pages moved per store call. 64 pages of the paper's 1 KiB keep the
@@ -48,8 +48,16 @@ pub struct PersistedTree {
 
 impl<const N: usize> RTree<N> {
     /// Writes the tree to `store`, one node per page, returning the root
-    /// page handle.
+    /// page handle. All or nothing on an entry the page format cannot
+    /// hold: [`StorageError::UnencodableRect`] comes before any page is
+    /// allocated or written, so a save over an earlier one in place
+    /// leaves that one loadable.
     pub fn save(&self, store: &mut dyn PageStore) -> Result<PersistedTree, StorageError> {
+        for (_, node) in self.iter_nodes() {
+            if let Some(entry) = node.entries.iter().position(|e| !encodable(&e.rect)) {
+                return Err(StorageError::UnencodableRect { entry });
+            }
+        }
         // Allocate ids first so children can be referenced before being
         // written: node `i` goes to `page_of[i]`.
         let pages = self.node_count();

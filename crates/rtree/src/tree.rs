@@ -426,7 +426,7 @@ impl<const N: usize> RTree<N> {
     }
 
     /// The entry with the lexicographically smallest (overlap enlargement,
-    /// area enlargement, area, index) — what `choose_min_overlap_reference`
+    /// area enlargement, area, index) — what `choose_min_overlap_in_order`
     /// finds by evaluating all M × (M − 1) sibling pairs, found here
     /// without most of them. Every shortcut is exact, not heuristic
     /// (DESIGN.md row 21): with finite measures all key terms are ≥ 0,
@@ -441,7 +441,7 @@ impl<const N: usize> RTree<N> {
         if !finite {
             // An overflowing measure makes `∞ − ∞` keys, and NaN compares
             // false both ways, so the answer depends on the order of
-            // evaluation: take the reference's.
+            // evaluation: take the one in index order.
             return Self::choose_min_overlap_in_order(node, rect);
         }
         let mut best = (f64::INFINITY, f64::INFINITY, f64::INFINITY, usize::MAX);
@@ -494,10 +494,11 @@ impl<const N: usize> RTree<N> {
         best.3
     }
 
-    /// Every entry in index order, each key summed in full and kept only
-    /// if strictly less than the best so far, which starts at (∞, ∞, ∞)
-    /// on entry 0: `choose_min_overlap_reference`'s evaluation, for nodes
-    /// whose measures overflow.
+    /// \[BKSS90\]'s ChooseSubtree as written: every entry in index order
+    /// against every sibling, each key summed in full and kept only if
+    /// strictly less than the best so far, which starts at (∞, ∞, ∞) on
+    /// entry 0. What runs for nodes whose measures overflow, and the
+    /// reference `choose_min_overlap` is tested against.
     fn choose_min_overlap_in_order(node: &Node<N>, rect: &Rect<N>) -> usize {
         let mut best = 0;
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
@@ -512,31 +513,6 @@ impl<const N: usize> RTree<N> {
             }
             let area = e.rect.measure();
             let key = (overlap_delta, grown.measure() - area, area);
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// \[BKSS90\]'s ChooseSubtree as written: every candidate against every
-    /// sibling. The reference `choose_min_overlap` is tested against.
-    #[cfg(test)]
-    fn choose_min_overlap_reference(node: &Node<N>, rect: &Rect<N>) -> usize {
-        let mut best = 0usize;
-        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for (i, e) in node.entries.iter().enumerate() {
-            let grown = e.rect.union(rect);
-            let mut overlap_delta = 0.0;
-            for (j, other) in node.entries.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                overlap_delta += grown.intersection_measure(&other.rect)
-                    - e.rect.intersection_measure(&other.rect);
-            }
-            let key = (overlap_delta, e.rect.enlargement(rect), e.rect.measure());
             if key < best_key {
                 best_key = key;
                 best = i;
@@ -888,7 +864,7 @@ mod tests {
         };
         (
             RTree::<N>::choose_min_overlap(&node, &rect),
-            RTree::<N>::choose_min_overlap_reference(&node, &rect),
+            RTree::<N>::choose_min_overlap_in_order(&node, &rect),
         )
     }
 

@@ -11,8 +11,8 @@ use rand::{Rng, SeedableRng};
 use sjcm_geom::{Point, Rect};
 use sjcm_rtree::{BulkLoad, Child, ObjectId, PersistedTree, RTree, RTreeConfig};
 use sjcm_storage::{
-    digest_term, encode_page, fnv1a, DiskNode, FilePageStore, InMemoryPageStore, NodePage, PageId,
-    PageStore, StorageError,
+    digest_term, encodable, encode_page, fnv1a, DiskNode, FilePageStore, InMemoryPageStore,
+    NodePage, PageId, PageStore, StorageError,
 };
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
@@ -535,9 +535,9 @@ fn the_handle_is_checked_against_what_is_loaded() {
 /// A rectangle with no page encoding — one whose outward `f32` rounding
 /// overflows, an infinite one, a NaN one — is refused by the save with a
 /// typed error, on the in-memory and on the file store, where it used to
-/// be written and then refused by the loader. These trees fit one run,
-/// so the refusal comes before any page reaches the store: the memory
-/// store's pages read as zeros, and the file stays empty.
+/// be written and then refused by the loader. The refusal comes before
+/// any page is allocated: the memory store has no page, and the file
+/// stays empty.
 #[test]
 fn a_rectangle_the_loader_would_refuse_is_never_saved() {
     let unencodable = [
@@ -555,14 +555,100 @@ fn a_rectangle_the_loader_would_refuse_is_never_saved() {
         };
         let mut memory = InMemoryPageStore::with_default_page_size();
         assert!(refused(tree.save(&mut memory)), "{rect:?} saved to memory");
-        for id in 0..tree.node_count() as u32 {
-            let page = memory.read(PageId(id)).unwrap();
-            assert!(page.iter().all(|&b| b == 0), "{rect:?}: page {id} written");
-        }
+        assert_eq!(
+            memory.read(PageId(0)).unwrap_err(),
+            StorageError::UnknownPage(PageId(0)),
+            "{rect:?}: a page allocated"
+        );
         let file = TempFile::new("unencodable");
         let mut store = FilePageStore::create(&file.0, 1024).unwrap();
         assert!(refused(tree.save(&mut store)), "{rect:?} saved to a file");
         drop(store);
         assert_eq!(std::fs::metadata(&file.0).unwrap().len(), 0, "{rect:?}");
     }
+}
+
+/// The memory store as a second save sees a file store created over the
+/// file of the first: page ids from 0 again, over the pages already
+/// there, so the second save overwrites the first in place.
+struct Rewound<'a> {
+    inner: &'a mut InMemoryPageStore,
+    next: u32,
+    held: u32,
+}
+
+impl PageStore for Rewound<'_> {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn allocate(&mut self) -> Result<PageId, StorageError> {
+        if self.next == self.held {
+            assert_eq!(self.inner.allocate()?, PageId(self.held));
+            self.held += 1;
+        }
+        self.next += 1;
+        Ok(PageId(self.next - 1))
+    }
+    fn write(&mut self, id: PageId, data: &[u8]) -> Result<(), StorageError> {
+        self.inner.write(id, data)
+    }
+    fn read(&self, id: PageId) -> Result<Bytes, StorageError> {
+        self.inner.read(id)
+    }
+}
+
+/// A save is all or nothing: one whose tree holds an entry the page
+/// format cannot encode is refused before it writes a page. Saved over
+/// an earlier save in place, on either store, it leaves that save
+/// loadable under its own digest. The refused tree spans several runs
+/// and its bad entry is in the last one, so a save that encoded run by
+/// run would have overwritten the earlier save's pages first.
+#[test]
+fn a_refused_save_leaves_the_save_it_would_overwrite_loadable() {
+    let good = packed_tree();
+    let mut objects = items(6000, 43);
+    // `total_cmp` sorts a NaN x last, so STR puts it in the last slab,
+    // whose leaves are the last before the upper levels.
+    objects.push((
+        Rect::centered(Point::new([f64::NAN, 0.5]), [0.01, 0.01]),
+        ObjectId(6000),
+    ));
+    let bad = RTree::bulk_load(RTreeConfig::paper(2), objects, BulkLoad::Str, 0.8);
+    let runs = |tree: &RTree<2>| tree.node_count().div_ceil(64);
+    let bad_node = bad
+        .iter_nodes()
+        .position(|(_, n)| n.entries.iter().any(|e| !encodable(&e.rect)))
+        .unwrap();
+    assert!(
+        runs(&bad) >= 3 && bad_node / 64 == runs(&bad) - 1,
+        "node {bad_node}"
+    );
+    assert!(runs(&good) >= 2);
+    let refused = |r: Result<PersistedTree, StorageError>| {
+        matches!(r, Err(StorageError::UnencodableRect { .. }))
+    };
+    let config = RTreeConfig::paper(2);
+
+    let mut memory = InMemoryPageStore::with_default_page_size();
+    let handle = good.save(&mut memory).unwrap();
+    let want = shape_print(&RTree::load(&memory, handle, config).unwrap());
+    let mut over = Rewound {
+        inner: &mut memory,
+        next: 0,
+        held: handle.pages as u32,
+    };
+    assert!(refused(bad.save(&mut over)));
+    let loaded = RTree::load(&memory, handle, config).expect("memory: the first save loads");
+    assert_eq!(shape_print(&loaded), want);
+
+    let file = TempFile::new("refused_over");
+    let mut store = FilePageStore::create(&file.0, 1024).unwrap();
+    assert_eq!(good.save(&mut store).unwrap(), handle);
+    drop(store);
+    let mut store = FilePageStore::create(&file.0, 1024).unwrap();
+    assert!(refused(bad.save(&mut store)));
+    drop(store);
+    let store = FilePageStore::open(&file.0, 1024).unwrap();
+    let loaded = RTree::load(&store, handle, config).expect("file: the first save loads");
+    assert_eq!(shape_print(&loaded), want);
 }

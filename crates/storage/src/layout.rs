@@ -201,6 +201,22 @@ fn check_capacity<const N: usize>(count: usize, page_size: usize) -> Result<(), 
     Ok(())
 }
 
+/// `Rect::new`'s test on one dimension's decoded corners: finite and
+/// ordered at once, NaN failing every comparison.
+#[inline]
+fn decodable(lo: f32, hi: f32) -> bool {
+    (f32::MIN <= lo) & (lo <= hi) & (hi <= f32::MAX)
+}
+
+/// Whether [`encode_page`] accepts an entry with rectangle `r`: the
+/// encoder's own corner check, without writing anything. A save runs it
+/// over every entry before its first page reaches the store.
+pub fn encodable<const N: usize>(r: &Rect<N>) -> bool {
+    (0..N).fold(true, |ok, k| {
+        ok & decodable(f32_down(r.lo_k(k)), f32_up(r.hi_k(k)))
+    })
+}
+
 /// Writes header and entries at the front of `out` (long enough by the
 /// caller's capacity check) and returns the bytes written. Each entry
 /// fills one fixed `entry_size(N)` slot: `lo₀ hi₀ … lo_{N−1} hi_{N−1}`
@@ -225,9 +241,7 @@ fn write_node<const N: usize>(
         let mut ok = true;
         for k in 0..N {
             let (lo, hi) = (f32_down(e.rect.lo_k(k)), f32_up(e.rect.hi_k(k)));
-            // `Rect::new`'s test on the decoded corners: finite and
-            // ordered at once, NaN failing every comparison.
-            ok &= (f32::MIN <= lo) & (lo <= hi) & (hi <= f32::MAX);
+            ok &= decodable(lo, hi);
             slot[8 * k..8 * k + 4].copy_from_slice(&lo.to_le_bytes());
             slot[8 * k + 4..8 * k + 8].copy_from_slice(&hi.to_le_bytes());
         }

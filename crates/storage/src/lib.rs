@@ -55,7 +55,7 @@ pub use fault::{
     FAULT_QUARANTINED, FAULT_RECOVERED, FAULT_RETRIED,
 };
 pub use file_store::FilePageStore;
-pub use layout::{digest_term, encode_page, max_entries, DiskEntry, DiskNode, NodePage};
+pub use layout::{digest_term, encodable, encode_page, max_entries, DiskEntry, DiskNode, NodePage};
 pub use page::{fnv1a, InMemoryPageStore, PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE};
 pub use recorder::{AccessTrace, FlightRecorder, PageAccessEvent, RecorderLane};
 pub use replay::{replay, ReplayOutcome, StackDistance};
