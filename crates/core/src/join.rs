@@ -115,12 +115,10 @@ pub fn da_level_data_tree<const N: usize>(
 }
 
 /// Total node accesses of the join — Eq 7 for equal heights, Eq 11 in
-/// general. Symmetric in its arguments.
+/// general. Symmetric in its arguments. [`join_cost_na_windowed`] with
+/// no window, whose factor is then exactly 1.
 pub fn join_cost_na<const N: usize>(r1: &TreeParams<N>, r2: &TreeParams<N>) -> f64 {
-    level_schedule(r1.height(), r2.height())
-        .iter()
-        .map(|p| 2.0 * na_level(r1, p.j1, r2, p.j2))
-        .sum()
+    join_cost_na_windowed(r1, r2, &[None, None])
 }
 
 /// Eq-6 cost of one parallel-join work unit: a pair of (sub)trees whose
@@ -154,8 +152,10 @@ pub fn join_cost_na_by_level<const N: usize>(
 /// Total disk accesses of the join under per-tree path buffers — Eq 10
 /// for equal heights, Eq 12 in general. **Not** symmetric: R1 plays the
 /// data (inner-loop) role and R2 the query (outer-loop) role.
+/// [`join_cost_da_windowed`] with no window, whose factor is then
+/// exactly 1.
 pub fn join_cost_da<const N: usize>(r1: &TreeParams<N>, r2: &TreeParams<N>) -> f64 {
-    join_cost_da_by_level(r1, r2).iter().map(|&(_, c)| c).sum()
+    join_cost_da_windowed(r1, r2, &[None, None])
 }
 
 /// The Eq-12 branch logic in one place: for each schedule step, the level
@@ -253,7 +253,7 @@ fn window_factor<const N: usize>(
 
 /// [`join_cost_na`] of a join restricted to query windows: per level
 /// pair, Eq 6 times Eq 1's intersection probability of each windowed
-/// tree's nodes at that level. Equal to [`join_cost_na`] with no window.
+/// tree's nodes at that level; [`join_cost_na`] is this with no window.
 pub fn join_cost_na_windowed<const N: usize>(
     r1: &TreeParams<N>,
     r2: &TreeParams<N>,
@@ -268,8 +268,8 @@ pub fn join_cost_na_windowed<const N: usize>(
 /// [`join_cost_da`] of a join restricted to query windows: each step's
 /// Eq 8/9/12 shares times the same per-level factor as
 /// [`join_cost_na_windowed`] — a fetch the path buffer does not absorb
-/// is still one visit of a node pair that passed the windows. Equal to
-/// [`join_cost_da`] with no window.
+/// is still one visit of a node pair that passed the windows;
+/// [`join_cost_da`] is this with no window.
 pub fn join_cost_da_windowed<const N: usize>(
     r1: &TreeParams<N>,
     r2: &TreeParams<N>,
@@ -310,24 +310,15 @@ pub fn join_prediction_targets<const N: usize>(
     r2: &TreeParams<N>,
 ) -> Vec<(String, f64)> {
     use std::collections::BTreeMap;
-    let mut na1: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut na2: BTreeMap<usize, f64> = BTreeMap::new();
-    for (pair, na) in join_cost_na_by_level(r1, r2) {
-        *na1.entry(pair.j1).or_insert(0.0) += na;
-        *na2.entry(pair.j2).or_insert(0.0) += na;
-    }
+    let mut out: Vec<(String, f64)> = join_na_priors(r1, r2)
+        .into_iter()
+        .map(|(tree, j, v)| (na_target(tree, j), v))
+        .collect();
     let mut da1: BTreeMap<usize, f64> = BTreeMap::new();
     let mut da2: BTreeMap<usize, f64> = BTreeMap::new();
     for (pair, (d1, d2)) in join_cost_da_shares_by_level(r1, r2) {
         *da1.entry(pair.j1).or_insert(0.0) += d1;
         *da2.entry(pair.j2).or_insert(0.0) += d2;
-    }
-    let mut out = Vec::new();
-    for (&j, &v) in &na1 {
-        out.push((na_target(1, j), v));
-    }
-    for (&j, &v) in &na2 {
-        out.push((na_target(2, j), v));
     }
     for (&j, &v) in &da1 {
         out.push((da_target(1, j), v));
@@ -344,10 +335,10 @@ pub fn join_prediction_targets<const N: usize>(
 /// each tree and accessed paper level `j` (1 = leaf; roots are excluded
 /// by construction — the schedule never emits them), the Eq-6 NA
 /// prediction, as `(tree ∈ {1, 2}, j, NA)` triples sorted by tree then
-/// level. This is the NA half of [`join_prediction_targets`] without
-/// the name strings: the progress engine seeds its per-level work
-/// denominators from these values and needs the coordinates as data,
-/// not as parseable names. The triples of one tree sum to
+/// level. This is the NA half of [`join_prediction_targets`], which
+/// names these values: the progress engine seeds its per-level work
+/// denominators from them and needs the coordinates as data, not as
+/// parseable names. The triples of one tree sum to
 /// [`join_cost_na`] / 2 (each tree pays half of every pair visit).
 pub fn join_na_priors<const N: usize>(
     r1: &TreeParams<N>,

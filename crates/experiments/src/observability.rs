@@ -234,17 +234,14 @@ pub fn join_observed(
         drift.observe(&name, actual);
     }
 
-    // Feed the registry: access stats, buffer counters, steal tallies.
+    // Feed the registry: access stats, buffer hits and misses (NA − DA
+    // and DA of the same tallies), steal tallies.
     for (name, value) in result.drift_observations() {
         metrics.counter_add(&format!("join.{name}"), value as u64);
     }
-    for (tree, b, s) in [
-        (1, &result.buffers1, &result.stats1),
-        (2, &result.buffers2, &result.stats2),
-    ] {
-        metrics.counter_add(&format!("buffer.r{tree}.hits"), b.hits);
-        metrics.counter_add(&format!("buffer.r{tree}.misses"), b.misses);
-        metrics.counter_add(&format!("buffer.r{tree}.evictions"), b.evictions);
+    for (tree, s) in [(1, &result.stats1), (2, &result.stats2)] {
+        metrics.counter_add(&format!("buffer.r{tree}.hits"), s.na_total() - s.da_total());
+        metrics.counter_add(&format!("buffer.r{tree}.misses"), s.da_total());
         if let Some(h) = s.hit_ratio() {
             metrics.gauge_set(&format!("buffer.r{tree}.hit_ratio"), h);
         }

@@ -108,7 +108,8 @@ fn join_admission_rejection_is_reported() {
 
 /// Every obs dir `join` writes passes `validate-obs`, and holds exactly
 /// the artifacts the run can vouch for. An ungoverned run writes all
-/// four. A run whose zero deadline forfeits every unit reads no page:
+/// four, and its published buffer hits and misses are the NA − DA and
+/// DA of the per-level tallies it publishes beside them. A run whose zero deadline forfeits every unit reads no page:
 /// it withholds the metrics (the drift contract fails on a degraded
 /// run) and the access trace (there is nothing to replay), and writes
 /// the governor's decision log instead.
@@ -168,8 +169,53 @@ fn join_obs_dirs_validate_and_hold_what_the_run_vouches_for() {
             "{tag}: validate-obs failed\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
+        if tag == "ungoverned" {
+            assert_buffer_counters_are_the_access_tallies(&obs_dir);
+        }
         each_broken_line_fails_validation(&obs_dir, &out_dir.join("broken"));
         let _ = std::fs::remove_dir_all(&out_dir);
+    }
+}
+
+/// In `join_metrics.jsonl`, for each tree `t`:
+/// `buffer.r{t}.hits + buffer.r{t}.misses = Σ_l join.na.r{t}.l{l}` and
+/// `buffer.r{t}.misses = Σ_l join.da.r{t}.l{l}`.
+fn assert_buffer_counters_are_the_access_tallies(obs_dir: &Path) {
+    use sjcm_obs::json::{read_jsonl, Value};
+    let text = std::fs::read_to_string(obs_dir.join("join_metrics.jsonl")).unwrap();
+    let counters: Vec<(String, u64)> = read_jsonl(&text)
+        .expect("the metrics parse")
+        .iter()
+        .filter(|v| v.get("type").and_then(Value::as_str) == Some("counter"))
+        .map(|v| {
+            let name = v.get("name").and_then(Value::as_str).unwrap().to_string();
+            (name, v.get("value").and_then(Value::as_u64).unwrap())
+        })
+        .collect();
+    let counter = |name: &str| {
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("no counter {name}"))
+            .1
+    };
+    let level_sum = |prefix: &str| -> u64 {
+        counters
+            .iter()
+            .filter(|(n, _)| n.starts_with(prefix))
+            .map(|&(_, v)| v)
+            .sum()
+    };
+    for t in 1..=2 {
+        let na = level_sum(&format!("join.na.r{t}.l"));
+        let da = level_sum(&format!("join.da.r{t}.l"));
+        assert!(na > 0, "tree {t}: no NA published");
+        let (hits, misses) = (
+            counter(&format!("buffer.r{t}.hits")),
+            counter(&format!("buffer.r{t}.misses")),
+        );
+        assert_eq!(hits + misses, na, "tree {t}: hits + misses = NA");
+        assert_eq!(misses, da, "tree {t}: misses = DA");
     }
 }
 

@@ -127,8 +127,6 @@ impl<'a, const N: usize> Engine<'a, N> {
                 pair_count: self.pair_count,
                 stats1: self.stats1,
                 stats2: self.stats2,
-                buffers1: self.buf1.counters(),
-                buffers2: self.buf2.counters(),
                 ..JoinResultSet::default()
             },
             self.skips,

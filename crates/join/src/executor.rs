@@ -11,8 +11,8 @@ use crate::session::{CorrDomain, ExecContext};
 use sjcm_core::join::JoinWindows;
 use sjcm_geom::{mbr_of, Point, Rect, RectBatch};
 use sjcm_rtree::{Child, Entry, Node, NodeId, ObjectId, RTree};
+use sjcm_storage::AccessStats;
 pub use sjcm_storage::BufferPolicy;
-use sjcm_storage::{AccessStats, BufferCounters};
 
 /// Join predicate between two object MBRs (and, during traversal,
 /// between node rectangles — both predicates below are "downward
@@ -178,11 +178,6 @@ pub struct JoinResultSet {
     /// Per-worker tallies when the join ran in parallel; empty for the
     /// sequential executor (and the `threads = 1` parallel fallback).
     pub workers: Vec<WorkerTally>,
-    /// Buffer hit/miss/eviction counters of tree R1's buffer(s), merged
-    /// over all executors that touched the tree.
-    pub buffers1: BufferCounters,
-    /// Buffer counters of tree R2's buffer(s).
-    pub buffers2: BufferCounters,
     /// Per-executing-thread steal statistics of a cost-guided parallel
     /// run; empty otherwise. Timing-dependent — see [`StealTally`].
     pub steals: Vec<StealTally>,

@@ -20,7 +20,7 @@
 //!    schedulers and thread counts for a fixed cancellation point.
 //! 3. **Predictive load shedding** — the governor reads the run's one
 //!    unit ledger ([`sjcm_obs::UnitLedger`], written by the
-//!    [`ExecContext`](crate::ExecContext) unit hooks) through the one
+//!    crate-private `ExecContext` unit hooks) through the one
 //!    ETA rule ([`sjcm_obs::progress::eta`], the progress engine's too)
 //!    and, when the projected finish time exceeds the deadline even
 //!    after the §4.1 ±15% trust band, it preemptively sheds the
@@ -265,18 +265,6 @@ impl Governor {
         })
     }
 
-    /// Starts the deadline clock if it is not already running. Called
-    /// by [`Governor::admit`]; executors without a tree-based admission
-    /// step (PBSM) call it directly.
-    pub(crate) fn start_clock(&self) {
-        if let Some(inner) = &self.inner {
-            let mut st = inner.state();
-            if st.started.is_none() {
-                st.started = Some(Instant::now());
-            }
-        }
-    }
-
     /// Admission control: prices the full join with Eq 6 on the trees'
     /// measured parameters and compares it against the NA budget.
     /// Starts the deadline clock either way. An unlimited governor
@@ -357,8 +345,7 @@ impl Governor {
     /// run's unit ledger, armed beside it by `ExecContext::arm_units`.
     /// The dealt tree-join executor prices its root units with the same
     /// Eq-6 × overlap-fraction formula the cost-guided scheduler uses
-    /// and values them in pairs per price; PBSM, which has no R-tree
-    /// priors, prices cells by entry count and gives them uniform value.
+    /// and values them in pairs per price.
     pub(crate) fn arm_units(&self, prices: Vec<u64>, values: Vec<f64>) {
         let Some(inner) = &self.inner else {
             return;
@@ -366,9 +353,6 @@ impl Governor {
         let n = prices.len();
         let total: u64 = prices.iter().sum();
         let mut st = inner.state();
-        if st.started.is_none() {
-            st.started = Some(Instant::now());
-        }
         let mut cancel_after = inner.config.cancel_after_units;
         if let Some(ratio) = st.degrade_ratio {
             // Largest ordinal prefix whose cumulative Eq-6 price stays

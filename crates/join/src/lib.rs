@@ -27,14 +27,15 @@
 //! §2.1 "no index" camp), and [`parallel`] a multi-threaded SJ per the
 //! paper's §5 outlook.
 //!
-//! **Entry point:** every executor runs through the
-//! [`session::JoinSession`] builder (PBSM through
-//! [`session::PbsmSession`]), which owns a single
-//! [`session::ExecContext`] bundling all cross-cutting concerns —
-//! tracing, drift monitoring, flight recording (with the
-//! [`session::CorrDomain`] correlation-id allocator), live progress,
-//! fault injection, and the governor. There is no other way to start
-//! a join.
+//! **Entry points:** the tree-join executors run through the
+//! [`session::JoinSession`] builder, which holds the one crate-private
+//! execution context bundling all cross-cutting concerns — tracing,
+//! drift monitoring, flight recording (with its correlation-id
+//! allocator), live progress, fault injection, and the governor. PBSM
+//! runs through [`session::PbsmSession`], which has none of them, and
+//! the two [`baselines`] are plain functions: the brute-force nested
+//! loop (the tests' oracle) and the index nested loop (the plan
+//! executor's INL operator).
 //!
 //! Fault containment: permanent page-read failures under a
 //! [`sjcm_storage::FaultInjector`] are *contained* — the affected node
@@ -71,4 +72,4 @@ pub use governor::{
 };
 pub use parallel::{measured_params, JoinObs};
 pub use pbsm::DegradedPbsmResult;
-pub use session::{CorrDomain, ExecContext, JoinSession, PbsmSession, Scheduler};
+pub use session::{JoinSession, PbsmSession, Scheduler};

@@ -47,10 +47,10 @@
 //!
 //! The two share the descent step and the charge (see the `engine`
 //! module), the pricer, the LPT seeding (`lpt_deal`), the unit hooks of
-//! [`ExecContext`] — every unit reaches the run's one unit ledger
-//! through them, priced in Eq 6 × overlap when the run has prices and
-//! at one when the deal is unpriced — the fan-out (`fan_out`: workers
-//! `1..threads` spawned, worker 0 run by the calling thread, every
+//! the session's `ExecContext` — every unit reaches the run's one unit
+//! ledger through them, priced in Eq 6 × overlap when the run has
+//! prices and at one when the deal is unpriced — the fan-out
+//! (`fan_out`: workers `1..threads` spawned, worker 0 run by the calling thread, every
 //! thread joined and every panic a [`JoinError::WorkerPanicked`]) and
 //! the fold of per-worker parts into one result (`merge`).
 //!
@@ -413,8 +413,6 @@ fn merge(
             tally.pair_count += t.pair_count;
         }
         out.steals.push(part.steal);
-        out.buffers1.merge(&part.result.buffers1);
-        out.buffers2.merge(&part.result.buffers2);
         out.pair_count += part.result.pair_count;
         out.stats1.merge(&part.result.stats1);
         out.stats2.merge(&part.result.stats2);
@@ -665,7 +663,7 @@ pub(crate) fn dealt_join<const N: usize>(
     scheduler: Scheduler,
     ctx: &ExecContext<'_>,
 ) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
-    let gov = ctx.gov;
+    let gov = &ctx.gov;
     let threads = scheduler.threads();
     let roots = NodePair::entered(r2, r1.root_id(), r2.root_id());
     let (mut units, mut nodes) = (Vec::new(), Vec::new());
@@ -1052,14 +1050,6 @@ mod tests {
             assert_eq!(s.steal_queue_depths.len() as u64, s.units_stolen);
             assert!(s.units_stolen <= s.steal_attempts);
         }
-        // Buffer counters agree with the access tallies: every miss is
-        // a DA, every hit an absorbed NA.
-        assert_eq!(traced.buffers1.misses, traced.stats1.da_total());
-        assert_eq!(
-            traced.buffers1.hits,
-            traced.stats1.na_total() - traced.stats1.da_total()
-        );
-        assert_eq!(traced.buffers2.misses, traced.stats2.da_total());
     }
 
     #[test]
@@ -1214,8 +1204,7 @@ mod tests {
     /// for bit as the reference prices it, and the governor admits on
     /// the same predicted NA.
     fn assert_prices_pinned<const N: usize>(t1: &RTree<N>, t2: &RTree<N>) {
-        let gov = Governor::unlimited();
-        let ctx = ExecContext::with_progress(ProgressTracker::disabled(), &gov);
+        let ctx = ExecContext::default();
         for (r1, r2) in [(t1, t2), (t2, t1)] {
             for threads in [2, 3, 4, 8] {
                 let config = JoinConfig::default();

@@ -19,7 +19,6 @@
 //! The simulated I/O cost of PBSM is the classic two-pass accounting:
 //! both inputs are written into partitions once and read back once.
 
-use crate::session::ExecContext;
 use sjcm_geom::{unit_grid_cell, Rect, RectBatch};
 use sjcm_rtree::ObjectId;
 
@@ -36,35 +35,18 @@ pub struct PbsmResult {
     pub replication_factor: f64,
 }
 
-/// Result of a governed PBSM join: the (possibly partial) result plus
-/// the forfeited-cell inventory. PBSM has no R-tree priors, so unlike
-/// [`crate::DegradedJoinResult`] the forfeited work is counted in
-/// cells and entries, not priced in Eq-6 NA.
+/// What [`crate::PbsmSession::run`] returns: the join's result, under
+/// the field name a tree join's [`crate::DegradedJoinResult`] uses, so
+/// both sessions are read as `.run()?.result`. Nothing governs or
+/// forfeits a PBSM cell, so there is nothing else to carry.
 #[derive(Debug, Clone)]
 pub struct DegradedPbsmResult {
-    /// What the sweeps that ran produced.
+    /// The join's pairs and simulated I/O.
     pub result: PbsmResult,
-    /// Active cells the governor refused (deadline or cancellation).
-    pub forfeited_cells: u64,
-    /// Partition entries those forfeited cells held (both sides).
-    pub forfeited_entries: u64,
 }
 
-impl DegradedPbsmResult {
-    /// `true` when nothing was forfeited — `result` is exact.
-    pub fn is_exact(&self) -> bool {
-        self.forfeited_cells == 0
-    }
-}
-
-/// The PBSM executor body, cross-cutting concerns supplied through the
-/// one [`ExecContext`] seam. Each active cell is one work unit, priced
-/// by its entry count, and reaches the run's one unit ledger — which
-/// the progress engine and the governor's shed predictor both read —
-/// through the context's unit hooks only: [`ExecContext::arm_units`]
-/// once, then [`ExecContext::checkpoint`] per cell (a refusal retires
-/// the cell there) and [`ExecContext::unit_done`] per cell swept. The
-/// progress hub also counts the pairs.
+/// The PBSM executor body: partition both inputs, then sweep every cell
+/// that holds entries of both.
 ///
 /// Pure main-memory simulation of the algorithm's structure: partitions
 /// are index runs over the borrowed inputs rather than spill files (see
@@ -75,12 +57,9 @@ pub(crate) fn run_pbsm<const N: usize>(
     right: &[(Rect<N>, ObjectId)],
     grid: usize,
     page_capacity: usize,
-    ctx: &ExecContext<'_>,
-) -> DegradedPbsmResult {
-    let gov = ctx.gov;
+) -> PbsmResult {
     assert!(grid >= 1, "need at least one partition per dimension");
     assert!(page_capacity >= 1, "page capacity must be positive");
-    gov.start_clock();
     let cells = grid.pow(N as u32);
     let parts_left = Partition::build(left, grid, cells);
     let parts_right = Partition::build(right, grid, cells);
@@ -92,33 +71,10 @@ pub(crate) fn run_pbsm<const N: usize>(
         replicas as f64 / total_objects as f64
     };
 
-    // One unit per active cell, priced by its entry count (the sweep is
-    // linear in candidates, so a cell's price share approximates its
-    // share of the work). PBSM has no R-tree priors, so cells get
-    // uniform value (no pairs-per-NA shed ranking).
-    let (active, prices): (Vec<usize>, Vec<u64>) = (0..cells)
-        .filter(|&c| !parts_left.cell(c).is_empty() && !parts_right.cell(c).is_empty())
-        .map(|c| {
-            (
-                c,
-                (parts_left.cell(c).len() + parts_right.cell(c).len()) as u64,
-            )
-        })
-        .unzip();
-    ctx.arm_units(&prices, gov.is_enabled().then(|| vec![1.0; prices.len()]));
-
     let mut pairs = Vec::new();
     let mut scratch = SweepScratch::default();
-    let mut forfeited_cells = 0u64;
-    let mut forfeited_entries = 0u64;
-    for (ordinal, (&cell, &price)) in active.iter().zip(&prices).enumerate() {
-        // Work-unit boundary: the governor's cancellation point.
-        if !ctx.checkpoint(ordinal, price) {
-            forfeited_cells += 1;
-            forfeited_entries += price;
-            continue;
-        }
-        let before = pairs.len();
+    for cell in 0..cells {
+        // A cell empty on either side sweeps nothing.
         sweep_cell(
             (parts_left.cell(cell), left),
             (parts_right.cell(cell), right),
@@ -127,23 +83,15 @@ pub(crate) fn run_pbsm<const N: usize>(
             &mut scratch,
             &mut pairs,
         );
-        ctx.unit_done(ordinal, price);
-        ctx.progress.add_pairs((pairs.len() - before) as u64);
     }
-    ctx.progress.finish();
 
     // Two-pass I/O: write all replicas out, read them back.
     let io_pages = 2 * replicas.div_ceil(page_capacity) as u64;
 
-    gov.finish();
-    DegradedPbsmResult {
-        result: PbsmResult {
-            pairs,
-            io_pages,
-            replication_factor,
-        },
-        forfeited_cells,
-        forfeited_entries,
+    PbsmResult {
+        pairs,
+        io_pages,
+        replication_factor,
     }
 }
 

@@ -6,7 +6,7 @@
 //! through the [`Child`] enum. `JoinSession::reference_traversal` puts
 //! every engine of a run on it; the tests below run each scheduler,
 //! kernel, predicate and window placement both ways and require the
-//! same pairs, tallies, buffer counters and recorded access lanes.
+//! same pairs, per-level tallies and recorded access lanes.
 
 use crate::engine::Engine;
 use crate::executor::{JoinConfig, JoinPredicate, MatchKernel};
@@ -234,8 +234,8 @@ mod tests {
     use sjcm_geom::{Point, Rect};
     use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
     use sjcm_storage::{
-        digest_term, encode_page, AccessKind, AccessStats, BufferCounters, DiskNode,
-        FlightRecorder, InMemoryPageStore, NodePage, PageId, PageStore,
+        digest_term, encode_page, AccessKind, AccessStats, DiskNode, FlightRecorder,
+        InMemoryPageStore, NodePage, PageId, PageStore,
     };
     use std::collections::BTreeMap;
 
@@ -248,7 +248,6 @@ mod tests {
         pairs: Vec<(ObjectId, ObjectId)>,
         pair_count: u64,
         stats: [AccessStats; 2],
-        buffers: [BufferCounters; 2],
         lanes: BTreeMap<(u32, u8), Lane>,
     }
 
@@ -288,7 +287,6 @@ mod tests {
             pairs: result.pairs,
             pair_count: result.pair_count,
             stats: [result.stats1, result.stats2],
-            buffers: [result.buffers1, result.buffers2],
             lanes,
         }
     }

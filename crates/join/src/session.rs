@@ -1,14 +1,14 @@
-//! The one front door for every join execution: a [`JoinSession`]
-//! builder that owns a single [`ExecContext`] bundling *all*
-//! cross-cutting concerns — span tracer, drift monitor, page-access
-//! flight recorder (with its correlation-id allocator), live progress
-//! hub, fault injector, and governor (admission, deadline/cancellation,
-//! shedding).
+//! The front door of the join executors: a [`JoinSession`] builder
+//! that holds the one `ExecContext` a tree join runs with, bundling
+//! *all* cross-cutting concerns — span tracer, drift monitor,
+//! page-access flight recorder (with its correlation-id allocator),
+//! live progress hub, fault injector, and governor (admission,
+//! deadline/cancellation, shedding) — and a [`PbsmSession`] builder for
+//! the partition join, which has none of them.
 //!
-//! All four executors (sequential, dealt, cost-guided, PBSM)
-//! start here and nowhere else — [`JoinSession::run`] for the tree
-//! joins, [`PbsmSession::run`] for the partition join — so a new
-//! cross-cutting capability lands in exactly one seam: [`ExecContext`].
+//! The three tree-join executors (sequential, dealt, cost-guided) start
+//! at [`JoinSession::run`], so a new cross-cutting capability lands in
+//! exactly one seam: `ExecContext`. PBSM starts at [`PbsmSession::run`].
 //! `tests/oracle.rs` checks every scheduler × kernel × predicate ×
 //! dimension of the tree joins, and PBSM in cells on either side of its
 //! batched-sweep gate, against the brute-force nested loop.
@@ -62,7 +62,7 @@ use sjcm_storage::{FaultInjector, FlightRecorder, RecorderLane};
 /// — they never coexist in one run (a run is either unit-scheduled or
 /// shard-scheduled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorrDomain {
+pub(crate) enum CorrDomain {
     /// The sequential executor, or the parallel coordinator above the
     /// frontier: one warm buffer from the root down.
     Coordinator,
@@ -77,7 +77,7 @@ pub enum CorrDomain {
 impl CorrDomain {
     /// The correlation id recorded on every page-access event charged
     /// inside this domain.
-    pub fn corr(self) -> u32 {
+    pub(crate) fn corr(self) -> u32 {
         match self {
             CorrDomain::Coordinator => 0,
             CorrDomain::Unit(i) => (i + 1) as u32,
@@ -131,36 +131,36 @@ impl Scheduler {
     }
 }
 
-/// Every cross-cutting concern of a join execution, bundled behind one
+/// Every cross-cutting concern of a tree join, bundled behind one
 /// seam: executors call `ctx.lanes(..)` for recorder correlation
 /// domains and the unit hooks — `arm_units` once, then `checkpoint` and
 /// `unit_done` / `forfeit_unit` per unit — the only way an executor
 /// reports a unit. The hooks write the run's one unit ledger
 /// ([`sjcm_obs::UnitLedger`]: the progress hub's, or the run's own when
-/// only a governor reads it) and tell the governor, which reads its ETA
-/// off that ledger. A run neither observed nor governed pays one
-/// `Option` check per hook.
+/// only a governor reads it — [`JoinSession::run`] picks it) and tell
+/// the governor, which reads its ETA off that ledger. A run neither
+/// observed nor governed pays one `Option` check per hook. The default
+/// value has every concern disabled and an unlimited governor.
 ///
 /// Cloning is cheap (`Arc` handles all the way down): parallel
-/// schedulers clone one context per worker thread, which is exactly the
-/// per-worker hook cloning the executors did by hand before.
-#[derive(Debug, Clone)]
-pub struct ExecContext<'a> {
+/// schedulers clone one context per worker thread.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ExecContext<'a> {
     /// Span collector (disabled = one `Option` check per span site).
-    pub tracer: Tracer,
+    pub(crate) tracer: Tracer,
     /// In-flight drift monitor, if the caller registered predictions.
-    pub drift: Option<&'a DriftMonitor>,
+    pub(crate) drift: Option<&'a DriftMonitor>,
     /// Page-access flight recorder; correlation ids are allocated
     /// through [`ExecContext::lanes`] — see [`CorrDomain`].
-    pub recorder: FlightRecorder,
+    pub(crate) recorder: FlightRecorder,
     /// Live progress hub (per-level NA/DA feed, pairs, completion).
-    pub progress: ProgressTracker,
+    pub(crate) progress: ProgressTracker,
     /// Fault-injection oracle for chaos runs (disabled = one `Option`
     /// check per node pair).
-    pub faults: FaultInjector,
+    pub(crate) faults: FaultInjector,
     /// Admission control, deadline/cancellation token and load
-    /// shedding.
-    pub gov: &'a Governor,
+    /// shedding (a shared handle: the caller keeps reading its log).
+    pub(crate) gov: Governor,
     /// The run's one unit ledger, written by the unit hooks only.
     ledger: UnitLedger,
     /// Test builds only: engines run the traversal their stack walk
@@ -173,30 +173,7 @@ pub struct ExecContext<'a> {
     pub(crate) panic_worker: Option<usize>,
 }
 
-impl<'a> ExecContext<'a> {
-    /// A context with every concern disabled except `progress`, the
-    /// governor given and the unit ledger they read.
-    pub(crate) fn with_progress(progress: ProgressTracker, gov: &'a Governor) -> Self {
-        let ledger = if progress.is_enabled() || !gov.is_enabled() {
-            progress.ledger()
-        } else {
-            UnitLedger::enabled()
-        };
-        ExecContext {
-            tracer: Tracer::disabled(),
-            drift: None,
-            recorder: FlightRecorder::disabled(),
-            progress,
-            faults: FaultInjector::disabled(),
-            gov,
-            ledger,
-            #[cfg(test)]
-            reference: false,
-            #[cfg(test)]
-            panic_worker: None,
-        }
-    }
-
+impl ExecContext<'_> {
     /// Test builds only: panics when `worker` is the one
     /// [`JoinSession::panic_in_worker`] named. Both executors call it as
     /// a worker starts its units (the cost-guided one past its start
@@ -211,7 +188,7 @@ impl<'a> ExecContext<'a> {
     /// Allocates the pair of recorder lanes (tree 1, tree 2) for a
     /// buffer-residency domain, with the correlation ids of the
     /// documented [`CorrDomain`] scheme.
-    pub fn lanes(&self, domain: CorrDomain) -> (RecorderLane, RecorderLane) {
+    pub(crate) fn lanes(&self, domain: CorrDomain) -> (RecorderLane, RecorderLane) {
         let corr = domain.corr();
         let mut lane1 = self.recorder.lane(1);
         let mut lane2 = self.recorder.lane(2);
@@ -264,8 +241,8 @@ impl<'a> ExecContext<'a> {
 
 /// Builder for one join execution over two R-trees. See the module
 /// docs; [`JoinSession::run`] executes under the configured
-/// [`Scheduler`] with every cross-cutting concern routed through one
-/// [`ExecContext`].
+/// [`Scheduler`] with every cross-cutting concern routed through the
+/// one `ExecContext` the builder methods fill in.
 #[derive(Debug)]
 pub struct JoinSession<'a, const N: usize> {
     r1: &'a RTree<N>,
@@ -273,16 +250,7 @@ pub struct JoinSession<'a, const N: usize> {
     config: JoinConfig,
     windows: JoinWindows<N>,
     scheduler: Scheduler,
-    tracer: Tracer,
-    drift: Option<&'a DriftMonitor>,
-    recorder: FlightRecorder,
-    progress: ProgressTracker,
-    faults: FaultInjector,
-    gov: Governor,
-    #[cfg(test)]
-    reference: bool,
-    #[cfg(test)]
-    panic_worker: Option<usize>,
+    ctx: ExecContext<'a>,
 }
 
 impl<'a, const N: usize> JoinSession<'a, N> {
@@ -296,16 +264,7 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             config: JoinConfig::default(),
             windows: [None, None],
             scheduler: Scheduler::default(),
-            tracer: Tracer::disabled(),
-            drift: None,
-            recorder: FlightRecorder::disabled(),
-            progress: ProgressTracker::disabled(),
-            faults: FaultInjector::disabled(),
-            gov: Governor::unlimited(),
-            #[cfg(test)]
-            reference: false,
-            #[cfg(test)]
-            panic_worker: None,
+            ctx: ExecContext::default(),
         }
     }
 
@@ -313,7 +272,7 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     /// (see `crate::reference`).
     #[cfg(test)]
     pub(crate) fn reference_traversal(mut self) -> Self {
-        self.reference = true;
+        self.ctx.reference = true;
         self
     }
 
@@ -321,7 +280,7 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     /// its units (see [`ExecContext::panic_switch`]).
     #[cfg(test)]
     pub(crate) fn panic_in_worker(mut self, worker: usize) -> Self {
-        self.panic_worker = Some(worker);
+        self.ctx.panic_worker = Some(worker);
         self
     }
 
@@ -358,30 +317,30 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     /// (`Arc` clones), so the caller keeps draining the same recorder
     /// and sampling the same progress tracker.
     pub fn observe(mut self, obs: &JoinObs<'a>) -> Self {
-        self.tracer = obs.tracer.clone();
-        self.drift = obs.drift;
-        self.recorder = obs.recorder.clone();
-        self.progress = obs.progress.clone();
+        self.ctx.tracer = obs.tracer.clone();
+        self.ctx.drift = obs.drift;
+        self.ctx.recorder = obs.recorder.clone();
+        self.ctx.progress = obs.progress.clone();
         self
     }
 
     /// Arms the page-access flight recorder (shared handle — drain it
     /// after the run).
     pub fn record(mut self, recorder: &FlightRecorder) -> Self {
-        self.recorder = recorder.clone();
+        self.ctx.recorder = recorder.clone();
         self
     }
 
     /// Arms the fault-injection oracle (chaos runs).
     pub fn faults(mut self, faults: &FaultInjector) -> Self {
-        self.faults = faults.clone();
+        self.ctx.faults = faults.clone();
         self
     }
 
     /// Puts the run under a governor: admission control before any
     /// traversal, unit-boundary cancellation checkpoints, shedding.
     pub fn govern(mut self, gov: &Governor) -> Self {
-        self.gov = gov.clone();
+        self.ctx.gov = gov.clone();
         self
     }
 
@@ -429,27 +388,14 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             config,
             windows,
             scheduler,
-            tracer,
-            drift,
-            recorder,
-            progress,
-            faults,
-            gov,
-            #[cfg(test)]
-            reference,
-            #[cfg(test)]
-            panic_worker,
+            mut ctx,
         } = self;
-        let ctx = ExecContext {
-            tracer,
-            drift,
-            recorder,
-            faults,
-            #[cfg(test)]
-            reference,
-            #[cfg(test)]
-            panic_worker,
-            ..ExecContext::with_progress(progress, &gov)
+        // The run's one unit ledger: the progress hub's, or one of the
+        // run's own when only the governor reads it.
+        ctx.ledger = if ctx.gov.is_enabled() && !ctx.progress.is_enabled() {
+            UnitLedger::enabled()
+        } else {
+            ctx.progress.ledger()
         };
         let threads = scheduler.threads();
         if threads == 0 {
@@ -490,25 +436,20 @@ impl<'a, const N: usize> JoinSession<'a, N> {
 }
 
 /// Builder for one PBSM (Partition Based Spatial-Merge) join over two
-/// unindexed rectangle sets — the session-API front door for the fourth
-/// executor. PBSM takes raw entry slices rather than R-trees, so it
-/// gets its own builder; the cross-cutting concerns still flow through
-/// the same [`ExecContext`] seam (PBSM uses the progress hub and the
-/// governor; it has no tree pages to record or fault).
+/// unindexed rectangle sets. PBSM takes raw entry slices rather than
+/// R-trees and has no tree pages to record, fault, price or govern, so
+/// it gets a builder of its own with no cross-cutting concerns.
 #[derive(Debug)]
 pub struct PbsmSession<'a, const N: usize> {
     left: &'a [(Rect<N>, ObjectId)],
     right: &'a [(Rect<N>, ObjectId)],
     grid: usize,
     page_capacity: usize,
-    progress: ProgressTracker,
-    gov: Governor,
 }
 
 impl<'a, const N: usize> PbsmSession<'a, N> {
     /// A session joining `left × right` on a `grid^N` partition with
-    /// `page_capacity` entries per simulated page. Defaults: progress
-    /// disabled, unlimited governor.
+    /// `page_capacity` entries per simulated page.
     pub fn new(
         left: &'a [(Rect<N>, ObjectId)],
         right: &'a [(Rect<N>, ObjectId)],
@@ -520,44 +461,16 @@ impl<'a, const N: usize> PbsmSession<'a, N> {
             right,
             grid,
             page_capacity,
-            progress: ProgressTracker::disabled(),
-            gov: Governor::unlimited(),
         }
     }
 
-    /// Arms the live progress hub (per-cell unit ledger).
-    pub fn progress(mut self, progress: &ProgressTracker) -> Self {
-        self.progress = progress.clone();
-        self
-    }
-
-    /// Puts the run under a governor — see [`JoinSession::govern`].
-    pub fn govern(mut self, gov: &Governor) -> Self {
-        self.gov = gov.clone();
-        self
-    }
-
-    /// Executes the partition join. Forfeited cells under a deadline
-    /// come back counted on the [`DegradedPbsmResult`]. PBSM has no
-    /// admission step and no worker threads, so it never returns `Err`;
-    /// the `Result` is [`JoinSession::run`]'s shape.
+    /// Executes the partition join. PBSM has no admission step and no
+    /// worker threads, so it never returns `Err`; the `Result` and the
+    /// one-field [`DegradedPbsmResult`] are [`JoinSession::run`]'s
+    /// shape.
     pub fn run(self) -> Result<DegradedPbsmResult, JoinError> {
-        let PbsmSession {
-            left,
-            right,
-            grid,
-            page_capacity,
-            progress,
-            gov,
-        } = self;
-        let ctx = ExecContext::with_progress(progress, &gov);
-        Ok(crate::pbsm::run_pbsm(
-            left,
-            right,
-            grid,
-            page_capacity,
-            &ctx,
-        ))
+        let result = crate::pbsm::run_pbsm(self.left, self.right, self.grid, self.page_capacity);
+        Ok(DegradedPbsmResult { result })
     }
 }
 
@@ -584,10 +497,9 @@ mod tests {
 
     #[test]
     fn lanes_carry_the_domain_corr() {
-        let gov = Governor::unlimited();
         let ctx = ExecContext {
             recorder: sjcm_storage::FlightRecorder::enabled(),
-            ..ExecContext::with_progress(ProgressTracker::disabled(), &gov)
+            ..ExecContext::default()
         };
         let (mut lane1, mut lane2) = ctx.lanes(CorrDomain::Unit(4));
         lane1.record(sjcm_storage::PageId(1), 0, sjcm_storage::AccessKind::Miss);

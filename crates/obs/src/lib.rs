@@ -14,9 +14,8 @@
 //!   a join is the benchmark's `obs.join_enabled_overhead_pct`, read
 //!   with its `_spread_pct`.
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges and
-//!   fixed-bucket histograms, fed by the storage layer's access
-//!   statistics and buffer counters and by the parallel scheduler's
-//!   steal tallies.
+//!   fixed-bucket histograms, fed by the storage layer's per-level
+//!   access statistics and by the parallel scheduler's steal tallies.
 //! * [`drift`] — the [`DriftMonitor`]: per-level cost predictions are
 //!   registered up front, live counters are compared against them as
 //!   the join progresses (an *overrun* of the envelope is flagged

@@ -9,7 +9,7 @@
 //!
 //! Naming convention (dotted paths, like the gauges the drift monitor
 //! publishes): `<subsystem>.<quantity>[.<qualifier>…]`, e.g.
-//! `join.na.r1.l2`, `buffer.r1.evictions`, `parallel.steal.attempts`.
+//! `join.na.r1.l2`, `buffer.r1.misses`, `parallel.steal.attempts`.
 
 use crate::json::{self, Value};
 use std::collections::BTreeMap;

@@ -25,8 +25,9 @@
 //!   with an ETA from [`eta`] and a confidence band from the paper's
 //!   §4.1 ~15% error envelope;
 //! * the run's one [`UnitLedger`] (units and their price: scheduled,
-//!   done, in flight, forfeited or shed), written only through
-//!   `sjcm_join::ExecContext`'s unit hooks, and [`eta`], the one ETA
+//!   done, in flight, forfeited or shed), written only through the
+//!   unit hooks of the tree-join executors that schedule units (the
+//!   dealt and the cost-guided one), and [`eta`], the one ETA
 //!   rule over it — both read by the engine and by the governor's shed
 //!   predictor.
 //!
@@ -53,10 +54,6 @@
 //! is `done / (Σ est − forfeited)`, clamped monotone (a re-estimate
 //! can shrink the denominator; the published fraction never regresses)
 //! and pinned to exactly 1.0 by [`ProgressTracker::finish`].
-//!
-//! Joins with no model prior (PBSM has no R-trees) fall back to the
-//! unit ledger: the done share of the scheduled price, with forfeited
-//! and shed units leaving the denominator.
 //!
 //! # Faults
 //!
@@ -128,11 +125,11 @@ pub fn eta(exec_secs: f64, done: f64, in_flight: f64, remaining: f64) -> Option<
 /// The run's one unit ledger: how many work units, and how much of
 /// their price, are scheduled, done, in flight, and forfeited or shed.
 /// Prices are in whatever the run priced its units in — Eq 6 × overlap
-/// for priced dealt units and cost-guided units, entry counts for PBSM
-/// cells, one per unit for an unpriced deal. A run arms it once, and
-/// each unit leaves it through exactly one of [`UnitLedger::done`] /
-/// [`UnitLedger::forfeit`]. A disabled ledger (the default) owns
-/// nothing: every operation is one `Option` check.
+/// for priced dealt units and cost-guided units, one per unit for an
+/// unpriced deal. A run arms it once, and each unit leaves it through
+/// exactly one of [`UnitLedger::done`] / [`UnitLedger::forfeit`]. A
+/// disabled ledger (the default) owns nothing: every operation is one
+/// `Option` check.
 #[derive(Debug, Clone, Default)]
 pub struct UnitLedger {
     inner: Option<Arc<Ledger>>,
@@ -373,14 +370,6 @@ impl ProgressTracker {
         }
     }
 
-    /// Adds emitted result pairs (executors with an `AccessStats`-fed
-    /// sink report pairs through the sink instead).
-    pub fn add_pairs(&self, n: u64) {
-        if let Some(shared) = &self.shared {
-            shared.pairs.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Marks the run complete: every later snapshot reports fraction
     /// exactly 1.0 and a zero ETA.
     pub fn finish(&self) {
@@ -496,15 +485,14 @@ pub struct ProgressSnapshot {
     /// Monotone progress fraction in `[0, 1]`; exactly 1.0 once the
     /// run has called [`ProgressTracker::finish`].
     pub fraction: f64,
-    /// Work done so far (NA for model-driven runs, the done units'
-    /// price for ledger-driven runs like PBSM).
+    /// Node accesses done so far (both trees); 0 for a run with no
+    /// prior to estimate against.
     pub done_work: f64,
     /// Current estimate of total work, after prior/observation
     /// blending. The fraction's denominator is this minus
     /// `forfeited_work`.
     pub est_total_work: f64,
-    /// Work retired from the denominator: skipped subtrees' NA, or the
-    /// forfeited and shed units' price for ledger-driven runs.
+    /// Work retired from the denominator: skipped subtrees' NA.
     pub forfeited_work: f64,
     /// Node accesses published so far (both trees).
     pub na_done: u64,
@@ -642,19 +630,13 @@ impl ProgressEngine {
         }
     }
 
-    /// An engine with no model prior — progress comes purely from the
-    /// unit ledger (PBSM: the done cells' share of the entries).
-    pub fn for_units(tracker: &ProgressTracker) -> Self {
-        Self::new(tracker, &[])
-    }
-
     /// The blended total-work estimate over both trees' levels.
     fn estimate(&mut self, done: &[[u64; MAX_LEVELS]; 2]) -> f64 {
         let mut total = 0.0;
         for (t, done) in done.iter().enumerate() {
             let Some(top) = self.top[t] else {
                 // No prior for this tree: whatever was done is the
-                // estimate (height-1 trees, unit-ledger runs).
+                // estimate (height-1 trees).
                 for &d in done {
                     total += d as f64;
                 }
@@ -714,7 +696,7 @@ impl ProgressEngine {
         let finished = shared.finished.load(Ordering::Acquire);
 
         let (done_work, est_total, forfeited) = if self.prior_total > 0.0 && units.scheduled > 0 {
-            // A unit schedule exists (cost-guided, round-robin, PBSM):
+            // A unit schedule exists (cost-guided, round-robin):
             // the per-level branching ratios are not representative
             // mid-run — the frontier descent completes the upper
             // levels long before the leaves, so level-over-level
@@ -734,14 +716,6 @@ impl ProgressEngine {
             (na_done as f64, blended, forfeited_na)
         } else if self.prior_total > 0.0 {
             (na_done as f64, self.estimate(&done), forfeited_na)
-        } else if units.scheduled > 0 {
-            // The ledger alone: work is price, and a forfeited or shed
-            // unit leaves the denominator with its price.
-            (
-                units.done as f64,
-                units.scheduled as f64,
-                units.forfeited as f64,
-            )
         } else {
             // Nothing to estimate against (e.g. two height-1 trees):
             // progress is binary.
@@ -1044,33 +1018,8 @@ mod tests {
     }
 
     #[test]
-    fn unit_ledger_drives_progress_without_priors() {
-        let tracker = ProgressTracker::enabled();
-        let mut engine = ProgressEngine::for_units(&tracker);
-        let ledger = tracker.ledger();
-        ledger.arm(5, 500);
-        let s0 = engine.sample();
-        assert_eq!(s0.fraction, 0.0);
-        assert_eq!(s0.units_total, 5);
-        run_unit(&ledger, 100);
-        run_unit(&ledger, 150);
-        let s1 = engine.sample();
-        assert!((s1.done_work - 250.0).abs() < 1e-9);
-        assert!(s1.fraction > 0.45 && s1.fraction < 0.55, "{}", s1.fraction);
-        run_unit(&ledger, 200);
-        run_unit(&ledger, 50);
-        run_unit(&ledger, 0);
-        tracker.finish();
-        let s2 = engine.sample();
-        assert_eq!(s2.fraction, 1.0);
-        assert_eq!(s2.units_done, 5);
-    }
-
-    #[test]
     fn forfeited_units_leave_the_ledger_and_the_denominator() {
-        let tracker = ProgressTracker::enabled();
-        let mut engine = ProgressEngine::for_units(&tracker);
-        let ledger = tracker.ledger();
+        let ledger = UnitLedger::enabled();
         ledger.arm(4, 400);
         run_unit(&ledger, 100);
         // One refused at its checkpoint, one lost after admission.
@@ -1088,12 +1037,10 @@ mod tests {
             (t.scheduled, t.done, t.forfeited, t.in_flight),
             (400, 200, 200, 0)
         );
+        // Everything that will run has run: nothing remains for the
+        // ETA to wait on.
         assert_eq!(t.remaining(), 0);
-        // Everything that will run has run: the fraction is at its
-        // pre-finish cap, not stalled at half.
-        let snap = engine.sample();
-        assert_eq!(snap.forfeited_work, 200.0);
-        assert!(snap.fraction > 0.999, "{}", snap.fraction);
+        assert_eq!(t.eta(), None);
     }
 
     #[test]
@@ -1205,12 +1152,17 @@ mod tests {
     #[test]
     fn terminal_line_renders_bar_fraction_and_eta() {
         let tracker = ProgressTracker::enabled();
-        let mut engine = ProgressEngine::for_units(&tracker);
-        tracker.ledger().arm(2, 100);
-        run_unit(&tracker.ledger(), 50);
+        let mut engine = ProgressEngine::new(&tracker, &priors_two_trees());
+        feed(
+            &mut tracker.sink(),
+            &[(0, 30, 0), (1, 6, 0)],
+            &[(0, 30, 0), (1, 6, 0)],
+            7,
+        );
         let line = engine.sample().terminal_line();
         assert!(line.contains('%'), "{line}");
         assert!(line.starts_with('['), "{line}");
+        assert!(line.ends_with("pairs 7"), "{line}");
         tracker.finish();
         let line = engine.sample().terminal_line();
         assert!(line.contains("100.0%"), "{line}");

@@ -32,40 +32,6 @@ impl AccessKind {
     }
 }
 
-/// Lifetime tallies of a buffer manager, for the observability layer:
-/// hits and misses partition the accesses (`hits + misses = NA` of the
-/// tree the buffer serves, `misses = DA`), evictions count pages pushed
-/// out to make room. Counters are cumulative across
-/// [`BufferManager::clear`] — the parallel join resets residency at
-/// every unit boundary, and the per-run totals must survive that.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BufferCounters {
-    /// Accesses served from the buffer.
-    pub hits: u64,
-    /// Accesses that went to disk.
-    pub misses: u64,
-    /// Resident pages displaced by a newcomer (not counted for
-    /// [`BufferManager::clear`], which models a deliberate reset, nor
-    /// for [`NoBuffer`], which never holds a page to displace).
-    pub evictions: u64,
-}
-
-impl BufferCounters {
-    /// Merges another tally into this one (used to combine the
-    /// per-worker buffers of the parallel join).
-    pub fn merge(&mut self, other: &BufferCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-    }
-
-    /// Hit ratio `hits / (hits + misses)`, `None` before any access
-    /// (delegates to the shared [`crate::counters::hit_ratio`]).
-    pub fn hit_ratio(&self) -> Option<f64> {
-        crate::counters::hit_ratio(self.hits, self.misses)
-    }
-}
-
 /// A buffer manager decides, per page access, whether the page was
 /// already resident. Implementations are deterministic functions of the
 /// access trace, which keeps every experiment reproducible.
@@ -79,27 +45,21 @@ pub trait BufferManager {
 
     /// Human-readable scheme name for experiment reports.
     fn name(&self) -> &'static str;
-
-    /// Lifetime hit/miss/eviction tallies (see [`BufferCounters`]).
-    fn counters(&self) -> BufferCounters;
 }
 
 /// The trivial scheme: nothing is ever buffered, so `DA = NA`.
 #[derive(Debug, Default, Clone)]
-pub struct NoBuffer {
-    counters: BufferCounters,
-}
+pub struct NoBuffer;
 
 impl NoBuffer {
     /// Creates the no-op buffer.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl BufferManager for NoBuffer {
     fn access(&mut self, _page: PageId, _level: u8) -> AccessKind {
-        self.counters.misses += 1;
         AccessKind::Miss
     }
 
@@ -107,10 +67,6 @@ impl BufferManager for NoBuffer {
 
     fn name(&self) -> &'static str {
         "none"
-    }
-
-    fn counters(&self) -> BufferCounters {
-        self.counters
     }
 }
 
@@ -125,7 +81,6 @@ impl BufferManager for NoBuffer {
 #[derive(Debug, Default, Clone)]
 pub struct PathBuffer {
     frames: Vec<Option<PageId>>,
-    counters: BufferCounters,
 }
 
 impl PathBuffer {
@@ -147,14 +102,9 @@ impl BufferManager for PathBuffer {
             self.frames.resize(idx + 1, None);
         }
         if self.frames[idx] == Some(page) {
-            self.counters.hits += 1;
             AccessKind::Hit
         } else {
-            if self.frames[idx].is_some() {
-                self.counters.evictions += 1;
-            }
             self.frames[idx] = Some(page);
-            self.counters.misses += 1;
             AccessKind::Miss
         }
     }
@@ -165,10 +115,6 @@ impl BufferManager for PathBuffer {
 
     fn name(&self) -> &'static str {
         "path"
-    }
-
-    fn counters(&self) -> BufferCounters {
-        self.counters
     }
 }
 
@@ -184,7 +130,6 @@ pub struct LruBuffer {
     stamp: u64,
     resident: HashMap<PageId, u64>,
     by_stamp: std::collections::BTreeMap<u64, PageId>,
-    counters: BufferCounters,
 }
 
 impl LruBuffer {
@@ -195,7 +140,6 @@ impl LruBuffer {
             stamp: 0,
             resident: HashMap::with_capacity(capacity.min(1024)),
             by_stamp: std::collections::BTreeMap::new(),
-            counters: BufferCounters::default(),
         }
     }
 
@@ -217,7 +161,6 @@ impl LruBuffer {
     fn evict_lru(&mut self) {
         if let Some((_, victim)) = self.by_stamp.pop_first() {
             self.resident.remove(&victim);
-            self.counters.evictions += 1;
         }
     }
 }
@@ -225,7 +168,6 @@ impl LruBuffer {
 impl BufferManager for LruBuffer {
     fn access(&mut self, page: PageId, _level: u8) -> AccessKind {
         if self.capacity == 0 {
-            self.counters.misses += 1;
             return AccessKind::Miss;
         }
         self.stamp += 1;
@@ -233,7 +175,6 @@ impl BufferManager for LruBuffer {
         if let Some(old) = self.resident.insert(page, stamp) {
             self.by_stamp.remove(&old);
             self.by_stamp.insert(stamp, page);
-            self.counters.hits += 1;
             return AccessKind::Hit;
         }
         self.by_stamp.insert(stamp, page);
@@ -242,7 +183,6 @@ impl BufferManager for LruBuffer {
             // never its own victim.
             self.evict_lru();
         }
-        self.counters.misses += 1;
         AccessKind::Miss
     }
 
@@ -254,10 +194,6 @@ impl BufferManager for LruBuffer {
 
     fn name(&self) -> &'static str {
         "lru"
-    }
-
-    fn counters(&self) -> BufferCounters {
-        self.counters
     }
 }
 
@@ -363,6 +299,14 @@ mod tests {
         b.access(p(1), 0);
         b.clear();
         assert_eq!(b.access(p(1), 0), AccessKind::Miss);
+        // A page that displaced another is forgotten by `clear` too.
+        assert_eq!(b.access(p(1), 0), AccessKind::Hit);
+        assert_eq!(b.access(p(2), 0), AccessKind::Miss);
+        assert_eq!(b.access(p(3), 1), AccessKind::Miss);
+        b.clear();
+        assert_eq!(b.resident(0), None);
+        assert_eq!(b.access(p(2), 0), AccessKind::Miss);
+        assert_eq!(b.access(p(3), 1), AccessKind::Miss);
     }
 
     #[test]
@@ -382,8 +326,11 @@ mod tests {
         b.access(p(2), 0);
         b.access(p(1), 0); // 2 is now LRU
         assert_eq!(b.access(p(3), 0), AccessKind::Miss); // evicts 2
-        assert_eq!(b.access(p(1), 0), AccessKind::Hit);
-        assert_eq!(b.access(p(2), 0), AccessKind::Miss);
+        assert_eq!(b.access(p(2), 0), AccessKind::Miss); // evicts 1
+        assert_eq!(b.access(p(3), 0), AccessKind::Hit);
+        assert_eq!(b.access(p(1), 0), AccessKind::Miss); // evicts 2
+        assert_eq!(b.access(p(3), 0), AccessKind::Hit);
+        assert_eq!(b.len(), 2);
     }
 
     #[test]
@@ -400,81 +347,6 @@ mod tests {
         b.access(p(1), 0);
         b.access(p(2), 0); // evicts 1, keeps 2
         assert_eq!(b.access(p(2), 0), AccessKind::Hit);
-    }
-
-    #[test]
-    fn path_buffer_counters_track_hits_misses_evictions() {
-        let mut b = PathBuffer::new();
-        b.access(p(1), 0); // miss, empty frame: no eviction
-        b.access(p(1), 0); // hit
-        b.access(p(2), 0); // miss, evicts page 1
-        b.access(p(3), 1); // miss, empty frame at level 1
-        let c = b.counters();
-        assert_eq!(
-            c,
-            BufferCounters {
-                hits: 1,
-                misses: 3,
-                evictions: 1
-            }
-        );
-        assert!((c.hit_ratio().unwrap() - 0.25).abs() < 1e-12);
-        // clear() resets residency, not the counters, and is not an
-        // eviction.
-        b.clear();
-        assert_eq!(b.counters().evictions, 1);
-        b.access(p(2), 0); // miss again after clear
-        assert_eq!(b.counters().misses, 4);
-    }
-
-    #[test]
-    fn lru_counters_track_hits_misses_evictions() {
-        let mut b = LruBuffer::new(2);
-        b.access(p(1), 0); // miss
-        b.access(p(2), 0); // miss
-        b.access(p(1), 0); // hit
-        b.access(p(3), 0); // miss, evicts 2
-        b.access(p(2), 0); // miss, evicts 1
-        let c = b.counters();
-        assert_eq!(
-            c,
-            BufferCounters {
-                hits: 1,
-                misses: 4,
-                evictions: 2
-            }
-        );
-        assert!((c.hit_ratio().unwrap() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn no_buffer_counts_only_misses() {
-        let mut b = NoBuffer::new();
-        b.access(p(1), 0);
-        b.access(p(1), 0);
-        let c = b.counters();
-        assert_eq!(c.hits, 0);
-        assert_eq!(c.misses, 2);
-        assert_eq!(c.evictions, 0);
-        assert_eq!(c.hit_ratio(), Some(0.0));
-    }
-
-    #[test]
-    fn counters_merge_and_empty_hit_ratio() {
-        let mut a = BufferCounters {
-            hits: 1,
-            misses: 2,
-            evictions: 3,
-        };
-        a.merge(&BufferCounters {
-            hits: 10,
-            misses: 20,
-            evictions: 30,
-        });
-        assert_eq!(a.hits, 11);
-        assert_eq!(a.misses, 22);
-        assert_eq!(a.evictions, 33);
-        assert_eq!(BufferCounters::default().hit_ratio(), None);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 use crate::buffer::AccessKind;
 
 /// Buffer hit ratio `hits / (hits + misses)` — the one definition
-/// shared by [`AccessStats::hit_ratio`] and
-/// [`crate::buffer::BufferCounters::hit_ratio`]. Zero-access semantics
-/// are explicit: with no accesses the ratio is **undefined** (`None`),
-/// not 0.0 — an untouched buffer is not a buffer that always missed.
+/// shared by [`AccessStats::hit_ratio`] and the experiments' trace
+/// tables. Zero-access semantics are explicit: with no accesses the
+/// ratio is **undefined** (`None`), not 0.0 — an untouched buffer is
+/// not a buffer that always missed.
 pub fn hit_ratio(hits: u64, misses: u64) -> Option<f64> {
     let total = hits + misses;
     if total == 0 {

@@ -33,8 +33,8 @@
 //!   the injector — retry semantics included — whether an access
 //!   succeeds. Disabled, it costs one `Option` discriminant check.
 //!
-//! Everything observable lands in [`FaultCounters`], the fault-side
-//! sibling of `BufferCounters`, published as `fault.*` metrics.
+//! Everything observable lands in [`FaultCounters`], published as
+//! `fault.*` metrics.
 
 use crate::page::{fnv1a, PageId, PageStore, StorageError};
 use bytes::Bytes;
@@ -186,8 +186,8 @@ impl FaultPlan {
 }
 
 /// Tallies of everything the fault layer did — injections by kind, retry
-/// work, and outcomes. The fault-side sibling of `BufferCounters`;
-/// mergeable across stores/threads and published as `fault.*` metrics.
+/// work, and outcomes; mergeable across stores/threads and published
+/// as `fault.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Transient read faults injected (one per failed read attempt).

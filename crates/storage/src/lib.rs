@@ -46,9 +46,7 @@ pub mod page;
 pub mod recorder;
 pub mod replay;
 
-pub use buffer::{
-    AccessKind, BufferCounters, BufferManager, BufferPolicy, LruBuffer, NoBuffer, PathBuffer,
-};
+pub use buffer::{AccessKind, BufferManager, BufferPolicy, LruBuffer, NoBuffer, PathBuffer};
 pub use counters::{hit_ratio, AccessStats};
 pub use fault::{
     FaultCounters, FaultInjector, FaultPlan, FaultyPageStore, ResilientStore, FAULT_INJECTED,

@@ -41,7 +41,7 @@
 //! executor does not run a join over a join's output.
 
 use crate::join::baselines::index_nested_loop_join;
-use crate::join::{Governor, JoinSession, Scheduler, Side};
+use crate::join::{JoinSession, Scheduler, Side};
 use crate::optimizer::{Access, JoinAlgorithm, PhysicalPlan, PlanNode};
 use crate::prelude::*;
 use sjcm_geom::Rect;
@@ -65,9 +65,9 @@ pub enum ExecError {
     UnboundDataset(String),
     /// The plan shape exceeds what the executor models.
     UnsupportedShape(String),
-    /// The query governor stopped the run (an admission rejection); the
-    /// payload is the governor's message.
-    Governed(String),
+    /// The join itself failed (a worker thread panicked); the payload
+    /// is the join's message.
+    Join(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -75,7 +75,7 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::UnboundDataset(d) => write!(f, "dataset {d} not bound"),
             ExecError::UnsupportedShape(s) => write!(f, "unsupported plan shape: {s}"),
-            ExecError::Governed(msg) => write!(f, "query governed: {msg}"),
+            ExecError::Join(msg) => write!(f, "join failed: {msg}"),
         }
     }
 }
@@ -208,19 +208,16 @@ impl ExecOutput {
 pub struct PlanExecutor<'a, const N: usize> {
     bindings: HashMap<String, BoundDataset<'a, N>>,
     threads: usize,
-    governor: Governor,
 }
 
 impl<'a, const N: usize> PlanExecutor<'a, N> {
     /// Creates an executor with no bindings, running joins on one
     /// worker (the sequential fallback of the parallel entry point —
-    /// counters are identical to the sequential executor) under an
-    /// unlimited governor.
+    /// counters are identical to the sequential executor).
     pub fn new() -> Self {
         Self {
             bindings: HashMap::new(),
             threads: 1,
-            governor: Governor::unlimited(),
         }
     }
 
@@ -235,18 +232,6 @@ impl<'a, const N: usize> PlanExecutor<'a, N> {
     /// totals are thread-count-invariant by construction.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Governs the SJ operators of every subsequent run: admission
-    /// control, cooperative deadlines and load shedding apply to the
-    /// join traversals (index probes and NL fallbacks stay ungoverned —
-    /// their cost is bounded by construction). A governor holds one
-    /// query's decision log, so hand a fresh one to each run whose
-    /// events you want to stream. The default is [`Governor::unlimited`]
-    /// — byte-identical to the ungoverned executor.
-    pub fn with_governor(mut self, governor: Governor) -> Self {
-        self.governor = governor;
         self
     }
 
@@ -452,9 +437,8 @@ impl<'a, const N: usize> PlanExecutor<'a, N> {
             JoinAlgorithm::SynchronizedTraversal => {
                 // One synchronized traversal of the base trees through
                 // the production session API, restricted to the pushed
-                // windows. With a governor armed, an admission rejection
-                // becomes `ExecError::Governed`, a deadline expiry a
-                // degraded (partial, priced) result.
+                // windows. Nothing governs or faults it, so the result
+                // is exact; the one failure left is a worker panic.
                 let mut session = JoinSession::new(db.tree, qb.tree)
                     .config(JoinConfig {
                         buffer: BufferPolicy::Path,
@@ -462,8 +446,7 @@ impl<'a, const N: usize> PlanExecutor<'a, N> {
                     })
                     .scheduler(Scheduler::CostGuided {
                         threads: self.threads,
-                    })
-                    .govern(&self.governor);
+                    });
                 for (side, window) in [Side::R1, Side::R2].into_iter().zip(windows) {
                     if let Some(window) = window {
                         session = session.window(side, window);
@@ -471,7 +454,7 @@ impl<'a, const N: usize> PlanExecutor<'a, N> {
                 }
                 let result = session
                     .run()
-                    .map_err(|e| ExecError::Governed(e.to_string()))?
+                    .map_err(|e| ExecError::Join(e.to_string()))?
                     .result;
                 let (na, da) = (result.na_total(), result.da_total());
                 // Under the path buffer the model-comparable I/O is DA.

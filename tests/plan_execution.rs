@@ -516,30 +516,3 @@ fn three_way_plans_are_priced_but_not_executed() {
         Err(ExecError::UnsupportedShape(_))
     ));
 }
-
-#[test]
-fn governed_executor_rejects_and_matches_ungoverned() {
-    use sjcm::join::{Governor, GovernorConfig};
-    let w = world();
-    let plan = Planner::new(&w.catalog)
-        .best_plan(&JoinQuery::new(["rivers", "countries"]))
-        .unwrap();
-    let ungoverned = executor(&w).run(&plan).unwrap();
-
-    // An impossible NA budget rejects the query with a typed error.
-    let tight =
-        executor(&w).with_governor(Governor::new(GovernorConfig::default().with_na_budget(1.0)));
-    match tight.run(&plan).unwrap_err() {
-        ExecError::Governed(msg) => assert!(msg.contains("rejected"), "{msg}"),
-        other => panic!("expected Governed, got {other:?}"),
-    }
-
-    // A generous budget admits and reproduces the ungoverned rows.
-    let roomy = executor(&w).with_governor(Governor::new(
-        GovernorConfig::default().with_na_budget(1e12),
-    ));
-    let governed = roomy.run(&plan).unwrap();
-    assert_eq!(governed.rows.len(), ungoverned.rows.len());
-    assert_eq!(governed.na, ungoverned.na);
-    assert_eq!(governed.da, ungoverned.da);
-}
