@@ -186,13 +186,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 na_budget = Some(b);
             }
-            "--trace" | "--metrics" => {
-                return Err(format!(
-                    "{flag} was replaced by --obs-dir DIR (the directory \
-                     receives join_trace.jsonl, join_metrics.jsonl, \
-                     join_progress.jsonl and join_access_trace.bin)"
-                ));
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }

@@ -32,7 +32,7 @@ use sjcm_join::{
 use sjcm_obs::{
     json, validate_governor_jsonl, validate_metrics_jsonl, validate_progress_jsonl,
     validate_trace_jsonl, DriftMonitor, LevelPrior, MetricsRegistry, ProgressEngine,
-    ProgressSnapshot, ProgressTracker, Tracer, GOVERNOR_EVENTS_FILE, PAPER_ENVELOPE,
+    ProgressSnapshot, ProgressTracker, Tracer, GOVERNOR_EVENTS_FILE, MASS_FLOOR, PAPER_ENVELOPE,
 };
 use sjcm_storage::{AccessTrace, FlightRecorder};
 use std::io::Write as _;
@@ -120,10 +120,7 @@ pub fn join_observed(
     // counts are off by whole nodes, which would swamp the per-level
     // gauges with discretization noise). Levels predicted to carry
     // less than MASS_FLOOR of their total are tracked as raw counters
-    // but get no envelope target: a root-adjacent level of a few hundred accesses is a
-    // small-denominator cell where ±a few node pairs reads as tens of
-    // percent, and the paper's ~15% claim is about levels with mass.
-    const MASS_FLOOR: f64 = 0.03;
+    // but get no envelope target.
     let p1 = measured_params::<2>(&t1.stats());
     let p2 = measured_params::<2>(&t2.stats());
     let targets = join::join_prediction_targets(&p1, &p2);
@@ -455,8 +452,7 @@ const ARTIFACTS: [(&str, Check, &str); 8] = [
 /// The binary page-access trace: [`AccessTrace::from_bytes`] rejects
 /// bad magic/version/padding, truncated or oversized byte counts,
 /// invalid event encodings and non-monotonic ticks; on top of that a
-/// trace must be replayable (no event overwritten by the rings, at
-/// least one event).
+/// trace must be replayable (at least one event).
 fn check_access_trace(bytes: &[u8]) -> Result<usize, String> {
     AccessTrace::from_bytes(bytes)
         .and_then(crate::trace::replayable)

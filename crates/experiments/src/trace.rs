@@ -8,19 +8,18 @@
 //! must reproduce the live DA counters exactly (every event carries
 //! the hit/miss verdict the live buffer gave, so a single mismatched
 //! verdict is detectable); the LRU sweep then draws the DA-vs-buffer-
-//! size curve — in one pass, via the Mattson stack-distance analysis,
-//! cross-checked against brute-force replay at spot capacities — next
-//! to the Eq 8–12 prediction carried in the trace header.
+//! size curve, one replay per capacity, next to the Eq 8–12 prediction
+//! carried in the trace header.
 //!
 //! `trace report` summarizes locality: per-tree per-level access
 //! histograms and the top-k hottest pages.
 
 use crate::common::{rel_err, RunOpts};
 use crate::report::{int, pct, Report};
-use sjcm_storage::recorder::AccessTrace;
-use sjcm_storage::replay::{replay, StackDistance};
+use sjcm_storage::recorder::{AccessTrace, PageAccessEvent};
+use sjcm_storage::replay::replay;
 use sjcm_storage::{hit_ratio, AccessKind, BufferPolicy};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
 /// File name of the binary access trace inside `--obs-dir`.
@@ -31,10 +30,6 @@ pub const ACCESS_TRACE_FILE: &str = "join_access_trace.bin";
 /// past any path length the 60K workloads produce.
 const LRU_SWEEP: [usize; 8] = [0, 1, 2, 4, 8, 16, 32, 64];
 
-/// Capacities where the Mattson curve is cross-checked against an
-/// actual LRU re-simulation (the two must agree event-for-event).
-const CROSS_CHECK: [usize; 3] = [1, 8, 64];
-
 fn policy_name(p: BufferPolicy) -> String {
     match p {
         BufferPolicy::None => "none".into(),
@@ -43,16 +38,9 @@ fn policy_name(p: BufferPolicy) -> String {
     }
 }
 
-/// A trace the toolchain can replay: the rings overwrote no event and
-/// it holds at least one. `validate-obs` applies the same check.
+/// A trace the toolchain can replay: it holds at least one event.
+/// `validate-obs` applies the same check.
 pub(crate) fn replayable(trace: AccessTrace) -> Result<AccessTrace, String> {
-    if trace.dropped > 0 {
-        return Err(format!(
-            "truncated trace ({} events overwritten by the ring); \
-             re-record with a larger lane capacity",
-            trace.dropped
-        ));
-    }
     if trace.events.is_empty() {
         return Err("trace holds no events".to_string());
     }
@@ -71,6 +59,31 @@ fn fmt_ratio(hits: u64, misses: u64) -> String {
         Some(h) => format!("{h:.4}"),
         None => "n/a".into(),
     }
+}
+
+/// The floor of the LRU curve: `(cold misses, saturating capacity)`.
+/// A cold miss is the first touch of a page in its (corr, tree)
+/// buffer, which no capacity avoids; the saturating capacity is the
+/// smallest whose replay misses only those. LRU's inclusion property
+/// makes misses non-increasing in capacity, so a binary search over
+/// `0..=cold` finds it (no domain holds more than `cold` pages, so that
+/// capacity never evicts).
+fn lru_floor(events: &[PageAccessEvent]) -> (u64, usize) {
+    let cold = events
+        .iter()
+        .map(|e| (e.corr, e.tree, e.page))
+        .collect::<HashSet<_>>()
+        .len();
+    let (mut lo, mut hi) = (0, cold);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if replay(events, BufferPolicy::Lru(mid)).da_total() == cold as u64 {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    (cold as u64, lo)
 }
 
 /// The `trace replay` command. Returns `false` (with diagnostics on
@@ -122,34 +135,10 @@ pub fn replay_cmd(opts: &RunOpts) -> bool {
         da_live
     );
 
-    // One Mattson scan yields the full LRU curve; brute-force replay
-    // spot-checks it.
-    let sd = StackDistance::analyze(&trace.events);
-    for cap in CROSS_CHECK {
-        let brute = replay(&trace.events, BufferPolicy::Lru(cap));
-        if brute.da_total() != sd.misses_at(cap) {
-            eprintln!(
-                "trace replay: Mattson disagrees with brute-force LRU({cap}): \
-                 {} vs {}",
-                sd.misses_at(cap),
-                brute.da_total()
-            );
-            return false;
-        }
-    }
-
     let mut table = Report::new(
         out,
         "trace_replay",
-        &[
-            "policy",
-            "source",
-            "na",
-            "da",
-            "hit_ratio",
-            "da_pred",
-            "rel_err",
-        ],
+        &["policy", "na", "da", "hit_ratio", "da_pred", "rel_err"],
     );
     table.comment(&format!(
         "what-if replay of {}; recorded policy {}; header predictions \
@@ -159,10 +148,7 @@ pub fn replay_cmd(opts: &RunOpts) -> bool {
         trace.na_pred,
         trace.da_pred
     ));
-    table.comment(&format!(
-        "lru rows from one Mattson stack-distance scan, cross-checked \
-         against brute-force replay at capacities {CROSS_CHECK:?}"
-    ));
+    table.comment("every row is one replay of the trace through a fresh buffer per (corr, tree)");
     let pred_cell = |applies: bool, pred: f64, da: u64| -> (String, String) {
         if applies && pred > 0.0 {
             (int(pred), pct(rel_err(pred, da as f64)))
@@ -170,26 +156,15 @@ pub fn replay_cmd(opts: &RunOpts) -> bool {
             ("-".into(), "-".into())
         }
     };
-    for policy in [BufferPolicy::None, BufferPolicy::Path] {
-        let o = replay(&trace.events, policy);
-        let da = o.da_total();
+    let lru = LRU_SWEEP.map(BufferPolicy::Lru);
+    let policies = [BufferPolicy::None, BufferPolicy::Path]
+        .into_iter()
+        .chain(lru);
+    for policy in policies {
+        let da = replay(&trace.events, policy).da_total();
         let (pred, err) = pred_cell(policy == trace.policy, trace.da_pred, da);
         table.row(&[
             &policy_name(policy),
-            &"replay",
-            &na_live,
-            &da,
-            &fmt_ratio(na_live - da, da),
-            &pred,
-            &err,
-        ]);
-    }
-    for cap in LRU_SWEEP {
-        let da = sd.misses_at(cap);
-        let (pred, err) = pred_cell(trace.policy == BufferPolicy::Lru(cap), trace.da_pred, da);
-        table.row(&[
-            &policy_name(BufferPolicy::Lru(cap)),
-            &"mattson",
             &na_live,
             &da,
             &fmt_ratio(na_live - da, da),
@@ -198,11 +173,10 @@ pub fn replay_cmd(opts: &RunOpts) -> bool {
         ]);
     }
     // The curve's floor: cold misses no buffer size can avoid.
+    let (cold, saturating) = lru_floor(&trace.events);
     println!(
-        "trace replay: {} cold misses (compulsory floor of the LRU curve), \
-         saturating capacity {}",
-        sd.cold_misses(),
-        sd.saturating_capacity()
+        "trace replay: {cold} cold misses (compulsory floor of the LRU curve), \
+         saturating capacity {saturating}"
     );
     table.finish();
     true
@@ -315,7 +289,6 @@ mod tests {
         ];
         let trace = AccessTrace {
             policy: BufferPolicy::None,
-            dropped: 0,
             na_pred: 3.0,
             da_pred: 3.0,
             events,
@@ -338,7 +311,6 @@ mod tests {
         let events = vec![event(0, 1, AccessKind::Miss), event(1, 1, AccessKind::Miss)];
         let trace = AccessTrace {
             policy: BufferPolicy::Path,
-            dropped: 0,
             na_pred: 0.0,
             da_pred: 0.0,
             events,
@@ -353,15 +325,89 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sjcm_trace_trunc_{}", std::process::id()));
         let trace = AccessTrace {
             policy: BufferPolicy::None,
-            dropped: 7,
             na_pred: 0.0,
             da_pred: 0.0,
-            events: vec![event(0, 1, AccessKind::Miss)],
+            events: vec![event(0, 1, AccessKind::Miss), event(1, 2, AccessKind::Miss)],
         };
         write_trace(&dir, &trace);
+        let path = dir.join(ACCESS_TRACE_FILE);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
         let opts = opts_for(&dir);
         assert!(!replay_cmd(&opts));
         assert!(!report_cmd(&opts));
+        // A whole trace with no events is refused too.
+        write_trace(
+            &dir,
+            &AccessTrace {
+                events: Vec::new(),
+                ..trace
+            },
+        );
+        assert!(!replay_cmd(&opts));
+        assert!(!report_cmd(&opts));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn access(tick: u64, corr: u32, tree: u8, page: u32) -> PageAccessEvent {
+        PageAccessEvent {
+            corr,
+            tree,
+            ..event(tick, page, AccessKind::Miss)
+        }
+    }
+
+    #[test]
+    fn lru_floor_on_a_two_domain_trace() {
+        // Domain 0, tree 1: pages 1 2 3 1 — re-reading 1 needs 3 frames.
+        // Domain 0, tree 2: page 1 twice — 1 frame. Domain 1, tree 1:
+        // pages 1 2 1 — 2 frames; its page 1 is cold again, since no
+        // buffer spans domains. Cold: {1,2,3} + {1} + {1,2} = 6.
+        let seq = [
+            (0, 1, 1),
+            (0, 2, 1),
+            (1, 1, 1),
+            (0, 1, 2),
+            (1, 1, 2),
+            (0, 1, 3),
+            (0, 2, 1),
+            (1, 1, 1),
+            (0, 1, 1),
+        ];
+        let events: Vec<_> = (0..)
+            .zip(seq)
+            .map(|(t, (corr, tree, page))| access(t, corr, tree, page))
+            .collect();
+        assert_eq!(lru_floor(&events), (6, 3));
+        assert_eq!(replay(&events, BufferPolicy::Lru(2)).da_total(), 7);
+        assert_eq!(lru_floor(&[]), (0, 0));
+        // No page is read twice: every capacity, 0 included, sits on
+        // the floor.
+        assert_eq!(lru_floor(&events[..3]), (3, 0));
+    }
+
+    #[test]
+    fn lru_floor_matches_a_linear_scan() {
+        // A seeded walk over 40 pages in three domains, with a hot set
+        // so that reuse distances spread out.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let events: Vec<_> = (0..600)
+            .map(|t| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pages = if x.is_multiple_of(3) { 5 } else { 40 };
+                let page = ((x >> 8) % pages) as u32;
+                access(t, (x >> 20) as u32 % 3, 1 + (x >> 30) as u8 % 2, page)
+            })
+            .collect();
+        let (cold, saturating) = lru_floor(&events);
+        let curve: Vec<u64> = (0..=40)
+            .map(|c| replay(&events, BufferPolicy::Lru(c)).da_total())
+            .collect();
+        assert_eq!(curve[40], cold);
+        let first = curve.iter().position(|&m| m == cold).unwrap();
+        assert_eq!(saturating, first);
+        assert!(saturating > 1, "the walk reuses pages at distance > 1");
     }
 }

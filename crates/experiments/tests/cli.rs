@@ -284,6 +284,23 @@ fn explain_obs_dir_validates() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
+/// The flags `--obs-dir` replaced are refused like any unknown flag.
+#[test]
+fn replaced_flags_are_unknown_flags() {
+    for flag in ["--trace", "--metrics"] {
+        let out = bin()
+            .args(["join", flag, "x"])
+            .output()
+            .expect("spawn experiments");
+        assert!(!out.status.success(), "{flag}: expected nonzero exit");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
 /// Unknown commands exit nonzero and point at the help text.
 #[test]
 fn unknown_command_fails() {

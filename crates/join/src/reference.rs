@@ -273,8 +273,7 @@ mod tests {
             session = session.reference_traversal();
         }
         let result = session.run().expect("ungoverned join cannot fail").result;
-        let (mut events, dropped) = recorder.drain();
-        assert_eq!(dropped, 0);
+        let mut events = recorder.drain();
         events.sort_by_key(|e| e.tick);
         let mut lanes: BTreeMap<_, Lane> = BTreeMap::new();
         for e in events {

@@ -331,7 +331,6 @@ proptest! {
         prop_assert_eq!(live.faults.recovery_rate().unwrap_or(1.0), 1.0);
 
         let trace = recorder.into_trace(sjcm_storage::BufferPolicy::Path, 0.0, 0.0);
-        prop_assert_eq!(trace.dropped, 0);
         prop_assert_eq!(trace.events.len() as u64, live.result.na_total());
         let out = sjcm_storage::replay(&trace.events, sjcm_storage::BufferPolicy::Path);
         prop_assert_eq!(out.kind_mismatches, 0);

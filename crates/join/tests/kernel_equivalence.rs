@@ -805,7 +805,7 @@ fn refused_distance(eps: f64) -> Vec<JoinError> {
             .run()
             .expect_err("an invalid ε must not run");
         assert!(err.to_string().contains("ε ≥ 0"), "{sched:?}: {err}");
-        assert!(recorder.drain().0.is_empty(), "{sched:?}: a page was read");
+        assert!(recorder.drain().is_empty(), "{sched:?}: a page was read");
         errors.push(err);
     }
     errors

@@ -287,8 +287,8 @@ fn paper_scale_eta_lands_within_twenty_percent_at_a_quarter() {
             // What the sequential executor does: count every access
             // per (tree, level), publish the tallies every 512th — with
             // a sampler that looks after every flush.
-            let (events, dropped) = recorder.drain();
-            assert_eq!((events.len() as u64, dropped), (true_work, 0), "{tag}");
+            let events = recorder.drain();
+            assert_eq!(events.len() as u64, true_work, "{tag}");
             quarter_of_replay(&pr, |tracker, sample| {
                 let mut sink = tracker.sink();
                 let mut na = [vec![0u64; t1.height()], vec![0u64; t2.height()]];

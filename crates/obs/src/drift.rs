@@ -34,6 +34,15 @@ pub const DA_TOTAL: &str = "da.total";
 /// per-operator verdicts all read it.
 pub const PAPER_ENVELOPE: f64 = 0.15;
 
+/// The least share of its total a prediction must carry to be held to
+/// [`PAPER_ENVELOPE`]: a per-level drift target of the `join` command,
+/// or an EXPLAIN ANALYZE operator's share of the plan's I/O. Below it
+/// a cell is a small denominator — a root-adjacent level of a few
+/// hundred accesses, or a 3-page probe priced at 5 pages — where a few
+/// node pairs read as tens of percent, and the paper's ~15% claim is
+/// about cells with mass. Such cells are still reported, ungated.
+pub const MASS_FLOOR: f64 = 0.03;
+
 #[derive(Debug, Clone)]
 struct Target {
     predicted: f64,

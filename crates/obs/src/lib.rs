@@ -52,7 +52,7 @@ pub mod metrics;
 pub mod progress;
 pub mod span;
 
-pub use drift::{DriftMonitor, DriftSample, DA_TOTAL, NA_TOTAL, PAPER_ENVELOPE};
+pub use drift::{DriftMonitor, DriftSample, DA_TOTAL, MASS_FLOOR, NA_TOTAL, PAPER_ENVELOPE};
 pub use governor::{
     validate_governor_jsonl, GovernorEvent, GovernorLog, GOVERNOR_EVENTS_FILE, GOVERNOR_SCHEMA,
 };

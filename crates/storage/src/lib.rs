@@ -22,12 +22,12 @@
 //!   the analytical model level by level.
 //! * [`recorder`] — the page-access flight recorder: every buffered
 //!   access can emit a compact binary event (tree, level, page,
-//!   hit/miss, monotonic tick, correlation id) into a bounded ring,
-//!   serialized as an [`recorder::AccessTrace`] for offline analysis.
-//! * [`mod@replay`] — trace-driven what-if analysis: re-simulate a captured
-//!   trace under any buffer policy ([`replay::replay`]), or get the hit
-//!   ratio of *every* LRU capacity from one scan with the Mattson
-//!   stack-distance analyzer ([`replay::StackDistance`]).
+//!   hit/miss, monotonic tick, correlation id) into a thread-private
+//!   lane, serialized as an [`recorder::AccessTrace`] for offline
+//!   analysis.
+//! * [`mod@replay`] — trace-driven what-if analysis: re-simulate a
+//!   captured trace under any buffer policy ([`replay::replay`]), an
+//!   LRU buffer of each capacity included.
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`],
 //!   [`fault::FaultyPageStore`]) and recovery ([`fault::ResilientStore`]
 //!   with bounded retry + quarantine, [`fault::FaultInjector`] as the
@@ -56,4 +56,4 @@ pub use file_store::FilePageStore;
 pub use layout::{digest_term, encodable, encode_page, max_entries, DiskEntry, DiskNode, NodePage};
 pub use page::{fnv1a, InMemoryPageStore, PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE};
 pub use recorder::{AccessTrace, FlightRecorder, PageAccessEvent, RecorderLane};
-pub use replay::{replay, ReplayOutcome, StackDistance};
+pub use replay::{replay, ReplayOutcome};

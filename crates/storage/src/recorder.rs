@@ -16,8 +16,8 @@
 //! The recorder follows the `sjcm-obs` tracer's design: a **disabled**
 //! recorder is a single `Option` discriminant check per access — no
 //! clock, no atomics, no allocation. An **enabled** recorder costs a
-//! lane-local vector write plus, once per [`TICK_BLOCK`] events, one
-//! relaxed `fetch_add` claiming a block of globally unique ticks.
+//! push onto a lane-local vector plus, once per [`TICK_BLOCK`] events,
+//! one relaxed `fetch_add` claiming a block of globally unique ticks.
 //! Per-block claiming keeps the shared tick cacheline out of the hot
 //! path (a contended per-access `fetch_add` measurably slowed 4-worker
 //! joins); ticks stay strictly increasing *within* each lane, which is
@@ -25,18 +25,11 @@
 //! residency domain, so cross-lane interleaving (now block-granular
 //! rather than exact) cannot change any replay verdict. Lanes are
 //! thread-private and only merge into the shared sink when dropped, so
-//! the hot path takes no lock. The benchmark's
+//! the hot path takes no lock. A lane keeps every event it records:
+//! the paper-scale 60K × 60K join records about 16 000 accesses, and a
+//! trace is only replayable whole. The benchmark's
 //! `storage.recorder_ns_per_access` is what an armed recorder adds to
 //! one access.
-//!
-//! # Bounded ring
-//!
-//! Each lane is a bounded ring of [`FlightRecorder::lane_capacity`]
-//! events: when full, the newest event overwrites the oldest and the
-//! overwritten event counts as *dropped*. A trace with `dropped > 0` is
-//! truncated — still useful for inspection, but [`crate::replay()`] and
-//! `validate-obs` reject it, because replay exactness needs the full
-//! access history.
 //!
 //! # Correlation ids
 //!
@@ -61,16 +54,12 @@ pub const EVENT_SIZE: usize = 20;
 /// Trace file magic ("SJTR").
 pub const TRACE_MAGIC: [u8; 4] = *b"SJTR";
 
-/// Trace format version this crate writes and reads.
-pub const TRACE_VERSION: u32 = 1;
+/// Trace format version this crate writes and reads (version 1, whose
+/// header also counted events lost to full lanes, is refused).
+pub const TRACE_VERSION: u32 = 2;
 
 /// Serialized size of the trace header, bytes.
-pub const HEADER_SIZE: usize = 48;
-
-/// Default per-lane ring capacity (events). Sized so the paper-scale
-/// 60K×60K join (a few hundred thousand accesses per executor) records
-/// completely; memory is allocated lazily, so idle lanes cost nothing.
-pub const DEFAULT_LANE_CAPACITY: usize = 1 << 22;
+pub const HEADER_SIZE: usize = 40;
 
 /// Ticks a lane claims from the shared counter at a time. Large enough
 /// to amortize the cross-core `fetch_add` to noise, small enough that
@@ -110,7 +99,8 @@ impl PageAccessEvent {
         b
     }
 
-    /// Decodes an event; rejects invalid tree/kind bytes.
+    /// Decodes an event; rejects invalid tree/kind bytes and a nonzero
+    /// reserved byte, so every accepted event re-encodes to its bytes.
     pub fn from_bytes(b: &[u8; EVENT_SIZE]) -> Result<Self, String> {
         let tree = b[16];
         if !(1..=2).contains(&tree) {
@@ -121,6 +111,9 @@ impl PageAccessEvent {
             1 => AccessKind::Miss,
             k => return Err(format!("invalid access kind {k}")),
         };
+        if b[19] != 0 {
+            return Err(format!("nonzero reserved byte {}", b[19]));
+        }
         Ok(Self {
             tick: u64::from_le_bytes(b[0..8].try_into().unwrap()),
             page: PageId(u32::from_le_bytes(b[8..12].try_into().unwrap())),
@@ -143,12 +136,15 @@ fn policy_to_bytes(policy: BufferPolicy) -> (u8, u32) {
     }
 }
 
+/// The inverse of [`policy_to_bytes`]; a capacity on a policy that has
+/// none is refused, so every accepted header re-encodes to its bytes.
 fn policy_from_bytes(tag: u8, cap: u32) -> Result<BufferPolicy, String> {
-    match tag {
-        0 => Ok(BufferPolicy::None),
-        1 => Ok(BufferPolicy::Path),
-        2 => Ok(BufferPolicy::Lru(cap as usize)),
-        t => Err(format!("invalid policy tag {t}")),
+    match (tag, cap) {
+        (0, 0) => Ok(BufferPolicy::None),
+        (1, 0) => Ok(BufferPolicy::Path),
+        (0 | 1, c) => Err(format!("capacity {c} on a policy without one")),
+        (2, c) => Ok(BufferPolicy::Lru(c as usize)),
+        (t, _) => Err(format!("invalid policy tag {t}")),
     }
 }
 
@@ -162,9 +158,6 @@ fn policy_from_bytes(tag: u8, cap: u32) -> Result<BufferPolicy, String> {
 pub struct AccessTrace {
     /// Buffer policy the trace was recorded under.
     pub policy: BufferPolicy,
-    /// Events overwritten by the bounded rings (0 ⇒ the trace is
-    /// complete and replayable).
-    pub dropped: u64,
     /// Analytical NA prediction for the recorded run (0.0 = none).
     pub na_pred: f64,
     /// Analytical DA prediction for the recorded run (0.0 = none).
@@ -174,7 +167,7 @@ pub struct AccessTrace {
 }
 
 impl AccessTrace {
-    /// Serializes the trace (48-byte header + 20 bytes per event,
+    /// Serializes the trace (40-byte header + 20 bytes per event,
     /// little-endian throughout).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_SIZE + self.events.len() * EVENT_SIZE);
@@ -185,7 +178,6 @@ impl AccessTrace {
         out.extend_from_slice(&[0u8; 3]);
         out.extend_from_slice(&cap.to_le_bytes());
         out.extend_from_slice(&(self.events.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.dropped.to_le_bytes());
         out.extend_from_slice(&self.na_pred.to_le_bytes());
         out.extend_from_slice(&self.da_pred.to_le_bytes());
         for e in &self.events {
@@ -218,9 +210,8 @@ impl AccessTrace {
         let cap = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
         let policy = policy_from_bytes(bytes[8], cap)?;
         let count = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let dropped = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-        let na_pred = f64::from_le_bytes(bytes[32..40].try_into().unwrap());
-        let da_pred = f64::from_le_bytes(bytes[40..48].try_into().unwrap());
+        let na_pred = f64::from_le_bytes(bytes[24..32].try_into().unwrap());
+        let da_pred = f64::from_le_bytes(bytes[32..40].try_into().unwrap());
         let body = &bytes[HEADER_SIZE..];
         let expected = count
             .checked_mul(EVENT_SIZE)
@@ -250,7 +241,6 @@ impl AccessTrace {
         }
         Ok(Self {
             policy,
-            dropped,
             na_pred,
             da_pred,
             events,
@@ -277,8 +267,6 @@ impl AccessTrace {
 
 struct RecorderInner {
     tick: AtomicU64,
-    lane_capacity: usize,
-    dropped: AtomicU64,
     flushed: Mutex<Vec<Vec<PageAccessEvent>>>,
 }
 
@@ -303,19 +291,11 @@ impl FlightRecorder {
         Self { inner: None }
     }
 
-    /// A collecting recorder with the default per-lane ring capacity.
+    /// A collecting recorder.
     pub fn enabled() -> Self {
-        Self::with_lane_capacity(DEFAULT_LANE_CAPACITY)
-    }
-
-    /// A collecting recorder whose lanes hold at most `capacity` events
-    /// each (older events are overwritten and counted as dropped).
-    pub fn with_lane_capacity(capacity: usize) -> Self {
         Self {
             inner: Some(Arc::new(RecorderInner {
                 tick: AtomicU64::new(0),
-                lane_capacity: capacity.max(1),
-                dropped: AtomicU64::new(0),
                 flushed: Mutex::new(Vec::new()),
             })),
         }
@@ -327,14 +307,8 @@ impl FlightRecorder {
         self.inner.is_some()
     }
 
-    /// Per-lane ring capacity; `None` when disabled.
-    pub fn lane_capacity(&self) -> Option<usize> {
-        self.inner.as_ref().map(|i| i.lane_capacity)
-    }
-
     /// Opens a recording lane for tree `tree ∈ {1, 2}`. Lanes buffer
-    /// thread-locally and merge into the recorder on drop (or
-    /// [`RecorderLane::flush`]).
+    /// thread-locally and merge into the recorder on drop.
     pub fn lane(&self, tree: u8) -> RecorderLane {
         debug_assert!((1..=2).contains(&tree), "tree must be 1 or 2");
         match &self.inner {
@@ -343,8 +317,6 @@ impl FlightRecorder {
                 live: Some(LaneInner {
                     recorder: Arc::clone(inner),
                     buf: Vec::new(),
-                    start: 0,
-                    dropped: 0,
                     tree,
                     corr: 0,
                     tick_next: 0,
@@ -354,47 +326,34 @@ impl FlightRecorder {
         }
     }
 
-    /// Events overwritten by full rings so far (flushed lanes only).
-    pub fn dropped(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.dropped.load(Ordering::Relaxed))
-    }
-
-    /// Drains every flushed lane into one tick-sorted event vector.
-    /// Returns `(events, dropped)`. Call after all lanes are dropped —
-    /// live lanes' events are not visible here.
-    pub fn drain(&self) -> (Vec<PageAccessEvent>, u64) {
+    /// Drains the events of every lane dropped so far into one
+    /// tick-sorted vector. Call after all lanes are dropped — live
+    /// lanes' events are not visible here.
+    pub fn drain(&self) -> Vec<PageAccessEvent> {
         let Some(inner) = &self.inner else {
-            return (Vec::new(), 0);
+            return Vec::new();
         };
         let mut lanes = inner.flushed.lock().expect("recorder poisoned");
         let mut events: Vec<PageAccessEvent> = lanes.drain(..).flatten().collect();
         events.sort_unstable_by_key(|e| e.tick);
-        (events, inner.dropped.load(Ordering::Relaxed))
+        events
     }
 
     /// Drains the recorder into an [`AccessTrace`] carrying the given
     /// policy and analytical predictions (see [`AccessTrace`]).
     pub fn into_trace(&self, policy: BufferPolicy, na_pred: f64, da_pred: f64) -> AccessTrace {
-        let (events, dropped) = self.drain();
         AccessTrace {
             policy,
-            dropped,
             na_pred,
             da_pred,
-            events,
+            events: self.drain(),
         }
     }
 }
 
 struct LaneInner {
     recorder: Arc<RecorderInner>,
-    /// Ring storage: grows to `lane_capacity`, then wraps at `start`.
     buf: Vec<PageAccessEvent>,
-    /// Oldest element once the ring has wrapped.
-    start: usize,
-    dropped: u64,
     tree: u8,
     corr: u32,
     /// Next tick to stamp; valid while `< tick_end`.
@@ -425,8 +384,8 @@ impl RecorderLane {
         }
     }
 
-    /// Records one access. The hot-path cost when enabled is a ring
-    /// write (plus one relaxed `fetch_add` per [`TICK_BLOCK`] events);
+    /// Records one access. The hot-path cost when enabled is a vector
+    /// push (plus one relaxed `fetch_add` per [`TICK_BLOCK`] events);
     /// when disabled, one discriminant check.
     #[inline]
     pub fn record(&mut self, page: PageId, level: u8, kind: AccessKind) {
@@ -437,28 +396,16 @@ impl RecorderLane {
             live.tick_next = live.recorder.tick.fetch_add(TICK_BLOCK, Ordering::Relaxed);
             live.tick_end = live.tick_next + TICK_BLOCK;
         }
-        let tick = live.tick_next;
-        live.tick_next += 1;
-        let event = PageAccessEvent {
-            tick,
+        live.buf.push(PageAccessEvent {
+            tick: live.tick_next,
             page,
             corr: live.corr,
             tree: live.tree,
             level,
             kind,
-        };
-        if live.buf.len() < live.recorder.lane_capacity {
-            live.buf.push(event);
-        } else {
-            live.buf[live.start] = event;
-            live.start = (live.start + 1) % live.buf.len();
-            live.dropped += 1;
-        }
+        });
+        live.tick_next += 1;
     }
-
-    /// Merges the lane's events into the recorder now (also happens on
-    /// drop).
-    pub fn flush(self) {}
 }
 
 impl Drop for RecorderLane {
@@ -466,16 +413,11 @@ impl Drop for RecorderLane {
         let Some(live) = self.live.take() else {
             return;
         };
-        let mut events = live.buf;
-        events.rotate_left(live.start);
-        live.recorder
-            .dropped
-            .fetch_add(live.dropped, Ordering::Relaxed);
         live.recorder
             .flushed
             .lock()
             .expect("recorder poisoned")
-            .push(events);
+            .push(live.buf);
     }
 }
 
@@ -495,9 +437,7 @@ mod tests {
         assert!(!lane.is_enabled());
         lane.record(p(1), 0, AccessKind::Miss);
         drop(lane);
-        let (events, dropped) = r.drain();
-        assert!(events.is_empty());
-        assert_eq!(dropped, 0);
+        assert!(r.drain().is_empty());
     }
 
     #[test]
@@ -510,8 +450,7 @@ mod tests {
         l1.record(p(11), 0, AccessKind::Hit);
         drop(l1);
         drop(l2);
-        let (events, dropped) = r.drain();
-        assert_eq!(dropped, 0);
+        let events = r.drain();
         assert_eq!(events.len(), 3);
         // Ticks are globally unique and strictly increasing after the
         // merge; cross-lane interleaving is block-granular (each lane
@@ -535,26 +474,9 @@ mod tests {
         lane.set_corr(7);
         lane.record(p(2), 0, AccessKind::Miss);
         drop(lane);
-        let (events, _) = r.drain();
+        let events = r.drain();
         assert_eq!(events[0].corr, 0);
         assert_eq!(events[1].corr, 7);
-    }
-
-    #[test]
-    fn ring_bounds_and_counts_drops() {
-        let r = FlightRecorder::with_lane_capacity(3);
-        let mut lane = r.lane(1);
-        for i in 0..5 {
-            lane.record(p(i), 0, AccessKind::Miss);
-        }
-        drop(lane);
-        let (events, dropped) = r.drain();
-        assert_eq!(dropped, 2);
-        assert_eq!(events.len(), 3);
-        // Oldest two overwritten; survivors in tick order.
-        let pages: Vec<u32> = events.iter().map(|e| e.page.0).collect();
-        assert_eq!(pages, vec![2, 3, 4]);
-        assert!(events.windows(2).all(|w| w[0].tick < w[1].tick));
     }
 
     #[test]
@@ -571,9 +493,22 @@ mod tests {
                 });
             }
         });
-        let (events, _) = r.drain();
+        let events = r.drain();
         assert_eq!(events.len(), 400);
         assert!(events.windows(2).all(|w| w[0].tick < w[1].tick));
+    }
+
+    #[test]
+    fn a_lane_keeps_every_access() {
+        let r = FlightRecorder::enabled();
+        let mut lane = r.lane(2);
+        let n = 3 * TICK_BLOCK as u32 + 5;
+        for i in 0..n {
+            lane.record(p(i), 0, AccessKind::Miss);
+        }
+        drop(lane);
+        let pages: Vec<u32> = r.drain().iter().map(|e| e.page.0).collect();
+        assert_eq!(pages, (0..n).collect::<Vec<_>>());
     }
 
     #[test]
@@ -658,6 +593,29 @@ mod tests {
         assert!(AccessTrace::from_bytes(&bad)
             .unwrap_err()
             .contains("strictly increasing"));
+        // A nonzero reserved byte in an event.
+        let mut bad = bytes.clone();
+        bad[HEADER_SIZE + 19] = 1;
+        assert!(AccessTrace::from_bytes(&bad)
+            .unwrap_err()
+            .contains("event 0: nonzero reserved byte"));
+        // A capacity on the path policy (and on none), which has none
+        // to carry.
+        for tag in [0, 1] {
+            let mut bad = bytes.clone();
+            bad[8] = tag;
+            bad[12] = 4;
+            assert!(AccessTrace::from_bytes(&bad)
+                .unwrap_err()
+                .contains("capacity 4 on a policy without one"));
+        }
+        // A version-1 header (48 bytes, with a dropped-event count) is
+        // refused on its version field, before its layout is read.
+        let mut bad = bytes.clone();
+        bad[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(AccessTrace::from_bytes(&bad)
+            .unwrap_err()
+            .contains("unsupported trace version 1"));
     }
 
     #[test]
@@ -674,7 +632,6 @@ mod tests {
     fn lru_policy_round_trips_capacity() {
         let t = AccessTrace {
             policy: BufferPolicy::Lru(512),
-            dropped: 0,
             na_pred: 0.0,
             da_pred: 0.0,
             events: Vec::new(),
@@ -688,7 +645,6 @@ mod tests {
         let bytes_of = |cap: usize| {
             AccessTrace {
                 policy: BufferPolicy::Lru(cap),
-                dropped: 0,
                 na_pred: 0.0,
                 da_pred: 0.0,
                 events: Vec::new(),

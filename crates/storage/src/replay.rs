@@ -2,27 +2,23 @@
 //!
 //! A captured [`crate::recorder::AccessTrace`] fixes the *access
 //! sequence* of a join run; the hit/miss outcome of each access is then
-//! a deterministic function of the buffer policy. This module
-//! re-simulates a trace under any [`BufferPolicy`]:
+//! a deterministic function of the buffer policy. [`replay`] runs the
+//! events through concrete buffer managers, one fresh pair (tree 1,
+//! tree 2) per correlation domain — reproducing the live per-level
+//! NA/DA counters **exactly** when the replayed policy matches the
+//! recorded one ([`ReplayOutcome::kind_mismatches`] is 0), and
+//! answering "what if we had run policy X instead?" otherwise.
 //!
-//! * [`replay`] runs the events through concrete buffer managers, one
-//!   fresh pair (tree 1, tree 2) per correlation domain — reproducing
-//!   the live per-level NA/DA counters **exactly** when the replayed
-//!   policy matches the recorded one ([`ReplayOutcome::kind_mismatches`]
-//!   is 0), and answering "what if we had run policy X instead?"
-//!   otherwise.
-//! * [`StackDistance`] is a single-pass Mattson stack-distance
-//!   analyzer: because LRU has the *inclusion property* (the content of
-//!   an LRU buffer of capacity C is a subset of capacity C+1's), one
-//!   scan yields the hit count of **every** LRU capacity at once — the
-//!   whole DA-vs-buffer-size curve from one pass instead of one replay
-//!   per size. Cross-checked against brute-force [`replay`] by the
-//!   property tests.
+//! The DA-vs-LRU-capacity curve is one replay per capacity, through
+//! the same [`crate::buffer::LruBuffer`] the join runs. LRU has the
+//! *inclusion property* (the content of an LRU buffer of capacity C is
+//! a subset of capacity C+1's), so the curve never rises and bottoms
+//! out at the cold misses: one per distinct (corr, tree, page).
 //!
-//! Both respect correlation domains: accesses with different `corr`
-//! never share a buffer (the live schedulers reset or separate buffers
-//! exactly there — see [`crate::recorder`]), and tree 1 / tree 2 each
-//! have their own buffer, mirroring the executors' `buf1`/`buf2`.
+//! Accesses with different `corr` never share a buffer (the live
+//! schedulers reset or separate buffers exactly there — see
+//! [`crate::recorder`]), and tree 1 / tree 2 each have their own
+//! buffer, mirroring the executors' `buf1`/`buf2`.
 
 use crate::buffer::BufferManager;
 use crate::buffer::BufferPolicy;
@@ -86,156 +82,6 @@ pub fn replay(events: &[PageAccessEvent], policy: BufferPolicy) -> ReplayOutcome
     outcome
 }
 
-/// Binary indexed tree (Fenwick) over access positions; supports the
-/// point-update / prefix-sum pair the stack-distance computation needs.
-/// Fixed capacity: a Fenwick tree cannot grow lazily (parent nodes past
-/// the old length would have missed earlier updates), so the analyzer
-/// pre-sizes one per domain from the event counts.
-#[derive(Debug)]
-struct Fenwick {
-    tree: Vec<u64>,
-}
-
-impl Fenwick {
-    fn with_capacity(n: usize) -> Self {
-        Self {
-            tree: vec![0; n + 1],
-        }
-    }
-
-    /// Adds `delta` at position `i` (0-based, must be `< capacity`).
-    fn add(&mut self, i: usize, delta: i64) {
-        let mut i = i + 1;
-        while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta) as u64;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of positions `0..=i` (0-based).
-    fn prefix(&self, i: usize) -> u64 {
-        let mut i = (i + 1).min(self.tree.len() - 1);
-        let mut sum = 0;
-        while i > 0 {
-            sum += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        sum
-    }
-}
-
-/// Per-domain Mattson state: one logical LRU stack per
-/// (correlation, tree) pair, matching how [`replay`] instantiates
-/// buffers.
-#[derive(Debug)]
-struct DomainState {
-    /// Position of the most recent access to each page.
-    last_pos: HashMap<u32, usize>,
-    /// 1 at the position of each page's most recent access.
-    recent: Fenwick,
-    /// Next access position.
-    time: usize,
-}
-
-impl DomainState {
-    fn with_capacity(n: usize) -> Self {
-        Self {
-            last_pos: HashMap::new(),
-            recent: Fenwick::with_capacity(n),
-            time: 0,
-        }
-    }
-}
-
-/// Single-pass reuse-distance (Mattson) analysis of a trace.
-///
-/// For each access, the *stack distance* is the number of distinct
-/// pages touched since the previous access to the same page, plus one —
-/// equivalently, the page's depth in the LRU stack. An access with
-/// stack distance `d` hits every LRU buffer of capacity `≥ d` and
-/// misses every smaller one, so the histogram of distances determines
-/// the hit count of **all** capacities simultaneously. First-ever
-/// accesses (cold misses) miss at every capacity.
-///
-/// Distances are tracked per (correlation domain, tree), mirroring
-/// [`replay`]'s buffer instantiation, so
-/// [`StackDistance::misses_at`]`(c)` equals the brute-force
-/// `replay(events, BufferPolicy::Lru(c)).da_total()` for every `c`
-/// (the property tests assert this).
-#[derive(Debug, Clone, Default)]
-pub struct StackDistance {
-    /// `hist[d - 1]` = number of accesses with stack distance `d`.
-    hist: Vec<u64>,
-    cold: u64,
-    total: u64,
-}
-
-impl StackDistance {
-    /// Analyzes `events` in one scan (plus a counting pre-pass to size
-    /// the per-domain index structures).
-    pub fn analyze(events: &[PageAccessEvent]) -> Self {
-        let mut out = Self::default();
-        let mut sizes: HashMap<(u32, u8), usize> = HashMap::new();
-        for e in events {
-            *sizes.entry((e.corr, e.tree)).or_default() += 1;
-        }
-        let mut domains: HashMap<(u32, u8), DomainState> = sizes
-            .into_iter()
-            .map(|(k, n)| (k, DomainState::with_capacity(n)))
-            .collect();
-        for e in events {
-            let dom = domains.get_mut(&(e.corr, e.tree)).expect("pre-sized");
-            let t = dom.time;
-            dom.time += 1;
-            match dom.last_pos.insert(e.page.0, t) {
-                None => out.cold += 1,
-                Some(prev) => {
-                    // Distinct pages touched strictly after `prev` =
-                    // most-recent-access marks in (prev, t) — the mark
-                    // at `prev` is this page's own, position `t` is not
-                    // yet marked — plus 1 for the page itself.
-                    let d = (dom.recent.prefix(t) - dom.recent.prefix(prev)) as usize + 1;
-                    if out.hist.len() < d {
-                        out.hist.resize(d, 0);
-                    }
-                    out.hist[d - 1] += 1;
-                    dom.recent.add(prev, -1);
-                }
-            }
-            dom.recent.add(t, 1);
-            out.total += 1;
-        }
-        out
-    }
-
-    /// Total accesses analyzed.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Accesses that can never hit (first touch of their page in their
-    /// domain).
-    pub fn cold_misses(&self) -> u64 {
-        self.cold
-    }
-
-    /// Hits an LRU buffer of `capacity` pages would serve.
-    pub fn hits_at(&self, capacity: usize) -> u64 {
-        self.hist.iter().take(capacity).sum()
-    }
-
-    /// Misses (= DA) an LRU buffer of `capacity` pages would incur.
-    pub fn misses_at(&self, capacity: usize) -> u64 {
-        self.total - self.hits_at(capacity)
-    }
-
-    /// Smallest capacity achieving the maximum possible hit count;
-    /// every larger buffer is wasted. 0 for an empty trace.
-    pub fn saturating_capacity(&self) -> usize {
-        self.hist.iter().rposition(|&c| c > 0).map_or(0, |d| d + 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,7 +107,7 @@ mod tests {
             lane.record(PageId(page), level, kind);
         }
         drop(lanes);
-        recorder.drain().0
+        recorder.drain()
     }
 
     #[test]
@@ -334,38 +180,10 @@ mod tests {
         assert!(lru.kind_mismatches > 0);
     }
 
-    #[test]
-    fn mattson_matches_brute_force_on_handcrafted_trace() {
-        let seq = [
-            (0, 1, 1, 0),
-            (0, 1, 2, 1),
-            (0, 1, 3, 0),
-            (0, 1, 1, 2),
-            (0, 1, 2, 0),
-            (0, 1, 1, 0),
-            (0, 2, 1, 0),
-            (0, 2, 1, 0),
-            (1, 1, 3, 0),
-            (1, 1, 3, 1),
-            (1, 1, 4, 0),
-            (1, 1, 3, 0),
-        ];
-        let events = record(&seq, BufferPolicy::None);
-        let sd = StackDistance::analyze(&events);
-        assert_eq!(sd.total(), events.len() as u64);
-        for cap in 0..8 {
-            let brute = replay(&events, BufferPolicy::Lru(cap));
-            assert_eq!(
-                sd.misses_at(cap),
-                brute.da_total(),
-                "capacity {cap}: mattson vs brute force"
-            );
-        }
-        // Capacity 0 = no buffer; huge capacity = only cold misses.
-        assert_eq!(sd.misses_at(0), events.len() as u64);
-        assert_eq!(sd.misses_at(1024), sd.cold_misses());
-    }
-
+    /// The LRU miss curve (Mattson's inclusion property) from one
+    /// replay per capacity: every access misses at capacity 0, misses
+    /// never rise with capacity, and a buffer holding every page of a
+    /// domain misses only on first touches.
     #[test]
     fn mattson_curve_is_monotone_non_increasing() {
         let seq: Vec<(u32, u8, u32, u8)> = (0..200u32)
@@ -379,29 +197,25 @@ mod tests {
             })
             .collect();
         let events = record(&seq, BufferPolicy::None);
-        let sd = StackDistance::analyze(&events);
-        let mut prev = sd.misses_at(0);
-        for cap in 1..=sd.saturating_capacity() + 2 {
-            let m = sd.misses_at(cap);
+        let misses = |cap| replay(&events, BufferPolicy::Lru(cap)).da_total();
+        let mut prev = misses(0);
+        assert_eq!(prev, events.len() as u64);
+        // 17 pages per (corr, tree): capacity 17 never evicts.
+        for cap in 1..=18 {
+            let m = misses(cap);
             assert!(
                 m <= prev,
                 "misses rose from {prev} to {m} at capacity {cap}"
             );
             prev = m;
         }
-        assert_eq!(
-            sd.misses_at(sd.saturating_capacity()),
-            sd.cold_misses(),
-            "saturating capacity reaches the cold-miss floor"
-        );
+        let cold: std::collections::HashSet<_> =
+            events.iter().map(|e| (e.corr, e.tree, e.page)).collect();
+        assert_eq!(misses(17), cold.len() as u64, "the cold-miss floor");
     }
 
     #[test]
     fn empty_trace() {
-        let sd = StackDistance::analyze(&[]);
-        assert_eq!(sd.total(), 0);
-        assert_eq!(sd.misses_at(4), 0);
-        assert_eq!(sd.saturating_capacity(), 0);
         let out = replay(&[], BufferPolicy::Path);
         assert_eq!(out.na_total(), 0);
         assert_eq!(out.kind_mismatches, 0);

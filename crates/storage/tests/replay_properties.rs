@@ -1,14 +1,14 @@
-//! Property tests for the trace replay engine: the single-pass Mattson
-//! stack-distance analyzer must agree with brute-force LRU simulation
-//! on every trace and every capacity, and replay must be an exact
-//! reconstruction when the recorded policy is replayed.
+//! Property tests for the trace replay engine: the LRU miss curve it
+//! draws falls from every access to the cold misses and never rises,
+//! and replay is an exact reconstruction when the recorded policy is
+//! replayed.
 
 use proptest::prelude::*;
 use sjcm_storage::recorder::{FlightRecorder, PageAccessEvent};
-use sjcm_storage::replay::{replay, StackDistance};
+use sjcm_storage::replay::replay;
 use sjcm_storage::BufferPolicy;
 use sjcm_storage::{AccessStats, BufferManager, PageId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One randomized access: (corr domain, tree, page, level).
 fn access() -> impl Strategy<Value = (u32, u8, u32, u8)> {
@@ -32,32 +32,32 @@ fn record(seq: &[(u32, u8, u32, u8)], policy: BufferPolicy) -> Vec<PageAccessEve
         lane.record(PageId(page), level, kind);
     }
     drop(lanes);
-    recorder.drain().0
+    recorder.drain()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // Mattson hit counts equal brute-force LRU replay at every
-    // capacity — the inclusion property made executable.
+    // The LRU curve, one replay per capacity: capacity 0 misses every
+    // access, misses never rise with capacity (the inclusion
+    // property), and a buffer as large as a domain's pages misses once
+    // per distinct (corr, tree, page).
     #[test]
-    fn mattson_matches_brute_force_lru(seq in prop::collection::vec(access(), 1..120)) {
+    fn lru_curve_falls_from_every_access_to_the_cold_floor(
+        seq in prop::collection::vec(access(), 1..120),
+    ) {
         let events = record(&seq, BufferPolicy::None);
-        let sd = StackDistance::analyze(&events);
-        for cap in 0usize..12 {
-            let brute = replay(&events, BufferPolicy::Lru(cap));
-            prop_assert_eq!(
-                sd.misses_at(cap),
-                brute.da_total(),
-                "capacity {}", cap
-            );
+        let misses = |cap| replay(&events, BufferPolicy::Lru(cap)).da_total();
+        let mut prev = misses(0);
+        prop_assert_eq!(prev, events.len() as u64);
+        // Pages are drawn from 0..20: capacity 20 never evicts.
+        for cap in 1usize..=20 {
+            let cur = misses(cap);
+            prop_assert!(cur <= prev, "misses rose to {} at capacity {}", cur, cap);
+            prev = cur;
         }
-        // The curve the sweep reports must be monotone non-increasing.
-        for cap in 1usize..12 {
-            prop_assert!(sd.misses_at(cap) <= sd.misses_at(cap - 1));
-        }
-        // Floor: unlimited capacity leaves exactly the cold misses.
-        prop_assert_eq!(sd.misses_at(usize::MAX / 2), sd.cold_misses());
+        let cold: HashSet<_> = events.iter().map(|e| (e.corr, e.tree, e.page)).collect();
+        prop_assert_eq!(prev, cold.len() as u64);
     }
 
     // Replaying the recorded policy reproduces the recorded hit/miss
@@ -106,7 +106,6 @@ proptest! {
         let events = record(&seq, BufferPolicy::Path);
         let trace = sjcm_storage::AccessTrace {
             policy: BufferPolicy::Path,
-            dropped: 0,
             na_pred: 12.5,
             da_pred: 3.25,
             events,

@@ -30,6 +30,7 @@
 
 use crate::exec::{ExecError, ExecOutput, OpMeasurement, PlanExecutor};
 use crate::json::{self, Value};
+use crate::obs::MASS_FLOOR;
 use crate::optimizer::cost::{CostError, CostEstimator};
 use crate::optimizer::{Catalog, DatasetStats, Estimate, PhysicalPlan, PlanNode};
 use crate::prelude::*;
@@ -70,12 +71,6 @@ const PLAN_ANALYZE_KEYS: [&str; 19] = [
     "within",
     "envelope",
 ];
-
-/// Operators carrying less than this share of the plan's measured
-/// model-comparable I/O are annotated but not gated — a 3-page probe
-/// that the model prices at 5 pages is a 67% "error" with no bearing on
-/// plan choice (the same floor the drift monitor applies per level).
-pub const GATE_MASS_FLOOR: f64 = 0.03;
 
 /// Analysis failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,7 +155,8 @@ pub struct AnalyzedNode {
     pub model_err: f64,
     /// Dominant error source.
     pub attribution: Attribution,
-    /// Whether this operator carries enough I/O mass to gate.
+    /// Whether this operator carries at least [`MASS_FLOOR`] of the
+    /// plan's measured model-comparable I/O, and so is gated.
     pub gated: bool,
     /// Envelope verdict on the *residual* model error, for gated
     /// operators (`None` = ungated).
@@ -546,7 +542,7 @@ impl<'a, const N: usize> Explainer<'a, N> {
             Attribution::Model
         };
         let gated = total_io > 0
-            && measured.cost_io as f64 >= GATE_MASS_FLOOR * total_io as f64
+            && measured.cost_io as f64 >= MASS_FLOOR * total_io as f64
             && measured.cost_io > 0;
         let within = if gated {
             Some(model_err <= self.envelope)
