@@ -9,22 +9,19 @@ use sjcm_rtree::{ObjectId, RTree, RTreeConfig};
 use std::path::{Path, PathBuf};
 
 /// The run options shared by every experiment subcommand — output
-/// directory, workload scale, worker threads, the deterministic seed
-/// and the optional observability artifact directory. `main` parses the
+/// directory, workload scale, worker threads and the optional
+/// observability artifact directory. `main` parses the
 /// flags once, [`RunOpts::new`] validates them fail-fast (bad values
 /// abort before any index is built), and each command receives the one
-/// bundle instead of re-threading four loose parameters.
+/// bundle instead of re-threading three loose parameters.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// CSV output directory (`--out`, default `results/`).
     pub out: PathBuf,
     /// Scale factor on the paper's 20K–80K cardinalities (`--scale`).
     pub scale: f64,
-    /// Worker threads for the parallel/join/chaos commands
-    /// (`--threads`).
+    /// Worker threads for the parallel/join commands (`--threads`).
     pub threads: usize,
-    /// Deterministic seed for the chaos fault plans (`--seed`).
-    pub seed: u64,
     /// Observability artifact directory (`--obs-dir`); created eagerly
     /// so a run whose point is its artifacts fails before the work,
     /// not after it.
@@ -39,7 +36,6 @@ impl RunOpts {
         out: PathBuf,
         scale: f64,
         threads: usize,
-        seed: u64,
         obs_dir: Option<PathBuf>,
     ) -> Result<Self, String> {
         if !scale.is_finite() || scale <= 0.0 {
@@ -56,7 +52,6 @@ impl RunOpts {
             out,
             scale,
             threads,
-            seed,
             obs_dir,
         })
     }
@@ -240,15 +235,15 @@ mod tests {
 
     #[test]
     fn run_opts_validates_fail_fast() {
-        let ok = RunOpts::new(PathBuf::from("results"), 0.5, 4, 1998, None);
+        let ok = RunOpts::new(PathBuf::from("results"), 0.5, 4, None);
         assert!(ok.is_ok());
         for bad_scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(
-                RunOpts::new(PathBuf::from("results"), bad_scale, 4, 1998, None).is_err(),
+                RunOpts::new(PathBuf::from("results"), bad_scale, 4, None).is_err(),
                 "scale {bad_scale} must be rejected"
             );
         }
-        assert!(RunOpts::new(PathBuf::from("results"), 1.0, 0, 1998, None).is_err());
+        assert!(RunOpts::new(PathBuf::from("results"), 1.0, 0, None).is_err());
     }
 
     #[test]

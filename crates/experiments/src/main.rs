@@ -7,7 +7,6 @@
 //! experiments help        # every command and flag, from `COMMANDS`
 //! ```
 
-mod chaos;
 mod common;
 mod errors;
 mod explain;
@@ -75,10 +74,6 @@ const COMMANDS: &[(&str, &str)] = &[
         "admission, deadline and shed walkthrough; exit 1 on a failed gate",
     ),
     (
-        "chaos",
-        "seeded fault-injection campaigns; exit 1 on a failed gate",
-    ),
-    (
         "trace-replay",
         "what-if buffer replay of the recorded trace (also `trace replay`)",
     ),
@@ -97,12 +92,10 @@ const FLAGS: &str = "\
 --scale F         scales the paper's 20K–80K cardinalities by F (default 1.0;
                   use e.g. 0.1 for a quick pass)
 --out DIR         CSV output directory (default results/)
---threads T       worker threads for parallel/join/chaos commands (default 4)
+--threads T       worker threads for parallel/join commands (default 4)
 --obs-dir D       join: write span/metrics/progress JSONL and the binary
-                  access trace into D; chaos adds its fault/drift metrics
-                  JSONL; trace replay/report and validate-obs read them back
---seed S          chaos: seeds the deterministic fault plans (default 1998;
-                  the data seeds stay pinned)
+                  access trace into D; trace replay/report and validate-obs
+                  read them back
 --watch           join: redraw the live progress line (fraction, ETA with the
                   ±15% band, pairs) while the join runs
 --calibrate       explain: start from a 4×-mis-registered catalog, write the
@@ -163,7 +156,6 @@ fn parse_args() -> Result<Args, String> {
     let mut out = PathBuf::from("results");
     let mut threads = 4;
     let mut obs_dir = None;
-    let mut seed = 1998;
     let mut watch = false;
     let mut calibrate = false;
     let mut deadline_ms = None;
@@ -175,7 +167,6 @@ fn parse_args() -> Result<Args, String> {
             "--out" => out = value(flag, &mut args)?,
             "--threads" => threads = value(flag, &mut args)?,
             "--obs-dir" => obs_dir = Some(value(flag, &mut args)?),
-            "--seed" => seed = value(flag, &mut args)?,
             "--watch" => watch = true,
             "--calibrate" => calibrate = true,
             "--deadline-ms" => deadline_ms = Some(value(flag, &mut args)?),
@@ -192,7 +183,7 @@ fn parse_args() -> Result<Args, String> {
     // One validation seam for the flags every command shares: bad
     // values (and an uncreatable --obs-dir) fail here, before any
     // index is built.
-    let opts = RunOpts::new(out, scale, threads, seed, obs_dir)?;
+    let opts = RunOpts::new(out, scale, threads, obs_dir)?;
     Ok(Args {
         command,
         opts,
@@ -244,7 +235,6 @@ fn run(cmd: &str, args: &Args) -> bool {
         }
         "explain" if args.calibrate => return gate(explain::calibrate(opts), "gate failed"),
         "explain" => return gate(explain::explain(opts), "gate failed"),
-        "chaos" => return gate(chaos::chaos(opts), "at least one gate failed"),
         "governor" => {
             return gate(
                 governor::governor(opts, args.deadline_ms),

@@ -16,7 +16,6 @@
 //! draws it live, `--obs-dir` persists the snapshot JSONL, and the
 //! report prints the prior-vs-refined ETA error curve either way.
 
-use crate::chaos::CHAOS_METRICS_FILE;
 use crate::common::{build_tree, write_artifact, RunOpts, DEFAULT_DENSITY};
 use crate::explain::{CATALOG_FILE, PLAN_ANALYZE_FILE};
 use crate::report::{int, pct, Report};
@@ -418,15 +417,10 @@ fn text(bytes: &[u8]) -> Result<&str, String> {
 /// noun its record count is reported in. Each validator sits beside
 /// the artifact's writer, except the two below whose formats are
 /// checked by their parsers.
-const ARTIFACTS: [(&str, Check, &str); 8] = [
+const ARTIFACTS: [(&str, Check, &str); 7] = [
     (TRACE_FILE, |b| validate_trace_jsonl(text(b)?), "spans"),
     (
         METRICS_FILE,
-        |b| validate_metrics_jsonl(text(b)?),
-        "metric lines",
-    ),
-    (
-        CHAOS_METRICS_FILE,
         |b| validate_metrics_jsonl(text(b)?),
         "metric lines",
     ),
@@ -471,8 +465,8 @@ fn check_catalog(bytes: &[u8]) -> Result<usize, String> {
 }
 
 /// The `validate-obs` command: runs the validator of every artifact in
-/// [`ARTIFACTS`] present in `dir` — spans, metrics (the join's and the
-/// chaos campaigns', both under the drift contract), the access trace,
+/// [`ARTIFACTS`] present in `dir` — spans, metrics (under the drift
+/// contract), the access trace,
 /// progress snapshots, the plan analysis, the calibrated catalog and
 /// the governor's decision log. Returns `false` (with diagnostics on
 /// stderr) on any violation, including an obs dir with nothing to

@@ -274,7 +274,7 @@ mod tests {
     /// RunOpts with `dir` as both the CSV output and the obs dir, the
     /// way the CLI wires `trace replay --out D --obs-dir D`.
     fn opts_for(dir: &Path) -> RunOpts {
-        RunOpts::new(dir.to_path_buf(), 1.0, 1, 1998, Some(dir.to_path_buf())).unwrap()
+        RunOpts::new(dir.to_path_buf(), 1.0, 1, Some(dir.to_path_buf())).unwrap()
     }
 
     #[test]

@@ -284,20 +284,22 @@ fn explain_obs_dir_validates() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
-/// The flags `--obs-dir` replaced are refused like any unknown flag.
+/// The flags `--obs-dir` replaced, and the `--seed` flag and `chaos`
+/// command that went with the join's simulated fault path, are refused
+/// like any unknown flag or command.
 #[test]
 fn replaced_flags_are_unknown_flags() {
-    for flag in ["--trace", "--metrics"] {
-        let out = bin()
-            .args(["join", flag, "x"])
-            .output()
-            .expect("spawn experiments");
-        assert!(!out.status.success(), "{flag}: expected nonzero exit");
+    let inputs: [(&[&str], &str); 4] = [
+        (&["join", "--trace", "x"], "unknown flag --trace"),
+        (&["join", "--metrics", "x"], "unknown flag --metrics"),
+        (&["join", "--seed", "1998"], "unknown flag --seed"),
+        (&["chaos"], "unknown command chaos"),
+    ];
+    for (args, refusal) in inputs {
+        let out = bin().args(args).output().expect("spawn experiments");
+        assert!(!out.status.success(), "{args:?}: expected nonzero exit");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("unknown flag {flag}")),
-            "{flag}: {stderr}"
-        );
+        assert!(stderr.contains(refusal), "{args:?}: {stderr}");
     }
 }
 

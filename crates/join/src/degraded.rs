@@ -1,22 +1,21 @@
 //! Graceful degradation: typed join errors, forfeited-subtree records,
 //! and the model-priced degraded result.
 //!
-//! When a [`sjcm_storage::FaultInjector`] is armed, a page read that
-//! fails permanently (retry budget exhausted, or the page is lost) does
-//! **not** abort the join. The node *pair* whose read failed is
-//! forfeited — that one subtree-vs-subtree sub-join is skipped — and
-//! the rest of the traversal continues, including the other
-//! work-stealing lanes of the parallel schedulers. The result comes
-//! back as a [`DegradedJoinResult`] carrying one [`SkippedSubtree`] per
-//! forfeited pair, each priced with the paper's own machinery so the
-//! caller can decide whether the degraded answer still sits inside the
-//! paper's ~15% accuracy envelope (§4.1):
+//! When the run's [`crate::Governor`] refuses a work unit at its
+//! checkpoint — a deadline expired, a cancellation point passed, or the
+//! unit was shed — the join does **not** abort. The unit's node *pair*
+//! is forfeited — that one subtree-vs-subtree sub-join is skipped — and
+//! the rest of the traversal continues, on every other shard too. The
+//! result comes back as a [`DegradedJoinResult`] carrying one
+//! [`SkippedSubtree`] per forfeited pair, each priced with the paper's
+//! own machinery so the caller can tell how much of the answer is
+//! missing:
 //!
 //! * **`est_na`** — the node accesses the forfeited sub-join would have
 //!   cost: Eq 6 on the two subtrees' *measured* parameters, scaled by
 //!   their MBR overlap fraction. This is exactly the pricing the
 //!   cost-guided scheduler uses for work units, reused here to price
-//!   the work that was *lost* instead of the work to be scheduled.
+//!   the work that was *forfeited* instead of the work to be scheduled.
 //! * **`est_pairs`** — the result pairs forfeited: a localized Eq-3
 //!   selectivity estimate. Eq 3 gives the expected number of
 //!   qualifying pairs for objects spread uniformly over the *whole*
@@ -29,23 +28,20 @@
 //!   closed form — a clamped-linear band integral — evaluated exactly
 //!   by the private `overlap_probability` helper.
 //!
-//! Faults ≤ the retry budget never forfeit anything: the injector
-//! recovers them and the result is bit-identical to a fault-free run
-//! (`skips` empty, [`DegradedJoinResult::is_exact`] true) — the chaos
-//! experiment gates on exactly that.
+//! A run that forfeits nothing — every ungoverned run — comes back with
+//! `skips` empty and [`DegradedJoinResult::is_exact`] true.
 
 use crate::executor::{JoinPredicate, JoinResultSet};
 use crate::parallel::Pricer;
 use sjcm_geom::Rect;
 use sjcm_rtree::{NodeId, RTree};
-use sjcm_storage::{FaultCounters, FaultInjector, PageId};
 use std::fmt;
 
-/// Why a fallible join could not produce a result at all.
+/// Why a join could not produce a result at all.
 ///
-/// Forfeited subtrees do *not* raise this — containment turns them into
-/// [`SkippedSubtree`] records on an `Ok` result. An `Err` means the run
-/// itself is unusable.
+/// Forfeited subtrees do *not* raise this — they are [`SkippedSubtree`]
+/// records on an `Ok` result. An `Err` means the run itself is
+/// unusable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JoinError {
     /// A worker thread of the parallel join panicked; the payload
@@ -107,33 +103,25 @@ impl JoinError {
     }
 }
 
-/// A forfeited node pair as recorded in the hot path: which side's page
-/// read failed and the two subtree roots. Pricing happens once, after
-/// the traversal, in [`finish_degraded`] — the traversal only pays for
-/// this push.
+/// A forfeited node pair as the executor records it: the two subtree
+/// roots. Pricing happens once, after the traversal, in
+/// [`finish_degraded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RawSkip {
-    /// Which tree's page read failed (1 or 2).
-    pub tree: u8,
     /// R1-side subtree root of the forfeited pair.
     pub n1: NodeId,
     /// R2-side subtree root of the forfeited pair.
     pub n2: NodeId,
 }
 
-/// One forfeited sub-join: the node pair that was skipped because a
-/// page read failed permanently, with model-priced estimates of what
-/// the skip cost the answer.
+/// One forfeited sub-join: the node pair the governor refused, with
+/// model-priced estimates of what the skip cost the answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SkippedSubtree<const N: usize> {
-    /// Which tree's page read failed (1 or 2).
-    pub tree: u8,
-    /// Page of the failed subtree root (pages mirror node ids).
-    pub page: PageId,
-    /// Page of the partner subtree root on the other tree.
-    pub partner: PageId,
-    /// Level of the failed node (0 = leaf).
-    pub level: u8,
+    /// R1-side subtree root of the forfeited pair.
+    pub n1: NodeId,
+    /// R2-side subtree root of the forfeited pair.
+    pub n2: NodeId,
     /// MBR of the R1-side subtree of the forfeited pair.
     pub mbr1: Rect<N>,
     /// MBR of the R2-side subtree of the forfeited pair.
@@ -149,14 +137,12 @@ pub struct SkippedSubtree<const N: usize> {
 /// priced inventory of everything that was forfeited.
 #[derive(Debug, Clone)]
 pub struct DegradedJoinResult<const N: usize> {
-    /// The join result actually computed. With no permanent faults this
-    /// is bit-identical to the infallible executor's output.
+    /// The join result actually computed. With nothing forfeited this
+    /// is the exact answer.
     pub result: JoinResultSet,
-    /// Forfeited sub-joins, sorted by `(tree, page, partner)` so the
-    /// inventory is deterministic across schedulers and thread counts.
+    /// Forfeited sub-joins, sorted by node pair so the inventory is
+    /// deterministic across schedulers and thread counts.
     pub skips: Vec<SkippedSubtree<N>>,
-    /// Snapshot of the injector's fault counters after the run.
-    pub faults: FaultCounters,
 }
 
 impl<const N: usize> DegradedJoinResult<N> {
@@ -189,37 +175,25 @@ impl<const N: usize> DegradedJoinResult<N> {
             est / total
         }
     }
-
-    /// Decision support for graceful degradation: is the estimated
-    /// forfeited fraction within `envelope` (e.g. the paper's 0.15)?
-    pub fn within_envelope(&self, envelope: f64) -> bool {
-        self.forfeited_fraction() <= envelope
-    }
 }
 
-/// Sorts and prices the raw skips, snapshots the fault counters, and
-/// assembles the [`DegradedJoinResult`]. Called once per join, outside
-/// the traversal hot path; with no skips it is a handful of moves.
+/// Sorts and prices the raw skips and assembles the
+/// [`DegradedJoinResult`]. Called once per join, outside the traversal
+/// hot path; with no skips it is a handful of moves.
 pub(crate) fn finish_degraded<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     predicate: JoinPredicate,
     result: JoinResultSet,
     mut raw: Vec<RawSkip>,
-    faults: &FaultInjector,
 ) -> DegradedJoinResult<N> {
-    raw.sort_unstable_by_key(|s| (s.tree, s.n1.0, s.n2.0));
-    raw.dedup();
+    raw.sort_unstable_by_key(|s| (s.n1.0, s.n2.0));
     let skips = price_skips(r1, r2, predicate, &raw);
-    DegradedJoinResult {
-        result,
-        skips,
-        faults: faults.counters(),
-    }
+    DegradedJoinResult { result, skips }
 }
 
-/// Prices every raw skip with the one [`Pricer`] (a lost page typically
-/// appears in many skips — once per partner subtree it would have
+/// Prices every raw skip with the one [`Pricer`] (a subtree typically
+/// appears in several skips — once per partner subtree it would have
 /// joined with — and the pricer caches per node id).
 fn price_skips<const N: usize>(
     r1: &RTree<N>,
@@ -236,25 +210,15 @@ fn price_skips<const N: usize>(
     };
     let mut pricer = Pricer::new(r1, r2);
     raw.iter()
-        .map(|s| {
-            let (page, partner, level) = if s.tree == 1 {
-                (PageId(s.n1.0), PageId(s.n2.0), r1.node(s.n1).level)
-            } else {
-                (PageId(s.n2.0), PageId(s.n1.0), r2.node(s.n2).level)
-            };
-            SkippedSubtree {
-                tree: s.tree,
-                page,
-                partner,
-                level,
-                // Empty subtrees only arise for an empty tree's root,
-                // which is never probed; the unit square is a harmless
-                // default.
-                mbr1: r1.node(s.n1).mbr().unwrap_or_else(Rect::unit),
-                mbr2: r2.node(s.n2).mbr().unwrap_or_else(Rect::unit),
-                est_na: pricer.na(s.n1, s.n2),
-                est_pairs: pricer.pairs(s.n1, s.n2, slack),
-            }
+        .map(|s| SkippedSubtree {
+            n1: s.n1,
+            n2: s.n2,
+            // Empty subtrees only arise for an empty tree's root, which
+            // is never a unit; the unit square is a harmless default.
+            mbr1: r1.node(s.n1).mbr().unwrap_or_else(Rect::unit),
+            mbr2: r2.node(s.n2).mbr().unwrap_or_else(Rect::unit),
+            est_na: pricer.na(s.n1, s.n2),
+            est_pairs: pricer.pairs(s.n1, s.n2, slack),
         })
         .collect()
 }
@@ -462,10 +426,8 @@ mod tests {
     #[test]
     fn degraded_result_accounting() {
         let mk = |est_pairs| SkippedSubtree::<2> {
-            tree: 1,
-            page: PageId(3),
-            partner: PageId(4),
-            level: 1,
+            n1: NodeId(3),
+            n2: NodeId(4),
             mbr1: Rect::unit(),
             mbr2: Rect::unit(),
             est_na: 10.0,
@@ -477,17 +439,13 @@ mod tests {
                 ..JoinResultSet::default()
             },
             skips: vec![mk(6.0), mk(4.0)],
-            faults: FaultCounters::default(),
         };
         assert!(!d.is_exact());
         assert_eq!(d.forfeited_na(), 20.0);
         assert_eq!(d.forfeited_pairs(), 10.0);
         assert!((d.forfeited_fraction() - 0.1).abs() < 1e-12);
-        assert!(d.within_envelope(0.15));
-        assert!(!d.within_envelope(0.05));
         d.skips.clear();
         assert!(d.is_exact());
         assert_eq!(d.forfeited_fraction(), 0.0);
-        assert!(d.within_envelope(0.0));
     }
 }

@@ -4,16 +4,16 @@
 //! cost-guided coordinator and each of its workers, each dealt shard),
 //! constructed from the session's [`crate::session::ExecContext`], owns
 //! the per-executor state — buffers, access tallies, recorder lanes,
-//! match scratch, fault containment, progress feed — and the two things
+//! match scratch, progress feed — and the two things
 //! every descent of \[BKS93\] Figure 2 is made of:
 //!
 //! * **which child pairs a node pair has** —
 //!   [`child_pairs`](crate::executor::child_pairs), the only place that
 //!   looks at the leaf-ness of a pair, so the match order (and therefore
 //!   the access order the buffers see) is the same wherever it is used;
-//! * **what reading a child pair costs** — [`Engine::charge`]: the
-//!   fault probe, then one access per tree through buffer, tallies,
-//!   recorder and progress feed. A pinned node is charged at every step
+//! * **what reading a child pair costs** — [`Engine::charge`]: one
+//!   access per tree through buffer, tallies, recorder and progress
+//!   feed. A pinned node is charged at every step
 //!   (Eq 11), whether or not it is a root.
 //!
 //! The three ways to walk the tree are short consumers of those two:
@@ -32,13 +32,12 @@
 //! pair compute an MBR, and a leaf pair's object pairs go straight into
 //! the engine's result: nothing is allocated per node pair.
 
-use crate::degraded::RawSkip;
 use crate::executor::{child_pairs, JoinConfig, JoinResultSet, MatchScratch, NodePair};
 use crate::session::{CorrDomain, ExecContext};
 use sjcm_core::join::JoinWindows;
 use sjcm_obs::progress::ProgressSink;
 use sjcm_rtree::{NodeId, ObjectId, RTree};
-use sjcm_storage::{AccessStats, BufferManager, FaultInjector, PageId, RecorderLane};
+use sjcm_storage::{AccessStats, BufferManager, PageId, RecorderLane};
 
 /// Per-executor traversal state: one engine per buffer-residency domain
 /// (the sequential join, the parallel coordinator, one per worker or
@@ -65,10 +64,6 @@ pub(crate) struct Engine<'a, const N: usize> {
     // Test builds only: `visit` runs the recursion it replaced.
     #[cfg(test)]
     pub(crate) reference: bool,
-    // Fault-injection oracle (disabled = one `Option` check per pair)
-    // and the node pairs forfeited to permanent read failures.
-    pub(crate) faults: FaultInjector,
-    pub(crate) skips: Vec<RawSkip>,
     // Live progress feed — disabled is one `Option` check per access;
     // enabled adds a counter increment, with the per-level tallies
     // published in batches (see `sjcm_obs::progress`).
@@ -104,8 +99,6 @@ impl<'a, const N: usize> Engine<'a, N> {
             stack: Vec::new(),
             #[cfg(test)]
             reference: ctx.reference,
-            faults: ctx.faults.clone(),
-            skips: Vec::new(),
             progress: ctx.progress.sink(),
         }
     }
@@ -119,18 +112,15 @@ impl<'a, const N: usize> Engine<'a, N> {
         self.lane2.set_corr(corr);
     }
 
-    /// The engine's accumulated result plus the raw (unpriced) skips.
-    pub(crate) fn into_parts(self) -> (JoinResultSet, Vec<RawSkip>) {
-        (
-            JoinResultSet {
-                pairs: self.pairs,
-                pair_count: self.pair_count,
-                stats1: self.stats1,
-                stats2: self.stats2,
-                ..JoinResultSet::default()
-            },
-            self.skips,
-        )
+    /// The engine's accumulated result.
+    pub(crate) fn into_result(self) -> JoinResultSet {
+        JoinResultSet {
+            pairs: self.pairs,
+            pair_count: self.pair_count,
+            stats1: self.stats1,
+            stats2: self.stats2,
+            ..JoinResultSet::default()
+        }
     }
 
     /// Publishes the engine's cumulative per-level tallies into the
@@ -143,32 +133,6 @@ impl<'a, const N: usize> Engine<'a, N> {
                 self.pair_count,
             );
         }
-    }
-
-    /// Probes the injector for the pair's two page reads before they
-    /// are charged (root pages are memory-resident per §3.1 and never
-    /// probed). Returns `false` — recording the forfeited pair — if
-    /// either read fails permanently; a skipped pair charges nothing.
-    /// The protocol is shared by every scheduler, so they all forfeit
-    /// exactly the same pairs under the same fault plan.
-    pub(crate) fn probe(&mut self, n1: NodeId, n2: NodeId) -> bool {
-        if n1 != self.r1.root_id() {
-            let level = self.r1.node(n1).level;
-            if self.faults.access(1, PageId(n1.0), level).is_err() {
-                self.skips.push(RawSkip { tree: 1, n1, n2 });
-                self.progress.forfeit(level);
-                return false;
-            }
-        }
-        if n2 != self.r2.root_id() {
-            let level = self.r2.node(n2).level;
-            if self.faults.access(2, PageId(n2.0), level).is_err() {
-                self.skips.push(RawSkip { tree: 2, n1, n2 });
-                self.progress.forfeit(level);
-                return false;
-            }
-        }
-        true
     }
 
     pub(crate) fn access1(&mut self, id: NodeId) {
@@ -212,22 +176,15 @@ impl<'a, const N: usize> Engine<'a, N> {
         );
     }
 
-    /// Charges the read of node pair `(n1, n2)`: the fault probe first,
-    /// then one access per tree. Returns `false` — the pair forfeited,
-    /// nothing charged — when the probe loses either page. There is no
-    /// root exemption here: a root only ever appears in a child pair as
-    /// the pinned side of a height mismatch, and Eq 11 counts a pinned
-    /// node's re-access at every step, root or not. (The root pair
-    /// itself is never charged because nothing ever passes it here —
-    /// §3.1 — and [`Engine::probe`] keeps its own rule that the
-    /// memory-resident roots cannot fault.)
-    pub(crate) fn charge(&mut self, n1: NodeId, n2: NodeId) -> bool {
-        if self.faults.is_enabled() && !self.probe(n1, n2) {
-            return false;
-        }
+    /// Charges the read of node pair `(n1, n2)`: one access per tree.
+    /// There is no root exemption here: a root only ever appears in a
+    /// child pair as the pinned side of a height mismatch, and Eq 11
+    /// counts a pinned node's re-access at every step, root or not. (The
+    /// root pair itself is never charged because nothing ever passes it
+    /// here — §3.1.)
+    pub(crate) fn charge(&mut self, n1: NodeId, n2: NodeId) {
         self.access1(n1);
         self.access2(n2);
-        true
     }
 
     /// Outputs one qualifying object pair.
@@ -290,9 +247,8 @@ impl<'a, const N: usize> Engine<'a, N> {
                 children.clear();
                 self.descend(pair, &mut children);
                 for child in &children {
-                    if self.charge(child.n1, child.n2) {
-                        next.push(*child);
-                    }
+                    self.charge(child.n1, child.n2);
+                    next.push(*child);
                 }
             }
             frontier = next;
@@ -319,9 +275,8 @@ impl<'a, const N: usize> Engine<'a, N> {
         let mut stack = std::mem::take(&mut self.stack);
         self.push_children(&NodePair::entered(self.r2, n1, n2), &mut stack);
         while let Some(pair) = stack.pop() {
-            if self.charge(pair.n1, pair.n2) {
-                self.push_children(&pair, &mut stack);
-            }
+            self.charge(pair.n1, pair.n2);
+            self.push_children(&pair, &mut stack);
         }
         self.stack = stack;
     }

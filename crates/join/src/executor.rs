@@ -6,7 +6,6 @@
 //! lives in the shared `engine` module; [`crate::session::JoinSession`]
 //! is the way in.
 
-use crate::degraded::RawSkip;
 use crate::session::{CorrDomain, ExecContext};
 use sjcm_core::join::JoinWindows;
 use sjcm_geom::{mbr_of, Point, Rect, RectBatch};
@@ -222,16 +221,6 @@ impl JoinResultSet {
         stats.na_at((j - 1) as u8)
     }
 
-    /// Disk accesses of tree `i ∈ {1, 2}` at paper level `j` (1 = leaf).
-    pub fn da_at_paper_level(&self, tree: usize, j: usize) -> u64 {
-        let stats = if tree == 1 {
-            &self.stats1
-        } else {
-            &self.stats2
-        };
-        stats.da_at((j - 1) as u8)
-    }
-
     /// The measured counterparts of
     /// [`sjcm_core::join::join_prediction_targets`], under the same
     /// names: per tree and accessed paper level the NA and DA tallies,
@@ -258,20 +247,20 @@ impl JoinResultSet {
 /// Figure 2 from the root pair, verbatim: the session's `Sequential`
 /// scheduler and the parallel `threads = 1` fallback when no governor
 /// gates the run, and the reference every other executor is tested
-/// against. Returns the result set plus the raw (unpriced) skip records.
+/// against.
 pub(crate) fn run_sequential<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     config: JoinConfig,
     windows: JoinWindows<N>,
     ctx: &ExecContext<'_>,
-) -> (JoinResultSet, Vec<RawSkip>) {
+) -> JoinResultSet {
     let mut exec =
         crate::engine::Engine::new(r1, r2, config, windows, ctx, CorrDomain::Coordinator);
     // The roots are assumed memory-resident (§3.1) and are not counted.
     exec.visit(r1.root_id(), r2.root_id());
     exec.flush_progress();
-    exec.into_parts()
+    exec.into_result()
 }
 
 /// A node pair of the traversal, carrying the rectangle its R2 node is
@@ -860,6 +849,6 @@ mod tests {
         assert_eq!(r.na_at_paper_level(1, h), 0);
         // Leaf level (paper level 1) accessed plenty.
         assert!(r.na_at_paper_level(1, 1) > 0);
-        assert!(r.da_at_paper_level(2, 1) <= r.na_at_paper_level(2, 1));
+        assert!(r.stats2.da_at(0) <= r.stats2.na_at(0));
     }
 }

@@ -14,7 +14,7 @@
 //! 2. **Cooperative cancellation** — a deadline (or an explicit
 //!    cancel-after-`k`-units point, the deterministic test hook) is
 //!    checked at every work-unit boundary. A refused unit is forfeited
-//!    through the same pricing as fault containment
+//!    and priced with Eq 6 and a localized Eq 3
 //!    ([`crate::DegradedJoinResult`]), and because units are gated by
 //!    ordinal the forfeited-subtree inventory is identical across
 //!    schedulers and thread counts for a fixed cancellation point.
@@ -43,9 +43,9 @@
 //! with the governor's gate live at every unit boundary — and every
 //! unit reaches it through the `ExecContext` hooks only.
 //!
-//! [`Governor::unlimited`] follows the [`sjcm_storage::FaultInjector`]
-//! pattern: a disabled governor is one `Option` discriminant check per
-//! call site, and the ungoverned executor paths are taken unchanged —
+//! [`Governor::unlimited`] follows the recorder's and the progress
+//! hub's pattern: a disabled governor is one `Option` discriminant
+//! check per call site, and the ungoverned executor paths are taken unchanged —
 //! results are byte-identical (`tests/oracle.rs`:
 //! `generous_governor_is_identical_to_unlimited`,
 //! `gated_but_idle_governor_is_identical_to_ungoverned`), and every
@@ -501,7 +501,7 @@ impl Governor {
         for &i in &to_shed {
             st.retired[i] = true;
             st.shed[i] = true;
-            ledger.forfeit(st.prices[i], false);
+            ledger.forfeit(st.prices[i]);
         }
         st.shed_count += to_shed.len() as u64;
         let shed_n = to_shed.len();
@@ -517,19 +517,16 @@ impl Governor {
         );
     }
 
-    /// Records a unit the executor forfeited: one [`Self::admit_unit`]
-    /// refused, or one it admitted that was then lost to a fault before
-    /// running. Returns `false` when the unit was shed earlier — its
-    /// price already left the ledger then — and `true` otherwise.
+    /// Records a unit the executor forfeited because
+    /// [`Self::admit_unit`] refused it. Returns `false` when the unit was
+    /// shed earlier — its price already left the ledger then — and
+    /// `true` otherwise.
     pub(crate) fn note_forfeit(&self, ordinal: usize) -> bool {
         let Some(inner) = &self.inner else {
             return true;
         };
         let mut st = inner.state();
         st.forfeited += 1;
-        if let Some(f) = st.in_flight.get_mut(ordinal) {
-            *f = false;
-        }
         match st.retired.get_mut(ordinal) {
             Some(r) => !std::mem::replace(r, true),
             None => true,

@@ -31,22 +31,21 @@
 //! [`session::JoinSession`] builder, which holds the one crate-private
 //! execution context bundling all cross-cutting concerns — tracing,
 //! drift monitoring, flight recording (with its correlation-id
-//! allocator), live progress, fault injection, and the governor. PBSM
+//! allocator), live progress, and the governor. PBSM
 //! runs through [`session::PbsmSession`], which has none of them, and
 //! the two [`baselines`] are plain functions: the brute-force nested
 //! loop (the tests' oracle) and the index nested loop (the plan
 //! executor's INL operator).
-//!
-//! Fault containment: permanent page-read failures under a
-//! [`sjcm_storage::FaultInjector`] are *contained* — the affected node
-//! pair is forfeited and priced with the paper's own formulas instead
-//! of aborting the join. See [`degraded`].
 //!
 //! The [`governor::Governor`] is a deadline- and budget-aware
 //! admission/cancellation layer that prices queries with Eq 6 before
 //! running them, cancels cooperatively at work-unit boundaries, and
 //! sheds low-value work when the ETA predicts an overrun.
 //! [`Governor::unlimited`] is inert (one `Option` check per call site).
+//! Work it forfeits is priced with the paper's own formulas instead of
+//! aborting the join; see [`degraded`]. Nothing else forfeits work: the
+//! join's trees are in memory and its buffers only simulate page reads,
+//! so no read can fail.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -111,8 +111,8 @@
 //! dealt executor's units are the root pair's child pairs in the order
 //! `Engine::visit` pops them — either way unit `i`'s subtree pair is
 //! entered by the sequential traversal after all of unit `i - 1`'s
-//! and before any of unit `i + 1`'s. A unit refused by the governor or
-//! lost to a fault contributes no run, so a degraded output is the
+//! and before any of unit `i + 1`'s. A unit refused by the governor
+//! contributes no run, so a degraded output is the
 //! sequential vector minus the forfeited units' pairs, still in order.
 //! A caller that wants `(R1 object, R2 object)` order sorts its copy.
 
@@ -183,7 +183,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
     windows: JoinWindows<N>,
     threads: usize,
     ctx: &ExecContext<'_>,
-) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
+) -> Result<JoinResultSet, JoinError> {
     let mut join_span = ctx.tracer.span("cost-guided-join");
     join_span.set("threads", threads);
 
@@ -317,21 +317,21 @@ pub(crate) fn cost_guided_join<const N: usize>(
         }
         worker_span.set("units", steal.units_executed);
         worker_span.set("stolen", steal.units_stolen);
-        let (result, skips) = exec.into_parts();
         WorkerPart {
             tallies,
             steal,
-            result,
-            skips,
+            result: exec.into_result(),
+            skips: Vec::new(),
             runs,
         }
     });
 
-    let (result, raw) = merge(coord.into_parts(), parts)?;
+    // An ungated run refuses no unit, so it has no skips to hand back.
+    let (result, _) = merge(coord.into_result(), parts)?;
     join_span.set("na", result.na_total());
     join_span.set("da", result.da_total());
     join_span.set("pairs", result.pair_count);
-    Ok((result, raw))
+    Ok(result)
 }
 
 /// The one fan-out of both executors: runs `worker(w)` for every
@@ -360,7 +360,8 @@ fn fan_out<T: Send>(
 }
 
 /// What one worker thread of either executor hands back: its engine's
-/// result and raw skips, its steal statistics, the tallies of what it
+/// result, the units the governor refused it (the dealt executor's
+/// only), its steal statistics, the tallies of what it
 /// ran, each tagged with the worker the work was *scheduled on*, and
 /// where each unit's pairs sit in `result.pairs`.
 struct WorkerPart {
@@ -381,10 +382,10 @@ struct WorkerPart {
 /// whenever — the sequential emission order, see the module docs. The
 /// first worker failure is the join's failure.
 fn merge(
-    base: (JoinResultSet, Vec<RawSkip>),
+    mut out: JoinResultSet,
     parts: Vec<Result<WorkerPart, JoinError>>,
 ) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
-    let (mut out, mut raw) = base;
+    let mut raw = Vec::new();
     let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
     debug_assert!(out.pairs.is_empty(), "pairs are emitted below the units");
     // One entry per unit, never per pair: (unit, worker, start, end).
@@ -771,13 +772,12 @@ fn arm_root_units<const N: usize>(
 /// through one engine whose buffers persist across units (the legacy
 /// behaviour, kept bit-for-bit so `RoundRobin` stays an honest
 /// baseline). The context's governor gates every node-pair unit at its
-/// `ctx.checkpoint` boundary, and every unit that passes leaves through
-/// exactly one of `ctx.unit_done` / `ctx.forfeit_unit`. A unit refused
-/// at the gate or lost to the fault probe is forfeited like any
-/// fault-forfeited pair — recorded as a skip, priced later, never
-/// silently dropped. An unlimited governor is one `Option` check per
-/// call. The part handed back carries one `(ordinal, end)` mark per
-/// unit that ran — a forfeited unit emits nothing and needs none.
+/// `ctx.checkpoint` boundary, and every unit that passes runs and
+/// leaves through `ctx.unit_done`. A unit refused at the gate is
+/// forfeited — recorded as a skip, priced later, never silently
+/// dropped. An unlimited governor is one `Option` check per call. The
+/// part handed back carries one `(ordinal, end)` mark per unit that
+/// ran — a forfeited unit emits nothing and needs none.
 fn run_shard<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
@@ -792,6 +792,7 @@ fn run_shard<const N: usize>(
     let mut shard = Engine::new(r1, r2, config, windows, ctx, domain);
     let worker = domain.worker_index();
     let mut runs = Vec::with_capacity(units.len());
+    let mut skips = Vec::new();
     for &(ordinal, unit) in units {
         let (n1, n2, price) = match unit {
             (Child::Object(o1), Child::Object(o2), _) => {
@@ -804,20 +805,17 @@ fn run_shard<const N: usize>(
         if !ctx.checkpoint(ordinal, price) {
             // The governor's cancellation point: a refusal forfeits
             // the whole subtree pair.
-            shard.skips.push(RawSkip { tree: 1, n1, n2 });
+            skips.push(RawSkip { n1, n2 });
             shard.progress.forfeit(r1.node(n1).level);
             continue;
         }
-        if !shard.charge(n1, n2) {
-            ctx.forfeit_unit(ordinal, price);
-            continue;
-        }
+        shard.charge(n1, n2);
         shard.visit(n1, n2);
         ctx.unit_done(ordinal, price);
         runs.push((ordinal, shard.pairs.len()));
         shard.flush_progress();
     }
-    let (result, skips) = shard.into_parts();
+    let result = shard.into_result();
     let units = units.len() as u64;
     WorkerPart {
         tallies: vec![(

@@ -32,9 +32,8 @@ impl<const N: usize> Engine<'_, N> {
                 (Child::Object(o1), Child::Object(o2)) => self.emit(o1, o2),
                 (c1, c2) => {
                     let (c1, c2) = (c1.node(), c2.node());
-                    if self.charge(c1, c2) {
-                        self.visit_reference(c1, c2);
-                    }
+                    self.charge(c1, c2);
+                    self.visit_reference(c1, c2);
                 }
             }
         }

@@ -2,8 +2,8 @@
 //! that holds the one `ExecContext` a tree join runs with, bundling
 //! *all* cross-cutting concerns — span tracer, drift monitor,
 //! page-access flight recorder (with its correlation-id allocator),
-//! live progress hub, fault injector, and governor (admission,
-//! deadline/cancellation, shedding) — and a [`PbsmSession`] builder for
+//! live progress hub, and governor (admission, deadline/cancellation,
+//! shedding) — and a [`PbsmSession`] builder for
 //! the partition join, which has none of them.
 //!
 //! The three tree-join executors (sequential, dealt, cost-guided) start
@@ -42,7 +42,7 @@ use sjcm_geom::Rect;
 use sjcm_obs::progress::ProgressTracker;
 use sjcm_obs::{DriftMonitor, Tracer, UnitLedger};
 use sjcm_rtree::{ObjectId, RTree};
-use sjcm_storage::{FaultInjector, FlightRecorder, RecorderLane};
+use sjcm_storage::{FlightRecorder, RecorderLane};
 
 /// The recorder correlation-id allocator: one buffer-residency domain →
 /// one correlation id, with the scheme documented (and unit-tested)
@@ -134,7 +134,7 @@ impl Scheduler {
 /// Every cross-cutting concern of a tree join, bundled behind one
 /// seam: executors call `ctx.lanes(..)` for recorder correlation
 /// domains and the unit hooks — `arm_units` once, then `checkpoint` and
-/// `unit_done` / `forfeit_unit` per unit — the only way an executor
+/// `unit_done` per unit — the only way an executor
 /// reports a unit. The hooks write the run's one unit ledger
 /// ([`sjcm_obs::UnitLedger`]: the progress hub's, or the run's own when
 /// only a governor reads it — [`JoinSession::run`] picks it) and tell
@@ -155,9 +155,6 @@ pub(crate) struct ExecContext<'a> {
     pub(crate) recorder: FlightRecorder,
     /// Live progress hub (per-level NA/DA feed, pairs, completion).
     pub(crate) progress: ProgressTracker,
-    /// Fault-injection oracle for chaos runs (disabled = one `Option`
-    /// check per node pair).
-    pub(crate) faults: FaultInjector,
     /// Admission control, deadline/cancellation token and load
     /// shedding (a shared handle: the caller keeps reading its log).
     pub(crate) gov: Governor,
@@ -209,16 +206,16 @@ impl ExecContext<'_> {
     }
 
     /// The governor's cancellation point at unit `ordinal`'s boundary:
-    /// `true` admits it, in flight until [`ExecContext::unit_done`] or
-    /// [`ExecContext::forfeit_unit`]; `false` forfeits and retires it
-    /// (the caller records what it skipped).
+    /// `true` admits it, in flight until [`ExecContext::unit_done`];
+    /// `false` forfeits and retires it (the caller records what it
+    /// skipped).
     pub(crate) fn checkpoint(&self, ordinal: usize, price: u64) -> bool {
         if self.gov.admit_unit(ordinal) {
             self.ledger.admit(price);
             return true;
         }
         if self.gov.note_forfeit(ordinal) {
-            self.ledger.forfeit(price, false);
+            self.ledger.forfeit(price);
         }
         false
     }
@@ -228,14 +225,6 @@ impl ExecContext<'_> {
     pub(crate) fn unit_done(&self, ordinal: usize, price: u64) {
         self.ledger.done(price);
         self.gov.note_unit_done(ordinal, &self.ledger);
-    }
-
-    /// Retires an admitted unit that was lost to a fault before it ran,
-    /// for the ledger and the governor's degraded-result accounting.
-    pub(crate) fn forfeit_unit(&self, ordinal: usize, price: u64) {
-        // An admitted unit is never shed, so its price is still there.
-        self.gov.note_forfeit(ordinal);
-        self.ledger.forfeit(price, true);
     }
 }
 
@@ -256,7 +245,7 @@ pub struct JoinSession<'a, const N: usize> {
 impl<'a, const N: usize> JoinSession<'a, N> {
     /// A session joining `r1 × r2` with default configuration: the
     /// sequential scheduler, default [`JoinConfig`], no query window,
-    /// every observability hook disabled, no faults, unlimited governor.
+    /// every observability hook disabled, unlimited governor.
     pub fn new(r1: &'a RTree<N>, r2: &'a RTree<N>) -> Self {
         JoinSession {
             r1,
@@ -331,12 +320,6 @@ impl<'a, const N: usize> JoinSession<'a, N> {
         self
     }
 
-    /// Arms the fault-injection oracle (chaos runs).
-    pub fn faults(mut self, faults: &FaultInjector) -> Self {
-        self.ctx.faults = faults.clone();
-        self
-    }
-
     /// Puts the run under a governor: admission control before any
     /// traversal, unit-boundary cancellation checkpoints, shedding.
     pub fn govern(mut self, gov: &Governor) -> Self {
@@ -379,8 +362,9 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     /// thread count of zero, a distance ε that is negative or NaN
     /// ([`JoinError::InvalidDistance`]), an admission rejection, a
     /// worker panic.
-    /// Forfeited work under faults or deadlines comes back priced on
-    /// the [`DegradedJoinResult`] instead.
+    /// Work the governor forfeits comes back priced on the
+    /// [`DegradedJoinResult`] instead; only a governed run forfeits
+    /// any.
     pub fn run(self) -> Result<DegradedJoinResult<N>, JoinError> {
         let JoinSession {
             r1,
@@ -415,11 +399,13 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             .then(|| ctx.tracer.span("sequential-join"));
         let gated = ctx.gov.is_unit_gated();
         let (result, raw) = if threads == 1 && !gated {
-            crate::executor::run_sequential(r1, r2, config, windows, &ctx)
+            let result = crate::executor::run_sequential(r1, r2, config, windows, &ctx);
+            (result, Vec::new())
         } else if gated || matches!(scheduler, Scheduler::RoundRobin { .. }) {
             crate::parallel::dealt_join(r1, r2, config, windows, scheduler, &ctx)?
         } else {
-            crate::parallel::cost_guided_join(r1, r2, config, windows, threads, &ctx)?
+            let result = crate::parallel::cost_guided_join(r1, r2, config, windows, threads, &ctx)?;
+            (result, Vec::new())
         };
         if let Some(mut span) = fallback_span {
             span.set("na", result.na_total());
@@ -428,8 +414,7 @@ impl<'a, const N: usize> JoinSession<'a, N> {
         }
         // The run is over: later progress samples report 1.0.
         ctx.progress.finish();
-        let degraded =
-            crate::degraded::finish_degraded(r1, r2, config.predicate, result, raw, &ctx.faults);
+        let degraded = crate::degraded::finish_degraded(r1, r2, config.predicate, result, raw);
         ctx.gov.finish();
         Ok(degraded)
     }
@@ -437,7 +422,7 @@ impl<'a, const N: usize> JoinSession<'a, N> {
 
 /// Builder for one PBSM (Partition Based Spatial-Merge) join over two
 /// unindexed rectangle sets. PBSM takes raw entry slices rather than
-/// R-trees and has no tree pages to record, fault, price or govern, so
+/// R-trees and has no tree pages to record, price or govern, so
 /// it gets a builder of its own with no cross-cutting concerns.
 #[derive(Debug)]
 pub struct PbsmSession<'a, const N: usize> {

@@ -218,8 +218,8 @@ impl MetricsRegistry {
     }
 }
 
-/// Validates a metrics JSONL document — the join command's and the
-/// chaos campaigns' metrics files follow the same contract: every line
+/// Validates a metrics JSONL document — the join command's metrics
+/// file follows this contract: every line
 /// parses with the type/name/value shape (histograms: one more count
 /// than bounds), and the drift contract holds — a `drift.envelope`
 /// gauge is present, every other `drift.*` gauge is a number no larger

@@ -55,16 +55,16 @@
 //! can shrink the denominator; the published fraction never regresses)
 //! and pinned to exactly 1.0 by [`ProgressTracker::finish`].
 //!
-//! # Faults
+//! # Forfeits
 //!
-//! A permanently lost subtree would stall progress forever — its work
-//! sits in the denominator but will never be done. The tracker
+//! A subtree the governor forfeits would stall progress forever — its
+//! work sits in the denominator but will never be done. The tracker
 //! therefore precomputes, per level, a *forfeit quantum*: the expected
 //! remaining NA below one skipped node pair at that level (the same
 //! Eq-6 mass the degraded path prices after the run). The executors
 //! report each skip as it happens and the quantum is retired from the
 //! denominator immediately, so progress neither stalls nor regresses
-//! under injected faults.
+//! when a run is cut short.
 
 use crate::json::{self, Value};
 use crate::PAPER_ENVELOPE;
@@ -202,13 +202,10 @@ impl UnitLedger {
     }
 
     /// A unit of `price` will never run: refused at its checkpoint or
-    /// shed before it was admitted (`in_flight = false`), or admitted
-    /// and then lost to a fault (`true`).
-    pub fn forfeit(&self, price: u64, in_flight: bool) {
+    /// shed before it was admitted. An admitted unit always runs to
+    /// [`UnitLedger::done`].
+    pub fn forfeit(&self, price: u64) {
         if let Some(l) = &self.inner {
-            if in_flight {
-                l.in_flight.fetch_sub(price, Ordering::Relaxed);
-            }
             l.units_forfeited.fetch_add(1, Ordering::Relaxed);
             l.forfeited.fetch_add(price, Ordering::Relaxed);
         }
@@ -233,7 +230,7 @@ pub struct LedgerTotals {
     pub scheduled: u64,
     /// Price of the units done.
     pub done: u64,
-    /// Price of the units admitted and neither done nor lost yet.
+    /// Price of the units admitted and not done yet.
     pub in_flight: u64,
     /// Price of the units forfeited or shed.
     pub forfeited: u64,
@@ -433,9 +430,9 @@ impl ProgressSink {
         }
     }
 
-    /// Reports a permanently skipped node pair at raw level `level`:
-    /// the precomputed forfeit quantum is retired from the work
-    /// denominator immediately, so progress never stalls on faults.
+    /// Reports a forfeited node pair at raw level `level`: the
+    /// precomputed forfeit quantum is retired from the work denominator
+    /// immediately, so progress never stalls on skipped work.
     pub fn forfeit(&self, level: u8) {
         let Some(shared) = &self.shared else {
             return;
@@ -1022,12 +1019,13 @@ mod tests {
         let ledger = UnitLedger::enabled();
         ledger.arm(4, 400);
         run_unit(&ledger, 100);
-        // One refused at its checkpoint, one lost after admission.
-        ledger.forfeit(100, false);
+        // One refused at its checkpoint, one shed while another unit is
+        // in flight: a forfeit leaves the flight alone.
+        ledger.forfeit(100);
         ledger.admit(100);
+        ledger.forfeit(100);
         assert_eq!(ledger.totals().unwrap().in_flight, 100);
-        ledger.forfeit(100, true);
-        run_unit(&ledger, 100);
+        ledger.done(100);
         let t = ledger.totals().unwrap();
         assert_eq!(
             (t.units_scheduled, t.units_done, t.units_forfeited),

@@ -1,17 +1,14 @@
 //! Deterministic fault injection and resilient retry for page stores.
 //!
-//! The chaos experiments need failures that are *reproducible*: the same
-//! seed must injure the same pages in the same way on every run, on any
-//! thread schedule. A [`FaultPlan`] therefore derives every decision from
-//! a pure hash of `(seed, domain, page)` — no RNG state, no wall clock:
+//! The fault-tolerance tests of a saved tree need failures that are
+//! *reproducible*: the same seed must injure the same pages in the same
+//! way on every run. A [`FaultPlan`] therefore derives every decision
+//! from a pure hash of `(seed, page)` — no RNG state, no wall clock:
 //!
 //! * **transient read faults** — a faulty page's first `budget` reads
-//!   fail with [`StorageError::Io`], then the page reads fine. Faults are
-//!   consumed atomically, so the *totals* are thread-order independent
-//!   and a retry budget ≥ the fault budget always recovers.
-//! * **permanent loss** — every read of a lost page fails; the paper's
-//!   cost model (Eq 6 on the subtree's measured stats) then prices what
-//!   the join forfeits.
+//!   fail with [`StorageError::Io`], then the page reads fine, so a
+//!   retry budget ≥ the fault budget always recovers.
+//! * **permanent loss** — every read of a lost page fails.
 //! * **silent bit flips** — the read returns data with one bit flipped;
 //!   the FNV-1a checksum recorded at write time catches the flip and
 //!   surfaces it as [`StorageError::Corrupt`]. A page written before the
@@ -20,7 +17,7 @@
 //!   refuses them on load.
 //! * **allocation failures** — `allocate` fails on hash-selected calls.
 //!
-//! Three consumers:
+//! Two wrappers carry it:
 //!
 //! * [`FaultyPageStore`] wraps any [`PageStore`] and injects the plan on
 //!   the real read/write/allocate path (persisted trees).
@@ -28,28 +25,13 @@
 //!   with bounded retry, a deterministic exponential backoff schedule
 //!   counted in *virtual ticks* (never sleeps), and a per-page
 //!   quarantine list for pages that exhaust their retries.
-//! * [`FaultInjector`] is the join executor's access oracle: the
-//!   traversal simulates page reads against in-memory nodes, so it asks
-//!   the injector — retry semantics included — whether an access
-//!   succeeds. Disabled, it costs one `Option` discriminant check.
 //!
-//! Everything observable lands in [`FaultCounters`], published as
-//! `fault.*` metrics.
+//! Everything observable lands in [`FaultCounters`].
 
 use crate::page::{fnv1a, PageId, PageStore, StorageError};
 use bytes::Bytes;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
-
-/// Metric name for total injected faults (all kinds).
-pub const FAULT_INJECTED: &str = "fault.injected";
-/// Metric name for retry attempts spent recovering from faults.
-pub const FAULT_RETRIED: &str = "fault.retried";
-/// Metric name for fault episodes that ended in a successful read.
-pub const FAULT_RECOVERED: &str = "fault.recovered";
-/// Metric name for pages quarantined after exhausting their retries.
-pub const FAULT_QUARANTINED: &str = "fault.quarantined";
 
 const SALT_TRANSIENT: u64 = 0x7472_616e_7369_656e; // "transien"
 const SALT_FLIP: u64 = 0x666c_6970_666c_6970; // "flipflip"
@@ -64,11 +46,8 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// Seeded, stateless description of which faults fire where. Every
-/// decision is a pure function of the plan and the `(domain, page)`
-/// coordinates, so two runs with the same plan injure identical pages.
-///
-/// `domain` separates independent fault universes sharing one plan — the
-/// join layer uses the tree index (1 or 2), the store wrapper 0.
+/// decision is a pure function of the plan and the page, so two runs
+/// with the same plan injure identical pages.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Root seed; campaigns vary this to explore fault placements.
@@ -81,10 +60,6 @@ pub struct FaultPlan {
     pub flip_rate: f64,
     /// Probability that a page is permanently lost (every read fails).
     pub loss_rate: f64,
-    /// Restrict permanent loss to tree levels ≤ this (leaf = 0). `None`
-    /// puts every level at risk. Only the [`FaultInjector`] sees levels;
-    /// store wrappers treat all pages as level 0.
-    pub max_loss_level: Option<u8>,
     /// Probability that an `allocate` call fails.
     pub alloc_rate: f64,
 }
@@ -98,7 +73,6 @@ impl FaultPlan {
             transient_budget: 0,
             flip_rate: 0.0,
             loss_rate: 0.0,
-            max_loss_level: None,
             alloc_rate: 0.0,
         }
     }
@@ -123,35 +97,28 @@ impl FaultPlan {
         self
     }
 
-    /// Adds permanent loss restricted to levels ≤ `max_level` (leaf = 0).
-    pub fn with_loss_at_level(mut self, rate: f64, max_level: u8) -> Self {
-        self.loss_rate = rate;
-        self.max_loss_level = Some(max_level);
-        self
-    }
-
     /// Adds allocation failures on a `rate` fraction of `allocate` calls.
     pub fn with_alloc_failures(mut self, rate: f64) -> Self {
         self.alloc_rate = rate;
         self
     }
 
-    fn hash(&self, salt: u64, domain: u8, key: u32) -> u64 {
-        mix(self.seed ^ mix(salt) ^ mix((u64::from(domain) << 32) | u64::from(key)))
+    fn hash(&self, salt: u64, key: u32) -> u64 {
+        mix(self.seed ^ mix(salt) ^ mix(u64::from(key)))
     }
 
-    fn hits(&self, salt: u64, domain: u8, key: u32, rate: f64) -> bool {
+    fn hits(&self, salt: u64, key: u32, rate: f64) -> bool {
         if rate <= 0.0 {
             return false;
         }
         // Top 53 bits → uniform in [0, 1).
-        let u = (self.hash(salt, domain, key) >> 11) as f64 / (1u64 << 53) as f64;
+        let u = (self.hash(salt, key) >> 11) as f64 / (1u64 << 53) as f64;
         u < rate
     }
 
     /// Number of transient faults budgeted for this page (0 = healthy).
-    pub fn transient_faults(&self, domain: u8, page: PageId) -> u32 {
-        if self.hits(SALT_TRANSIENT, domain, page.0, self.transient_rate) {
+    pub fn transient_faults(&self, page: PageId) -> u32 {
+        if self.hits(SALT_TRANSIENT, page.0, self.transient_rate) {
             self.transient_budget
         } else {
             0
@@ -159,35 +126,29 @@ impl FaultPlan {
     }
 
     /// Whether this page's first read returns bit-flipped data.
-    pub fn flips(&self, domain: u8, page: PageId) -> bool {
-        self.hits(SALT_FLIP, domain, page.0, self.flip_rate)
+    pub fn flips(&self, page: PageId) -> bool {
+        self.hits(SALT_FLIP, page.0, self.flip_rate)
     }
 
     /// Which bit of a `len`-byte page the flip lands on.
-    pub fn flip_bit(&self, domain: u8, page: PageId, len: usize) -> usize {
+    pub fn flip_bit(&self, page: PageId, len: usize) -> usize {
         debug_assert!(len > 0);
-        (self.hash(SALT_FLIP, domain, page.0) % (len as u64 * 8)) as usize
+        (self.hash(SALT_FLIP, page.0) % (len as u64 * 8)) as usize
     }
 
     /// Whether this page is permanently lost.
-    pub fn is_lost(&self, domain: u8, page: PageId, level: u8) -> bool {
-        if let Some(max) = self.max_loss_level {
-            if level > max {
-                return false;
-            }
-        }
-        self.hits(SALT_LOSS, domain, page.0, self.loss_rate)
+    pub fn is_lost(&self, page: PageId) -> bool {
+        self.hits(SALT_LOSS, page.0, self.loss_rate)
     }
 
     /// Whether the `nth` allocation call fails.
     pub fn alloc_fails(&self, nth: u64) -> bool {
-        self.hits(SALT_ALLOC, 0, (nth & 0xffff_ffff) as u32, self.alloc_rate)
+        self.hits(SALT_ALLOC, (nth & 0xffff_ffff) as u32, self.alloc_rate)
     }
 }
 
 /// Tallies of everything the fault layer did — injections by kind, retry
-/// work, and outcomes; mergeable across stores/threads and published
-/// as `fault.*` metrics.
+/// work, and outcomes; mergeable across stores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Transient read faults injected (one per failed read attempt).
@@ -247,11 +208,6 @@ fn backoff_ticks(attempt: u32) -> u64 {
     1 << attempt
 }
 
-/// Total ticks charged by a run of `retries` consecutive retries.
-fn ticks_for(retries: u32) -> u64 {
-    (0..retries).map(backoff_ticks).sum()
-}
-
 /// Only I/O-ish failures are worth retrying; structural errors
 /// (`UnknownPage`, `PageOverflow`, `MalformedNode`) are deterministic.
 fn retryable(e: &StorageError) -> bool {
@@ -280,7 +236,7 @@ pub struct FaultyPageStore<S> {
 }
 
 impl<S: PageStore> FaultyPageStore<S> {
-    /// Wraps `inner` under `plan`, in fault domain 0.
+    /// Wraps `inner` under `plan`.
     pub fn new(inner: S, plan: FaultPlan) -> Self {
         Self {
             inner,
@@ -326,7 +282,7 @@ impl<S: PageStore> PageStore for FaultyPageStore<S> {
 
     fn read(&self, id: PageId) -> Result<Bytes, StorageError> {
         let mut st = self.state.borrow_mut();
-        if self.plan.is_lost(0, id, 0) {
+        if self.plan.is_lost(id) {
             st.counters.injected_loss += 1;
             return Err(StorageError::Io(format!("injected permanent loss of {id}")));
         }
@@ -334,7 +290,7 @@ impl<S: PageStore> PageStore for FaultyPageStore<S> {
             let left = st
                 .transient_left
                 .entry(id.0)
-                .or_insert_with(|| self.plan.transient_faults(0, id));
+                .or_insert_with(|| self.plan.transient_faults(id));
             if *left > 0 {
                 *left -= 1;
                 true
@@ -353,13 +309,13 @@ impl<S: PageStore> PageStore for FaultyPageStore<S> {
             let pending = st
                 .flip_pending
                 .entry(id.0)
-                .or_insert_with(|| self.plan.flips(0, id));
+                .or_insert_with(|| self.plan.flips(id));
             std::mem::replace(pending, false)
         };
         if flip && !data.is_empty() {
             st.counters.injected_flip += 1;
             let mut buf = data.to_vec();
-            let bit = self.plan.flip_bit(0, id, buf.len());
+            let bit = self.plan.flip_bit(id, buf.len());
             buf[bit / 8] ^= 1 << (bit % 8);
             if let Some(&sum) = st.checksums.get(&id.0) {
                 if fnv1a(&buf) != sum {
@@ -507,158 +463,6 @@ impl<S: PageStore> PageStore for ResilientStore<S> {
     }
 }
 
-#[derive(Default)]
-struct InjectorState {
-    transient_left: HashMap<(u8, u32), u32>,
-    quarantine: BTreeSet<(u8, u32)>,
-    counters: FaultCounters,
-}
-
-struct InjectorInner {
-    plan: FaultPlan,
-    state: Mutex<InjectorState>,
-}
-
-/// The join executor's fault oracle. The traversal keeps its nodes in
-/// memory and only *simulates* page reads, so instead of wrapping a
-/// store it consults this injector per access: `Ok` means the read
-/// succeeded (possibly after internally-simulated retries), `Err` means
-/// the page is gone for good and the subtree must be skipped.
-///
-/// Cloning shares state (same pattern as `FlightRecorder`); a disabled
-/// injector costs one `Option` discriminant check per access, and
-/// healthy pages are dismissed by pure hashing without taking the lock.
-/// Fault consumption is atomic per access, so counter totals do not
-/// depend on which worker thread reaches a faulty page first.
-#[derive(Clone, Default)]
-pub struct FaultInjector {
-    inner: Option<Arc<InjectorInner>>,
-}
-
-impl std::fmt::Debug for FaultInjector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultInjector")
-            .field("enabled", &self.inner.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-impl FaultInjector {
-    /// An injector that never fires (the default).
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// An injector driven by `plan`, retrying as [`ResilientStore`]
-    /// does.
-    pub fn enabled(plan: FaultPlan) -> Self {
-        Self {
-            inner: Some(Arc::new(InjectorInner {
-                plan,
-                state: Mutex::new(InjectorState::default()),
-            })),
-        }
-    }
-
-    /// Whether any faults can fire.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Snapshot of the fault tallies (all zero when disabled).
-    pub fn counters(&self) -> FaultCounters {
-        match &self.inner {
-            Some(inner) => inner.lock().counters,
-            None => FaultCounters::default(),
-        }
-    }
-
-    /// Quarantined `(tree, page)` pairs, in ascending order.
-    pub fn quarantined(&self) -> Vec<(u8, PageId)> {
-        match &self.inner {
-            Some(inner) => inner
-                .lock()
-                .quarantine
-                .iter()
-                .map(|&(t, p)| (t, PageId(p)))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Simulates the read of `page` (level `level`, leaf = 0) in tree
-    /// domain `tree`. `Ok(())` — the read succeeded, charge it normally.
-    /// `Err` — the page is permanently unreadable (lost or quarantined);
-    /// the caller must contain the damage and skip the subtree.
-    #[inline]
-    pub fn access(&self, tree: u8, page: PageId, level: u8) -> Result<(), StorageError> {
-        match &self.inner {
-            None => Ok(()),
-            Some(inner) => inner.access(tree, page, level),
-        }
-    }
-}
-
-impl InjectorInner {
-    fn lock(&self) -> std::sync::MutexGuard<'_, InjectorState> {
-        // A poisoned lock only means another worker panicked mid-update;
-        // the counters are plain integers, so keep serving.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn access(&self, tree: u8, page: PageId, level: u8) -> Result<(), StorageError> {
-        let budget = self.plan.transient_faults(tree, page);
-        let lost = self.plan.is_lost(tree, page, level);
-        if budget == 0 && !lost {
-            return Ok(()); // healthy page: pure hash check, no lock
-        }
-        let mut st = self.lock();
-        if st.quarantine.contains(&(tree, page.0)) {
-            st.counters.quarantine_hits += 1;
-            return Err(StorageError::Io(format!(
-                "tree {tree} page {page} is quarantined"
-            )));
-        }
-        if lost {
-            st.counters.injected_loss += 1;
-            st.counters.retried += u64::from(MAX_RETRIES);
-            st.counters.backoff_ticks += ticks_for(MAX_RETRIES);
-            st.counters.quarantined += 1;
-            st.quarantine.insert((tree, page.0));
-            return Err(StorageError::Io(format!(
-                "injected permanent loss of tree {tree} page {page}"
-            )));
-        }
-        let attempts = MAX_RETRIES + 1;
-        let consumed = {
-            let left = st.transient_left.entry((tree, page.0)).or_insert(budget);
-            let consumed = (*left).min(attempts);
-            *left -= consumed;
-            consumed
-        };
-        if consumed == 0 {
-            return Ok(()); // faults already consumed by earlier accesses
-        }
-        st.counters.injected_transient += u64::from(consumed);
-        if consumed == attempts {
-            // Every attempt (first try + all retries) hit a fault.
-            st.counters.retried += u64::from(MAX_RETRIES);
-            st.counters.backoff_ticks += ticks_for(MAX_RETRIES);
-            st.counters.quarantined += 1;
-            st.quarantine.insert((tree, page.0));
-            Err(StorageError::Io(format!(
-                "transient faults on tree {tree} page {page} exhausted {MAX_RETRIES} retries"
-            )))
-        } else {
-            // Attempt `consumed` succeeded after `consumed` failures.
-            st.counters.retried += u64::from(consumed);
-            st.counters.backoff_ticks += ticks_for(consumed);
-            st.counters.recovered += 1;
-            Ok(())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,23 +484,18 @@ mod tests {
         let plan = FaultPlan::none(42).with_transient(0.3, 2).with_loss(0.1);
         for p in 0..64u32 {
             assert_eq!(
-                plan.transient_faults(1, PageId(p)),
-                plan.transient_faults(1, PageId(p))
+                plan.transient_faults(PageId(p)),
+                plan.transient_faults(PageId(p))
             );
-            assert_eq!(plan.is_lost(1, PageId(p), 0), plan.is_lost(1, PageId(p), 0));
+            assert_eq!(plan.is_lost(PageId(p)), plan.is_lost(PageId(p)));
         }
-        // Domains are independent fault universes: with 64 pages at 30%
-        // the two domains all but surely disagree somewhere.
-        assert!((0..64u32).any(|p| {
-            plan.transient_faults(1, PageId(p)) != plan.transient_faults(2, PageId(p))
-        }));
     }
 
     #[test]
     fn plan_rates_are_roughly_respected() {
         let plan = FaultPlan::none(7).with_transient(0.25, 1);
         let hit = (0..4000u32)
-            .filter(|&p| plan.transient_faults(0, PageId(p)) > 0)
+            .filter(|&p| plan.transient_faults(PageId(p)) > 0)
             .count();
         let frac = hit as f64 / 4000.0;
         assert!((0.2..0.3).contains(&frac), "got {frac}");
@@ -791,70 +590,6 @@ mod tests {
         ));
         assert_eq!(store.counters().retried, 0);
         assert_eq!(store.counters().quarantined, 0);
-    }
-
-    #[test]
-    fn injector_disabled_is_free_and_infallible() {
-        let inj = FaultInjector::disabled();
-        assert!(!inj.is_enabled());
-        for p in 0..100u32 {
-            assert!(inj.access(1, PageId(p), 0).is_ok());
-        }
-        assert_eq!(inj.counters(), FaultCounters::default());
-    }
-
-    #[test]
-    fn injector_recovers_transients_within_budget() {
-        let plan = FaultPlan::none(11).with_transient(1.0, 2);
-        let inj = FaultInjector::enabled(plan);
-        assert!(inj.access(1, PageId(7), 0).is_ok());
-        let c = inj.counters();
-        assert_eq!(c.injected_transient, 2);
-        assert_eq!(c.retried, 2);
-        assert_eq!(c.recovered, 1);
-        assert_eq!(c.quarantined, 0);
-        // Faults are consumed: the next access is clean.
-        assert!(inj.access(1, PageId(7), 0).is_ok());
-        assert_eq!(inj.counters().injected_transient, 2);
-    }
-
-    #[test]
-    fn injector_quarantines_when_budget_exceeds_retries() {
-        let plan = FaultPlan::none(11).with_transient(1.0, 10);
-        let inj = FaultInjector::enabled(plan);
-        assert!(inj.access(2, PageId(5), 0).is_err());
-        let c = inj.counters();
-        assert_eq!(c.injected_transient, 4, "first try + 3 retries");
-        assert_eq!(c.quarantined, 1);
-        assert_eq!(inj.quarantined(), vec![(2, PageId(5))]);
-        // Fail-fast on the quarantined page.
-        assert!(inj.access(2, PageId(5), 0).is_err());
-        assert_eq!(inj.counters().quarantine_hits, 1);
-    }
-
-    #[test]
-    fn injector_loss_respects_level_restriction() {
-        let plan = FaultPlan::none(13).with_loss_at_level(1.0, 0);
-        let inj = FaultInjector::enabled(plan);
-        assert!(inj.access(1, PageId(0), 2).is_ok(), "internal level spared");
-        assert!(inj.access(1, PageId(0), 0).is_err(), "leaf level lost");
-        assert_eq!(inj.counters().injected_loss, 1);
-    }
-
-    #[test]
-    fn injector_totals_are_thread_order_independent() {
-        let plan = FaultPlan::none(17).with_transient(0.5, 2).with_loss(0.05);
-        let run = |order: &[u32]| {
-            let inj = FaultInjector::enabled(plan);
-            for &p in order {
-                let _ = inj.access(1, PageId(p), 0);
-                let _ = inj.access(1, PageId(p), 0);
-            }
-            inj.counters()
-        };
-        let fwd: Vec<u32> = (0..64).collect();
-        let rev: Vec<u32> = (0..64).rev().collect();
-        assert_eq!(run(&fwd), run(&rev));
     }
 
     #[test]

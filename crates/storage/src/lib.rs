@@ -28,11 +28,12 @@
 //! * [`mod@replay`] — trace-driven what-if analysis: re-simulate a
 //!   captured trace under any buffer policy ([`replay::replay`]), an
 //!   LRU buffer of each capacity included.
-//! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`],
-//!   [`fault::FaultyPageStore`]) and recovery ([`fault::ResilientStore`]
-//!   with bounded retry + quarantine, [`fault::FaultInjector`] as the
-//!   join executor's access oracle), tallied in
-//!   [`fault::FaultCounters`].
+//! * [`fault`] — deterministic fault injection on the real page path
+//!   ([`fault::FaultPlan`], [`fault::FaultyPageStore`]) and recovery
+//!   ([`fault::ResilientStore`] with bounded retry + quarantine),
+//!   tallied in [`fault::FaultCounters`]: the fakes behind the saved-tree
+//!   fault tests. The join reads no pages (its trees are in memory and
+//!   its buffers only simulate reads), so no join access can fail.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,10 +49,7 @@ pub mod replay;
 
 pub use buffer::{AccessKind, BufferManager, BufferPolicy, LruBuffer, NoBuffer, PathBuffer};
 pub use counters::{hit_ratio, AccessStats};
-pub use fault::{
-    FaultCounters, FaultInjector, FaultPlan, FaultyPageStore, ResilientStore, FAULT_INJECTED,
-    FAULT_QUARANTINED, FAULT_RECOVERED, FAULT_RETRIED,
-};
+pub use fault::{FaultCounters, FaultPlan, FaultyPageStore, ResilientStore};
 pub use file_store::FilePageStore;
 pub use layout::{digest_term, encodable, encode_page, max_entries, DiskEntry, DiskNode, NodePage};
 pub use page::{fnv1a, InMemoryPageStore, PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE};
