@@ -16,7 +16,7 @@
 //! 3. **deadline** — each strategy reruns under `deadline = T/2`
 //!    (override with `--deadline-ms`): the run must come back as a
 //!    well-formed [`DegradedJoinResult`], and at paper scale
-//!    (`--scale ≥ 1`) the Eq-3/Eq-6 forfeit estimate of the pairs the
+//!    (`--scale ≥ 1`) the localized Eq-3 forfeit estimate of the pairs the
 //!    deadline cost must land inside the paper's ~15% envelope of the
 //!    true delta against the nominal answer.
 //! 4. **shed vs truncate** — on a *clustered* pair of indexes (shared

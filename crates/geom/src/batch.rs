@@ -1,7 +1,7 @@
 //! Batched structure-of-arrays rectangle kernels.
 //!
-//! The join executors spend their CPU time answering one question many
-//! times in a row: *which of these rectangles intersect this one?* The
+//! Some consumers answer one question many times in a row over the same
+//! rectangle set: *which of these rectangles intersect this one?* The
 //! array-of-structs [`Rect`] layout answers it one rectangle at a time,
 //! branch-free but in scalar registers. This module keeps a rectangle
 //! set as per-dimension `lo`/`hi` coordinate lanes ([`RectBatch`]) and
@@ -10,9 +10,14 @@
 //! autovectorizes the comparisons on any stable toolchain (no
 //! `std::simd` required).
 //! Iterating a word's set bits in ascending order reproduces exactly the
-//! candidate order a scalar loop would visit, which is what lets the
-//! join executors swap the kernel in without perturbing a single result
-//! pair, NA or DA tally.
+//! candidate order a scalar loop would visit, so a batched consumer
+//! returns exactly what its scalar twin does, in the same order.
+//!
+//! The transposition pays only where a set is tested many times: PBSM's
+//! large-cell sweep fills its lanes once per cell and sweeps them with
+//! every anchor. The tree join's node-pair match does not use lanes: a
+//! node pair's restricted entries are too few (about 9 of 33 a side on
+//! the paper's packed leaves) to repay transposing a node per pair.
 //!
 //! # Lanes
 //!
@@ -21,12 +26,9 @@
 //! a group as fixed-size arrays, with no bounds check per lane. The
 //! groups reach past the batch's `len` rectangles: lanes at or past
 //! `len` are padding and hold whatever was written there last — zeros,
-//! a rectangle [`RectBatch::push_if`] did not keep, a rectangle from
-//! before [`RectBatch::clear`] — and the word kernels mask them off.
-//! That is what makes the compacting push branch-free: it writes every
-//! rectangle into the lane after the last one kept and advances the
-//! length only if the rectangle is kept, so a caller can transpose a
-//! node and restrict it in the same pass.
+//! or a rectangle from before [`RectBatch::clear`], which a consumer
+//! that refills one batch per use (`clear`, then [`RectBatch::push`])
+//! leaves behind — and the word kernels mask them off.
 //!
 //! # Kernels
 //!
@@ -280,20 +282,9 @@ impl<const N: usize> RectBatch<N> {
         self.len = 0;
     }
 
-    /// Appends one rectangle.
+    /// Appends one rectangle, into the lane after the last one.
     #[inline]
     pub fn push(&mut self, r: &Rect<N>) {
-        self.push_if(r, true);
-    }
-
-    /// The compacting push: writes `r` into the lane after the last
-    /// rectangle and appends it only if `keep`. A rectangle not kept is
-    /// padding, overwritten by the next push. Pushing a node's entries
-    /// this way, each with its restriction test as `keep`, transposes
-    /// the node and restricts it in one branch-free pass; the survivors
-    /// keep their relative order.
-    #[inline]
-    pub fn push_if(&mut self, r: &Rect<N>, keep: bool) {
         let (g, i) = (self.len / GROUP, self.len % GROUP);
         if g == self.groups.len() {
             self.groups.push(Group::ZERO);
@@ -303,7 +294,7 @@ impl<const N: usize> RectBatch<N> {
             group.lo[k][i] = r.lo_k(k);
             group.hi[k][i] = r.hi_k(k);
         }
-        self.len += usize::from(keep);
+        self.len += 1;
     }
 
     /// Appends every rectangle of the iterator.

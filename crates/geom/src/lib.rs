@@ -12,8 +12,8 @@
 //!   paper's analytical formulas are functions of.
 //! * [`batch`] — structure-of-arrays rectangle batches
 //!   ([`RectBatch`]) with chunked, autovectorization-friendly overlap /
-//!   distance kernels (bitmask output) for the join executors'
-//!   entry-matching hot loops, and PBSM's fused reference-point sweep.
+//!   distance kernels (bitmask output) and PBSM's fused reference-point
+//!   sweep.
 //!
 //! The paper works in the unit workspace `WS = [0,1)^n`: [`Rect::unit`]
 //! is that workspace as a rectangle, and [`unit_grid_cell`] is the one

@@ -11,11 +11,6 @@
 //! own machinery so the caller can tell how much of the answer is
 //! missing:
 //!
-//! * **`est_na`** — the node accesses the forfeited sub-join would have
-//!   cost: Eq 6 on the two subtrees' *measured* parameters, scaled by
-//!   their MBR overlap fraction. This is exactly the pricing the
-//!   cost-guided scheduler uses for work units, reused here to price
-//!   the work that was *forfeited* instead of the work to be scheduled.
 //! * **`est_pairs`** — the result pairs forfeited: a localized Eq-3
 //!   selectivity estimate. Eq 3 gives the expected number of
 //!   qualifying pairs for objects spread uniformly over the *whole*
@@ -122,13 +117,6 @@ pub struct SkippedSubtree<const N: usize> {
     pub n1: NodeId,
     /// R2-side subtree root of the forfeited pair.
     pub n2: NodeId,
-    /// MBR of the R1-side subtree of the forfeited pair.
-    pub mbr1: Rect<N>,
-    /// MBR of the R2-side subtree of the forfeited pair.
-    pub mbr2: Rect<N>,
-    /// Eq-6-priced node accesses the forfeited sub-join would have
-    /// cost, scaled by the subtree MBRs' overlap fraction.
-    pub est_na: f64,
     /// Localized Eq-3 estimate of the result pairs forfeited.
     pub est_pairs: f64,
 }
@@ -149,11 +137,6 @@ impl<const N: usize> DegradedJoinResult<N> {
     /// `true` when nothing was forfeited: `result` is the exact answer.
     pub fn is_exact(&self) -> bool {
         self.skips.is_empty()
-    }
-
-    /// Total Eq-6-priced node accesses forfeited across all skips.
-    pub fn forfeited_na(&self) -> f64 {
-        self.skips.iter().map(|s| s.est_na).sum()
     }
 
     /// Total estimated result pairs forfeited across all skips.
@@ -213,11 +196,6 @@ fn price_skips<const N: usize>(
         .map(|s| SkippedSubtree {
             n1: s.n1,
             n2: s.n2,
-            // Empty subtrees only arise for an empty tree's root, which
-            // is never a unit; the unit square is a harmless default.
-            mbr1: r1.node(s.n1).mbr().unwrap_or_else(Rect::unit),
-            mbr2: r2.node(s.n2).mbr().unwrap_or_else(Rect::unit),
-            est_na: pricer.na(s.n1, s.n2),
             est_pairs: pricer.pairs(s.n1, s.n2, slack),
         })
         .collect()
@@ -428,9 +406,6 @@ mod tests {
         let mk = |est_pairs| SkippedSubtree::<2> {
             n1: NodeId(3),
             n2: NodeId(4),
-            mbr1: Rect::unit(),
-            mbr2: Rect::unit(),
-            est_na: 10.0,
             est_pairs,
         };
         let mut d = DegradedJoinResult::<2> {
@@ -441,7 +416,6 @@ mod tests {
             skips: vec![mk(6.0), mk(4.0)],
         };
         assert!(!d.is_exact());
-        assert_eq!(d.forfeited_na(), 20.0);
         assert_eq!(d.forfeited_pairs(), 10.0);
         assert!((d.forfeited_fraction() - 0.1).abs() < 1e-12);
         d.skips.clear();

@@ -8,7 +8,7 @@
 
 use crate::session::{CorrDomain, ExecContext};
 use sjcm_core::join::JoinWindows;
-use sjcm_geom::{mbr_of, Point, Rect, RectBatch};
+use sjcm_geom::{mbr_of, Rect};
 use sjcm_rtree::{Child, Entry, Node, NodeId, ObjectId, RTree};
 use sjcm_storage::AccessStats;
 pub use sjcm_storage::BufferPolicy;
@@ -55,14 +55,14 @@ pub enum MatchKernel {
     /// One `Rect::intersects`/`within_distance` call per candidate pair
     /// — the pre-kernel reference path.
     Scalar,
-    /// Batched structure-of-arrays kernels ([`sjcm_geom::RectBatch`]):
-    /// one branch-free pass copies R1's entries into per-dimension
-    /// coordinate lanes and keeps only those that pass the restriction
-    /// (the compacting [`RectBatch::push_if`]); each surviving R2 entry
-    /// is then tested against the lanes one `u64` mask word per 64 of
-    /// them, built eight lanes at a time, and the word's set bits are
-    /// emitted in ascending order. Nodes keep their array-of-structs
-    /// entries; the lanes live in the executor's [`MatchScratch`].
+    /// Survivor mask words: both nodes are restricted without a branch
+    /// into entry indices, only R1's survivors' rectangles are copied
+    /// out (into the executor's [`MatchScratch`]), and each surviving R2
+    /// entry is tested against them one `u64` mask word per 64, every
+    /// bit set without a branch; the word's set bits are emitted in
+    /// ascending order. A node pair's survivors are few (about 9 of 33
+    /// entries a side on the paper's packed leaves), so nothing is
+    /// transposed into lanes.
     #[default]
     Batched,
 }
@@ -104,12 +104,12 @@ pub enum Side {
 
 /// Reusable scratch buffers for entry matching: the two candidate lists
 /// — R1's candidates as entry indices plus, for the batched kernel,
-/// their coordinate lanes; R2's (or a pinned arm's) as entry indices.
-/// One instance lives in each executor; matching refills it per node
-/// pair, so steady-state matching allocates nothing.
+/// copies of their rectangles; R2's (or a pinned arm's) as entry
+/// indices. One instance lives in each executor; matching refills it
+/// per node pair, so steady-state matching allocates nothing.
 #[derive(Debug, Default)]
 pub struct MatchScratch<const N: usize> {
-    batch1: RectBatch<N>,
+    rects1: Vec<Rect<N>>,
     idx1: Vec<u32>,
     idx2: Vec<u32>,
 }
@@ -352,9 +352,9 @@ pub(crate) fn child_pairs<const N: usize>(
 /// this query. The test decides which child pairs exist, and so what
 /// Eq 11 counts, so it is made against the MBR computed here and never
 /// against a carried rectangle, which may be looser. Both kernels take
-/// the same path: one rectangle's filter has no lanes to reuse, so the
-/// entries are [`compact`]ed straight into the scratch indices, reading
-/// each entry once, the window test one more conjunct of `keep`.
+/// the same path: the entries are [`compact`]ed straight into the
+/// scratch indices, reading each entry once, the window test one more
+/// conjunct of `keep`.
 fn pinned_children<const N: usize>(
     (node, window): (&Node<N>, &Option<Rect<N>>),
     (pinned, pinned_window): (&Node<N>, &Option<Rect<N>>),
@@ -383,30 +383,6 @@ fn pinned_children<const N: usize>(
     };
     for &i in &idx[..kept] {
         child(&node.entries[i as usize]);
-    }
-}
-
-/// `each(i)`, in ascending order, for every rectangle `i` of `batch`
-/// that satisfies `predicate` against `q`: one mask word per 64
-/// rectangles, its set bits emitted lowest first — the order of a
-/// scalar loop over the batch.
-#[inline]
-fn each_match<const N: usize>(
-    batch: &RectBatch<N>,
-    q: &Rect<N>,
-    predicate: JoinPredicate,
-    mut each: impl FnMut(usize),
-) {
-    const WORD: usize = u64::BITS as usize;
-    for block in 0..batch.len().div_ceil(WORD) {
-        let mut word = match predicate {
-            JoinPredicate::Overlap => batch.overlap_word(q, block),
-            JoinPredicate::WithinDistance(eps) => batch.within_word(q, eps, block),
-        };
-        while word != 0 {
-            each(block * WORD + word.trailing_zeros() as usize);
-            word &= word - 1;
-        }
     }
 }
 
@@ -509,15 +485,13 @@ fn match_entries<const N: usize>(
 /// The batched arm of [`match_entries`], the same restrictions and the
 /// same loops in three steps:
 ///
-/// 1. R1 is restricted without a branch: every entry is copied into
-///    the coordinate lanes, the write position advances only past the
-///    entries that pass, and the survivors' MBR grows by select
-///    ([`restrict_into_lanes`]).
-/// 2. R2 is restricted against that MBR the same way, into entry
-///    indices ([`compact`]).
-/// 3. Each R2 survivor is tested against all of R1's lanes one mask
-///    word at a time ([`each_match`]); ascending bits reproduce the
-///    inner loop's entry order.
+/// 1. R1 is restricted into entry indices without a branch
+///    ([`compact`]); only the survivors' rectangles are copied into the
+///    scratch, and their MBR is taken.
+/// 2. R2 is restricted against that MBR the same way.
+/// 3. Each R2 survivor is tested against R1's copied survivors one mask
+///    word per 64 of them, each bit set without a branch; set bits are
+///    emitted lowest first, the inner loop's entry order.
 fn match_batched<const N: usize>(
     n1: &Node<N>,
     (n2, rect2): (&Node<N>, &Rect<N>),
@@ -526,13 +500,16 @@ fn match_batched<const N: usize>(
     scratch: &mut MatchScratch<N>,
     mut hit: impl FnMut(&Entry<N>, &Entry<N>),
 ) {
-    let MatchScratch { batch1, idx1, idx2 } = scratch;
+    const WORD: usize = u64::BITS as usize;
+    let MatchScratch { rects1, idx1, idx2 } = scratch;
     let pass1 = |r: &Rect<N>| predicate.holds(r, rect2);
-    let bound1 = match w1 {
-        None => restrict_into_lanes(n1, batch1, idx1, pass1),
-        Some(w) => restrict_into_lanes(n1, batch1, idx1, |r| pass1(r) & r.intersects(w)),
+    let kept1 = match w1 {
+        None => compact(&n1.entries, idx1, pass1),
+        Some(w) => compact(&n1.entries, idx1, |r| pass1(r) & r.intersects(w)),
     };
-    let Some(bound1) = bound1 else {
+    rects1.clear();
+    rects1.extend(idx1[..kept1].iter().map(|&i| n1.entries[i as usize].rect));
+    let Some(bound1) = mbr_of(rects1.iter().copied()) else {
         return;
     };
     let pass2 = |r: &Rect<N>| predicate.holds(r, &bound1);
@@ -542,46 +519,23 @@ fn match_batched<const N: usize>(
     };
     for &j in &idx2[..kept2] {
         let e2 = &n2.entries[j as usize];
-        each_match(batch1, &e2.rect, predicate, |i| {
-            hit(&n1.entries[idx1[i] as usize], e2)
-        });
-    }
-}
-
-/// Step 1 of [`match_batched`], in one branch-free pass: every entry of
-/// `n1` is written into `batch1`'s lanes and its index into `idx1`, and
-/// both advance only if the entry passes `keep`. Returns the MBR of the
-/// survivors, grown by select, or `None` when none survive; `idx1`
-/// holds the survivors' entry indices in its first `batch1.len()` slots.
-#[inline(always)]
-fn restrict_into_lanes<const N: usize>(
-    n1: &Node<N>,
-    batch1: &mut RectBatch<N>,
-    idx1: &mut Vec<u32>,
-    keep: impl Fn(&Rect<N>) -> bool,
-) -> Option<Rect<N>> {
-    batch1.clear();
-    if idx1.len() < n1.entries.len() {
-        idx1.resize(n1.entries.len(), 0);
-    }
-    let (mut lo, mut hi) = ([f64::INFINITY; N], [f64::NEG_INFINITY; N]);
-    for (i, e) in n1.entries.iter().enumerate() {
-        let r = &e.rect;
-        let keep = keep(r);
-        idx1[batch1.len()] = i as u32;
-        batch1.push_if(r, keep);
-        for k in 0..N {
-            let (l, h) = (r.lo_k(k), r.hi_k(k));
-            lo[k] = if keep & (l < lo[k]) { l } else { lo[k] };
-            hi[k] = if keep & (h > hi[k]) { h } else { hi[k] };
+        for (block, rects) in rects1.chunks(WORD).enumerate() {
+            let mut word = 0u64;
+            for (t, r) in rects.iter().enumerate() {
+                word |= u64::from(predicate.holds(r, &e2.rect)) << t;
+            }
+            while word != 0 {
+                let i = idx1[block * WORD + word.trailing_zeros() as usize];
+                hit(&n1.entries[i as usize], e2);
+                word &= word - 1;
+            }
         }
     }
-    (!batch1.is_empty()).then(|| Rect::from_corners(Point::new(lo), Point::new(hi)))
 }
 
 /// The indices of the `entries` that pass `keep`, in order, written into
-/// the front of `idx` without a branch (step 2 of [`match_batched`], all
-/// of [`pinned_children`]). Returns how many there are.
+/// the front of `idx` without a branch (steps 1 and 2 of
+/// [`match_batched`], all of [`pinned_children`]). Returns how many there are.
 #[inline(always)]
 fn compact<const N: usize>(
     entries: &[Entry<N>],
@@ -654,6 +608,97 @@ mod tests {
         }
         out.sort();
         out
+    }
+
+    /// The two kernels of `match_entries` on hand-built node pairs whose
+    /// R1 side keeps 0, 1, 63, 64, 65 and 129 survivors — on both sides
+    /// of one and two mask words — under both predicates, with and
+    /// without query windows: the same `(e1, e2)` sequence. R1's
+    /// survivors are interleaved with entries the restriction drops
+    /// (far away, or outside R1's window), and one scratch serves both
+    /// arms and every case, as one serves every node pair of a traversal.
+    #[test]
+    fn kernels_agree_around_mask_word_boundaries() {
+        let mut rng = StdRng::seed_from_u64(50);
+        let rect = |rng: &mut StdRng, x: (f64, f64), y: (f64, f64), side: f64| {
+            let c = [rng.gen_range(x.0..x.1), rng.gen_range(y.0..y.1)];
+            Rect::centered(sjcm_geom::Point::new(c), [side, side])
+        };
+        let leaf = |rects: Vec<Rect<2>>, ids: Vec<u32>| Node {
+            level: 0,
+            entries: rects
+                .into_iter()
+                .zip(ids)
+                .map(|(r, id)| Entry::leaf(r, ObjectId(id)))
+                .collect(),
+        };
+        // R2's MBR is at least [0.05, 0.45]²: its two corner entries.
+        let mut rects2 = vec![
+            Rect::new([0.05, 0.05], [0.15, 0.15]).unwrap(),
+            Rect::new([0.35, 0.35], [0.45, 0.45]).unwrap(),
+        ];
+        rects2.extend((0..22).map(|_| rect(&mut rng, (0.1, 0.4), (0.1, 0.4), 0.12)));
+        let n2 = leaf(rects2, (500..524).collect());
+        let rect2 = n2.mbr().unwrap();
+        // R1's window keeps x ≤ 0.42, R2's x ≤ 0.3.
+        let windows = [
+            Some(Rect::new([0.0, 0.0], [0.42, 1.0]).unwrap()),
+            Some(Rect::new([0.0, 0.0], [0.3, 1.0]).unwrap()),
+        ];
+        let mut scratch = MatchScratch::new();
+        for survivors in [0u32, 1, 63, 64, 65, 129] {
+            for windowed in [false, true] {
+                // Survivors (ids below 1000) inside R2's MBR, each
+                // followed by a dropped entry half the time: one far
+                // from R2 (ids from 1000) or, windowed, one that meets
+                // R2's MBR but not R1's window (ids from 2000).
+                let (mut rects1, mut ids1) = (Vec::new(), Vec::new());
+                for id in 0..survivors {
+                    rects1.push(rect(&mut rng, (0.1, 0.4), (0.1, 0.4), 0.04));
+                    ids1.push(id);
+                    if rng.gen_bool(0.5) {
+                        rects1.push(rect(&mut rng, (0.7, 0.95), (0.7, 0.95), 0.04));
+                        ids1.push(1000 + id);
+                    }
+                    if windowed && rng.gen_bool(0.5) {
+                        rects1.push(rect(&mut rng, (0.445, 0.455), (0.1, 0.4), 0.02));
+                        ids1.push(2000 + id);
+                    }
+                }
+                let n1 = leaf(rects1, ids1);
+                let windows = if windowed { windows } else { [None, None] };
+                for predicate in [JoinPredicate::Overlap, JoinPredicate::WithinDistance(0.03)] {
+                    let kept = n1.entries.iter().filter(|e| {
+                        predicate.holds(&e.rect, &rect2)
+                            & windows[0].is_none_or(|w| e.rect.intersects(&w))
+                    });
+                    assert_eq!(kept.count(), survivors as usize, "test set-up");
+                    let [got, want] = [MatchKernel::Batched, MatchKernel::Scalar].map(|kernel| {
+                        let config = JoinConfig {
+                            predicate,
+                            kernel,
+                            ..JoinConfig::default()
+                        };
+                        let mut out = Vec::new();
+                        match_entries(
+                            &n1,
+                            (&n2, &rect2),
+                            &config,
+                            &windows,
+                            &mut scratch,
+                            |e1, e2| out.push((e1.child.object().0, e2.child.object().0)),
+                        );
+                        out
+                    });
+                    let case = format!("{survivors} survivors, {predicate:?}, windowed {windowed}");
+                    assert_eq!(got, want, "{case}");
+                    // Past the first word, survivors are matched too.
+                    if survivors > 64 {
+                        assert!(got.iter().any(|&(e1, _)| e1 >= 64), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! 2. **Cooperative cancellation** — a deadline (or an explicit
 //!    cancel-after-`k`-units point, the deterministic test hook) is
 //!    checked at every work-unit boundary. A refused unit is forfeited
-//!    and priced with Eq 6 and a localized Eq 3
+//!    and priced with a localized Eq 3
 //!    ([`crate::DegradedJoinResult`]), and because units are gated by
 //!    ordinal the forfeited-subtree inventory is identical across
 //!    schedulers and thread counts for a fixed cancellation point.
@@ -584,7 +584,6 @@ fn shed_candidates(
 /// is a finite probability-like number. Used by tests and experiments.
 pub fn assert_well_formed<const N: usize>(d: &DegradedJoinResult<N>) {
     for s in &d.skips {
-        assert!(s.est_na.is_finite() && s.est_na >= 0.0, "skip NA {s:?}");
         assert!(
             s.est_pairs.is_finite() && s.est_pairs >= 0.0,
             "skip pairs {s:?}"

@@ -3,7 +3,7 @@
 //! same qualifying pairs, same order, same NA/DA tallies — on
 //! adversarial coordinates (touching boundaries, ±0.0, degenerate
 //! rectangles, f32-outward-rounded values straight from the page
-//! format), on batches filled by compacting pushes over stale lanes, at
+//! format), on batches refilled over stale lanes as PBSM refills them, at
 //! every length around a group and a mask-word boundary, and on the 60K
 //! fixed-seed workload under every scheduler.
 //!
@@ -147,23 +147,21 @@ fn everywhere() -> Rect<2> {
     Rect::new([-1.0, -1.0], [2.0, 2.0]).unwrap()
 }
 
-/// A batch filled the way the join fills one: lanes first holding 130
-/// copies of [`everywhere`], cleared, then a compacting push of each of
-/// `rects` with its `keep` bit. Returns the batch and the kept
-/// rectangles, in order.
-fn compacted(rects: &[Rect<2>], keep: &[bool]) -> (RectBatch<2>, Vec<Rect<2>>) {
-    let mut batch = RectBatch::new();
-    batch.extend(std::iter::repeat_n(everywhere(), 130));
-    batch.clear();
-    for (r, &k) in rects.iter().zip(keep) {
-        batch.push_if(r, k);
-    }
+/// A batch filled the way PBSM refills one: lanes first holding 130
+/// copies of [`everywhere`], cleared, then a push of each of `rects`
+/// whose `keep` bit is set. Returns the batch and the kept rectangles,
+/// in order.
+fn refilled(rects: &[Rect<2>], keep: &[bool]) -> (RectBatch<2>, Vec<Rect<2>>) {
     let kept: Vec<Rect<2>> = rects
         .iter()
         .zip(keep)
         .filter(|(_, &k)| k)
         .map(|(r, _)| *r)
         .collect();
+    let mut batch = RectBatch::new();
+    batch.extend(std::iter::repeat_n(everywhere(), 130));
+    batch.clear();
+    batch.extend(kept.iter().copied());
     (batch, kept)
 }
 
@@ -218,7 +216,7 @@ proptest! {
         keep_all in any::<bool>(),
     ) {
         let keep = if keep_all { vec![true; len] } else { keep[..len].to_vec() };
-        let (batch, kept) = compacted(&rects[..len], &keep);
+        let (batch, kept) = refilled(&rects[..len], &keep);
         assert_kernels_agree(
             &batch,
             &kept,
@@ -239,7 +237,7 @@ proptest! {
         // f32 lows rounded down, f32 highs rounded up.
         let q = page_roundtrip(q);
         let rects: Vec<Rect<2>> = rects[..len].iter().copied().map(page_roundtrip).collect();
-        let (batch, kept) = compacted(&rects, &keep[..len]);
+        let (batch, kept) = refilled(&rects, &keep[..len]);
         assert_kernels_agree(
             &batch,
             &kept,
@@ -261,7 +259,7 @@ proptest! {
         let prep = |r: Rect<2>| if page_rounded { page_roundtrip(r) } else { r };
         let q = prep(q);
         let rects: Vec<Rect<2>> = rects[..len].iter().copied().map(prep).collect();
-        let (batch, kept) = compacted(&rects, &keep[..len]);
+        let (batch, kept) = refilled(&rects, &keep[..len]);
         assert_kernels_agree(
             &batch,
             &kept,
@@ -729,16 +727,16 @@ fn zero_threads_is_a_typed_error_on_the_fallible_path() {
 }
 
 // ---------------------------------------------------------------------
-// Compacting pushes: every keep pattern up to a group and one lane.
+// Refills over stale lanes: every keep pattern up to a group and one lane.
 // ---------------------------------------------------------------------
 
 /// Every keep pattern of up to nine rectangles — each subset of a full
 /// group and of a group plus one lane — drawn from the coordinates that
-/// break naive kernels (±0.0, touching, degenerate): the batch holds
-/// exactly the kept rectangles, in order, and both word kernels agree
-/// with the scalar predicates on them.
+/// break naive kernels (±0.0, touching, degenerate), pushed over stale
+/// lanes: the batch holds exactly the kept rectangles, in order, and
+/// both word kernels agree with the scalar predicates on them.
 #[test]
-fn compacting_pushes_agree_under_every_keep_pattern() {
+fn refills_over_stale_lanes_agree_under_every_keep_pattern() {
     let pool = [
         r([0.0, 0.0], [0.5, 0.5]),
         r([-0.0, -0.0], [0.0, 0.0]),
@@ -754,7 +752,7 @@ fn compacting_pushes_agree_under_every_keep_pattern() {
     for n in 0..=pool.len() {
         for pattern in 0u32..1 << n {
             let keep: Vec<bool> = (0..n).map(|i| pattern >> i & 1 == 1).collect();
-            let (batch, kept) = compacted(&pool[..n], &keep);
+            let (batch, kept) = refilled(&pool[..n], &keep);
             for q in &queries {
                 assert_kernels_agree(
                     &batch,

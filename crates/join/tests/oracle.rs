@@ -11,7 +11,7 @@
 //! schedule nor the kernel may change.
 //!
 //! Inputs: uniform, clustered, trees of unequal height, nodes wide
-//! enough that a node pair's candidates span two 64-lane mask words, and
+//! enough that a node pair's candidates span two 64-bit mask words, and
 //! the degenerate shapes that break naive overlap code (empty tree,
 //! single entry, all-identical rectangles, zero-extent rectangles,
 //! rectangles that only touch). The distance cases include ε = 0 and
@@ -318,7 +318,8 @@ fn degenerate_case<const N: usize>() {
     for (name, a, b) in cases {
         // ε = 0 is the overlap predicate by another route (d² ≤ 0); the
         // second ε reaches across exactly one tile; at ε = +∞ every pair
-        // qualifies, so a padding lane that leaked would be an extra pair.
+        // qualifies, so a mask bit set past the last candidate would be
+        // an extra pair.
         assert_tree_joins_match_oracle(name, a, b, &[0.0, 0.0625, f64::INFINITY]);
         assert_pbsm_matches_oracle(name, a, b, &[1, 2, 5]);
     }
@@ -360,8 +361,8 @@ fn widest_restriction<const N: usize>(t1: &RTree<N>, t2: &RTree<N>) -> usize {
 }
 
 /// Nodes of 130 entries: a leaf pair's candidates span more than one
-/// 64-lane mask word, on both sides, so the second word and the padding
-/// past the last candidate are exercised at every ε.
+/// 64-bit mask word, on both sides, so the second word and the bits past
+/// the last candidate are exercised at every ε.
 fn wide_node_case<const N: usize>() {
     const CAPACITY: usize = 130;
     let (a, b) = (uniform::<N>(300, 3.0, 91), uniform::<N>(260, 3.0, 92));

@@ -148,7 +148,7 @@ impl FaultPlan {
 }
 
 /// Tallies of everything the fault layer did — injections by kind, retry
-/// work, and outcomes; mergeable across stores.
+/// work, and outcomes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Transient read faults injected (one per failed read attempt).
@@ -172,30 +172,12 @@ pub struct FaultCounters {
 }
 
 impl FaultCounters {
-    /// Total injected faults across all kinds.
-    pub fn injected(&self) -> u64 {
-        self.injected_transient + self.injected_flip + self.injected_loss + self.injected_alloc
-    }
-
     /// Fraction of fault episodes that ended in success:
     /// `recovered / (recovered + quarantined)`. `None` when no episode
     /// concluded (nothing injected, or faults only on healthy retries).
     pub fn recovery_rate(&self) -> Option<f64> {
         let episodes = self.recovered + self.quarantined;
         (episodes > 0).then(|| self.recovered as f64 / episodes as f64)
-    }
-
-    /// Accumulates another tally into this one.
-    pub fn merge(&mut self, other: &FaultCounters) {
-        self.injected_transient += other.injected_transient;
-        self.injected_flip += other.injected_flip;
-        self.injected_loss += other.injected_loss;
-        self.injected_alloc += other.injected_alloc;
-        self.retried += other.retried;
-        self.recovered += other.recovered;
-        self.quarantined += other.quarantined;
-        self.quarantine_hits += other.quarantine_hits;
-        self.backoff_ticks += other.backoff_ticks;
     }
 }
 
@@ -590,27 +572,5 @@ mod tests {
         ));
         assert_eq!(store.counters().retried, 0);
         assert_eq!(store.counters().quarantined, 0);
-    }
-
-    #[test]
-    fn counters_merge_adds_fields() {
-        let mut a = FaultCounters {
-            injected_transient: 1,
-            recovered: 2,
-            ..FaultCounters::default()
-        };
-        let b = FaultCounters {
-            injected_transient: 3,
-            quarantined: 1,
-            backoff_ticks: 7,
-            ..FaultCounters::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.injected_transient, 4);
-        assert_eq!(a.recovered, 2);
-        assert_eq!(a.quarantined, 1);
-        assert_eq!(a.backoff_ticks, 7);
-        assert_eq!(a.injected(), 4);
-        assert_eq!(a.recovery_rate(), Some(2.0 / 3.0));
     }
 }
