@@ -71,7 +71,7 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     (
         "governor",
-        "admission, deadline and shed walkthrough; exit 1 on a failed gate",
+        "admission, deadline and value-ranked cap walkthrough; exit 1 on a failed gate",
     ),
     (
         "trace-replay",

@@ -268,7 +268,6 @@ pub fn join_observed(
         metrics.gauge_set(govm::GOV_UNITS_TOTAL, summary.units_total as f64);
         metrics.gauge_set(govm::GOV_UNITS_EXECUTED, summary.units_executed as f64);
         metrics.gauge_set(govm::GOV_UNITS_FORFEITED, summary.units_forfeited as f64);
-        metrics.gauge_set(govm::GOV_UNITS_SHED, summary.units_shed as f64);
     }
 
     // The report section: drift table + span summary.

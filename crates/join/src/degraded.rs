@@ -2,8 +2,9 @@
 //! and the model-priced degraded result.
 //!
 //! When the run's [`crate::Governor`] refuses a work unit at its
-//! checkpoint — a deadline expired, a cancellation point passed, or the
-//! unit was shed — the join does **not** abort. The unit's node *pair*
+//! checkpoint — a deadline expired, or the unit was refused when the
+//! units were armed (a cancellation point or a `Degrade` admission's
+//! cap) — the join does **not** abort. The unit's node *pair*
 //! is forfeited — that one subtree-vs-subtree sub-join is skipped — and
 //! the rest of the traversal continues, on every other shard too. The
 //! result comes back as a [`DegradedJoinResult`] carrying one
@@ -112,7 +113,7 @@ pub(crate) struct RawSkip {
 /// One forfeited sub-join: the node pair the governor refused, with
 /// model-priced estimates of what the skip cost the answer.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SkippedSubtree<const N: usize> {
+pub struct SkippedSubtree {
     /// R1-side subtree root of the forfeited pair.
     pub n1: NodeId,
     /// R2-side subtree root of the forfeited pair.
@@ -124,16 +125,16 @@ pub struct SkippedSubtree<const N: usize> {
 /// Result of a fallible join: the (possibly degraded) answer plus the
 /// priced inventory of everything that was forfeited.
 #[derive(Debug, Clone)]
-pub struct DegradedJoinResult<const N: usize> {
+pub struct DegradedJoinResult {
     /// The join result actually computed. With nothing forfeited this
     /// is the exact answer.
     pub result: JoinResultSet,
     /// Forfeited sub-joins, sorted by node pair so the inventory is
     /// deterministic across schedulers and thread counts.
-    pub skips: Vec<SkippedSubtree<N>>,
+    pub skips: Vec<SkippedSubtree>,
 }
 
-impl<const N: usize> DegradedJoinResult<N> {
+impl DegradedJoinResult {
     /// `true` when nothing was forfeited: `result` is the exact answer.
     pub fn is_exact(&self) -> bool {
         self.skips.is_empty()
@@ -169,7 +170,7 @@ pub(crate) fn finish_degraded<const N: usize>(
     predicate: JoinPredicate,
     result: JoinResultSet,
     mut raw: Vec<RawSkip>,
-) -> DegradedJoinResult<N> {
+) -> DegradedJoinResult {
     raw.sort_unstable_by_key(|s| (s.n1.0, s.n2.0));
     let skips = price_skips(r1, r2, predicate, &raw);
     DegradedJoinResult { result, skips }
@@ -183,7 +184,7 @@ fn price_skips<const N: usize>(
     r2: &RTree<N>,
     predicate: JoinPredicate,
     raw: &[RawSkip],
-) -> Vec<SkippedSubtree<N>> {
+) -> Vec<SkippedSubtree> {
     // For the distance predicate every per-dimension band widens by ε —
     // the L∞ over-approximation of the Euclidean ε-ball, so the
     // estimate leans high rather than low.
@@ -403,12 +404,12 @@ mod tests {
 
     #[test]
     fn degraded_result_accounting() {
-        let mk = |est_pairs| SkippedSubtree::<2> {
+        let mk = |est_pairs| SkippedSubtree {
             n1: NodeId(3),
             n2: NodeId(4),
             est_pairs,
         };
-        let mut d = DegradedJoinResult::<2> {
+        let mut d = DegradedJoinResult {
             result: JoinResultSet {
                 pair_count: 90,
                 ..JoinResultSet::default()

@@ -2,8 +2,8 @@
 //!
 //! The paper's whole point is that Eqs 2–6 price a spatial join
 //! *before* it runs — which means the system can also decide, before
-//! and during execution, whether a query is allowed to run, how much it
-//! may cost, and when to cut it short. The [`Governor`] is that layer:
+//! execution, whether a query is allowed to run, how much of it may
+//! run, and when to cut it short. The [`Governor`] is that layer:
 //!
 //! 1. **Admission** — [`Governor::admit`] prices the full join with
 //!    Eq 6 ([`sjcm_core::join::join_cost_na`]) on the trees' measured
@@ -11,37 +11,34 @@
 //!    Over-budget queries are either rejected with a typed
 //!    [`JoinError::Rejected`] or down-graded to a capped degraded run
 //!    ([`AdmissionPolicy`]).
-//! 2. **Cooperative cancellation** — a deadline (or an explicit
-//!    cancel-after-`k`-units point, the deterministic test hook) is
-//!    checked at every work-unit boundary. A refused unit is forfeited
-//!    and priced with a localized Eq 3
-//!    ([`crate::DegradedJoinResult`]), and because units are gated by
-//!    ordinal the forfeited-subtree inventory is identical across
-//!    schedulers and thread counts for a fixed cancellation point.
-//! 3. **Predictive load shedding** — the governor reads the run's one
-//!    unit ledger ([`sjcm_obs::UnitLedger`], written by the
-//!    crate-private `ExecContext` unit hooks) through the one
-//!    ETA rule ([`sjcm_obs::progress::eta`], the progress engine's too)
-//!    and, when the projected finish time exceeds the deadline even
-//!    after the §4.1 ±15% trust band, it preemptively sheds the
-//!    *cheapest-value* pending units (lowest predicted-pairs-per-NA)
-//!    instead of truncating arbitrarily at expiry — so the time that
-//!    remains is spent where the model says the pairs are.
+//! 2. **One decision at arm time** — when the executor arms its root
+//!    units, every unit's price (Eq 6 × overlap) and value (expected
+//!    pairs per price) are known before any page is read. The governor
+//!    turns the cancellation point and a `Degrade` admission's cap into
+//!    one per-unit refusal vector there: cancel-after-`k` refuses the
+//!    ordinals ≥ `k`, and the cap keeps the highest-value units whose
+//!    summed price fits the admitted fraction of the total. Both are
+//!    pure functions of the trees and the budget, so the forfeited
+//!    inventory is identical across schedulers and thread counts.
+//! 3. **Deadline** — a wall-clock deadline is checked at every
+//!    work-unit boundary; at expiry every unit not yet admitted is
+//!    forfeited (plain truncation). A refused unit is priced with a
+//!    localized Eq 3 ([`crate::DegradedJoinResult`]), never dropped
+//!    silently.
 //!
 //! Every decision is logged as one event on a
-//! [`sjcm_obs::governor::GovernorLog`] (admission, arming, shedding,
-//! expiry, completion) so `experiments` can stream
-//! `governor_events.jsonl` and `validate-obs` can check it.
+//! [`sjcm_obs::governor::GovernorLog`] (admission, arming, expiry,
+//! completion) so `experiments` can stream `governor_events.jsonl` and
+//! `validate-obs` can check it.
 //!
 //! The governor decides; it keeps no work totals and no execution
 //! clock, and it executes nothing. What it keeps is what only it
-//! decides with: each unit's price and value (the shed ranking), the
-//! per-unit retired / shed / in-flight flags, the cancellation prefix
-//! and the deadline clock. A tree join whose governor
-//! [gates units](Governor::is_unit_gated) runs on the dealt executor of
-//! [`crate::parallel`] — the same deal the round-robin scheduler uses,
-//! with the governor's gate live at every unit boundary — and every
-//! unit reaches it through the `ExecContext` hooks only.
+//! decides with: the per-unit refusal vector and the deadline clock. A
+//! tree join whose governor [gates units](Governor::is_unit_gated) runs
+//! on the dealt executor of [`crate::parallel`] — the same deal the
+//! round-robin scheduler uses, with the governor's gate live at every
+//! unit boundary — and every unit reaches it through the `ExecContext`
+//! hooks only.
 //!
 //! [`Governor::unlimited`] follows the recorder's and the progress
 //! hub's pattern: a disabled governor is one `Option` discriminant
@@ -56,7 +53,6 @@ use crate::degraded::{DegradedJoinResult, JoinError};
 use crate::parallel::shape_params;
 use sjcm_core::join::join_cost_na;
 use sjcm_obs::governor::GovernorLog;
-use sjcm_obs::{UnitLedger, PAPER_ENVELOPE};
 use sjcm_rtree::RTree;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -70,9 +66,10 @@ pub enum AdmissionPolicy {
     #[default]
     Reject,
     /// Admit the query but cap its work at `budget / predicted` of the
-    /// Eq-6-priced root units (an ordinal-prefix cap, so the forfeited
-    /// inventory is deterministic); the result comes back degraded with
-    /// the forfeited work priced.
+    /// Eq-6-priced root units, keeping the units with the most expected
+    /// pairs per price (decided once, when the units are armed, so the
+    /// forfeited inventory is deterministic); the result comes back
+    /// degraded with the forfeited work priced.
     Degrade,
 }
 
@@ -89,15 +86,10 @@ pub struct GovernorConfig {
     /// boundary. On expiry all remaining units are forfeited (priced,
     /// not dropped silently).
     pub deadline: Option<Duration>,
-    /// Enable ETA-guided load shedding (only meaningful with a
-    /// deadline): when the projected finish time exceeds the deadline
-    /// beyond the ±15% band, shed lowest-value pending units early
-    /// instead of truncating arbitrarily at expiry.
-    pub shed: bool,
     /// Deterministic cancellation point: refuse every unit with ordinal
     /// ≥ this value. The test hook behind the cancellation-determinism
-    /// proptests; composes with (and is overridden by neither) the
-    /// deadline.
+    /// proptests; composes with the deadline and the `Degrade` cap (a
+    /// unit runs only if none of them refuses it).
     pub cancel_after_units: Option<u64>,
 }
 
@@ -120,12 +112,6 @@ impl GovernorConfig {
         self
     }
 
-    /// Enables or disables ETA-guided shedding.
-    pub fn with_shedding(mut self, shed: bool) -> Self {
-        self.shed = shed;
-        self
-    }
-
     /// Sets the deterministic cancel-after-`k`-units point.
     pub fn with_cancel_after_units(mut self, units: u64) -> Self {
         self.cancel_after_units = Some(units);
@@ -133,44 +119,19 @@ impl GovernorConfig {
     }
 }
 
-/// Consecutive unit boundaries that must all predict an overrun before
-/// any unit is shed. The rate is a ratio of wall time to *completed*
-/// price (half the in-flight price credited), so an expensive unit
-/// still in flight can inflate it; a real overrun keeps predicting
-/// overrun at the next boundaries, a transient spike doesn't survive a
-/// big unit completing.
-const SHED_STREAK: u32 = 3;
-
-/// At most this fraction of the pending price may be shed by one
-/// decision. The predictor runs again at the very next boundary, so a
-/// persistent overrun still converges geometrically while a single
-/// noisy verdict forfeits a bounded slice instead of the whole tail.
-const SHED_SLICE: f64 = 0.25;
-
 #[derive(Debug, Default)]
 struct GovState {
     /// The deadline clock.
     started: Option<Instant>,
-    /// Consecutive boundaries that predicted an overrun (see
-    /// [`SHED_STREAK`]); reset by any boundary that projects on time.
-    overrun_streak: u32,
     predicted_na: f64,
     /// `budget / predicted` when a `Degrade` admission downgraded the
-    /// run; [`Governor::arm_units`] turns it into an ordinal-prefix cap.
+    /// run; [`Governor::arm_units`] turns it into the value-ranked cap.
     degrade_ratio: Option<f64>,
-    prices: Vec<u64>,
-    values: Vec<f64>,
-    /// Unit will never run again: executed, forfeited, or shed.
-    retired: Vec<bool>,
-    /// Unit was preemptively shed by the ETA predictor.
-    shed: Vec<bool>,
-    /// Unit was admitted and has not come back yet. Only pending units
-    /// are shed: an admitted unit is already spending its time.
-    in_flight: Vec<bool>,
-    cancel_after: Option<u64>,
+    /// Per unit ordinal: refused at its checkpoint, by the cancellation
+    /// point or the `Degrade` cap. Set once, when the units are armed.
+    refused: Vec<bool>,
     executed: u64,
     forfeited: u64,
-    shed_count: u64,
 }
 
 #[derive(Debug)]
@@ -198,11 +159,9 @@ pub struct GovernorSummary {
     pub units_total: u64,
     /// Units executed to completion.
     pub units_executed: u64,
-    /// Units forfeited (deadline expiry, cancellation point, or shed).
+    /// Units forfeited (deadline expiry, cancellation point, or the
+    /// `Degrade` cap).
     pub units_forfeited: u64,
-    /// Units preemptively shed by the ETA predictor (still counted in
-    /// `units_forfeited` once an executor reaches and skips them).
-    pub units_shed: u64,
 }
 
 /// The query governor. Cloning shares all state (one governor per
@@ -235,16 +194,6 @@ impl Governor {
         }
     }
 
-    /// `true` when any limit (or the decision log) is armed.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The governor's decision log, when enabled.
-    pub fn log(&self) -> Option<&GovernorLog> {
-        self.inner.as_ref().map(|i| &i.log)
-    }
-
     /// The decision log serialized as governor JSONL (`None` when the
     /// governor is unlimited).
     pub fn events_jsonl(&self) -> Option<String> {
@@ -257,10 +206,9 @@ impl Governor {
             let st = inner.state();
             GovernorSummary {
                 predicted_na: st.predicted_na,
-                units_total: st.prices.len() as u64,
+                units_total: st.refused.len() as u64,
                 units_executed: st.executed,
                 units_forfeited: st.forfeited,
-                units_shed: st.shed_count,
             }
         })
     }
@@ -331,7 +279,7 @@ impl Governor {
     /// `true` when execution must route through ordinal-tagged root
     /// units so the governor can gate each one: a deadline or an
     /// explicit cancellation point is armed, or admission downgraded
-    /// the run to a capped prefix.
+    /// the run to the value-ranked cap.
     pub fn is_unit_gated(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| {
             i.config.deadline.is_some()
@@ -340,63 +288,51 @@ impl Governor {
         })
     }
 
-    /// Arms the shed ranking with every unit's price and value and
-    /// freezes the cancellation prefix; the work totals live in the
-    /// run's unit ledger, armed beside it by `ExecContext::arm_units`.
-    /// The dealt tree-join executor prices its root units with the same
-    /// Eq-6 × overlap-fraction formula the cost-guided scheduler uses
-    /// and values them in pairs per price.
-    pub(crate) fn arm_units(&self, prices: Vec<u64>, values: Vec<f64>) {
+    /// Freezes the per-unit refusal vector from every unit's price and
+    /// value (its expected pairs per price), before any unit runs: the
+    /// cancellation point refuses the ordinals ≥ `k`, and a `Degrade`
+    /// admission keeps the highest-value units whose summed price fits
+    /// `⌊total × budget / predicted⌋` ([`value_cap_refusals`]). The
+    /// work totals live in the run's unit ledger, armed beside it by
+    /// `ExecContext::arm_units`.
+    pub(crate) fn arm_units(&self, prices: &[u64], values: &[f64]) {
         let Some(inner) = &self.inner else {
             return;
         };
         let n = prices.len();
         let total: u64 = prices.iter().sum();
-        let mut st = inner.state();
-        let mut cancel_after = inner.config.cancel_after_units;
-        if let Some(ratio) = st.degrade_ratio {
-            // Largest ordinal prefix whose cumulative Eq-6 price stays
-            // within the admitted fraction of the total.
-            let afford = (total as f64 * ratio).floor() as u64;
-            let mut acc = 0u64;
-            let mut k = 0u64;
-            for &p in &prices {
-                if acc + p > afford {
-                    break;
-                }
-                acc += p;
-                k += 1;
-            }
-            cancel_after = Some(cancel_after.map_or(k, |c| c.min(k)));
+        let mut refused = vec![false; n];
+        let mut detail = format!("{n} units, total price {total}");
+        if let Some(k) = inner.config.cancel_after_units {
+            let k = usize::try_from(k).unwrap_or(usize::MAX);
+            refused.iter_mut().skip(k).for_each(|r| *r = true);
+            detail += &format!(", cancel after unit {k}");
         }
-        st.prices = prices;
-        st.values = values;
-        st.retired = vec![false; n];
-        st.shed = vec![false; n];
-        st.in_flight = vec![false; n];
-        st.cancel_after = cancel_after;
+        let mut st = inner.state();
+        if let Some(ratio) = st.degrade_ratio {
+            let afford = (total as f64 * ratio).floor() as u64;
+            let capped = value_cap_refusals(prices, values, afford);
+            detail += &format!(
+                ", degrade cap {afford}: {} lowest-value units refused",
+                capped.len()
+            );
+            for i in capped {
+                refused[i] = true;
+            }
+        }
+        st.refused = refused;
         drop(st);
-        inner.log.record(
-            "arm",
-            n as f64,
-            format!(
-                "{n} units, total price {total}{}{}",
-                match cancel_after {
-                    Some(k) => format!(", cancel after unit {k}"),
-                    None => String::new(),
-                },
-                match inner.config.deadline {
-                    Some(d) => format!(", deadline {} ms", d.as_millis()),
-                    None => String::new(),
-                },
-            ),
-        );
+        if let Some(d) = inner.config.deadline {
+            detail += &format!(", deadline {} ms", d.as_millis());
+        }
+        inner.log.record("arm", n as f64, detail);
     }
 
     /// Gate at a work-unit boundary: may ordinal `ordinal` still run?
     /// `false` means the executor must forfeit the unit (it will be
-    /// priced into the degraded result, not silently dropped). An
-    /// unlimited governor always admits — one `Option` check.
+    /// priced into the degraded result, not silently dropped): the
+    /// deadline has passed, or the unit was refused when the units were
+    /// armed. An unlimited governor always admits — one `Option` check.
     pub(crate) fn admit_unit(&self, ordinal: usize) -> bool {
         let Some(inner) = &self.inner else {
             return true;
@@ -404,7 +340,7 @@ impl Governor {
         if inner.expired.load(Ordering::Relaxed) {
             return false;
         }
-        let mut st = inner.state();
+        let st = inner.state();
         if let (Some(deadline), Some(start)) = (inner.config.deadline, st.started) {
             if start.elapsed() >= deadline {
                 if !inner.expired.swap(true, Ordering::Relaxed) {
@@ -420,116 +356,21 @@ impl Governor {
                 return false;
             }
         }
-        if let Some(k) = st.cancel_after {
-            if ordinal as u64 >= k {
-                return false;
-            }
-        }
-        if st.shed.get(ordinal).copied().unwrap_or(false) {
-            return false;
-        }
-        if let Some(f) = st.in_flight.get_mut(ordinal) {
-            *f = true;
-        }
-        true
+        !st.refused.get(ordinal).copied().unwrap_or(false)
     }
 
-    /// Records a completed unit and runs the ETA overrun predictor over
-    /// the run's unit `ledger`, which the caller has already credited
-    /// with the unit (see the module docs).
-    pub(crate) fn note_unit_done(&self, ordinal: usize, ledger: &UnitLedger) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut st = inner.state();
-        st.executed += 1;
-        if let Some(f) = st.in_flight.get_mut(ordinal) {
-            *f = false;
+    /// Counts a unit that ran to completion.
+    pub(crate) fn note_unit_done(&self) {
+        if let Some(inner) = &self.inner {
+            inner.state().executed += 1;
         }
-        if let Some(r) = st.retired.get_mut(ordinal) {
-            *r = true;
-        }
-        if !inner.config.shed || inner.expired.load(Ordering::Relaxed) {
-            return;
-        }
-        let (Some(deadline), Some(start), Some(totals)) =
-            (inner.config.deadline, st.started, ledger.totals())
-        else {
-            return;
-        };
-        // The rate is the ledger's, over execution time only; the
-        // projection still starts from the full wall-clock elapsed,
-        // which is what the deadline is denominated in.
-        let Some(eta) = totals.eta() else {
-            return;
-        };
-        let elapsed = start.elapsed().as_secs_f64();
-        let projected = elapsed + eta.secs;
-        let deadline_s = deadline.as_secs_f64();
-        // The ETA is trusted to the §4.1 band: shedding fires only when
-        // even `ETA / (1 + band)` misses the deadline, and it sheds down
-        // to what `deadline × (1 + band)` can afford. Both edges lean
-        // toward shedding *less*: a unit shed too eagerly is gone for
-        // good, while a unit kept too optimistically is re-examined at
-        // the very next boundary and, at worst, truncated at expiry like
-        // any ungoverned overrun.
-        if projected <= deadline_s * (1.0 + PAPER_ENVELOPE) {
-            st.overrun_streak = 0;
-            return;
-        }
-        st.overrun_streak += 1;
-        if st.overrun_streak < SHED_STREAK {
-            return;
-        }
-        // Overrun predicted beyond the trust band, persistently: shed
-        // down to the price the deadline can afford, keeping the
-        // units in flight and then the highest-value pending units, at
-        // most [`SHED_SLICE`] of the remaining price per decision.
-        let afford_time = (deadline_s * (1.0 + PAPER_ENVELOPE) - elapsed).max(0.0);
-        let remaining = totals.remaining();
-        let floor = remaining - (remaining as f64 * SHED_SLICE) as u64;
-        let afford_price = ((afford_time / eta.secs_per_work) as u64).max(floor);
-        let to_shed = shed_candidates(
-            &st.prices,
-            &st.values,
-            |i| !st.retired[i] && !st.in_flight[i],
-            afford_price.saturating_sub(totals.in_flight),
-        );
-        if to_shed.is_empty() {
-            return;
-        }
-        for &i in &to_shed {
-            st.retired[i] = true;
-            st.shed[i] = true;
-            ledger.forfeit(st.prices[i]);
-        }
-        st.shed_count += to_shed.len() as u64;
-        let shed_n = to_shed.len();
-        drop(st);
-        inner.log.record(
-            "shed",
-            shed_n as f64,
-            format!(
-                "eta {projected:.3}s beyond deadline {deadline_s:.3}s (+{:.0}% band): \
-                 shed {shed_n} lowest-value units, kept price {afford_price}",
-                PAPER_ENVELOPE * 100.0
-            ),
-        );
     }
 
-    /// Records a unit the executor forfeited because
-    /// [`Self::admit_unit`] refused it. Returns `false` when the unit was
-    /// shed earlier — its price already left the ledger then — and
-    /// `true` otherwise.
-    pub(crate) fn note_forfeit(&self, ordinal: usize) -> bool {
-        let Some(inner) = &self.inner else {
-            return true;
-        };
-        let mut st = inner.state();
-        st.forfeited += 1;
-        match st.retired.get_mut(ordinal) {
-            Some(r) => !std::mem::replace(r, true),
-            None => true,
+    /// Counts a unit the executor forfeited because
+    /// [`Self::admit_unit`] refused it.
+    pub(crate) fn note_forfeit(&self) {
+        if let Some(inner) = &self.inner {
+            inner.state().forfeited += 1;
         }
     }
 
@@ -547,42 +388,35 @@ impl Governor {
         inner.log.record(
             "finish",
             st.executed as f64,
-            format!(
-                "{} executed, {} forfeited ({} shed)",
-                st.executed, st.forfeited, st.shed_count
-            ),
+            format!("{} executed, {} forfeited", st.executed, st.forfeited),
         );
     }
 }
 
-/// Greedy value-density knapsack: keeps the highest-value pending units
-/// whose prices fit `afford_price`, returns the ordinals to shed. Ties
-/// broken by ordinal so the selection is deterministic.
-fn shed_candidates(
-    prices: &[u64],
-    values: &[f64],
-    is_pending: impl Fn(usize) -> bool,
-    afford_price: u64,
-) -> Vec<usize> {
-    let mut pending: Vec<usize> = (0..prices.len()).filter(|&i| is_pending(i)).collect();
-    pending.sort_by(|&a, &b| values[b].total_cmp(&values[a]).then(a.cmp(&b)));
+/// The `Degrade` cap's greedy value-density knapsack: keeps the units
+/// with the most expected pairs per price whose prices fit
+/// `afford_price` and returns the ordinals left out, ascending. Ties
+/// are broken by ordinal so the selection is deterministic.
+fn value_cap_refusals(prices: &[u64], values: &[f64], afford_price: u64) -> Vec<usize> {
+    let mut ranked: Vec<usize> = (0..prices.len()).collect();
+    ranked.sort_by(|&a, &b| values[b].total_cmp(&values[a]).then(a.cmp(&b)));
     let mut kept = 0u64;
-    let mut shed = Vec::new();
-    for i in pending {
+    let mut refused = Vec::new();
+    for i in ranked {
         if kept + prices[i] <= afford_price {
             kept += prices[i];
         } else {
-            shed.push(i);
+            refused.push(i);
         }
     }
-    shed.sort_unstable();
-    shed
+    refused.sort_unstable();
+    refused
 }
 
 /// Convenience: asserts a degraded governed result is *well-formed* —
 /// every forfeited unit is priced and the estimated forfeited fraction
 /// is a finite probability-like number. Used by tests and experiments.
-pub fn assert_well_formed<const N: usize>(d: &DegradedJoinResult<N>) {
+pub fn assert_well_formed(d: &DegradedJoinResult) {
     for s in &d.skips {
         assert!(
             s.est_pairs.is_finite() && s.est_pairs >= 0.0,
@@ -623,7 +457,7 @@ mod tests {
         r2: &RTree<2>,
         scheduler: Scheduler,
         gov: &Governor,
-    ) -> Result<DegradedJoinResult<2>, JoinError> {
+    ) -> Result<DegradedJoinResult, JoinError> {
         JoinSession::new(r1, r2)
             .scheduler(scheduler)
             .govern(gov)
@@ -642,11 +476,10 @@ mod tests {
     #[test]
     fn unlimited_governor_is_inert() {
         let gov = Governor::unlimited();
-        assert!(!gov.is_enabled());
         assert!(!gov.is_unit_gated());
         assert!(gov.admit_unit(0) && gov.admit_unit(usize::MAX));
-        gov.note_unit_done(3, &UnitLedger::default());
-        assert!(gov.note_forfeit(4));
+        gov.note_unit_done();
+        gov.note_forfeit();
         gov.finish();
         assert!(gov.summary().is_none());
         assert!(gov.events_jsonl().is_none());
@@ -673,21 +506,40 @@ mod tests {
     }
 
     #[test]
-    fn degrade_policy_caps_an_ordinal_prefix() {
+    fn degrade_policy_keeps_the_highest_value_units() {
         let gov = Governor::new(
             GovernorConfig::default()
                 .with_na_budget(10.0)
                 .with_admission(AdmissionPolicy::Degrade),
         );
-        // Simulate an over-budget admission at ratio 0.5.
+        // Simulate an over-budget admission at ratio 0.5: half of the
+        // total price of 10 is afforded, and the values rank the units
+        // against their ordinal order.
         gov.inner.as_ref().unwrap().state().degrade_ratio = Some(0.5);
-        gov.arm_units(vec![1; 10], vec![1.0; 10]);
-        for i in 0..5 {
-            assert!(gov.admit_unit(i), "unit {i} is inside the cap");
+        let values = [0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4, 0.6, 0.5, 1.0];
+        gov.arm_units(&[1; 10], &values);
+        for i in [1, 3, 5, 7, 9] {
+            assert!(
+                gov.admit_unit(i),
+                "unit {i} is among the five most valuable"
+            );
         }
-        for i in 5..10 {
-            assert!(!gov.admit_unit(i), "unit {i} is beyond the cap");
+        for i in [0, 2, 4, 6, 8] {
+            assert!(!gov.admit_unit(i), "unit {i} is outside the cap");
         }
+        // The cancellation point composes with the cap: a unit runs
+        // only if neither refuses it.
+        let gov = Governor::new(
+            GovernorConfig::default()
+                .with_na_budget(10.0)
+                .with_admission(AdmissionPolicy::Degrade)
+                .with_cancel_after_units(4),
+        );
+        gov.inner.as_ref().unwrap().state().degrade_ratio = Some(0.5);
+        gov.arm_units(&[1; 10], &values);
+        let admitted: Vec<usize> = (0..10).filter(|&i| gov.admit_unit(i)).collect();
+        assert_eq!(admitted, vec![1, 3]);
+        assert_eq!(gov.summary().unwrap().units_total, 10);
     }
 
     #[test]
@@ -764,17 +616,20 @@ mod tests {
     }
 
     #[test]
-    fn shed_candidates_keep_the_highest_value_units() {
+    fn value_cap_refuses_the_lowest_value_units() {
         let prices = vec![10, 10, 10, 10];
         let values = vec![0.1, 5.0, 0.2, 4.0];
-        let all = |_| true;
         // Budget for two units: keep the two highest-value (1 and 3).
-        assert_eq!(shed_candidates(&prices, &values, all, 20), vec![0, 2]);
-        // Units no longer pending are never shed.
-        assert_eq!(shed_candidates(&prices, &values, |i| i != 0, 20), vec![2]);
-        // No budget: shed every pending unit.
-        assert_eq!(shed_candidates(&prices, &values, all, 0), vec![0, 1, 2, 3]);
-        // Ample budget: shed nothing.
-        assert!(shed_candidates(&prices, &values, all, 100).is_empty());
+        assert_eq!(value_cap_refusals(&prices, &values, 20), vec![0, 2]);
+        // A unit that does not fit is passed over for a cheaper one
+        // further down the ranking.
+        assert_eq!(
+            value_cap_refusals(&[10, 30, 10], &[1.0, 2.0, 0.5], 25),
+            vec![1]
+        );
+        // No budget: refuse every unit.
+        assert_eq!(value_cap_refusals(&prices, &values, 0), vec![0, 1, 2, 3]);
+        // Ample budget: refuse nothing.
+        assert!(value_cap_refusals(&prices, &values, 100).is_empty());
     }
 }

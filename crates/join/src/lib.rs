@@ -39,8 +39,9 @@
 //!
 //! The [`governor::Governor`] is a deadline- and budget-aware
 //! admission/cancellation layer that prices queries with Eq 6 before
-//! running them, cancels cooperatively at work-unit boundaries, and
-//! sheds low-value work when the ETA predicts an overrun.
+//! running them, decides once, when the work units are armed, which
+//! units a cancellation point or a `Degrade` cap refuses, and cancels
+//! cooperatively at work-unit boundaries when a deadline expires.
 //! [`Governor::unlimited`] is inert (one `Option` check per call site).
 //! Work it forfeits is priced with the paper's own formulas instead of
 //! aborting the join; see [`degraded`]. Nothing else forfeits work: the

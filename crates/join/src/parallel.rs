@@ -20,8 +20,8 @@
 //!   a cancellation point or a degraded admission — every scheduler
 //!   runs here, because root units are the boundaries the governor
 //!   gates: the units are priced (Eq 6 × overlap, plus the expected
-//!   pairs per price the shed predictor ranks by), the unit ledger and
-//!   the governor's ranking are armed with them, `RoundRobin` keeps
+//!   pairs per price a `Degrade` cap ranks by), the unit ledger and
+//!   the governor's refusals are armed with them, `RoundRobin` keeps
 //!   its deal and the other two schedulers deal LPT by price, and each
 //!   unit passes the governor's checkpoint before it is charged. Gating
 //!   is by the unit's ordinal, so a fixed cancellation point forfeits
@@ -306,7 +306,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
             unit_span.set("pairs", pair_count);
             // Retire the unit and publish the tallies, so samplers see
             // the unit boundary immediately.
-            wctx.unit_done(i, costs[i]);
+            wctx.unit_done(costs[i]);
             exec.flush_progress();
             if let Some(drift) = wctx.drift {
                 let na_now = na_live.fetch_add(na, Ordering::Relaxed) + na;
@@ -737,7 +737,7 @@ pub(crate) fn dealt_join<const N: usize>(
 /// Arms the unit ledger with the root node-pair units and returns their
 /// prices, by ordinal. Under a governor that gates units — and only
 /// then: the expected pairs read every unit's objects — a unit's price is its
-/// [`Pricer::unit_price`] and its value (the governor's shed ranking)
+/// [`Pricer::unit_price`] and its value (what a `Degrade` cap ranks by)
 /// the pairs it is expected to produce per unit of price; otherwise
 /// every unit is priced at one. Object-pair units (both roots are
 /// leaves) read no page: nothing gates or prices them, and the ledger
@@ -764,7 +764,7 @@ fn arm_root_units<const N: usize>(
             (price, pricer.pairs(p.n1, p.n2, 0.0) / price as f64)
         })
         .unzip();
-    ctx.arm_units(&prices, Some(values));
+    ctx.arm_units(&prices, Some(&values));
     prices
 }
 
@@ -811,7 +811,7 @@ fn run_shard<const N: usize>(
         }
         shard.charge(n1, n2);
         shard.visit(n1, n2);
-        ctx.unit_done(ordinal, price);
+        ctx.unit_done(price);
         runs.push((ordinal, shard.pairs.len()));
         shard.flush_progress();
     }

@@ -3,7 +3,7 @@
 //! *all* cross-cutting concerns — span tracer, drift monitor,
 //! page-access flight recorder (with its correlation-id allocator),
 //! live progress hub, and governor (admission, deadline/cancellation,
-//! shedding) — and a [`PbsmSession`] builder for
+//! the `Degrade` cap) — and a [`PbsmSession`] builder for
 //! the partition join, which has none of them.
 //!
 //! The three tree-join executors (sequential, dealt, cost-guided) start
@@ -136,9 +136,8 @@ impl Scheduler {
 /// domains and the unit hooks — `arm_units` once, then `checkpoint` and
 /// `unit_done` per unit — the only way an executor
 /// reports a unit. The hooks write the run's one unit ledger
-/// ([`sjcm_obs::UnitLedger`]: the progress hub's, or the run's own when
-/// only a governor reads it — [`JoinSession::run`] picks it) and tell
-/// the governor, which reads its ETA off that ledger. A run neither
+/// ([`sjcm_obs::UnitLedger`], the progress hub's) and tell the
+/// governor, which counts what ran and what it refused. A run neither
 /// observed nor governed pays one `Option` check per hook. The default
 /// value has every concern disabled and an unlimited governor.
 ///
@@ -155,10 +154,11 @@ pub(crate) struct ExecContext<'a> {
     pub(crate) recorder: FlightRecorder,
     /// Live progress hub (per-level NA/DA feed, pairs, completion).
     pub(crate) progress: ProgressTracker,
-    /// Admission control, deadline/cancellation token and load
-    /// shedding (a shared handle: the caller keeps reading its log).
+    /// Admission control, the deadline and the per-unit refusals (a
+    /// shared handle: the caller keeps reading its log).
     pub(crate) gov: Governor,
-    /// The run's one unit ledger, written by the unit hooks only.
+    /// The run's one unit ledger (the progress hub's), written by the
+    /// unit hooks only.
     ledger: UnitLedger,
     /// Test builds only: engines run the traversal their stack walk
     /// replaced, the reference it is pinned to.
@@ -195,36 +195,35 @@ impl ExecContext<'_> {
     }
 
     /// Arms the unit ledger once, before any unit runs: `prices[i]` is
-    /// unit `i`'s price. `ranking` (each unit's value) also arms the
-    /// governor's shed ranking and cancellation prefix.
-    pub(crate) fn arm_units(&self, prices: &[u64], ranking: Option<Vec<f64>>) {
+    /// unit `i`'s price. `values` (each unit's expected pairs per
+    /// price) also arms the governor, which decides there which units
+    /// it refuses.
+    pub(crate) fn arm_units(&self, prices: &[u64], values: Option<&[f64]>) {
         self.ledger
             .arm(prices.len() as u64, prices.iter().sum::<u64>());
-        if let Some(values) = ranking {
-            self.gov.arm_units(prices.to_vec(), values);
+        if let Some(values) = values {
+            self.gov.arm_units(prices, values);
         }
     }
 
     /// The governor's cancellation point at unit `ordinal`'s boundary:
     /// `true` admits it, in flight until [`ExecContext::unit_done`];
-    /// `false` forfeits and retires it (the caller records what it
+    /// `false` forfeits it and its price (the caller records what it
     /// skipped).
     pub(crate) fn checkpoint(&self, ordinal: usize, price: u64) -> bool {
         if self.gov.admit_unit(ordinal) {
             self.ledger.admit(price);
             return true;
         }
-        if self.gov.note_forfeit(ordinal) {
-            self.ledger.forfeit(price);
-        }
+        self.gov.note_forfeit();
+        self.ledger.forfeit(price);
         false
     }
 
-    /// Retires an admitted unit that ran to completion, then lets the
-    /// governor read the ledger for its shed decision.
-    pub(crate) fn unit_done(&self, ordinal: usize, price: u64) {
+    /// Retires an admitted unit that ran to completion.
+    pub(crate) fn unit_done(&self, price: u64) {
         self.ledger.done(price);
-        self.gov.note_unit_done(ordinal, &self.ledger);
+        self.gov.note_unit_done();
     }
 }
 
@@ -321,7 +320,8 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     }
 
     /// Puts the run under a governor: admission control before any
-    /// traversal, unit-boundary cancellation checkpoints, shedding.
+    /// traversal, the `Degrade` cap and unit-boundary cancellation
+    /// checkpoints.
     pub fn govern(mut self, gov: &Governor) -> Self {
         self.ctx.gov = gov.clone();
         self
@@ -365,7 +365,7 @@ impl<'a, const N: usize> JoinSession<'a, N> {
     /// Work the governor forfeits comes back priced on the
     /// [`DegradedJoinResult`] instead; only a governed run forfeits
     /// any.
-    pub fn run(self) -> Result<DegradedJoinResult<N>, JoinError> {
+    pub fn run(self) -> Result<DegradedJoinResult, JoinError> {
         let JoinSession {
             r1,
             r2,
@@ -374,13 +374,7 @@ impl<'a, const N: usize> JoinSession<'a, N> {
             scheduler,
             mut ctx,
         } = self;
-        // The run's one unit ledger: the progress hub's, or one of the
-        // run's own when only the governor reads it.
-        ctx.ledger = if ctx.gov.is_enabled() && !ctx.progress.is_enabled() {
-            UnitLedger::enabled()
-        } else {
-            ctx.progress.ledger()
-        };
+        ctx.ledger = ctx.progress.ledger();
         let threads = scheduler.threads();
         if threads == 0 {
             return Err(JoinError::InvalidThreads);

@@ -30,8 +30,8 @@ pub const DA_TOTAL: &str = "da.total";
 
 /// The paper's accuracy envelope: ~15% relative error (§4.1). The one
 /// copy of the band: the drift monitor's default, the progress ETA's
-/// confidence band, the governor's shed band and EXPLAIN ANALYZE's
-/// per-operator verdicts all read it.
+/// confidence band, the governor's forfeit-estimate gates and EXPLAIN
+/// ANALYZE's per-operator verdicts all read it.
 pub const PAPER_ENVELOPE: f64 = 0.15;
 
 /// The least share of its total a prediction must carry to be held to

@@ -2,8 +2,9 @@
 //! metric names the query governor publishes through.
 //!
 //! The governor (in `sjcm-join`) makes a small number of *decisions*
-//! per query — admit or reject, arm a deadline, shed pending units,
-//! expire, finish — and each decision is one
+//! per query — admit or reject, arm its units (the deadline, the
+//! cancellation point, the `Degrade` cap), expire, finish — and each
+//! decision is one
 //! [`GovernorEvent`] here. Events carry a monotone microsecond
 //! timestamp relative to the governor's own epoch, a kind from the
 //! closed [`KNOWN_KINDS`] set, a numeric payload and a free-form
@@ -27,7 +28,7 @@ pub const GOVERNOR_EVENTS_FILE: &str = "governor_events.jsonl";
 
 /// Event kinds a governor may emit, in rough lifecycle order. The
 /// validator rejects anything outside this set.
-pub const KNOWN_KINDS: &[&str] = &["admit", "reject", "arm", "shed", "expire", "finish"];
+pub const KNOWN_KINDS: &[&str] = &["admit", "reject", "arm", "expire", "finish"];
 
 /// Kinds that legally terminate a stream: a run either finishes (even
 /// degraded) or dies at admission.
@@ -45,10 +46,8 @@ pub const GOV_DEADLINE_MS: &str = "governor.deadline_ms";
 pub const GOV_UNITS_TOTAL: &str = "governor.units.total";
 /// Units executed to completion.
 pub const GOV_UNITS_EXECUTED: &str = "governor.units.executed";
-/// Units forfeited (deadline, cancellation point, or shed).
+/// Units forfeited (deadline, cancellation point, or `Degrade` cap).
 pub const GOV_UNITS_FORFEITED: &str = "governor.units.forfeited";
-/// Units preemptively shed by the ETA overrun predictor.
-pub const GOV_UNITS_SHED: &str = "governor.units.shed";
 
 /// One governor decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,8 +57,8 @@ pub struct GovernorEvent {
     /// One of [`KNOWN_KINDS`].
     pub kind: &'static str,
     /// Numeric payload (meaning depends on the kind: predicted NA for
-    /// admit/reject, shed unit count for shed, executed units for
-    /// finish, …).
+    /// admit/reject, unit count for arm, executed units for finish,
+    /// …).
     pub value: f64,
     /// Human-readable context.
     pub detail: String,
@@ -180,13 +179,12 @@ mod tests {
         let log = GovernorLog::new();
         log.record("admit", 1234.5, "predicted 1234.5 <= budget 2000");
         log.record("arm", 42.0, "deadline 50ms over 42 units");
-        log.record("shed", 7.0, "eta band over deadline");
         log.record("expire", 0.0, "");
         log.record("finish", 35.0, "35 executed, 7 forfeited");
         let text = log.to_jsonl();
-        assert_eq!(validate_governor_jsonl(&text).unwrap(), 5);
+        assert_eq!(validate_governor_jsonl(&text).unwrap(), 4);
         let events = log.events();
-        assert_eq!(events.len(), 5);
+        assert_eq!(events.len(), 4);
         assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
     }
 
@@ -230,6 +228,13 @@ mod tests {
             "{\"schema\":\"sjcm.governor.v1\",\"t_us\":1,\"kind\":\"bogus\",\"value\":0,\"detail\":\"\"}\n"
         )
         .is_err());
+        // The retired ETA-shedding kind is unknown too.
+        let shed = "{\"schema\":\"sjcm.governor.v1\",\"t_us\":1,\"kind\":\"shed\",\"value\":7,\"detail\":\"\"}\n\
+                    {\"schema\":\"sjcm.governor.v1\",\"t_us\":2,\"kind\":\"finish\",\"value\":0,\"detail\":\"\"}\n";
+        assert_eq!(
+            validate_governor_jsonl(shed),
+            Err("line 1: unknown kind \"shed\"".to_string())
+        );
         // Non-terminal tail.
         assert!(validate_governor_jsonl(
             "{\"schema\":\"sjcm.governor.v1\",\"t_us\":1,\"kind\":\"admit\",\"value\":0,\"detail\":\"\"}\n"

@@ -30,10 +30,10 @@
 //!   seeded from the Eq-6 per-level priors, refined in flight by the
 //!   observed branching ratios, with monotone fractions and an ETA
 //!   inside the §4.1 ±15% band; also the run's one unit ledger
-//!   ([`UnitLedger`]) and the one ETA rule ([`progress::eta`]) that the
-//!   governor's shed predictor reads too.
+//!   ([`UnitLedger`]) and the one ETA rule ([`progress::eta`]) over
+//!   it.
 //! * [`governor`] — the decision log of the query governor: admission,
-//!   deadline arming, load shedding and expiry as a validated JSONL
+//!   unit arming and deadline expiry as a validated JSONL
 //!   event stream ([`governor::GovernorLog`]) plus the `governor.*`
 //!   metric names.
 //!

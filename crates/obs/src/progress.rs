@@ -25,11 +25,10 @@
 //!   with an ETA from [`eta`] and a confidence band from the paper's
 //!   §4.1 ~15% error envelope;
 //! * the run's one [`UnitLedger`] (units and their price: scheduled,
-//!   done, in flight, forfeited or shed), written only through the
-//!   unit hooks of the tree-join executors that schedule units (the
-//!   dealt and the cost-guided one), and [`eta`], the one ETA
-//!   rule over it — both read by the engine and by the governor's shed
-//!   predictor.
+//!   done, in flight, forfeited), written only through the unit hooks
+//!   of the tree-join executors that schedule units (the dealt and the
+//!   cost-guided one), and [`eta`], the one ETA rule the engine reads
+//!   over it.
 //!
 //! # The estimator
 //!
@@ -84,18 +83,8 @@ const FLUSH_EVERY: u32 = 512;
 
 /// Share of the work that must be done before [`eta`] gives a finish
 /// time. The first completions fold start-up and single-unit variance
-/// into the rate, and the governor sheds on this rate — a shed unit
-/// cannot be won back.
+/// into the rate, and an ETA read off them swings by multiples.
 const ETA_WARMUP: f64 = 0.10;
-
-/// A finish-time estimate from [`eta`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Eta {
-    /// Execution seconds per unit of work: the realized rate.
-    pub secs_per_work: f64,
-    /// Seconds until the remaining work is done at that rate.
-    pub secs: f64,
-}
 
 /// The one ETA rule: `exec_secs` of execution have done `done` work and
 /// have `in_flight` more under way, and `remaining` (in-flight work
@@ -108,22 +97,19 @@ pub struct Eta {
 /// ETA = exec_secs / (done + ½ in_flight) × (remaining − ½ in_flight)
 /// ```
 ///
-/// `None` until a tenth of the work (`done + remaining`) is done, and
-/// when nothing remains.
-pub fn eta(exec_secs: f64, done: f64, in_flight: f64, remaining: f64) -> Option<Eta> {
+/// In seconds; `None` until a tenth of the work (`done + remaining`)
+/// is done, and when nothing remains.
+pub fn eta(exec_secs: f64, done: f64, in_flight: f64, remaining: f64) -> Option<f64> {
     if remaining <= 0.0 || done <= 0.0 || done < ETA_WARMUP * (done + remaining) {
         return None;
     }
     let half_flight = in_flight / 2.0;
     let secs_per_work = exec_secs.max(1e-9) / (done + half_flight);
-    Some(Eta {
-        secs_per_work,
-        secs: secs_per_work * (remaining - half_flight).max(0.0),
-    })
+    Some(secs_per_work * (remaining - half_flight).max(0.0))
 }
 
 /// The run's one unit ledger: how many work units, and how much of
-/// their price, are scheduled, done, in flight, and forfeited or shed.
+/// their price, are scheduled, done, in flight, and forfeited.
 /// Prices are in whatever the run priced its units in — Eq 6 × overlap
 /// for priced dealt units and cost-guided units, one per unit for an
 /// unpriced deal. A run arms it once, and each unit leaves it through
@@ -168,8 +154,10 @@ impl Ledger {
 }
 
 impl UnitLedger {
-    /// A collecting ledger.
-    pub fn enabled() -> Self {
+    /// Test builds only: a collecting ledger of its own. A run's ledger
+    /// is its progress hub's ([`ProgressTracker::ledger`]).
+    #[cfg(test)]
+    pub(crate) fn enabled() -> Self {
         Self {
             inner: Some(Arc::default()),
         }
@@ -201,9 +189,8 @@ impl UnitLedger {
         }
     }
 
-    /// A unit of `price` will never run: refused at its checkpoint or
-    /// shed before it was admitted. An admitted unit always runs to
-    /// [`UnitLedger::done`].
+    /// A unit of `price` will never run: refused at its checkpoint. An
+    /// admitted unit always runs to [`UnitLedger::done`].
     pub fn forfeit(&self, price: u64) {
         if let Some(l) = &self.inner {
             l.units_forfeited.fetch_add(1, Ordering::Relaxed);
@@ -224,7 +211,7 @@ pub struct LedgerTotals {
     pub units_scheduled: u64,
     /// Units run to completion.
     pub units_done: u64,
-    /// Units forfeited or shed.
+    /// Units forfeited.
     pub units_forfeited: u64,
     /// Price scheduled.
     pub scheduled: u64,
@@ -232,7 +219,7 @@ pub struct LedgerTotals {
     pub done: u64,
     /// Price of the units admitted and not done yet.
     pub in_flight: u64,
-    /// Price of the units forfeited or shed.
+    /// Price of the units forfeited.
     pub forfeited: u64,
     /// Seconds since the first unit was admitted (0 before).
     pub exec_secs: f64,
@@ -246,7 +233,7 @@ impl LedgerTotals {
     }
 
     /// [`eta`] over the ledger's prices and execution clock.
-    pub fn eta(&self) -> Option<Eta> {
+    pub fn eta(&self) -> Option<f64> {
         eta(
             self.exec_secs,
             self.done as f64,
@@ -738,9 +725,9 @@ impl ProgressEngine {
         let secs = if finished {
             Some(0.0)
         } else if units.scheduled > 0 {
-            units.eta().map(|e| e.secs)
+            units.eta()
         } else {
-            eta(t_us as f64 / 1e6, done_work, 0.0, denom - done_work).map(|e| e.secs)
+            eta(t_us as f64 / 1e6, done_work, 0.0, denom - done_work)
         };
         let eta_at = |scale: f64| secs.map(|s| (s * scale * 1e6) as u64);
         ProgressSnapshot {
@@ -1019,8 +1006,8 @@ mod tests {
         let ledger = UnitLedger::enabled();
         ledger.arm(4, 400);
         run_unit(&ledger, 100);
-        // One refused at its checkpoint, one shed while another unit is
-        // in flight: a forfeit leaves the flight alone.
+        // One refused at its checkpoint, one refused while another unit
+        // is in flight: a forfeit leaves the flight alone.
         ledger.forfeit(100);
         ledger.admit(100);
         ledger.forfeit(100);
@@ -1047,14 +1034,14 @@ mod tests {
         assert_eq!(eta(1.0, 9.0, 0.0, 91.0), None);
         assert_eq!(eta(1.0, 0.0, 0.0, 100.0), None);
         assert_eq!(eta(1.0, 50.0, 0.0, 0.0), None);
-        // 2 s for 20 done, nothing in flight: 0.1 s per unit of work.
+        // 2 s for 20 done, nothing in flight: 0.1 s per unit of work,
+        // 80 to go.
         let e = eta(2.0, 20.0, 0.0, 80.0).unwrap();
-        assert!((e.secs_per_work - 0.1).abs() < 1e-12);
-        assert!((e.secs - 8.0).abs() < 1e-12);
-        // 20 in flight count as 10 done and 10 fewer to go.
+        assert!((e - 8.0).abs() < 1e-12);
+        // 20 in flight count as 10 done and 10 fewer to go: still 0.1 s
+        // per unit of work, 70 to go.
         let e = eta(3.0, 20.0, 20.0, 80.0).unwrap();
-        assert!((e.secs_per_work - 0.1).abs() < 1e-12);
-        assert!((e.secs - 7.0).abs() < 1e-12);
+        assert!((e - 7.0).abs() < 1e-12);
         // The ledger reads through the same rule.
         let ledger = UnitLedger::enabled();
         ledger.arm(2, 10);
