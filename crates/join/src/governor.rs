@@ -70,6 +70,13 @@ pub enum AdmissionPolicy {
     /// pairs per price (decided once, when the units are armed, so the
     /// forfeited inventory is deterministic); the result comes back
     /// degraded with the forfeited work priced.
+    ///
+    /// The cap binds the units' Eq-6 × overlap *price*, not the node
+    /// accesses they go on to measure: ranking by an estimated ratio
+    /// favours units the model underprices, so a capped run can read
+    /// more than its budget (6 304 NA against 5 404 on the insertion-
+    /// built uniform 60K pair of `experiments governor` at a third of
+    /// the prediction).
     Degrade,
 }
 

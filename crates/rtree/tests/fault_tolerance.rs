@@ -1,16 +1,20 @@
 //! Fault-tolerance coverage for paged persistence: corruption must
 //! surface as [`StorageError::Corrupt`] — never as silently wrong MBRs —
 //! no matter which buffer manager fronts the accesses, and torn or
-//! missing files must come back as typed errors, not panics.
+//! missing files must come back as typed errors, not panics. A page's
+//! checksum trailer is the one check that refuses a damaged page, on the
+//! in-memory store and on a file alike.
 
+mod fault;
+
+use fault::{FaultCounters, FaultPlan, FaultyPageStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sjcm_geom::{Point, Rect};
 use sjcm_rtree::{BulkLoad, ObjectId, PersistedTree, RTree, RTreeConfig};
 use sjcm_storage::{
-    BufferManager, DiskNode, FaultCounters, FaultPlan, FaultyPageStore, FilePageStore,
-    InMemoryPageStore, LruBuffer, NoBuffer, PageId, PageStore, PathBuffer, ResilientStore,
-    StorageError,
+    BufferManager, DiskNode, FilePageStore, InMemoryPageStore, LruBuffer, NoBuffer, PageId,
+    PageStore, PathBuffer, StorageError,
 };
 use std::path::PathBuf;
 
@@ -45,6 +49,8 @@ fn corrupt_interior_page_surfaces_under_every_buffer_manager() {
     let mut store = InMemoryPageStore::with_default_page_size();
     let handle = tree.save(&mut store).unwrap();
     let victim = interior_page(&store, handle);
+    // The flipped byte is in the victim's trailer: the store hands it
+    // back as written, and the loader's checksum refuses it.
     store.corrupt_for_test(victim).unwrap();
 
     let buffers: Vec<(&str, Box<dyn BufferManager>)> = vec![
@@ -66,46 +72,6 @@ fn corrupt_interior_page_surfaces_under_every_buffer_manager() {
             "buffer manager {name} must not mask corruption"
         );
     }
-}
-
-#[test]
-fn corrupt_page_is_quarantined_by_resilient_store() {
-    let tree = sample_tree(5000, 13);
-    let mut store = InMemoryPageStore::with_default_page_size();
-    let handle = tree.save(&mut store).unwrap();
-    let victim = interior_page(&store, handle);
-    store.corrupt_for_test(victim).unwrap();
-
-    // Corruption is not transient: retries burn down, the page lands in
-    // quarantine, and the load still fails typed — never silently.
-    let resilient = ResilientStore::new(store);
-    let err = RTree::<2>::load(&resilient, handle, *tree.config()).unwrap_err();
-    assert_eq!(err, StorageError::Corrupt(victim));
-    assert_eq!(resilient.quarantined_pages(), vec![victim]);
-    let c = resilient.counters();
-    assert_eq!(c.quarantined, 1);
-    assert_eq!(c.recovered, 0);
-    assert!(c.retried > 0);
-}
-
-#[test]
-fn transient_faults_on_reload_recover_through_resilient_store() {
-    let tree = sample_tree(2000, 17);
-    let mut store = InMemoryPageStore::with_default_page_size();
-    let handle = tree.save(&mut store).unwrap();
-
-    // Every page fails its first two reads; the default budget of three
-    // retries absorbs that, so the reload succeeds bit-for-bit.
-    let plan = sjcm_storage::FaultPlan::none(99).with_transient(1.0, 2);
-    let faulty = FaultyPageStore::new(store, plan);
-    let resilient = ResilientStore::new(faulty);
-    let loaded = RTree::<2>::load(&resilient, handle, *tree.config()).unwrap();
-    assert_eq!(loaded.len(), tree.len());
-    assert_eq!(loaded.node_count(), tree.node_count());
-    let c = resilient.counters();
-    assert_eq!(c.quarantined, 0);
-    assert_eq!(c.recovered as usize, handle.pages);
-    assert_eq!(c.recovery_rate(), Some(1.0));
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -179,29 +145,15 @@ fn file_backed_save_load_roundtrip_syncs() {
 }
 
 /// What a reload came to: the objects loaded, or the error; and what
-/// the fault and retry layers tallied on the way.
-type Verdict = (Result<usize, StorageError>, FaultCounters, FaultCounters);
+/// the fault layer injected on the way.
+type Verdict = (Result<usize, StorageError>, FaultCounters);
 
 /// Reloads `handle` from `store` through a [`FaultyPageStore`] under
-/// `plan` — page by page, through the provided `read_run` — and, with
-/// `retries`, a [`ResilientStore`] on top.
-fn faulty_reload<S: PageStore>(
-    store: S,
-    handle: PersistedTree,
-    plan: FaultPlan,
-    retries: bool,
-) -> Verdict {
-    let config = RTreeConfig::paper(2);
+/// `plan` — page by page, through the provided `read_run`.
+fn faulty_reload<S: PageStore>(store: S, handle: PersistedTree, plan: FaultPlan) -> Verdict {
     let faulty = FaultyPageStore::new(store, plan);
-    if retries {
-        let resilient = ResilientStore::new(faulty);
-        let loaded = RTree::<2>::load(&resilient, handle, config).map(|t| t.len());
-        let retry = resilient.counters();
-        (loaded, resilient.into_inner().counters(), retry)
-    } else {
-        let loaded = RTree::<2>::load(&faulty, handle, config).map(|t| t.len());
-        (loaded, faulty.counters(), FaultCounters::default())
-    }
+    let loaded = RTree::<2>::load(&faulty, handle, RTreeConfig::paper(2)).map(|t| t.len());
+    (loaded, faulty.counters())
 }
 
 /// The fault matrix, run once over the in-memory simulator and once over
@@ -222,90 +174,40 @@ fn the_fault_matrix_reaches_the_same_verdicts_on_a_real_disk() {
         .save(&mut FilePageStore::create(&path, 1024).unwrap())
         .unwrap();
     assert_eq!(file_handle, handle);
-    let pages = handle.pages as u64;
 
     let none = FaultPlan::none(31);
-    let lost = |v: &Verdict| matches!(&v.0, Err(StorageError::Io(m)) if m.contains("loss"));
-    let quarantined = |v: &Verdict| {
-        matches!(&v.0, Err(StorageError::Io(m)) if m.contains("quarantined") || m.contains("transient"))
-            && v.2.quarantined == 1
-    };
     type Check = Box<dyn Fn(&Verdict) -> bool>;
-    let matrix: Vec<(&str, FaultPlan, bool, Check)> = vec![
-        ("clean", none, false, Box::new(move |v| v.0 == Ok(3000))),
+    let matrix: Vec<(&str, FaultPlan, Check)> = vec![
+        ("clean", none, Box::new(|v| v.0 == Ok(3000))),
         (
-            "transient within the retry budget",
-            none.with_transient(1.0, 2),
-            true,
-            Box::new(move |v| v.0 == Ok(3000) && v.2.recovered == pages),
-        ),
-        (
-            "transient without retries",
-            none.with_transient(0.3, 1),
-            false,
-            Box::new(|v| matches!(&v.0, Err(StorageError::Io(m)) if m.contains("transient"))),
-        ),
-        (
-            "transient beyond the retry budget",
-            none.with_transient(1.0, 10),
-            true,
-            Box::new(quarantined),
-        ),
-        ("lost pages", none.with_loss(0.05), false, Box::new(lost)),
-        (
-            "lost pages under retries",
+            "lost pages",
             none.with_loss(0.05),
-            true,
-            Box::new(move |v| lost(v) && v.2.quarantined == 1),
+            Box::new(|v| matches!(&v.0, Err(StorageError::Io(m)) if m.contains("loss"))),
         ),
         // A flip lands anywhere in the page; the first one in a header,
-        // an entry or a trailer is the page trailer's catch. The pages
-        // were written before the faulty store wrapped them, so it has
-        // no write-time checksum to refuse a flipped read with: the
-        // bytes reach the loader, and no retry below it sees a failure.
+        // an entry or a trailer is the page trailer's catch. The faulty
+        // store keeps no checksum of its own: the flipped bytes reach
+        // the loader, on either store.
         (
             "bit flips",
             none.with_flips(1.0),
-            false,
             Box::new(|v| matches!(v.0, Err(StorageError::Corrupt(_))) && v.1.injected_flip > 0),
         ),
-        (
-            "bit flips under retries",
-            none.with_flips(1.0),
-            true,
-            Box::new(|v| matches!(v.0, Err(StorageError::Corrupt(_))) && v.2.retried == 0),
-        ),
     ];
-    for (name, plan, retries, check) in matrix {
-        let in_memory = faulty_reload(memory().1, handle, plan, retries);
-        let on_disk = faulty_reload(
-            FilePageStore::open(&path, 1024).unwrap(),
-            handle,
-            plan,
-            retries,
-        );
+    for (name, plan, check) in matrix {
+        let in_memory = faulty_reload(memory().1, handle, plan);
+        let on_disk = faulty_reload(FilePageStore::open(&path, 1024).unwrap(), handle, plan);
         assert!(check(&in_memory), "{name}: {in_memory:?}");
         assert_eq!(on_disk, in_memory, "{name}");
     }
 
-    // Allocation failures break a save to either store alike, and
-    // retries carry it through.
+    // Allocation failures break a save to either store alike.
     let plan = none.with_alloc_failures(0.05);
     let mut faulty = FaultyPageStore::new(InMemoryPageStore::with_default_page_size(), plan);
     let in_memory = tree.save(&mut faulty).unwrap_err();
     let mut faulty = FaultyPageStore::new(FilePageStore::create(&path, 1024).unwrap(), plan);
     assert_eq!(tree.save(&mut faulty).unwrap_err(), in_memory);
     assert!(matches!(in_memory, StorageError::Io(_)));
-    let faulty = FaultyPageStore::new(FilePageStore::create(&path, 1024).unwrap(), plan);
-    let mut resilient = ResilientStore::new(faulty);
-    assert_eq!(tree.save(&mut resilient).unwrap(), handle);
-    let store = FilePageStore::open(&path, 1024).unwrap();
-    assert_eq!(
-        RTree::<2>::load(&store, handle, *tree.config())
-            .unwrap()
-            .len(),
-        3000
-    );
 }
 
 /// Passes the first `runs` write runs through and fails every later one:

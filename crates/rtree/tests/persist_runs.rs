@@ -11,11 +11,22 @@ use rand::{Rng, SeedableRng};
 use sjcm_geom::{Point, Rect};
 use sjcm_rtree::{BulkLoad, Child, ObjectId, PersistedTree, RTree, RTreeConfig};
 use sjcm_storage::{
-    digest_term, encodable, encode_page, fnv1a, DiskNode, FilePageStore, InMemoryPageStore,
-    NodePage, PageId, PageStore, StorageError,
+    digest_term, encodable, encode_page, DiskNode, FilePageStore, InMemoryPageStore, NodePage,
+    PageId, PageStore, StorageError,
 };
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
+
+/// FNV-1a, the hash every pinned print in this file was recorded with.
+/// Its constants are the pins' own: changing one moves every pin.
+fn fnv1a(data: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in data {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
 
 fn items(n: usize, seed: u64) -> Vec<(Rect<2>, ObjectId)> {
     let mut rng = StdRng::seed_from_u64(seed);

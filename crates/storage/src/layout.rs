@@ -81,7 +81,7 @@ fn word_at(bytes: &[u8]) -> u64 {
 /// The 64-bit checksum a page's trailer holds, over its header and entry
 /// bytes: four independent multiply–rotate lanes over 32-byte blocks,
 /// then the last words one at a time, then a final avalanche — a word
-/// per step, not a byte (FNV-1a, [`crate::fnv1a`], would cost about 1 µs
+/// per step, not a byte (a byte-at-a-time FNV-1a would cost about 1 µs
 /// per page). Not cryptographic: it catches torn and damaged pages, and
 /// any change confined to one aligned 8-byte word, a bit flip included,
 /// always changes it.

@@ -7,8 +7,8 @@
 //! the substrate that makes those numbers *measurable* rather than
 //! estimated:
 //!
-//! * [`page`] — page identifiers and an in-memory [`page::PageStore`]
-//!   with checksummed pages.
+//! * [`page`] — page identifiers, the [`page::PageStore`] trait and the
+//!   in-memory store behind the simulated disk.
 //! * [`layout`] — the on-page binary layout of an R-tree node. The layout
 //!   (8-byte header + (8·n+4)-byte entries with `f32` coordinates and
 //!   `u32` child pointers + an 8-byte checksum trailer) reproduces the
@@ -28,19 +28,18 @@
 //! * [`mod@replay`] — trace-driven what-if analysis: re-simulate a
 //!   captured trace under any buffer policy ([`replay::replay`]), an
 //!   LRU buffer of each capacity included.
-//! * [`fault`] — deterministic fault injection on the real page path
-//!   ([`fault::FaultPlan`], [`fault::FaultyPageStore`]) and recovery
-//!   ([`fault::ResilientStore`] with bounded retry + quarantine),
-//!   tallied in [`fault::FaultCounters`]: the fakes behind the saved-tree
-//!   fault tests. The join reads no pages (its trees are in memory and
-//!   its buffers only simulate reads), so no join access can fail.
+//!
+//! A damaged page is caught by one check: the checksum trailer every
+//! tree page carries ([`layout`]), which the loader verifies on the
+//! in-memory store and on a file alike. The join reads no pages (its
+//! trees are in memory and its buffers only simulate reads), so no join
+//! access can fail.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod buffer;
 pub mod counters;
-pub mod fault;
 pub mod file_store;
 pub mod layout;
 pub mod page;
@@ -49,9 +48,8 @@ pub mod replay;
 
 pub use buffer::{AccessKind, BufferManager, BufferPolicy, LruBuffer, NoBuffer, PathBuffer};
 pub use counters::{hit_ratio, AccessStats};
-pub use fault::{FaultCounters, FaultPlan, FaultyPageStore, ResilientStore};
 pub use file_store::FilePageStore;
 pub use layout::{digest_term, encodable, encode_page, max_entries, DiskEntry, DiskNode, NodePage};
-pub use page::{fnv1a, InMemoryPageStore, PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE};
+pub use page::{InMemoryPageStore, PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE};
 pub use recorder::{AccessTrace, FlightRecorder, PageAccessEvent, RecorderLane};
 pub use replay::{replay, ReplayOutcome};

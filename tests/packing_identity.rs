@@ -22,6 +22,17 @@ use sjcm::geom::{Point, Rect};
 use sjcm::rtree::{BulkLoad, Child, ObjectId, RTree, RTreeConfig};
 use std::collections::HashSet;
 
+/// FNV-1a, the hash every pinned print in this file was recorded with.
+/// Its constants are the pins' own: changing one moves every pin.
+fn fnv1a(data: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in data {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 fn fingerprint<const N: usize>(tree: &RTree<N>) -> u64 {
     let mut bytes = Vec::new();
     let mut word = |w: u64| bytes.extend_from_slice(&w.to_le_bytes());
@@ -43,7 +54,7 @@ fn fingerprint<const N: usize>(tree: &RTree<N>) -> u64 {
             }
         }
     }
-    sjcm::storage::fnv1a(&bytes)
+    fnv1a(&bytes)
 }
 
 /// Panics if two entries of one level share `lo` and `hi` in some
@@ -122,7 +133,7 @@ fn shape_print<const N: usize>(tree: &RTree<N>) -> u64 {
         }
         at += 1;
     }
-    sjcm::storage::fnv1a(&bytes)
+    fnv1a(&bytes)
 }
 
 /// Checks both prints: `ids`, the [`fingerprint`], and `shape`, the
