@@ -281,20 +281,20 @@ pub fn join_cost_da_windowed<const N: usize>(
         .sum()
 }
 
-/// Drift-monitor target name for tree `tree ∈ {1, 2}`'s node accesses
+/// Drift-check target name for tree `tree ∈ {1, 2}`'s node accesses
 /// at paper level `j` (1 = leaf): `na.r<tree>.l<j>`.
 pub fn na_target(tree: usize, j: usize) -> String {
     format!("na.r{tree}.l{j}")
 }
 
-/// Drift-monitor target name for tree `tree ∈ {1, 2}`'s disk accesses
+/// Drift-check target name for tree `tree ∈ {1, 2}`'s disk accesses
 /// at paper level `j` (1 = leaf): `da.r<tree>.l<j>`.
 pub fn da_target(tree: usize, j: usize) -> String {
     format!("da.r{tree}.l{j}")
 }
 
-/// The full set of named predictions a drift monitor should register
-/// before a join of trees with these parameters runs: per tree and
+/// The full set of named predictions the drift check holds a join of
+/// trees with these parameters to: per tree and
 /// paper level the Eq-6 NA and the Eq-8/9/12 DA share (steps of the
 /// pinned phase that revisit a level are summed into it, matching how
 /// the executor tallies accesses *per level*, not per schedule step),
@@ -303,8 +303,8 @@ pub fn da_target(tree: usize, j: usize) -> String {
 /// The names follow [`na_target`] / [`da_target`]; the execution layer
 /// produces observations under the same names (see
 /// `JoinResultSet::drift_observations` in `sjcm-join`), so prediction
-/// and measurement meet in the monitor without either layer depending
-/// on the other.
+/// and measurement meet in `sjcm_obs::drift::evaluate` without either
+/// layer depending on the other.
 pub fn join_prediction_targets<const N: usize>(
     r1: &TreeParams<N>,
     r2: &TreeParams<N>,

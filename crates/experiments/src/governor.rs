@@ -434,7 +434,8 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
         table.finish();
         return false;
     };
-    let k = gov_value.summary().map_or(0, |g| g.units_executed);
+    let units_total = gov_value.summary().map_or(0, |g| g.units_total);
+    let k = units_total - dv.skips.len() as u64;
     let Some((dp, _)) = governed_arm(
         "cancel-prefix",
         GovernorConfig::default().with_cancel_after_units(k),
@@ -451,7 +452,7 @@ pub fn governor(opts: &RunOpts, deadline_override_ms: Option<u64>) -> bool {
         dv.result.pair_count,
         dv.result.na_total(),
         per_na(&dv),
-        gov_value.summary().map_or(0, |g| g.units_total),
+        units_total,
         dp.result.pair_count,
         dp.result.na_total(),
         per_na(&dp),

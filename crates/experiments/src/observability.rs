@@ -5,13 +5,13 @@
 //! cost-guided parallel executor with every hook armed: spans for tree
 //! construction, frontier descent, scheduling and each work unit; a
 //! metrics registry fed from the access statistics, the buffer
-//! counters and the scheduler's steal tallies; a drift monitor
-//! whose Eq 6/8–12 predictions are registered *before* the join runs,
-//! checked in-flight (overruns of the ~15% envelope flag while the
-//! join is still executing) and published as `drift.*` gauges at the
-//! end; and, when `--obs-dir` is given, the page-access flight
-//! recorder, whose binary trace feeds the offline `trace replay` /
-//! `trace report` toolchain ([`crate::trace`]). A watcher thread samples the
+//! counters and the scheduler's steal tallies; a drift check that
+//! holds the Eq 6/8–12 predictions, computed before the join runs, to
+//! the finished run's per-level tallies ([`drift::evaluate`]) and
+//! publishes them as `drift.*` gauges; and, when `--obs-dir` is given,
+//! the page-access flight recorder, whose binary trace feeds the
+//! offline `trace replay` / `trace report` toolchain
+//! ([`crate::trace`]). A watcher thread samples the
 //! Eq-6-prior-seeded progress engine throughout the run — `--watch`
 //! draws it live, `--obs-dir` persists the snapshot JSONL, and the
 //! report prints the prior-vs-refined ETA error curve either way.
@@ -29,9 +29,9 @@ use sjcm_join::{
     Scheduler,
 };
 use sjcm_obs::{
-    json, validate_governor_jsonl, validate_metrics_jsonl, validate_progress_jsonl,
-    validate_trace_jsonl, DriftMonitor, LevelPrior, MetricsRegistry, ProgressEngine,
-    ProgressSnapshot, ProgressTracker, Tracer, GOVERNOR_EVENTS_FILE, MASS_FLOOR, PAPER_ENVELOPE,
+    drift, json, validate_governor_jsonl, validate_metrics_jsonl, validate_progress_jsonl,
+    validate_trace_jsonl, LevelPrior, MetricsRegistry, ProgressEngine, ProgressSnapshot,
+    ProgressTracker, Tracer, DA_TOTAL, GOVERNOR_EVENTS_FILE, MASS_FLOOR, NA_TOTAL, PAPER_ENVELOPE,
 };
 use sjcm_storage::{AccessTrace, FlightRecorder};
 use std::io::Write as _;
@@ -70,10 +70,10 @@ const SAMPLE_EVERY_MS: u64 = 5;
 /// the Eq 6/8–12 predictions, so the drift envelope is only gated when
 /// the governed run stayed exact, and the metrics artifact is withheld
 /// rather than written in a state `validate-obs` would rightly reject
-/// (the progress stream stays valid — forfeited work is retired from
-/// the denominator, so it still ends at 1.0). The access trace is
-/// withheld the same way when the recorder captured no access: a run
-/// whose deadline refused every unit reads no page.
+/// (the progress stream stays valid — the unit ledger's forfeits are
+/// retired from the denominator, so it still ends at 1.0). The access
+/// trace is withheld the same way when the recorder captured no
+/// access: a run whose deadline refused every unit reads no page.
 ///
 /// Returns `Ok(true)` when every *gated* drift target landed inside the
 /// paper's envelope.
@@ -93,7 +93,6 @@ pub fn join_observed(
     let n = (60_000.0 * scale).round().max(600.0) as usize;
     let tracer = Tracer::enabled();
     let metrics = MetricsRegistry::new();
-    let drift = DriftMonitor::new(PAPER_ENVELOPE);
     let recorder = if obs_dir.is_some() {
         FlightRecorder::enabled()
     } else {
@@ -112,8 +111,8 @@ pub fn join_observed(
     let (_r1, t1) = build(9600, "build-r1");
     let (_r2, t2) = build(9601, "build-r2");
 
-    // Register the Eq 6/8–12 predictions before the join runs, from
-    // *measured* tree parameters: the monitor isolates formula drift
+    // The Eq 6/8–12 predictions, computed before the join runs from
+    // *measured* tree parameters: the check isolates formula drift
     // from parameter-estimation error (the latter is what the
     // `param-source` command studies — near the root the analytic node
     // counts are off by whole nodes, which would swamp the per-level
@@ -122,28 +121,14 @@ pub fn join_observed(
     // but get no envelope target.
     let p1 = measured_params::<2>(&t1.stats());
     let p2 = measured_params::<2>(&t2.stats());
-    let targets = join::join_prediction_targets(&p1, &p2);
-    let total_of = |prefix: &str| {
-        targets
+    let (predictions, skipped) = drift::gate(&join::join_prediction_targets(&p1, &p2));
+    let total_of = |name: &str| {
+        predictions
             .iter()
-            .find(|(n, _)| n == &format!("{prefix}.total"))
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
+            .find(|(n, _)| n == name)
+            .map_or(0.0, |(_, v)| *v)
     };
-    let (na_pred, da_pred) = (total_of("na"), total_of("da"));
-    let mut skipped = Vec::new();
-    for (name, predicted) in &targets {
-        let total = if name.starts_with("na.") {
-            na_pred
-        } else {
-            da_pred
-        };
-        if name.ends_with(".total") || *predicted >= MASS_FLOOR * total {
-            drift.predict(name, *predicted);
-        } else {
-            skipped.push(name.clone());
-        }
-    }
+    let (na_pred, da_pred) = (total_of(NA_TOTAL), total_of(DA_TOTAL));
 
     // Seed the progress engine from the same Eq-6 machinery: per-level
     // NA priors on measured parameters become the engine's initial
@@ -157,7 +142,6 @@ pub fn join_observed(
     let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
     let obs = JoinObs {
         tracer: tracer.clone(),
-        drift: Some(&drift),
         recorder: recorder.clone(),
         progress: progress.clone(),
     };
@@ -206,12 +190,12 @@ pub fn join_observed(
         }
     };
     let exact = degraded.is_exact();
+    let forfeited = degraded.skips.len() as u64;
+    let units_total = gov.summary().map_or(0, |s| s.units_total);
     if !exact {
         println!(
-            "governor: degraded run — {} of {} root units forfeited, \
+            "governor: degraded run — {forfeited} of {units_total} root units forfeited, \
              forfeited-pairs estimate {:.0}",
-            degraded.skips.len(),
-            gov.summary().map(|s| s.units_total).unwrap_or(0),
             degraded.forfeited_pairs()
         );
     }
@@ -224,16 +208,15 @@ pub fn join_observed(
     }
     snapshots.push(final_snap);
 
-    // Final observations: the measured per-level and total NA/DA under
-    // the same names the predictions were registered with.
-    for (name, actual) in result.drift_observations() {
-        drift.observe(&name, actual);
-    }
+    // The measured per-level and total NA/DA, under the names of the
+    // predictions.
+    let observations = result.drift_observations();
+    let samples = drift::evaluate(&predictions, &observations, PAPER_ENVELOPE);
 
     // Feed the registry: access stats, buffer hits and misses (NA − DA
     // and DA of the same tallies), steal tallies.
-    for (name, value) in result.drift_observations() {
-        metrics.counter_add(&format!("join.{name}"), value as u64);
+    for (name, value) in &observations {
+        metrics.counter_add(&format!("join.{name}"), *value as u64);
     }
     for (tree, s) in [(1, &result.stats1), (2, &result.stats2)] {
         metrics.counter_add(&format!("buffer.r{tree}.hits"), s.na_total() - s.da_total());
@@ -251,7 +234,7 @@ pub fn join_observed(
         }
     }
     metrics.gauge_set("parallel.na_imbalance", result.na_imbalance());
-    drift.publish(&metrics);
+    drift::publish(&samples, PAPER_ENVELOPE, &metrics);
 
     // Governor decisions as gauges, under the shared `governor.*`
     // names — absent entirely on an ungoverned run.
@@ -266,22 +249,15 @@ pub fn join_observed(
             metrics.gauge_set(govm::GOV_DEADLINE_MS, d.as_secs_f64() * 1e3);
         }
         metrics.gauge_set(govm::GOV_UNITS_TOTAL, summary.units_total as f64);
-        metrics.gauge_set(govm::GOV_UNITS_EXECUTED, summary.units_executed as f64);
-        metrics.gauge_set(govm::GOV_UNITS_FORFEITED, summary.units_forfeited as f64);
+        metrics.gauge_set(govm::GOV_UNITS_EXECUTED, (units_total - forfeited) as f64);
+        metrics.gauge_set(govm::GOV_UNITS_FORFEITED, forfeited as f64);
     }
 
     // The report section: drift table + span summary.
     let mut table = Report::new(
         out,
         "join_drift",
-        &[
-            "target",
-            "predicted",
-            "actual",
-            "rel_err",
-            "within",
-            "overrun",
-        ],
+        &["target", "predicted", "actual", "rel_err", "within"],
     );
     table.comment(&format!(
         "model-vs-actual drift, envelope = {:.0}% (paper section 4.1); \
@@ -296,14 +272,13 @@ pub fn join_observed(
             skipped.join(" ")
         ));
     }
-    for s in drift.samples() {
+    for s in &samples {
         table.row(&[
             &s.name,
             &int(s.predicted),
             &int(s.actual),
             &pct(s.rel_err),
             &s.within,
-            &s.overrun,
         ]);
     }
     table.finish();
@@ -376,32 +351,31 @@ pub fn join_observed(
         });
     }
 
-    let ok = drift.all_within();
-    if ok {
+    let breaches: Vec<_> = samples.iter().filter(|s| !s.within).collect();
+    if breaches.is_empty() {
         println!(
             "drift: all {} targets within the {:.0}% envelope",
-            drift.target_count(),
+            samples.len(),
             PAPER_ENVELOPE * 100.0
         );
     } else if !exact {
         println!(
             "drift: {} breach(es) not gated — the governor forfeited work, \
              so undershooting the full-run predictions is expected",
-            drift.breaches().len()
+            breaches.len()
         );
     } else {
-        for b in drift.breaches() {
+        for b in &breaches {
             eprintln!(
-                "drift BREACH: {} predicted {:.0} actual {:.0} ({}{})",
+                "drift BREACH: {} predicted {:.0} actual {:.0} ({})",
                 b.name,
                 b.predicted,
                 b.actual,
-                pct(b.rel_err),
-                if b.overrun { ", flagged in-flight" } else { "" }
+                pct(b.rel_err)
             );
         }
     }
-    Ok(ok || !exact)
+    Ok(breaches.is_empty() || !exact)
 }
 
 /// A validator: the artifact's bytes in, the number of records it

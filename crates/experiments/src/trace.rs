@@ -101,18 +101,18 @@ pub fn replay_cmd(opts: &RunOpts) -> bool {
             return false;
         }
     };
-    let na_live = trace.events.len() as u64;
-    let da_live = trace
+    let live_na = trace.events.len() as u64;
+    let live_da = trace
         .events
         .iter()
         .filter(|e| e.kind == AccessKind::Miss)
         .count() as u64;
     println!(
         "trace replay: {} events, policy {}, live NA {} DA {}",
-        na_live,
+        live_na,
         policy_name(trace.policy),
-        na_live,
-        da_live
+        live_na,
+        live_da
     );
 
     // Exactness gate: re-simulating the recorded policy must hand back
@@ -122,17 +122,17 @@ pub fn replay_cmd(opts: &RunOpts) -> bool {
         eprintln!(
             "trace replay: recorded-policy replay DIVERGED from the live \
              run on {} of {} events — trace and executor disagree",
-            rec.kind_mismatches, na_live
+            rec.kind_mismatches, live_na
         );
         return false;
     }
-    assert_eq!(rec.na_total(), na_live);
-    assert_eq!(rec.da_total(), da_live);
+    assert_eq!(rec.na_total(), live_na);
+    assert_eq!(rec.da_total(), live_da);
     println!(
         "trace replay: recorded policy reproduced exactly \
          (0 verdict mismatches; DA {} = live {})",
         rec.da_total(),
-        da_live
+        live_da
     );
 
     let mut table = Report::new(
@@ -165,9 +165,9 @@ pub fn replay_cmd(opts: &RunOpts) -> bool {
         let (pred, err) = pred_cell(policy == trace.policy, trace.da_pred, da);
         table.row(&[
             &policy_name(policy),
-            &na_live,
+            &live_na,
             &da,
-            &fmt_ratio(na_live - da, da),
+            &fmt_ratio(live_na - da, da),
             &pred,
             &err,
         ]);

@@ -13,9 +13,10 @@
 //! missing:
 //!
 //! * **`est_pairs`** — the result pairs forfeited: a localized Eq-3
-//!   selectivity estimate. Eq 3 gives the expected number of
-//!   qualifying pairs for objects spread uniformly over the *whole*
-//!   workspace; here the same product-of-per-dimension-overlap
+//!   selectivity estimate, computed once, when the units are armed —
+//!   the same number a `Degrade` cap ranks the unit by. Eq 3 gives the
+//!   expected number of qualifying pairs for objects spread uniformly
+//!   over the *whole* workspace; here the same product-of-per-dimension-overlap
 //!   probabilities is evaluated over the two subtrees' MBRs, with the
 //!   object centers taken uniform over each MBR shrunk by the
 //!   subtree's average object extent (so objects stay inside their
@@ -27,8 +28,7 @@
 //! A run that forfeits nothing — every ungoverned run — comes back with
 //! `skips` empty and [`DegradedJoinResult::is_exact`] true.
 
-use crate::executor::{JoinPredicate, JoinResultSet};
-use crate::parallel::Pricer;
+use crate::executor::JoinResultSet;
 use sjcm_geom::Rect;
 use sjcm_rtree::{NodeId, RTree};
 use std::fmt;
@@ -99,19 +99,8 @@ impl JoinError {
     }
 }
 
-/// A forfeited node pair as the executor records it: the two subtree
-/// roots. Pricing happens once, after the traversal, in
-/// [`finish_degraded`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RawSkip {
-    /// R1-side subtree root of the forfeited pair.
-    pub n1: NodeId,
-    /// R2-side subtree root of the forfeited pair.
-    pub n2: NodeId,
-}
-
 /// One forfeited sub-join: the node pair the governor refused, with
-/// model-priced estimates of what the skip cost the answer.
+/// the model-priced estimate of what the skip cost the answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SkippedSubtree {
     /// R1-side subtree root of the forfeited pair.
@@ -159,47 +148,6 @@ impl DegradedJoinResult {
             est / total
         }
     }
-}
-
-/// Sorts and prices the raw skips and assembles the
-/// [`DegradedJoinResult`]. Called once per join, outside the traversal
-/// hot path; with no skips it is a handful of moves.
-pub(crate) fn finish_degraded<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    predicate: JoinPredicate,
-    result: JoinResultSet,
-    mut raw: Vec<RawSkip>,
-) -> DegradedJoinResult {
-    raw.sort_unstable_by_key(|s| (s.n1.0, s.n2.0));
-    let skips = price_skips(r1, r2, predicate, &raw);
-    DegradedJoinResult { result, skips }
-}
-
-/// Prices every raw skip with the one [`Pricer`] (a subtree typically
-/// appears in several skips — once per partner subtree it would have
-/// joined with — and the pricer caches per node id).
-fn price_skips<const N: usize>(
-    r1: &RTree<N>,
-    r2: &RTree<N>,
-    predicate: JoinPredicate,
-    raw: &[RawSkip],
-) -> Vec<SkippedSubtree> {
-    // For the distance predicate every per-dimension band widens by ε —
-    // the L∞ over-approximation of the Euclidean ε-ball, so the
-    // estimate leans high rather than low.
-    let slack = match predicate {
-        JoinPredicate::Overlap => 0.0,
-        JoinPredicate::WithinDistance(eps) => eps,
-    };
-    let mut pricer = Pricer::new(r1, r2);
-    raw.iter()
-        .map(|s| SkippedSubtree {
-            n1: s.n1,
-            n2: s.n2,
-            est_pairs: pricer.pairs(s.n1, s.n2, slack),
-        })
-        .collect()
 }
 
 /// Object-level statistics of one subtree: how many objects it holds

@@ -78,7 +78,7 @@ impl<'a, const N: usize> Engine<'a, N> {
         r2: &'a RTree<N>,
         config: JoinConfig,
         windows: JoinWindows<N>,
-        ctx: &ExecContext<'_>,
+        ctx: &ExecContext,
         domain: CorrDomain,
     ) -> Self {
         let (lane1, lane2) = ctx.lanes(domain);
@@ -127,9 +127,10 @@ impl<'a, const N: usize> Engine<'a, N> {
     /// progress hub (no-op when progress is disabled).
     pub(crate) fn flush_progress(&mut self) {
         if self.progress.is_enabled() {
+            let na = |(level, na, _da)| (level, na);
             self.progress.flush(
-                self.stats1.per_level(),
-                self.stats2.per_level(),
+                self.stats1.per_level().map(na),
+                self.stats2.per_level().map(na),
                 self.pair_count,
             );
         }

@@ -224,9 +224,9 @@ impl JoinResultSet {
     /// The measured counterparts of
     /// [`sjcm_core::join::join_prediction_targets`], under the same
     /// names: per tree and accessed paper level the NA and DA tallies,
-    /// plus the `na.total` / `da.total` grand totals. Feed these to a
-    /// `DriftMonitor` to evaluate the paper's ~15% accuracy claim on
-    /// this very run.
+    /// plus the `na.total` / `da.total` grand totals. Hand these to
+    /// `sjcm_obs::drift::evaluate` to check the paper's ~15% accuracy
+    /// claim on this very run.
     pub fn drift_observations(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         for (tree, stats) in [(1, &self.stats1), (2, &self.stats2)] {
@@ -253,7 +253,7 @@ pub(crate) fn run_sequential<const N: usize>(
     r2: &RTree<N>,
     config: JoinConfig,
     windows: JoinWindows<N>,
-    ctx: &ExecContext<'_>,
+    ctx: &ExecContext,
 ) -> JoinResultSet {
     let mut exec =
         crate::engine::Engine::new(r1, r2, config, windows, ctx, CorrDomain::Coordinator);

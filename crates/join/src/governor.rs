@@ -137,8 +137,10 @@ struct GovState {
     /// Per unit ordinal: refused at its checkpoint, by the cancellation
     /// point or the `Degrade` cap. Set once, when the units are armed.
     refused: Vec<bool>,
-    executed: u64,
-    forfeited: u64,
+    /// Test builds only: each unit's price and value as armed, by
+    /// ordinal — what the `Degrade` cap ranked it by.
+    #[cfg(test)]
+    armed: Vec<(u64, f64)>,
 }
 
 #[derive(Debug)]
@@ -156,7 +158,10 @@ impl GovernorInner {
     }
 }
 
-/// Counters of one governed run, for metrics publication.
+/// What the governor decided a run with, for metrics publication. What
+/// the run did is in its result: the units forfeited are
+/// [`DegradedJoinResult::skips`], and every other unit of
+/// `units_total` ran to completion.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GovernorSummary {
     /// Eq-6 predicted NA computed at admission.
@@ -164,11 +169,6 @@ pub struct GovernorSummary {
     /// Root work units the governed plan held (0 when the run never
     /// needed unit routing).
     pub units_total: u64,
-    /// Units executed to completion.
-    pub units_executed: u64,
-    /// Units forfeited (deadline expiry, cancellation point, or the
-    /// `Degrade` cap).
-    pub units_forfeited: u64,
 }
 
 /// The query governor. Cloning shares all state (one governor per
@@ -207,15 +207,14 @@ impl Governor {
         self.inner.as_ref().map(|i| i.log.to_jsonl())
     }
 
-    /// Counters of the governed run so far (`None` when unlimited).
+    /// The governed run's prediction and unit count (`None` when
+    /// unlimited).
     pub fn summary(&self) -> Option<GovernorSummary> {
         self.inner.as_ref().map(|inner| {
             let st = inner.state();
             GovernorSummary {
                 predicted_na: st.predicted_na,
                 units_total: st.refused.len() as u64,
-                units_executed: st.executed,
-                units_forfeited: st.forfeited,
             }
         })
     }
@@ -328,6 +327,10 @@ impl Governor {
             }
         }
         st.refused = refused;
+        #[cfg(test)]
+        {
+            st.armed = prices.iter().copied().zip(values.iter().copied()).collect();
+        }
         drop(st);
         if let Some(d) = inner.config.deadline {
             detail += &format!(", deadline {} ms", d.as_millis());
@@ -366,36 +369,22 @@ impl Governor {
         !st.refused.get(ordinal).copied().unwrap_or(false)
     }
 
-    /// Counts a unit that ran to completion.
-    pub(crate) fn note_unit_done(&self) {
-        if let Some(inner) = &self.inner {
-            inner.state().executed += 1;
-        }
-    }
-
-    /// Counts a unit the executor forfeited because
-    /// [`Self::admit_unit`] refused it.
-    pub(crate) fn note_forfeit(&self) {
-        if let Some(inner) = &self.inner {
-            inner.state().forfeited += 1;
-        }
-    }
-
     /// Closes the decision log with a terminal `finish` event (once;
-    /// later calls are no-ops). Entry points call this after assembling
-    /// the degraded result.
-    pub fn finish(&self) {
+    /// later calls are no-ops), given the `forfeited` units of the
+    /// assembled result: every other armed unit was admitted, and an
+    /// admitted unit runs to completion.
+    pub(crate) fn finish(&self, forfeited: u64) {
         let Some(inner) = &self.inner else {
             return;
         };
         if inner.finished.swap(true, Ordering::Relaxed) {
             return;
         }
-        let st = inner.state();
+        let executed = (inner.state().refused.len() as u64).saturating_sub(forfeited);
         inner.log.record(
             "finish",
-            st.executed as f64,
-            format!("{} executed, {} forfeited", st.executed, st.forfeited),
+            executed as f64,
+            format!("{executed} executed, {forfeited} forfeited"),
         );
     }
 }
@@ -437,6 +426,7 @@ pub fn assert_well_formed(d: &DegradedJoinResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{JoinConfig, JoinPredicate};
     use crate::session::{JoinSession, Scheduler};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -485,9 +475,7 @@ mod tests {
         let gov = Governor::unlimited();
         assert!(!gov.is_unit_gated());
         assert!(gov.admit_unit(0) && gov.admit_unit(usize::MAX));
-        gov.note_unit_done();
-        gov.note_forfeit();
-        gov.finish();
+        gov.finish(0);
         assert!(gov.summary().is_none());
         assert!(gov.events_jsonl().is_none());
     }
@@ -564,8 +552,6 @@ mod tests {
                 assert_well_formed(&d);
                 assert!(!d.is_exact(), "{sched:?} must forfeit");
                 assert!(d.result.pair_count < full.pair_count);
-                let summary = gov.summary().unwrap();
-                assert!(summary.units_forfeited > 0);
                 runs.push((sched, d));
             }
         }
@@ -617,9 +603,69 @@ mod tests {
         assert!(d.is_exact());
         assert_eq!(d.result.pairs, plain.pairs);
         assert_eq!(d.result.na_total(), plain.na_total());
-        let summary = gov.summary().unwrap();
-        assert_eq!(summary.units_forfeited, 0);
-        assert!(summary.units_executed > 0);
+        // The finish event counts every armed unit as executed.
+        let units = gov.summary().unwrap().units_total;
+        assert!(units > 0);
+        let text = gov.events_jsonl().unwrap();
+        assert!(
+            text.contains(&format!("{units} executed, 0 forfeited")),
+            "{text}"
+        );
+    }
+
+    /// A distance join's `Degrade` cap ranks every unit by the pairs the
+    /// unit reports if refused: a refused unit's value times its price
+    /// is its skip's `est_pairs`, both under the predicate's slack ε.
+    #[test]
+    fn a_distance_degrade_ranks_by_the_pairs_it_reports() {
+        let a = build(1_500, 0.006, 9);
+        let b = build(1_500, 0.006, 10);
+        let config = JoinConfig {
+            predicate: JoinPredicate::WithinDistance(0.02),
+            ..JoinConfig::default()
+        };
+        let run = |gov: &Governor| {
+            JoinSession::new(&a, &b)
+                .config(config)
+                .scheduler(Scheduler::RoundRobin { threads: 2 })
+                .govern(gov)
+                .run()
+                .expect("a capped run degrades, it does not fail")
+        };
+        // A default governor gates nothing; its admission prices the join.
+        let counter = Governor::new(GovernorConfig::default());
+        run(&counter);
+        let predicted = counter.summary().unwrap().predicted_na;
+        let gov = Governor::new(
+            GovernorConfig::default()
+                .with_na_budget(predicted / 3.0)
+                .with_admission(AdmissionPolicy::Degrade),
+        );
+        let d = run(&gov);
+        assert!(!d.is_exact(), "a third of the NA capped nothing");
+        let st = gov.inner.as_ref().unwrap().state();
+        let mut ranked: Vec<f64> = (0..st.armed.len())
+            .filter(|&i| st.refused[i])
+            .map(|i| st.armed[i].1 * st.armed[i].0 as f64)
+            .collect();
+        let mut reported: Vec<f64> = d.skips.iter().map(|s| s.est_pairs).collect();
+        ranked.sort_by(f64::total_cmp);
+        reported.sort_by(f64::total_cmp);
+        assert_eq!(ranked.len(), reported.len());
+        for (r, e) in ranked.iter().zip(&reported) {
+            assert!(
+                (r - e).abs() <= 1e-9 * e.abs(),
+                "ranked by {r}, reported {e}"
+            );
+        }
+        // ε matters here: an overlap estimate of the same units is lower.
+        let mut pricer = crate::parallel::Pricer::new(&a, &b);
+        let overlap: f64 = d
+            .skips
+            .iter()
+            .map(|s| pricer.pairs(s.n1, s.n2, JoinPredicate::Overlap))
+            .sum();
+        assert!(d.forfeited_pairs() > 1.5 * overlap, "{overlap}");
     }
 
     #[test]

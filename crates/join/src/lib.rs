@@ -30,12 +30,12 @@
 //! **Entry points:** the tree-join executors run through the
 //! [`session::JoinSession`] builder, which holds the one crate-private
 //! execution context bundling all cross-cutting concerns — tracing,
-//! drift monitoring, flight recording (with its correlation-id
-//! allocator), live progress, and the governor. PBSM
-//! runs through [`session::PbsmSession`], which has none of them, and
-//! the two [`baselines`] are plain functions: the brute-force nested
-//! loop (the tests' oracle) and the index nested loop (the plan
-//! executor's INL operator).
+//! flight recording (with its correlation-id allocator), live
+//! progress, and the governor. PBSM runs through
+//! [`session::PbsmSession`], which has none of them, and the two
+//! [`baselines`] are plain functions: the brute-force nested loop (the
+//! tests' oracle) and the index nested loop (the plan executor's INL
+//! operator).
 //!
 //! The [`governor::Governor`] is a deadline- and budget-aware
 //! admission/cancellation layer that prices queries with Eq 6 before

@@ -116,17 +116,20 @@
 //! sequential vector minus the forfeited units' pairs, still in order.
 //! A caller that wants `(R1 object, R2 object)` order sorts its copy.
 
-use crate::degraded::{localized_pairs, subtree_objects, JoinError, RawSkip, SubtreeObjects};
+use crate::degraded::{
+    localized_pairs, subtree_objects, JoinError, SkippedSubtree, SubtreeObjects,
+};
 use crate::engine::Engine;
 use crate::executor::{
-    child_pairs, JoinConfig, JoinResultSet, MatchScratch, NodePair, StealTally, WorkerTally,
+    child_pairs, JoinConfig, JoinPredicate, JoinResultSet, MatchScratch, NodePair, StealTally,
+    WorkerTally,
 };
 use crate::session::{CorrDomain, ExecContext, Scheduler};
 use sjcm_core::join::{unit_cost_na, JoinWindows};
 use sjcm_core::{LevelParams, TreeParams};
 use sjcm_geom::Rect;
 use sjcm_obs::progress::ProgressTracker;
-use sjcm_obs::{DriftMonitor, Tracer, DA_TOTAL, NA_TOTAL};
+use sjcm_obs::Tracer;
 use sjcm_rtree::{Child, NodeId, RTree, SubtreeShape, TreeStats};
 use sjcm_storage::FlightRecorder;
 use std::collections::{HashMap, VecDeque};
@@ -135,21 +138,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 /// Observability hooks a [`crate::session::JoinSession`] adopts with
-/// `.observe(..)`. The default value (disabled tracer, no drift
-/// monitor) makes every hook a no-op — an unobserved session runs with
-/// exactly that, so the instrumented code path *is* the production
-/// code path.
+/// `.observe(..)`. The default value (disabled tracer, recorder and
+/// progress hub) makes every hook a no-op — an unobserved session runs
+/// with exactly that, so the instrumented code path *is* the
+/// production code path. The model is held to the run after it
+/// finishes, on [`JoinResultSet::drift_observations`]
+/// (`sjcm_obs::drift::evaluate`); nothing here checks it in flight.
 #[derive(Debug, Default)]
-pub struct JoinObs<'a> {
+pub struct JoinObs {
     /// Span collector. Disabled tracers cost one `Option` check per
     /// span site (see `sjcm-obs`).
     pub tracer: Tracer,
-    /// Drift monitor for in-flight envelope checks: workers maintain
-    /// shared running NA/DA totals and test them against the
-    /// caller-registered `na.total` / `da.total` predictions after
-    /// every completed work unit; a breach sets the sample's `overrun`
-    /// flag while the join is still running.
-    pub drift: Option<&'a DriftMonitor>,
     /// Page-access flight recorder. Disabled (the default) costs one
     /// `Option` check per access; enabled, every buffered access of
     /// every executor emits one event, with the correlation id set to
@@ -182,7 +181,7 @@ pub(crate) fn cost_guided_join<const N: usize>(
     config: JoinConfig,
     windows: JoinWindows<N>,
     threads: usize,
-    ctx: &ExecContext<'_>,
+    ctx: &ExecContext,
 ) -> Result<JoinResultSet, JoinError> {
     let mut join_span = ctx.tracer.span("cost-guided-join");
     join_span.set("threads", threads);
@@ -236,11 +235,6 @@ pub(crate) fn cost_guided_join<const N: usize>(
     schedule_span.set("units", units.len());
     schedule_span.set("cost_total", cost_total);
     schedule_span.finish();
-
-    // Running NA/DA totals for the in-flight drift checks, seeded with
-    // what the coordinator already charged above the frontier.
-    let na_live = AtomicU64::new(coord.stats1.na_total() + coord.stats2.na_total());
-    let da_live = AtomicU64::new(coord.stats1.da_total() + coord.stats2.da_total());
 
     // 3. Workers drain their own deque front-first (largest unit first,
     //    thanks to LPT order) and steal from the deque with the most
@@ -308,12 +302,6 @@ pub(crate) fn cost_guided_join<const N: usize>(
             // the unit boundary immediately.
             wctx.unit_done(costs[i]);
             exec.flush_progress();
-            if let Some(drift) = wctx.drift {
-                let na_now = na_live.fetch_add(na, Ordering::Relaxed) + na;
-                let da_now = da_live.fetch_add(da, Ordering::Relaxed) + da;
-                drift.observe_in_flight(NA_TOTAL, na_now as f64);
-                drift.observe_in_flight(DA_TOTAL, da_now as f64);
-            }
         }
         worker_span.set("units", steal.units_executed);
         worker_span.set("stolen", steal.units_stolen);
@@ -361,14 +349,14 @@ fn fan_out<T: Send>(
 
 /// What one worker thread of either executor hands back: its engine's
 /// result, the units the governor refused it (the dealt executor's
-/// only), its steal statistics, the tallies of what it
-/// ran, each tagged with the worker the work was *scheduled on*, and
-/// where each unit's pairs sit in `result.pairs`.
+/// only, priced when they were armed), its steal statistics, the
+/// tallies of what it ran, each tagged with the worker the work was
+/// *scheduled on*, and where each unit's pairs sit in `result.pairs`.
 struct WorkerPart {
     tallies: Vec<(usize, WorkerTally)>,
     steal: StealTally,
     result: JoinResultSet,
-    skips: Vec<RawSkip>,
+    skips: Vec<SkippedSubtree>,
     /// One `(unit, end)` mark per unit, in the order the worker ran
     /// them: the unit's pairs are `result.pairs[previous end..end]`.
     runs: Vec<(usize, usize)>,
@@ -384,8 +372,8 @@ struct WorkerPart {
 fn merge(
     mut out: JoinResultSet,
     parts: Vec<Result<WorkerPart, JoinError>>,
-) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
-    let mut raw = Vec::new();
+) -> Result<(JoinResultSet, Vec<SkippedSubtree>), JoinError> {
+    let mut skips = Vec::new();
     let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
     debug_assert!(out.pairs.is_empty(), "pairs are emitted below the units");
     // One entry per unit, never per pair: (unit, worker, start, end).
@@ -417,9 +405,9 @@ fn merge(
         out.pair_count += part.result.pair_count;
         out.stats1.merge(&part.result.stats1);
         out.stats2.merge(&part.result.stats2);
-        raw.extend(part.skips);
+        skips.extend(part.skips);
     }
-    Ok((out, raw))
+    Ok((out, skips))
 }
 
 /// LPT (longest-processing-time-first) seeding: units in descending
@@ -498,9 +486,9 @@ fn next_unit(
 }
 
 /// The one pricer of `(a, b)` sub-joins — a scheduler's work units, the
-/// governor's unit ledger, a degraded result's forfeited pairs — by the
-/// paper's own formulas on the two subtrees' *measured* statistics.
-/// A subtree's Eq-6 parameters and root rectangle come from one walk
+/// governor's unit ledger and ranking, a degraded result's forfeited
+/// pairs — by the paper's own formulas on the two subtrees' *measured*
+/// statistics. A subtree's Eq-6 parameters and root rectangle come from one walk
 /// over its internal nodes ([`RTree::subtree_shape`]), cached per node
 /// id (at a given depth each subtree appears in many sub-joins), so a
 /// caller that only asks for [`Pricer::unit_price`] never walks a leaf
@@ -569,10 +557,16 @@ impl<'a, const N: usize> Pricer<'a, N> {
         ((self.na(a, b) * 16.0).round() as u64).max(1)
     }
 
-    /// Result pairs of the sub-join: Eq 3 localized over the two
-    /// subtree MBRs ([`localized_pairs`]), every per-dimension band
-    /// widened by `slack`.
-    pub(crate) fn pairs(&mut self, a: NodeId, b: NodeId, slack: f64) -> f64 {
+    /// Result pairs of the sub-join under `predicate`: Eq 3 localized
+    /// over the two subtree MBRs ([`localized_pairs`]). For the distance
+    /// predicate every per-dimension band widens by ε — the L∞
+    /// over-approximation of the Euclidean ε-ball, so the estimate
+    /// leans high rather than low.
+    pub(crate) fn pairs(&mut self, a: NodeId, b: NodeId, predicate: JoinPredicate) -> f64 {
+        let slack = match predicate {
+            JoinPredicate::Overlap => 0.0,
+            JoinPredicate::WithinDistance(eps) => eps,
+        };
         // Empty subtrees only arise for an empty tree's root, which is
         // in no sub-join; the unit square is a harmless default.
         let (s1, s2) = self.subtrees(a, b);
@@ -644,9 +638,10 @@ pub fn measured_params<const N: usize>(stats: &TreeStats) -> TreeParams<N> {
 // ---------------------------------------------------------------------
 
 /// One root-level work unit of the dealt executor: a matched child pair
-/// of the two roots, and its price. An object pair (both roots are
-/// leaves) is output as is; a node pair is one gated, charged sub-join.
-type RootUnit = (Child, Child, u64);
+/// of the two roots, its price and its expected result pairs (what a
+/// refusal forfeits). An object pair (both roots are leaves) is output
+/// as is; a node pair is one gated, charged sub-join.
+type RootUnit = (Child, Child, u64, f64);
 
 /// The dealt executor: the root pair's matched child pairs, numbered in
 /// match order, dealt once to `threads` static shards and run with no
@@ -662,8 +657,8 @@ pub(crate) fn dealt_join<const N: usize>(
     config: JoinConfig,
     windows: JoinWindows<N>,
     scheduler: Scheduler,
-    ctx: &ExecContext<'_>,
-) -> Result<(JoinResultSet, Vec<RawSkip>), JoinError> {
+    ctx: &ExecContext,
+) -> Result<(JoinResultSet, Vec<SkippedSubtree>), JoinError> {
     let gov = &ctx.gov;
     let threads = scheduler.threads();
     let roots = NodePair::entered(r2, r1.root_id(), r2.root_id());
@@ -674,14 +669,16 @@ pub(crate) fn dealt_join<const N: usize>(
         &config,
         &windows,
         &mut MatchScratch::new(),
-        |o1, o2| units.push((Child::Object(o1), Child::Object(o2), 0)),
+        |o1, o2| units.push((Child::Object(o1), Child::Object(o2), 0, 0.0)),
         &mut nodes,
     );
     // A pair's children are all objects or all nodes, so appending
     // keeps match order.
-    let prices = arm_root_units(r1, r2, &nodes, ctx);
-    let priced = nodes.iter().zip(&prices);
-    units.extend(priced.map(|(p, &price)| (Child::Node(p.n1), Child::Node(p.n2), price)));
+    let (prices, est_pairs) = arm_root_units(r1, r2, &nodes, config.predicate, ctx);
+    let priced = nodes.iter().zip(&prices).zip(&est_pairs);
+    units.extend(
+        priced.map(|((p, &price), &est)| (Child::Node(p.n1), Child::Node(p.n2), price, est)),
+    );
     if threads == 1 {
         // One shard, inline: no worker to spawn, no tallies to merge.
         let shard: Vec<(usize, RootUnit)> = units.into_iter().enumerate().collect();
@@ -727,45 +724,53 @@ pub(crate) fn dealt_join<const N: usize>(
         run_shard(r1, r2, config, windows, shard, &wctx, CorrDomain::Shard(w))
     });
 
-    let (result, raw) = merge(Default::default(), parts)?;
+    let (result, skips) = merge(Default::default(), parts)?;
     join_span.set("na", result.na_total());
     join_span.set("da", result.da_total());
     join_span.set("pairs", result.pair_count);
-    Ok((result, raw))
+    Ok((result, skips))
 }
 
 /// Arms the unit ledger with the root node-pair units and returns their
-/// prices, by ordinal. Under a governor that gates units — and only
-/// then: the expected pairs read every unit's objects — a unit's price is its
-/// [`Pricer::unit_price`] and its value (what a `Degrade` cap ranks by)
-/// the pairs it is expected to produce per unit of price; otherwise
-/// every unit is priced at one. Object-pair units (both roots are
-/// leaves) read no page: nothing gates or prices them, and the ledger
-/// stays unarmed.
+/// prices and expected result pairs, by ordinal. Under a governor that
+/// gates units — and only then: the expected pairs read every unit's
+/// objects — a unit's price is its [`Pricer::unit_price`], its expected
+/// pairs [`Pricer::pairs`] under the run's predicate, and its value
+/// (what a `Degrade` cap ranks by) the one per unit of the other; a
+/// refused unit reports the same expected pairs as its forfeit.
+/// Otherwise every unit is priced at one and expects nothing, since
+/// nothing refuses it. Object-pair units (both roots are leaves) read
+/// no page: nothing gates or prices them, and the ledger stays unarmed.
 fn arm_root_units<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     nodes: &[NodePair<N>],
-    ctx: &ExecContext<'_>,
-) -> Vec<u64> {
+    predicate: JoinPredicate,
+    ctx: &ExecContext,
+) -> (Vec<u64>, Vec<f64>) {
     if nodes.is_empty() {
-        return Vec::new();
+        return Default::default();
     }
     if !ctx.gov.is_unit_gated() {
         let prices = vec![1; nodes.len()];
         ctx.arm_units(&prices, None);
-        return prices;
+        return (prices, vec![0.0; nodes.len()]);
     }
     let mut pricer = Pricer::new(r1, r2);
-    let (prices, values): (Vec<u64>, Vec<f64>) = nodes
+    let (prices, est_pairs): (Vec<u64>, Vec<f64>) = nodes
         .iter()
         .map(|p| {
             let price = pricer.unit_price(p.n1, p.n2);
-            (price, pricer.pairs(p.n1, p.n2, 0.0) / price as f64)
+            (price, pricer.pairs(p.n1, p.n2, predicate))
         })
         .unzip();
+    let values: Vec<f64> = est_pairs
+        .iter()
+        .zip(&prices)
+        .map(|(&pairs, &price)| pairs / price as f64)
+        .collect();
     ctx.arm_units(&prices, Some(&values));
-    prices
+    (prices, est_pairs)
 }
 
 /// Runs one static shard: the assigned ordinal-tagged root units
@@ -774,17 +779,17 @@ fn arm_root_units<const N: usize>(
 /// baseline). The context's governor gates every node-pair unit at its
 /// `ctx.checkpoint` boundary, and every unit that passes runs and
 /// leaves through `ctx.unit_done`. A unit refused at the gate is
-/// forfeited — recorded as a skip, priced later, never silently
-/// dropped. An unlimited governor is one `Option` check per call. The
-/// part handed back carries one `(ordinal, end)` mark per unit that
-/// ran — a forfeited unit emits nothing and needs none.
+/// forfeited — recorded as a skip with the pairs it was armed with,
+/// never silently dropped. An unlimited governor is one `Option` check
+/// per call. The part handed back carries one `(ordinal, end)` mark per
+/// unit that ran — a forfeited unit emits nothing and needs none.
 fn run_shard<const N: usize>(
     r1: &RTree<N>,
     r2: &RTree<N>,
     config: JoinConfig,
     windows: JoinWindows<N>,
     units: &[(usize, RootUnit)],
-    ctx: &ExecContext<'_>,
+    ctx: &ExecContext,
     domain: CorrDomain,
 ) -> WorkerPart {
     // The shard is one buffer-residency domain: its correlation id and
@@ -794,19 +799,18 @@ fn run_shard<const N: usize>(
     let mut runs = Vec::with_capacity(units.len());
     let mut skips = Vec::new();
     for &(ordinal, unit) in units {
-        let (n1, n2, price) = match unit {
-            (Child::Object(o1), Child::Object(o2), _) => {
+        let (n1, n2, price, est_pairs) = match unit {
+            (Child::Object(o1), Child::Object(o2), ..) => {
                 shard.emit(o1, o2);
                 runs.push((ordinal, shard.pairs.len()));
                 continue;
             }
-            (c1, c2, price) => (c1.node(), c2.node(), price),
+            (c1, c2, price, est_pairs) => (c1.node(), c2.node(), price, est_pairs),
         };
         if !ctx.checkpoint(ordinal, price) {
             // The governor's cancellation point: a refusal forfeits
             // the whole subtree pair.
-            skips.push(RawSkip { n1, n2 });
-            shard.progress.forfeit(r1.node(n1).level);
+            skips.push(SkippedSubtree { n1, n2, est_pairs });
             continue;
         }
         shard.charge(n1, n2);
@@ -1013,12 +1017,8 @@ mod tests {
         let b = build(2_000, 0.01, 20);
         let plain = join(&a, &b, cost_guided(4));
         let tracer = Tracer::enabled();
-        let drift = DriftMonitor::default();
-        drift.predict(NA_TOTAL, plain.na_total() as f64);
-        drift.predict(DA_TOTAL, plain.da_total() as f64);
         let obs = JoinObs {
             tracer: tracer.clone(),
-            drift: Some(&drift),
             recorder: FlightRecorder::disabled(),
             progress: ProgressTracker::disabled(),
         };
@@ -1028,8 +1028,6 @@ mod tests {
         assert_eq!(plain.na_total(), traced.na_total());
         assert_eq!(plain.da_total(), traced.da_total());
         assert_eq!(plain.workers, traced.workers);
-        // Exact predictions ⇒ no in-flight overrun.
-        assert!(drift.all_within());
         // The span tree covers the schedule and every unit.
         let records = tracer.records();
         assert!(records.iter().any(|r| r.name == "cost-guided-join"));
@@ -1058,7 +1056,6 @@ mod tests {
         let recorder = FlightRecorder::enabled();
         let obs = JoinObs {
             tracer: Tracer::disabled(),
-            drift: None,
             recorder: recorder.clone(),
             progress: ProgressTracker::disabled(),
         };
@@ -1085,7 +1082,6 @@ mod tests {
         let recorder = FlightRecorder::enabled();
         let obs = JoinObs {
             tracer: Tracer::disabled(),
-            drift: None,
             recorder: recorder.clone(),
             progress: ProgressTracker::disabled(),
         };
@@ -1106,7 +1102,6 @@ mod tests {
         let recorder = FlightRecorder::enabled();
         let obs = JoinObs {
             tracer: Tracer::disabled(),
-            drift: None,
             recorder: recorder.clone(),
             progress: ProgressTracker::disabled(),
         };
@@ -1118,23 +1113,6 @@ mod tests {
         assert_eq!(out.kind_mismatches, 0);
         assert_eq!(out.stats1, recorded.stats1);
         assert_eq!(out.stats2, recorded.stats2);
-    }
-
-    #[test]
-    fn in_flight_drift_flags_absurd_predictions() {
-        let a = build(2_000, 0.01, 21);
-        let b = build(2_000, 0.01, 22);
-        let drift = DriftMonitor::default();
-        drift.predict(NA_TOTAL, 1.0); // the join does far more work
-        let obs = JoinObs {
-            tracer: Tracer::disabled(),
-            drift: Some(&drift),
-            recorder: FlightRecorder::disabled(),
-            progress: ProgressTracker::disabled(),
-        };
-        observed(&a, &b, cost_guided(4), &obs);
-        assert!(!drift.all_within());
-        assert!(drift.breaches().iter().any(|s| s.overrun));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The front door of the join executors: a [`JoinSession`] builder
 //! that holds the one `ExecContext` a tree join runs with, bundling
-//! *all* cross-cutting concerns — span tracer, drift monitor,
-//! page-access flight recorder (with its correlation-id allocator),
-//! live progress hub, and governor (admission, deadline/cancellation,
-//! the `Degrade` cap) — and a [`PbsmSession`] builder for
-//! the partition join, which has none of them.
+//! *all* cross-cutting concerns — span tracer, page-access flight
+//! recorder (with its correlation-id allocator), live progress hub,
+//! and governor (admission, deadline/cancellation, the `Degrade` cap)
+//! — and a [`PbsmSession`] builder for the partition join, which has
+//! none of them.
 //!
 //! The three tree-join executors (sequential, dealt, cost-guided) start
 //! at [`JoinSession::run`], so a new cross-cutting capability lands in
@@ -40,7 +40,7 @@ use crate::pbsm::DegradedPbsmResult;
 use sjcm_core::join::JoinWindows;
 use sjcm_geom::Rect;
 use sjcm_obs::progress::ProgressTracker;
-use sjcm_obs::{DriftMonitor, Tracer, UnitLedger};
+use sjcm_obs::{Tracer, UnitLedger};
 use sjcm_rtree::{ObjectId, RTree};
 use sjcm_storage::{FlightRecorder, RecorderLane};
 
@@ -136,19 +136,18 @@ impl Scheduler {
 /// domains and the unit hooks — `arm_units` once, then `checkpoint` and
 /// `unit_done` per unit — the only way an executor
 /// reports a unit. The hooks write the run's one unit ledger
-/// ([`sjcm_obs::UnitLedger`], the progress hub's) and tell the
-/// governor, which counts what ran and what it refused. A run neither
-/// observed nor governed pays one `Option` check per hook. The default
-/// value has every concern disabled and an unlimited governor.
+/// ([`sjcm_obs::UnitLedger`], the progress hub's) and ask the governor
+/// at each checkpoint; what ran and what was refused is counted in the
+/// ledger and the result alone. A run neither observed nor governed
+/// pays one `Option` check per hook. The default value has every
+/// concern disabled and an unlimited governor.
 ///
 /// Cloning is cheap (`Arc` handles all the way down): parallel
 /// schedulers clone one context per worker thread.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ExecContext<'a> {
+pub(crate) struct ExecContext {
     /// Span collector (disabled = one `Option` check per span site).
     pub(crate) tracer: Tracer,
-    /// In-flight drift monitor, if the caller registered predictions.
-    pub(crate) drift: Option<&'a DriftMonitor>,
     /// Page-access flight recorder; correlation ids are allocated
     /// through [`ExecContext::lanes`] — see [`CorrDomain`].
     pub(crate) recorder: FlightRecorder,
@@ -170,7 +169,7 @@ pub(crate) struct ExecContext<'a> {
     pub(crate) panic_worker: Option<usize>,
 }
 
-impl ExecContext<'_> {
+impl ExecContext {
     /// Test builds only: panics when `worker` is the one
     /// [`JoinSession::panic_in_worker`] named. Both executors call it as
     /// a worker starts its units (the cost-guided one past its start
@@ -215,7 +214,6 @@ impl ExecContext<'_> {
             self.ledger.admit(price);
             return true;
         }
-        self.gov.note_forfeit();
         self.ledger.forfeit(price);
         false
     }
@@ -223,7 +221,6 @@ impl ExecContext<'_> {
     /// Retires an admitted unit that ran to completion.
     pub(crate) fn unit_done(&self, price: u64) {
         self.ledger.done(price);
-        self.gov.note_unit_done();
     }
 }
 
@@ -238,7 +235,7 @@ pub struct JoinSession<'a, const N: usize> {
     config: JoinConfig,
     windows: JoinWindows<N>,
     scheduler: Scheduler,
-    ctx: ExecContext<'a>,
+    ctx: ExecContext,
 }
 
 impl<'a, const N: usize> JoinSession<'a, N> {
@@ -300,13 +297,12 @@ impl<'a, const N: usize> JoinSession<'a, N> {
         self
     }
 
-    /// Adopts a [`JoinObs`] observability bundle: tracer, drift
-    /// monitor, flight recorder, progress hub. Handles are shared
-    /// (`Arc` clones), so the caller keeps draining the same recorder
-    /// and sampling the same progress tracker.
-    pub fn observe(mut self, obs: &JoinObs<'a>) -> Self {
+    /// Adopts a [`JoinObs`] observability bundle: tracer, flight
+    /// recorder, progress hub. Handles are shared (`Arc` clones), so
+    /// the caller keeps draining the same recorder and sampling the
+    /// same progress tracker.
+    pub fn observe(mut self, obs: &JoinObs) -> Self {
         self.ctx.tracer = obs.tracer.clone();
-        self.ctx.drift = obs.drift;
         self.ctx.recorder = obs.recorder.clone();
         self.ctx.progress = obs.progress.clone();
         self
@@ -392,7 +388,7 @@ impl<'a, const N: usize> JoinSession<'a, N> {
         let fallback_span = (scheduler != Scheduler::Sequential && threads == 1)
             .then(|| ctx.tracer.span("sequential-join"));
         let gated = ctx.gov.is_unit_gated();
-        let (result, raw) = if threads == 1 && !gated {
+        let (result, mut skips) = if threads == 1 && !gated {
             let result = crate::executor::run_sequential(r1, r2, config, windows, &ctx);
             (result, Vec::new())
         } else if gated || matches!(scheduler, Scheduler::RoundRobin { .. }) {
@@ -408,9 +404,10 @@ impl<'a, const N: usize> JoinSession<'a, N> {
         }
         // The run is over: later progress samples report 1.0.
         ctx.progress.finish();
-        let degraded = crate::degraded::finish_degraded(r1, r2, config.predicate, result, raw);
-        ctx.gov.finish();
-        Ok(degraded)
+        // The inventory is the same under any deal and thread count.
+        skips.sort_unstable_by_key(|s| (s.n1.0, s.n2.0));
+        ctx.gov.finish(skips.len() as u64);
+        Ok(DegradedJoinResult { result, skips })
     }
 }
 

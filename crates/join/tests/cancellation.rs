@@ -2,7 +2,7 @@
 //! unit ordinal (`GovernorConfig::with_cancel_after_units`) forfeits the
 //! same subtree pairs on the sequential executor and on both parallel
 //! schedulers at any thread count, retires every root unit from the
-//! governor's ledger as executed or forfeited, and prices what it
+//! run's unit ledger as executed or forfeited, and prices what it
 //! forfeited: on the fixed-seed 60K pair the oracle's acceptance gate
 //! builds, the estimate of the lost pairs lands within the paper's §4.1
 //! envelope of the true loss. A `Degrade` admission's value-ranked cap
@@ -19,10 +19,10 @@
 
 use proptest::prelude::*;
 use sjcm_join::{
-    AdmissionPolicy, DegradedJoinResult, Governor, GovernorConfig, JoinConfig, JoinSession,
-    Scheduler,
+    AdmissionPolicy, DegradedJoinResult, Governor, GovernorConfig, JoinConfig, JoinObs,
+    JoinSession, Scheduler,
 };
-use sjcm_obs::PAPER_ENVELOPE;
+use sjcm_obs::{ProgressTracker, PAPER_ENVELOPE};
 use sjcm_rtree::{BulkLoad, ObjectId, RTree, RTreeConfig};
 
 /// Session-API shorthand: a governed join (completes degraded rather
@@ -84,9 +84,10 @@ fn degrade_at(t1: &RTree<2>, t2: &RTree<2>, fraction: f64) -> Governor {
     )
 }
 
-/// Every root unit of a gated run ends up executed or forfeited — the
-/// first `k` run, the rest are forfeited, one priced skip each — under
-/// every scheduler, with the same forfeited inventory.
+/// Every root unit of a gated run ends up executed or forfeited in the
+/// run's unit ledger — the first `k` run, the rest are forfeited, one
+/// priced skip each — under every scheduler, with the same forfeited
+/// inventory.
 #[test]
 fn gated_units_are_all_retired_from_the_ledger() {
     let t1 = build_uniform(3000, 0.5, 111);
@@ -99,17 +100,28 @@ fn gated_units_are_all_retired_from_the_ledger() {
             Scheduler::CostGuided { threads: 2 },
         ]
         .map(|sched| {
-            let gov = cancel_at(k);
-            let d = governed(&t1, &t2, config, sched, &gov);
+            let (gov, tracker) = (cancel_at(k), ProgressTracker::enabled());
+            let d = JoinSession::new(&t1, &t2)
+                .config(config)
+                .scheduler(sched)
+                .observe(&JoinObs {
+                    progress: tracker.clone(),
+                    ..JoinObs::default()
+                })
+                .govern(&gov)
+                .run()
+                .expect("governed runs complete degraded, they do not fail");
             sjcm_join::assert_well_formed(&d);
-            let summary = gov.summary().expect("armed");
+            let units = gov.summary().expect("armed").units_total;
+            let t = tracker.ledger().totals().expect("progress is on");
+            assert_eq!(t.units_scheduled, units, "k {k} {sched:?}: {t:?}");
             assert_eq!(
-                summary.units_executed + summary.units_forfeited,
-                summary.units_total,
-                "k {k} {sched:?}: {summary:?}"
+                t.units_done + t.units_forfeited,
+                units,
+                "k {k} {sched:?}: {t:?}"
             );
-            assert_eq!(summary.units_executed, k.min(summary.units_total));
-            assert_eq!(d.skips.len() as u64, summary.units_forfeited);
+            assert_eq!(t.units_done, k.min(units), "k {k} {sched:?}");
+            assert_eq!(d.skips.len() as u64, t.units_forfeited, "k {k} {sched:?}");
             d
         });
         assert_eq!(runs[0].skips, runs[1].skips, "k {k}: round-robin");
@@ -216,7 +228,7 @@ fn value_ranked_degrade_keeps_more_pairs_than_the_same_count_prefix() {
         let d = governed(&t1, &t2, config, sched, &gov);
         sjcm_join::assert_well_formed(&d);
         assert!(!d.is_exact(), "{sched:?}: a third of the NA capped nothing");
-        let executed = gov.summary().expect("armed").units_executed;
+        let executed = gov.summary().expect("armed").units_total - d.skips.len() as u64;
         match &first {
             None => first = Some((d, executed)),
             Some((f, k)) => {

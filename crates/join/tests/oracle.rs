@@ -35,7 +35,7 @@ use sjcm_join::{
     Governor, GovernorConfig, JoinConfig, JoinObs, JoinPredicate, JoinResultSet, JoinSession,
     MatchKernel, PbsmSession, Scheduler, Side,
 };
-use sjcm_obs::{DriftMonitor, ProgressTracker, Tracer, DA_TOTAL, NA_TOTAL};
+use sjcm_obs::{ProgressTracker, Tracer};
 use sjcm_rtree::{BulkLoad, Node, ObjectId, RTree, RTreeConfig};
 use sjcm_storage::FlightRecorder;
 
@@ -611,7 +611,7 @@ fn a_refusing_governor_returns_an_in_order_subsequence() {
                 .run()
                 .expect("a refused unit degrades the run, it does not fail it");
             if always_refuses {
-                assert!(gov.summary().expect("armed").units_forfeited > 0, "{tag}");
+                assert!(!got.is_exact(), "{tag}");
                 assert!(got.result.pairs.len() < sequential.len(), "{tag}");
             }
             let mut rest = sequential.iter();
@@ -684,7 +684,7 @@ fn record(session: JoinSession<'_, 2>, scheduler: Scheduler) -> (JoinResultSet, 
     (out.result, recorded(&recorder, scheduler.threads()))
 }
 
-/// Tracing, drift monitoring and live progress must not change a result
+/// Tracing and live progress must not change a result
 /// or a single recorded page access.
 #[test]
 fn observability_on_is_identical_to_off() {
@@ -700,12 +700,8 @@ fn observability_on_is_identical_to_off() {
                 let tag = format!("seed {seed} {kernel:?} {scheduler:?}");
                 let (off, off_events) =
                     record(JoinSession::new(&t1, &t2).config(config), scheduler);
-                let drift = DriftMonitor::default();
-                drift.predict(NA_TOTAL, off.na_total() as f64);
-                drift.predict(DA_TOTAL, off.da_total() as f64);
                 let obs = JoinObs {
                     tracer: Tracer::enabled(),
-                    drift: Some(&drift),
                     recorder: FlightRecorder::disabled(),
                     progress: ProgressTracker::enabled(),
                 };
@@ -743,7 +739,6 @@ fn generous_governor_is_identical_to_unlimited() {
             governed_events, unlimited_events,
             "{tag}: recorded accesses"
         );
-        assert_eq!(gov.summary().expect("armed").units_forfeited, 0, "{tag}");
     }
 }
 
@@ -807,9 +802,6 @@ fn gated_but_idle_governor_is_identical_to_ungoverned() {
                             "{tag}: recorded accesses"
                         );
                     }
-                    let summary = gov.summary().expect("armed");
-                    assert_eq!(summary.units_forfeited, 0, "{tag}");
-                    assert_eq!(summary.units_executed, summary.units_total, "{tag}");
                 }
             }
         }

@@ -1,27 +1,18 @@
-//! The model-vs-actual drift monitor.
+//! The model-vs-actual drift check.
 //!
 //! The paper's evaluation (§4.1) claims the analytical formulas track
 //! the measured NA/DA within roughly a 15% relative-error envelope.
-//! The [`DriftMonitor`] turns that claim into a *live* check: the
-//! per-level predictions (Eq 6 for NA, Eqs 8–12 for DA) are registered
-//! **before** the join runs ([`DriftMonitor::predict`]); while the join
-//! progresses, running counters can be tested against the envelope
-//! in-flight ([`DriftMonitor::observe_in_flight`] — a counter that
-//! already *exceeds* `prediction × (1 + envelope)` is a breach no
-//! matter how much work remains, so overruns are flagged before the run
-//! finishes); when the run completes, every target gets its final
-//! relative-error gauge ([`DriftMonitor::observe`], published to a
-//! [`MetricsRegistry`] as `drift.<name>` by
-//! [`DriftMonitor::publish`]).
+//! [`evaluate`] turns that claim into a check of one finished run: the
+//! per-level predictions (Eq 6 for NA, Eqs 8–12 for DA, gated by
+//! [`gate`]) meet the run's measured tallies under the same names,
+//! and each becomes a [`DriftSample`]; [`publish`] writes them to a
+//! [`MetricsRegistry`] as `drift.<name>` gauges.
 //!
 //! Target names are dotted paths, matching the metrics convention:
 //! `na.r1.l2` (tree R1, paper level 2), `da.r2.l1`, and the totals
-//! [`NA_TOTAL`] / [`DA_TOTAL`] the execution layer uses for its
-//! in-flight checks.
+//! [`NA_TOTAL`] / [`DA_TOTAL`].
 
 use crate::metrics::MetricsRegistry;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Target name for the whole-join NA prediction (both trees).
 pub const NA_TOTAL: &str = "na.total";
@@ -29,9 +20,9 @@ pub const NA_TOTAL: &str = "na.total";
 pub const DA_TOTAL: &str = "da.total";
 
 /// The paper's accuracy envelope: ~15% relative error (§4.1). The one
-/// copy of the band: the drift monitor's default, the progress ETA's
-/// confidence band, the governor's forfeit-estimate gates and EXPLAIN
-/// ANALYZE's per-operator verdicts all read it.
+/// copy of the band: the drift check's, the progress ETA's confidence
+/// band, the governor's forfeit-estimate gates and EXPLAIN ANALYZE's
+/// per-operator verdicts all read it.
 pub const PAPER_ENVELOPE: f64 = 0.15;
 
 /// The least share of its total a prediction must carry to be held to
@@ -43,168 +34,93 @@ pub const PAPER_ENVELOPE: f64 = 0.15;
 /// about cells with mass. Such cells are still reported, ungated.
 pub const MASS_FLOOR: f64 = 0.03;
 
-#[derive(Debug, Clone)]
-struct Target {
-    predicted: f64,
-    actual: Option<f64>,
-    overrun: bool,
-}
-
 /// One evaluated prediction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftSample {
     /// Target name (e.g. `na.r1.l1`).
     pub name: String,
-    /// Registered prediction.
+    /// The prediction.
     pub predicted: f64,
-    /// Observed value.
+    /// The observed value.
     pub actual: f64,
     /// `|predicted − actual| / actual` (`∞` when `actual` is 0 and
     /// `predicted` is not).
     pub rel_err: f64,
     /// `rel_err ≤ envelope`.
     pub within: bool,
-    /// The running counter crossed `predicted × (1 + envelope)` while
-    /// the join was still in flight.
-    pub overrun: bool,
 }
 
-/// Collects predictions up front, checks observations against them.
-/// Thread-safe; the parallel join's workers call
-/// [`DriftMonitor::observe_in_flight`] concurrently.
-#[derive(Debug)]
-pub struct DriftMonitor {
+/// Splits named predictions into the ones held to the envelope — the
+/// [`NA_TOTAL`] / [`DA_TOTAL`] totals, and every level predicted to
+/// carry at least [`MASS_FLOOR`] of its total — and the names of the
+/// rest, in input order.
+pub fn gate(targets: &[(String, f64)]) -> (Vec<(String, f64)>, Vec<String>) {
+    let total_of = |name: &str| {
+        targets
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0.0, |(_, v)| *v)
+    };
+    let (na, da) = (total_of(NA_TOTAL), total_of(DA_TOTAL));
+    let (mut gated, mut ungated) = (Vec::new(), Vec::new());
+    for (name, predicted) in targets {
+        let total = if name.starts_with("na.") { na } else { da };
+        if name == NA_TOTAL || name == DA_TOTAL || *predicted >= MASS_FLOOR * total {
+            gated.push((name.clone(), *predicted));
+        } else {
+            ungated.push(name.clone());
+        }
+    }
+    (gated, ungated)
+}
+
+/// Every prediction that has an observation of the same name, evaluated
+/// against `envelope` and sorted by name. A prediction with no
+/// observation, and an observation with no prediction, yield nothing.
+pub fn evaluate(
+    predictions: &[(String, f64)],
+    observations: &[(String, f64)],
     envelope: f64,
-    targets: Mutex<BTreeMap<String, Target>>,
+) -> Vec<DriftSample> {
+    let mut samples: Vec<DriftSample> = predictions
+        .iter()
+        .filter_map(|(name, predicted)| {
+            let (_, actual) = observations.iter().find(|(n, _)| n == name)?;
+            Some(sample(name, *predicted, *actual, envelope))
+        })
+        .collect();
+    samples.sort_by(|a, b| a.name.cmp(&b.name));
+    samples
 }
 
-impl Default for DriftMonitor {
-    fn default() -> Self {
-        Self::new(PAPER_ENVELOPE)
+/// Publishes `samples` into `metrics`: one gauge `drift.<name>` per
+/// sample (the relative error), the envelope as `drift.envelope`, and
+/// the samples outside it as the `drift.breaches` counter.
+pub fn publish(samples: &[DriftSample], envelope: f64, metrics: &MetricsRegistry) {
+    metrics.gauge_set("drift.envelope", envelope);
+    for s in samples {
+        metrics.gauge_set(&format!("drift.{}", s.name), s.rel_err);
     }
+    let breaches = samples.iter().filter(|s| !s.within).count();
+    metrics.counter_add("drift.breaches", breaches as u64);
 }
 
-impl DriftMonitor {
-    /// A monitor with the given relative-error envelope (0.15 = the
-    /// paper's ~15%).
-    pub fn new(envelope: f64) -> Self {
-        assert!(envelope > 0.0, "envelope must be positive");
-        Self {
-            envelope,
-            targets: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The configured envelope.
-    pub fn envelope(&self) -> f64 {
-        self.envelope
-    }
-
-    /// Registers (or overwrites) the prediction for `name`.
-    pub fn predict(&self, name: &str, predicted: f64) {
-        let mut t = self.targets.lock().expect("drift poisoned");
-        t.insert(
-            name.to_string(),
-            Target {
-                predicted,
-                actual: None,
-                overrun: false,
-            },
-        );
-    }
-
-    /// Number of registered targets.
-    pub fn target_count(&self) -> usize {
-        self.targets.lock().expect("drift poisoned").len()
-    }
-
-    /// In-flight check: has the running counter for `name` already
-    /// exceeded its prediction by more than the envelope? Records the
-    /// overrun (sticky) and returns `true` on breach. Unknown names
-    /// return `false` — the execution layer does not need to know which
-    /// targets the caller registered.
-    pub fn observe_in_flight(&self, name: &str, actual_so_far: f64) -> bool {
-        let mut targets = self.targets.lock().expect("drift poisoned");
-        let Some(target) = targets.get_mut(name) else {
-            return false;
-        };
-        if actual_so_far > target.predicted * (1.0 + self.envelope) {
-            target.overrun = true;
-        }
-        target.overrun
-    }
-
-    /// Final observation for `name`: stores `actual` and returns the
-    /// evaluated sample. `None` when no prediction was registered.
-    pub fn observe(&self, name: &str, actual: f64) -> Option<DriftSample> {
-        let mut targets = self.targets.lock().expect("drift poisoned");
-        let target = targets.get_mut(name)?;
-        target.actual = Some(actual);
-        Some(sample(name, target, self.envelope))
-    }
-
-    /// Every observed target, sorted by name.
-    pub fn samples(&self) -> Vec<DriftSample> {
-        let targets = self.targets.lock().expect("drift poisoned");
-        targets
-            .iter()
-            .filter(|(_, t)| t.actual.is_some())
-            .map(|(name, t)| sample(name, t, self.envelope))
-            .collect()
-    }
-
-    /// The targets currently in breach: observed outside the envelope,
-    /// or flagged as in-flight overruns (even if never finally
-    /// observed).
-    pub fn breaches(&self) -> Vec<DriftSample> {
-        let targets = self.targets.lock().expect("drift poisoned");
-        targets
-            .iter()
-            .filter(|(_, t)| t.overrun || t.actual.is_some())
-            .map(|(name, t)| sample(name, t, self.envelope))
-            .filter(|s| !s.within || s.overrun)
-            .collect()
-    }
-
-    /// `true` when every observed target is inside the envelope and no
-    /// in-flight overrun fired.
-    pub fn all_within(&self) -> bool {
-        self.breaches().is_empty()
-    }
-
-    /// Publishes the evaluation into `metrics`: one gauge
-    /// `drift.<name>` per observed target (the relative error), the
-    /// envelope as `drift.envelope`, and the breach count as the
-    /// `drift.breaches` counter.
-    pub fn publish(&self, metrics: &MetricsRegistry) {
-        metrics.gauge_set("drift.envelope", self.envelope);
-        for s in self.samples() {
-            metrics.gauge_set(&format!("drift.{}", s.name), s.rel_err);
-        }
-        metrics.counter_add("drift.breaches", self.breaches().len() as u64);
-    }
-}
-
-fn sample(name: &str, target: &Target, envelope: f64) -> DriftSample {
-    // An overrun target that was never finally observed reports the
-    // overrun threshold itself as a lower bound on the actual value.
-    let actual = target.actual.unwrap_or(f64::NAN);
+fn sample(name: &str, predicted: f64, actual: f64, envelope: f64) -> DriftSample {
     let rel_err = if actual == 0.0 {
-        if target.predicted == 0.0 {
+        if predicted == 0.0 {
             0.0
         } else {
             f64::INFINITY
         }
     } else {
-        (target.predicted - actual).abs() / actual
+        (predicted - actual).abs() / actual
     };
     DriftSample {
         name: name.to_string(),
-        predicted: target.predicted,
+        predicted,
         actual,
         rel_err,
         within: rel_err <= envelope,
-        overrun: target.overrun,
     }
 }
 
@@ -212,70 +128,54 @@ fn sample(name: &str, target: &Target, envelope: f64) -> DriftSample {
 mod tests {
     use super::*;
 
+    fn named(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
+        pairs.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+    }
+
     #[test]
     fn within_envelope_passes() {
-        let d = DriftMonitor::new(0.15);
-        d.predict("na.total", 1000.0);
-        let s = d.observe("na.total", 950.0).unwrap();
-        assert!(s.within);
-        assert!((s.rel_err - 50.0 / 950.0).abs() < 1e-12);
-        assert!(d.all_within());
+        let s = evaluate(
+            &named(&[("na.total", 1000.0)]),
+            &named(&[("na.total", 950.0)]),
+            0.15,
+        );
+        assert_eq!(s.len(), 1);
+        assert!(s[0].within);
+        assert!((s[0].rel_err - 50.0 / 950.0).abs() < 1e-12);
     }
 
     #[test]
     fn outside_envelope_is_a_breach() {
-        let d = DriftMonitor::new(0.15);
-        d.predict("da.total", 100.0);
-        let s = d.observe("da.total", 200.0).unwrap();
-        assert!(!s.within);
-        assert_eq!(d.breaches().len(), 1);
-        assert!(!d.all_within());
-    }
-
-    #[test]
-    fn in_flight_overrun_is_sticky_and_one_sided() {
-        let d = DriftMonitor::new(0.15);
-        d.predict("na.total", 100.0);
-        // Under-prediction mid-run is not a breach — most of the join
-        // may simply not have run yet.
-        assert!(!d.observe_in_flight("na.total", 50.0));
-        assert!(!d.observe_in_flight("na.total", 114.0)); // inside the envelope
-        assert!(d.observe_in_flight("na.total", 116.0));
-        // Sticky: later smaller readings don't clear it.
-        assert!(d.observe_in_flight("na.total", 10.0));
-        assert!(!d.all_within());
-        assert_eq!(d.breaches().len(), 1);
-        assert!(d.breaches()[0].overrun);
-    }
-
-    #[test]
-    fn unknown_targets_are_ignored() {
-        let d = DriftMonitor::new(0.15);
-        assert!(!d.observe_in_flight("nope", 1e9));
-        assert!(d.observe("nope", 1.0).is_none());
-        assert!(d.all_within());
+        let s = evaluate(
+            &named(&[("da.total", 100.0)]),
+            &named(&[("da.total", 200.0)]),
+            0.15,
+        );
+        assert!(!s[0].within);
+        assert_eq!(s.iter().filter(|s| !s.within).count(), 1);
     }
 
     #[test]
     fn zero_actual_guard() {
-        let d = DriftMonitor::new(0.15);
-        d.predict("a", 0.0);
-        d.predict("b", 5.0);
-        assert!(d.observe("a", 0.0).unwrap().within);
-        let s = d.observe("b", 0.0).unwrap();
-        assert!(s.rel_err.is_infinite());
-        assert!(!s.within);
+        let s = evaluate(
+            &named(&[("a", 0.0), ("b", 5.0)]),
+            &named(&[("a", 0.0), ("b", 0.0)]),
+            0.15,
+        );
+        assert!(s[0].within);
+        assert!(s[1].rel_err.is_infinite());
+        assert!(!s[1].within);
     }
 
     #[test]
     fn publish_writes_gauges_and_breach_counter() {
-        let d = DriftMonitor::new(0.15);
-        d.predict("na.r1.l1", 100.0);
-        d.predict("na.r1.l2", 100.0);
-        d.observe("na.r1.l1", 98.0);
-        d.observe("na.r1.l2", 160.0);
+        let s = evaluate(
+            &named(&[("na.r1.l1", 100.0), ("na.r1.l2", 100.0)]),
+            &named(&[("na.r1.l1", 98.0), ("na.r1.l2", 160.0)]),
+            0.15,
+        );
         let m = MetricsRegistry::new();
-        d.publish(&m);
+        publish(&s, 0.15, &m);
         assert_eq!(m.gauge("drift.envelope"), Some(0.15));
         assert!(m.gauge("drift.na.r1.l1").unwrap() < 0.15);
         assert!(m.gauge("drift.na.r1.l2").unwrap() > 0.15);
@@ -283,18 +183,18 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_in_flight_checks() {
-        let d = DriftMonitor::new(0.15);
-        d.predict(NA_TOTAL, 1000.0);
-        std::thread::scope(|scope| {
-            for i in 0..8u64 {
-                let d = &d;
-                scope.spawn(move || {
-                    d.observe_in_flight(NA_TOTAL, (i * 200) as f64);
-                });
-            }
-        });
-        // 1400 > 1150 ⇒ someone tripped it.
-        assert!(!d.all_within());
+    fn gate_keeps_the_totals_and_the_levels_with_mass() {
+        let targets = named(&[
+            ("na.r1.l1", 900.0),
+            ("na.r1.l2", 20.0),
+            ("na.total", 1000.0),
+            ("da.r1.l1", 40.0),
+            ("da.total", 50.0),
+        ]);
+        let (gated, ungated) = gate(&targets);
+        let names: Vec<&str> = gated.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["na.r1.l1", "na.total", "da.r1.l1", "da.total"]);
+        // 20 NA is 2% of the NA total; each family is held to its own.
+        assert_eq!(ungated, ["na.r1.l2"]);
     }
 }

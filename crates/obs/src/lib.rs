@@ -2,10 +2,9 @@
 //! reproduction.
 //!
 //! The paper's entire claim is that Eqs 6–12 predict NA/DA within a
-//! ~15% relative-error envelope. Until now the repro could only check
-//! that claim *after* a run, by diffing CSVs; this crate supplies the
-//! feedback loop that watches prediction vs. observation while a join
-//! executes:
+//! ~15% relative-error envelope. This crate supplies what watches a
+//! join run — its spans, metrics and live progress — and the check of
+//! that claim on the finished run:
 //!
 //! * [`span`] — a lightweight hierarchical span/event system
 //!   ([`Tracer`]) with a JSONL sink and a human-readable tree summary.
@@ -16,11 +15,11 @@
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges and
 //!   fixed-bucket histograms, fed by the storage layer's per-level
 //!   access statistics and by the parallel scheduler's steal tallies.
-//! * [`drift`] — the [`DriftMonitor`]: per-level cost predictions are
-//!   registered up front, live counters are compared against them as
-//!   the join progresses (an *overrun* of the envelope is flagged
-//!   in-flight), and the final relative errors are published as
-//!   `drift.*` gauges.
+//! * [`drift`] — the post-run check: [`drift::evaluate`] holds the
+//!   per-level cost predictions ([`drift::gate`] keeps those with
+//!   mass) to the finished run's measured tallies, and
+//!   [`drift::publish`] writes the relative errors as `drift.*`
+//!   gauges.
 //! * [`json`] — the one JSON module (the workspace builds offline;
 //!   there is no serde) and the record format every JSONL artifact
 //!   shares: each writer builds [`json::Value`] records and each
@@ -52,7 +51,7 @@ pub mod metrics;
 pub mod progress;
 pub mod span;
 
-pub use drift::{DriftMonitor, DriftSample, DA_TOTAL, MASS_FLOOR, NA_TOTAL, PAPER_ENVELOPE};
+pub use drift::{DriftSample, DA_TOTAL, MASS_FLOOR, NA_TOTAL, PAPER_ENVELOPE};
 pub use governor::{
     validate_governor_jsonl, GovernorEvent, GovernorLog, GOVERNOR_EVENTS_FILE, GOVERNOR_SCHEMA,
 };

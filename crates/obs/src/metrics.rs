@@ -7,7 +7,7 @@
 //! noise floor of everything it measures. `BTreeMap` keeps the JSONL
 //! export and the report tables deterministically ordered.
 //!
-//! Naming convention (dotted paths, like the gauges the drift monitor
+//! Naming convention (dotted paths, like the gauges the drift check
 //! publishes): `<subsystem>.<quantity>[.<qualifier>…]`, e.g.
 //! `join.na.r1.l2`, `buffer.r1.misses`, `parallel.steal.attempts`.
 

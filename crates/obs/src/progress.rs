@@ -50,19 +50,20 @@
 //! observed per-level branching ratio does — but never on the evidence
 //! of a handful of parents, which is all a small upper level has: a
 //! packed 60K tree's root has two children. The progress fraction
-//! is `done / (Σ est − forfeited)`, clamped monotone (a re-estimate
-//! can shrink the denominator; the published fraction never regresses)
-//! and pinned to exactly 1.0 by [`ProgressTracker::finish`].
+//! is `done / Σ est`, clamped monotone (a re-estimate can shrink the
+//! denominator; the published fraction never regresses) and pinned to
+//! exactly 1.0 by [`ProgressTracker::finish`].
 //!
 //! # Forfeits
 //!
-//! A subtree the governor forfeits would stall progress forever — its
-//! work sits in the denominator but will never be done. The tracker
-//! therefore precomputes, per level, a *forfeit quantum*: the expected
-//! remaining NA below one skipped node pair at that level (the same
-//! Eq-6 mass the degraded path prices after the run). The executors
-//! report each skip as it happens and the quantum is retired from the
-//! denominator immediately, so progress neither stalls nor regresses
+//! A unit the governor forfeits would stall progress forever if its
+//! work stayed in the denominator. Only a run that schedules units can
+//! forfeit one, and the run's [`UnitLedger`] already holds what it
+//! forfeited, in units and in price: the engine reads the share of the
+//! schedule done over the price that will still run
+//! (`done / (scheduled − forfeited)`), and shrinks the Eq-6 prior by
+//! the forfeited share of the price. A forfeit is in the ledger the
+//! moment the unit is refused, so progress neither stalls nor regresses
 //! when a run is cut short.
 
 use crate::json::{self, Value};
@@ -270,16 +271,7 @@ struct Shared {
     epoch: Instant,
     /// Per (tree, raw level) node-access counters.
     na: [[AtomicU64; MAX_LEVELS]; 2],
-    /// Per-tree disk-access counters (levels folded — DA only feeds
-    /// the hit-ratio introspection, not the work model).
-    da: [AtomicU64; 2],
     pairs: AtomicU64,
-    /// Work retired from the denominator by skipped subtrees, in
-    /// milli-NA.
-    forfeited_milli: AtomicU64,
-    /// Per raw level: expected remaining NA below one skipped node
-    /// pair at that level, in milli-NA (set by [`ProgressEngine::new`]).
-    quantum_milli: [AtomicU64; MAX_LEVELS],
     /// The run's unit ledger ([`ProgressTracker::ledger`]).
     ledger: Arc<Ledger>,
     finished: AtomicBool,
@@ -290,10 +282,7 @@ impl Shared {
         Self {
             epoch: Instant::now(),
             na: [(); 2].map(|_| [(); MAX_LEVELS].map(|_| AtomicU64::new(0))),
-            da: [(); 2].map(|_| AtomicU64::new(0)),
             pairs: AtomicU64::new(0),
-            forfeited_milli: AtomicU64::new(0),
-            quantum_milli: [(); MAX_LEVELS].map(|_| AtomicU64::new(0)),
             ledger: Arc::default(),
             finished: AtomicBool::new(false),
         }
@@ -342,7 +331,6 @@ impl ProgressTracker {
             shared: self.shared.clone(),
             ticks: 0,
             last_na: [[0; MAX_LEVELS]; 2],
-            last_da: [0; 2],
             last_pairs: 0,
         }
     }
@@ -371,7 +359,6 @@ pub struct ProgressSink {
     shared: Option<Arc<Shared>>,
     ticks: u32,
     last_na: [[u64; MAX_LEVELS]; 2],
-    last_da: [u64; 2],
     last_pairs: u64,
 }
 
@@ -396,19 +383,19 @@ impl ProgressSink {
     }
 
     /// Publishes the delta between the executor's current per-level
-    /// `(level, NA, DA)` tallies (plus its pair count) and the last
-    /// flush. The iterators are the two trees' `AccessStats::per_level`
+    /// `(level, NA)` tallies (plus its pair count) and the last flush.
+    /// The iterators are the two trees' `AccessStats::per_level`
     /// snapshots; counters are cumulative and never regress.
     pub fn flush<I1, I2>(&mut self, tree1: I1, tree2: I2, pairs: u64)
     where
-        I1: IntoIterator<Item = (u8, u64, u64)>,
-        I2: IntoIterator<Item = (u8, u64, u64)>,
+        I1: IntoIterator<Item = (u8, u64)>,
+        I2: IntoIterator<Item = (u8, u64)>,
     {
         let Some(shared) = &self.shared else {
             return;
         };
-        flush_tree(shared, &mut self.last_na[0], &mut self.last_da[0], 0, tree1);
-        flush_tree(shared, &mut self.last_na[1], &mut self.last_da[1], 1, tree2);
+        flush_tree(shared, &mut self.last_na[0], 0, tree1);
+        flush_tree(shared, &mut self.last_na[1], 1, tree2);
         if pairs > self.last_pairs {
             shared
                 .pairs
@@ -416,47 +403,24 @@ impl ProgressSink {
             self.last_pairs = pairs;
         }
     }
-
-    /// Reports a forfeited node pair at raw level `level`: the
-    /// precomputed forfeit quantum is retired from the work denominator
-    /// immediately, so progress never stalls on skipped work.
-    pub fn forfeit(&self, level: u8) {
-        let Some(shared) = &self.shared else {
-            return;
-        };
-        let raw = (level as usize).min(MAX_LEVELS - 1);
-        let q = shared.quantum_milli[raw].load(Ordering::Relaxed);
-        // Unseeded trackers (no priors registered) retire a token 2
-        // accesses — the pair's own reads — so the signal still moves.
-        shared
-            .forfeited_milli
-            .fetch_add(q.max(2_000), Ordering::Relaxed);
-    }
 }
 
-/// Publishes one tree's cumulative `(level, NA, DA)` tallies as deltas
+/// Publishes one tree's cumulative `(level, NA)` tallies as deltas
 /// into the hub, updating the sink's last-seen snapshot. Counters are
 /// cumulative per executor, so `cur − last ≥ 0` always.
 fn flush_tree(
     shared: &Shared,
     last_na: &mut [u64; MAX_LEVELS],
-    last_da: &mut u64,
     t: usize,
-    levels: impl IntoIterator<Item = (u8, u64, u64)>,
+    levels: impl IntoIterator<Item = (u8, u64)>,
 ) {
-    let mut da_now = 0;
-    for (level, na, da) in levels {
+    for (level, na) in levels {
         let raw = (level as usize).min(MAX_LEVELS - 1);
-        da_now += da;
         let delta = na.saturating_sub(last_na[raw]);
         if delta > 0 {
             shared.na[t][raw].fetch_add(delta, Ordering::Relaxed);
             last_na[raw] = na;
         }
-    }
-    if da_now > *last_da {
-        shared.da[t].fetch_add(da_now - *last_da, Ordering::Relaxed);
-        *last_da = da_now;
     }
 }
 
@@ -472,16 +436,14 @@ pub struct ProgressSnapshot {
     /// Node accesses done so far (both trees); 0 for a run with no
     /// prior to estimate against.
     pub done_work: f64,
-    /// Current estimate of total work, after prior/observation
-    /// blending. The fraction's denominator is this minus
-    /// `forfeited_work`.
+    /// Current estimate of the total work the run will do, after
+    /// prior/observation blending: the fraction's denominator.
     pub est_total_work: f64,
-    /// Work retired from the denominator: skipped subtrees' NA.
+    /// Work retired from the estimate by forfeited units: the Eq-6
+    /// prior's share of their price.
     pub forfeited_work: f64,
     /// Node accesses published so far (both trees).
     pub na_done: u64,
-    /// Disk accesses published so far (both trees).
-    pub da_done: u64,
     /// Result pairs published so far.
     pub pairs: u64,
     /// Work units done / scheduled (0/0 for the sequential join, which
@@ -515,7 +477,6 @@ impl ProgressSnapshot {
             ("est_total_work", self.est_total_work.into()),
             ("forfeited_work", self.forfeited_work.into()),
             ("na_done", self.na_done.into()),
-            ("da_done", self.da_done.into()),
             ("pairs", self.pairs.into()),
             ("units_done", self.units_done.into()),
             ("units_total", self.units_total.into()),
@@ -575,13 +536,7 @@ pub struct ProgressEngine {
 
 impl ProgressEngine {
     /// An engine seeded with Eq-6 per-level priors (see
-    /// `sjcm_core::join::join_na_priors`). Also seeds the tracker's
-    /// per-level forfeit quanta from the same priors: a skipped node
-    /// pair at raw level `ℓ` retires
-    /// `Σ_{ℓ' ≤ ℓ} (P₁[ℓ'] + P₂[ℓ']) / max(pairs at ℓ, 1)` NA from the
-    /// denominator — its own two reads plus the expected traversal
-    /// below it, averaged over the predicted pair population of that
-    /// level.
+    /// `sjcm_core::join::join_na_priors`).
     pub fn new(tracker: &ProgressTracker, priors: &[LevelPrior]) -> Self {
         let mut prior = [[0.0f64; MAX_LEVELS]; 2];
         for p in priors {
@@ -590,16 +545,6 @@ impl ProgressEngine {
             };
             if t < 2 {
                 prior[t][raw.min(MAX_LEVELS - 1)] += p.na;
-            }
-        }
-        if let Some(shared) = &tracker.shared {
-            let mut below = 0.0f64;
-            for (raw, quantum) in shared.quantum_milli.iter().enumerate() {
-                below += prior[0][raw] + prior[1][raw];
-                // Pair visits at this level ≈ each tree's NA there
-                // (every qualifying pair charges one access per tree).
-                let visits = prior[0][raw].max(prior[1][raw]).max(1.0);
-                quantum.store((below / visits * 1000.0).round() as u64, Ordering::Relaxed);
             }
         }
         let top = [0, 1].map(|t| prior[t].iter().rposition(|&v| v > 0.0));
@@ -673,10 +618,8 @@ impl ProgressEngine {
             }
         }
         let na_done: u64 = done.iter().flatten().sum();
-        let da_done = shared.da[0].load(Ordering::Relaxed) + shared.da[1].load(Ordering::Relaxed);
         let pairs = shared.pairs.load(Ordering::Relaxed);
         let units = shared.ledger.totals();
-        let forfeited_na = shared.forfeited_milli.load(Ordering::Relaxed) as f64 / 1000.0;
         let finished = shared.finished.load(Ordering::Acquire);
 
         let (done_work, est_total, forfeited) = if self.prior_total > 0.0 && units.scheduled > 0 {
@@ -689,25 +632,27 @@ impl ProgressEngine {
             // scheduled cost has retired, total ≈ done / f. Blend it
             // with the Eq-6 prior, prior-dominated early (f → 0),
             // observation-dominated late (f → 1, where the estimate
-            // converges to the exact final work).
-            let f = (units.done as f64 / units.scheduled as f64).clamp(0.0, 1.0);
-            let obs_est = if f > 0.0 {
-                na_done as f64 / f
+            // converges to the exact final work). Forfeited units leave
+            // both: `f` is over the price that will still run, and the
+            // prior keeps the share of the price not forfeited.
+            let live = units.scheduled.saturating_sub(units.forfeited);
+            let f = if live > 0 {
+                (units.done as f64 / live as f64).clamp(0.0, 1.0)
             } else {
-                self.prior_total
+                1.0
             };
-            let blended = (1.0 - f) * self.prior_total.max(na_done as f64) + f * obs_est;
-            (na_done as f64, blended, forfeited_na)
+            let prior = self.prior_total * (live as f64 / units.scheduled as f64);
+            let obs_est = if f > 0.0 { na_done as f64 / f } else { prior };
+            let blended = (1.0 - f) * prior.max(na_done as f64) + f * obs_est;
+            (na_done as f64, blended, self.prior_total - prior)
         } else if self.prior_total > 0.0 {
-            (na_done as f64, self.estimate(&done), forfeited_na)
+            (na_done as f64, self.estimate(&done), 0.0)
         } else {
             // Nothing to estimate against (e.g. two height-1 trees):
             // progress is binary.
-            (0.0, 0.0, forfeited_na)
+            (0.0, 0.0, 0.0)
         };
-        let denom = (est_total - forfeited)
-            .max(done_work)
-            .max(f64::MIN_POSITIVE);
+        let denom = est_total.max(done_work).max(f64::MIN_POSITIVE);
         let raw_fraction = if est_total > 0.0 {
             (done_work / denom).clamp(0.0, 1.0)
         } else {
@@ -737,7 +682,6 @@ impl ProgressEngine {
             est_total_work: est_total,
             forfeited_work: forfeited,
             na_done,
-            da_done,
             pairs,
             units_done: units.units_done,
             units_total: units.units_scheduled,
@@ -832,7 +776,7 @@ mod tests {
         ]
     }
 
-    fn feed(sink: &mut ProgressSink, t1: &[(u8, u64, u64)], t2: &[(u8, u64, u64)], pairs: u64) {
+    fn feed(sink: &mut ProgressSink, t1: &[(u8, u64)], t2: &[(u8, u64)], pairs: u64) {
         sink.flush(t1.iter().copied(), t2.iter().copied(), pairs);
     }
 
@@ -842,8 +786,7 @@ mod tests {
         assert!(!tracker.is_enabled());
         let mut sink = tracker.sink();
         assert!(!sink.tick());
-        feed(&mut sink, &[(0, 10, 5)], &[], 3);
-        sink.forfeit(1);
+        feed(&mut sink, &[(0, 10)], &[], 3);
         let ledger = tracker.ledger();
         ledger.arm(1, 5);
         ledger.admit(5);
@@ -867,8 +810,8 @@ mod tests {
             // the prior's branching ratio.
             feed(
                 &mut sink,
-                &[(0, step * 6, step), (1, step, 0)],
-                &[(0, step * 6, step), (1, step, 0)],
+                &[(0, step * 6), (1, step)],
+                &[(0, step * 6), (1, step)],
                 step * 4,
             );
             let snap = engine.sample();
@@ -906,7 +849,7 @@ mod tests {
         let mut engine = ProgressEngine::new(&tracker, &priors);
         let mut sink = tracker.sink();
         for step in 1..=10u64 {
-            feed(&mut sink, &[(0, step * 20, 0), (1, step, 0)], &[], 0);
+            feed(&mut sink, &[(0, step * 20), (1, step)], &[], 0);
             engine.sample();
         }
         // Observed: 200 leaf + 10 internal. Prior said 60 total.
@@ -937,7 +880,7 @@ mod tests {
         let mut engine = ProgressEngine::new(&tracker, &priors);
         let mut sink = tracker.sink();
         // One internal access, one (atypical) leaf access observed.
-        feed(&mut sink, &[(0, 1, 0), (1, 1, 0)], &[], 0);
+        feed(&mut sink, &[(0, 1), (1, 1)], &[], 0);
         let snap = engine.sample();
         // The one internal node is still open (w = 0) — the prior's
         // 10:1 ratio must stand against the observed 1:1.
@@ -964,7 +907,7 @@ mod tests {
         let tracker = ProgressTracker::enabled();
         let mut engine = ProgressEngine::new(&tracker, &priors);
         let mut sink = tracker.sink();
-        feed(&mut sink, &[(0, 1964, 0), (1, 82, 0), (2, 2, 0)], &[], 0);
+        feed(&mut sink, &[(0, 1964), (1, 82), (2, 2)], &[], 0);
         let est = engine.sample().est_total_work;
         assert!(
             (est - prior_total).abs() < 0.15 * prior_total,
@@ -972,33 +915,33 @@ mod tests {
         );
     }
 
-    #[test]
-    fn forfeit_retires_work_from_the_denominator() {
-        let tracker = ProgressTracker::enabled();
-        let mut engine = ProgressEngine::new(&tracker, &priors_two_trees());
-        let mut sink = tracker.sink();
-        feed(
-            &mut sink,
-            &[(0, 30, 0), (1, 6, 0)],
-            &[(0, 30, 0), (1, 6, 0)],
-            0,
-        );
-        let before = engine.sample().fraction;
-        // Skip a level-1 (raw 0) subtree pair several times: the
-        // denominator shrinks, so the fraction must not drop — and
-        // should in fact rise.
-        for _ in 0..5 {
-            sink.forfeit(0);
-        }
-        let after = engine.sample();
-        assert!(after.forfeited_work > 0.0);
-        assert!(after.fraction >= before, "{} < {before}", after.fraction);
-    }
-
     /// Admits and completes one unit of `price`.
     fn run_unit(ledger: &UnitLedger, price: u64) {
         ledger.admit(price);
         ledger.done(price);
+    }
+
+    #[test]
+    fn forfeit_retires_work_from_the_denominator() {
+        let tracker = ProgressTracker::enabled();
+        let mut engine = ProgressEngine::new(&tracker, &priors_two_trees());
+        let (mut sink, ledger) = (tracker.sink(), tracker.ledger());
+        ledger.arm(4, 400);
+        run_unit(&ledger, 100);
+        run_unit(&ledger, 100);
+        feed(&mut sink, &[(0, 30), (1, 6)], &[(0, 30), (1, 6)], 0);
+        let before = engine.sample();
+        assert_eq!(before.forfeited_work, 0.0);
+        assert!(before.fraction < 0.9, "{}", before.fraction);
+        // The two units left are refused, in the ledger alone: nothing
+        // the run will still do is outstanding, so the fraction reaches
+        // the pre-finish cap without the run finishing.
+        ledger.forfeit(100);
+        ledger.forfeit(100);
+        let after = engine.sample();
+        assert!(after.forfeited_work > 0.0);
+        assert_eq!(after.fraction, 0.9995);
+        assert!(!after.finished);
     }
 
     #[test]
@@ -1062,8 +1005,8 @@ mod tests {
         for step in 1..=20u64 {
             feed(
                 &mut sink,
-                &[(0, step * 3, 0), (1, step, 0)],
-                &[(0, step * 3, 0), (1, step, 0)],
+                &[(0, step * 3), (1, step)],
+                &[(0, step * 3), (1, step)],
                 0,
             );
             std::thread::sleep(std::time::Duration::from_millis(1));
@@ -1092,8 +1035,8 @@ mod tests {
         for step in 1..=5u64 {
             feed(
                 &mut sink,
-                &[(0, step * 6, step), (1, step, 0)],
-                &[(0, step * 6, 0), (1, step, 0)],
+                &[(0, step * 6), (1, step)],
+                &[(0, step * 6), (1, step)],
                 step,
             );
             snaps.push(engine.sample());
@@ -1140,8 +1083,8 @@ mod tests {
         let mut engine = ProgressEngine::new(&tracker, &priors_two_trees());
         feed(
             &mut tracker.sink(),
-            &[(0, 30, 0), (1, 6, 0)],
-            &[(0, 30, 0), (1, 6, 0)],
+            &[(0, 30), (1, 6)],
+            &[(0, 30), (1, 6)],
             7,
         );
         let line = engine.sample().terminal_line();
@@ -1162,14 +1105,11 @@ mod tests {
         let mut engine = ProgressEngine::new(&tracker, &priors_two_trees());
         let mut a = tracker.sink();
         let mut b = tracker.sink();
-        feed(&mut a, &[(0, 10, 2)], &[(0, 4, 1)], 3);
-        feed(&mut b, &[(0, 7, 0)], &[(0, 2, 2)], 1);
-        feed(&mut a, &[(0, 12, 2)], &[(0, 4, 1)], 3); // +2 NA only
+        feed(&mut a, &[(0, 10)], &[(0, 4)], 3);
+        feed(&mut b, &[(0, 7)], &[(0, 2)], 1);
+        feed(&mut a, &[(0, 12)], &[(0, 4)], 3); // +2 NA only
         let snap = engine.sample();
         assert_eq!(snap.na_done, 10 + 7 + 4 + 2 + 2);
-        // a: tree-1 DA 2, tree-2 DA 1; b: tree-1 DA 0, tree-2 DA 2;
-        // a's second flush repeats its DA tallies — no new deltas.
-        assert_eq!(snap.da_done, 2 + 1 + 2);
         assert_eq!(snap.pairs, 4);
     }
 

@@ -1,6 +1,6 @@
 //! The page-access flight recorder.
 //!
-//! The observability layer's drift monitor (PR 2) sees only *aggregate*
+//! The observability layer's drift check sees only *aggregate*
 //! NA/DA counters: when the Eq 8–12 DA prediction drifts, the counters
 //! cannot say *which* accesses diverged, and the one buffer
 //! configuration that actually ran is the only one that can be

@@ -35,7 +35,14 @@ if [ ${#parent_root} != ${#change_root} ]; then
     echo "$confound" >&2
 fi
 
+# The metrics come from the checkout this script sits in; read them
+# before any run, so a copy outside a checkout stops here, not after
+# its last pair.
 cd "$(dirname "$0")/.."
+if ! metrics=$(jq -er '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json) || [ -z "$metrics" ]; then
+    echo "cannot read the end_to_end metrics of $PWD/BENCHMARK.json: run the copy in scripts/ of a checkout" >&2
+    exit 2
+fi
 readings=$(mktemp)
 trap 'rm -f "$readings"' EXIT
 
@@ -71,7 +78,7 @@ echo "#### $workload: $pairs pairs, seed $seed, $seconds s"
 echo
 echo "| metric | parent | change | ratio | parent q3 − q1 | change wins |"
 echo "|---|---|---|---|---|---|"
-jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json | awk -v pairs="$pairs" '
+awk -v pairs="$pairs" '
     # Quartile p of the n sorted values in s[1..n], by linear
     # interpolation between order statistics.
     function q(s, n, p,    h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo == n ? s[n] : s[lo] + (h - lo) * (s[lo + 1] - s[lo]) }
@@ -100,7 +107,7 @@ jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json | awk -v pairs="$pa
         }
         na = sorted("parent", "attempted", a); nb = sorted("change", "attempted", b)
         printf "\nOperations per run: parent %d–%d (median %d), change %d–%d (median %d).\n", a[1], a[na], q(a, na, 0.5), b[1], b[nb], q(b, nb, 0.5)
-    }' - "$readings"
+    }' - "$readings" <<<"$metrics"
 if [ -n "$confound" ]; then
     echo
     echo "$confound"

@@ -19,7 +19,7 @@
 //!   prior and this re-estimate is what stale statistics cost;
 //! * **residual model error** — the re-estimate against the measured
 //!   value; what remains is the formulas' own bias, judged against the
-//!   paper's ±15% envelope exactly like the drift monitor's verdicts.
+//!   paper's ±15% envelope exactly like the drift check's verdicts.
 //!
 //! The result renders three ways: an annotated ASCII tree
 //! ([`AnalyzedPlan`]'s `Display`), a `plan_analyze.jsonl` obs artifact

@@ -21,7 +21,7 @@
 //! | [`model`] | `sjcm-core` | **the paper's cost models** (Eqs 1–12 + extensions) |
 //! | [`datagen`] | `sjcm-datagen` | uniform / skewed / TIGER-like generators |
 //! | [`optimizer`] | `sjcm-optimizer` | cost-based spatial query optimizer |
-//! | [`obs`] | `sjcm-obs` | spans, metrics registry, model-drift monitor |
+//! | [`obs`] | `sjcm-obs` | spans, metrics registry, post-run model-drift check |
 //! | [`json`] | `sjcm-obs` | the workspace's JSON parser and writer (`sjcm_obs::json`) |
 //!
 //! # Quickstart
